@@ -1,12 +1,13 @@
 # Tier-1 verification in one command: `make test` runs vet, the
 # deprecated-identifier guard and the full suite under the race detector;
 # `make build` compiles everything; `make bench` regenerates the
-# benchmark tables; `make check-metrics` smoke-tests the /metrics
-# exposition against a live mediator binary.
+# benchmark tables; `make fuzz-smoke` fuzzes the SRJ codec briefly;
+# `make check-metrics` smoke-tests the /metrics exposition against a live
+# mediator binary.
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke vet check-deprecated staticcheck check-metrics
+.PHONY: build test bench bench-smoke fuzz-smoke vet check-deprecated staticcheck check-metrics
 
 build:
 	$(GO) build ./...
@@ -55,6 +56,17 @@ bench-smoke:
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
 	@echo "bench-smoke: every benchmark ran; view and dict-store benchmarks present"
+
+# Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
+# its encoding/json reference and the encoder's round trip, starting from
+# the corpus under internal/srjson/testdata/fuzz. go test fuzzes one
+# target per invocation.
+FUZZ_TARGETS = FuzzStreamDecoder FuzzAppendBinding
+
+fuzz-smoke:
+	@for f in $(FUZZ_TARGETS); do \
+		$(GO) test -run xxx -fuzz "^$$f$$" -fuzztime 10s ./internal/srjson || exit 1; \
+	done
 
 # End-to-end observability smoke test: boot the real binary on a free
 # port, run one planner-selected federated query, scrape /metrics and

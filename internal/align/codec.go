@@ -285,7 +285,10 @@ func DecodeGraph(g rdf.Graph) ([]*OntologyAlignment, []*EntityAlignment, error) 
 	oaIDs := st.Subjects(typ, rdf.NewIRI(rdf.MapOntologyAlignment))
 	sort.Slice(oaIDs, func(i, j int) bool { return oaIDs[i].Compare(oaIDs[j]) < 0 })
 	for _, id := range oaIDs {
-		oa := &OntologyAlignment{URI: id.Value}
+		oa := &OntologyAlignment{}
+		if id.IsIRI() { // a blank node's label names nothing outside its document
+			oa.URI = id.Value
+		}
 		for _, t := range d.objects(id, rdf.MapSourceOntology) {
 			oa.SourceOntologies = append(oa.SourceOntologies, t.Value)
 		}

@@ -283,3 +283,51 @@ func TestKBSelect(t *testing.T) {
 		t.Fatal("invalid OA must be rejected")
 	}
 }
+
+// TestKBAddReplacesByURI: re-loading an alignment document must update
+// the KB, not grow it — every Add of an already stored URI replaces that
+// alignment in place and still notifies subscribers. Anonymous
+// alignments have no identity to match and accumulate.
+func TestKBAddReplacesByURI(t *testing.T) {
+	kb := NewKB()
+	notified := 0
+	kb.Subscribe(func() { notified++ })
+	other := &OntologyAlignment{
+		URI:              "http://ecs.soton.ac.uk/alignments/akt2foaf",
+		SourceOntologies: []string{rdf.AKTNS},
+		TargetOntologies: []string{rdf.FOAFNS},
+	}
+	for _, oa := range []*OntologyAlignment{paperOA(), other, paperOA()} {
+		if err := kb.Add(oa); err != nil {
+			t.Fatal(err)
+		}
+	}
+	updated := paperOA()
+	updated.Alignments = updated.Alignments[:1]
+	if err := kb.Add(updated); err != nil {
+		t.Fatal(err)
+	}
+	if all := kb.All(); len(all) != 2 || all[0] != updated || all[1] != other {
+		t.Fatalf("stored alignments = %v, want the updated one in the first one's place", all)
+	}
+	if kb.EntityAlignmentCount() != 1 || notified != 4 {
+		t.Fatalf("entity alignments = %d, notifications = %d", kb.EntityAlignmentCount(), notified)
+	}
+
+	// Two documents whose alignment is a blank node: the parser's labels
+	// coincide, the alignments do not.
+	const anonymous = `@prefix map: <http://ecs.soton.ac.uk/om.owl#> .
+[] a map:OntologyAlignment ; map:sourceOntology <http://a#> ; map:targetOntology <http://b#> .`
+	for range 2 {
+		oas, _, err := ParseTurtle(anonymous)
+		if err != nil || len(oas) != 1 || oas[0].URI != "" {
+			t.Fatalf("ParseTurtle = %v, %v", oas, err)
+		}
+		if err := kb.Add(oas[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kb.Len() != 4 {
+		t.Fatalf("Len = %d, want 4: anonymous alignments must not replace each other", kb.Len())
+	}
+}

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -42,12 +43,19 @@ func (kb *KB) Subscribe(fn func()) (cancel func()) {
 }
 
 // Add validates and stores an ontology alignment, notifying subscribers.
+// An alignment whose (non-empty) URI is already stored replaces the
+// stored one in place, so re-loading a document updates the KB instead
+// of growing it; subscribers are notified either way.
 func (kb *KB) Add(oa *OntologyAlignment) error {
 	if err := oa.Validate(); err != nil {
 		return err
 	}
 	kb.mu.Lock()
-	kb.oas = append(kb.oas, oa)
+	if i := slices.IndexFunc(kb.oas, func(o *OntologyAlignment) bool { return oa.URI != "" && o.URI == oa.URI }); i >= 0 {
+		kb.oas[i] = oa
+	} else {
+		kb.oas = append(kb.oas, oa)
+	}
 	listeners := make([]func(), 0, len(kb.listeners))
 	for _, fn := range kb.listeners {
 		listeners = append(listeners, fn)

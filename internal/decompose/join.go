@@ -408,21 +408,26 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 			span.End()
 		}()
 		// Materialise the left side, bucketed by join key (it is about to
-		// be shipped as VALUES or probed by hash either way). keyOrder
-		// keeps VALUES rows deterministic: first-seen order.
-		table := map[string][]eval.Solution{}
-		var keyOrder []string
+		// be shipped as VALUES or probed by hash either way). Buckets are
+		// in first-seen key order, which keeps VALUES rows deterministic;
+		// table maps a join key to its bucket.
+		table := map[string]int{}
+		var buckets [][]eval.Solution
+		var key []byte // reused: only a first-seen key is copied into table
 		rows := 0
 		for sol, err := range left {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			key := sol.Project(f.JoinVars).Key()
-			if _, ok := table[key]; !ok {
-				keyOrder = append(keyOrder, key)
+			key = sol.AppendKeyOn(key[:0], f.JoinVars)
+			b, ok := table[string(key)]
+			if !ok {
+				b = len(buckets)
+				table[string(key)] = b
+				buckets = append(buckets, nil)
 			}
-			table[key] = append(table[key], sol)
+			buckets[b] = append(buckets[b], sol)
 			rows++
 		}
 		st.RowsIn = int64(rows)
@@ -432,12 +437,12 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 		}
 
 		var shardTexts []string
-		bind := len(f.JoinVars) > 0 && e.opts.MaxBindRows >= 0 && len(keyOrder) <= e.opts.MaxBindRows
+		bind := len(f.JoinVars) > 0 && e.opts.MaxBindRows >= 0 && len(buckets) <= e.opts.MaxBindRows
 		if bind {
 			values := &sparql.InlineData{Vars: append([]string(nil), f.JoinVars...)}
 			rowSeen := map[string]bool{}
-			for _, key := range keyOrder {
-				sol := table[key][0]
+			for _, bucket := range buckets {
+				sol := bucket[0]
 				row := make([]rdf.Term, len(f.JoinVars))
 				for i, v := range f.JoinVars {
 					row[i] = sol[v] // zero Term reads back as UNDEF
@@ -481,8 +486,12 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 				return
 			}
 			fetched++
-			key := sol.Project(f.JoinVars).Key()
-			for _, l := range table[key] {
+			key = sol.AppendKeyOn(key[:0], f.JoinVars)
+			b, ok := table[string(key)]
+			if !ok {
+				continue
+			}
+			for _, l := range buckets[b] {
 				if l.Compatible(sol) {
 					if merged == 0 {
 						st.FirstRowMS = float64(time.Since(spanStart).Microseconds()) / 1000
@@ -597,10 +606,7 @@ func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in eval.Solutio
 			span.SetOperator(st)
 			span.End()
 		}()
-		var seen map[string]bool
-		if d.distinct {
-			seen = map[string]bool{}
-		}
+		var seen eval.KeySet
 		skipped, emitted := 0, 0
 		for sol, err := range in {
 			if err != nil {
@@ -608,17 +614,13 @@ func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in eval.Solutio
 				return
 			}
 			st.RowsIn++
-			out := sol.Project(d.Vars)
-			if seen != nil {
-				key := out.Key()
-				if seen[key] {
-					r.mu.Lock()
-					r.duplicates++
-					r.mu.Unlock()
-					continue
-				}
-				seen[key] = true
+			if d.distinct && !seen.AddOn(sol, d.Vars) {
+				r.mu.Lock()
+				r.duplicates++
+				r.mu.Unlock()
+				continue
 			}
+			out := sol.Project(d.Vars)
 			if d.offset > 0 && skipped < d.offset {
 				skipped++
 				continue

@@ -38,9 +38,23 @@ const DefaultMaxResponseBody = 64 << 20 // 64 MB
 
 // FlushEvery is how often streaming handlers flush mid-stream after the
 // first solution: the first row reaches the client immediately, later
-// rows are batched to keep syscall overhead off the hot path. Shared by
-// this server and the mediator's /sparql handler.
+// rows are batched to keep syscall overhead off the hot path.
 const FlushEvery = 64
+
+// BatchFlusher returns the function a streaming handler calls after each
+// item it writes to w: it flushes the first item at once and then every
+// FlushEvery-th. Shared by this server and the mediator's /sparql
+// handler. It does nothing when w cannot flush.
+func BatchFlusher(w http.ResponseWriter) func() {
+	flusher, _ := w.(http.Flusher)
+	n := 0
+	return func() {
+		n++
+		if flusher != nil && (n == 1 || n%FlushEvery == 0) {
+			flusher.Flush()
+		}
+	}
+}
 
 // Server serves SPARQL queries over one store.
 type Server struct {
@@ -122,14 +136,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/sparql-results+json")
-		flusher, _ := w.(http.Flusher)
-		n := 0
-		flush := func() {
-			n++
-			if flusher != nil && (n == 1 || n%FlushEvery == 0) {
-				flusher.Flush()
-			}
-		}
 		ctx := r.Context()
 		seq := func(yield func(eval.Solution, error) bool) {
 			for sol, err := range sr.Seq {
@@ -144,7 +150,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// A mid-stream evaluation or write error can no longer change the
 		// status line; aborting leaves truncated JSON, which the client's
 		// incremental decoder reports as an error.
-		_ = srjson.EncodeSelectStream(w, sr.Vars, seq, flush)
+		_ = srjson.EncodeSelectStream(w, sr.Vars, seq, BatchFlusher(w))
 	case sparql.Ask:
 		b, err := s.Engine.Ask(q)
 		if err != nil {

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,33 +94,89 @@ func (s Solution) Merge(o Solution) Solution {
 // Key returns a canonical string form of the solution, used for DISTINCT
 // and for hash-join buckets. Variables are emitted in sorted order.
 func (s Solution) Key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(s))
+	var buf [256]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to dst.
+func (s Solution) AppendKey(dst []byte) []byte {
+	var stack [16]string
+	names := stack[:0]
 	for k := range s {
 		names = append(names, k)
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(s[n].String())
-		b.WriteByte('\x00')
+	return s.appendSorted(dst, names)
+}
+
+// AppendKeyOn appends the bytes of s.Project(vars).Key() to dst without
+// building the projection: the key of the bindings among vars.
+func (s Solution) AppendKeyOn(dst []byte, vars []string) []byte {
+	var stack [16]string
+	names := stack[:0]
+	for _, v := range vars {
+		if _, ok := s[v]; ok && !slices.Contains(names, v) {
+			names = append(names, v)
+		}
 	}
-	return b.String()
+	return s.appendSorted(dst, names)
+}
+
+// appendSorted sorts names (distinct, all bound in s) in place and appends
+// one "name=term\x00" group per name.
+func (s Solution) appendSorted(dst []byte, names []string) []byte {
+	slices.Sort(names)
+	for _, n := range names {
+		dst = append(dst, n...)
+		dst = append(dst, '=')
+		dst = s[n].AppendString(dst)
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // keyOn returns the canonical string of the solution restricted to vars
 // (which must be sorted); used to bucket hash joins on shared variables.
 func (s Solution) keyOn(vars []string) string {
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	for _, n := range vars {
-		b.WriteString(s[n].String())
-		b.WriteByte('\x00')
+		b = s[n].AppendString(b)
+		b = append(b, 0)
 	}
-	return b.String()
+	return string(b)
+}
+
+// KeySet is the set of the keys of the solutions added to it: the state
+// of a streaming DISTINCT. Each key is rendered into one reused buffer
+// and looked up from there, so a duplicate allocates nothing and a new
+// solution only the key the set retains. The zero value is empty.
+type KeySet struct {
+	seen map[string]struct{}
+	key  []byte
+}
+
+// Add adds the solution's Key and reports whether it was new.
+func (k *KeySet) Add(s Solution) bool {
+	k.key = s.AppendKey(k.key[:0])
+	return k.add()
+}
+
+// AddOn adds the key of the solution's projection on vars and reports
+// whether it was new.
+func (k *KeySet) AddOn(s Solution, vars []string) bool {
+	k.key = s.AppendKeyOn(k.key[:0], vars)
+	return k.add()
+}
+
+func (k *KeySet) add() bool {
+	if _, dup := k.seen[string(k.key)]; dup {
+		return false
+	}
+	if k.seen == nil {
+		k.seen = make(map[string]struct{})
+	}
+	k.seen[string(k.key)] = struct{}{}
+	return true
 }
 
 // Vars returns the bound variable names (excluding blank-node pseudo-vars)

@@ -27,7 +27,9 @@ type StreamResult struct {
 // shared by the endpoint client (decoding a response body incrementally)
 // and the federation executor (merging many such bodies). Next returns
 // io.EOF at the clean end of the stream; Close releases the underlying
-// resources and must always be called.
+// resources and must always be called. Next hands the caller ownership
+// of the returned map: the stream never touches it again, so a consumer
+// (the owl:sameAs merge) may rewrite it in place.
 type SolutionStream interface {
 	Vars() []string
 	Next() (Solution, error)
@@ -320,17 +322,15 @@ func (e *Engine) evalLeftJoinSeq(o *algebra.LeftJoin) SolutionSeq {
 // results still flow incrementally.
 func (e *Engine) distinctSeq(input algebra.Op) SolutionSeq {
 	return func(yield func(Solution, error) bool) {
-		seen := map[string]bool{}
+		var seen KeySet
 		for sol, err := range e.evalSeq(input) {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			k := sol.Key()
-			if seen[k] {
+			if !seen.Add(sol) {
 				continue
 			}
-			seen[k] = true
 			if !yield(sol, nil) {
 				return
 			}

@@ -35,7 +35,9 @@ import (
 )
 
 // SelectClient executes a SELECT query against a remote endpoint.
-// *endpoint.Client satisfies it.
+// *endpoint.Client satisfies it. The returned solutions belong to the
+// caller, as with eval.SolutionStream.Next: the merge rewrites them in
+// place.
 type SelectClient interface {
 	SelectContext(ctx context.Context, endpointURL, queryText string) (*eval.Result, error)
 }

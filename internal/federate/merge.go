@@ -19,7 +19,7 @@ type merger struct {
 	// stops the merge (the downstream consumer is gone).
 	emit       func(eval.Solution) bool
 	reps       *RepCache
-	seen       map[string]bool
+	seen       eval.KeySet
 	duplicates int
 }
 
@@ -28,7 +28,6 @@ func newMerger(coref funcs.CorefSource, emit func(eval.Solution) bool) *merger {
 		coref: coref,
 		emit:  emit,
 		reps:  NewRepCache(coref),
-		seen:  make(map[string]bool),
 	}
 }
 
@@ -45,28 +44,24 @@ func (m *merger) run(ch <-chan eval.Solution, done chan<- struct{}) {
 	close(done)
 }
 
+// add takes ownership of sol: the row is canonicalised in place.
 func (m *merger) add(sol eval.Solution) bool {
-	canon := m.canonicalise(sol)
-	key := canon.Key()
-	if m.seen[key] {
+	m.canonicalise(sol)
+	if !m.seen.Add(sol) {
 		m.duplicates++
 		return true
 	}
-	m.seen[key] = true
-	return m.emit(canon)
+	return m.emit(sol)
 }
 
 // canonicalise maps every IRI binding to the representative of its
 // owl:sameAs class, so the same entity coming from two URI spaces merges.
-func (m *merger) canonicalise(sol eval.Solution) eval.Solution {
-	out := make(eval.Solution, len(sol))
+func (m *merger) canonicalise(sol eval.Solution) {
 	for k, v := range sol {
-		if v.IsIRI() && m.coref != nil {
-			v = m.reps.Term(v)
+		if rep := m.reps.Term(v); rep != v {
+			sol[k] = rep
 		}
-		out[k] = v
 	}
-	return out
 }
 
 // RepCache memoises owl:sameAs class representatives behind a term

@@ -617,19 +617,6 @@ func explainPayload(res *Result, mode string) (string, json.RawMessage) {
 	return "", nil
 }
 
-// flushEvery adapts an http.Flusher into the "flush the first item
-// immediately, then batch" policy shared with the endpoints.
-func flushEvery(w http.ResponseWriter) func() {
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	return func() {
-		n++
-		if flusher != nil && (n == 1 || n%endpoint.FlushEvery == 0) {
-			flusher.Flush()
-		}
-	}
-}
-
 // serveBindings streams a SELECT result in the negotiated serialisation.
 func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain string) {
 	qs := res.Bindings()
@@ -643,14 +630,14 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain str
 		// A mid-stream failure can no longer change the status line;
 		// aborting leaves truncated JSON, which streaming clients report.
 		if explain == "" {
-			_ = srjson.EncodeSelectStream(w, qs.Vars(), qs.Solutions(), flushEvery(w))
+			_ = srjson.EncodeSelectStream(w, qs.Vars(), qs.Solutions(), endpoint.BatchFlusher(w))
 			return
 		}
 		enc, err := srjson.NewStreamEncoder(w, qs.Vars())
 		if err != nil {
 			return
 		}
-		flush := flushEvery(w)
+		flush := endpoint.BatchFlusher(w)
 		for sol, serr := range qs.Solutions() {
 			if serr != nil {
 				return // truncated JSON signals the failure, as above
@@ -708,7 +695,7 @@ func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain stri
 func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain string) {
 	gs := res.Graph()
 	w.Header().Set("Content-Type", ctype)
-	flush := flushEvery(w)
+	flush := endpoint.BatchFlusher(w)
 	var write func(t rdf.Triple) error
 	if ctype == ctTurtle {
 		sw := turtle.NewStreamWriter(w, gs.Prefixes())
@@ -757,26 +744,26 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain string
 func serveNDJSON(w http.ResponseWriter, res *Result, explain string) {
 	qs := res.Bindings()
 	w.Header().Set("Content-Type", ctNDJSON)
-	flush := flushEvery(w)
-	writeLine := func(data []byte) bool {
-		if _, err := w.Write(data); err != nil {
-			return false
-		}
-		_, err := io.WriteString(w, "\n")
+	flush := endpoint.BatchFlusher(w)
+	writeLine := func(line []byte) bool {
+		_, err := w.Write(append(line, '\n'))
 		return err == nil
 	}
-	var streamErr error
+	var (
+		streamErr error
+		line      []byte // reused for every row
+	)
 	for sol, err := range qs.Solutions() {
 		if err != nil {
 			streamErr = err
 			break
 		}
-		line, err := srjson.Binding(qs.Vars(), sol)
-		if err != nil {
+		if line, err = srjson.AppendBinding(line[:0], qs.Vars(), sol); err != nil {
 			streamErr = err
 			break
 		}
-		if !writeLine(line) {
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return // client gone; the deferred Close cancels upstream
 		}
 		flush()
@@ -819,7 +806,12 @@ func (s *sseWriter) event(name string, payload any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.WriteString(s.w, "event: "+name+"\ndata: "+string(data)+"\n\n"); err != nil {
+	return s.write([]byte("event: " + name + "\ndata: " + string(data) + "\n\n"))
+}
+
+// write sends one complete event frame and flushes it.
+func (s *sseWriter) write(frame []byte) error {
+	if _, err := s.w.Write(frame); err != nil {
 		return err
 	}
 	if s.flusher != nil {
@@ -857,18 +849,20 @@ func writeSSESummary(sse *sseWriter, fr *FederatedResult, err error) {
 func serveSSE(w http.ResponseWriter, res *Result, explain string) {
 	qs := res.Bindings()
 	sse := newSSEWriter(w)
+	const bindingEvent = "event: binding\ndata: "
 	var streamErr error
+	frame := []byte(bindingEvent) // reused for every row
 	for sol, err := range qs.Solutions() {
 		if err != nil {
 			streamErr = err
 			break
 		}
-		line, err := srjson.Binding(qs.Vars(), sol)
-		if err != nil {
+		if frame, err = srjson.AppendBinding(frame[:len(bindingEvent)], qs.Vars(), sol); err != nil {
 			streamErr = err
 			break
 		}
-		if err := sse.event("binding", json.RawMessage(line)); err != nil {
+		frame = append(frame, '\n', '\n')
+		if err := sse.write(frame); err != nil {
 			return // client gone; the deferred Close cancels upstream
 		}
 	}

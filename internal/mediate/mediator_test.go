@@ -603,6 +603,45 @@ func TestHTTPAPIRewrite(t *testing.T) {
 	}
 }
 
+// TestHTTPAlignmentReloadDoesNotGrowKB: POSTing the same alignment
+// document again and again — what a deployment script or the benchmark's
+// hot-churn writer does — must leave the KB, and so the rewriting and its
+// cost, as it was after the first load.
+func TestHTTPAlignmentReloadDoesNotGrowKB(t *testing.T) {
+	s := newStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+	kb := s.mediator.Alignments
+	oas, eas := kb.Len(), kb.EntityAlignmentCount()
+	before, err := s.mediator.Rewrite(workload.Figure1Query(0), rdf.AKTNS, workload.KistiVoidURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttl := align.FormatTurtle([]*align.OntologyAlignment{workload.AKT2KISTI()})
+	for i := range 30 {
+		resp, err := http.Post(srv.URL+"/api/alignments", "text/turtle", strings.NewReader(ttl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("load %d: status = %d", i, resp.StatusCode)
+		}
+	}
+	if kb.Len() != oas || kb.EntityAlignmentCount() != eas {
+		t.Fatalf("after 30 re-loads: %d alignments / %d entity alignments, want %d / %d",
+			kb.Len(), kb.EntityAlignmentCount(), oas, eas)
+	}
+	after, err := s.mediator.Rewrite(workload.Figure1Query(0), rdf.AKTNS, workload.KistiVoidURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Query != before.Query || after.AlignmentsUsed != before.AlignmentsUsed {
+		t.Fatalf("rewriting changed across re-loads (%d -> %d alignments used):\n%s\n--- was ---\n%s",
+			before.AlignmentsUsed, after.AlignmentsUsed, after.Query, before.Query)
+	}
+}
+
 func TestHTTPSparqlFederated(t *testing.T) {
 	s := newStack(t)
 	srv := httptest.NewServer(Handler(s.mediator))

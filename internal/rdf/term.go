@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the four kinds of term that can occur in a triple
@@ -200,52 +201,80 @@ func (t Term) Bool() (bool, bool) {
 // "literal"^^<dt>, "literal"@lang, _:label, ?var. The wildcard renders as
 // "*". The output is used in diagnostics, test fixtures and serialisers.
 func (t Term) String() string {
+	var buf [128]byte // most terms render without a second allocation
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering of the term to dst and
+// returns the extended slice, so row keys and serialisers build one
+// buffer instead of one string per term.
+func (t Term) AppendString(dst []byte) []byte {
 	switch t.Kind {
 	case KindAny:
-		return "*"
+		return append(dst, '*')
 	case KindIRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case KindBlank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case KindVar:
-		return "?" + t.Value
+		dst = append(dst, '?')
+		return append(dst, t.Value...)
 	case KindLiteral:
-		q := quoteLiteral(t.Value)
+		dst = appendQuoted(dst, t.Value)
 		if t.Lang != "" {
-			return q + "@" + t.Lang
+			dst = append(dst, '@')
+			return append(dst, t.Lang...)
 		}
 		if t.Datatype != "" && t.Datatype != XSDString {
-			return q + "^^<" + t.Datatype + ">"
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			return append(dst, '>')
 		}
-		return q
+		return dst
 	default:
-		return fmt.Sprintf("!invalid-term(%d)", t.Kind)
+		return append(dst, fmt.Sprintf("!invalid-term(%d)", t.Kind)...)
 	}
 }
 
-// quoteLiteral escapes a literal lexical form for N-Triples/Turtle output.
-func quoteLiteral(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
+// appendQuoted appends a literal lexical form escaped for
+// N-Triples/Turtle output. Bytes that are not valid UTF-8 render as
+// U+FFFD, one per byte.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is a run that needs no escaping
+	for i := 0; i < len(s); {
+		var esc string
+		switch c := s[i]; {
+		case c == '"':
+			esc = `\"`
+		case c == '\\':
+			esc = `\\`
+		case c == '\n':
+			esc = `\n`
+		case c == '\r':
+			esc = `\r`
+		case c == '\t':
+			esc = `\t`
+		case c >= utf8.RuneSelf:
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			esc = "\uFFFD"
 		default:
-			b.WriteRune(r)
+			i++
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		i++
+		start = i
 	}
-	b.WriteByte('"')
-	return b.String()
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Compare imposes a deterministic total order over terms: by kind, then by

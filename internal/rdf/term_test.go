@@ -150,10 +150,10 @@ func TestGraphDedupSort(t *testing.T) {
 	}
 }
 
-// Property: quoteLiteral always round-trips through a simple unescape.
+// Property: appendQuoted always round-trips through a simple unescape.
 func TestQuoteLiteralProperty(t *testing.T) {
 	f := func(s string) bool {
-		q := quoteLiteral(s)
+		q := string(appendQuoted(nil, s))
 		if len(q) < 2 || q[0] != '"' || q[len(q)-1] != '"' {
 			return false
 		}

@@ -1,0 +1,272 @@
+package srjson
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"sparqlrw/internal/eval"
+	"sparqlrw/internal/rdf"
+)
+
+// streamDecode drains a StreamDecoder over r the way Decode does,
+// trailing-data check included, but keeps the rows delivered before an
+// error, so it can be compared with refDecode.
+func streamDecode(r io.Reader) (res refResult) {
+	d, err := NewStreamDecoder(r)
+	if err != nil {
+		res.err = err
+		return res
+	}
+	for {
+		sol, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			res.err = err
+			return res
+		}
+		res.sols = append(res.sols, sol)
+	}
+	if res.err = d.trailing(); res.err != nil {
+		return res
+	}
+	res.vars, res.boolean, res.sawResults = d.Vars(), d.Boolean(), d.SawResults()
+	return res
+}
+
+// checkAgainstReference decodes data with the reference and with the
+// StreamDecoder — fed whole, byte by byte and in 7-byte reads, so every
+// token also straddles a buffer refill — and requires the same rows and
+// the same error-or-not from all of them.
+func checkAgainstReference(t *testing.T, data []byte) {
+	t.Helper()
+	want := refDecode(data)
+	for name, r := range map[string]io.Reader{
+		"whole":      bytes.NewReader(data),
+		"one-byte":   iotest.OneByteReader(bytes.NewReader(data)),
+		"seven-byte": &chunkReader{data: data, n: 7},
+	} {
+		got := streamDecode(r)
+		if (got.err != nil) != (want.err != nil) {
+			t.Fatalf("%s: error = %v, reference error = %v\ninput: %q", name, got.err, want.err, data)
+		}
+		if !reflect.DeepEqual(got.sols, want.sols) {
+			t.Fatalf("%s: solutions = %v, reference = %v\ninput: %q", name, got.sols, want.sols, data)
+		}
+		if want.err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got.vars, want.vars) || !reflect.DeepEqual(got.boolean, want.boolean) || got.sawResults != want.sawResults {
+			t.Fatalf("%s: vars/boolean/sawResults = %v %v %v, reference = %v %v %v\ninput: %q", name,
+				got.vars, got.boolean, got.sawResults, want.vars, want.boolean, want.sawResults, data)
+		}
+	}
+}
+
+// chunkReader returns at most n bytes per Read.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.n)], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// differentialCases are documents on which the decoder must agree with
+// the reference; they also seed FuzzStreamDecoder.
+var differentialCases = map[string]string{
+	"select":            `{"head":{"vars":["a","n"]},"results":{"bindings":[{"a":{"type":"uri","value":"http://x/1"},"n":{"type":"literal","value":"Alice"}},{"a":{"type":"bnode","value":"b0"}}]}}`,
+	"ask":               `{"head":{},"boolean":true}`,
+	"ask false":         `{"boolean":false}`,
+	"empty bindings":    `{"head":{"vars":["a"]},"results":{"bindings":[]}}`,
+	"empty binding":     `{"head":{"vars":["a"]},"results":{"bindings":[{},{}]}}`,
+	"no bindings":       `{"head":{"vars":["a"]},"results":{}}`,
+	"neither":           `{"head":{"vars":["a"]}}`,
+	"typed and lang":    `{"head":{"vars":["x","y","z"]},"results":{"bindings":[{"x":{"type":"typed-literal","value":"7","datatype":"http://www.w3.org/2001/XMLSchema#integer"},"y":{"type":"literal","value":"chat","xml:lang":"FR"},"z":{"type":"literal","value":"7","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}]}}`,
+	"lang beats type":   `{"results":{"bindings":[{"x":{"datatype":"http://d","xml:lang":"en","value":"v","type":"literal"}}]}}`,
+	"uri ignores lang":  `{"results":{"bindings":[{"x":{"type":"uri","value":"http://x","xml:lang":"en","datatype":"http://d"}}]}}`,
+	"no value":          `{"results":{"bindings":[{"x":{"type":"uri"}}]}}`,
+	"no type":           `{"results":{"bindings":[{"x":{"value":"v"}}]}}`,
+	"unknown type":      `{"results":{"bindings":[{"x":{"type":"uri","value":"1"}},{"x":{"type":"wibble","value":"2"}},{"x":{"type":"uri","value":"3"}}]}}`,
+	"repeated type":     `{"results":{"bindings":[{"x":{"type":"wibble","type":"uri","value":"a","value":"b"}}]}}`,
+	"repeated variable": `{"results":{"bindings":[{"x":{"type":"uri","value":"a"},"x":{"type":"bnode","value":"b"}}]}}`,
+	"escapes":           `{"head":{"vars":["x"]},"results":{"bindings":[{"x":{"type":"literal","value":"q\" b\\ s\/ \b\f\n\r\t \u00e9\u00E9 \u4e16"}}]}}`,
+	"escaped names":     `{"he\u0061d":{"v\u0061rs":["x"]},"r\u0065sults":{"bindin\u0067s":[{"\u0078":{"ty\u0070e":"uri","valu\u0065":"v"}}]}}`,
+	"escaped type":      `{"results":{"bindings":[{"x":{"type":"\u0075ri","value":"v"}}]}}`,
+	"surrogate pair":    `{"results":{"bindings":[{"x":{"type":"literal","value":"\ud83d\ude00 \uD83D\uDE00"}}]}}`,
+	"lone high":         `{"results":{"bindings":[{"x":{"type":"literal","value":"a\ud83db"}}]}}`,
+	"lone low":          `{"results":{"bindings":[{"x":{"type":"literal","value":"a\ude00b"}}]}}`,
+	"high then char":    `{"results":{"bindings":[{"x":{"type":"literal","value":"\ud83dA"}}]}}`,
+	"high then high":    `{"results":{"bindings":[{"x":{"type":"literal","value":"\ud83d\ud83d\ude00"}}]}}`,
+	"high at end":       `{"results":{"bindings":[{"x":{"type":"literal","value":"\ud83d"}}]}}`,
+	"high then escape":  `{"results":{"bindings":[{"x":{"type":"literal","value":"\ud83d\n"}}]}}`,
+	"bad escape":        `{"results":{"bindings":[{"x":{"type":"literal","value":"\x"}}]}}`,
+	"short \\u":         `{"results":{"bindings":[{"x":{"type":"literal","value":"\u12"}}]}}`,
+	"bad \\u":           `{"results":{"bindings":[{"x":{"type":"literal","value":"\u12g4"}}]}}`,
+	"control character": "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"a\nb\"}}]}}",
+	"escaped control":   "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"a\\\nb\"}}]}}",
+	"invalid utf-8":     "{\"results\":{\"bindings\":[{\"x\\xff\":{\"type\":\"literal\",\"value\":\"a\xffb\xc0\xafc\xe4\xb8\"}}]}}",
+	"utf-8":             "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"世界 é \U0001F600\"}}]}}",
+	"utf-8 surrogate":   "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"\xed\xa0\xbd\"}}]}}",
+	"white space":       " \t\r\n{ \"head\" : { \"vars\" : [ \"a\" , \"b\" ] } ,\n\"results\" : { \"bindings\" : [ { \"a\" : { \"type\" : \"uri\" , \"value\" : \"v\" } } , { } ] } } \n ",
+	"form feed":         "{\"head\":{},\f\"boolean\":true}",
+	"unknown before":    `{"link":["http://x",{"a":[1,-2.5e+3,true,false,null,"s\n"]}],"head":{"link":[],"vars":["a"]},"results":{"ordered":true,"distinct":false,"bindings":[{"a":{"type":"uri","extra":{"deep":[[]]},"value":"v","more":null}}]}}`,
+	"unknown after":     `{"results":{"bindings":[{"a":{"type":"uri","value":"v"}}],"ordered":true},"head":{"vars":["a"],"link":[]},"trace":{"spans":[1,2,3]}}`,
+	"head after":        `{"results":{"bindings":[{"a":{"type":"uri","value":"http://x/1"}}]},"head":{"vars":["a"]}}`,
+	"two heads":         `{"head":{"vars":["a"]},"head":{"vars":["b"]},"results":{"bindings":[]}}`,
+	"head no vars":      `{"head":{},"head":{"vars":["b"]},"results":{"bindings":[]}}`,
+	"boolean after":     `{"results":{"bindings":[]},"boolean":true,"boolean":false}`,
+	"two results":       `{"results":{"bindings":[]},"results":{"bindings":[]}}`,
+	"results then rows": `{"results":{},"results":{"bindings":[{"a":{"type":"uri","value":"v"}}]}}`,
+	"two bindings":      `{"results":{"bindings":[{"a":{"type":"uri","value":"v"}}],"bindings":[]}}`,
+	"bindings outside":  `{"bindings":[1,2],"results":{"head":7,"bindings":[]}}`,
+	"null binding":      `{"results":{"bindings":[null]}}`,
+	"null term":         `{"results":{"bindings":[{"a":null}]}}`,
+	"null value":        `{"results":{"bindings":[{"a":{"type":"uri","value":null}}]}}`,
+	"null lang":         `{"results":{"bindings":[{"a":{"type":"literal","value":"v","xml:lang":null}}]}}`,
+	"null head":         `{"head":null,"boolean":true}`,
+	"null vars":         `{"head":{"vars":null},"boolean":true}`,
+	"null var":          `{"head":{"vars":[null]},"boolean":true}`,
+	"null boolean":      `{"boolean":null}`,
+	"number boolean":    `{"boolean":1}`,
+	"string boolean":    `{"boolean":"true"}`,
+	"upper-case names":  `{"HEAD":{"vars":["a"]},"head":{"VARS":["b"]},"results":{"bindings":[{"a":{"TYPE":"bnode","type":"uri","Value":"w","value":"v"}}]}}`,
+	"number value":      `{"results":{"bindings":[{"a":{"type":"uri","value":5}}]}}`,
+	"array document":    `[]`,
+	"string results":    `{"results":"nope"}`,
+	"object bindings":   `{"results":{"bindings":{}}}`,
+	"number binding":    `{"head":{"vars":["a"]},"results":{"bindings":[42]}}`,
+	"string term":       `{"results":{"bindings":[{"a":"v"}]}}`,
+	"trailing garbage":  `{"head":{"vars":["a"]},"results":{"bindings":[]}}GARBAGE`,
+	"two documents":     `{"boolean":true}{"boolean":false}`,
+	"trailing comma":    `{"boolean":true,}`,
+	"trailing comma 2":  `{"results":{"bindings":[{"a":{"type":"uri","value":"v"}},]}}`,
+	"trailing comma 3":  `{"results":{"bindings":[{"a":{"type":"uri","value":"v",}}]}}`,
+	"leading comma":     `{,"boolean":true}`,
+	"leading comma 2":   `{"results":{"bindings":[,{}]}}`,
+	"missing comma":     `{"results":{"bindings":[{} {}]}}`,
+	"missing comma 2":   `{"head":{} "boolean":true}`,
+	"missing colon":     `{"boolean" true}`,
+	"double colon":      `{"boolean"::true}`,
+	"unquoted name":     `{boolean:true}`,
+	"single quotes":     `{'boolean':true}`,
+	"bad literal":       `{"boolean":tru}`,
+	"long literal":      `{"boolean":truex}`,
+	"skipped literal":   `{"x":nul,"boolean":true}`,
+	"skipped numbers":   `{"x":[0,-0,1,10,0.5,-1.25,1e5,1E5,1e+5,1e-5,1.5e10],"boolean":true}`,
+	"leading zero":      `{"x":01,"boolean":true}`,
+	"bare minus":        `{"x":-,"boolean":true}`,
+	"plus sign":         `{"x":+1,"boolean":true}`,
+	"no fraction":       `{"x":1.,"boolean":true}`,
+	"no integer":        `{"x":.5,"boolean":true}`,
+	"no exponent":       `{"x":1e,"boolean":true}`,
+	"no exponent 2":     `{"x":1e+,"boolean":true}`,
+	"hex number":        `{"x":0x10,"boolean":true}`,
+	"skipped mismatch":  `{"x":[1,2},"boolean":true}`,
+	"skipped open":      `{"x":[1,2,"boolean":true}`,
+	"skipped bad str":   `{"x":["\q"],"boolean":true}`,
+	"unclosed string":   `{"head":{"vars":["a`,
+	"empty":             ``,
+	"only white space":  "  \n",
+	"only brace":        `{`,
+	"nul byte":          "{\"boolean\":true\x00}",
+	"bom":               "\xef\xbb\xbf{\"boolean\":true}",
+	"deep unknown":      `{"x":` + strings.Repeat("[", 5000) + strings.Repeat("]", 5000) + `,"boolean":true}`,
+	"deep unknown obj":  `{"x":` + strings.Repeat(`{"a":`, 5000) + `1` + strings.Repeat("}", 5000) + `,"boolean":true}`,
+	"too deep unknown":  `{"x":` + strings.Repeat("[", 20000) + strings.Repeat("]", 20000) + `,"boolean":true}`,
+	"long strings":      `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"literal","value":"` + strings.Repeat("x", 3*readSize) + `"}},{"a":{"type":"literal","value":"` + strings.Repeat(`éy`, 2*readSize) + `"}}]}}`,
+	"long skipped":      `{"x":"` + strings.Repeat("é", 5*readSize) + `","boolean":true}`,
+}
+
+func TestStreamDecoderAgainstReference(t *testing.T) {
+	for name, src := range differentialCases {
+		t.Run(name, func(t *testing.T) { checkAgainstReference(t, []byte(src)) })
+	}
+	// The table must exercise both outcomes.
+	if refDecode([]byte(differentialCases["escapes"])).err != nil || refDecode([]byte(differentialCases["bad escape"])).err == nil {
+		t.Fatal("reference decoder accepts or rejects everything")
+	}
+}
+
+// TestStreamDecoderTruncatedAgainstReference cuts a document that uses
+// every construct at every byte.
+func TestStreamDecoderTruncatedAgainstReference(t *testing.T) {
+	full := differentialCases["unknown before"]
+	for cut := range len(full) {
+		checkAgainstReference(t, []byte(full[:cut]))
+	}
+}
+
+func FuzzStreamDecoder(f *testing.F) {
+	for _, src := range differentialCases {
+		if len(src) < 2000 { // the long ones only slow the mutator down
+			f.Add([]byte(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstReference(t, data) })
+}
+
+// validUTF8 is s as it reads back from JSON: every byte of invalid UTF-8
+// replaced by U+FFFD.
+func validUTF8(s string) string { return string([]rune(s)) }
+
+func FuzzAppendBinding(f *testing.F) {
+	f.Add("x", uint8(0), "http://example.org/a", "")
+	f.Add("name", uint8(1), "b0", "")
+	f.Add("n", uint8(2), "plain \"quoted\" \\ text\n", "")
+	f.Add("l", uint8(3), "chat", "FR")
+	f.Add("t", uint8(4), "42", rdf.XSDInteger)
+	f.Add("s", uint8(4), "<&>   \x00\x1f\x7f", rdf.XSDString)
+	f.Add("bad\xff", uint8(2), "a\xffb\xed\xa0\xbd", "")
+	f.Add("", uint8(3), "", "")
+	f.Fuzz(func(t *testing.T, name string, kind uint8, value, extra string) {
+		var term rdf.Term
+		switch kind % 5 {
+		case 0:
+			term = rdf.NewIRI(value)
+		case 1:
+			term = rdf.NewBlank(value)
+		case 2:
+			term = rdf.NewLiteral(value)
+		case 3:
+			term = rdf.NewLangLiteral(value, extra)
+		case 4:
+			term = rdf.NewTypedLiteral(value, extra)
+		}
+		row, err := AppendBinding([]byte("prefix"), []string{"unbound", name}, eval.Solution{name: term})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row = row[len("prefix"):]
+		if !json.Valid(row) {
+			t.Fatalf("invalid JSON: %q", row)
+		}
+		// What must read back: the term with its strings made valid
+		// UTF-8, a language tag lower-cased, and xsd:string — which the
+		// format writes as a plain literal — dropped.
+		want := term
+		want.Value, want.Datatype = validUTF8(want.Value), validUTF8(want.Datatype)
+		want.Lang = strings.ToLower(validUTF8(want.Lang))
+		if want.Datatype == rdf.XSDString {
+			want.Datatype = ""
+		}
+		doc := append(append([]byte(`{"results":{"bindings":[`), row...), "]}}"...)
+		for which, got := range map[string]refResult{"StreamDecoder": streamDecode(bytes.NewReader(doc)), "reference": refDecode(doc)} {
+			if got.err != nil || len(got.sols) != 1 || len(got.sols[0]) != 1 || got.sols[0][validUTF8(name)] != want {
+				t.Fatalf("%s read %q back as %v (%v), want %v", which, row, got.sols, got.err, want)
+			}
+		}
+	})
+}

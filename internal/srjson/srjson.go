@@ -1,106 +1,48 @@
 // Package srjson encodes and decodes the "SPARQL Query Results JSON
 // Format", the wire format our SPARQL protocol endpoints serve and the
-// federation client consumes.
+// federation client consumes. Both directions are hand-written and
+// streaming (encode in stream.go, decode in decode.go): every returned
+// row crosses this format twice, so neither goes through encoding/json's
+// reflection.
 package srjson
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"sparqlrw/internal/eval"
-	"sparqlrw/internal/rdf"
 )
-
-// document mirrors the W3C JSON results layout.
-type document struct {
-	Head    head     `json:"head"`
-	Results *results `json:"results,omitempty"`
-	Boolean *bool    `json:"boolean,omitempty"`
-}
-
-type head struct {
-	Vars []string `json:"vars,omitempty"`
-}
-
-type results struct {
-	Bindings []map[string]jsonTerm `json:"bindings"`
-}
-
-type jsonTerm struct {
-	Type     string `json:"type"` // "uri" | "literal" | "typed-literal" | "bnode"
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
-}
-
-func encodeTerm(t rdf.Term) (jsonTerm, error) {
-	switch t.Kind {
-	case rdf.KindIRI:
-		return jsonTerm{Type: "uri", Value: t.Value}, nil
-	case rdf.KindBlank:
-		return jsonTerm{Type: "bnode", Value: t.Value}, nil
-	case rdf.KindLiteral:
-		jt := jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang}
-		if t.Datatype != "" && t.Datatype != rdf.XSDString {
-			jt.Type = "typed-literal"
-			jt.Datatype = t.Datatype
-		}
-		return jt, nil
-	default:
-		return jsonTerm{}, fmt.Errorf("srjson: cannot encode term %s", t)
-	}
-}
-
-func decodeTerm(jt jsonTerm) (rdf.Term, error) {
-	switch jt.Type {
-	case "uri":
-		return rdf.NewIRI(jt.Value), nil
-	case "bnode":
-		return rdf.NewBlank(jt.Value), nil
-	case "literal", "typed-literal":
-		if jt.Lang != "" {
-			return rdf.NewLangLiteral(jt.Value, jt.Lang), nil
-		}
-		if jt.Datatype != "" {
-			return rdf.NewTypedLiteral(jt.Value, jt.Datatype), nil
-		}
-		return rdf.NewLiteral(jt.Value), nil
-	default:
-		return rdf.Term{}, fmt.Errorf("srjson: unknown term type %q", jt.Type)
-	}
-}
 
 // EncodeSelect serialises a SELECT result.
 func EncodeSelect(res *eval.Result) ([]byte, error) {
-	doc := document{Head: head{Vars: res.Vars}, Results: &results{Bindings: []map[string]jsonTerm{}}}
-	for _, sol := range res.Solutions {
-		row := map[string]jsonTerm{}
-		for _, v := range res.Vars {
-			t, ok := sol[v]
-			if !ok {
-				continue // unbound: omitted per spec
-			}
-			jt, err := encodeTerm(t)
-			if err != nil {
-				return nil, err
-			}
-			row[v] = jt
-		}
-		doc.Results.Bindings = append(doc.Results.Bindings, row)
+	var buf bytes.Buffer
+	enc, err := NewStreamEncoder(&buf, res.Vars)
+	if err != nil {
+		return nil, err
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	for _, sol := range res.Solutions {
+		if err := enc.Encode(sol); err != nil {
+			return nil, err
+		}
+	}
+	if err := enc.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // EncodeAsk serialises an ASK result.
 func EncodeAsk(b bool) ([]byte, error) {
-	return json.MarshalIndent(document{Boolean: &b}, "", "  ")
+	if b {
+		return []byte(`{"head":{},"boolean":true}`), nil
+	}
+	return []byte(`{"head":{},"boolean":false}`), nil
 }
 
 // Decode parses either a SELECT or ASK results document. For SELECT,
 // boolean is nil; for ASK, the result carries no solutions. It drains the
-// incremental decoder (see stream.go), the single parsing path.
+// incremental decoder (see decode.go), the single parsing path.
 func Decode(data []byte) (*eval.Result, *bool, error) {
 	d, err := NewStreamDecoder(bytes.NewReader(data))
 	if err != nil {
@@ -120,8 +62,8 @@ func Decode(data []byte) (*eval.Result, *bool, error) {
 	// Unlike the incremental decoder (which leaves the reader positioned
 	// after the document for its caller), the buffered form owns the
 	// whole payload and rejects trailing data.
-	if tok, err := d.dec.Token(); err != io.EOF {
-		return nil, nil, fmt.Errorf("srjson: trailing data after document: %v", tok)
+	if err := d.trailing(); err != nil {
+		return nil, nil, err
 	}
 	if b := d.Boolean(); b != nil {
 		return nil, b, nil

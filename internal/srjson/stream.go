@@ -1,11 +1,12 @@
 package srjson
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/rdf"
 )
 
 // StreamEncoder writes a SELECT results document incrementally: the head
@@ -16,6 +17,7 @@ import (
 type StreamEncoder struct {
 	w      io.Writer
 	vars   []string
+	buf    []byte // reused for every row
 	n      int
 	closed bool
 }
@@ -23,57 +25,42 @@ type StreamEncoder struct {
 // NewStreamEncoder writes the document prologue (head + opening of the
 // bindings array) and returns an encoder ready to stream bindings.
 func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
-	h, err := json.Marshal(head{Vars: vars})
-	if err != nil {
-		return nil, fmt.Errorf("srjson: %w", err)
+	buf := append(make([]byte, 0, 512), `{"head":{`...)
+	for i, v := range vars {
+		if i == 0 {
+			buf = append(buf, `"vars":[`...)
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = appendString(buf, v)
 	}
-	if _, err := fmt.Fprintf(w, `{"head":%s,"results":{"bindings":[`, h); err != nil {
+	if len(vars) > 0 {
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `},"results":{"bindings":[`...)
+	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
-	return &StreamEncoder{w: w, vars: vars}, nil
+	return &StreamEncoder{w: w, vars: vars, buf: buf}, nil
 }
 
-// Binding marshals one solution as a W3C results-JSON binding object —
-// the element shape of results.bindings — keyed by variable name with
-// unbound variables omitted. NDJSON-style streaming writes one such
-// object per line.
-func Binding(vars []string, sol eval.Solution) ([]byte, error) {
-	row := map[string]jsonTerm{}
-	for _, v := range vars {
-		t, ok := sol[v]
-		if !ok {
-			continue
-		}
-		jt, err := encodeTerm(t)
-		if err != nil {
-			return nil, err
-		}
-		row[v] = jt
-	}
-	data, err := json.Marshal(row)
-	if err != nil {
-		return nil, fmt.Errorf("srjson: %w", err)
-	}
-	return data, nil
-}
-
-// Encode writes one solution as a binding object. Unbound variables are
-// omitted per the W3C format.
+// Encode writes one solution as a binding object, separator included, in
+// a single Write. Unbound variables are omitted per the W3C format.
 func (e *StreamEncoder) Encode(sol eval.Solution) error {
 	if e.closed {
 		return fmt.Errorf("srjson: Encode after Close")
 	}
-	data, err := Binding(e.vars, sol)
+	buf := e.buf[:0]
+	if e.n > 0 {
+		buf = append(buf, ',')
+	}
+	buf, err := AppendBinding(buf, e.vars, sol)
 	if err != nil {
 		return err
 	}
-	if e.n > 0 {
-		if _, err := io.WriteString(e.w, ","); err != nil {
-			return err
-		}
-	}
+	e.buf = buf
 	e.n++
-	_, err = e.w.Write(data)
+	_, err = e.w.Write(buf)
 	return err
 }
 
@@ -95,7 +82,7 @@ func (e *StreamEncoder) Close() error {
 // W3C-format consumers (including StreamDecoder) skip unknown top-level
 // members, so the document stays a valid SELECT results document. raw
 // must be valid JSON; nil raw degrades to a plain Close.
-func (e *StreamEncoder) CloseWith(key string, raw json.RawMessage) error {
+func (e *StreamEncoder) CloseWith(key string, raw []byte) error {
 	if e.closed {
 		return nil
 	}
@@ -103,11 +90,9 @@ func (e *StreamEncoder) CloseWith(key string, raw json.RawMessage) error {
 		return e.Close()
 	}
 	e.closed = true
-	k, err := json.Marshal(key)
-	if err != nil {
-		return fmt.Errorf("srjson: %w", err)
-	}
-	_, err = fmt.Fprintf(e.w, "]},%s:%s}", k, raw)
+	buf := appendString(append(e.buf[:0], "]},"...), key)
+	buf = append(append(append(buf, ':'), raw...), '}')
+	_, err := e.w.Write(buf)
 	return err
 }
 
@@ -136,204 +121,98 @@ func EncodeSelectStream(w io.Writer, vars []string, seq eval.SolutionSeq, flush 
 	return enc.Close()
 }
 
-// StreamDecoder parses a SPARQL results JSON document incrementally with
-// json.Decoder tokens: bindings are surfaced one at a time via Next
-// without ever holding the whole document (or the whole binding list) in
-// memory. It accepts both SELECT documents (head/results) and ASK
-// documents (head/boolean), with top-level keys in any order.
-type StreamDecoder struct {
-	dec  *json.Decoder
-	vars []string
-	// boolean is set when the document is an ASK result.
-	boolean *bool
-	// sawResults records that a results member was present (a SELECT
-	// document, even when its bindings array is empty).
-	sawResults bool
-	// inBindings is true while positioned inside the bindings array.
-	inBindings bool
-	// finished is true once the document has been fully consumed.
-	finished bool
-	err      error
-}
-
-// NewStreamDecoder reads the document up to the start of the bindings
-// array (or to the end, for ASK documents and binding-less corner cases)
-// and returns a decoder positioned to stream bindings.
-func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
-	d := &StreamDecoder{dec: json.NewDecoder(r)}
-	if err := d.expectDelim('{'); err != nil {
-		return nil, fmt.Errorf("srjson: %w", err)
-	}
-	if err := d.advance(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// advance consumes top-level (and results-object) keys until it reaches
-// the bindings array, the end of the document, or an error.
-func (d *StreamDecoder) advance() error {
-	for {
-		tok, err := d.dec.Token()
-		if err != nil {
-			return d.fail(fmt.Errorf("srjson: %w", err))
-		}
-		if delim, ok := tok.(json.Delim); ok && delim == '}' {
-			d.finished = true
-			return nil
-		}
-		key, ok := tok.(string)
+// AppendBinding appends one solution as a W3C results-JSON binding object
+// — the element shape of results.bindings — to dst. Members follow the
+// order of vars, with unbound variables omitted. NDJSON-style streaming
+// writes one such object per line. On error dst is returned unextended.
+func AppendBinding(dst []byte, vars []string, sol eval.Solution) ([]byte, error) {
+	mark := len(dst)
+	dst = append(dst, '{')
+	for _, v := range vars {
+		t, ok := sol[v]
 		if !ok {
-			return d.fail(fmt.Errorf("srjson: unexpected token %v", tok))
+			continue // unbound: omitted per spec
 		}
-		switch key {
-		case "head":
-			var h head
-			if err := d.dec.Decode(&h); err != nil {
-				return d.fail(fmt.Errorf("srjson: head: %w", err))
-			}
-			if d.vars == nil {
-				d.vars = h.Vars
-			}
-		case "boolean":
-			var b bool
-			if err := d.dec.Decode(&b); err != nil {
-				return d.fail(fmt.Errorf("srjson: boolean: %w", err))
-			}
-			d.boolean = &b
-		case "results":
-			d.sawResults = true
-			if err := d.expectDelim('{'); err != nil {
-				return d.fail(fmt.Errorf("srjson: results: %w", err))
-			}
-			for {
-				tok, err := d.dec.Token()
-				if err != nil {
-					return d.fail(fmt.Errorf("srjson: results: %w", err))
-				}
-				if delim, ok := tok.(json.Delim); ok && delim == '}' {
-					break // empty / bindings-less results object
-				}
-				rkey, ok := tok.(string)
-				if !ok {
-					return d.fail(fmt.Errorf("srjson: results: unexpected token %v", tok))
-				}
-				if rkey == "bindings" {
-					if err := d.expectDelim('['); err != nil {
-						return d.fail(fmt.Errorf("srjson: bindings: %w", err))
-					}
-					d.inBindings = true
-					return nil
-				}
-				// Skip unknown results members (e.g. "ordered").
-				var skip json.RawMessage
-				if err := d.dec.Decode(&skip); err != nil {
-					return d.fail(fmt.Errorf("srjson: results.%s: %w", rkey, err))
-				}
-			}
+		if len(dst) > mark+1 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, v)
+		typed := t.Datatype != "" && t.Datatype != rdf.XSDString
+		switch {
+		case t.Kind == rdf.KindIRI:
+			dst = append(dst, `:{"type":"uri","value":`...)
+		case t.Kind == rdf.KindBlank:
+			dst = append(dst, `:{"type":"bnode","value":`...)
+		case t.Kind == rdf.KindLiteral && typed:
+			dst = append(dst, `:{"type":"typed-literal","value":`...)
+		case t.Kind == rdf.KindLiteral:
+			dst = append(dst, `:{"type":"literal","value":`...)
 		default:
-			// Skip unknown top-level members (e.g. "link").
-			var skip json.RawMessage
-			if err := d.dec.Decode(&skip); err != nil {
-				return d.fail(fmt.Errorf("srjson: %s: %w", key, err))
+			return dst[:mark], fmt.Errorf("srjson: cannot encode term %s", t)
+		}
+		dst = appendString(dst, t.Value)
+		if t.Kind == rdf.KindLiteral {
+			if t.Lang != "" {
+				dst = append(dst, `,"xml:lang":`...)
+				dst = appendString(dst, t.Lang)
+			}
+			if typed {
+				dst = append(dst, `,"datatype":`...)
+				dst = appendString(dst, t.Datatype)
 			}
 		}
+		dst = append(dst, '}')
 	}
+	return append(dst, '}'), nil
 }
 
-func (d *StreamDecoder) expectDelim(want json.Delim) error {
-	tok, err := d.dec.Token()
-	if err != nil {
-		return err
+// jsonSafe marks the ASCII bytes a JSON string carries unescaped.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
 	}
-	if delim, ok := tok.(json.Delim); !ok || delim != want {
-		return fmt.Errorf("expected %q, got %v", want, tok)
-	}
-	return nil
-}
+	return
+}()
 
-func (d *StreamDecoder) fail(err error) error {
-	d.err = err
-	return err
-}
-
-// Vars returns the head's variable list. It may still be empty while
-// bindings are being streamed if the document (unusually) places head
-// after results; it is definitive once Next has returned io.EOF.
-func (d *StreamDecoder) Vars() []string { return d.vars }
-
-// Boolean returns the ASK result, or nil for SELECT documents. For
-// documents with boolean after results it is definitive only at io.EOF.
-func (d *StreamDecoder) Boolean() *bool { return d.boolean }
-
-// SawResults reports whether the document carried a results member (so an
-// empty SELECT can be told apart from a malformed document).
-func (d *StreamDecoder) SawResults() bool { return d.sawResults }
-
-// Next returns the next solution. It returns io.EOF when the document is
-// exhausted (at which point Vars and Boolean are final), or the decoding
-// error that terminated the stream. Errors are sticky.
-func (d *StreamDecoder) Next() (eval.Solution, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.finished {
-		return nil, io.EOF
-	}
-	if !d.inBindings {
-		return nil, io.EOF // ASK or bindings-less document
-	}
-	if d.dec.More() {
-		var row map[string]jsonTerm
-		if err := d.dec.Decode(&row); err != nil {
-			return nil, d.fail(fmt.Errorf("srjson: binding: %w", err))
+// appendString appends s as a JSON string literal. Bytes that are not
+// valid UTF-8 are written as \ufffd, as encoding/json does.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is a run that needs no escaping
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		sol := make(eval.Solution, len(row))
-		for v, jt := range row {
-			t, err := decodeTerm(jt)
-			if err != nil {
-				return nil, d.fail(err)
-			}
-			sol[v] = t
+		if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+			i += size
+			continue
 		}
-		return sol, nil
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, `\ufffd`...)
+		i++
+		start = i
 	}
-	// End of the bindings array: consume "]", the results object's "}",
-	// and whatever top-level members follow (head-after-results).
-	d.inBindings = false
-	if err := d.expectDelim(']'); err != nil {
-		return nil, d.fail(fmt.Errorf("srjson: %w", err))
-	}
-	if err := d.expectDelim('}'); err != nil {
-		return nil, d.fail(fmt.Errorf("srjson: %w", err))
-	}
-	if err := d.advance(); err != nil {
-		return nil, err
-	}
-	if !d.finished {
-		// A second results member would land us back in bindings; the
-		// format has exactly one, so treat it as malformed.
-		return nil, d.fail(fmt.Errorf("srjson: multiple results members"))
-	}
-	return nil, io.EOF
-}
-
-// All adapts the decoder into a lazy solution sequence terminated by the
-// first decode error (io.EOF is a clean end, not an error).
-func (d *StreamDecoder) All() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		for {
-			sol, err := d.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(sol, nil) {
-				return
-			}
-		}
-	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
