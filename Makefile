@@ -1,7 +1,8 @@
 # Tier-1 verification in one command: `make test` runs vet, the
 # deprecated-identifier guard and the full suite under the race detector;
-# `make build` compiles everything; `make bench` regenerates the
-# benchmark tables; `make fuzz-smoke` fuzzes the SRJ codec briefly;
+# `make build` compiles everything; `make bench` runs every Go benchmark
+# (the end-to-end record is written by `go run ./bench`, not by make);
+# `make fuzz-smoke` fuzzes the SRJ codec briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
 # mediator binary.
 
@@ -43,19 +44,19 @@ bench:
 
 # Fast single-iteration benchmark pass (CI runs this): keeps every
 # benchmark compiling and running, and asserts the view-tier and
-# dict-store benchmarks — whose bodies carry correctness checks, like
-# the view path's zero-endpoint-round-trip guarantee — stayed part of
-# the sweep.
+# interned-coref benchmarks — whose bodies carry correctness checks,
+# like the view path's zero-endpoint-round-trip guarantee — stayed part
+# of the sweep.
 bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View \
-			BenchmarkDictStoreVsMapStore BenchmarkE9_CorefLookup/MergeRep/DictInterned; do \
+			BenchmarkE9_CorefLookup/MergeRep/DictInterned; do \
 		grep -q "$$b" bench-smoke.out || \
 			{ echo "bench-smoke: $$b missing from the sweep" >&2; rm -f bench-smoke.out; exit 1; }; \
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
-	@echo "bench-smoke: every benchmark ran; view and dict-store benchmarks present"
+	@echo "bench-smoke: every benchmark ran; view and interned-coref benchmarks present"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
 # its encoding/json reference and the encoder's round trip, starting from

@@ -1,9 +1,9 @@
 package sparqlrw
 
-// One benchmark per experiment of the paper's reproduction (see DESIGN.md
-// §4 and EXPERIMENTS.md). `go test -bench=. -benchmem` regenerates the
-// timing side of every table; cmd/benchrunner prints the full tables with
-// the paper-vs-measured columns.
+// One Go benchmark per experiment of the paper's reproduction (E1–E10)
+// plus the component benchmarks of later PRs; `go test -bench=. -benchmem`
+// runs them. The end-to-end record is separate: `go run ./bench` drives
+// the /sparql workloads and writes it.
 
 import (
 	"context"
@@ -1005,66 +1005,5 @@ func BenchmarkViewVsFederated(b *testing.B) {
 			b.Fatalf("view answered %d rows, federated answered %d", rows, fedRows)
 		}
 		b.ReportMetric(0, "rt/op")
-	})
-}
-
-// BenchmarkDictStoreVsMapStore — the dictionary-encoded store against the
-// nested-map store it generalises, on the workload's Southampton graph:
-// bulk load and the hot one-predicate scan. Run with -benchmem; README
-// records the footprint delta next to the other baselines.
-func BenchmarkDictStoreVsMapStore(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	triples := u.Southampton.MatchAll(rdf.Triple{})
-	authorScan := rdf.Triple{P: rdf.NewIRI(rdf.AKTHasAuthor)}
-
-	b.Run("Load/MapStore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st := store.New()
-			for _, tr := range triples {
-				st.Add(tr)
-			}
-		}
-		b.ReportMetric(float64(len(triples)), "triples")
-	})
-	b.Run("Load/DictStore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st := store.NewDictStore()
-			for _, tr := range triples {
-				st.Add(tr)
-			}
-		}
-		b.ReportMetric(float64(len(triples)), "triples")
-	})
-
-	plain := store.New()
-	enc := store.NewDictStore()
-	for _, tr := range triples {
-		plain.Add(tr)
-		enc.Add(tr)
-	}
-	want := len(plain.MatchAll(authorScan))
-	b.Run("Scan/MapStore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := len(plain.MatchAll(authorScan)); got != want {
-				b.Fatalf("scan returned %d, want %d", got, want)
-			}
-		}
-	})
-	b.Run("Scan/DictStore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for range enc.Scan(authorScan) {
-				n++
-			}
-			if n != want {
-				b.Fatalf("scan returned %d, want %d", n, want)
-			}
-		}
 	})
 }

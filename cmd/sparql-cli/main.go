@@ -95,6 +95,14 @@ func run() error {
 			return err
 		}
 		fmt.Print(ntriples.Format(g.Sort()))
+	case sparql.Describe:
+		g, err := engine.Describe(q)
+		if err != nil {
+			return err
+		}
+		fmt.Print(ntriples.Format(g.Sort()))
+	default:
+		return fmt.Errorf("unsupported query form %s", q.Form)
 	}
 	return nil
 }

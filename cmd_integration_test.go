@@ -103,6 +103,29 @@ SELECT DISTINCT ?a WHERE {
 	}
 }
 
+// A DESCRIBE query prints the resource's outgoing triples as sorted
+// N-Triples, like CONSTRUCT.
+func TestCmdSparqlCliDescribe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go-run integration test in -short mode")
+	}
+	tmp := t.TempDir() + "/q.rq"
+	if err := writeFile(tmp, "DESCRIBE <http://kisti.rkbexplorer.com/id/ART_000000000001-creator-1>"); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := runTool(t, "./cmd/sparql-cli",
+		"-data", "testdata/kisti-sample.ttl", "-query", tmp)
+	const (
+		subj = "<http://kisti.rkbexplorer.com/id/ART_000000000001-creator-1> "
+		ns   = "http://www.kisti.re.kr/isrl/ResearchRefOntology#"
+	)
+	want := subj + "<" + ns + "hasCreator> <http://kisti.rkbexplorer.com/id/PER_00000000200001> .\n" +
+		subj + "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <" + ns + "CreatorInfo> .\n"
+	if out != want {
+		t.Fatalf("DESCRIBE printed:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 func writeFile(path, content string) error {
 	return osWriteFile(path, []byte(content), 0o644)
 }

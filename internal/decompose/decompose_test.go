@@ -135,7 +135,8 @@ func newFixture(t testing.TB, opts Options) *fixture {
 // groundTruth evaluates the query over the union of all stores locally.
 func (f *fixture) groundTruth(t testing.TB, query string) []eval.Solution {
 	t.Helper()
-	merged := f.u.Southampton.Clone()
+	merged := store.New()
+	merged.AddGraph(f.u.Southampton.Triples())
 	merged.AddGraph(workload.MetricsStore(f.u).Triples())
 	q, err := sparql.Parse(query)
 	if err != nil {

@@ -66,8 +66,8 @@ type Server struct {
 	MaxRequestBody int64
 }
 
-// NewServer wraps a triple source (a nested-map Store or a
-// dictionary-encoded DictStore) as a SPARQL protocol server.
+// NewServer wraps a triple source (in this repo always a *store.Store)
+// as a SPARQL protocol server.
 func NewServer(name string, st eval.TripleSource) *Server {
 	return &Server{Engine: eval.New(st), Name: name}
 }

@@ -11,8 +11,8 @@ import (
 	"sparqlrw/internal/store"
 )
 
-func localDemoStore() *store.DictStore {
-	st := store.NewDictStore()
+func localDemoStore() *store.Store {
+	st := store.New()
 	ex := func(n string) rdf.Term { return rdf.NewIRI("http://example.org/" + n) }
 	st.Add(rdf.Triple{S: ex("p1"), P: ex("author"), O: ex("alice")})
 	st.Add(rdf.Triple{S: ex("p1"), P: ex("author"), O: ex("bob")})
@@ -92,7 +92,7 @@ func TestLocalEndpointReplacement(t *testing.T) {
 	if err != nil || len(res.Solutions) != 2 {
 		t.Fatalf("before swap: %v, %v", res, err)
 	}
-	st2 := store.NewDictStore()
+	st2 := store.New()
 	ex := func(n string) rdf.Term { return rdf.NewIRI("http://example.org/" + n) }
 	st2.Add(rdf.Triple{S: ex("p1"), P: ex("author"), O: ex("carol")})
 	RegisterLocal("local-swap", NewServer("local-swap", st2))

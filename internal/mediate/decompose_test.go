@@ -110,7 +110,8 @@ func newCrossVocabStack(t *testing.T) *crossVocabStack {
 // groundTruth joins both data sets locally.
 func (s *crossVocabStack) groundTruth(t *testing.T, query string) []eval.Solution {
 	t.Helper()
-	merged := s.u.Southampton.Clone()
+	merged := store.New()
+	merged.AddGraph(s.u.Southampton.Triples())
 	merged.AddGraph(workload.MetricsStore(s.u).Triples())
 	q, err := sparql.Parse(query)
 	if err != nil {

@@ -125,7 +125,8 @@ func TestMaterialiseSameAs(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cfg.Persons, cfg.Papers = 10, 20
 	u := workload.Generate(cfg)
-	st := u.KISTI.Clone()
+	st := store.New()
+	st.AddGraph(u.KISTI.Triples())
 	before := st.Size()
 	added, err := MaterialiseSameAs(st, u.Coref, workload.SotonURIPattern)
 	if err != nil {

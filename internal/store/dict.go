@@ -63,6 +63,13 @@ func (d *Dict) Term(id uint32) rdf.Term {
 	return d.terms[id]
 }
 
+// triple decodes a packed (s, p, o) id triple under one read lock.
+func (d *Dict) triple(ids [3]uint32) rdf.Triple {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return rdf.Triple{S: d.terms[ids[0]], P: d.terms[ids[1]], O: d.terms[ids[2]]}
+}
+
 // Len returns the number of distinct interned terms.
 func (d *Dict) Len() int {
 	d.mu.RLock()

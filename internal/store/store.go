@@ -1,28 +1,45 @@
-// Package store implements an indexed, concurrency-safe, in-memory RDF
-// triple store. It maintains three nested-map indexes (SPO, POS, OSP) so
-// that any triple pattern with at least one bound position is answered by
-// index lookup rather than a scan. It is the storage substrate behind the
-// SPARQL evaluator, the SPARQL protocol endpoints, and the materialisation
+// Package store implements the repo's one in-memory RDF triple store. It
+// is dictionary-encoded: terms are interned to dense uint32 ids through a
+// Dict, and the three indexes (SPO, POS, OSP) are nested maps over those
+// ids, so a stored triple costs three words per index entry, equality
+// during matching is integer comparison, and any pattern with at least
+// one bound position is answered by index lookup rather than a scan.
+//
+// Reads follow one contract, snapshot then callback: the ids of the
+// matching triples are collected under the store's read lock, and terms
+// are decoded and handed to the caller outside it. A Match callback may
+// therefore Add to and Remove from the store it iterates; it sees exactly
+// the triples present when Match was called.
+//
+// Ids never shrink: Remove and Clear drop triples but leave the
+// dictionary alone, so an id obtained once stays valid.
+//
+// The store is the substrate behind the SPARQL evaluator, the SPARQL
+// protocol endpoints, the local:// views and the materialisation
 // baseline.
 package store
 
 import (
+	"iter"
 	"sync"
 
 	"sparqlrw/internal/rdf"
 )
 
-type index map[rdf.Term]map[rdf.Term]map[rdf.Term]struct{}
+// index is a three-level index over dictionary ids; the per-level maps
+// are keyed by uint32 instead of full rdf.Term structs, so lookups hash a
+// machine word rather than a multi-field string struct.
+type index map[uint32]map[uint32]map[uint32]struct{}
 
-func (ix index) add(a, b, c rdf.Term) bool {
+func (ix index) add(a, b, c uint32) bool {
 	m1, ok := ix[a]
 	if !ok {
-		m1 = make(map[rdf.Term]map[rdf.Term]struct{})
+		m1 = make(map[uint32]map[uint32]struct{})
 		ix[a] = m1
 	}
 	m2, ok := m1[b]
 	if !ok {
-		m2 = make(map[rdf.Term]struct{})
+		m2 = make(map[uint32]struct{})
 		m1[b] = m2
 	}
 	if _, exists := m2[c]; exists {
@@ -32,15 +49,9 @@ func (ix index) add(a, b, c rdf.Term) bool {
 	return true
 }
 
-func (ix index) remove(a, b, c rdf.Term) bool {
-	m1, ok := ix[a]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[b]
-	if !ok {
-		return false
-	}
+func (ix index) remove(a, b, c uint32) bool {
+	m1 := ix[a]
+	m2 := m1[b]
 	if _, exists := m2[c]; !exists {
 		return false
 	}
@@ -55,9 +66,10 @@ func (ix index) remove(a, b, c rdf.Term) bool {
 }
 
 // Store is an in-memory triple store. The zero value is not usable; create
-// stores with New.
+// stores with New or NewWith.
 type Store struct {
 	mu   sync.RWMutex
+	dict *Dict
 	spo  index
 	pos  index
 	osp  index
@@ -65,26 +77,37 @@ type Store struct {
 	// predCount tracks triples per predicate for selectivity estimation
 	// (used by the evaluator's join-order heuristic, cf. Stocker et al.,
 	// which the paper cites for BGP optimisation).
-	predCount map[rdf.Term]int
+	predCount map[uint32]int
 	// classCount tracks instances per rdf:type object so the store can
 	// export void:classPartition statistics like a real endpoint.
-	classCount map[rdf.Term]int
+	classCount map[uint32]int
+	typeID     uint32
 }
 
 // rdfType is the rdf:type predicate, which feeds the class partition
 // counters.
 var rdfType = rdf.NewIRI(rdf.RDFType)
 
-// New returns an empty store.
-func New() *Store {
+// New returns an empty store with its own private dictionary.
+func New() *Store { return NewWith(NewDict()) }
+
+// NewWith returns an empty store interning through the given (possibly
+// shared) dictionary.
+func NewWith(d *Dict) *Store {
 	return &Store{
+		dict:       d,
 		spo:        make(index),
 		pos:        make(index),
 		osp:        make(index),
-		predCount:  make(map[rdf.Term]int),
-		classCount: make(map[rdf.Term]int),
+		predCount:  make(map[uint32]int),
+		classCount: make(map[uint32]int),
+		typeID:     d.Intern(rdfType),
 	}
 }
+
+// Dict returns the store's term dictionary so cooperating components can
+// intern through the same id space.
+func (s *Store) Dict() *Dict { return s.dict }
 
 // Add inserts a triple; it reports whether the triple was not already
 // present. Triples containing variables or wildcards are rejected.
@@ -92,17 +115,18 @@ func (s *Store) Add(t rdf.Triple) bool {
 	if !validData(t) {
 		return false
 	}
+	sid, pid, oid := s.dict.Intern(t.S), s.dict.Intern(t.P), s.dict.Intern(t.O)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.spo.add(t.S, t.P, t.O) {
+	if !s.spo.add(sid, pid, oid) {
 		return false
 	}
-	s.pos.add(t.P, t.O, t.S)
-	s.osp.add(t.O, t.S, t.P)
+	s.pos.add(pid, oid, sid)
+	s.osp.add(oid, sid, pid)
 	s.size++
-	s.predCount[t.P]++
-	if t.P == rdfType {
-		s.classCount[t.O]++
+	s.predCount[pid]++
+	if pid == s.typeID {
+		s.classCount[oid]++
 	}
 	return true
 }
@@ -120,49 +144,44 @@ func (s *Store) AddGraph(g rdf.Graph) int {
 
 // Remove deletes a triple; it reports whether the triple was present.
 func (s *Store) Remove(t rdf.Triple) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.spo.remove(t.S, t.P, t.O) {
+	sid, pid, oid, ok := s.encode(t)
+	if !ok {
 		return false
 	}
-	s.pos.remove(t.P, t.O, t.S)
-	s.osp.remove(t.O, t.S, t.P)
-	s.size--
-	// Decrement only counters that exist: a stale or duplicated removal
-	// must never leave a negative (or resurrect a zero) entry for a
-	// predicate the store has otherwise never seen.
-	if n, ok := s.predCount[t.P]; ok {
-		if n <= 1 {
-			delete(s.predCount, t.P)
-		} else {
-			s.predCount[t.P] = n - 1
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.spo.remove(sid, pid, oid) {
+		return false
 	}
-	if t.P == rdfType {
-		if n, ok := s.classCount[t.O]; ok {
-			if n <= 1 {
-				delete(s.classCount, t.O)
-			} else {
-				s.classCount[t.O] = n - 1
-			}
-		}
+	s.pos.remove(pid, oid, sid)
+	s.osp.remove(oid, sid, pid)
+	s.size--
+	decrement(s.predCount, pid)
+	if pid == s.typeID {
+		decrement(s.classCount, oid)
 	}
 	return true
 }
 
+// decrement lowers a statistics counter, deleting it at zero so the
+// exported partitions never list a predicate or class with no triples.
+func decrement(counts map[uint32]int, id uint32) {
+	if counts[id] <= 1 {
+		delete(counts, id)
+	} else {
+		counts[id]--
+	}
+}
+
 // Has reports whether the exact ground triple is present.
 func (s *Store) Has(t rdf.Triple) bool {
+	sid, pid, oid, ok := s.encode(t)
+	if !ok {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m1, ok := s.spo[t.S]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[t.P]
-	if !ok {
-		return false
-	}
-	_, ok = m2[t.O]
+	_, ok = s.spo[sid][pid][oid]
 	return ok
 }
 
@@ -175,40 +194,40 @@ func (s *Store) Size() int {
 
 // PredicateCount returns the number of triples with predicate p, used for
 // selectivity-based join ordering.
-func (s *Store) PredicateCount(p rdf.Term) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.predCount[p]
-}
+func (s *Store) PredicateCount(p rdf.Term) int { return s.stat(s.predCount, p) }
 
 // ClassCount returns the number of instances of class c (triples of the
 // form ?s rdf:type c).
-func (s *Store) ClassCount(c rdf.Term) int {
+func (s *Store) ClassCount(c rdf.Term) int { return s.stat(s.classCount, c) }
+
+// stat reads one counter of a statistics map. The maps are created once
+// and cleared in place, so naming the field outside the lock is safe.
+func (s *Store) stat(counts map[uint32]int, t rdf.Term) int {
+	id, ok := s.dict.Lookup(t)
+	if !ok {
+		return 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.classCount[c]
+	return counts[id]
 }
 
 // PredicateCounts returns a copy of the per-predicate triple counts,
 // the raw material for synthetic void:propertyPartition statistics.
-func (s *Store) PredicateCounts() map[rdf.Term]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[rdf.Term]int, len(s.predCount))
-	for p, n := range s.predCount {
-		out[p] = n
-	}
-	return out
-}
+func (s *Store) PredicateCounts() map[rdf.Term]int { return s.decodeCounts(s.predCount) }
 
 // ClassCounts returns a copy of the per-class instance counts, the raw
 // material for synthetic void:classPartition statistics.
-func (s *Store) ClassCounts() map[rdf.Term]int {
+func (s *Store) ClassCounts() map[rdf.Term]int { return s.decodeCounts(s.classCount) }
+
+// decodeCounts returns a copy of one of the statistics maps with its
+// keys decoded back to terms.
+func (s *Store) decodeCounts(counts map[uint32]int) map[rdf.Term]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[rdf.Term]int, len(s.classCount))
-	for c, n := range s.classCount {
-		out[c] = n
+	out := make(map[rdf.Term]int, len(counts))
+	for id, n := range counts {
+		out[s.dict.Term(id)] = n
 	}
 	return out
 }
@@ -216,7 +235,7 @@ func (s *Store) ClassCounts() map[rdf.Term]int {
 // validData accepts only ground terms and blank nodes (data-level
 // existentials); variables and wildcards cannot be stored.
 func validData(t rdf.Triple) bool {
-	for _, x := range []rdf.Term{t.S, t.P, t.O} {
+	for _, x := range [3]rdf.Term{t.S, t.P, t.O} {
 		if x.Kind != rdf.KindIRI && x.Kind != rdf.KindLiteral && x.Kind != rdf.KindBlank {
 			return false
 		}
@@ -224,10 +243,87 @@ func validData(t rdf.Triple) bool {
 	return true
 }
 
-// bound reports whether a term constrains a match position: variables and
-// the zero wildcard are unbound, everything else is a fixed value.
-func bound(t rdf.Term) bool {
-	return t.Kind != rdf.KindAny && t.Kind != rdf.KindVar
+// wildcardID encodes a pattern position that is a variable or the zero
+// Term: unbound, so it constrains nothing.
+const wildcardID = ^uint32(0)
+
+// encode translates a pattern's bound positions to ids. ok is false when
+// some bound position names a term the dictionary has never seen — then
+// nothing can match.
+func (s *Store) encode(pattern rdf.Triple) (sid, pid, oid uint32, ok bool) {
+	enc := func(t rdf.Term) (uint32, bool) {
+		if t.Kind == rdf.KindAny || t.Kind == rdf.KindVar {
+			return wildcardID, true
+		}
+		return s.dict.Lookup(t)
+	}
+	if sid, ok = enc(pattern.S); !ok {
+		return
+	}
+	if pid, ok = enc(pattern.P); !ok {
+		return
+	}
+	oid, ok = enc(pattern.O)
+	return
+}
+
+// snapshot appends the id triples matching the pattern to out under the
+// read lock, picking the index whose prefix the bound positions form.
+// Every read path goes through it; callers that expect few matches pass
+// a stack-backed out so the common case never touches the heap.
+func (s *Store) snapshot(pattern rdf.Triple, out [][3]uint32) [][3]uint32 {
+	sid, pid, oid, ok := s.encode(pattern)
+	if !ok {
+		return out
+	}
+	sb, pb, ob := sid != wildcardID, pid != wildcardID, oid != wildcardID
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	switch {
+	case sb && pb && ob:
+		if _, ok := s.spo[sid][pid][oid]; ok {
+			out = append(out, [3]uint32{sid, pid, oid})
+		}
+	case sb && pb:
+		for o := range s.spo[sid][pid] {
+			out = append(out, [3]uint32{sid, pid, o})
+		}
+	case sb && ob:
+		for p := range s.osp[oid][sid] {
+			out = append(out, [3]uint32{sid, p, oid})
+		}
+	case pb && ob:
+		for sv := range s.pos[pid][oid] {
+			out = append(out, [3]uint32{sv, pid, oid})
+		}
+	case sb:
+		for p, m2 := range s.spo[sid] {
+			for o := range m2 {
+				out = append(out, [3]uint32{sid, p, o})
+			}
+		}
+	case pb:
+		for o, m2 := range s.pos[pid] {
+			for sv := range m2 {
+				out = append(out, [3]uint32{sv, pid, o})
+			}
+		}
+	case ob:
+		for sv, m2 := range s.osp[oid] {
+			for p := range m2 {
+				out = append(out, [3]uint32{sv, p, oid})
+			}
+		}
+	default:
+		for sv, m1 := range s.spo {
+			for p, m2 := range m1 {
+				for o := range m2 {
+					out = append(out, [3]uint32{sv, p, o})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Match invokes fn for every stored triple matching the pattern; pattern
@@ -238,9 +334,25 @@ func bound(t rdf.Term) bool {
 // runs outside it, so fn may safely call back into the store (including
 // Add/Remove — mutations do not affect the already-collected snapshot).
 func (s *Store) Match(pattern rdf.Triple, fn func(rdf.Triple) bool) {
-	for _, t := range s.MatchAll(pattern) {
-		if !fn(t) {
+	var buf [8][3]uint32
+	for _, ids := range s.snapshot(pattern, buf[:0]) {
+		if !fn(s.dict.triple(ids)) {
 			return
+		}
+	}
+}
+
+// Scan returns a lazy (index, triple) sequence over the triples matching
+// the pattern. The id snapshot is taken eagerly; terms are decoded one
+// triple at a time as the consumer pulls, so an early break never pays
+// for decoding the whole result.
+func (s *Store) Scan(pattern rdf.Triple) iter.Seq2[int, rdf.Triple] {
+	packed := s.snapshot(pattern, nil)
+	return func(yield func(int, rdf.Triple) bool) {
+		for i, ids := range packed {
+			if !yield(i, s.dict.triple(ids)) {
+				return
+			}
 		}
 	}
 }
@@ -248,149 +360,91 @@ func (s *Store) Match(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 // MatchAll returns all stored triples matching the pattern. See Match for
 // the wildcard convention.
 func (s *Store) MatchAll(pattern rdf.Triple) []rdf.Triple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.matchAllLocked(pattern)
-}
-
-func (s *Store) matchAllLocked(pattern rdf.Triple) []rdf.Triple {
-	sb, pb, ob := bound(pattern.S), bound(pattern.P), bound(pattern.O)
-	var out []rdf.Triple
-	emit := func(t rdf.Triple) { out = append(out, t) }
-	switch {
-	case sb && pb && ob:
-		if m1, ok := s.spo[pattern.S]; ok {
-			if m2, ok := m1[pattern.P]; ok {
-				if _, ok := m2[pattern.O]; ok {
-					emit(pattern)
-				}
-			}
-		}
-	case sb && pb:
-		if m1, ok := s.spo[pattern.S]; ok {
-			for o := range m1[pattern.P] {
-				emit(rdf.Triple{S: pattern.S, P: pattern.P, O: o})
-			}
-		}
-	case sb && ob:
-		if m1, ok := s.osp[pattern.O]; ok {
-			for p := range m1[pattern.S] {
-				emit(rdf.Triple{S: pattern.S, P: p, O: pattern.O})
-			}
-		}
-	case pb && ob:
-		if m1, ok := s.pos[pattern.P]; ok {
-			for sv := range m1[pattern.O] {
-				emit(rdf.Triple{S: sv, P: pattern.P, O: pattern.O})
-			}
-		}
-	case sb:
-		if m1, ok := s.spo[pattern.S]; ok {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					emit(rdf.Triple{S: pattern.S, P: p, O: o})
-				}
-			}
-		}
-	case pb:
-		if m1, ok := s.pos[pattern.P]; ok {
-			for o, m2 := range m1 {
-				for sv := range m2 {
-					emit(rdf.Triple{S: sv, P: pattern.P, O: o})
-				}
-			}
-		}
-	case ob:
-		if m1, ok := s.osp[pattern.O]; ok {
-			for sv, m2 := range m1 {
-				for p := range m2 {
-					emit(rdf.Triple{S: sv, P: p, O: pattern.O})
-				}
-			}
-		}
-	default:
-		for sv, m1 := range s.spo {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					emit(rdf.Triple{S: sv, P: p, O: o})
-				}
-			}
-		}
+	var buf [8][3]uint32
+	packed := s.snapshot(pattern, buf[:0])
+	if len(packed) == 0 {
+		return nil
+	}
+	out := make([]rdf.Triple, len(packed))
+	for i, ids := range packed {
+		out[i] = s.dict.triple(ids)
 	}
 	return out
 }
 
-// Count returns the number of triples matching the pattern without
-// materialising them all when a cheaper index walk suffices.
+// Count returns the number of triples matching the pattern, from the
+// statistics or the size of one index level where those give it and from
+// a snapshot otherwise.
 func (s *Store) Count(pattern rdf.Triple) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sb, pb, ob := bound(pattern.S), bound(pattern.P), bound(pattern.O)
-	switch {
-	case !sb && !pb && !ob:
-		return s.size
-	case pb && !sb && !ob:
-		return s.predCount[pattern.P]
-	case sb && pb && !ob:
-		if m1, ok := s.spo[pattern.S]; ok {
-			return len(m1[pattern.P])
-		}
-		return 0
-	case pb && ob && !sb:
-		if m1, ok := s.pos[pattern.P]; ok {
-			return len(m1[pattern.O])
-		}
-		return 0
-	case sb && ob && !pb:
-		if m1, ok := s.osp[pattern.O]; ok {
-			return len(m1[pattern.S])
-		}
+	sid, pid, oid, ok := s.encode(pattern)
+	if !ok {
 		return 0
 	}
-	return len(s.matchAllLocked(pattern))
+	sb, pb, ob := sid != wildcardID, pid != wildcardID, oid != wildcardID
+	n := -1
+	s.mu.RLock()
+	switch {
+	case !sb && !pb && !ob:
+		n = s.size
+	case pb && !sb && !ob:
+		n = s.predCount[pid]
+	case sb && pb && !ob:
+		n = len(s.spo[sid][pid])
+	case pb && ob && !sb:
+		n = len(s.pos[pid][oid])
+	case sb && ob && !pb:
+		n = len(s.osp[oid][sid])
+	}
+	s.mu.RUnlock()
+	if n < 0 {
+		var buf [8][3]uint32
+		n = len(s.snapshot(pattern, buf[:0]))
+	}
+	return n
 }
 
 // Triples returns all triples as a graph in deterministic sorted order.
 func (s *Store) Triples() rdf.Graph {
-	g := rdf.Graph(s.MatchAll(rdf.Triple{}))
-	return g.Sort()
+	return rdf.Graph(s.MatchAll(rdf.Triple{})).Sort()
 }
 
-// Clone returns an independent deep copy of the store.
-func (s *Store) Clone() *Store {
-	c := New()
-	for _, t := range s.MatchAll(rdf.Triple{}) {
-		c.Add(t)
-	}
-	return c
+// Clear removes every triple while keeping the dictionary, so refilling
+// (a view refresh) re-uses the already-interned ids.
+func (s *Store) Clear() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.spo)
+	clear(s.pos)
+	clear(s.osp)
+	s.size = 0
+	clear(s.predCount)
+	clear(s.classCount)
+}
+
+// distinct returns the distinct terms pick selects from the triples
+// matching the pattern.
+func (s *Store) distinct(pattern rdf.Triple, pick func(rdf.Triple) rdf.Term) []rdf.Term {
+	seen := map[rdf.Term]struct{}{}
+	var out []rdf.Term
+	s.Match(pattern, func(t rdf.Triple) bool {
+		x := pick(t)
+		if _, ok := seen[x]; !ok {
+			seen[x] = struct{}{}
+			out = append(out, x)
+		}
+		return true
+	})
+	return out
 }
 
 // Subjects returns the distinct subjects of triples matching (any, p, o).
 func (s *Store) Subjects(p, o rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
-	s.Match(rdf.Triple{P: p, O: o}, func(t rdf.Triple) bool {
-		if _, ok := seen[t.S]; !ok {
-			seen[t.S] = struct{}{}
-			out = append(out, t.S)
-		}
-		return true
-	})
-	return out
+	return s.distinct(rdf.Triple{P: p, O: o}, func(t rdf.Triple) rdf.Term { return t.S })
 }
 
 // Objects returns the distinct objects of triples matching (s, p, any).
 func (s *Store) Objects(subj, p rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
-	s.Match(rdf.Triple{S: subj, P: p}, func(t rdf.Triple) bool {
-		if _, ok := seen[t.O]; !ok {
-			seen[t.O] = struct{}{}
-			out = append(out, t.O)
-		}
-		return true
-	})
-	return out
+	return s.distinct(rdf.Triple{S: subj, P: p}, func(t rdf.Triple) rdf.Term { return t.O })
 }
 
 // FirstObject returns some object of (s, p, ?) and whether one exists.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 )
 
@@ -149,16 +150,6 @@ func TestSubjectsObjectsFirstObject(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	s := New()
-	s.Add(tr("a", "p", "b"))
-	c := s.Clone()
-	c.Add(tr("a", "p", "c"))
-	if s.Size() != 1 || c.Size() != 2 {
-		t.Fatalf("sizes: orig %d clone %d", s.Size(), c.Size())
-	}
-}
-
 func TestTriplesSortedDeterministic(t *testing.T) {
 	s := New()
 	s.Add(tr("b", "p", "x"))
@@ -187,6 +178,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				s.MatchAll(rdf.Triple{P: iri("p")})
+				s.Match(rdf.Triple{S: iri("s0-0")}, func(rdf.Triple) bool { return true })
+				s.PredicateCount(iri("p"))
 				s.Size()
 			}
 		}()
@@ -274,6 +267,192 @@ func TestMatchAgreesWithNaiveScan(t *testing.T) {
 		if got := len(s.MatchAll(pat)); got != want {
 			t.Fatalf("mask %d: MatchAll = %d, naive = %d", mask, got, want)
 		}
+	}
+}
+
+// A subject+predicate-bound Match with at most 8 results snapshots into
+// its stack buffer: no heap allocation for encode, snapshot or decode.
+func TestMatchSmallResultAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates where the plain build does not")
+	}
+	s := New()
+	for i := 0; i < 8; i++ {
+		s.Add(tr("s", "p", fmt.Sprint("o", i)))
+	}
+	s.Add(tr("s", "q", "o"))
+	pat := rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewVar("o")}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		n = 0
+		s.Match(pat, func(rdf.Triple) bool { n++; return true })
+	})
+	if n != 8 {
+		t.Fatalf("Match visited %d triples, want 8", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("Match allocated %v times per call, want 0", allocs)
+	}
+}
+
+// The callback runs outside the store lock on a snapshot: it may Add and
+// Remove on the store it iterates (reason.subClassClosure does) without
+// deadlock, and it sees exactly the triples present when Match was called.
+func TestMatchCallbackMayMutate(t *testing.T) {
+	for _, size := range []int{3, 20} { // inside and past the stack buffer
+		s := New()
+		want := map[rdf.Triple]bool{}
+		for i := 0; i < size; i++ {
+			x := tr("s", "p", fmt.Sprint("o", i))
+			s.Add(x)
+			want[x] = true
+		}
+		got := map[rdf.Triple]bool{}
+		s.Match(rdf.Triple{S: iri("s"), P: iri("p")}, func(x rdf.Triple) bool {
+			got[x] = true
+			s.Add(rdf.NewTriple(x.S, x.P, rdf.NewIRI(x.O.Value+"-derived")))
+			for y := range want {
+				s.Remove(y) // every snapshot triple is gone after the first callback
+			}
+			return true
+		})
+		if len(got) != size {
+			t.Fatalf("size %d: callback saw %d triples, want the %d of the snapshot", size, len(got), size)
+		}
+		for x := range got {
+			if !want[x] {
+				t.Fatalf("size %d: callback saw %v, which was added during Match", size, x)
+			}
+		}
+		if s.Size() != size {
+			t.Fatalf("size %d: store holds %d triples after Match, want the %d derived ones", size, s.Size(), size)
+		}
+	}
+}
+
+func TestDictInternRoundTrip(t *testing.T) {
+	d := NewDict()
+	a := rdf.NewIRI("http://example.org/a")
+	b := rdf.NewLiteral("hello")
+	idA := d.Intern(a)
+	idB := d.Intern(b)
+	if idA == idB {
+		t.Fatalf("distinct terms share id %d", idA)
+	}
+	if again := d.Intern(a); again != idA {
+		t.Fatalf("re-interning a: id %d, want %d", again, idA)
+	}
+	if got := d.Term(idA); got != a {
+		t.Fatalf("Term(%d) = %v, want %v", idA, got, a)
+	}
+	if got := d.Term(idB); got != b {
+		t.Fatalf("Term(%d) = %v, want %v", idB, got, b)
+	}
+	if _, ok := d.Lookup(rdf.NewIRI("http://example.org/unseen")); ok {
+		t.Fatal("Lookup of never-interned term reported ok")
+	}
+	if d.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", d.Len())
+	}
+}
+
+func TestAddRemoveStats(t *testing.T) {
+	s := New()
+	typ := rdf.NewIRI(rdf.RDFType)
+	person := iri("Person")
+	t1 := rdf.Triple{S: iri("a"), P: typ, O: person}
+	t2 := rdf.Triple{S: iri("b"), P: typ, O: person}
+	if !s.Add(t1) || !s.Add(t2) {
+		t.Fatal("Add returned false for fresh triples")
+	}
+	if s.Add(t1) {
+		t.Fatal("duplicate Add returned true")
+	}
+	if got := s.ClassCount(person); got != 2 {
+		t.Fatalf("ClassCount = %d, want 2", got)
+	}
+	if got := s.PredicateCount(typ); got != 2 {
+		t.Fatalf("PredicateCount = %d, want 2", got)
+	}
+	if !s.Remove(t1) {
+		t.Fatal("Remove returned false for present triple")
+	}
+	if s.Remove(t1) {
+		t.Fatal("double Remove returned true")
+	}
+	if got := s.ClassCount(person); got != 1 {
+		t.Fatalf("ClassCount after remove = %d, want 1", got)
+	}
+	// Removing a never-seen or never-present triple must not disturb the
+	// counters.
+	if s.Remove(tr("x", "y", "z")) || s.Remove(rdf.Triple{S: iri("c"), P: typ, O: person}) {
+		t.Fatal("Remove of absent triple returned true")
+	}
+	if s.Size() != 1 || s.ClassCount(person) != 1 {
+		t.Fatalf("Size = %d, ClassCount = %d after no-op removes, want 1 and 1", s.Size(), s.ClassCount(person))
+	}
+	if cc := s.ClassCounts(); len(cc) != 1 || cc[person] != 1 {
+		t.Fatalf("ClassCounts = %v", cc)
+	}
+	if pc := s.PredicateCounts(); len(pc) != 1 || pc[typ] != 1 {
+		t.Fatalf("PredicateCounts = %v", pc)
+	}
+	if !s.Has(t2) || s.Has(t1) {
+		t.Fatal("Has disagrees with Add/Remove history")
+	}
+	s.Remove(t2)
+	if got := s.ClassCount(person); got != 0 {
+		t.Fatalf("ClassCount after last remove = %d, want 0", got)
+	}
+	if got := len(s.ClassCounts()) + len(s.PredicateCounts()); got != 0 {
+		t.Fatalf("statistics kept %d zero entries", got)
+	}
+}
+
+func TestScanLazyAndClear(t *testing.T) {
+	s := New()
+	for _, o := range []string{"o1", "o2", "o3"} {
+		s.Add(tr("s", "p", o))
+	}
+	n := 0
+	for range s.Scan(rdf.Triple{}) {
+		n++
+		if n == 2 {
+			break // early break must be safe
+		}
+	}
+	if n != 2 {
+		t.Fatalf("early break consumed %d, want 2", n)
+	}
+	dictLen := s.Dict().Len()
+	s.Clear()
+	if s.Size() != 0 || len(s.MatchAll(rdf.Triple{})) != 0 || s.PredicateCount(iri("p")) != 0 {
+		t.Fatal("Clear left triples or statistics behind")
+	}
+	if s.Dict().Len() != dictLen {
+		t.Fatal("Clear shrank the dictionary")
+	}
+	// Refill after Clear re-uses interned ids.
+	if !s.Add(tr("s", "p", "o1")) {
+		t.Fatal("Add after Clear failed")
+	}
+	if s.Dict().Len() != dictLen {
+		t.Fatalf("refill grew the dictionary: %d -> %d", dictLen, s.Dict().Len())
+	}
+}
+
+// Stores built over one dictionary agree on ids, so a term interned by
+// one decodes in the other.
+func TestNewWithSharesDict(t *testing.T) {
+	d := NewDict()
+	a, b := NewWith(d), NewWith(d)
+	a.Add(tr("s", "p", "o"))
+	id, ok := b.Dict().Lookup(iri("o"))
+	if !ok || d.Term(id) != iri("o") {
+		t.Fatalf("term interned through one store not visible through the other: id %d ok %v", id, ok)
+	}
+	if b.Size() != 0 {
+		t.Fatal("a shared dictionary must not share triples")
 	}
 }
 

@@ -129,7 +129,7 @@ type shape struct {
 type View struct {
 	id           string
 	def          *shape
-	store        *store.DictStore
+	store        *store.Store
 	endpointName string
 	stale        bool
 	epoch        uint64
@@ -533,12 +533,12 @@ func materializeQuery(sh *shape) string {
 }
 
 // build runs the shape's covering query through the federated pipeline
-// and loads the answer into a fresh dictionary store, instantiating the
-// given canonicalised templates. templates is an explicit parameter —
+// and loads the answer into a fresh store, instantiating the given
+// canonicalised templates. templates is an explicit parameter —
 // not read from sh — because a refresh recomputes the canonical shape
 // and must instantiate with the same templates the view will be keyed
 // under, not whatever sh held when the build started.
-func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.DictStore, error) {
+func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
 	res, err := m.runner.Materialize(ctx, materializeQuery(sh), sh.sourceOnt)
@@ -548,7 +548,7 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.DictStore, er
 	if !res.Complete {
 		return nil, errors.New("view: partial federated answer (some data set failed)")
 	}
-	st := store.NewDictStore()
+	st := store.New()
 	for i, sol := range res.Solutions {
 		suffix := "_v" + strconv.Itoa(i)
 		for _, tpl := range templates {
@@ -841,10 +841,10 @@ func (m *Manager) Stats() Stats {
 
 // SyntheticDataset describes a view's embedded store as a voiD data set
 // — triple count, void:propertyPartition and void:classPartition derived
-// from the dictionary store's live statistics — so the view endpoint
+// from the store's live statistics — so the view endpoint
 // presents the same statistical surface a real federated endpoint
 // publishes in its voiD description.
-func SyntheticDataset(uri, title string, st *store.DictStore, endpointURL string) *voidkb.Dataset {
+func SyntheticDataset(uri, title string, st *store.Store, endpointURL string) *voidkb.Dataset {
 	ds := &voidkb.Dataset{
 		URI:            uri,
 		Title:          title,
@@ -862,7 +862,7 @@ func (v *View) Void() *voidkb.Dataset {
 	return SyntheticDataset("view:"+v.id, "materialized view "+v.id, v.store, v.Endpoint())
 }
 
-func voidStatsOf(st *store.DictStore) VoidStats {
+func voidStatsOf(st *store.Store) VoidStats {
 	vs := VoidStats{Triples: st.Size()}
 	if pc := st.PredicateCounts(); len(pc) > 0 {
 		vs.PropertyPartitions = make(map[string]int64, len(pc))
