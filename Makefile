@@ -1,5 +1,7 @@
 # Tier-1 verification in one command: `make test` runs vet, the
-# deprecated-identifier guard and the full suite under the race detector;
+# deprecated-identifier guard, the allocation guards (without the race
+# detector, under which they skip) and the full suite under the race
+# detector;
 # `make build` compiles everything; `make bench` runs every Go benchmark
 # (the end-to-end record is written by `go run ./bench`, not by make);
 # `make fuzz-smoke` fuzzes the SRJ codec briefly;
@@ -8,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke fuzz-smoke vet check-deprecated staticcheck check-metrics
+.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet check-deprecated staticcheck check-metrics
 
 build:
 	$(GO) build ./...
@@ -36,7 +38,13 @@ check-deprecated:
 staticcheck:
 	staticcheck ./...
 
-test: vet check-deprecated
+# The allocation ceilings (testing.AllocsPerRun) skip themselves under the
+# race detector, which allocates where the plain build does not, so they
+# need a run of their own. A guard takes part by having Alloc in its name.
+alloc-guards:
+	$(GO) test -count=1 -run Alloc ./internal/...
+
+test: vet check-deprecated alloc-guards
 	$(GO) test -race ./...
 
 bench:

@@ -100,9 +100,9 @@ func (*Slice) isOp()    {}
 // Translate maps a parsed query to its algebra tree, including solution
 // modifiers. The WHERE clause is translated per the SPARQL 1.0 semantics:
 // within one group, triple patterns merge into basic graph patterns,
-// FILTERs apply to the whole group, OPTIONAL becomes LeftJoin (absorbing a
-// top-level filter of its operand as the left-join expression), and UNION
-// folds left.
+// FILTERs apply to the whole group, OPTIONAL becomes LeftJoin (absorbing
+// the group-level filters of its operand as the left-join expression), and
+// UNION folds left.
 func Translate(q *sparql.Query) Op {
 	var op Op = TranslateGroup(q.Where)
 	switch q.Form {
@@ -142,10 +142,19 @@ func TranslateGroup(g *sparql.GroupGraphPattern) Op {
 		case *sparql.SubGroup:
 			acc = join(acc, TranslateGroup(e.Group))
 		case *sparql.Optional:
+			// Every FILTER of the OPTIONAL group is part of the left-join
+			// condition, where the left side's variables are in scope: peel
+			// all the Filter layers the group ended in (the last-written is
+			// outermost) and conjoin them in written order.
 			inner := TranslateGroup(e.Group)
 			var expr sparql.Expression
-			if f, ok := inner.(*Filter); ok {
-				expr, inner = f.Expr, f.Input
+			for f, ok := inner.(*Filter); ok; f, ok = inner.(*Filter) {
+				inner = f.Input
+				if expr == nil {
+					expr = f.Expr
+				} else {
+					expr = &sparql.Binary{Op: "&&", L: f.Expr, R: expr}
+				}
 			}
 			acc = &LeftJoin{L: acc, R: inner, Expr: expr}
 		case *sparql.Union:

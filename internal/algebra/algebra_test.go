@@ -67,6 +67,29 @@ SELECT * WHERE { ?s ex:p ?o OPTIONAL { ?s ex:q ?q FILTER(?q > 3) } }`)
 	}
 }
 
+// TestOptionalLiftsEveryFilter: all FILTERs of an OPTIONAL group, not only
+// the last-written, join the left-join condition (in written order), where
+// the left operand's variables are in scope.
+func TestOptionalLiftsEveryFilter(t *testing.T) {
+	q := sparql.MustParse(`
+PREFIX ex: <http://example.org/>
+SELECT * WHERE { ?x ex:p ?z OPTIONAL { ?x ex:q ?y FILTER(?z = ?y) FILTER(?y > 1) } }`)
+	lj, ok := Translate(q).(*Project).Input.(*LeftJoin)
+	if !ok {
+		t.Fatalf("expected LeftJoin, got %T", Translate(q).(*Project).Input)
+	}
+	if _, ok := lj.R.(*BGP); !ok {
+		t.Fatalf("leftjoin right = %T, want the bare BGP", lj.R)
+	}
+	and, ok := lj.Expr.(*sparql.Binary)
+	if !ok || and.Op != "&&" {
+		t.Fatalf("leftjoin expression = %#v, want a conjunction", lj.Expr)
+	}
+	if l, r := sparql.FormatExpr(and.L, nil), sparql.FormatExpr(and.R, nil); !strings.Contains(l, "?z = ?y") || !strings.Contains(r, "?y > ") {
+		t.Fatalf("conjuncts = %s, %s", l, r)
+	}
+}
+
 func TestUnionFoldsLeft(t *testing.T) {
 	q := sparql.MustParse(`
 PREFIX ex: <http://example.org/>

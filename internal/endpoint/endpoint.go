@@ -86,10 +86,12 @@ func (s *Server) maxRequestBody() int64 {
 //	POST /sparql  application/sparql-query            <body is the query>
 //
 // SELECT and ASK return application/sparql-results+json; CONSTRUCT and
-// DESCRIBE return N-Triples. SELECT responses are streamed: solutions are written
-// (and flushed) as the evaluator yields them, so the first binding is on
-// the wire before evaluation finishes, and a cancelled request (client
-// disconnect) stops evaluation at the next yield.
+// DESCRIBE return N-Triples. SELECT responses are streamed: the query is
+// compiled once, and each positional row the evaluator yields is encoded
+// straight from the evaluator's own (reused) row and written before the
+// next one is asked for — no solution map is built on this path — so the
+// first binding is on the wire before evaluation finishes, and a cancelled
+// request (client disconnect) stops evaluation at the next row.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var queryText string
 	switch r.Method {
@@ -130,27 +132,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch q.Form {
 	case sparql.Select:
-		sr, err := s.Engine.SelectSeq(q)
+		rr, err := s.Engine.SelectRows(q)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", "application/sparql-results+json")
-		ctx := r.Context()
-		seq := func(yield func(eval.Solution, error) bool) {
-			for sol, err := range sr.Seq {
-				if ctx.Err() != nil {
-					return // client gone: stop evaluating
-				}
-				if !yield(sol, err) {
-					return
-				}
-			}
+		// From here on a write error can no longer change the status line;
+		// aborting leaves truncated JSON, which the client's incremental
+		// decoder reports as an error.
+		enc, err := srjson.NewStreamEncoder(w, rr.Vars)
+		if err != nil {
+			return
 		}
-		// A mid-stream evaluation or write error can no longer change the
-		// status line; aborting leaves truncated JSON, which the client's
-		// incremental decoder reports as an error.
-		_ = srjson.EncodeSelectStream(w, sr.Vars, seq, BatchFlusher(w))
+		ctx, flush := r.Context(), BatchFlusher(w)
+		for row := range rr.Seq {
+			// A cancelled request (client gone) stops evaluation here.
+			if ctx.Err() != nil || enc.EncodeRow(row) != nil {
+				return
+			}
+			flush()
+		}
+		_ = enc.Close() // nothing left to tell a client that stopped reading
 	case sparql.Ask:
 		b, err := s.Engine.Ask(q)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/store"
 )
@@ -185,5 +186,51 @@ func TestClientResponseBodyUncappedStreaming(t *testing.T) {
 	}
 	if len(res.Solutions) != 200 {
 		t.Fatalf("solutions = %d", len(res.Solutions))
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the body's length.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+func (*discardWriter) WriteHeader(int)               {}
+
+// TestServerRowAllocations pins what the server spends per row of the
+// benchmark's bulk-stream query shape at zero: parsing the request and
+// compiling the query may allocate, but the evaluator's row goes to the
+// wire through the encoder's reused buffer without a solution map, a
+// string or a closure per row. The only growth with the answer is the
+// store's id snapshot of the outer pattern (a handful of doublings).
+func TestServerRowAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const query = `SELECT ?paper ?a ?t WHERE { ?paper <http://ex/has-author> ?a . ?paper <http://ex/has-title> ?t }`
+	allocs := func(rows int) float64 {
+		st := store.New()
+		for i := range rows {
+			p := rdf.NewIRI(fmt.Sprintf("http://ex/paper-%05d", i))
+			st.Add(rdf.NewTriple(p, rdf.NewIRI("http://ex/has-author"), rdf.NewIRI(fmt.Sprintf("http://ex/person-%05d", i%40))))
+			st.Add(rdf.NewTriple(p, rdf.NewIRI("http://ex/has-title"), rdf.NewLiteral(fmt.Sprintf("Paper Title %d", i))))
+		}
+		srv := NewServer("alloc", st)
+		body := url.Values{"query": {query}}.Encode()
+		return testing.AllocsPerRun(20, func() {
+			req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(body))
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			w := &discardWriter{h: http.Header{}}
+			srv.ServeHTTP(w, req)
+			if w.n < 100*rows {
+				t.Fatalf("%d-row answer is %d bytes", rows, w.n)
+			}
+		})
+	}
+	small, big := allocs(10), allocs(1000)
+	if perRow := (big - small) / 990; perRow >= 0.02 {
+		t.Errorf("%.3f allocations per additional row (%.0f for 10 rows, %.0f for 1000), want 0", perRow, small, big)
 	}
 }

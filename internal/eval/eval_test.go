@@ -425,19 +425,13 @@ func TestWrongFormErrors(t *testing.T) {
 
 func BenchmarkSelectCoAuthor(b *testing.B) {
 	e := testEngine(b)
-	q := sparql.MustParse(`
+	benchmarkSelect(b, e, `
 PREFIX ex: <http://example.org/>
 SELECT DISTINCT ?a WHERE { ?paper ex:author ex:alice . ?paper ex:author ?a . FILTER (!(?a = ex:alice)) }`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
-func BenchmarkSelectLargeStore(b *testing.B) {
+// largeStore holds 20000 papers by 500 authors over 10 years.
+func largeStore() *store.Store {
 	st := store.New()
 	for i := 0; i < 20000; i++ {
 		p := rdf.NewIRI(fmt.Sprintf("http://ex/paper%d", i))
@@ -445,14 +439,32 @@ func BenchmarkSelectLargeStore(b *testing.B) {
 		st.Add(rdf.NewTriple(p, rdf.NewIRI("http://ex/author"), a))
 		st.Add(rdf.NewTriple(p, rdf.NewIRI("http://ex/year"), rdf.NewInteger(int64(2000+i%10))))
 	}
-	e := New(st)
-	q := sparql.MustParse(`
-SELECT ?p WHERE { ?p <http://ex/author> <http://ex/person7> . ?p <http://ex/year> 2007 }`)
+	return st
+}
+
+func benchmarkSelect(b *testing.B, e *Engine, query string) {
+	q := sparql.MustParse(query)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := e.Select(q); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkSelectLargeStore(b *testing.B) {
+	benchmarkSelect(b, New(largeStore()), `
+SELECT ?p WHERE { ?p <http://ex/author> <http://ex/person7> . ?p <http://ex/year> 2007 }`)
+}
+
+// BenchmarkSelectValuesSeeded is one shard of a bound join as the
+// decomposer sends it: 30 VALUES rows seeding a two-pattern BGP, which is
+// planned once for all of them.
+func BenchmarkSelectValuesSeeded(b *testing.B) {
+	values := "VALUES ?p {"
+	for i := range 30 {
+		values += fmt.Sprintf(" <http://ex/paper%d>", i*37)
+	}
+	benchmarkSelect(b, New(largeStore()), `
+SELECT ?p ?a ?y WHERE { `+values+` } ?p <http://ex/author> ?a . ?p <http://ex/year> ?y }`)
 }

@@ -24,14 +24,21 @@ func exprErrf(format string, args ...any) error {
 // behaviour for unknown functions).
 type FuncResolver func(iri string) (func(args []rdf.Term) (rdf.Term, error), bool)
 
-// evalExpr evaluates an expression under a solution, returning an RDF term
-// or an error (errors encode SPARQL's "type error" outcomes).
-func evalExpr(e sparql.Expression, sol Solution, funcs FuncResolver) (rdf.Term, error) {
+// bindings is what expressions (and CONSTRUCT templates) read variables
+// through: a Solution at the package boundary, a frame over the current
+// row inside the evaluator. The key is a binding key (see bindingKey).
+type bindings interface {
+	lookup(key string) (rdf.Term, bool)
+}
+
+// evalExpr evaluates an expression under a set of bindings, returning an
+// RDF term or an error (errors encode SPARQL's "type error" outcomes).
+func evalExpr(e sparql.Expression, sol bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x := e.(type) {
 	case *sparql.TermExpr:
 		t := x.Term
 		if key, bindable := bindingKey(t); bindable {
-			if v, ok := sol[key]; ok {
+			if v, ok := sol.lookup(key); ok {
 				return v, nil
 			}
 			return rdf.Term{}, exprErrf("unbound variable ?%s", key)
@@ -83,7 +90,7 @@ func EvalBool(e sparql.Expression, sol Solution, funcs FuncResolver) (bool, erro
 }
 
 // evalBool evaluates an expression to its effective boolean value.
-func evalBool(e sparql.Expression, sol Solution, funcs FuncResolver) (bool, error) {
+func evalBool(e sparql.Expression, sol bindings, funcs FuncResolver) (bool, error) {
 	t, err := evalExpr(e, sol, funcs)
 	if err != nil {
 		return false, err
@@ -91,7 +98,7 @@ func evalBool(e sparql.Expression, sol Solution, funcs FuncResolver) (bool, erro
 	return EBV(t)
 }
 
-func evalUnary(x *sparql.Unary, sol Solution, funcs FuncResolver) (rdf.Term, error) {
+func evalUnary(x *sparql.Unary, sol bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x.Op {
 	case "!":
 		b, err := evalBool(x.X, sol, funcs)
@@ -117,7 +124,7 @@ func evalUnary(x *sparql.Unary, sol Solution, funcs FuncResolver) (rdf.Term, err
 	}
 }
 
-func evalBinary(x *sparql.Binary, sol Solution, funcs FuncResolver) (rdf.Term, error) {
+func evalBinary(x *sparql.Binary, sol bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x.Op {
 	case "||":
 		lb, lerr := evalBool(x.L, sol, funcs)
@@ -315,7 +322,7 @@ func compareOrdered(l, r rdf.Term) (int, error) {
 	return 0, exprErrf("ordering undefined between %s and %s", l, r)
 }
 
-func evalCall(x *sparql.Call, sol Solution, funcs FuncResolver) (rdf.Term, error) {
+func evalCall(x *sparql.Call, sol bindings, funcs FuncResolver) (rdf.Term, error) {
 	if x.IRIFunc {
 		if funcs != nil {
 			if fn, ok := funcs(x.Name); ok {
@@ -338,7 +345,8 @@ func evalCall(x *sparql.Call, sol Solution, funcs FuncResolver) (rdf.Term, error
 		if !ok || !te.Term.IsVar() {
 			return rdf.Term{}, exprErrf("BOUND requires a variable argument")
 		}
-		return rdf.NewBoolean(sol.Bound(te.Term.Value)), nil
+		_, bound := sol.lookup(te.Term.Value)
+		return rdf.NewBoolean(bound), nil
 	}
 	args := make([]rdf.Term, len(x.Args))
 	for i, a := range x.Args {

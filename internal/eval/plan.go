@@ -1,0 +1,497 @@
+package eval
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"sparqlrw/internal/algebra"
+	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/sparql"
+)
+
+// Row is a positional solution: one term per slot, the zero Term meaning
+// unbound. Inside the evaluator a row has one slot per variable of the
+// compiled query; SelectRows hands out rows with one slot per projected
+// variable.
+type Row = []rdf.Term
+
+// plan is one query's algebra compiled once: every variable (and every
+// blank-node pseudo-variable, under its "_:" key) gets a slot, and every
+// algebra node becomes an operator over rows of that width. A plan holds
+// the working state of its operators, so it serves one evaluation at a
+// time.
+type plan struct {
+	eng   *Engine
+	slots map[string]int // binding key → slot
+	names []string       // slot → binding key
+	root  op
+	err   error // set when build met a node it cannot compile
+}
+
+// op is a compiled algebra node. run pushes each of the node's solutions
+// into yield and reports false when the consumer stopped the iteration.
+// A yielded row is valid only during the yield — the producer reuses it
+// for the next solution — so an operator that retains rows copies them.
+type op interface {
+	run(yield func(Row) bool) bool
+}
+
+func (e *Engine) compile(a algebra.Op) (*plan, error) {
+	p := &plan{eng: e, slots: map[string]int{}}
+	p.root = p.build(a)
+	return p, p.err
+}
+
+func (p *plan) slot(key string) int {
+	s, ok := p.slots[key]
+	if !ok {
+		s = len(p.names)
+		p.slots[key] = s
+		p.names = append(p.names, key)
+	}
+	return s
+}
+
+func (p *plan) newRow() Row { return make(Row, len(p.names)) }
+
+// solution is the boundary adapter from rows to the map form the
+// package's callers use.
+func (p *plan) solution(r Row) Solution {
+	sol := Solution{}
+	for s, t := range r {
+		if t.Kind != rdf.KindAny {
+			sol[p.names[s]] = t
+		}
+	}
+	return sol
+}
+
+// solutions drains the plan into independent maps.
+func (p *plan) solutions() []Solution {
+	var out []Solution
+	p.root.run(func(r Row) bool {
+		out = append(out, p.solution(r))
+		return true
+	})
+	return out
+}
+
+// frame lets FILTER and ORDER BY expressions read a row by variable name.
+type frame struct {
+	p   *plan
+	row Row
+}
+
+func (f *frame) lookup(key string) (rdf.Term, bool) {
+	s, ok := f.p.slots[key]
+	if !ok {
+		return rdf.Term{}, false
+	}
+	return f.row[s], f.row[s].Kind != rdf.KindAny
+}
+
+// build compiles one algebra node. A node it does not know makes the
+// plan unusable: the error is kept for compile to return.
+func (p *plan) build(a algebra.Op) op {
+	switch o := a.(type) {
+	case *algebra.Unit:
+		return unitOp{p}
+	case *algebra.BGP:
+		return p.buildBGP(o.Patterns)
+	case *algebra.Table:
+		t := &tableOp{p: p, rows: o.Rows}
+		for _, v := range o.Vars {
+			t.slots = append(t.slots, p.slot(v))
+		}
+		return t
+	case *algebra.Join:
+		// A BGP operand is matched by index nested loops seeded, in place,
+		// by each row of the other side. Join is commutative, so a VALUES
+		// table seeds a BGP written on either side of it — the evaluation
+		// sharded federation sub-queries rely on.
+		lhs, rhs := o.L, o.R
+		if _, ok := lhs.(*algebra.BGP); ok {
+			if _, ok := rhs.(*algebra.Table); ok {
+				lhs, rhs = rhs, lhs
+			}
+		}
+		if b, ok := rhs.(*algebra.BGP); ok {
+			return &seedJoinOp{l: p.build(lhs), r: p.buildBGP(b.Patterns)}
+		}
+		return &hashJoinOp{p: p, l: p.build(lhs), r: p.build(rhs)}
+	case *algebra.LeftJoin:
+		lj := &leftJoinOp{p: p, l: p.build(o.L), expr: o.Expr}
+		if b, ok := o.R.(*algebra.BGP); ok {
+			lj.bgp = p.buildBGP(b.Patterns)
+		} else {
+			lj.r = p.build(o.R)
+		}
+		return lj
+	case *algebra.Union:
+		return &unionOp{p.build(o.L), p.build(o.R)}
+	case *algebra.Filter:
+		return &filterOp{p: p, in: p.build(o.Input), expr: o.Expr}
+	case *algebra.Project:
+		pr := &projectOp{p: p, in: p.build(o.Input)}
+		if o.Star {
+			// Every variable of the input, never a blank-node pseudo-variable.
+			for s, name := range p.names {
+				if !strings.HasPrefix(name, "_:") {
+					pr.keep = append(pr.keep, s)
+				}
+			}
+		}
+		for _, v := range o.Vars {
+			pr.keep = append(pr.keep, p.slot(v))
+		}
+		return pr
+	case *algebra.Distinct:
+		return &distinctOp{p.build(o.Input)}
+	case *algebra.Reduced: // duplicate elimination is a legal REDUCED
+		return &distinctOp{p.build(o.Input)}
+	case *algebra.OrderBy:
+		return &orderOp{p: p, in: p.build(o.Input), conds: o.Conds}
+	case *algebra.Slice:
+		return &sliceOp{in: p.build(o.Input), limit: o.Limit, offset: o.Offset}
+	default:
+		p.err = fmt.Errorf("eval: unsupported algebra node %T", a)
+		return unitOp{p}
+	}
+}
+
+// unitOp is the empty pattern: one solution binding nothing.
+type unitOp struct{ p *plan }
+
+func (u unitOp) run(yield func(Row) bool) bool { return yield(u.p.newRow()) }
+
+// tableOp is a VALUES block; an UNDEF cell is already the zero Term.
+type tableOp struct {
+	p     *plan
+	slots []int
+	rows  [][]rdf.Term
+}
+
+func (t *tableOp) run(yield func(Row) bool) bool {
+	out := t.p.newRow()
+	for _, cells := range t.rows {
+		for i, s := range t.slots {
+			out[s] = rdf.Term{}
+			if i < len(cells) {
+				out[s] = cells[i]
+			}
+		}
+		if !yield(out) {
+			return false
+		}
+	}
+	return true
+}
+
+// seedJoinOp joins with a BGP right operand: each left row seeds the
+// pattern matching, which extends it in place.
+type seedJoinOp struct {
+	l op
+	r *bgpOp
+}
+
+func (j *seedJoinOp) run(yield func(Row) bool) bool {
+	return j.l.run(func(l Row) bool { return j.r.seeded(l, yield) })
+}
+
+type unionOp struct{ l, r op }
+
+func (u *unionOp) run(yield func(Row) bool) bool { return u.l.run(yield) && u.r.run(yield) }
+
+type filterOp struct {
+	p    *plan
+	in   op
+	expr sparql.Expression
+}
+
+func (f *filterOp) run(yield func(Row) bool) bool {
+	fr := &frame{p: f.p}
+	return f.in.run(func(r Row) bool {
+		// SPARQL FILTER error semantics: an erroring expression excludes
+		// the row rather than failing the query.
+		fr.row = r
+		if ok, err := evalBool(f.expr, fr, f.p.eng.Funcs); err != nil || !ok {
+			return true
+		}
+		return yield(r)
+	})
+}
+
+// projectOp copies the kept slots into a row of its own, so everything
+// else (blank-node pseudo-variables included) reads as unbound above it.
+type projectOp struct {
+	p    *plan
+	in   op
+	keep []int
+}
+
+func (o *projectOp) run(yield func(Row) bool) bool {
+	out := o.p.newRow()
+	return o.in.run(func(r Row) bool {
+		for _, s := range o.keep {
+			out[s] = r[s]
+		}
+		return yield(out)
+	})
+}
+
+// distinctOp emits each row the first time its key — the terms in slot
+// order — appears. Only the keys are retained, so memory grows with the
+// distinct rows' keys while results still flow incrementally.
+type distinctOp struct{ in op }
+
+func (d *distinctOp) run(yield func(Row) bool) bool {
+	var seen KeySet
+	return d.in.run(func(r Row) bool { return !seen.addRow(r) || yield(r) })
+}
+
+type sliceOp struct {
+	in            op
+	limit, offset int
+}
+
+func (s *sliceOp) run(yield func(Row) bool) bool {
+	if s.limit == 0 {
+		return true
+	}
+	skip, left, more := s.offset, s.limit, true
+	s.in.run(func(r Row) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		more = yield(r)
+		left--
+		return more && left != 0 // LIMIT satisfied: stop upstream work
+	})
+	return more
+}
+
+// rowBuf retains copies of yielded rows, back to back in one slice.
+type rowBuf struct {
+	width, n int
+	terms    []rdf.Term
+}
+
+// collect drains in into a buffer of width-wide rows.
+func collect(in op, width int) rowBuf {
+	b := rowBuf{width: width}
+	in.run(func(r Row) bool {
+		b.terms = append(b.terms, r...)
+		b.n++
+		return true
+	})
+	return b
+}
+
+func (b *rowBuf) row(i int) Row { return b.terms[i*b.width : (i+1)*b.width] }
+
+// orderOp sorts; sorting is inherently blocking, so it materialises its
+// input and then streams the sorted copies.
+type orderOp struct {
+	p     *plan
+	in    op
+	conds []sparql.OrderCondition
+}
+
+func (o *orderOp) run(yield func(Row) bool) bool {
+	buf := collect(o.in, len(o.p.names))
+	rows := make([]Row, buf.n)
+	for i := range rows {
+		rows[i] = buf.row(i)
+	}
+	fi, fj := &frame{p: o.p}, &frame{p: o.p}
+	funcs := o.p.eng.Funcs
+	sort.SliceStable(rows, func(i, j int) bool {
+		fi.row, fj.row = rows[i], rows[j]
+		for _, c := range o.conds {
+			vi, ei := evalExpr(c.Expr, fi, funcs)
+			vj, ej := evalExpr(c.Expr, fj, funcs)
+			cmp := 0
+			switch {
+			case ei != nil && ej != nil:
+			case ei != nil: // SPARQL ordering: unbound/error sorts lowest
+				cmp = -1
+			case ej != nil:
+				cmp = 1
+			default:
+				cmp = orderCompare(vi, vj)
+			}
+			if cmp != 0 {
+				return (cmp < 0) != c.Desc
+			}
+		}
+		return false
+	})
+	for _, r := range rows {
+		if !yield(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// orderCompare is the total ORDER BY comparator: blank < IRI < literal by
+// kind, then value-aware comparison within kinds.
+func orderCompare(a, b rdf.Term) int {
+	rank := func(t rdf.Term) int {
+		switch t.Kind {
+		case rdf.KindBlank:
+			return 0
+		case rdf.KindIRI:
+			return 1
+		default:
+			return 2
+		}
+	}
+	if ra, rb := rank(a), rank(b); ra != rb {
+		return ra - rb
+	}
+	if a.Kind == rdf.KindLiteral && b.Kind == rdf.KindLiteral {
+		if c, err := compareOrdered(a, b); err == nil {
+			return c
+		}
+	}
+	return a.Compare(b)
+}
+
+// join writes the union of two rows to out and reports whether they were
+// compatible: agreed on every slot both bind (the SPARQL join condition).
+func join(out, l, r Row) bool {
+	for s, t := range l {
+		switch {
+		case t.Kind == rdf.KindAny:
+			t = r[s]
+		case r[s].Kind != rdf.KindAny && r[s] != t:
+			return false
+		}
+		out[s] = t
+	}
+	return true
+}
+
+// leftJoinOp is OPTIONAL. The left side streams; a BGP right side extends
+// each left row in place, any other right side is evaluated once, copied,
+// and merged with each compatible left row.
+type leftJoinOp struct {
+	p    *plan
+	l    op
+	bgp  *bgpOp // the right operand when it is a BGP, else nil and r is set
+	r    op
+	expr sparql.Expression // may be nil
+}
+
+func (o *leftJoinOp) run(yield func(Row) bool) bool {
+	fr := &frame{p: o.p}
+	matched, more := false, true
+	// extended filters and forwards one extension of the current left row.
+	extended := func(ext Row) bool {
+		if o.expr != nil {
+			fr.row = ext
+			if ok, err := evalBool(o.expr, fr, o.p.eng.Funcs); err != nil || !ok {
+				return true
+			}
+		}
+		matched = true
+		more = yield(ext)
+		return more
+	}
+	var right rowBuf
+	var out Row
+	if o.bgp == nil {
+		right = collect(o.r, len(o.p.names))
+		out = o.p.newRow()
+	}
+	return o.l.run(func(l Row) bool {
+		matched = false
+		if o.bgp != nil {
+			o.bgp.seeded(l, extended)
+		} else {
+			for i := 0; i < right.n && more; i++ {
+				if join(out, l, right.row(i)) {
+					extended(out)
+				}
+			}
+		}
+		if !more {
+			return false
+		}
+		return matched || yield(l)
+	})
+}
+
+// hashJoinOp is the generic join: both operands are evaluated and copied,
+// the right side is bucketed by its terms in the slots both sides bind,
+// and each left row probes its bucket.
+type hashJoinOp struct {
+	p    *plan
+	l, r op
+}
+
+func (o *hashJoinOp) run(yield func(Row) bool) bool {
+	width := len(o.p.names)
+	left, right := collect(o.l, width), collect(o.r, width)
+	// Rows of one operand may bind different slots (under UNION or
+	// OPTIONAL), so the shared slots are those bound somewhere on each side.
+	boundIn := func(b *rowBuf) []bool {
+		bound := make([]bool, width)
+		for i, t := range b.terms {
+			if t.Kind != rdf.KindAny {
+				bound[i%width] = true
+			}
+		}
+		return bound
+	}
+	lb, rb := boundIn(&left), boundIn(&right)
+	var shared []int
+	for s := range width {
+		if lb[s] && rb[s] {
+			shared = append(shared, s)
+		}
+	}
+	// key renders a row's shared slots; ok is false when it leaves one
+	// unbound, and such rows are compared against every row of the other
+	// side instead of one bucket.
+	var buf []byte
+	key := func(r Row) (k []byte, ok bool) {
+		buf = buf[:0]
+		for _, s := range shared {
+			if r[s].Kind == rdf.KindAny {
+				return nil, false
+			}
+			buf = append(r[s].AppendString(buf), 0)
+		}
+		return buf, true
+	}
+	buckets := map[string][]int{}
+	var unkeyed, all []int
+	for i := range right.n {
+		all = append(all, i)
+		if k, ok := key(right.row(i)); ok {
+			buckets[string(k)] = append(buckets[string(k)], i)
+		} else {
+			unkeyed = append(unkeyed, i)
+		}
+	}
+	out := o.p.newRow()
+	for i := range left.n {
+		l := left.row(i)
+		candidates, rest := all, []int(nil)
+		if k, ok := key(l); ok {
+			candidates, rest = buckets[string(k)], unkeyed
+		}
+		for _, group := range [2][]int{candidates, rest} {
+			for _, j := range group {
+				if join(out, l, right.row(j)) && !yield(out) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}

@@ -1,8 +1,11 @@
 // Package eval interprets the SPARQL algebra over an indexed triple store.
-// It provides solution mappings, SPARQL 1.0 expression evaluation with the
-// three-valued error semantics, backtracking BGP matching with a
-// selectivity-based join-order heuristic, hash joins, and the SELECT / ASK
-// / CONSTRUCT query forms.
+// Each query is compiled once into a plan that gives every variable a
+// slot, and every operator — backtracking BGP matching under a
+// selectivity-based join order, joins, OPTIONAL, UNION, FILTER with the
+// SPARQL 1.0 three-valued error semantics, DISTINCT, ORDER BY, slicing —
+// runs over positional rows of that width (see plan.go). Solution maps
+// are the form the SELECT / ASK / CONSTRUCT / DESCRIBE entry points hand
+// to callers, and are built only there.
 package eval
 
 import (
@@ -47,6 +50,11 @@ func (s Solution) Bound(name string) bool {
 	return ok
 }
 
+func (s Solution) lookup(key string) (rdf.Term, bool) {
+	t, ok := s[key]
+	return t, ok
+}
+
 // Project returns a solution restricted to the given variables (dropping
 // blank-node bindings, which are never projectable).
 func (s Solution) Project(vars []string) Solution {
@@ -54,18 +62,6 @@ func (s Solution) Project(vars []string) Solution {
 	for _, v := range vars {
 		if t, ok := s[v]; ok {
 			out[v] = t
-		}
-	}
-	return out
-}
-
-// ProjectAll returns the solution without blank-node pseudo-bindings, the
-// SELECT * projection.
-func (s Solution) ProjectAll() Solution {
-	out := make(Solution, len(s))
-	for k, v := range s {
-		if !strings.HasPrefix(k, "_:") {
-			out[k] = v
 		}
 	}
 	return out
@@ -134,18 +130,6 @@ func (s Solution) appendSorted(dst []byte, names []string) []byte {
 	return dst
 }
 
-// keyOn returns the canonical string of the solution restricted to vars
-// (which must be sorted); used to bucket hash joins on shared variables.
-func (s Solution) keyOn(vars []string) string {
-	var buf [256]byte
-	b := buf[:0]
-	for _, n := range vars {
-		b = s[n].AppendString(b)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
 // KeySet is the set of the keys of the solutions added to it: the state
 // of a streaming DISTINCT. Each key is rendered into one reused buffer
 // and looked up from there, so a duplicate allocates nothing and a new
@@ -165,6 +149,17 @@ func (k *KeySet) Add(s Solution) bool {
 // whether it was new.
 func (k *KeySet) AddOn(s Solution, vars []string) bool {
 	k.key = s.AppendKeyOn(k.key[:0], vars)
+	return k.add()
+}
+
+// addRow adds a positional row's key — its terms in slot order, so no
+// names and no sorting — and reports whether it was new. One set holds
+// rows or solutions, not both.
+func (k *KeySet) addRow(r Row) bool {
+	k.key = k.key[:0]
+	for _, t := range r {
+		k.key = append(t.AppendString(k.key), 0)
+	}
 	return k.add()
 }
 

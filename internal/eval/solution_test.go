@@ -71,7 +71,7 @@ func TestAppendKeyOnIsProjectedKey(t *testing.T) {
 	}
 }
 
-// TestKeySetAllocations: the DISTINCT state behind distinctSeq, the
+// TestKeySetAllocations: the DISTINCT state behind the evaluator, the
 // decomposer's final DISTINCT and the federated merge takes a duplicate
 // for free and a new row for the one key it keeps.
 func TestKeySetAllocations(t *testing.T) {

@@ -24,9 +24,26 @@ func streamTestStore() *store.Store {
 	return st
 }
 
-// TestSelectSeqMatchesSelect asserts the lazy path and the buffered path
-// produce identical solution sets for every operator class.
-func TestSelectSeqMatchesSelect(t *testing.T) {
+// rowSolutions drains a row sequence into maps, copying each row as the
+// contract requires.
+func rowSolutions(rr *RowResult) []Solution {
+	var out []Solution
+	for r := range rr.Seq {
+		sol := Solution{}
+		for i, t := range r {
+			if t.Kind != rdf.KindAny {
+				sol[rr.Vars[i]] = t
+			}
+		}
+		out = append(out, sol)
+	}
+	return out
+}
+
+// TestSelectRowsMatchSelect asserts the lazy positional path and the
+// buffered map path produce identical solution sets for every operator
+// class.
+func TestSelectRowsMatchSelect(t *testing.T) {
 	e := New(streamTestStore())
 	queries := []string{
 		`PREFIX ex: <http://example.org/> SELECT ?p ?a WHERE { ?p ex:author ?a }`,
@@ -48,14 +65,11 @@ func TestSelectSeqMatchesSelect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Select(%s): %v", qt, err)
 		}
-		sr, err := e.SelectSeq(q)
+		sr, err := e.SelectRows(q)
 		if err != nil {
-			t.Fatalf("SelectSeq(%s): %v", qt, err)
+			t.Fatalf("SelectRows(%s): %v", qt, err)
 		}
-		lazy, err := Collect(sr.Seq)
-		if err != nil {
-			t.Fatalf("Collect(%s): %v", qt, err)
-		}
+		lazy := rowSolutions(sr)
 		if len(lazy) != len(buf.Solutions) {
 			t.Fatalf("%s: lazy=%d buffered=%d", qt, len(lazy), len(buf.Solutions))
 		}
@@ -77,10 +91,10 @@ func TestSelectSeqMatchesSelect(t *testing.T) {
 	}
 }
 
-// TestSelectSeqLazyLimit asserts LIMIT stops upstream work: a three-way
+// TestSelectRowsLazyLimit asserts LIMIT stops upstream work: a three-way
 // cartesian product whose full materialisation would be 8M solutions must
 // stream its first rows without building them all.
-func TestSelectSeqLazyLimit(t *testing.T) {
+func TestSelectRowsLazyLimit(t *testing.T) {
 	st := store.New()
 	for i := 0; i < 200; i++ {
 		n := rdf.NewIRI(fmt.Sprintf("http://example.org/n%d", i))
@@ -92,14 +106,11 @@ func TestSelectSeqLazyLimit(t *testing.T) {
 SELECT ?x ?y ?z WHERE { ?x ex:a "x" . ?y ex:b "y" . ?z ex:c "z" } LIMIT 3`)
 	e := New(st)
 	start := time.Now()
-	sr, err := e.SelectSeq(q)
+	sr, err := e.SelectRows(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := Collect(sr.Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sols := rowSolutions(sr)
 	if len(sols) != 3 {
 		t.Fatalf("solutions = %d", len(sols))
 	}
@@ -110,20 +121,17 @@ SELECT ?x ?y ?z WHERE { ?x ex:a "x" . ?y ex:b "y" . ?z ex:c "z" } LIMIT 3`)
 	}
 }
 
-// TestSelectSeqEarlyBreak asserts that a consumer abandoning the sequence
+// TestSelectRowsEarlyBreak asserts that a consumer abandoning the sequence
 // mid-way aborts the backtracking search cleanly.
-func TestSelectSeqEarlyBreak(t *testing.T) {
+func TestSelectRowsEarlyBreak(t *testing.T) {
 	e := New(streamTestStore())
 	q := sparql.MustParse(`PREFIX ex: <http://example.org/> SELECT ?p ?a WHERE { ?p ex:author ?a }`)
-	sr, err := e.SelectSeq(q)
+	sr, err := e.SelectRows(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, err := range sr.Seq {
-		if err != nil {
-			t.Fatal(err)
-		}
+	for range sr.Seq {
 		n++
 		if n == 2 {
 			break

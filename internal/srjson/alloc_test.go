@@ -73,6 +73,15 @@ func TestRowAllocations(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("encoding a row: %.1f allocations, want 0", got)
 	}
+	// The NDJSON and SSE writers' form: the scratch row stays on the stack.
+	line := make([]byte, 0, 512)
+	if got := testing.AllocsPerRun(runs, func() {
+		if line, err = AppendBinding(line[:0], benchVars, row); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("appending a binding: %.1f allocations, want 0", got)
+	}
 }
 
 func BenchmarkSRJDecodeRow(b *testing.B) {

@@ -253,6 +253,16 @@ func FuzzAppendBinding(f *testing.F) {
 		if !json.Valid(row) {
 			t.Fatalf("invalid JSON: %q", row)
 		}
+		// The positional form must give the very same bytes.
+		var streamed bytes.Buffer
+		enc, err := NewStreamEncoder(&streamed, []string{"unbound", name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := streamed.Len()
+		if err := enc.EncodeRow([]rdf.Term{{}, term}); err != nil || !bytes.Equal(streamed.Bytes()[head:], row) {
+			t.Fatalf("EncodeRow wrote %q (%v), AppendBinding %q", streamed.Bytes()[head:], err, row)
+		}
 		// What must read back: the term with its strings made valid
 		// UTF-8, a language tag lower-cased, and xsd:string — which the
 		// format writes as a plain literal — dropped.

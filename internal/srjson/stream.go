@@ -11,13 +11,18 @@ import (
 
 // StreamEncoder writes a SELECT results document incrementally: the head
 // and the opening of the bindings array up front, then one binding object
-// per Encode call, then the closing braces on Close. It lets an HTTP
-// handler flush the first solution to the client before the last one
-// exists.
+// per EncodeRow (or Encode) call, then the closing braces on Close. It
+// lets an HTTP handler flush the first solution to the client before the
+// last one exists. Bindings are rendered by AppendRow, the package's one
+// binding-encoding routine, from a positional row; the map-taking Encode
+// and AppendBinding only gather their solution into such a row first. The
+// encoder keeps nothing of a row past the call, so the evaluator's reused
+// rows can be handed to it directly.
 type StreamEncoder struct {
 	w      io.Writer
 	vars   []string
-	buf    []byte // reused for every row
+	buf    []byte     // reused for every row
+	row    []rdf.Term // reused by Encode to gather a solution
 	n      int
 	closed bool
 }
@@ -44,9 +49,11 @@ func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
 	return &StreamEncoder{w: w, vars: vars, buf: buf}, nil
 }
 
-// Encode writes one solution as a binding object, separator included, in
-// a single Write. Unbound variables are omitted per the W3C format.
-func (e *StreamEncoder) Encode(sol eval.Solution) error {
+// EncodeRow writes one positional row — row[i] binds the encoder's i-th
+// variable, the zero Term leaves it unbound — as a binding object,
+// separator included, in a single Write. Unbound variables are omitted
+// per the W3C format.
+func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	if e.closed {
 		return fmt.Errorf("srjson: Encode after Close")
 	}
@@ -54,7 +61,7 @@ func (e *StreamEncoder) Encode(sol eval.Solution) error {
 	if e.n > 0 {
 		buf = append(buf, ',')
 	}
-	buf, err := AppendBinding(buf, e.vars, sol)
+	buf, err := AppendRow(buf, e.vars, row)
 	if err != nil {
 		return err
 	}
@@ -62,6 +69,20 @@ func (e *StreamEncoder) Encode(sol eval.Solution) error {
 	e.n++
 	_, err = e.w.Write(buf)
 	return err
+}
+
+// Encode is EncodeRow for a solution map.
+func (e *StreamEncoder) Encode(sol eval.Solution) error {
+	e.row = gather(e.row[:0], e.vars, sol)
+	return e.EncodeRow(e.row)
+}
+
+// gather appends sol's bindings of vars, in order, to row.
+func gather(row []rdf.Term, vars []string, sol eval.Solution) []rdf.Term {
+	for _, v := range vars {
+		row = append(row, sol[v])
+	}
+	return row
 }
 
 // Count reports how many bindings have been encoded so far.
@@ -126,11 +147,18 @@ func EncodeSelectStream(w io.Writer, vars []string, seq eval.SolutionSeq, flush 
 // order of vars, with unbound variables omitted. NDJSON-style streaming
 // writes one such object per line. On error dst is returned unextended.
 func AppendBinding(dst []byte, vars []string, sol eval.Solution) ([]byte, error) {
+	var stack [8]rdf.Term // enough for most projections to stay off the heap
+	return AppendRow(dst, vars, gather(stack[:0], vars, sol))
+}
+
+// AppendRow is AppendBinding for a positional row: row[i] binds vars[i],
+// and the zero Term leaves it unbound.
+func AppendRow(dst []byte, vars []string, row []rdf.Term) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, '{')
-	for _, v := range vars {
-		t, ok := sol[v]
-		if !ok {
+	for i, v := range vars {
+		t := row[i]
+		if t.Kind == rdf.KindAny {
 			continue // unbound: omitted per spec
 		}
 		if len(dst) > mark+1 {

@@ -117,15 +117,15 @@ type (
 	// Solution is one solution mapping.
 	Solution = eval.Solution
 	// SolutionSeq is a lazy solution sequence (iter.Seq2[Solution,
-	// error]): the streaming shape results take from the evaluator all
-	// the way to HTTP responses.
+	// error]): the streaming shape results take from the endpoint
+	// decoders through the merge to HTTP responses.
 	SolutionSeq = eval.SolutionSeq
 	// SolutionStream is a pull-based solution stream handle (endpoint
 	// responses, federated merges).
 	SolutionStream = eval.SolutionStream
-	// StreamResult is a SELECT evaluation outcome whose solutions are
-	// produced lazily (Engine.SelectSeq).
-	StreamResult = eval.StreamResult
+	// RowResult is a SELECT evaluation outcome whose solutions are
+	// produced lazily as positional rows (Engine.SelectRows).
+	RowResult = eval.RowResult
 	// Engine evaluates queries over a Store.
 	Engine = eval.Engine
 	// Store is the indexed in-memory triple store.

@@ -166,7 +166,7 @@ func TestFacadeKBs(t *testing.T) {
 }
 
 // TestFacadeStreaming exercises the public streaming surface: lazy
-// evaluation through Engine.SelectSeq, the streaming results-JSON codec,
+// evaluation through Engine.SelectRows, the streaming results-JSON codec,
 // and CollectSolutions.
 func TestFacadeStreaming(t *testing.T) {
 	st := NewStore()
@@ -176,7 +176,7 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := NewEngine(st).SelectSeq(q)
+	sr, err := NewEngine(st).SelectRows(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,8 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := CollectSolutions(sr.Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sol := range sols {
-		if err := enc.Encode(sol); err != nil {
+	for row := range sr.Seq {
+		if err := enc.EncodeRow(row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,17 +197,11 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for sol, err := range dec.All() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sol.Bound("a") {
-			t.Fatalf("solution = %v", sol)
-		}
-		n++
+	sols, err := CollectSolutions(dec.All())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("round-tripped %d solutions", n)
+	if len(sols) != 2 || !sols[0].Bound("a") || !sols[1].Bound("a") {
+		t.Fatalf("round-tripped solutions = %v", sols)
 	}
 }
