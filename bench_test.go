@@ -525,11 +525,13 @@ SELECT DISTINCT ?a WHERE {
 // BenchmarkE9_CorefLookup — E9: equivalence-class lookup with the 200+
 // member class the paper reports for one person. MapSameAs measures the
 // rewrite-side function call; the MergeRep sub-benchmarks compare three
-// generations of the federated merge's per-binding representative lookup
-// — re-derive from the coref store each time, memoise the representative
-// string and rebuild the term per binding, and the current dictionary-
-// interned cache that returns the ready-made term (zero allocations on
-// the hot path).
+// ways of doing the federated merge's per-binding representative lookup
+// — re-derive from the coref store each time (a sorted copy of the class
+// per binding), memoise the representative string found that way and
+// rebuild the term per binding, and federate.RepCache: one probe under
+// the IRI's string returning the ready-made term, a miss asking the store
+// for just its smallest member (no class copy, no sort; zero allocations
+// on the hot path).
 func BenchmarkE9_CorefLookup(b *testing.B) {
 	cs := coref.NewStore()
 	hub := "http://southampton.rkbexplorer.com/id/person-02686"
@@ -593,7 +595,7 @@ func BenchmarkE9_CorefLookup(b *testing.B) {
 			}
 		}
 	})
-	b.Run("MergeRep/DictInterned", func(b *testing.B) {
+	b.Run("MergeRep/RepCache", func(b *testing.B) {
 		rc := federate.NewRepCache(cs)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -32,13 +32,16 @@
 // fetching the fragment unbound and hash-joining at the mediator — which
 // is also the robust path when fragments identify entities in different
 // URI spaces, since both sides are owl:sameAs-canonicalised before the
-// join. The engine produces the same lazy solution stream as the rest of
-// the system, so the streaming HTTP path (incremental rows, disconnect
+// join. The engine runs over positional rows (the left side of a join in
+// one flat buffer bucketed on the join slots, joined rows merged by
+// position) and produces the same lazy pull stream as the rest of the
+// system, so the streaming HTTP path (incremental rows, disconnect
 // cancellation) works unchanged.
 package decompose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparqlrw/internal/obs"
@@ -181,6 +184,7 @@ type Decomposition struct {
 	distinct      bool
 	limit, offset int
 	prefixes      *rdf.PrefixMap
+	slots         []string // the join engine's row layout: the fragments' variables, in order
 }
 
 // Datasets returns the distinct data set URIs the decomposition touches,
@@ -356,10 +360,7 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 		offset:    q.Offset,
 		prefixes:  q.Prefixes,
 	}
-	dec.Vars = q.SelectVars
-	if q.SelectStar {
-		dec.Vars = q.Vars()
-	}
+	dec.Vars = q.Projection()
 	orderFragments(dec, fragments)
 	attachFilters(dec, filters, q.Prefixes)
 	for _, f := range dec.Fragments {
@@ -563,10 +564,23 @@ func orderFragments(dec *Decomposition, fragments []*Fragment) {
 				"stage %d joins without shared variables (cartesian product)", len(dec.Fragments)))
 		}
 		for _, v := range f.Vars {
-			bound[v] = true
+			if !bound[v] {
+				bound[v] = true
+				dec.slots = append(dec.slots, v)
+			}
 		}
 		dec.Fragments = append(dec.Fragments, f)
 	}
+}
+
+// slotsOf maps variables to their slots in a joined row; one that no
+// fragment binds gets -1.
+func (d *Decomposition) slotsOf(vars []string) []int {
+	out := make([]int, len(vars))
+	for i, v := range vars {
+		out[i] = slices.Index(d.slots, v)
+	}
+	return out
 }
 
 func sharesVar(f *Fragment, bound map[string]bool) bool {

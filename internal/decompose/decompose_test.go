@@ -3,6 +3,7 @@ package decompose
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -666,5 +667,59 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 	bQs := client.queriesFor(bURL)
 	if len(bQs) != 1 || !strings.Contains(bQs[0], bURI) {
 		t.Fatalf("alias not shipped to endpoint B: %v", bQs)
+	}
+}
+
+// scribbled wraps a stage so that each row it yields is overwritten as
+// soon as the yield returns — the hard form of "a yielded row is valid
+// only during its yield".
+func scribbled(in rowSeq) rowSeq {
+	return func(yield func(eval.Row, error) bool) {
+		for row, err := range in {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			own := append(eval.Row(nil), row...)
+			more := yield(own, nil)
+			for i := range own {
+				own[i] = rdf.NewLiteral("scribbled over")
+			}
+			if !more {
+				return
+			}
+		}
+	}
+}
+
+// TestJoinStageRetainsCopies extends eval.TestRetainedRowsAreCopies to
+// the bound join: the left rows it buckets (and ships as VALUES) and the
+// rows the final DISTINCT keys on must be its own copies, since both
+// producers reuse the row they yield. In both join strategies.
+func TestJoinStageRetainsCopies(t *testing.T) {
+	for name, opts := range map[string]Options{"bound": {}, "hash": {MaxBindRows: -1}} {
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, opts)
+			query := strings.Replace(workload.CrossVocabularyQuery(1), "SELECT", "SELECT DISTINCT", 1)
+			d, err := f.dec.Decompose(query, rdf.AKTNS)
+			if err != nil || len(d.Fragments) != 2 {
+				t.Fatalf("decomposition = %+v, %v", d, err)
+			}
+			ctx, e, r := context.Background(), f.engine, &Run{vars: d.Vars}
+			// The pipeline of Engine.pipeline, with a scribbler between stages.
+			seq := scribbled(e.fragmentSeq(ctx, d, d.Fragments[0], 0, nil, r))
+			seq = scribbled(e.joinStage(ctx, d, d.Fragments[1], 1, seq, r))
+			var got []eval.Solution
+			for row, err := range e.finalSeq(ctx, d, seq, r) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, eval.RowSolution(d.Vars, row))
+			}
+			eval.SortSolutions(got)
+			if want := f.groundTruth(t, query); len(got) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("joined over row-reusing stages = %v\nwant %v", got, want)
+			}
+		})
 	}
 }

@@ -41,9 +41,8 @@ type EngineStats struct {
 
 // Engine executes decompositions: fragments run left to right as bound
 // joins over the federation executor, producing one merged, lazily
-// consumed solution stream.
+// consumed stream of positional rows.
 type Engine struct {
-	mu       sync.Mutex
 	exec     Dispatcher
 	resolver eval.FuncResolver
 	coref    funcs.CorefSource
@@ -87,21 +86,6 @@ func NewEngine(exec Dispatcher, fr eval.FuncResolver, coref funcs.CorefSource, o
 	}
 }
 
-// SetDispatcher swaps the executor the engine dispatches through (the
-// mediator rebuilds its executor on reconfiguration; the engine and its
-// counters survive).
-func (e *Engine) SetDispatcher(exec Dispatcher) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.exec = exec
-}
-
-func (e *Engine) dispatcher() Dispatcher {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.exec
-}
-
 // Stats returns a snapshot of the engine's counters, read back from the
 // metrics registry so the JSON view and /metrics cannot disagree.
 func (e *Engine) Stats() EngineStats {
@@ -114,6 +98,11 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
+// rowSeq is a stage's output: rows over the run's slot table, each valid
+// only during its yield — the stage reuses it for the next one — so a
+// stage that keeps rows copies them. A non-nil error ends the sequence.
+type rowSeq = iter.Seq2[eval.Row, error]
+
 // Run is an in-flight decomposed query: the streaming counterpart of
 // federate.Stream for the multi-source path. Consume Next (io.EOF ends
 // the stream) or Solutions, then Summary; always Close.
@@ -124,7 +113,7 @@ type Run struct {
 	// pullMu serialises the iter.Pull2 handles: Next/Summary and a
 	// concurrent Close must not drive the coroutine simultaneously.
 	pullMu sync.Mutex
-	next   func() (eval.Solution, error, bool)
+	next   func() (eval.Row, error, bool)
 	stop   func()
 
 	closeOnce sync.Once
@@ -151,14 +140,16 @@ func (e *Engine) Run(ctx context.Context, d *Decomposition) *Run {
 	return r
 }
 
-// Vars returns the final projection variable names.
+// Vars returns the final projection variable names, the slot table of
+// the rows Next returns.
 func (r *Run) Vars() []string { return r.vars }
 
-// Next returns the next joined solution, io.EOF at the end of the
-// stream, or the error that aborted it.
-func (r *Run) Next() (eval.Solution, error) {
+// Next returns the next joined row (row[i] binding Vars()[i]), io.EOF at
+// the end of the stream, or the error that aborted it. The row is valid
+// until the next Next or Close; a caller that keeps rows copies them.
+func (r *Run) Next() (eval.Row, error) {
 	r.pullMu.Lock()
-	sol, err, ok := r.next()
+	row, err, ok := r.next()
 	r.pullMu.Unlock()
 	if !ok {
 		if r.err != nil {
@@ -170,28 +161,14 @@ func (r *Run) Next() (eval.Solution, error) {
 		r.err = err
 		return nil, err
 	}
-	return sol, nil
+	return row, nil
 }
 
-// Solutions adapts the run into a lazy solution sequence terminated by
-// the first error; breaking out stops the upstream work.
+// Solutions adapts the run into a lazy sequence of solution maps (one
+// built per row), terminated by the first error; breaking out stops the
+// upstream work.
 func (r *Run) Solutions() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		for {
-			sol, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(sol, nil) {
-				r.Close()
-				return
-			}
-		}
-	}
+	return eval.RowSolutions(r.vars, r.Next, func() { r.Close() })
 }
 
 // Close cancels the remaining upstream work. Safe to call at any point,
@@ -215,17 +192,7 @@ func (r *Run) Close() error {
 // fragment dispatch means join results may be incomplete). It consumes
 // whatever remains of the stream first.
 func (r *Run) Summary() (*federate.Result, error) {
-	for {
-		r.pullMu.Lock()
-		_, err, ok := r.next()
-		r.pullMu.Unlock()
-		if !ok {
-			break
-		}
-		if err != nil {
-			r.err = err
-			break
-		}
+	for _, err := r.Next(); err == nil; _, err = r.Next() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -266,8 +233,8 @@ func (r *Run) addResult(res *federate.Result, err error) {
 // fragment 0 seeds the bindings, each later fragment joins in (bound or
 // hash), residual filters apply at their stage, and the final stage
 // projects, deduplicates and slices.
-func (e *Engine) pipeline(ctx context.Context, d *Decomposition, r *Run) eval.SolutionSeq {
-	var seq eval.SolutionSeq
+func (e *Engine) pipeline(ctx context.Context, d *Decomposition, r *Run) rowSeq {
+	var seq rowSeq
 	for k, f := range d.Fragments {
 		if k == 0 {
 			seq = e.fragmentSeq(ctx, d, f, k, nil, r)
@@ -276,7 +243,7 @@ func (e *Engine) pipeline(ctx context.Context, d *Decomposition, r *Run) eval.So
 		}
 		for _, rf := range d.ResidualFilters {
 			if rf.Stage == k {
-				seq = e.filterSeq(ctx, k, seq, rf.expr)
+				seq = e.filterSeq(ctx, k, seq, d.slots, rf.expr)
 			}
 		}
 	}
@@ -284,14 +251,14 @@ func (e *Engine) pipeline(ctx context.Context, d *Decomposition, r *Run) eval.So
 }
 
 // fragmentSeq dispatches one fragment (with the given VALUES shard
-// texts, nil for an unbound fetch) and yields its merged solutions. The
-// dispatch summary is folded into the run when the stage winds down,
-// whether it was drained or abandoned. An unbound fetch opens a
-// "fragment" operator span (estimate vs actual cardinality, q-error,
-// first-row latency) and feeds each dataset's actual into the
+// texts, nil for an unbound fetch) and yields its merged rows, laid out
+// over d.slots. The dispatch summary is folded into the run when the
+// stage winds down, whether it was drained or abandoned. An unbound fetch
+// opens a "fragment" operator span (estimate vs actual cardinality,
+// q-error, first-row latency) and feeds each dataset's actual into the
 // observed-cardinality store — bound shards skip both, since a
 // semi-join's result says nothing about the fragment's true extent.
-func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment, stage int, shardTexts []string, r *Run) eval.SolutionSeq {
+func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment, stage int, shardTexts []string, r *Run) rowSeq {
 	// Caller-provided texts are bound-join VALUES shards: their binding
 	// rows make each text single-use, so they must not occupy slots in
 	// the executor's rewrite-plan LRU.
@@ -323,7 +290,7 @@ func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment,
 			})
 		}
 	}
-	return func(yield func(eval.Solution, error) bool) {
+	return func(yield func(eval.Row, error) bool) {
 		dispatchCtx := ctx
 		var span *obs.Span
 		var spanStart time.Time
@@ -333,7 +300,7 @@ func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment,
 			dispatchCtx, span = obs.StartSpan(ctx, "fragment")
 			spanStart = time.Now()
 		}
-		s := e.dispatcher().SelectStream(dispatchCtx, req)
+		s := e.exec.SelectStream(dispatchCtx, req)
 		defer func() {
 			s.Close()
 			res, err := s.Summary()
@@ -366,24 +333,43 @@ func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment,
 				span.End()
 			}
 		}()
-		for sol, err := range s.Solutions() {
-			if err == nil && yielded == 0 && !boundShards {
+		slots, out := d.slotsOf(f.Vars), make(eval.Row, len(d.slots))
+		for {
+			row, err := s.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if yielded == 0 && !boundShards {
 				firstRowMS = float64(time.Since(spanStart).Microseconds()) / 1000
 			}
-			if err == nil {
-				yielded++
+			yielded++
+			for i, slot := range slots {
+				out[slot] = row[i]
 			}
-			if !yield(sol, err) || err != nil {
+			if !yield(out, nil) {
 				return
 			}
 		}
 	}
 }
 
+// appendKeyOn appends a row's join key: its terms in the given slots.
+func appendKeyOn(dst []byte, row eval.Row, slots []int) []byte {
+	for _, s := range slots {
+		dst = append(row[s].AppendString(dst), 0)
+	}
+	return dst
+}
+
 // joinStage joins the accumulated left bindings with one fragment. The
 // left side is materialised (it is about to be shipped or hashed either
-// way); the right side streams, so joined solutions flow out as the
-// endpoints deliver them.
+// way) into one flat row buffer, bucketed on the join slots; the right
+// side streams, each row merged by position with the left rows of its
+// bucket, so joined rows flow out as the endpoints deliver them.
 //
 // Strategy: while the distinct join-variable bindings fit MaxBindRows,
 // they are batched into a VALUES block — sharded through the planner's
@@ -394,8 +380,9 @@ func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment,
 // mediator. Mediator-side hashing probes owl:sameAs-canonicalised keys on
 // both sides, so it also covers fragments whose entities live in a
 // different URI space than the bindings.
-func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, stage int, left eval.SolutionSeq, r *Run) eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
+func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, stage int, left rowSeq, r *Run) rowSeq {
+	joinSlots := d.slotsOf(f.JoinVars)
+	return func(yield func(eval.Row, error) bool) {
 		jctx, span := obs.StartSpan(ctx, "join")
 		st := obs.Operator("bound-join")
 		st.Stage = int64(stage)
@@ -407,53 +394,50 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 			span.SetOperator(st)
 			span.End()
 		}()
-		// Materialise the left side, bucketed by join key (it is about to
-		// be shipped as VALUES or probed by hash either way). Buckets are
-		// in first-seen key order, which keeps VALUES rows deterministic;
-		// table maps a join key to its bucket.
-		table := map[string]int{}
-		var buckets [][]eval.Solution
-		var key []byte // reused: only a first-seen key is copied into table
-		rows := 0
-		for sol, err := range left {
+		// Materialise the left side, bucketed by join key. Buckets are in
+		// first-seen key order, which keeps VALUES rows deterministic; a
+		// bucket's rows are chained through next in arrival order.
+		rows := eval.RowBuf{Width: len(d.slots)}
+		bucketOf := map[string]int{}
+		var first, last, next []int // per bucket, per bucket, per row
+		var key []byte              // reused: only a first-seen key is copied into bucketOf
+		for row, err := range left {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			key = sol.AppendKeyOn(key[:0], f.JoinVars)
-			b, ok := table[string(key)]
-			if !ok {
-				b = len(buckets)
-				table[string(key)] = b
-				buckets = append(buckets, nil)
+			key = appendKeyOn(key[:0], row, joinSlots)
+			if b, ok := bucketOf[string(key)]; ok {
+				next[last[b]], last[b] = rows.N, rows.N
+			} else {
+				bucketOf[string(key)] = len(first)
+				first, last = append(first, rows.N), append(last, rows.N)
 			}
-			buckets[b] = append(buckets[b], sol)
-			rows++
+			next = append(next, -1)
+			rows.Append(row)
 		}
-		st.RowsIn = int64(rows)
-		if rows == 0 {
+		st.RowsIn = int64(rows.N)
+		if rows.N == 0 {
 			st.RowsOut, st.ActualRows = 0, 0
 			return // empty join operand: the join is empty, dispatch nothing
 		}
 
 		var shardTexts []string
-		bind := len(f.JoinVars) > 0 && e.opts.MaxBindRows >= 0 && len(buckets) <= e.opts.MaxBindRows
+		bind := len(f.JoinVars) > 0 && e.opts.MaxBindRows >= 0 && len(first) <= e.opts.MaxBindRows
 		if bind {
 			values := &sparql.InlineData{Vars: append([]string(nil), f.JoinVars...)}
-			rowSeen := map[string]bool{}
-			for _, bucket := range buckets {
-				sol := bucket[0]
-				row := make([]rdf.Term, len(f.JoinVars))
-				for i, v := range f.JoinVars {
-					row[i] = sol[v] // zero Term reads back as UNDEF
+			var shipped eval.KeySet
+			for _, i := range first {
+				l := rows.Row(i)
+				row := make([]rdf.Term, len(joinSlots))
+				for j, s := range joinSlots {
+					row[j] = l[s] // zero Term reads back as UNDEF
 				}
 				// Ship every owl:sameAs alias of the bound IRIs: the merge
 				// canonicalised the bindings, and the representative URI
 				// may not be the one this fragment's endpoints store.
 				for _, variant := range e.expandRow(row) {
-					k := rowKey(variant)
-					if !rowSeen[k] {
-						rowSeen[k] = true
+					if shipped.AddRow(variant) {
 						values.Rows = append(values.Rows, variant)
 					}
 				}
@@ -480,27 +464,30 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 
 		var fetched, merged int64
 		spanStart := time.Now()
-		for sol, err := range e.fragmentSeq(jctx, d, f, stage, shardTexts, r) {
+		out := make(eval.Row, len(d.slots))
+		for row, err := range e.fragmentSeq(jctx, d, f, stage, shardTexts, r) {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
 			fetched++
-			key = sol.AppendKeyOn(key[:0], f.JoinVars)
-			b, ok := table[string(key)]
+			st.ActualRows = fetched
+			key = appendKeyOn(key[:0], row, joinSlots)
+			b, ok := bucketOf[string(key)]
 			if !ok {
 				continue
 			}
-			for _, l := range buckets[b] {
-				if l.Compatible(sol) {
-					if merged == 0 {
-						st.FirstRowMS = float64(time.Since(spanStart).Microseconds()) / 1000
-					}
-					merged++
-					st.ActualRows, st.RowsOut = fetched, merged
-					if !yield(l.Merge(sol), nil) {
-						return
-					}
+			for i := first[b]; i >= 0; i = next[i] {
+				if !eval.JoinRows(out, rows.Row(i), row) {
+					continue
+				}
+				if merged == 0 {
+					st.FirstRowMS = float64(time.Since(spanStart).Microseconds()) / 1000
+				}
+				merged++
+				st.RowsOut = merged
+				if !yield(out, nil) {
+					return
 				}
 			}
 		}
@@ -555,19 +542,10 @@ func (e *Engine) expandRow(row []rdf.Term) [][]rdf.Term {
 	return out
 }
 
-func rowKey(row []rdf.Term) string {
-	var b []byte
-	for _, t := range row {
-		b = append(b, t.String()...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
 // filterSeq applies one mediator-side FILTER: per SPARQL semantics an
 // erroring expression excludes the row rather than failing the query.
-func (e *Engine) filterSeq(ctx context.Context, stage int, in eval.SolutionSeq, expr sparql.Expression) eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
+func (e *Engine) filterSeq(ctx context.Context, stage int, in rowSeq, names []string, expr sparql.Expression) rowSeq {
+	return func(yield func(eval.Row, error) bool) {
 		_, span := obs.StartSpan(ctx, "filter")
 		st := obs.Operator("filter")
 		st.Stage = int64(stage)
@@ -576,15 +554,17 @@ func (e *Engine) filterSeq(ctx context.Context, stage int, in eval.SolutionSeq, 
 			span.SetOperator(st)
 			span.End()
 		}()
-		for sol, err := range in {
+		b := &eval.RowBindings{Vars: names}
+		for row, err := range in {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
 			st.RowsIn++
-			if ok, err := eval.EvalBool(expr, sol, e.resolver); err == nil && ok {
+			b.Row = row
+			if ok, err := eval.EvalBool(expr, b, e.resolver); err == nil && ok {
 				st.RowsOut++
-				if !yield(sol, nil) {
+				if !yield(row, nil) {
 					return
 				}
 			}
@@ -592,12 +572,13 @@ func (e *Engine) filterSeq(ctx context.Context, stage int, in eval.SolutionSeq, 
 	}
 }
 
-// finalSeq projects the joined solutions onto the query's variables,
+// finalSeq projects the joined rows onto the query's variables,
 // deduplicates under DISTINCT/REDUCED (counting drops as duplicates, like
 // the executor's merge does), and applies OFFSET/LIMIT — stopping the
 // upstream fragments as soon as LIMIT is satisfied.
-func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in eval.SolutionSeq, r *Run) eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
+func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in rowSeq, r *Run) rowSeq {
+	slots := d.slotsOf(d.Vars) // -1: a variable no fragment binds stays unbound
+	return func(yield func(eval.Row, error) bool) {
 		_, span := obs.StartSpan(ctx, "final")
 		st := obs.Operator("distinct-limit")
 		st.Stage = int64(len(d.Fragments))
@@ -608,19 +589,24 @@ func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in eval.Solutio
 		}()
 		var seen eval.KeySet
 		skipped, emitted := 0, 0
-		for sol, err := range in {
+		out := make(eval.Row, len(slots))
+		for row, err := range in {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
 			st.RowsIn++
-			if d.distinct && !seen.AddOn(sol, d.Vars) {
+			for i, s := range slots {
+				if s >= 0 {
+					out[i] = row[s]
+				}
+			}
+			if d.distinct && !seen.AddRow(out) {
 				r.mu.Lock()
 				r.duplicates++
 				r.mu.Unlock()
 				continue
 			}
-			out := sol.Project(d.Vars)
 			if d.offset > 0 && skipped < d.offset {
 				skipped++
 				continue

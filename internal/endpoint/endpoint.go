@@ -331,6 +331,21 @@ func (s *SelectStream) Next() (eval.Solution, error) {
 	return sol, err
 }
 
+// NextRow is Next in the mediator's positional form: the next solution
+// decoded into the caller's row over the caller's slot table (see
+// srjson.StreamDecoder.NextRow).
+func (s *SelectStream) NextRow(vars []string, row eval.Row) error {
+	err := s.dec.NextRow(vars, row)
+	if err == io.EOF && !s.dec.SawResults() {
+		return fmt.Errorf("endpoint: expected SELECT results from %s", s.endpoint)
+	}
+	return err
+}
+
+// RowBuffered reports whether the next row has probably arrived already
+// (see srjson.StreamDecoder.RowBuffered).
+func (s *SelectStream) RowBuffered() bool { return s.dec.RowBuffered() }
+
 // All adapts the stream into a lazy solution sequence terminated by the
 // first error (io.EOF is a clean end). The stream is closed when the
 // sequence finishes or its consumer stops early.
@@ -369,11 +384,11 @@ func (s *SelectStream) Close() error {
 	return err
 }
 
-// SelectSolutionStream opens a streaming SELECT behind the neutral
-// eval.SolutionStream interface; the federation executor type-asserts
-// this capability on its client to merge endpoint streams without
-// buffering them.
-func (c *Client) SelectSolutionStream(ctx context.Context, endpointURL, queryText string) (eval.SolutionStream, error) {
+// SelectRowStream opens a streaming SELECT behind the neutral
+// eval.RowStream interface; the federation executor type-asserts this
+// capability on its client to merge endpoint streams without buffering
+// them.
+func (c *Client) SelectRowStream(ctx context.Context, endpointURL, queryText string) (eval.RowStream, error) {
 	return c.SelectStreamContext(ctx, endpointURL, queryText)
 }
 

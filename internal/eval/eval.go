@@ -62,12 +62,8 @@ func (e *Engine) compileSelect(q *sparql.Query) ([]string, *plan, error) {
 	if q.Form != sparql.Select {
 		return nil, nil, fmt.Errorf("eval: Select called on %s query", q.Form)
 	}
-	vars := q.SelectVars
-	if q.SelectStar {
-		vars = q.Vars()
-	}
 	p, err := e.compile(algebra.Translate(q))
-	return vars, p, err
+	return q.Projection(), p, err
 }
 
 // RowResult is a SELECT evaluation as the evaluator produces it: the
@@ -200,11 +196,11 @@ func (e *Engine) Describe(q *sparql.Query) (rdf.Graph, error) {
 // non-IRI predicate) makes the triple unusable, per the SPARQL
 // specification. Shared with the mediator, whose CONSTRUCT/DESCRIBE
 // streams instantiate templates over federated solutions.
-func InstantiateTemplate(tpl rdf.Triple, sol Solution, bnodeSuffix string) (rdf.Triple, bool) {
+func InstantiateTemplate(tpl rdf.Triple, sol Bindings, bnodeSuffix string) (rdf.Triple, bool) {
 	return instantiate(tpl, sol, bnodeSuffix)
 }
 
-func instantiate(tpl rdf.Triple, b bindings, bnodeSuffix string) (rdf.Triple, bool) {
+func instantiate(tpl rdf.Triple, b Bindings, bnodeSuffix string) (rdf.Triple, bool) {
 	resolve := func(t rdf.Term) (rdf.Term, bool) {
 		switch t.Kind {
 		case rdf.KindVar:

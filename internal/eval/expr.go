@@ -24,16 +24,35 @@ func exprErrf(format string, args ...any) error {
 // behaviour for unknown functions).
 type FuncResolver func(iri string) (func(args []rdf.Term) (rdf.Term, error), bool)
 
-// bindings is what expressions (and CONSTRUCT templates) read variables
+// Bindings is what expressions (and CONSTRUCT templates) read variables
 // through: a Solution at the package boundary, a frame over the current
-// row inside the evaluator. The key is a binding key (see bindingKey).
-type bindings interface {
+// row inside the evaluator, a RowBindings over a mediator row. The key is
+// a binding key (see bindingKey).
+type Bindings interface {
 	lookup(key string) (rdf.Term, bool)
+}
+
+// RowBindings reads a positional row by variable name, Row[i] binding
+// Vars[i]: the view the mediator's residual FILTERs and CONSTRUCT
+// templates take of its rows. Slot tables there are a handful of names,
+// so the lookup is a scan.
+type RowBindings struct {
+	Vars []string
+	Row  Row
+}
+
+func (b *RowBindings) lookup(key string) (rdf.Term, bool) {
+	for i, v := range b.Vars {
+		if v == key {
+			return b.Row[i], b.Row[i].Kind != rdf.KindAny
+		}
+	}
+	return rdf.Term{}, false
 }
 
 // evalExpr evaluates an expression under a set of bindings, returning an
 // RDF term or an error (errors encode SPARQL's "type error" outcomes).
-func evalExpr(e sparql.Expression, sol bindings, funcs FuncResolver) (rdf.Term, error) {
+func evalExpr(e sparql.Expression, sol Bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x := e.(type) {
 	case *sparql.TermExpr:
 		t := x.Term
@@ -85,12 +104,12 @@ func EBV(t rdf.Term) (bool, error) {
 // engine (the decomposed-join path evaluates mediator-side filters with
 // it). Per SPARQL FILTER semantics an error excludes the row: callers
 // should treat a non-nil error as false.
-func EvalBool(e sparql.Expression, sol Solution, funcs FuncResolver) (bool, error) {
+func EvalBool(e sparql.Expression, sol Bindings, funcs FuncResolver) (bool, error) {
 	return evalBool(e, sol, funcs)
 }
 
 // evalBool evaluates an expression to its effective boolean value.
-func evalBool(e sparql.Expression, sol bindings, funcs FuncResolver) (bool, error) {
+func evalBool(e sparql.Expression, sol Bindings, funcs FuncResolver) (bool, error) {
 	t, err := evalExpr(e, sol, funcs)
 	if err != nil {
 		return false, err
@@ -98,7 +117,7 @@ func evalBool(e sparql.Expression, sol bindings, funcs FuncResolver) (bool, erro
 	return EBV(t)
 }
 
-func evalUnary(x *sparql.Unary, sol bindings, funcs FuncResolver) (rdf.Term, error) {
+func evalUnary(x *sparql.Unary, sol Bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x.Op {
 	case "!":
 		b, err := evalBool(x.X, sol, funcs)
@@ -124,7 +143,7 @@ func evalUnary(x *sparql.Unary, sol bindings, funcs FuncResolver) (rdf.Term, err
 	}
 }
 
-func evalBinary(x *sparql.Binary, sol bindings, funcs FuncResolver) (rdf.Term, error) {
+func evalBinary(x *sparql.Binary, sol Bindings, funcs FuncResolver) (rdf.Term, error) {
 	switch x.Op {
 	case "||":
 		lb, lerr := evalBool(x.L, sol, funcs)
@@ -322,7 +341,7 @@ func compareOrdered(l, r rdf.Term) (int, error) {
 	return 0, exprErrf("ordering undefined between %s and %s", l, r)
 }
 
-func evalCall(x *sparql.Call, sol bindings, funcs FuncResolver) (rdf.Term, error) {
+func evalCall(x *sparql.Call, sol Bindings, funcs FuncResolver) (rdf.Term, error) {
 	if x.IRIFunc {
 		if funcs != nil {
 			if fn, ok := funcs(x.Name); ok {

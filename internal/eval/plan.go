@@ -55,13 +55,14 @@ func (p *plan) slot(key string) int {
 
 func (p *plan) newRow() Row { return make(Row, len(p.names)) }
 
-// solution is the boundary adapter from rows to the map form the
-// package's callers use.
-func (p *plan) solution(r Row) Solution {
-	sol := Solution{}
+// RowSolution is the boundary adapter from a positional row (r[i] binding
+// names[i]) to the map form the public callers use: a fresh map of the
+// bound slots.
+func RowSolution(names []string, r Row) Solution {
+	sol := make(Solution, len(r))
 	for s, t := range r {
 		if t.Kind != rdf.KindAny {
-			sol[p.names[s]] = t
+			sol[names[s]] = t
 		}
 	}
 	return sol
@@ -71,7 +72,7 @@ func (p *plan) solution(r Row) Solution {
 func (p *plan) solutions() []Solution {
 	var out []Solution
 	p.root.run(func(r Row) bool {
-		out = append(out, p.solution(r))
+		out = append(out, RowSolution(p.names, r))
 		return true
 	})
 	return out
@@ -247,7 +248,7 @@ type distinctOp struct{ in op }
 
 func (d *distinctOp) run(yield func(Row) bool) bool {
 	var seen KeySet
-	return d.in.run(func(r Row) bool { return !seen.addRow(r) || yield(r) })
+	return d.in.run(func(r Row) bool { return !seen.AddRow(r) || yield(r) })
 }
 
 type sliceOp struct {
@@ -272,24 +273,46 @@ func (s *sliceOp) run(yield func(Row) bool) bool {
 	return more
 }
 
-// rowBuf retains copies of yielded rows, back to back in one slice.
-type rowBuf struct {
-	width, n int
-	terms    []rdf.Term
+// RowBuf holds rows of one width back to back in one slice: the retained
+// copies of yielded rows inside the evaluator, and the batch and buffer
+// form of the mediator's lane (a federated sub-answer travels as RowBufs,
+// the bound join and the result cache keep their rows in one).
+type RowBuf struct {
+	Width, N int
+	Terms    []rdf.Term
 }
 
 // collect drains in into a buffer of width-wide rows.
-func collect(in op, width int) rowBuf {
-	b := rowBuf{width: width}
+func collect(in op, width int) RowBuf {
+	b := RowBuf{Width: width}
 	in.run(func(r Row) bool {
-		b.terms = append(b.terms, r...)
-		b.n++
+		b.Append(r)
 		return true
 	})
 	return b
 }
 
-func (b *rowBuf) row(i int) Row { return b.terms[i*b.width : (i+1)*b.width] }
+// Row returns the i-th row, a view into the buffer.
+func (b *RowBuf) Row(i int) Row { return b.Terms[i*b.Width : (i+1)*b.Width : (i+1)*b.Width] }
+
+// Append copies r (of the buffer's width) to the end of the buffer. The
+// terms' strings are shared with r's, which is right for a buffer that
+// lives as long as the query does.
+func (b *RowBuf) Append(r Row) {
+	b.Terms = append(b.Terms, r...)
+	b.N++
+}
+
+// AppendCompact is Append for a buffer that outlives the query (a cache
+// entry, a view build): the values are copied into the arena, so the
+// buffer does not keep the decoders' chunks — with every dropped
+// duplicate's strings in them — alive.
+func (b *RowBuf) AppendCompact(a *rdf.Arena, r Row) {
+	for _, t := range r {
+		b.Terms = append(b.Terms, a.Term(t))
+	}
+	b.N++
+}
 
 // orderOp sorts; sorting is inherently blocking, so it materialises its
 // input and then streams the sorted copies.
@@ -301,9 +324,9 @@ type orderOp struct {
 
 func (o *orderOp) run(yield func(Row) bool) bool {
 	buf := collect(o.in, len(o.p.names))
-	rows := make([]Row, buf.n)
+	rows := make([]Row, buf.N)
 	for i := range rows {
-		rows[i] = buf.row(i)
+		rows[i] = buf.Row(i)
 	}
 	fi, fj := &frame{p: o.p}, &frame{p: o.p}
 	funcs := o.p.eng.Funcs
@@ -360,9 +383,10 @@ func orderCompare(a, b rdf.Term) int {
 	return a.Compare(b)
 }
 
-// join writes the union of two rows to out and reports whether they were
-// compatible: agreed on every slot both bind (the SPARQL join condition).
-func join(out, l, r Row) bool {
+// JoinRows writes the union of two rows over one slot table to out and
+// reports whether they were compatible: agreed on every slot both bind
+// (the SPARQL join condition).
+func JoinRows(out, l, r Row) bool {
 	for s, t := range l {
 		switch {
 		case t.Kind == rdf.KindAny:
@@ -401,7 +425,7 @@ func (o *leftJoinOp) run(yield func(Row) bool) bool {
 		more = yield(ext)
 		return more
 	}
-	var right rowBuf
+	var right RowBuf
 	var out Row
 	if o.bgp == nil {
 		right = collect(o.r, len(o.p.names))
@@ -412,8 +436,8 @@ func (o *leftJoinOp) run(yield func(Row) bool) bool {
 		if o.bgp != nil {
 			o.bgp.seeded(l, extended)
 		} else {
-			for i := 0; i < right.n && more; i++ {
-				if join(out, l, right.row(i)) {
+			for i := 0; i < right.N && more; i++ {
+				if JoinRows(out, l, right.Row(i)) {
 					extended(out)
 				}
 			}
@@ -438,9 +462,9 @@ func (o *hashJoinOp) run(yield func(Row) bool) bool {
 	left, right := collect(o.l, width), collect(o.r, width)
 	// Rows of one operand may bind different slots (under UNION or
 	// OPTIONAL), so the shared slots are those bound somewhere on each side.
-	boundIn := func(b *rowBuf) []bool {
+	boundIn := func(b *RowBuf) []bool {
 		bound := make([]bool, width)
-		for i, t := range b.terms {
+		for i, t := range b.Terms {
 			if t.Kind != rdf.KindAny {
 				bound[i%width] = true
 			}
@@ -470,24 +494,24 @@ func (o *hashJoinOp) run(yield func(Row) bool) bool {
 	}
 	buckets := map[string][]int{}
 	var unkeyed, all []int
-	for i := range right.n {
+	for i := range right.N {
 		all = append(all, i)
-		if k, ok := key(right.row(i)); ok {
+		if k, ok := key(right.Row(i)); ok {
 			buckets[string(k)] = append(buckets[string(k)], i)
 		} else {
 			unkeyed = append(unkeyed, i)
 		}
 	}
 	out := o.p.newRow()
-	for i := range left.n {
-		l := left.row(i)
+	for i := range left.N {
+		l := left.Row(i)
 		candidates, rest := all, []int(nil)
 		if k, ok := key(l); ok {
 			candidates, rest = buckets[string(k)], unkeyed
 		}
 		for _, group := range [2][]int{candidates, rest} {
 			for _, j := range group {
-				if join(out, l, right.row(j)) && !yield(out) {
+				if JoinRows(out, l, right.Row(j)) && !yield(out) {
 					return false
 				}
 			}

@@ -104,19 +104,6 @@ func (s Solution) AppendKey(dst []byte) []byte {
 	return s.appendSorted(dst, names)
 }
 
-// AppendKeyOn appends the bytes of s.Project(vars).Key() to dst without
-// building the projection: the key of the bindings among vars.
-func (s Solution) AppendKeyOn(dst []byte, vars []string) []byte {
-	var stack [16]string
-	names := stack[:0]
-	for _, v := range vars {
-		if _, ok := s[v]; ok && !slices.Contains(names, v) {
-			names = append(names, v)
-		}
-	}
-	return s.appendSorted(dst, names)
-}
-
 // appendSorted sorts names (distinct, all bound in s) in place and appends
 // one "name=term\x00" group per name.
 func (s Solution) appendSorted(dst []byte, names []string) []byte {
@@ -130,48 +117,38 @@ func (s Solution) appendSorted(dst []byte, names []string) []byte {
 	return dst
 }
 
-// KeySet is the set of the keys of the solutions added to it: the state
-// of a streaming DISTINCT. Each key is rendered into one reused buffer
-// and looked up from there, so a duplicate allocates nothing and a new
-// solution only the key the set retains. The zero value is empty.
+// KeySet is the set of the keys of the rows added to it: the state of a
+// streaming DISTINCT. Each key is rendered into one reused buffer and
+// looked up from there, and the keys the set retains are cut from a
+// chunked arena, so neither a duplicate nor a new row costs an allocation
+// of its own. The zero value is empty.
 type KeySet struct {
-	seen map[string]struct{}
-	key  []byte
+	seen  map[string]struct{}
+	key   []byte
+	arena rdf.Arena
 }
 
-// Add adds the solution's Key and reports whether it was new.
-func (k *KeySet) Add(s Solution) bool {
-	k.key = s.AppendKey(k.key[:0])
-	return k.add()
-}
-
-// AddOn adds the key of the solution's projection on vars and reports
-// whether it was new.
-func (k *KeySet) AddOn(s Solution, vars []string) bool {
-	k.key = s.AppendKeyOn(k.key[:0], vars)
-	return k.add()
-}
-
-// addRow adds a positional row's key — its terms in slot order, so no
-// names and no sorting — and reports whether it was new. One set holds
-// rows or solutions, not both.
-func (k *KeySet) addRow(r Row) bool {
-	k.key = k.key[:0]
-	for _, t := range r {
-		k.key = append(t.AppendString(k.key), 0)
-	}
-	return k.add()
-}
-
-func (k *KeySet) add() bool {
+// AddRow adds a positional row's key — its terms in slot order, so no
+// names and no sorting — and reports whether it was new.
+func (k *KeySet) AddRow(r Row) bool {
+	k.key = AppendRowKey(k.key[:0], r)
 	if _, dup := k.seen[string(k.key)]; dup {
 		return false
 	}
 	if k.seen == nil {
 		k.seen = make(map[string]struct{})
 	}
-	k.seen[string(k.key)] = struct{}{}
+	k.seen[k.arena.Bytes(k.key)] = struct{}{}
 	return true
+}
+
+// AppendRowKey appends the key of a row's terms, in order: what hash
+// joins bucket under (over the join slots' terms) and DISTINCT compares.
+func AppendRowKey(dst []byte, r Row) []byte {
+	for _, t := range r {
+		dst = append(t.AppendString(dst), 0)
+	}
+	return dst
 }
 
 // Vars returns the bound variable names (excluding blank-node pseudo-vars)

@@ -40,65 +40,42 @@ func TestKeyBytes(t *testing.T) {
 	}
 }
 
-// TestAppendKeyOnIsProjectedKey: AppendKeyOn must give the bytes of
-// Project(vars).Key() whatever the order, repetition or boundness of vars.
-func TestAppendKeyOnIsProjectedKey(t *testing.T) {
-	wide := Solution{}
-	var wideVars []string
-	for i := range 40 { // more names than the stack array holds
-		v := fmt.Sprintf("v%02d", 39-i)
-		wide[v] = rdf.NewInteger(int64(i))
-		wideVars = append(wideVars, v)
-	}
-	sol := Solution{"a": rdf.NewIRI("http://x/a"), "b": rdf.NewLiteral("b"), "c": rdf.NewBlank("c")}
-	for _, tc := range []struct {
-		sol  Solution
-		vars []string
-	}{
-		{sol, nil},
-		{sol, []string{"a"}},
-		{sol, []string{"c", "a"}},
-		{sol, []string{"b", "unbound", "a", "b"}},
-		{sol, []string{"unbound"}},
-		{wide, wideVars},
-	} {
-		if got, want := string(tc.sol.AppendKeyOn(nil, tc.vars)), tc.sol.Project(tc.vars).Key(); got != want {
-			t.Errorf("AppendKeyOn(%v) = %q, want %q", tc.vars, got, want)
-		}
-	}
-	if got, want := wide.Key(), wide.Project(wideVars).Key(); got != want {
-		t.Errorf("wide Key = %q, want %q", got, want)
-	}
-}
-
 // TestKeySetAllocations: the DISTINCT state behind the evaluator, the
 // decomposer's final DISTINCT and the federated merge takes a duplicate
-// for free and a new row for the one key it keeps.
+// for free, and a new row for its share of a key-arena chunk.
 func TestKeySetAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const runs = 200
-	rows := make([]Solution, runs+1)
+	// AllocsPerRun rounds down to whole allocations, so a fraction per row
+	// is measured over a thousand rows per run.
+	const n = 1000
+	rows := make([]Row, n)
 	for i := range rows {
-		rows[i] = Solution{"p": rdf.NewIRI(fmt.Sprintf("http://x/paper-%d", i)), "t": rdf.NewLiteral("a title")}
+		rows[i] = Row{rdf.NewIRI(fmt.Sprintf("http://x/paper-%d", i)), rdf.NewLiteral("a title")}
 	}
 	var set KeySet
-	i := 0
-	if got := testing.AllocsPerRun(runs, func() {
-		if !set.Add(rows[i]) {
-			t.Fatal("new row reported as duplicate")
+	if got := testing.AllocsPerRun(5, func() {
+		set = KeySet{}
+		for _, r := range rows {
+			if !set.AddRow(r) {
+				t.Fatal("new row reported as duplicate")
+			}
 		}
-		i++
-	}); got > 1 {
-		t.Errorf("adding a new row: %.1f allocations, want at most 1", got)
+	}) / n; got > 0.1 {
+		t.Errorf("adding a new row: %.3f allocations, want at most 0.1", got)
 	}
-	vars := []string{"t", "p"}
-	if got := testing.AllocsPerRun(runs, func() {
-		if set.Add(rows[0]) || set.AddOn(rows[1], vars) {
-			t.Fatal("duplicate reported as new")
+	if got := testing.AllocsPerRun(5, func() {
+		for _, r := range rows {
+			if set.AddRow(r) {
+				t.Fatal("duplicate reported as new")
+			}
 		}
 	}); got != 0 {
-		t.Errorf("adding a duplicate: %.1f allocations, want 0", got)
+		t.Errorf("adding %d duplicates: %.0f allocations, want 0", n, got)
+	}
+	// A key is the terms in slot order: the same terms in other slots differ.
+	if !set.AddRow(Row{rows[0][1], rows[0][0]}) {
+		t.Error("a row with its terms swapped reported as duplicate")
 	}
 }

@@ -1,6 +1,9 @@
 package eval
 
-import "iter"
+import (
+	"io"
+	"iter"
+)
 
 // SolutionSeq is a lazy solution sequence: a single-use iterator yielding
 // solutions as a decoder, a federated merge or the decomposer produces
@@ -9,20 +12,54 @@ import "iter"
 // releases the producer without draining it.
 type SolutionSeq = iter.Seq2[Solution, error]
 
-// SolutionStream is a pull-based stream of solutions, the handle shape
-// shared by the endpoint client (decoding a response body incrementally)
-// and the federation executor (merging many such bodies). Next returns
-// io.EOF at the clean end of the stream; Close releases the underlying
-// resources and must always be called. Next hands the caller ownership
-// of the returned map: the stream never touches it again, so a consumer
-// (the owl:sameAs merge) may rewrite it in place. The evaluator's own
-// rows are the opposite case — a row of RowResult.Seq is the producer's
-// working frame and valid only during its yield — which is why this
-// interface stays on maps until the mediator's lane moves to rows too.
+// SolutionStream is a pull-based stream of solution maps: the handle the
+// public facade gives callers that want an endpoint's answer one map at a
+// time (endpoint.SelectStream is one). Next returns io.EOF at the clean
+// end of the stream; Close releases the underlying resources and must
+// always be called. Next hands the caller ownership of the returned map:
+// the stream never touches it again.
 type SolutionStream interface {
 	Vars() []string
 	Next() (Solution, error)
 	Close() error
+}
+
+// RowStream is a sub-query's answer as the mediator's own lane reads it:
+// positional rows over the reader's slot table, no map per row. NextRow
+// fills row (row[i] binding vars[i], the zero Term for unbound, variables
+// outside vars dropped) and returns io.EOF at the clean end; the row is
+// the caller's to reuse, and the terms' strings stay valid while
+// referenced. RowBuffered reports whether the next NextRow is likely to
+// return without waiting for the source, so a batching reader knows when
+// to hand its batch on. Close releases the underlying resources and must
+// always be called. endpoint.SelectStream is the implementation.
+type RowStream interface {
+	NextRow(vars []string, row Row) error
+	RowBuffered() bool
+	Close() error
+}
+
+// RowSolutions adapts a pull stream of positional rows over vars (next
+// returning io.EOF at the end) into a lazy sequence of solution maps, one
+// built per row and owned by the consumer, terminated by the stream's
+// error if any. A consumer breaking out of the loop calls stop.
+func RowSolutions(vars []string, next func() (Row, error), stop func()) SolutionSeq {
+	return func(yield func(Solution, error) bool) {
+		for {
+			row, err := next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(RowSolution(vars, row), nil) {
+				stop()
+				return
+			}
+		}
+	}
 }
 
 // Collect drains a solution sequence into a slice, returning the first

@@ -20,26 +20,28 @@ type ctxStream struct {
 	ctx  context.Context
 }
 
-func (s *ctxStream) Vars() []string { return []string{"a"} }
-func (s *ctxStream) Next() (eval.Solution, error) {
+func (s *ctxStream) NextRow(vars []string, row eval.Row) error {
 	if err := s.ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if s.i >= len(s.sols) {
-		return nil, io.EOF
+		return io.EOF
 	}
-	sol := s.sols[s.i]
+	for i, v := range vars {
+		row[i] = s.sols[s.i][v]
+	}
 	s.i++
-	return sol, nil
+	return nil
 }
-func (s *ctxStream) Close() error { return nil }
+func (s *ctxStream) RowBuffered() bool { return s.i < len(s.sols) }
+func (s *ctxStream) Close() error      { return nil }
 
 type ctxStreamClient struct {
 	*fakeClient
 	sols []eval.Solution
 }
 
-func (c *ctxStreamClient) SelectSolutionStream(ctx context.Context, url, query string) (eval.SolutionStream, error) {
+func (c *ctxStreamClient) SelectRowStream(ctx context.Context, url, query string) (eval.RowStream, error) {
 	return &ctxStream{sols: c.sols, ctx: ctx}, nil
 }
 

@@ -11,9 +11,10 @@
 //	          endpoint with a per-attempt deadline, retry-with-backoff,
 //	          and a per-endpoint circuit breaker so one dead repository
 //	          cannot stall or poison the whole fan-out;
-//	merge   — workers stream solutions over a channel into a single
-//	          canonicalising deduplicator that memoises owl:sameAs
-//	          representative lookups per run.
+//	merge   — workers decode each response into batches of positional
+//	          rows and hand them over a channel to a single deduplicator
+//	          that canonicalises and compacts each batch in place,
+//	          memoising owl:sameAs representative lookups per run.
 //
 // The partial-result policy is configurable: best-effort (default)
 // returns whatever the healthy endpoints answered and marks the result
@@ -32,12 +33,12 @@ import (
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
+	"sparqlrw/internal/rdf"
 )
 
 // SelectClient executes a SELECT query against a remote endpoint.
-// *endpoint.Client satisfies it. The returned solutions belong to the
-// caller, as with eval.SolutionStream.Next: the merge rewrites them in
-// place.
+// *endpoint.Client satisfies it. It is the buffered fallback: a client
+// that also implements StreamingSelectClient is read row by row instead.
 type SelectClient interface {
 	SelectContext(ctx context.Context, endpointURL, queryText string) (*eval.Result, error)
 }
@@ -156,7 +157,7 @@ type Target struct {
 type Request struct {
 	Query     string
 	SourceOnt string
-	// Vars are the query's projection variables, copied into the result.
+	// Vars are the query's projection variables, the slot table of the rows.
 	Vars    []string
 	Targets []Target
 }
@@ -253,11 +254,9 @@ func (e *Executor) Select(ctx context.Context, req Request) (*Result, error) {
 	s := e.SelectStream(ctx, req)
 	defer s.Close()
 	var sols []eval.Solution
-	for sol, err := range s.Solutions() {
-		if err != nil {
-			break // the fail-fast abort; Summary re-reports it
-		}
-		sols = append(sols, sol)
+	// The rows end at io.EOF or at the fail-fast abort Summary re-reports.
+	for row, err := s.Next(); err == nil; row, err = s.Next() {
+		sols = append(sols, eval.RowSolution(req.Vars, row))
 	}
 	res, err := s.Summary()
 	res.Solutions = sols
@@ -274,13 +273,13 @@ func targetQuery(req Request, t Target) string {
 }
 
 // queryTarget runs one target's sub-query: plan (cached rewrite), then
-// dispatch with retries under the endpoint's breaker, streaming solutions
-// into solCh. sem is the worker-pool semaphore: the caller pre-acquired
+// dispatch with retries under the endpoint's breaker, streaming batches of
+// rows into solCh. sem is the worker-pool semaphore: the caller pre-acquired
 // one slot (in-order admission), which funds the first dispatch attempt;
 // afterwards a slot is held only for the duration of each attempt, not
 // across backoff sleeps, so retrying workers don't starve queued healthy
 // targets.
-func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh chan<- eval.Solution, sem chan struct{}) (da DatasetAnswer) {
+func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
 	held := true // the admission slot the caller acquired for us
 	defer func() {
 		if held {
@@ -342,7 +341,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh
 				return da
 			}
 		}
-		if done := e.attempt(ctx, br, t, attempt, &da, solCh, sem, &held); done {
+		if done := e.attempt(ctx, br, t, req.Vars, attempt, &da, solCh, sem, &held); done {
 			return da
 		}
 	}
@@ -353,7 +352,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh
 // pre-acquired admission slot when *held, else acquiring one). It reports
 // whether the target is finished (success, terminal error, or
 // cancellation); false means "retry if the budget allows".
-func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, attempt int, da *DatasetAnswer, solCh chan<- eval.Solution, sem chan struct{}, held *bool) bool {
+func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []string, attempt int, da *DatasetAnswer, solCh chan<- eval.RowBuf, sem chan struct{}, held *bool) bool {
 	if !*held {
 		select {
 		case sem <- struct{}{}:
@@ -398,14 +397,9 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, attempt i
 	// replica and the first answer wins (see hedge.go). The returned
 	// outcome is the winning arm's; the losing arm's breaker and health
 	// bookkeeping is settled inside.
-	out := e.dispatchMaybeHedged(ctx, br, t, attempt, da.Query, timeout, solCh)
+	out := e.dispatchMaybeHedged(ctx, br, t, attempt, da.Query, vars, timeout, solCh)
 	if out.err == nil {
-		out.br.Success()
-		e.opts.Health.Record(out.endpoint, out.lat, nil)
-		e.metrics.attempts.With(out.endpoint).Inc()
-		e.metrics.successes.With(out.endpoint).Inc()
-		e.metrics.latency.With(out.endpoint).Observe(out.lat.Seconds())
-		e.metrics.solutions.With(out.endpoint).Add(float64(out.count))
+		e.settle(out)
 		if out.count > 0 {
 			e.metrics.ttfs.With(out.endpoint).Observe(out.ttfs.Seconds())
 			da.TTFS = out.ttfs
@@ -423,91 +417,101 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, attempt i
 		da.Err = out.err
 		return true
 	}
-	out.br.Failure()
-	e.opts.Health.Record(out.endpoint, out.lat, out.err)
-	e.metrics.attempts.With(out.endpoint).Inc()
-	e.metrics.failures.With(out.endpoint).Inc()
-	e.metrics.latency.With(out.endpoint).Observe(out.lat.Seconds())
+	e.settle(out)
 	da.Err = out.err
 	return false
 }
 
-// dispatch sends one sub-query and feeds its solutions into solCh,
-// returning how many were pushed, the time to the first solution, and —
-// on the streaming path — how many response-body bytes were read. With a
-// streaming-capable client each solution is forwarded as it decodes off
-// the wire — the endpoint's response is never buffered; otherwise the
-// buffered result is replayed into the channel. A failed streaming
-// attempt may have pushed a prefix of its solutions; the retry re-pushes
-// them and the owl:sameAs merge deduplicates. While a push blocks on a
-// full channel (slow consumer), the attempt's active-time deadline is
-// paused.
-func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, solCh chan<- eval.Solution, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
-	start := time.Now()
-	push := func(n int, sol eval.Solution) (int, bool) {
-		if n == 0 {
-			ttfs = time.Since(start)
-		}
-		select {
-		case solCh <- sol:
-			return n + 1, true
-		default:
-		}
-		// The channel is full: the consumer is applying backpressure.
-		// Stop the endpoint's attempt clock while we wait on it.
-		if pd != nil {
-			pd.Pause()
-			defer pd.Resume()
-		}
-		select {
-		case solCh <- sol:
-			return n + 1, true
-		case <-parent.Done():
-			return n, false
-		}
-	}
-	if e.stream != nil {
-		ss, err := e.stream.SelectSolutionStream(attemptCtx, endpointURL, query)
-		if err != nil {
+// dispatch sends one sub-query and feeds its rows, over the slot table
+// vars, into solCh in batches (see maxBatchRows), returning how many rows
+// were pushed, the time to the first one, and — on the streaming path —
+// how many response-body bytes were read. With a streaming-capable client
+// each row decodes off the wire straight into the batch being filled, and
+// the response is never buffered whole; otherwise the buffered result is
+// packed into one batch. A failed streaming attempt has pushed the rows it
+// decoded; the retry re-pushes them and the owl:sameAs merge deduplicates.
+func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, solCh chan<- eval.RowBuf, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
+	start, width := time.Now(), len(vars)
+	if e.stream == nil {
+		res, err := e.client.SelectContext(attemptCtx, endpointURL, query)
+		if err != nil || len(res.Solutions) == 0 {
 			return 0, 0, 0, err
 		}
-		defer ss.Close()
-		// endpoint.SelectStream counts its response-body bytes; other
-		// implementations just don't report the annotation.
-		counter, _ := ss.(interface{ Bytes() int64 })
-		readBytes := func() int64 {
-			if counter == nil {
-				return 0
-			}
-			return counter.Bytes()
-		}
-		n := 0
-		for {
-			sol, err := ss.Next()
-			if err == io.EOF {
-				return n, ttfs, readBytes(), nil
-			}
-			if err != nil {
-				return n, ttfs, readBytes(), err
-			}
-			var ok bool
-			if n, ok = push(n, sol); !ok {
-				return n, ttfs, readBytes(), parent.Err()
+		// The answer is in memory already: pack the maps into one batch.
+		b := eval.RowBuf{Width: width, N: len(res.Solutions)}
+		for _, sol := range res.Solutions {
+			for _, v := range vars {
+				b.Terms = append(b.Terms, sol[v])
 			}
 		}
+		if !pushBatch(parent, solCh, b, pd) {
+			return 0, 0, 0, parent.Err()
+		}
+		return b.N, time.Since(start), 0, nil
 	}
-	res, err := e.client.SelectContext(attemptCtx, endpointURL, query)
+	ss, err := e.stream.SelectRowStream(attemptCtx, endpointURL, query)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	n := 0
-	for _, sol := range res.Solutions {
-		var ok bool
-		if n, ok = push(n, sol); !ok {
-			return n, ttfs, 0, parent.Err()
+	defer ss.Close()
+	// endpoint.SelectStream counts its response-body bytes; other
+	// implementations just don't report the annotation.
+	if counter, ok := ss.(interface{ Bytes() int64 }); ok {
+		defer func() { bytes = counter.Bytes() }()
+	}
+	// A batch is a run of rows of one slab; the slab's tail serves the next.
+	var slab []rdf.Term // the current slab, from the batch being filled on
+	n, slabRows := 0, 1 // rows in that batch; rows of the next slab
+	for {
+		if len(slab) < (n+1)*width { // only between batches: n is 0
+			slab = make([]rdf.Term, slabRows*width)
+			slabRows = min(2*slabRows, maxBatchRows)
+		}
+		err := ss.NextRow(vars, slab[n*width:(n+1)*width])
+		if err == nil {
+			if n++; n < maxBatchRows && len(slab) >= (n+1)*width && ss.RowBuffered() {
+				continue
+			}
+		}
+		if n > 0 {
+			if rows == 0 {
+				ttfs = time.Since(start)
+			}
+			b := eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}
+			slab, n = slab[n*width:], 0
+			if !pushBatch(parent, solCh, b, pd) {
+				return rows, ttfs, 0, parent.Err()
+			}
+			rows += b.N
+		}
+		if err == io.EOF {
+			return rows, ttfs, 0, nil
+		}
+		if err != nil {
+			return rows, ttfs, 0, err
 		}
 	}
-	return n, ttfs, 0, nil
+}
+
+// pushBatch hands b to the merge. While the push blocks on a full channel
+// (the consumer is applying backpressure) the attempt's active-time
+// deadline is paused; false means the fan-out was cancelled meanwhile.
+func pushBatch(parent context.Context, solCh chan<- eval.RowBuf, b eval.RowBuf, pd *pausableDeadline) bool {
+	select {
+	case solCh <- b:
+		return true
+	default:
+	}
+	if pd != nil {
+		pd.Pause()
+		defer pd.Resume()
+	}
+	select {
+	case solCh <- b:
+		return true
+	case <-parent.Done():
+		return false
+	}
 }
 
 // endpointSem returns the endpoint's in-flight-bound semaphore, or nil

@@ -52,7 +52,7 @@ type armOutcome struct {
 // dispatchArm runs one dispatch against one endpoint under its own
 // span and pausable deadline, annotating the span like the pre-hedging
 // attempt path did.
-func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query string, attemptN int, timeout time.Duration, solCh chan<- eval.Solution, br *Breaker) armOutcome {
+func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query string, vars []string, attemptN int, timeout time.Duration, solCh chan<- eval.RowBuf, br *Breaker) armOutcome {
 	// The span wraps the dispatch and rides its context: the endpoint
 	// client reads the span off the context to stamp the outbound
 	// traceparent, so the endpoint's work hangs under exactly this arm
@@ -67,7 +67,7 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query
 	// endpoint's, so it must not count against the endpoint's budget.
 	attemptCtx := newPausableDeadline(spanCtx, timeout)
 	t0 := time.Now()
-	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, endpointURL, query, solCh, attemptCtx)
+	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, endpointURL, query, vars, solCh, attemptCtx)
 	attemptCtx.Stop()
 	lat := time.Since(t0)
 	aSpan.SetAttr("latencyMs", float64(lat.Microseconds())/1000)
@@ -114,17 +114,17 @@ func (e *Executor) hedgeDelay(endpoint string) time.Duration {
 // unhedged when hedging is off or no replica qualifies, otherwise the
 // primary/backup race described at the top of this file. The returned
 // outcome is the arm whose result the caller should account and report.
-func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Target, attemptN int, query string, timeout time.Duration, solCh chan<- eval.Solution) armOutcome {
+func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Target, attemptN int, query string, vars []string, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
 	backup := e.hedgeBackup(t)
 	if backup == "" {
-		return e.dispatchArm(ctx, "attempt", t.Endpoint, query, attemptN, timeout, solCh, br)
+		return e.dispatchArm(ctx, "attempt", t.Endpoint, query, vars, attemptN, timeout, solCh, br)
 	}
 
 	primCtx, cancelPrim := context.WithCancel(ctx)
 	defer cancelPrim()
 	primCh := make(chan armOutcome, 1)
 	go func() {
-		primCh <- e.dispatchArm(primCtx, "attempt", t.Endpoint, query, attemptN, timeout, solCh, br)
+		primCh <- e.dispatchArm(primCtx, "attempt", t.Endpoint, query, vars, attemptN, timeout, solCh, br)
 	}()
 
 	timer := time.NewTimer(e.hedgeDelay(t.Endpoint))
@@ -148,7 +148,7 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Targe
 	defer cancelBack()
 	backCh := make(chan armOutcome, 1)
 	go func() {
-		backCh <- e.dispatchArm(backCtx, "hedge", backup, query, attemptN, timeout, solCh, backupBr)
+		backCh <- e.dispatchArm(backCtx, "hedge", backup, query, vars, attemptN, timeout, solCh, backupBr)
 	}()
 
 	var prim, back *armOutcome
@@ -190,21 +190,25 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Targe
 // cancellation is no-fault, and a genuine failure is charged like any
 // failed attempt.
 func (e *Executor) settleHedgeLoser(o armOutcome) {
-	switch {
-	case o.err == nil:
-		o.br.Success()
-		e.opts.Health.Record(o.endpoint, o.lat, nil)
-		e.metrics.attempts.With(o.endpoint).Inc()
-		e.metrics.successes.With(o.endpoint).Inc()
-		e.metrics.latency.With(o.endpoint).Observe(o.lat.Seconds())
-		e.metrics.solutions.With(o.endpoint).Add(float64(o.count))
-	case errors.Is(o.err, context.Canceled):
+	if errors.Is(o.err, context.Canceled) {
 		o.br.Cancel()
-	default:
-		o.br.Failure()
-		e.opts.Health.Record(o.endpoint, o.lat, o.err)
-		e.metrics.attempts.With(o.endpoint).Inc()
-		e.metrics.failures.With(o.endpoint).Inc()
-		e.metrics.latency.With(o.endpoint).Observe(o.lat.Seconds())
+		return
 	}
+	e.settle(o)
+}
+
+// settle books a finished arm — succeeded or failed, not abandoned — with
+// its endpoint's breaker, health model and metrics.
+func (e *Executor) settle(o armOutcome) {
+	e.opts.Health.Record(o.endpoint, o.lat, o.err)
+	e.metrics.attempts.With(o.endpoint).Inc()
+	e.metrics.latency.With(o.endpoint).Observe(o.lat.Seconds())
+	if o.err != nil {
+		o.br.Failure()
+		e.metrics.failures.With(o.endpoint).Inc()
+		return
+	}
+	o.br.Success()
+	e.metrics.successes.With(o.endpoint).Inc()
+	e.metrics.solutions.With(o.endpoint).Add(float64(o.count))
 }

@@ -1,112 +1,108 @@
 package federate
 
 import (
+	"context"
+
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/rdf"
-	"sparqlrw/internal/store"
 )
 
-// merger is the streaming merge stage: workers feed raw solutions in,
-// the merger canonicalises every IRI binding to the deterministic
-// representative of its owl:sameAs class, drops duplicates, and emits
-// each first occurrence downstream immediately — whole endpoints are
+// merger is the streaming merge stage: workers feed batches of raw rows
+// in, the merger canonicalises every IRI binding to the deterministic
+// representative of its owl:sameAs class, drops duplicates, and passes
+// what is left of each batch downstream immediately — whole endpoints are
 // never buffered. One merger serves one federated run; it is driven by a
-// single goroutine, so the per-run memo maps need no locking.
+// single goroutine, so the per-run memo needs no locking.
 type merger struct {
-	coref funcs.CorefSource
-	// emit receives each canonical, first-seen solution; returning false
-	// stops the merge (the downstream consumer is gone).
-	emit       func(eval.Solution) bool
 	reps       *RepCache
 	seen       eval.KeySet
 	duplicates int
 }
 
-func newMerger(coref funcs.CorefSource, emit func(eval.Solution) bool) *merger {
-	return &merger{
-		coref: coref,
-		emit:  emit,
-		reps:  NewRepCache(coref),
-	}
-}
-
-// run consumes solutions until the channel is closed or the downstream
-// consumer stops accepting; it keeps draining after a stopped consumer so
-// producing workers are never blocked on the channel.
-func (m *merger) run(ch <-chan eval.Solution, done chan<- struct{}) {
-	emitting := true
-	for sol := range ch {
-		if emitting {
-			emitting = m.add(sol)
+// run merges batches from in to out until in is closed. Once the consumer
+// is gone (ctx done) it only drains, so producing workers are never
+// blocked on the channel.
+func (m *merger) run(ctx context.Context, in <-chan eval.RowBuf, out chan<- eval.RowBuf, done chan<- struct{}) {
+	for b := range in {
+		if ctx.Err() != nil {
+			continue
+		}
+		if b = m.merge(b); b.N > 0 {
+			select {
+			case out <- b:
+			case <-ctx.Done():
+			}
 		}
 	}
 	close(done)
 }
 
-// add takes ownership of sol: the row is canonicalised in place.
-func (m *merger) add(sol eval.Solution) bool {
-	m.canonicalise(sol)
-	if !m.seen.Add(sol) {
-		m.duplicates++
-		return true
-	}
-	return m.emit(sol)
-}
-
-// canonicalise maps every IRI binding to the representative of its
-// owl:sameAs class, so the same entity coming from two URI spaces merges.
-func (m *merger) canonicalise(sol eval.Solution) {
-	for k, v := range sol {
-		if rep := m.reps.Term(v); rep != v {
-			sol[k] = rep
+// merge takes ownership of the batch: every row is canonicalised in place
+// and the rows not seen before are moved to the front and returned.
+func (m *merger) merge(b eval.RowBuf) eval.RowBuf {
+	kept := 0
+	for i := range b.N {
+		row := b.Row(i)
+		for s, t := range row {
+			row[s] = m.reps.Term(t)
 		}
+		if !m.seen.AddRow(row) {
+			m.duplicates++
+			continue
+		}
+		copy(b.Row(kept), row)
+		kept++
 	}
+	b.N, b.Terms = kept, b.Terms[:kept*b.Width]
+	return b
 }
 
-// RepCache memoises owl:sameAs class representatives behind a term
-// dictionary: each distinct IRI is interned once and its canonical term
-// cached under the uint32 id, so the per-binding hot path is an integer
-// map probe returning a ready-made term — no string-keyed probe, no
-// representative re-derivation, no term re-construction. Not safe for
-// concurrent use; one cache serves one merge run.
+// RepCache memoises owl:sameAs class representatives under the IRI's
+// string: each distinct IRI costs one coref lookup per cache lifetime and
+// every later occurrence one map probe returning a ready-made term. Not
+// safe for concurrent use; one cache serves one merge run.
 type RepCache struct {
 	coref funcs.CorefSource
-	dict  *store.Dict
-	reps  map[uint32]rdf.Term
+	reps  map[string]rdf.Term
 }
 
-// NewRepCache builds an empty representative cache over its own term
-// dictionary.
+// NewRepCache builds an empty representative cache; a nil coref disables
+// smushing.
 func NewRepCache(coref funcs.CorefSource) *RepCache {
-	return &RepCache{
-		coref: coref,
-		dict:  store.NewDict(),
-		reps:  make(map[uint32]rdf.Term),
-	}
+	return &RepCache{coref: coref, reps: make(map[string]rdf.Term)}
 }
 
 // Term returns the deterministic (lexicographically smallest) member of
-// the IRI term's equivalence class; non-IRI terms pass through. Each
-// distinct IRI costs one coref lookup per cache lifetime.
+// the IRI term's equivalence class; non-IRI terms pass through. A source
+// that can name that member itself (coref.Store.Canonical) is asked for
+// just that, any other for the whole class.
 func (c *RepCache) Term(t rdf.Term) rdf.Term {
 	if c.coref == nil || !t.IsIRI() {
 		return t
 	}
-	id := c.dict.Intern(t)
-	if rep, ok := c.reps[id]; ok {
+	if rep, ok := c.reps[t.Value]; ok {
 		return rep
 	}
 	r := t.Value
-	for _, eq := range c.coref.Equivalents(t.Value) {
-		if eq < r {
-			r = eq
+	if s, ok := c.coref.(interface{ Canonical(uri string) string }); ok {
+		r = s.Canonical(r)
+	} else {
+		for _, eq := range c.coref.Equivalents(t.Value) {
+			if eq < r {
+				r = eq
+			}
 		}
 	}
 	rep := t
 	if r != t.Value {
 		rep = rdf.NewIRI(r)
 	}
-	c.reps[id] = rep
+	c.reps[t.Value] = rep
 	return rep
+}
+
+// Triple canonicalises the three terms of t.
+func (c *RepCache) Triple(t rdf.Triple) rdf.Triple {
+	return rdf.Triple{S: c.Term(t.S), P: c.Term(t.P), O: c.Term(t.O)}
 }

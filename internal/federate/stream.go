@@ -19,24 +19,38 @@ import (
 var ErrStreamClosed = errors.New("federate: sub-query abandoned: stream closed by consumer")
 
 // StreamingSelectClient is the optional streaming capability of a
-// SelectClient: it opens a SELECT whose solutions decode incrementally
-// from the wire. *endpoint.Client satisfies it (SelectSolutionStream).
+// SelectClient: it opens a SELECT whose rows decode incrementally from
+// the wire into the executor's batches. *endpoint.Client satisfies it.
 // The executor probes its client for this interface; clients without it
-// fall back to buffered per-endpoint fetches, merged streamingly all the
-// same.
+// fall back to buffered per-endpoint fetches, merged all the same.
 type StreamingSelectClient interface {
-	SelectSolutionStream(ctx context.Context, endpointURL, queryText string) (eval.SolutionStream, error)
+	SelectRowStream(ctx context.Context, endpointURL, queryText string) (eval.RowStream, error)
 }
+
+// Between a sub-query's decoder and the consumer rows move in batches
+// (eval.RowBuf). A worker decodes into slabs of 1, 2, 4, … maxBatchRows
+// rows — the first row leaves alone, a small answer pays for a small slab
+// — and hands a batch on at maxBatchRows, at the slab's end, or when the
+// stream has no further row buffered: the next one would wait on the
+// network, so batching never holds a decoded row back. Both channels on
+// the way (workers → merge → consumer) hold batchDepth batches, at most
+// 64 rows per stage as the per-row channels did: a deeper window lets
+// producers run ahead of the response writer and delays the first row.
+const (
+	maxBatchRows = 16
+	batchDepth   = 4
+)
 
 // Stream is an in-flight federated SELECT: per-endpoint sub-queries are
 // dispatching concurrently while the consumer pulls merged, deduplicated,
-// owl:sameAs-canonicalised solutions. The first solution is available as
-// soon as the first endpoint produces one — long before slow endpoints
-// answer. After the stream ends, Summary reports the per-dataset
-// outcomes.
+// owl:sameAs-canonicalised rows. The first row is available as soon as
+// the first endpoint produces one — long before slow endpoints answer.
+// After the stream ends, Summary reports the per-dataset outcomes.
 type Stream struct {
 	vars   []string
-	out    chan eval.Solution
+	out    chan eval.RowBuf
+	cur    eval.RowBuf   // the batch Next is handing out
+	i      int           // next row of cur
 	done   chan struct{} // closed once res and err are final
 	res    *Result
 	err    error
@@ -49,21 +63,28 @@ type Stream struct {
 	closeOnce sync.Once
 }
 
-// Vars returns the projection variable names.
+// Vars returns the projection variable names, the slot table of the rows.
 func (s *Stream) Vars() []string { return s.vars }
 
-// Next returns the next merged solution, io.EOF at the end of the
-// fan-out, or the fail-fast error that aborted it.
-func (s *Stream) Next() (eval.Solution, error) {
-	sol, ok := <-s.out
-	if !ok {
-		<-s.done
-		if s.err != nil {
-			return nil, s.err
+// Next returns the next merged row (row[i] binding Vars()[i], the zero
+// Term for unbound), io.EOF at the end of the fan-out, or the fail-fast
+// error that aborted it. The row is a read-only view into the current
+// batch, valid until the next Next or Close: a caller that keeps rows
+// copies them.
+func (s *Stream) Next() (eval.Row, error) {
+	for s.i >= s.cur.N {
+		b, ok := <-s.out
+		if !ok {
+			<-s.done
+			if s.err != nil {
+				return nil, s.err
+			}
+			return nil, io.EOF
 		}
-		return nil, io.EOF
+		s.cur, s.i = b, 0
 	}
-	return sol, nil
+	s.i++
+	return s.cur.Row(s.i - 1), nil
 }
 
 // Close cancels the remaining upstream work and releases the stream. It
@@ -83,31 +104,13 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Solutions adapts the stream into a lazy solution sequence: solutions
-// yield as endpoints deliver them, and a fail-fast abort surfaces as the
-// sequence's terminal error. The consumer breaking out of the loop stops
-// the fan-out via Close.
-func (s *Stream) Solutions() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		for sol := range s.out {
-			if !yield(sol, nil) {
-				s.Close()
-				return
-			}
-		}
-		<-s.done
-		if s.err != nil {
-			yield(nil, s.err)
-		}
-	}
-}
-
 // Summary reports the fan-out's outcome: per-dataset answers, duplicate
 // count and the partial flag (Solutions is nil on the streaming path —
-// the solutions already flowed through the stream). It consumes whatever
+// the rows already flowed through the stream). It consumes whatever
 // remains of the stream, then blocks until every worker has reported.
 // The error is the fail-fast abort error, if any.
 func (s *Stream) Summary() (*Result, error) {
+	s.cur, s.i = eval.RowBuf{}, 0
 	for range s.out { // drain: a blocked producer could never finish
 	}
 	<-s.done
@@ -126,7 +129,7 @@ func (e *Executor) SelectStream(ctx context.Context, req Request) *Stream {
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
 		vars:   req.Vars,
-		out:    make(chan eval.Solution, 64),
+		out:    make(chan eval.RowBuf, batchDepth),
 		done:   make(chan struct{}),
 		cancel: cancel,
 	}
@@ -139,17 +142,10 @@ func (e *Executor) SelectStream(ctx context.Context, req Request) *Stream {
 func (e *Executor) runFanout(ctx context.Context, req Request, s *Stream) {
 	ctx, span := obs.StartSpan(ctx, "federate")
 	span.SetAttr("targets", len(req.Targets))
-	m := newMerger(e.coref, func(sol eval.Solution) bool {
-		select {
-		case s.out <- sol:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	})
-	solCh := make(chan eval.Solution, 64)
+	m := &merger{reps: NewRepCache(e.coref)}
+	solCh := make(chan eval.RowBuf, batchDepth)
 	mergeDone := make(chan struct{})
-	go m.run(solCh, mergeDone)
+	go m.run(ctx, solCh, s.out, mergeDone)
 
 	answers := make([]DatasetAnswer, len(req.Targets))
 	sem := make(chan struct{}, e.opts.Concurrency)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/rdf"
 )
 
 // fakeStream hands out pre-scripted solutions, optionally gating each
@@ -26,25 +27,30 @@ type fakeStream struct {
 	closed    atomic.Bool
 }
 
-func (s *fakeStream) Vars() []string { return s.vars }
-
-func (s *fakeStream) Next() (eval.Solution, error) {
+func (s *fakeStream) NextRow(vars []string, row eval.Row) error {
 	if s.i >= len(s.sols) {
 		if s.failAfter != nil {
-			return nil, s.failAfter
+			return s.failAfter
 		}
-		return nil, io.EOF
+		return io.EOF
 	}
 	if s.gates != nil && s.gates[s.i] != nil {
 		select {
 		case <-s.gates[s.i]:
 		case <-s.ctx.Done():
-			return nil, s.ctx.Err()
+			return s.ctx.Err()
 		}
 	}
-	sol := s.sols[s.i]
+	for i, v := range vars {
+		row[i] = s.sols[s.i][v]
+	}
 	s.i++
-	return sol, nil
+	return nil
+}
+
+// RowBuffered: a scripted row is "on the wire" unless its gate still holds it.
+func (s *fakeStream) RowBuffered() bool {
+	return s.i < len(s.sols) && (s.gates == nil || s.gates[s.i] == nil)
 }
 
 func (s *fakeStream) Close() error { s.closed.Store(true); return nil }
@@ -68,7 +74,7 @@ func (f *fakeStreamClient) onStream(url string, h func(ctx context.Context) *fak
 	f.streams[url] = h
 }
 
-func (f *fakeStreamClient) SelectSolutionStream(ctx context.Context, url, query string) (eval.SolutionStream, error) {
+func (f *fakeStreamClient) SelectRowStream(ctx context.Context, url, query string) (eval.RowStream, error) {
 	f.mu.Lock()
 	h := f.streams[url]
 	f.mu.Unlock()
@@ -112,25 +118,25 @@ func TestSelectStreamFirstSolutionBeforeSlowEndpoint(t *testing.T) {
 	))
 	defer s.Close()
 
-	firstCh := make(chan eval.Solution, 1)
+	firstCh := make(chan rdf.Term, 1)
 	go func() {
-		sol, err := s.Next()
+		row, err := s.Next()
 		if err != nil {
 			t.Error(err)
 		}
-		firstCh <- sol
+		firstCh <- row[0]
 	}()
 	select {
-	case sol := <-firstCh:
-		if sol["a"].Value != "http://x/fast" {
-			t.Fatalf("first solution = %v", sol)
+	case a := <-firstCh:
+		if a.Value != "http://x/fast" {
+			t.Fatalf("first solution = %v", a)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no solution while slow endpoint pending")
 	}
 	close(slowGate)
-	if sol, err := s.Next(); err != nil || sol["a"].Value != "http://x/slow" {
-		t.Fatalf("second solution = %v %v", sol, err)
+	if row, err := s.Next(); err != nil || row[0].Value != "http://x/slow" {
+		t.Fatalf("second solution = %v %v", row, err)
 	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("end = %v", err)
@@ -160,8 +166,8 @@ func TestSelectStreamCloseCancelsUpstream(t *testing.T) {
 	e := NewExecutor(fc, nil, nil, fastOpts())
 	s := e.SelectStream(context.Background(), req(
 		Target{Dataset: "http://a/", Endpoint: "http://a/sparql"}))
-	if sol, err := s.Next(); err != nil || sol["a"].Value != "http://x/1" {
-		t.Fatalf("first = %v %v", sol, err)
+	if row, err := s.Next(); err != nil || row[0].Value != "http://x/1" {
+		t.Fatalf("first = %v %v", row, err)
 	}
 	s.Close()
 	res, err := s.Summary() // must unblock despite the held gate

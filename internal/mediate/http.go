@@ -629,20 +629,17 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain str
 		w.Header().Set("Content-Type", ctype)
 		// A mid-stream failure can no longer change the status line;
 		// aborting leaves truncated JSON, which streaming clients report.
-		if explain == "" {
-			_ = srjson.EncodeSelectStream(w, qs.Vars(), qs.Solutions(), endpoint.BatchFlusher(w))
-			return
-		}
 		enc, err := srjson.NewStreamEncoder(w, qs.Vars())
 		if err != nil {
 			return
 		}
 		flush := endpoint.BatchFlusher(w)
-		for sol, serr := range qs.Solutions() {
-			if serr != nil {
-				return // truncated JSON signals the failure, as above
+		for {
+			row, err := qs.Next()
+			if err == io.EOF {
+				break
 			}
-			if enc.Encode(sol) != nil {
+			if err != nil || enc.EncodeRow(row) != nil {
 				return
 			}
 			flush()
@@ -753,12 +750,15 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain string) {
 		streamErr error
 		line      []byte // reused for every row
 	)
-	for sol, err := range qs.Solutions() {
-		if err != nil {
-			streamErr = err
+	for {
+		row, err := qs.Next()
+		if err == io.EOF {
 			break
 		}
-		if line, err = srjson.AppendBinding(line[:0], qs.Vars(), sol); err != nil {
+		if err == nil {
+			line, err = srjson.AppendRow(line[:0], qs.Vars(), row)
+		}
+		if err != nil {
 			streamErr = err
 			break
 		}
@@ -852,12 +852,15 @@ func serveSSE(w http.ResponseWriter, res *Result, explain string) {
 	const bindingEvent = "event: binding\ndata: "
 	var streamErr error
 	frame := []byte(bindingEvent) // reused for every row
-	for sol, err := range qs.Solutions() {
-		if err != nil {
-			streamErr = err
+	for {
+		row, err := qs.Next()
+		if err == io.EOF {
 			break
 		}
-		if frame, err = srjson.AppendBinding(frame[:len(bindingEvent)], qs.Vars(), sol); err != nil {
+		if err == nil {
+			frame, err = srjson.AppendRow(frame[:len(bindingEvent)], qs.Vars(), row)
+		}
+		if err != nil {
 			streamErr = err
 			break
 		}

@@ -10,6 +10,7 @@ import (
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
@@ -225,11 +226,14 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 
 // solutionSource is the streaming backend of a QueryStream: the
 // federated fan-out stream on the single-source path, the decomposed
-// bound-join run on the multi-source path. Both deliver merged solutions
-// incrementally and report per-dataset outcomes afterwards.
+// bound-join run on the multi-source path, a view endpoint's stream, a
+// result-cache replay. All deliver merged rows incrementally — Next's row
+// binds Vars() by position and is valid until the next Next or Close, the
+// pull form of the evaluator's volcano rule — and report per-dataset
+// outcomes afterwards.
 type solutionSource interface {
 	Vars() []string
-	Next() (eval.Solution, error)
+	Next() (eval.Row, error)
 	Close() error
 	Summary() (*federate.Result, error)
 }
@@ -344,7 +348,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		qs.pl = pl
 		freq = federate.PlanRequest(pl)
 	} else {
-		freq = federate.Request{Query: req.Query, SourceOnt: req.SourceOnt, Vars: q.SelectVars}
+		freq = federate.Request{Query: req.Query, SourceOnt: req.SourceOnt, Vars: q.Projection()}
 		qs.unknown = make(map[int]DatasetAnswer)
 		qs.nTargets = len(req.Targets)
 		for i, target := range req.Targets {
@@ -381,42 +385,30 @@ func (qs *QueryStream) Plan() *plan.Plan { return qs.pl }
 // the multi-source path (nil otherwise).
 func (qs *QueryStream) Decomposition() *decompose.Decomposition { return qs.dec }
 
-// Next returns the next merged solution, io.EOF at the end of the
-// stream (or once Limit is reached, which cancels upstream work), or the
-// fail-fast error that aborted the fan-out.
-func (qs *QueryStream) Next() (eval.Solution, error) {
+// Next returns the next merged row (row[i] binding Vars()[i], the zero
+// Term for unbound), io.EOF at the end of the stream (or once Limit is
+// reached, which cancels upstream work), or the fail-fast error that
+// aborted the fan-out. The row is valid until the next Next or Close and
+// must not be modified; Solutions hands out independent maps instead.
+func (qs *QueryStream) Next() (eval.Row, error) {
 	if qs.limit > 0 && qs.n >= qs.limit {
 		qs.Close()
 		return nil, io.EOF
 	}
-	sol, err := qs.src.Next()
+	row, err := qs.src.Next()
 	if err == nil {
 		qs.n++
 		qs.qo.emit()
 	}
-	return sol, err
+	return row, err
 }
 
-// Solutions adapts the stream into a lazy solution sequence terminated
-// by the fan-out's fail-fast error, if any. Breaking out of the loop
-// stops the upstream work.
+// Solutions adapts the stream into a lazy sequence of solution maps, one
+// built per row and owned by the caller, terminated by the fan-out's
+// fail-fast error, if any. Breaking out of the loop stops the upstream
+// work.
 func (qs *QueryStream) Solutions() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		for {
-			sol, err := qs.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(sol, nil) {
-				qs.Close()
-				return
-			}
-		}
-	}
+	return eval.RowSolutions(qs.Vars(), qs.Next, func() { qs.Close() })
 }
 
 // Summary reports the fan-out's outcome (consuming whatever remains of
@@ -602,15 +594,17 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 			return nil, err
 		}
 		res.pl, res.dec = qs.pl, qs.dec
-		for sol, serr := range qs.Solutions() {
+		for {
+			row, serr := qs.Next()
+			if serr == io.EOF {
+				break
+			}
 			if serr != nil {
 				qs.Close()
 				return nil, serr
 			}
-			for _, v := range describeVars {
-				if t, ok := sol[v]; ok {
-					addResource(t)
-				}
+			for _, t := range row { // the projection is the describe variables
+				addResource(t)
 			}
 		}
 		sum, serr := qs.Summary()
@@ -753,7 +747,8 @@ func (m *Mediator) describeRequest(resources []rdf.Term, pol *serve.Policy) (fed
 type GraphStream struct {
 	src      *QueryStream // nil = empty stream
 	template []rdf.Triple
-	canon    *corefCanon
+	canon    *federate.RepCache
+	binds    eval.RowBindings // the current row, read by variable name
 	prefixes *rdf.PrefixMap
 
 	pending []rdf.Triple
@@ -768,11 +763,12 @@ type GraphStream struct {
 	pre *FederatedResult
 }
 
-func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcsCoref, limit int, prefixes *rdf.PrefixMap) *GraphStream {
+func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSource, limit int, prefixes *rdf.PrefixMap) *GraphStream {
 	return &GraphStream{
 		src:      src,
 		template: template,
-		canon:    newCorefCanon(coref),
+		canon:    federate.NewRepCache(coref),
+		binds:    eval.RowBindings{Vars: src.Vars()},
 		seen:     map[rdf.Triple]bool{},
 		limit:    limit,
 		prefixes: prefixes,
@@ -812,15 +808,16 @@ func (g *GraphStream) Next() (rdf.Triple, error) {
 		if g.src == nil {
 			return rdf.Triple{}, io.EOF
 		}
-		sol, err := g.src.Next()
+		row, err := g.src.Next()
 		if err != nil {
 			return rdf.Triple{}, err // io.EOF included
 		}
+		g.binds.Row = row
 		suffix := "_c" + strconv.Itoa(g.n)
 		g.n++
 		for _, tpl := range g.template {
-			if t, ok := eval.InstantiateTemplate(tpl, sol, suffix); ok {
-				g.pending = append(g.pending, g.canon.triple(t))
+			if t, ok := eval.InstantiateTemplate(tpl, &g.binds, suffix); ok {
+				g.pending = append(g.pending, g.canon.Triple(t))
 			}
 		}
 	}
@@ -898,48 +895,4 @@ func (g *GraphStream) Close() error {
 		return g.src.Close()
 	}
 	return nil
-}
-
-// funcsCoref is the coref capability GraphStream needs (avoids importing
-// funcs here just for the interface).
-type funcsCoref interface {
-	Equivalents(uri string) []string
-}
-
-// corefCanon canonicalises IRIs to the deterministic (lexicographically
-// smallest) member of their owl:sameAs class, memoised per stream — the
-// same representative rule as the federation merge, applied here to
-// template constants and instantiated triples so graph-level
-// deduplication also collapses sameAs-equivalent facts.
-type corefCanon struct {
-	coref funcsCoref
-	reps  map[string]string
-}
-
-func newCorefCanon(coref funcsCoref) *corefCanon {
-	return &corefCanon{coref: coref, reps: map[string]string{}}
-}
-
-func (c *corefCanon) term(t rdf.Term) rdf.Term {
-	if c.coref == nil || !t.IsIRI() {
-		return t
-	}
-	rep, ok := c.reps[t.Value]
-	if !ok {
-		rep = t.Value
-		for _, eq := range c.coref.Equivalents(t.Value) {
-			if eq < rep {
-				rep = eq
-			}
-		}
-		c.reps[t.Value] = rep
-	}
-	if rep == t.Value {
-		return t
-	}
-	return rdf.NewIRI(rep)
-}
-
-func (c *corefCanon) triple(t rdf.Triple) rdf.Triple {
-	return rdf.Triple{S: c.term(t.S), P: c.term(t.P), O: c.term(t.O)}
 }

@@ -1,0 +1,191 @@
+package mediate
+
+// Tests of the mediator's row lane as a whole: what a /sparql request
+// costs per additional row, and that every stage which keeps rows past
+// the next Next keeps copies.
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"testing"
+
+	"sparqlrw/internal/align"
+	"sparqlrw/internal/coref"
+	"sparqlrw/internal/endpoint"
+	"sparqlrw/internal/eval"
+	"sparqlrw/internal/raceflag"
+	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/serve"
+	"sparqlrw/internal/sparql"
+	"sparqlrw/internal/store"
+	"sparqlrw/internal/voidkb"
+	"sparqlrw/internal/workload"
+)
+
+// bulkQuery is the benchmark's bulk-stream query shape.
+const bulkQuery = "PREFIX akt:<" + rdf.AKTNS + ">\n" +
+	"SELECT ?paper ?a ?t WHERE { ?paper akt:has-author ?a . ?paper akt:has-title ?t }"
+
+// discardResponse is a ResponseWriter that counts and drops the body.
+type discardResponse struct {
+	h http.Header
+	n int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+func (*discardResponse) WriteHeader(int)               {}
+
+// bulkMediator serves rows (paper, author, title) rows from two in-process
+// AKT repositories, half each, the second half's people known to the
+// first under other URIs (so the merge has representatives to find).
+func bulkMediator(t testing.TB, rows int, opts ...Option) *Mediator {
+	t.Helper()
+	cs := coref.NewStore()
+	kb := voidkb.NewKB()
+	for half, name := range []string{"bulk-a", "bulk-b"} {
+		st := store.New()
+		for i := half * rows / 2; i < (half+1)*rows/2; i++ {
+			paper := rdf.NewIRI(fmt.Sprintf("http://%s.example/id/paper-%05d", name, i))
+			person := fmt.Sprintf("http://%s.example/id/person-%05d", name, i%40)
+			cs.Add(person, fmt.Sprintf("http://bulk-a.example/id/person-%05d", i%40))
+			st.Add(rdf.NewTriple(paper, rdf.NewIRI(rdf.AKTHasAuthor), rdf.NewIRI(person)))
+			st.Add(rdf.NewTriple(paper, rdf.NewIRI(rdf.AKTHasTitle), rdf.NewLiteral(fmt.Sprintf("Paper Title %d", i))))
+		}
+		local := fmt.Sprintf("%s-%d-%s", name, rows, t.Name())
+		endpoint.RegisterLocal(local, endpoint.NewServer(name, st))
+		t.Cleanup(func() { endpoint.UnregisterLocal(local) })
+		if err := kb.Add(&voidkb.Dataset{
+			URI: "http://" + name + ".example/void", Title: name,
+			SPARQLEndpoint: endpoint.LocalURL(local),
+			URISpace:       "http://" + name + `\.example/id/.*`,
+			Vocabularies:   []string{rdf.AKTNS},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := New(kb, align.NewKB(), cs, opts...)
+	t.Cleanup(m.Close)
+	return m
+}
+
+// TestHandlerRowAllocations pins what one more row of a bulk-stream
+// answer costs the whole process — both endpoints' evaluation and
+// encoding, the pipes, decode, merge and the /sparql encoder — and that a
+// result-cache replay costs nothing per row.
+func TestHandlerRowAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	target := "/sparql?query=" + url.QueryEscape(bulkQuery)
+	allocs := func(rows int, opts ...Option) float64 {
+		h := Handler(bulkMediator(t, rows, opts...))
+		return testing.AllocsPerRun(10, func() {
+			w := &discardResponse{h: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+			if w.n < 100*rows {
+				t.Fatalf("%d-row answer is %d bytes", rows, w.n)
+			}
+		})
+	}
+	noCache := WithServing(serve.Options{CacheSize: -1})
+	small, big := allocs(10, noCache), allocs(1000, noCache)
+	if perRow := (big - small) / 990; perRow > 0.5 {
+		t.Errorf("federated: %.3f allocations per additional row (%.0f for 10 rows, %.0f for 1000), want at most 0.5", perRow, small, big)
+	}
+	// AllocsPerRun's warm-up run fills the cache; the measured ones replay.
+	cache := WithServing(serve.Options{})
+	small, big = allocs(10, cache), allocs(1000, cache)
+	if perRow := (big - small) / 990; perRow > 0.001 {
+		t.Errorf("cache replay: %.3f allocations per additional row (%.0f for 10 rows, %.0f for 1000), want 0", perRow, small, big)
+	}
+}
+
+// scribbleSource holds a consumer to the row contract the hard way: each
+// row is handed out from one reused buffer that is overwritten at the
+// next Next (and at the end), as a producer recycling its batch would.
+type scribbleSource struct {
+	solutionSource
+	row eval.Row
+}
+
+func (s *scribbleSource) Next() (eval.Row, error) {
+	for i := range s.row {
+		s.row[i] = rdf.NewLiteral("scribbled over")
+	}
+	row, err := s.solutionSource.Next()
+	if err != nil {
+		return nil, err
+	}
+	s.row = append(s.row[:0], row...)
+	return s.row, nil
+}
+
+// TestRetainedMediatorRowsAreCopies extends eval.TestRetainedRowsAreCopies
+// to the mediator's lane: Collect, the result-cache fill and a view
+// materialisation all keep rows past the next Next, and all must have
+// copied them by then.
+func TestRetainedMediatorRowsAreCopies(t *testing.T) {
+	s := newServingStack(t, serve.Options{})
+	req := QueryRequest{
+		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
+	}
+	want := s.query(t, req).Solutions // fills the cache through an honest source
+	if len(want) < 2 {
+		t.Fatalf("only %d co-authors: nothing to overwrite", len(want))
+	}
+	s.mediator.Serve.Cache.Flush()
+	start := func() *QueryStream {
+		t.Helper()
+		res, err := s.mediator.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := res.Bindings()
+		fill, ok := qs.src.(*fillSource)
+		if !ok {
+			t.Fatalf("source is %T, want the cache fill", qs.src)
+		}
+		// Scribble below the fill (what it retains) and above it (what
+		// the stream's consumer retains).
+		fill.src = &scribbleSource{solutionSource: fill.src}
+		qs.src = &scribbleSource{solutionSource: fill}
+		return qs
+	}
+
+	fr, err := start().Collect()
+	if err != nil || !reflect.DeepEqual(fr.Solutions, want) {
+		t.Errorf("Collect over a row-reusing source = %v, %v\nwant %v", fr.Solutions, err, want)
+	}
+	e, ok := s.mediator.Serve.Cache.Get(s.mediator.resultCacheKey(req, sparql.MustParse(req.Query)))
+	if !ok {
+		t.Fatal("the drained stream did not fill the cache")
+	}
+	var cached []eval.Solution
+	for i := range e.Rows.N {
+		cached = append(cached, eval.RowSolution(e.Vars, e.Rows.Row(i)))
+	}
+	eval.SortSolutions(cached)
+	if !reflect.DeepEqual(cached, want) {
+		t.Errorf("cache entry filled from a row-reusing source = %v\nwant %v", cached, want)
+	}
+
+	s.mediator.Serve.Cache.Flush()
+	mr, err := materialized(start())
+	if err != nil || !mr.Complete || mr.Rows.N != len(want) {
+		t.Fatalf("materialized = %+v, %v", mr, err)
+	}
+	var built []eval.Solution
+	for i := range mr.Rows.N {
+		built = append(built, eval.RowSolution(mr.Vars, mr.Rows.Row(i)))
+	}
+	eval.SortSolutions(built)
+	if !reflect.DeepEqual(built, want) {
+		t.Errorf("view rows materialised from a row-reusing source = %v\nwant %v", built, want)
+	}
+}

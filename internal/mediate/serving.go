@@ -14,6 +14,7 @@ import (
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/plan"
+	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 )
@@ -102,7 +103,7 @@ func (f *cacheFill) attach(res *Result) {
 	}
 	switch {
 	case res.sel != nil:
-		res.sel.src = &fillSource{fill: f, src: res.sel.src}
+		res.sel.src = &fillSource{fill: f, src: res.sel.src, rows: eval.RowBuf{Width: len(res.sel.src.Vars())}}
 	case res.form == sparql.Ask:
 		if storable(res.askSum) {
 			f.cache.Put(&serve.Entry{
@@ -124,7 +125,7 @@ func (f *cacheFill) attach(res *Result) {
 // allowlist all discriminate; the tenant's algebra restrictions need no
 // extra component because queryParsed rewrote the text before keying.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
-	canon := newCorefCanon(m.Coref)
+	canon := federate.NewRepCache(m.Coref)
 	cq := q.Clone()
 	canonicaliseGroup(cq.Where, canon)
 	parts := []string{sparql.Format(cq), req.SourceOnt, strconv.Itoa(req.Limit)}
@@ -146,7 +147,7 @@ func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 // canonicaliseGroup maps every ground term in the group's basic graph
 // patterns and VALUES blocks through the sameAs canonicaliser, in
 // place (callers pass a clone).
-func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *corefCanon) {
+func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *federate.RepCache) {
 	if g == nil {
 		return
 	}
@@ -154,12 +155,12 @@ func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *corefCanon) {
 		switch e := el.(type) {
 		case *sparql.BGP:
 			for i := range e.Patterns {
-				e.Patterns[i] = canon.triple(e.Patterns[i])
+				e.Patterns[i] = canon.Triple(e.Patterns[i])
 			}
 		case *sparql.InlineData:
 			for _, row := range e.Rows {
 				for i, t := range row {
-					row[i] = canon.term(t)
+					row[i] = canon.Term(t)
 				}
 			}
 		case *sparql.SubGroup:
@@ -221,17 +222,20 @@ func datasetsOf(sum *federate.Result) []string {
 	return out
 }
 
-// fillSource wraps a SELECT's solution source, recording streamed rows
-// and storing the entry once the stream is consumed to its natural end
-// with every dataset successful. Limit-cut streams (QueryStream stops
-// calling Next before the upstream EOF) and oversized results never
-// store; neither does a run whose invalidation epoch moved (Put's
-// version check).
+// fillSource wraps a SELECT's solution source, keeping a copy of every
+// streamed row — back to back in one buffer, the strings cut from the
+// fill's own arena so the entry does not pin the decoders' chunks — and
+// storing the entry once the stream is consumed to its natural end with
+// every dataset successful. Limit-cut streams (QueryStream stops calling
+// Next before the upstream EOF) and oversized results never store;
+// neither does a run whose invalidation epoch moved (Put's version
+// check).
 type fillSource struct {
 	fill *cacheFill
 	src  solutionSource
 
-	rows     []eval.Solution
+	rows     eval.RowBuf
+	arena    rdf.Arena
 	overflow bool
 	done     bool
 	stored   bool
@@ -239,8 +243,8 @@ type fillSource struct {
 
 func (f *fillSource) Vars() []string { return f.src.Vars() }
 
-func (f *fillSource) Next() (eval.Solution, error) {
-	sol, err := f.src.Next()
+func (f *fillSource) Next() (eval.Row, error) {
+	row, err := f.src.Next()
 	if err == io.EOF {
 		f.done = true
 	}
@@ -248,13 +252,13 @@ func (f *fillSource) Next() (eval.Solution, error) {
 		return nil, err
 	}
 	if !f.overflow {
-		if len(f.rows) >= f.fill.cache.MaxRows() {
-			f.overflow, f.rows = true, nil
+		if f.rows.N >= f.fill.cache.MaxRows() {
+			f.overflow, f.rows = true, eval.RowBuf{}
 		} else {
-			f.rows = append(f.rows, sol.Clone())
+			f.rows.AppendCompact(&f.arena, row)
 		}
 	}
-	return sol, nil
+	return row, nil
 }
 
 func (f *fillSource) Summary() (*federate.Result, error) {
@@ -278,16 +282,17 @@ func (f *fillSource) maybeStore(sum *federate.Result, err error) {
 	}
 	f.stored = true
 	f.fill.cache.Put(&serve.Entry{
-		Key:       f.fill.key,
-		Vars:      append([]string(nil), f.src.Vars()...),
-		Solutions: f.rows,
-		Summary:   trimSummary(sum),
-		Datasets:  datasetsOf(sum),
+		Key:      f.fill.key,
+		Vars:     append([]string(nil), f.src.Vars()...),
+		Rows:     f.rows,
+		Summary:  trimSummary(sum),
+		Datasets: datasetsOf(sum),
 	}, f.fill.version)
 }
 
-// cachedSource replays a cache entry as a solutionSource: cloned rows,
-// a fresh trimmed summary, no upstream to close.
+// cachedSource replays a cache entry as a solutionSource: rows handed out
+// as views into the entry's buffer (shared by every hit, read-only like
+// any source's rows), a fresh trimmed summary, no upstream to close.
 type cachedSource struct {
 	e *serve.Entry
 	i int
@@ -297,13 +302,12 @@ func newCachedSource(e *serve.Entry) *cachedSource { return &cachedSource{e: e} 
 
 func (c *cachedSource) Vars() []string { return c.e.Vars }
 
-func (c *cachedSource) Next() (eval.Solution, error) {
-	if c.i >= len(c.e.Solutions) {
+func (c *cachedSource) Next() (eval.Row, error) {
+	if c.i >= c.e.Rows.N {
 		return nil, io.EOF
 	}
-	sol := c.e.Solutions[c.i].Clone()
 	c.i++
-	return sol, nil
+	return c.e.Rows.Row(c.i - 1), nil
 }
 
 func (c *cachedSource) Close() error { return nil }

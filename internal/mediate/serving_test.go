@@ -14,6 +14,7 @@ import (
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/voidkb"
@@ -127,9 +128,9 @@ func TestResultCacheHitZeroRoundTrips(t *testing.T) {
 // entry its Southampton spelling filled.
 func TestResultCacheSameAsAliasKey(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
-	canon := newCorefCanon(s.mediator.Coref)
+	canon := federate.NewRepCache(s.mediator.Coref)
 	soton, kisti := workload.SotonPerson(0), workload.KistiPerson(0)
-	if canon.term(soton) != canon.term(kisti) {
+	if canon.Term(soton) != canon.Term(kisti) {
 		t.Skip("person 0 has no cross-dataset sameAs link in this universe")
 	}
 	mk := func(person rdf.Term) QueryRequest {

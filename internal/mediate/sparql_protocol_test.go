@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -385,5 +387,55 @@ WHERE { ?paper akt:has-author ?a }`
 		// client -> gated endpoint's request context.
 	case <-time.After(10 * time.Second):
 		t.Fatal("client disconnect did not cancel the in-flight endpoint sub-query")
+	}
+}
+
+// TestSparqlSelectStarIsItsExpansion: SELECT * answers exactly what the
+// same query with its variables written out answers — same head, same
+// rows — on the explicit-target path (which once projected onto the empty
+// SelectVars and answered `{}` rows) and on the planned path (where the
+// AKT→KISTI rewrite's fresh intermediate variable once rode along in
+// KISTI's rows and split the merge's dedup key, doubling the answer).
+func TestSparqlSelectStarIsItsExpansion(t *testing.T) {
+	s := newStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+	where := ` WHERE { <` + workload.SotonPaper(0).Value + `> akt:has-author ?a }`
+	ask := func(t *testing.T, projection string, targets []string) (vars []string, rows []string) {
+		t.Helper()
+		resp := postSparql(t, srv.URL, `PREFIX akt:<`+rdf.AKTNS+`> SELECT `+projection+where, ctSRJ, targets)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		res, _, err := srjson.Decode(body)
+		if err != nil {
+			t.Fatalf("%v: %s", err, body)
+		}
+		for _, sol := range res.Solutions {
+			rows = append(rows, sol.Key())
+		}
+		sort.Strings(rows)
+		return res.Vars, rows
+	}
+	for name, targets := range map[string][]string{
+		"planned":         nil,
+		"explicit target": {workload.SotonVoidURI},
+		"both targets":    {workload.SotonVoidURI, workload.KistiVoidURI},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wantVars, want := ask(t, "?a", targets)
+			if len(want) == 0 {
+				t.Fatalf("SELECT ?a answered %v: nothing to compare against", want)
+			}
+			vars, got := ask(t, "*", targets)
+			if !slices.Equal(vars, wantVars) || !slices.Equal(vars, []string{"a"}) {
+				t.Errorf("SELECT * head = %v, SELECT ?a head = %v, want [a]", vars, wantVars)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("SELECT * rows = %v\nSELECT ?a rows = %v", got, want)
+			}
+		})
 	}
 }

@@ -52,16 +52,26 @@ func (r viewRunner) Materialize(ctx context.Context, queryText, sourceOnt string
 		return nil, err
 	}
 	defer qs.Close()
+	return materialized(qs)
+}
+
+// materialized drains a stream into the view manager's result shape. The
+// view's store outlives the query by far, so the rows are copied with
+// their strings cut from an arena of the result's own, not left pinning
+// the decoders' chunks.
+func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 	res := &view.MaterializeResult{Vars: qs.Vars()}
+	res.Rows.Width = len(res.Vars)
+	var arena rdf.Arena
 	for {
-		sol, err := qs.Next()
+		row, err := qs.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Solutions = append(res.Solutions, sol)
+		res.Rows.AppendCompact(&arena, row)
 	}
 	sum, err := qs.Summary()
 	if err != nil {
@@ -75,10 +85,10 @@ func (r viewRunner) Materialize(ctx context.Context, queryText, sourceOnt string
 // representatives — the refresh loop re-keys views with it when the
 // sameAs closure may have moved.
 func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
-	canon := newCorefCanon(r.m.Coref)
+	canon := federate.NewRepCache(r.m.Coref)
 	out := make([]rdf.Triple, len(patterns))
 	for i, t := range patterns {
-		out[i] = canon.triple(t)
+		out[i] = canon.Triple(t)
 	}
 	return out
 }
@@ -87,8 +97,8 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 // one is ready. It returns ok=false — and the caller proceeds to the
 // federated path — on a miss, a stale view, or a local-stream failure.
 func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
-	canon := newCorefCanon(m.Coref)
-	v, ok := m.Views.Answer(q, canon.term)
+	canon := federate.NewRepCache(m.Coref)
+	v, ok := m.Views.Answer(q, canon.Term)
 	if !ok {
 		return nil, false
 	}
@@ -99,7 +109,7 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	canonicaliseGroup(cq.Where, canon)
 	for _, el := range cq.Where.Elements {
 		if f, isFilter := el.(*sparql.Filter); isFilter {
-			f.Expr = sparql.MapExprTerms(f.Expr, canon.term)
+			f.Expr = sparql.MapExprTerms(f.Expr, canon.Term)
 		}
 	}
 	_, span := obs.StartSpan(ctx, "view")
@@ -118,7 +128,7 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	span.End()
 	return &QueryStream{
 		limit: req.Limit,
-		src:   &viewSource{st: st, view: v},
+		src:   &viewSource{st: st, view: v, vars: st.Vars(), row: make(eval.Row, len(st.Vars()))},
 	}, true
 }
 
@@ -134,8 +144,8 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 			est = f.EstCard
 		}
 	}
-	canon := newCorefCanon(m.Coref)
-	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.term)
+	canon := federate.NewRepCache(m.Coref)
+	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.Term)
 }
 
 // viewSource adapts a view endpoint's solution stream to the
@@ -147,17 +157,19 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 type viewSource struct {
 	st   *endpoint.SelectStream
 	view *view.View
+	vars []string // the view endpoint's head
+	row  eval.Row // reused for every row
 	n    int
 }
 
-func (s *viewSource) Vars() []string { return s.st.Vars() }
+func (s *viewSource) Vars() []string { return s.vars }
 
-func (s *viewSource) Next() (eval.Solution, error) {
-	sol, err := s.st.Next()
-	if err == nil {
-		s.n++
+func (s *viewSource) Next() (eval.Row, error) {
+	if err := s.st.NextRow(s.vars, s.row); err != nil {
+		return nil, err
 	}
-	return sol, err
+	s.n++
+	return s.row, nil
 }
 
 func (s *viewSource) Close() error { return s.st.Close() }
@@ -167,5 +179,5 @@ func (s *viewSource) Summary() (*federate.Result, error) {
 	for _, ds := range s.view.Datasets() {
 		per = append(per, federate.DatasetAnswer{Dataset: ds})
 	}
-	return &federate.Result{Vars: s.st.Vars(), PerDataset: per}, nil
+	return &federate.Result{Vars: s.vars, PerDataset: per}, nil
 }

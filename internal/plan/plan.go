@@ -235,10 +235,7 @@ func (p *Planner) Plan(queryText, sourceOnt string) (*Plan, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("plan: federated planning supports SELECT only, got %s", q.Form)
 	}
-	vars := q.SelectVars
-	if q.SelectStar {
-		vars = q.Vars()
-	}
+	vars := q.Projection()
 	prof := profileQuery(q)
 	var health map[string]EndpointHealth
 	if p.health != nil {

@@ -9,18 +9,20 @@ import (
 	"sparqlrw/internal/federate"
 )
 
-// Entry is one cached federated answer: the materialised solutions of a
+// Entry is one cached federated answer: the materialised rows of a
 // SELECT (or the boolean of an ASK) plus a trimmed per-dataset summary,
-// under the owl:sameAs-canonicalised cache key.
+// under the owl:sameAs-canonicalised cache key. An entry is shared by
+// every hit and read-only once stored.
 type Entry struct {
 	// Key is the canonicalised (query, source ontology, targets, limit)
 	// fingerprint the mediator computed.
 	Key string
-	// Vars are the projection variables; Solutions the merged rows.
-	Vars      []string
-	Solutions []eval.Solution
+	// Vars are the projection variables; Rows the merged rows over them,
+	// back to back in one buffer.
+	Vars []string
+	Rows eval.RowBuf
 	// Ask carries the ASK outcome; IsAsk discriminates (an ASK entry has
-	// no Solutions).
+	// no Rows).
 	Ask   bool
 	IsAsk bool
 	// Summary is the fan-out summary at fill time, Solutions stripped.
@@ -111,7 +113,7 @@ func (c *ResultCache) Get(key string) (*Entry, bool) {
 // fill) or the entry exceeds the row cap. It reports whether the entry
 // was stored.
 func (c *ResultCache) Put(e *Entry, version uint64) bool {
-	if len(e.Solutions) > c.maxRows {
+	if e.Rows.N > c.maxRows {
 		return false
 	}
 	c.mu.Lock()

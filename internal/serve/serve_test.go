@@ -275,8 +275,13 @@ func TestAdmissionParallelStress(t *testing.T) {
 
 // --- result cache ---
 
-func row(v string) eval.Solution {
-	return eval.Solution{"x": rdf.NewLiteral(v)}
+// rows is an Entry's row buffer over one variable.
+func rows(vs ...string) eval.RowBuf {
+	b := eval.RowBuf{Width: 1}
+	for _, v := range vs {
+		b.Append(eval.Row{rdf.NewLiteral(v)})
+	}
+	return b
 }
 
 func TestResultCacheHitMissTTL(t *testing.T) {
@@ -287,11 +292,11 @@ func TestResultCacheHitMissTTL(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if !c.Put(&Entry{Key: "k", Solutions: []eval.Solution{row("1")}}, c.Version()) {
+	if !c.Put(&Entry{Key: "k", Rows: rows("1")}, c.Version()) {
 		t.Fatal("Put refused")
 	}
 	e, ok := c.Get("k")
-	if !ok || len(e.Solutions) != 1 {
+	if !ok || e.Rows.N != 1 {
 		t.Fatalf("Get after Put: ok=%v e=%+v", ok, e)
 	}
 
@@ -365,7 +370,7 @@ func TestResultCacheInvalidateDataset(t *testing.T) {
 
 func TestResultCacheRowCap(t *testing.T) {
 	c := NewResultCache(4, time.Minute, 1)
-	if c.Put(&Entry{Key: "big", Solutions: []eval.Solution{row("1"), row("2")}}, c.Version()) {
+	if c.Put(&Entry{Key: "big", Rows: rows("1", "2")}, c.Version()) {
 		t.Fatal("oversized entry cached")
 	}
 }

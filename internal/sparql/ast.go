@@ -257,6 +257,18 @@ func (q *Query) Vars() []string {
 	return out
 }
 
+// Projection returns the names of a SELECT's result columns: the listed
+// variables, or under SELECT * every variable of the WHERE clause in
+// first-appearance order. Every layer that names result columns — the
+// evaluator, the planner, the decomposer, the explicit-target fan-out —
+// asks here, so they cannot disagree about what * expands to.
+func (q *Query) Projection() []string {
+	if q.SelectStar {
+		return q.Vars()
+	}
+	return q.SelectVars
+}
+
 // WalkExpr applies fn to every node of an expression tree, depth-first.
 func WalkExpr(e Expression, fn func(Expression)) {
 	if e == nil {

@@ -31,9 +31,12 @@ const (
 // Next without ever holding the whole document (or the whole binding
 // list) in memory. It accepts both SELECT documents (head/results) and
 // ASK documents (head/boolean), with members in any order and unknown
-// members at every level skipped. A row costs the solution map plus one
-// string per bound variable: variable names resolve to the head's
-// strings, datatypes and language tags are interned.
+// members at every level skipped. NextRow and Next share one decode body:
+// term values are cut from a chunked arena (one allocation per many
+// rows, see rdf.Arena), variable names resolve to the caller's or the
+// head's strings, datatypes and language tags are interned — so a
+// positional row costs no allocation of its own and a solution map only
+// the map.
 type StreamDecoder struct {
 	r io.Reader
 	// buf[pos:end] is input read but not yet consumed; base is the
@@ -48,6 +51,11 @@ type StreamDecoder struct {
 	// scratch holds the decoded form of a string literal with escapes.
 	scratch []byte
 	strs    map[string]string
+	// arena backs the term values handed out; rowStart is the document
+	// offset the current binding began at and lastRow how many bytes the
+	// last one took.
+	arena             rdf.Arena
+	rowStart, lastRow int64
 
 	vars []string
 	// boolean is set when the document is an ASK result.
@@ -90,35 +98,67 @@ func (d *StreamDecoder) Boolean() *bool { return d.boolean }
 // empty SELECT can be told apart from a malformed document).
 func (d *StreamDecoder) SawResults() bool { return d.sawResults }
 
-// Next returns the next solution; the caller owns the returned map. It
-// returns io.EOF when the document is exhausted (at which point Vars and
-// Boolean are final), or the decoding error that terminated the stream.
-// Errors are sticky.
+// Next returns the next solution; the caller owns the returned map, and
+// variables the head omits still appear in it. It returns io.EOF when the
+// document is exhausted (at which point Vars and Boolean are final), or
+// the decoding error that terminated the stream. Errors are sticky.
 func (d *StreamDecoder) Next() (eval.Solution, error) {
+	if err := d.nextElement(); err != nil {
+		return nil, err
+	}
+	sol := make(eval.Solution, len(d.vars))
+	if err := d.binding(d.vars, nil, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// NextRow decodes the next solution into the caller's row over the
+// caller's slot table: row[i] receives the binding of vars[i], the zero
+// Term where the solution leaves it unbound, and bindings of variables
+// outside vars are checked and dropped. The terms' strings are immutable
+// and stay valid for as long as they are referenced; the row itself is
+// the caller's to reuse. Errors are as for Next.
+func (d *StreamDecoder) NextRow(vars []string, row []rdf.Term) error {
+	if err := d.nextElement(); err != nil {
+		return err
+	}
+	return d.binding(vars, row[:len(vars)], nil)
+}
+
+// RowBuffered reports whether the input already buffered is at least as
+// long as the last row was, i.e. whether the next NextRow will probably
+// return without reading from (and possibly blocking on) the source. A
+// consumer that batches rows uses it to hand a batch on instead of
+// holding it across a read.
+func (d *StreamDecoder) RowBuffered() bool {
+	return d.inBindings && int64(d.end-d.pos) >= d.lastRow
+}
+
+// nextElement positions the decoder on the next element of the bindings
+// array, or returns io.EOF (or the sticky error) when there is none.
+func (d *StreamDecoder) nextElement() error {
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if !d.inBindings {
-		return nil, io.EOF // finished, ASK or bindings-less document
+		return io.EOF // finished, ASK or bindings-less document
 	}
+	d.rowStart = d.base + int64(d.pos)
 	done, err := d.element(']')
 	if err != nil {
-		return nil, d.fail(err)
+		return d.fail(err)
 	}
 	if !done {
-		sol, err := d.binding()
-		if err != nil {
-			return nil, d.fail(err)
-		}
-		return sol, nil
+		return nil
 	}
 	// End of the bindings array: consume the rest of the results object
 	// and whatever top-level members follow (head-after-results).
 	d.inBindings = false
 	if err := d.advance(); err != nil {
-		return nil, err
+		return err
 	}
-	return nil, io.EOF
+	return io.EOF
 }
 
 // trailing is the error for anything but white space following the
@@ -257,26 +297,56 @@ func (d *StreamDecoder) head() error {
 	}
 }
 
-// binding reads one element of the bindings array.
-func (d *StreamDecoder) binding() (eval.Solution, error) {
+// binding is the decode body behind NextRow and Next: it reads one
+// element of the bindings array into row (cleared first, row[i] binding
+// vars[i], variables outside vars dropped) or, when sol is non-nil, into
+// that map instead (under vars' strings where they name the variable, so
+// a row allocates no names). As with any JSON object, the last of a
+// repeated member counts.
+func (d *StreamDecoder) binding(vars []string, row []rdf.Term, sol eval.Solution) error {
+	clear(row)
+	d.arena.Hint(d.end - d.pos)
 	if err := d.open('{'); err != nil {
-		return nil, err
+		return d.fail(err)
 	}
-	sol := make(eval.Solution, len(d.vars))
-	for {
+	for n := 0; ; n++ {
 		name, done, err := d.member()
 		if err != nil {
-			return nil, err
+			return d.fail(err)
 		}
 		if done {
-			return sol, nil
+			d.lastRow = d.base + int64(d.pos) - d.rowStart
+			return nil
 		}
-		v := d.varName(name)
+		// Members usually come in the table's order: try that slot first.
+		slot := -1
+		if n < len(vars) && string(name) == vars[n] {
+			slot = n
+		} else {
+			for i, v := range vars {
+				if string(name) == v {
+					slot = i
+					break
+				}
+			}
+		}
+		var v string // the name, while its bytes are still in the window
+		if slot >= 0 {
+			v = vars[slot]
+		} else if sol != nil {
+			v = d.intern(name) // head after results, or a variable it omits
+		}
 		if err := d.colon(); err != nil {
-			return nil, err
+			return d.fail(err)
 		}
-		if sol[v], err = d.term(); err != nil {
-			return nil, err
+		t, err := d.term(slot >= 0 || sol != nil)
+		if err != nil {
+			return d.fail(err)
+		}
+		if sol != nil {
+			sol[v] = t
+		} else if slot >= 0 {
+			row[slot] = t
 		}
 	}
 }
@@ -291,8 +361,9 @@ const (
 )
 
 // term reads one RDF term object. As with any JSON object, the last of
-// a repeated member counts.
-func (d *StreamDecoder) term() (rdf.Term, error) {
+// a repeated member counts. A term nobody keeps is checked all the same,
+// but its strings are not copied out of the read buffer.
+func (d *StreamDecoder) term(keep bool) (rdf.Term, error) {
 	if err := d.open('{'); err != nil {
 		return rdf.Term{}, err
 	}
@@ -333,14 +404,8 @@ func (d *StreamDecoder) term() (rdf.Term, error) {
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		switch m {
-		case mValue:
-			value = string(s)
-		case mLang:
-			lang = d.intern(s)
-		case mDatatype:
-			datatype = d.intern(s)
-		case mType:
+		switch {
+		case m == mType:
 			switch string(s) {
 			case "uri":
 				kind = rdf.KindIRI
@@ -351,6 +416,13 @@ func (d *StreamDecoder) term() (rdf.Term, error) {
 			default:
 				kind, typ = rdf.KindAny, string(s)
 			}
+		case !keep:
+		case m == mValue:
+			value = d.arena.Bytes(s)
+		case m == mLang:
+			lang = d.intern(s)
+		case m == mDatatype:
+			datatype = d.intern(s)
 		}
 	}
 	switch {
@@ -367,17 +439,6 @@ func (d *StreamDecoder) term() (rdf.Term, error) {
 	default:
 		return rdf.NewLiteral(value), nil
 	}
-}
-
-// varName resolves a binding's member name to the head's string for it,
-// so a row allocates no variable names.
-func (d *StreamDecoder) varName(name []byte) string {
-	for _, v := range d.vars {
-		if string(name) == v {
-			return v
-		}
-	}
-	return d.intern(name) // head after results, or a variable it omits
 }
 
 func (d *StreamDecoder) intern(b []byte) string {

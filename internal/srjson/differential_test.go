@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -40,24 +42,83 @@ func streamDecode(r io.Reader) (res refResult) {
 	return res
 }
 
+// rowDecode drains a StreamDecoder over r through the positional decode,
+// over the caller's slot table, keeping every row delivered before an
+// error: by the time they are compared the decoder has read on, refilled
+// its window and moved to later arena chunks under them.
+func rowDecode(r io.Reader, vars []string) (rows [][]rdf.Term, err error) {
+	d, err := NewStreamDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]rdf.Term, len(vars))
+	for {
+		if err := d.NextRow(vars, row); err == io.EOF {
+			return rows, d.trailing()
+		} else if err != nil {
+			return rows, err
+		}
+		rows = append(rows, append([]rdf.Term(nil), row...))
+	}
+}
+
+// slotTables returns the slot tables a document is decoded positionally
+// over: every variable its rows or head name (sorted), and the same
+// without the first, which the decoder must then check and drop.
+func slotTables(want refResult) [][]string {
+	seen := map[string]bool{}
+	for _, v := range want.vars {
+		seen[v] = true
+	}
+	for _, sol := range want.sols {
+		for v := range sol {
+			seen[v] = true
+		}
+	}
+	all := slices.Sorted(maps.Keys(seen))
+	if len(all) == 0 {
+		return [][]string{all}
+	}
+	return [][]string{all, all[1:]}
+}
+
 // checkAgainstReference decodes data with the reference and with the
-// StreamDecoder — fed whole, byte by byte and in 7-byte reads, so every
-// token also straddles a buffer refill — and requires the same rows and
-// the same error-or-not from all of them.
+// StreamDecoder — through Next and through the positional NextRow, each
+// fed whole, byte by byte and in 7-byte reads, so every token also
+// straddles a buffer refill and the read window shifts while earlier
+// values of the same row already sit in the arena — and requires the
+// same terms per variable and the same error-or-not from all of them.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	want := refDecode(data)
-	for name, r := range map[string]io.Reader{
-		"whole":      bytes.NewReader(data),
-		"one-byte":   iotest.OneByteReader(bytes.NewReader(data)),
-		"seven-byte": &chunkReader{data: data, n: 7},
-	} {
-		got := streamDecode(r)
+	readers := map[string]func() io.Reader{
+		"whole":      func() io.Reader { return bytes.NewReader(data) },
+		"one-byte":   func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+		"seven-byte": func() io.Reader { return &chunkReader{data: data, n: 7} },
+	}
+	for name, reader := range readers {
+		got := streamDecode(reader())
 		if (got.err != nil) != (want.err != nil) {
 			t.Fatalf("%s: error = %v, reference error = %v\ninput: %q", name, got.err, want.err, data)
 		}
 		if !reflect.DeepEqual(got.sols, want.sols) {
 			t.Fatalf("%s: solutions = %v, reference = %v\ninput: %q", name, got.sols, want.sols, data)
+		}
+		for _, vars := range slotTables(want) {
+			rows, err := rowDecode(reader(), vars)
+			if (err != nil) != (want.err != nil) {
+				t.Fatalf("%s: NextRow over %v: error = %v, reference error = %v\ninput: %q", name, vars, err, want.err, data)
+			}
+			if len(rows) != len(want.sols) {
+				t.Fatalf("%s: NextRow over %v: %d rows, reference %d\ninput: %q", name, vars, len(rows), len(want.sols), data)
+			}
+			for i, row := range rows {
+				for s, v := range vars {
+					if row[s] != want.sols[i][v] {
+						t.Fatalf("%s: NextRow over %v: row %d binds ?%s to %v, reference %v\ninput: %q", name, vars, i, v, row[s], want.sols[i][v], data)
+					}
+				}
+			}
 		}
 		if want.err != nil {
 			continue

@@ -1,9 +1,12 @@
 package srjson
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,5 +253,112 @@ func TestStreamDecoderConstantMemory(t *testing.T) {
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > 8<<20 {
 		t.Fatalf("heap grew %d bytes across a streamed decode", growth)
+	}
+}
+
+// TestNextRowSlotTable: the positional decode binds by the caller's slot
+// table whatever the document's head says, and Next still hands out every
+// variable a row names.
+func TestNextRowSlotTable(t *testing.T) {
+	uri := func(v string) rdf.Term { return rdf.NewIRI(v) }
+	for _, tc := range []struct {
+		name, doc string
+		vars      []string
+		rows      [][]rdf.Term
+		next      []eval.Solution // what Next answers for the same document
+	}{
+		{
+			name: "head after results",
+			doc:  `{"results":{"bindings":[{"a":{"type":"uri","value":"1"},"b":{"type":"uri","value":"2"}}]},"head":{"vars":["b","a"]}}`,
+			vars: []string{"a", "b"},
+			rows: [][]rdf.Term{{uri("1"), uri("2")}},
+			next: []eval.Solution{{"a": uri("1"), "b": uri("2")}},
+		},
+		{
+			name: "a variable the head omits",
+			doc:  `{"head":{"vars":["a"]},"results":{"bindings":[{"fresh":{"type":"uri","value":"f"},"a":{"type":"uri","value":"1"}},{"a":{"type":"uri","value":"2"}}]}}`,
+			vars: []string{"fresh", "a"},
+			rows: [][]rdf.Term{{uri("f"), uri("1")}, {{}, uri("2")}},
+			next: []eval.Solution{{"fresh": uri("f"), "a": uri("1")}, {"a": uri("2")}},
+		},
+		{
+			name: "a variable outside the slot table",
+			doc:  `{"head":{"vars":["a","fresh"]},"results":{"bindings":[{"a":{"type":"uri","value":"1"},"fresh":{"type":"literal","value":"dropped","xml:lang":"en"}},{"fresh":{"type":"uri","value":"only"}}]}}`,
+			vars: []string{"a"},
+			rows: [][]rdf.Term{{uri("1")}, {{}}},
+			next: []eval.Solution{{"a": uri("1"), "fresh": rdf.NewLangLiteral("dropped", "en")}, {"fresh": uri("only")}},
+		},
+		{
+			name: "a repeated member",
+			doc:  `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"uri","value":"first"},"a":{"type":"bnode","value":"last","value":"really last"}}]}}`,
+			vars: []string{"a"},
+			rows: [][]rdf.Term{{rdf.NewBlank("really last")}},
+			next: []eval.Solution{{"a": rdf.NewBlank("really last")}},
+		},
+		{
+			name: "an empty slot table",
+			doc:  `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"uri","value":"1"}},{}]}}`,
+			vars: nil,
+			rows: [][]rdf.Term{{}, {}},
+			next: []eval.Solution{{"a": uri("1")}, {}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewStreamDecoder(strings.NewReader(tc.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := make([]rdf.Term, len(tc.vars))
+			for i, want := range tc.rows {
+				if err := d.NextRow(tc.vars, row); err != nil || !slices.Equal(row, want) {
+					t.Fatalf("row %d = %v, %v, want %v", i, row, err, want)
+				}
+			}
+			if err := d.NextRow(tc.vars, row); err != io.EOF {
+				t.Fatalf("after the last row: %v, want io.EOF", err)
+			}
+			sols, _, err := drainStream(t, tc.doc)
+			if err != nil || !reflect.DeepEqual(sols, tc.next) {
+				t.Fatalf("Next = %v, %v, want %v", sols, err, tc.next)
+			}
+		})
+	}
+}
+
+// TestNextRowUnknownTypeInDroppedVariable: a binding nobody asked for is
+// still checked — the positional decode accepts exactly what Next does.
+func TestNextRowUnknownTypeInDroppedVariable(t *testing.T) {
+	doc := `{"results":{"bindings":[{"a":{"type":"uri","value":"1"},"x":{"type":"wibble","value":"2"}}]}}`
+	d, err := NewStreamDecoder(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.NextRow([]string{"a"}, make([]rdf.Term, 1)); err == nil || err == io.EOF {
+		t.Fatalf("NextRow = %v, want the unknown-type error", err)
+	}
+}
+
+// TestRowBuffered: after a row, RowBuffered says whether the next one can
+// be had without reading — true while the window holds another row's
+// worth, false once the source has to be asked.
+func TestRowBuffered(t *testing.T) {
+	doc := benchDocument(t, 3)
+	// The reader hands over everything but the last row, then the rest.
+	cut := bytes.LastIndex(doc, []byte(`,{"paper"`))
+	d, err := NewStreamDecoder(io.MultiReader(bytes.NewReader(doc[:cut]), bytes.NewReader(doc[cut:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]rdf.Term, len(benchVars))
+	for i, want := range []bool{true, false, false} {
+		if err := d.NextRow(benchVars, row); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.RowBuffered(); got != want {
+			t.Errorf("after row %d: RowBuffered = %v, want %v", i, got, want)
+		}
+	}
+	if err := d.NextRow(benchVars, row); err != io.EOF || d.RowBuffered() {
+		t.Fatalf("end = %v, RowBuffered = %v", err, d.RowBuffered())
 	}
 }

@@ -88,10 +88,11 @@ type Runner interface {
 	Canonicalise(patterns []rdf.Triple) []rdf.Triple
 }
 
-// MaterializeResult is a drained federated SELECT.
+// MaterializeResult is a drained federated SELECT: its rows over Vars,
+// copied out of the stream that produced them.
 type MaterializeResult struct {
-	Vars      []string
-	Solutions []eval.Solution
+	Vars []string
+	Rows eval.RowBuf
 	// Complete is true only when every data set answered successfully.
 	Complete bool
 }
@@ -549,7 +550,9 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error)
 		return nil, errors.New("view: partial federated answer (some data set failed)")
 	}
 	st := store.New()
-	for i, sol := range res.Solutions {
+	sol := &eval.RowBindings{Vars: res.Vars}
+	for i := range res.Rows.N {
+		sol.Row = res.Rows.Row(i)
 		suffix := "_v" + strconv.Itoa(i)
 		for _, tpl := range templates {
 			if t, ok := eval.InstantiateTemplate(tpl, sol, suffix); ok {

@@ -29,7 +29,12 @@ func (r *fakeRunner) Materialize(ctx context.Context, queryText, sourceOnt strin
 	if r.err != nil {
 		return nil, r.err
 	}
-	return &MaterializeResult{Vars: []string{"p", "a"}, Solutions: r.solutions, Complete: r.complete}, nil
+	res := &MaterializeResult{Vars: []string{"p", "a", "c"}, Complete: r.complete}
+	res.Rows.Width = len(res.Vars)
+	for _, sol := range r.solutions {
+		res.Rows.Append(eval.Row{sol["p"], sol["a"], sol["c"]})
+	}
+	return res, nil
 }
 
 func (r *fakeRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {

@@ -18,10 +18,12 @@
 // The mediator's one federated entry point accepts every query form and
 // returns a tagged union: a lazy solution stream for SELECT, a boolean
 // for ASK, a lazy triple stream for CONSTRUCT and DESCRIBE. Results are
-// streaming-first: the evaluator yields lazy solution sequences
-// (SolutionSeq), the wire format encodes and decodes incrementally,
-// endpoints serve chunked responses, and the first solution arrives
-// before the slowest endpoint answers:
+// streaming-first: the evaluator and the mediator's own lane move
+// positional rows (no map per row between the two wire codecs), the wire
+// format encodes and decodes incrementally, endpoints serve chunked
+// responses, and the first solution arrives before the slowest endpoint
+// answers. Solution maps are built at this boundary, one per row a caller
+// asks for (Solutions, Collect):
 //
 //	m := sparqlrw.NewMediator(datasets, alignments, corefSrc,
 //	    sparqlrw.WithMediatorRewriteFilters(true))
@@ -117,11 +119,11 @@ type (
 	// Solution is one solution mapping.
 	Solution = eval.Solution
 	// SolutionSeq is a lazy solution sequence (iter.Seq2[Solution,
-	// error]): the streaming shape results take from the endpoint
-	// decoders through the merge to HTTP responses.
+	// error]): the streaming shape of results at this boundary, each
+	// map built for, and owned by, the consumer.
 	SolutionSeq = eval.SolutionSeq
-	// SolutionStream is a pull-based solution stream handle (endpoint
-	// responses, federated merges).
+	// SolutionStream is a pull-based stream of solution maps (an
+	// endpoint response read through EndpointClient).
 	SolutionStream = eval.SolutionStream
 	// RowResult is a SELECT evaluation outcome whose solutions are
 	// produced lazily as positional rows (Engine.SelectRows).
@@ -315,8 +317,8 @@ type (
 	// federation, planner and decompose counters plus per-form query
 	// counts.
 	MediatorStats = mediate.Stats
-	// FederationStream is the executor-level merged solution stream
-	// underneath MediatorQueryStream.
+	// FederationStream is the executor-level merged stream of positional
+	// rows underneath MediatorQueryStream.
 	FederationStream = federate.Stream
 )
 
