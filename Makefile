@@ -1,38 +1,21 @@
 # Tier-1 verification in one command: `make test` runs vet, the
-# deprecated-identifier guard, the allocation guards (without the race
-# detector, under which they skip) and the full suite under the race
-# detector;
+# allocation guards (without the race detector, under which they skip)
+# and the full suite under the race detector;
 # `make build` compiles everything; `make bench` runs every Go benchmark
 # (the end-to-end record is written by `go run ./bench`, not by make);
-# `make fuzz-smoke` fuzzes the SRJ codec briefly;
+# `make fuzz-smoke` fuzzes the SRJ codec and the SPARQL parser briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
 # mediator binary.
 
 GO ?= go
 
-.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet check-deprecated staticcheck check-metrics
+.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-# The PR that introduced the form-polymorphic Query surface deleted the
-# buffered FederatedSelect* wrappers, the per-subsystem Configure*/Stats
-# methods and the ad-hoc /api/query route. This guard keeps them deleted:
-# any Go file reintroducing one of the identifiers fails the build (and
-# CI runs it on every push).
-DEPRECATED_IDENTIFIERS = 'FederatedSelect|ConfigureFederation\(|ConfigurePlanner\(|ConfigureDecomposer\(|FederationStats\(\)|DecomposerStats\(\)|/api/query'
-
-check-deprecated:
-	@matches=$$(grep -rnE $(DEPRECATED_IDENTIFIERS) --include='*.go' . || true); \
-	if [ -n "$$matches" ]; then \
-		echo "deprecated identifiers found (removed in the /sparql redesign):"; \
-		echo "$$matches"; \
-		exit 1; \
-	fi
-	@echo "check-deprecated: clean"
 
 # Optional deeper linting; CI installs staticcheck and runs this.
 staticcheck:
@@ -44,7 +27,7 @@ staticcheck:
 alloc-guards:
 	$(GO) test -count=1 -run Alloc ./internal/...
 
-test: vet check-deprecated alloc-guards
+test: vet alloc-guards
 	$(GO) test -race ./...
 
 bench:
@@ -67,14 +50,16 @@ bench-smoke:
 	@echo "bench-smoke: every benchmark ran; view and representative-cache benchmarks present"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
-# its encoding/json reference and the encoder's round trip, starting from
-# the corpus under internal/srjson/testdata/fuzz. go test fuzzes one
-# target per invocation.
-FUZZ_TARGETS = FuzzStreamDecoder FuzzAppendBinding
+# its encoding/json reference, the encoder's round trip, and the SPARQL
+# parser's parse → format → parse fixpoint, each starting from the corpus
+# under its package's testdata/fuzz. go test fuzzes one target of one
+# package per invocation, so a target is listed as package:name.
+FUZZ_TARGETS = ./internal/srjson:FuzzStreamDecoder ./internal/srjson:FuzzAppendBinding \
+	./internal/sparql:FuzzParseFormat
 
 fuzz-smoke:
-	@for f in $(FUZZ_TARGETS); do \
-		$(GO) test -run xxx -fuzz "^$$f$$" -fuzztime 10s ./internal/srjson || exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run xxx -fuzz "^$${t#*:}$$" -fuzztime 10s "$${t%%:*}" || exit 1; \
 	done
 
 # End-to-end observability smoke test: boot the real binary on a free

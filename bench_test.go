@@ -702,6 +702,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	_, m := benchStack(b)
 	soton, _ := m.Datasets.Get(workload.SotonVoidURI)
 	kisti, _ := m.Datasets.Get(workload.KistiVoidURI)
+	queries := make([]*sparql.Query, 50)
+	for i := range queries {
+		queries[i] = sparql.MustParse(workload.Figure1Query(i))
+	}
 	run := func(b *testing.B, traced bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -711,10 +715,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 				ctx, tr = obs.NewTrace(ctx, "query")
 			}
 			freq := federate.Request{
-				Query: workload.Figure1Query(i % 50), SourceOnt: rdf.AKTNS, Vars: []string{"a"},
+				SourceOnt: rdf.AKTNS, Vars: []string{"a"},
 				Targets: []federate.Target{
-					{Dataset: workload.SotonVoidURI, Endpoint: soton.SPARQLEndpoint},
-					{Dataset: workload.KistiVoidURI, Endpoint: kisti.SPARQLEndpoint, NeedsRewrite: true},
+					{Dataset: workload.SotonVoidURI, Endpoint: soton.SPARQLEndpoint, Query: queries[i%50]},
+					{Dataset: workload.KistiVoidURI, Endpoint: kisti.SPARQLEndpoint, Query: queries[i%50], NeedsRewrite: true},
 				},
 			}
 			st := m.Exec.SelectStream(ctx, freq)

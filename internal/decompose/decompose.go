@@ -164,10 +164,12 @@ type ResidualFilter struct {
 }
 
 // Decomposition is an ordered per-BGP decomposition: the join-engine
-// execution plan, and the shape /api/plan explains.
+// execution plan, and the shape /api/plan explains. Query is the query
+// that was decomposed, shared with the caller and never modified; it
+// marshals as its text.
 type Decomposition struct {
-	Query     string `json:"query"`
-	SourceOnt string `json:"source"`
+	Query     *sparql.Query `json:"query"`
+	SourceOnt string        `json:"source"`
 	// Vars is the final projection.
 	Vars []string `json:"vars"`
 	// MultiSource reports that the fragments span more than one data set
@@ -181,10 +183,7 @@ type Decomposition struct {
 	// Warnings flag plan hazards (cartesian join stages).
 	Warnings []string `json:"warnings,omitempty"`
 
-	distinct      bool
-	limit, offset int
-	prefixes      *rdf.PrefixMap
-	slots         []string // the join engine's row layout: the fragments' variables, in order
+	slots []string // the join engine's row layout: the fragments' variables, in order
 }
 
 // Datasets returns the distinct data set URIs the decomposition touches,
@@ -271,15 +270,20 @@ func (d *Decomposer) reject(format string, args ...any) error {
 	return fmt.Errorf("decompose: "+format, args...)
 }
 
-// Decompose builds the fragment plan for a SELECT query written against
-// sourceOnt. It fails when the query's shape is unsupported (anything
-// beyond a filtered BGP) or when some pattern no registered data set can
-// answer.
+// Decompose is DecomposeQuery for callers that hold query text.
 func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, d.reject("parsing query: %v", err)
 	}
+	return d.DecomposeQuery(q, sourceOnt)
+}
+
+// DecomposeQuery builds the fragment plan for a SELECT query written
+// against sourceOnt. It fails when the query's shape is unsupported
+// (anything beyond a filtered BGP) or when some pattern no registered data
+// set can answer.
+func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string) (*Decomposition, error) {
 	if q.Form != sparql.Select {
 		return nil, d.reject("only SELECT queries decompose, got %s", q.Form)
 	}
@@ -303,7 +307,7 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 	for _, tp := range patterns {
 		sources := d.planner.PatternSources(tp)
 		if len(sources) == 0 {
-			return nil, d.reject("no registered data set can answer pattern { %s }", formatPattern(tp, q.Prefixes))
+			return nil, d.reject("no registered data set can answer pattern { %s }", sparql.FormatTriplePattern(tp, q.Prefixes))
 		}
 		if len(sources) == 1 {
 			src := sources[0]
@@ -352,20 +356,12 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 	for _, f := range fragments {
 		d.estimateFragment(f)
 	}
-	dec := &Decomposition{
-		Query:     queryText,
-		SourceOnt: sourceOnt,
-		distinct:  q.Distinct || q.Reduced,
-		limit:     q.Limit,
-		offset:    q.Offset,
-		prefixes:  q.Prefixes,
-	}
-	dec.Vars = q.Projection()
+	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection()}
 	orderFragments(dec, fragments)
 	attachFilters(dec, filters, q.Prefixes)
 	for _, f := range dec.Fragments {
 		for _, tp := range f.patterns {
-			f.Patterns = append(f.Patterns, formatPattern(tp, q.Prefixes))
+			f.Patterns = append(f.Patterns, sparql.FormatTriplePattern(tp, q.Prefixes))
 		}
 	}
 	seen := map[string]bool{}
@@ -663,14 +659,6 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-func formatPattern(tp rdf.Triple, pm *rdf.PrefixMap) string {
-	q := sparql.NewQuery(sparql.Select)
-	if pm != nil {
-		q.Prefixes = pm
-	}
-	return sparql.FormatTriplePattern(tp, q.Prefixes)
-}
-
 // fragmentQuery builds the fragment's sub-query: an optional VALUES block
 // of bound-join bindings, the fragment's patterns (most selective first)
 // and its pushed filters, projected onto the fragment's variables.
@@ -678,9 +666,7 @@ func formatPattern(tp rdf.Triple, pm *rdf.PrefixMap) string {
 // is deduplicated) and keeps bound-join result sets minimal.
 func fragmentQuery(dec *Decomposition, f *Fragment, values *sparql.InlineData) *sparql.Query {
 	q := sparql.NewQuery(sparql.Select)
-	if dec.prefixes != nil {
-		q.Prefixes = dec.prefixes.Clone()
-	}
+	q.Prefixes = dec.Query.Prefixes.Clone()
 	q.Distinct = true
 	q.SelectVars = append([]string(nil), f.Vars...)
 	group := &sparql.GroupGraphPattern{}

@@ -545,11 +545,11 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 
 	var rwMu sync.Mutex
 	var rewriteSources []string
-	rewrite := func(queryText, sourceOnt, dataset string) (string, error) {
+	rewrite := func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error) {
 		rwMu.Lock()
 		rewriteSources = append(rewriteSources, sourceOnt)
 		rwMu.Unlock()
-		return strings.ReplaceAll(queryText, v2, v3), nil
+		return sparql.Parse(strings.ReplaceAll(sparql.Format(q), v2, v3))
 	}
 	exec := federate.NewExecutor(client, rewrite, nil, federate.Options{MaxRetries: -1})
 	disp := &capturingDispatcher{exec: exec}

@@ -250,21 +250,21 @@ func (e *Engine) pipeline(ctx context.Context, d *Decomposition, r *Run) rowSeq 
 	return e.finalSeq(ctx, d, seq, r)
 }
 
-// fragmentSeq dispatches one fragment (with the given VALUES shard
-// texts, nil for an unbound fetch) and yields its merged rows, laid out
+// fragmentSeq dispatches one fragment (as the given VALUES shards of its
+// sub-query, nil for an unbound fetch) and yields its merged rows, laid out
 // over d.slots. The dispatch summary is folded into the run when the
 // stage winds down, whether it was drained or abandoned. An unbound fetch
 // opens a "fragment" operator span (estimate vs actual cardinality,
 // q-error, first-row latency) and feeds each dataset's actual into the
 // observed-cardinality store — bound shards skip both, since a
 // semi-join's result says nothing about the fragment's true extent.
-func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment, stage int, shardTexts []string, r *Run) rowSeq {
-	// Caller-provided texts are bound-join VALUES shards: their binding
-	// rows make each text single-use, so they must not occupy slots in
-	// the executor's rewrite-plan LRU.
-	boundShards := shardTexts != nil
-	if shardTexts == nil {
-		shardTexts = []string{sparql.Format(fragmentQuery(d, f, nil))}
+func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment, stage int, shards []*sparql.Query, r *Run) rowSeq {
+	// Caller-provided shards are bound-join VALUES shards: their binding
+	// rows make each one single-use, so they must not occupy slots in the
+	// executor's rewrite-plan LRU.
+	boundShards := shards != nil
+	if shards == nil {
+		shards = []*sparql.Query{fragmentQuery(d, f, nil)}
 	}
 	// Rewriting translates from the fragment's own vocabulary, which on
 	// a multi-vocabulary query may differ from the query-level source.
@@ -272,20 +272,16 @@ func (e *Engine) fragmentSeq(ctx context.Context, d *Decomposition, f *Fragment,
 	if f.RewriteOnt != "" {
 		srcOnt = f.RewriteOnt
 	}
-	req := federate.Request{
-		Query:     shardTexts[0],
-		SourceOnt: srcOnt,
-		Vars:      f.Vars,
-	}
-	for i, text := range shardTexts {
+	req := federate.Request{SourceOnt: srcOnt, Vars: f.Vars}
+	for i, shard := range shards {
 		for _, t := range f.Targets {
 			req.Targets = append(req.Targets, federate.Target{
 				Dataset:          t.Dataset,
 				Endpoint:         t.Endpoint,
 				NeedsRewrite:     t.NeedsRewrite,
-				Query:            text,
+				Query:            shard,
 				Shard:            i + 1,
-				Shards:           len(shardTexts),
+				Shards:           len(shards),
 				SkipRewriteCache: boundShards,
 			})
 		}
@@ -422,7 +418,7 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 			return // empty join operand: the join is empty, dispatch nothing
 		}
 
-		var shardTexts []string
+		var shards []*sparql.Query
 		bind := len(f.JoinVars) > 0 && e.opts.MaxBindRows >= 0 && len(first) <= e.opts.MaxBindRows
 		if bind {
 			values := &sparql.InlineData{Vars: append([]string(nil), f.JoinVars...)}
@@ -448,11 +444,7 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 			if len(values.Rows) > e.opts.MaxBindRows {
 				bind = false
 			} else {
-				q := fragmentQuery(d, f, values)
-				shardTexts, _ = plan.ShardQuery(q, e.opts.BindBatch, e.opts.MaxShards)
-				if shardTexts == nil {
-					shardTexts = []string{sparql.Format(q)}
-				}
+				shards, _ = plan.ShardQuery(fragmentQuery(d, f, values), e.opts.BindBatch, e.opts.MaxShards)
 				e.metrics.boundJoinStages.Inc()
 				e.metrics.valuesRows.Add(float64(len(values.Rows)))
 			}
@@ -465,7 +457,7 @@ func (e *Engine) joinStage(ctx context.Context, d *Decomposition, f *Fragment, s
 		var fetched, merged int64
 		spanStart := time.Now()
 		out := make(eval.Row, len(d.slots))
-		for row, err := range e.fragmentSeq(jctx, d, f, stage, shardTexts, r) {
+		for row, err := range e.fragmentSeq(jctx, d, f, stage, shards, r) {
 			if err != nil {
 				yield(nil, err)
 				return
@@ -578,6 +570,7 @@ func (e *Engine) filterSeq(ctx context.Context, stage int, in rowSeq, names []st
 // upstream fragments as soon as LIMIT is satisfied.
 func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in rowSeq, r *Run) rowSeq {
 	slots := d.slotsOf(d.Vars) // -1: a variable no fragment binds stays unbound
+	distinct, offset, limit := d.Query.Distinct || d.Query.Reduced, d.Query.Offset, d.Query.Limit
 	return func(yield func(eval.Row, error) bool) {
 		_, span := obs.StartSpan(ctx, "final")
 		st := obs.Operator("distinct-limit")
@@ -601,17 +594,17 @@ func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in rowSeq, r *R
 					out[i] = row[s]
 				}
 			}
-			if d.distinct && !seen.AddRow(out) {
+			if distinct && !seen.AddRow(out) {
 				r.mu.Lock()
 				r.duplicates++
 				r.mu.Unlock()
 				continue
 			}
-			if d.offset > 0 && skipped < d.offset {
+			if offset > 0 && skipped < offset {
 				skipped++
 				continue
 			}
-			if d.limit >= 0 && emitted >= d.limit {
+			if limit >= 0 && emitted >= limit {
 				return
 			}
 			if !yield(out, nil) {
@@ -619,7 +612,7 @@ func (e *Engine) finalSeq(ctx context.Context, d *Decomposition, in rowSeq, r *R
 			}
 			emitted++
 			st.RowsOut = int64(emitted)
-			if d.limit >= 0 && emitted >= d.limit {
+			if limit >= 0 && emitted >= limit {
 				return
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/sparql"
 )
 
 // fakeClient routes SelectContext calls to per-endpoint handlers and
@@ -69,8 +70,20 @@ func fastOpts() Options {
 	}
 }
 
+// reqQuery is the query every test request runs, and reqText what a
+// target that needs no rewriting receives for it.
+var (
+	reqQuery = sparql.MustParse("SELECT ?a WHERE { ?p ?x ?a }")
+	reqText  = sparql.Format(reqQuery)
+)
+
 func req(targets ...Target) Request {
-	return Request{Query: "SELECT ?a WHERE { ?p ?x ?a }", SourceOnt: "http://src/", Vars: []string{"a"}, Targets: targets}
+	for i := range targets {
+		if targets[i].Query == nil {
+			targets[i].Query = reqQuery
+		}
+	}
+	return Request{SourceOnt: "http://src/", Vars: []string{"a"}, Targets: targets}
 }
 
 // TestFanOutMergesAndDeduplicates: three endpoints answer with
@@ -292,10 +305,14 @@ func TestFailFastCancelsFanOut(t *testing.T) {
 // TestSingleflightRewrite: concurrent identical requests rewrite once.
 func TestSingleflightRewrite(t *testing.T) {
 	var rewrites atomic.Int64
-	rewrite := func(q, src, ds string) (string, error) {
+	rewritten := sparql.MustParse("SELECT ?a WHERE { ?p <http://tgt/x> ?a }")
+	rewrite := func(q *sparql.Query, src, ds string) (*sparql.Query, error) {
 		rewrites.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the race window
-		return "REWRITTEN " + q, nil
+		if q != reqQuery {
+			t.Errorf("rewriter was handed %p, not the request's query", q)
+		}
+		return rewritten, nil
 	}
 	fc := newFakeClient()
 	fc.on("ep", func(context.Context, int) (*eval.Result, error) {
@@ -313,7 +330,7 @@ func TestSingleflightRewrite(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if got := res.PerDataset[0].Query; got != "REWRITTEN SELECT ?a WHERE { ?p ?x ?a }" {
+			if got := res.PerDataset[0].Query; got != sparql.Format(rewritten) {
 				t.Errorf("query sent = %q", got)
 			}
 		}()
@@ -392,8 +409,8 @@ func TestCancellationDoesNotOpenBreakers(t *testing.T) {
 // TestRewriteErrorReported: a failing rewrite is reported per data set
 // without dispatching to the endpoint.
 func TestRewriteErrorReported(t *testing.T) {
-	rewrite := func(q, src, ds string) (string, error) {
-		return "", errors.New("no alignments")
+	rewrite := func(*sparql.Query, string, string) (*sparql.Query, error) {
+		return nil, errors.New("no alignments")
 	}
 	fc := newFakeClient()
 	e := NewExecutor(fc, rewrite, nil, fastOpts())

@@ -2,11 +2,15 @@
 // mediator: the paper's "query all the available repositories" fan-out
 // (Figures 4–5), grown from a sequential loop into a concurrent executor.
 //
-// The pipeline per request is:
+// A request carries parsed queries — the mediator's own parse, or what
+// planner and decomposer derived from it — and text, the endpoints'
+// interface, is made here. The pipeline per request is:
 //
-//	plan    — per-target rewrite, served from an LRU plan cache with
-//	          singleflight deduplication so concurrent identical
-//	          requests rewrite once;
+//	format  — each distinct sub-query is serialised once: what a native
+//	          target receives, and the query part of the plan-cache key;
+//	plan    — per-target rewrite, query to query, its text served from an
+//	          LRU plan cache with singleflight deduplication so concurrent
+//	          identical requests rewrite once (a hit formats nothing);
 //	dispatch — a bounded worker pool sends each sub-query to its
 //	          endpoint with a per-attempt deadline, retry-with-backoff,
 //	          and a per-endpoint circuit breaker so one dead repository
@@ -34,6 +38,7 @@ import (
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/sparql"
 )
 
 // SelectClient executes a SELECT query against a remote endpoint.
@@ -43,9 +48,10 @@ type SelectClient interface {
 	SelectContext(ctx context.Context, endpointURL, queryText string) (*eval.Result, error)
 }
 
-// RewriteFunc translates queryText (written against sourceOnt) for the
-// given target dataset and returns the rewritten query text.
-type RewriteFunc func(queryText, sourceOnt, dataset string) (string, error)
+// RewriteFunc translates q (written against sourceOnt) for the given
+// target dataset and returns the rewritten query. It must leave q as it
+// found it: the targets of one fan-out share it, concurrently.
+type RewriteFunc func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error)
 
 // Options tune the executor. The zero value selects sane defaults.
 type Options struct {
@@ -135,9 +141,10 @@ type Target struct {
 	// NeedsRewrite says the query must be translated for this data set
 	// (its vocabulary differs from the query's source ontology).
 	NeedsRewrite bool
-	// Query optionally overrides Request.Query for this target (the
-	// planner's VALUES-sharded sub-queries).
-	Query string
+	// Query is the sub-query this target runs, before rewriting: the
+	// request's query, a VALUES shard of it, a fragment's sub-query.
+	// Targets share queries, and the executor only reads them.
+	Query *sparql.Query
 	// Timeout optionally tightens the per-attempt deadline below
 	// Options.EndpointTimeout (0, or anything looser, keeps the default).
 	Timeout time.Duration
@@ -145,7 +152,7 @@ type Target struct {
 	// (1-based; 0 when unsharded).
 	Shard, Shards int
 	// SkipRewriteCache bypasses the rewrite-plan LRU for this target:
-	// set for single-use query texts (bound-join VALUES shards) whose
+	// set for single-use queries (bound-join VALUES shards) whose
 	// entries would only evict reusable plans.
 	SkipRewriteCache bool
 	// Replicas are alternate endpoint URLs serving the same data set,
@@ -155,7 +162,6 @@ type Target struct {
 
 // Request is one federated SELECT.
 type Request struct {
-	Query     string
 	SourceOnt string
 	// Vars are the query's projection variables, the slot table of the rows.
 	Vars    []string
@@ -167,8 +173,9 @@ type DatasetAnswer struct {
 	Dataset string
 	// Shard/Shards carry the target's VALUES-shard numbering (0 = unsharded).
 	Shard, Shards int
-	// Query is the text actually sent to the endpoint (rewritten when
-	// the data set's vocabulary differs).
+	// Query is the text sent to the endpoint: the sub-query formatted,
+	// after rewriting when the data set's vocabulary differs (empty when
+	// the rewrite failed).
 	Query     string
 	Solutions int
 	// Attempts is how many dispatches the answer took (1 = no retry;
@@ -264,22 +271,35 @@ func (e *Executor) Select(ctx context.Context, req Request) (*Result, error) {
 	return res, err
 }
 
-// targetQuery returns the sub-query text for one target before rewriting.
-func targetQuery(req Request, t Target) string {
-	if t.Query != "" {
-		return t.Query
+// nativeTexts formats the fan-out's sub-queries, each distinct one once
+// (targets share queries): texts[i] is what target i's endpoint receives
+// when it needs no rewriting, and the query part of its rewrite-plan cache
+// key when it does. A target that rewrites past the cache needs neither.
+func nativeTexts(req Request) []string {
+	texts := make([]string, len(req.Targets))
+	byQuery := make(map[*sparql.Query]string, 1)
+	for i, t := range req.Targets {
+		if t.NeedsRewrite && t.SkipRewriteCache {
+			continue
+		}
+		text, ok := byQuery[t.Query]
+		if !ok {
+			text = sparql.Format(t.Query)
+			byQuery[t.Query] = text
+		}
+		texts[i] = text
 	}
-	return req.Query
+	return texts
 }
 
 // queryTarget runs one target's sub-query: plan (cached rewrite), then
 // dispatch with retries under the endpoint's breaker, streaming batches of
-// rows into solCh. sem is the worker-pool semaphore: the caller pre-acquired
-// one slot (in-order admission), which funds the first dispatch attempt;
-// afterwards a slot is held only for the duration of each attempt, not
-// across backoff sleeps, so retrying workers don't starve queued healthy
-// targets.
-func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
+// rows into solCh; text is the target's entry of nativeTexts. sem is the
+// worker-pool semaphore: the caller pre-acquired one slot (in-order
+// admission), which funds the first dispatch attempt; afterwards a slot is
+// held only for the duration of each attempt, not across backoff sleeps,
+// so retrying workers don't starve queued healthy targets.
+func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text string, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
 	held := true // the admission slot the caller acquired for us
 	defer func() {
 		if held {
@@ -301,23 +321,26 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh
 		}
 		span.End()
 	}()
-	da = DatasetAnswer{Dataset: t.Dataset, Shard: t.Shard, Shards: t.Shards, Query: targetQuery(req, t)}
+	da = DatasetAnswer{Dataset: t.Dataset, Shard: t.Shard, Shards: t.Shards, Query: text}
 	if t.NeedsRewrite {
 		if e.rewrite == nil {
 			da.Err = fmt.Errorf("federate: %s needs rewriting but no rewriter is configured", t.Dataset)
 			return da
 		}
-		base := da.Query
+		rewrite := func() (string, error) {
+			rq, err := e.rewrite(t.Query, req.SourceOnt, t.Dataset)
+			if err != nil {
+				return "", err
+			}
+			return sparql.Format(rq), nil
+		}
 		_, rwSpan := obs.StartSpan(ctx, "rewrite")
-		var q string
 		var cached bool
 		var err error
 		if t.SkipRewriteCache {
-			q, err = e.rewrite(base, req.SourceOnt, t.Dataset)
+			da.Query, err = rewrite()
 		} else {
-			q, cached, err = e.cache.Do(PlanKey(base, req.SourceOnt, t.Dataset), func() (string, error) {
-				return e.rewrite(base, req.SourceOnt, t.Dataset)
-			})
+			da.Query, cached, err = e.cache.Do(PlanKey(text, req.SourceOnt, t.Dataset), rewrite)
 		}
 		rwSpan.SetAttr("cached", cached)
 		rwSpan.End()
@@ -325,7 +348,6 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, solCh
 			da.Err = err
 			return da
 		}
-		da.Query = q
 	}
 
 	br := e.breaker(t.Endpoint)

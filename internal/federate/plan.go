@@ -1,17 +1,14 @@
 package federate
 
-import (
-	"context"
-
-	"sparqlrw/internal/plan"
-)
+import "sparqlrw/internal/plan"
 
 // PlanRequest converts a planner-produced federation plan into the
 // executor's request shape: each ordered, VALUES-sharded sub-request
 // becomes a target, with the plan's per-endpoint deadlines tightening
-// the default attempt budget.
+// the default attempt budget. The executor's in-order pool admission
+// preserves the plan's fastest-first order.
 func PlanRequest(p *plan.Plan) Request {
-	req := Request{Query: p.Query, SourceOnt: p.SourceOnt, Vars: p.Vars}
+	req := Request{SourceOnt: p.SourceOnt, Vars: p.Vars}
 	for _, s := range p.Subs {
 		req.Targets = append(req.Targets, Target{
 			Dataset:      s.Dataset,
@@ -25,14 +22,6 @@ func PlanRequest(p *plan.Plan) Request {
 		})
 	}
 	return req
-}
-
-// SelectPlan executes a planner-produced federation plan through the
-// same pipeline as Select (cached rewrite, bounded pool, retries,
-// breakers). The in-order pool admission preserves the plan's
-// fastest-first order.
-func (e *Executor) SelectPlan(ctx context.Context, p *plan.Plan) (*Result, error) {
-	return e.Select(ctx, PlanRequest(p))
 }
 
 // InvalidateDataset drops every cached rewrite plan targeting the given

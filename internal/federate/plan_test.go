@@ -8,11 +8,12 @@ import (
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/plan"
+	"sparqlrw/internal/sparql"
 )
 
 // TestSelectPlanDispatchesShardedSubRequests: a plan with two shards for
 // one endpoint and one sub-request for another runs each shard's own
-// query text and merges the answers.
+// query and merges the answers.
 func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	fc := newFakeClient()
 	var mu sync.Mutex
@@ -31,22 +32,24 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	shim := &recordingClient{inner: fc, record: record}
 
 	e := NewExecutor(shim, nil, nil, fastOpts())
+	shard1 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p1> } ?p ?x ?a }")
+	shard2 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p2> } ?p ?x ?a }")
 	pl := &plan.Plan{
-		Query: "SELECT ?a WHERE { ?p ?x ?a }", SourceOnt: "http://src/", Vars: []string{"a"},
+		Query: reqQuery, SourceOnt: "http://src/", Vars: []string{"a"},
 		Subs: []plan.SubRequest{
-			{Dataset: "d1", Endpoint: "ep1", Query: "SHARD-1", Shard: 1, Shards: 2},
-			{Dataset: "d1", Endpoint: "ep1", Query: "SHARD-2", Shard: 2, Shards: 2},
-			{Dataset: "d2", Endpoint: "ep2", Query: "SELECT ?a WHERE { ?p ?x ?a }", Shard: 1, Shards: 1},
+			{Dataset: "d1", Endpoint: "ep1", Query: shard1, Shard: 1, Shards: 2},
+			{Dataset: "d1", Endpoint: "ep1", Query: shard2, Shard: 2, Shards: 2},
+			{Dataset: "d2", Endpoint: "ep2", Query: reqQuery, Shard: 1, Shards: 1},
 		},
 	}
-	res, err := e.SelectPlan(context.Background(), pl)
+	res, err := e.Select(context.Background(), PlanRequest(pl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.PerDataset) != 3 {
 		t.Fatalf("per-dataset answers = %d", len(res.PerDataset))
 	}
-	if res.PerDataset[0].Query != "SHARD-1" || res.PerDataset[0].Shard != 1 || res.PerDataset[0].Shards != 2 {
+	if res.PerDataset[0].Query != sparql.Format(shard1) || res.PerDataset[0].Shard != 1 || res.PerDataset[0].Shards != 2 {
 		t.Fatalf("shard answer = %+v", res.PerDataset[0])
 	}
 	mu.Lock()
@@ -55,8 +58,11 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 		t.Fatalf("dispatched queries = %v", queries)
 	}
 	sent := map[string]bool{queries["ep1"][0]: true, queries["ep1"][1]: true}
-	if !sent["SHARD-1"] || !sent["SHARD-2"] {
+	if !sent[sparql.Format(shard1)] || !sent[sparql.Format(shard2)] {
 		t.Fatalf("shard texts not sent: %v", queries["ep1"])
+	}
+	if queries["ep2"][0] != reqText {
+		t.Fatalf("unsharded sub-request received %q, want the plan's query %q", queries["ep2"][0], reqText)
 	}
 }
 

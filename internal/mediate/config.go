@@ -6,6 +6,7 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/serve"
+	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/view"
 )
 
@@ -149,12 +150,9 @@ func (m *Mediator) rebuild() {
 		old.Close()
 	}
 	m.RewriteFilters = m.cfg.RewriteFilters
-	rewrite := func(queryText, sourceOnt, dataset string) (string, error) {
-		rr, err := m.Rewrite(queryText, sourceOnt, dataset)
-		if err != nil {
-			return "", err
-		}
-		return rr.Query, nil
+	rewrite := func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error) {
+		out, _, err := m.rewriteQuery(q, sourceOnt, dataset)
+		return out, err
 	}
 	fedOpts := m.cfg.Federation
 	fedOpts.Registry = m.Obs.Registry

@@ -323,7 +323,11 @@ func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*plan.Plan, error) {
 	if m.Planner == nil {
 		return nil, fmt.Errorf("mediate: planning is disabled")
 	}
-	return m.Planner.Plan(queryText, sourceOnt)
+	q, err := sparql.Parse(queryText)
+	if err != nil {
+		return nil, fmt.Errorf("mediate: parsing query: %w", err)
+	}
+	return m.Planner.Plan(q, sourceOnt)
 }
 
 // QueryExplanation is /api/plan's response shape: the whole-query plan
@@ -345,7 +349,7 @@ func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation,
 	}
 	ex := &QueryExplanation{Plan: pl}
 	if len(pl.Subs) == 0 && m.Decomposer != nil {
-		if dcm, derr := m.Decomposer.Decompose(queryText, sourceOnt); derr == nil {
+		if dcm, derr := m.Decomposer.DecomposeQuery(pl.Query, sourceOnt); derr == nil {
 			ex.Decomposition = dcm
 		}
 	}
@@ -372,9 +376,20 @@ func (m *Mediator) Rewrite(queryText, sourceOnt, targetDataset string) (*Rewrite
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
+	out, rr, err := m.rewriteQuery(q, sourceOnt, targetDataset)
+	if err != nil {
+		return nil, err
+	}
+	rr.Query = sparql.Format(out)
+	return rr, nil
+}
+
+// rewriteQuery is Rewrite without the text at either end, which makes it
+// the executor's RewriteFunc: q is only read, the result's Query left empty.
+func (m *Mediator) rewriteQuery(q *sparql.Query, sourceOnt, targetDataset string) (*sparql.Query, *RewriteResult, error) {
 	ds, ok := m.Datasets.Get(targetDataset)
 	if !ok {
-		return nil, fmt.Errorf("mediate: unknown target data set %s", targetDataset)
+		return nil, nil, fmt.Errorf("mediate: unknown target data set %s", targetDataset)
 	}
 	eas := m.Alignments.Select(align.Selector{
 		SourceOntology: sourceOnt,
@@ -386,14 +401,9 @@ func (m *Mediator) Rewrite(queryText, sourceOnt, targetDataset string) (*Rewrite
 	rw.Opts.TargetURISpace = ds.URISpace
 	out, report, err := rw.RewriteQuery(q)
 	if err != nil {
-		return nil, fmt.Errorf("mediate: rewriting for %s: %w", targetDataset, err)
+		return nil, nil, fmt.Errorf("mediate: rewriting for %s: %w", targetDataset, err)
 	}
-	return &RewriteResult{
-		Query:          sparql.Format(out),
-		Target:         targetDataset,
-		AlignmentsUsed: len(eas),
-		Report:         report,
-	}, nil
+	return out, &RewriteResult{Target: targetDataset, AlignmentsUsed: len(eas), Report: report}, nil
 }
 
 func firstOrEmpty(xs []string) string {

@@ -155,11 +155,11 @@ func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error)
 	return m.queryParsed(ctx, req, q)
 }
 
-// queryParsed is Query over an already-parsed query, the entry the HTTP
-// handler uses to avoid re-parsing (it parses once for content
-// negotiation). q must be req.Query's parse. The per-form counter counts
-// queries accepted for dispatch, including ones that subsequently fail
-// planning or execution.
+// queryParsed is Query past its parse, the entry of the HTTP handler (it
+// has parsed already, for content negotiation). From here to the executor
+// the query is q and what is derived from it; req.Query is only the text
+// the trace reports. The per-form counter counts queries accepted for
+// dispatch, including ones that subsequently fail planning or execution.
 func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {
 	ctx, qo := m.beginQuery(ctx, q.Form)
 	qo.setQuery(req.Query)
@@ -173,15 +173,14 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 		return nil, perr
 	} else if changed {
 		q = q2
-		req.Query = sparql.Format(q)
-		qo.setQuery(req.Query)
+		qo.setQuery(sparql.Format(q)) // the trace shows what runs, not what was asked
 	}
 
 	// Serving tier, part 2 — the federated result cache: SELECT and ASK
 	// answers replay from memory under the sameAs-canonicalised key,
 	// with zero endpoint round trips.
 	fill := m.cacheFill(req, q)
-	if res := fill.lookup(req, q, qo); res != nil {
+	if res := fill.lookup(req, qo); res != nil {
 		return res, nil
 	}
 
@@ -257,10 +256,10 @@ type QueryStream struct {
 	nTargets int
 }
 
-// selectStream starts the federated SELECT pipeline for req. q is req's
-// parsed query (possibly a derived SELECT standing in for an ASK /
-// CONSTRUCT / DESCRIBE form); req.Query must be its exact text, since the
-// planner, the rewriter and the endpoints all consume the text.
+// selectStream starts the federated SELECT pipeline for q under req's
+// options (source ontology, targets, limit, tenant; not req.Query). q is
+// the request's parsed query or the SELECT derived from it for an ASK,
+// CONSTRUCT or DESCRIBE; planner, decomposer and executor share it unmodified.
 func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("mediate: selectStream called on %s query", q.Form)
@@ -291,7 +290,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		}
 		_, planSpan := obs.StartSpan(ctx, "plan")
 		planSpan.SetAttr("sourceOnt", req.SourceOnt)
-		pl, err := m.Planner.Plan(req.Query, req.SourceOnt)
+		pl, err := m.Planner.Plan(q, req.SourceOnt)
 		if err != nil {
 			planSpan.SetAttr("error", err.Error())
 			planSpan.End()
@@ -320,7 +319,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 			}
 			if m.Decomposer != nil {
 				_, decSpan := obs.StartSpan(ctx, "decompose")
-				dcm, derr := m.Decomposer.Decompose(req.Query, req.SourceOnt)
+				dcm, derr := m.Decomposer.DecomposeQuery(q, req.SourceOnt)
 				if derr == nil {
 					decStats := obs.Operator("decompose")
 					decStats.RowsOut = int64(len(dcm.Fragments))
@@ -348,7 +347,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		qs.pl = pl
 		freq = federate.PlanRequest(pl)
 	} else {
-		freq = federate.Request{Query: req.Query, SourceOnt: req.SourceOnt, Vars: q.Projection()}
+		freq = federate.Request{SourceOnt: req.SourceOnt, Vars: q.Projection()}
 		qs.unknown = make(map[int]DatasetAnswer)
 		qs.nTargets = len(req.Targets)
 		for i, target := range req.Targets {
@@ -367,11 +366,62 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 				Endpoint:     ds.SPARQLEndpoint,
 				Replicas:     ds.Replicas,
 				NeedsRewrite: !ds.UsesVocabulary(req.SourceOnt),
+				Query:        q,
 			})
 		}
 	}
-	qs.src = m.Exec.SelectStream(ctx, freq)
+	qs.src = m.fanOut(ctx, freq, q)
 	return qs, nil
+}
+
+// fanOut dispatches q's whole-query fan-out. The query's own OFFSET and
+// LIMIT count merged rows, so with more than one sub-request no endpoint
+// may apply them to its own: the targets run a clone without OFFSET, and
+// with LIMIT (widened by the offset) only when q is not DISTINCT/REDUCED,
+// where a cut of distinct rows falls short once owl:sameAs merges them, and
+// the merged stream is sliced. All targets run q, for a sliced query is
+// never VALUES-sharded (plan.ShardQuery). A single sub-request keeps q: its
+// endpoint's ORDER BY and slice are exact.
+func (m *Mediator) fanOut(ctx context.Context, freq federate.Request, q *sparql.Query) solutionSource {
+	if len(freq.Targets) < 2 || (q.Limit < 0 && q.Offset <= 0) {
+		return m.Exec.SelectStream(ctx, freq)
+	}
+	sub := q.Clone()
+	sub.Offset = -1
+	if q.Distinct || q.Reduced {
+		sub.Limit = -1
+	} else if q.Limit >= 0 {
+		sub.Limit = q.Limit + max(q.Offset, 0)
+	}
+	for i := range freq.Targets {
+		freq.Targets[i].Query = sub
+	}
+	return &sliceSource{solutionSource: m.Exec.SelectStream(ctx, freq), skip: q.Offset, left: q.Limit}
+}
+
+// sliceSource applies a query's own OFFSET, then LIMIT, to a merged
+// stream. Reaching LIMIT is the answer's natural end (io.EOF), not a cut:
+// the result-cache fill above it stores such an answer as complete.
+type sliceSource struct {
+	solutionSource
+	skip int // rows OFFSET still drops
+	left int // rows LIMIT still allows; negative when the query has none
+}
+
+func (s *sliceSource) Next() (eval.Row, error) {
+	for ; s.skip > 0; s.skip-- {
+		if _, err := s.solutionSource.Next(); err != nil {
+			return nil, err
+		}
+	}
+	if s.left == 0 {
+		return nil, io.EOF
+	}
+	row, err := s.solutionSource.Next()
+	if err == nil && s.left > 0 {
+		s.left--
+	}
+	return row, err
 }
 
 // Vars returns the query's projection variable names.
@@ -476,11 +526,8 @@ func (m *Mediator) askResult(ctx context.Context, req QueryRequest, q *sparql.Qu
 	sel.OrderBy = nil
 	sel.Limit = 1
 	sel.Offset = -1
-	text := sparql.Format(sel)
-	qs, err := m.selectStream(ctx, QueryRequest{
-		Query: text, SourceOnt: req.SourceOnt, Targets: req.Targets, Limit: 1,
-		Tenant: req.Tenant,
-	}, sel)
+	req.Limit = 1
+	qs, err := m.selectStream(ctx, req, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -536,15 +583,13 @@ func (m *Mediator) constructResult(ctx context.Context, req QueryRequest, q *spa
 		// so duplicate bindings still produce distinct triples.
 		sel.Distinct = true
 	}
-	text := sparql.Format(sel)
-	qs, err := m.selectStream(ctx, QueryRequest{
-		Query: text, SourceOnt: req.SourceOnt, Targets: req.Targets,
-		Tenant: req.Tenant,
-	}, sel)
+	limit := req.Limit // counts triples: the graph stream's, not the solutions'
+	req.Limit = 0
+	qs, err := m.selectStream(ctx, req, sel)
 	if err != nil {
 		return nil, err
 	}
-	gs := newGraphStream(qs, q.Template, m.Coref, req.Limit, q.Prefixes)
+	gs := newGraphStream(qs, q.Template, m.Coref, limit, q.Prefixes)
 	return &Result{form: sparql.Construct, graph: gs, pl: qs.pl, dec: qs.dec}, nil
 }
 
@@ -572,6 +617,8 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 		}
 	}
 
+	limit := req.Limit // counts the description's triples, not phase 1's solutions
+	req.Limit = 0
 	res := &Result{form: sparql.Describe}
 	var pre *FederatedResult
 	if len(describeVars) > 0 && q.Where != nil {
@@ -585,11 +632,7 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 			// not distinct resources.
 			sel.Distinct = true
 		}
-		text := sparql.Format(sel)
-		qs, err := m.selectStream(ctx, QueryRequest{
-			Query: text, SourceOnt: req.SourceOnt, Targets: req.Targets,
-			Tenant: req.Tenant,
-		}, sel)
+		qs, err := m.selectStream(ctx, req, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -623,7 +666,7 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 	qs := &QueryStream{src: m.Exec.SelectStream(ctx, freq)}
 	gs := newGraphStream(qs, []rdf.Triple{{
 		S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o"),
-	}}, m.Coref, req.Limit, q.Prefixes)
+	}}, m.Coref, limit, q.Prefixes)
 	gs.pre = pre
 	res.graph = gs
 	return res, nil
@@ -720,21 +763,15 @@ func (m *Mediator) describeRequest(resources []rdf.Term, pol *serve.Policy) (fed
 		} else {
 			q = rq
 		}
-		texts, _ := plan.ShardQuery(q, describeValuesBatch, (len(rows)+describeValuesBatch-1)/describeValuesBatch)
-		if len(texts) == 0 {
-			texts = []string{sparql.Format(q)}
-		}
-		if freq.Query == "" {
-			freq.Query = texts[0]
-		}
-		for i, text := range texts {
+		shards, _ := plan.ShardQuery(q, describeValuesBatch, (len(rows)+describeValuesBatch-1)/describeValuesBatch)
+		for i, shard := range shards {
 			freq.Targets = append(freq.Targets, federate.Target{
 				Dataset:  ds.URI,
 				Endpoint: ds.SPARQLEndpoint,
 				Replicas: ds.Replicas,
-				Query:    text,
+				Query:    shard,
 				Shard:    i + 1,
-				Shards:   len(texts),
+				Shards:   len(shards),
 			})
 		}
 	}

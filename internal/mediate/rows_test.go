@@ -5,18 +5,21 @@ package mediate
 // the next Next keeps copies.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
@@ -102,6 +105,93 @@ func TestHandlerRowAllocations(t *testing.T) {
 	small, big = allocs(10, cache), allocs(1000, cache)
 	if perRow := (big - small) / 990; perRow > 0.001 {
 		t.Errorf("cache replay: %.3f allocations per additional row (%.0f for 10 rows, %.0f for 1000), want 0", perRow, small, big)
+	}
+}
+
+// exampleFederation is the benchmark's three-repository deployment over
+// in-process endpoints: Southampton (AKT), KISTI (its own vocabulary,
+// reached by rewriting) and the citation metrics, described with the voiD
+// statistics the decomposer orders fragments by. wrap, when not nil, goes
+// around each data set's endpoint handler.
+func exampleFederation(t testing.TB, wrap func(dataset string, h http.Handler) http.Handler, opts ...Option) *Mediator {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Persons, cfg.Papers = 40, 120
+	u := workload.Generate(cfg)
+	metrics := workload.MetricsStore(u)
+	kb := voidkb.NewKB()
+	for _, d := range []struct {
+		ds *voidkb.Dataset
+		st *store.Store
+	}{
+		{&voidkb.Dataset{URI: workload.SotonVoidURI, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{rdf.AKTNS}, Triples: int64(u.Southampton.Size()),
+			PropertyPartitions: map[string]int64{rdf.AKTHasAuthor: int64(u.Southampton.PredicateCount(rdf.NewIRI(rdf.AKTHasAuthor)))}}, u.Southampton},
+		{&voidkb.Dataset{URI: workload.KistiVoidURI, URISpace: workload.KistiURIPattern,
+			Vocabularies: []string{rdf.KISTINS}, Triples: int64(u.KISTI.Size())}, u.KISTI},
+		{&voidkb.Dataset{URI: workload.MetricsVoidURI, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{workload.MetricsNS}, Triples: int64(metrics.Size()),
+			PropertyPartitions: map[string]int64{workload.MetricsCitationCount: int64(cfg.Papers)}}, metrics},
+	} {
+		local := fmt.Sprintf("example-%d-%s", kb.Len(), strings.ReplaceAll(t.Name(), "/", "-"))
+		var h http.Handler = endpoint.NewServer(local, d.st)
+		if wrap != nil {
+			h = wrap(d.ds.URI, h)
+		}
+		endpoint.RegisterLocal(local, h)
+		t.Cleanup(func() { endpoint.UnregisterLocal(local) })
+		d.ds.SPARQLEndpoint = endpoint.LocalURL(local)
+		if err := kb.Add(d.ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alignKB := align.NewKB()
+	if err := alignKB.Add(workload.AKT2KISTI()); err != nil {
+		t.Fatal(err)
+	}
+	m := New(kb, alignKB, u.Coref, append([]Option{WithRewriteFilters(true)}, opts...)...)
+	t.Cleanup(m.Close)
+	return m
+}
+
+// TestHandlerRequestAllocations pins what one small /sparql request costs
+// the whole process on the two request-bound shapes of the benchmark: the
+// Figure-1 query when its rewrite for KISTI is not in the plan cache (the
+// cache is off, so every request rewrites), and the cross-vocabulary query
+// that runs as decomposed bound joins. With answers this small the cost is
+// the request's own — parse, plan, rewrite, format, dispatch — so a stage
+// that goes back to re-parsing or re-formatting its query shows up here:
+// the ceilings are the measured figures (866 and 2246) plus 5 %, below what
+// the same requests cost while every stage took text (940 and 2480).
+func TestHandlerRequestAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	h := Handler(exampleFederation(t, nil,
+		WithServing(serve.Options{CacheSize: -1}), WithFederation(federate.Options{CacheSize: -1})))
+	for _, shape := range []struct {
+		name, query string
+		ceiling     float64
+	}{
+		{"fig1-coauthors", workload.Figure1Query(2), 909},
+		{"xvocab-join", workload.CrossVocabularyQuery(2), 2358},
+	} {
+		target := "/sparql?source=" + url.QueryEscape(rdf.AKTNS) + "&query=" + url.QueryEscape(shape.query)
+		var body bytes.Buffer
+		got := testing.AllocsPerRun(20, func() {
+			body.Reset()
+			w := httptest.NewRecorder()
+			w.Body = &body
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		})
+		rows := strings.Count(body.String(), `"a":{`) // every row of either shape binds ?a
+		t.Logf("%s: %.0f allocations per request, %d rows", shape.name, got, rows)
+		if rows < 2 || rows > 20 {
+			t.Errorf("%s: %d rows, want a small answer (2 to 20)", shape.name, rows)
+		}
+		if got > shape.ceiling {
+			t.Errorf("%s: %.0f allocations per request, want at most %.0f", shape.name, got, shape.ceiling)
+		}
 	}
 }
 

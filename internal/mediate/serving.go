@@ -74,7 +74,7 @@ func (m *Mediator) cacheFill(req QueryRequest, q *sparql.Query) *cacheFill {
 
 // lookup serves the request from the cache if it can, returning the
 // replayed Result (with zero endpoint round trips) or nil on a miss.
-func (f *cacheFill) lookup(req QueryRequest, q *sparql.Query, qo *queryObs) *Result {
+func (f *cacheFill) lookup(req QueryRequest, qo *queryObs) *Result {
 	if f == nil {
 		return nil
 	}
@@ -123,7 +123,7 @@ func (f *cacheFill) attach(res *Result) {
 // graph streams use — so alias spellings of one entity share an entry.
 // The source ontology, explicit targets, limit and the tenant's dataset
 // allowlist all discriminate; the tenant's algebra restrictions need no
-// extra component because queryParsed rewrote the text before keying.
+// extra component because q is the restricted query by the time it is keyed.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 	canon := federate.NewRepCache(m.Coref)
 	cq := q.Clone()

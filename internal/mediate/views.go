@@ -2,7 +2,6 @@ package mediate
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"sparqlrw/internal/decompose"
@@ -41,13 +40,8 @@ type viewRunner struct{ m *Mediator }
 // pipeline (planning, decomposition, bound joins, sameAs merge) and
 // drains it. Complete is true only when every contributing data set
 // answered successfully — the storable rule the result cache uses.
-func (r viewRunner) Materialize(ctx context.Context, queryText, sourceOnt string) (*view.MaterializeResult, error) {
-	q, err := sparql.Parse(queryText)
-	if err != nil {
-		return nil, fmt.Errorf("mediate: parsing view query: %w", err)
-	}
-	req := QueryRequest{Query: queryText, SourceOnt: sourceOnt}
-	qs, err := r.m.selectStream(withoutViews(ctx), req, q)
+func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*view.MaterializeResult, error) {
+	qs, err := r.m.selectStream(withoutViews(ctx), QueryRequest{SourceOnt: sourceOnt}, q)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,213 @@
+package mediate
+
+// What reaches the endpoints' wire is what the stages built: every
+// execution path hands parsed queries from stage to stage, and this table
+// records the texts the endpoints receive on each of them and holds them
+// against the queries the planner, the decomposer's join engine, the
+// policy restriction and the form derivations produced.
+
+import (
+	"context"
+	"net/http"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"sparqlrw/internal/decompose"
+	"sparqlrw/internal/federate"
+	"sparqlrw/internal/plan"
+	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/serve"
+	"sparqlrw/internal/sparql"
+	"sparqlrw/internal/workload"
+)
+
+// wireTap records the query texts each data set's endpoint receives.
+type wireTap struct {
+	mu   sync.Mutex
+	seen map[string][]string // data set URI -> texts
+}
+
+func (w *wireTap) wrap(dataset string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if err := r.ParseForm(); err == nil { // cached on r: the endpoint still sees the form
+			w.mu.Lock()
+			w.seen[dataset] = append(w.seen[dataset], r.PostForm.Get("query"))
+			w.mu.Unlock()
+		}
+		h.ServeHTTP(rw, r)
+	})
+}
+
+// recordingDispatcher notes the requests the join engine hands the
+// executor: the queries a decomposition's stages built.
+type recordingDispatcher struct {
+	exec *federate.Executor
+	mu   sync.Mutex
+	reqs []federate.Request
+}
+
+func (d *recordingDispatcher) SelectStream(ctx context.Context, req federate.Request) *federate.Stream {
+	d.mu.Lock()
+	d.reqs = append(d.reqs, req)
+	d.mu.Unlock()
+	return d.exec.SelectStream(ctx, req)
+}
+
+// sorted returns the per-data-set text lists in a comparable order.
+func sorted(byDataset map[string][]string) map[string][]string {
+	for _, texts := range byDataset {
+		sort.Strings(texts)
+	}
+	return byDataset
+}
+
+func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
+	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
+	person := "<" + workload.SotonPerson(2).Value + ">"
+	coauthors := "{ ?paper akt:has-author " + person + " . ?paper akt:has-author ?a }"
+	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
+	values := "VALUES ?paper {"
+	for j := 0; j < 5; j++ {
+		values += " <" + workload.SotonPaper(j).Value + ">"
+	}
+	values += " }"
+	sotonOnly := &serve.Tenant{ID: "soton-space", Policy: &serve.Policy{URISpaces: []string{workload.SotonIDSpace}}}
+	restricted, _, err := serve.Restrict(sparql.MustParse(workload.Figure1Query(2)), sotonOnly.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		req  QueryRequest
+		// derived is the SELECT an explicit-target request should run at
+		// every target, before rewriting; on the other paths the stages'
+		// own records (the plan, the join engine's requests) say.
+		derived string
+		// resources are a ground DESCRIBE's: its description fetch is
+		// rebuilt from them.
+		resources []rdf.Term
+		// hashJoin says how a decomposed case must have joined.
+		hashJoin bool
+	}{
+		{name: "select, explicit targets",
+			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both},
+			derived: workload.Figure1Query(2)},
+		{name: "ask, explicit targets",
+			req:     QueryRequest{Query: akt + "ASK " + coauthors, Targets: both},
+			derived: akt + "SELECT * WHERE " + coauthors + " LIMIT 1"},
+		{name: "construct, explicit targets",
+			req:     QueryRequest{Query: akt + "CONSTRUCT { ?paper akt:has-author ?a } WHERE " + coauthors, Targets: both},
+			derived: akt + "SELECT DISTINCT ?paper ?a WHERE " + coauthors},
+		{name: "describe, explicit targets",
+			req:       QueryRequest{Query: "DESCRIBE " + person, Targets: both},
+			resources: []rdf.Term{workload.SotonPerson(2)}},
+		{name: "restricted tenant, explicit targets",
+			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both, Tenant: sotonOnly},
+			derived: sparql.Format(restricted)},
+		{name: "planned, one source, the slice left to it",
+			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2",
+				SourceOnt: workload.MetricsNS}},
+		{name: "planned, VALUES-sharded",
+			opts: []Option{WithPlanner(plan.Options{ValuesBatch: 2})},
+			req:  QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
+		{name: "decomposed, bound join",
+			req: QueryRequest{Query: workload.CrossVocabularyQuery(2)}},
+		{name: "decomposed, hash fallback",
+			opts:     []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})},
+			req:      QueryRequest{Query: workload.CrossVocabularyQuery(2)},
+			hashJoin: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tap := &wireTap{seen: map[string][]string{}}
+			m := exampleFederation(t, tap.wrap, tc.opts...)
+			disp := &recordingDispatcher{exec: m.Exec}
+			m.JoinEngine = decompose.NewEngine(disp, m.Funcs.Resolver(), m.Coref, m.Config().Decompose)
+			if tc.req.SourceOnt == "" {
+				tc.req.SourceOnt = rdf.AKTNS
+			}
+			res, err := m.Query(context.Background(), tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			sum, err := res.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			received := sorted(tap.seen)
+			if len(received) == 0 {
+				t.Fatal("no endpoint received anything")
+			}
+
+			// What the stages built, as executor requests.
+			var built []federate.Request
+			switch {
+			case res.Decomposition() != nil:
+				built = disp.reqs
+				if st := m.JoinEngine.Stats(); (st.HashJoinStages > 0) != tc.hashJoin || (st.BoundJoinStages > 0) == tc.hashJoin {
+					t.Errorf("join stages = %+v, want hash join: %v", st, tc.hashJoin)
+				}
+			case res.Plan() != nil:
+				built = []federate.Request{federate.PlanRequest(res.Plan())}
+			case tc.resources != nil:
+				freq, _ := m.describeRequest(tc.resources, nil)
+				built = []federate.Request{freq}
+			default:
+				freq := federate.Request{SourceOnt: tc.req.SourceOnt}
+				for _, target := range tc.req.Targets {
+					ds, _ := m.Datasets.Get(target)
+					freq.Targets = append(freq.Targets, federate.Target{Dataset: target,
+						Query: sparql.MustParse(tc.derived), NeedsRewrite: !ds.UsesVocabulary(tc.req.SourceOnt)})
+				}
+				built = []federate.Request{freq}
+			}
+			want := map[string][]string{}
+			rewritten := 0
+			for _, freq := range built {
+				for _, target := range freq.Targets {
+					text := sparql.Format(target.Query)
+					if target.NeedsRewrite {
+						rr, err := m.Rewrite(text, freq.SourceOnt, target.Dataset)
+						if err != nil {
+							t.Fatal(err)
+						}
+						text = rr.Query
+						rewritten++
+					}
+					want[target.Dataset] = append(want[target.Dataset], text)
+				}
+			}
+			if !reflect.DeepEqual(received, sorted(want)) {
+				t.Errorf("endpoints received\n%v\nthe stages built (rewritten as Mediator.Rewrite does)\n%v", received, want)
+			}
+			t.Logf("%d sub-queries, %d of them rewritten", len(sum.PerDataset), rewritten)
+
+			// Every text is the serialiser's own output, so it parses back
+			// to the query it was formatted from.
+			for dataset, texts := range received {
+				for _, text := range texts {
+					q, err := sparql.Parse(text)
+					if err != nil || sparql.Format(q) != text {
+						t.Errorf("%s received text that is not Format's: %v\n%s", dataset, err, text)
+					}
+				}
+			}
+
+			// The summary reports the texts that were sent.
+			reported := map[string][]string{}
+			for _, da := range sum.PerDataset {
+				if da.Err != nil {
+					t.Errorf("%s: %v", da.Dataset, da.Err)
+				}
+				reported[da.Dataset] = append(reported[da.Dataset], da.Query)
+			}
+			if !reflect.DeepEqual(sorted(reported), received) {
+				t.Errorf("DatasetAnswer.Query reports\n%v\nthe endpoints received\n%v", reported, received)
+			}
+		})
+	}
+}

@@ -3,7 +3,7 @@
 // (§3.4, Figure 5) describes, sitting between query rewriting and
 // federated execution.
 //
-// Given a query and its source ontology, the planner
+// Given a parsed query and its source ontology, the planner
 //
 //  1. selects sources — each registered data set is kept or pruned by
 //     matching the query's vocabulary namespaces and bound subject/object
@@ -18,6 +18,10 @@
 //     endpoints get deadlines proportional to their observed latency
 //     instead of the full default budget (cf. Yannakis et al.'s
 //     heuristics-based reordering, PAPERS.md).
+//
+// A plan holds the query the mediator parsed and clones of it, never text:
+// the executor formats a sub-query when it dispatches it, and a plan renders
+// its queries when it is marshalled (/api/plan, explain trailers, audit log).
 //
 // The package deliberately does not import internal/federate: the
 // executor consumes a *Plan, and health data flows in through the
@@ -186,8 +190,8 @@ type SubRequest struct {
 	// Replicas are alternate endpoints for the same data set, candidates
 	// for the executor's hedged dispatch.
 	Replicas []string `json:"replicas,omitempty"`
-	// Query is the sub-query text (a VALUES shard, or the input query).
-	Query string `json:"query"`
+	// Query is the sub-query: the plan's query, or its clone for this shard.
+	Query *sparql.Query `json:"query"`
 	// NeedsRewrite says the executor must translate Query for this data
 	// set before dispatch.
 	NeedsRewrite bool `json:"needsRewrite,omitempty"`
@@ -201,10 +205,12 @@ type SubRequest struct {
 }
 
 // Plan is an ordered set of sub-requests plus the decisions behind it.
+// Its queries are shared with the caller, never modified, and marshal as
+// their text.
 type Plan struct {
-	Query     string   `json:"query"`
-	SourceOnt string   `json:"source"`
-	Vars      []string `json:"vars"`
+	Query     *sparql.Query `json:"query"`
+	SourceOnt string        `json:"source"`
+	Vars      []string      `json:"vars"`
 	// ShardVar names the VALUES variable(s) the plan sharded on ("" when
 	// the query was not sharded).
 	ShardVar  string       `json:"shardVar,omitempty"`
@@ -227,24 +233,19 @@ func (pl *Plan) Datasets() []string {
 
 // Plan builds a federation plan for a SELECT query written against
 // sourceOnt, considering every data set registered in the voiD KB.
-func (p *Planner) Plan(queryText, sourceOnt string) (*Plan, error) {
-	q, err := sparql.Parse(queryText)
-	if err != nil {
-		return nil, fmt.Errorf("plan: parsing query: %w", err)
-	}
+func (p *Planner) Plan(q *sparql.Query, sourceOnt string) (*Plan, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("plan: federated planning supports SELECT only, got %s", q.Form)
 	}
-	vars := q.Projection()
 	prof := profileQuery(q)
 	var health map[string]EndpointHealth
 	if p.health != nil {
 		health = p.health()
 	}
-	shardTexts, shardVar := shardQuery(q, p.opts.ValuesBatch, p.opts.MaxShards)
+	subs, shardVar := ShardQuery(q, p.opts.ValuesBatch, p.opts.MaxShards)
 
-	pl := &Plan{Query: queryText, SourceOnt: sourceOnt, Vars: vars, ShardVar: shardVar}
-	var pruned, shards uint64
+	pl := &Plan{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), ShardVar: shardVar}
+	var pruned, sharded uint64
 	for _, ds := range p.datasets.All() {
 		dec := p.decide(ds, prof, sourceOnt)
 		h, known := health[ds.SPARQLEndpoint]
@@ -263,22 +264,19 @@ func (p *Planner) Plan(queryText, sourceOnt string) (*Plan, error) {
 		if timeout > 0 {
 			dec.DeadlineMS = float64(timeout.Microseconds()) / 1000
 		}
-		texts := shardTexts
-		if len(texts) == 0 {
-			texts = []string{queryText}
-		} else {
-			shards += uint64(len(texts))
+		if shardVar != "" {
+			sharded += uint64(len(subs))
 		}
-		dec.Shards = len(texts)
-		for i, text := range texts {
+		dec.Shards = len(subs)
+		for i, sub := range subs {
 			pl.Subs = append(pl.Subs, SubRequest{
 				Dataset:      ds.URI,
 				Endpoint:     ds.SPARQLEndpoint,
 				Replicas:     ds.Replicas,
-				Query:        text,
+				Query:        sub,
 				NeedsRewrite: dec.NeedsRewrite,
 				Shard:        i + 1,
-				Shards:       len(texts),
+				Shards:       len(subs),
 				Timeout:      timeout,
 				TimeoutMS:    float64(timeout.Microseconds()) / 1000,
 			})
@@ -291,7 +289,7 @@ func (p *Planner) Plan(queryText, sourceOnt string) (*Plan, error) {
 	p.metrics.considered.Add(float64(len(pl.Decisions)))
 	p.metrics.pruned.Add(float64(pruned))
 	p.metrics.subQueries.Add(float64(len(pl.Subs)))
-	p.metrics.valuesShards.Add(float64(shards))
+	p.metrics.valuesShards.Add(float64(sharded))
 	return pl, nil
 }
 

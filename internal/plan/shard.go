@@ -7,86 +7,55 @@ import (
 )
 
 // ShardQuery splits a query carrying a large VALUES block into batched
-// sub-query texts (see shardQuery). Exported for the per-BGP decomposer,
-// which batches bound-join bindings into a VALUES block and reuses this
-// machinery to cut the block into endpoint-sized sub-queries.
-func ShardQuery(q *sparql.Query, batch, maxShards int) (texts []string, shardVar string) {
-	return shardQuery(q, batch, maxShards)
-}
-
-// shardQuery splits a query carrying a large VALUES block into batched
-// sub-query texts: shard i keeps rows [i*batch, (i+1)*batch) of the
-// biggest block and everything else verbatim, so the shards' result sets
-// union back to the unsharded answer. It returns nil when the query has
-// no shardable VALUES block bigger than batch (or sharding is disabled).
+// sub-queries: shard i is a clone of q that keeps rows [i*batch,
+// (i+1)*batch) of the biggest block and everything else verbatim, so the
+// shards' result sets union back to the unsharded answer. A query with no
+// shardable VALUES block bigger than batch (or with sharding disabled) is
+// its own single shard, and shardVar is empty. The per-BGP decomposer
+// batches bound-join bindings into a VALUES block and cuts it into
+// endpoint-sized sub-queries with the same function.
 //
 // Sharding is semantics-preserving only when the union of shard results
 // equals the unsharded result: queries with LIMIT/OFFSET are never
 // sharded (each shard would apply the slice locally), and only VALUES
 // blocks at the top level of the WHERE group qualify (splitting a block
 // inside OPTIONAL/UNION would change which rows leave variables unbound).
-func shardQuery(q *sparql.Query, batch, maxShards int) (texts []string, shardVar string) {
+func ShardQuery(q *sparql.Query, batch, maxShards int) (shards []*sparql.Query, shardVar string) {
 	if batch <= 0 || q.Limit >= 0 || q.Offset >= 0 {
-		return nil, ""
+		return []*sparql.Query{q}, ""
 	}
-	ordinal, target := largestInlineData(q)
+	at, target := largestInlineData(q)
 	if target == nil || len(target.Rows) <= batch {
-		return nil, ""
+		return []*sparql.Query{q}, ""
 	}
 	rows := len(target.Rows)
-	shards := (rows + batch - 1) / batch
-	if maxShards > 0 && shards > maxShards {
-		shards = maxShards
-		batch = (rows + shards - 1) / shards
-		shards = (rows + batch - 1) / batch
+	n := (rows + batch - 1) / batch
+	if maxShards > 0 && n > maxShards {
+		n = maxShards
+		batch = (rows + n - 1) / n
+		n = (rows + batch - 1) / batch
 	}
-	for s := 0; s < shards; s++ {
-		lo, hi := s*batch, (s+1)*batch
-		if hi > rows {
-			hi = rows
-		}
+	for s := 0; s < n; s++ {
 		clone := q.Clone()
-		_, d := inlineDataAt(clone, ordinal)
-		d.Rows = d.Rows[lo:hi]
-		texts = append(texts, sparql.Format(clone))
+		d := clone.Where.Elements[at].(*sparql.InlineData)
+		d.Rows = d.Rows[s*batch : min((s+1)*batch, rows)]
+		shards = append(shards, clone)
 	}
-	return texts, "?" + strings.Join(target.Vars, " ?")
+	return shards, "?" + strings.Join(target.Vars, " ?")
 }
 
-// largestInlineData returns the ordinal (among the WHERE group's
-// top-level VALUES blocks) and pointer of the block with the most rows
-// (-1, nil when the query has none at top level).
+// largestInlineData returns the WHERE group's top-level VALUES block with
+// the most rows and its position among the group's elements, which a clone
+// keeps (-1, nil when the query has none at top level).
 func largestInlineData(q *sparql.Query) (int, *sparql.InlineData) {
-	best, bestOrd := (*sparql.InlineData)(nil), -1
+	best, at := (*sparql.InlineData)(nil), -1
 	if q.Where == nil {
-		return bestOrd, best
+		return at, best
 	}
-	ord := 0
-	for _, el := range q.Where.Elements {
-		if d, ok := el.(*sparql.InlineData); ok {
-			if best == nil || len(d.Rows) > len(best.Rows) {
-				best, bestOrd = d, ord
-			}
-			ord++
+	for i, el := range q.Where.Elements {
+		if d, ok := el.(*sparql.InlineData); ok && (best == nil || len(d.Rows) > len(best.Rows)) {
+			best, at = d, i
 		}
 	}
-	return bestOrd, best
-}
-
-// inlineDataAt returns the top-level VALUES block at the given ordinal.
-func inlineDataAt(q *sparql.Query, ordinal int) (int, *sparql.InlineData) {
-	var found *sparql.InlineData
-	if q.Where == nil {
-		return ordinal, nil
-	}
-	ord := 0
-	for _, el := range q.Where.Elements {
-		if d, ok := el.(*sparql.InlineData); ok {
-			if ord == ordinal {
-				found = d
-			}
-			ord++
-		}
-	}
-	return ordinal, found
+	return at, best
 }

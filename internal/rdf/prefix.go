@@ -98,14 +98,15 @@ func isAbsoluteIRI(s string) bool {
 
 // Shrink returns "prefix:local" for an IRI if some bound namespace is a
 // prefix of it and the remainder is a valid local name, else ok=false.
-// When several namespaces match, the longest wins.
+// When several namespaces match, the longest wins, and of two prefixes
+// bound to it the smaller one, so the same map always shrinks alike.
 func (pm *PrefixMap) Shrink(iri string) (string, bool) {
 	bestPrefix, bestNS := "", ""
 	for p, ns := range pm.toNS {
 		if ns == "" || !strings.HasPrefix(iri, ns) {
 			continue
 		}
-		if len(ns) > len(bestNS) {
+		if len(ns) > len(bestNS) || (len(ns) == len(bestNS) && p < bestPrefix) {
 			bestNS, bestPrefix = ns, p
 		}
 	}

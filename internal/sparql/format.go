@@ -85,6 +85,21 @@ func Format(q *Query) string {
 	return strings.TrimRight(b.String(), "\n") + "\n"
 }
 
+// MarshalText renders the query as its text, so a document that carries a
+// parsed query (a federation plan, a decomposition) serialises it when the
+// document is marshalled and not before.
+func (q *Query) MarshalText() ([]byte, error) { return []byte(Format(q)), nil }
+
+// UnmarshalText is MarshalText's inverse: it parses the text into q.
+func (q *Query) UnmarshalText(text []byte) error {
+	parsed, err := Parse(string(text))
+	if err != nil {
+		return err
+	}
+	*q = *parsed
+	return nil
+}
+
 func usedNamespaces(q *Query, pm *rdf.PrefixMap) map[string]bool {
 	used := map[string]bool{}
 	note := func(t rdf.Term) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/workload"
 )
 
 // Random-AST round-trip properties: any expression tree the generator can
@@ -175,4 +176,55 @@ func TestRandomQueryRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Figure 3 of the paper: Figure 1 rewritten for the KISTI repository.
+const figure3 = `PREFIX kid:<http://kisti.rkbexplorer.com/id/>
+PREFIX kisti:<http://www.kisti.re.kr/isrl/ResearchRefOntology#>
+SELECT DISTINCT ?a WHERE {
+  ?paper kisti:hasCreatorInfo ?c1 .
+  ?c1 kisti:hasCreator kid:PER_000000000000105047 .
+  ?paper kisti:hasCreatorInfo ?c2 .
+  ?c2 kisti:hasCreator ?a .
+  FILTER (!(?a = kid:PER_000000000000105047))
+}`
+
+// FuzzParseFormat holds the serialiser to what the mediator leans on when
+// it sends an endpoint Format(q) in place of the text q was parsed from:
+// whatever parses formats to text that parses again, and formatting is a
+// fixpoint from there.
+func FuzzParseFormat(f *testing.F) {
+	for _, src := range []string{
+		figure1, figure3, figure6,
+		workload.Figure1Query(7), workload.ChainQuery(4), workload.TitleQuery(2), workload.CrossVocabularyQuery(3),
+		// A VALUES-sharded sub-query, with an UNDEF cell.
+		`PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT ?a WHERE { VALUES (?p ?n) { (<http://e/p1> "x") (<http://e/p2> UNDEF) } ?p akt:has-author ?a }`,
+		`PREFIX ex:<http://example.org/>
+SELECT REDUCED ?s ?v WHERE {
+  ?s ex:p ?v . OPTIONAL { ?s ex:q ?q . FILTER (BOUND(?q) || ?v > 2.5) }
+  { ?s ex:r "chat"@fr } UNION { ?s ex:t "7"^^<http://www.w3.org/2001/XMLSchema#integer> }
+  FILTER (REGEX(STR(?s), "^http", "i") && !(?v = -3))
+} ORDER BY DESC(?v) ?s LIMIT 7 OFFSET 2`,
+		`ASK { ?s ?p ?o }`,
+		`PREFIX ex:<http://example.org/> CONSTRUCT { ?s ex:knows _:b . _:b ex:name ?n } WHERE { ?s ex:name ?n } LIMIT 5`,
+		`DESCRIBE <http://example.org/a> ?x WHERE { ?x a <http://example.org/C> }`,
+		`DESCRIBE <http://example.org/a>`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := Format(q)
+		q2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Format's output does not parse: %v\ninput:  %q\noutput: %q", err, src, text)
+		}
+		if again := Format(q2); again != text {
+			t.Fatalf("Format is not a fixpoint\ninput:  %q\nfirst:  %q\nsecond: %q", src, text, again)
+		}
+	})
 }

@@ -78,13 +78,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Runner is the view manager's window onto the federated pipeline,
-// implemented by the mediator. Materialize must bypass the view tier
-// itself (no recursion, no re-mining) and report Complete=false whenever
-// any data set failed — a view must never be built from a partial
-// answer. Canonicalise maps ground IRIs to their owl:sameAs
-// representatives with the same rule the federated merge uses.
+// implemented by the mediator. Materialize runs the covering query the
+// manager built, must bypass the view tier itself (no recursion, no
+// re-mining) and report Complete=false whenever any data set failed — a
+// view must never be built from a partial answer. Canonicalise maps ground
+// IRIs to their owl:sameAs representatives with the same rule the
+// federated merge uses.
 type Runner interface {
-	Materialize(ctx context.Context, queryText, sourceOnt string) (*MaterializeResult, error)
+	Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error)
 	Canonicalise(patterns []rdf.Triple) []rdf.Triple
 }
 
@@ -517,20 +518,16 @@ func patternStatKey(tp rdf.Triple) (term, shp string) {
 
 var errTooLarge = errors.New("view: materialized result exceeds MaxTriples")
 
-// materializeQuery formats the shape's covering query: SELECT * over the
+// materializeQuery builds the shape's covering query: SELECT * over the
 // original (uncanonicalised) BGP, filters dropped so the view covers
 // every filtering of the shape.
-func materializeQuery(sh *shape) string {
-	q := &sparql.Query{
-		Form:       sparql.Select,
-		SelectStar: true,
-		Where: &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{
-			&sparql.BGP{Patterns: append([]rdf.Triple(nil), sh.patternsOrig...)},
-		}},
-		Limit:  -1,
-		Offset: -1,
-	}
-	return sparql.Format(q)
+func materializeQuery(sh *shape) *sparql.Query {
+	q := sparql.NewQuery(sparql.Select)
+	q.SelectStar = true
+	q.Where = &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{
+		&sparql.BGP{Patterns: append([]rdf.Triple(nil), sh.patternsOrig...)},
+	}}
+	return q
 }
 
 // build runs the shape's covering query through the federated pipeline

@@ -22,7 +22,7 @@ type fakeRunner struct {
 	err       error
 }
 
-func (r *fakeRunner) Materialize(ctx context.Context, queryText, sourceOnt string) (*MaterializeResult, error) {
+func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
