@@ -15,176 +15,96 @@
 // (default) or text/turtle for graphs. The protocol extensions `target`
 // (repeatable; explicit data sets) and `source` (source ontology) carry
 // the mediator-specific inputs; without them the planner auto-selects and
-// the vocabulary is guessed.
+// the vocabulary is guessed. Every result path streams: the first merged
+// row is on the wire before the slowest repository answers, and closing
+// the connection cancels all in-flight sub-queries.
 //
-// # Federation pipeline
+// # Federation, planning, decomposition
 //
-// Federated queries run through internal/federate: each
-// target data set's sub-query is planned (rewritten for the target
-// vocabulary, served from an LRU plan cache with singleflight
-// deduplication), dispatched by a bounded worker pool with a per-attempt
-// deadline, retry-with-backoff and a per-endpoint circuit breaker, and
-// the answers are streamed into a canonicalising owl:sameAs merge. The
-// knobs:
+// Each target data set's sub-query is rewritten for the target vocabulary
+// (served from an LRU plan cache), dispatched by a bounded worker pool
+// with a per-attempt deadline, retry-with-backoff and a per-endpoint
+// circuit breaker, and streamed into a canonicalising owl:sameAs merge
+// (internal/federate). Queries that name no targets go through the
+// voiD-driven planner (internal/plan): source selection, VALUES sharding,
+// fastest-endpoint-first dispatch. A query no single repository covers —
+// the third generated repository, "citation metrics", serves a second
+// vocabulary over the same paper URIs — is split into per-endpoint
+// exclusive groups joined with VALUES-bound joins (internal/decompose).
+// POST /api/plan explains plan and decomposition without running them;
+// GET /api/stats reports every layer's counters. Batch sizes, body caps
+// and the bound-join threshold run at their package defaults. The knobs:
 //
-//	-concurrency N     worker-pool bound for the fan-out (default 8)
-//	-per-endpoint N    in-flight requests per endpoint; 0 = unbounded
-//	-timeout D         per-endpoint attempt deadline (default 10s)
-//	-retries N         retries after a failed attempt (default 1)
-//	-cache N           rewrite-plan LRU capacity; 0 disables (default 256)
-//	-failfast          cancel the fan-out on the first endpoint error
-//	                   instead of returning best-effort partial results
-//
-// # Streaming
-//
-// Every result path streams: the SPARQL endpoints serve chunked
-// results-JSON as the evaluator yields solutions, the mediator merges
-// per-endpoint streams incrementally, and /sparql writes (and
-// flushes) each merged row as it arrives — the first row is on the wire
-// before the slowest repository answers, and closing the connection
-// cancels all in-flight sub-queries. Body caps:
-//
-//	-max-request-body N   endpoint POST body cap in bytes (default 1 MiB)
-//	-max-response-body N  client cap for buffered (non-streaming)
-//	                      responses in bytes (default 64 MiB)
-//
-// # Planner
-//
-// Federated queries that name no targets go through the voiD-driven
-// planner (internal/plan): source selection prunes repositories whose
-// voiD profile cannot answer the query, large VALUES blocks shard into
-// batched sub-queries, and dispatch is ordered fastest-endpoint-first
-// with adaptive deadlines. The knobs:
-//
-//	-plan            enable planner auto-selection (default true)
-//	-values-batch N  VALUES rows per sharded sub-query (default 50)
-//
-// POST /api/plan explains a query's plan without running it; GET
-// /api/stats reports per-endpoint latency, retries and breaker state,
-// the plan-cache hit rate, and the planner's pruning/sharding counters.
+//	-concurrency N  worker-pool bound for the fan-out (default 8)
+//	-timeout D      per-endpoint attempt deadline (default 10s)
+//	-retries N      retries after a failed attempt (default 1)
+//	-cache N        rewrite-plan LRU capacity; 0 disables (default 256)
+//	-failfast       cancel the fan-out on the first endpoint error
+//	                instead of returning best-effort partial results
+//	-filters        the §4 FILTER-rewriting extension (default true)
 //
 // # Observability
 //
-// Every layer registers its counters, gauges and latency histograms in
-// one shared registry served in Prometheus text format at GET /metrics.
-// Each query grows a span tree (rewrite, plan, decompose, per-endpoint
-// sub-queries with retries, bytes and time-to-first-solution); the
-// /sparql extension explain=trace appends it to the response, X-Trace-Id
-// names it, and GET /api/trace[/{id}] serves the recent-trace ring.
-// The pipeline stages additionally record typed per-operator runtime
-// profiles (rows in/out, bytes, first-row latency, estimated vs actual
-// cardinality and q-error); explain=analyze executes the query and ships
-// that operator tree in the response trailer, GET /api/analyze/{id}
-// renders it as a table, and /debug/dashboard shows it per trace.
+// Every layer registers its instruments in one registry served in
+// Prometheus text format at GET /metrics. Each query grows a span tree;
+// the /sparql extension explain=trace appends it to the response,
+// explain=analyze ships the typed per-operator profile (rows, bytes,
+// estimated vs actual cardinality), X-Trace-Id names it, and GET
+// /api/trace[/{id}] and /api/analyze/{id} serve the recent-trace ring.
 // Observed cardinalities feed a per-(dataset, predicate/class, shape)
-// store persisted next to the flight recorder and exported as
-// sparqlrw_estimate_qerror histograms; with -adaptive-stats the planner
-// corrects voiD estimates from it (correction capped at 100x), and voiD
-// or alignment KB updates invalidate the affected cells. Structured logs
-// go through log/slog; queries slower than -slow-query log a warning
-// with their trace ID. The knobs:
+// store; with -adaptive-stats the planner corrects voiD estimates from
+// it. Requests carrying a W3C `traceparent` header join the caller's
+// trace, finished traces can ship to an OTLP/HTTP collector, GET
+// /api/health scores every endpoint, and slow or failed queries persist
+// to an on-disk flight recorder listed at GET /api/audit. The knobs:
 //
-//	-log-level L        debug|info|warn|error (default info)
-//	-log-format F       text|json (default text)
-//	-slow-query D       slow-query log threshold; negative disables (default 1s)
-//	-trace-ring N       recent traces kept for /api/trace (default 128)
-//	-debug-addr A       serve net/http/pprof and /debug/dashboard on this
-//	                    address ("" disables)
-//	-adaptive-stats     correct voiD estimates with observed cardinalities
-//	-metrics-label-cap N  label combinations kept per metric family before
-//	                    new ones collapse into an "other" series (0 = unbounded)
-//
-// The mediator also speaks W3C Trace Context: requests carrying a
-// `traceparent` header join the caller's distributed trace (the same
-// trace id flows to every outbound sub-query), and every response —
-// errors included — carries X-Trace-Id. Finished traces can ship to any
-// OTLP/HTTP collector; per-endpoint health (EWMA latency quantiles,
-// error rate, breaker state, composite score) serves at GET /api/health
-// and feeds background ASK probes; slow or failed queries persist to an
-// on-disk flight recorder listed at GET /api/audit. The knobs:
-//
-//	-otlp-endpoint U  OTLP/HTTP collector URL, e.g.
-//	                  http://localhost:4318/v1/traces ("" disables)
-//	-trace-sample P   head-sampling probability in (0,1] for locally
-//	                  rooted traces (default 1)
+//	-log-level L      debug|info|warn|error (default info)
+//	-log-format F     text|json (default text)
+//	-slow-query D     slow-query log threshold; negative disables (default 1s)
+//	-debug-addr A     serve net/http/pprof and /debug/dashboard here
+//	-adaptive-stats   correct voiD estimates with observed cardinalities
+//	-otlp-endpoint U  OTLP/HTTP collector URL ("" disables)
+//	-trace-sample P   head-sampling probability in (0,1] (default 1)
 //	-audit-dir D      flight-recorder directory ("" disables)
-//	-audit-max N      flight-recorder disk budget in bytes (default 16 MiB)
 //	-health-probe D   background ASK-probe interval (0 disables)
 //
 // # Serving tier
 //
-// A production serving tier (internal/serve) fronts /sparql: requests
-// are mapped to tenants (X-API-Key / Authorization: Bearer, or
-// X-Tenant-Id for key-less tenants; everything else is the anonymous
-// default), admitted through per-tenant token-bucket rate limits and
-// concurrency caps with a bounded wait queue, and shed as 429/503 (with
-// Retry-After and the usual JSON error document) before any planning
-// work runs. Tenants may carry a policy — a dataset allowlist, subject
-// URI-space allowlist and predicate denylist — that is injected into
-// the query algebra before planning, so a restricted tenant's query
-// cannot match triples outside its grant regardless of which endpoints
-// it federates to (out-of-policy queries get 403). Repeated SELECT/ASK
-// queries serve from a federated result cache keyed by the owl:sameAs
-// canonicalised query text, invalidated whenever the voiD or alignment
-// KBs change. Slow sub-queries can be hedged: when a primary endpoint
-// attempt runs past its observed p95 latency, a backup fires at the
-// data set's next-healthiest replica (voiD extension property
-// map:replicaEndpoint) and the first answer wins. The knobs:
+// internal/serve fronts /sparql: requests map to tenants (X-API-Key /
+// Authorization: Bearer, or X-Tenant-Id), are admitted through per-tenant
+// rate limits and concurrency caps, and shed as 429/503 before any
+// planning runs. A tenant's policy — dataset allowlist, subject URI
+// spaces, denied predicates — is injected into the query algebra
+// (out-of-policy queries get 403). Repeated SELECT/ASK queries serve from
+// a result cache keyed by the sameAs-canonicalised query, invalidated
+// whenever the voiD or alignment KBs change. Slow sub-queries can be
+// hedged to a data set's replica endpoint. The knobs:
 //
-//	-tenants F           tenant configuration file (JSON; empty =
-//	                     anonymous only, unlimited)
-//	-result-cache N      result-cache entries; 0 disables (default 512)
-//	-result-cache-ttl D  result-cache entry lifetime (default 5m)
-//	-hedge               hedge slow sub-queries to replica endpoints
-//	-hedge-min-delay D   floor on the hedge trigger delay (default 25ms)
+//	-tenants F       tenant configuration file (JSON; empty = anonymous
+//	                 only, unlimited)
+//	-result-cache N  result-cache entries; 0 disables (default 512)
+//	-hedge           hedge slow sub-queries to replica endpoints
 //
 // # Materialized views
 //
 // With -views, the mediator mines the decomposed-query stream for
-// frequently repeated cross-vocabulary join shapes and materializes
-// their sameAs-canonicalised federated answer into an embedded
-// dictionary-encoded triple store served behind an in-process local://
-// endpoint — later queries whose basic graph pattern matches a view
-// (modulo variable renaming and owl:sameAs spelling) are answered
-// locally with zero endpoint round trips; FILTER, projection, DISTINCT
-// and LIMIT still apply, evaluated by the embedded engine. Views are
-// never silently stale: a voiD update marks views over that data set
-// stale, an alignment update marks all views stale, stale views refuse
-// to answer (queries fall back to federation), and a background loop
-// re-materializes them — plus on a TTL when -view-refresh is set. GET
-// /api/views lists each view's covered shape, source data sets,
-// freshness and synthetic voiD statistics; sparqlrw_view_{hits,misses,
-// refreshes,triples} track the tier in /metrics; POST /api/alignments
-// loads alignment Turtle into the running KB (and invalidates). The
-// knobs:
+// repeated cross-vocabulary join shapes and materializes their
+// sameAs-canonicalised federated answer into an embedded store; later
+// queries whose basic graph pattern matches a view (modulo variable
+// renaming and owl:sameAs spelling) are evaluated over that store in
+// process — zero endpoint round trips, no query text. Views are never
+// silently stale: voiD and alignment updates mark them stale, stale views
+// refuse to answer, and a background loop re-materializes them. GET
+// /api/views lists them; POST /api/alignments loads alignment Turtle into
+// the running KB (and invalidates). The knobs:
 //
-//	-views               enable the materialized-view tier
-//	-view-refresh D      TTL re-materialization interval (0 = only on
-//	                     KB invalidation)
-//	-view-max-triples N  per-view materialized size cap (default 50000)
-//
-// # Decomposition
-//
-// A third generated repository ("citation metrics") serves a second
-// vocabulary over the same paper URIs. A query spanning both
-// vocabularies has no single covering repository, so the mediator splits
-// its BGP into per-endpoint exclusive groups (internal/decompose),
-// orders them by voiD cardinality statistics, and joins the fragment
-// streams with VALUES-bound joins. /api/plan explains the fragments,
-// estimates and join order; /api/stats counts decompositions and join
-// stages. The knobs:
-//
-//	-decompose       enable the multi-source path (default true)
-//	-bind-batch N    bound-join VALUES rows per sub-query (default 30)
-//	-max-bind N      bindings above this hash-join at the mediator
-//	                 instead of binding (-1 always hash-joins)
+//	-views           enable the materialized-view tier
+//	-view-refresh D  TTL re-materialization interval (0 = only on KB
+//	                 invalidation)
 //
 // # Usage
 //
-//	mediator [-addr :8080] [-persons 100] [-papers 300] [-filters]
-//	         [-concurrency 8] [-timeout 10s] [-retries 1] [-cache 256]
-//	         [-failfast] [-plan] [-values-batch 50]
-//	         [-decompose] [-bind-batch 30] [-max-bind 1024]
+//	mediator [-addr :8080] [-persons 100] [-papers 300] [-seed 42] [flags]
 //
 // Then open http://localhost:8080/ for the Figure-4-style UI, or use the
 // protocol endpoint and REST API:
@@ -192,10 +112,6 @@
 //	curl -s 'localhost:8080/sparql?query=SELECT...'
 //	curl -s -N -H 'Accept: application/x-ndjson' \
 //	     --data-urlencode 'query=SELECT...' localhost:8080/sparql
-//	curl -s -H 'Accept: text/turtle' \
-//	     --data-urlencode 'query=CONSTRUCT...' localhost:8080/sparql
-//	curl -s localhost:8080/api/datasets
-//	curl -s localhost:8080/api/stats
 //	curl -s -X POST localhost:8080/api/plan -d '{"query":"..."}'
 //	curl -s -X POST localhost:8080/api/rewrite \
 //	     -d '{"query":"...", "target":"http://kisti.rkbexplorer.com/id/void"}'
@@ -215,12 +131,10 @@ import (
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/coref"
-	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/mediate"
 	"sparqlrw/internal/obs"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/view"
@@ -242,38 +156,24 @@ func run() error {
 	filters := flag.Bool("filters", true, "enable the §4 FILTER-rewriting extension")
 	seed := flag.Int64("seed", 42, "workload seed")
 	concurrency := flag.Int("concurrency", 8, "federation worker-pool bound")
-	perEndpoint := flag.Int("per-endpoint", 0, "in-flight requests per endpoint (0 = unbounded)")
-	maxRequestBody := flag.Int64("max-request-body", endpoint.DefaultMaxRequestBody, "endpoint POST body cap in bytes (-1 = unlimited)")
-	maxResponseBody := flag.Int64("max-response-body", endpoint.DefaultMaxResponseBody, "client cap for buffered responses in bytes (-1 = unlimited)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-endpoint attempt deadline")
 	retries := flag.Int("retries", 1, "retries after a failed endpoint attempt")
 	cacheSize := flag.Int("cache", 256, "rewrite-plan cache capacity (0 disables)")
 	failFast := flag.Bool("failfast", false, "cancel federated queries on the first endpoint error")
-	usePlan := flag.Bool("plan", true, "auto-select federation targets with the voiD-driven planner")
-	valuesBatch := flag.Int("values-batch", 50, "VALUES rows per sharded federation sub-query (0 disables sharding)")
-	useDecompose := flag.Bool("decompose", true, "split multi-vocabulary queries into per-endpoint fragments joined at the mediator")
-	bindBatch := flag.Int("bind-batch", 30, "bound-join VALUES rows per decomposed sub-query")
-	maxBind := flag.Int("max-bind", 1024, "bindings above this fall back to a mediator-side hash join (-1 always hash-joins)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	slowQuery := flag.Duration("slow-query", time.Second, "log queries slower than this (negative disables)")
-	traceRing := flag.Int("trace-ring", 128, "recent traces kept for /api/trace")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/dashboard on this address (empty disables)")
 	otlpEndpoint := flag.String("otlp-endpoint", "", "ship finished traces to this OTLP/HTTP collector URL, e.g. http://localhost:4318/v1/traces (empty disables)")
 	traceSample := flag.Float64("trace-sample", 1, "OTLP head-sampling probability in (0,1] for locally rooted traces")
 	auditDir := flag.String("audit-dir", "", "record slow/failed queries as JSON lines in this directory (empty disables)")
-	auditMax := flag.Int64("audit-max", obs.DefaultAuditMaxBytes, "flight recorder disk budget in bytes")
 	healthProbe := flag.Duration("health-probe", 0, "background ASK-probe interval per endpoint (0 disables)")
 	adaptiveStats := flag.Bool("adaptive-stats", false, "correct voiD cardinality estimates with observed cardinalities")
-	metricLabelCap := flag.Int("metrics-label-cap", 0, "label combinations kept per metric family before collapsing to \"other\" (0 = unbounded)")
 	tenantsFile := flag.String("tenants", "", "tenant configuration file (JSON; empty = anonymous only, unlimited)")
 	resultCache := flag.Int("result-cache", 512, "federated result cache capacity in entries (0 disables)")
-	resultCacheTTL := flag.Duration("result-cache-ttl", 5*time.Minute, "federated result cache entry lifetime")
 	hedge := flag.Bool("hedge", false, "hedge slow sub-queries to replica endpoints")
-	hedgeMinDelay := flag.Duration("hedge-min-delay", 25*time.Millisecond, "floor on the hedge trigger delay")
 	views := flag.Bool("views", false, "materialize frequently repeated cross-vocabulary joins into an embedded store")
 	viewRefresh := flag.Duration("view-refresh", 0, "re-materialize views this long after their last refresh (0 = refresh only on KB invalidation)")
-	viewMaxTriples := flag.Int("view-max-triples", 50000, "per-view materialized triple cap; larger shapes are not materialized")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), `Usage: mediator [flags]
 
@@ -337,15 +237,9 @@ Flags:
 		return err
 	}
 	metricsStore := workload.MetricsStore(u)
-	sotonEP := endpoint.NewServer("southampton", u.Southampton)
-	sotonEP.MaxRequestBody = *maxRequestBody
-	kistiEP := endpoint.NewServer("kisti", u.KISTI)
-	kistiEP.MaxRequestBody = *maxRequestBody
-	metricsEP := endpoint.NewServer("metrics", metricsStore)
-	metricsEP.MaxRequestBody = *maxRequestBody
-	go func() { _ = http.Serve(sotonLis, sotonEP) }()
-	go func() { _ = http.Serve(kistiLis, kistiEP) }()
-	go func() { _ = http.Serve(metricsLis, metricsEP) }()
+	go func() { _ = http.Serve(sotonLis, endpoint.NewServer("southampton", u.Southampton)) }()
+	go func() { _ = http.Serve(kistiLis, endpoint.NewServer("kisti", u.KISTI)) }()
+	go func() { _ = http.Serve(metricsLis, endpoint.NewServer("metrics", metricsStore)) }()
 	go func() { _ = http.Serve(corefLis, coref.Handler(u.Coref)) }()
 	sotonURL := "http://" + sotonLis.Addr().String()
 	kistiURL := "http://" + kistiLis.Addr().String()
@@ -410,8 +304,8 @@ Flags:
 		alignKB.Len(), alignKB.EntityAlignmentCount())
 
 	// Tier 1: the mediator, talking to the co-reference service over HTTP
-	// exactly as the paper wraps sameas.org. All three layers configure
-	// through the one consolidated Config.
+	// exactly as the paper wraps sameas.org. Planner, decomposer, batch
+	// sizes and body caps run at their package defaults.
 	fedRetries := *retries
 	if fedRetries == 0 {
 		fedRetries = -1 // federate.Options treats 0 as "default"; -1 means none
@@ -423,25 +317,20 @@ Flags:
 	opts := []mediate.Option{
 		mediate.WithRewriteFilters(*filters),
 		mediate.WithObservability(obs.Options{
-			Logger:         logger,
-			SlowQuery:      *slowQuery,
-			TraceRingSize:  *traceRing,
-			OTLPEndpoint:   *otlpEndpoint,
-			TraceSample:    *traceSample,
-			AuditDir:       *auditDir,
-			AuditMaxBytes:  *auditMax,
-			AdaptiveStats:  *adaptiveStats,
-			MetricLabelCap: *metricLabelCap,
+			Logger:        logger,
+			SlowQuery:     *slowQuery,
+			OTLPEndpoint:  *otlpEndpoint,
+			TraceSample:   *traceSample,
+			AuditDir:      *auditDir,
+			AdaptiveStats: *adaptiveStats,
 		}),
 		mediate.WithFederation(federate.Options{
-			Concurrency:            *concurrency,
-			PerEndpointConcurrency: *perEndpoint,
-			EndpointTimeout:        *timeout,
-			MaxRetries:             fedRetries,
-			CacheSize:              fedCache,
-			FailFast:               *failFast,
-			Hedge:                  *hedge,
-			HedgeMinDelay:          *hedgeMinDelay,
+			Concurrency:     *concurrency,
+			EndpointTimeout: *timeout,
+			MaxRetries:      fedRetries,
+			CacheSize:       fedCache,
+			FailFast:        *failFast,
+			Hedge:           *hedge,
 		}),
 	}
 	var tenantsCfg *serve.TenantsConfig
@@ -458,44 +347,13 @@ Flags:
 	opts = append(opts, mediate.WithServing(serve.Options{
 		Tenants:   tenantsCfg,
 		CacheSize: resultCacheSize,
-		CacheTTL:  *resultCacheTTL,
 	}))
-	if *usePlan {
-		batch := *valuesBatch
-		if batch == 0 {
-			batch = -1 // plan.Options treats 0 as "default"; -1 disables
-		}
-		opts = append(opts, mediate.WithPlanner(plan.Options{ValuesBatch: batch}))
-	} else {
-		opts = append(opts, mediate.WithoutPlanner())
-	}
-	if *usePlan && *useDecompose {
-		opts = append(opts, mediate.WithDecomposer(decompose.Options{
-			BindBatch: *bindBatch, MaxBindRows: *maxBind,
-		}))
-	} else {
-		opts = append(opts, mediate.WithoutDecomposer())
-	}
 	if *views {
-		opts = append(opts, mediate.WithViews(view.Options{
-			RefreshTTL: *viewRefresh,
-			MaxTriples: *viewMaxTriples,
-		}))
+		opts = append(opts, mediate.WithViews(view.Options{RefreshTTL: *viewRefresh}))
 	}
 	m := mediate.New(dsKB, alignKB, coref.NewClient(corefURL), opts...)
-	m.Client.MaxResponseBody = *maxResponseBody
-	fmt.Printf("federation: concurrency=%d per-endpoint=%d timeout=%s retries=%d cache=%d failfast=%v\n",
-		*concurrency, *perEndpoint, *timeout, *retries, *cacheSize, *failFast)
-	if *usePlan {
-		fmt.Printf("planner: enabled values-batch=%d\n", *valuesBatch)
-	} else {
-		fmt.Println("planner: disabled (queries must name explicit targets)")
-	}
-	if *usePlan && *useDecompose {
-		fmt.Printf("decompose: enabled bind-batch=%d max-bind=%d\n", *bindBatch, *maxBind)
-	} else {
-		fmt.Println("decompose: disabled (multi-vocabulary queries will fail)")
-	}
+	fmt.Printf("federation: concurrency=%d timeout=%s retries=%d cache=%d failfast=%v hedge=%v\n",
+		*concurrency, *timeout, *retries, *cacheSize, *failFast, *hedge)
 	if tenantsCfg != nil {
 		fmt.Printf("serving: %d named tenants from %s (+ anonymous default)\n",
 			len(tenantsCfg.Tenants), *tenantsFile)
@@ -503,22 +361,19 @@ Flags:
 		fmt.Println("serving: anonymous tenant only, unlimited")
 	}
 	if resultCacheSize > 0 {
-		fmt.Printf("result cache: %d entries, ttl=%s\n", resultCacheSize, *resultCacheTTL)
+		fmt.Printf("result cache: %d entries\n", resultCacheSize)
 	} else {
 		fmt.Println("result cache: disabled")
 	}
-	if *hedge {
-		fmt.Printf("hedging: enabled min-delay=%s\n", *hedgeMinDelay)
-	}
 	if *views {
-		fmt.Printf("views: enabled refresh=%s max-triples=%d\n", *viewRefresh, *viewMaxTriples)
+		fmt.Printf("views: enabled refresh=%s\n", *viewRefresh)
 	}
 
 	if *otlpEndpoint != "" {
 		fmt.Printf("otlp: exporting traces to %s (sample=%g)\n", *otlpEndpoint, *traceSample)
 	}
 	if *auditDir != "" {
-		fmt.Printf("audit: recording slow/failed queries under %s (budget=%d bytes)\n", *auditDir, *auditMax)
+		fmt.Printf("audit: recording slow/failed queries under %s\n", *auditDir)
 	}
 	if *healthProbe > 0 {
 		m.StartHealthProbes(*healthProbe)
@@ -545,8 +400,7 @@ Flags:
 		strings.ReplaceAll(workload.Figure1Query(1), "\n", " "), lis.Addr().String())
 	logger.Info("mediator up",
 		"addr", lis.Addr().String(),
-		"slowQuery", slowQuery.String(),
-		"traceRing", *traceRing)
+		"slowQuery", slowQuery.String())
 
 	// SIGINT/SIGTERM flush the observer before exit: the OTLP queue
 	// drains, the flight recorder closes its segment, and the observed-

@@ -699,10 +699,9 @@ SELECT ?paper ?a ?c WHERE {
 		Misses    uint64 `json:"misses"`
 		Refreshes uint64 `json:"refreshes"`
 		Views     []struct {
-			ID       string `json:"id"`
-			State    string `json:"state"`
-			Endpoint string `json:"endpoint"`
-			Triples  int    `json:"triples"`
+			ID      string `json:"id"`
+			State   string `json:"state"`
+			Triples int    `json:"triples"`
 		} `json:"views"`
 	}
 	getViews := func() viewsDoc {
@@ -759,9 +758,6 @@ SELECT ?paper ?a ?c WHERE {
 	vd := waitViews("view to materialize", func(vd viewsDoc) bool {
 		return len(vd.Views) == 1 && vd.Views[0].State == "ready"
 	})
-	if !strings.HasPrefix(vd.Views[0].Endpoint, "local://") {
-		t.Fatalf("view endpoint = %q, want local://", vd.Views[0].Endpoint)
-	}
 	if vd.Views[0].Triples == 0 {
 		t.Fatal("materialized view is empty")
 	}

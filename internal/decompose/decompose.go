@@ -444,7 +444,7 @@ func (d *Decomposer) estimateFragment(f *Fragment) {
 	// Key the estimate for observed-cardinality feedback: actuals from
 	// unbound dispatches of this fragment calibrate the cheapest
 	// pattern's cell — the figure that became EstCard.
-	f.statTerm, f.statShape = patternStatKey(rs[0].tp)
+	f.statTerm, f.statShape = obs.PatternStatKey(rs[0].tp)
 	f.estByDataset = make(map[string]int64, len(f.Targets))
 	for _, t := range f.Targets {
 		est := int64(-1)
@@ -509,23 +509,8 @@ func (d *Decomposer) patternCard(tp rdf.Triple, datasetURI string) int64 {
 	if base < 1 {
 		base = 1
 	}
-	term, shape := patternStatKey(tp)
+	term, shape := obs.PatternStatKey(tp)
 	return d.opts.Cards.Correct(datasetURI, term, shape, base)
-}
-
-// patternStatKey maps a pattern onto its observed-cardinality store
-// cell: the class IRI for rdf:type patterns, the predicate IRI
-// otherwise ("" for variable predicates), plus the ground-position
-// shape. rdf:type objects count as part of the term, not as a ground
-// object, mirroring patternCard's damping.
-func patternStatKey(tp rdf.Triple) (term, shape string) {
-	isType := tp.P.IsIRI() && tp.P.Value == rdf.RDFType
-	if isType && tp.O.IsIRI() {
-		term = tp.O.Value
-	} else if tp.P.IsIRI() {
-		term = tp.P.Value
-	}
-	return term, obs.PatternShape(tp.S.IsGround(), tp.O.IsGround() && !isType)
 }
 
 // orderFragments arranges fragments for left-to-right execution: the

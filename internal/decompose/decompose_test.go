@@ -3,6 +3,7 @@ package decompose
 import (
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -41,7 +42,7 @@ func newStoreClient() *storeClient {
 	}
 }
 
-func (c *storeClient) SelectContext(ctx context.Context, url, query string) (*eval.Result, error) {
+func (c *storeClient) SelectRowStream(ctx context.Context, url, query string) (eval.RowStream, error) {
 	c.mu.Lock()
 	c.queries[url] = append(c.queries[url], query)
 	st := c.stores[url]
@@ -58,8 +59,33 @@ func (c *storeClient) SelectContext(ctx context.Context, url, query string) (*ev
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %v in:\n%s", url, err, query)
 	}
-	return eval.New(st).Select(q)
+	res, err := eval.New(st).Select(q)
+	if err != nil {
+		return nil, err
+	}
+	return &resultStream{sols: res.Solutions}, nil
 }
+
+// resultStream serves an evaluated result as the executor reads an
+// endpoint: positional rows over the reader's slot table.
+type resultStream struct {
+	sols []eval.Solution
+	i    int
+}
+
+func (s *resultStream) NextRow(vars []string, row eval.Row) error {
+	if s.i >= len(s.sols) {
+		return io.EOF
+	}
+	for i, v := range vars {
+		row[i] = s.sols[s.i][v]
+	}
+	s.i++
+	return nil
+}
+
+func (s *resultStream) RowBuffered() bool { return s.i < len(s.sols) }
+func (s *resultStream) Close() error      { return nil }
 
 func (c *storeClient) queriesFor(url string) []string {
 	c.mu.Lock()

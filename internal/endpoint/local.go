@@ -10,11 +10,12 @@ import (
 
 // The local:// scheme serves a SPARQL endpoint in-process: requests to
 // local://<name>/sparql are dispatched straight to a registered
-// http.Handler over an io.Pipe instead of a TCP connection. The embedded
-// dictionary-encoded store registers itself here, and the planner /
-// decomposer / federation layers address it through the exact same
-// client code path as a remote endpoint — same streaming decoder, same
-// counting reader, no HTTP hop.
+// http.Handler over an io.Pipe instead of a TCP connection. A store
+// served this way is addressed by the planner / decomposer / federation
+// layers through the exact same client code path as a remote endpoint —
+// same streaming decoder, same counting reader, no HTTP hop. Tests and
+// the allocation guards federate over it; the view tier does not: it
+// evaluates its stores directly.
 
 // localRegistry maps endpoint names (the host part of a local:// URL) to
 // in-process handlers.
@@ -42,13 +43,6 @@ func UnregisterLocal(name string) {
 // handler, in the shape the rest of the system stores in voiD
 // sparqlEndpoint descriptions.
 func LocalURL(name string) string { return "local://" + name + "/sparql" }
-
-// IsLocalURL reports whether the endpoint URL uses the in-process
-// scheme.
-func IsLocalURL(endpointURL string) bool {
-	u, err := url.Parse(endpointURL)
-	return err == nil && u.Scheme == "local"
-}
 
 func lookupLocal(name string) (http.Handler, bool) {
 	localMu.RLock()

@@ -125,12 +125,3 @@ func TestLocalEndpointHandlerPanicDoesNotHang(t *testing.T) {
 		t.Fatal("RoundTrip hung on a panicking handler")
 	}
 }
-
-func TestIsLocalURL(t *testing.T) {
-	if !IsLocalURL(LocalURL("x")) {
-		t.Fatal("LocalURL not recognised as local")
-	}
-	if IsLocalURL("http://example.org/sparql") {
-		t.Fatal("http URL recognised as local")
-	}
-}

@@ -12,8 +12,8 @@ import (
 
 // TripleSource is the storage surface the engine evaluates against: a
 // pattern matcher plus the two statistics the join-order heuristic needs.
-// store.Store is the one implementation; endpoint.Server, the local://
-// views and the materialisation baseline all reach it through here.
+// store.Store is the one implementation; endpoint.Server, the view tier
+// and the materialisation baseline all reach it through here.
 type TripleSource interface {
 	// Match invokes fn for every stored triple matching the pattern,
 	// treating variable and zero positions as wildcards; fn returning

@@ -15,8 +15,9 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// fakeClient routes SelectContext calls to per-endpoint handlers and
-// counts dispatches; it lets the executor be tested without HTTP.
+// fakeClient routes dispatches to per-endpoint handlers and counts them;
+// it lets the executor be tested without HTTP. A handler's canned result
+// is served as a fakeStream.
 type fakeClient struct {
 	mu       sync.Mutex
 	calls    map[string]int
@@ -40,7 +41,7 @@ func (f *fakeClient) callCount(url string) int {
 	return f.calls[url]
 }
 
-func (f *fakeClient) SelectContext(ctx context.Context, url, query string) (*eval.Result, error) {
+func (f *fakeClient) stream(ctx context.Context, url string) (*fakeStream, error) {
 	f.mu.Lock()
 	f.calls[url]++
 	call := f.calls[url]
@@ -49,7 +50,19 @@ func (f *fakeClient) SelectContext(ctx context.Context, url, query string) (*eva
 	if h == nil {
 		return nil, fmt.Errorf("no handler for %s", url)
 	}
-	return h(ctx, call)
+	res, err := h(ctx, call)
+	if err != nil {
+		return nil, err
+	}
+	return &fakeStream{vars: res.Vars, sols: res.Solutions, ctx: ctx}, nil
+}
+
+func (f *fakeClient) SelectRowStream(ctx context.Context, url, query string) (eval.RowStream, error) {
+	s, err := f.stream(ctx, url)
+	if err != nil {
+		return nil, err // not a typed-nil RowStream
+	}
+	return s, nil
 }
 
 func answers(uris ...string) *eval.Result {

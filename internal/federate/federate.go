@@ -41,13 +41,6 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// SelectClient executes a SELECT query against a remote endpoint.
-// *endpoint.Client satisfies it. It is the buffered fallback: a client
-// that also implements StreamingSelectClient is read row by row instead.
-type SelectClient interface {
-	SelectContext(ctx context.Context, endpointURL, queryText string) (*eval.Result, error)
-}
-
 // RewriteFunc translates q (written against sourceOnt) for the given
 // target dataset and returns the rewritten query. It must leave q as it
 // found it: the targets of one fan-out share it, concurrently.
@@ -207,8 +200,7 @@ type Result struct {
 // Executor runs federated queries. It is safe for concurrent use; its
 // breakers, counters and plan cache accumulate across requests.
 type Executor struct {
-	client  SelectClient
-	stream  StreamingSelectClient // non-nil when client can stream
+	client  StreamingSelectClient
 	rewrite RewriteFunc
 	coref   funcs.CorefSource
 	opts    Options
@@ -221,12 +213,9 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor. rewrite may be nil when no target ever
-// needs rewriting; coref may be nil to disable owl:sameAs smushing. When
-// client also implements StreamingSelectClient (endpoint.Client does),
-// sub-query responses are decoded incrementally instead of buffered.
-func NewExecutor(client SelectClient, rewrite RewriteFunc, coref funcs.CorefSource, opts Options) *Executor {
+// needs rewriting; coref may be nil to disable owl:sameAs smushing.
+func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.CorefSource, opts Options) *Executor {
 	opts = opts.withDefaults()
-	stream, _ := client.(StreamingSelectClient)
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -234,7 +223,6 @@ func NewExecutor(client SelectClient, rewrite RewriteFunc, coref funcs.CorefSour
 	}
 	e := &Executor{
 		client:       client,
-		stream:       stream,
 		rewrite:      rewrite,
 		coref:        coref,
 		opts:         opts,
@@ -446,32 +434,14 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 
 // dispatch sends one sub-query and feeds its rows, over the slot table
 // vars, into solCh in batches (see maxBatchRows), returning how many rows
-// were pushed, the time to the first one, and — on the streaming path —
-// how many response-body bytes were read. With a streaming-capable client
-// each row decodes off the wire straight into the batch being filled, and
-// the response is never buffered whole; otherwise the buffered result is
-// packed into one batch. A failed streaming attempt has pushed the rows it
-// decoded; the retry re-pushes them and the owl:sameAs merge deduplicates.
+// were pushed, the time to the first one, and how many response-body bytes
+// were read. Each row decodes off the wire straight into the batch being
+// filled, and the response is never buffered whole. A failed attempt has
+// pushed the rows it decoded; the retry re-pushes them and the owl:sameAs
+// merge deduplicates.
 func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, solCh chan<- eval.RowBuf, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
 	start, width := time.Now(), len(vars)
-	if e.stream == nil {
-		res, err := e.client.SelectContext(attemptCtx, endpointURL, query)
-		if err != nil || len(res.Solutions) == 0 {
-			return 0, 0, 0, err
-		}
-		// The answer is in memory already: pack the maps into one batch.
-		b := eval.RowBuf{Width: width, N: len(res.Solutions)}
-		for _, sol := range res.Solutions {
-			for _, v := range vars {
-				b.Terms = append(b.Terms, sol[v])
-			}
-		}
-		if !pushBatch(parent, solCh, b, pd) {
-			return 0, 0, 0, parent.Err()
-		}
-		return b.N, time.Since(start), 0, nil
-	}
-	ss, err := e.stream.SelectRowStream(attemptCtx, endpointURL, query)
+	ss, err := e.client.SelectRowStream(attemptCtx, endpointURL, query)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -60,11 +60,11 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query
 	spanCtx, aSpan := obs.StartSpan(ctx, spanName)
 	aSpan.SetAttr("n", attemptN+1)
 	aSpan.SetAttr("endpoint", endpointURL)
-	// The deadline bounds the whole transfer: connect, first byte and —
-	// on the streaming path — the incremental body read. The clock
-	// pauses while the worker is blocked handing solutions to a slow
-	// consumer: backpressure is the consumer's doing, not the
-	// endpoint's, so it must not count against the endpoint's budget.
+	// The deadline bounds the whole transfer: connect, first byte and the
+	// incremental body read. The clock pauses while the worker is blocked
+	// handing solutions to a slow consumer: backpressure is the consumer's
+	// doing, not the endpoint's, so it must not count against the
+	// endpoint's budget.
 	attemptCtx := newPausableDeadline(spanCtx, timeout)
 	t0 := time.Now()
 	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, endpointURL, query, vars, solCh, attemptCtx)

@@ -67,13 +67,13 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 }
 
 type recordingClient struct {
-	inner  SelectClient
+	inner  StreamingSelectClient
 	record func(url, query string)
 }
 
-func (r *recordingClient) SelectContext(ctx context.Context, url, query string) (*eval.Result, error) {
+func (r *recordingClient) SelectRowStream(ctx context.Context, url, query string) (eval.RowStream, error) {
 	r.record(url, query)
-	return r.inner.SelectContext(ctx, url, query)
+	return r.inner.SelectRowStream(ctx, url, query)
 }
 
 // TestOrderedAdmission: with a single-slot pool, first dispatches must

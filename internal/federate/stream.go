@@ -18,11 +18,9 @@ import (
 // the fail-fast error.
 var ErrStreamClosed = errors.New("federate: sub-query abandoned: stream closed by consumer")
 
-// StreamingSelectClient is the optional streaming capability of a
-// SelectClient: it opens a SELECT whose rows decode incrementally from
-// the wire into the executor's batches. *endpoint.Client satisfies it.
-// The executor probes its client for this interface; clients without it
-// fall back to buffered per-endpoint fetches, merged all the same.
+// StreamingSelectClient is the executor's one way to an endpoint: it
+// opens a SELECT whose rows decode incrementally from the wire into the
+// executor's batches. *endpoint.Client satisfies it.
 type StreamingSelectClient interface {
 	SelectRowStream(ctx context.Context, endpointURL, queryText string) (eval.RowStream, error)
 }
@@ -105,8 +103,8 @@ func (s *Stream) Close() error {
 }
 
 // Summary reports the fan-out's outcome: per-dataset answers, duplicate
-// count and the partial flag (Solutions is nil on the streaming path —
-// the rows already flowed through the stream). It consumes whatever
+// count and the partial flag (Solutions is nil: the rows already flowed
+// through the stream). It consumes whatever
 // remains of the stream, then blocks until every worker has reported.
 // The error is the fail-fast abort error, if any.
 func (s *Stream) Summary() (*Result, error) {

@@ -55,7 +55,8 @@ func (s *fakeStream) RowBuffered() bool {
 
 func (s *fakeStream) Close() error { s.closed.Store(true); return nil }
 
-// fakeStreamClient implements both SelectClient and StreamingSelectClient.
+// fakeStreamClient serves scripted streams, and fakeClient's canned
+// results where a URL has none; it records every stream it opens.
 type fakeStreamClient struct {
 	*fakeClient
 	mu      sync.Mutex
@@ -78,20 +79,16 @@ func (f *fakeStreamClient) SelectRowStream(ctx context.Context, url, query strin
 	f.mu.Lock()
 	h := f.streams[url]
 	f.mu.Unlock()
-	if h == nil {
-		// Fall back to the buffered handler wrapped as a stream.
-		res, err := f.SelectContext(ctx, url, query)
-		if err != nil {
+	var s *fakeStream
+	if h != nil {
+		s = h(ctx)
+		s.ctx = ctx
+	} else {
+		var err error
+		if s, err = f.stream(ctx, url); err != nil {
 			return nil, err
 		}
-		s := &fakeStream{vars: res.Vars, sols: res.Solutions, ctx: ctx}
-		f.mu.Lock()
-		f.opened = append(f.opened, s)
-		f.mu.Unlock()
-		return s, nil
 	}
-	s := h(ctx)
-	s.ctx = ctx
 	f.mu.Lock()
 	f.opened = append(f.opened, s)
 	f.mu.Unlock()

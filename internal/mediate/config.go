@@ -20,18 +20,10 @@ type Config struct {
 	// deadlines/retries, circuit breakers, rewrite-plan cache, policy.
 	Federation federate.Options
 	// Planner tunes voiD-driven source selection, VALUES sharding and
-	// adaptive ordering (ignored when DisablePlanner).
+	// adaptive ordering.
 	Planner plan.Options
-	// Decompose tunes per-BGP decomposition and the streaming join engine
-	// (ignored when DisableDecomposer or DisablePlanner).
+	// Decompose tunes per-BGP decomposition and the streaming join engine.
 	Decompose decompose.Options
-	// DisablePlanner turns target auto-selection off: queries must name
-	// explicit targets. It implies DisableDecomposer (the decomposer runs
-	// the planner's per-pattern source selection).
-	DisablePlanner bool
-	// DisableDecomposer turns the multi-source path off: queries no single
-	// data set covers fail instead of decomposing.
-	DisableDecomposer bool
 	// RewriteFilters enables the §4 FILTER extension for all rewrites.
 	RewriteFilters bool
 	// Observability tunes the mediator's metrics registry, trace ring,
@@ -59,26 +51,14 @@ func WithFederation(opts federate.Options) Option {
 	return func(c *Config) { c.Federation = opts }
 }
 
-// WithPlanner replaces the planner options and (re-)enables planning.
+// WithPlanner replaces the planner options.
 func WithPlanner(opts plan.Options) Option {
-	return func(c *Config) { c.Planner = opts; c.DisablePlanner = false }
+	return func(c *Config) { c.Planner = opts }
 }
 
-// WithoutPlanner disables target auto-selection (and with it the
-// decomposed multi-source path).
-func WithoutPlanner() Option {
-	return func(c *Config) { c.DisablePlanner = true }
-}
-
-// WithDecomposer replaces the decompose options and (re-)enables the
-// multi-source path.
+// WithDecomposer replaces the decompose options.
 func WithDecomposer(opts decompose.Options) Option {
-	return func(c *Config) { c.Decompose = opts; c.DisableDecomposer = false }
-}
-
-// WithoutDecomposer disables the multi-source path.
-func WithoutDecomposer() Option {
-	return func(c *Config) { c.DisableDecomposer = true }
+	return func(c *Config) { c.Decompose = opts }
 }
 
 // WithRewriteFilters toggles the §4 FILTER-rewriting extension.
@@ -99,21 +79,11 @@ func WithServing(opts serve.Options) Option {
 	return func(c *Config) { c.Serving = &opts }
 }
 
-// WithoutServing disables the serving tier.
-func WithoutServing() Option {
-	return func(c *Config) { c.Serving = nil }
-}
-
 // WithViews enables the materialized-view tier (shape mining, embedded
 // dictionary-encoded view stores, TTL + invalidation refresh) with the
 // given options.
 func WithViews(opts view.Options) Option {
 	return func(c *Config) { c.Views = &opts }
-}
-
-// WithoutViews disables the materialized-view tier.
-func WithoutViews() Option {
-	return func(c *Config) { c.Views = nil }
 }
 
 // Config returns a snapshot of the mediator's active configuration.
@@ -168,40 +138,25 @@ func (m *Mediator) rebuild() {
 			}
 		}
 	}
-	if m.cfg.Serving == nil {
-		m.Serve = nil
-	} else {
+	if m.cfg.Serving != nil {
 		// The registry's get-or-create constructors make re-registration
 		// on rebuild safe: the function-backed cache families re-bind to
 		// the fresh tier, the admission counter vecs accumulate.
 		m.Serve = serve.NewTier(*m.cfg.Serving, m.Obs.Registry)
 	}
-	if m.cfg.DisablePlanner {
-		m.Planner = nil
-	} else {
-		plOpts := m.cfg.Planner
-		plOpts.Registry = m.Obs.Registry
-		m.Planner = plan.New(m.Datasets, m.Alignments, m.endpointHealth, plOpts)
-	}
-	if m.cfg.DisableDecomposer || m.Planner == nil {
-		m.Decomposer, m.JoinEngine = nil, nil
-	} else {
-		decOpts := m.cfg.Decompose
-		decOpts.Registry = m.Obs.Registry
-		decOpts.Cards = m.Obs.Cards
-		m.Decomposer = decompose.New(m.Planner, decOpts)
-		m.JoinEngine = decompose.NewEngine(m.Exec, m.Funcs.Resolver(), m.Coref, decOpts)
-	}
-	if m.cfg.Views == nil {
-		if m.Views != nil {
-			m.Views.Close()
-			m.Views = nil
-		}
-	} else {
+	plOpts := m.cfg.Planner
+	plOpts.Registry = m.Obs.Registry
+	m.Planner = plan.New(m.Datasets, m.Alignments, m.endpointHealth, plOpts)
+	decOpts := m.cfg.Decompose
+	decOpts.Registry = m.Obs.Registry
+	decOpts.Cards = m.Obs.Cards
+	m.Decomposer = decompose.New(m.Planner, decOpts)
+	m.JoinEngine = decompose.NewEngine(m.Exec, m.Funcs.Resolver(), m.Coref, decOpts)
+	if m.cfg.Views != nil {
 		// Inject the shared registry and card store, then rebuild only
 		// when the effective options actually changed — the view manager
-		// owns background goroutines and local:// endpoint registrations,
-		// so gratuitous rebuilds would churn both. A new observer changes
+		// owns background goroutines and its materialized stores, so a
+		// gratuitous rebuild would throw both away. A new observer changes
 		// the injected pointers, which forces the rebuild it requires.
 		vOpts := *m.cfg.Views
 		vOpts.Registry = m.Obs.Registry

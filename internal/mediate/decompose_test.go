@@ -223,7 +223,7 @@ func TestAPIQueryDecomposedExplain(t *testing.T) {
 	query := workload.CrossVocabularyQuery(3)
 
 	// /api/plan explains without executing.
-	body, _ := json.Marshal(planRequest{Query: query, Source: rdf.AKTNS})
+	body, _ := json.Marshal(apiQueryRequest{Query: query, Source: rdf.AKTNS})
 	resp, err := http.Post(srv.URL+"/api/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -340,18 +340,5 @@ func TestAPIQueryNDJSON(t *testing.T) {
 		if rows == 0 {
 			t.Fatalf("%s: no NDJSON rows", name)
 		}
-	}
-}
-
-// TestQueryDecomposeDisabled: with the decomposer off, a multi-source
-// query falls back to the old no-relevant-data-set error.
-func TestQueryDecomposeDisabled(t *testing.T) {
-	s := newCrossVocabStack(t)
-	s.mediator.Decomposer = nil
-	_, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.CrossVocabularyQuery(1), SourceOnt: rdf.AKTNS,
-	})
-	if err == nil || !strings.Contains(err.Error(), "relevant") {
-		t.Fatalf("err = %v, want no-relevant-data-set error", err)
 	}
 }

@@ -26,10 +26,11 @@ import (
 // mediator-specific operations the protocol does not model (rewrite
 // preview, plan explain, stats, data set listing).
 
-type rewriteRequest struct {
+// apiQueryRequest is the body of /api/rewrite and /api/plan.
+type apiQueryRequest struct {
 	Query  string `json:"query"`
 	Source string `json:"source,omitempty"` // source ontology namespace
-	Target string `json:"target"`           // target data set URI
+	Target string `json:"target"`           // target data set URI (/api/rewrite)
 }
 
 type rewriteResponse struct {
@@ -38,11 +39,6 @@ type rewriteResponse struct {
 	AlignmentsUsed int      `json:"alignmentsUsed"`
 	Warnings       []string `json:"warnings,omitempty"`
 	FreshVars      []string `json:"freshVars,omitempty"`
-}
-
-type planRequest struct {
-	Query  string `json:"query"`
-	Source string `json:"source,omitempty"`
 }
 
 type perDatasetJSON struct {
@@ -170,6 +166,30 @@ func protocolError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", ctJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// apiQuery reads the request of /api/rewrite or /api/plan: the body
+// decoded, its query parsed — once; the handlers pass the parsed query on —
+// and Source settled, guessed from the query's vocabulary when the body
+// names none. On !ok the error response has been written.
+func (m *Mediator) apiQuery(w http.ResponseWriter, r *http.Request) (req apiQueryRequest, q *sparql.Query, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return req, nil, false
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return req, nil, false
+	}
+	q, err := sparql.Parse(req.Query)
+	if err == nil && req.Source == "" {
+		req.Source, err = m.guessSourceOntology(q)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return req, nil, false
+	}
+	return req, q, true
 }
 
 // Handler serves the mediator's SPARQL protocol endpoint, REST API, UI,
@@ -303,24 +323,11 @@ func Handler(m *Mediator) http.Handler {
 	})
 
 	handle("/api/rewrite", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		req, q, ok := m.apiQuery(w, r)
+		if !ok {
 			return
 		}
-		var req rewriteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		source := req.Source
-		if source == "" {
-			var err error
-			if source, err = m.GuessSourceOntology(req.Query); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		rr, err := m.Rewrite(req.Query, source, req.Target)
+		rr, err := m.rewriteResult(q, req.Source, req.Target)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -340,24 +347,11 @@ func Handler(m *Mediator) http.Handler {
 	// decomposition (fragments, estimated cardinalities, join order)
 	// when the query only runs by splitting its BGP.
 	handle("/api/plan", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		req, q, ok := m.apiQuery(w, r)
+		if !ok {
 			return
 		}
-		var req planRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		source := req.Source
-		if source == "" {
-			var err error
-			if source, err = m.GuessSourceOntology(req.Query); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		ex, err := m.ExplainQuery(req.Query, source)
+		ex, err := m.explainQuery(q, req.Source)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -38,13 +38,12 @@ type Mediator struct {
 	Exec *federate.Executor
 	// Planner performs voiD-driven source selection, VALUES sharding and
 	// adaptive ordering for federated queries with no explicit targets.
-	// Rebuilt by Configure; nil when planning is disabled (WithoutPlanner).
+	// Rebuilt by Configure.
 	Planner *plan.Planner
 	// Decomposer splits a query's BGP into per-endpoint exclusive groups
 	// when no single data set covers it, and JoinEngine executes the
 	// fragments as cardinality-ordered streaming bound joins. Rebuilt by
-	// Configure; nil when the multi-source path is disabled
-	// (WithoutDecomposer).
+	// Configure.
 	Decomposer *decompose.Decomposer
 	JoinEngine *decompose.Engine
 	// RewriteFilters mirrors Config.RewriteFilters (the §4 FILTER
@@ -230,9 +229,8 @@ type FormStats struct {
 
 // Stats is the mediator's one observability snapshot, replacing the old
 // per-subsystem getters: the executor's per-endpoint and cache counters,
-// the planner's pruning/sharding counters (nil when planning is
-// disabled), the decompose-layer counters (nil when the multi-source path
-// is disabled), and per-form query counts.
+// the planner's pruning/sharding counters, the decompose-layer counters,
+// and per-form query counts.
 type Stats struct {
 	Federation federate.Stats  `json:"federation"`
 	Planner    *plan.Stats     `json:"planner,omitempty"`
@@ -264,17 +262,11 @@ type Stats struct {
 // instruments GET /metrics renders — so the JSON snapshot and the
 // Prometheus exposition cannot drift.
 func (m *Mediator) Stats() Stats {
-	st := Stats{Federation: m.Exec.Stats()}
-	if m.Planner != nil {
-		ps := m.Planner.Stats()
-		st.Planner = &ps
-	}
-	if m.Decomposer != nil {
-		ds := DecomposeStats{Stats: m.Decomposer.Stats()}
-		if m.JoinEngine != nil {
-			ds.Engine = m.JoinEngine.Stats()
-		}
-		st.Decompose = &ds
+	ps := m.Planner.Stats()
+	st := Stats{
+		Federation: m.Exec.Stats(),
+		Planner:    &ps,
+		Decompose:  &DecomposeStats{Stats: m.Decomposer.Stats(), Engine: m.JoinEngine.Stats()},
 	}
 	m.metrics.queries.Each(func(lvs []string, v float64) {
 		switch lvs[0] {
@@ -320,9 +312,6 @@ func (m *Mediator) endpointHealth() map[string]plan.EndpointHealth {
 // PlanQuery explains how a federated query would run: the per-data-set
 // relevance decisions and the ordered, sharded sub-requests.
 func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*plan.Plan, error) {
-	if m.Planner == nil {
-		return nil, fmt.Errorf("mediate: planning is disabled")
-	}
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
@@ -343,13 +332,22 @@ type QueryExplanation struct {
 // estimated cardinalities, join order) when the query only runs by
 // splitting its BGP across repositories.
 func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation, error) {
-	pl, err := m.PlanQuery(queryText, sourceOnt)
+	q, err := sparql.Parse(queryText)
+	if err != nil {
+		return nil, fmt.Errorf("mediate: parsing query: %w", err)
+	}
+	return m.explainQuery(q, sourceOnt)
+}
+
+// explainQuery is ExplainQuery past its parse, the entry of /api/plan.
+func (m *Mediator) explainQuery(q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
+	pl, err := m.Planner.Plan(q, sourceOnt)
 	if err != nil {
 		return nil, err
 	}
 	ex := &QueryExplanation{Plan: pl}
-	if len(pl.Subs) == 0 && m.Decomposer != nil {
-		if dcm, derr := m.Decomposer.DecomposeQuery(pl.Query, sourceOnt); derr == nil {
+	if len(pl.Subs) == 0 {
+		if dcm, derr := m.Decomposer.DecomposeQuery(q, sourceOnt); derr == nil {
 			ex.Decomposition = dcm
 		}
 	}
@@ -376,6 +374,12 @@ func (m *Mediator) Rewrite(queryText, sourceOnt, targetDataset string) (*Rewrite
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
+	return m.rewriteResult(q, sourceOnt, targetDataset)
+}
+
+// rewriteResult is Rewrite past its parse, the entry of /api/rewrite: the
+// rewriting as text, for a person to read.
+func (m *Mediator) rewriteResult(q *sparql.Query, sourceOnt, targetDataset string) (*RewriteResult, error) {
 	out, rr, err := m.rewriteQuery(q, sourceOnt, targetDataset)
 	if err != nil {
 		return nil, err

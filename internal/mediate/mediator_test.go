@@ -578,7 +578,7 @@ func TestHTTPAPIRewrite(t *testing.T) {
 	s := newStack(t)
 	srv := httptest.NewServer(Handler(s.mediator))
 	defer srv.Close()
-	body, _ := json.Marshal(rewriteRequest{
+	body, _ := json.Marshal(apiQueryRequest{
 		Query:  workload.Figure1Query(0),
 		Target: workload.KistiVoidURI,
 		// Source omitted: the mediator guesses AKT from the vocabulary.

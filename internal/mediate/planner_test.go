@@ -270,7 +270,7 @@ func TestHTTPAPIPlanExplain(t *testing.T) {
 	s, _ := plannedStack(t)
 	srv := httptest.NewServer(Handler(s.mediator))
 	defer srv.Close()
-	body, _ := json.Marshal(planRequest{Query: workload.Figure1Query(0)})
+	body, _ := json.Marshal(apiQueryRequest{Query: workload.Figure1Query(0)})
 	resp, err := http.Post(srv.URL+"/api/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

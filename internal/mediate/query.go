@@ -225,7 +225,7 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 
 // solutionSource is the streaming backend of a QueryStream: the
 // federated fan-out stream on the single-source path, the decomposed
-// bound-join run on the multi-source path, a view endpoint's stream, a
+// bound-join run on the multi-source path, a view store's evaluation, a
 // result-cache replay. All deliver merged rows incrementally — Next's row
 // binds Vars() by position and is valid until the next Next or Close, the
 // pull form of the evaluator's volcano rule — and report per-dataset
@@ -285,9 +285,6 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	qs := &QueryStream{limit: req.Limit}
 	var freq federate.Request
 	if len(req.Targets) == 0 {
-		if m.Planner == nil {
-			return nil, fmt.Errorf("mediate: no targets given and planning is disabled")
-		}
 		_, planSpan := obs.StartSpan(ctx, "plan")
 		planSpan.SetAttr("sourceOnt", req.SourceOnt)
 		pl, err := m.Planner.Plan(q, req.SourceOnt)
@@ -317,32 +314,29 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 			if p := req.Tenant.GetPolicy(); len(p.AllowedDatasets()) > 0 {
 				return nil, fmt.Errorf("mediate: query needs data sets outside the tenant's allowlist: %w", serve.ErrDenied)
 			}
-			if m.Decomposer != nil {
-				_, decSpan := obs.StartSpan(ctx, "decompose")
-				dcm, derr := m.Decomposer.DecomposeQuery(q, req.SourceOnt)
-				if derr == nil {
-					decStats := obs.Operator("decompose")
-					decStats.RowsOut = int64(len(dcm.Fragments))
-					decSpan.SetOperator(decStats)
-					decSpan.SetAttr("fragments", len(dcm.Fragments))
-					decSpan.End()
-					qs.pl = pl
-					qs.dec = dcm
-					qs.src = m.JoinEngine.Run(ctx, dcm)
-					// Multi-source queries are exactly the expensive
-					// cross-vocabulary joins worth materializing: mine
-					// the shape (unless this IS a materialization run).
-					if m.Views != nil && !viewsDisabled(ctx) {
-						m.observeViews(q, req.SourceOnt, dcm)
-					}
-					return qs, nil
-				}
+			_, decSpan := obs.StartSpan(ctx, "decompose")
+			dcm, derr := m.Decomposer.DecomposeQuery(q, req.SourceOnt)
+			if derr != nil {
 				decSpan.SetAttr("error", derr.Error())
 				decSpan.End()
 				return nil, fmt.Errorf(
 					"mediate: no registered data set is relevant to the whole query and it does not decompose (%v); see /api/plan", derr)
 			}
-			return nil, fmt.Errorf("mediate: no registered data set is relevant to the query (see /api/plan)")
+			decStats := obs.Operator("decompose")
+			decStats.RowsOut = int64(len(dcm.Fragments))
+			decSpan.SetOperator(decStats)
+			decSpan.SetAttr("fragments", len(dcm.Fragments))
+			decSpan.End()
+			qs.pl = pl
+			qs.dec = dcm
+			qs.src = m.JoinEngine.Run(ctx, dcm)
+			// Multi-source queries are exactly the expensive
+			// cross-vocabulary joins worth materializing: mine the
+			// shape (unless this IS a materialization run).
+			if m.Views != nil && !viewsDisabled(ctx) {
+				m.observeViews(q, req.SourceOnt, dcm)
+			}
+			return qs, nil
 		}
 		qs.pl = pl
 		freq = federate.PlanRequest(pl)

@@ -3,9 +3,9 @@ package mediate
 import (
 	"context"
 	"io"
+	"iter"
 
 	"sparqlrw/internal/decompose"
-	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/obs"
@@ -89,7 +89,7 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 
 // viewAnswer serves the query from a covering materialized view, when
 // one is ready. It returns ok=false — and the caller proceeds to the
-// federated path — on a miss, a stale view, or a local-stream failure.
+// federated path — on a miss, a stale view, or an evaluation error.
 func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
 	canon := federate.NewRepCache(m.Coref)
 	v, ok := m.Views.Answer(q, canon.Term)
@@ -98,7 +98,7 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	// The view store holds canonical representatives, so the query's
 	// ground IRIs — in its patterns and in its FILTER constants — must be
-	// canonicalised the same way before local evaluation.
+	// canonicalised the same way before it is evaluated over it.
 	cq := q.Clone()
 	canonicaliseGroup(cq.Where, canon)
 	for _, el := range cq.Where.Elements {
@@ -108,8 +108,7 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	_, span := obs.StartSpan(ctx, "view")
 	span.SetAttr("view", v.ID())
-	span.SetAttr("endpoint", v.Endpoint())
-	st, err := m.Client.SelectStreamContext(ctx, v.Endpoint(), sparql.Format(cq))
+	res, err := m.Views.Rows(v, cq)
 	if err != nil {
 		// The query falls back to federation, so for the metrics the
 		// paper's experiment reads this is a miss, not a hit.
@@ -120,10 +119,9 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	m.Views.CountHit(v)
 	span.End()
-	return &QueryStream{
-		limit: req.Limit,
-		src:   &viewSource{st: st, view: v, vars: st.Vars(), row: make(eval.Row, len(st.Vars()))},
-	}, true
+	src := &viewSource{view: v, vars: res.Vars}
+	src.next, src.stop = iter.Pull(res.Seq)
+	return &QueryStream{limit: req.Limit, src: src}, true
 }
 
 // observeViews feeds one decomposed multi-source query to the shape
@@ -142,31 +140,33 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.Term)
 }
 
-// viewSource adapts a view endpoint's solution stream to the
-// solutionSource shape. Its Summary lists the view pseudo-dataset first
+// viewSource pulls a view evaluation's row sequence in the
+// solutionSource shape; like every source it is driven by one goroutine,
+// its stream's consumer. Its Summary lists the view pseudo-dataset first
 // and the view's source data sets after it — all with zero Attempts
 // (nothing was dispatched over the federation), but present so the
 // result cache's invalidate-by-dataset still covers entries filled from
 // a view.
 type viewSource struct {
-	st   *endpoint.SelectStream
 	view *view.View
-	vars []string // the view endpoint's head
-	row  eval.Row // reused for every row
+	vars []string // the query's projection
+	next func() (eval.Row, bool)
+	stop func()
 	n    int
 }
 
 func (s *viewSource) Vars() []string { return s.vars }
 
 func (s *viewSource) Next() (eval.Row, error) {
-	if err := s.st.NextRow(s.vars, s.row); err != nil {
-		return nil, err
+	row, ok := s.next()
+	if !ok {
+		return nil, io.EOF
 	}
 	s.n++
-	return s.row, nil
+	return row, nil
 }
 
-func (s *viewSource) Close() error { return s.st.Close() }
+func (s *viewSource) Close() error { s.stop(); return nil }
 
 func (s *viewSource) Summary() (*federate.Result, error) {
 	per := []federate.DatasetAnswer{{Dataset: "view:" + s.view.ID(), Solutions: s.n}}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"sparqlrw/internal/rdf"
 )
 
 // QErrorBuckets are the histogram bounds for sparqlrw_estimate_qerror:
@@ -45,6 +47,22 @@ func PatternShape(subjectGround, objectGround bool) string {
 		return "?g"
 	}
 	return "??"
+}
+
+// PatternStatKey maps a triple pattern onto its observed-cardinality
+// cell: the class IRI for rdf:type patterns, the predicate IRI otherwise
+// ("" for variable predicates), plus the ground-position shape. An
+// rdf:type object counts as part of the term, not as a ground object.
+// Writers (the decomposer's observations) and readers (its estimates,
+// the view tier's size screen) all key through here.
+func PatternStatKey(tp rdf.Triple) (term, shape string) {
+	isType := tp.P.IsIRI() && tp.P.Value == rdf.RDFType
+	if isType && tp.O.IsIRI() {
+		term = tp.O.Value
+	} else if tp.P.IsIRI() {
+		term = tp.P.Value
+	}
+	return term, PatternShape(tp.S.IsGround(), tp.O.IsGround() && !isType)
 }
 
 // cardKey identifies one observed-cardinality cell: a dataset, the

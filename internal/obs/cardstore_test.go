@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sparqlrw/internal/rdf"
 )
 
 // TestQError pins the q-error measure against hand-computed goldens:
@@ -47,6 +49,30 @@ func TestPatternShape(t *testing.T) {
 	} {
 		if got := PatternShape(c.s, c.o); got != c.want {
 			t.Errorf("PatternShape(%v, %v) = %q, want %q", c.s, c.o, got, c.want)
+		}
+	}
+}
+
+// TestPatternStatKey pins the one cell key writers and readers share: an
+// rdf:type pattern is keyed by its class, whose object position then
+// counts as part of the term, not as a ground object.
+func TestPatternStatKey(t *testing.T) {
+	x, y := rdf.NewVar("x"), rdf.NewVar("y")
+	p, class, e := rdf.NewIRI("http://v/p"), rdf.NewIRI("http://v/C"), rdf.NewIRI("http://d/e")
+	for _, c := range []struct {
+		tp          rdf.Triple
+		term, shape string
+	}{
+		{rdf.Triple{S: x, P: p, O: y}, "http://v/p", "??"},
+		{rdf.Triple{S: x, P: p, O: e}, "http://v/p", "?g"},
+		{rdf.Triple{S: e, P: p, O: y}, "http://v/p", "g?"},
+		{rdf.Triple{S: x, P: rdf.NewIRI(rdf.RDFType), O: class}, "http://v/C", "??"},
+		{rdf.Triple{S: e, P: rdf.NewIRI(rdf.RDFType), O: class}, "http://v/C", "g?"},
+		{rdf.Triple{S: x, P: rdf.NewIRI(rdf.RDFType), O: y}, rdf.RDFType, "??"},
+		{rdf.Triple{S: x, P: y, O: e}, "", "?g"},
+	} {
+		if term, shape := PatternStatKey(c.tp); term != c.term || shape != c.shape {
+			t.Errorf("PatternStatKey(%v) = (%q, %q), want (%q, %q)", c.tp, term, shape, c.term, c.shape)
 		}
 	}
 }

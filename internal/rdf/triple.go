@@ -42,9 +42,6 @@ func (t Triple) Vars() []string {
 // Terms returns the three terms in S, P, O order.
 func (t Triple) Terms() [3]Term { return [3]Term{t.S, t.P, t.O} }
 
-// WithTerms returns a copy of the triple with the three positions replaced.
-func (t Triple) WithTerms(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
-
 // Compare orders triples deterministically (S, then P, then O).
 func (t Triple) Compare(o Triple) int {
 	if c := t.S.Compare(o.S); c != 0 {

@@ -13,23 +13,12 @@ import (
 	"testing"
 )
 
-// TestParseCallSites keeps the pipeline on one parse per request: between
-// the fronts that accept query text and the endpoints that receive it, a
-// query is a *Query, so the non-test files under internal/ that call
-// sparql.Parse are the fronts (the /sparql handler, Mediator.Query, the
-// text-taking helpers of mediator.go, Decomposer.Decompose) and the
-// endpoint server — and no planner, decomposer stage, executor or view
-// code among them.
-func TestParseCallSites(t *testing.T) {
-	want := []string{
-		"decompose/decompose.go",
-		"endpoint/endpoint.go",
-		"mediate/http.go",
-		"mediate/mediator.go",
-		"mediate/query.go",
-	}
+// internalFiles parses every non-test Go file under internal/, keyed by
+// its slash-separated path relative to internal/.
+func internalFiles(t *testing.T) map[string]*ast.File {
+	t.Helper()
 	const internalDir = ".." // this package's parent
-	var got []string
+	files := map[string]*ast.File{}
 	err := filepath.WalkDir(internalDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
@@ -38,37 +27,124 @@ func TestParseCallSites(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		name := ""
-		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "sparqlrw/internal/sparql" {
-				name = "sparql"
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-			}
-		}
-		calls := false
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && name != "" {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Parse" {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-						calls = true
-					}
-				}
-			}
-			return !calls
-		})
-		if calls {
-			rel, _ := filepath.Rel(internalDir, path)
-			got = append(got, filepath.ToSlash(rel))
-		}
+		rel, _ := filepath.Rel(internalDir, path)
+		files[filepath.ToSlash(rel)] = file
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("non-test files under internal/ that call sparql.Parse:\n got %v\nwant %v", got, want)
+	return files
+}
+
+// importName returns the name file refers to the import path by, "" when
+// it does not import it.
+func importName(file *ast.File, path string) string {
+	for _, imp := range file.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path[strings.LastIndex(path, "/")+1:]
+		}
+	}
+	return ""
+}
+
+// callers lists the files that call the package-level function symbol of
+// this package: qualified through their import of it, or bare from inside
+// the package.
+func callers(files map[string]*ast.File, symbol string) []string {
+	var out []string
+	for rel, file := range files {
+		pkg, inside := importName(file, "sparqlrw/internal/sparql"), strings.HasPrefix(rel, "sparql/")
+		calls := false
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return !calls
+			}
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				x, ok := fn.X.(*ast.Ident)
+				calls = calls || (ok && pkg != "" && x.Name == pkg && fn.Sel.Name == symbol)
+			case *ast.Ident:
+				calls = calls || (inside && fn.Name == symbol)
+			}
+			return !calls
+		})
+		if calls {
+			out = append(out, rel)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// textCallSites pins where query text is read and where it is made:
+// between the fronts that accept text and the sockets that carry it a
+// query is a *Query and an answer is rows. The non-test files under
+// internal/ that call Parse are the fronts (the /sparql and /api handlers,
+// Mediator.Query, the text-taking helpers of mediator.go,
+// Decomposer.Decompose), the endpoint server and this package's own
+// MustParse and UnmarshalText; those that call Format are the executor
+// (what an endpoint receives, the rewrite-plan cache key), the
+// result-cache key, Mediator.Rewrite's answer to a person, the trace's
+// text of a policy-restricted query and MarshalText — no planner,
+// decomposer stage or view code among either.
+var textCallSites = map[string][]string{
+	"Parse": {
+		"decompose/decompose.go",
+		"endpoint/endpoint.go",
+		"mediate/http.go",
+		"mediate/mediator.go",
+		"mediate/query.go",
+		"sparql/format.go",
+		"sparql/parser.go",
+	},
+	"Format": {
+		"federate/federate.go",
+		"mediate/mediator.go",
+		"mediate/query.go",
+		"mediate/serving.go",
+		"sparql/format.go",
+	},
+}
+
+func checkCallSites(t *testing.T, symbol string) {
+	t.Helper()
+	if got, want := callers(internalFiles(t), symbol), textCallSites[symbol]; !reflect.DeepEqual(got, want) {
+		t.Errorf("non-test files under internal/ that call sparql.%s:\n got %v\nwant %v", symbol, got, want)
+	}
+}
+
+// TestParseCallSites keeps the pipeline on one parse per request.
+func TestParseCallSites(t *testing.T) { checkCallSites(t, "Parse") }
+
+// TestFormatCallSites keeps the mediator from serialising queries for
+// itself: text is made for a socket, a cache key or a person.
+func TestFormatCallSites(t *testing.T) { checkCallSites(t, "Format") }
+
+// TestOneLaneIn pins the two structural facts behind "rows are the only
+// way an answer enters the mediator": the view tier evaluates its stores
+// in process — it imports neither the endpoint protocol nor its codec —
+// and the executor has one client path, the streaming one.
+func TestOneLaneIn(t *testing.T) {
+	for rel, file := range internalFiles(t) {
+		if strings.HasPrefix(rel, "view/") {
+			for _, banned := range []string{"sparqlrw/internal/endpoint", "sparqlrw/internal/srjson"} {
+				if importName(file, banned) != "" {
+					t.Errorf("%s imports %s", rel, banned)
+				}
+			}
+		}
+		if strings.HasPrefix(rel, "federate/") {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SelectContext" {
+					t.Errorf("%s refers to SelectContext, the buffered client call", rel)
+				}
+				return true
+			})
+		}
 	}
 }

@@ -76,14 +76,3 @@ func (d *Dict) Len() int {
 	defer d.mu.RUnlock()
 	return len(d.terms)
 }
-
-// InternIRI interns the IRI string as a term; a convenience for callers
-// (like the sameAs merge path) that work with raw URI strings.
-func (d *Dict) InternIRI(uri string) uint32 {
-	return d.Intern(rdf.NewIRI(uri))
-}
-
-// IRI decodes an id interned via InternIRI back to its URI string.
-func (d *Dict) IRI(id uint32) string {
-	return d.Term(id).Value
-}

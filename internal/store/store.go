@@ -15,7 +15,7 @@
 // dictionary alone, so an id obtained once stays valid.
 //
 // The store is the substrate behind the SPARQL evaluator, the SPARQL
-// protocol endpoints, the local:// views and the materialisation
+// protocol endpoints, the materialized views and the materialisation
 // baseline.
 package store
 

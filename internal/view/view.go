@@ -1,10 +1,9 @@
 // Package view implements the mediator's materialized-view tier: it
 // mines frequent cross-vocabulary join shapes from the decomposed query
 // stream, materializes their sameAs-canonicalised federated answer into
-// an embedded dictionary-encoded store, serves that store behind the
-// in-process local:// endpoint scheme, and answers later queries with a
-// matching basic graph pattern straight from the view — zero endpoint
-// round trips. This is the complement the paper's rewrite-vs-materialise
+// an embedded dictionary-encoded store, and answers later queries with a
+// matching basic graph pattern by evaluating them over that store in
+// process — zero endpoint round trips, no query text, no wire. This is the complement the paper's rewrite-vs-materialise
 // experiment measures: rewriting trades freshness work at query time,
 // the view trades it at refresh time.
 //
@@ -23,7 +22,6 @@ package view
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,13 +29,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
-	"sparqlrw/internal/voidkb"
 )
 
 // Options configures a Manager. The struct is comparable so callers can
@@ -101,10 +97,6 @@ type MaterializeResult struct {
 // materializeTimeout bounds one view build.
 const materializeTimeout = 30 * time.Second
 
-// viewSeq makes local endpoint names unique across managers in one
-// process (tests boot several mediators).
-var viewSeq atomic.Uint64
-
 // shape is a mined-but-not-yet-materialized join shape.
 type shape struct {
 	sig string
@@ -129,22 +121,18 @@ type shape struct {
 // store currently answering it. All mutable fields are guarded by the
 // owning Manager's mutex.
 type View struct {
-	id           string
-	def          *shape
-	store        *store.Store
-	endpointName string
-	stale        bool
-	epoch        uint64
-	created      time.Time
-	refreshed    time.Time
-	hits         uint64
+	id        string
+	def       *shape
+	store     *store.Store
+	stale     bool
+	epoch     uint64
+	created   time.Time
+	refreshed time.Time
+	hits      uint64
 }
 
 // ID returns the view's identifier (v1, v2, ...).
 func (v *View) ID() string { return v.id }
-
-// Endpoint returns the view's in-process endpoint URL.
-func (v *View) Endpoint() string { return endpoint.LocalURL(v.endpointName) }
 
 // Datasets returns the source data sets the view joins over.
 func (v *View) Datasets() []string { return v.def.datasets }
@@ -213,8 +201,8 @@ func NewManager(runner Runner, funcs eval.FuncResolver, opts Options) *Manager {
 	return m
 }
 
-// Close stops the refresh loop, cancels in-flight builds and
-// unregisters every view's local endpoint.
+// Close stops the refresh loop, cancels in-flight builds and drops
+// every view.
 func (m *Manager) Close() {
 	if m == nil {
 		return
@@ -222,8 +210,7 @@ func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
 		// Flip closed under the same mutex Observe holds for its wg.Add:
 		// once set, no new materialize goroutine can be added, so the
-		// Wait below never races an Add at counter zero (WaitGroup misuse)
-		// and no late build can re-register an endpoint we unregister.
+		// Wait below never races an Add at counter zero (WaitGroup misuse).
 		m.mu.Lock()
 		m.closed = true
 		m.mu.Unlock()
@@ -231,9 +218,6 @@ func (m *Manager) Close() {
 		m.wg.Wait()
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, v := range m.views {
-			endpoint.UnregisterLocal(v.endpointName)
-		}
 		m.views = map[string]*View{}
 		m.shapes = map[string]*shape{}
 		m.order = nil
@@ -378,10 +362,10 @@ func canonGround(t rdf.Term, canon func(rdf.Term) rdf.Term) rdf.Term {
 // Answer reports whether a ready, fresh view covers the query's BGP.
 // canon maps ground IRIs to their sameAs representatives (query-side
 // spelling differences must not defeat the signature match). The caller
-// evaluates the (canonicalised) query against the returned view's
-// endpoint. A match is not yet a hit: the caller confirms it with
-// CountHit once the view stream actually opens (or CountMiss if opening
-// fails and the query falls back to federation), so
+// evaluates the (canonicalised) query over the returned view with Rows.
+// A match is not yet a hit: the caller confirms it with CountHit once
+// the evaluation is compiled (or CountMiss if that fails and the query
+// falls back to federation), so
 // sparqlrw_view_hits_total counts served answers, not mere matches.
 // Misses are counted here — nothing can still go right after one.
 // Nil-manager safe.
@@ -405,6 +389,23 @@ func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term) (*View,
 	return v, true
 }
 
+// Rows evaluates q — a query Answer matched to v, its ground IRIs
+// canonicalised like the view's — over the view's store and returns the
+// lazy row sequence. The store is read once, under the manager's lock: a
+// view store is never written after its build and a refresh swaps in a
+// fresh one, so an evaluation already running keeps its complete
+// snapshot and cannot see a torn mix. A view invalidated since Answer
+// refuses, like any stale view.
+func (m *Manager) Rows(v *View, q *sparql.Query) (*eval.RowResult, error) {
+	m.mu.Lock()
+	st, stale := v.store, v.stale
+	m.mu.Unlock()
+	if stale {
+		return nil, errStale
+	}
+	return (&eval.Engine{Store: st, Funcs: m.funcs}).SelectRows(q)
+}
+
 // CountHit records a query actually served from v. Nil-manager safe.
 func (m *Manager) CountHit(v *View) {
 	if m == nil || v == nil {
@@ -417,8 +418,7 @@ func (m *Manager) CountHit(v *View) {
 }
 
 // CountMiss records a query that matched a view but could not be served
-// from it (the local stream failed to open) and fell back to
-// federation. Nil-manager safe.
+// from it (Rows failed) and fell back to federation. Nil-manager safe.
 func (m *Manager) CountMiss() {
 	if m == nil {
 		return
@@ -490,7 +490,7 @@ func (m *Manager) refineEstimate(sh *shape) {
 		return
 	}
 	for _, tp := range sh.patternsCanon {
-		term, shp := patternStatKey(tp)
+		term, shp := obs.PatternStatKey(tp)
 		if term == "" {
 			continue
 		}
@@ -502,21 +502,10 @@ func (m *Manager) refineEstimate(sh *shape) {
 	}
 }
 
-// patternStatKey mirrors the decomposer's observed-cardinality cell key:
-// the predicate IRI (or the class IRI for rdf:type patterns) and the
-// ground-position shape.
-func patternStatKey(tp rdf.Triple) (term, shp string) {
-	if !tp.P.IsIRI() {
-		return "", ""
-	}
-	term = tp.P.Value
-	if tp.P.Value == rdf.RDFType && tp.O.IsIRI() {
-		term = tp.O.Value
-	}
-	return term, obs.PatternShape(tp.S.IsGround(), tp.O.IsGround())
-}
-
-var errTooLarge = errors.New("view: materialized result exceeds MaxTriples")
+var (
+	errTooLarge = errors.New("view: materialized result exceeds MaxTriples")
+	errStale    = errors.New("view: invalidated since the query matched it")
+)
 
 // materializeQuery builds the shape's covering query: SELECT * over the
 // original (uncanonicalised) BGP, filters dropped so the view covers
@@ -563,9 +552,9 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error)
 	return st, nil
 }
 
-// materialize builds a mined shape into a view and publishes it behind a
-// local:// endpoint. A build that raced an invalidation is discarded:
-// the data may predate the KB change.
+// materialize builds a mined shape into a view and publishes it. A build
+// that raced an invalidation is discarded: the data may predate the KB
+// change.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
 	st, err := m.build(sh, sh.patternsCanon)
@@ -588,28 +577,16 @@ func (m *Manager) materialize(sh *shape) {
 	}
 	m.nextID++
 	v := &View{
-		id:           "v" + strconv.Itoa(m.nextID),
-		def:          sh,
-		store:        st,
-		endpointName: fmt.Sprintf("view-%d-v%d", viewSeq.Add(1), m.nextID),
-		epoch:        e0,
-		created:      time.Now(),
-		refreshed:    time.Now(),
+		id:        "v" + strconv.Itoa(m.nextID),
+		def:       sh,
+		store:     st,
+		epoch:     e0,
+		created:   time.Now(),
+		refreshed: time.Now(),
 	}
-	m.register(v)
 	delete(m.shapes, sh.sig)
 	m.views[sh.sig] = v
 	m.order = append(m.order, sh.sig)
-}
-
-// register (re-)publishes the view's store behind its local endpoint;
-// callers hold the manager lock. In-flight streams against a replaced
-// server keep reading their old store snapshot, which is immutable from
-// their perspective.
-func (m *Manager) register(v *View) {
-	srv := endpoint.NewServer(v.endpointName, v.store)
-	srv.Engine.Funcs = m.funcs
-	endpoint.RegisterLocal(v.endpointName, srv)
 }
 
 // InvalidateDataset marks every view sourcing the data set stale and
@@ -747,7 +724,6 @@ func (m *Manager) refreshView(v *View) {
 		v.stale = false
 		v.epoch = e0
 		v.refreshed = time.Now()
-		m.register(v)
 		m.mu.Unlock()
 		m.metrics.refreshes.Inc()
 		return
@@ -761,7 +737,6 @@ type Info struct {
 	Signature string    `json:"signature"`
 	SourceOnt string    `json:"source"`
 	Datasets  []string  `json:"datasets"`
-	Endpoint  string    `json:"endpoint"`
 	State     string    `json:"state"` // ready | stale
 	Triples   int       `json:"triples"`
 	Hits      uint64    `json:"hits"`
@@ -825,7 +800,6 @@ func (m *Manager) Stats() Stats {
 			Signature: v.def.sig,
 			SourceOnt: v.def.sourceOnt,
 			Datasets:  append([]string(nil), v.def.datasets...),
-			Endpoint:  v.Endpoint(),
 			State:     state,
 			Triples:   v.store.Size(),
 			Hits:      v.hits,
@@ -839,29 +813,8 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// SyntheticDataset describes a view's embedded store as a voiD data set
-// — triple count, void:propertyPartition and void:classPartition derived
-// from the store's live statistics — so the view endpoint
-// presents the same statistical surface a real federated endpoint
-// publishes in its voiD description.
-func SyntheticDataset(uri, title string, st *store.Store, endpointURL string) *voidkb.Dataset {
-	ds := &voidkb.Dataset{
-		URI:            uri,
-		Title:          title,
-		SPARQLEndpoint: endpointURL,
-		Triples:        int64(st.Size()),
-	}
-	vs := voidStatsOf(st)
-	ds.PropertyPartitions = vs.PropertyPartitions
-	ds.ClassPartitions = vs.ClassPartitions
-	return ds
-}
-
-// Void returns the view's synthetic voiD description.
-func (v *View) Void() *voidkb.Dataset {
-	return SyntheticDataset("view:"+v.id, "materialized view "+v.id, v.store, v.Endpoint())
-}
-
+// voidStatsOf derives a view store's voiD statistics — triple count,
+// property and class partitions — from the store's live counters.
 func voidStatsOf(st *store.Store) VoidStats {
 	vs := VoidStats{Triples: st.Size()}
 	if pc := st.PredicateCounts(); len(pc) > 0 {

@@ -3,12 +3,12 @@ package view
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 )
@@ -162,9 +162,6 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	if v.Void.Triples != 6 || len(v.Void.PropertyPartitions) != 2 {
 		t.Fatalf("synthetic voiD stats = %+v", v.Void)
 	}
-	if !strings.HasPrefix(v.Endpoint, "local://") {
-		t.Fatalf("view endpoint = %q", v.Endpoint)
-	}
 
 	// A renamed spelling of the same shape hits.
 	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
@@ -176,6 +173,22 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
 	}
 	if hv.ID() != v.ID {
 		t.Fatalf("hit view %s, want %s", hv.ID(), v.ID)
+	}
+	// The matched query evaluates over the view's store, in its own
+	// variable names: one row per materialized solution.
+	rr, err := m.Rows(hv, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for row := range rr.Seq {
+		if !row[0].IsIRI() || row[1].Kind != rdf.KindLiteral {
+			t.Fatalf("row %d = %v, want a paper IRI and a count", n, row)
+		}
+		n++
+	}
+	if fmt.Sprint(rr.Vars) != "[x y]" || n != 3 {
+		t.Fatalf("view evaluation: vars %v, %d rows; want [x y], 3", rr.Vars, n)
 	}
 	// A match is not yet a hit: the serving layer confirms it only once
 	// the view stream opens (CountHit) or records the fallback (CountMiss).
@@ -189,6 +202,26 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
 	m.CountMiss()
 	if got := m.Stats(); got.Misses != 2 {
 		t.Fatalf("misses after CountMiss = %d, want 2", got.Misses)
+	}
+}
+
+// TestRefineEstimateReadsDecomposerCell: the actual the decomposer
+// observed for a fragment led by `?x rdf:type C` — its cell is (C, "??"),
+// the class folded into the term — must sharpen a shape with that
+// pattern. The view tier used to look the pattern up under (C, "?g") and
+// never found it.
+func TestRefineEstimateReadsDecomposerCell(t *testing.T) {
+	const ds = "http://e/ds1"
+	typePat := rdf.Triple{S: rdf.NewVar("x"), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://e/Paper")}
+	cards := obs.NewCardStore(obs.CardStoreOptions{})
+	term, shp := obs.PatternStatKey(typePat) // what decompose.Engine observes under
+	cards.Observe(ds, term, shp, 10, 5000)
+	m := NewManager(&fakeRunner{}, nil, Options{Cards: cards})
+	defer m.Close()
+	sh := &shape{patternsCanon: []rdf.Triple{typePat}, datasets: []string{ds}, estRows: 10}
+	m.refineEstimate(sh)
+	if sh.estRows != 5000 {
+		t.Fatalf("estRows = %d, want the observed 5000 (cell %q %q not found)", sh.estRows, term, shp)
 	}
 }
 
@@ -363,7 +396,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 
 // TestObserveAfterCloseIsNoop guards the Close/Observe race: once Close
 // has begun, Observe must not wg.Add (WaitGroup misuse) nor spawn a
-// build that could re-register an endpoint after UnregisterLocal.
+// build.
 func TestObserveAfterCloseIsNoop(t *testing.T) {
 	r := &fakeRunner{solutions: crossSolutions(1), complete: true}
 	m := NewManager(r, nil, Options{MinFrequency: 1})

@@ -206,10 +206,6 @@ if [ -z "$view_ready" ]; then
 	echo "check-metrics: /api/views never listed a ready view:" >&2
 	cat "$workdir/views.json" >&2
 	fail=1
-elif ! grep -q '"endpoint":"local://' "$workdir/views.json"; then
-	echo "check-metrics: /api/views lists no local:// endpoint:" >&2
-	cat "$workdir/views.json" >&2
-	fail=1
 else
 	vstatus=$(curl -s -o /dev/null -w '%{http_code}' \
 		--data-urlencode "query=$(cross_repeat 3)" "$base/sparql")

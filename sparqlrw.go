@@ -337,12 +337,8 @@ var (
 	WithMediatorFederation = mediate.WithFederation
 	// WithMediatorPlanner replaces the planner options.
 	WithMediatorPlanner = mediate.WithPlanner
-	// WithoutMediatorPlanner disables target auto-selection.
-	WithoutMediatorPlanner = mediate.WithoutPlanner
 	// WithMediatorDecomposer replaces the decompose options.
 	WithMediatorDecomposer = mediate.WithDecomposer
-	// WithoutMediatorDecomposer disables the multi-source path.
-	WithoutMediatorDecomposer = mediate.WithoutDecomposer
 	// WithMediatorRewriteFilters toggles the §4 FILTER extension.
 	WithMediatorRewriteFilters = mediate.WithRewriteFilters
 	// WithMediatorObservability replaces the observability options
