@@ -108,6 +108,15 @@ func TestHandlerRowAllocations(t *testing.T) {
 	}
 }
 
+// exampleUniverse is the generated data behind exampleFederation; the
+// generator is deterministic, so a test regenerates it to reason about
+// what the federation holds.
+func exampleUniverse() *workload.Universe {
+	cfg := workload.DefaultConfig()
+	cfg.Persons, cfg.Papers = 40, 120
+	return workload.Generate(cfg)
+}
+
 // exampleFederation is the benchmark's three-repository deployment over
 // in-process endpoints: Southampton (AKT), KISTI (its own vocabulary,
 // reached by rewriting) and the citation metrics, described with the voiD
@@ -115,9 +124,7 @@ func TestHandlerRowAllocations(t *testing.T) {
 // around each data set's endpoint handler.
 func exampleFederation(t testing.TB, wrap func(dataset string, h http.Handler) http.Handler, opts ...Option) *Mediator {
 	t.Helper()
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 40, 120
-	u := workload.Generate(cfg)
+	u := exampleUniverse()
 	metrics := workload.MetricsStore(u)
 	kb := voidkb.NewKB()
 	for _, d := range []struct {
@@ -131,7 +138,7 @@ func exampleFederation(t testing.TB, wrap func(dataset string, h http.Handler) h
 			Vocabularies: []string{rdf.KISTINS}, Triples: int64(u.KISTI.Size())}, u.KISTI},
 		{&voidkb.Dataset{URI: workload.MetricsVoidURI, URISpace: workload.SotonURIPattern,
 			Vocabularies: []string{workload.MetricsNS}, Triples: int64(metrics.Size()),
-			PropertyPartitions: map[string]int64{workload.MetricsCitationCount: int64(cfg.Papers)}}, metrics},
+			PropertyPartitions: map[string]int64{workload.MetricsCitationCount: int64(u.Cfg.Papers)}}, metrics},
 	} {
 		local := fmt.Sprintf("example-%d-%s", kb.Len(), strings.ReplaceAll(t.Name(), "/", "-"))
 		var h http.Handler = endpoint.NewServer(local, d.st)
