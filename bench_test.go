@@ -741,10 +741,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 
 // BenchmarkAnalyzeOverhead measures the per-operator profiling
 // machinery's cost on the decomposed-query hot path: the same
-// cross-vocabulary bound join through the decompose engine with a live
-// trace in the context — every pipeline stage opens an operator span,
-// counts rows and feeds the observed-cardinality store — versus without
-// one, where the span calls no-op. The delta is the per-query price of
+// cross-vocabulary bound join, planned by the decompose engine and run by
+// the evaluator, with a live trace in the context — every stage opens an
+// operator span, counts rows and feeds the observed-cardinality store —
+// versus without one, where the span calls no-op. The delta is the per-query price of
 // EXPLAIN ANALYZE's runtime profiles.
 func BenchmarkAnalyzeOverhead(b *testing.B) {
 	cfg := workload.DefaultConfig()
@@ -783,14 +783,14 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 			if profiled {
 				ctx, tr = obs.NewTrace(ctx, "query")
 			}
-			r := m.JoinEngine.Run(ctx, dcm)
-			for _, err := range r.Solutions() {
+			rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, m.JoinEngine.Plan(dcm).Op, dcm.Vars)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, err := range rows {
 				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := r.Close(); err != nil {
-				b.Fatal(err)
 			}
 			if tr != nil {
 				tr.Finish()

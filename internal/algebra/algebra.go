@@ -84,6 +84,14 @@ type Slice struct {
 	Input         Op
 }
 
+// Remote is a leaf whose rows come from outside the evaluator's store — a
+// federated sub-request — binding Vars in order. Source answers it: an
+// eval.Remote, which the layer that federates implements.
+type Remote struct {
+	Vars   []string
+	Source any
+}
+
 func (*Unit) isOp()     {}
 func (*BGP) isOp()      {}
 func (*Table) isOp()    {}
@@ -96,6 +104,7 @@ func (*Distinct) isOp() {}
 func (*Reduced) isOp()  {}
 func (*OrderBy) isOp()  {}
 func (*Slice) isOp()    {}
+func (*Remote) isOp()   {}
 
 // Translate maps a parsed query to its algebra tree, including solution
 // modifiers. The WHERE clause is translated per the SPARQL 1.0 semantics:
@@ -104,23 +113,28 @@ func (*Slice) isOp()    {}
 // the group-level filters of its operand as the left-join expression), and
 // UNION folds left.
 func Translate(q *sparql.Query) Op {
-	var op Op = TranslateGroup(q.Where)
-	switch q.Form {
-	case sparql.Select:
-		if len(q.OrderBy) > 0 {
-			op = &OrderBy{Conds: q.OrderBy, Input: op}
-		}
-		op = &Project{Vars: q.SelectVars, Star: q.SelectStar, Input: op}
-		if q.Distinct {
-			op = &Distinct{Input: op}
-		} else if q.Reduced {
-			op = &Reduced{Input: op}
-		}
-		if q.Limit >= 0 || q.Offset >= 0 {
-			op = &Slice{Limit: q.Limit, Offset: q.Offset, Input: op}
-		}
-	case sparql.Ask, sparql.Construct, sparql.Describe:
-		// no modifiers in our fragment
+	op := TranslateGroup(q.Where)
+	if q.Form != sparql.Select {
+		return op // ASK, CONSTRUCT and DESCRIBE take no modifiers in our fragment
+	}
+	return Modifiers(q, op)
+}
+
+// Modifiers wraps a SELECT's pattern in the query's solution modifiers:
+// ORDER BY, the projection, DISTINCT or REDUCED, then OFFSET and LIMIT.
+// The mediator puts them above the remote leaves of the plans it builds.
+func Modifiers(q *sparql.Query, op Op) Op {
+	if len(q.OrderBy) > 0 {
+		op = &OrderBy{Conds: q.OrderBy, Input: op}
+	}
+	op = &Project{Vars: q.SelectVars, Star: q.SelectStar, Input: op}
+	if q.Distinct {
+		op = &Distinct{Input: op}
+	} else if q.Reduced {
+		op = &Reduced{Input: op}
+	}
+	if q.Limit >= 0 || q.Offset >= 0 {
+		op = &Slice{Limit: q.Limit, Offset: q.Offset, Input: op}
 	}
 	return op
 }

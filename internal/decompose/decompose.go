@@ -1,10 +1,12 @@
-// Package decompose implements per-BGP exclusive-group decomposition and
-// a mediator-side streaming join engine, the layer between the federation
-// planner (internal/plan) and the federation executor (internal/federate)
-// that handles queries spanning vocabularies served by different
-// repositories — the case the paper's whole-query rewriting cannot cover,
-// and the standard answer in federated SPARQL processing (FedQPL, FedX;
-// see PAPERS.md).
+// Package decompose implements per-BGP exclusive-group decomposition, the
+// layer between the federation planner (internal/plan) and the federation
+// executor (internal/federate) that handles queries spanning vocabularies
+// served by different repositories — the case the paper's whole-query
+// rewriting cannot cover, and the standard answer in federated SPARQL
+// processing (FedQPL, FedX; see PAPERS.md). It selects sources, groups and
+// orders fragments, places filters, and plans the result for the
+// evaluator (internal/eval), whose joins, FILTERs and solution modifiers
+// run above the fragments as remote leaves.
 //
 // # Exclusive groups
 //
@@ -17,8 +19,10 @@
 // fragments, dispatched to every candidate and unioned by the executor's
 // merge. The decomposition fails — and the caller falls back to the
 // whole-query path or reports the query unanswerable — when a pattern has
-// no source at all, or the query's shape is not a plain filtered BGP
-// (OPTIONAL/UNION/ORDER BY stay on the single-source path).
+// no source at all, or the query's pattern is not a plain filtered BGP
+// (OPTIONAL and UNION stay on the single-source path). Any solution
+// modifiers — ORDER BY, DISTINCT, the projection, the slice — run above
+// the joins.
 //
 // # Cardinality-ordered bound joins
 //
@@ -28,15 +32,13 @@
 // onto the join variables, batched into a VALUES block (re-using the
 // planner's VALUES sharding), and injected into fragment k+1's sub-query,
 // so each endpoint only returns solutions that can actually join. When
-// the bindings exceed the bound-join cap the engine falls back to
-// fetching the fragment unbound and hash-joining at the mediator — which
-// is also the robust path when fragments identify entities in different
-// URI spaces, since both sides are owl:sameAs-canonicalised before the
-// join. The engine runs over positional rows (the left side of a join in
-// one flat buffer bucketed on the join slots, joined rows merged by
-// position) and produces the same lazy pull stream as the rest of the
-// system, so the streaming HTTP path (incremental rows, disconnect
-// cancellation) works unchanged.
+// the bindings exceed the bound-join cap the fragment is fetched unbound
+// and hash-joined at the mediator — which is also the robust path when
+// fragments identify entities in different URI spaces, since both sides
+// are owl:sameAs-canonicalised before the join. The joins are the
+// evaluator's hash join, whose remote right operand receives the left
+// side's keys; the plan streams, so the HTTP path's incremental rows and
+// disconnect cancellation work unchanged.
 package decompose
 
 import (
@@ -80,8 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBindRows == 0 {
 		o.MaxBindRows = 1024
-	} else if o.MaxBindRows < 0 {
-		o.MaxBindRows = -1
 	}
 	if o.MaxShards <= 0 {
 		o.MaxShards = 32
@@ -163,8 +163,8 @@ type ResidualFilter struct {
 	expr sparql.Expression
 }
 
-// Decomposition is an ordered per-BGP decomposition: the join-engine
-// execution plan, and the shape /api/plan explains. Query is the query
+// Decomposition is an ordered per-BGP decomposition: what Engine.Plan
+// makes executable, and the shape /api/plan explains. Query is the query
 // that was decomposed, shared with the caller and never modified; it
 // marshals as its text.
 type Decomposition struct {
@@ -182,19 +182,15 @@ type Decomposition struct {
 	ResidualFilters []ResidualFilter `json:"residualFilters,omitempty"`
 	// Warnings flag plan hazards (cartesian join stages).
 	Warnings []string `json:"warnings,omitempty"`
-
-	slots []string // the join engine's row layout: the fragments' variables, in order
 }
 
 // Datasets returns the distinct data set URIs the decomposition touches,
 // in fragment order.
 func (d *Decomposition) Datasets() []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, f := range d.Fragments {
 		for _, t := range f.Targets {
-			if !seen[t.Dataset] {
-				seen[t.Dataset] = true
+			if !slices.Contains(out, t.Dataset) {
 				out = append(out, t.Dataset)
 			}
 		}
@@ -251,9 +247,6 @@ func New(planner *plan.Planner, opts Options) *Decomposer {
 	}
 }
 
-// Options returns the decomposer's effective (defaulted) options.
-func (d *Decomposer) Options() Options { return d.opts }
-
 // Stats returns a snapshot of the decomposer's counters, read back from
 // the metrics registry so the JSON view and /metrics cannot disagree.
 func (d *Decomposer) Stats() Stats {
@@ -280,15 +273,12 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 }
 
 // DecomposeQuery builds the fragment plan for a SELECT query written
-// against sourceOnt. It fails when the query's shape is unsupported
+// against sourceOnt. It fails when the query's pattern is unsupported
 // (anything beyond a filtered BGP) or when some pattern no registered data
 // set can answer.
 func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string) (*Decomposition, error) {
 	if q.Form != sparql.Select {
 		return nil, d.reject("only SELECT queries decompose, got %s", q.Form)
-	}
-	if len(q.OrderBy) > 0 {
-		return nil, d.reject("ORDER BY is not supported on the decomposed path")
 	}
 	patterns, filters, err := flatBGP(q)
 	if err != nil {
@@ -364,13 +354,7 @@ func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string) (*Decompo
 			f.Patterns = append(f.Patterns, sparql.FormatTriplePattern(tp, q.Prefixes))
 		}
 	}
-	seen := map[string]bool{}
-	for _, f := range dec.Fragments {
-		for _, t := range f.Targets {
-			seen[t.Dataset] = true
-		}
-	}
-	dec.MultiSource = len(seen) > 1
+	dec.MultiSource = len(dec.Datasets()) > 1
 
 	d.metrics.decompositions.Inc()
 	for _, f := range dec.Fragments {
@@ -397,13 +381,11 @@ func flatBGP(q *sparql.Query) ([]rdf.Triple, []sparql.Expression, error) {
 		switch e := el.(type) {
 		case *sparql.BGP:
 			for _, tp := range e.Patterns {
-				for _, t := range tp.Terms() {
-					if t.IsBlank() {
-						return nil, nil, fmt.Errorf("decompose: blank-node patterns are not supported")
-					}
+				if tp.S.IsBlank() || tp.P.IsBlank() || tp.O.IsBlank() {
+					return nil, nil, fmt.Errorf("decompose: blank-node patterns are not supported")
 				}
-				patterns = append(patterns, tp)
 			}
+			patterns = append(patterns, e.Patterns...)
 		case *sparql.Filter:
 			filters = append(filters, e.Expr)
 		default:
@@ -524,7 +506,7 @@ func orderFragments(dec *Decomposition, fragments []*Fragment) {
 	for len(remaining) > 0 {
 		best, bestConnected := -1, false
 		for i, f := range remaining {
-			connected := sharesVar(f, bound)
+			connected := slices.ContainsFunc(f.Vars, func(v string) bool { return bound[v] })
 			switch {
 			case best < 0,
 				connected && !bestConnected,
@@ -545,32 +527,10 @@ func orderFragments(dec *Decomposition, fragments []*Fragment) {
 				"stage %d joins without shared variables (cartesian product)", len(dec.Fragments)))
 		}
 		for _, v := range f.Vars {
-			if !bound[v] {
-				bound[v] = true
-				dec.slots = append(dec.slots, v)
-			}
+			bound[v] = true
 		}
 		dec.Fragments = append(dec.Fragments, f)
 	}
-}
-
-// slotsOf maps variables to their slots in a joined row; one that no
-// fragment binds gets -1.
-func (d *Decomposition) slotsOf(vars []string) []int {
-	out := make([]int, len(vars))
-	for i, v := range vars {
-		out[i] = slices.Index(d.slots, v)
-	}
-	return out
-}
-
-func sharesVar(f *Fragment, bound map[string]bool) bool {
-	for _, v := range f.Vars {
-		if bound[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // attachFilters pushes each FILTER into the first fragment that binds
@@ -578,27 +538,20 @@ func sharesVar(f *Fragment, bound map[string]bool) bool {
 // variables are bound (at the last stage if some variable never binds —
 // SPARQL's unbound-in-FILTER semantics then exclude every row).
 func attachFilters(dec *Decomposition, filters []sparql.Expression, pm *rdf.PrefixMap) {
+next:
 	for _, expr := range filters {
-		vars := exprVars(expr)
-		pushed := false
+		terms := sparql.ExprTerms(expr)
 		for _, f := range dec.Fragments {
-			if varsSubset(vars, f.Vars) {
+			if allBound(terms, f.Vars) {
 				f.filters = append(f.filters, expr)
 				f.Filters = append(f.Filters, sparql.FormatExpr(expr, pm))
-				pushed = true
-				break
+				continue next
 			}
-		}
-		if pushed {
-			continue
 		}
 		stage := len(dec.Fragments) - 1
-		bound := map[string]bool{}
+		var bound []string
 		for i, f := range dec.Fragments {
-			for _, v := range f.Vars {
-				bound[v] = true
-			}
-			if varsSubset(vars, keys(bound)) {
+			if bound = append(bound, f.Vars...); allBound(terms, bound) {
 				stage = i
 				break
 			}
@@ -611,37 +564,14 @@ func attachFilters(dec *Decomposition, filters []sparql.Expression, pm *rdf.Pref
 	}
 }
 
-func exprVars(e sparql.Expression) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range sparql.ExprTerms(e) {
-		if t.IsVar() && !seen[t.Value] {
-			seen[t.Value] = true
-			out = append(out, t.Value)
-		}
-	}
-	return out
-}
-
-func varsSubset(sub, super []string) bool {
-	set := map[string]bool{}
-	for _, v := range super {
-		set[v] = true
-	}
-	for _, v := range sub {
-		if !set[v] {
+// allBound reports whether every variable among terms is one of vars.
+func allBound(terms []rdf.Term, vars []string) bool {
+	for _, t := range terms {
+		if t.IsVar() && !slices.Contains(vars, t.Value) {
 			return false
 		}
 	}
 	return true
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // fragmentQuery builds the fragment's sub-query: an optional VALUES block

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/algebra"
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/eval"
@@ -154,7 +155,7 @@ func newFixture(t testing.TB, opts Options) *fixture {
 		client: client,
 		plnr:   plnr,
 		dec:    New(plnr, opts),
-		engine: NewEngine(exec, nil, nil, opts),
+		engine: NewEngine(exec, nil, opts),
 		exec:   exec,
 	}
 }
@@ -177,23 +178,36 @@ func (f *fixture) groundTruth(t testing.TB, query string) []eval.Solution {
 	return res.Solutions
 }
 
-func (f *fixture) run(t testing.TB, query string) ([]eval.Solution, *Run) {
+func (f *fixture) run(t testing.TB, query string) ([]eval.Solution, *Plan) {
 	t.Helper()
 	dec, err := f.dec.Decompose(query, rdf.AKTNS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := f.engine.Run(context.Background(), dec)
-	defer r.Close()
+	p := f.engine.Plan(dec)
+	sols, err := solutions(context.Background(), p.Op, dec.Vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sols, p
+}
+
+// solutions runs a plan as the mediator does — compiled by the evaluator,
+// under ctx — and returns its answer, sorted.
+func solutions(ctx context.Context, op algebra.Op, vars []string) ([]eval.Solution, error) {
+	rows, err := (&eval.Engine{}).Open(ctx, op, vars)
+	if err != nil {
+		return nil, err
+	}
 	var sols []eval.Solution
-	for sol, err := range r.Solutions() {
+	for row, err := range rows {
 		if err != nil {
-			t.Fatal(err)
+			return sols, err
 		}
-		sols = append(sols, sol)
+		sols = append(sols, eval.RowSolution(vars, row))
 	}
 	eval.SortSolutions(sols)
-	return sols, r
+	return sols, nil
 }
 
 // TestExclusiveGroupExtraction pins the decomposition shape on the
@@ -289,18 +303,12 @@ func TestBoundJoinValuesRoundTrip(t *testing.T) {
 		t.Fatal("irrelevant endpoints were queried")
 	}
 
-	res, err := r.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := r.Summary()
 	if res.Partial {
 		t.Fatalf("clean run marked partial: %+v", res.PerDataset)
 	}
 	if len(res.PerDataset) < 2 {
 		t.Fatalf("per-dataset answers = %+v", res.PerDataset)
-	}
-	if r.Transferred() == 0 {
-		t.Fatal("transferred-solutions counter not recorded")
 	}
 	st := f.engine.Stats()
 	if st.Runs != 1 || st.BoundJoinStages != 1 || st.ValuesRows == 0 || st.SolutionsTransferred == 0 {
@@ -378,11 +386,7 @@ SELECT ?paper ?c WHERE {
 	if n := len(f.client.queriesFor(metricsURL)); n != 0 {
 		t.Fatalf("metrics dispatched %d times after an empty seed fragment", n)
 	}
-	res, err := r.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Partial {
+	if res, _ := r.Summary(); res.Partial {
 		t.Fatal("empty join marked partial")
 	}
 }
@@ -401,34 +405,18 @@ func TestCancellationMidJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := f.engine.Run(ctx, dec)
-	defer r.Close()
-
-	type outcome struct {
-		sols int
-		err  error
-	}
-	done := make(chan outcome, 1)
+	r := f.engine.Plan(dec)
+	done := make(chan int, 1)
 	go func() {
-		n := 0
-		var last error
-		for sol, err := range r.Solutions() {
-			if err != nil {
-				last = err
-				break
-			}
-			_ = sol
-			n++
-		}
-		done <- outcome{sols: n, err: last}
+		sols, _ := solutions(ctx, r.Op, dec.Vars)
+		done <- len(sols)
 	}()
 	// Wait until the gated endpoint has the sub-query in flight, then
 	// cancel mid-join.
 	waitFor(t, func() bool { return len(f.client.queriesFor(metricsURL)) > 0 })
 	cancel()
-	out := <-done
-	if out.sols != 0 {
-		t.Fatalf("gated join yielded %d solutions", out.sols)
+	if n := <-done; n != 0 {
+		t.Fatalf("gated join yielded %d solutions", n)
 	}
 	res, _ := r.Summary()
 	if !res.Partial {
@@ -459,7 +447,6 @@ func TestRejectsUnsupportedShapes(t *testing.T) {
 	for _, q := range []string{
 		"SELECT ?s WHERE { OPTIONAL { ?s <http://p.example/x> ?o } }",
 		"ASK { ?s ?p ?o }",
-		"SELECT ?s WHERE { ?s <" + rdf.AKTHasTitle + "> ?o } ORDER BY ?s",
 		// A pattern no registered data set can answer.
 		"SELECT ?s WHERE { ?s <http://nowhere.example/ont#p> ?o }",
 	} {
@@ -467,8 +454,8 @@ func TestRejectsUnsupportedShapes(t *testing.T) {
 			t.Fatalf("decomposed unsupported query:\n%s", q)
 		}
 	}
-	if st := f.dec.Stats(); st.Rejected != 4 {
-		t.Fatalf("rejected = %d, want 4", st.Rejected)
+	if st := f.dec.Stats(); st.Rejected != 3 {
+		t.Fatalf("rejected = %d, want 3", st.Rejected)
 	}
 }
 
@@ -581,7 +568,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	disp := &capturingDispatcher{exec: exec}
 	plnr := plan.New(kb, alignKB, nil, plan.Options{})
 	dcm := New(plnr, Options{})
-	engine := NewEngine(disp, nil, nil, Options{})
+	engine := NewEngine(disp, nil, Options{})
 
 	query := fmt.Sprintf("SELECT ?x ?y ?z WHERE { ?x <%sp> ?y . ?y <%sq> ?z . }", v1, v2)
 	dec, err := dcm.Decompose(query, v1)
@@ -597,9 +584,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	if frag2 == nil || !frag2.Targets[0].NeedsRewrite || frag2.RewriteOnt != v2 {
 		t.Fatalf("v2 fragment not marked for rewriting from v2: %+v", frag2)
 	}
-	r := engine.Run(context.Background(), dec)
-	defer r.Close()
-	sols, err := eval.Collect(r.Solutions())
+	sols, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,16 +656,14 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 	plnr := plan.New(kb, align.NewKB(), nil, plan.Options{})
 	exec := federate.NewExecutor(client, nil, cs, federate.Options{MaxRetries: -1})
 	dcm := New(plnr, Options{})
-	engine := NewEngine(exec, nil, cs, Options{})
+	engine := NewEngine(exec, cs, Options{})
 
 	query := fmt.Sprintf("SELECT ?p ?t ?c WHERE { ?p <%s> ?t . ?p <%s> ?c . }", title, count)
 	dec, err := dcm.Decompose(query, aNS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.Run(context.Background(), dec)
-	defer r.Close()
-	sols, err := eval.Collect(r.Solutions())
+	sols, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,32 +679,27 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 	}
 }
 
-// scribbled wraps a stage so that each row it yields is overwritten as
-// soon as the yield returns — the hard form of "a yielded row is valid
-// only during its yield".
-func scribbled(in rowSeq) rowSeq {
-	return func(yield func(eval.Row, error) bool) {
-		for row, err := range in {
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			own := append(eval.Row(nil), row...)
-			more := yield(own, nil)
-			for i := range own {
-				own[i] = rdf.NewLiteral("scribbled over")
-			}
-			if !more {
-				return
-			}
+// scribbled is a fragment leaf that hands the plan each row in a buffer
+// of its own and overwrites it as soon as the yield returns — the hard
+// form of "a yielded row is valid only during its yield".
+type scribbled struct{ eval.Remote }
+
+func (s scribbled) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) error {
+	return s.Remote.Fetch(ctx, seed, func(row eval.Row) bool {
+		own := append(eval.Row(nil), row...)
+		more := yield(own)
+		for i := range own {
+			own[i] = rdf.NewLiteral("scribbled over")
 		}
-	}
+		return more
+	})
 }
 
 // TestJoinStageRetainsCopies extends eval.TestRetainedRowsAreCopies to
-// the bound join: the left rows it buckets (and ships as VALUES) and the
-// rows the final DISTINCT keys on must be its own copies, since both
-// producers reuse the row they yield. In both join strategies.
+// the plan of a decomposition: the left rows a join stage buckets (and
+// ships as VALUES) and the rows the final DISTINCT keys on must be the
+// plan's own copies, since the fragment leaves reuse the row they yield.
+// In both join strategies.
 func TestJoinStageRetainsCopies(t *testing.T) {
 	for name, opts := range map[string]Options{"bound": {}, "hash": {MaxBindRows: -1}} {
 		t.Run(name, func(t *testing.T) {
@@ -731,20 +709,21 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 			if err != nil || len(d.Fragments) != 2 {
 				t.Fatalf("decomposition = %+v, %v", d, err)
 			}
-			ctx, e, r := context.Background(), f.engine, &Run{vars: d.Vars}
-			// The pipeline of Engine.pipeline, with a scribbler between stages.
-			seq := scribbled(e.fragmentSeq(ctx, d, d.Fragments[0], 0, nil, r))
-			seq = scribbled(e.joinStage(ctx, d, d.Fragments[1], 1, seq, r))
-			var got []eval.Solution
-			for row, err := range e.finalSeq(ctx, d, seq, r) {
-				if err != nil {
-					t.Fatal(err)
+			p := f.engine.Plan(d)
+			algebra.Walk(p.Op, func(op algebra.Op) {
+				if leaf, ok := op.(*algebra.Remote); ok {
+					leaf.Source = scribbled{leaf.Source.(eval.Remote)}
 				}
-				got = append(got, eval.RowSolution(d.Vars, row))
+			})
+			got, err := solutions(context.Background(), p.Op, d.Vars)
+			if err != nil {
+				t.Fatal(err)
 			}
-			eval.SortSolutions(got)
 			if want := f.groundTruth(t, query); len(got) == 0 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("joined over row-reusing stages = %v\nwant %v", got, want)
+				t.Fatalf("joined over row-reusing leaves = %v\nwant %v", got, want)
+			}
+			if st := f.engine.Stats(); (st.HashJoinStages > 0) != (name == "hash") {
+				t.Fatalf("engine stats = %+v, want the %s strategy", st, name)
 			}
 		})
 	}

@@ -92,7 +92,7 @@ func refEval(st *store.Store, op algebra.Op) []Solution {
 			if o.Expr == nil {
 				return true
 			}
-			ok, err := EvalBool(o.Expr, m, nil)
+			ok, err := evalBool(o.Expr, m, nil)
 			return err == nil && ok
 		})
 		for i, ls := range l {
@@ -106,7 +106,7 @@ func refEval(st *store.Store, op algebra.Op) []Solution {
 	case *algebra.Filter:
 		var out []Solution
 		for _, sol := range refEval(st, o.Input) {
-			if ok, err := EvalBool(o.Expr, sol, nil); err == nil && ok {
+			if ok, err := evalBool(o.Expr, sol, nil); err == nil && ok {
 				out = append(out, sol)
 			}
 		}

@@ -88,19 +88,7 @@ func (e *Engine) SelectRows(q *sparql.Query) (*RowResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	from := make([]int, len(vars))
-	for i, v := range vars {
-		from[i] = p.slot(v)
-	}
-	return &RowResult{Vars: vars, Seq: func(yield func(Row) bool) {
-		out := make(Row, len(vars))
-		p.root.run(func(r Row) bool {
-			for i, s := range from {
-				out[i] = r[s]
-			}
-			return yield(out)
-		})
-	}}, nil
+	return &RowResult{Vars: vars, Seq: p.rows(vars)}, nil
 }
 
 // Ask evaluates an ASK query, stopping at the first solution.

@@ -33,9 +33,9 @@ type Bindings interface {
 }
 
 // RowBindings reads a positional row by variable name, Row[i] binding
-// Vars[i]: the view the mediator's residual FILTERs and CONSTRUCT
-// templates take of its rows. Slot tables there are a handful of names,
-// so the lookup is a scan.
+// Vars[i]: the view the templates of the mediator's CONSTRUCT streams and
+// of the view builds take of their rows. Slot tables there are a handful
+// of names, so the lookup is a scan.
 type RowBindings struct {
 	Vars []string
 	Row  Row
@@ -97,15 +97,6 @@ func EBV(t rdf.Term) (bool, error) {
 		return t.Value != "", nil
 	}
 	return false, exprErrf("EBV undefined for datatype %s", t.Datatype)
-}
-
-// EvalBool evaluates a FILTER expression to its effective boolean value
-// against one solution, for callers applying residual filters outside the
-// engine (the decomposed-join path evaluates mediator-side filters with
-// it). Per SPARQL FILTER semantics an error excludes the row: callers
-// should treat a non-nil error as false.
-func EvalBool(e sparql.Expression, sol Bindings, funcs FuncResolver) (bool, error) {
-	return evalBool(e, sol, funcs)
 }
 
 // evalBool evaluates an expression to its effective boolean value.

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"context"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -26,7 +28,16 @@ type plan struct {
 	slots map[string]int // binding key → slot
 	names []string       // slot → binding key
 	root  op
-	err   error // set when build met a node it cannot compile
+	err   error // the first failure: a node build cannot compile, or a remote leaf's
+	// ctx is what a plan over remote leaves runs under (see Open).
+	ctx       context.Context
+	leaves    int   // remote leaves built so far: the stage of an operator above them
+	projected int64 // rows into the projection, the input of the final stage
+	// asked records the slots build asks for while recording is positive:
+	// the slots a hash join's right operand can bind are those its build
+	// asked for.
+	asked     []int
+	recording int
 }
 
 // op is a compiled algebra node. run pushes each of the node's solutions
@@ -50,10 +61,30 @@ func (p *plan) slot(key string) int {
 		p.slots[key] = s
 		p.names = append(p.names, key)
 	}
+	if p.recording > 0 {
+		p.asked = append(p.asked, s)
+	}
 	return s
 }
 
 func (p *plan) newRow() Row { return make(Row, len(p.names)) }
+
+// rows runs the plan lazily, row[i] binding vars[i].
+func (p *plan) rows(vars []string) iter.Seq[Row] {
+	from := make([]int, len(vars))
+	for i, v := range vars {
+		from[i] = p.slot(v)
+	}
+	return func(yield func(Row) bool) {
+		out := make(Row, len(vars))
+		p.root.run(func(r Row) bool {
+			for i, s := range from {
+				out[i] = r[s]
+			}
+			return yield(out)
+		})
+	}
+}
 
 // RowSolution is the boundary adapter from a positional row (r[i] binding
 // names[i]) to the map form the public callers use: a fresh map of the
@@ -120,7 +151,20 @@ func (p *plan) build(a algebra.Op) op {
 		if b, ok := rhs.(*algebra.BGP); ok {
 			return &seedJoinOp{l: p.build(lhs), r: p.buildBGP(b.Patterns)}
 		}
-		return &hashJoinOp{p: p, l: p.build(lhs), r: p.build(rhs)}
+		j := &hashJoinOp{p: p, l: p.build(lhs)}
+		from := len(p.asked)
+		p.recording++
+		j.r = p.build(rhs)
+		p.recording--
+		j.rslots = p.asked[from:]
+		return j
+	case *algebra.Remote: // built under Open, which gives the plan its context
+		p.leaves++
+		r := &remoteOp{p: p, src: o.Source.(Remote)}
+		for _, v := range o.Vars {
+			r.slots = append(r.slots, p.slot(v))
+		}
+		return r
 	case *algebra.LeftJoin:
 		lj := &leftJoinOp{p: p, l: p.build(o.L), expr: o.Expr}
 		if b, ok := o.R.(*algebra.BGP); ok {
@@ -132,7 +176,8 @@ func (p *plan) build(a algebra.Op) op {
 	case *algebra.Union:
 		return &unionOp{p.build(o.L), p.build(o.R)}
 	case *algebra.Filter:
-		return &filterOp{p: p, in: p.build(o.Input), expr: o.Expr}
+		in := p.build(o.Input)
+		return &filterOp{p: p, in: in, expr: o.Expr, stage: int64(p.leaves - 1)}
 	case *algebra.Project:
 		pr := &projectOp{p: p, in: p.build(o.Input)}
 		if o.Star {
@@ -208,17 +253,24 @@ type filterOp struct {
 	p    *plan
 	in   op
 	expr sparql.Expression
+	// The profile of a plan over remote leaves: the leaves below, less
+	// one, and the rows in and out.
+	stage, seen, kept int64
 }
 
 func (f *filterOp) run(yield func(Row) bool) bool {
 	fr := &frame{p: f.p}
+	f.seen, f.kept = 0, 0
+	defer f.p.profile("filter", "filter", f.stage, &f.seen, &f.kept)()
 	return f.in.run(func(r Row) bool {
 		// SPARQL FILTER error semantics: an erroring expression excludes
 		// the row rather than failing the query.
+		f.seen++
 		fr.row = r
 		if ok, err := evalBool(f.expr, fr, f.p.eng.Funcs); err != nil || !ok {
 			return true
 		}
+		f.kept++
 		return yield(r)
 	})
 }
@@ -234,6 +286,7 @@ type projectOp struct {
 func (o *projectOp) run(yield func(Row) bool) bool {
 	out := o.p.newRow()
 	return o.in.run(func(r Row) bool {
+		o.p.projected++
 		for _, s := range o.keep {
 			out[s] = r[s]
 		}
@@ -261,7 +314,7 @@ func (s *sliceOp) run(yield func(Row) bool) bool {
 		return true
 	}
 	skip, left, more := s.offset, s.limit, true
-	s.in.run(func(r Row) bool {
+	done := s.in.run(func(r Row) bool {
 		if skip > 0 {
 			skip--
 			return true
@@ -270,7 +323,7 @@ func (s *sliceOp) run(yield func(Row) bool) bool {
 		left--
 		return more && left != 0 // LIMIT satisfied: stop upstream work
 	})
-	return more
+	return more && (done || left == 0)
 }
 
 // RowBuf holds rows of one width back to back in one slice: the retained
@@ -282,7 +335,8 @@ type RowBuf struct {
 	Terms    []rdf.Term
 }
 
-// collect drains in into a buffer of width-wide rows.
+// collect drains in into a buffer of width-wide rows. A remote leaf
+// failing below it cuts the rows short; its callers check plan.err.
 func collect(in op, width int) RowBuf {
 	b := RowBuf{Width: width}
 	in.run(func(r Row) bool {
@@ -324,6 +378,9 @@ type orderOp struct {
 
 func (o *orderOp) run(yield func(Row) bool) bool {
 	buf := collect(o.in, len(o.p.names))
+	if o.p.err != nil {
+		return false
+	}
 	rows := make([]Row, buf.N)
 	for i := range rows {
 		rows[i] = buf.Row(i)
@@ -383,10 +440,10 @@ func orderCompare(a, b rdf.Term) int {
 	return a.Compare(b)
 }
 
-// JoinRows writes the union of two rows over one slot table to out and
+// joinRows writes the union of two rows over one slot table to out and
 // reports whether they were compatible: agreed on every slot both bind
 // (the SPARQL join condition).
-func JoinRows(out, l, r Row) bool {
+func joinRows(out, l, r Row) bool {
 	for s, t := range l {
 		switch {
 		case t.Kind == rdf.KindAny:
@@ -428,7 +485,9 @@ func (o *leftJoinOp) run(yield func(Row) bool) bool {
 	var right RowBuf
 	var out Row
 	if o.bgp == nil {
-		right = collect(o.r, len(o.p.names))
+		if right = collect(o.r, len(o.p.names)); o.p.err != nil {
+			return false
+		}
 		out = o.p.newRow()
 	}
 	return o.l.run(func(l Row) bool {
@@ -437,7 +496,7 @@ func (o *leftJoinOp) run(yield func(Row) bool) bool {
 			o.bgp.seeded(l, extended)
 		} else {
 			for i := 0; i < right.N && more; i++ {
-				if JoinRows(out, l, right.Row(i)) {
+				if joinRows(out, l, right.Row(i)) {
 					extended(out)
 				}
 			}
@@ -449,42 +508,43 @@ func (o *leftJoinOp) run(yield func(Row) bool) bool {
 	})
 }
 
-// hashJoinOp is the generic join: both operands are evaluated and copied,
-// the right side is bucketed by its terms in the slots both sides bind,
-// and each left row probes its bucket.
+// hashJoinOp is the generic join: the left operand is evaluated, copied
+// and bucketed by the key slots, and the right one streams, each row
+// probing its bucket; a remote right operand is handed the left keys
+// first (see Seed). Rows of one operand may bind different slots (under
+// UNION or OPTIONAL): the key slots are the right side's that some left
+// row binds, and a row leaving one unbound is compared with every row.
 type hashJoinOp struct {
-	p    *plan
-	l, r op
+	p      *plan
+	l, r   op
+	rslots []int // the slots the right operand's build asked for
 }
 
 func (o *hashJoinOp) run(yield func(Row) bool) bool {
 	width := len(o.p.names)
-	left, right := collect(o.l, width), collect(o.r, width)
-	// Rows of one operand may bind different slots (under UNION or
-	// OPTIONAL), so the shared slots are those bound somewhere on each side.
-	boundIn := func(b *RowBuf) []bool {
-		bound := make([]bool, width)
-		for i, t := range b.Terms {
-			if t.Kind != rdf.KindAny {
-				bound[i%width] = true
-			}
-		}
-		return bound
+	left := collect(o.l, width)
+	remote, _ := o.r.(*remoteOp)
+	if o.p.err != nil || left.N == 0 && remote == nil {
+		return o.p.err == nil
 	}
-	lb, rb := boundIn(&left), boundIn(&right)
-	var shared []int
-	for s := range width {
-		if lb[s] && rb[s] {
-			shared = append(shared, s)
+	bound := make([]bool, width)
+	for i, t := range left.Terms {
+		bound[i%width] = bound[i%width] || t.Kind != rdf.KindAny
+	}
+	seed := &Seed{Left: left.N}
+	var keySlots []int
+	for _, s := range o.rslots {
+		if bound[s] {
+			bound[s] = false // once
+			keySlots = append(keySlots, s)
+			seed.Vars = append(seed.Vars, o.p.names[s])
 		}
 	}
-	// key renders a row's shared slots; ok is false when it leaves one
-	// unbound, and such rows are compared against every row of the other
-	// side instead of one bucket.
+	seed.Keys.Width = len(keySlots)
 	var buf []byte
 	key := func(r Row) (k []byte, ok bool) {
 		buf = buf[:0]
-		for _, s := range shared {
+		for _, s := range keySlots {
 			if r[s].Kind == rdf.KindAny {
 				return nil, false
 			}
@@ -494,28 +554,45 @@ func (o *hashJoinOp) run(yield func(Row) bool) bool {
 	}
 	buckets := map[string][]int{}
 	var unkeyed, all []int
-	for i := range right.N {
+	for i := range left.N {
 		all = append(all, i)
-		if k, ok := key(right.Row(i)); ok {
-			buckets[string(k)] = append(buckets[string(k)], i)
-		} else {
+		l := left.Row(i)
+		k, ok := key(l)
+		if !ok {
 			unkeyed = append(unkeyed, i)
+			continue
+		}
+		buckets[string(k)] = append(buckets[string(k)], i)
+		if remote != nil {
+			for _, s := range keySlots {
+				seed.Keys.Terms = append(seed.Keys.Terms, l[s])
+			}
+			seed.Keys.N++
 		}
 	}
+	if len(unkeyed) > 0 { // keys that leave left rows out cannot restrict the right side
+		seed.Vars, seed.Keys = nil, RowBuf{}
+	}
 	out := o.p.newRow()
-	for i := range left.N {
-		l := left.Row(i)
+	probe := func(r Row) bool {
 		candidates, rest := all, []int(nil)
-		if k, ok := key(l); ok {
+		if k, ok := key(r); ok {
 			candidates, rest = buckets[string(k)], unkeyed
 		}
 		for _, group := range [2][]int{candidates, rest} {
-			for _, j := range group {
-				if JoinRows(out, l, right.Row(j)) && !yield(out) {
-					return false
+			for _, i := range group {
+				if joinRows(out, left.Row(i), r) {
+					seed.Joined++
+					if !yield(out) {
+						return false
+					}
 				}
 			}
 		}
+		return true
 	}
-	return true
+	if remote != nil {
+		return remote.fetch(seed, probe)
+	}
+	return o.r.run(probe)
 }

@@ -5,7 +5,10 @@
 // SPARQL 1.0 three-valued error semantics, DISTINCT, ORDER BY, slicing —
 // runs over positional rows of that width (see plan.go). Solution maps
 // are the form the SELECT / ASK / CONSTRUCT / DESCRIBE entry points hand
-// to callers, and are built only there.
+// to callers, and are built only there. A plan's leaves may also be
+// remote (remote.go): rows a federated sub-request supplies through the
+// Remote interface the mediator implements, so the mediator's joins,
+// FILTERs and solution modifiers above its endpoints run here too (Open).
 package eval
 
 import (

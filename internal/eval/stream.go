@@ -1,13 +1,10 @@
 package eval
 
-import (
-	"io"
-	"iter"
-)
+import "iter"
 
 // SolutionSeq is a lazy solution sequence: a single-use iterator yielding
-// solutions as a decoder, a federated merge or the decomposer produces
-// them. A non-nil error terminates the sequence; no solutions follow it.
+// solutions as a decoder or the mediator's stream produces them. A
+// non-nil error terminates the sequence; no solutions follow it.
 // Consumers may stop early by breaking out of the range loop, which
 // releases the producer without draining it.
 type SolutionSeq = iter.Seq2[Solution, error]
@@ -37,29 +34,6 @@ type RowStream interface {
 	NextRow(vars []string, row Row) error
 	RowBuffered() bool
 	Close() error
-}
-
-// RowSolutions adapts a pull stream of positional rows over vars (next
-// returning io.EOF at the end) into a lazy sequence of solution maps, one
-// built per row and owned by the consumer, terminated by the stream's
-// error if any. A consumer breaking out of the loop calls stop.
-func RowSolutions(vars []string, next func() (Row, error), stop func()) SolutionSeq {
-	return func(yield func(Solution, error) bool) {
-		for {
-			row, err := next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(RowSolution(vars, row), nil) {
-				stop()
-				return
-			}
-		}
-	}
 }
 
 // Collect drains a solution sequence into a slice, returning the first

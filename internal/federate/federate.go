@@ -419,12 +419,12 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 		return true
 	}
 	if ctx.Err() != nil {
-		// The parent was cancelled (fail-fast abort, client disconnect):
-		// the endpoint is not at fault, so neither the breaker nor the
-		// failure counters blame it. Cancel releases a half-open probe
-		// so the breaker cannot wedge waiting for its verdict.
+		// The parent was cancelled (fail-fast abort, client disconnect, a
+		// consumer with all it needs): the outcome is the cancellation, and
+		// neither the breaker nor the failure counters blame the endpoint.
+		// Cancel releases a half-open probe so the breaker cannot wedge.
 		out.br.Cancel()
-		da.Err = out.err
+		da.Err = ctx.Err()
 		return true
 	}
 	e.settle(out)

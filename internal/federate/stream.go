@@ -102,6 +102,22 @@ func (s *Stream) Close() error {
 	return nil
 }
 
+// Fetch pushes the rows into yield until they end or yield returns false,
+// then closes the stream: the stream as the leaf of an evaluator plan
+// (eval.Remote), which runs under the context it was started with.
+func (s *Stream) Fetch(_ context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
+	defer s.Close()
+	for {
+		row, err := s.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil || !yield(row) {
+			return err
+		}
+	}
+}
+
 // Summary reports the fan-out's outcome: per-dataset answers, duplicate
 // count and the partial flag (Solutions is nil: the rows already flowed
 // through the stream). It consumes whatever

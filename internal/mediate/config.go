@@ -151,7 +151,7 @@ func (m *Mediator) rebuild() {
 	decOpts.Registry = m.Obs.Registry
 	decOpts.Cards = m.Obs.Cards
 	m.Decomposer = decompose.New(m.Planner, decOpts)
-	m.JoinEngine = decompose.NewEngine(m.Exec, m.Funcs.Resolver(), m.Coref, decOpts)
+	m.JoinEngine = decompose.NewEngine(m.Exec, m.Coref, decOpts)
 	if m.cfg.Views != nil {
 		// Inject the shared registry and card store, then rebuild only
 		// when the effective options actually changed — the view manager

@@ -341,7 +341,7 @@ func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation,
 
 // explainQuery is ExplainQuery past its parse, the entry of /api/plan.
 func (m *Mediator) explainQuery(q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
-	pl, err := m.Planner.Plan(q, sourceOnt)
+	pl, err := m.Planner.Plan(wireQuery(q), sourceOnt)
 	if err != nil {
 		return nil, err
 	}

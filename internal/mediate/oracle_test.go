@@ -199,23 +199,6 @@ func (d diffTemplate) variants() map[string]string {
 	return out
 }
 
-// parentGap names the cases the mediator still answers wrong while ORDER
-// BY and the slice run at the endpoints; they are skipped until both move
-// above the merge.
-func parentGap(path diffPath, text string) string {
-	q := sparql.MustParse(text)
-	switch {
-	case path.cached && q.Limit >= 0:
-		return "a LIMIT that stops the upstream work abandons sub-queries, and the result cache refuses such an answer"
-	case len(q.OrderBy) > 0:
-		return "ORDER BY runs at the endpoints, before the merge canonicalises and joins rows: " +
-			"a fan-out has no global order, and the decomposer refuses one"
-	case q.Limit >= 0 && !q.Distinct:
-		return "an endpoint's LIMIT counts rows the merge then drops"
-	}
-	return ""
-}
-
 // TestMediatorMatchesOracle drives the Figure-1, cross-vocabulary, bulk
 // and citation-metrics shapes, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
@@ -262,10 +245,6 @@ func TestMediatorMatchesOracle(t *testing.T) {
 					continue
 				}
 				for name, text := range tmpl.variants() {
-					if gap := parentGap(path, text); gap != "" {
-						t.Logf("%s: skipped: %s", name, gap)
-						continue
-					}
 					cases++
 					want := o.answer(t, text)
 					req := QueryRequest{Query: text, SourceOnt: cmp.Or(tmpl.sourceOnt, rdf.AKTNS), Targets: path.targets}

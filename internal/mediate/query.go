@@ -1,12 +1,15 @@
 package mediate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"strconv"
 
+	"sparqlrw/internal/algebra"
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
@@ -224,12 +227,12 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 }
 
 // solutionSource is the streaming backend of a QueryStream: the
-// federated fan-out stream on the single-source path, the decomposed
-// bound-join run on the multi-source path, a view store's evaluation, a
-// result-cache replay. All deliver merged rows incrementally — Next's row
-// binds Vars() by position and is valid until the next Next or Close, the
-// pull form of the evaluator's volcano rule — and report per-dataset
-// outcomes afterwards.
+// federated fan-out stream, a plan the evaluator runs over remote leaves
+// (a decomposition's joins, or the modifiers above a fan-out), a view
+// store's evaluation, a result-cache replay. All deliver merged rows
+// incrementally — Next's row binds Vars() by position and is valid until
+// the next Next or Close, the pull form of the evaluator's volcano rule —
+// and report per-dataset outcomes afterwards.
 type solutionSource interface {
 	Vars() []string
 	Next() (eval.Row, error)
@@ -259,7 +262,8 @@ type QueryStream struct {
 // selectStream starts the federated SELECT pipeline for q under req's
 // options (source ontology, targets, limit, tenant; not req.Query). q is
 // the request's parsed query or the SELECT derived from it for an ASK,
-// CONSTRUCT or DESCRIBE; planner, decomposer and executor share it unmodified.
+// CONSTRUCT or DESCRIBE; the decomposer reads it, the planner and the
+// executor its wire form, and none modifies it.
 func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("mediate: selectStream called on %s query", q.Form)
@@ -283,11 +287,12 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		}
 	}
 	qs := &QueryStream{limit: req.Limit}
+	wire := wireQuery(q)
 	var freq federate.Request
 	if len(req.Targets) == 0 {
 		_, planSpan := obs.StartSpan(ctx, "plan")
 		planSpan.SetAttr("sourceOnt", req.SourceOnt)
-		pl, err := m.Planner.Plan(q, req.SourceOnt)
+		pl, err := m.Planner.Plan(wire, req.SourceOnt)
 		if err != nil {
 			planSpan.SetAttr("error", err.Error())
 			planSpan.End()
@@ -329,7 +334,10 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 			decSpan.End()
 			qs.pl = pl
 			qs.dec = dcm
-			qs.src = m.JoinEngine.Run(ctx, dcm)
+			dp := m.JoinEngine.Plan(dcm)
+			if qs.src, err = m.openPlan(ctx, dp.Op, dcm.Vars, dp.Summary); err != nil {
+				return nil, err
+			}
 			// Multi-source queries are exactly the expensive
 			// cross-vocabulary joins worth materializing: mine the
 			// shape (unless this IS a materialization run).
@@ -341,7 +349,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		qs.pl = pl
 		freq = federate.PlanRequest(pl)
 	} else {
-		freq = federate.Request{SourceOnt: req.SourceOnt, Vars: q.Projection()}
+		freq = federate.Request{SourceOnt: req.SourceOnt, Vars: wire.Projection()}
 		qs.unknown = make(map[int]DatasetAnswer)
 		qs.nTargets = len(req.Targets)
 		for i, target := range req.Targets {
@@ -360,62 +368,102 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 				Endpoint:     ds.SPARQLEndpoint,
 				Replicas:     ds.Replicas,
 				NeedsRewrite: !ds.UsesVocabulary(req.SourceOnt),
-				Query:        q,
+				Query:        wire,
 			})
 		}
 	}
-	qs.src = m.fanOut(ctx, freq, q)
-	return qs, nil
+	s := m.Exec.SelectStream(ctx, freq)
+	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
+		// Nothing to apply above the merge that the reader does not: a plan
+		// of one leaf is its stream. (An ASK reads one row of its LIMIT 1
+		// query, and its summary waits for every endpoint's.)
+		qs.src = s
+		return qs, nil
+	}
+	// The merge answers a set over the wire's variables; projected onto
+	// q's, it stays one under DISTINCT.
+	mods := *q
+	mods.Distinct, mods.Reduced = true, false
+	op := algebra.Modifiers(&mods, &algebra.Remote{Vars: freq.Vars, Source: s})
+	var err error
+	qs.src, err = m.openPlan(ctx, op, q.Projection(), s.Summary, s)
+	return qs, err
 }
 
-// fanOut dispatches q's whole-query fan-out. The query's own OFFSET and
-// LIMIT count merged rows, so with more than one sub-request no endpoint
-// may apply them to its own: the targets run a clone without OFFSET, and
-// with LIMIT (widened by the offset) only when q is not DISTINCT/REDUCED,
-// where a cut of distinct rows falls short once owl:sameAs merges them, and
-// the merged stream is sliced. All targets run q, for a sliced query is
-// never VALUES-sharded (plan.ShardQuery). A single sub-request keeps q: its
-// endpoint's ORDER BY and slice are exact.
-func (m *Mediator) fanOut(ctx context.Context, freq federate.Request, q *sparql.Query) solutionSource {
-	if len(freq.Targets) < 2 || (q.Limit < 0 && q.Offset <= 0) {
-		return m.Exec.SelectStream(ctx, freq)
+// wireQuery is what the endpoints of a whole-query fan-out run: q less
+// the modifiers that order or count rows of the merged answer, which the
+// plan applies above the merge, and projecting what ORDER BY reads. Only
+// LIMIT 1 without OFFSET or ORDER BY stays: one row at any endpoint is at
+// least one merged row, so that cut cannot fall short.
+func wireQuery(q *sparql.Query) *sparql.Query {
+	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || q.Limit == 1) {
+		return q
 	}
-	sub := q.Clone()
-	sub.Offset = -1
-	if q.Distinct || q.Reduced {
-		sub.Limit = -1
-	} else if q.Limit >= 0 {
-		sub.Limit = q.Limit + max(q.Offset, 0)
-	}
-	for i := range freq.Targets {
-		freq.Targets[i].Query = sub
-	}
-	return &sliceSource{solutionSource: m.Exec.SelectStream(ctx, freq), skip: q.Offset, left: q.Limit}
-}
-
-// sliceSource applies a query's own OFFSET, then LIMIT, to a merged
-// stream. Reaching LIMIT is the answer's natural end (io.EOF), not a cut:
-// the result-cache fill above it stores such an answer as complete.
-type sliceSource struct {
-	solutionSource
-	skip int // rows OFFSET still drops
-	left int // rows LIMIT still allows; negative when the query has none
-}
-
-func (s *sliceSource) Next() (eval.Row, error) {
-	for ; s.skip > 0; s.skip-- {
-		if _, err := s.solutionSource.Next(); err != nil {
-			return nil, err
+	w := q.Clone()
+	w.OrderBy, w.Limit, w.Offset = nil, -1, -1
+	for _, c := range q.OrderBy {
+		for _, t := range sparql.ExprTerms(c.Expr) {
+			if t.IsVar() && !w.SelectStar && !slices.Contains(w.SelectVars, t.Value) {
+				w.SelectVars = append(w.SelectVars, t.Value)
+			}
 		}
 	}
-	if s.left == 0 {
-		return nil, io.EOF
+	return w
+}
+
+// pulledSource reads an evaluation a row at a time — a plan over remote
+// leaves, or a view's answer — and reports summary's account of it.
+type pulledSource struct {
+	vars    []string
+	next    func() (eval.Row, error, bool)
+	stop    func()
+	err     error
+	n       int // rows handed out
+	summary func() (*federate.Result, error)
+}
+
+// openPlan compiles a plan over remote leaves and starts it under ctx, its
+// rows over vars. Closing the source stops the plan, whose leaves close
+// their dispatches as it unwinds, and closes held, which no leaf may reach.
+func (m *Mediator) openPlan(ctx context.Context, op algebra.Op, vars []string, summary func() (*federate.Result, error), held ...io.Closer) (*pulledSource, error) {
+	seq, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, op, vars)
+	release := func() {
+		for _, c := range held {
+			c.Close()
+		}
 	}
-	row, err := s.solutionSource.Next()
-	if err == nil && s.left > 0 {
-		s.left--
+	if err != nil {
+		release()
+		return nil, err
 	}
-	return row, err
+	next, stop := iter.Pull2(seq)
+	return &pulledSource{vars: vars, next: next, stop: func() { stop(); release() }, summary: summary}, nil
+}
+
+func (s *pulledSource) Vars() []string { return s.vars }
+
+func (s *pulledSource) Next() (eval.Row, error) {
+	row, err, ok := s.next()
+	if !ok {
+		return nil, cmp.Or(s.err, io.EOF)
+	}
+	if err != nil {
+		s.err = err
+		return nil, err
+	}
+	s.n++
+	return row, nil
+}
+
+func (s *pulledSource) Close() error { s.stop(); return nil }
+
+// Summary consumes whatever remains of the rows first.
+func (s *pulledSource) Summary() (*federate.Result, error) {
+	for _, err := s.Next(); err == nil; _, err = s.Next() {
+	}
+	res, err := s.summary()
+	res.Vars = s.vars
+	return res, cmp.Or(s.err, err)
 }
 
 // Vars returns the query's projection variable names.
@@ -452,7 +500,22 @@ func (qs *QueryStream) Next() (eval.Row, error) {
 // fail-fast error, if any. Breaking out of the loop stops the upstream
 // work.
 func (qs *QueryStream) Solutions() eval.SolutionSeq {
-	return eval.RowSolutions(qs.Vars(), qs.Next, func() { qs.Close() })
+	return func(yield func(eval.Solution, error) bool) {
+		for {
+			row, err := qs.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(eval.RowSolution(qs.Vars(), row), nil) {
+				qs.Close()
+				return
+			}
+		}
+	}
 }
 
 // Summary reports the fan-out's outcome (consuming whatever remains of

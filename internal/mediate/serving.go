@@ -5,6 +5,7 @@ package mediate
 // lookup/fill plumbing around the streaming query path.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -177,13 +178,14 @@ func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *federate.RepCache) {
 
 // storable reports whether a fan-out summary describes a complete,
 // fully successful answer — the only kind worth caching (a partial
-// answer cached once would keep masking the datasets that failed).
+// answer cached once would keep masking the datasets that failed). A
+// sub-query abandoned once the query's own LIMIT was met failed nothing.
 func storable(sum *federate.Result) bool {
 	if sum == nil || sum.Partial {
 		return false
 	}
 	for _, da := range sum.PerDataset {
-		if da.Err != nil {
+		if da.Err != nil && !errors.Is(da.Err, federate.ErrStreamClosed) {
 			return false
 		}
 	}
@@ -273,6 +275,7 @@ func (f *fillSource) Close() error {
 			f.maybeStore(sum, nil)
 		}
 	}
+	f.stored = true // a stream read past its Close ends at the Close, not at its end
 	return f.src.Close()
 }
 

@@ -1,7 +1,7 @@
 package mediate
 
-// A query's own LIMIT and OFFSET on a whole-query fan-out: they count rows
-// of the merged answer, whatever each endpoint holds of it.
+// A query's own LIMIT and OFFSET: they count rows of the merged answer,
+// whatever each endpoint holds of it.
 
 import (
 	"fmt"
@@ -64,8 +64,10 @@ func sparqlAnswer(t *testing.T, base, query string, params url.Values) map[strin
 	}
 }
 
-// TestFanOutSliceCountsMergedRows: over the Figure-1 queries of 24 persons,
-// planned and with both repositories named, as SELECT and as CONSTRUCT,
+// TestFanOutSliceCountsMergedRows: over the Figure-1 queries of 24 persons
+// — as written, and as a bag without DISTINCT or FILTER, whose endpoint
+// answers repeat rows the merge drops — as SELECT and as CONSTRUCT,
+// planned, with both repositories named and with Southampton's alone,
 // LIMIT / OFFSET / both return min(limit, max(0, n − offset)) of the n
 // rows the unsliced query merges to, all of them rows of that answer.
 func TestFanOutSliceCountsMergedRows(t *testing.T) {
@@ -75,10 +77,11 @@ func TestFanOutSliceCountsMergedRows(t *testing.T) {
 	slices := []struct {
 		text          string
 		limit, offset int
-	}{{" LIMIT 3", 3, 0}, {" OFFSET 2", -1, 2}, {" LIMIT 3 OFFSET 2", 3, 2}}
+	}{{" LIMIT 2", 2, 0}, {" LIMIT 3", 3, 0}, {" LIMIT 4", 4, 0}, {" OFFSET 2", -1, 2}, {" LIMIT 3 OFFSET 2", 3, 2}}
 	sliced := 0
 	for person := 0; person < 24; person++ {
 		self := workload.SotonPerson(person).Value
+		bag := fmt.Sprintf("WHERE { ?paper akt:has-author <%s> . ?paper akt:has-author ?a }", self)
 		queries := map[string]string{
 			"SELECT": workload.Figure1Query(person),
 			"CONSTRUCT": fmt.Sprintf(`PREFIX akt:<%s>
@@ -87,11 +90,14 @@ CONSTRUCT { ?paper akt:has-author ?a } WHERE {
   ?paper akt:has-author ?a .
   FILTER (!(?a = <%s>))
 }`, rdf.AKTNS, self, self),
+			"SELECT, bag":    "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a " + bag,
+			"CONSTRUCT, bag": "PREFIX akt:<" + rdf.AKTNS + ">\nCONSTRUCT { ?paper akt:has-author ?a } " + bag,
 		}
 		for form, query := range queries {
 			for path, params := range map[string]url.Values{
-				"planned":  nil,
-				"explicit": {"target": {workload.SotonVoidURI, workload.KistiVoidURI}},
+				"planned":    nil,
+				"explicit":   {"target": {workload.SotonVoidURI, workload.KistiVoidURI}},
+				"one target": {"target": {workload.SotonVoidURI}},
 			} {
 				full := sparqlAnswer(t, srv.URL, query, params)
 				for _, sl := range slices {

@@ -119,8 +119,20 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	m.Views.CountHit(v)
 	span.End()
-	src := &viewSource{view: v, vars: res.Vars}
-	src.next, src.stop = iter.Pull(res.Seq)
+	next, stop := iter.Pull(res.Seq)
+	src := &pulledSource{vars: res.Vars, stop: stop,
+		next: func() (eval.Row, error, bool) { row, ok := next(); return row, nil, ok }}
+	// The summary lists the view pseudo-dataset first and the view's
+	// source data sets after it — all with zero Attempts (nothing was
+	// dispatched over the federation), but present so the result cache's
+	// invalidate-by-dataset still covers entries filled from a view.
+	src.summary = func() (*federate.Result, error) {
+		per := []federate.DatasetAnswer{{Dataset: "view:" + v.ID(), Solutions: src.n}}
+		for _, ds := range v.Datasets() {
+			per = append(per, federate.DatasetAnswer{Dataset: ds})
+		}
+		return &federate.Result{PerDataset: per}, nil
+	}
 	return &QueryStream{limit: req.Limit, src: src}, true
 }
 
@@ -138,40 +150,4 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 	}
 	canon := federate.NewRepCache(m.Coref)
 	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.Term)
-}
-
-// viewSource pulls a view evaluation's row sequence in the
-// solutionSource shape; like every source it is driven by one goroutine,
-// its stream's consumer. Its Summary lists the view pseudo-dataset first
-// and the view's source data sets after it — all with zero Attempts
-// (nothing was dispatched over the federation), but present so the
-// result cache's invalidate-by-dataset still covers entries filled from
-// a view.
-type viewSource struct {
-	view *view.View
-	vars []string // the query's projection
-	next func() (eval.Row, bool)
-	stop func()
-	n    int
-}
-
-func (s *viewSource) Vars() []string { return s.vars }
-
-func (s *viewSource) Next() (eval.Row, error) {
-	row, ok := s.next()
-	if !ok {
-		return nil, io.EOF
-	}
-	s.n++
-	return row, nil
-}
-
-func (s *viewSource) Close() error { s.stop(); return nil }
-
-func (s *viewSource) Summary() (*federate.Result, error) {
-	per := []federate.DatasetAnswer{{Dataset: "view:" + s.view.ID(), Solutions: s.n}}
-	for _, ds := range s.view.Datasets() {
-		per = append(per, federate.DatasetAnswer{Dataset: ds})
-	}
-	return &federate.Result{Vars: s.vars, PerDataset: per}, nil
 }

@@ -108,7 +108,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 		{name: "restricted tenant, explicit targets",
 			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both, Tenant: sotonOnly},
 			derived: sparql.Format(restricted)},
-		{name: "planned, one source, the slice left to it",
+		{name: "planned, one source, slice above merge",
 			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2",
 				SourceOnt: workload.MetricsNS}},
 		{name: "planned, VALUES-sharded",
@@ -125,7 +125,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			tap := &wireTap{seen: map[string][]string{}}
 			m := exampleFederation(t, tap.wrap, tc.opts...)
 			disp := &recordingDispatcher{exec: m.Exec}
-			m.JoinEngine = decompose.NewEngine(disp, m.Funcs.Resolver(), m.Coref, m.Config().Decompose)
+			m.JoinEngine = decompose.NewEngine(disp, m.Coref, m.Config().Decompose)
 			if tc.req.SourceOnt == "" {
 				tc.req.SourceOnt = rdf.AKTNS
 			}

@@ -148,3 +148,22 @@ func TestOneLaneIn(t *testing.T) {
 		}
 	}
 }
+
+// TestOneHashJoin pins the one join implementation: rows are keyed for a
+// hash join only inside the evaluator, and the mediator's joins are eval
+// plans over remote leaves. Outside internal/eval (and internal/rdf, which
+// defines it) no non-test file renders terms into a key with AppendString
+// or AppendRowKey.
+func TestOneHashJoin(t *testing.T) {
+	for rel, file := range internalFiles(t) {
+		if strings.HasPrefix(rel, "eval/") || strings.HasPrefix(rel, "rdf/") {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "AppendString" || sel.Sel.Name == "AppendRowKey") {
+				t.Errorf("%s renders a row key with %s: hash joins belong to internal/eval", rel, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
