@@ -52,7 +52,7 @@
 // estimated vs actual cardinality), X-Trace-Id names it, and GET
 // /api/trace[/{id}] and /api/analyze/{id} serve the recent-trace ring.
 // Observed cardinalities feed a per-(dataset, predicate/class, shape)
-// store; with -adaptive-stats the planner corrects voiD estimates from
+// store; with -adaptive-stats the decomposer corrects voiD estimates from
 // it. Requests carrying a W3C `traceparent` header join the caller's
 // trace, finished traces can ship to an OTLP/HTTP collector, GET
 // /api/health scores every endpoint, and slow or failed queries persist

@@ -45,8 +45,8 @@ const (
 	// Algorithm 1 semantics (align.match returns one match).
 	FirstMatch MatchMode = iota
 	// AllMatches applies every matching alignment, conjoining their RHS
-	// instantiations into the output BGP; an ablation documented in
-	// DESIGN.md.
+	// instantiations into the output BGP; an ablation of Algorithm 1
+	// (README.md describes the rewriter).
 	AllMatches
 	// UnionMatches applies every matching alignment as an *alternative*:
 	// a triple matched by k alignments becomes a k-branch UNION. This

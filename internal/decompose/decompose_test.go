@@ -15,6 +15,7 @@ import (
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
@@ -726,5 +727,70 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 				t.Fatalf("engine stats = %+v, want the %s strategy", st, name)
 			}
 		})
+	}
+}
+
+// heldDispatcher holds the first request it forwards until release is
+// closed, announcing it on held.
+type heldDispatcher struct {
+	exec          *federate.Executor
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *heldDispatcher) SelectStream(ctx context.Context, req federate.Request) *federate.Stream {
+	h.once.Do(func() {
+		close(h.held)
+		<-h.release
+	})
+	return h.exec.SelectStream(ctx, req)
+}
+
+// TestCardObservationRacingInvalidationDropped: the seed fragment's fetch
+// is held while the voiD hook invalidates its data set; the actual it
+// then brings back was taken against the old data, so the store records
+// no cell for it — while the q-error histogram still counts the sample,
+// and an unraced run of the same plan does record the cell.
+func TestCardObservationRacingInvalidationDropped(t *testing.T) {
+	reg := obs.NewRegistry()
+	cards := obs.NewCardStore(obs.CardStoreOptions{Registry: reg})
+	f := newFixture(t, Options{Cards: cards})
+	disp := &heldDispatcher{exec: f.exec, held: make(chan struct{}), release: make(chan struct{})}
+	engine := NewEngine(disp, nil, Options{Cards: cards})
+	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), rdf.AKTNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := dec.Fragments[0]
+	ds := seed.Targets[0].Dataset
+	run := func() error {
+		_, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
+		return err
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- run() }()
+	<-disp.held
+	cards.Invalidate(ds)
+	close(disp.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if card, _, ok := cards.Lookup(ds, seed.statTerm, seed.statShape); ok {
+		t.Fatalf("observation that raced an invalidation was stored: card %v", card)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `sparqlrw_estimate_qerror_count{dataset="`+ds+`"} 1`) {
+		t.Fatalf("the raced fetch's q-error sample is missing:\n%s", out.String())
+	}
+
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := cards.Lookup(ds, seed.statTerm, seed.statShape); !ok {
+		t.Fatal("an unraced fetch recorded no cell")
 	}
 }

@@ -257,8 +257,12 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 		}
 	}
 	var span *obs.Span
+	var epoch uint64
 	if !bound {
 		ctx, span = obs.StartSpan(ctx, "fragment")
+		// A KB invalidation during the fetch makes its actuals describe
+		// the old data: Observe then drops them.
+		epoch = l.e.opts.Cards.Epoch()
 	}
 	start, yielded, firstRowMS := time.Now(), int64(0), -1.0
 	s := l.e.exec.SelectStream(ctx, req)
@@ -282,7 +286,7 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 	for _, da := range res.PerDataset {
 		if da.Err == nil && da.Shards <= 1 {
 			l.e.opts.Cards.Observe(da.Dataset, f.statTerm, f.statShape,
-				f.estByDataset[da.Dataset], int64(da.Solutions))
+				f.estByDataset[da.Dataset], int64(da.Solutions), epoch)
 		}
 	}
 	st := obs.Operator("fragment")

@@ -1,9 +1,9 @@
 package federate
 
 import (
-	"container/list"
-	"strings"
 	"sync"
+
+	"sparqlrw/internal/lru"
 )
 
 // PlanCache is an LRU cache of rewrite plans (rewritten query text) keyed
@@ -12,26 +12,23 @@ import (
 // rewrite once and share the result. A nil *PlanCache is a valid no-op
 // cache (every Do computes).
 type PlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List               // front = most recently used
-	items    map[string]*list.Element // key -> element whose Value is *planEntry
-	flights  map[string]*flight
-	hits     uint64 // includes singleflight waiters: they avoided a rewrite
-	misses   uint64
+	mu      sync.Mutex
+	plans   *lru.Cache[PlanKey, string]
+	flights map[PlanKey]*flight
+	hits    uint64 // includes singleflight waiters: they avoided a rewrite
+	misses  uint64
 }
 
-type planEntry struct {
-	key, value string
+// PlanKey identifies one rewrite: the sub-query's text, the ontology it is
+// rewritten from and the data set it is rewritten for.
+type PlanKey struct {
+	Query, SourceOnt, Dataset string
 }
 
 type flight struct {
 	done chan struct{}
 	val  string
 	err  error
-	// stale marks an in-progress computation invalidated mid-flight: its
-	// waiters still get the value, but it is not inserted into the cache.
-	stale bool
 }
 
 // NewPlanCache returns a cache holding at most capacity plans; capacity
@@ -40,34 +37,24 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PlanCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
-	}
-}
-
-// PlanKey builds the cache key for a rewrite request.
-func PlanKey(query, sourceOnt, dataset string) string {
-	return query + "\x00" + sourceOnt + "\x00" + dataset
+	return &PlanCache{plans: lru.New[PlanKey, string](capacity), flights: make(map[PlanKey]*flight)}
 }
 
 // Do returns the cached plan for key, or computes it with compute,
 // deduplicating concurrent computations of the same key. cached reports
 // whether the value was served without running compute in this goroutine.
-// Errors are not cached: a failed compute leaves the key absent.
-func (c *PlanCache) Do(key string, compute func() (string, error)) (val string, cached bool, err error) {
+// Errors are not cached: a failed compute leaves the key absent, and so
+// does one an invalidation overtook (its waiters still get the value).
+func (c *PlanCache) Do(key PlanKey, compute func() (string, error)) (val string, cached bool, err error) {
 	if c == nil {
 		v, err := compute()
 		return v, false, err
 	}
 	c.mu.Lock()
-	if elem, ok := c.items[key]; ok {
-		c.ll.MoveToFront(elem)
+	if v, ok := c.plans.Get(key); ok {
 		c.hits++
 		c.mu.Unlock()
-		return elem.Value.(*planEntry).value, true, nil
+		return v, true, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.hits++
@@ -78,14 +65,15 @@ func (c *PlanCache) Do(key string, compute func() (string, error)) (val string, 
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.misses++
+	epoch := c.plans.Epoch()
 	c.mu.Unlock()
 
 	f.val, f.err = compute()
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	if f.err == nil && !f.stale {
-		c.insertLocked(key, f.val)
+	if f.err == nil {
+		c.plans.Put(key, f.val, epoch)
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -93,51 +81,15 @@ func (c *PlanCache) Do(key string, compute func() (string, error)) (val string, 
 }
 
 // Invalidate removes every cached plan whose target data set satisfies
-// match (nil matches everything) and marks matching in-flight
-// computations stale so their results are not inserted. It returns the
-// number of cached entries removed.
+// match (nil matches everything); no rewrite in flight across the call is
+// cached. It returns the number of cached entries removed.
 func (c *PlanCache) Invalidate(match func(dataset string) bool) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := 0
-	for key, elem := range c.items {
-		if match == nil || match(keyDataset(key)) {
-			c.ll.Remove(elem)
-			delete(c.items, key)
-			removed++
-		}
-	}
-	for key, f := range c.flights {
-		if match == nil || match(keyDataset(key)) {
-			f.stale = true
-		}
-	}
-	return removed
-}
-
-// keyDataset extracts the target-dataset component of a PlanKey.
-func keyDataset(key string) string {
-	if i := strings.LastIndexByte(key, '\x00'); i >= 0 {
-		return key[i+1:]
-	}
-	return key
-}
-
-func (c *PlanCache) insertLocked(key, value string) {
-	if elem, ok := c.items[key]; ok {
-		c.ll.MoveToFront(elem)
-		elem.Value.(*planEntry).value = value
-		return
-	}
-	c.items[key] = c.ll.PushFront(&planEntry{key: key, value: value})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*planEntry).key)
-	}
+	return c.plans.RemoveFunc(func(k PlanKey, _ string) bool { return match == nil || match(k.Dataset) })
 }
 
 // Len returns the number of cached plans.
@@ -147,7 +99,7 @@ func (c *PlanCache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.plans.Len()
 }
 
 // Metrics returns the cumulative hit/miss counters (singleflight waiters

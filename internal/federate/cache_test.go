@@ -3,13 +3,19 @@ package federate
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sparqlrw/internal/raceflag"
 )
 
-func mustDo(t *testing.T, c *PlanCache, key, val string) (string, bool) {
+// qk is the key of a rewrite of query text q alone.
+func qk(q string) PlanKey { return PlanKey{Query: q} }
+
+func mustDo(t *testing.T, c *PlanCache, key PlanKey, val string) (string, bool) {
 	t.Helper()
 	got, cached, err := c.Do(key, func() (string, error) { return val, nil })
 	if err != nil {
@@ -20,11 +26,11 @@ func mustDo(t *testing.T, c *PlanCache, key, val string) (string, bool) {
 
 func TestCacheHitAndMiss(t *testing.T) {
 	c := NewPlanCache(4)
-	if got, cached := mustDo(t, c, "k1", "v1"); got != "v1" || cached {
+	if got, cached := mustDo(t, c, qk("k1"), "v1"); got != "v1" || cached {
 		t.Fatalf("first Do = %q cached=%v", got, cached)
 	}
 	// Second Do must not run compute.
-	got, cached, err := c.Do("k1", func() (string, error) {
+	got, cached, err := c.Do(qk("k1"), func() (string, error) {
 		t.Fatal("compute ran on a cache hit")
 		return "", nil
 	})
@@ -38,30 +44,30 @@ func TestCacheHitAndMiss(t *testing.T) {
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c := NewPlanCache(2)
-	mustDo(t, c, "k1", "v1")
-	mustDo(t, c, "k2", "v2")
-	mustDo(t, c, "k1", "ignored") // touch k1: k2 becomes the LRU entry
-	mustDo(t, c, "k3", "v3")      // evicts k2
+	mustDo(t, c, qk("k1"), "v1")
+	mustDo(t, c, qk("k2"), "v2")
+	mustDo(t, c, qk("k1"), "ignored") // touch k1: k2 becomes the LRU entry
+	mustDo(t, c, qk("k3"), "v3")      // evicts k2
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if _, cached := mustDo(t, c, "k1", "recomputed1"); !cached {
+	if _, cached := mustDo(t, c, qk("k1"), "recomputed1"); !cached {
 		t.Fatal("k1 evicted despite being recently used")
 	}
-	if _, cached := mustDo(t, c, "k2", "recomputed2"); cached {
+	if _, cached := mustDo(t, c, qk("k2"), "recomputed2"); cached {
 		t.Fatal("k2 not evicted")
 	}
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewPlanCache(4)
-	if _, _, err := c.Do("k", func() (string, error) { return "", errors.New("boom") }); err == nil {
+	if _, _, err := c.Do(qk("k"), func() (string, error) { return "", errors.New("boom") }); err == nil {
 		t.Fatal("error lost")
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed compute was cached")
 	}
-	if got, cached := mustDo(t, c, "k", "v"); got != "v" || cached {
+	if got, cached := mustDo(t, c, qk("k"), "v"); got != "v" || cached {
 		t.Fatal("key poisoned by earlier error")
 	}
 }
@@ -74,7 +80,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := c.Do("k", func() (string, error) {
+			got, _, err := c.Do(qk("k"), func() (string, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond)
 				return "v", nil
@@ -98,12 +104,12 @@ func TestCacheDistinctKeysComputeIndependently(t *testing.T) {
 	c := NewPlanCache(64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		key := fmt.Sprintf("k%d", i)
+		q := fmt.Sprintf("k%d", i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, _ := mustDoConc(c, key, key+"-v"); got != key+"-v" {
-				t.Errorf("Do(%s) = %q", key, got)
+			if got, _ := mustDoConc(c, qk(q), q+"-v"); got != q+"-v" {
+				t.Errorf("Do(%s) = %q", q, got)
 			}
 		}()
 	}
@@ -113,7 +119,7 @@ func TestCacheDistinctKeysComputeIndependently(t *testing.T) {
 	}
 }
 
-func mustDoConc(c *PlanCache, key, val string) (string, bool) {
+func mustDoConc(c *PlanCache, key PlanKey, val string) (string, bool) {
 	got, cached, _ := c.Do(key, func() (string, error) { return val, nil })
 	return got, cached
 }
@@ -125,7 +131,7 @@ func TestNilCachePassesThrough(t *testing.T) {
 	}
 	calls := 0
 	for i := 0; i < 3; i++ {
-		got, cached, err := c.Do("k", func() (string, error) { calls++; return "v", nil })
+		got, cached, err := c.Do(qk("k"), func() (string, error) { calls++; return "v", nil })
 		if err != nil || got != "v" || cached {
 			t.Fatalf("nil cache Do = %q cached=%v err=%v", got, cached, err)
 		}
@@ -141,23 +147,11 @@ func TestNilCachePassesThrough(t *testing.T) {
 	}
 }
 
-func TestPlanKeyDistinguishesComponents(t *testing.T) {
-	keys := map[string]bool{
-		PlanKey("q", "s", "t"):     true,
-		PlanKey("q", "st", ""):     true,
-		PlanKey("", "qs", "t"):     true,
-		PlanKey("q\x00s", "", "t"): true,
-	}
-	if len(keys) != 4 {
-		t.Fatalf("key collisions: %v", keys)
-	}
-}
-
 func TestCacheInvalidateByDataset(t *testing.T) {
 	c := NewPlanCache(8)
-	mustDo(t, c, PlanKey("q1", "src", "dsA"), "planA1")
-	mustDo(t, c, PlanKey("q2", "src", "dsA"), "planA2")
-	mustDo(t, c, PlanKey("q1", "src", "dsB"), "planB")
+	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "planA1")
+	mustDo(t, c, PlanKey{"q2", "src", "dsA"}, "planA2")
+	mustDo(t, c, PlanKey{"q1", "src", "dsB"}, "planB")
 	if n := c.Invalidate(func(ds string) bool { return ds == "dsA" }); n != 2 {
 		t.Fatalf("invalidated = %d, want 2", n)
 	}
@@ -165,18 +159,18 @@ func TestCacheInvalidateByDataset(t *testing.T) {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
 	// dsA keys recompute, dsB still hits.
-	if _, cached := mustDo(t, c, PlanKey("q1", "src", "dsA"), "planA1'"); cached {
+	if _, cached := mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "planA1'"); cached {
 		t.Fatal("invalidated key served from cache")
 	}
-	if got, cached := mustDo(t, c, PlanKey("q1", "src", "dsB"), "x"); !cached || got != "planB" {
+	if got, cached := mustDo(t, c, PlanKey{"q1", "src", "dsB"}, "x"); !cached || got != "planB" {
 		t.Fatalf("dsB = %q cached=%v", got, cached)
 	}
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
 	c := NewPlanCache(8)
-	mustDo(t, c, PlanKey("q1", "src", "dsA"), "a")
-	mustDo(t, c, PlanKey("q2", "src", "dsB"), "b")
+	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "a")
+	mustDo(t, c, PlanKey{"q2", "src", "dsB"}, "b")
 	if n := c.Invalidate(nil); n != 2 || c.Len() != 0 {
 		t.Fatalf("flush removed %d, len=%d", n, c.Len())
 	}
@@ -189,7 +183,7 @@ func TestCacheInvalidateAll(t *testing.T) {
 
 func TestCacheInvalidateMarksFlightsStale(t *testing.T) {
 	c := NewPlanCache(8)
-	key := PlanKey("q", "src", "dsA")
+	key := PlanKey{"q", "src", "dsA"}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -208,5 +202,25 @@ func TestCacheInvalidateMarksFlightsStale(t *testing.T) {
 	// The stale in-flight result must not have been inserted.
 	if _, cached := mustDo(t, c, key, "fresh-plan"); cached {
 		t.Fatal("stale in-flight plan was cached despite invalidation")
+	}
+}
+
+// TestPlanCacheHitAllocations: a hit allocates nothing, its key built
+// from the three strings as the executor builds it included.
+func TestPlanCacheHitAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	c := NewPlanCache(4)
+	query := strings.Repeat("SELECT ?s WHERE { ?s ?p ?o } ", 8)
+	src, ds := "http://src.example/ont#", "http://ds.example/void"
+	compute := func() (string, error) { return "plan", nil }
+	mustDo(t, c, PlanKey{query, src, ds}, "plan")
+	if got := testing.AllocsPerRun(100, func() {
+		if _, cached, _ := c.Do(PlanKey{query, src, ds}, compute); !cached {
+			t.Fatal("plan-cache miss on a cached key")
+		}
+	}); got != 0 {
+		t.Errorf("plan-cache hit: %.0f allocations, want 0", got)
 	}
 }

@@ -328,7 +328,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 		if t.SkipRewriteCache {
 			da.Query, err = rewrite()
 		} else {
-			da.Query, cached, err = e.cache.Do(PlanKey(text, req.SourceOnt, t.Dataset), rewrite)
+			da.Query, cached, err = e.cache.Do(PlanKey{text, req.SourceOnt, t.Dataset}, rewrite)
 		}
 		rwSpan.SetAttr("cached", cached)
 		rwSpan.End()

@@ -100,10 +100,11 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 	}
 	m.Configure(opts...)
 	// Cache invalidation hooks: a changed voiD entry drops that data
-	// set's cached rewrite plans and cached federated results, a changed
-	// alignment KB flushes both caches entirely — no wholesale executor
-	// rebuild needed. Both caches version their epochs, so fills that
-	// were in flight across an invalidation are silently discarded.
+	// set's cached rewrite plans, cached federated results and observed
+	// cardinalities, a changed alignment KB flushes all three — no
+	// wholesale executor rebuild needed. Each invalidation moves its
+	// cache's epoch (internal/lru), so a rewrite, answer or observation
+	// in flight across it is discarded, never stored.
 	m.unsubscribe = []func(){
 		datasets.Subscribe(func(uri string) {
 			m.Exec.InvalidateDataset(uri)

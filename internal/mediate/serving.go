@@ -254,7 +254,7 @@ func (f *fillSource) Next() (eval.Row, error) {
 		return nil, err
 	}
 	if !f.overflow {
-		if f.rows.N >= f.fill.cache.MaxRows() {
+		if f.rows.N >= serve.CacheMaxRows {
 			f.overflow, f.rows = true, eval.RowBuf{}
 		} else {
 			f.rows.AppendCompact(&f.arena, row)

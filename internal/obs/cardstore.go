@@ -3,13 +3,13 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"sparqlrw/internal/lru"
 	"sparqlrw/internal/rdf"
 )
 
@@ -68,38 +68,34 @@ func PatternStatKey(tp rdf.Triple) (term, shape string) {
 // cardKey identifies one observed-cardinality cell: a dataset, the
 // pattern's predicate (or rdf:type class) IRI, and the pattern shape.
 type cardKey struct {
-	Dataset string
-	Term    string
-	Shape   string
+	Dataset string `json:"dataset"`
+	Term    string `json:"term,omitempty"`
+	Shape   string `json:"shape"`
 }
 
-// cardEntry is one cell's state: an EWMA of observed result
+// cardCell is one cell's state: an EWMA of observed result
 // cardinalities and the observation count.
-type cardEntry struct {
-	key  cardKey
-	card float64
-	obs  int64
+type cardCell struct {
+	Card float64 `json:"card"`
+	Obs  int64   `json:"obs"`
 }
 
-// cardLine is the JSONL persistence shape of one entry.
+// cardLine is the JSONL persistence shape of one cell.
 type cardLine struct {
-	Dataset string  `json:"dataset"`
-	Term    string  `json:"term,omitempty"`
-	Shape   string  `json:"shape"`
-	Card    float64 `json:"card"`
-	Obs     int64   `json:"obs"`
+	cardKey
+	cardCell
 }
 
-// Default CardStore tuning. The EWMA alpha weights recent observations
-// enough to track drift within a handful of queries without letting one
-// outlier result dominate; the correction cap bounds how far an observed
+// CardStore tuning. The EWMA alpha weights recent observations enough to
+// track drift within a handful of queries without letting one outlier
+// result dominate; the correction cap bounds how far an observed
 // cardinality may pull a voiD estimate, so a corrupted observation can
 // reorder fragments but never produce a pathological plan.
 const (
-	defaultCardCapacity  = 4096
-	defaultCardAlpha     = 0.3
-	defaultCorrectionCap = 100.0
-	cardFileName         = "cards.jsonl"
+	cardCapacity  = 4096
+	cardAlpha     = 0.3
+	correctionCap = 100.0
+	cardFileName  = "cards.jsonl"
 )
 
 // CardStore is the observed-cardinality feedback store: an LRU of
@@ -113,17 +109,13 @@ const (
 // All methods are nil-safe no-ops, so wiring the store through layers
 // costs nothing when it is disabled.
 type CardStore struct {
-	alpha    float64
-	capacity int
-	corrCap  float64
 	adaptive bool
 	path     string // JSONL persistence file; "" disables persistence
 
 	qerr *HistogramVec // per-dataset q-error; nil when no registry
 
-	mu      sync.Mutex
-	entries map[cardKey]*list.Element // of *cardEntry
-	lru     *list.List                // front = most recently used
+	mu    sync.Mutex
+	cells *lru.Cache[cardKey, cardCell]
 }
 
 // CardStoreOptions tune a CardStore.
@@ -136,23 +128,11 @@ type CardStoreOptions struct {
 	// Adaptive enables Correct; when false the store still records and
 	// exports calibration but never alters an estimate.
 	Adaptive bool
-	// Capacity bounds the LRU entry count (default 4096).
-	Capacity int
 }
 
 // NewCardStore builds a store and loads any persisted entries.
 func NewCardStore(opts CardStoreOptions) *CardStore {
-	c := &CardStore{
-		alpha:    defaultCardAlpha,
-		capacity: opts.Capacity,
-		corrCap:  defaultCorrectionCap,
-		adaptive: opts.Adaptive,
-		entries:  make(map[cardKey]*list.Element),
-		lru:      list.New(),
-	}
-	if c.capacity <= 0 {
-		c.capacity = defaultCardCapacity
-	}
+	c := &CardStore{adaptive: opts.Adaptive, cells: lru.New[cardKey, cardCell](cardCapacity)}
 	if opts.Dir != "" {
 		c.path = filepath.Join(opts.Dir, cardFileName)
 		c.load()
@@ -165,11 +145,25 @@ func NewCardStore(opts CardStoreOptions) *CardStore {
 	return c
 }
 
+// Epoch returns the store's invalidation epoch: snapshot it before the
+// query whose actuals Observe will record.
+func (c *CardStore) Epoch() uint64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cells.Epoch()
+}
+
 // Observe records one (estimate, actual) pair for a pattern cell: the
 // EWMA absorbs the actual and the q-error histogram absorbs the
 // calibration sample. Zero or negative actuals still update the EWMA
-// toward 1 (the pattern matched nothing) but never divide by zero.
-func (c *CardStore) Observe(dataset, term, shape string, est, actual int64) {
+// toward 1 (the pattern matched nothing) but never divide by zero. An
+// actual from a query that began before an Invalidate or Flush — epoch
+// is older than the store's — was taken against the old data: the
+// histogram still counts it, the cell does not.
+func (c *CardStore) Observe(dataset, term, shape string, est, actual int64, epoch uint64) {
 	if c == nil || dataset == "" {
 		return
 	}
@@ -183,20 +177,14 @@ func (c *CardStore) Observe(dataset, term, shape string, est, actual int64) {
 	key := cardKey{Dataset: dataset, Term: term, Shape: shape}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cardEntry)
-		e.card = (1-c.alpha)*e.card + c.alpha*a
-		e.obs++
-		c.lru.MoveToFront(el)
-		return
+	cell, ok := c.cells.Get(key)
+	if ok {
+		cell.Card = (1-cardAlpha)*cell.Card + cardAlpha*a
+		cell.Obs++
+	} else {
+		cell = cardCell{Card: a, Obs: 1}
 	}
-	e := &cardEntry{key: key, card: a, obs: 1}
-	c.entries[key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cardEntry).key)
-	}
+	c.cells.Put(key, cell, epoch)
 }
 
 // Correct returns the estimate corrected toward the observed
@@ -207,18 +195,11 @@ func (c *CardStore) Correct(dataset, term, shape string, est int64) int64 {
 	if c == nil || !c.adaptive || dataset == "" {
 		return est
 	}
-	key := cardKey{Dataset: dataset, Term: term, Shape: shape}
-	c.mu.Lock()
-	el, ok := c.entries[key]
+	observed, _, ok := c.Lookup(dataset, term, shape)
 	if !ok {
-		c.mu.Unlock()
 		return est
 	}
-	c.lru.MoveToFront(el)
-	observed := el.Value.(*cardEntry).card
-	c.mu.Unlock()
-
-	lo, hi := float64(est)/c.corrCap, float64(est)*c.corrCap
+	lo, hi := float64(est)/correctionCap, float64(est)*correctionCap
 	corrected := observed
 	if corrected < lo {
 		corrected = lo
@@ -233,19 +214,16 @@ func (c *CardStore) Correct(dataset, term, shape string, est int64) int64 {
 }
 
 // Lookup returns the EWMA-observed cardinality and observation count
-// for a cell, or ok=false when it has never been observed.
+// for a cell, or ok=false when it has never been observed. A found cell
+// becomes the most recently used.
 func (c *CardStore) Lookup(dataset, term, shape string) (card float64, obs int64, ok bool) {
 	if c == nil {
 		return 0, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[cardKey{Dataset: dataset, Term: term, Shape: shape}]
-	if !found {
-		return 0, 0, false
-	}
-	e := el.Value.(*cardEntry)
-	return e.card, e.obs, true
+	cell, ok := c.cells.Get(cardKey{Dataset: dataset, Term: term, Shape: shape})
+	return cell.Card, cell.Obs, ok
 }
 
 // Len returns the number of stored cells.
@@ -255,7 +233,7 @@ func (c *CardStore) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.cells.Len()
 }
 
 // Invalidate drops every cell for one dataset — called from the voiD KB
@@ -267,14 +245,7 @@ func (c *CardStore) Invalidate(dataset string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cardEntry); e.key.Dataset == dataset {
-			c.lru.Remove(el)
-			delete(c.entries, e.key)
-		}
-		el = next
-	}
+	c.cells.RemoveFunc(func(k cardKey, _ cardCell) bool { return k.Dataset == dataset })
 }
 
 // Flush drops every cell — called from the alignment KB Subscribe hook:
@@ -286,8 +257,7 @@ func (c *CardStore) Flush() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[cardKey]*list.Element)
-	c.lru.Init()
+	c.cells.Clear()
 }
 
 // load reads persisted entries (oldest line first, so later lines win
@@ -309,16 +279,7 @@ func (c *CardStore) load() {
 		if json.Unmarshal(line, &cl) != nil || cl.Dataset == "" || cl.Obs <= 0 {
 			continue
 		}
-		key := cardKey{Dataset: cl.Dataset, Term: cl.Term, Shape: cl.Shape}
-		if el, ok := c.entries[key]; ok {
-			c.lru.Remove(el)
-		}
-		c.entries[key] = c.lru.PushFront(&cardEntry{key: key, card: cl.Card, obs: cl.Obs})
-		for c.lru.Len() > c.capacity {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cardEntry).key)
-		}
+		c.cells.Put(cl.cardKey, cl.cardCell, c.cells.Epoch())
 	}
 }
 
@@ -331,12 +292,8 @@ func (c *CardStore) Persist() error {
 	c.mu.Lock()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cardEntry)
-		enc.Encode(cardLine{
-			Dataset: e.key.Dataset, Term: e.key.Term, Shape: e.key.Shape,
-			Card: e.card, Obs: e.obs,
-		})
+	for k, cell := range c.cells.All() {
+		enc.Encode(cardLine{k, cell})
 	}
 	c.mu.Unlock()
 	tmp := c.path + ".tmp"

@@ -4,6 +4,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,20 +86,20 @@ const testDS = "http://data.example/void#ds1"
 // single outlier cannot dominate.
 func TestCardStoreEWMA(t *testing.T) {
 	c := NewCardStore(CardStoreOptions{Adaptive: true})
-	c.Observe(testDS, "p", "??", 10, 100)
+	c.Observe(testDS, "p", "??", 10, 100, c.Epoch())
 	card, n, ok := c.Lookup(testDS, "p", "??")
 	if !ok || n != 1 || card != 100 {
 		t.Fatalf("after seed: card=%v obs=%d ok=%v, want 100/1/true", card, n, ok)
 	}
 	// EWMA with alpha 0.3: 0.7*100 + 0.3*200 = 130.
-	c.Observe(testDS, "p", "??", 10, 200)
+	c.Observe(testDS, "p", "??", 10, 200, c.Epoch())
 	card, n, _ = c.Lookup(testDS, "p", "??")
 	if n != 2 || math.Abs(card-130) > 1e-9 {
 		t.Fatalf("after second obs: card=%v obs=%d, want 130/2", card, n)
 	}
 	// Converges: after many observations of 200 the EWMA approaches 200.
 	for i := 0; i < 40; i++ {
-		c.Observe(testDS, "p", "??", 10, 200)
+		c.Observe(testDS, "p", "??", 10, 200, c.Epoch())
 	}
 	card, _, _ = c.Lookup(testDS, "p", "??")
 	if math.Abs(card-200) > 1 {
@@ -105,7 +107,7 @@ func TestCardStoreEWMA(t *testing.T) {
 	}
 	// Zero actual updates toward 1, not 0 (and never divides by zero).
 	c2 := NewCardStore(CardStoreOptions{})
-	c2.Observe(testDS, "q", "g?", 5, 0)
+	c2.Observe(testDS, "q", "g?", 5, 0, c2.Epoch())
 	card, _, ok = c2.Lookup(testDS, "q", "g?")
 	if !ok || card != 1 {
 		t.Fatalf("zero actual: card=%v ok=%v, want 1/true", card, ok)
@@ -117,7 +119,7 @@ func TestCardStoreEWMA(t *testing.T) {
 // the EWMA clamped to [est/100, est*100].
 func TestCardStoreCorrect(t *testing.T) {
 	passive := NewCardStore(CardStoreOptions{})
-	passive.Observe(testDS, "p", "??", 1000, 10)
+	passive.Observe(testDS, "p", "??", 1000, 10, passive.Epoch())
 	if got := passive.Correct(testDS, "p", "??", 1000); got != 1000 {
 		t.Fatalf("non-adaptive Correct = %d, want estimate unchanged (1000)", got)
 	}
@@ -126,18 +128,18 @@ func TestCardStoreCorrect(t *testing.T) {
 	if got := c.Correct(testDS, "p", "??", 1000); got != 1000 {
 		t.Fatalf("unobserved Correct = %d, want 1000", got)
 	}
-	c.Observe(testDS, "p", "??", 1000, 10)
+	c.Observe(testDS, "p", "??", 1000, 10, c.Epoch())
 	if got := c.Correct(testDS, "p", "??", 1000); got != 10 {
 		t.Fatalf("Correct = %d, want observed 10", got)
 	}
 	// The cap bounds how far an observation can drag an estimate: a cell
 	// observed at 2 corrects a 1,000,000 estimate only down to est/100.
-	c.Observe(testDS, "tiny", "??", 1_000_000, 2)
+	c.Observe(testDS, "tiny", "??", 1_000_000, 2, c.Epoch())
 	if got := c.Correct(testDS, "tiny", "??", 1_000_000); got != 10_000 {
 		t.Fatalf("capped Correct = %d, want 10000 (est/100)", got)
 	}
 	// And upward: observed 500 against estimate 1 corrects to est*100.
-	c.Observe(testDS, "big", "??", 1, 500)
+	c.Observe(testDS, "big", "??", 1, 500, c.Epoch())
 	if got := c.Correct(testDS, "big", "??", 1); got != 100 {
 		t.Fatalf("capped Correct up = %d, want 100 (est*100)", got)
 	}
@@ -146,7 +148,7 @@ func TestCardStoreCorrect(t *testing.T) {
 	if got := nilStore.Correct(testDS, "p", "??", 7); got != 7 {
 		t.Fatalf("nil Correct = %d, want 7", got)
 	}
-	nilStore.Observe(testDS, "p", "??", 1, 1)
+	nilStore.Observe(testDS, "p", "??", 1, 1, nilStore.Epoch())
 	nilStore.Invalidate(testDS)
 	nilStore.Flush()
 	nilStore.Close()
@@ -157,9 +159,9 @@ func TestCardStoreCorrect(t *testing.T) {
 func TestCardStoreInvalidate(t *testing.T) {
 	c := NewCardStore(CardStoreOptions{Adaptive: true})
 	other := "http://data.example/void#ds2"
-	c.Observe(testDS, "p", "??", 10, 100)
-	c.Observe(testDS, "q", "g?", 10, 100)
-	c.Observe(other, "p", "??", 10, 100)
+	c.Observe(testDS, "p", "??", 10, 100, c.Epoch())
+	c.Observe(testDS, "q", "g?", 10, 100, c.Epoch())
+	c.Observe(other, "p", "??", 10, 100, c.Epoch())
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
@@ -180,21 +182,24 @@ func TestCardStoreInvalidate(t *testing.T) {
 }
 
 // TestCardStoreLRU pins the capacity bound: the store never exceeds its
-// capacity and evicts least-recently-used cells first.
+// capacity and evicts least-recently-used cells first, an Observe
+// counting as a use.
 func TestCardStoreLRU(t *testing.T) {
-	c := NewCardStore(CardStoreOptions{Capacity: 3})
-	c.Observe(testDS, "a", "??", 1, 1)
-	c.Observe(testDS, "b", "??", 1, 1)
-	c.Observe(testDS, "c", "??", 1, 1)
-	c.Observe(testDS, "a", "??", 1, 1) // touch a: b is now oldest
-	c.Observe(testDS, "d", "??", 1, 1) // evicts b
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	c := NewCardStore(CardStoreOptions{})
+	c.Observe(testDS, "a", "??", 1, 1, c.Epoch())
+	c.Observe(testDS, "b", "??", 1, 1, c.Epoch())
+	for i := 2; i < cardCapacity; i++ {
+		c.Observe(testDS, strconv.Itoa(i), "??", 1, 1, c.Epoch())
+	}
+	c.Observe(testDS, "a", "??", 1, 1, c.Epoch()) // touch a: b is now oldest
+	c.Observe(testDS, "d", "??", 1, 1, c.Epoch()) // evicts b
+	if c.Len() != cardCapacity {
+		t.Fatalf("Len = %d, want %d", c.Len(), cardCapacity)
 	}
 	if _, _, ok := c.Lookup(testDS, "b", "??"); ok {
 		t.Fatal("LRU did not evict the least recently used cell")
 	}
-	for _, term := range []string{"a", "c", "d"} {
+	for _, term := range []string{"a", "2", "d"} {
 		if _, _, ok := c.Lookup(testDS, term, "??"); !ok {
 			t.Fatalf("cell %q evicted unexpectedly", term)
 		}
@@ -207,9 +212,9 @@ func TestCardStoreLRU(t *testing.T) {
 func TestCardStorePersistence(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCardStore(CardStoreOptions{Dir: dir, Adaptive: true})
-	c.Observe(testDS, "old", "??", 10, 50)
-	c.Observe(testDS, "new", "g?", 10, 70)
-	c.Observe(testDS, "old", "??", 10, 50) // "old" most recent
+	c.Observe(testDS, "old", "??", 10, 50, c.Epoch())
+	c.Observe(testDS, "new", "g?", 10, 70, c.Epoch())
+	c.Observe(testDS, "old", "??", 10, 50, c.Epoch()) // "old" most recent
 	c.Close()
 
 	data, err := os.ReadFile(filepath.Join(dir, "cards.jsonl"))
@@ -224,22 +229,22 @@ func TestCardStorePersistence(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("reloaded Len = %d, want 2", re.Len())
 	}
+	// Recency survives: the reload holds the cells least recently used
+	// first, as the original last used them, so a reload under pressure
+	// evicts what the original would have.
+	var order []string
+	for k := range re.cells.All() {
+		order = append(order, k.Term)
+	}
+	if !slices.Equal(order, []string{"new", "old"}) {
+		t.Fatalf("reloaded order = %v, want [new old]", order)
+	}
 	card, n, ok := re.Lookup(testDS, "old", "??")
 	if !ok || n != 2 || card != 50 {
 		t.Fatalf("reloaded cell: card=%v obs=%d ok=%v, want 50/2/true", card, n, ok)
 	}
 	if got := re.Correct(testDS, "new", "g?", 1000); got != 70 {
 		t.Fatalf("Correct from reloaded store = %d, want 70", got)
-	}
-
-	// Recency survives: with capacity 1, reload keeps the most recent
-	// cell ("old") and evicts the rest.
-	tight := NewCardStore(CardStoreOptions{Dir: dir, Capacity: 1})
-	if tight.Len() != 1 {
-		t.Fatalf("capacity-1 reload Len = %d, want 1", tight.Len())
-	}
-	if _, _, ok := tight.Lookup(testDS, "old", "??"); !ok {
-		t.Fatal("capacity-1 reload evicted the most recently used cell")
 	}
 
 	// Corrupt lines are skipped, not fatal.
@@ -260,9 +265,9 @@ func TestCardStorePersistence(t *testing.T) {
 func TestCardStoreQErrorHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := NewCardStore(CardStoreOptions{Registry: r})
-	c.Observe(testDS, "p", "??", 1000, 100) // q-error 10
-	c.Observe(testDS, "p", "??", 100, 100)  // q-error 1
-	c.Observe(testDS, "p", "??", 0, 50)     // no estimate: calibration skipped
+	c.Observe(testDS, "p", "??", 1000, 100, c.Epoch()) // q-error 10
+	c.Observe(testDS, "p", "??", 100, 100, c.Epoch())  // q-error 1
+	c.Observe(testDS, "p", "??", 0, 50, c.Epoch())     // no estimate: calibration skipped
 
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {

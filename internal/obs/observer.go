@@ -25,9 +25,6 @@ type Options struct {
 	// shipping finished traces to this collector URL (e.g.
 	// http://localhost:4318/v1/traces).
 	OTLPEndpoint string
-	// OTLPService overrides the exported service.name resource attribute
-	// (default "sparqlrw-mediator").
-	OTLPService string
 	// TraceSample is the exporter's head-sampling probability in (0,1]
 	// for locally rooted traces (0 selects 1 = export everything);
 	// traces continuing a remote parent follow the caller's sampled flag.
@@ -36,9 +33,6 @@ type Options struct {
 	// failed queries are persisted as JSON lines in a size-bounded
 	// on-disk ring under this directory.
 	AuditDir string
-	// AuditMaxBytes bounds the flight recorder's total disk use
-	// (default 16 MiB).
-	AuditMaxBytes int64
 	// AdaptiveStats lets the decomposer correct voiD cardinality
 	// estimates from the observed-cardinality store. Observation and
 	// q-error export happen regardless; this flag only gates corrections.
@@ -102,14 +96,13 @@ func NewObserver(opts Options) *Observer {
 	if opts.OTLPEndpoint != "" {
 		o.Exporter = NewOTLPExporter(OTLPOptions{
 			Endpoint:    opts.OTLPEndpoint,
-			Service:     opts.OTLPService,
 			SampleRatio: opts.TraceSample,
 			Logger:      o.Log,
 			Registry:    o.Registry,
 		})
 	}
 	if opts.AuditDir != "" {
-		rec, err := NewFlightRecorder(opts.AuditDir, opts.AuditMaxBytes)
+		rec, err := NewFlightRecorder(opts.AuditDir, DefaultAuditMaxBytes)
 		if err != nil {
 			o.Log.Error("flight recorder disabled", "dir", opts.AuditDir, "err", err)
 		} else {

@@ -1,12 +1,13 @@
 package serve
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 	"time"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/lru"
 )
 
 // Entry is one cached federated answer: the materialised rows of a
@@ -42,21 +43,21 @@ type CacheMetrics struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
+// CacheMaxRows caps how many solutions one entry may hold; larger
+// answers are never cached.
+const CacheMaxRows = 10000
+
 // ResultCache is a size- and TTL-bounded LRU of federated answers.
 //
-// Stale-fill protection mirrors the rewrite-plan cache's in-flight
-// invalidation (PR 2): callers snapshot Version before executing and
-// pass it to Put; any invalidation — targeted or full — bumps the
-// version, so an answer computed against pre-invalidation state is
-// silently discarded instead of cached. Safe for concurrent use.
+// A fill follows the stale-fill rule of every mediator cache (package
+// lru): callers snapshot Version before executing and pass it to Put;
+// any invalidation — targeted or full — moves the version, so an answer
+// computed against pre-invalidation state is silently discarded instead
+// of cached. Safe for concurrent use.
 type ResultCache struct {
 	mu      sync.Mutex
-	size    int
 	ttl     time.Duration
-	maxRows int
-	lru     *list.List // of *Entry, front = most recent
-	byKey   map[string]*list.Element
-	version uint64
+	entries *lru.Cache[string, *Entry]
 	m       CacheMetrics
 
 	// now is the TTL clock, injectable for deterministic tests.
@@ -64,28 +65,17 @@ type ResultCache struct {
 }
 
 // NewResultCache builds a cache of at most size entries, each living at
-// most ttl and holding at most maxRows solutions.
-func NewResultCache(size int, ttl time.Duration, maxRows int) *ResultCache {
-	return &ResultCache{
-		size:    size,
-		ttl:     ttl,
-		maxRows: maxRows,
-		lru:     list.New(),
-		byKey:   map[string]*list.Element{},
-		now:     time.Now,
-	}
+// most ttl.
+func NewResultCache(size int, ttl time.Duration) *ResultCache {
+	return &ResultCache{ttl: ttl, entries: lru.New[string, *Entry](size), now: time.Now}
 }
-
-// MaxRows is the per-entry solution cap; fills that exceed it must not
-// be cached.
-func (c *ResultCache) MaxRows() int { return c.maxRows }
 
 // Version returns the invalidation epoch. Snapshot it before computing
 // an answer and hand it to Put: a Put under a stale version is a no-op.
 func (c *ResultCache) Version() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.version
+	return c.entries.Epoch()
 }
 
 // Get returns the live entry under key, counting hit or miss. Expired
@@ -93,15 +83,13 @@ func (c *ResultCache) Version() uint64 {
 func (c *ResultCache) Get(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	e, ok := c.entries.Get(key)
 	if ok {
-		e := el.Value.(*Entry)
 		if c.now().Before(e.expires) {
-			c.lru.MoveToFront(el)
 			c.m.Hits++
 			return e, true
 		}
-		c.removeLocked(el)
+		c.entries.Remove(key)
 		c.m.Evictions++
 	}
 	c.m.Misses++
@@ -113,64 +101,36 @@ func (c *ResultCache) Get(key string) (*Entry, bool) {
 // fill) or the entry exceeds the row cap. It reports whether the entry
 // was stored.
 func (c *ResultCache) Put(e *Entry, version uint64) bool {
-	if e.Rows.N > c.maxRows {
+	if e.Rows.N > CacheMaxRows {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if version != c.version {
-		return false
-	}
-	if el, ok := c.byKey[e.Key]; ok {
-		c.removeLocked(el)
-	}
 	e.expires = c.now().Add(c.ttl)
-	c.byKey[e.Key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.size {
-		c.removeLocked(c.lru.Back())
+	stored, evicted := c.entries.Put(e.Key, e, version)
+	if evicted {
 		c.m.Evictions++
 	}
-	return true
-}
-
-func (c *ResultCache) removeLocked(el *list.Element) {
-	c.lru.Remove(el)
-	delete(c.byKey, el.Value.(*Entry).Key)
+	return stored
 }
 
 // InvalidateDataset drops every entry whose answer touched the data set
-// and bumps the invalidation epoch, so in-flight fills that read the
-// old state never land. Returns how many entries were dropped.
+// and moves the invalidation epoch, so in-flight fills that read the old
+// state never land. Returns how many entries were dropped.
 func (c *ResultCache) InvalidateDataset(uri string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.version++
-	n := 0
-	var next *list.Element
-	for el := c.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*Entry)
-		for _, ds := range e.Datasets {
-			if ds == uri {
-				c.removeLocked(el)
-				c.m.Invalidations++
-				n++
-				break
-			}
-		}
-	}
+	n := c.entries.RemoveFunc(func(_ string, e *Entry) bool { return slices.Contains(e.Datasets, uri) })
+	c.m.Invalidations += uint64(n)
 	return n
 }
 
-// Flush drops everything and bumps the invalidation epoch (alignment
+// Flush drops everything and moves the invalidation epoch (alignment
 // changes can alter any rewritten answer).
 func (c *ResultCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.version++
-	c.m.Invalidations += uint64(c.lru.Len())
-	c.lru.Init()
-	c.byKey = map[string]*list.Element{}
+	c.m.Invalidations += uint64(c.entries.Clear())
 }
 
 // Len reports how many entries are cached (expired ones included until
@@ -178,7 +138,7 @@ func (c *ResultCache) Flush() {
 func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.entries.Len()
 }
 
 // Metrics returns the lifetime counters.

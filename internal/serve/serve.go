@@ -39,9 +39,6 @@ type Options struct {
 	CacheSize int
 	// CacheTTL bounds an entry's lifetime (default 5 minutes).
 	CacheTTL time.Duration
-	// CacheMaxRows caps how many solutions one entry may hold; larger
-	// results are never cached (default 10000).
-	CacheMaxRows int
 }
 
 func (o Options) withDefaults() Options {
@@ -50,9 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheTTL <= 0 {
 		o.CacheTTL = 5 * time.Minute
-	}
-	if o.CacheMaxRows <= 0 {
-		o.CacheMaxRows = 10000
 	}
 	return o
 }
@@ -79,7 +73,7 @@ func NewTier(opts Options, reg *obs.Registry) *Tier {
 	}
 	t.Admission = NewAdmission(t.Tenants)
 	if opts.CacheSize > 0 {
-		t.Cache = NewResultCache(opts.CacheSize, opts.CacheTTL, opts.CacheMaxRows)
+		t.Cache = NewResultCache(opts.CacheSize, opts.CacheTTL)
 	}
 	t.register(reg)
 	return t

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 )
@@ -285,7 +286,7 @@ func rows(vs ...string) eval.RowBuf {
 }
 
 func TestResultCacheHitMissTTL(t *testing.T) {
-	c := NewResultCache(4, time.Minute, 100)
+	c := NewResultCache(4, time.Minute)
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	c.now = clk.now
 
@@ -312,7 +313,7 @@ func TestResultCacheHitMissTTL(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	c := NewResultCache(2, time.Minute, 100)
+	c := NewResultCache(2, time.Minute)
 	c.Put(&Entry{Key: "a"}, c.Version())
 	c.Put(&Entry{Key: "b"}, c.Version())
 	c.Get("a") // refresh a
@@ -329,7 +330,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 }
 
 func TestResultCacheStaleFill(t *testing.T) {
-	c := NewResultCache(4, time.Minute, 100)
+	c := NewResultCache(4, time.Minute)
 	v := c.Version()
 	c.InvalidateDataset("http://example.org/ds") // epoch moves while "in flight"
 	if c.Put(&Entry{Key: "k"}, v) {
@@ -344,7 +345,7 @@ func TestResultCacheStaleFill(t *testing.T) {
 }
 
 func TestResultCacheInvalidateDataset(t *testing.T) {
-	c := NewResultCache(8, time.Minute, 100)
+	c := NewResultCache(8, time.Minute)
 	c.Put(&Entry{Key: "soton", Datasets: []string{"http://a/void"}}, c.Version())
 	c.Put(&Entry{Key: "both", Datasets: []string{"http://a/void", "http://b/void"}}, c.Version())
 	c.Put(&Entry{Key: "kisti", Datasets: []string{"http://b/void"}}, c.Version())
@@ -369,9 +370,27 @@ func TestResultCacheInvalidateDataset(t *testing.T) {
 }
 
 func TestResultCacheRowCap(t *testing.T) {
-	c := NewResultCache(4, time.Minute, 1)
-	if c.Put(&Entry{Key: "big", Rows: rows("1", "2")}, c.Version()) {
+	c := NewResultCache(4, time.Minute)
+	big := make([]string, CacheMaxRows+1)
+	if c.Put(&Entry{Key: "big", Rows: rows(big...)}, c.Version()) {
 		t.Fatal("oversized entry cached")
+	}
+}
+
+// TestResultCacheHitAllocations: a hit hands out the stored entry and
+// allocates nothing.
+func TestResultCacheHitAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	c := NewResultCache(4, time.Minute)
+	c.Put(&Entry{Key: "k", Rows: rows("1", "2")}, c.Version())
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get("k"); !ok {
+			t.Fatal("result-cache miss on a stored key")
+		}
+	}); got != 0 {
+		t.Errorf("result-cache hit: %.0f allocations, want 0", got)
 	}
 }
 

@@ -149,6 +149,17 @@ func TestOneLaneIn(t *testing.T) {
 	}
 }
 
+// TestOneLRU pins the one least-recently-used map: the rewrite-plan
+// cache, the result cache and the CardStore keep their recency in
+// internal/lru, and no other non-test file imports container/list.
+func TestOneLRU(t *testing.T) {
+	for rel, file := range internalFiles(t) {
+		if !strings.HasPrefix(rel, "lru/") && importName(file, "container/list") != "" {
+			t.Errorf("%s imports container/list: an LRU belongs to internal/lru", rel)
+		}
+	}
+}
+
 // TestOneHashJoin pins the one join implementation: rows are keyed for a
 // hash join only inside the evaluator, and the mediator's joins are eval
 // plans over remote leaves. Outside internal/eval (and internal/rdf, which

@@ -215,7 +215,7 @@ func TestRefineEstimateReadsDecomposerCell(t *testing.T) {
 	typePat := rdf.Triple{S: rdf.NewVar("x"), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://e/Paper")}
 	cards := obs.NewCardStore(obs.CardStoreOptions{})
 	term, shp := obs.PatternStatKey(typePat) // what decompose.Engine observes under
-	cards.Observe(ds, term, shp, 10, 5000)
+	cards.Observe(ds, term, shp, 10, 5000, cards.Epoch())
 	m := NewManager(&fakeRunner{}, nil, Options{Cards: cards})
 	defer m.Close()
 	sh := &shape{patternsCanon: []rdf.Triple{typePat}, datasets: []string{ds}, estRows: 10}

@@ -60,7 +60,7 @@
 //	out, report, _ := rw.RewriteQuery(q)
 //	fmt.Println(sparqlrw.FormatQuery(out))
 //
-// See examples/ for runnable programs and DESIGN.md for the module map.
+// See examples/ for runnable programs and README.md for the module map.
 package sparqlrw
 
 import (
@@ -355,7 +355,7 @@ var (
 // Mediator.Query (see internal/serve).
 type (
 	// ServingOptions tune the serving tier (tenant registry, result-cache
-	// capacity/TTL/row cap).
+	// capacity and TTL).
 	ServingOptions = serve.Options
 	// ServingTier is the live tier, exposed on Mediator.Serve when
 	// enabled; nil otherwise.
