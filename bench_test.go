@@ -897,7 +897,7 @@ func BenchmarkHedgedVsUnhedged(b *testing.B) {
 		// The primary's healthy history: its observed p95 is a few
 		// milliseconds, so the stall overshoots it and triggers the hedge.
 		for i := 0; i < 50; i++ {
-			m.Obs.Health.Record(slow.URL, 2*time.Millisecond, nil)
+			m.Exec.Endpoints().RecordProbe(slow.URL, 2*time.Millisecond, nil)
 		}
 		targets := []string{workload.SotonVoidURI}
 		lat := make([]time.Duration, 0, b.N)

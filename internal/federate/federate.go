@@ -24,14 +24,14 @@
 // returns whatever the healthy endpoints answered and marks the result
 // Partial; fail-fast cancels the fan-out on the first endpoint error.
 // Stats() exposes per-endpoint latency, retries, breaker state and the
-// plan-cache hit rate.
+// plan-cache hit rate; Endpoints() is the table of per-endpoint state
+// (breaker, in-flight bound, health model) the executor keeps.
 package federate
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sparqlrw/internal/eval"
@@ -46,7 +46,8 @@ import (
 // found it: the targets of one fan-out share it, concurrently.
 type RewriteFunc func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error)
 
-// Options tune the executor. The zero value selects sane defaults.
+// Options tune the executor. The zero value selects sane defaults; the
+// endpoint table's health model has no options.
 type Options struct {
 	// Concurrency bounds the worker pool (default 8).
 	Concurrency int
@@ -76,9 +77,9 @@ type Options struct {
 	// -1 to disable caching).
 	CacheSize int
 	// Hedge enables hedged sub-queries: when a primary attempt runs past
-	// the endpoint's observed p95 latency (from Health), a backup
-	// dispatch goes to the target's next-healthiest replica and the
-	// first answer wins, the loser cancelled.
+	// the endpoint's observed p95 latency (from the endpoint table), a
+	// backup dispatch goes to the target's healthiest other replica and
+	// the first answer wins, the loser cancelled.
 	Hedge bool
 	// HedgeMinDelay floors the hedge trigger so a cold p95 estimate (or
 	// a very fast endpoint) cannot fire backups on every request
@@ -89,10 +90,6 @@ type Options struct {
 	// cache counters). Nil creates a private registry; the mediator passes
 	// its shared one so /metrics and Stats() read the same counters.
 	Registry *obs.Registry
-	// Health, when set, receives every attempt's outcome (endpoint,
-	// latency, error) so the per-endpoint health model tracks live
-	// traffic. Nil disables recording; a nil tracker is also safe.
-	Health *obs.HealthTracker
 }
 
 func (o Options) withDefaults() Options {
@@ -198,18 +195,15 @@ type Result struct {
 }
 
 // Executor runs federated queries. It is safe for concurrent use; its
-// breakers, counters and plan cache accumulate across requests.
+// endpoint table, counters and plan cache accumulate across requests.
 type Executor struct {
-	client  StreamingSelectClient
-	rewrite RewriteFunc
-	coref   funcs.CorefSource
-	opts    Options
-	cache   *PlanCache
-	metrics *executorMetrics
-
-	mu           sync.Mutex
-	breakers     map[string]*Breaker
-	endpointSems map[string]chan struct{}
+	client    StreamingSelectClient
+	rewrite   RewriteFunc
+	coref     funcs.CorefSource
+	opts      Options
+	cache     *PlanCache
+	metrics   *executorMetrics
+	endpoints *EndpointTable
 }
 
 // NewExecutor builds an executor. rewrite may be nil when no target ever
@@ -222,14 +216,13 @@ func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.
 		opts.Registry = reg
 	}
 	e := &Executor{
-		client:       client,
-		rewrite:      rewrite,
-		coref:        coref,
-		opts:         opts,
-		cache:        NewPlanCache(opts.CacheSize),
-		metrics:      newExecutorMetrics(reg),
-		breakers:     make(map[string]*Breaker),
-		endpointSems: make(map[string]chan struct{}),
+		client:    client,
+		rewrite:   rewrite,
+		coref:     coref,
+		opts:      opts,
+		cache:     NewPlanCache(opts.CacheSize),
+		metrics:   newExecutorMetrics(reg),
+		endpoints: newEndpointTable(opts),
 	}
 	e.registerCollectors(reg)
 	return e
@@ -237,6 +230,10 @@ func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.
 
 // Options returns the executor's effective (defaulted) options.
 func (e *Executor) Options() Options { return e.opts }
+
+// Endpoints returns the executor's endpoint table: one record per endpoint
+// holding its breaker, in-flight bound and health model.
+func (e *Executor) Endpoints() *EndpointTable { return e.endpoints }
 
 // Select fans the request out to every target concurrently and merges
 // the answers into a materialised Result. Under the best-effort policy
@@ -338,7 +335,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 		}
 	}
 
-	br := e.breaker(t.Endpoint)
+	rec := e.endpoints.entry(t.Endpoint)
 	start := time.Now()
 	defer func() { da.Latency = time.Since(start) }()
 	for attempt := 0; attempt <= e.opts.MaxRetries; attempt++ {
@@ -351,7 +348,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 				return da
 			}
 		}
-		if done := e.attempt(ctx, br, t, req.Vars, attempt, &da, solCh, sem, &held); done {
+		if done := e.attempt(ctx, rec, t, req.Vars, attempt, &da, solCh, sem, &held); done {
 			return da
 		}
 	}
@@ -362,7 +359,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 // pre-acquired admission slot when *held, else acquiring one). It reports
 // whether the target is finished (success, terminal error, or
 // cancellation); false means "retry if the budget allows".
-func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []string, attempt int, da *DatasetAnswer, solCh chan<- eval.RowBuf, sem chan struct{}, held *bool) bool {
+func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, vars []string, attempt int, da *DatasetAnswer, solCh chan<- eval.RowBuf, sem chan struct{}, held *bool) bool {
 	if !*held {
 		select {
 		case sem <- struct{}{}:
@@ -377,7 +374,7 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 	// on a saturated endpoint keeps its pool slot (capacity lost, never
 	// deadlocked — endpoint slots are only held by workers that are
 	// already dispatching).
-	if es := e.endpointSem(t.Endpoint); es != nil {
+	if es := rec.sem; es != nil {
 		select {
 		case es <- struct{}{}:
 			defer func() { <-es }()
@@ -390,7 +387,7 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 	// so that an admitted half-open probe always reaches the dispatch and
 	// reports Success or Failure — abandoning a probe would wedge the
 	// breaker in half-open, rejecting the endpoint forever.
-	if !br.Allow() {
+	if !rec.breaker.Allow() {
 		e.metrics.rejected.With(t.Endpoint).Inc()
 		if da.Err == nil {
 			da.Err = fmt.Errorf("%w: %s", ErrCircuitOpen, t.Endpoint)
@@ -407,11 +404,11 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 	// replica and the first answer wins (see hedge.go). The returned
 	// outcome is the winning arm's; the losing arm's breaker and health
 	// bookkeeping is settled inside.
-	out := e.dispatchMaybeHedged(ctx, br, t, attempt, da.Query, vars, timeout, solCh)
+	out := e.dispatchMaybeHedged(ctx, rec, t, attempt, da.Query, vars, timeout, solCh)
 	if out.err == nil {
 		e.settle(out)
 		if out.count > 0 {
-			e.metrics.ttfs.With(out.endpoint).Observe(out.ttfs.Seconds())
+			e.metrics.ttfs.With(out.rec.url).Observe(out.ttfs.Seconds())
 			da.TTFS = out.ttfs
 		}
 		da.Err = nil // a successful retry supersedes earlier failures
@@ -423,7 +420,7 @@ func (e *Executor) attempt(ctx context.Context, br *Breaker, t Target, vars []st
 		// consumer with all it needs): the outcome is the cancellation, and
 		// neither the breaker nor the failure counters blame the endpoint.
 		// Cancel releases a half-open probe so the breaker cannot wedge.
-		out.br.Cancel()
+		out.rec.breaker.Cancel()
 		da.Err = ctx.Err()
 		return true
 	}
@@ -504,46 +501,6 @@ func pushBatch(parent context.Context, solCh chan<- eval.RowBuf, b eval.RowBuf, 
 	case <-parent.Done():
 		return false
 	}
-}
-
-// endpointSem returns the endpoint's in-flight-bound semaphore, or nil
-// when no per-endpoint bound is configured.
-func (e *Executor) endpointSem(endpointURL string) chan struct{} {
-	if e.opts.PerEndpointConcurrency <= 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.endpointSems[endpointURL]
-	if !ok {
-		s = make(chan struct{}, e.opts.PerEndpointConcurrency)
-		e.endpointSems[endpointURL] = s
-	}
-	return s
-}
-
-// BreakerStates reports each known endpoint's circuit-breaker state
-// ("closed" | "open" | "half-open"). The health tracker binds this so
-// breaker trips fold into endpoint scores immediately.
-func (e *Executor) BreakerStates() map[string]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	states := make(map[string]string, len(e.breakers))
-	for url, b := range e.breakers {
-		states[url] = b.State().String()
-	}
-	return states
-}
-
-func (e *Executor) breaker(endpointURL string) *Breaker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, ok := e.breakers[endpointURL]
-	if !ok {
-		b = NewBreaker(e.opts.BreakerFailures, e.opts.BreakerCooldown)
-		e.breakers[endpointURL] = b
-	}
-	return b
 }
 
 // sleepCtx sleeps for d or until ctx is done; it reports whether the full

@@ -13,7 +13,7 @@ import (
 //
 // When Options.Hedge is on and a target carries replica endpoints, a
 // dispatch that runs past the primary endpoint's observed p95 latency
-// (the health model's smoothed estimate, floored at HedgeMinDelay)
+// (the endpoint table's smoothed estimate, floored at HedgeMinDelay)
 // launches one backup attempt against the healthiest replica. Both arms
 // stream into the same merge channel — the owl:sameAs deduplicator
 // collapses whatever both delivered — and the first arm to finish
@@ -41,25 +41,24 @@ import (
 
 // armOutcome is one dispatch arm's result.
 type armOutcome struct {
-	endpoint string
-	br       *Breaker
-	count    int
-	ttfs     time.Duration
-	lat      time.Duration
-	err      error
+	rec   *endpointRecord
+	count int
+	ttfs  time.Duration
+	lat   time.Duration
+	err   error
 }
 
 // dispatchArm runs one dispatch against one endpoint under its own
 // span and pausable deadline, annotating the span like the pre-hedging
 // attempt path did.
-func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query string, vars []string, attemptN int, timeout time.Duration, solCh chan<- eval.RowBuf, br *Breaker) armOutcome {
+func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpointRecord, query string, vars []string, attemptN int, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
 	// The span wraps the dispatch and rides its context: the endpoint
 	// client reads the span off the context to stamp the outbound
 	// traceparent, so the endpoint's work hangs under exactly this arm
 	// in the distributed trace.
 	spanCtx, aSpan := obs.StartSpan(ctx, spanName)
 	aSpan.SetAttr("n", attemptN+1)
-	aSpan.SetAttr("endpoint", endpointURL)
+	aSpan.SetAttr("endpoint", rec.url)
 	// The deadline bounds the whole transfer: connect, first byte and the
 	// incremental body read. The clock pauses while the worker is blocked
 	// handing solutions to a slow consumer: backpressure is the consumer's
@@ -67,7 +66,7 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query
 	// endpoint's budget.
 	attemptCtx := newPausableDeadline(spanCtx, timeout)
 	t0 := time.Now()
-	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, endpointURL, query, vars, solCh, attemptCtx)
+	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, rec.url, query, vars, solCh, attemptCtx)
 	attemptCtx.Stop()
 	lat := time.Since(t0)
 	aSpan.SetAttr("latencyMs", float64(lat.Microseconds())/1000)
@@ -82,7 +81,7 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName, endpointURL, query
 		aSpan.SetAttr("error", err.Error())
 	}
 	aSpan.End()
-	return armOutcome{endpoint: endpointURL, br: br, count: count, ttfs: ttfs, lat: lat, err: err}
+	return armOutcome{rec: rec, count: count, ttfs: ttfs, lat: lat, err: err}
 }
 
 // hedgeBackup picks the backup endpoint for a target: the healthiest
@@ -97,37 +96,29 @@ func (e *Executor) hedgeBackup(t Target) string {
 			candidates = append(candidates, r)
 		}
 	}
-	return e.opts.Health.Best(candidates)
-}
-
-// hedgeDelay is how long the primary may run before the backup
-// launches: its observed p95, floored at HedgeMinDelay.
-func (e *Executor) hedgeDelay(endpoint string) time.Duration {
-	d := e.opts.Health.ObservedP95(endpoint)
-	if d < e.opts.HedgeMinDelay {
-		d = e.opts.HedgeMinDelay
-	}
-	return d
+	return e.endpoints.Best(candidates)
 }
 
 // dispatchMaybeHedged performs one logical dispatch for a target:
 // unhedged when hedging is off or no replica qualifies, otherwise the
 // primary/backup race described at the top of this file. The returned
 // outcome is the arm whose result the caller should account and report.
-func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Target, attemptN int, query string, vars []string, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
+func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord, t Target, attemptN int, query string, vars []string, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
 	backup := e.hedgeBackup(t)
 	if backup == "" {
-		return e.dispatchArm(ctx, "attempt", t.Endpoint, query, vars, attemptN, timeout, solCh, br)
+		return e.dispatchArm(ctx, "attempt", rec, query, vars, attemptN, timeout, solCh)
 	}
 
 	primCtx, cancelPrim := context.WithCancel(ctx)
 	defer cancelPrim()
 	primCh := make(chan armOutcome, 1)
 	go func() {
-		primCh <- e.dispatchArm(primCtx, "attempt", t.Endpoint, query, vars, attemptN, timeout, solCh, br)
+		primCh <- e.dispatchArm(primCtx, "attempt", rec, query, vars, attemptN, timeout, solCh)
 	}()
 
-	timer := time.NewTimer(e.hedgeDelay(t.Endpoint))
+	// The primary may run for its observed p95, floored at HedgeMinDelay,
+	// before the backup launches.
+	timer := time.NewTimer(max(e.endpoints.ObservedP95(rec.url), e.opts.HedgeMinDelay))
 	defer timer.Stop()
 	select {
 	case out := <-primCh:
@@ -135,8 +126,8 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Targe
 	case <-timer.C:
 	}
 
-	backupBr := e.breaker(backup)
-	if !backupBr.Allow() {
+	backupRec := e.endpoints.entry(backup)
+	if !backupRec.breaker.Allow() {
 		// The replica's circuit is open: no backup to race, wait the
 		// primary out. (Allow admitted no half-open probe here — it
 		// returned false — so there is nothing to release.)
@@ -148,7 +139,7 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Targe
 	defer cancelBack()
 	backCh := make(chan armOutcome, 1)
 	go func() {
-		backCh <- e.dispatchArm(backCtx, "hedge", backup, query, vars, attemptN, timeout, solCh, backupBr)
+		backCh <- e.dispatchArm(backCtx, "hedge", backupRec, query, vars, attemptN, timeout, solCh)
 	}()
 
 	var prim, back *armOutcome
@@ -191,24 +182,25 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, br *Breaker, t Targe
 // failed attempt.
 func (e *Executor) settleHedgeLoser(o armOutcome) {
 	if errors.Is(o.err, context.Canceled) {
-		o.br.Cancel()
+		o.rec.breaker.Cancel()
 		return
 	}
 	e.settle(o)
 }
 
 // settle books a finished arm — succeeded or failed, not abandoned — with
-// its endpoint's breaker, health model and metrics.
+// its endpoint's record (health model and breaker) and metrics.
 func (e *Executor) settle(o armOutcome) {
-	e.opts.Health.Record(o.endpoint, o.lat, o.err)
-	e.metrics.attempts.With(o.endpoint).Inc()
-	e.metrics.latency.With(o.endpoint).Observe(o.lat.Seconds())
+	url := o.rec.url
+	e.endpoints.settle(o.rec, o.lat, o.err)
+	e.metrics.attempts.With(url).Inc()
+	e.metrics.latency.With(url).Observe(o.lat.Seconds())
 	if o.err != nil {
-		o.br.Failure()
-		e.metrics.failures.With(o.endpoint).Inc()
+		o.rec.breaker.Failure()
+		e.metrics.failures.With(url).Inc()
 		return
 	}
-	o.br.Success()
-	e.metrics.successes.With(o.endpoint).Inc()
-	e.metrics.solutions.With(o.endpoint).Add(float64(o.count))
+	o.rec.breaker.Success()
+	e.metrics.successes.With(url).Inc()
+	e.metrics.solutions.With(url).Add(float64(o.count))
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sparqlrw/internal/eval"
-	"sparqlrw/internal/obs"
 )
 
 func hedgeOpts() Options {
@@ -125,14 +124,8 @@ func TestHedgeBackupFailsPrimaryStillAnswers(t *testing.T) {
 }
 
 // TestHedgePicksHealthiestReplica: with two replicas on record, the
-// backup goes to the one the health model scores higher.
+// backup goes to the one the endpoint table scores higher.
 func TestHedgePicksHealthiestReplica(t *testing.T) {
-	health := obs.NewHealthTracker(obs.HealthOptions{})
-	for i := 0; i < 20; i++ {
-		health.Record("bad-replica", 2*time.Second, errors.New("boom"))
-		health.Record("good-replica", time.Millisecond, nil)
-	}
-
 	fc := newFakeClient()
 	fc.on("slow", func(ctx context.Context, _ int) (*eval.Result, error) {
 		select {
@@ -150,9 +143,11 @@ func TestHedgePicksHealthiestReplica(t *testing.T) {
 		return nil, errors.New("boom")
 	})
 
-	o := hedgeOpts()
-	o.Health = health
-	e := NewExecutor(fc, nil, nil, o)
+	e := NewExecutor(fc, nil, nil, hedgeOpts())
+	for i := 0; i < 20; i++ {
+		observeAttempt(e.endpoints, "bad-replica", 2*time.Second, errors.New("boom"))
+		observeAttempt(e.endpoints, "good-replica", time.Millisecond, nil)
+	}
 	res, err := e.Select(context.Background(),
 		req(Target{Dataset: "d", Endpoint: "slow",
 			Replicas: []string{"bad-replica", "good-replica"}}))

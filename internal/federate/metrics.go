@@ -48,7 +48,7 @@ func newExecutorMetrics(r *obs.Registry) *executorMetrics {
 }
 
 // registerCollectors binds the function-backed families to this
-// executor's plan cache and breaker map. The mediator rebuilds its
+// executor's plan cache and endpoint table. The mediator rebuilds its
 // executor on reconfiguration while keeping one registry; re-registering
 // replaces the callbacks, so the exposition always reads the live
 // executor's state instead of double-booking it.
@@ -67,11 +67,5 @@ func (e *Executor) registerCollectors(r *obs.Registry) {
 		"Rewrite plans currently cached.", func() float64 {
 			return float64(e.cache.Len())
 		})
-	r.GaugeFuncVec("sparqlrw_federate_breaker_state",
-		"Circuit-breaker state per endpoint (1 for the current state).",
-		[]string{"endpoint", "state"}, func(emit func([]string, float64)) {
-			for url, state := range e.BreakerStates() {
-				emit([]string{url, state}, 1)
-			}
-		})
+	e.endpoints.registerMetrics(r)
 }

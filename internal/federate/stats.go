@@ -68,11 +68,11 @@ func (e *Executor) Stats() Stats {
 		s.P95TTFSMS = snap.Quantile(0.95) * 1000
 	})
 
-	e.mu.Lock()
-	for url, b := range e.breakers {
-		get(url).Breaker = b.State().String()
+	for _, eh := range e.endpoints.Snapshot() {
+		if s, ok := byURL[eh.Endpoint]; ok {
+			s.Breaker = eh.Breaker
+		}
 	}
-	e.mu.Unlock()
 
 	var out Stats
 	for _, s := range byURL {

@@ -91,7 +91,8 @@ func (m *Mediator) Config() Config { return m.cfg }
 
 // Configure applies the options on top of the mediator's current
 // configuration and rebuilds the execution stack: the federation executor
-// (resetting breakers, counters and the rewrite-plan cache), the planner
+// (resetting its endpoint table — breakers and health together — and the
+// rewrite-plan cache; the registry's counters accumulate), the planner
 // and the decomposer with its join engine. Configuring after changing
 // rewrite-relevant state (e.g. RewriteFilters) guarantees no cached plan
 // produced under the old settings is served.
@@ -104,11 +105,12 @@ func (m *Mediator) Configure(opts ...Option) {
 
 // rebuild reconstructs the executor / planner / decomposer stack from the
 // current Config, in dependency order: the planner reads the executor's
-// endpoint health, and the join engine dispatches through the executor.
+// endpoint table, and the join engine dispatches through the executor.
 // The observer — and with it the metrics registry — survives rebuilds
 // (unless WithObservability changed its options), so every layer's
 // counters accumulate across reconfiguration; function-backed families
-// (plan cache, breaker states) re-bind to the fresh subsystems.
+// (plan cache, breaker states, endpoint health) re-bind to the fresh
+// subsystems.
 func (m *Mediator) rebuild() {
 	if m.Obs == nil || m.obsOpts != m.cfg.Observability {
 		old := m.Obs
@@ -126,17 +128,11 @@ func (m *Mediator) rebuild() {
 	}
 	fedOpts := m.cfg.Federation
 	fedOpts.Registry = m.Obs.Registry
-	fedOpts.Health = m.Obs.Health
 	m.Exec = federate.NewExecutor(m.Client, rewrite, m.Coref, fedOpts)
-	// The health model reads breaker states off the live executor, and
-	// lists every configured endpoint even before traffic reaches it.
-	m.Obs.Health.BindBreakers(m.Exec.BreakerStates)
-	if m.Datasets != nil {
-		for _, ds := range m.Datasets.All() {
-			if ds.SPARQLEndpoint != "" {
-				m.Obs.Health.Ensure(ds.SPARQLEndpoint)
-			}
-		}
+	// The endpoint table lists every configured endpoint even before
+	// traffic reaches it.
+	for _, ds := range m.Datasets.All() {
+		m.Exec.Endpoints().Ensure(ds.SPARQLEndpoint)
 	}
 	if m.cfg.Serving != nil {
 		// The registry's get-or-create constructors make re-registration
@@ -146,7 +142,7 @@ func (m *Mediator) rebuild() {
 	}
 	plOpts := m.cfg.Planner
 	plOpts.Registry = m.Obs.Registry
-	m.Planner = plan.New(m.Datasets, m.Alignments, m.endpointHealth, plOpts)
+	m.Planner = plan.New(m.Datasets, m.Alignments, m.Exec.Endpoints(), plOpts)
 	decOpts := m.cfg.Decompose
 	decOpts.Registry = m.Obs.Registry
 	decOpts.Cards = m.Obs.Cards

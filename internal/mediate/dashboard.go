@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/view"
@@ -103,7 +104,7 @@ func analyzeRows(ns []*AnalyzeNode, depth int) []analyzeRow {
 
 // healthRow adapts one endpoint's health snapshot for the template.
 type healthRow struct {
-	obs.EndpointHealth
+	federate.EndpointHealth
 	ScorePct float64
 	ScoreHue int // 0 (red) .. 120 (green)
 }
@@ -146,7 +147,7 @@ func serveDashboard(m *Mediator, w http.ResponseWriter, r *http.Request) {
 		vs := m.Views.Stats()
 		data.Views = &vs
 	}
-	for _, h := range m.Obs.Health.Snapshot() {
+	for _, h := range m.Exec.Endpoints().Snapshot() {
 		data.Health = append(data.Health, healthRow{
 			EndpointHealth: h,
 			ScorePct:       h.Score * 100,

@@ -369,7 +369,7 @@ func Handler(m *Mediator) http.Handler {
 	// quantiles, error rate, breaker state and a composite score in [0,1].
 	handle("/api/health", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(m.Obs.Health.Snapshot())
+		_ = json.NewEncoder(w).Encode(m.Exec.Endpoints().Snapshot())
 	})
 
 	// /api/audit lists the flight recorder's captured slow/failed queries,

@@ -33,8 +33,9 @@ type Mediator struct {
 	Funcs      *funcs.Registry
 	Coref      funcs.CorefSource
 	Client     *endpoint.Client
-	// Exec owns federated execution: concurrent fan-out, retries,
-	// circuit breaking and the rewrite-plan cache. Rebuilt by Configure.
+	// Exec owns federated execution: concurrent fan-out, retries, the
+	// rewrite-plan cache and the endpoint table (breakers, in-flight
+	// bounds, health). Rebuilt by Configure, which resets the table.
 	Exec *federate.Executor
 	// Planner performs voiD-driven source selection, VALUES sharding and
 	// adaptive ordering for federated queries with no explicit targets.
@@ -118,8 +119,8 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 			// time the KB update returns, no query can be answered from
 			// a view built against the old description.
 			m.Views.InvalidateDataset(uri)
-			if ds, ok := m.Datasets.Get(uri); ok && ds.SPARQLEndpoint != "" {
-				m.Obs.Health.Ensure(ds.SPARQLEndpoint)
+			if ds, ok := m.Datasets.Get(uri); ok {
+				m.Exec.Endpoints().Ensure(ds.SPARQLEndpoint)
 			}
 		}),
 		alignments.Subscribe(func() {
@@ -157,8 +158,9 @@ func (m *Mediator) Close() {
 
 // StartHealthProbes begins background liveness probing: every interval,
 // an `ASK { ?s ?p ?o }` is issued to each registered data set endpoint
-// and its outcome recorded in the health model, so /api/health scores
-// stay current for endpoints receiving no query traffic. The returned
+// and its outcome recorded in the executor's endpoint table, so
+// /api/health scores and the planner's latencies stay current for
+// endpoints receiving no query traffic. The returned
 // stop function (also invoked by Close) ends probing; starting again
 // replaces the previous prober.
 func (m *Mediator) StartHealthProbes(interval time.Duration) (stop func()) {
@@ -210,7 +212,7 @@ func (m *Mediator) probeEndpoints(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		m.Obs.Health.RecordProbe(url, time.Since(start), err)
+		m.Exec.Endpoints().RecordProbe(url, time.Since(start), err)
 	}
 }
 
@@ -243,9 +245,10 @@ type Stats struct {
 	// consumers across all queries.
 	SolutionsStreamed uint64 `json:"solutionsStreamed"`
 	// Health scores every known endpoint from smoothed latency quantiles,
-	// error rate and breaker state (the same snapshot GET /api/health
-	// serves); hedged dispatch reads it to pick replicas.
-	Health []obs.EndpointHealth `json:"health,omitempty"`
+	// error rate and breaker state: the executor's endpoint table, the
+	// same snapshot GET /api/health serves and hedged dispatch picks
+	// replicas from.
+	Health []federate.EndpointHealth `json:"health,omitempty"`
 	// Serving reports the serving tier's per-tenant admission state and
 	// result-cache counters (nil when the tier is disabled).
 	Serving *serve.Stats `json:"serving,omitempty"`
@@ -283,7 +286,7 @@ func (m *Mediator) Stats() Stats {
 	})
 	st.InFlight = int(m.metrics.inflight.Value())
 	st.SolutionsStreamed = uint64(m.metrics.streamed.Value())
-	st.Health = m.Obs.Health.Snapshot()
+	st.Health = m.Exec.Endpoints().Snapshot()
 	if m.Serve != nil {
 		ss := m.Serve.Stats()
 		st.Serving = &ss
@@ -295,19 +298,6 @@ func (m *Mediator) Stats() Stats {
 	st.Build = buildInfo()
 	st.UptimeSeconds = time.Since(m.start).Seconds()
 	return st
-}
-
-// endpointHealth adapts the executor's stats into the planner's view.
-func (m *Mediator) endpointHealth() map[string]plan.EndpointHealth {
-	st := m.Exec.Stats()
-	out := make(map[string]plan.EndpointHealth, len(st.Endpoints))
-	for _, es := range st.Endpoints {
-		out[es.Endpoint] = plan.EndpointHealth{
-			AvgLatency: time.Duration(es.AvgLatencyMS * float64(time.Millisecond)),
-			Available:  es.Breaker != federate.BreakerOpen.String(),
-		}
-	}
-	return out
 }
 
 // PlanQuery explains how a federated query would run: the per-data-set

@@ -10,11 +10,15 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/plan"
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/srjson"
 	"sparqlrw/internal/store"
 	"sparqlrw/internal/voidkb"
@@ -327,5 +331,103 @@ func TestHTTPAPIStatsIncludesPlanner(t *testing.T) {
 	}
 	if len(st.Federation.Endpoints) != 2 {
 		t.Fatalf("endpoint stats = %+v", st.Federation.Endpoints)
+	}
+}
+
+// TestPlanAllocations pins what planning the Figure-1 query costs once
+// every endpoint has history: the planner reads the executor's endpoint
+// table in place, without a snapshot of the executor's stats per plan.
+func TestPlanAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	m := exampleFederation(t, nil)
+	for i := range 3 {
+		for _, q := range []string{workload.Figure1Query(i), workload.CrossVocabularyQuery(i)} {
+			if _, err := federatedSelect(m, q, rdf.AKTNS, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, eh := range m.Stats().Health {
+		if eh.Attempts == 0 {
+			t.Fatalf("endpoint %s has no history", eh.Endpoint)
+		}
+	}
+	q := wireQuery(sparql.MustParse(workload.Figure1Query(2)))
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := m.Planner.Plan(q, rdf.AKTNS); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Planner.Plan: %.0f allocations", got)
+	if got > 35 {
+		t.Errorf("Planner.Plan allocates %.0f, want at most 35", got)
+	}
+}
+
+// TestOpenBreakerInEveryView drives one endpoint's circuit open through
+// real traffic: the planner then dispatches to it last and says why, and
+// every surface that reports the breaker reports it open.
+func TestOpenBreakerInEveryView(t *testing.T) {
+	m := exampleFederation(t, func(dataset string, h http.Handler) http.Handler {
+		if dataset != workload.KistiVoidURI {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "down", http.StatusInternalServerError)
+		})
+	}, WithFederation(federate.Options{BreakerCooldown: time.Hour}))
+	kisti, _ := m.Datasets.Get(workload.KistiVoidURI)
+	breakerOf := func(health []federate.EndpointHealth) string {
+		for _, eh := range health {
+			if eh.Endpoint == kisti.SPARQLEndpoint {
+				return eh.Breaker
+			}
+		}
+		return ""
+	}
+	for i := 0; breakerOf(m.Stats().Health) != "open"; i++ {
+		if i == 10 {
+			t.Fatal("the failing endpoint's circuit never opened")
+		}
+		if _, err := federatedSelect(m, workload.Figure1Query(i), rdf.AKTNS, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pl, err := m.PlanQuery(workload.Figure1Query(0), rdf.AKTNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pl.Subs); n < 2 || pl.Subs[n-1].Dataset != workload.KistiVoidURI {
+		t.Fatalf("dispatch order = %v, want KISTI last", pl.Datasets())
+	}
+	for _, dec := range pl.Decisions {
+		if why := strings.Join(dec.Reasons, "; "); dec.Dataset == workload.KistiVoidURI && !strings.Contains(why, "circuit is open") {
+			t.Fatalf("KISTI decision reasons = %q, want the open circuit", why)
+		}
+	}
+
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/api/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health []federate.EndpointHealth
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	fed := ""
+	for _, es := range st.Federation.Endpoints {
+		if es.Endpoint == kisti.SPARQLEndpoint {
+			fed = es.Breaker
+		}
+	}
+	if api, stats := breakerOf(health), breakerOf(st.Health); api != "open" || stats != "open" || fed != "open" {
+		t.Fatalf("breaker: /api/health %q, Stats().Health %q, Stats().Federation %q; want open everywhere", api, stats, fed)
 	}
 }

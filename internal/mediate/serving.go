@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,8 +22,10 @@ import (
 )
 
 // restrictPlan prunes a federation plan to the tenant's dataset
-// allowlist. A plan the allowlist empties entirely is refused with
-// ErrDenied rather than silently answering from nothing.
+// allowlist: the sub-requests of data sets outside it are dropped and
+// their decisions marked not relevant, so the plan explains only the
+// dispatches that happen. A plan the allowlist empties entirely is
+// refused with ErrDenied rather than silently answering from nothing.
 func restrictPlan(pl *plan.Plan, p *serve.Policy) (*plan.Plan, error) {
 	if len(p.AllowedDatasets()) == 0 || len(pl.Subs) == 0 {
 		return pl, nil
@@ -41,6 +44,13 @@ func restrictPlan(pl *plan.Plan, p *serve.Policy) (*plan.Plan, error) {
 	}
 	out := *pl
 	out.Subs = subs
+	out.Decisions = slices.Clone(pl.Decisions)
+	for i := range out.Decisions {
+		if d := &out.Decisions[i]; d.Relevant && !p.AllowsDataset(d.Dataset) {
+			d.Relevant, d.Shards, d.DeadlineMS = false, 0, 0
+			d.Reasons = append(slices.Clip(d.Reasons), "outside the tenant's dataset allowlist")
+		}
+	}
 	return &out, nil
 }
 

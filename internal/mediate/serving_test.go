@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -260,12 +261,34 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 		t.Fatalf("out-of-list target: err = %v, want ErrDenied", err)
 	}
 
-	// The planner's candidate set is pruned: only the allowed data set
-	// is consulted.
-	fr := s.query(t, QueryRequest{
+	// The plan is pruned after planning: only the allowed data set is
+	// consulted, and the plan reports no dispatch to the others.
+	res, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
 		Tenant: tenant,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := 0
+	for _, dec := range res.Plan().Decisions {
+		if dec.Dataset == workload.SotonVoidURI {
+			continue
+		}
+		if dec.Relevant || dec.Shards != 0 {
+			t.Errorf("plan reports %s relevant with %d shards, outside the allowlist", dec.Dataset, dec.Shards)
+		}
+		if slices.Contains(dec.Reasons, "outside the tenant's dataset allowlist") {
+			pruned++
+		}
+	}
+	if pruned == 0 {
+		t.Error("no decision names the allowlist as its reason")
+	}
+	fr, err := res.Bindings().Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, da := range fr.PerDataset {
 		if da.Dataset != workload.SotonVoidURI {
 			t.Fatalf("restricted plan consulted %s", da.Dataset)

@@ -13,6 +13,7 @@ import (
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/voidkb"
@@ -230,11 +231,11 @@ func TestEndToEndTraceContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hresp.Body.Close()
-	var health []obs.EndpointHealth
+	var health []federate.EndpointHealth
 	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	byURL := map[string]obs.EndpointHealth{}
+	byURL := map[string]federate.EndpointHealth{}
 	for _, h := range health {
 		byURL[h.Endpoint] = h
 	}
@@ -474,7 +475,7 @@ func TestHealthProbes(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		probed := 0
-		for _, h := range ts.mediator.Obs.Health.Snapshot() {
+		for _, h := range ts.mediator.Exec.Endpoints().Snapshot() {
 			if h.Probes > 0 {
 				probed++
 			}

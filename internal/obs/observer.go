@@ -46,8 +46,7 @@ type Options struct {
 // Observer bundles the observability surfaces one component threads
 // through its layers: the metrics registry, the finished-trace ring,
 // the structured logger, and — when configured — the OTLP span
-// exporter, the per-endpoint health model, and the query flight
-// recorder.
+// exporter and the query flight recorder.
 type Observer struct {
 	Registry  *Registry
 	Ring      *TraceRing
@@ -56,8 +55,6 @@ type Observer struct {
 	// Exporter ships finished traces to an OTLP collector; nil when no
 	// OTLPEndpoint is configured. Nil-safe to Enqueue on.
 	Exporter *OTLPExporter
-	// Health is the per-endpoint health model; always non-nil.
-	Health *HealthTracker
 	// Recorder is the query flight recorder; nil when no AuditDir is
 	// configured (or it could not be opened). Nil-safe to Record on.
 	Recorder *FlightRecorder
@@ -91,8 +88,6 @@ func NewObserver(opts Options) *Observer {
 		size = 128
 	}
 	o.Ring = NewTraceRing(size)
-	o.Health = NewHealthTracker(HealthOptions{})
-	o.Health.RegisterMetrics(o.Registry)
 	if opts.OTLPEndpoint != "" {
 		o.Exporter = NewOTLPExporter(OTLPOptions{
 			Endpoint:    opts.OTLPEndpoint,

@@ -115,3 +115,44 @@ func TestNewIDsWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent holds the parser of an outside-supplied header to
+// its contract: it never panics, whatever it accepts carries lowercase-hex,
+// non-zero ids of the right widths, and the context it yields formats back
+// into a header that parses to the same identity.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00",
+		"  00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-03  ",
+		"cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-what-the-future-holds",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-",
+		"00-0af7651916cd43dd8448eb211c80319c_b7ad6b7169203331-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, ok := ParseTraceparent(header)
+		if !ok {
+			return
+		}
+		for _, id := range []struct {
+			name, v string
+			width   int
+		}{{"trace id", tc.TraceID, 32}, {"span id", tc.SpanID, 16}} {
+			if len(id.v) != id.width || strings.Trim(id.v, "0123456789abcdef") != "" || strings.Trim(id.v, "0") == "" {
+				t.Fatalf("%q accepted with %s %q", header, id.name, id.v)
+			}
+		}
+		back, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || back.TraceID != tc.TraceID || back.SpanID != tc.SpanID || back.Sampled != tc.Sampled {
+			t.Fatalf("%q parsed to %+v, which formats to %q and parses back to %+v (ok=%v)",
+				header, tc, tc.Traceparent(), back, ok)
+		}
+	})
+}

@@ -14,22 +14,24 @@
 //     big seeded query federates as many small sub-queries whose results
 //     recombine under the executor's owl:sameAs merge;
 //  3. orders and budgets — sub-requests are dispatched fastest-endpoint
-//     first using the executor's observed per-endpoint latency, and slow
-//     endpoints get deadlines proportional to their observed latency
-//     instead of the full default budget (cf. Yannakis et al.'s
-//     heuristics-based reordering, PAPERS.md).
+//     first using the executor's smoothed per-endpoint median latency,
+//     open circuits last, and slow endpoints get deadlines proportional
+//     to their observed latency instead of the full default budget (cf.
+//     Yannakis et al.'s heuristics-based reordering, PAPERS.md).
 //
 // A plan holds the query the mediator parsed and clones of it, never text:
 // the executor formats a sub-query when it dispatches it, and a plan renders
 // its queries when it is marshalled (/api/plan, explain trailers, audit log).
 //
 // The package deliberately does not import internal/federate: the
-// executor consumes a *Plan, and health data flows in through the
-// HealthFunc the caller wires up.
+// executor consumes a *Plan, and the executor's endpoint table is read
+// through the Endpoints interface.
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -49,11 +51,6 @@ type Options struct {
 	// MaxShards caps how many shards one data set receives (default 32);
 	// larger VALUES blocks get proportionally bigger batches.
 	MaxShards int
-	// SlowFactor scales an endpoint's observed average latency into its
-	// adaptive deadline (default 8).
-	SlowFactor float64
-	// MinDeadline floors the adaptive deadline (default 250ms).
-	MinDeadline time.Duration
 	// Registry receives the planner's metrics (plan / source-selection /
 	// shard counters). Nil creates a private registry; the mediator passes
 	// its shared one so /metrics and Stats() read the same counters.
@@ -67,33 +64,28 @@ func (o Options) withDefaults() Options {
 	if o.MaxShards <= 0 {
 		o.MaxShards = 32
 	}
-	if o.SlowFactor <= 0 {
-		o.SlowFactor = 8
-	}
-	if o.MinDeadline <= 0 {
-		o.MinDeadline = 250 * time.Millisecond
-	}
 	return o
 }
 
-// EndpointHealth is the planner's view of one endpoint's execution
-// history, fed in from the federation executor's stats.
-type EndpointHealth struct {
-	// AvgLatency is the observed mean attempt latency (0 = no data).
-	AvgLatency time.Duration
-	// Available is false while the endpoint's circuit breaker is open.
-	Available bool
-}
+// The adaptive deadline: slowFactor times an endpoint's observed median
+// latency, floored at minDeadline.
+const (
+	slowFactor  = 8
+	minDeadline = 250 * time.Millisecond
+)
 
-// HealthFunc snapshots per-endpoint health, keyed by endpoint URL. It may
-// be nil (no history: original order, default deadlines).
-type HealthFunc func() map[string]EndpointHealth
+// Endpoints is what the planner reads of the executor's endpoint table.
+type Endpoints interface {
+	// Observed reports an endpoint's smoothed median attempt latency (0
+	// when nothing has been observed) and whether its circuit is open.
+	Observed(endpoint string) (p50 time.Duration, open bool)
+}
 
 // Planner builds federation plans from the voiD and alignment KBs.
 type Planner struct {
 	datasets   *voidkb.KB
 	alignments *align.KB
-	health     HealthFunc
+	endpoints  Endpoints
 	opts       Options
 	metrics    plannerMetrics
 }
@@ -108,8 +100,9 @@ type plannerMetrics struct {
 	valuesShards *obs.Counter
 }
 
-// New returns a planner over the given knowledge bases. health may be nil.
-func New(datasets *voidkb.KB, alignments *align.KB, health HealthFunc, opts Options) *Planner {
+// New returns a planner over the given knowledge bases. endpoints may be
+// nil (no history: data set order, default deadlines).
+func New(datasets *voidkb.KB, alignments *align.KB, endpoints Endpoints, opts Options) *Planner {
 	opts = opts.withDefaults()
 	reg := opts.Registry
 	if reg == nil {
@@ -117,7 +110,7 @@ func New(datasets *voidkb.KB, alignments *align.KB, health HealthFunc, opts Opti
 		opts.Registry = reg
 	}
 	return &Planner{
-		datasets: datasets, alignments: alignments, health: health, opts: opts,
+		datasets: datasets, alignments: alignments, endpoints: endpoints, opts: opts,
 		metrics: plannerMetrics{
 			plans: reg.Counter("sparqlrw_plan_plans_total",
 				"Federation plans built."),
@@ -177,8 +170,8 @@ type Decision struct {
 	Reasons      []string `json:"reasons"`
 	// Shards is how many sub-queries the data set receives (0 if pruned).
 	Shards int `json:"shards,omitempty"`
-	// AvgLatencyMS is the endpoint's observed mean latency (0 = no data).
-	AvgLatencyMS float64 `json:"avgLatencyMs,omitempty"`
+	// LatencyMS is the endpoint's smoothed median latency (0 = no data).
+	LatencyMS float64 `json:"latencyMs,omitempty"`
 	// DeadlineMS is the adaptive per-attempt deadline (0 = executor default).
 	DeadlineMS float64 `json:"deadlineMs,omitempty"`
 }
@@ -238,52 +231,68 @@ func (p *Planner) Plan(q *sparql.Query, sourceOnt string) (*Plan, error) {
 		return nil, fmt.Errorf("plan: federated planning supports SELECT only, got %s", q.Form)
 	}
 	prof := profileQuery(q)
-	var health map[string]EndpointHealth
-	if p.health != nil {
-		health = p.health()
-	}
 	subs, shardVar := ShardQuery(q, p.opts.ValuesBatch, p.opts.MaxShards)
 
 	pl := &Plan{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), ShardVar: shardVar}
-	var pruned, sharded uint64
-	for _, ds := range p.datasets.All() {
+	// kept holds each relevant data set with what its place in the
+	// dispatch order and its deadline come from.
+	type candidate struct {
+		ds                 *voidkb.Dataset
+		needsRewrite, open bool
+		latency, timeout   time.Duration
+	}
+	all := p.datasets.All()
+	kept := make([]candidate, 0, len(all))
+	var pruned uint64
+	for _, ds := range all {
 		dec := p.decide(ds, prof, sourceOnt)
-		h, known := health[ds.SPARQLEndpoint]
-		if known {
-			dec.AvgLatencyMS = float64(h.AvgLatency.Microseconds()) / 1000
-		}
+		latency, open := p.observed(ds.SPARQLEndpoint)
+		dec.LatencyMS = millis(latency)
 		if !dec.Relevant {
 			pruned++
 			pl.Decisions = append(pl.Decisions, dec)
 			continue
 		}
-		if known && !h.Available {
+		if open {
 			dec.Reasons = append(dec.Reasons, "endpoint circuit is open; dispatched last")
 		}
-		timeout := p.deadline(h, known)
-		if timeout > 0 {
-			dec.DeadlineMS = float64(timeout.Microseconds()) / 1000
-		}
-		if shardVar != "" {
-			sharded += uint64(len(subs))
-		}
+		timeout := deadline(latency)
+		dec.DeadlineMS = millis(timeout)
 		dec.Shards = len(subs)
-		for i, sub := range subs {
-			pl.Subs = append(pl.Subs, SubRequest{
-				Dataset:      ds.URI,
-				Endpoint:     ds.SPARQLEndpoint,
-				Replicas:     ds.Replicas,
-				Query:        sub,
-				NeedsRewrite: dec.NeedsRewrite,
-				Shard:        i + 1,
-				Shards:       len(subs),
-				Timeout:      timeout,
-				TimeoutMS:    float64(timeout.Microseconds()) / 1000,
-			})
-		}
+		kept = append(kept, candidate{ds, dec.NeedsRewrite, open, latency, timeout})
 		pl.Decisions = append(pl.Decisions, dec)
 	}
-	orderSubs(pl.Subs, health)
+	// Dispatch order: endpoints with open circuits last, then the fastest
+	// observed first; endpoints without history keep their (deterministic,
+	// URI-sorted) place at latency 0.
+	slices.SortStableFunc(kept, func(a, b candidate) int {
+		if a.open != b.open {
+			if a.open {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.latency, b.latency)
+	})
+	for _, c := range kept {
+		for i, sub := range subs {
+			pl.Subs = append(pl.Subs, SubRequest{
+				Dataset:      c.ds.URI,
+				Endpoint:     c.ds.SPARQLEndpoint,
+				Replicas:     c.ds.Replicas,
+				Query:        sub,
+				NeedsRewrite: c.needsRewrite,
+				Shard:        i + 1,
+				Shards:       len(subs),
+				Timeout:      c.timeout,
+				TimeoutMS:    millis(c.timeout),
+			})
+		}
+	}
+	var sharded uint64
+	if shardVar != "" {
+		sharded = uint64(len(pl.Subs))
+	}
 
 	p.metrics.plans.Inc()
 	p.metrics.considered.Add(float64(len(pl.Decisions)))
@@ -371,43 +380,26 @@ func (p *Planner) decide(ds *voidkb.Dataset, prof *profile, sourceOnt string) De
 	return dec
 }
 
-// deadline derives an endpoint's adaptive per-attempt deadline from its
-// observed latency: proportional to history, floored, and never looser
-// than the executor default (the executor clamps from above).
-func (p *Planner) deadline(h EndpointHealth, known bool) time.Duration {
-	if !known || h.AvgLatency <= 0 {
-		return 0
+// observed reads the endpoint table; a planner without one sees no history.
+func (p *Planner) observed(endpoint string) (p50 time.Duration, open bool) {
+	if p.endpoints == nil {
+		return 0, false
 	}
-	d := time.Duration(float64(h.AvgLatency) * p.opts.SlowFactor)
-	if d < p.opts.MinDeadline {
-		d = p.opts.MinDeadline
-	}
-	return d
+	return p.endpoints.Observed(endpoint)
 }
 
-// orderSubs sorts sub-requests for dispatch: endpoints with open circuits
-// last, then fastest observed endpoints first; endpoints without history
-// keep their (deterministic, URI-sorted) position at latency 0.
-func orderSubs(subs []SubRequest, health map[string]EndpointHealth) {
-	rank := func(s SubRequest) (int, time.Duration) {
-		h, ok := health[s.Endpoint]
-		if !ok {
-			return 0, 0
-		}
-		if !h.Available {
-			return 1, h.AvgLatency
-		}
-		return 0, h.AvgLatency
+// deadline derives an endpoint's adaptive per-attempt deadline from its
+// observed median latency: proportional to history, floored, 0 (the
+// executor default) without history, and never looser than the executor
+// default (the executor clamps from above).
+func deadline(latency time.Duration) time.Duration {
+	if latency <= 0 {
+		return 0
 	}
-	sort.SliceStable(subs, func(i, j int) bool {
-		ri, li := rank(subs[i])
-		rj, lj := rank(subs[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return li < lj
-	})
+	return max(latency*slowFactor, minDeadline)
 }
+
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // profile summarises the query features source selection matches against.
 type profile struct {

@@ -247,14 +247,12 @@ func TestAdaptiveOrderingAndDeadlines(t *testing.T) {
 		_ = dsKB.Add(&voidkb.Dataset{URI: d.uri, SPARQLEndpoint: d.ep,
 			Vocabularies: []string{rdf.AKTNS}})
 	}
-	health := func() map[string]EndpointHealth {
-		return map[string]EndpointHealth{
-			"http://a.example/sparql": {AvgLatency: 80 * time.Millisecond, Available: true},
-			"http://b.example/sparql": {AvgLatency: 5 * time.Millisecond, Available: true},
-			"http://c.example/sparql": {AvgLatency: 2 * time.Millisecond, Available: false},
-		}
+	endpoints := fakeEndpoints{
+		"http://a.example/sparql": {p50: 80 * time.Millisecond},
+		"http://b.example/sparql": {p50: 5 * time.Millisecond},
+		"http://c.example/sparql": {p50: 2 * time.Millisecond, open: true},
 	}
-	p := New(dsKB, align.NewKB(), health, Options{SlowFactor: 4, MinDeadline: 100 * time.Millisecond})
+	p := New(dsKB, align.NewKB(), endpoints, Options{})
 	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
 SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS)
 	if err != nil {
@@ -269,16 +267,35 @@ SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS)
 	}
 	for _, sub := range pl.Subs {
 		switch sub.Endpoint {
-		case "http://a.example/sparql": // 4 × 80ms
-			if sub.Timeout != 320*time.Millisecond {
+		case "http://a.example/sparql": // 8 × 80ms
+			if sub.Timeout != 640*time.Millisecond {
 				t.Fatalf("a deadline = %s", sub.Timeout)
 			}
-		case "http://b.example/sparql": // 4 × 5ms floored at 100ms
-			if sub.Timeout != 100*time.Millisecond {
+		case "http://b.example/sparql": // 8 × 5ms floored at 250ms
+			if sub.Timeout != 250*time.Millisecond {
 				t.Fatalf("b deadline = %s", sub.Timeout)
 			}
 		}
 	}
+	for _, dec := range pl.Decisions {
+		if dec.Endpoint == "http://a.example/sparql" && dec.LatencyMS != 80 {
+			t.Fatalf("a decision reports latency %v ms, want 80", dec.LatencyMS)
+		}
+		if open := dec.Endpoint == "http://c.example/sparql"; open != strings.Contains(strings.Join(dec.Reasons, "; "), "circuit is open") {
+			t.Fatalf("%s reasons = %v", dec.Endpoint, dec.Reasons)
+		}
+	}
+}
+
+// fakeEndpoints stands in for the executor's endpoint table.
+type fakeEndpoints map[string]struct {
+	p50  time.Duration
+	open bool
+}
+
+func (f fakeEndpoints) Observed(endpoint string) (time.Duration, bool) {
+	o := f[endpoint]
+	return o.p50, o.open
 }
 
 // TestShardResultsRecombine executes every shard of a sharded plan over a

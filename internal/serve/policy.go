@@ -21,8 +21,9 @@ var ErrDenied = errors.New("denied by tenant policy")
 // outside its grant, no matter which endpoints it federates to.
 type Policy struct {
 	// Datasets allowlists the data set URIs the tenant may query (empty
-	// = all). Explicit out-of-list targets are refused; the planner's
-	// candidate set is pre-filtered.
+	// = all). Explicit out-of-list targets are refused; a planned query's
+	// sub-requests to out-of-list data sets are pruned after planning, and
+	// their plan decisions marked not relevant.
 	Datasets []string `json:"datasets,omitempty"`
 	// URISpaces allowlists subject URI prefixes: the tenant may only
 	// read triples whose subject lies in one of the spaces. Ground

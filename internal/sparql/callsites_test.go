@@ -160,6 +160,66 @@ func TestOneLRU(t *testing.T) {
 	}
 }
 
+// moduleFiles parses every Go file of the module, tests included, keyed by
+// its slash-separated path relative to the module root.
+func moduleFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	const root = "../.." // this package is internal/sparql
+	fset, files := token.NewFileSet(), map[string]*ast.File{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = file
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// TestOneEndpointTable pins the one model of each endpoint: its breaker,
+// in-flight bound and health live in one record of the executor's
+// endpoint table. No non-test file outside internal/federate names a
+// federate.Breaker* identifier, and the identifiers of the parallel
+// models it replaced appear in no Go file.
+func TestOneEndpointTable(t *testing.T) {
+	gone := map[string]bool{"BindBreakers": true, "BreakerStates": true, "HealthFunc": true, "HealthOptions": true}
+	fset, files := moduleFiles(t)
+	for rel, file := range files {
+		pkg := importName(file, "sparqlrw/internal/federate")
+		outside := pkg != "" && !strings.HasPrefix(rel, "internal/federate/") && !strings.HasSuffix(rel, "_test.go")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if gone[n.Name] {
+					t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && outside && x.Name == pkg && strings.HasPrefix(n.Sel.Name, "Breaker") {
+					t.Errorf("%s refers to federate.%s: breakers belong to the endpoint table", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOneHashJoin pins the one join implementation: rows are keyed for a
 // hash join only inside the evaluator, and the mediator's joins are eval
 // plans over remote leaves. Outside internal/eval (and internal/rdf, which

@@ -15,7 +15,9 @@ set -eu
 
 workdir=$(mktemp -d)
 cleanup() {
-	[ -n "${pid:-}" ] && kill "$pid" 2>/dev/null || true
+	# Wait for the mediator to exit: it flushes the audit dir on the way
+	# out, which would otherwise race the removal below.
+	[ -n "${pid:-}" ] && kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
 	rm -rf "$workdir"
 }
 trap cleanup EXIT INT TERM
@@ -289,7 +291,8 @@ for field in '"score"' '"p95Ms"' '"errorRate"' '"breaker"'; do
 		fail=1
 	fi
 done
-for series in sparqlrw_endpoint_health_score sparqlrw_endpoint_latency_p95_seconds; do
+for series in sparqlrw_endpoint_health_score sparqlrw_endpoint_latency_p50_seconds \
+	sparqlrw_endpoint_latency_p95_seconds sparqlrw_endpoint_error_rate; do
 	if ! grep -q "^$series" "$workdir/metrics.txt"; then
 		echo "check-metrics: MISSING health series $series" >&2
 		fail=1

@@ -448,8 +448,10 @@ type (
 // NewFederationPlanner builds a standalone planner over the given KBs;
 // most callers use the Mediator's built-in planner instead (PlanQuery,
 // Configure with WithMediatorPlanner, and Query with nil Targets).
-func NewFederationPlanner(datasets *DatasetKB, alignments *AlignmentKB, health plan.HealthFunc, opts PlannerOptions) *FederationPlanner {
-	return plan.New(datasets, alignments, health, opts)
+// endpoints may be nil; an executor's Endpoints() table orders the plan's
+// sub-requests by observed latency.
+func NewFederationPlanner(datasets *DatasetKB, alignments *AlignmentKB, endpoints plan.Endpoints, opts PlannerOptions) *FederationPlanner {
+	return plan.New(datasets, alignments, endpoints, opts)
 }
 
 // NewDatasetKB returns an empty voiD knowledge base.
@@ -477,10 +479,11 @@ var MediatorDebugHandler = mediate.DebugHandler
 type (
 	// TraceContext is a parsed W3C traceparent/tracestate pair.
 	TraceContext = obs.TraceContext
-	// EndpointHealth is one endpoint's health snapshot: smoothed latency
-	// quantiles, error rate, breaker state and composite score
-	// (Mediator.Stats().Health, GET /api/health).
-	EndpointHealth = obs.EndpointHealth
+	// EndpointHealth is one endpoint's health snapshot from the
+	// executor's endpoint table: smoothed latency quantiles, error rate,
+	// breaker state and composite score (Mediator.Stats().Health, GET
+	// /api/health).
+	EndpointHealth = federate.EndpointHealth
 	// AuditRecord is one flight-recorded query: text, explain payload,
 	// outcome and full span tree (GET /api/audit).
 	AuditRecord = obs.AuditRecord
