@@ -3,8 +3,8 @@
 # and the full suite under the race detector;
 # `make build` compiles everything; `make bench` runs every Go benchmark
 # (the end-to-end record is written by `go run ./bench`, not by make);
-# `make fuzz-smoke` fuzzes the SRJ codec, the SPARQL parser and the
-# traceparent parser briefly;
+# `make fuzz-smoke` fuzzes the SRJ codec, the SPARQL, Turtle and
+# N-Triples parsers and the traceparent parser briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
 # mediator binary.
 
@@ -51,13 +51,14 @@ bench-smoke:
 	@echo "bench-smoke: every benchmark ran; view and representative-cache benchmarks present"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
-# its encoding/json reference, the encoder's round trip, the SPARQL
-# parser's parse → format → parse fixpoint and the inbound traceparent
-# parser, each starting from the corpus under its package's testdata/fuzz.
-# go test fuzzes one target of one package per invocation, so a target is
-# listed as package:name.
+# its encoding/json reference, the encoder's round trip, the SPARQL,
+# Turtle and N-Triples parsers' parse → format → parse fixpoints and the
+# inbound traceparent parser, each starting from the corpus under its
+# package's testdata/fuzz. go test fuzzes one target of one package per
+# invocation, so a target is listed as package:name.
 FUZZ_TARGETS = ./internal/srjson:FuzzStreamDecoder ./internal/srjson:FuzzAppendBinding \
-	./internal/sparql:FuzzParseFormat ./internal/obs:FuzzParseTraceparent
+	./internal/sparql:FuzzParseFormat ./internal/obs:FuzzParseTraceparent \
+	./internal/turtle:FuzzParseTurtle ./internal/ntriples:FuzzParseNTriples
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

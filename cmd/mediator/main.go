@@ -32,8 +32,11 @@
 // vocabulary over the same paper URIs — is split into per-endpoint
 // exclusive groups joined with VALUES-bound joins (internal/decompose).
 // POST /api/plan explains plan and decomposition without running them;
-// GET /api/stats reports every layer's counters. Batch sizes, body caps
-// and the bound-join threshold run at their package defaults. The knobs:
+// GET /api/stats serves the one introspection document: every layer's
+// counters, with each endpoint one row of the executor's endpoint table
+// (breaker, health, attempts, failures, retries, rejections, solutions).
+// Batch sizes, body caps and the bound-join threshold run at their
+// package defaults. The knobs:
 //
 //	-concurrency N  worker-pool bound for the fan-out (default 8)
 //	-timeout D      per-endpoint attempt deadline (default 10s)
@@ -55,8 +58,10 @@
 // store; with -adaptive-stats the decomposer corrects voiD estimates from
 // it. Requests carrying a W3C `traceparent` header join the caller's
 // trace, finished traces can ship to an OTLP/HTTP collector, GET
-// /api/health scores every endpoint, and slow or failed queries persist
-// to an on-disk flight recorder listed at GET /api/audit. The knobs:
+// /api/health serves the document's endpoint rows (health score,
+// breaker, counts), /debug/dashboard renders the same document, and slow
+// or failed queries persist to an on-disk flight recorder listed at GET
+// /api/audit. The knobs:
 //
 //	-log-level L      debug|info|warn|error (default info)
 //	-log-format F     text|json (default text)
@@ -188,14 +193,15 @@ style co-reference service, and the mediator serving
                      source=<ontology-ns>, limit=<n>.
   POST     /api/rewrite   translate a query for one target data set
   POST     /api/plan      explain source selection / decomposition
-  GET      /api/stats     federation + planner + decompose + per-form counters
+  GET      /api/stats     the one stats document: endpoint rows, planner,
+                          decompose, serving, views, per-form counters
   GET      /api/datasets  registered voiD data sets
   GET      /metrics       Prometheus text exposition of every layer's metrics
   GET      /api/trace     recent query span trees (/api/trace/{id} by ID)
   GET      /api/analyze/{id}  EXPLAIN ANALYZE operator profile for a trace
-  GET      /api/health    per-endpoint health scores (latency, errors, breaker)
+  GET      /api/health    its endpoint rows (latency, errors, breaker, counts)
   GET      /api/audit     flight-recorded slow/failed queries (-audit-dir)
-  GET      /api/views     materialized views: shapes, freshness, stats (-views)
+  GET      /api/views     its view tier: shapes, freshness, stats (-views)
   POST     /api/alignments  load alignment Turtle into the running KB
   GET      /               web UI (Figure 4)
 

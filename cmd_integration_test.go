@@ -683,14 +683,14 @@ SELECT ?paper ?a ?c WHERE {
 		var doc struct {
 			Federation struct {
 				Endpoints []struct {
-					Requests uint64 `json:"requests"`
+					Attempts uint64 `json:"attempts"`
 				} `json:"endpoints"`
 			} `json:"federation"`
 		}
 		getJSON("/api/stats", &doc)
 		var n uint64
 		for _, e := range doc.Federation.Endpoints {
-			n += e.Requests
+			n += e.Attempts
 		}
 		return n
 	}

@@ -128,14 +128,14 @@ func main() {
 		}
 	}
 
-	// The mediator's one health snapshot: breaker states, retries, cache,
-	// per-form query counts.
+	// The mediator's one introspection document: one row per endpoint
+	// (breaker, counts, health), cache, per-form query counts.
 	var stats sparqlrw.MediatorStats
 	getJSON(api.URL+"/api/stats", &stats)
 	fmt.Println("\n=== /api/stats ===")
 	for _, es := range stats.Federation.Endpoints {
-		fmt.Printf("  %-25s breaker=%-9s requests=%d failures=%d retries=%d rejected=%d\n",
-			es.Endpoint, es.Breaker, es.Requests, es.Failures, es.Retries, es.Rejected)
+		fmt.Printf("  %-25s breaker=%-9s attempts=%d failures=%d retries=%d rejected=%d score=%.2f\n",
+			es.Endpoint, es.Breaker, es.Attempts, es.Failures, es.Retries, es.Rejected, es.Score)
 	}
 	fmt.Printf("  rewrite-plan cache: %d hits, %d misses (hit rate %.0f%%)\n",
 		stats.Federation.CacheHits, stats.Federation.CacheMisses, 100*stats.Federation.CacheHitRate)

@@ -100,12 +100,15 @@ func main() {
 	// GET /api/trace lists recent traces, /api/trace/{id} serves one.
 	list, err := http.Get(srv.URL + "/api/trace")
 	must(err)
-	var recent []struct {
-		ID string `json:"id"`
+	var recent struct {
+		Total  int `json:"total"`
+		Traces []struct {
+			ID string `json:"id"`
+		} `json:"traces"`
 	}
 	must(json.NewDecoder(list.Body).Decode(&recent))
 	list.Body.Close()
-	fmt.Printf("\n/api/trace retains %d trace(s); newest %s\n", len(recent), recent[0].ID)
+	fmt.Printf("\n/api/trace retains %d trace(s); newest %s\n", recent.Total, recent.Traces[0].ID)
 
 	// Scrape /metrics and show what the query moved. Every layer —
 	// mediator, planner, decomposer, federation executor, HTTP mux —

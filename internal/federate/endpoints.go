@@ -12,13 +12,16 @@ import (
 )
 
 // The endpoint table is everything the executor knows about each endpoint
-// URL, kept in one record: its circuit breaker, its in-flight bound, and a
-// health model fed by every settled attempt and background probe. Hedged
-// dispatch reads an endpoint's smoothed p95 and score from it, the planner
-// its smoothed median and breaker (plan.Endpoints), and /api/health,
-// Stats().Health, the dashboard and the sparqlrw_endpoint_* series its
-// snapshot. The table lives and dies with its executor, so a mediator
-// reconfiguration resets health together with the breakers.
+// URL, kept in one record: its circuit breaker, its in-flight bound, a
+// health model fed by every settled attempt and background probe, and the
+// endpoint's counts (attempts, successes, failures, retries, breaker
+// rejections, solutions). Hedged dispatch reads an endpoint's smoothed p95
+// and score from it, the planner its smoothed median and breaker
+// (plan.Endpoints), and Stats().Federation.Endpoints, /api/health, the
+// dashboard and the per-endpoint sparqlrw_federate_*_total and
+// sparqlrw_endpoint_* series its snapshot. The table lives and dies with
+// its executor, so a mediator reconfiguration resets breakers, health and
+// counts together.
 
 // The health model's constants.
 const (
@@ -33,18 +36,24 @@ const (
 	refLatency = 500 * time.Millisecond
 )
 
-// EndpointHealth is one endpoint's health snapshot: smoothed latency
-// quantiles, error rate, breaker state and the composite score in
-// [0,1] that ranks endpoints for dispatch decisions (1 = healthy).
+// EndpointHealth is one endpoint's row of the table: smoothed latency
+// quantiles, error rate, breaker state, the composite score in [0,1] that
+// ranks endpoints for dispatch decisions (1 = healthy), and the
+// endpoint's counts since the table was made.
 type EndpointHealth struct {
-	Endpoint      string    `json:"endpoint"`
-	Score         float64   `json:"score"`
-	P50MS         float64   `json:"p50Ms"`
-	P95MS         float64   `json:"p95Ms"`
-	ErrorRate     float64   `json:"errorRate"`
-	Breaker       string    `json:"breaker"`
-	Attempts      uint64    `json:"attempts"`
-	Failures      uint64    `json:"failures"`
+	Endpoint  string  `json:"endpoint"`
+	Score     float64 `json:"score"`
+	P50MS     float64 `json:"p50Ms"`
+	P95MS     float64 `json:"p95Ms"`
+	ErrorRate float64 `json:"errorRate"`
+	Breaker   string  `json:"breaker"`   // closed | open | half-open
+	Attempts  uint64  `json:"attempts"`  // settled dispatch attempts, retries included
+	Successes uint64  `json:"successes"` // attempts that returned results
+	Failures  uint64  `json:"failures"`  // attempts that errored
+	Retries   uint64  `json:"retries"`   // re-dispatches after a failed attempt
+	Rejected  uint64  `json:"rejected"`  // dispatches an open circuit refused
+	Solutions uint64  `json:"solutions"` // solutions streamed off the wire, before the merge
+
 	Probes        uint64    `json:"probes,omitempty"`
 	ProbeFailures uint64    `json:"probeFailures,omitempty"`
 	LastSeen      time.Time `json:"lastSeen,omitzero"`
@@ -78,10 +87,11 @@ type endpointRecord struct {
 	ewmaP50, ewmaP95 float64               // seconds, smoothed across observations
 	ewmaErr          float64               // smoothed failure indicator in [0,1]
 
-	attempts, failures    uint64
-	probes, probeFailures uint64
-	lastSeen              time.Time
-	lastError             string
+	attempts, successes, failures uint64
+	retries, rejected, solutions  uint64
+	probes, probeFailures         uint64
+	lastSeen                      time.Time
+	lastError                     string
 }
 
 func newEndpointTable(o Options) *EndpointTable {
@@ -127,30 +137,40 @@ func (t *EndpointTable) Ensure(url string) {
 func (t *EndpointTable) RecordProbe(url string, latency time.Duration, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.get(url).observe(latency, err, true)
+	r := t.get(url)
+	r.probes++
+	if err != nil {
+		r.probeFailures++
+	}
+	r.observe(latency, err)
 }
 
-// settle feeds one finished attempt's outcome into r's health.
-func (t *EndpointTable) settle(r *endpointRecord, latency time.Duration, err error) {
+// settle books one finished attempt with r: its counts, and its outcome
+// into r's health.
+func (t *EndpointTable) settle(r *endpointRecord, latency time.Duration, solutions int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r.observe(latency, err, false)
+	r.attempts++
+	if err != nil {
+		r.failures++
+	} else {
+		r.successes++
+		r.solutions += uint64(solutions)
+	}
+	r.observe(latency, err)
 }
 
-// observe updates the counters, the latency window and the EWMAs with one
-// outcome; the table's lock must be held.
-func (r *endpointRecord) observe(latency time.Duration, err error, probe bool) {
-	if probe {
-		r.probes++
-		if err != nil {
-			r.probeFailures++
-		}
-	} else {
-		r.attempts++
-		if err != nil {
-			r.failures++
-		}
-	}
+// count adds one to a count of a record's that no outcome settles (its
+// retries, its rejections) under the table's lock.
+func (t *EndpointTable) count(n *uint64) {
+	t.mu.Lock()
+	*n++
+	t.mu.Unlock()
+}
+
+// observe updates the latency window and the EWMAs with one outcome; the
+// table's lock must be held.
+func (r *endpointRecord) observe(latency time.Duration, err error) {
 	r.lastSeen = time.Now()
 	if err != nil {
 		r.lastError = err.Error()
@@ -215,7 +235,11 @@ func (r *endpointRecord) health() EndpointHealth {
 		ErrorRate:     r.ewmaErr,
 		Breaker:       state.String(),
 		Attempts:      r.attempts,
+		Successes:     r.successes,
 		Failures:      r.failures,
+		Retries:       r.retries,
+		Rejected:      r.rejected,
+		Solutions:     r.solutions,
 		Probes:        r.probes,
 		ProbeFailures: r.probeFailures,
 		LastSeen:      r.lastSeen,
@@ -280,7 +304,9 @@ func (t *EndpointTable) Best(candidates []string) string {
 }
 
 // registerMetrics exposes the table as Prometheus series on r: the
-// breaker state and the four sparqlrw_endpoint_* health families.
+// breaker state, the six per-endpoint counts and the four
+// sparqlrw_endpoint_* health families, each read from a snapshot at
+// scrape time.
 func (t *EndpointTable) registerMetrics(r *obs.Registry) {
 	r.GaugeFuncVec("sparqlrw_federate_breaker_state",
 		"Circuit-breaker state per endpoint (1 for the current state).",
@@ -289,23 +315,40 @@ func (t *EndpointTable) registerMetrics(r *obs.Registry) {
 				emit([]string{eh.Endpoint, eh.Breaker}, 1)
 			}
 		})
-	collect := func(field func(EndpointHealth) float64) func(emit func([]string, float64)) {
-		return func(emit func([]string, float64)) {
-			for _, eh := range t.Snapshot() {
-				emit([]string{eh.Endpoint}, field(eh))
-			}
+	for _, fam := range []struct {
+		name, help string
+		counter    bool
+		value      func(EndpointHealth) float64
+	}{
+		{"sparqlrw_federate_attempts_total", "Sub-query dispatch attempts per endpoint, including retries.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Attempts) }},
+		{"sparqlrw_federate_successes_total", "Sub-query attempts that returned results, per endpoint.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Successes) }},
+		{"sparqlrw_federate_failures_total", "Sub-query attempts that errored, per endpoint.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Failures) }},
+		{"sparqlrw_federate_retries_total", "Sub-query re-dispatches after a failed attempt, per endpoint.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Retries) }},
+		{"sparqlrw_federate_rejected_total", "Sub-queries refused by an open circuit breaker, per endpoint.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Rejected) }},
+		{"sparqlrw_federate_solutions_total", "Solutions streamed off the wire per endpoint, before the co-reference merge.",
+			true, func(eh EndpointHealth) float64 { return float64(eh.Solutions) }},
+		{"sparqlrw_endpoint_health_score", "Composite endpoint health score in [0,1] (1 = healthy).",
+			false, func(eh EndpointHealth) float64 { return eh.Score }},
+		{"sparqlrw_endpoint_latency_p50_seconds", "EWMA-smoothed median sub-query latency per endpoint.",
+			false, func(eh EndpointHealth) float64 { return eh.P50MS / 1000 }},
+		{"sparqlrw_endpoint_latency_p95_seconds", "EWMA-smoothed 95th-percentile sub-query latency per endpoint.",
+			false, func(eh EndpointHealth) float64 { return eh.P95MS / 1000 }},
+		{"sparqlrw_endpoint_error_rate", "EWMA-smoothed sub-query failure rate per endpoint in [0,1].",
+			false, func(eh EndpointHealth) float64 { return eh.ErrorRate }},
+	} {
+		register := r.GaugeFuncVec
+		if fam.counter {
+			register = r.CounterFuncVec
 		}
+		register(fam.name, fam.help, []string{"endpoint"}, func(emit func([]string, float64)) {
+			for _, eh := range t.Snapshot() {
+				emit([]string{eh.Endpoint}, fam.value(eh))
+			}
+		})
 	}
-	r.GaugeFuncVec("sparqlrw_endpoint_health_score",
-		"Composite endpoint health score in [0,1] (1 = healthy).",
-		[]string{"endpoint"}, collect(func(eh EndpointHealth) float64 { return eh.Score }))
-	r.GaugeFuncVec("sparqlrw_endpoint_latency_p50_seconds",
-		"EWMA-smoothed median sub-query latency per endpoint.",
-		[]string{"endpoint"}, collect(func(eh EndpointHealth) float64 { return eh.P50MS / 1000 }))
-	r.GaugeFuncVec("sparqlrw_endpoint_latency_p95_seconds",
-		"EWMA-smoothed 95th-percentile sub-query latency per endpoint.",
-		[]string{"endpoint"}, collect(func(eh EndpointHealth) float64 { return eh.P95MS / 1000 }))
-	r.GaugeFuncVec("sparqlrw_endpoint_error_rate",
-		"EWMA-smoothed sub-query failure rate per endpoint in [0,1].",
-		[]string{"endpoint"}, collect(func(eh EndpointHealth) float64 { return eh.ErrorRate }))
 }

@@ -16,7 +16,7 @@ func newTestTable() *EndpointTable { return newEndpointTable(Options{}.withDefau
 // observeAttempt feeds one settled attempt into the table, as the
 // executor's settle does.
 func observeAttempt(tab *EndpointTable, url string, latency time.Duration, err error) {
-	tab.settle(tab.entry(url), latency, err)
+	tab.settle(tab.entry(url), latency, 0, err)
 }
 
 func near(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
@@ -159,6 +159,9 @@ func TestEndpointTableMetrics(t *testing.T) {
 		`sparqlrw_endpoint_latency_p50_seconds{endpoint="http://a/sparql"} 0.1`,
 		`sparqlrw_endpoint_latency_p95_seconds{endpoint="http://a/sparql"} 0.1`,
 		`sparqlrw_endpoint_error_rate{endpoint="http://a/sparql"} 0`,
+		"# TYPE sparqlrw_federate_attempts_total counter\n" + `sparqlrw_federate_attempts_total{endpoint="http://a/sparql"} 1`,
+		`sparqlrw_federate_successes_total{endpoint="http://a/sparql"} 1`,
+		`sparqlrw_federate_failures_total{endpoint="http://a/sparql"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

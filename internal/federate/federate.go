@@ -23,9 +23,9 @@
 // The partial-result policy is configurable: best-effort (default)
 // returns whatever the healthy endpoints answered and marks the result
 // Partial; fail-fast cancels the fan-out on the first endpoint error.
-// Stats() exposes per-endpoint latency, retries, breaker state and the
-// plan-cache hit rate; Endpoints() is the table of per-endpoint state
-// (breaker, in-flight bound, health model) the executor keeps.
+// Endpoints() is the table of per-endpoint state the executor keeps —
+// breaker, in-flight bound, health model and counts — and Stats() its
+// snapshot plus the plan-cache hit rate.
 package federate
 
 import (
@@ -85,10 +85,10 @@ type Options struct {
 	// a very fast endpoint) cannot fire backups on every request
 	// (default 25ms).
 	HedgeMinDelay time.Duration
-	// Registry receives the executor's metrics (per-endpoint attempt /
-	// latency / time-to-first-solution instruments, breaker states, plan
-	// cache counters). Nil creates a private registry; the mediator passes
-	// its shared one so /metrics and Stats() read the same counters.
+	// Registry receives the executor's metrics (latency and
+	// time-to-first-solution histograms, the endpoint table's counts,
+	// breaker states and health, plan cache counters). Nil creates a
+	// private registry; the mediator passes its shared one.
 	Registry *obs.Registry
 }
 
@@ -340,7 +340,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 	defer func() { da.Latency = time.Since(start) }()
 	for attempt := 0; attempt <= e.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
-			e.metrics.retries.With(t.Endpoint).Inc()
+			e.endpoints.count(&rec.retries)
 			backoff := e.opts.RetryBackoff << (attempt - 1)
 			span.SetAttr("backoffMs", float64(backoff.Microseconds())/1000)
 			if !sleepCtx(ctx, backoff) {
@@ -388,7 +388,7 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 	// reports Success or Failure — abandoning a probe would wedge the
 	// breaker in half-open, rejecting the endpoint forever.
 	if !rec.breaker.Allow() {
-		e.metrics.rejected.With(t.Endpoint).Inc()
+		e.endpoints.count(&rec.rejected)
 		if da.Err == nil {
 			da.Err = fmt.Errorf("%w: %s", ErrCircuitOpen, t.Endpoint)
 		}

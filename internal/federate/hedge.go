@@ -24,11 +24,11 @@ import (
 // Accounting rules:
 //
 //   - the winner's outcome feeds the answer, its endpoint's breaker,
-//     health sample and per-endpoint metrics (in attempt());
+//     health sample and counts (in attempt());
 //   - a loser we cancelled gets Breaker.Cancel — being slower than the
 //     race is not an endpoint fault;
 //   - a loser that genuinely failed (or finished successfully just
-//     after the winner) is settled with its own breaker/health/metrics
+//     after the winner) is settled with its own breaker/health/count
 //     bookkeeping here, so hedging never hides replica failures;
 //   - when both arms fail, the primary's error is reported and the
 //     backup's failure is settled here.
@@ -131,7 +131,7 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord,
 		// The replica's circuit is open: no backup to race, wait the
 		// primary out. (Allow admitted no half-open probe here — it
 		// returned false — so there is nothing to release.)
-		e.metrics.rejected.With(backup).Inc()
+		e.endpoints.count(&backupRec.rejected)
 		return <-primCh
 	}
 	e.metrics.hedges.Inc()
@@ -189,18 +189,14 @@ func (e *Executor) settleHedgeLoser(o armOutcome) {
 }
 
 // settle books a finished arm — succeeded or failed, not abandoned — with
-// its endpoint's record (health model and breaker) and metrics.
+// its endpoint's record (counts, health model and breaker) and the
+// latency histogram.
 func (e *Executor) settle(o armOutcome) {
-	url := o.rec.url
-	e.endpoints.settle(o.rec, o.lat, o.err)
-	e.metrics.attempts.With(url).Inc()
-	e.metrics.latency.With(url).Observe(o.lat.Seconds())
+	e.endpoints.settle(o.rec, o.lat, o.count, o.err)
+	e.metrics.latency.With(o.rec.url).Observe(o.lat.Seconds())
 	if o.err != nil {
 		o.rec.breaker.Failure()
-		e.metrics.failures.With(url).Inc()
 		return
 	}
 	o.rec.breaker.Success()
-	e.metrics.successes.With(url).Inc()
-	e.metrics.solutions.With(url).Add(float64(o.count))
 }

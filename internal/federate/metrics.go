@@ -4,18 +4,10 @@ import (
 	"sparqlrw/internal/obs"
 )
 
-// executorMetrics are the executor's registry-backed instruments. They
-// are the single source of truth for per-endpoint execution counters:
-// Stats() reads them back, and the same registry renders them at
-// /metrics, so the JSON snapshot and the Prometheus exposition cannot
-// disagree.
+// executorMetrics are the executor's registry instruments that no record
+// keeps: the latency histograms, which only /metrics reads, and the
+// hedging counters. The per-endpoint counts live in the endpoint table.
 type executorMetrics struct {
-	attempts  *obs.CounterVec
-	successes *obs.CounterVec
-	failures  *obs.CounterVec
-	retries   *obs.CounterVec
-	rejected  *obs.CounterVec
-	solutions *obs.CounterVec
 	latency   *obs.HistogramVec
 	ttfs      *obs.HistogramVec
 	hedges    *obs.Counter
@@ -24,18 +16,6 @@ type executorMetrics struct {
 
 func newExecutorMetrics(r *obs.Registry) *executorMetrics {
 	return &executorMetrics{
-		attempts: r.CounterVec("sparqlrw_federate_attempts_total",
-			"Sub-query dispatch attempts per endpoint, including retries.", "endpoint"),
-		successes: r.CounterVec("sparqlrw_federate_successes_total",
-			"Sub-query attempts that returned results, per endpoint.", "endpoint"),
-		failures: r.CounterVec("sparqlrw_federate_failures_total",
-			"Sub-query attempts that errored, per endpoint.", "endpoint"),
-		retries: r.CounterVec("sparqlrw_federate_retries_total",
-			"Sub-query re-dispatches after a failed attempt, per endpoint.", "endpoint"),
-		rejected: r.CounterVec("sparqlrw_federate_rejected_total",
-			"Sub-queries refused by an open circuit breaker, per endpoint.", "endpoint"),
-		solutions: r.CounterVec("sparqlrw_federate_solutions_total",
-			"Solutions streamed off the wire per endpoint, before the co-reference merge.", "endpoint"),
 		latency: r.HistogramVec("sparqlrw_federate_request_seconds",
 			"Sub-query attempt latency per endpoint, in seconds.", nil, "endpoint"),
 		ttfs: r.HistogramVec("sparqlrw_federate_ttfs_seconds",
@@ -68,4 +48,32 @@ func (e *Executor) registerCollectors(r *obs.Registry) {
 			return float64(e.cache.Len())
 		})
 	e.endpoints.registerMetrics(r)
+}
+
+// Stats is a point-in-time snapshot of the executor: one row per endpoint
+// from the endpoint table, the rewrite-plan cache's hit rate and the
+// hedging counters.
+type Stats struct {
+	Endpoints    []EndpointHealth `json:"endpoints"`
+	CacheHits    uint64           `json:"cacheHits"`
+	CacheMisses  uint64           `json:"cacheMisses"`
+	CacheHitRate float64          `json:"cacheHitRate"` // hits / (hits+misses), 0 when idle
+	CacheEntries int              `json:"cacheEntries"`
+	Hedges       uint64           `json:"hedges"`    // backup sub-queries dispatched
+	HedgeWins    uint64           `json:"hedgeWins"` // hedged dispatches the backup won
+}
+
+// Stats assembles the snapshot, its endpoints sorted by URL.
+func (e *Executor) Stats() Stats {
+	st := Stats{
+		Endpoints:    e.endpoints.Snapshot(),
+		CacheEntries: e.cache.Len(),
+		Hedges:       uint64(e.metrics.hedges.Value()),
+		HedgeWins:    uint64(e.metrics.hedgeWins.Value()),
+	}
+	st.CacheHits, st.CacheMisses = e.cache.Metrics()
+	if total := st.CacheHits + st.CacheMisses; total > 0 {
+		st.CacheHitRate = float64(st.CacheHits) / float64(total)
+	}
+	return st
 }

@@ -91,11 +91,12 @@ func (m *Mediator) Config() Config { return m.cfg }
 
 // Configure applies the options on top of the mediator's current
 // configuration and rebuilds the execution stack: the federation executor
-// (resetting its endpoint table — breakers and health together — and the
-// rewrite-plan cache; the registry's counters accumulate), the planner
-// and the decomposer with its join engine. Configuring after changing
-// rewrite-relevant state (e.g. RewriteFilters) guarantees no cached plan
-// produced under the old settings is served.
+// (resetting its endpoint table — breakers, health and the per-endpoint
+// counts together — and the rewrite-plan cache; the registry's own
+// counters accumulate), the planner and the decomposer with its join
+// engine. Configuring after changing rewrite-relevant state (e.g.
+// RewriteFilters) guarantees no cached plan produced under the old
+// settings is served.
 func (m *Mediator) Configure(opts ...Option) {
 	for _, opt := range opts {
 		opt(&m.cfg)
@@ -109,8 +110,8 @@ func (m *Mediator) Configure(opts ...Option) {
 // The observer — and with it the metrics registry — survives rebuilds
 // (unless WithObservability changed its options), so every layer's
 // counters accumulate across reconfiguration; function-backed families
-// (plan cache, breaker states, endpoint health) re-bind to the fresh
-// subsystems.
+// (plan cache, the endpoint table's counts, breaker states and health)
+// re-bind to the fresh subsystems and start over with them.
 func (m *Mediator) rebuild() {
 	if m.Obs == nil || m.obsOpts != m.cfg.Observability {
 		old := m.Obs

@@ -8,10 +8,7 @@ import (
 	"sort"
 	"strings"
 
-	"sparqlrw/internal/federate"
 	"sparqlrw/internal/obs"
-	"sparqlrw/internal/serve"
-	"sparqlrw/internal/view"
 )
 
 // DebugHandler bundles the mediator's operator-facing debug surface for
@@ -59,7 +56,7 @@ type spanRow struct {
 
 // traceView is one waterfall: the trace header plus its flattened rows
 // and, when the query recorded operator profiles, its EXPLAIN ANALYZE
-// table.
+// table as /api/analyze renders it.
 type traceView struct {
 	ID         string
 	Start      string
@@ -67,96 +64,20 @@ type traceView struct {
 	Form       string
 	Failed     bool
 	Rows       []spanRow
-	Analyze    []analyzeRow
+	Analyze    string
 }
 
-// analyzeRow is one flattened operator-profile row for the dashboard's
-// EXPLAIN ANALYZE panel.
-type analyzeRow struct {
-	Op      string
-	Indent  int // px
-	Stage   string
-	Est     string
-	Actual  string
-	QErr    string
-	RowsOut string
-	TimeMS  float64
-}
-
-// analyzeRows flattens an operator tree into indented table rows.
-func analyzeRows(ns []*AnalyzeNode, depth int) []analyzeRow {
-	var out []analyzeRow
-	for _, n := range ns {
-		out = append(out, analyzeRow{
-			Op:      n.Op,
-			Indent:  depth * 14,
-			Stage:   fmtInt(n.Stage),
-			Est:     fmtInt(n.EstimatedRows),
-			Actual:  fmtInt(n.ActualRows),
-			QErr:    fmtQ(n.QError),
-			RowsOut: fmtInt(n.RowsOut),
-			TimeMS:  n.DurationMS,
-		})
-		out = append(out, analyzeRows(n.Children, depth+1)...)
-	}
-	return out
-}
-
-// healthRow adapts one endpoint's health snapshot for the template.
-type healthRow struct {
-	federate.EndpointHealth
-	ScorePct float64
-	ScoreHue int // 0 (red) .. 120 (green)
-}
-
-// servingView is the dashboard's serving-tier panel: per-tenant
-// admission counters, the result cache and the hedging counters.
-type servingView struct {
-	Tenants     []serve.TenantStats
-	Cache       *serve.CacheStats
-	CacheHitPct float64
-	Hedges      uint64
-	HedgeWins   uint64
-}
-
+// dashboardData is what the page renders: the mediator's one Stats
+// document, the recent traces and the flight recorder's record count.
 type dashboardData struct {
-	Health  []healthRow
-	Serving *servingView
-	Views   *view.Stats
+	Stats
 	Traces  []traceView
 	Audited int
 }
 
 func serveDashboard(m *Mediator, w http.ResponseWriter, r *http.Request) {
-	data := dashboardData{}
-	if m.Serve != nil {
-		ss := m.Serve.Stats()
-		fs := m.Exec.Stats()
-		sv := &servingView{
-			Tenants:   ss.Tenants,
-			Cache:     ss.Cache,
-			Hedges:    fs.Hedges,
-			HedgeWins: fs.HedgeWins,
-		}
-		if ss.Cache != nil {
-			sv.CacheHitPct = ss.Cache.HitRate * 100
-		}
-		data.Serving = sv
-	}
-	if m.Views != nil {
-		vs := m.Views.Stats()
-		data.Views = &vs
-	}
-	for _, h := range m.Exec.Endpoints().Snapshot() {
-		data.Health = append(data.Health, healthRow{
-			EndpointHealth: h,
-			ScorePct:       h.Score * 100,
-			ScoreHue:       int(h.Score * 120),
-		})
-	}
-	if m.Obs.Recorder != nil {
-		data.Audited = len(m.Obs.Recorder.List(0))
-	}
+	data := dashboardData{Stats: m.Stats()}
+	_, data.Audited = m.Obs.Recorder.Page(0, 1)
 	for _, t := range m.Obs.Ring.Recent(dashboardTraces) {
 		data.Traces = append(data.Traces, waterfall(t.View()))
 	}
@@ -205,7 +126,9 @@ func waterfall(v obs.TraceJSON) traceView {
 		}
 	}
 	walk(v.Root, 0)
-	tv.Analyze = analyzeRows(buildAnalyze(v).Operators, 0)
+	if a := buildAnalyze(v); len(a.Operators) > 0 {
+		tv.Analyze = a.Text()
+	}
 	return tv
 }
 
@@ -241,7 +164,14 @@ func attrSummary(attrs map[string]any) string {
 	return s
 }
 
-var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!doctype html>
+// dashboardFuncs scale a fraction in [0,1] for the score bars: pct to a
+// percentage, hue to an HSL hue from red (0) to green (120).
+var dashboardFuncs = template.FuncMap{
+	"pct": func(f float64) float64 { return f * 100 },
+	"hue": func(f float64) float64 { return f * 120 },
+}
+
+var dashboardTemplate = template.Must(template.New("dashboard").Funcs(dashboardFuncs).Parse(`<!doctype html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -267,8 +197,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!doctype
   .row .dur { flex: 0 0 80px; text-align: right; font-variant-numeric: tabular-nums; color: #555; }
   .detail { color: #888; font-size: .72rem; margin-left: 220px; overflow: hidden; text-overflow: ellipsis; white-space: nowrap; }
   .failedtag { color: #d9534f; font-weight: 600; }
-  table.analyze { margin-top: .5rem; font-size: .76rem; width: auto; min-width: 60%; }
-  table.analyze th, table.analyze td { padding: .12rem .55rem; }
+  pre.analyze { margin-top: .5rem; font-size: .74rem; overflow-x: auto; }
   .muted { color: #888; }
 </style>
 </head>
@@ -277,13 +206,13 @@ var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!doctype
 <p class="muted">auto-refreshes every 5s &middot; traces: newest first &middot; audited queries on disk: {{.Audited}}</p>
 
 <h2>Endpoint health</h2>
-{{if .Health}}
+{{if .Federation.Endpoints}}
 <table>
 <tr><th>endpoint</th><th>score</th><th class="num">p50 ms</th><th class="num">p95 ms</th><th class="num">error rate</th><th>breaker</th><th class="num">attempts</th><th class="num">probes</th><th>last error</th></tr>
-{{range .Health}}
+{{range .Federation.Endpoints}}
 <tr>
   <td><code>{{.Endpoint}}</code></td>
-  <td><span class="scorebar"><i style="width:{{printf "%.0f" .ScorePct}}%;background:hsl({{.ScoreHue}},65%,48%)"></i></span>{{printf "%.3f" .Score}}</td>
+  <td><span class="scorebar"><i style="width:{{printf "%.0f" (pct .Score)}}%;background:hsl({{printf "%.0f" (hue .Score)}},65%,48%)"></i></span>{{printf "%.3f" .Score}}</td>
   <td class="num">{{printf "%.1f" .P50MS}}</td>
   <td class="num">{{printf "%.1f" .P95MS}}</td>
   <td class="num">{{printf "%.3f" .ErrorRate}}</td>
@@ -314,8 +243,8 @@ var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!doctype
 {{end}}
 </table>
 <p class="muted">
-{{if .Cache}}result cache: {{.Cache.Entries}} entries &middot; {{.Cache.Hits}} hits / {{.Cache.Misses}} misses ({{printf "%.1f" $.Serving.CacheHitPct}}% hit ratio) &middot; {{.Cache.Evictions}} evictions &middot; {{.Cache.Invalidations}} invalidations{{else}}result cache disabled{{end}}
- &middot; hedged dispatches: {{.Hedges}} ({{.HedgeWins}} backup wins)
+{{with .Cache}}result cache: {{.Entries}} entries &middot; {{.Hits}} hits / {{.Misses}} misses ({{printf "%.1f" (pct .HitRate)}}% hit ratio) &middot; {{.Evictions}} evictions &middot; {{.Invalidations}} invalidations{{else}}result cache disabled{{end}}
+ &middot; hedged dispatches: {{$.Federation.Hedges}} ({{$.Federation.HedgeWins}} backup wins)
 </p>
 {{end}}
 
@@ -353,14 +282,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!doctype
   </div>
   {{if .Detail}}<div class="detail">{{.Detail}}</div>{{end}}
   {{end}}
-  {{if .Analyze}}
-  <table class="analyze">
-  <tr><th>operator</th><th class="num">stage</th><th class="num">est</th><th class="num">actual</th><th class="num">q-err</th><th class="num">rows out</th><th class="num">ms</th></tr>
-  {{range .Analyze}}
-  <tr><td style="padding-left:{{.Indent}}px"><code>{{.Op}}</code></td><td class="num">{{.Stage}}</td><td class="num">{{.Est}}</td><td class="num">{{.Actual}}</td><td class="num">{{.QErr}}</td><td class="num">{{.RowsOut}}</td><td class="num">{{printf "%.2f" .TimeMS}}</td></tr>
-  {{end}}
-  </table>
-  {{end}}
+  {{with .Analyze}}<pre class="analyze">{{.}}</pre>{{end}}
 </div>
 {{end}}
 {{else}}<p class="muted">no finished traces yet &mdash; run a query against /sparql</p>{{end}}

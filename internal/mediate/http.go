@@ -161,6 +161,12 @@ func negotiate(accept string, offered []string) (string, bool) {
 	return best, bestQ > 0
 }
 
+// writeJSON answers with v as a JSON document.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", ctJSON)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
 // protocolError writes the endpoint's JSON error document.
 func protocolError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", ctJSON)
@@ -231,8 +237,7 @@ func Handler(m *Mediator) http.Handler {
 		for _, t := range traces {
 			views = append(views, t.View())
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(tracePage{Total: total, Offset: offset, Traces: views})
+		writeJSON(w, tracePage{Total: total, Offset: offset, Traces: views})
 	})
 	handle("/api/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/api/trace/")
@@ -258,8 +263,7 @@ func Handler(m *Mediator) http.Handler {
 		}
 		a := buildAnalyze(t.View())
 		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", ctJSON)
-			_ = json.NewEncoder(w).Encode(a)
+			writeJSON(w, a)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -267,21 +271,20 @@ func Handler(m *Mediator) http.Handler {
 	})
 
 	handle("/api/datasets", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(m.DatasetInfos())
+		writeJSON(w, m.DatasetInfos())
 	})
 
-	// /api/views lists the materialized-view tier's state: hit/miss/refresh
-	// counters plus every view's covered shape, source data sets, embedded
-	// endpoint, freshness state and synthetic voiD statistics. 404 when the
-	// tier is disabled.
+	// /api/views renders Stats().Views: the materialized-view tier's
+	// hit/miss/refresh counters plus every view's covered shape, source
+	// data sets, freshness state and synthetic voiD statistics. 404 when
+	// the tier is disabled.
 	handle("/api/views", func(w http.ResponseWriter, r *http.Request) {
-		if m.Views == nil {
+		vs := m.Stats().Views
+		if vs == nil {
 			protocolError(w, http.StatusNotFound, "materialized views disabled (start with -views)")
 			return
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(m.Views.Stats())
+		writeJSON(w, vs)
 	})
 
 	// POST /api/alignments loads ontology alignments (Turtle, the §3.1
@@ -318,8 +321,7 @@ func Handler(m *Mediator) http.Handler {
 			}
 			added++
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(map[string]int{"added": added})
+		writeJSON(w, map[string]int{"added": added})
 	})
 
 	handle("/api/rewrite", func(w http.ResponseWriter, r *http.Request) {
@@ -332,8 +334,7 @@ func Handler(m *Mediator) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(rewriteResponse{
+		writeJSON(w, rewriteResponse{
 			Query:          rr.Query,
 			Target:         rr.Target,
 			AlignmentsUsed: rr.AlignmentsUsed,
@@ -356,20 +357,20 @@ func Handler(m *Mediator) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(ex)
+		writeJSON(w, ex)
 	})
 
+	// /api/stats serves the mediator's one introspection document, Stats,
+	// in which each endpoint is one row of federation.endpoints.
 	handle("/api/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(m.Stats())
+		writeJSON(w, m.Stats())
 	})
 
-	// /api/health scores every known endpoint: EWMA-smoothed latency
-	// quantiles, error rate, breaker state and a composite score in [0,1].
+	// /api/health renders the document's endpoint rows: EWMA-smoothed
+	// latency quantiles, error rate, breaker state, a composite score in
+	// [0,1] and the endpoint's counts.
 	handle("/api/health", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(m.Exec.Endpoints().Snapshot())
+		writeJSON(w, m.Stats().Federation.Endpoints)
 	})
 
 	// /api/audit lists the flight recorder's captured slow/failed queries,
@@ -397,8 +398,7 @@ func Handler(m *Mediator) http.Handler {
 		if recs == nil {
 			recs = []json.RawMessage{}
 		}
-		w.Header().Set("Content-Type", ctJSON)
-		_ = json.NewEncoder(w).Encode(auditPage{Total: total, Offset: offset, Records: recs})
+		writeJSON(w, auditPage{Total: total, Offset: offset, Records: recs})
 	})
 
 	handle("/", func(w http.ResponseWriter, r *http.Request) {

@@ -35,7 +35,8 @@ type Mediator struct {
 	Client     *endpoint.Client
 	// Exec owns federated execution: concurrent fan-out, retries, the
 	// rewrite-plan cache and the endpoint table (breakers, in-flight
-	// bounds, health). Rebuilt by Configure, which resets the table.
+	// bounds, health, per-endpoint counts). Rebuilt by Configure, which
+	// resets the table.
 	Exec *federate.Executor
 	// Planner performs voiD-driven source selection, VALUES sharding and
 	// adaptive ordering for federated queries with no explicit targets.
@@ -230,10 +231,12 @@ type FormStats struct {
 	Describe  uint64 `json:"describe"`
 }
 
-// Stats is the mediator's one observability snapshot, replacing the old
-// per-subsystem getters: the executor's per-endpoint and cache counters,
-// the planner's pruning/sharding counters, the decompose-layer counters,
-// and per-form query counts.
+// Stats is the mediator's one introspection document: /api/stats serves
+// it whole, /api/health its endpoint rows, /api/views its view tier, and
+// the debug dashboard renders it. It carries the executor's endpoint table
+// (one row per endpoint: counts, latency, health, breaker) and cache
+// counters, the planner's pruning/sharding counters, the decompose-layer
+// counters and per-form query counts.
 type Stats struct {
 	Federation federate.Stats  `json:"federation"`
 	Planner    *plan.Stats     `json:"planner,omitempty"`
@@ -244,11 +247,6 @@ type Stats struct {
 	// SolutionsStreamed counts solutions and triples delivered to
 	// consumers across all queries.
 	SolutionsStreamed uint64 `json:"solutionsStreamed"`
-	// Health scores every known endpoint from smoothed latency quantiles,
-	// error rate and breaker state: the executor's endpoint table, the
-	// same snapshot GET /api/health serves and hedged dispatch picks
-	// replicas from.
-	Health []federate.EndpointHealth `json:"health,omitempty"`
 	// Serving reports the serving tier's per-tenant admission state and
 	// result-cache counters (nil when the tier is disabled).
 	Serving *serve.Stats `json:"serving,omitempty"`
@@ -261,10 +259,10 @@ type Stats struct {
 	UptimeSeconds float64   `json:"uptimeSeconds"`
 }
 
-// Stats returns a snapshot of every layer's counters. It is a read-back
-// view over the mediator's shared metrics registry — the same
-// instruments GET /metrics renders — so the JSON snapshot and the
-// Prometheus exposition cannot drift.
+// Stats returns a snapshot of every layer's state. Each part is read
+// once from where it lives — counters from the shared metrics registry,
+// per-endpoint rows from the endpoint table — the same sources GET
+// /metrics renders, so the document and the exposition cannot drift.
 func (m *Mediator) Stats() Stats {
 	ps := m.Planner.Stats()
 	st := Stats{
@@ -286,7 +284,6 @@ func (m *Mediator) Stats() Stats {
 	})
 	st.InFlight = int(m.metrics.inflight.Value())
 	st.SolutionsStreamed = uint64(m.metrics.streamed.Value())
-	st.Health = m.Exec.Endpoints().Snapshot()
 	if m.Serve != nil {
 		ss := m.Serve.Stats()
 		st.Serving = &ss

@@ -692,7 +692,7 @@ func TestHTTPAPIStats(t *testing.T) {
 		t.Fatalf("stats endpoints = %+v", st.Federation.Endpoints)
 	}
 	for _, es := range st.Federation.Endpoints {
-		if es.Requests == 0 || es.Breaker != "closed" {
+		if es.Attempts == 0 || es.Breaker != "closed" {
 			t.Fatalf("endpoint stats = %+v", es)
 		}
 	}

@@ -362,7 +362,7 @@ func TestStatsRegistryConsistency(t *testing.T) {
 	}
 	var statAttempts uint64
 	for _, es := range st.Federation.Endpoints {
-		statAttempts += es.Requests
+		statAttempts += es.Attempts
 	}
 	if expAttempts != statAttempts {
 		t.Fatalf("exposition attempts = %d, Stats attempts = %d", expAttempts, statAttempts)

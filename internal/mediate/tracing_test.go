@@ -421,8 +421,8 @@ func TestStatsIncludesHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ts.mediator.Stats()
-	if len(st.Health) < len(ts.endpoints) {
-		t.Fatalf("Stats().Health has %d entries, want >= %d", len(st.Health), len(ts.endpoints))
+	if len(st.Federation.Endpoints) < len(ts.endpoints) {
+		t.Fatalf("Stats().Federation.Endpoints has %d entries, want >= %d", len(st.Federation.Endpoints), len(ts.endpoints))
 	}
 }
 

@@ -170,17 +170,11 @@ func (r *FlightRecorder) enforceBudget() {
 	}
 }
 
-// List returns up to limit raw records, newest first (limit <= 0 means
-// 100). Records are returned as raw JSON lines — already marshalled at
-// record time — so listing never depends on the Explain payload's type.
-func (r *FlightRecorder) List(limit int) []json.RawMessage {
-	out, _ := r.Page(0, limit)
-	return out
-}
-
 // Page returns up to limit raw records starting offset entries back
 // from the newest, newest first, plus the total record count across all
 // segments (limit <= 0 means 100; a negative offset is treated as 0).
+// Records are returned as raw JSON lines — already marshalled at record
+// time — so listing never depends on the Explain payload's type.
 func (r *FlightRecorder) Page(offset, limit int) ([]json.RawMessage, int) {
 	if r == nil {
 		return nil, 0

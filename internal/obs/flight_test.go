@@ -36,9 +36,9 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := r.List(0)
-	if len(got) != 1 {
-		t.Fatalf("List = %d records, want 1", len(got))
+	got, total := r.Page(0, 0)
+	if len(got) != 1 || total != 1 {
+		t.Fatalf("Page = %d records of %d, want 1 of 1", len(got), total)
 	}
 	var back AuditRecord
 	if err := json.Unmarshal(got[0], &back); err != nil {
@@ -95,23 +95,23 @@ func TestFlightRecorderRotationAndBudget(t *testing.T) {
 
 	// Newest first: the latest record leads the listing, the oldest ones
 	// were evicted with their segments.
-	got := r.List(0)
+	got, _ := r.Page(0, 0)
 	if len(got) == 0 {
-		t.Fatal("List returned nothing after 200 records")
+		t.Fatal("Page returned nothing after 200 records")
 	}
 	var first AuditRecord
 	if err := json.Unmarshal(got[0], &first); err != nil {
 		t.Fatal(err)
 	}
 	if first.TraceID != fmt.Sprintf("%032d", 199) {
-		t.Errorf("List[0].TraceID = %q, want the newest record", first.TraceID)
+		t.Errorf("Page[0].TraceID = %q, want the newest record", first.TraceID)
 	}
 	if _, ok := r.Find(fmt.Sprintf("%032d", 0)); ok {
 		t.Error("oldest record survived eviction despite the byte budget")
 	}
 
-	if got := r.List(3); len(got) != 3 {
-		t.Errorf("List(3) = %d records", len(got))
+	if got, _ := r.Page(0, 3); len(got) != 3 {
+		t.Errorf("Page(0, 3) = %d records", len(got))
 	}
 }
 
@@ -134,8 +134,8 @@ func TestFlightRecorderResumesSequence(t *testing.T) {
 	if err := r2.Record(AuditRecord{TraceID: "bb", Query: "q2", Time: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.List(0); len(got) != 2 {
-		t.Fatalf("after reopen List = %d records, want 2", len(got))
+	if got, total := r2.Page(0, 0); len(got) != 2 || total != 2 {
+		t.Fatalf("after reopen Page = %d records of %d, want 2 of 2", len(got), total)
 	}
 	// A reopened recorder starts a new segment after the old one.
 	files, _ := filepath.Glob(filepath.Join(dir, "audit-*.jsonl"))
@@ -148,8 +148,8 @@ func TestFlightRecorderResumesSequence(t *testing.T) {
 	if err := nilRec.Record(AuditRecord{}); err != nil {
 		t.Error("nil recorder Record returned an error")
 	}
-	if nilRec.List(0) != nil {
-		t.Error("nil recorder List != nil")
+	if got, total := nilRec.Page(0, 0); got != nil || total != 0 {
+		t.Error("nil recorder Page lists records")
 	}
 	nilRec.Close()
 }

@@ -3,8 +3,10 @@
 // fixed-bucket histograms), a lightweight per-query span tree carried via
 // context.Context, and a ring buffer of finished traces. Every layer of
 // the federation pipeline (federate, plan, decompose, mediate) registers
-// its counters here, and Mediator.Stats() reads the same registry back,
-// so the JSON snapshot and the /metrics exposition cannot drift.
+// its counters here. State that lives elsewhere — the endpoint table's
+// per-endpoint counts, cache sizes — is registered as function-backed
+// families read at scrape time, so Mediator.Stats() and the /metrics
+// exposition read the same numbers and nothing is booked twice.
 package obs
 
 import (
@@ -280,11 +282,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(lvs ...string) *Gauge { return &Gauge{s: v.f.get(lvs)} }
 
-// Each visits every series with its label values and current value.
-func (v *GaugeVec) Each(visit func(labelValues []string, value float64)) {
-	v.f.each(func(s *series) { visit(s.labelValues, s.value()) })
-}
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }
 
@@ -302,19 +299,11 @@ func (v *HistogramVec) With(lvs ...string) *Histogram {
 	return &Histogram{h: v.f.get(lvs).hist}
 }
 
-// Each visits every series with its label values and a snapshot.
-func (v *HistogramVec) Each(visit func(labelValues []string, snap HistogramSnapshot)) {
-	v.f.each(func(s *series) { visit(s.labelValues, s.hist.snapshot()) })
-}
-
 // GaugeFunc registers a gauge whose value is computed at collection time
 // by fn. Re-registering the same name replaces fn, so a rebuilt subsystem
 // re-binds the gauge to its fresh state instead of double-booking it.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, typeGauge, nil, nil)
-	f.mu.Lock()
-	f.fn = func(emit func([]string, float64)) { emit(nil, fn()) }
-	f.mu.Unlock()
+	r.family(name, help, typeGauge, nil, nil).bind(func(emit func([]string, float64)) { emit(nil, fn()) })
 }
 
 // CounterFunc registers a counter whose value is read at collection time
@@ -322,25 +311,33 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // hit/miss counters) and must not be double-booked. Re-registering
 // replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, typeCounter, nil, nil)
-	f.mu.Lock()
-	f.fn = func(emit func([]string, float64)) { emit(nil, fn()) }
-	f.mu.Unlock()
+	r.family(name, help, typeCounter, nil, nil).bind(func(emit func([]string, float64)) { emit(nil, fn()) })
 }
 
 // GaugeFuncVec registers a labelled gauge family whose samples are
 // produced at collection time by collect (per-endpoint breaker states).
 // Re-registering replaces collect.
 func (r *Registry) GaugeFuncVec(name, help string, labels []string, collect func(emit func(labelValues []string, value float64))) {
-	f := r.family(name, help, typeGauge, labels, nil)
+	r.family(name, help, typeGauge, labels, nil).bind(collect)
+}
+
+// CounterFuncVec registers a labelled counter family whose samples are
+// produced at collection time by collect: per-endpoint totals the
+// endpoint table keeps. Re-registering replaces collect.
+func (r *Registry) CounterFuncVec(name, help string, labels []string, collect func(emit func(labelValues []string, value float64))) {
+	r.family(name, help, typeCounter, labels, nil).bind(collect)
+}
+
+// bind makes f function-backed, replacing any earlier callback.
+func (f *family) bind(collect func(emit func(labelValues []string, value float64))) {
 	f.mu.Lock()
 	f.fn = collect
 	f.mu.Unlock()
 }
 
 // histogramData is the mutable core of a histogram: per-bucket counters
-// plus the running sum. Observations are lock-free; snapshots are
-// per-bucket-atomic (Prometheus scrapes tolerate the skew).
+// plus the running sum. Observations are lock-free; a scrape reads each
+// bucket atomically (Prometheus scrapes tolerate the skew).
 type histogramData struct {
 	bounds  []float64 // sorted upper bounds, exclusive of +Inf
 	counts  []atomic.Uint64
@@ -362,81 +359,12 @@ func (h *histogramData) observe(v float64) {
 	}
 }
 
-func (h *histogramData) snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-	}
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		snap.Counts[i] = c
-		snap.Count += c
-	}
-	snap.Sum = math.Float64frombits(h.sumBits.Load())
-	return snap
-}
-
-// Histogram accumulates observations into fixed buckets.
+// Histogram accumulates observations into fixed buckets. It is write-only:
+// the buckets are read by the exposition alone.
 type Histogram struct{ h *histogramData }
 
 // Observe records one value (for latency histograms, in seconds).
 func (h *Histogram) Observe(v float64) { h.h.observe(v) }
-
-// Snapshot reads the current bucket counts and sum.
-func (h *Histogram) Snapshot() HistogramSnapshot { return h.h.snapshot() }
-
-// HistogramSnapshot is a point-in-time view of a histogram: per-bucket
-// (non-cumulative) counts aligned with Bounds plus one overflow bucket,
-// the total count and the sum of observations.
-type HistogramSnapshot struct {
-	Bounds []float64 // upper bounds; Counts has len(Bounds)+1 (last = +Inf)
-	Counts []uint64
-	Count  uint64
-	Sum    float64
-}
-
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket holding the target rank, the same estimate Prometheus'
-// histogram_quantile computes. The overflow bucket clamps to its lower
-// bound. Returns 0 for an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(s.Bounds) { // overflow bucket: clamp to its lower bound
-			if len(s.Bounds) == 0 {
-				return 0
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		upper := s.Bounds[i]
-		if c == 0 {
-			return upper
-		}
-		inBucket := rank - float64(cum-c)
-		return lower + (upper-lower)*(inBucket/float64(c))
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
 
 // WritePrometheus writes every family in the Prometheus text exposition
 // format (version 0.0.4), families and series sorted for deterministic
@@ -493,7 +421,7 @@ func writeFamily(b *strings.Builder, f *family) {
 }
 
 func writeHistogramSeries(b *strings.Builder, f *family, s *series) {
-	snap := s.hist.snapshot()
+	h := s.hist
 	// Fresh copies: appending "le" to shared label slices would alias
 	// their backing arrays across series.
 	bucketLabels := append(append([]string(nil), f.labels...), "le")
@@ -501,15 +429,16 @@ func writeHistogramSeries(b *strings.Builder, f *family, s *series) {
 		return append(append([]string(nil), s.labelValues...), le)
 	}
 	var cum uint64
-	for i, bound := range snap.Bounds {
-		cum += snap.Counts[i]
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
 		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
 			labelString(bucketLabels, bucketValues(formatFloat(bound))), cum)
 	}
-	cum += snap.Counts[len(snap.Bounds)]
+	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
 		labelString(bucketLabels, bucketValues("+Inf")), cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelString(f.labels, s.labelValues), formatFloat(snap.Sum))
+	sum := math.Float64frombits(h.sumBits.Load())
+	fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelString(f.labels, s.labelValues), formatFloat(sum))
 	fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelString(f.labels, s.labelValues), cum)
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -150,34 +149,6 @@ func TestRegistryPanicsOnMismatch(t *testing.T) {
 	mustPanic("wrong label count", func() { r.CounterVec("v", "help", "endpoint").With("a", "b") })
 }
 
-func TestHistogramSnapshotStats(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "help", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 1.5, 3, 8} {
-		h.Observe(v)
-	}
-	snap := h.Snapshot()
-	if snap.Count != 5 {
-		t.Fatalf("Count = %d, want 5", snap.Count)
-	}
-	if want := 14.5 / 5; snap.Mean() != want {
-		t.Errorf("Mean = %v, want %v", snap.Mean(), want)
-	}
-	// Median rank 2.5 lands in the (1,2] bucket at cumulative 1..3: linear
-	// interpolation gives 1 + (2-1)*(1.5/2).
-	if got, want := snap.Quantile(0.5), 1.75; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Quantile(0.5) = %v, want %v", got, want)
-	}
-	// p99 lands in the overflow bucket, which clamps to the top bound.
-	if got := snap.Quantile(0.99); got != 4 {
-		t.Errorf("Quantile(0.99) = %v, want 4 (clamped)", got)
-	}
-	var empty HistogramSnapshot
-	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Errorf("empty snapshot: Mean = %v, Quantile = %v, want 0", empty.Mean(), empty.Quantile(0.5))
-	}
-}
-
 // TestRegistryConcurrency hammers every mutation path against concurrent
 // scrapes; run with -race (the Makefile does) to prove the registry and
 // trace ring are data-race free under parallel queries.
@@ -217,7 +188,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent scrapers and snapshot readers.
+	// Concurrent scrapers.
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func() {
@@ -228,8 +199,6 @@ func TestRegistryConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				r.HistogramVec("hammer_seconds", "help", nil, "endpoint").
-					Each(func(_ []string, snap HistogramSnapshot) { snap.Quantile(0.95) })
 			}
 		}()
 	}
@@ -238,11 +207,24 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("hammer_total", "help").Value(); got != workers*iters {
 		t.Errorf("hammer_total = %v, want %d", got, workers*iters)
 	}
-	var histCount uint64
-	r.HistogramVec("hammer_seconds", "help", nil, "endpoint").
-		Each(func(_ []string, snap HistogramSnapshot) { histCount += snap.Count })
+	var exp bytes.Buffer
+	if err := r.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheusText(&exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var histCount float64
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == "hammer_seconds_count" {
+				histCount += s.Value
+			}
+		}
+	}
 	if histCount != workers*iters {
-		t.Errorf("histogram observations = %d, want %d", histCount, workers*iters)
+		t.Errorf("histogram observations = %v, want %d", histCount, workers*iters)
 	}
 	if got := len(ring.Recent(0)); got != 8 {
 		t.Errorf("ring holds %d traces, want capacity 8", got)

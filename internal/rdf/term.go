@@ -213,9 +213,7 @@ func (t Term) AppendString(dst []byte) []byte {
 	case KindAny:
 		return append(dst, '*')
 	case KindIRI:
-		dst = append(dst, '<')
-		dst = append(dst, t.Value...)
-		return append(dst, '>')
+		return AppendIRI(dst, t.Value)
 	case KindBlank:
 		dst = append(dst, "_:"...)
 		return append(dst, t.Value...)
@@ -229,14 +227,34 @@ func (t Term) AppendString(dst []byte) []byte {
 			return append(dst, t.Lang...)
 		}
 		if t.Datatype != "" && t.Datatype != XSDString {
-			dst = append(dst, "^^<"...)
-			dst = append(dst, t.Datatype...)
-			return append(dst, '>')
+			return AppendIRI(append(dst, "^^"...), t.Datatype)
 		}
 		return dst
 	default:
 		return append(dst, fmt.Sprintf("!invalid-term(%d)", t.Kind)...)
 	}
+}
+
+// AppendIRI appends <iri> as Term.String renders an IRI, writing as a
+// \u00XX escape each character an IRI reference may not hold raw
+// (controls, space and <>"{}|^`\), so the text parses back to the same
+// IRI: the lexer decodes the escapes such an IRI arrived with.
+func AppendIRI(dst []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	dst = append(dst, '<')
+	start := 0 // s[start:i] is a run that needs no escaping
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '<', '>', '"', '{', '}', '|', '^', '`', '\\': // escaped below
+		default:
+			if c > ' ' {
+				continue
+			}
+		}
+		dst = append(append(dst, s[start:i]...), '\\', 'u', '0', '0', hex[s[i]>>4], hex[s[i]&0xF])
+		start = i + 1
+	}
+	return append(append(dst, s[start:]...), '>')
 }
 
 // appendQuoted appends a literal lexical form escaped for

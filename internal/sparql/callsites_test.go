@@ -194,16 +194,19 @@ func moduleFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 }
 
 // TestOneEndpointTable pins the one model of each endpoint: its breaker,
-// in-flight bound and health live in one record of the executor's
+// in-flight bound, health and counts live in one record of the executor's
 // endpoint table. No non-test file outside internal/federate names a
-// federate.Breaker* identifier, and the identifiers of the parallel
-// models it replaced appear in no Go file.
+// federate.Breaker* identifier, no non-test file registers a CounterVec
+// labelled "endpoint" (a per-endpoint count kept beside the table's), and
+// the identifiers of the parallel models it replaced appear in no Go file.
 func TestOneEndpointTable(t *testing.T) {
-	gone := map[string]bool{"BindBreakers": true, "BreakerStates": true, "HealthFunc": true, "HealthOptions": true}
+	gone := map[string]bool{"BindBreakers": true, "BreakerStates": true, "HealthFunc": true, "HealthOptions": true,
+		"EndpointStats": true}
 	fset, files := moduleFiles(t)
 	for rel, file := range files {
 		pkg := importName(file, "sparqlrw/internal/federate")
-		outside := pkg != "" && !strings.HasPrefix(rel, "internal/federate/") && !strings.HasSuffix(rel, "_test.go")
+		test := strings.HasSuffix(rel, "_test.go")
+		outside := pkg != "" && !strings.HasPrefix(rel, "internal/federate/") && !test
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
@@ -213,6 +216,14 @@ func TestOneEndpointTable(t *testing.T) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok && outside && x.Name == pkg && strings.HasPrefix(n.Sel.Name, "Breaker") {
 					t.Errorf("%s refers to federate.%s: breakers belong to the endpoint table", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !test && sel.Sel.Name == "CounterVec" {
+					for _, arg := range n.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Value == `"endpoint"` {
+							t.Errorf("%s registers a CounterVec labelled endpoint: per-endpoint counts belong to the endpoint table", fset.Position(n.Pos()))
+						}
+					}
 				}
 			}
 			return true

@@ -16,10 +16,13 @@ func Format(q *Query) string {
 	pm := q.Prefixes
 	if pm != nil {
 		used := usedNamespaces(q, pm)
+		var iri [128]byte // most namespaces render without an allocation
 		for _, p := range pm.Prefixes() {
 			ns, _ := pm.Namespace(p)
 			if used[ns] {
-				fmt.Fprintf(&b, "PREFIX %s: <%s>\n", p, ns)
+				b.WriteString("PREFIX " + p + ": ")
+				b.Write(rdf.AppendIRI(iri[:0], ns))
+				b.WriteByte('\n')
 			}
 		}
 	}
@@ -283,7 +286,7 @@ func FormatExpr(e Expression, pm *rdf.PrefixMap) string {
 					return q + "(" + strings.Join(args, ", ") + ")"
 				}
 			}
-			return "<" + name + ">(" + strings.Join(args, ", ") + ")"
+			return rdf.NewIRI(name).String() + "(" + strings.Join(args, ", ") + ")"
 		}
 		return name + "(" + strings.Join(args, ", ") + ")"
 	default:

@@ -34,7 +34,7 @@ func (sw *StreamWriter) WriteTriple(t rdf.Triple) error {
 		if sw.prefixes != nil {
 			for _, p := range sw.prefixes.Prefixes() {
 				ns, _ := sw.prefixes.Namespace(p)
-				if _, err := io.WriteString(sw.w, "@prefix "+p+": <"+ns+"> .\n"); err != nil {
+				if _, err := io.WriteString(sw.w, "@prefix "+p+": "+rdf.NewIRI(ns).String()+" .\n"); err != nil {
 					return err
 				}
 			}

@@ -15,14 +15,13 @@ func Format(g rdf.Graph, prefixes *rdf.PrefixMap) string {
 	var b strings.Builder
 	if prefixes != nil {
 		usedNS := usedNamespaces(g, prefixes)
+		var iri [128]byte // most namespaces render without an allocation
 		for _, p := range prefixes.Prefixes() {
 			ns, _ := prefixes.Namespace(p)
 			if usedNS[ns] {
-				b.WriteString("@prefix ")
-				b.WriteString(p)
-				b.WriteString(": <")
-				b.WriteString(ns)
-				b.WriteString("> .\n")
+				b.WriteString("@prefix " + p + ": ")
+				b.Write(rdf.AppendIRI(iri[:0], ns))
+				b.WriteString(" .\n")
 			}
 		}
 		if b.Len() > 0 {

@@ -3,7 +3,8 @@
 # federated query through /sparql, scrapes GET /metrics and asserts the
 # core Prometheus series from every layer are present; then checks the
 # distributed-tracing surface (traceparent round-trip into X-Trace-Id),
-# the per-endpoint health scores at /api/health, that the flight
+# the per-endpoint health scores at /api/health, that /api/stats lists
+# each endpoint once, that the flight
 # recorder audits a slow query under -audit-dir, and the serving tier:
 # a repeated query must hit the result cache, and a tenant with an
 # exhausted quota must get a deterministic 429 with Retry-After. A
@@ -285,9 +286,32 @@ if [ "$n_eps" -lt 3 ]; then
 	cat "$workdir/health.json" >&2
 	fail=1
 fi
-for field in '"score"' '"p95Ms"' '"errorRate"' '"breaker"'; do
+for field in '"score"' '"p95Ms"' '"errorRate"' '"breaker"' '"attempts"'; do
 	if ! grep -q "$field" "$workdir/health.json"; then
 		echo "check-metrics: /api/health misses $field" >&2
+		fail=1
+	fi
+done
+
+# /api/stats is the one introspection document: each endpoint is one row
+# of federation.endpoints, and no second per-endpoint list sits beside it.
+curl -s "$base/api/stats" >"$workdir/stats.json"
+if grep -q '"health":' "$workdir/stats.json"; then
+	echo "check-metrics: /api/stats carries a \"health\" member beside federation.endpoints" >&2
+	fail=1
+fi
+for ep in $(grep -o '"endpoint":"[^"]*"' "$workdir/health.json"); do
+	n=$(grep -oF "$ep" "$workdir/stats.json" | wc -l)
+	if [ "$n" -ne 1 ]; then
+		echo "check-metrics: /api/stats lists $ep $n times, want once" >&2
+		fail=1
+	fi
+done
+
+# The per-endpoint counts are exposed from the endpoint table as counters.
+for count in attempts successes failures retries rejected solutions; do
+	if ! grep -q "^# TYPE sparqlrw_federate_${count}_total counter\$" "$workdir/metrics.txt"; then
+		echo "check-metrics: MISSING counter family sparqlrw_federate_${count}_total" >&2
 		fail=1
 	fi
 done

@@ -479,10 +479,10 @@ var MediatorDebugHandler = mediate.DebugHandler
 type (
 	// TraceContext is a parsed W3C traceparent/tracestate pair.
 	TraceContext = obs.TraceContext
-	// EndpointHealth is one endpoint's health snapshot from the
-	// executor's endpoint table: smoothed latency quantiles, error rate,
-	// breaker state and composite score (Mediator.Stats().Health, GET
-	// /api/health).
+	// EndpointHealth is one endpoint's row of the executor's endpoint
+	// table: smoothed latency quantiles, error rate, breaker state,
+	// composite score and the endpoint's counts
+	// (Mediator.Stats().Federation.Endpoints, GET /api/health).
 	EndpointHealth = federate.EndpointHealth
 	// AuditRecord is one flight-recorded query: text, explain payload,
 	// outcome and full span tree (GET /api/audit).
