@@ -6,11 +6,11 @@
 # `make fuzz-smoke` fuzzes the SRJ codec, the SPARQL, Turtle and
 # N-Triples parsers and the traceparent parser briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
-# mediator binary.
+# mediator binary; `make examples` runs every example end to end.
 
 GO ?= go
 
-.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics
+.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics examples
 
 build:
 	$(GO) build ./...
@@ -70,3 +70,13 @@ fuzz-smoke:
 # assert the core series from every layer are present and non-zero.
 check-metrics:
 	@./scripts/check_metrics.sh
+
+# Every example end to end (CI runs this): each starts its endpoints and
+# mediator on loopback, prints its report and must exit 0. A failing
+# example's report is printed.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >examples.out 2>&1 || \
+			{ cat examples.out; rm -f examples.out; echo "examples: $$d failed" >&2; exit 1; }; \
+		echo "examples: $$d ok"; \
+	done; rm -f examples.out

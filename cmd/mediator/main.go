@@ -78,9 +78,9 @@
 // internal/serve fronts /sparql: requests map to tenants (X-API-Key /
 // Authorization: Bearer, or X-Tenant-Id), are admitted through per-tenant
 // rate limits and concurrency caps, and shed as 429/503 before any
-// planning runs. A tenant's policy — dataset allowlist, subject URI
-// spaces, denied predicates — is injected into the query algebra
-// (out-of-policy queries get 403). Repeated SELECT/ASK queries serve from
+// planning runs. A tenant's subject URI spaces and denied predicates are
+// injected into the query algebra, and its dataset allowlist is the
+// request's source set (out-of-policy queries get 403). Repeated SELECT/ASK queries serve from
 // a result cache keyed by the sameAs-canonicalised query, invalidated
 // whenever the voiD or alignment KBs change. Slow sub-queries can be
 // hedged to a data set's replica endpoint. The knobs:

@@ -14,7 +14,9 @@
 // rewriting pipeline the paper uses for ontology integration. The demo
 // prints the same query as each tenant sees it after restriction, runs
 // it over the W3C protocol endpoint under each identity (per-dataset
-// answer counts prove the restriction held end to end), shows the 403
+// answer counts prove the restriction held end to end), joins the
+// citation metrics to Southampton's authorship as soton-research over just
+// the two repositories on its list, shows the 403
 // for a ground out-of-space subject, exhausts kisti-mirror's quota to a
 // deterministic 429 with Retry-After, and finishes with the serving
 // tier's own stats: the federated result cache and the admission table.
@@ -138,11 +140,20 @@ func main() {
 		}
 		fmt.Printf("  merged: %d bindings\n", sum.Bindings)
 	}
-	// soton-research's dataset allowlist prunes the planner's candidate
-	// set, so with no explicit targets only allowlisted repositories are
-	// consulted at all.
+	// soton-research's dataset allowlist is its request's source set: with
+	// no explicit targets the planner considers only the allowlisted
+	// repositories, so KISTI is not consulted at all.
 	sum := sparqlSSE(api.URL, "soton-key", queryText)
-	fmt.Println("--- soton-research, planner-selected targets (allowlist-pruned) ---")
+	fmt.Println("--- soton-research, planner-selected targets (its allowlist only) ---")
+	for _, pd := range sum.PerDataset {
+		fmt.Printf("  %-45s %d raw answers\n", pd.Dataset, pd.Solutions)
+	}
+	fmt.Printf("  merged: %d bindings\n", sum.Bindings)
+	// The same source set restricts the decomposer: the citation-metrics
+	// query, which no single repository answers, joins Southampton's
+	// authorship with the metrics repository's counts — both on the list.
+	sum = sparqlSSE(api.URL, "soton-key", workload.CrossVocabularyQuery(2))
+	fmt.Println("--- soton-research, cross-vocabulary citation-metrics join (decomposed within its allowlist) ---")
 	for _, pd := range sum.PerDataset {
 		fmt.Printf("  %-45s %d raw answers\n", pd.Dataset, pd.Solutions)
 	}

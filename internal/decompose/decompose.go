@@ -50,6 +50,7 @@ import (
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
+	"sparqlrw/internal/voidkb"
 )
 
 // Options tune decomposition and the join engine. The zero value selects
@@ -269,14 +270,14 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 	if err != nil {
 		return nil, d.reject("parsing query: %v", err)
 	}
-	return d.DecomposeQuery(q, sourceOnt)
+	return d.DecomposeQuery(q, sourceOnt, nil)
 }
 
 // DecomposeQuery builds the fragment plan for a SELECT query written
-// against sourceOnt. It fails when the query's pattern is unsupported
-// (anything beyond a filtered BGP) or when some pattern no registered data
-// set can answer.
-func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string) (*Decomposition, error) {
+// against sourceOnt, over the data sets of the source set src. It fails
+// when the query's pattern is unsupported (anything beyond a filtered BGP)
+// or when some pattern no data set in src can answer.
+func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Decomposition, error) {
 	if q.Form != sparql.Select {
 		return nil, d.reject("only SELECT queries decompose, got %s", q.Form)
 	}
@@ -295,7 +296,7 @@ func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string) (*Decompo
 	var groupOrder []string
 	var fragments []*Fragment
 	for _, tp := range patterns {
-		sources := d.planner.PatternSources(tp)
+		sources := d.planner.PatternSources(tp, src)
 		if len(sources) == 0 {
 			return nil, d.reject("no registered data set can answer pattern { %s }", sparql.FormatTriplePattern(tp, q.Prefixes))
 		}

@@ -252,6 +252,20 @@ func TestAPIQueryDecomposedExplain(t *testing.T) {
 		t.Fatalf("join order not explained: %+v", ex.Decomposition.Fragments[1])
 	}
 
+	// A query that runs neither way is explained as the query path refuses
+	// it: with the decomposer's reason, not as a plan with nothing to run.
+	optional := strings.Replace(query, "?paper m:citationCount ?c .", "OPTIONAL { ?paper m:citationCount ?c }", 1)
+	body, _ = json.Marshal(apiQueryRequest{Query: optional, Source: rdf.AKTNS})
+	resp, err = http.Post(srv.URL+"/api/plan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "does not decompose") {
+		t.Fatalf("/api/plan of an undecomposable query: %d %s", resp.StatusCode, raw)
+	}
+
 	// /sparql executes the decomposed query end to end.
 	form := url.Values{"query": {query}, "source": {rdf.AKTNS}}
 	resp, err = http.PostForm(srv.URL+"/sparql", form)
@@ -261,7 +275,7 @@ func TestAPIQueryDecomposedExplain(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	raw, _ := io.ReadAll(resp.Body)
+	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	sres, _, err := srjson.Decode(raw)
 	if err != nil {

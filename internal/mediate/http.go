@@ -352,7 +352,7 @@ func Handler(m *Mediator) http.Handler {
 		if !ok {
 			return
 		}
-		ex, err := m.explainQuery(q, req.Source)
+		ex, err := m.explainQuery(r.Context(), q, req.Source)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -102,24 +102,23 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 	}
 	m.Configure(opts...)
 	// Cache invalidation hooks: a changed voiD entry drops that data
-	// set's cached rewrite plans, cached federated results and observed
-	// cardinalities, a changed alignment KB flushes all three — no
-	// wholesale executor rebuild needed. Each invalidation moves its
-	// cache's epoch (internal/lru), so a rewrite, answer or observation
-	// in flight across it is discarded, never stored.
+	// set's cached rewrite plans and observed cardinalities (both keyed by
+	// target data set), a changed alignment KB flushes both. Either change
+	// drops every cached federated result and marks every view stale: a
+	// data set newly registered or newly relevant can add to any answer.
+	// Each invalidation moves its cache's epoch (internal/lru), so a
+	// rewrite, answer or observation in flight across it is discarded,
+	// never stored. The views are marked synchronously, so by the time
+	// the KB update returns no query can be answered from a view built
+	// against the old state.
 	m.unsubscribe = []func(){
 		datasets.Subscribe(func(uri string) {
 			m.Exec.InvalidateDataset(uri)
-			if m.Serve != nil {
-				m.Serve.InvalidateDataset(uri)
-			}
-			// Observed cardinalities predict the old data; drop them so
-			// stale corrections cannot outlive a voiD update.
 			m.Obs.Cards.Invalidate(uri)
-			// Synchronously mark views over this data set stale — by the
-			// time the KB update returns, no query can be answered from
-			// a view built against the old description.
-			m.Views.InvalidateDataset(uri)
+			if m.Serve != nil {
+				m.Serve.Flush()
+			}
+			m.Views.InvalidateAll()
 			if ds, ok := m.Datasets.Get(uri); ok {
 				m.Exec.Endpoints().Ensure(ds.SPARQLEndpoint)
 			}
@@ -130,8 +129,6 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 				m.Serve.Flush()
 			}
 			m.Obs.Cards.Flush()
-			// An alignment change can move any rewriting, so every view's
-			// materialized answer is suspect: all stale, refresh queued.
 			m.Views.InvalidateAll()
 		}),
 	}
@@ -304,7 +301,7 @@ func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*plan.Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
-	return m.Planner.Plan(q, sourceOnt)
+	return m.Planner.Plan(q, sourceOnt, nil)
 }
 
 // QueryExplanation is /api/plan's response shape: the whole-query plan
@@ -318,28 +315,24 @@ type QueryExplanation struct {
 // ExplainQuery explains how a federated query would run: the planner's
 // per-data-set decisions, and the exclusive-group decomposition (groups,
 // estimated cardinalities, join order) when the query only runs by
-// splitting its BGP across repositories.
+// splitting its BGP across repositories; the query path's error when it
+// runs neither way.
 func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
-	return m.explainQuery(q, sourceOnt)
+	return m.explainQuery(context.TODO(), q, sourceOnt)
 }
 
-// explainQuery is ExplainQuery past its parse, the entry of /api/plan.
-func (m *Mediator) explainQuery(q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
-	pl, err := m.Planner.Plan(wireQuery(q), sourceOnt)
+// explainQuery is ExplainQuery past its parse, the entry of /api/plan:
+// the route the query path takes for the anonymous tenant.
+func (m *Mediator) explainQuery(ctx context.Context, q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
+	pl, dcm, err := m.route(ctx, q, sourceOnt, nil)
 	if err != nil {
 		return nil, err
 	}
-	ex := &QueryExplanation{Plan: pl}
-	if len(pl.Subs) == 0 {
-		if dcm, derr := m.Decomposer.DecomposeQuery(q, sourceOnt); derr == nil {
-			ex.Decomposition = dcm
-		}
-	}
-	return ex, nil
+	return &QueryExplanation{Plan: pl, Decomposition: dcm}, nil
 }
 
 // RewriteResult is the outcome of a single rewrite.

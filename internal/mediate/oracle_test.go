@@ -27,6 +27,7 @@ import (
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
+	"sparqlrw/internal/voidkb"
 	"sparqlrw/internal/workload"
 )
 
@@ -39,30 +40,38 @@ type oracle struct {
 	store *store.Store
 }
 
-func newOracle(t testing.TB, u *workload.Universe) *oracle {
+// newOracle integrates the repositories of the source set repos: nil
+// integrates all three.
+func newOracle(t testing.TB, u *workload.Universe, repos voidkb.Sources) *oracle {
 	t.Helper()
 	integrated := store.New()
-	integrated.AddGraph(u.Southampton.Triples())
-	integrated.AddGraph(workload.MetricsStore(u).Triples())
-	// KISTI in the AKT vocabulary: the alignments without functional
-	// dependencies translate as plain CONSTRUCT queries, the ones with
-	// sameas dependencies through the materialiser, which maps instance
-	// URIs back into Southampton's URI space.
-	eas := workload.AKT2KISTI().Alignments
-	g, skipped, err := core.TranslateData(u.KISTI, eas, false)
-	if err != nil {
-		t.Fatal(err)
+	if repos.Has(workload.SotonVoidURI) {
+		integrated.AddGraph(u.Southampton.Triples())
 	}
-	integrated.AddGraph(g)
-	var withFDs []*align.EntityAlignment
-	for _, ea := range eas {
-		if slices.Contains(skipped, ea.ID) {
-			withFDs = append(withFDs, ea)
+	if repos.Has(workload.MetricsVoidURI) {
+		integrated.AddGraph(workload.MetricsStore(u).Triples())
+	}
+	if repos.Has(workload.KistiVoidURI) {
+		// KISTI in the AKT vocabulary: the alignments without functional
+		// dependencies translate as plain CONSTRUCT queries, the ones with
+		// sameas dependencies through the materialiser, which maps
+		// instance URIs back into Southampton's URI space.
+		eas := workload.AKT2KISTI().Alignments
+		g, skipped, err := core.TranslateData(u.KISTI, eas, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	mat := reason.New(withFDs, u.Coref, reason.Options{SourceURISpace: workload.SotonURIPattern})
-	if _, err := mat.Materialise(u.KISTI, integrated); err != nil {
-		t.Fatal(err)
+		integrated.AddGraph(g)
+		var withFDs []*align.EntityAlignment
+		for _, ea := range eas {
+			if slices.Contains(skipped, ea.ID) {
+				withFDs = append(withFDs, ea)
+			}
+		}
+		mat := reason.New(withFDs, u.Coref, reason.Options{SourceURISpace: workload.SotonURIPattern})
+		if _, err := mat.Materialise(u.KISTI, integrated); err != nil {
+			t.Fatal(err)
+		}
 	}
 	o := &oracle{u: u, store: store.New()}
 	for _, tr := range integrated.Triples() {
@@ -207,7 +216,7 @@ func (d diffTemplate) variants() map[string]string {
 // under ORDER BY; under a slice without ORDER BY, the right number of the
 // oracle's rows.
 func TestMediatorMatchesOracle(t *testing.T) {
-	o := newOracle(t, exampleUniverse())
+	o := newOracle(t, exampleUniverse(), nil)
 	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	paths := []diffPath{
 		{name: "explicit targets", targets: both},

@@ -364,7 +364,7 @@ func TestPlanAllocations(t *testing.T) {
 	}
 	q := wireQuery(sparql.MustParse(workload.Figure1Query(2)))
 	got := testing.AllocsPerRun(50, func() {
-		if _, err := m.Planner.Plan(q, rdf.AKTNS); err != nil {
+		if _, err := m.Planner.Plan(q, rdf.AKTNS, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -43,8 +43,12 @@ type QueryRequest struct {
 	// Tenant is the serving-tier tenant executing the query (nil: the
 	// anonymous tenant, unrestricted unless configured otherwise). Its
 	// policy is injected into the query algebra before planning, and its
-	// dataset allowlist prunes target selection.
+	// dataset allowlist is the request's source set.
 	Tenant *serve.Tenant
+
+	// sources is the request's source set, which queryParsed derives from
+	// Tenant's policy: every path considers only its data sets.
+	sources voidkb.Sources
 }
 
 // Result is the form-polymorphic outcome of Mediator.Query: a tagged
@@ -170,7 +174,9 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 	// Serving tier, part 1 — policy-by-rewriting: the tenant's graph
 	// restrictions are injected into the algebra before anything looks at
 	// the query, so planning, caching and execution all see the
-	// restricted form.
+	// restricted form, and its dataset allowlist becomes the one source
+	// set every path reads.
+	req.sources = sourceSet(req.Tenant.GetPolicy())
 	if q2, changed, perr := serve.Restrict(q, req.Tenant.GetPolicy()); perr != nil {
 		qo.fail(perr)
 		return nil, perr
@@ -204,6 +210,21 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 		res.graph.qo = qo
 	}
 	return res, nil
+}
+
+// sourceSet is the source set a tenant policy allows: the data sets its
+// dataset allowlist names, or the whole KB (nil, allocating nothing)
+// without one.
+func sourceSet(p *serve.Policy) voidkb.Sources {
+	allow := p.AllowedDatasets()
+	if len(allow) == 0 {
+		return nil
+	}
+	src := make(voidkb.Sources, len(allow))
+	for _, uri := range allow {
+		src[uri] = true
+	}
+	return src
 }
 
 // formResult dispatches the parsed query to its form's execution path.
@@ -260,7 +281,7 @@ type QueryStream struct {
 }
 
 // selectStream starts the federated SELECT pipeline for q under req's
-// options (source ontology, targets, limit, tenant; not req.Query). q is
+// options (source ontology, targets, limit, source set; not req.Query). q is
 // the request's parsed query or the SELECT derived from it for an ASK,
 // CONSTRUCT or DESCRIBE; the decomposer reads it, the planner and the
 // executor its wire form, and none modifies it.
@@ -277,83 +298,41 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	}
 	// The materialized-view tier answers a covered BGP from its embedded
 	// store with zero endpoint round trips. Only the default path takes
-	// it: explicit targets pin execution, dataset-allowlisted tenants
-	// must not read cross-dataset joins, and materialization queries
+	// it: explicit targets pin execution, and materialization queries
 	// themselves (withoutViews) would recurse.
-	if m.Views != nil && len(req.Targets) == 0 && !viewsDisabled(ctx) &&
-		len(req.Tenant.GetPolicy().AllowedDatasets()) == 0 {
+	if m.Views != nil && len(req.Targets) == 0 && !viewsDisabled(ctx) {
 		if vqs, ok := m.viewAnswer(ctx, req, q); ok {
 			return vqs, nil
 		}
 	}
 	qs := &QueryStream{limit: req.Limit}
-	wire := wireQuery(q)
 	var freq federate.Request
 	if len(req.Targets) == 0 {
-		_, planSpan := obs.StartSpan(ctx, "plan")
-		planSpan.SetAttr("sourceOnt", req.SourceOnt)
-		pl, err := m.Planner.Plan(wire, req.SourceOnt)
-		if err != nil {
-			planSpan.SetAttr("error", err.Error())
-			planSpan.End()
+		var err error
+		if qs.pl, qs.dec, err = m.route(ctx, q, req.SourceOnt, req.sources); err != nil {
 			return nil, err
 		}
-		planStats := obs.Operator("source-selection")
-		planStats.RowsIn = int64(len(pl.Decisions))
-		planStats.RowsOut = int64(len(pl.Subs))
-		planSpan.SetOperator(planStats)
-		planSpan.SetAttr("considered", len(pl.Decisions))
-		planSpan.SetAttr("subQueries", len(pl.Subs))
-		planSpan.End()
-		pl, err = restrictPlan(pl, req.Tenant.GetPolicy())
-		if err != nil {
-			return nil, err
-		}
-		if len(pl.Subs) == 0 {
-			// No single data set covers the whole query: try splitting
-			// the BGP into per-endpoint exclusive groups joined at the
-			// mediator (the multi-source path). A dataset-restricted
-			// tenant never takes it: the decomposer's per-pattern source
-			// selection spans the whole KB, and a cross-dataset join is
-			// exactly what a dataset allowlist forbids.
-			if p := req.Tenant.GetPolicy(); len(p.AllowedDatasets()) > 0 {
-				return nil, fmt.Errorf("mediate: query needs data sets outside the tenant's allowlist: %w", serve.ErrDenied)
-			}
-			_, decSpan := obs.StartSpan(ctx, "decompose")
-			dcm, derr := m.Decomposer.DecomposeQuery(q, req.SourceOnt)
-			if derr != nil {
-				decSpan.SetAttr("error", derr.Error())
-				decSpan.End()
-				return nil, fmt.Errorf(
-					"mediate: no registered data set is relevant to the whole query and it does not decompose (%v); see /api/plan", derr)
-			}
-			decStats := obs.Operator("decompose")
-			decStats.RowsOut = int64(len(dcm.Fragments))
-			decSpan.SetOperator(decStats)
-			decSpan.SetAttr("fragments", len(dcm.Fragments))
-			decSpan.End()
-			qs.pl = pl
-			qs.dec = dcm
-			dp := m.JoinEngine.Plan(dcm)
-			if qs.src, err = m.openPlan(ctx, dp.Op, dcm.Vars, dp.Summary); err != nil {
+		if qs.dec != nil {
+			dp := m.JoinEngine.Plan(qs.dec)
+			if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
 				return nil, err
 			}
 			// Multi-source queries are exactly the expensive
 			// cross-vocabulary joins worth materializing: mine the
 			// shape (unless this IS a materialization run).
 			if m.Views != nil && !viewsDisabled(ctx) {
-				m.observeViews(q, req.SourceOnt, dcm)
+				m.observeViews(q, req.SourceOnt, qs.dec)
 			}
 			return qs, nil
 		}
-		qs.pl = pl
-		freq = federate.PlanRequest(pl)
+		freq = federate.PlanRequest(qs.pl)
 	} else {
+		wire := wireQuery(q)
 		freq = federate.Request{SourceOnt: req.SourceOnt, Vars: wire.Projection()}
 		qs.unknown = make(map[int]DatasetAnswer)
 		qs.nTargets = len(req.Targets)
 		for i, target := range req.Targets {
-			if !req.Tenant.GetPolicy().AllowsDataset(target) {
+			if !req.sources.Has(target) {
 				return nil, fmt.Errorf("mediate: data set %s: %w", target, serve.ErrDenied)
 			}
 			ds, ok := m.Datasets.Get(target)
@@ -388,6 +367,50 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	var err error
 	qs.src, err = m.openPlan(ctx, op, q.Projection(), s.Summary, s)
 	return qs, err
+}
+
+// route decides how q runs over the source set src: as the planner's
+// whole-query fan-out, or — when no data set in src covers the whole
+// query — as its decomposition into per-endpoint fragments joined at the
+// mediator (dcm non-nil). The query path runs what it returns and
+// /api/plan explains it. A narrowed source set that answers nothing is
+// refused with ErrDenied.
+func (m *Mediator) route(ctx context.Context, q *sparql.Query, sourceOnt string, src voidkb.Sources) (pl *plan.Plan, dcm *decompose.Decomposition, err error) {
+	_, planSpan := obs.StartSpan(ctx, "plan")
+	planSpan.SetAttr("sourceOnt", sourceOnt)
+	if pl, err = m.Planner.Plan(wireQuery(q), sourceOnt, src); err != nil {
+		planSpan.SetAttr("error", err.Error())
+		planSpan.End()
+		return nil, nil, err
+	}
+	planStats := obs.Operator("source-selection")
+	planStats.RowsIn = int64(len(pl.Decisions))
+	planStats.RowsOut = int64(len(pl.Subs))
+	planSpan.SetOperator(planStats)
+	planSpan.SetAttr("considered", len(pl.Decisions))
+	planSpan.SetAttr("subQueries", len(pl.Subs))
+	planSpan.End()
+	if len(pl.Subs) > 0 {
+		return pl, nil, nil
+	}
+	// No single data set covers the whole query: split the BGP into
+	// per-endpoint exclusive groups joined at the mediator.
+	_, decSpan := obs.StartSpan(ctx, "decompose")
+	if dcm, err = m.Decomposer.DecomposeQuery(q, sourceOnt, src); err != nil {
+		decSpan.SetAttr("error", err.Error())
+		decSpan.End()
+		if src != nil {
+			return nil, nil, fmt.Errorf("mediate: no permitted data set answers the query (%v): %w", err, serve.ErrDenied)
+		}
+		return nil, nil, fmt.Errorf(
+			"mediate: no registered data set is relevant to the whole query and it does not decompose (%v); see /api/plan", err)
+	}
+	decStats := obs.Operator("decompose")
+	decStats.RowsOut = int64(len(dcm.Fragments))
+	decSpan.SetOperator(decStats)
+	decSpan.SetAttr("fragments", len(dcm.Fragments))
+	decSpan.End()
+	return pl, dcm, nil
 }
 
 // wireQuery is what the endpoints of a whole-query fan-out run: q less
@@ -715,7 +738,7 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 		pre = sum
 	}
 
-	freq, ok := m.describeRequest(resources, req.Tenant.GetPolicy())
+	freq, ok := m.describeRequest(resources, req.sources, req.Tenant.GetPolicy())
 	if !ok {
 		res.graph = emptyGraphStream(pre)
 		return res, nil
@@ -735,23 +758,31 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 // one huge DESCRIBE cannot exceed an endpoint's request-body cap.
 const describeValuesBatch = 50
 
-// describeRequest builds the phase-2 fan-out: per data set, sub-queries
-// fetching `?s ?p ?o` seeded by VALUES shards of the resources (and
-// their owl:sameAs aliases) that lie in the data set's URI space. A
-// resource in no registered URI space is asked of every data set. The
-// tenant policy prunes denied data sets and re-injects its restriction
-// filters into the description query, so phase 2 cannot surface triples
-// (sameAs aliases outside the tenant's URI spaces, denied predicates)
-// that the restricted phase-1 query could not. ok is false when there
-// is nothing to dispatch.
-func (m *Mediator) describeRequest(resources []rdf.Term, pol *serve.Policy) (federate.Request, bool) {
+// describeRequest builds the phase-2 fan-out: per data set of the source
+// set src, sub-queries fetching `?s ?p ?o` seeded by VALUES shards of the
+// resources (and their owl:sameAs aliases) that lie in the data set's URI
+// space. A resource in no registered URI space is asked of every data
+// set. The tenant policy's restriction filters are injected into the
+// description query, so phase 2 cannot surface triples (sameAs aliases
+// outside the tenant's URI spaces, denied predicates) that the
+// restricted phase-1 query could not. ok is false when there is nothing
+// to dispatch.
+func (m *Mediator) describeRequest(resources []rdf.Term, src voidkb.Sources, pol *serve.Policy) (federate.Request, bool) {
 	var datasets []*voidkb.Dataset
 	for _, ds := range m.Datasets.All() {
-		if pol.AllowsDataset(ds.URI) {
+		if src.Has(ds.URI) {
 			datasets = append(datasets, ds)
 		}
 	}
 	if len(resources) == 0 || len(datasets) == 0 {
+		return federate.Request{}, false
+	}
+	spo := rdf.Triple{S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o")}
+	tmpl := sparql.NewQuery(sparql.Select)
+	tmpl.SelectVars = []string{"s", "p", "o"}
+	tmpl.Where = &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{&sparql.BGP{Patterns: []rdf.Triple{spo}}}}
+	tmpl, _, err := serve.Restrict(tmpl, pol)
+	if err != nil {
 		return federate.Request{}, false
 	}
 	aliases := func(uri string) []string {
@@ -807,19 +838,8 @@ func (m *Mediator) describeRequest(resources []rdf.Term, pol *serve.Policy) (fed
 		if !ok {
 			continue
 		}
-		q := sparql.NewQuery(sparql.Select)
-		q.SelectVars = []string{"s", "p", "o"}
-		q.Where = &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{
-			&sparql.InlineData{Vars: []string{"s"}, Rows: rows},
-			&sparql.BGP{Patterns: []rdf.Triple{{
-				S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o"),
-			}}},
-		}}
-		if rq, _, rerr := serve.Restrict(q, pol); rerr != nil {
-			continue
-		} else {
-			q = rq
-		}
+		q := tmpl.Clone()
+		q.Where.Elements = slices.Insert(q.Where.Elements, 0, sparql.GroupElement(&sparql.InlineData{Vars: []string{"s"}, Rows: rows}))
 		shards, _ := plan.ShardQuery(q, describeValuesBatch, (len(rows)+describeValuesBatch-1)/describeValuesBatch)
 		for i, shard := range shards {
 			freq.Targets = append(freq.Targets, federate.Target{

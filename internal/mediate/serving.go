@@ -1,13 +1,12 @@
 package mediate
 
-// The mediator side of the serving tier (internal/serve): plan pruning
-// under a tenant's dataset allowlist, and the federated result cache's
-// lookup/fill plumbing around the streaming query path.
+// The mediator side of the serving tier (internal/serve): the federated
+// result cache's lookup/fill plumbing around the streaming query path.
 
 import (
 	"errors"
-	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -15,44 +14,10 @@ import (
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 )
-
-// restrictPlan prunes a federation plan to the tenant's dataset
-// allowlist: the sub-requests of data sets outside it are dropped and
-// their decisions marked not relevant, so the plan explains only the
-// dispatches that happen. A plan the allowlist empties entirely is
-// refused with ErrDenied rather than silently answering from nothing.
-func restrictPlan(pl *plan.Plan, p *serve.Policy) (*plan.Plan, error) {
-	if len(p.AllowedDatasets()) == 0 || len(pl.Subs) == 0 {
-		return pl, nil
-	}
-	var subs []plan.SubRequest
-	for _, s := range pl.Subs {
-		if p.AllowsDataset(s.Dataset) {
-			subs = append(subs, s)
-		}
-	}
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("mediate: no permitted data set is relevant to the query: %w", serve.ErrDenied)
-	}
-	if len(subs) == len(pl.Subs) {
-		return pl, nil
-	}
-	out := *pl
-	out.Subs = subs
-	out.Decisions = slices.Clone(pl.Decisions)
-	for i := range out.Decisions {
-		if d := &out.Decisions[i]; d.Relevant && !p.AllowsDataset(d.Dataset) {
-			d.Relevant, d.Shards, d.DeadlineMS = false, 0, 0
-			d.Reasons = append(slices.Clip(d.Reasons), "outside the tenant's dataset allowlist")
-		}
-	}
-	return &out, nil
-}
 
 // cacheFill is one request's result-cache participation: its
 // canonicalised key and the invalidation epoch snapshotted before
@@ -118,11 +83,10 @@ func (f *cacheFill) attach(res *Result) {
 	case res.form == sparql.Ask:
 		if storable(res.askSum) {
 			f.cache.Put(&serve.Entry{
-				Key:      f.key,
-				IsAsk:    true,
-				Ask:      res.ask,
-				Summary:  trimSummary(res.askSum),
-				Datasets: datasetsOf(res.askSum),
+				Key:     f.key,
+				IsAsk:   true,
+				Ask:     res.ask,
+				Summary: trimSummary(res.askSum),
 			}, f.version)
 		}
 	}
@@ -132,9 +96,9 @@ func (f *cacheFill) attach(res *Result) {
 // IRIs in the query are canonicalised to their owl:sameAs
 // representative first — the same rule the federation merge and the
 // graph streams use — so alias spellings of one entity share an entry.
-// The source ontology, explicit targets, limit and the tenant's dataset
-// allowlist all discriminate; the tenant's algebra restrictions need no
-// extra component because q is the restricted query by the time it is keyed.
+// The source ontology, explicit targets, limit and the request's source
+// set all discriminate; the tenant's algebra restrictions need no extra
+// component because q is the restricted query by the time it is keyed.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 	canon := federate.NewRepCache(m.Coref)
 	cq := q.Clone()
@@ -146,11 +110,9 @@ func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 		parts = append(parts, "targets:")
 		parts = append(parts, ts...)
 	}
-	if allow := req.Tenant.GetPolicy().AllowedDatasets(); len(allow) > 0 {
-		ds := append([]string(nil), allow...)
-		sort.Strings(ds)
-		parts = append(parts, "allow:")
-		parts = append(parts, ds...)
+	if req.sources != nil {
+		parts = append(parts, "sources:")
+		parts = append(parts, slices.Sorted(maps.Keys(req.sources))...)
 	}
 	return strings.Join(parts, "\x00")
 }
@@ -220,20 +182,6 @@ func copySummary(e *serve.Entry) *federate.Result {
 	return trimSummary(e.Summary)
 }
 
-// datasetsOf lists the distinct data sets a summary's answer touched —
-// the invalidation index of its cache entry.
-func datasetsOf(sum *federate.Result) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, da := range sum.PerDataset {
-		if !seen[da.Dataset] {
-			seen[da.Dataset] = true
-			out = append(out, da.Dataset)
-		}
-	}
-	return out
-}
-
 // fillSource wraps a SELECT's solution source, keeping a copy of every
 // streamed row — back to back in one buffer, the strings cut from the
 // fill's own arena so the entry does not pin the decoders' chunks — and
@@ -295,11 +243,10 @@ func (f *fillSource) maybeStore(sum *federate.Result, err error) {
 	}
 	f.stored = true
 	f.fill.cache.Put(&serve.Entry{
-		Key:      f.fill.key,
-		Vars:     append([]string(nil), f.src.Vars()...),
-		Rows:     f.rows,
-		Summary:  trimSummary(sum),
-		Datasets: datasetsOf(sum),
+		Key:     f.fill.key,
+		Vars:    append([]string(nil), f.src.Vars()...),
+		Rows:    f.rows,
+		Summary: trimSummary(sum),
 	}, f.fill.version)
 }
 

@@ -152,8 +152,8 @@ SELECT DISTINCT ?a WHERE { ?paper akt:has-author <%s> . ?paper akt:has-author ?a
 }
 
 // TestResultCacheInvalidatedByKBUpdate pins the Subscribe wiring: a voiD
-// description change drops every entry that touched the data set, so the
-// next query goes back to the endpoints.
+// description change drops every entry, so the next query goes back to
+// the endpoints.
 func TestResultCacheInvalidatedByKBUpdate(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
@@ -166,7 +166,7 @@ func TestResultCacheInvalidatedByKBUpdate(t *testing.T) {
 	}
 
 	// Republish the Southampton voiD description: the subscription hook
-	// must invalidate the entry (its answer touched that data set).
+	// must invalidate the entry.
 	if err := s.dsKB.Add(s.sotonDataset()); err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +261,8 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 		t.Fatalf("out-of-list target: err = %v, want ErrDenied", err)
 	}
 
-	// The plan is pruned after planning: only the allowed data set is
-	// consulted, and the plan reports no dispatch to the others.
+	// The planner considers only the source set: only the allowed data
+	// set is consulted, and the plan reports no dispatch to the others.
 	res, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
 		Tenant: tenant,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"iter"
+	"slices"
 
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
@@ -37,9 +38,10 @@ func viewsDisabled(ctx context.Context) bool {
 type viewRunner struct{ m *Mediator }
 
 // Materialize runs the view's covering query through the full federated
-// pipeline (planning, decomposition, bound joins, sameAs merge) and
-// drains it. Complete is true only when every contributing data set
-// answered successfully — the storable rule the result cache uses.
+// pipeline (planning, decomposition, bound joins, sameAs merge) over the
+// whole KB and drains it. Complete is true only when every contributing
+// data set answered successfully — the storable rule the result cache
+// uses.
 func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*view.MaterializeResult, error) {
 	qs, err := r.m.selectStream(withoutViews(ctx), QueryRequest{SourceOnt: sourceOnt}, q)
 	if err != nil {
@@ -72,6 +74,11 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 		return nil, err
 	}
 	res.Complete = storable(sum)
+	for _, da := range sum.PerDataset {
+		if !slices.Contains(res.Datasets, da.Dataset) {
+			res.Datasets = append(res.Datasets, da.Dataset)
+		}
+	}
 	return res, nil
 }
 
@@ -92,7 +99,7 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 // federated path — on a miss, a stale view, or an evaluation error.
 func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
 	canon := federate.NewRepCache(m.Coref)
-	v, ok := m.Views.Answer(q, canon.Term)
+	v, ok := m.Views.Answer(q, canon.Term, req.sources)
 	if !ok {
 		return nil, false
 	}
@@ -122,16 +129,10 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	next, stop := iter.Pull(res.Seq)
 	src := &pulledSource{vars: res.Vars, stop: stop,
 		next: func() (eval.Row, error, bool) { row, ok := next(); return row, nil, ok }}
-	// The summary lists the view pseudo-dataset first and the view's
-	// source data sets after it — all with zero Attempts (nothing was
-	// dispatched over the federation), but present so the result cache's
-	// invalidate-by-dataset still covers entries filled from a view.
+	// The summary lists the view pseudo-dataset, with zero Attempts:
+	// nothing was dispatched over the federation.
 	src.summary = func() (*federate.Result, error) {
-		per := []federate.DatasetAnswer{{Dataset: "view:" + v.ID(), Solutions: src.n}}
-		for _, ds := range v.Datasets() {
-			per = append(per, federate.DatasetAnswer{Dataset: ds})
-		}
-		return &federate.Result{PerDataset: per}, nil
+		return &federate.Result{PerDataset: []federate.DatasetAnswer{{Dataset: "view:" + v.ID(), Solutions: src.n}}}, nil
 	}
 	return &QueryStream{limit: req.Limit, src: src}, true
 }

@@ -154,7 +154,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			case res.Plan() != nil:
 				built = []federate.Request{federate.PlanRequest(res.Plan())}
 			case tc.resources != nil:
-				freq, _ := m.describeRequest(tc.resources, nil)
+				freq, _ := m.describeRequest(tc.resources, nil, nil)
 				built = []federate.Request{freq}
 			default:
 				freq := federate.Request{SourceOnt: tc.req.SourceOnt}

@@ -19,14 +19,14 @@ type PatternSource struct {
 }
 
 // PatternSources runs source selection for one triple pattern, against
-// every registered data set: the per-pattern analogue of the whole-query
-// relevance decision Plan takes. A pattern is anchored by the vocabulary
-// namespace of its bound predicate (or of its class, for rdf:type
-// patterns); unanchored patterns (variable predicate, or an
-// infrastructure namespace every endpoint knows) are answerable
+// every registered data set in the source set src: the per-pattern
+// analogue of the whole-query relevance decision Plan takes. A pattern is
+// anchored by the vocabulary namespace of its bound predicate (or of its
+// class, for rdf:type patterns); unanchored patterns (variable predicate,
+// or an infrastructure namespace every endpoint knows) are answerable
 // everywhere. Bound subject/object instance IRIs prune native data sets
 // whose URI space cannot contain them, exactly as Plan does.
-func (p *Planner) PatternSources(tp rdf.Triple) []PatternSource {
+func (p *Planner) PatternSources(tp rdf.Triple, src voidkb.Sources) []PatternSource {
 	ns := PatternVocabulary(tp)
 	var bound []string
 	for _, t := range []rdf.Term{tp.S, tp.O} {
@@ -36,9 +36,11 @@ func (p *Planner) PatternSources(tp rdf.Triple) []PatternSource {
 	}
 	var out []PatternSource
 	for _, ds := range p.datasets.All() {
-		src, ok := p.patternSource(ds, ns, bound)
-		if ok {
-			out = append(out, src)
+		if !src.Has(ds.URI) {
+			continue
+		}
+		if ps, ok := p.patternSource(ds, ns, bound); ok {
+			out = append(out, ps)
 		}
 	}
 	return out

@@ -225,8 +225,9 @@ func (pl *Plan) Datasets() []string {
 }
 
 // Plan builds a federation plan for a SELECT query written against
-// sourceOnt, considering every data set registered in the voiD KB.
-func (p *Planner) Plan(q *sparql.Query, sourceOnt string) (*Plan, error) {
+// sourceOnt, considering every data set registered in the voiD KB. Those
+// outside the request's source set src are not relevant.
+func (p *Planner) Plan(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Plan, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("plan: federated planning supports SELECT only, got %s", q.Form)
 	}
@@ -245,6 +246,12 @@ func (p *Planner) Plan(q *sparql.Query, sourceOnt string) (*Plan, error) {
 	kept := make([]candidate, 0, len(all))
 	var pruned uint64
 	for _, ds := range all {
+		if !src.Has(ds.URI) {
+			pruned++
+			pl.Decisions = append(pl.Decisions, Decision{Dataset: ds.URI, Endpoint: ds.SPARQLEndpoint,
+				Reasons: []string{"outside the tenant's dataset allowlist"}})
+			continue
+		}
 		dec := p.decide(ds, prof, sourceOnt)
 		latency, open := p.observed(ds.SPARQLEndpoint)
 		dec.LatencyMS = millis(latency)

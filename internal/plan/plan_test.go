@@ -46,7 +46,7 @@ func fourDatasetKB(t *testing.T) (*voidkb.KB, *align.KB) {
 func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, Options{})
-	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS)
+	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: "http://b/sparql",
 		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.AKTNS}})
 	p := New(dsKB, align.NewKB(), nil, Options{})
-	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS)
+	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestUnboundQueryKeepsAllNativeDatasets(t *testing.T) {
 	// No bound instance terms: URI-space pruning cannot apply; vocabulary
 	// selection alone decides.
 	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS)
+SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestValuesShardingSplitsAndRecombines(t *testing.T) {
 	}
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
 
-	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS)
+	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestValuesShardingRespectsMaxShards(t *testing.T) {
 		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
 	}
 	sb.WriteString(" } ?p akt:has-author ?a }")
-	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS)
+	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestShardingRefusedWhenNotSemanticsPreserving(t *testing.T) {
 		"optional": "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE { ?p akt:has-author ?a OPTIONAL { " +
 			values + " } }",
 	} {
-		pl, err := p.Plan(sparql.MustParse(q), rdf.AKTNS)
+		pl, err := p.Plan(sparql.MustParse(q), rdf.AKTNS, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -228,7 +228,7 @@ func TestShardingDisabled(t *testing.T) {
 		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
 	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: -1})
 	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?a WHERE { VALUES ?p { <http://southampton.rkbexplorer.com/id/paper-00001> <http://southampton.rkbexplorer.com/id/paper-00002> } ?p akt:has-author ?a }`), rdf.AKTNS)
+SELECT ?a WHERE { VALUES ?p { <http://southampton.rkbexplorer.com/id/paper-00001> <http://southampton.rkbexplorer.com/id/paper-00002> } ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestAdaptiveOrderingAndDeadlines(t *testing.T) {
 	}
 	p := New(dsKB, align.NewKB(), endpoints, Options{})
 	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS)
+SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestShardResultsRecombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := p.Plan(sparql.MustParse(queryText), rdf.AKTNS)
+	pl, err := p.Plan(sparql.MustParse(queryText), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestShardResultsRecombine(t *testing.T) {
 func TestPlanRejectsNonSelect(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, Options{})
-	if _, err := p.Plan(sparql.MustParse(`ASK { ?s ?p ?o }`), rdf.AKTNS); err == nil {
+	if _, err := p.Plan(sparql.MustParse(`ASK { ?s ?p ?o }`), rdf.AKTNS, nil); err == nil {
 		t.Fatal("ASK must be rejected")
 	}
 }

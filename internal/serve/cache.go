@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 // under the owl:sameAs-canonicalised cache key. An entry is shared by
 // every hit and read-only once stored.
 type Entry struct {
-	// Key is the canonicalised (query, source ontology, targets, limit)
-	// fingerprint the mediator computed.
+	// Key is the canonicalised (query, source ontology, targets, limit,
+	// source set) fingerprint the mediator computed.
 	Key string
 	// Vars are the projection variables; Rows the merged rows over them,
 	// back to back in one buffer.
@@ -28,9 +27,6 @@ type Entry struct {
 	IsAsk bool
 	// Summary is the fan-out summary at fill time, Solutions stripped.
 	Summary *federate.Result
-	// Datasets are the data set URIs the answer was assembled from, for
-	// voiD-subscription invalidation.
-	Datasets []string
 
 	expires time.Time
 }
@@ -114,19 +110,9 @@ func (c *ResultCache) Put(e *Entry, version uint64) bool {
 	return stored
 }
 
-// InvalidateDataset drops every entry whose answer touched the data set
-// and moves the invalidation epoch, so in-flight fills that read the old
-// state never land. Returns how many entries were dropped.
-func (c *ResultCache) InvalidateDataset(uri string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.entries.RemoveFunc(func(_ string, e *Entry) bool { return slices.Contains(e.Datasets, uri) })
-	c.m.Invalidations += uint64(n)
-	return n
-}
-
-// Flush drops everything and moves the invalidation epoch (alignment
-// changes can alter any rewritten answer).
+// Flush drops everything and moves the invalidation epoch, so in-flight
+// fills that read the old state never land (a voiD or alignment change
+// can alter any answer).
 func (c *ResultCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -21,9 +21,9 @@ var ErrDenied = errors.New("denied by tenant policy")
 // outside its grant, no matter which endpoints it federates to.
 type Policy struct {
 	// Datasets allowlists the data set URIs the tenant may query (empty
-	// = all). Explicit out-of-list targets are refused; a planned query's
-	// sub-requests to out-of-list data sets are pruned after planning, and
-	// their plan decisions marked not relevant.
+	// = all). It is the request's source set: the planner, the decomposer,
+	// the view tier and DESCRIBE consider only these data sets, and
+	// explicit out-of-list targets are refused.
 	Datasets []string `json:"datasets,omitempty"`
 	// URISpaces allowlists subject URI prefixes: the tenant may only
 	// read triples whose subject lies in one of the spaces. Ground
@@ -41,7 +41,7 @@ func (p *Policy) isZero() bool {
 }
 
 // rewrites reports whether the policy changes the query algebra (the
-// dataset allowlist alone is enforced at planning time instead).
+// dataset allowlist restricts the request's source set instead).
 func (p *Policy) rewrites() bool {
 	return p != nil && (len(p.URISpaces) > 0 || len(p.DeniedPredicates) > 0)
 }
@@ -49,6 +49,11 @@ func (p *Policy) rewrites() bool {
 func (p *Policy) validate() error {
 	if p == nil {
 		return nil
+	}
+	for _, d := range p.Datasets {
+		if strings.TrimSpace(d) == "" {
+			return fmt.Errorf("empty datasets entry")
+		}
 	}
 	for _, s := range p.URISpaces {
 		if strings.TrimSpace(s) == "" {
@@ -70,19 +75,6 @@ func (p *Policy) AllowedDatasets() []string {
 		return nil
 	}
 	return p.Datasets
-}
-
-// AllowsDataset reports whether the tenant may query the data set.
-func (p *Policy) AllowsDataset(uri string) bool {
-	if p == nil || len(p.Datasets) == 0 {
-		return true
-	}
-	for _, d := range p.Datasets {
-		if d == uri {
-			return true
-		}
-	}
-	return false
 }
 
 // inSpace reports whether an IRI lies in one of the allowed URI spaces.

@@ -151,16 +151,8 @@ func (t *Tier) Stats() Stats {
 	return st
 }
 
-// InvalidateDataset drops every cached result that touched the data
-// set — the voiD KB Subscribe hook's entry point.
-func (t *Tier) InvalidateDataset(uri string) {
-	if t.Cache != nil {
-		t.Cache.InvalidateDataset(uri)
-	}
-}
-
-// Flush drops every cached result — the alignment KB Subscribe hook's
-// entry point (an alignment change can alter any rewritten answer).
+// Flush drops every cached result — the voiD and alignment KB Subscribe
+// hooks' entry point (a change to either can alter any answer).
 func (t *Tier) Flush() {
 	if t.Cache != nil {
 		t.Cache.Flush()

@@ -40,6 +40,7 @@ func TestParseTenants(t *testing.T) {
 		`{"tenants":[{"id":"a","keys":["k"]},{"id":"b","keys":["k"]}]}`,
 		`{"tenants":[{"id":"a","keys":[""]}]}`,
 		`{"tenants":[{"id":"a","policy":{"uriSpaces":[" "]}}]}`,
+		`{"tenants":[{"id":"a","policy":{"datasets":[""]}}]}`,
 		`{broken`,
 	}
 	for _, src := range bad {
@@ -332,7 +333,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheStaleFill(t *testing.T) {
 	c := NewResultCache(4, time.Minute)
 	v := c.Version()
-	c.InvalidateDataset("http://example.org/ds") // epoch moves while "in flight"
+	c.Flush() // epoch moves while "in flight"
 	if c.Put(&Entry{Key: "k"}, v) {
 		t.Fatal("stale fill must not be cached")
 	}
@@ -342,30 +343,9 @@ func TestResultCacheStaleFill(t *testing.T) {
 	if !c.Put(&Entry{Key: "k"}, c.Version()) {
 		t.Fatal("fresh fill should store")
 	}
-}
-
-func TestResultCacheInvalidateDataset(t *testing.T) {
-	c := NewResultCache(8, time.Minute)
-	c.Put(&Entry{Key: "soton", Datasets: []string{"http://a/void"}}, c.Version())
-	c.Put(&Entry{Key: "both", Datasets: []string{"http://a/void", "http://b/void"}}, c.Version())
-	c.Put(&Entry{Key: "kisti", Datasets: []string{"http://b/void"}}, c.Version())
-
-	if n := c.InvalidateDataset("http://a/void"); n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
-	}
-	if _, ok := c.Get("kisti"); !ok {
-		t.Fatal("unrelated entry dropped")
-	}
-	if _, ok := c.Get("soton"); ok {
-		t.Fatal("invalidated entry still served")
-	}
-
 	c.Flush()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Flush = %d", c.Len())
-	}
-	if m := c.Metrics(); m.Invalidations != 3 {
-		t.Fatalf("invalidations = %d, want 3", m.Invalidations)
+	if _, ok := c.Get("k"); ok || c.Metrics().Invalidations != 1 {
+		t.Fatalf("after Flush: entry served %v, invalidations %d; want dropped, 1", ok, c.Metrics().Invalidations)
 	}
 }
 

@@ -249,3 +249,33 @@ func TestOneHashJoin(t *testing.T) {
 		})
 	}
 }
+
+// TestOneSourceSet pins the tenant's dataset allowlist as one fact read in
+// one place: internal/mediate reads it once, to build the request's source
+// set, which every path then restricts itself to. No other non-test file
+// there calls AllowedDatasets or AllowsDataset, and the plan pruning that
+// once ran after planning appears in no Go file.
+func TestOneSourceSet(t *testing.T) {
+	fset, files := moduleFiles(t)
+	var reads []string
+	for rel, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "restrictPlan" {
+					t.Errorf("%s names restrictPlan", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if ok && strings.HasPrefix(rel, "internal/mediate/") && !strings.HasSuffix(rel, "_test.go") &&
+					(sel.Sel.Name == "AllowedDatasets" || sel.Sel.Name == "AllowsDataset") {
+					reads = append(reads, fset.Position(n.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	if len(reads) != 1 {
+		t.Errorf("internal/mediate reads the dataset allowlist at %d places, want 1 (the source set): %v", len(reads), reads)
+	}
+}

@@ -13,7 +13,7 @@
 // projection, DISTINCT, ORDER BY and LIMIT are evaluated over the view
 // store by the embedded SPARQL engine, so they need no containment
 // argument. A view is never silently stale: voiD and alignment KB
-// updates mark affected views stale synchronously (before the KB update
+// updates mark every view stale synchronously (before the KB update
 // returns), stale views refuse to answer, and the refresh loop
 // re-materializes them — discarding any result whose build raced a
 // further invalidation (the epoch check).
@@ -34,6 +34,7 @@ import (
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
+	"sparqlrw/internal/voidkb"
 )
 
 // Options configures a Manager. The struct is comparable so callers can
@@ -92,6 +93,8 @@ type MaterializeResult struct {
 	Rows eval.RowBuf
 	// Complete is true only when every data set answered successfully.
 	Complete bool
+	// Datasets are the data sets the run dispatched to.
+	Datasets []string
 }
 
 // materializeTimeout bounds one view build.
@@ -109,21 +112,25 @@ type shape struct {
 	// canonical representatives like the merged solutions they come from.
 	patternsCanon []rdf.Triple
 	sourceOnt     string
-	datasets      []string
-	estRows       int64
-	count         int
-	building      bool
-	disabled      bool
-	fails         int
+	// datasets are the data sets the miner saw the shape decompose over,
+	// the cells refineEstimate reads.
+	datasets []string
+	estRows  int64
+	count    int
+	building bool
+	disabled bool
+	fails    int
 }
 
 // View is one materialized view: the covered shape plus the embedded
-// store currently answering it. All mutable fields are guarded by the
-// owning Manager's mutex.
+// store currently answering it and the data sets its last build
+// dispatched to. All mutable fields are guarded by the owning Manager's
+// mutex.
 type View struct {
 	id        string
 	def       *shape
 	store     *store.Store
+	datasets  []string
 	stale     bool
 	epoch     uint64
 	created   time.Time
@@ -133,9 +140,6 @@ type View struct {
 
 // ID returns the view's identifier (v1, v2, ...).
 func (v *View) ID() string { return v.id }
-
-// Datasets returns the source data sets the view joins over.
-func (v *View) Datasets() []string { return v.def.datasets }
 
 // Manager mines shapes, owns the views and runs the refresh loop.
 type Manager struct {
@@ -359,17 +363,19 @@ func canonGround(t rdf.Term, canon func(rdf.Term) rdf.Term) rdf.Term {
 	return canon(t)
 }
 
-// Answer reports whether a ready, fresh view covers the query's BGP.
-// canon maps ground IRIs to their sameAs representatives (query-side
-// spelling differences must not defeat the signature match). The caller
-// evaluates the (canonicalised) query over the returned view with Rows.
+// Answer reports whether a ready, fresh view covers the query's BGP and
+// may answer a request over the source set src: every data set its last
+// build dispatched to is in src. canon maps ground IRIs to their sameAs
+// representatives (query-side spelling differences must not defeat the
+// signature match). The caller evaluates the (canonicalised) query over
+// the returned view with Rows.
 // A match is not yet a hit: the caller confirms it with CountHit once
 // the evaluation is compiled (or CountMiss if that fails and the query
 // falls back to federation), so
 // sparqlrw_view_hits_total counts served answers, not mere matches.
 // Misses are counted here — nothing can still go right after one.
 // Nil-manager safe.
-func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term) (*View, bool) {
+func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term, src voidkb.Sources) (*View, bool) {
 	if m == nil {
 		return nil, false
 	}
@@ -381,6 +387,9 @@ func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term) (*View,
 	m.mu.Lock()
 	v := m.views[sig]
 	hit := v != nil && !v.stale
+	for i := 0; hit && i < len(v.datasets); i++ {
+		hit = src.Has(v.datasets[i])
+	}
 	m.mu.Unlock()
 	if !hit {
 		m.metrics.misses.Inc()
@@ -521,19 +530,20 @@ func materializeQuery(sh *shape) *sparql.Query {
 
 // build runs the shape's covering query through the federated pipeline
 // and loads the answer into a fresh store, instantiating the given
-// canonicalised templates. templates is an explicit parameter —
-// not read from sh — because a refresh recomputes the canonical shape
+// canonicalised templates, and returns it with the data sets the run
+// dispatched to. templates is an explicit parameter — not read from
+// sh — because a refresh recomputes the canonical shape
 // and must instantiate with the same templates the view will be keyed
 // under, not whatever sh held when the build started.
-func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error) {
+func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, []string, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
 	res, err := m.runner.Materialize(ctx, materializeQuery(sh), sh.sourceOnt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !res.Complete {
-		return nil, errors.New("view: partial federated answer (some data set failed)")
+		return nil, nil, errors.New("view: partial federated answer (some data set failed)")
 	}
 	st := store.New()
 	sol := &eval.RowBindings{Vars: res.Vars}
@@ -546,10 +556,10 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error)
 			}
 		}
 		if st.Size() > m.opts.MaxTriples {
-			return nil, errTooLarge
+			return nil, nil, errTooLarge
 		}
 	}
-	return st, nil
+	return st, res.Datasets, nil
 }
 
 // materialize builds a mined shape into a view and publishes it. A build
@@ -557,7 +567,7 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error)
 // change.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
-	st, err := m.build(sh, sh.patternsCanon)
+	st, datasets, err := m.build(sh, sh.patternsCanon)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sh.building = false
@@ -580,6 +590,7 @@ func (m *Manager) materialize(sh *shape) {
 		id:        "v" + strconv.Itoa(m.nextID),
 		def:       sh,
 		store:     st,
+		datasets:  datasets,
 		epoch:     e0,
 		created:   time.Now(),
 		refreshed: time.Now(),
@@ -589,34 +600,11 @@ func (m *Manager) materialize(sh *shape) {
 	m.order = append(m.order, sh.sig)
 }
 
-// InvalidateDataset marks every view sourcing the data set stale and
-// schedules its refresh. It runs synchronously inside the KB's Subscribe
-// hook, so no query admitted after the KB update can be answered from
-// the outdated view. Nil-manager safe.
-func (m *Manager) InvalidateDataset(uri string) {
-	if m == nil {
-		return
-	}
-	m.epoch.Add(1)
-	m.mu.Lock()
-	any := false
-	for _, v := range m.views {
-		for _, ds := range v.def.datasets {
-			if ds == uri {
-				v.stale = true
-				any = true
-				break
-			}
-		}
-	}
-	m.mu.Unlock()
-	if any {
-		m.kickRefresh()
-	}
-}
-
-// InvalidateAll marks every view stale (an alignment KB change can move
-// any rewriting) and drops mined-but-unbuilt shapes. Nil-manager safe.
+// InvalidateAll marks every view stale and drops mined-but-unbuilt
+// shapes: a voiD or alignment KB change can move any answer. It runs
+// synchronously inside the KBs' Subscribe hooks, so no query admitted
+// after the KB update can be answered from an outdated view, and
+// schedules the refreshes. Nil-manager safe.
 func (m *Manager) InvalidateAll() {
 	if m == nil {
 		return
@@ -699,7 +687,7 @@ func (m *Manager) refreshView(v *View) {
 		// signature the refreshed view is published under, or a signature
 		// match would find a store full of stale representatives.
 		pc := m.runner.Canonicalise(v.def.patternsOrig)
-		st, err := m.build(v.def, pc)
+		st, datasets, err := m.build(v.def, pc)
 		if err != nil {
 			return
 		}
@@ -720,7 +708,7 @@ func (m *Manager) refreshView(v *View) {
 			m.views[newSig] = v
 		}
 		v.def.patternsCanon = pc
-		v.store = st
+		v.store, v.datasets = st, datasets
 		v.stale = false
 		v.epoch = e0
 		v.refreshed = time.Now()
@@ -799,7 +787,7 @@ func (m *Manager) Stats() Stats {
 			Patterns:  patterns,
 			Signature: v.def.sig,
 			SourceOnt: v.def.sourceOnt,
-			Datasets:  append([]string(nil), v.def.datasets...),
+			Datasets:  append([]string(nil), v.datasets...),
 			State:     state,
 			Triples:   v.store.Size(),
 			Hits:      v.hits,

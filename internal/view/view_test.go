@@ -11,6 +11,7 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
+	"sparqlrw/internal/voidkb"
 )
 
 // fakeRunner materializes a fixed solution set and records its calls.
@@ -19,6 +20,7 @@ type fakeRunner struct {
 	calls     int
 	solutions []eval.Solution
 	complete  bool
+	datasets  []string // what each run reports it dispatched to
 	err       error
 }
 
@@ -29,7 +31,7 @@ func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt
 	if r.err != nil {
 		return nil, r.err
 	}
-	res := &MaterializeResult{Vars: []string{"p", "a", "c"}, Complete: r.complete}
+	res := &MaterializeResult{Vars: []string{"p", "a", "c"}, Complete: r.complete, Datasets: r.datasets}
 	res.Rows.Width = len(res.Vars)
 	for _, sol := range r.solutions {
 		res.Rows.Append(eval.Row{sol["p"], sol["a"], sol["c"]})
@@ -132,20 +134,20 @@ func TestFlattenRejectsNonCoverableShapes(t *testing.T) {
 }
 
 func TestObserveMaterializesAtMinFrequency(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(3), complete: true}
+	datasets := []string{"http://e/ds1", "http://e/ds2"}
+	r := &fakeRunner{solutions: crossSolutions(3), complete: true, datasets: datasets}
 	m := NewManager(r, nil, Options{MinFrequency: 2})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	datasets := []string{"http://e/ds1", "http://e/ds2"}
 
-	m.Observe(q, "http://src/", datasets, 10, nil)
+	m.Observe(q, "http://src/", datasets[:1], 10, nil)
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
-	if _, hit := m.Answer(q, nil); hit {
+	if _, hit := m.Answer(q, nil, nil); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
-	m.Observe(q, "http://src/", datasets, 10, nil)
+	m.Observe(q, "http://src/", datasets[:1], 10, nil)
 	waitFor(t, "view to materialize", func() bool {
 		st := m.Stats()
 		return len(st.Views) == 1 && st.Views[0].State == "ready"
@@ -156,8 +158,10 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	if v.Triples != 6 {
 		t.Fatalf("view holds %d triples, want 6", v.Triples)
 	}
+	// The view's data sets are those its build dispatched to, not those
+	// the miner saw.
 	if len(v.Datasets) != 2 {
-		t.Fatalf("view datasets = %v", v.Datasets)
+		t.Fatalf("view datasets = %v, want the build's %v", v.Datasets, datasets)
 	}
 	if v.Void.Triples != 6 || len(v.Void.PropertyPartitions) != 2 {
 		t.Fatalf("synthetic voiD stats = %+v", v.Void)
@@ -167,12 +171,20 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
-	hv, hit := m.Answer(q2, nil)
+	hv, hit := m.Answer(q2, nil, nil)
 	if !hit {
 		t.Fatal("renamed query missed the view")
 	}
 	if hv.ID() != v.ID {
 		t.Fatalf("hit view %s, want %s", hv.ID(), v.ID)
+	}
+	// A request whose source set lacks one of the view's data sets does
+	// not qualify; one holding both does.
+	if _, hit := m.Answer(q2, nil, voidkb.Sources{datasets[0]: true}); hit {
+		t.Fatal("view answered a source set missing one of its data sets")
+	}
+	if _, hit := m.Answer(q2, nil, voidkb.Sources{datasets[0]: true, datasets[1]: true, "http://e/ds3": true}); !hit {
+		t.Fatal("view missed a source set holding its data sets")
 	}
 	// The matched query evaluates over the view's store, in its own
 	// variable names: one row per materialized solution.
@@ -192,16 +204,16 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
 	}
 	// A match is not yet a hit: the serving layer confirms it only once
 	// the view stream opens (CountHit) or records the fallback (CountMiss).
-	if got := m.Stats(); got.Hits != 0 || got.Misses != 1 {
-		t.Fatalf("hits/misses before CountHit = %d/%d, want 0/1", got.Hits, got.Misses)
+	if got := m.Stats(); got.Hits != 0 || got.Misses != 2 {
+		t.Fatalf("hits/misses before CountHit = %d/%d, want 0/2", got.Hits, got.Misses)
 	}
 	m.CountHit(hv)
-	if got := m.Stats(); got.Hits != 1 || got.Misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", got.Hits, got.Misses)
+	if got := m.Stats(); got.Hits != 1 || got.Misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 1/2", got.Hits, got.Misses)
 	}
 	m.CountMiss()
-	if got := m.Stats(); got.Misses != 2 {
-		t.Fatalf("misses after CountMiss = %d, want 2", got.Misses)
+	if got := m.Stats(); got.Misses != 3 {
+		t.Fatalf("misses after CountMiss = %d, want 3", got.Misses)
 	}
 }
 
@@ -258,7 +270,7 @@ func TestMaxTriplesDisablesShape(t *testing.T) {
 	}
 }
 
-func TestInvalidateDatasetRefreshesView(t *testing.T) {
+func TestInvalidateAllRefreshesView(t *testing.T) {
 	r := &fakeRunner{solutions: crossSolutions(2), complete: true}
 	m := NewManager(r, nil, Options{MinFrequency: 1})
 	defer m.Close()
@@ -266,16 +278,10 @@ func TestInvalidateDatasetRefreshesView(t *testing.T) {
 	m.Observe(q, "http://src/", []string{"http://e/ds1", "http://e/ds2"}, 5, nil)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
-	// Invalidating an unrelated data set leaves the view ready.
-	m.InvalidateDataset("http://e/other")
-	if st := m.Stats(); st.Views[0].State != "ready" {
-		t.Fatal("unrelated invalidation marked the view stale")
-	}
-
-	// Invalidating a source data set: the view must refuse to answer
-	// (synchronously) and then refresh in the background.
+	// Invalidating: the view must refuse to answer (synchronously) and
+	// then refresh in the background.
 	before := r.callCount()
-	m.InvalidateDataset("http://e/ds1")
+	m.InvalidateAll()
 	// Note: the refresh loop races this check, so assert via the counter
 	// epoch: a hit on a stale view is the bug being guarded against. The
 	// stale marking itself is synchronous, so Answer between Invalidate
@@ -284,7 +290,7 @@ func TestInvalidateDatasetRefreshesView(t *testing.T) {
 		st := m.Stats()
 		return st.Refreshes >= 1 && st.Views[0].State == "ready" && r.callCount() > before
 	})
-	if _, hit := m.Answer(q, nil); !hit {
+	if _, hit := m.Answer(q, nil, nil); !hit {
 		t.Fatal("refreshed view does not answer")
 	}
 }
@@ -308,9 +314,8 @@ func TestNilManagerIsSafe(t *testing.T) {
 	var m *Manager
 	m.Close()
 	m.InvalidateAll()
-	m.InvalidateDataset("x")
 	m.Observe(nil, "", nil, 0, nil)
-	if _, hit := m.Answer(nil, nil); hit {
+	if _, hit := m.Answer(nil, nil, nil); hit {
 		t.Fatal("nil manager answered")
 	}
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -365,7 +370,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	objCount := func(v *View, obj string) int {
 		return v.store.Count(rdf.Triple{S: rdf.NewVar("x"), P: hasAuthor, O: rdf.NewIRI(obj)})
 	}
-	v1, hit := m.Answer(qa, r.term)
+	v1, hit := m.Answer(qa, r.term, nil)
 	if !hit {
 		t.Fatal("fresh view missed")
 	}
@@ -382,7 +387,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 		st := m.Stats()
 		return st.Refreshes >= 1 && len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
-	v2, hit := m.Answer(qa, r.term)
+	v2, hit := m.Answer(qa, r.term, nil)
 	if !hit {
 		t.Fatal("refreshed view missed under the new canonicalisation")
 	}
@@ -429,10 +434,10 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://mirror.example/id/alice> . ?p m:citationCount ?c }`)
-	if _, hit := m.Answer(qb, canon); !hit {
+	if _, hit := m.Answer(qb, canon, nil); !hit {
 		t.Fatal("sameAs-equivalent spelling missed the view")
 	}
-	if _, hit := m.Answer(qb, nil); hit {
+	if _, hit := m.Answer(qb, nil, nil); hit {
 		t.Fatal("uncanonicalised spelling hit the view (unsound match)")
 	}
 }

@@ -111,6 +111,13 @@ func (d *Dataset) HasStatistics() bool {
 	return d.Triples > 0 || len(d.PropertyPartitions) > 0 || len(d.ClassPartitions) > 0
 }
 
+// Sources is one request's source set: the slice of the KB its query may
+// read, by data set URI. The nil set is the whole KB.
+type Sources map[string]bool
+
+// Has reports whether the set holds the data set.
+func (s Sources) Has(uri string) bool { return s == nil || s[uri] }
+
 // KB is a registry of data set descriptions.
 type KB struct {
 	mu        sync.RWMutex
