@@ -281,6 +281,177 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	}
 }
 
+// graph is the oracle's answer to a CONSTRUCT or DESCRIBE over the
+// repositories of repos (nil: all three), as a set of triples. A CONSTRUCT
+// answers its template instantiated over the oracle's answer of its WHERE
+// clause. A DESCRIBE answers every triple whose subject is in the
+// owl:sameAs class of a resource — a ground one, or an IRI its WHERE
+// clause binds to a described variable — read from the repositories as
+// they store it, every IRI canonicalised.
+func (o *oracle) graph(t testing.TB, text string, repos voidkb.Sources) map[rdf.Triple]bool {
+	t.Helper()
+	q := sparql.MustParse(text)
+	sel := q.Clone()
+	sel.Form, sel.Template, sel.DescribeTerms = sparql.Select, nil, nil
+	out := map[rdf.Triple]bool{}
+	if q.Form == sparql.Construct {
+		for _, tp := range q.Template {
+			for _, v := range tp.Vars() {
+				if !slices.Contains(sel.SelectVars, v) {
+					sel.SelectVars = append(sel.SelectVars, v)
+				}
+			}
+		}
+		for _, row := range o.answer(t, sparql.Format(sel)) {
+			bind := func(x rdf.Term) rdf.Term {
+				if x.IsVar() {
+					return row[slices.Index(sel.SelectVars, x.Value)]
+				}
+				return o.canon(x)
+			}
+			for _, tp := range q.Template {
+				out[rdf.Triple{S: bind(tp.S), P: bind(tp.P), O: bind(tp.O)}] = true
+			}
+		}
+		return out
+	}
+	ground, vars := q.DescribeResources()
+	described := map[rdf.Term]bool{}
+	for _, r := range ground {
+		described[o.canon(r)] = true
+	}
+	if len(vars) > 0 {
+		sel.SelectVars = vars
+		for _, row := range o.answer(t, sparql.Format(sel)) {
+			for _, x := range row {
+				if x.IsIRI() {
+					described[x] = true
+				}
+			}
+		}
+	}
+	for uri, st := range map[string]*store.Store{
+		workload.SotonVoidURI:   o.u.Southampton,
+		workload.KistiVoidURI:   o.u.KISTI,
+		workload.MetricsVoidURI: workload.MetricsStore(o.u),
+	} {
+		if !repos.Has(uri) {
+			continue
+		}
+		for _, tr := range st.Triples() {
+			if described[o.canon(tr.S)] {
+				out[rdf.Triple{S: o.canon(tr.S), P: o.canon(tr.P), O: o.canon(tr.O)}] = true
+			}
+		}
+	}
+	return out
+}
+
+// mediatorGraph runs a CONSTRUCT or DESCRIBE through m and returns its
+// triples as a set.
+func mediatorGraph(m *Mediator, req QueryRequest) (map[rdf.Triple]bool, error) {
+	res, err := m.Query(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	defer res.Close()
+	g, err := res.Graph().Collect()
+	if err != nil {
+		return nil, err
+	}
+	out := map[rdf.Triple]bool{}
+	for _, tr := range g {
+		out[tr] = true
+	}
+	return out, nil
+}
+
+// checkGraph compares one graph answer with the oracle's.
+func checkGraph(t *testing.T, name string, got, want map[rdf.Triple]bool) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("%s: the oracle's answer is empty; the case tests nothing", name)
+	}
+	var missing, extra []string
+	for tr := range want {
+		if !got[tr] {
+			missing = append(missing, tr.String())
+		}
+	}
+	for tr := range got {
+		if !want[tr] {
+			extra = append(extra, tr.String())
+		}
+	}
+	if len(missing)+len(extra) > 0 {
+		slices.Sort(missing)
+		slices.Sort(extra)
+		t.Errorf("%s: %d triples, the oracle's %d\nmissing %v\nextra %v", name, len(got), len(want),
+			missing[:min(len(missing), 5)], extra[:min(len(extra), 5)])
+	}
+}
+
+// TestGraphFormsMatchOracle drives CONSTRUCT and DESCRIBE through explicit
+// targets, the planner, the bound join with VALUES shards and the hash
+// join, and holds every graph to the oracle's. The DESCRIBE cases name a
+// person in both its spellings, resources bound by a WHERE clause to one
+// variable and to two, and resources bound by a cross-vocabulary WHERE
+// clause that only decomposes.
+func TestGraphFormsMatchOracle(t *testing.T) {
+	u := exampleUniverse()
+	o := newOracle(t, u, nil)
+	person := workload.SotonPerson(2).Value
+	alias := ""
+	for _, eq := range u.Coref.Equivalents(person) {
+		if strings.HasPrefix(eq, workload.KistiIDSpace) {
+			alias = eq
+		}
+	}
+	if alias == "" {
+		t.Fatal("person 2 has no KISTI alias")
+	}
+	paths := []diffPath{
+		{name: "explicit targets", targets: []string{workload.SotonVoidURI, workload.KistiVoidURI, workload.MetricsVoidURI}},
+		{name: "planned"},
+		{name: "bound join, VALUES sharded", opts: []Option{WithDecomposer(decompose.Options{BindBatch: 2})}},
+		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
+	}
+	prefixes := "PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX m:<" + workload.MetricsNS + ">\n"
+	wrote := "?paper akt:has-author <" + person + "> . "
+	every := []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join"}
+	decomposed := every[1:]
+	cases := []struct {
+		name, text string
+		paths      []string
+	}{
+		{"describe, person", "DESCRIBE <" + person + ">", every},
+		{"describe, person's KISTI spelling", "DESCRIBE <" + alias + ">", every},
+		{"describe, papers", prefixes + "DESCRIBE ?paper WHERE { " + wrote + "}", every},
+		{"describe, papers and co-authors", prefixes + "DESCRIBE ?paper ?a WHERE { " + wrote + "?paper akt:has-author ?a }", every},
+		{"describe, cross-vocabulary", prefixes + "DESCRIBE ?paper WHERE { " + wrote + "?paper m:citationCount ?c FILTER (?c > 40) }", decomposed},
+		{"construct, figure 1", prefixes + "CONSTRUCT { ?paper akt:has-author ?a } WHERE { " + wrote +
+			"?paper akt:has-author ?a FILTER (!(?a = <" + person + ">)) }", every},
+		{"construct, cross-vocabulary", prefixes + "CONSTRUCT { ?paper akt:has-author ?a . ?paper m:citationCount ?c } WHERE { " + wrote +
+			"?paper akt:has-author ?a . ?paper m:citationCount ?c }", decomposed},
+	}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			m := exampleFederation(t, nil, path.opts...)
+			for _, c := range cases {
+				if !slices.Contains(c.paths, path.name) {
+					continue
+				}
+				got, err := mediatorGraph(m, QueryRequest{Query: c.text, SourceOnt: rdf.AKTNS, Targets: path.targets})
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					continue
+				}
+				checkGraph(t, c.name, got, o.graph(t, c.text, nil))
+			}
+		})
+	}
+}
+
 // checkAgainstOracle compares one answer with the oracle's.
 func checkAgainstOracle(t *testing.T, name, text string, got, want [][]rdf.Term) {
 	t.Helper()
