@@ -783,7 +783,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 			if profiled {
 				ctx, tr = obs.NewTrace(ctx, "query")
 			}
-			rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, m.JoinEngine.Plan(dcm).Op, dcm.Vars)
+			rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, m.JoinEngine.Plan(dcm, nil).Op, dcm.Vars)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -185,7 +185,7 @@ func (f *fixture) run(t testing.TB, query string) ([]eval.Solution, *Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.engine.Plan(dec)
+	p := f.engine.Plan(dec, nil)
 	sols, err := solutions(context.Background(), p.Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +368,32 @@ func TestHashFallback(t *testing.T) {
 	}
 }
 
+// TestLeftOperandSeedsFirstFragment: a left operand handed to Plan joins
+// ahead of fragment 0 and seeds it as a bound join, the way a DESCRIBE
+// joins its resources with the description fetch.
+func TestLeftOperandSeedsFirstFragment(t *testing.T) {
+	f := newFixture(t, Options{})
+	dec, err := f.dec.Decompose(fmt.Sprintf("PREFIX m:<%s>\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }",
+		workload.MetricsNS), workload.MetricsNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	papers := &algebra.Table{Vars: []string{"paper"}, Rows: [][]rdf.Term{{workload.SotonPaper(3)}, {workload.SotonPaper(5)}}}
+	got, err := solutions(context.Background(), f.engine.Plan(dec, papers).Op, dec.Vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("joined %v, want the two papers' counts", got)
+	}
+	if qs := f.client.queriesFor(metricsURL); len(qs) != 1 || !strings.Contains(qs[0], "VALUES") {
+		t.Fatalf("metrics received %q, want one VALUES-bound fetch", qs)
+	}
+	if st := f.engine.Stats(); st.BoundJoinStages != 1 || st.ValuesRows != 2 {
+		t.Fatalf("engine stats = %+v, want one bound stage shipping two rows", st)
+	}
+}
+
 // TestEmptyFragmentEarlyExit: when the seed fragment produces no
 // bindings the join is empty and the remaining fragments are never
 // dispatched.
@@ -406,7 +432,7 @@ func TestCancellationMidJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := f.engine.Plan(dec)
+	r := f.engine.Plan(dec, nil)
 	done := make(chan int, 1)
 	go func() {
 		sols, _ := solutions(ctx, r.Op, dec.Vars)
@@ -585,7 +611,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	if frag2 == nil || !frag2.Targets[0].NeedsRewrite || frag2.RewriteOnt != v2 {
 		t.Fatalf("v2 fragment not marked for rewriting from v2: %+v", frag2)
 	}
-	sols, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
+	sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +690,7 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
+	sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +736,7 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 			if err != nil || len(d.Fragments) != 2 {
 				t.Fatalf("decomposition = %+v, %v", d, err)
 			}
-			p := f.engine.Plan(d)
+			p := f.engine.Plan(d, nil)
 			algebra.Walk(p.Op, func(op algebra.Op) {
 				if leaf, ok := op.(*algebra.Remote); ok {
 					leaf.Source = scribbled{leaf.Source.(eval.Remote)}
@@ -764,7 +790,7 @@ func TestCardObservationRacingInvalidationDropped(t *testing.T) {
 	seed := dec.Fragments[0]
 	ds := seed.Targets[0].Dataset
 	run := func() error {
-		_, err := solutions(context.Background(), engine.Plan(dec).Op, dec.Vars)
+		_, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
 		return err
 	}
 

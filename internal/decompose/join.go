@@ -106,11 +106,13 @@ type Plan struct {
 	sum federate.Result
 }
 
-// Plan builds the plan of one execution of d.
-func (e *Engine) Plan(d *Decomposition) *Plan {
+// Plan builds the plan of one execution of d. A non-nil left operand is
+// joined ahead of fragment 0, whose leaf it then seeds as any earlier
+// stage seeds a later one.
+func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 	e.metrics.runs.Inc()
 	p := &Plan{}
-	var op algebra.Op
+	op := left
 	for k, f := range d.Fragments {
 		var leaf algebra.Op = &algebra.Remote{Vars: f.Vars,
 			Source: &fragmentLeaf{e: e, d: d, f: f, stage: int64(k), plan: p}}
@@ -135,8 +137,10 @@ func (e *Engine) Plan(d *Decomposition) *Plan {
 // a failure's error, so the summary's is nil.
 func (p *Plan) Summary() (*federate.Result, error) { return &p.sum, nil }
 
-// add folds one fragment dispatch's summary into the plan's.
-func (p *Plan) add(res *federate.Result) {
+// Add folds one dispatch's summary into the plan's: each fragment
+// dispatch's, and that of a left operand whose leaf reports through the
+// plan.
+func (p *Plan) Add(res *federate.Result) {
 	p.sum.PerDataset = append(p.sum.PerDataset, res.PerDataset...)
 	p.sum.Duplicates += res.Duplicates
 	for _, da := range res.PerDataset {
@@ -274,7 +278,7 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 		return yield(row)
 	})
 	res, _ := s.Summary() // its error, the fail-fast abort, ended the rows too
-	l.plan.add(res)
+	l.plan.Add(res)
 	var n int64
 	for _, da := range res.PerDataset {
 		n += int64(da.Solutions)

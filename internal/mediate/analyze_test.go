@@ -121,6 +121,40 @@ func TestExplainAnalyzeSRJ(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeDescribe: a DESCRIBE's description fetch is a
+// bound-join stage of its plan, so the graph document's analyze trailer
+// profiles it with estimated and actual rows.
+func TestExplainAnalyzeDescribe(t *testing.T) {
+	srv := httptest.NewServer(Handler(exampleFederation(t, nil)))
+	defer srv.Close()
+	resp, err := http.PostForm(srv.URL+"/sparql", url.Values{
+		"query":   {"DESCRIBE <" + workload.SotonPerson(2).Value + ">"},
+		"explain": {"analyze"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /sparql = %d, %v: %s", resp.StatusCode, err, body)
+	}
+	_, trailer, _ := bytes.Cut(body, []byte("# analyze: "))
+	var a Analyze
+	if err := json.Unmarshal(bytes.TrimSpace(trailer), &a); err != nil {
+		t.Fatalf("no analyze trailer: %v\n%s", err, body)
+	}
+	joins := opsByKind(a.Operators)["bound-join"]
+	if len(joins) == 0 {
+		t.Fatalf("no bound-join operator in the DESCRIBE's analyze tree: %s", trailer)
+	}
+	for _, n := range joins {
+		if n.EstimatedRows == nil || n.ActualRows == nil || *n.ActualRows == 0 {
+			t.Errorf("bound-join operator lacks cardinalities: est=%v actual=%v", n.EstimatedRows, n.ActualRows)
+		}
+	}
+}
+
 // TestExplainAnalyzeNDJSON pins the line-oriented trailer: bindings
 // first, one final {"analyze": ...} line.
 func TestExplainAnalyzeNDJSON(t *testing.T) {

@@ -310,8 +310,9 @@ WHERE {
 }
 
 // TestQueryDescribeFederated: DESCRIBE with a ground IRI fetches the
-// resource's outgoing triples from the repositories whose URI space (or
-// sameAs alias space) covers it.
+// resource's outgoing triples, under any of its sameAs aliases, from every
+// repository of the request's source set, through the join engine's bound
+// join.
 func TestQueryDescribeFederated(t *testing.T) {
 	s := newStack(t)
 	person := workload.SotonPerson(0).Value

@@ -144,11 +144,12 @@ func (r *Result) Close() error {
 //     selection, VALUES sharding and cross-vocabulary decomposition all
 //     apply unchanged — and instantiates the template per solution into a
 //     lazy, sameAs-deduplicated triple stream (Result.Graph);
-//   - DESCRIBE resolves its resources (ground IRIs, plus WHERE-bound
-//     variables through the same federated pipeline), then fans a
-//     VALUES-seeded description fetch out to the data sets whose URI
-//     spaces cover the resources or their owl:sameAs aliases, streaming
-//     the union of their outgoing triples under canonical subjects.
+//   - DESCRIBE runs as one plan: its resources (ground IRIs, plus
+//     WHERE-bound variables through the same federated pipeline) join the
+//     description fetch, the decomposer's seeded fragment over every data
+//     set of the request's source set (its targets, when it names them),
+//     streaming the union of their outgoing triples under canonical
+//     subjects.
 //
 // The request's source ontology is guessed from the query's vocabulary
 // (WHERE patterns and template triples) when unset; explicit Targets
@@ -313,7 +314,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 			return nil, err
 		}
 		if qs.dec != nil {
-			dp := m.JoinEngine.Plan(qs.dec)
+			dp := m.JoinEngine.Plan(qs.dec, nil)
 			if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
 				return nil, err
 			}
@@ -673,193 +674,120 @@ func (m *Mediator) constructResult(ctx context.Context, req QueryRequest, q *spa
 	return &Result{form: sparql.Construct, graph: gs, pl: qs.pl, dec: qs.dec}, nil
 }
 
-// maxDescribeAliases caps how many owl:sameAs aliases of one DESCRIBE
-// resource are fetched (hub entities can carry hundreds).
-const maxDescribeAliases = 8
+// describeQuery is the description fetch of every DESCRIBE: the outgoing
+// triples of the resources it is joined with. It is shared and never
+// modified.
+var describeQuery = sparql.MustParse("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
 
-// describeResult executes a DESCRIBE: WHERE-bound resource variables
-// resolve through the federated SELECT pipeline (phase 1), then one
-// VALUES-seeded fan-out fetches every resource's outgoing triples from
-// the data sets whose URI spaces cover the resource or its owl:sameAs
-// aliases (phase 2). Subjects stream out canonicalised to their sameAs
-// representative, so the same entity described by two repositories merges
-// into one description.
+// describeResult executes a DESCRIBE as one plan: its resources joined
+// with the description fetch. The resources are the ground IRIs,
+// canonicalised as the merge answers, and each IRI the WHERE clause binds
+// to a described variable through the federated SELECT pipeline (phase
+// one). The fetch is describeQuery under the tenant's policy, decomposed
+// over the request's source set (its targets, when it names them) into
+// one fragment that every data set there answers, which the join engine
+// seeds as any bound join: the resources and their owl:sameAs aliases go
+// out as VALUES shards, or past MaxBindRows the fragment is fetched
+// unbound and hash-joined. Subjects stream out canonicalised, so the same
+// entity described by two repositories merges into one description.
 func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {
-	resources, describeVars := q.DescribeResources()
-	seenRes := map[string]bool{}
-	for _, r := range resources {
-		seenRes[r.Value] = true
-	}
-	addResource := func(t rdf.Term) {
-		if t.IsIRI() && !seenRes[t.Value] {
-			seenRes[t.Value] = true
-			resources = append(resources, t)
+	src := req.sources
+	if len(req.Targets) > 0 {
+		src = voidkb.Sources{}
+		for _, target := range req.Targets {
+			if !req.sources.Has(target) {
+				return nil, fmt.Errorf("mediate: data set %s: %w", target, serve.ErrDenied)
+			}
+			src[target] = true
 		}
 	}
+	dq, _, err := serve.Restrict(describeQuery, req.Tenant.GetPolicy())
+	if err != nil {
+		return nil, err
+	}
+	dcm, err := m.Decomposer.DecomposeQuery(dq, req.SourceOnt, src)
+	if err != nil {
+		return nil, err
+	}
 
-	limit := req.Limit // counts the description's triples, not phase 1's solutions
+	ground, vars := q.DescribeResources()
+	canon := federate.NewRepCache(m.Coref)
+	rows := make([][]rdf.Term, len(ground))
+	for i, r := range ground {
+		rows[i] = []rdf.Term{canon.Term(r)}
+	}
+	s := []string{"s"}
+	var left algebra.Op = &algebra.Table{Vars: s, Rows: rows}
+	limit := req.Limit // counts the description's triples, not phase one's solutions
 	req.Limit = 0
 	res := &Result{form: sparql.Describe}
-	var pre *FederatedResult
-	if len(describeVars) > 0 && q.Where != nil {
+	phase1 := &resourceLeaf{}
+	var held []io.Closer
+	if len(vars) > 0 && q.Where != nil {
 		sel := q.Clone()
 		sel.Form = sparql.Select
 		sel.DescribeTerms = nil
-		sel.SelectVars = describeVars
+		sel.SelectVars = vars
 		if sel.Limit < 0 && sel.Offset < 0 {
 			// DISTINCT is resource-set-preserving only without solution
 			// slicing: under LIMIT/OFFSET the modifiers count solutions,
 			// not distinct resources.
 			sel.Distinct = true
 		}
-		qs, err := m.selectStream(ctx, req, sel)
-		if err != nil {
+		if phase1.qs, err = m.selectStream(ctx, req, sel); err != nil {
 			return nil, err
 		}
-		res.pl, res.dec = qs.pl, qs.dec
-		for {
-			row, serr := qs.Next()
-			if serr == io.EOF {
-				break
-			}
-			if serr != nil {
-				qs.Close()
-				return nil, serr
-			}
-			for _, t := range row { // the projection is the describe variables
-				addResource(t)
-			}
-		}
-		sum, serr := qs.Summary()
-		qs.Close()
-		if serr != nil {
-			return nil, serr
-		}
-		pre = sum
+		res.pl, res.dec = phase1.qs.pl, phase1.qs.dec
+		left = &algebra.Union{L: left, R: &algebra.Remote{Vars: s, Source: phase1}}
+		held = append(held, phase1.qs)
 	}
-
-	freq, ok := m.describeRequest(resources, req.sources, req.Tenant.GetPolicy())
-	if !ok {
-		res.graph = emptyGraphStream(pre)
-		return res, nil
+	dp := m.JoinEngine.Plan(dcm, &algebra.Distinct{Input: left})
+	phase1.plan = dp
+	ps, err := m.openPlan(ctx, dp.Op, dcm.Vars, dp.Summary, held...)
+	if err != nil {
+		return nil, err
 	}
-	qs := &QueryStream{src: m.Exec.SelectStream(ctx, freq)}
-	gs := newGraphStream(qs, []rdf.Triple{{
+	res.graph = newGraphStream(&QueryStream{src: ps}, []rdf.Triple{{
 		S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o"),
 	}}, m.Coref, limit, q.Prefixes)
-	gs.pre = pre
-	res.graph = gs
 	return res, nil
 }
 
-// describeValuesBatch bounds the VALUES rows per description sub-query;
-// larger resource sets shard through the planner's VALUES machinery into
-// independent sub-queries, exactly like the decomposer's bound joins, so
-// one huge DESCRIBE cannot exceed an endpoint's request-body cap.
-const describeValuesBatch = 50
+// resourceLeaf is a DESCRIBE's phase one as a plan leaf: each IRI the
+// WHERE clause binds to a described variable, as ?s. The join drains it
+// before the description fetch dispatches, so its answers lead the plan's
+// summary.
+type resourceLeaf struct {
+	qs   *QueryStream
+	plan *decompose.Plan
+}
 
-// describeRequest builds the phase-2 fan-out: per data set of the source
-// set src, sub-queries fetching `?s ?p ?o` seeded by VALUES shards of the
-// resources (and their owl:sameAs aliases) that lie in the data set's URI
-// space. A resource in no registered URI space is asked of every data
-// set. The tenant policy's restriction filters are injected into the
-// description query, so phase 2 cannot surface triples (sameAs aliases
-// outside the tenant's URI spaces, denied predicates) that the
-// restricted phase-1 query could not. ok is false when there is nothing
-// to dispatch.
-func (m *Mediator) describeRequest(resources []rdf.Term, src voidkb.Sources, pol *serve.Policy) (federate.Request, bool) {
-	var datasets []*voidkb.Dataset
-	for _, ds := range m.Datasets.All() {
-		if src.Has(ds.URI) {
-			datasets = append(datasets, ds)
+func (l *resourceLeaf) Fetch(_ context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
+	cell := make(eval.Row, 1)
+	for {
+		row, err := l.qs.Next()
+		if err == io.EOF {
+			break
 		}
-	}
-	if len(resources) == 0 || len(datasets) == 0 {
-		return federate.Request{}, false
-	}
-	spo := rdf.Triple{S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o")}
-	tmpl := sparql.NewQuery(sparql.Select)
-	tmpl.SelectVars = []string{"s", "p", "o"}
-	tmpl.Where = &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{&sparql.BGP{Patterns: []rdf.Triple{spo}}}}
-	tmpl, _, err := serve.Restrict(tmpl, pol)
-	if err != nil {
-		return federate.Request{}, false
-	}
-	aliases := func(uri string) []string {
-		out := []string{uri}
-		if m.Coref != nil {
-			for _, eq := range m.Coref.Equivalents(uri) {
-				if len(out) >= maxDescribeAliases {
-					break
-				}
-				if eq != uri {
-					out = append(out, eq)
-				}
-			}
+		if err != nil {
+			return err
 		}
-		return out
-	}
-	perDS := map[string][][]rdf.Term{}
-	seenDS := map[string]map[string]bool{} // dataset URI -> alias set (mutual sameAs dedup)
-	add := func(dsURI, alias string) {
-		seen := seenDS[dsURI]
-		if seen == nil {
-			seen = map[string]bool{}
-			seenDS[dsURI] = seen
-		}
-		if seen[alias] {
-			return
-		}
-		seen[alias] = true
-		perDS[dsURI] = append(perDS[dsURI], []rdf.Term{rdf.NewIRI(alias)})
-	}
-	for _, r := range resources {
-		as := aliases(r.Value)
-		matched := false
-		for _, ds := range datasets {
-			for _, a := range as {
-				if ds.Matches(a) {
-					add(ds.URI, a)
-					matched = true
-				}
-			}
-		}
-		if !matched {
-			for _, ds := range datasets {
-				for _, a := range as {
-					add(ds.URI, a)
-				}
+		for _, t := range row { // the projection is the described variables
+			if cell[0] = t; t.IsIRI() && !yield(cell) {
+				return nil
 			}
 		}
 	}
-	freq := federate.Request{Vars: []string{"s", "p", "o"}}
-	for _, ds := range datasets {
-		rows, ok := perDS[ds.URI]
-		if !ok {
-			continue
-		}
-		q := tmpl.Clone()
-		q.Where.Elements = slices.Insert(q.Where.Elements, 0, sparql.GroupElement(&sparql.InlineData{Vars: []string{"s"}, Rows: rows}))
-		shards, _ := plan.ShardQuery(q, describeValuesBatch, (len(rows)+describeValuesBatch-1)/describeValuesBatch)
-		for i, shard := range shards {
-			freq.Targets = append(freq.Targets, federate.Target{
-				Dataset:  ds.URI,
-				Endpoint: ds.SPARQLEndpoint,
-				Replicas: ds.Replicas,
-				Query:    shard,
-				Shard:    i + 1,
-				Shards:   len(shards),
-			})
-		}
-	}
-	return freq, len(freq.Targets) > 0
+	sum, err := l.qs.Summary()
+	l.plan.Add(sum)
+	return err
 }
 
 // GraphStream is an in-flight CONSTRUCT or DESCRIBE result: a lazy,
 // deduplicated triple stream instantiated from the underlying federated
 // solution stream. Consume Triples (or Next), then Summary; always Close.
 type GraphStream struct {
-	src      *QueryStream // nil = empty stream
+	src      *QueryStream
 	template []rdf.Triple
 	canon    *federate.RepCache
 	binds    eval.RowBindings // the current row, read by variable name
@@ -871,10 +799,6 @@ type GraphStream struct {
 	emitted int
 	limit   int
 	qo      *queryObs
-
-	// pre carries a DESCRIBE's phase-1 (resource resolution) summary,
-	// prepended to the fan-out summary.
-	pre *FederatedResult
 }
 
 func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSource, limit int, prefixes *rdf.PrefixMap) *GraphStream {
@@ -887,10 +811,6 @@ func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSo
 		limit:    limit,
 		prefixes: prefixes,
 	}
-}
-
-func emptyGraphStream(pre *FederatedResult) *GraphStream {
-	return &GraphStream{seen: map[rdf.Triple]bool{}, pre: pre}
 }
 
 // Prefixes returns the source query's prefix map, for serialisers that
@@ -918,9 +838,6 @@ func (g *GraphStream) Next() (rdf.Triple, error) {
 			g.emitted++
 			g.qo.emit()
 			return t, nil
-		}
-		if g.src == nil {
-			return rdf.Triple{}, io.EOF
 		}
 		row, err := g.src.Next()
 		if err != nil {
@@ -974,39 +891,15 @@ func (g *GraphStream) Collect() (rdf.Graph, error) {
 }
 
 // Summary reports the fan-out's outcome (consuming whatever remains of
-// the stream first): per-dataset answers — for DESCRIBE, the phase-1
+// the stream first): per-dataset answers — for DESCRIBE, the phase-one
 // resource resolution answers followed by the description fetches — the
 // duplicate count and the partial flag. Safe to call more than once.
-func (g *GraphStream) Summary() (*FederatedResult, error) {
-	var res *FederatedResult
-	var err error
-	if g.src != nil {
-		res, err = g.src.Summary()
-	} else {
-		res = &FederatedResult{}
-	}
-	if g.pre == nil {
-		return res, err
-	}
-	// Combine into a fresh result: the fan-out owns res and returns the
-	// same pointer on every Summary call, so mutating it in place would
-	// duplicate the phase-1 answers on repeat calls.
-	combined := &FederatedResult{
-		Vars:       res.Vars,
-		PerDataset: append(append([]DatasetAnswer(nil), g.pre.PerDataset...), res.PerDataset...),
-		Duplicates: res.Duplicates + g.pre.Duplicates,
-		Partial:    res.Partial || g.pre.Partial,
-	}
-	return combined, err
-}
+func (g *GraphStream) Summary() (*FederatedResult, error) { return g.src.Summary() }
 
 // Close cancels the remaining upstream work, releases the stream and
 // closes the query's observation (see Result.Close). It is safe to call
 // at any point and more than once.
 func (g *GraphStream) Close() error {
 	defer g.qo.finish()
-	if g.src != nil {
-		return g.src.Close()
-	}
-	return nil
+	return g.src.Close()
 }

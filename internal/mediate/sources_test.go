@@ -131,6 +131,39 @@ func TestTenantAllRepositoriesJoinAndViewHit(t *testing.T) {
 	}
 }
 
+// TestDescribeKeepsToItsTargets: QueryRequest.Targets names the data sets
+// to query, so a DESCRIBE naming its targets asks only them for the
+// description and answers only their triples.
+func TestDescribeKeepsToItsTargets(t *testing.T) {
+	repos := []string{workload.SotonVoidURI, workload.KistiVoidURI, workload.MetricsVoidURI}
+	var taps [3]atomic.Int64
+	m := exampleFederation(t, func(dataset string, h http.Handler) http.Handler {
+		tap := &taps[slices.Index(repos, dataset)]
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			tap.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	})
+	req := QueryRequest{Query: "DESCRIBE <" + workload.SotonPerson(2).Value + ">", Targets: []string{workload.KistiVoidURI}}
+	got, err := mediatorGraph(m, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range repos {
+		if n := taps[i].Load(); (n > 0) != (r == workload.KistiVoidURI) {
+			t.Errorf("%d requests to %s; want requests to the target alone", n, r)
+		}
+	}
+	want := newOracle(t, exampleUniverse(), nil).graph(t, req.Query, voidkb.Sources{workload.KistiVoidURI: true})
+	checkGraph(t, "DESCRIBE at KISTI", got, want)
+
+	// A target outside the tenant's allowlist is refused, as for SELECT.
+	req.Tenant = &serve.Tenant{ID: "soton", Policy: &serve.Policy{Datasets: []string{workload.SotonVoidURI}}}
+	if _, err := m.Query(context.Background(), req); !errors.Is(err, serve.ErrDenied) {
+		t.Errorf("DESCRIBE at KISTI as a Southampton-only tenant: %v, want ErrDenied", err)
+	}
+}
+
 // TestPolicySoundness holds every path to the tenant's dataset allowlist,
 // for every non-empty allowlist over the three repositories: no endpoint
 // outside it receives a request, and every SELECT answer is a subset of

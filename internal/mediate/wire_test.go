@@ -87,10 +87,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 		// every target, before rewriting; on the other paths the stages'
 		// own records (the plan, the join engine's requests) say.
 		derived string
-		// resources are a ground DESCRIBE's: its description fetch is
-		// rebuilt from them.
-		resources []rdf.Term
-		// hashJoin says how a decomposed case must have joined.
+		// hashJoin says how a case the join engine ran must have joined.
 		hashJoin bool
 	}{
 		{name: "select, explicit targets",
@@ -103,8 +100,9 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			req:     QueryRequest{Query: akt + "CONSTRUCT { ?paper akt:has-author ?a } WHERE " + coauthors, Targets: both},
 			derived: akt + "SELECT DISTINCT ?paper ?a WHERE " + coauthors},
 		{name: "describe, explicit targets",
-			req:       QueryRequest{Query: "DESCRIBE " + person, Targets: both},
-			resources: []rdf.Term{workload.SotonPerson(2)}},
+			req: QueryRequest{Query: "DESCRIBE " + person, Targets: both}},
+		{name: "describe, planned",
+			req: QueryRequest{Query: akt + "DESCRIBE ?paper WHERE " + coauthors}},
 		{name: "restricted tenant, explicit targets",
 			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both, Tenant: sotonOnly},
 			derived: sparql.Format(restricted)},
@@ -143,27 +141,27 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 				t.Fatal("no endpoint received anything")
 			}
 
-			// What the stages built, as executor requests.
-			var built []federate.Request
-			switch {
-			case res.Decomposition() != nil:
-				built = disp.reqs
+			// What the stages built, as executor requests: the join
+			// engine's (a decomposition's stages, a DESCRIBE's description
+			// fetch), the planner's, and the derived SELECT at each
+			// explicit target.
+			built := disp.reqs
+			if len(built) > 0 {
 				if st := m.JoinEngine.Stats(); (st.HashJoinStages > 0) != tc.hashJoin || (st.BoundJoinStages > 0) == tc.hashJoin {
 					t.Errorf("join stages = %+v, want hash join: %v", st, tc.hashJoin)
 				}
-			case res.Plan() != nil:
-				built = []federate.Request{federate.PlanRequest(res.Plan())}
-			case tc.resources != nil:
-				freq, _ := m.describeRequest(tc.resources, nil, nil)
-				built = []federate.Request{freq}
-			default:
+			}
+			if res.Plan() != nil {
+				built = append(built, federate.PlanRequest(res.Plan()))
+			}
+			if tc.derived != "" {
 				freq := federate.Request{SourceOnt: tc.req.SourceOnt}
 				for _, target := range tc.req.Targets {
 					ds, _ := m.Datasets.Get(target)
 					freq.Targets = append(freq.Targets, federate.Target{Dataset: target,
 						Query: sparql.MustParse(tc.derived), NeedsRewrite: !ds.UsesVocabulary(tc.req.SourceOnt)})
 				}
-				built = []federate.Request{freq}
+				built = append(built, freq)
 			}
 			want := map[string][]string{}
 			rewritten := 0

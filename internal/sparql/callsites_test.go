@@ -250,6 +250,33 @@ func TestOneHashJoin(t *testing.T) {
 	}
 }
 
+// TestOneBoundJoin pins the one bound join: outside internal/plan, whose
+// planner shards its own fan-outs, only the decomposer's seeded leaf
+// (decompose/join.go) cuts VALUES shards with plan.ShardQuery — a
+// DESCRIBE's description fetch is such a leaf — and the identifiers of
+// the bound join DESCRIBE once ran beside it appear in no Go file.
+func TestOneBoundJoin(t *testing.T) {
+	gone := map[string]bool{"describeRequest": true, "describeValuesBatch": true, "maxDescribeAliases": true}
+	fset, files := moduleFiles(t)
+	for rel, file := range files {
+		pkg := importName(file, "sparqlrw/internal/plan")
+		shards := pkg != "" && rel != "internal/decompose/join.go" && !strings.HasSuffix(rel, "_test.go")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if gone[n.Name] {
+					t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && shards && x.Name == pkg && n.Sel.Name == "ShardQuery" {
+					t.Errorf("%s refers to plan.ShardQuery: bound joins belong to the decomposer's seeded leaf", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOneSourceSet pins the tenant's dataset allowlist as one fact read in
 // one place: internal/mediate reads it once, to build the request's source
 // set, which every path then restricts itself to. No other non-test file

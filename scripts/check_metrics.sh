@@ -10,7 +10,9 @@
 # exhausted quota must get a deterministic 429 with Retry-After. A
 # cross-vocabulary query with explain=analyze must return an operator
 # tree carrying estimated and actual cardinalities, and its calibration
-# samples must land in sparqlrw_estimate_qerror. Run via
+# samples must land in sparqlrw_estimate_qerror, and a DESCRIBE's
+# analyze trailer must profile its description fetch as a bound-join
+# operator with estimated and actual rows. Run via
 # `make check-metrics`.
 set -eu
 
@@ -152,6 +154,25 @@ if [ -z "$analyze_trace" ]; then
 	fail=1
 elif ! curl -sf "$base/api/analyze/$analyze_trace" | grep -q 'EXPLAIN ANALYZE'; then
 	echo "check-metrics: /api/analyze/$analyze_trace is not the operator table" >&2
+	fail=1
+fi
+
+# A DESCRIBE's description fetch is its plan's bound-join stage: the graph
+# document's "# analyze:" trailer must profile it with estimated and
+# actual rows.
+describe_status=$(curl -s -o "$workdir/describe.nt" -w '%{http_code}' \
+	-H 'Accept: application/n-triples' \
+	--data-urlencode 'query=DESCRIBE <http://southampton.rkbexplorer.com/id/person-00002>' \
+	--data-urlencode "explain=analyze" "$base/sparql")
+[ "$describe_status" = 200 ] || {
+	echo "check-metrics: DESCRIBE with explain=analyze returned $describe_status:" >&2
+	cat "$workdir/describe.nt" >&2
+	exit 1
+}
+if ! grep '^# analyze: ' "$workdir/describe.nt" |
+	grep -q '"op":"bound-join"[^}]*"estimatedRows":[0-9]*,"actualRows":[1-9]'; then
+	echo "check-metrics: DESCRIBE analyze trailer has no bound-join operator with estimated and actual rows:" >&2
+	cat "$workdir/describe.nt" >&2
 	fail=1
 fi
 
@@ -337,4 +358,4 @@ if ! grep -q "\"traceId\":\"$inbound_trace\"" "$workdir/audit.json"; then
 fi
 
 [ "$fail" = 0 ] || exit 1
-echo "check-metrics: all core series present; trace $trace_id round-tripped; $n_eps endpoints scored; slow query audited; result cache hit; quota exhausted to a 429 with Retry-After; explain=analyze profiled trace $analyze_trace; materialized view answered a repeat"
+echo "check-metrics: all core series present; trace $trace_id round-tripped; $n_eps endpoints scored; slow query audited; result cache hit; quota exhausted to a 429 with Retry-After; explain=analyze profiled trace $analyze_trace and a DESCRIBE's bound join; materialized view answered a repeat"
