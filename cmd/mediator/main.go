@@ -22,7 +22,8 @@
 // # Federation, planning, decomposition
 //
 // Each target data set's sub-query is rewritten for the target vocabulary
-// (served from an LRU plan cache), dispatched by a bounded worker pool
+// (served from an LRU cache of rewritten query shapes: queries that differ
+// only in their instance IRIs share one entry), dispatched by a bounded worker pool
 // with a per-attempt deadline, retry-with-backoff and a per-endpoint
 // circuit breaker, and streamed into a canonicalising owl:sameAs merge
 // (internal/federate). Queries that name no targets go through the
@@ -41,7 +42,8 @@
 //	-concurrency N  worker-pool bound for the fan-out (default 8)
 //	-timeout D      per-endpoint attempt deadline (default 10s)
 //	-retries N      retries after a failed attempt (default 1)
-//	-cache N        rewrite-plan LRU capacity; 0 disables (default 256)
+//	-cache N        rewrite-plan LRU capacity in rewritten query shapes,
+//	                one per shape and target; 0 disables (default 256)
 //	-failfast       cancel the fan-out on the first endpoint error
 //	                instead of returning best-effort partial results
 //	-filters        the §4 FILTER-rewriting extension (default true)
@@ -163,7 +165,7 @@ func run() error {
 	concurrency := flag.Int("concurrency", 8, "federation worker-pool bound")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-endpoint attempt deadline")
 	retries := flag.Int("retries", 1, "retries after a failed endpoint attempt")
-	cacheSize := flag.Int("cache", 256, "rewrite-plan cache capacity (0 disables)")
+	cacheSize := flag.Int("cache", 256, "rewrite-plan cache capacity in rewritten query shapes, one per shape and target (0 disables)")
 	failFast := flag.Bool("failfast", false, "cancel federated queries on the first endpoint error")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")

@@ -155,7 +155,7 @@ func (rw *Rewriter) rewriteExprMaybe(expr sparql.Expression, st *rewriteState) (
 		rw.detectFilterConflict(expr, st.report)
 		return expr, nil
 	}
-	out, n, err := rw.rewriteFilterExpr(expr)
+	out, n, err := rw.rewriteFilterExpr(expr, st)
 	if err != nil {
 		return nil, err
 	}

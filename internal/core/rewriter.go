@@ -118,12 +118,14 @@ func (r *Report) warnf(format string, args ...any) {
 	r.Warnings = append(r.Warnings, fmt.Sprintf(format, args...))
 }
 
-// rewriteState carries per-call mutable state (fresh variable generation).
+// rewriteState carries per-call mutable state (fresh variable generation,
+// and the template a shape's rewrite records its deferred operations in).
 type rewriteState struct {
 	used    map[string]bool
 	counter int
 	prefix  string
 	report  *Report
+	tmpl    *Template
 }
 
 func (s *rewriteState) fresh() rdf.Term {
@@ -146,9 +148,15 @@ func (s *rewriteState) fresh() rdf.Term {
 // DESCRIBE resource IRIs are translated through sameas when a target URI
 // space is configured. The input query is not modified.
 func (rw *Rewriter) RewriteQuery(q *sparql.Query) (*sparql.Query, *Report, error) {
+	return rw.rewriteQuery(q, nil)
+}
+
+// rewriteQuery is RewriteQuery; with a template, an operation on a slot is
+// recorded in it instead of executed (see RewriteShape).
+func (rw *Rewriter) rewriteQuery(q *sparql.Query, tmpl *Template) (*sparql.Query, *Report, error) {
 	report := &Report{}
 	out := q.Clone()
-	st := &rewriteState{used: map[string]bool{}, prefix: rw.Opts.FreshPrefix, report: report}
+	st := &rewriteState{used: map[string]bool{}, prefix: rw.Opts.FreshPrefix, report: report, tmpl: tmpl}
 	if st.prefix == "" {
 		st.prefix = "new"
 	}
@@ -194,10 +202,7 @@ func (rw *Rewriter) RewriteQuery(q *sparql.Query) (*sparql.Query, *Report, error
 	if len(out.DescribeTerms) > 0 && rw.Opts.TargetURISpace != "" {
 		pattern := rdf.NewLiteral(rw.Opts.TargetURISpace)
 		for i, t := range out.DescribeTerms {
-			if !t.IsIRI() {
-				continue
-			}
-			if v, translated := rw.translateIRITerm(t, pattern); translated {
+			if v, translated := rw.translate(t, pattern, st); translated {
 				out.DescribeTerms[i] = v
 			}
 		}
@@ -257,7 +262,7 @@ func (rw *Rewriter) rewriteGroup(g *sparql.GroupGraphPattern, st *rewriteState) 
 			}
 		case *sparql.Filter:
 			if rw.Opts.RewriteFilters {
-				expr, n, err := rw.rewriteFilterExpr(e.Expr)
+				expr, n, err := rw.rewriteFilterExpr(e.Expr, st)
 				if err != nil {
 					return err
 				}
@@ -268,7 +273,7 @@ func (rw *Rewriter) rewriteGroup(g *sparql.GroupGraphPattern, st *rewriteState) 
 			}
 		case *sparql.InlineData:
 			if rw.Opts.RewriteFilters {
-				n, err := rw.rewriteInlineData(e)
+				n, err := rw.rewriteInlineData(e, st)
 				if err != nil {
 					return err
 				}
@@ -413,6 +418,11 @@ func (rw *Rewriter) applyAlignment(t rdf.Triple, m align.MatchResult, st *rewrit
 		if rw.Funcs == nil {
 			return nil, trace, fmt.Errorf("core: alignment %s requires function <%s> but no registry is configured", ea.ID, fd.Func)
 		}
+		if st.tmpl != nil && hasSlot(params) {
+			orig, _ := firstVarParam(fd, binding)
+			binding[fd.Var] = st.tmpl.deferOp(deferredOp{fn: fd.Func, args: params, orig: orig})
+			continue
+		}
 		value, err := rw.Funcs.Call(fd.Func, params)
 		if err != nil {
 			switch rw.Opts.Policy {
@@ -501,23 +511,33 @@ func (rw *Rewriter) detectFilterConflict(expr sparql.Expression, report *Report)
 // expressions are translated into the target URI space with the same
 // sameas machinery the BGP rewriting uses. Vocabulary IRIs matched by a
 // level-0 property/class alignment are substituted directly.
-func (rw *Rewriter) rewriteFilterExpr(expr sparql.Expression) (sparql.Expression, int, error) {
+func (rw *Rewriter) rewriteFilterExpr(expr sparql.Expression, st *rewriteState) (sparql.Expression, int, error) {
 	if rw.Opts.TargetURISpace == "" {
 		return expr, 0, fmt.Errorf("core: RewriteFilters requires Options.TargetURISpace")
 	}
 	n := 0
 	pattern := rdf.NewLiteral(rw.Opts.TargetURISpace)
 	out := sparql.MapExprTerms(expr, func(t rdf.Term) rdf.Term {
-		if !t.IsIRI() {
-			return t
-		}
-		v, translated := rw.translateIRITerm(t, pattern)
+		v, translated := rw.translate(t, pattern, st)
 		if translated {
 			n++
 		}
 		return v
 	})
 	return out, n, nil
+}
+
+// translate is translateIRITerm for one constant of a FILTER, a VALUES
+// block or a DESCRIBE: an IRI translates now, a slot's translation is
+// deferred to the template's Bind, and anything else stays as it is.
+func (rw *Rewriter) translate(t, pattern rdf.Term, st *rewriteState) (rdf.Term, bool) {
+	if _, ok := sparql.SlotIndex(t); ok && st.tmpl != nil {
+		return st.tmpl.deferOp(deferredOp{args: []rdf.Term{t, pattern}}), true
+	}
+	if !t.IsIRI() {
+		return t, false
+	}
+	return rw.translateIRITerm(t, pattern)
 }
 
 // translateIRITerm maps one ground IRI into the target vocabulary / URI
@@ -550,7 +570,7 @@ func (rw *Rewriter) translateIRITerm(t rdf.Term, pattern rdf.Term) (rdf.Term, bo
 // data constants are as unreachable by graph-pattern rewriting as FILTER
 // constants, so sharded sub-queries would silently miss on rewritten
 // targets without this.
-func (rw *Rewriter) rewriteInlineData(d *sparql.InlineData) (int, error) {
+func (rw *Rewriter) rewriteInlineData(d *sparql.InlineData, st *rewriteState) (int, error) {
 	if rw.Opts.TargetURISpace == "" {
 		return 0, fmt.Errorf("core: RewriteFilters requires Options.TargetURISpace")
 	}
@@ -558,10 +578,7 @@ func (rw *Rewriter) rewriteInlineData(d *sparql.InlineData) (int, error) {
 	n := 0
 	for _, row := range d.Rows {
 		for i, t := range row {
-			if !t.IsIRI() {
-				continue
-			}
-			if v, translated := rw.translateIRITerm(t, pattern); translated {
+			if v, translated := rw.translate(t, pattern, st); translated {
 				row[i] = v
 				n++
 			}

@@ -238,8 +238,6 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) []*sparql.Query {
 // result says nothing about the fragment's true extent.
 func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yield func(eval.Row) bool) error {
 	d, f := l.d, l.f
-	// Bound shards carry binding rows, which makes each one single-use: they
-	// must not occupy slots in the executor's rewrite-plan LRU.
 	bound := shards != nil
 	if !bound {
 		shards = []*sparql.Query{fragmentQuery(d, f, nil)}
@@ -250,13 +248,12 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 	for i, shard := range shards {
 		for _, t := range f.Targets {
 			req.Targets = append(req.Targets, federate.Target{
-				Dataset:          t.Dataset,
-				Endpoint:         t.Endpoint,
-				NeedsRewrite:     t.NeedsRewrite,
-				Query:            shard,
-				Shard:            i + 1,
-				Shards:           len(shards),
-				SkipRewriteCache: bound,
+				Dataset:      t.Dataset,
+				Endpoint:     t.Endpoint,
+				NeedsRewrite: t.NeedsRewrite,
+				Query:        shard,
+				Shard:        i + 1,
+				Shards:       len(shards),
 			})
 		}
 	}

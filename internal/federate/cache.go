@@ -6,38 +6,40 @@ import (
 	"sparqlrw/internal/lru"
 )
 
-// PlanCache is an LRU cache of rewrite plans (rewritten query text) keyed
-// by (query, source ontology, target dataset), with singleflight-style
-// deduplication: concurrent requests for the same missing key compute the
-// rewrite once and share the result. A nil *PlanCache is a valid no-op
-// cache (every Do computes).
-type PlanCache struct {
+// PlanCache is an LRU cache of rewrite plans — the executor's are
+// templates of rewritten query shapes — keyed by (query shape, source
+// ontology, target dataset), with singleflight-style deduplication:
+// concurrent requests for the same missing key compute the rewrite once
+// and share the result. A nil *PlanCache is a valid no-op cache (every Do
+// computes).
+type PlanCache[V any] struct {
 	mu      sync.Mutex
-	plans   *lru.Cache[PlanKey, string]
-	flights map[PlanKey]*flight
+	plans   *lru.Cache[PlanKey, V]
+	flights map[PlanKey]*flight[V]
 	hits    uint64 // includes singleflight waiters: they avoided a rewrite
 	misses  uint64
 }
 
-// PlanKey identifies one rewrite: the sub-query's text, the ontology it is
-// rewritten from and the data set it is rewritten for.
+// PlanKey identifies one rewrite: the sub-query's shape (the text
+// sparql.Template.Key returns), the ontology it is rewritten from and the
+// data set it is rewritten for.
 type PlanKey struct {
 	Query, SourceOnt, Dataset string
 }
 
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	val  string
+	val  V
 	err  error
 }
 
 // NewPlanCache returns a cache holding at most capacity plans; capacity
 // <= 0 returns nil (caching disabled).
-func NewPlanCache(capacity int) *PlanCache {
+func NewPlanCache[V any](capacity int) *PlanCache[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PlanCache{plans: lru.New[PlanKey, string](capacity), flights: make(map[PlanKey]*flight)}
+	return &PlanCache[V]{plans: lru.New[PlanKey, V](capacity), flights: make(map[PlanKey]*flight[V])}
 }
 
 // Do returns the cached plan for key, or computes it with compute,
@@ -45,7 +47,7 @@ func NewPlanCache(capacity int) *PlanCache {
 // whether the value was served without running compute in this goroutine.
 // Errors are not cached: a failed compute leaves the key absent, and so
 // does one an invalidation overtook (its waiters still get the value).
-func (c *PlanCache) Do(key PlanKey, compute func() (string, error)) (val string, cached bool, err error) {
+func (c *PlanCache[V]) Do(key PlanKey, compute func() (V, error)) (val V, cached bool, err error) {
 	if c == nil {
 		v, err := compute()
 		return v, false, err
@@ -62,7 +64,7 @@ func (c *PlanCache) Do(key PlanKey, compute func() (string, error)) (val string,
 		<-f.done
 		return f.val, true, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.misses++
 	epoch := c.plans.Epoch()
@@ -83,17 +85,17 @@ func (c *PlanCache) Do(key PlanKey, compute func() (string, error)) (val string,
 // Invalidate removes every cached plan whose target data set satisfies
 // match (nil matches everything); no rewrite in flight across the call is
 // cached. It returns the number of cached entries removed.
-func (c *PlanCache) Invalidate(match func(dataset string) bool) int {
+func (c *PlanCache[V]) Invalidate(match func(dataset string) bool) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.plans.RemoveFunc(func(k PlanKey, _ string) bool { return match == nil || match(k.Dataset) })
+	return c.plans.RemoveFunc(func(k PlanKey, _ V) bool { return match == nil || match(k.Dataset) })
 }
 
 // Len returns the number of cached plans.
-func (c *PlanCache) Len() int {
+func (c *PlanCache[V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -104,7 +106,7 @@ func (c *PlanCache) Len() int {
 
 // Metrics returns the cumulative hit/miss counters (singleflight waiters
 // count as hits).
-func (c *PlanCache) Metrics() (hits, misses uint64) {
+func (c *PlanCache[V]) Metrics() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}

@@ -15,7 +15,7 @@ import (
 // qk is the key of a rewrite of query text q alone.
 func qk(q string) PlanKey { return PlanKey{Query: q} }
 
-func mustDo(t *testing.T, c *PlanCache, key PlanKey, val string) (string, bool) {
+func mustDo(t *testing.T, c *PlanCache[string], key PlanKey, val string) (string, bool) {
 	t.Helper()
 	got, cached, err := c.Do(key, func() (string, error) { return val, nil })
 	if err != nil {
@@ -25,7 +25,7 @@ func mustDo(t *testing.T, c *PlanCache, key PlanKey, val string) (string, bool) 
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache[string](4)
 	if got, cached := mustDo(t, c, qk("k1"), "v1"); got != "v1" || cached {
 		t.Fatalf("first Do = %q cached=%v", got, cached)
 	}
@@ -43,7 +43,7 @@ func TestCacheHitAndMiss(t *testing.T) {
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache[string](2)
 	mustDo(t, c, qk("k1"), "v1")
 	mustDo(t, c, qk("k2"), "v2")
 	mustDo(t, c, qk("k1"), "ignored") // touch k1: k2 becomes the LRU entry
@@ -60,7 +60,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache[string](4)
 	if _, _, err := c.Do(qk("k"), func() (string, error) { return "", errors.New("boom") }); err == nil {
 		t.Fatal("error lost")
 	}
@@ -73,7 +73,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache[string](4)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -101,7 +101,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheDistinctKeysComputeIndependently(t *testing.T) {
-	c := NewPlanCache(64)
+	c := NewPlanCache[string](64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		q := fmt.Sprintf("k%d", i)
@@ -119,14 +119,14 @@ func TestCacheDistinctKeysComputeIndependently(t *testing.T) {
 	}
 }
 
-func mustDoConc(c *PlanCache, key PlanKey, val string) (string, bool) {
+func mustDoConc(c *PlanCache[string], key PlanKey, val string) (string, bool) {
 	got, cached, _ := c.Do(key, func() (string, error) { return val, nil })
 	return got, cached
 }
 
 func TestNilCachePassesThrough(t *testing.T) {
-	var c *PlanCache // = NewPlanCache(0)
-	if NewPlanCache(0) != nil || NewPlanCache(-1) != nil {
+	var c *PlanCache[string] // = NewPlanCache[string](0)
+	if NewPlanCache[string](0) != nil || NewPlanCache[string](-1) != nil {
 		t.Fatal("non-positive capacity must disable the cache")
 	}
 	calls := 0
@@ -148,7 +148,7 @@ func TestNilCachePassesThrough(t *testing.T) {
 }
 
 func TestCacheInvalidateByDataset(t *testing.T) {
-	c := NewPlanCache(8)
+	c := NewPlanCache[string](8)
 	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "planA1")
 	mustDo(t, c, PlanKey{"q2", "src", "dsA"}, "planA2")
 	mustDo(t, c, PlanKey{"q1", "src", "dsB"}, "planB")
@@ -168,21 +168,21 @@ func TestCacheInvalidateByDataset(t *testing.T) {
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
-	c := NewPlanCache(8)
+	c := NewPlanCache[string](8)
 	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "a")
 	mustDo(t, c, PlanKey{"q2", "src", "dsB"}, "b")
 	if n := c.Invalidate(nil); n != 2 || c.Len() != 0 {
 		t.Fatalf("flush removed %d, len=%d", n, c.Len())
 	}
 	// A nil cache flushes harmlessly.
-	var nilCache *PlanCache
+	var nilCache *PlanCache[string]
 	if n := nilCache.Invalidate(nil); n != 0 {
 		t.Fatalf("nil cache invalidated %d", n)
 	}
 }
 
 func TestCacheInvalidateMarksFlightsStale(t *testing.T) {
-	c := NewPlanCache(8)
+	c := NewPlanCache[string](8)
 	key := PlanKey{"q", "src", "dsA"}
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -211,7 +211,7 @@ func TestPlanCacheHitAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	c := NewPlanCache(4)
+	c := NewPlanCache[string](4)
 	query := strings.Repeat("SELECT ?s WHERE { ?s ?p ?o } ", 8)
 	src, ds := "http://src.example/ont#", "http://ds.example/void"
 	compute := func() (string, error) { return "plan", nil }

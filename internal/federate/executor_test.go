@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/core"
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
@@ -319,13 +320,13 @@ func TestFailFastCancelsFanOut(t *testing.T) {
 func TestSingleflightRewrite(t *testing.T) {
 	var rewrites atomic.Int64
 	rewritten := sparql.MustParse("SELECT ?a WHERE { ?p <http://tgt/x> ?a }")
-	rewrite := func(q *sparql.Query, src, ds string) (*sparql.Query, error) {
+	rewrite := func(q *sparql.Query, lifted int, src, ds string) (*core.Template, error) {
 		rewrites.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the race window
-		if q != reqQuery {
-			t.Errorf("rewriter was handed %p, not the request's query", q)
+		if got := sparql.Format(q); got != reqText || lifted != 0 {
+			t.Errorf("rewriter was handed %q with %d slots, not the request's query (it has no IRIs to lift)", got, lifted)
 		}
-		return rewritten, nil
+		return &core.Template{Query: rewritten}, nil
 	}
 	fc := newFakeClient()
 	fc.on("ep", func(context.Context, int) (*eval.Result, error) {
@@ -422,7 +423,7 @@ func TestCancellationDoesNotOpenBreakers(t *testing.T) {
 // TestRewriteErrorReported: a failing rewrite is reported per data set
 // without dispatching to the endpoint.
 func TestRewriteErrorReported(t *testing.T) {
-	rewrite := func(*sparql.Query, string, string) (*sparql.Query, error) {
+	rewrite := func(*sparql.Query, int, string, string) (*core.Template, error) {
 		return nil, errors.New("no alignments")
 	}
 	fc := newFakeClient()

@@ -7,10 +7,15 @@
 // interface, is made here. The pipeline per request is:
 //
 //	format  — each distinct sub-query is serialised once: what a native
-//	          target receives, and the query part of the plan-cache key;
-//	plan    — per-target rewrite, query to query, its text served from an
-//	          LRU plan cache with singleflight deduplication so concurrent
-//	          identical requests rewrite once (a hit formats nothing);
+//	          target receives, or, for a target that rewrites it, its
+//	          shape (sparql.Lift) — the query part of the plan-cache key —
+//	          and the instance IRIs lifted out of it;
+//	plan    — per-target rewrite of the shape, query to query, cached as
+//	          a template (core.Template, with its text) in an LRU plan
+//	          cache with singleflight deduplication, so queries of one
+//	          shape and concurrent identical requests rewrite once; a hit
+//	          binds the template to the sub-query's own IRIs and splices
+//	          them into the cached text, no rewrite and no formatting;
 //	dispatch — a bounded worker pool sends each sub-query to its
 //	          endpoint with a per-attempt deadline, retry-with-backoff,
 //	          and a per-endpoint circuit breaker so one dead repository
@@ -34,6 +39,7 @@ import (
 	"io"
 	"time"
 
+	"sparqlrw/internal/core"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
@@ -42,9 +48,11 @@ import (
 )
 
 // RewriteFunc translates q (written against sourceOnt) for the given
-// target dataset and returns the rewritten query. It must leave q as it
-// found it: the targets of one fan-out share it, concurrently.
-type RewriteFunc func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error)
+// target dataset: the shape of a sub-query with lifted slots
+// (core.Rewriter.RewriteShape), or with lifted 0 a sub-query itself, whose
+// template's Query is then its rewriting. It must leave q as it found it:
+// the targets of one fan-out share it, concurrently.
+type RewriteFunc func(q *sparql.Query, lifted int, sourceOnt, dataset string) (*core.Template, error)
 
 // Options tune the executor. The zero value selects sane defaults; the
 // endpoint table's health model has no options.
@@ -73,8 +81,9 @@ type Options struct {
 	// BreakerCooldown is how long an open circuit rejects requests
 	// before admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// CacheSize is the rewrite-plan LRU capacity (default 256; set to
-	// -1 to disable caching).
+	// CacheSize is the rewrite-plan LRU capacity, counted in rewritten
+	// query shapes: one entry per shape, source ontology and target data
+	// set (default 256; set to -1 to disable caching).
 	CacheSize int
 	// Hedge enables hedged sub-queries: when a primary attempt runs past
 	// the endpoint's observed p95 latency (from the endpoint table), a
@@ -141,10 +150,6 @@ type Target struct {
 	// Shard/Shards number this target among its data set's VALUES shards
 	// (1-based; 0 when unsharded).
 	Shard, Shards int
-	// SkipRewriteCache bypasses the rewrite-plan LRU for this target:
-	// set for single-use queries (bound-join VALUES shards) whose
-	// entries would only evict reusable plans.
-	SkipRewriteCache bool
 	// Replicas are alternate endpoint URLs serving the same data set,
 	// the candidates hedged dispatch may race against Endpoint.
 	Replicas []string
@@ -201,7 +206,7 @@ type Executor struct {
 	rewrite   RewriteFunc
 	coref     funcs.CorefSource
 	opts      Options
-	cache     *PlanCache
+	cache     *PlanCache[*rewritePlan]
 	metrics   *executorMetrics
 	endpoints *EndpointTable
 }
@@ -220,7 +225,7 @@ func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.
 		rewrite:   rewrite,
 		coref:     coref,
 		opts:      opts,
-		cache:     NewPlanCache(opts.CacheSize),
+		cache:     NewPlanCache[*rewritePlan](opts.CacheSize),
 		metrics:   newExecutorMetrics(reg),
 		endpoints: newEndpointTable(opts),
 	}
@@ -256,35 +261,88 @@ func (e *Executor) Select(ctx context.Context, req Request) (*Result, error) {
 	return res, err
 }
 
-// nativeTexts formats the fan-out's sub-queries, each distinct one once
-// (targets share queries): texts[i] is what target i's endpoint receives
-// when it needs no rewriting, and the query part of its rewrite-plan cache
-// key when it does. A target that rewrites past the cache needs neither.
-func nativeTexts(req Request) []string {
-	texts := make([]string, len(req.Targets))
-	byQuery := make(map[*sparql.Query]string, 1)
+// subquery is one distinct sub-query of a fan-out (targets share
+// queries), formatted once for all its targets: text is what a native
+// target receives; shape and slots, when a target rewrites it, are its
+// shape and the IRIs lifted out of it (sparql.Lift).
+type subquery struct {
+	text  string
+	shape *sparql.Template
+	slots []rdf.Term
+}
+
+// formatSubqueries formats the fan-out's sub-queries: subs[i] is target
+// i's.
+func formatSubqueries(req Request) []*subquery {
+	subs := make([]*subquery, len(req.Targets))
+	byQuery := make(map[*sparql.Query]*subquery, 1)
 	for i, t := range req.Targets {
-		if t.NeedsRewrite && t.SkipRewriteCache {
-			continue
+		sq := byQuery[t.Query]
+		if sq == nil {
+			sq = &subquery{}
+			byQuery[t.Query] = sq
 		}
-		text, ok := byQuery[t.Query]
-		if !ok {
-			text = sparql.Format(t.Query)
-			byQuery[t.Query] = text
+		if t.NeedsRewrite && sq.shape == nil {
+			sq.shape, sq.slots = sparql.Lift(t.Query)
 		}
-		texts[i] = text
+		subs[i] = sq
 	}
-	return texts
+	for i, t := range req.Targets {
+		if sq := subs[i]; !t.NeedsRewrite && sq.text == "" {
+			if sq.shape != nil {
+				sq.text = sq.shape.Execute(sq.slots)
+			} else {
+				sq.text = sparql.Format(t.Query)
+			}
+		}
+	}
+	return subs
+}
+
+// rewritePlan is a cached rewrite of one shape for one target: the
+// template, and its rewritten shape's text with holes (nil when the
+// template cannot bind).
+type rewritePlan struct {
+	tmpl *core.Template
+	text *sparql.Template
+}
+
+// rewriteText returns the text target t's endpoint receives: its shape's
+// cached plan bound to the sub-query's slot values, or, when the plan
+// cannot bind them (or the shape did not rewrite), the rewriting of the
+// sub-query itself, formatted. cached reports a plan-cache hit.
+func (e *Executor) rewriteText(sourceOnt string, t Target, sq *subquery) (text string, cached bool, err error) {
+	p, cached, err := e.cache.Do(PlanKey{sq.shape.Key(), sourceOnt, t.Dataset}, func() (*rewritePlan, error) {
+		tmpl, err := e.rewrite(sparql.LiftQuery(t.Query), len(sq.slots), sourceOnt, t.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		p := &rewritePlan{tmpl: tmpl}
+		if tmpl.Query != nil {
+			p.text = sparql.FormatTemplate(tmpl.Query)
+		}
+		return p, nil
+	})
+	if err == nil {
+		if values, ok := p.tmpl.Bind(sq.slots); ok {
+			return p.text.Execute(values), cached, nil
+		}
+	}
+	tmpl, err := e.rewrite(t.Query, 0, sourceOnt, t.Dataset)
+	if err != nil {
+		return "", cached, err
+	}
+	return sparql.Format(tmpl.Query), cached, nil
 }
 
 // queryTarget runs one target's sub-query: plan (cached rewrite), then
 // dispatch with retries under the endpoint's breaker, streaming batches of
-// rows into solCh; text is the target's entry of nativeTexts. sem is the
+// rows into solCh; sq is the target's entry of formatSubqueries. sem is the
 // worker-pool semaphore: the caller pre-acquired one slot (in-order
 // admission), which funds the first dispatch attempt; afterwards a slot is
 // held only for the duration of each attempt, not across backoff sleeps,
 // so retrying workers don't starve queued healthy targets.
-func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text string, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
+func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *subquery, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
 	held := true // the admission slot the caller acquired for us
 	defer func() {
 		if held {
@@ -306,27 +364,16 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, text 
 		}
 		span.End()
 	}()
-	da = DatasetAnswer{Dataset: t.Dataset, Shard: t.Shard, Shards: t.Shards, Query: text}
+	da = DatasetAnswer{Dataset: t.Dataset, Shard: t.Shard, Shards: t.Shards, Query: sq.text}
 	if t.NeedsRewrite {
 		if e.rewrite == nil {
 			da.Err = fmt.Errorf("federate: %s needs rewriting but no rewriter is configured", t.Dataset)
 			return da
 		}
-		rewrite := func() (string, error) {
-			rq, err := e.rewrite(t.Query, req.SourceOnt, t.Dataset)
-			if err != nil {
-				return "", err
-			}
-			return sparql.Format(rq), nil
-		}
 		_, rwSpan := obs.StartSpan(ctx, "rewrite")
 		var cached bool
 		var err error
-		if t.SkipRewriteCache {
-			da.Query, err = rewrite()
-		} else {
-			da.Query, cached, err = e.cache.Do(PlanKey{text, req.SourceOnt, t.Dataset}, rewrite)
-		}
+		da.Query, cached, err = e.rewriteText(req.SourceOnt, t, sq)
 		rwSpan.SetAttr("cached", cached)
 		rwSpan.End()
 		if err != nil {

@@ -161,7 +161,7 @@ func (e *Executor) runFanout(ctx context.Context, req Request, s *Stream) {
 	mergeDone := make(chan struct{})
 	go m.run(ctx, solCh, s.out, mergeDone)
 
-	texts := nativeTexts(req)
+	subs := formatSubqueries(req)
 	answers := make([]DatasetAnswer, len(req.Targets))
 	sem := make(chan struct{}, e.opts.Concurrency)
 	var (
@@ -181,14 +181,14 @@ admit:
 			for j := i; j < len(req.Targets); j++ {
 				answers[j] = DatasetAnswer{Dataset: req.Targets[j].Dataset,
 					Shard: req.Targets[j].Shard, Shards: req.Targets[j].Shards,
-					Query: texts[j], Err: ctx.Err()}
+					Query: subs[j].text, Err: ctx.Err()}
 			}
 			break admit
 		}
 		wg.Add(1)
 		go func(i int, t Target) {
 			defer wg.Done()
-			answers[i] = e.queryTarget(ctx, req, t, texts[i], solCh, sem)
+			answers[i] = e.queryTarget(ctx, req, t, subs[i], solCh, sem)
 			if answers[i].Err != nil && e.opts.FailFast {
 				failMu.Lock()
 				if firstErr == nil {

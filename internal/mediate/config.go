@@ -6,7 +6,6 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/serve"
-	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/view"
 )
 
@@ -123,13 +122,9 @@ func (m *Mediator) rebuild() {
 		old.Close()
 	}
 	m.RewriteFilters = m.cfg.RewriteFilters
-	rewrite := func(q *sparql.Query, sourceOnt, dataset string) (*sparql.Query, error) {
-		out, _, err := m.rewriteQuery(q, sourceOnt, dataset)
-		return out, err
-	}
 	fedOpts := m.cfg.Federation
 	fedOpts.Registry = m.Obs.Registry
-	m.Exec = federate.NewExecutor(m.Client, rewrite, m.Coref, fedOpts)
+	m.Exec = federate.NewExecutor(m.Client, m.rewriteShape, m.Coref, fedOpts)
 	// The endpoint table lists every configured endpoint even before
 	// traffic reaches it.
 	for _, ds := range m.Datasets.All() {

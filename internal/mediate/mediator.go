@@ -369,12 +369,43 @@ func (m *Mediator) rewriteResult(q *sparql.Query, sourceOnt, targetDataset strin
 	return rr, nil
 }
 
-// rewriteQuery is Rewrite without the text at either end, which makes it
-// the executor's RewriteFunc: q is only read, the result's Query left empty.
+// rewriteQuery is Rewrite without the text at either end: q is only read,
+// the result's Query left empty.
 func (m *Mediator) rewriteQuery(q *sparql.Query, sourceOnt, targetDataset string) (*sparql.Query, *RewriteResult, error) {
+	rw, err := m.rewriter(sourceOnt, targetDataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, report, err := rw.RewriteQuery(q)
+	if err != nil {
+		return nil, nil, fmt.Errorf("mediate: rewriting for %s: %w", targetDataset, err)
+	}
+	return out, &RewriteResult{Target: targetDataset, AlignmentsUsed: len(rw.Alignments), Report: report}, nil
+}
+
+// rewriteShape is the executor's RewriteFunc: the template of a query
+// shape with lifted slots (a query itself with none) for the target data
+// set.
+func (m *Mediator) rewriteShape(q *sparql.Query, lifted int, sourceOnt, targetDataset string) (*core.Template, error) {
+	rw, err := m.rewriter(sourceOnt, targetDataset)
+	if err != nil {
+		return nil, err
+	}
+	tmpl, err := rw.RewriteShape(q, lifted)
+	if err != nil {
+		return nil, fmt.Errorf("mediate: rewriting for %s: %w", targetDataset, err)
+	}
+	return tmpl, nil
+}
+
+// rewriter returns the rewriter from sourceOnt into the target data set:
+// the alignments selected for the pair, the data set's URI space, the
+// mediator's functions and FILTER policy. The executor's RewriteFunc
+// rewrites shapes with it, Rewrite queries.
+func (m *Mediator) rewriter(sourceOnt, targetDataset string) (*core.Rewriter, error) {
 	ds, ok := m.Datasets.Get(targetDataset)
 	if !ok {
-		return nil, nil, fmt.Errorf("mediate: unknown target data set %s", targetDataset)
+		return nil, fmt.Errorf("mediate: unknown target data set %s", targetDataset)
 	}
 	eas := m.Alignments.Select(align.Selector{
 		SourceOntology: sourceOnt,
@@ -384,11 +415,7 @@ func (m *Mediator) rewriteQuery(q *sparql.Query, sourceOnt, targetDataset string
 	rw := core.New(eas, m.Funcs)
 	rw.Opts.RewriteFilters = m.RewriteFilters
 	rw.Opts.TargetURISpace = ds.URISpace
-	out, report, err := rw.RewriteQuery(q)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mediate: rewriting for %s: %w", targetDataset, err)
-	}
-	return out, &RewriteResult{Target: targetDataset, AlignmentsUsed: len(eas), Report: report}, nil
+	return rw, nil
 }
 
 func firstOrEmpty(xs []string) string {

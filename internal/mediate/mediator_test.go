@@ -499,14 +499,14 @@ func TestFederatedHangingEndpointTimesOut(t *testing.T) {
 	}
 }
 
-// TestFederatedPlanCacheReuse pins that repeated federated queries hit
-// the rewrite-plan cache instead of re-rewriting.
+// TestFederatedPlanCacheReuse pins that federated queries of one shape
+// hit the rewrite-plan cache instead of re-rewriting: the Figure-1 query
+// about three persons rewrites for KISTI once.
 func TestFederatedPlanCacheReuse(t *testing.T) {
 	s := newStack(t)
-	q := workload.Figure1Query(0)
 	targets := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	for i := 0; i < 3; i++ {
-		if _, err := federatedSelect(s.mediator, q, rdf.AKTNS, targets); err != nil {
+		if _, err := federatedSelect(s.mediator, workload.Figure1Query(i), rdf.AKTNS, targets); err != nil {
 			t.Fatal(err)
 		}
 	}

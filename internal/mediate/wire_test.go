@@ -4,7 +4,9 @@ package mediate
 // execution path hands parsed queries from stage to stage, and this table
 // records the texts the endpoints receive on each of them and holds them
 // against the queries the planner, the decomposer's join engine, the
-// policy restriction and the form derivations produced.
+// policy restriction and the form derivations produced. Each request runs
+// after one of the same shape about other instances, so the rewrites it
+// sends are bound from cached plans.
 
 import (
 	"context"
@@ -63,36 +65,40 @@ func sorted(byDataset map[string][]string) map[string][]string {
 	return byDataset
 }
 
-func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
+// wireCase is one execution path of TestWireCarriesWhatTheStagesBuilt.
+type wireCase struct {
+	name string
+	opts []Option
+	req  QueryRequest
+	// derived is the SELECT an explicit-target request should run at
+	// every target, before rewriting; on the other paths the stages' own
+	// records (the plan, the join engine's requests) say.
+	derived string
+	// hashJoin says how a case the join engine ran must have joined.
+	hashJoin bool
+}
+
+// wireCases returns the execution paths, asking about Southampton person
+// i and papers first to first+4.
+func wireCases(t *testing.T, i, first int) []wireCase {
 	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
-	person := "<" + workload.SotonPerson(2).Value + ">"
+	person := "<" + workload.SotonPerson(i).Value + ">"
 	coauthors := "{ ?paper akt:has-author " + person + " . ?paper akt:has-author ?a }"
 	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	values := "VALUES ?paper {"
-	for j := 0; j < 5; j++ {
+	for j := first; j < first+5; j++ {
 		values += " <" + workload.SotonPaper(j).Value + ">"
 	}
 	values += " }"
 	sotonOnly := &serve.Tenant{ID: "soton-space", Policy: &serve.Policy{URISpaces: []string{workload.SotonIDSpace}}}
-	restricted, _, err := serve.Restrict(sparql.MustParse(workload.Figure1Query(2)), sotonOnly.Policy)
+	restricted, _, err := serve.Restrict(sparql.MustParse(workload.Figure1Query(i)), sotonOnly.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name string
-		opts []Option
-		req  QueryRequest
-		// derived is the SELECT an explicit-target request should run at
-		// every target, before rewriting; on the other paths the stages'
-		// own records (the plan, the join engine's requests) say.
-		derived string
-		// hashJoin says how a case the join engine ran must have joined.
-		hashJoin bool
-	}{
+	return []wireCase{
 		{name: "select, explicit targets",
-			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both},
-			derived: workload.Figure1Query(2)},
+			req:     QueryRequest{Query: workload.Figure1Query(i), Targets: both},
+			derived: workload.Figure1Query(i)},
 		{name: "ask, explicit targets",
 			req:     QueryRequest{Query: akt + "ASK " + coauthors, Targets: both},
 			derived: akt + "SELECT * WHERE " + coauthors + " LIMIT 1"},
@@ -104,7 +110,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 		{name: "describe, planned",
 			req: QueryRequest{Query: akt + "DESCRIBE ?paper WHERE " + coauthors}},
 		{name: "restricted tenant, explicit targets",
-			req:     QueryRequest{Query: workload.Figure1Query(2), Targets: both, Tenant: sotonOnly},
+			req:     QueryRequest{Query: workload.Figure1Query(i), Targets: both, Tenant: sotonOnly},
 			derived: sparql.Format(restricted)},
 		{name: "planned, one source, slice above merge",
 			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2",
@@ -113,29 +119,48 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			opts: []Option{WithPlanner(plan.Options{ValuesBatch: 2})},
 			req:  QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
 		{name: "decomposed, bound join",
-			req: QueryRequest{Query: workload.CrossVocabularyQuery(2)}},
+			req: QueryRequest{Query: workload.CrossVocabularyQuery(i)}},
 		{name: "decomposed, hash fallback",
 			opts:     []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})},
-			req:      QueryRequest{Query: workload.CrossVocabularyQuery(2)},
+			req:      QueryRequest{Query: workload.CrossVocabularyQuery(i)},
 			hashJoin: true},
-	} {
+	}
+}
+
+func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
+	warmups := wireCases(t, 3, 5)
+	for n, tc := range wireCases(t, 2, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			tap := &wireTap{seen: map[string][]string{}}
 			m := exampleFederation(t, tap.wrap, tc.opts...)
 			disp := &recordingDispatcher{exec: m.Exec}
 			m.JoinEngine = decompose.NewEngine(disp, m.Coref, m.Config().Decompose)
+			run := func(req QueryRequest) (*Result, *FederatedResult) {
+				t.Helper()
+				if req.SourceOnt == "" {
+					req.SourceOnt = rdf.AKTNS
+				}
+				res, err := m.Query(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { res.Close() })
+				sum, err := res.Summary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, sum
+			}
+			// The same shape about other instances fills the plan cache;
+			// what it sent and built is not this request's.
+			run(warmups[n].req)
+			tap.seen, disp.reqs = map[string][]string{}, nil
+			warm := m.Stats().Federation.CacheHits
+
 			if tc.req.SourceOnt == "" {
 				tc.req.SourceOnt = rdf.AKTNS
 			}
-			res, err := m.Query(context.Background(), tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer res.Close()
-			sum, err := res.Summary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, sum := run(tc.req)
 			received := sorted(tap.seen)
 			if len(received) == 0 {
 				t.Fatal("no endpoint received anything")
@@ -182,7 +207,11 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			if !reflect.DeepEqual(received, sorted(want)) {
 				t.Errorf("endpoints received\n%v\nthe stages built (rewritten as Mediator.Rewrite does)\n%v", received, want)
 			}
-			t.Logf("%d sub-queries, %d of them rewritten", len(sum.PerDataset), rewritten)
+			hits := m.Stats().Federation.CacheHits - warm
+			t.Logf("%d sub-queries, %d of them rewritten, %d from cached plans", len(sum.PerDataset), rewritten, hits)
+			if rewritten > 0 && hits == 0 {
+				t.Errorf("%d rewritten sub-queries and no plan-cache hit after a request of the same shape", rewritten)
+			}
 
 			// Every text is the serialiser's own output, so it parses back
 			// to the query it was formatted from.

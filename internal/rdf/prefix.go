@@ -101,6 +101,16 @@ func isAbsoluteIRI(s string) bool {
 // When several namespaces match, the longest wins, and of two prefixes
 // bound to it the smaller one, so the same map always shrinks alike.
 func (pm *PrefixMap) Shrink(iri string) (string, bool) {
+	prefix, local, ok := pm.Split(iri)
+	if !ok {
+		return "", false
+	}
+	return prefix + ":" + local, true
+}
+
+// Split is Shrink without building the name: the prefix and the local
+// part "prefix:local" is made of.
+func (pm *PrefixMap) Split(iri string) (prefix, local string, ok bool) {
 	bestPrefix, bestNS := "", ""
 	for p, ns := range pm.toNS {
 		if ns == "" || !strings.HasPrefix(iri, ns) {
@@ -111,13 +121,13 @@ func (pm *PrefixMap) Shrink(iri string) (string, bool) {
 		}
 	}
 	if bestNS == "" {
-		return "", false
+		return "", "", false
 	}
-	local := iri[len(bestNS):]
+	local = iri[len(bestNS):]
 	if !validLocalName(local) {
-		return "", false
+		return "", "", false
 	}
-	return bestPrefix + ":" + local, true
+	return bestPrefix, local, true
 }
 
 // validLocalName accepts the conservative subset of PN_LOCAL that both our

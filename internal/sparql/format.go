@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 
 	"sparqlrw/internal/rdf"
@@ -12,80 +14,9 @@ import (
 // the query's own prefix map. This is the function that produces the
 // Figure-3-style rewritten query text users see.
 func Format(q *Query) string {
-	var b strings.Builder
-	pm := q.Prefixes
-	if pm != nil {
-		used := usedNamespaces(q, pm)
-		var iri [128]byte // most namespaces render without an allocation
-		for _, p := range pm.Prefixes() {
-			ns, _ := pm.Namespace(p)
-			if used[ns] {
-				b.WriteString("PREFIX " + p + ": ")
-				b.Write(rdf.AppendIRI(iri[:0], ns))
-				b.WriteByte('\n')
-			}
-		}
-	}
-	switch q.Form {
-	case Select:
-		b.WriteString("SELECT ")
-		if q.Distinct {
-			b.WriteString("DISTINCT ")
-		}
-		if q.Reduced {
-			b.WriteString("REDUCED ")
-		}
-		if q.SelectStar {
-			b.WriteString("*")
-		} else {
-			for i, v := range q.SelectVars {
-				if i > 0 {
-					b.WriteString(" ")
-				}
-				b.WriteString("?" + v)
-			}
-		}
-		b.WriteString("\n")
-	case Ask:
-		b.WriteString("ASK\n")
-	case Construct:
-		b.WriteString("CONSTRUCT {\n")
-		for _, t := range q.Template {
-			b.WriteString("  " + formatTriple(t, pm) + " .\n")
-		}
-		b.WriteString("}\n")
-	case Describe:
-		b.WriteString("DESCRIBE")
-		for _, t := range q.DescribeTerms {
-			b.WriteString(" " + formatTerm(t, pm))
-		}
-		b.WriteString("\n")
-	}
-	if q.Form != Describe || q.Where != nil {
-		b.WriteString("WHERE ")
-		formatGroup(&b, q.Where, pm, 0)
-		b.WriteString("\n")
-	}
-	if len(q.OrderBy) > 0 {
-		b.WriteString("ORDER BY")
-		for _, oc := range q.OrderBy {
-			if oc.Desc {
-				b.WriteString(" DESC(" + FormatExpr(oc.Expr, pm) + ")")
-			} else if te, ok := oc.Expr.(*TermExpr); ok && te.Term.IsVar() {
-				b.WriteString(" ?" + te.Term.Value)
-			} else {
-				b.WriteString(" ASC(" + FormatExpr(oc.Expr, pm) + ")")
-			}
-		}
-		b.WriteString("\n")
-	}
-	if q.Limit >= 0 {
-		fmt.Fprintf(&b, "LIMIT %d\n", q.Limit)
-	}
-	if q.Offset >= 0 {
-		fmt.Fprintf(&b, "OFFSET %d\n", q.Offset)
-	}
-	return strings.TrimRight(b.String(), "\n") + "\n"
+	f := newFormatter(q.Prefixes, nil)
+	f.query(q)
+	return f.text(false)
 }
 
 // MarshalText renders the query as its text, so a document that carries a
@@ -103,193 +34,405 @@ func (q *Query) UnmarshalText(text []byte) error {
 	return nil
 }
 
-func usedNamespaces(q *Query, pm *rdf.PrefixMap) map[string]bool {
-	used := map[string]bool{}
-	note := func(t rdf.Term) {
-		switch t.Kind {
-		case rdf.KindIRI:
-			noteIRI(t.Value, pm, used)
-		case rdf.KindLiteral:
-			if t.Datatype != "" && t.Datatype != rdf.XSDString {
-				noteIRI(t.Datatype, pm, used)
-			}
+// formatter writes a query's text: the body into body, the prologue, which
+// declares only the prefixes the body uses, when the body is done. With a
+// slot function it also leaves holes (see Template): a term slot claims is
+// written as its slot token and recorded, and does not count towards the
+// prologue, since the value that fills the hole decides that.
+type formatter struct {
+	pm       *rdf.PrefixMap
+	prefixes []string // pm's prefixes, sorted: the prologue's order
+	used     []bool   // used[i]: a written term shrinks into prefixes[i]
+	body     []byte
+	// slot reports which slot the term at t stands for; liftable says t
+	// is at a position Lift lifts (see Lift).
+	slot  func(t *rdf.Term, liftable bool) (int, bool)
+	holes []hole
+}
+
+// hole is one slot occurrence in a formatter's body: its token spans
+// body[at:end]; verb marks the predicate position, where rdf:type is "a".
+type hole struct {
+	slot    int
+	verb    bool
+	at, end int
+}
+
+func newFormatter(pm *rdf.PrefixMap, slot func(*rdf.Term, bool) (int, bool)) *formatter {
+	f := &formatter{pm: pm, slot: slot, body: make([]byte, 0, 512)}
+	if pm != nil {
+		f.prefixes = pm.Prefixes()
+		f.used = make([]bool, len(f.prefixes))
+	}
+	return f
+}
+
+// text returns the prologue and the body: the prologue declares every
+// prefix when all is set, else the used ones.
+// The body ends in one newline, which text trims off the body.
+func (f *formatter) text(all bool) string {
+	for len(f.body) > 0 && f.body[len(f.body)-1] == '\n' {
+		f.body = f.body[:len(f.body)-1]
+	}
+	var b strings.Builder
+	b.Grow(len(f.body) + 1 + 64*len(f.prefixes))
+	writePrologue(&b, f.pm, f.prefixes, func(i int) bool { return all || f.used[i] })
+	b.Write(f.body)
+	b.WriteByte('\n')
+	return b.String()
+}
+
+// writePrologue writes one PREFIX line per prefix that use accepts.
+func writePrologue(b *strings.Builder, pm *rdf.PrefixMap, prefixes []string, use func(i int) bool) {
+	var iri [128]byte // most namespaces render without an allocation
+	for i, p := range prefixes {
+		if use(i) {
+			ns, _ := pm.Namespace(p)
+			b.WriteString("PREFIX ")
+			b.WriteString(p)
+			b.WriteString(": ")
+			b.Write(rdf.AppendIRI(iri[:0], ns))
+			b.WriteByte('\n')
 		}
 	}
-	for _, t := range q.Template {
-		note(t.S)
-		note(t.P)
-		note(t.O)
+}
+
+func (f *formatter) str(s string) { f.body = append(f.body, s...) }
+
+func (f *formatter) indent(n int) {
+	for ; n > 0; n-- {
+		f.str("  ")
 	}
-	for _, t := range q.DescribeTerms {
-		note(t)
-	}
-	Walk(q.Where, func(el GroupElement) {
-		switch e := el.(type) {
-		case *BGP:
-			for _, t := range e.Patterns {
-				note(t.S)
-				note(t.P)
-				note(t.O)
-			}
-		case *Filter:
-			for _, t := range ExprTerms(e.Expr) {
-				note(t)
-			}
-		case *InlineData:
-			for _, row := range e.Rows {
-				for _, t := range row {
-					note(t)
+}
+
+func (f *formatter) query(q *Query) {
+	switch q.Form {
+	case Select:
+		f.str("SELECT ")
+		if q.Distinct {
+			f.str("DISTINCT ")
+		}
+		if q.Reduced {
+			f.str("REDUCED ")
+		}
+		if q.SelectStar {
+			f.str("*")
+		} else {
+			for i, v := range q.SelectVars {
+				if i > 0 {
+					f.str(" ")
 				}
+				f.str("?")
+				f.str(v)
 			}
 		}
-	})
-	for _, oc := range q.OrderBy {
-		for _, t := range ExprTerms(oc.Expr) {
-			note(t)
+		f.str("\n")
+	case Ask:
+		f.str("ASK\n")
+	case Construct:
+		f.str("CONSTRUCT {\n")
+		for i := range q.Template {
+			f.str("  ")
+			f.triple(&q.Template[i], false)
+			f.str(" .\n")
+		}
+		f.str("}\n")
+	case Describe:
+		f.str("DESCRIBE")
+		for i := range q.DescribeTerms {
+			f.str(" ")
+			f.term(&q.DescribeTerms[i], true, false)
+		}
+		f.str("\n")
+	}
+	// A template or resource list the form does not write still declares
+	// its prefixes.
+	if q.Form != Construct {
+		for _, t := range q.Template {
+			f.note(t.S)
+			f.note(t.P)
+			f.note(t.O)
 		}
 	}
-	return used
-}
-
-func noteIRI(iri string, pm *rdf.PrefixMap, used map[string]bool) {
-	if q, ok := pm.Shrink(iri); ok {
-		ns, _ := pm.Namespace(q[:strings.Index(q, ":")])
-		used[ns] = true
+	if q.Form != Describe {
+		for _, t := range q.DescribeTerms {
+			f.note(t)
+		}
+	}
+	if q.Form != Describe || q.Where != nil {
+		f.str("WHERE ")
+		f.group(q.Where, 0)
+		f.str("\n")
+	}
+	if len(q.OrderBy) > 0 {
+		f.str("ORDER BY")
+		for _, oc := range q.OrderBy {
+			if oc.Desc {
+				f.str(" DESC(")
+				f.expr(oc.Expr, false)
+				f.str(")")
+			} else if te, ok := oc.Expr.(*TermExpr); ok && te.Term.IsVar() {
+				f.str(" ?")
+				f.str(te.Term.Value)
+			} else {
+				f.str(" ASC(")
+				f.expr(oc.Expr, false)
+				f.str(")")
+			}
+		}
+		f.str("\n")
+	}
+	if q.Limit >= 0 {
+		f.str("LIMIT ")
+		f.body = strconv.AppendInt(f.body, int64(q.Limit), 10)
+		f.str("\n")
+	}
+	if q.Offset >= 0 {
+		f.str("OFFSET ")
+		f.body = strconv.AppendInt(f.body, int64(q.Offset), 10)
+		f.str("\n")
 	}
 }
 
-func indent(n int) string { return strings.Repeat("  ", n) }
-
-func formatGroup(b *strings.Builder, g *GroupGraphPattern, pm *rdf.PrefixMap, depth int) {
-	b.WriteString("{\n")
+func (f *formatter) group(g *GroupGraphPattern, depth int) {
+	f.str("{\n")
 	inner := depth + 1
 	if g != nil {
 		for _, el := range g.Elements {
 			switch e := el.(type) {
 			case *BGP:
-				for _, t := range e.Patterns {
-					b.WriteString(indent(inner) + formatTriple(t, pm) + " .\n")
+				for i := range e.Patterns {
+					f.indent(inner)
+					f.triple(&e.Patterns[i], true)
+					f.str(" .\n")
 				}
 			case *Filter:
-				b.WriteString(indent(inner) + "FILTER (" + FormatExpr(e.Expr, pm) + ")\n")
+				f.indent(inner)
+				f.str("FILTER (")
+				f.expr(e.Expr, true)
+				f.str(")\n")
 			case *Optional:
-				b.WriteString(indent(inner) + "OPTIONAL ")
-				formatGroup(b, e.Group, pm, inner)
-				b.WriteString("\n")
+				f.indent(inner)
+				f.str("OPTIONAL ")
+				f.group(e.Group, inner)
+				f.str("\n")
 			case *SubGroup:
-				b.WriteString(indent(inner))
-				formatGroup(b, e.Group, pm, inner)
-				b.WriteString("\n")
+				f.indent(inner)
+				f.group(e.Group, inner)
+				f.str("\n")
 			case *Union:
-				b.WriteString(indent(inner))
+				f.indent(inner)
 				for i, alt := range e.Alternatives {
 					if i > 0 {
-						b.WriteString(" UNION ")
+						f.str(" UNION ")
 					}
-					formatGroup(b, alt, pm, inner)
+					f.group(alt, inner)
 				}
-				b.WriteString("\n")
+				f.str("\n")
 			case *InlineData:
-				formatInlineData(b, e, pm, inner)
+				f.inlineData(e, inner)
 			}
 		}
 	}
-	b.WriteString(indent(depth) + "}")
+	f.indent(depth)
+	f.str("}")
 }
 
-// formatInlineData writes a VALUES block in the full (parenthesised) row
-// form, which is valid for any arity and re-parses to an identical tree.
-func formatInlineData(b *strings.Builder, d *InlineData, pm *rdf.PrefixMap, depth int) {
-	b.WriteString(indent(depth) + "VALUES (")
+// inlineData writes a VALUES block in the full (parenthesised) row form,
+// which is valid for any arity and re-parses to an identical tree.
+func (f *formatter) inlineData(d *InlineData, depth int) {
+	f.indent(depth)
+	f.str("VALUES (")
 	for i, v := range d.Vars {
 		if i > 0 {
-			b.WriteString(" ")
+			f.str(" ")
 		}
-		b.WriteString("?" + v)
+		f.str("?")
+		f.str(v)
 	}
-	b.WriteString(") {\n")
+	f.str(") {\n")
 	for _, row := range d.Rows {
-		b.WriteString(indent(depth+1) + "(")
-		for i, t := range row {
+		f.indent(depth + 1)
+		f.str("(")
+		for i := range row {
 			if i > 0 {
-				b.WriteString(" ")
+				f.str(" ")
 			}
-			if t.Kind == rdf.KindAny {
-				b.WriteString("UNDEF")
+			if row[i].Kind == rdf.KindAny {
+				f.str("UNDEF")
 			} else {
-				b.WriteString(formatTerm(t, pm))
+				f.term(&row[i], true, false)
 			}
 		}
-		b.WriteString(")\n")
+		f.str(")\n")
 	}
-	b.WriteString(indent(depth) + "}\n")
+	f.indent(depth)
+	f.str("}\n")
 }
 
-func formatTriple(t rdf.Triple, pm *rdf.PrefixMap) string {
-	return formatTerm(t.S, pm) + " " + formatVerbTerm(t.P, pm) + " " + formatTerm(t.O, pm)
+// triple writes a triple pattern; in a WHERE clause (liftable) its
+// subject is a lifted position, and its object too unless the predicate
+// is rdf:type.
+func (f *formatter) triple(t *rdf.Triple, liftable bool) {
+	f.term(&t.S, liftable, false)
+	f.str(" ")
+	f.term(&t.P, false, true)
+	f.str(" ")
+	f.term(&t.O, liftable && !(t.P.Kind == rdf.KindIRI && t.P.Value == rdf.RDFType), false)
+}
+
+// term writes one term, or the hole of the slot it stands for.
+func (f *formatter) term(t *rdf.Term, liftable, verb bool) {
+	if f.slot != nil {
+		if i, ok := f.slot(t, liftable); ok {
+			at := len(f.body)
+			f.body = appendSlotToken(f.body, i)
+			f.holes = append(f.holes, hole{slot: i, verb: verb, at: at, end: len(f.body)})
+			return
+		}
+	}
+	f.note(*t)
+	f.body = appendTerm(f.body, f.pm, *t, verb)
+}
+
+// note records the prefix a term declares: the namespace its IRI, or its
+// literal's datatype, shrinks into.
+func (f *formatter) note(t rdf.Term) {
+	if f.used == nil {
+		return
+	}
+	if p, ok := termPrefix(f.pm, t); ok {
+		markUsed(f.used, f.pm, f.prefixes, p)
+	}
+}
+
+// markUsed marks prefix p used, and with it every prefix bound to the
+// same namespace: the prologue declares namespaces.
+func markUsed(used []bool, pm *rdf.PrefixMap, prefixes []string, p string) {
+	if used[sort.SearchStrings(prefixes, p)] {
+		return
+	}
+	ns, _ := pm.Namespace(p)
+	for i, q := range prefixes {
+		if other, _ := pm.Namespace(q); other == ns {
+			used[i] = true
+		}
+	}
+}
+
+// termPrefix returns the prefix the term makes its text declare.
+func termPrefix(pm *rdf.PrefixMap, t rdf.Term) (string, bool) {
+	if pm == nil {
+		return "", false
+	}
+	iri := t.Value
+	switch t.Kind {
+	case rdf.KindIRI:
+	case rdf.KindLiteral:
+		if t.Datatype == "" || t.Datatype == rdf.XSDString {
+			return "", false
+		}
+		iri = t.Datatype
+	default:
+		return "", false
+	}
+	p, _, ok := pm.Split(iri)
+	return p, ok
+}
+
+// appendTerm appends a term as Format writes it: IRIs and datatypes
+// shrunk through pm when they can be, rdf:type as "a" in the predicate
+// position.
+func appendTerm(dst []byte, pm *rdf.PrefixMap, t rdf.Term, verb bool) []byte {
+	if verb && t.Kind == rdf.KindIRI && t.Value == rdf.RDFType {
+		return append(dst, 'a')
+	}
+	if pm != nil {
+		switch t.Kind {
+		case rdf.KindIRI:
+			if p, local, ok := pm.Split(t.Value); ok {
+				return append(append(append(dst, p...), ':'), local...)
+			}
+		case rdf.KindLiteral:
+			if t.Lang == "" && t.Datatype != "" && t.Datatype != rdf.XSDString {
+				if p, local, ok := pm.Split(t.Datatype); ok {
+					dst = append(dst, rdf.NewLiteral(t.Value).String()...)
+					return append(append(append(append(dst, "^^"...), p...), ':'), local...)
+				}
+			}
+		}
+	}
+	switch t.Kind {
+	case rdf.KindIRI:
+		return rdf.AppendIRI(dst, t.Value)
+	case rdf.KindVar:
+		return append(append(dst, '?'), t.Value...)
+	case rdf.KindBlank:
+		return append(append(dst, "_:"...), t.Value...)
+	}
+	return append(dst, t.String()...)
 }
 
 // FormatTriplePattern serialises one triple pattern in query syntax
 // (QName-shrunk through pm when possible), for diagnostics and explain
 // output.
 func FormatTriplePattern(t rdf.Triple, pm *rdf.PrefixMap) string {
-	return formatTriple(t, pm)
-}
-
-func formatVerbTerm(t rdf.Term, pm *rdf.PrefixMap) string {
-	if t.Kind == rdf.KindIRI && t.Value == rdf.RDFType {
-		return "a"
-	}
-	return formatTerm(t, pm)
-}
-
-func formatTerm(t rdf.Term, pm *rdf.PrefixMap) string {
-	if pm == nil {
-		return t.String()
-	}
-	switch t.Kind {
-	case rdf.KindIRI:
-		if q, ok := pm.Shrink(t.Value); ok {
-			return q
-		}
-	case rdf.KindLiteral:
-		if t.Lang == "" && t.Datatype != "" && t.Datatype != rdf.XSDString {
-			if q, ok := pm.Shrink(t.Datatype); ok {
-				return rdf.NewLiteral(t.Value).String() + "^^" + q
-			}
-		}
-	}
-	return t.String()
+	var buf [256]byte
+	b := appendTerm(buf[:0], pm, t.S, false)
+	b = appendTerm(append(b, ' '), pm, t.P, true)
+	b = appendTerm(append(b, ' '), pm, t.O, false)
+	return string(b)
 }
 
 // FormatExpr serialises an expression with explicit grouping parentheses so
 // the output re-parses to an identical tree regardless of precedence.
 func FormatExpr(e Expression, pm *rdf.PrefixMap) string {
+	var buf [256]byte
+	f := formatter{pm: pm, body: buf[:0]}
+	f.expr(e, false)
+	return string(f.body)
+}
+
+// expr writes an expression; liftable says its constants are at lifted
+// positions (a FILTER's are, an ORDER BY's are not).
+func (f *formatter) expr(e Expression, liftable bool) {
 	switch x := e.(type) {
 	case nil:
-		return ""
 	case *TermExpr:
-		return formatTerm(x.Term, pm)
+		f.term(&x.Term, liftable, false)
 	case *Unary:
-		return x.Op + "(" + FormatExpr(x.X, pm) + ")"
+		f.str(x.Op)
+		f.str("(")
+		f.expr(x.X, liftable)
+		f.str(")")
 	case *Binary:
-		return "(" + FormatExpr(x.L, pm) + " " + x.Op + " " + FormatExpr(x.R, pm) + ")"
+		f.str("(")
+		f.expr(x.L, liftable)
+		f.str(" ")
+		f.str(x.Op)
+		f.str(" ")
+		f.expr(x.R, liftable)
+		f.str(")")
 	case *Call:
-		var args []string
-		for _, a := range x.Args {
-			args = append(args, FormatExpr(a, pm))
+		switch {
+		case !x.IRIFunc:
+			f.str(x.Name)
+		case f.pm != nil:
+			// The function's namespace is not declared: the prologue
+			// only covers terms.
+			f.body = appendTerm(f.body, f.pm, rdf.NewIRI(x.Name), false)
+		default:
+			f.body = rdf.AppendIRI(f.body, x.Name)
 		}
-		name := x.Name
-		if x.IRIFunc {
-			if pm != nil {
-				if q, ok := pm.Shrink(name); ok {
-					return q + "(" + strings.Join(args, ", ") + ")"
-				}
+		f.str("(")
+		for i, a := range x.Args {
+			if i > 0 {
+				f.str(", ")
 			}
-			return rdf.NewIRI(name).String() + "(" + strings.Join(args, ", ") + ")"
+			f.expr(a, liftable)
 		}
-		return name + "(" + strings.Join(args, ", ") + ")"
+		f.str(")")
 	default:
-		return fmt.Sprintf("!unknown-expr(%T)", e)
+		f.str(fmt.Sprintf("!unknown-expr(%T)", e))
 	}
 }
