@@ -3,9 +3,9 @@
 # and the full suite under the race detector;
 # `make build` compiles everything; `make bench` runs every Go benchmark
 # (the end-to-end record is written by `go run ./bench`, not by make);
-# `make fuzz-smoke` fuzzes the SRJ codec, the SPARQL, Turtle and
-# N-Triples parsers, the traceparent parser and the rewrite-plan
-# template's bind briefly;
+# `make fuzz-smoke` fuzzes the SRJ codec, the shared lexer against its
+# reference, the SPARQL, Turtle and N-Triples parsers, the traceparent
+# parser and the rewrite-plan template's bind briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
 # mediator binary; `make examples` runs every example end to end.
 
@@ -52,14 +52,16 @@ bench-smoke:
 	@echo "bench-smoke: every benchmark ran; view and representative-cache benchmarks present"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
-# its encoding/json reference, the encoder's round trip, the SPARQL,
+# its encoding/json reference, the encoder's round trip, the slicing lexer
+# against the builder-based reference it replaced (same tokens, values and
+# positions; seeded from the three parsers' corpora), the SPARQL,
 # Turtle and N-Triples parsers' parse → format → parse fixpoints, the
 # inbound traceparent parser and a rewrite-plan template's bind against
 # the direct rewrite, each starting from the corpus under its
 # package's testdata/fuzz. go test fuzzes one target of one package per
 # invocation, so a target is listed as package:name.
 FUZZ_TARGETS = ./internal/srjson:FuzzStreamDecoder ./internal/srjson:FuzzAppendBinding \
-	./internal/sparql:FuzzParseFormat ./internal/obs:FuzzParseTraceparent \
+	./internal/lex:FuzzLexer ./internal/sparql:FuzzParseFormat ./internal/obs:FuzzParseTraceparent \
 	./internal/turtle:FuzzParseTurtle ./internal/ntriples:FuzzParseNTriples \
 	./internal/core:FuzzTemplateBind
 

@@ -3,6 +3,11 @@
 // The token inventories of the two languages overlap almost entirely, so a
 // single lexer serves both; language-specific keywords are lexed as Ident
 // tokens and interpreted case-insensitively by the parsers.
+//
+// The lexer allocates only for a token that holds an escape or invalid
+// UTF-8, and for an Illegal token's message: every other token's value is
+// a slice of the source, so a parser that keeps a value past the parse
+// copies it (strings.Clone) rather than pinning the whole source.
 package lex
 
 import (
@@ -15,17 +20,18 @@ import (
 // Kind enumerates token kinds.
 type Kind uint8
 
-// Token kinds. Punctuation kinds carry no value; literal-ish kinds carry
-// their decoded value in Token.Val.
+// Token kinds. Punctuation kinds carry no value; the others carry their
+// text in Token.Val, without the delimiters, and Illegal carries the error
+// message.
 const (
 	EOF Kind = iota
 	Illegal
-	IRIRef    // <...>; Val = IRI content, unescaped
+	IRIRef    // <...>; Val = IRI content, \u and \U escapes decoded
 	PNameNS   // "prefix:"; Val = prefix (may be empty)
 	PNameLN   // prefix:local; Val = "prefix:local" verbatim
 	BlankNode // _:label; Val = label
 	Var       // ?name or $name; Val = name
-	String    // quoted string; Val = unescaped content
+	String    // quoted string; Val = content, escapes decoded
 	LangTag   // @tag; Val = tag
 	AtKeyword // @prefix or @base; Val = "prefix"/"base"
 	Integer   // Val = digits
@@ -77,7 +83,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Token is a lexed token with source position (1-based line and column).
+// Token is a lexed token with source position (1-based line and column,
+// counted in runes). Val is a slice of the source unless the token held an
+// escape, which is decoded, or invalid UTF-8, which reads as U+FFFD inside
+// an IRI or a string; either way a parser that keeps Val copies it.
 type Token struct {
 	Kind Kind
 	Val  string
@@ -104,8 +113,9 @@ func (t Token) String() string {
 }
 
 // Lexer tokenises an input string. It is a simple single-pass scanner; the
-// parsers drive it through Next (with one-token lookahead implemented on
-// their side).
+// parsers drive it through Next, their current token serving as the
+// lookahead. It scans bytes and decodes a rune only at a byte of 0x80 or
+// above; line and column count runes.
 type Lexer struct {
 	src  string
 	pos  int
@@ -114,15 +124,25 @@ type Lexer struct {
 }
 
 // New returns a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+func New(src string) Lexer {
+	return Lexer{src: src, line: 1, col: 1}
+}
+
+// peekRune returns the rune at the current position and its width, or
+// (-1, 0) at the end of the input. Invalid UTF-8 reads as
+// (utf8.RuneError, 1).
+func (l *Lexer) peekRune() (rune, int) {
+	if l.pos >= len(l.src) {
+		return -1, 0
+	}
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
 
 func (l *Lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	r, _ := l.peekRune()
 	return r
 }
 
@@ -131,15 +151,18 @@ func (l *Lexer) peekAt(off int) rune {
 	if p >= len(l.src) {
 		return -1
 	}
+	if c := l.src[p]; c < utf8.RuneSelf {
+		return rune(c)
+	}
 	r, _ := utf8.DecodeRuneInString(l.src[p:])
 	return r
 }
 
 func (l *Lexer) advance() rune {
-	if l.pos >= len(l.src) {
+	r, w := l.peekRune()
+	if w == 0 {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(l.src[l.pos:])
 	l.pos += w
 	if r == '\n' {
 		l.line++
@@ -150,21 +173,42 @@ func (l *Lexer) advance() rune {
 	return r
 }
 
-func (l *Lexer) skipSpaceAndComments() {
+// skipWhile advances over the run of runes that accept admits, none of
+// which is a newline.
+func (l *Lexer) skipWhile(accept func(rune) bool) {
 	for {
-		r := l.peek()
-		if r == '#' {
-			for r != '\n' && r != -1 {
-				l.advance()
-				r = l.peek()
+		r, w := l.peekRune()
+		if w == 0 || !accept(r) {
+			return
+		}
+		l.pos += w
+		l.col++
+	}
+}
+
+func (l *Lexer) skipSpaceAndComments() {
+	for l.pos < len(l.src) {
+		switch l.src[l.pos] {
+		case '#':
+			// The column restarts at the newline, so only a comment that
+			// runs to the end of the input has its runes counted.
+			rest := l.src[l.pos:]
+			if i := strings.IndexByte(rest, '\n'); i >= 0 {
+				l.pos += i
+			} else {
+				l.pos = len(l.src)
+				l.col += utf8.RuneCountInString(rest)
 			}
-			continue
+		case ' ', '\t', '\r':
+			l.pos++
+			l.col++
+		case '\n':
+			l.pos++
+			l.line++
+			l.col = 1
+		default:
+			return
 		}
-		if r == ' ' || r == '\t' || r == '\r' || r == '\n' {
-			l.advance()
-			continue
-		}
-		return
 	}
 }
 
@@ -300,7 +344,7 @@ func (l *Lexer) lexLessOrIRI(line, col int) Token {
 	for i < len(l.src) {
 		c := l.src[i]
 		if c == '>' {
-			return l.consumeIRIRef(line, col)
+			return l.consumeIRIRef(i, line, col)
 		}
 		if c <= ' ' || c == '<' || c == '"' || c == '{' || c == '}' || c == '|' || c == '^' || c == '`' {
 			break
@@ -315,7 +359,21 @@ func (l *Lexer) lexLessOrIRI(line, col int) Token {
 	return l.tok(Lt, "", line, col)
 }
 
-func (l *Lexer) consumeIRIRef(line, col int) Token {
+// consumeIRIRef consumes the IRI reference whose closing '>' is at end.
+// The content holds no newline, so it moves the column only.
+func (l *Lexer) consumeIRIRef(end, line, col int) Token {
+	body := l.src[l.pos+1 : end]
+	if strings.IndexByte(body, '\\') >= 0 || !utf8.ValidString(body) {
+		return l.decodeIRIRef(line, col)
+	}
+	l.pos = end + 1
+	l.col += utf8.RuneCountInString(body) + 2
+	return l.tok(IRIRef, body, line, col)
+}
+
+// decodeIRIRef consumes an IRI reference that holds an escape or invalid
+// UTF-8 (written out as U+FFFD), building its value.
+func (l *Lexer) decodeIRIRef(line, col int) Token {
 	l.advance() // '<'
 	var b strings.Builder
 	for {
@@ -385,7 +443,36 @@ func (l *Lexer) lexString(line, col int) Token {
 			return l.tok(String, "", line, col) // empty short string
 		}
 	}
+	start := l.pos
+	for {
+		r, w := l.peekRune()
+		switch {
+		case r == -1:
+			return l.illegal(line, col, "unterminated string literal")
+		case !long && (r == '\n' || r == '\r'):
+			return l.illegal(line, col, "newline in string literal")
+		case r == quote && !long:
+			val := l.src[start:l.pos]
+			l.advance()
+			return l.tok(String, val, line, col)
+		case r == quote && l.peekAt(1) == quote && l.peekAt(2) == quote:
+			val := l.src[start:l.pos]
+			l.pos += 3
+			l.col += 3
+			return l.tok(String, val, line, col)
+		case r == '\\' || r == utf8.RuneError && w == 1:
+			return l.decodeString(start, quote, long, line, col)
+		}
+		l.advance()
+	}
+}
+
+// decodeString finishes a string literal from the escape or invalid UTF-8
+// (written out as U+FFFD) at the current position, building its value from
+// the verbatim run src[start:pos] before it.
+func (l *Lexer) decodeString(start int, quote rune, long bool, line, col int) Token {
 	var b strings.Builder
+	b.WriteString(l.src[start:l.pos])
 	for {
 		r := l.peek()
 		if r == -1 {
@@ -443,44 +530,29 @@ func (l *Lexer) lexString(line, col int) Token {
 
 func (l *Lexer) lexVar(line, col int) Token {
 	l.advance() // ? or $
-	var b strings.Builder
-	for {
-		r := l.peek()
-		if isPNChars(r) && r != '-' && r != '.' || isDigit(r) {
-			l.advance()
-			b.WriteRune(r)
-			continue
-		}
-		break
-	}
-	if b.Len() == 0 {
+	start := l.pos
+	l.skipWhile(isVarChar)
+	if l.pos == start {
 		return l.illegal(line, col, "empty variable name")
 	}
-	return l.tok(Var, b.String(), line, col)
+	return l.tok(Var, l.src[start:l.pos], line, col)
 }
 
 func (l *Lexer) lexAt(line, col int) Token {
 	l.advance() // @
-	var b strings.Builder
+	start := l.pos
 	for {
 		r := l.peek()
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {
-			l.advance()
-			b.WriteRune(r)
-			continue
-		}
-		if r == '-' && b.Len() > 0 {
-			l.advance()
-			b.WriteRune(r)
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '-' && l.pos > start {
+			l.pos++
+			l.col++
 			continue
 		}
 		break
 	}
 	// continue over digits for subtags like @en-us2
-	for isDigit(l.peek()) {
-		b.WriteRune(l.advance())
-	}
-	v := b.String()
+	l.skipWhile(isDigit)
+	v := l.src[start:l.pos]
 	if v == "" {
 		return l.illegal(line, col, "empty @ token")
 	}
@@ -504,14 +576,7 @@ func (l *Lexer) lexBlank(line, col int) Token {
 // and interior dots (a trailing dot run is put back for the Dot token).
 func (l *Lexer) lexLocalName() string {
 	start := l.pos
-	for {
-		r := l.peek()
-		if isPNChars(r) || isDigit(r) || r == '.' || r == '%' {
-			l.advance()
-			continue
-		}
-		break
-	}
+	l.skipWhile(isLocalChar)
 	s := l.src[start:l.pos]
 	// Back off trailing dots: they terminate statements in Turtle.
 	for strings.HasSuffix(s, ".") {
@@ -523,24 +588,16 @@ func (l *Lexer) lexLocalName() string {
 }
 
 func (l *Lexer) lexIdentOrPName(line, col int) Token {
-	var b strings.Builder
-	for {
-		r := l.peek()
-		if isPNChars(r) || (b.Len() > 0 && isDigit(r)) || (b.Len() == 0 && isDigit(r)) {
-			l.advance()
-			b.WriteRune(r)
-			continue
-		}
-		break
-	}
-	prefix := b.String()
+	start := l.pos
+	l.skipWhile(isNameChar)
+	prefix := l.src[start:l.pos]
 	if l.peek() == ':' {
 		l.advance()
 		// PNameNS or PNameLN depending on what follows.
 		r := l.peek()
 		if isPNChars(r) || isDigit(r) || r == '%' {
-			local := l.lexLocalName()
-			return l.tok(PNameLN, prefix+":"+local, line, col)
+			l.lexLocalName()
+			return l.tok(PNameLN, l.src[start:l.pos], line, col)
 		}
 		return l.tok(PNameNS, prefix, line, col)
 	}
@@ -595,6 +652,15 @@ func isPNCharsBase(r rune) bool {
 func isPNChars(r rune) bool {
 	return isPNCharsBase(r) || r == '-'
 }
+
+// isVarChar accepts the characters of a variable name.
+func isVarChar(r rune) bool { return isDigit(r) || isPNCharsBase(r) }
+
+// isNameChar accepts the characters of a bare word or a prefix.
+func isNameChar(r rune) bool { return isDigit(r) || isPNChars(r) }
+
+// isLocalChar accepts the characters of a local name or blank-node label.
+func isLocalChar(r rune) bool { return isNameChar(r) || r == '.' || r == '%' }
 
 // All tokenises the whole input, primarily for tests.
 func All(src string) []Token {

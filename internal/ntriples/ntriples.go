@@ -46,7 +46,10 @@ func ParseString(s string) (rdf.Graph, error) {
 func parseLine(line string) (rdf.Triple, error) {
 	// Tokenise the whole line first; N-Triples lines are short, and a
 	// token slice gives us the one-token lookahead plain literals need.
-	var toks []lex.Token
+	// The tokens' values are slices of the line: a term copies what it
+	// keeps, so the triple does not pin the line.
+	var buf [8]lex.Token // a valid line has at most 7 tokens
+	toks := buf[:0]
 	lx := lex.New(line)
 	for {
 		tok := lx.Next()
@@ -64,15 +67,16 @@ func parseLine(line string) (rdf.Triple, error) {
 		switch tok.Kind {
 		case lex.IRIRef:
 			i++
-			return rdf.NewIRI(tok.Val), nil
+			return rdf.NewIRI(strings.Clone(tok.Val)), nil
 		case lex.BlankNode:
 			i++
-			return rdf.NewBlank(tok.Val), nil
+			return rdf.NewBlank(strings.Clone(tok.Val)), nil
 		case lex.String:
 			i++
+			val := strings.Clone(tok.Val)
 			switch toks[i].Kind {
 			case lex.LangTag:
-				t := rdf.NewLangLiteral(tok.Val, toks[i].Val)
+				t := rdf.NewLangLiteral(val, strings.Clone(toks[i].Val))
 				i++
 				return t, nil
 			case lex.HatHat:
@@ -80,11 +84,11 @@ func parseLine(line string) (rdf.Triple, error) {
 				if toks[i].Kind != lex.IRIRef {
 					return rdf.Term{}, fmt.Errorf("expected datatype IRI, found %s", toks[i])
 				}
-				t := rdf.NewTypedLiteral(tok.Val, toks[i].Val)
+				t := rdf.NewTypedLiteral(val, strings.Clone(toks[i].Val))
 				i++
 				return t, nil
 			}
-			return rdf.NewLiteral(tok.Val), nil
+			return rdf.NewLiteral(val), nil
 		default:
 			return rdf.Term{}, fmt.Errorf("unexpected token %s", tok)
 		}

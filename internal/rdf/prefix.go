@@ -53,7 +53,8 @@ func (pm *PrefixMap) Namespace(prefix string) (string, bool) {
 }
 
 // Expand resolves a QName "prefix:local" to a full IRI. It returns an error
-// for unbound prefixes.
+// for unbound prefixes. The IRI never shares qname's memory, so a parser
+// may pass a slice of its source.
 func (pm *PrefixMap) Expand(qname string) (string, error) {
 	i := strings.Index(qname, ":")
 	if i < 0 {
@@ -62,6 +63,10 @@ func (pm *PrefixMap) Expand(qname string) (string, error) {
 	ns, ok := pm.toNS[qname[:i]]
 	if !ok {
 		return "", fmt.Errorf("rdf: unbound prefix %q", qname[:i])
+	}
+	if ns == "" {
+		// ns + local would be local itself.
+		return strings.Clone(qname[i+1:]), nil
 	}
 	return ns + qname[i+1:], nil
 }

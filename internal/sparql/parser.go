@@ -11,7 +11,7 @@ import (
 
 // Parse parses a SPARQL 1.0 query (SELECT, ASK, CONSTRUCT or DESCRIBE).
 func Parse(src string) (*Query, error) {
-	p := &parser{lx: lex.New(src), used: map[string]bool{}}
+	p := &parser{lx: lex.New(src)}
 	p.next()
 	q, err := p.query()
 	if err != nil {
@@ -29,31 +29,30 @@ func MustParse(src string) *Query {
 	return q
 }
 
+// parser reads tokens whose values are slices of the query text. A value
+// the query keeps — a term's value, datatype or language, a variable name
+// or blank-node label, a prefix or namespace — is copied once (val, iri),
+// so nothing parsed pins the text; keywords are only compared, and the
+// prefix:local text of a prefixed name only feeds PrefixMap.Expand, which
+// builds a new string.
 type parser struct {
-	lx      *lex.Lexer
+	lx      lex.Lexer
 	tok     lex.Token
-	peeked  *lex.Token
 	pm      *rdf.PrefixMap
 	anonSeq int
-	used    map[string]bool
+	used    map[string]bool // blank labels of the query, made on first use
 }
 
 func (p *parser) next() {
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
-		return
-	}
 	p.tok = p.lx.Next()
 }
 
-func (p *parser) peek() lex.Token {
-	if p.peeked == nil {
-		t := p.lx.Next()
-		p.peeked = &t
-	}
-	return *p.peeked
-}
+// val returns a copy of the current token's value.
+func (p *parser) val() string { return strings.Clone(p.tok.Val) }
+
+// iri returns a copy of the current IRIREF token's value, resolved
+// against the base.
+func (p *parser) iri() string { return p.pm.ResolveIRI(p.val()) }
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sparql: %d:%d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
@@ -82,21 +81,23 @@ func (p *parser) acceptKeyword(kw string) bool {
 }
 
 func (p *parser) query() (*Query, error) {
-	p.pm = rdf.NewPrefixMap()
+	// The prologue binds straight into the query's own prefix map; the
+	// form's parser sets the form.
+	q := NewQuery(Select)
+	p.pm = q.Prefixes
 	if err := p.prologue(); err != nil {
 		return nil, err
 	}
-	var q *Query
 	var err error
 	switch {
 	case p.isKeyword("SELECT"):
-		q, err = p.selectQuery()
+		err = p.selectQuery(q)
 	case p.isKeyword("ASK"):
-		q, err = p.askQuery()
+		err = p.askQuery(q)
 	case p.isKeyword("CONSTRUCT"):
-		q, err = p.constructQuery()
+		err = p.constructQuery(q)
 	case p.isKeyword("DESCRIBE"):
-		q, err = p.describeQuery()
+		err = p.describeQuery(q)
 	default:
 		return nil, p.errf("expected SELECT, ASK, CONSTRUCT or DESCRIBE, found %s", p.tok)
 	}
@@ -121,7 +122,6 @@ func (p *parser) query() (*Query, error) {
 	if p.tok.Kind != lex.EOF {
 		return nil, p.errf("unexpected trailing input: %s", p.tok)
 	}
-	q.Prefixes = p.pm
 	return q, nil
 }
 
@@ -133,19 +133,19 @@ func (p *parser) prologue() error {
 			if p.tok.Kind != lex.IRIRef {
 				return p.errf("expected IRI after BASE, found %s", p.tok)
 			}
-			p.pm.SetBase(p.tok.Val)
+			p.pm.SetBase(p.val())
 			p.next()
 		case p.isKeyword("PREFIX"):
 			p.next()
 			if p.tok.Kind != lex.PNameNS {
 				return p.errf("expected prefix name after PREFIX, found %s", p.tok)
 			}
-			name := p.tok.Val
+			name := p.val()
 			p.next()
 			if p.tok.Kind != lex.IRIRef {
 				return p.errf("expected IRI after PREFIX %s:, found %s", name, p.tok)
 			}
-			p.pm.Bind(name, p.pm.ResolveIRI(p.tok.Val))
+			p.pm.Bind(name, p.iri())
 			p.next()
 		default:
 			return nil
@@ -153,8 +153,8 @@ func (p *parser) prologue() error {
 	}
 }
 
-func (p *parser) selectQuery() (*Query, error) {
-	q := NewQuery(Select)
+func (p *parser) selectQuery(q *Query) error {
+	q.Form = Select
 	p.next() // SELECT
 	if p.acceptKeyword("DISTINCT") {
 		q.Distinct = true
@@ -167,68 +167,53 @@ func (p *parser) selectQuery() (*Query, error) {
 		p.next()
 	case p.tok.Kind == lex.Var:
 		for p.tok.Kind == lex.Var {
-			q.SelectVars = append(q.SelectVars, p.tok.Val)
+			q.SelectVars = append(q.SelectVars, p.val())
 			p.next()
 		}
 	default:
-		return nil, p.errf("expected variable list or * after SELECT, found %s", p.tok)
+		return p.errf("expected variable list or * after SELECT, found %s", p.tok)
 	}
-	where, err := p.whereClause()
-	if err != nil {
-		return nil, err
-	}
-	q.Where = where
-	return q, nil
+	return p.whereClause(q)
 }
 
-func (p *parser) askQuery() (*Query, error) {
-	q := NewQuery(Ask)
+func (p *parser) askQuery(q *Query) error {
+	q.Form = Ask
 	p.next() // ASK
-	where, err := p.whereClause()
-	if err != nil {
-		return nil, err
-	}
-	q.Where = where
-	return q, nil
+	return p.whereClause(q)
 }
 
-func (p *parser) constructQuery() (*Query, error) {
-	q := NewQuery(Construct)
+func (p *parser) constructQuery(q *Query) error {
+	q.Form = Construct
 	p.next() // CONSTRUCT
 	if p.tok.Kind != lex.LBrace {
-		return nil, p.errf("expected '{' after CONSTRUCT, found %s", p.tok)
+		return p.errf("expected '{' after CONSTRUCT, found %s", p.tok)
 	}
 	p.next()
 	tmpl, err := p.triplesBlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	q.Template = tmpl
 	if err := p.expect(lex.RBrace); err != nil {
-		return nil, err
+		return err
 	}
-	where, err := p.whereClause()
-	if err != nil {
-		return nil, err
-	}
-	q.Where = where
-	return q, nil
+	return p.whereClause(q)
 }
 
 // describeQuery parses `DESCRIBE VarOrIRIref+ [WHERE GroupGraphPattern]`:
 // the resources are variables (resolved against the WHERE clause) and/or
 // ground IRIs, and the WHERE clause is optional.
-func (p *parser) describeQuery() (*Query, error) {
-	q := NewQuery(Describe)
+func (p *parser) describeQuery(q *Query) error {
+	q.Form = Describe
 	p.next() // DESCRIBE
 	for {
 		switch p.tok.Kind {
 		case lex.Var:
-			q.DescribeTerms = append(q.DescribeTerms, rdf.NewVar(p.tok.Val))
+			q.DescribeTerms = append(q.DescribeTerms, rdf.NewVar(p.val()))
 			p.next()
 			continue
 		case lex.IRIRef:
-			q.DescribeTerms = append(q.DescribeTerms, rdf.NewIRI(p.pm.ResolveIRI(p.tok.Val)))
+			q.DescribeTerms = append(q.DescribeTerms, rdf.NewIRI(p.iri()))
 			p.next()
 			continue
 		case lex.PNameLN, lex.PNameNS:
@@ -236,7 +221,7 @@ func (p *parser) describeQuery() (*Query, error) {
 			// identifier elsewhere; PName kinds are unambiguous resources.
 			t, err := p.pname()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			q.DescribeTerms = append(q.DescribeTerms, t)
 			continue
@@ -244,21 +229,20 @@ func (p *parser) describeQuery() (*Query, error) {
 		break
 	}
 	if len(q.DescribeTerms) == 0 {
-		return nil, p.errf("DESCRIBE requires at least one variable or IRI, found %s", p.tok)
+		return p.errf("DESCRIBE requires at least one variable or IRI, found %s", p.tok)
 	}
 	if p.isKeyword("WHERE") || p.tok.Kind == lex.LBrace {
-		where, err := p.whereClause()
-		if err != nil {
-			return nil, err
-		}
-		q.Where = where
+		return p.whereClause(q)
 	}
-	return q, nil
+	return nil
 }
 
-func (p *parser) whereClause() (*GroupGraphPattern, error) {
+// whereClause parses the WHERE clause into q.Where.
+func (p *parser) whereClause(q *Query) error {
 	p.acceptKeyword("WHERE")
-	return p.groupGraphPattern()
+	where, err := p.groupGraphPattern()
+	q.Where = where
+	return err
 }
 
 func (p *parser) groupGraphPattern() (*GroupGraphPattern, error) {
@@ -445,14 +429,14 @@ func (p *parser) propertyListNotEmpty(subj rdf.Term, acc *[]rdf.Triple) error {
 func (p *parser) verb() (rdf.Term, error) {
 	switch {
 	case p.tok.Kind == lex.Var:
-		t := rdf.NewVar(p.tok.Val)
+		t := rdf.NewVar(p.val())
 		p.next()
 		return t, nil
 	case p.tok.Kind == lex.Ident && p.tok.Val == "a":
 		p.next()
 		return rdf.NewIRI(rdf.RDFType), nil
 	case p.tok.Kind == lex.IRIRef:
-		t := rdf.NewIRI(p.pm.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case p.tok.Kind == lex.PNameLN || p.tok.Kind == lex.PNameNS:
@@ -481,61 +465,80 @@ func (p *parser) pname() (rdf.Term, error) {
 func (p *parser) graphNode(acc *[]rdf.Triple) (rdf.Term, error) {
 	switch p.tok.Kind {
 	case lex.Var:
-		t := rdf.NewVar(p.tok.Val)
+		t := rdf.NewVar(p.val())
 		p.next()
 		return t, nil
 	case lex.IRIRef:
-		t := rdf.NewIRI(p.pm.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case lex.PNameLN, lex.PNameNS:
 		return p.pname()
 	case lex.BlankNode:
-		p.used[p.tok.Val] = true
-		t := rdf.NewBlank(p.tok.Val)
+		label := p.val()
+		p.markUsed(label)
 		p.next()
-		return t, nil
+		return rdf.NewBlank(label), nil
 	case lex.LBracket:
 		return p.blankNodePropertyList(acc)
 	case lex.LParen:
 		return p.collection(acc)
 	case lex.String:
 		return p.literal()
-	case lex.Integer:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDInteger)
-		p.next()
-		return t, nil
-	case lex.Decimal:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDecimal)
-		p.next()
-		return t, nil
-	case lex.Double:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDouble)
-		p.next()
-		return t, nil
+	case lex.Integer, lex.Decimal, lex.Double:
+		return p.number(), nil
 	case lex.Ident:
-		if strings.EqualFold(p.tok.Val, "true") || strings.EqualFold(p.tok.Val, "false") {
-			t := rdf.NewTypedLiteral(strings.ToLower(p.tok.Val), rdf.XSDBoolean)
-			p.next()
+		if t, ok := p.boolean(); ok {
 			return t, nil
 		}
 	}
 	return rdf.Term{}, p.errf("expected graph node, found %s", p.tok)
 }
 
+// numberTypes maps a numeric token kind to its literal's datatype.
+var numberTypes = map[lex.Kind]string{
+	lex.Integer: rdf.XSDInteger, lex.Decimal: rdf.XSDDecimal, lex.Double: rdf.XSDDouble,
+}
+
+// number returns the typed literal of the current Integer, Decimal or
+// Double token and moves past it.
+func (p *parser) number() rdf.Term {
+	t := rdf.NewTypedLiteral(p.val(), numberTypes[p.tok.Kind])
+	p.next()
+	return t
+}
+
+// boolean returns the xsd:boolean literal of a true or false keyword (in
+// any case) and moves past it; ok is false, and nothing consumed, for any
+// other token.
+func (p *parser) boolean() (t rdf.Term, ok bool) {
+	switch {
+	case p.tok.Kind != lex.Ident:
+		return rdf.Term{}, false
+	case strings.EqualFold(p.tok.Val, "true"):
+		t = rdf.NewTypedLiteral("true", rdf.XSDBoolean)
+	case strings.EqualFold(p.tok.Val, "false"):
+		t = rdf.NewTypedLiteral("false", rdf.XSDBoolean)
+	default:
+		return rdf.Term{}, false
+	}
+	p.next()
+	return t, true
+}
+
 func (p *parser) literal() (rdf.Term, error) {
-	lexval := p.tok.Val
+	lexval := p.val()
 	p.next()
 	switch p.tok.Kind {
 	case lex.LangTag:
-		t := rdf.NewLangLiteral(lexval, p.tok.Val)
+		t := rdf.NewLangLiteral(lexval, p.val())
 		p.next()
 		return t, nil
 	case lex.HatHat:
 		p.next()
 		switch p.tok.Kind {
 		case lex.IRIRef:
-			t := rdf.NewTypedLiteral(lexval, p.pm.ResolveIRI(p.tok.Val))
+			t := rdf.NewTypedLiteral(lexval, p.iri())
 			p.next()
 			return t, nil
 		case lex.PNameLN:
@@ -555,10 +558,18 @@ func (p *parser) freshBlank() rdf.Term {
 		p.anonSeq++
 		label := "anon" + strconv.Itoa(p.anonSeq)
 		if !p.used[label] {
-			p.used[label] = true
+			p.markUsed(label)
 			return rdf.NewBlank(label)
 		}
 	}
+}
+
+// markUsed records a blank label as taken, so freshBlank skips it.
+func (p *parser) markUsed(label string) {
+	if p.used == nil {
+		p.used = map[string]bool{}
+	}
+	p.used[label] = true
 }
 
 func (p *parser) blankNodePropertyList(acc *[]rdf.Triple) (rdf.Term, error) {
@@ -625,12 +636,12 @@ func (p *parser) inlineData() (*InlineData, error) {
 	switch p.tok.Kind {
 	case lex.Var:
 		single = true
-		data.Vars = []string{p.tok.Val}
+		data.Vars = []string{p.val()}
 		p.next()
 	case lex.LParen:
 		p.next()
 		for p.tok.Kind == lex.Var {
-			data.Vars = append(data.Vars, p.tok.Val)
+			data.Vars = append(data.Vars, p.val())
 			p.next()
 		}
 		if err := p.expect(lex.RParen); err != nil {
@@ -642,21 +653,26 @@ func (p *parser) inlineData() (*InlineData, error) {
 	if err := p.expect(lex.LBrace); err != nil {
 		return nil, err
 	}
+	// The cells of every row go into one array, which the rows then
+	// window, capped so that appending to one row cannot write into the
+	// next.
+	var cells []rdf.Term
+	rows := 0
 	for p.tok.Kind != lex.RBrace {
 		if p.tok.Kind == lex.EOF {
 			return nil, p.errf("unterminated VALUES block")
 		}
-		var row []rdf.Term
 		if single {
 			t, err := p.dataTerm()
 			if err != nil {
 				return nil, err
 			}
-			row = []rdf.Term{t}
+			cells = append(cells, t)
 		} else {
 			if err := p.expect(lex.LParen); err != nil {
 				return nil, err
 			}
+			n := 0
 			for p.tok.Kind != lex.RParen {
 				if p.tok.Kind == lex.EOF {
 					return nil, p.errf("unterminated VALUES row")
@@ -665,16 +681,24 @@ func (p *parser) inlineData() (*InlineData, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, t)
+				cells = append(cells, t)
+				n++
 			}
 			p.next() // RParen
-			if len(row) != len(data.Vars) {
-				return nil, p.errf("VALUES row has %d terms for %d variables", len(row), len(data.Vars))
+			if n != len(data.Vars) {
+				return nil, p.errf("VALUES row has %d terms for %d variables", n, len(data.Vars))
 			}
 		}
-		data.Rows = append(data.Rows, row)
+		rows++
 	}
 	p.next() // RBrace
+	if rows > 0 {
+		w := len(data.Vars)
+		data.Rows = make([][]rdf.Term, rows)
+		for i := range data.Rows {
+			data.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
 	return data, nil
 }
 
@@ -683,33 +707,21 @@ func (p *parser) inlineData() (*InlineData, error) {
 func (p *parser) dataTerm() (rdf.Term, error) {
 	switch p.tok.Kind {
 	case lex.IRIRef:
-		t := rdf.NewIRI(p.pm.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case lex.PNameLN, lex.PNameNS:
 		return p.pname()
 	case lex.String:
 		return p.literal()
-	case lex.Integer:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDInteger)
-		p.next()
-		return t, nil
-	case lex.Decimal:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDecimal)
-		p.next()
-		return t, nil
-	case lex.Double:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDouble)
-		p.next()
-		return t, nil
+	case lex.Integer, lex.Decimal, lex.Double:
+		return p.number(), nil
 	case lex.Ident:
-		switch {
-		case strings.EqualFold(p.tok.Val, "UNDEF"):
+		if strings.EqualFold(p.tok.Val, "UNDEF") {
 			p.next()
 			return rdf.Term{}, nil
-		case strings.EqualFold(p.tok.Val, "true"), strings.EqualFold(p.tok.Val, "false"):
-			t := rdf.NewTypedLiteral(strings.ToLower(p.tok.Val), rdf.XSDBoolean)
-			p.next()
+		}
+		if t, ok := p.boolean(); ok {
 			return t, nil
 		}
 	}
@@ -867,19 +879,32 @@ func (p *parser) unaryExpression() (Expression, error) {
 	return p.primaryExpression()
 }
 
-// builtins recognised by the parser (SPARQL 1.0 built-in calls).
-var builtins = map[string]struct{ min, max int }{
-	"STR": {1, 1}, "LANG": {1, 1}, "LANGMATCHES": {2, 2}, "DATATYPE": {1, 1},
-	"BOUND": {1, 1}, "SAMETERM": {2, 2}, "ISIRI": {1, 1}, "ISURI": {1, 1},
-	"ISBLANK": {1, 1}, "ISLITERAL": {1, 1}, "REGEX": {2, 3},
+// builtin is a SPARQL 1.0 built-in call: its upper-case name and arity.
+type builtin struct {
+	name     string
+	min, max int
+}
+
+// builtins recognised by the parser, keyed by name; a call keeps the
+// table's name, not the query text's spelling of it.
+var builtins = map[string]builtin{}
+
+func init() {
+	for _, b := range []builtin{
+		{"STR", 1, 1}, {"LANG", 1, 1}, {"LANGMATCHES", 2, 2}, {"DATATYPE", 1, 1},
+		{"BOUND", 1, 1}, {"SAMETERM", 2, 2}, {"ISIRI", 1, 1}, {"ISURI", 1, 1},
+		{"ISBLANK", 1, 1}, {"ISLITERAL", 1, 1}, {"REGEX", 2, 3},
+	} {
+		builtins[b.name] = b
+	}
 }
 
 func (p *parser) builtinCall() (Expression, error) {
-	name := strings.ToUpper(p.tok.Val)
-	sig, ok := builtins[name]
+	sig, ok := builtins[strings.ToUpper(p.tok.Val)]
 	if !ok {
 		return nil, p.errf("unknown function %q", p.tok.Val)
 	}
+	name := sig.name
 	p.next()
 	if err := p.expect(lex.LParen); err != nil {
 		return nil, err
@@ -913,7 +938,7 @@ func (p *parser) iriOrFunction() (Expression, error) {
 	var iri rdf.Term
 	var err error
 	if p.tok.Kind == lex.IRIRef {
-		iri = rdf.NewIRI(p.pm.ResolveIRI(p.tok.Val))
+		iri = rdf.NewIRI(p.iri())
 		p.next()
 	} else {
 		iri, err = p.pname()
@@ -950,7 +975,7 @@ func (p *parser) primaryExpression() (Expression, error) {
 	case lex.LParen:
 		return p.brackettedExpression()
 	case lex.Var:
-		t := rdf.NewVar(p.tok.Val)
+		t := rdf.NewVar(p.val())
 		p.next()
 		return &TermExpr{Term: t}, nil
 	case lex.IRIRef, lex.PNameLN:
@@ -967,29 +992,13 @@ func (p *parser) primaryExpression() (Expression, error) {
 			return nil, err
 		}
 		return &TermExpr{Term: t}, nil
-	case lex.Integer:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDInteger)
-		p.next()
-		return &TermExpr{Term: t}, nil
-	case lex.Decimal:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDecimal)
-		p.next()
-		return &TermExpr{Term: t}, nil
-	case lex.Double:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDouble)
-		p.next()
-		return &TermExpr{Term: t}, nil
+	case lex.Integer, lex.Decimal, lex.Double:
+		return &TermExpr{Term: p.number()}, nil
 	case lex.Ident:
-		switch {
-		case strings.EqualFold(p.tok.Val, "true"):
-			p.next()
-			return &TermExpr{Term: rdf.NewTypedLiteral("true", rdf.XSDBoolean)}, nil
-		case strings.EqualFold(p.tok.Val, "false"):
-			p.next()
-			return &TermExpr{Term: rdf.NewTypedLiteral("false", rdf.XSDBoolean)}, nil
-		default:
-			return p.builtinCall()
+		if t, ok := p.boolean(); ok {
+			return &TermExpr{Term: t}, nil
 		}
+		return p.builtinCall()
 	}
 	return nil, p.errf("expected expression, found %s", p.tok)
 }
@@ -1055,7 +1064,7 @@ func (p *parser) orderCondition() (OrderCondition, bool, error) {
 		}
 		return OrderCondition{Expr: e, Desc: true}, true, nil
 	case p.tok.Kind == lex.Var:
-		e := &TermExpr{Term: rdf.NewVar(p.tok.Val)}
+		e := &TermExpr{Term: rdf.NewVar(p.val())}
 		p.next()
 		return OrderCondition{Expr: e}, true, nil
 	case p.tok.Kind == lex.LParen:

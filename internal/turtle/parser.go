@@ -8,16 +8,20 @@ package turtle
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"sparqlrw/internal/lex"
 	"sparqlrw/internal/rdf"
 )
 
-// Parser parses one Turtle document.
+// Parser parses one Turtle document. Its tokens' values are slices of the
+// document; a value the graph or the prefix map keeps is copied once (val,
+// iri), so nothing parsed pins the document. Keywords are only compared,
+// and the prefix:local text of a prefixed name only feeds
+// PrefixMap.Expand, which builds a new string.
 type Parser struct {
-	lx       *lex.Lexer
+	lx       lex.Lexer
 	tok      lex.Token
-	peeked   *lex.Token
 	prefixes *rdf.PrefixMap
 	graph    rdf.Graph
 	anonSeq  int
@@ -51,21 +55,15 @@ func MustParse(src string) rdf.Graph {
 }
 
 func (p *Parser) next() {
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
-		return
-	}
 	p.tok = p.lx.Next()
 }
 
-func (p *Parser) peek() lex.Token {
-	if p.peeked == nil {
-		t := p.lx.Next()
-		p.peeked = &t
-	}
-	return *p.peeked
-}
+// val returns a copy of the current token's value.
+func (p *Parser) val() string { return strings.Clone(p.tok.Val) }
+
+// iri returns a copy of the current IRIREF token's value, resolved
+// against the base.
+func (p *Parser) iri() string { return p.prefixes.ResolveIRI(p.val()) }
 
 func (p *Parser) errf(format string, args ...any) error {
 	return fmt.Errorf("turtle: %d:%d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
@@ -86,12 +84,12 @@ func (p *Parser) statement() error {
 		if p.tok.Kind != lex.PNameNS {
 			return p.errf("expected prefix name after @prefix, found %s", p.tok)
 		}
-		name := p.tok.Val
+		name := p.val()
 		p.next()
 		if p.tok.Kind != lex.IRIRef {
 			return p.errf("expected IRI after @prefix %s:, found %s", name, p.tok)
 		}
-		p.prefixes.Bind(name, p.prefixes.ResolveIRI(p.tok.Val))
+		p.prefixes.Bind(name, p.iri())
 		p.next()
 		return p.expect(lex.Dot)
 	case p.tok.Kind == lex.AtKeyword && p.tok.Val == "base":
@@ -99,7 +97,7 @@ func (p *Parser) statement() error {
 		if p.tok.Kind != lex.IRIRef {
 			return p.errf("expected IRI after @base, found %s", p.tok)
 		}
-		p.prefixes.SetBase(p.tok.Val)
+		p.prefixes.SetBase(p.val())
 		p.next()
 		return p.expect(lex.Dot)
 	case p.tok.Kind == lex.Ident && (equalsFold(p.tok.Val, "PREFIX")):
@@ -108,12 +106,12 @@ func (p *Parser) statement() error {
 		if p.tok.Kind != lex.PNameNS {
 			return p.errf("expected prefix name after PREFIX, found %s", p.tok)
 		}
-		name := p.tok.Val
+		name := p.val()
 		p.next()
 		if p.tok.Kind != lex.IRIRef {
 			return p.errf("expected IRI after PREFIX %s:, found %s", name, p.tok)
 		}
-		p.prefixes.Bind(name, p.prefixes.ResolveIRI(p.tok.Val))
+		p.prefixes.Bind(name, p.iri())
 		p.next()
 		return nil
 	case p.tok.Kind == lex.Ident && equalsFold(p.tok.Val, "BASE"):
@@ -121,7 +119,7 @@ func (p *Parser) statement() error {
 		if p.tok.Kind != lex.IRIRef {
 			return p.errf("expected IRI after BASE, found %s", p.tok)
 		}
-		p.prefixes.SetBase(p.tok.Val)
+		p.prefixes.SetBase(p.val())
 		p.next()
 		return nil
 	}
@@ -157,13 +155,13 @@ func (p *Parser) triples() error {
 func (p *Parser) subject() (rdf.Term, error) {
 	switch p.tok.Kind {
 	case lex.IRIRef:
-		t := rdf.NewIRI(p.prefixes.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case lex.PNameLN, lex.PNameNS:
 		return p.pname()
 	case lex.BlankNode:
-		t := p.blankLabel(p.tok.Val)
+		t := p.blankLabel(p.val())
 		p.next()
 		return t, nil
 	case lex.LParen:
@@ -233,7 +231,7 @@ func (p *Parser) verb() (rdf.Term, error) {
 	}
 	switch p.tok.Kind {
 	case lex.IRIRef:
-		t := rdf.NewIRI(p.prefixes.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case lex.PNameLN, lex.PNameNS:
@@ -259,13 +257,13 @@ func (p *Parser) objectList(subj, verb rdf.Term) error {
 func (p *Parser) object() (rdf.Term, error) {
 	switch p.tok.Kind {
 	case lex.IRIRef:
-		t := rdf.NewIRI(p.prefixes.ResolveIRI(p.tok.Val))
+		t := rdf.NewIRI(p.iri())
 		p.next()
 		return t, nil
 	case lex.PNameLN, lex.PNameNS:
 		return p.pname()
 	case lex.BlankNode:
-		t := p.blankLabel(p.tok.Val)
+		t := p.blankLabel(p.val())
 		p.next()
 		return t, nil
 	case lex.LBracket:
@@ -274,57 +272,50 @@ func (p *Parser) object() (rdf.Term, error) {
 		return p.collection()
 	case lex.String:
 		return p.literal()
-	case lex.Integer:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDInteger)
-		p.next()
-		return t, nil
-	case lex.Decimal:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDecimal)
-		p.next()
-		return t, nil
-	case lex.Double:
-		t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDDouble)
-		p.next()
-		return t, nil
+	case lex.Integer, lex.Decimal, lex.Double:
+		return p.number(p.val()), nil
 	case lex.Minus, lex.Plus:
 		neg := p.tok.Kind == lex.Minus
 		p.next()
-		sign := ""
+		if _, ok := numberTypes[p.tok.Kind]; !ok {
+			return rdf.Term{}, p.errf("expected number after sign, found %s", p.tok)
+		}
 		if neg {
-			sign = "-"
+			return p.number("-" + p.tok.Val), nil // the concatenation is a new string
 		}
-		switch p.tok.Kind {
-		case lex.Integer:
-			t := rdf.NewTypedLiteral(sign+p.tok.Val, rdf.XSDInteger)
-			p.next()
-			return t, nil
-		case lex.Decimal:
-			t := rdf.NewTypedLiteral(sign+p.tok.Val, rdf.XSDDecimal)
-			p.next()
-			return t, nil
-		case lex.Double:
-			t := rdf.NewTypedLiteral(sign+p.tok.Val, rdf.XSDDouble)
-			p.next()
-			return t, nil
-		}
-		return rdf.Term{}, p.errf("expected number after sign, found %s", p.tok)
+		return p.number(p.val()), nil
 	case lex.Ident:
 		switch p.tok.Val {
-		case "true", "false":
-			t := rdf.NewTypedLiteral(p.tok.Val, rdf.XSDBoolean)
+		case "true":
 			p.next()
-			return t, nil
+			return rdf.NewTypedLiteral("true", rdf.XSDBoolean), nil
+		case "false":
+			p.next()
+			return rdf.NewTypedLiteral("false", rdf.XSDBoolean), nil
 		}
 	}
 	return rdf.Term{}, p.errf("expected object, found %s", p.tok)
 }
 
+// numberTypes maps a numeric token kind to its literal's datatype.
+var numberTypes = map[lex.Kind]string{
+	lex.Integer: rdf.XSDInteger, lex.Decimal: rdf.XSDDecimal, lex.Double: rdf.XSDDouble,
+}
+
+// number returns the literal of the current Integer, Decimal or Double
+// token with lexical form lexval, and moves past the token.
+func (p *Parser) number(lexval string) rdf.Term {
+	t := rdf.NewTypedLiteral(lexval, numberTypes[p.tok.Kind])
+	p.next()
+	return t
+}
+
 func (p *Parser) literal() (rdf.Term, error) {
-	lexval := p.tok.Val
+	lexval := p.val()
 	p.next()
 	switch p.tok.Kind {
 	case lex.LangTag:
-		t := rdf.NewLangLiteral(lexval, p.tok.Val)
+		t := rdf.NewLangLiteral(lexval, p.val())
 		p.next()
 		return t, nil
 	case lex.HatHat:
@@ -332,7 +323,7 @@ func (p *Parser) literal() (rdf.Term, error) {
 		var dt string
 		switch p.tok.Kind {
 		case lex.IRIRef:
-			dt = p.prefixes.ResolveIRI(p.tok.Val)
+			dt = p.iri()
 			p.next()
 		case lex.PNameLN:
 			t, err := p.pname()
