@@ -13,9 +13,10 @@
 // the serialisation: results JSON (default), application/x-ndjson, or
 // text/event-stream for bindings and booleans; application/n-triples
 // (default) or text/turtle for graphs. The protocol extensions `target`
-// (repeatable; explicit data sets) and `source` (source ontology) carry
-// the mediator-specific inputs; without them the planner auto-selects and
-// the vocabulary is guessed. Every result path streams: the first merged
+// (repeatable; narrows the data sets the planner selects from) and
+// `source` (source ontology) carry the mediator-specific inputs; without
+// them the planner selects from every registered data set and the
+// vocabulary is guessed. Every result path streams: the first merged
 // row is on the wire before the slowest repository answers, and closing
 // the connection cancels all in-flight sub-queries.
 //
@@ -26,9 +27,10 @@
 // only in their instance IRIs share one entry), dispatched by a bounded worker pool
 // with a per-attempt deadline, retry-with-backoff and a per-endpoint
 // circuit breaker, and streamed into a canonicalising owl:sameAs merge
-// (internal/federate). Queries that name no targets go through the
-// voiD-driven planner (internal/plan): source selection, VALUES sharding,
-// fastest-endpoint-first dispatch. A query no single repository covers —
+// (internal/federate). Every query goes through the voiD-driven planner
+// (internal/plan) over its source set — the named targets, when it names
+// any: source selection, VALUES sharding, fastest-endpoint-first
+// dispatch. A query no single repository covers —
 // the third generated repository, "citation metrics", serves a second
 // vocabulary over the same paper URIs — is split into per-endpoint
 // exclusive groups joined with VALUES-bound joins (internal/decompose).
@@ -191,7 +193,8 @@ style co-reference service, and the mediator serving
   GET|POST /sparql   W3C SPARQL 1.1 Protocol endpoint — SELECT / ASK /
                      CONSTRUCT / DESCRIBE, content-negotiated (results
                      JSON, NDJSON, SSE; N-Triples, Turtle), streamed.
-                     Extensions: target=<dataset-uri> (repeatable),
+                     Extensions: target=<dataset-uri> (repeatable;
+                     narrows the data sets the planner selects from),
                      source=<ontology-ns>, limit=<n>.
   POST     /api/rewrite   translate a query for one target data set
   POST     /api/plan      explain source selection / decomposition

@@ -11,7 +11,8 @@
 // results). /api/stats shows the breaker state and the rewrite-plan
 // cache hits accumulated along the way. Query execution over HTTP goes
 // through the W3C SPARQL-Protocol endpoint (POST /sparql, with the
-// repeatable `target` extension parameter naming explicit data sets).
+// repeatable `target` extension parameter narrowing the data sets the
+// planner selects from).
 package main
 
 import (
@@ -112,16 +113,24 @@ func main() {
 		SPARQLEndpoint: broken.URL, URISpace: `http://broken\.example/\S*`,
 		Vocabularies: []string{rdf.AKTNS},
 	}))
+	// The planner sends a query about one Southampton person to no other
+	// URI space, so these rounds ask about every authorship instead.
 	allTargets := []string{workload.SotonVoidURI, workload.KistiVoidURI, "http://broken.example/void"}
+	authorships := fmt.Sprintf("PREFIX akt:<%s>\nSELECT ?paper ?a WHERE { ?paper akt:has-author ?a }", rdf.AKTNS)
 	fmt.Println("=== broken repository joins the federation ===")
 	for round := 1; round <= 4; round++ {
-		sum := postSparqlSSE(api.URL, queryText, allTargets...)
+		sum := postSparqlSSE(api.URL, authorships, allTargets...)
+		dispatched := false
 		for _, pd := range sum.PerDataset {
 			if pd.Dataset != "http://broken.example/void" {
 				continue
 			}
+			dispatched = true
 			fmt.Printf("  round %d: partial=%v broken attempts=%d error=%q\n",
 				round, sum.Partial, pd.Attempts, pd.Error)
+		}
+		if !dispatched {
+			log.Fatal("the planner never selected the broken repository")
 		}
 		if sum.Bindings == 0 {
 			log.Fatal("healthy repositories stopped answering")
@@ -157,7 +166,7 @@ type sseSummary struct {
 }
 
 // postSparqlSSE runs one protocol query with Accept: text/event-stream
-// and explicit targets, returning the parsed terminal summary.
+// over the named targets, returning the parsed terminal summary.
 func postSparqlSSE(base, query string, targets ...string) sseSummary {
 	form := url.Values{"query": {query}, "target": targets}
 	req, err := http.NewRequest(http.MethodPost, base+"/sparql", strings.NewReader(form.Encode()))

@@ -174,15 +174,17 @@ func protocolError(w http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// apiQuery reads the request of /api/rewrite or /api/plan: the body
-// decoded, its query parsed — once; the handlers pass the parsed query on —
-// and Source settled, guessed from the query's vocabulary when the body
-// names none. On !ok the error response has been written.
+// apiQuery reads the request of /api/rewrite or /api/plan: the body,
+// capped as /sparql caps its own, decoded, its query parsed — once; the
+// handlers pass the parsed query on — and Source settled, guessed from the
+// query's vocabulary when the body names none. On !ok the error response
+// has been written.
 func (m *Mediator) apiQuery(w http.ResponseWriter, r *http.Request) (req apiQueryRequest, q *sparql.Query, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return req, nil, false
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, endpoint.DefaultMaxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return req, nil, false
@@ -429,8 +431,10 @@ func Handler(m *Mediator) http.Handler {
 // in-flight upstream sub-query.
 //
 // Three protocol extensions carry the mediator-specific inputs: repeated
-// `target` parameters name explicit data sets (default: the voiD-driven
-// planner selects them), `source` names the source ontology (default:
+// `target` parameters narrow the data sets the voiD-driven planner selects
+// from (default: every registered one the tenant may read; an unregistered
+// target is a 400 before any round trip, one off the tenant's allowlist a
+// 403), `source` names the source ontology (default:
 // guessed from the query's vocabulary) and `explain=trace` appends the
 // query's span tree to the response — a trailing "trace" member in the
 // SRJ document, a final {"trace":...} line in NDJSON, a terminal `trace`

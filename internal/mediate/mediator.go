@@ -39,7 +39,7 @@ type Mediator struct {
 	// resets the table.
 	Exec *federate.Executor
 	// Planner performs voiD-driven source selection, VALUES sharding and
-	// adaptive ordering for federated queries with no explicit targets.
+	// adaptive ordering for every federated query, over its source set.
 	// Rebuilt by Configure.
 	Planner *plan.Planner
 	// Decomposer splits a query's BGP into per-endpoint exclusive groups
@@ -328,7 +328,7 @@ func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation,
 // explainQuery is ExplainQuery past its parse, the entry of /api/plan:
 // the route the query path takes for the anonymous tenant.
 func (m *Mediator) explainQuery(ctx context.Context, q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
-	pl, dcm, err := m.route(ctx, q, sourceOnt, nil)
+	pl, dcm, err := m.route(ctx, q, QueryRequest{SourceOnt: sourceOnt})
 	if err != nil {
 		return nil, err
 	}

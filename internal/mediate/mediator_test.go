@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/srjson"
 	"sparqlrw/internal/voidkb"
@@ -370,39 +372,47 @@ DESCRIBE ?paper WHERE { ?paper akt:has-author <` + person + `> }`,
 	}
 }
 
-func TestFederatedUnknownDatasetReported(t *testing.T) {
-	s := newStack(t)
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS,
-		[]string{workload.SotonVoidURI, "http://nope/void"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawErr bool
-	for _, da := range fr.PerDataset {
-		if da.Dataset == "http://nope/void" && da.Err != nil {
-			sawErr = true
+// TestUnknownTargetRefused: a target the voiD KB does not register is
+// refused before any round trip, wherever it stands among the targets —
+// an error from Query naming it, a 400 over /sparql.
+func TestUnknownTargetRefused(t *testing.T) {
+	var requests atomic.Int64
+	m := exampleFederation(t, func(_ string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	})
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	const nope = "http://nope.example/void"
+	for _, targets := range [][]string{{workload.SotonVoidURI, nope}, {nope, workload.SotonVoidURI}} {
+		_, err := m.Query(context.Background(), QueryRequest{
+			Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS, Targets: targets,
+		})
+		if err == nil || !strings.Contains(err.Error(), nope) || errors.Is(err, serve.ErrDenied) {
+			t.Errorf("targets %v: %v, want an error naming %s", targets, err, nope)
+		}
+		resp, err := http.PostForm(srv.URL+"/sparql", url.Values{
+			"query": {workload.Figure1Query(0)}, "source": {rdf.AKTNS}, "target": targets,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), nope) {
+			t.Errorf("/sparql naming %v: %d %s, want 400 naming %s", targets, resp.StatusCode, body, nope)
 		}
 	}
-	if !sawErr {
-		t.Fatal("unknown data set not reported")
-	}
-	if len(fr.Solutions) == 0 {
-		t.Fatal("good data set should still answer")
-	}
-	// PerDataset stays in input-target order even when an unknown data
-	// set precedes a known one.
-	fr2, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS,
-		[]string{"http://nope/void", workload.SotonVoidURI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr2.PerDataset[0].Dataset != "http://nope/void" || fr2.PerDataset[1].Dataset != workload.SotonVoidURI {
-		t.Fatalf("PerDataset order = %+v", fr2.PerDataset)
-	}
-	if fr2.PerDataset[0].Err == nil || fr2.PerDataset[1].Err != nil {
-		t.Fatalf("PerDataset errors misplaced: %+v", fr2.PerDataset)
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d endpoint requests, want none", n)
 	}
 }
+
+// allAuthorships names no instance, so every data set that speaks AKT is
+// relevant to it, whatever its URI space.
+const allAuthorships = "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE { ?paper akt:has-author ?a }"
 
 // TestFederatedSurvivesEndpointFailure injects a failing endpoint: the
 // mediator must report the failure for that data set and still merge the
@@ -421,7 +431,7 @@ func TestFederatedSurvivesEndpointFailure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS,
+	fr, err := federatedSelect(s.mediator, allAuthorships, rdf.AKTNS,
 		[]string{workload.SotonVoidURI, "http://broken.example/void"})
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +480,7 @@ func TestFederatedHangingEndpointTimesOut(t *testing.T) {
 		MaxRetries:      -1,
 	}))
 	start := time.Now()
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS,
+	fr, err := federatedSelect(s.mediator, allAuthorships, rdf.AKTNS,
 		[]string{workload.SotonVoidURI, "http://hang.example/void"})
 	if err != nil {
 		t.Fatal(err)
@@ -745,4 +755,30 @@ func TestHTTPAPIErrors(t *testing.T) {
 		t.Fatalf("bad json status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestAPIBodyCapped: /api/rewrite and /api/plan read at most
+// endpoint.DefaultMaxRequestBody, as /sparql does. A larger body — here a
+// valid request padded with a 2 MB comment — is a 400 about the body, and
+// its query is never parsed.
+func TestAPIBodyCapped(t *testing.T) {
+	s := newStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+	query := "# " + strings.Repeat("x", 2<<20) + "\n" + workload.Figure1Query(0)
+	for _, path := range []string{"/api/rewrite", "/api/plan"} {
+		body, err := json.Marshal(map[string]string{"query": query, "source": rdf.AKTNS, "target": workload.KistiVoidURI})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "request body too large") {
+			t.Errorf("%s with a %d-byte body: %d %.200s, want 400 about the body", path, len(body), resp.StatusCode, raw)
+		}
+	}
 }

@@ -211,7 +211,8 @@ func (d diffTemplate) variants() map[string]string {
 // TestMediatorMatchesOracle drives the Figure-1, cross-vocabulary, bulk
 // and citation-metrics shapes, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
-// bound join, a forced hash join, sharded VALUES and a result-cache hit,
+// bound join, a forced hash join, sharded VALUES and a result-cache hit
+// (the cross-vocabulary shape also with every repository named),
 // and holds every answer to the oracle's: the same rows, in the same order
 // under ORDER BY; under a slice without ORDER BY, the right number of the
 // oracle's rows.
@@ -221,6 +222,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	paths := []diffPath{
 		{name: "explicit targets", targets: both},
 		{name: "explicit target, metrics", targets: []string{workload.MetricsVoidURI}},
+		{name: "explicit targets, all three", targets: []string{workload.SotonVoidURI, workload.KistiVoidURI, workload.MetricsVoidURI}},
 		{name: "planned"},
 		{name: "bound join, VALUES sharded", opts: []Option{WithDecomposer(decompose.Options{BindBatch: 2})}},
 		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
@@ -232,7 +234,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "cross-vocabulary", texts: []string{workload.CrossVocabularyQuery(2), workload.CrossVocabularyQuery(7)},
 			vars: []string{"c", "paper", "a"}, filter: "?c > 40",
-			paths: []string{"planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+			paths: []string{"explicit targets, all three", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
 		{name: "bulk", texts: []string{bulkQuery}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`,
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30", sourceOnt: workload.MetricsNS,

@@ -2,11 +2,14 @@ package mediate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +21,7 @@ import (
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/srjson"
 	"sparqlrw/internal/store"
@@ -134,6 +138,51 @@ func TestPlannedMatchesExplicitTargets(t *testing.T) {
 	if len(planned.Solutions) != len(explicit.Solutions) {
 		t.Fatalf("planned = %d solutions, explicit = %d",
 			len(planned.Solutions), len(explicit.Solutions))
+	}
+}
+
+// TestNamedTargetsArePlanned: named targets narrow the source set the
+// planner selects from. A named data set the query cannot reach is pruned
+// with its reason and never dispatched, an unnamed one is outside the
+// set, a target named twice is one target, and a set that answers
+// nothing is a 400 naming its data sets, not a policy refusal.
+func TestNamedTargetsArePlanned(t *testing.T) {
+	s, hits := plannedStack(t)
+	res, err := s.mediator.Query(context.Background(), QueryRequest{
+		Query: workload.Figure1Query(1), SourceOnt: rdf.AKTNS,
+		Targets: []string{workload.SotonVoidURI, workload.DBPVoidURI, workload.KistiVoidURI, workload.SotonVoidURI},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := res.Bindings().Collect()
+	if err != nil || len(fr.Solutions) == 0 {
+		t.Fatalf("%d solutions, %v", len(fr.Solutions), err)
+	}
+	if res.Plan() == nil {
+		t.Fatal("no plan for a request naming its targets")
+	}
+	for _, dec := range res.Plan().Decisions {
+		want := dec.Dataset == workload.SotonVoidURI || dec.Dataset == workload.KistiVoidURI
+		if dec.Relevant != want || len(dec.Reasons) == 0 && !want {
+			t.Errorf("decision %+v: want relevant %v, with a reason when not", dec, want)
+		}
+		if dec.Dataset == workload.ECSVoidURI && !slices.ContainsFunc(dec.Reasons, func(r string) bool { return strings.Contains(r, "source set") }) {
+			t.Errorf("unnamed ECS pruned for %v, want the source set", dec.Reasons)
+		}
+	}
+	if n := len(fr.PerDataset); n != 2 {
+		t.Errorf("%d sub-requests, want one each for Southampton and KISTI: %+v", n, fr.PerDataset)
+	}
+	if hits[workload.DBPVoidURI].Load() != 0 || hits[workload.ECSVoidURI].Load() != 0 {
+		t.Error("a pruned endpoint received a request")
+	}
+
+	_, err = s.mediator.Query(context.Background(), QueryRequest{
+		Query: workload.Figure1Query(1), SourceOnt: rdf.AKTNS, Targets: []string{workload.DBPVoidURI},
+	})
+	if err == nil || errors.Is(err, serve.ErrDenied) || !strings.Contains(err.Error(), "is relevant") || !strings.Contains(err.Error(), workload.DBPVoidURI) {
+		t.Errorf("naming only DBpedia: %v, want the no-relevant-data-set error naming it", err)
 	}
 }
 

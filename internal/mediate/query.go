@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"maps"
 	"slices"
 	"strconv"
+	"strings"
 
 	"sparqlrw/internal/algebra"
 	"sparqlrw/internal/decompose"
@@ -32,9 +34,13 @@ type QueryRequest struct {
 	// in. Empty means "guess it from the query's vocabulary"
 	// (GuessSourceOntology), the behaviour the web UI relies on.
 	SourceOnt string
-	// Targets names the data sets to query. Empty means the voiD-driven
-	// planner selects, shards and orders them (the plan is surfaced on
-	// the result).
+	// Targets narrows the request's source set to the named data sets
+	// (duplicates count once); empty leaves it as the tenant's policy
+	// allows. Either way the voiD-driven planner selects, shards and
+	// orders the data sets of the set, decomposing the query across them
+	// when none covers it alone. A target off the tenant's dataset
+	// allowlist is refused with serve.ErrDenied, one the voiD KB does not
+	// register with an error naming it, both before any round trip.
 	Targets []string
 	// Limit caps the result stream: merged solutions for SELECT, triples
 	// for CONSTRUCT/DESCRIBE. Reaching it cancels the remaining upstream
@@ -47,8 +53,11 @@ type QueryRequest struct {
 	Tenant *serve.Tenant
 
 	// sources is the request's source set, which queryParsed derives from
-	// Tenant's policy: every path considers only its data sets.
+	// Tenant's policy and Targets: every path considers only its data
+	// sets. denied reports that the policy's allowlist alone narrowed it,
+	// so that a set answering nothing is a policy refusal.
 	sources voidkb.Sources
+	denied  bool
 }
 
 // Result is the form-polymorphic outcome of Mediator.Query: a tagged
@@ -82,8 +91,8 @@ func (r *Result) Bool() bool { return r.ask }
 // (nil for every other form).
 func (r *Result) Graph() *GraphStream { return r.graph }
 
-// Plan reports the planner's decisions when targets were auto-selected
-// (nil for explicit-target queries, and for DESCRIBE without a WHERE
+// Plan reports the planner's decisions over the request's source set (nil
+// on a view or result-cache answer, and for DESCRIBE without a WHERE
 // clause, which needs no planning).
 func (r *Result) Plan() *plan.Plan { return r.pl }
 
@@ -152,9 +161,9 @@ func (r *Result) Close() error {
 //     subjects.
 //
 // The request's source ontology is guessed from the query's vocabulary
-// (WHERE patterns and template triples) when unset; explicit Targets
-// bypass the planner. Cancelling ctx (or closing the result) aborts every
-// in-flight sub-query.
+// (WHERE patterns and template triples) when unset; Targets narrow the
+// data sets every form may read. Cancelling ctx (or closing the result)
+// aborts every in-flight sub-query.
 func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 	q, err := sparql.Parse(req.Query)
 	if err != nil {
@@ -175,9 +184,13 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 	// Serving tier, part 1 — policy-by-rewriting: the tenant's graph
 	// restrictions are injected into the algebra before anything looks at
 	// the query, so planning, caching and execution all see the
-	// restricted form, and its dataset allowlist becomes the one source
-	// set every path reads.
-	req.sources = sourceSet(req.Tenant.GetPolicy())
+	// restricted form, and its dataset allowlist, narrowed to the named
+	// targets, becomes the one source set every path reads.
+	var err error
+	if req.sources, req.denied, err = m.sourceSet(req.Tenant.GetPolicy(), req.Targets); err != nil {
+		qo.fail(err)
+		return nil, err
+	}
 	if q2, changed, perr := serve.Restrict(q, req.Tenant.GetPolicy()); perr != nil {
 		qo.fail(perr)
 		return nil, perr
@@ -213,19 +226,33 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 	return res, nil
 }
 
-// sourceSet is the source set a tenant policy allows: the data sets its
+// sourceSet is a request's source set: the data sets a tenant policy's
 // dataset allowlist names, or the whole KB (nil, allocating nothing)
-// without one.
-func sourceSet(p *serve.Policy) voidkb.Sources {
-	allow := p.AllowedDatasets()
-	if len(allow) == 0 {
-		return nil
+// without one, narrowed to the named targets when there are any. A target
+// off the allowlist is refused with ErrDenied, one the voiD KB does not
+// register with an error naming it. denied reports that the allowlist
+// alone narrowed the set.
+func (m *Mediator) sourceSet(p *serve.Policy, targets []string) (src voidkb.Sources, denied bool, err error) {
+	if allow := p.AllowedDatasets(); len(allow) > 0 {
+		src = make(voidkb.Sources, len(allow))
+		for _, uri := range allow {
+			src[uri] = true
+		}
 	}
-	src := make(voidkb.Sources, len(allow))
-	for _, uri := range allow {
-		src[uri] = true
+	if len(targets) == 0 {
+		return src, src != nil, nil
 	}
-	return src
+	named := make(voidkb.Sources, len(targets))
+	for _, uri := range targets {
+		if !src.Has(uri) {
+			return nil, false, fmt.Errorf("mediate: data set %s: %w", uri, serve.ErrDenied)
+		}
+		if _, ok := m.Datasets.Get(uri); !ok {
+			return nil, false, fmt.Errorf("mediate: unknown data set %s", uri)
+		}
+		named[uri] = true
+	}
+	return named, false, nil
 }
 
 // formResult dispatches the parsed query to its form's execution path.
@@ -272,17 +299,10 @@ type QueryStream struct {
 	limit int
 	n     int
 	qo    *queryObs // nil for internal phase streams (ASK, DESCRIBE phase 1)
-
-	// Explicit-target bookkeeping: unknown data sets never dispatch, but
-	// their error answers re-interleave into Summary's PerDataset in
-	// input order.
-	unknown  map[int]DatasetAnswer
-	knownPos []int
-	nTargets int
 }
 
 // selectStream starts the federated SELECT pipeline for q under req's
-// options (source ontology, targets, limit, source set; not req.Query). q is
+// options (source ontology, limit, source set; not req.Query). q is
 // the request's parsed query or the SELECT derived from it for an ASK,
 // CONSTRUCT or DESCRIBE; the decomposer reads it, the planner and the
 // executor its wire form, and none modifies it.
@@ -298,60 +318,33 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		req.SourceOnt = src
 	}
 	// The materialized-view tier answers a covered BGP from its embedded
-	// store with zero endpoint round trips. Only the default path takes
-	// it: explicit targets pin execution, and materialization queries
+	// store with zero endpoint round trips, when every data set the view
+	// was built from is in the source set. Materialization queries
 	// themselves (withoutViews) would recurse.
-	if m.Views != nil && len(req.Targets) == 0 && !viewsDisabled(ctx) {
+	if m.Views != nil && !viewsDisabled(ctx) {
 		if vqs, ok := m.viewAnswer(ctx, req, q); ok {
 			return vqs, nil
 		}
 	}
 	qs := &QueryStream{limit: req.Limit}
-	var freq federate.Request
-	if len(req.Targets) == 0 {
-		var err error
-		if qs.pl, qs.dec, err = m.route(ctx, q, req.SourceOnt, req.sources); err != nil {
+	var err error
+	if qs.pl, qs.dec, err = m.route(ctx, q, req); err != nil {
+		return nil, err
+	}
+	if qs.dec != nil {
+		dp := m.JoinEngine.Plan(qs.dec, nil)
+		if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
 			return nil, err
 		}
-		if qs.dec != nil {
-			dp := m.JoinEngine.Plan(qs.dec, nil)
-			if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
-				return nil, err
-			}
-			// Multi-source queries are exactly the expensive
-			// cross-vocabulary joins worth materializing: mine the
-			// shape (unless this IS a materialization run).
-			if m.Views != nil && !viewsDisabled(ctx) {
-				m.observeViews(q, req.SourceOnt, qs.dec)
-			}
-			return qs, nil
+		// Multi-source queries are exactly the expensive cross-vocabulary
+		// joins worth materializing: mine the shape (unless this IS a
+		// materialization run).
+		if m.Views != nil && !viewsDisabled(ctx) {
+			m.observeViews(q, req.SourceOnt, qs.dec)
 		}
-		freq = federate.PlanRequest(qs.pl)
-	} else {
-		wire := wireQuery(q)
-		freq = federate.Request{SourceOnt: req.SourceOnt, Vars: wire.Projection()}
-		qs.unknown = make(map[int]DatasetAnswer)
-		qs.nTargets = len(req.Targets)
-		for i, target := range req.Targets {
-			if !req.sources.Has(target) {
-				return nil, fmt.Errorf("mediate: data set %s: %w", target, serve.ErrDenied)
-			}
-			ds, ok := m.Datasets.Get(target)
-			if !ok {
-				qs.unknown[i] = DatasetAnswer{Dataset: target,
-					Err: fmt.Errorf("mediate: unknown data set %s", target)}
-				continue
-			}
-			qs.knownPos = append(qs.knownPos, i)
-			freq.Targets = append(freq.Targets, federate.Target{
-				Dataset:      target,
-				Endpoint:     ds.SPARQLEndpoint,
-				Replicas:     ds.Replicas,
-				NeedsRewrite: !ds.UsesVocabulary(req.SourceOnt),
-				Query:        wire,
-			})
-		}
+		return qs, nil
 	}
+	freq := federate.PlanRequest(qs.pl)
 	s := m.Exec.SelectStream(ctx, freq)
 	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
 		// Nothing to apply above the merge that the reader does not: a plan
@@ -365,21 +358,21 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	mods := *q
 	mods.Distinct, mods.Reduced = true, false
 	op := algebra.Modifiers(&mods, &algebra.Remote{Vars: freq.Vars, Source: s})
-	var err error
 	qs.src, err = m.openPlan(ctx, op, q.Projection(), s.Summary, s)
 	return qs, err
 }
 
-// route decides how q runs over the source set src: as the planner's
-// whole-query fan-out, or — when no data set in src covers the whole
-// query — as its decomposition into per-endpoint fragments joined at the
-// mediator (dcm non-nil). The query path runs what it returns and
-// /api/plan explains it. A narrowed source set that answers nothing is
-// refused with ErrDenied.
-func (m *Mediator) route(ctx context.Context, q *sparql.Query, sourceOnt string, src voidkb.Sources) (pl *plan.Plan, dcm *decompose.Decomposition, err error) {
+// route decides how q, written against req.SourceOnt, runs over the
+// request's source set: as the planner's whole-query fan-out, or — when no
+// data set in the set covers the whole query — as its decomposition into
+// per-endpoint fragments joined at the mediator (dcm non-nil). The query
+// path runs what it returns and /api/plan explains it. A set that answers
+// nothing is refused with ErrDenied when the tenant's allowlist narrowed
+// it, and named otherwise.
+func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (pl *plan.Plan, dcm *decompose.Decomposition, err error) {
 	_, planSpan := obs.StartSpan(ctx, "plan")
-	planSpan.SetAttr("sourceOnt", sourceOnt)
-	if pl, err = m.Planner.Plan(wireQuery(q), sourceOnt, src); err != nil {
+	planSpan.SetAttr("sourceOnt", req.SourceOnt)
+	if pl, err = m.Planner.Plan(wireQuery(q), req.SourceOnt, req.sources); err != nil {
 		planSpan.SetAttr("error", err.Error())
 		planSpan.End()
 		return nil, nil, err
@@ -397,14 +390,18 @@ func (m *Mediator) route(ctx context.Context, q *sparql.Query, sourceOnt string,
 	// No single data set covers the whole query: split the BGP into
 	// per-endpoint exclusive groups joined at the mediator.
 	_, decSpan := obs.StartSpan(ctx, "decompose")
-	if dcm, err = m.Decomposer.DecomposeQuery(q, sourceOnt, src); err != nil {
+	if dcm, err = m.Decomposer.DecomposeQuery(q, req.SourceOnt, req.sources); err != nil {
 		decSpan.SetAttr("error", err.Error())
 		decSpan.End()
-		if src != nil {
+		if req.denied {
 			return nil, nil, fmt.Errorf("mediate: no permitted data set answers the query (%v): %w", err, serve.ErrDenied)
 		}
+		among := ""
+		if req.sources != nil {
+			among = " among the named targets " + strings.Join(slices.Sorted(maps.Keys(req.sources)), ", ")
+		}
 		return nil, nil, fmt.Errorf(
-			"mediate: no registered data set is relevant to the whole query and it does not decompose (%v); see /api/plan", err)
+			"mediate: no registered data set%s is relevant to the whole query and it does not decompose (%v); see /api/plan", among, err)
 	}
 	decStats := obs.Operator("decompose")
 	decStats.RowsOut = int64(len(dcm.Fragments))
@@ -493,8 +490,8 @@ func (s *pulledSource) Summary() (*federate.Result, error) {
 // Vars returns the query's projection variable names.
 func (qs *QueryStream) Vars() []string { return qs.src.Vars() }
 
-// Plan reports the planner's decisions when targets were auto-selected
-// (nil for explicit-target queries).
+// Plan reports the planner's decisions over the request's source set (nil
+// on a view or result-cache answer).
 func (qs *QueryStream) Plan() *plan.Plan { return qs.pl }
 
 // Decomposition reports the per-BGP decomposition when the query ran on
@@ -543,31 +540,10 @@ func (qs *QueryStream) Solutions() eval.SolutionSeq {
 }
 
 // Summary reports the fan-out's outcome (consuming whatever remains of
-// the stream first): per-dataset answers in input-target order, the
-// duplicate count and the partial flag. Solutions is nil — they already
-// flowed through the stream; Collect re-attaches them.
-func (qs *QueryStream) Summary() (*FederatedResult, error) {
-	res, err := qs.src.Summary()
-	if len(qs.unknown) > 0 {
-		// Re-interleave the unknown-dataset answers so PerDataset stays
-		// in input-target order.
-		merged := make([]DatasetAnswer, qs.nTargets)
-		for j, pos := range qs.knownPos {
-			merged[pos] = res.PerDataset[j]
-		}
-		for pos, da := range qs.unknown {
-			merged[pos] = da
-		}
-		res.PerDataset = merged
-		for _, da := range res.PerDataset {
-			if da.Err == nil {
-				res.Partial = true
-				break
-			}
-		}
-	}
-	return res, err
-}
+// the stream first): per-dataset answers in dispatch order, the duplicate
+// count and the partial flag. Solutions is nil — they already flowed
+// through the stream; Collect re-attaches them.
+func (qs *QueryStream) Summary() (*FederatedResult, error) { return qs.src.Summary() }
 
 // Close cancels the remaining upstream work, releases the stream and
 // closes the query's observation (see Result.Close) — so consumers that
@@ -684,28 +660,18 @@ var describeQuery = sparql.MustParse("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
 // canonicalised as the merge answers, and each IRI the WHERE clause binds
 // to a described variable through the federated SELECT pipeline (phase
 // one). The fetch is describeQuery under the tenant's policy, decomposed
-// over the request's source set (its targets, when it names them) into
+// over the request's source set into
 // one fragment that every data set there answers, which the join engine
 // seeds as any bound join: the resources and their owl:sameAs aliases go
 // out as VALUES shards, or past MaxBindRows the fragment is fetched
 // unbound and hash-joined. Subjects stream out canonicalised, so the same
 // entity described by two repositories merges into one description.
 func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {
-	src := req.sources
-	if len(req.Targets) > 0 {
-		src = voidkb.Sources{}
-		for _, target := range req.Targets {
-			if !req.sources.Has(target) {
-				return nil, fmt.Errorf("mediate: data set %s: %w", target, serve.ErrDenied)
-			}
-			src[target] = true
-		}
-	}
 	dq, _, err := serve.Restrict(describeQuery, req.Tenant.GetPolicy())
 	if err != nil {
 		return nil, err
 	}
-	dcm, err := m.Decomposer.DecomposeQuery(dq, req.SourceOnt, src)
+	dcm, err := m.Decomposer.DecomposeQuery(dq, req.SourceOnt, req.sources)
 	if err != nil {
 		return nil, err
 	}

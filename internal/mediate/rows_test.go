@@ -294,7 +294,9 @@ func TestRetainedMediatorRowsAreCopies(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(fr.Solutions, want) {
 		t.Errorf("Collect over a row-reusing source = %v, %v\nwant %v", fr.Solutions, err, want)
 	}
-	e, ok := s.mediator.Serve.Cache.Get(s.mediator.resultCacheKey(req, sparql.MustParse(req.Query)))
+	keyed := req // as queryParsed keys it: over the targets' source set
+	keyed.sources, _, _ = s.mediator.sourceSet(nil, req.Targets)
+	e, ok := s.mediator.Serve.Cache.Get(s.mediator.resultCacheKey(keyed, sparql.MustParse(req.Query)))
 	if !ok {
 		t.Fatal("the drained stream did not fill the cache")
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -96,20 +95,15 @@ func (f *cacheFill) attach(res *Result) {
 // IRIs in the query are canonicalised to their owl:sameAs
 // representative first — the same rule the federation merge and the
 // graph streams use — so alias spellings of one entity share an entry.
-// The source ontology, explicit targets, limit and the request's source
-// set all discriminate; the tenant's algebra restrictions need no extra
-// component because q is the restricted query by the time it is keyed.
+// The source ontology, limit and the request's source set (the tenant's
+// allowlist narrowed to the named targets) all discriminate; the tenant's
+// algebra restrictions need no extra component because q is the
+// restricted query by the time it is keyed.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 	canon := federate.NewRepCache(m.Coref)
 	cq := q.Clone()
 	canonicaliseGroup(cq.Where, canon)
 	parts := []string{sparql.Format(cq), req.SourceOnt, strconv.Itoa(req.Limit)}
-	if len(req.Targets) > 0 {
-		ts := append([]string(nil), req.Targets...)
-		sort.Strings(ts)
-		parts = append(parts, "targets:")
-		parts = append(parts, ts...)
-	}
 	if req.sources != nil {
 		parts = append(parts, "sources:")
 		parts = append(parts, slices.Sorted(maps.Keys(req.sources))...)

@@ -278,12 +278,12 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 		if dec.Relevant || dec.Shards != 0 {
 			t.Errorf("plan reports %s relevant with %d shards, outside the allowlist", dec.Dataset, dec.Shards)
 		}
-		if slices.Contains(dec.Reasons, "outside the tenant's dataset allowlist") {
+		if slices.Contains(dec.Reasons, "outside the request's source set (dataset allowlist or named targets)") {
 			pruned++
 		}
 	}
 	if pruned == 0 {
-		t.Error("no decision names the allowlist as its reason")
+		t.Error("no decision names the source set as its reason")
 	}
 	fr, err := res.Bindings().Collect()
 	if err != nil {

@@ -164,13 +164,14 @@ func TestDescribeKeepsToItsTargets(t *testing.T) {
 	}
 }
 
-// TestPolicySoundness holds every path to the tenant's dataset allowlist,
-// for every non-empty allowlist over the three repositories: no endpoint
-// outside it receives a request, and every SELECT answer is a subset of
-// the oracle integrating just the permitted repositories — equal to it
-// when the allowlist holds every repository the query needs. A refusal
-// must be ErrDenied, and is allowed only when some needed repository is
-// missing.
+// TestPolicySoundness holds every path to the request's source set, for
+// every non-empty subset of the three repositories, once as a tenant's
+// dataset allowlist and once as the anonymous tenant's named targets: no
+// endpoint outside the set receives a request, and every SELECT answer is
+// a subset of the oracle integrating just the set's repositories — equal
+// to it when the set holds every repository the query needs. A refusal is
+// allowed only when some needed repository is missing, and must be
+// ErrDenied for an allowlist and a plain error (400) for named targets.
 func TestPolicySoundness(t *testing.T) {
 	u := exampleUniverse()
 	repos := []string{workload.SotonVoidURI, workload.KistiVoidURI, workload.MetricsVoidURI}
@@ -233,10 +234,10 @@ func TestPolicySoundness(t *testing.T) {
 				selectRows(t, m, workload.CrossVocabularyQuery(2))
 				waitViewReady(t, m)
 			}
-			// run sends one request as the tenant, fails the test when an
-			// endpoint outside its allowlist heard of it, and returns the
-			// request's endpoint round trips.
-			run := func(name string, src voidkb.Sources, do func() error) (trips int64, err error) {
+			// run sends one request, fails the test when an endpoint outside
+			// the source set heard of it or it was refused the wrong way, and
+			// returns the request's endpoint round trips.
+			run := func(name string, src voidkb.Sources, refusal func(error) bool, do func() error) (trips int64, err error) {
 				var before [3]int64
 				for i := range taps {
 					before[i] = taps[i].Load()
@@ -245,70 +246,88 @@ func TestPolicySoundness(t *testing.T) {
 				for i, r := range repos {
 					n := taps[i].Load() - before[i]
 					if n != 0 && !src.Has(r) {
-						t.Errorf("%s: %d requests to %s, outside the allowlist", name, n, r)
+						t.Errorf("%s: %d requests to %s, outside the source set", name, n, r)
 					}
 					trips += n
 				}
-				if err != nil && !errors.Is(err, serve.ErrDenied) {
-					t.Errorf("%s: %v, want an answer or ErrDenied", name, err)
+				if err != nil && !refusal(err) {
+					t.Errorf("%s: refused the wrong way: %v", name, err)
 				}
 				return trips, err
 			}
 			for _, list := range allowlists {
+				src := voidkb.Sources{}
+				for _, r := range list {
+					src[r] = true
+				}
 				policy := &serve.Policy{Datasets: list}
-				src, tenant := sourceSet(policy), &serve.Tenant{ID: "t", Policy: policy}
-				for _, tmpl := range templates {
-					name := fmt.Sprintf("%s as %v", tmpl.name, list)
-					complete := !slices.ContainsFunc(tmpl.needs, func(r string) bool { return !src.Has(r) })
-					req := QueryRequest{Query: tmpl.text, SourceOnt: tmpl.sourceOnt, Tenant: tenant}
-					want := rowSet(oracleOf(src).answer(t, tmpl.text))
-					repeats := 1
-					if path.cached {
-						repeats = 2
-					}
-					for i := range repeats {
-						var got [][]rdf.Term
-						h0 := m.Views.Stats().Hits
-						trips, err := run(name, src, func() (err error) {
-							got, err = mediatorRows(m, req)
-							return err
-						})
-						switch {
-						case err != nil && complete:
-							t.Errorf("%s: refused although every needed repository is allowed: %v", name, err)
-						case complete && !maps.Equal(rowSet(got), want):
-							t.Errorf("%s: %d rows, want the permitted oracle's %d", name, len(rowSet(got)), len(want))
+				scopes := []struct {
+					name    string
+					base    QueryRequest
+					refusal func(error) bool
+				}{
+					{"as " + fmt.Sprint(list), QueryRequest{Tenant: &serve.Tenant{ID: "t", Policy: policy}},
+						func(err error) bool { return errors.Is(err, serve.ErrDenied) }},
+					{"naming " + fmt.Sprint(list), QueryRequest{Targets: list},
+						func(err error) bool { return !errors.Is(err, serve.ErrDenied) }},
+				}
+				for _, scope := range scopes {
+					for _, tmpl := range templates {
+						name := tmpl.name + " " + scope.name
+						complete := !slices.ContainsFunc(tmpl.needs, func(r string) bool { return !src.Has(r) })
+						req := scope.base
+						req.Query, req.SourceOnt = tmpl.text, tmpl.sourceOnt
+						want := rowSet(oracleOf(src).answer(t, tmpl.text))
+						repeats := 1
+						if path.cached {
+							repeats = 2
 						}
-						for key := range rowSet(got) {
-							if !want[key] {
-								t.Errorf("%s: row %s is not in the permitted oracle's answer", name, key)
-								break
+						for i := range repeats {
+							var got [][]rdf.Term
+							h0 := m.Views.Stats().Hits
+							trips, err := run(name, src, scope.refusal, func() (err error) {
+								got, err = mediatorRows(m, req)
+								return err
+							})
+							switch {
+							case err != nil && complete:
+								t.Errorf("%s: refused although every needed repository is allowed: %v", name, err)
+							case complete && !maps.Equal(rowSet(got), want):
+								t.Errorf("%s: %d rows, want the permitted oracle's %d", name, len(rowSet(got)), len(want))
+							}
+							for key := range rowSet(got) {
+								if !want[key] {
+									t.Errorf("%s: row %s is not in the permitted oracle's answer", name, key)
+									break
+								}
+							}
+							if i == 1 && trips != 0 {
+								t.Errorf("%s, repeated: %d round trips, want a cache hit", name, trips)
+							}
+							hit := m.Views.Stats().Hits - h0
+							if path.viewed && strings.HasPrefix(tmpl.name, "cross-vocabulary") && complete != (hit == 1) {
+								t.Errorf("%s: %d view hits, want a hit exactly when the source set holds the view's repositories", name, hit)
 							}
 						}
-						if i == 1 && trips != 0 {
-							t.Errorf("%s, repeated: %d round trips, want a cache hit", name, trips)
-						}
-						hit := m.Views.Stats().Hits - h0
-						if path.viewed && strings.HasPrefix(tmpl.name, "cross-vocabulary") && complete != (hit == 1) {
-							t.Errorf("%s: %d view hits, want a hit exactly when the allowlist holds the view's repositories", name, hit)
-						}
 					}
-				}
 
-				// DESCRIBE: phase one resolves the papers, phase two fetches
-				// their triples; neither may leave the allowlist.
-				var graph rdf.Graph
-				_, err := run("DESCRIBE as "+fmt.Sprint(list), src, func() error {
-					res, err := m.Query(context.Background(), QueryRequest{Query: describe, SourceOnt: rdf.AKTNS, Tenant: tenant})
-					if err != nil {
+					// DESCRIBE: phase one resolves the papers, phase two fetches
+					// their triples; neither may leave the source set.
+					var graph rdf.Graph
+					req := scope.base
+					req.Query, req.SourceOnt = describe, rdf.AKTNS
+					_, err := run("DESCRIBE "+scope.name, src, scope.refusal, func() error {
+						res, err := m.Query(context.Background(), req)
+						if err != nil {
+							return err
+						}
+						defer res.Close()
+						graph, err = res.Graph().Collect()
 						return err
+					})
+					if src.Has(workload.SotonVoidURI) && (err != nil || len(graph) == 0) {
+						t.Errorf("DESCRIBE %s: %d triples, %v; want Southampton's description", scope.name, len(graph), err)
 					}
-					defer res.Close()
-					graph, err = res.Graph().Collect()
-					return err
-				})
-				if src.Has(workload.SotonVoidURI) && (err != nil || len(graph) == 0) {
-					t.Errorf("DESCRIBE as %v: %d triples, %v; want Southampton's description", list, len(graph), err)
 				}
 			}
 		})

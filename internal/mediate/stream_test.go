@@ -320,22 +320,11 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 		}
 	}
 
-	// Unknown targets keep their input positions in the summary.
-	res3, err := s.mediator.Query(context.Background(), QueryRequest{
+	// An unknown target is refused before any stream starts.
+	if _, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
 		Targets: []string{"http://nope.example/void", workload.SotonVoidURI},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum3, err := res3.Bindings().Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum3.PerDataset) != 2 || sum3.PerDataset[0].Err == nil || sum3.PerDataset[1].Err != nil {
-		t.Fatalf("perDataset = %+v", sum3.PerDataset)
-	}
-	if !sum3.Partial {
-		t.Fatal("unknown target must mark the result partial")
+	}); err == nil || !strings.Contains(err.Error(), "http://nope.example/void") {
+		t.Fatalf("unknown target: %v, want an error naming it", err)
 	}
 }

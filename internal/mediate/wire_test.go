@@ -70,9 +70,9 @@ type wireCase struct {
 	name string
 	opts []Option
 	req  QueryRequest
-	// derived is the SELECT an explicit-target request should run at
-	// every target, before rewriting; on the other paths the stages' own
-	// records (the plan, the join engine's requests) say.
+	// derived is the SELECT the planner should fan out, before rewriting,
+	// when the case gives it; the stages' own records (the plan, the join
+	// engine's requests) say what went to each endpoint.
 	derived string
 	// hashJoin says how a case the join engine ran must have joined.
 	hashJoin bool
@@ -168,8 +168,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 
 			// What the stages built, as executor requests: the join
 			// engine's (a decomposition's stages, a DESCRIBE's description
-			// fetch), the planner's, and the derived SELECT at each
-			// explicit target.
+			// fetch) and the planner's.
 			built := disp.reqs
 			if len(built) > 0 {
 				if st := m.JoinEngine.Stats(); (st.HashJoinStages > 0) != tc.hashJoin || (st.BoundJoinStages > 0) == tc.hashJoin {
@@ -179,14 +178,13 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			if res.Plan() != nil {
 				built = append(built, federate.PlanRequest(res.Plan()))
 			}
-			if tc.derived != "" {
-				freq := federate.Request{SourceOnt: tc.req.SourceOnt}
-				for _, target := range tc.req.Targets {
-					ds, _ := m.Datasets.Get(target)
-					freq.Targets = append(freq.Targets, federate.Target{Dataset: target,
-						Query: sparql.MustParse(tc.derived), NeedsRewrite: !ds.UsesVocabulary(tc.req.SourceOnt)})
+			if want := tc.derived; want != "" {
+				if res.Plan() == nil {
+					t.Fatalf("no plan; want one fanning out\n%s", want)
 				}
-				built = append(built, freq)
+				if got, want := sparql.Format(res.Plan().Query), sparql.Format(sparql.MustParse(want)); got != want {
+					t.Errorf("planned\n%s\nwant the derived SELECT\n%s", got, want)
+				}
 			}
 			want := map[string][]string{}
 			rewritten := 0

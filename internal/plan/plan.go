@@ -249,7 +249,7 @@ func (p *Planner) Plan(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*
 		if !src.Has(ds.URI) {
 			pruned++
 			pl.Decisions = append(pl.Decisions, Decision{Dataset: ds.URI, Endpoint: ds.SPARQLEndpoint,
-				Reasons: []string{"outside the tenant's dataset allowlist"}})
+				Reasons: []string{"outside the request's source set (dataset allowlist or named targets)"}})
 			continue
 		}
 		dec := p.decide(ds, prof, sourceOnt)

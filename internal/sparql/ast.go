@@ -260,7 +260,7 @@ func (q *Query) Vars() []string {
 // Projection returns the names of a SELECT's result columns: the listed
 // variables, or under SELECT * every variable of the WHERE clause in
 // first-appearance order. Every layer that names result columns — the
-// evaluator, the planner, the decomposer, the explicit-target fan-out —
+// evaluator, the planner, the decomposer, the fan-out's merge —
 // asks here, so they cannot disagree about what * expands to.
 func (q *Query) Projection() []string {
 	if q.SelectStar {

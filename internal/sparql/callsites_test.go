@@ -309,3 +309,46 @@ func TestOneSourceSet(t *testing.T) {
 		t.Errorf("internal/mediate reads the dataset allowlist at %d places, want 1 (the source set): %v", len(reads), reads)
 	}
 }
+
+// TestOneRoute pins one route from a request to its dispatches: named
+// targets narrow the request's source set and take the planned route like
+// any other request. No non-test file in internal/mediate builds a
+// federate.Request or federate.Target literal, so the planner
+// (federate.PlanRequest) and the join engine make every dispatch, and only
+// queryParsed reads a request's Targets, to build the source set.
+func TestOneRoute(t *testing.T) {
+	fset, files := moduleFiles(t)
+	for rel, file := range files {
+		if !strings.HasPrefix(rel, "internal/mediate/") || strings.HasSuffix(rel, "_test.go") {
+			continue
+		}
+		pkg := importName(file, "sparqlrw/internal/federate")
+		isDispatch := func(x ast.Expr) bool {
+			if arr, ok := x.(*ast.ArrayType); ok {
+				x = arr.Elt
+			}
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			id, ok := sel.X.(*ast.Ident)
+			return ok && pkg != "" && id.Name == pkg && (sel.Sel.Name == "Request" || sel.Sel.Name == "Target")
+		}
+		for _, decl := range file.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if isDispatch(n.Type) {
+						t.Errorf("%s builds a federate dispatch literal: dispatches come from the planner or the join engine", fset.Position(n.Pos()))
+					}
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "Targets" && (fn == nil || fn.Name.Name != "queryParsed") {
+						t.Errorf("%s reads Targets outside queryParsed", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}

@@ -375,7 +375,7 @@ type (
 
 // ErrPolicyDenied is reported when a tenant's policy statically refuses a
 // query (ground term outside the tenant's URI spaces, denied predicate,
-// an explicit target outside the dataset allowlist, or an allowlist that
+// a named target outside the dataset allowlist, or an allowlist that
 // answers nothing). The protocol endpoint maps it to 403.
 var ErrPolicyDenied = serve.ErrDenied
 
