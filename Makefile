@@ -7,11 +7,14 @@
 # reference, the SPARQL, Turtle and N-Triples parsers, the traceparent
 # parser and the rewrite-plan template's bind briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
-# mediator binary; `make examples` runs every example end to end.
+# mediator binary; `make examples` runs every example end to end; `make loc`
+# counts non-test Go lines outside bench/ (find . -name '*.go' ! -name
+# '*_test.go' ! -path './bench/*' | xargs cat | wc -l), then per internal/
+# package, the measure of a change that deletes code.
 
 GO ?= go
 
-.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics examples
+.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics examples loc
 
 build:
 	$(GO) build ./...
@@ -85,3 +88,10 @@ examples:
 			{ cat examples.out; rm -f examples.out; echo "examples: $$d failed" >&2; exit 1; }; \
 		echo "examples: $$d ok"; \
 	done; rm -f examples.out
+
+# Non-test Go lines: the total outside bench/, then each internal/ package.
+loc:
+	@echo "outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done

@@ -27,14 +27,16 @@
 // only in their instance IRIs share one entry), dispatched by a bounded worker pool
 // with a per-attempt deadline, retry-with-backoff and a per-endpoint
 // circuit breaker, and streamed into a canonicalising owl:sameAs merge
-// (internal/federate). Every query goes through the voiD-driven planner
-// (internal/plan) over its source set — the named targets, when it names
-// any: source selection, VALUES sharding, fastest-endpoint-first
-// dispatch. A query no single repository covers —
-// the third generated repository, "citation metrics", serves a second
-// vocabulary over the same paper URIs — is split into per-endpoint
-// exclusive groups joined with VALUES-bound joins (internal/decompose).
-// POST /api/plan explains plan and decomposition without running them;
+// (internal/federate). Every query is planned as one decomposition over
+// its source set — the named targets, when it names any: voiD-driven
+// source selection per triple pattern (internal/plan), then one whole
+// fragment over the repositories that answer the whole query, VALUES
+// sharded and dispatched fastest endpoint first (internal/decompose). A
+// query no single repository covers — the third generated repository,
+// "citation metrics", serves a second vocabulary over the same paper
+// URIs — is split into per-endpoint exclusive groups joined with
+// VALUES-bound joins. POST /api/plan explains that plan without running
+// it: each data set's decision, the fragments and their sub-queries;
 // GET /api/stats serves the one introspection document: every layer's
 // counters, with each endpoint one row of the executor's endpoint table
 // (breaker, health, attempts, failures, retries, rejections, solutions).
@@ -197,7 +199,7 @@ style co-reference service, and the mediator serving
                      narrows the data sets the planner selects from),
                      source=<ontology-ns>, limit=<n>.
   POST     /api/rewrite   translate a query for one target data set
-  POST     /api/plan      explain source selection / decomposition
+  POST     /api/plan      explain the plan: decisions, fragments, sub-queries
   GET      /api/stats     the one stats document: endpoint rows, planner,
                           decompose, serving, views, per-form counters
   GET      /api/datasets  registered voiD data sets

@@ -253,9 +253,13 @@ SELECT DISTINCT ?a WHERE {
 		Decisions []struct {
 			Relevant bool `json:"relevant"`
 		} `json:"decisions"`
-		SubRequests []struct {
-			Dataset string `json:"dataset"`
-		} `json:"subRequests"`
+		Fragments []struct {
+			Targets []struct {
+				Dataset string `json:"dataset"`
+			} `json:"targets"`
+			Query  string   `json:"query"`
+			Shards []string `json:"shards"`
+		} `json:"fragments"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&pl); err != nil {
 		t.Fatal(err)
@@ -267,7 +271,8 @@ SELECT DISTINCT ?a WHERE {
 			relevant++
 		}
 	}
-	if len(pl.Decisions) != 3 || relevant != 2 || len(pl.SubRequests) != 2 {
+	if len(pl.Decisions) != 3 || relevant != 2 || len(pl.Fragments) != 1 ||
+		pl.Fragments[0].Query == "" || len(pl.Fragments[0].Targets) != 2 || len(pl.Fragments[0].Shards) != 0 {
 		t.Fatalf("plan = %+v", pl)
 	}
 
@@ -521,17 +526,15 @@ SELECT ?paper ?a ?c WHERE {
 		}
 		defer resp.Body.Close()
 		var doc struct {
-			Decomposition *struct {
-				Fragments []fragment `json:"fragments"`
-			} `json:"decomposition"`
+			Fragments []fragment `json:"fragments"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 			t.Fatal(err)
 		}
-		if doc.Decomposition == nil || len(doc.Decomposition.Fragments) < 2 {
+		if len(doc.Fragments) < 2 {
 			t.Fatalf("query did not decompose: %+v", doc)
 		}
-		return doc.Decomposition.Fragments
+		return doc.Fragments
 	}
 	leadsWithMetrics := func(fs []fragment) bool {
 		return len(fs[0].Targets) == 1 && fs[0].Targets[0].Dataset == metricsVoid

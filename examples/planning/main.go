@@ -1,10 +1,12 @@
-// Planning: the voiD-driven federation planner (internal/plan) in front
-// of the concurrent executor.
+// Planning: voiD-driven source selection (internal/plan) and the one
+// planner built on it (internal/decompose) in front of the concurrent
+// executor.
 //
 // Four SPARQL endpoints join the federation — Southampton (AKT),
 // KISTI (its own vocabulary, reachable through the 24-alignment KB), and
 // DBpedia/ECS stand-ins whose vocabularies no alignment connects to AKT.
-// A federated query that names no targets is planned:
+// A federated query that names no targets is planned as one whole
+// fragment over the data sets that answer it:
 //
 //  1. source selection prunes DBpedia and ECS (their voiD profiles say
 //     they cannot answer an AKT query), so only two endpoints see
@@ -83,18 +85,7 @@ func main() {
 
 	// 1. Explain the plan for the Figure-1 query: 2 of 4 repositories kept.
 	queryText := workload.Figure1Query(1)
-	var pl struct {
-		Decisions []struct {
-			Dataset  string   `json:"dataset"`
-			Relevant bool     `json:"relevant"`
-			Reasons  []string `json:"reasons"`
-		} `json:"decisions"`
-		SubRequests []struct {
-			Dataset string `json:"dataset"`
-			Shard   int    `json:"shard"`
-			Shards  int    `json:"shards"`
-		} `json:"subRequests"`
-	}
+	var pl plan
 	postJSON(api.URL+"/api/plan", map[string]any{"query": queryText}, &pl)
 	fmt.Println("=== /api/plan: source selection over 4 repositories ===")
 	for _, d := range pl.Decisions {
@@ -104,7 +95,8 @@ func main() {
 		}
 		fmt.Printf("  %s %-45s %s\n", verdict, d.Dataset, strings.Join(d.Reasons, "; "))
 	}
-	fmt.Printf("  -> %d sub-queries dispatched instead of 4\n\n", len(pl.SubRequests))
+	whole := pl.Fragments[0]
+	fmt.Printf("  -> %d sub-queries dispatched instead of 4\n\n", len(whole.Targets)*max(len(whole.Shards), 1))
 
 	// 2. Run it with no targets over the protocol endpoint: the planner
 	// selects them; the summary comes from the Go API's Summary.
@@ -121,7 +113,7 @@ func main() {
 		sotonHits.Load(), kistiHits.Load(), dbpHits.Load(), ecsHits.Load())
 
 	// 3. VALUES sharding: seed the query with 9 papers, batch size 3.
-	mediator.Configure(sparqlrw.WithMediatorPlanner(sparqlrw.PlannerOptions{ValuesBatch: 3}))
+	mediator.Configure(sparqlrw.WithMediatorDecomposer(sparqlrw.DecomposerOptions{ValuesBatch: 3}))
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT DISTINCT ?a WHERE {\n  VALUES ?paper {")
 	for i := 0; i < 9; i++ {
@@ -140,15 +132,10 @@ func main() {
 
 	// 4. Adaptive ordering: with latency history accumulated, the next
 	// plan dispatches the fast repository first and bounds the slow one.
-	var pl2 struct {
-		SubRequests []struct {
-			Dataset   string  `json:"dataset"`
-			TimeoutMS float64 `json:"timeoutMs"`
-		} `json:"subRequests"`
-	}
+	var pl2 plan
 	postJSON(api.URL+"/api/plan", map[string]any{"query": queryText}, &pl2)
 	fmt.Println("=== adaptive ordering from observed latency ===")
-	for i, sr := range pl2.SubRequests {
+	for i, sr := range pl2.Fragments[0].Targets {
 		deadline := "default"
 		if sr.TimeoutMS > 0 {
 			deadline = fmt.Sprintf("%.0fms", sr.TimeoutMS)
@@ -160,6 +147,24 @@ func main() {
 	getJSON(api.URL+"/api/stats", &stats)
 	fmt.Printf("\nplanner stats: %+v\n", *stats.Planner)
 	fmt.Printf("queries by form: %d SELECT\n", stats.Queries.Select)
+}
+
+// plan is what the example reads of /api/plan's answer: the decisions
+// per data set, and the query's whole fragment — its targets in dispatch
+// order with their deadlines, and its VALUES shards.
+type plan struct {
+	Decisions []struct {
+		Dataset  string   `json:"dataset"`
+		Relevant bool     `json:"relevant"`
+		Reasons  []string `json:"reasons"`
+	} `json:"decisions"`
+	Fragments []struct {
+		Targets []struct {
+			Dataset   string  `json:"dataset"`
+			TimeoutMS float64 `json:"timeoutMs"`
+		} `json:"targets"`
+		Shards []string `json:"shards"`
+	} `json:"fragments"`
 }
 
 func postJSON(url string, req any, out any) {

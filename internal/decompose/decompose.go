@@ -1,47 +1,35 @@
-// Package decompose implements per-BGP exclusive-group decomposition, the
-// layer between the federation planner (internal/plan) and the federation
-// executor (internal/federate) that handles queries spanning vocabularies
-// served by different repositories — the case the paper's whole-query
-// rewriting cannot cover, and the standard answer in federated SPARQL
-// processing (FedQPL, FedX; see PAPERS.md). It selects sources, groups and
-// orders fragments, places filters, and plans the result for the
-// evaluator (internal/eval), whose joins, FILTERs and solution modifiers
-// run above the fragments as remote leaves.
+// Package decompose is the mediator's one planner, between source
+// selection (internal/plan) and the federation executor
+// (internal/federate): every query becomes a decomposition whose fragments
+// are the remote leaves of an evaluator plan (internal/eval), with the
+// joins, FILTERs and solution modifiers above them.
 //
-// # Exclusive groups
+// A query that some data sets answer whole (their cover) is one whole
+// fragment: the query itself in any shape — OPTIONAL, UNION, VALUES and
+// nested groups stay — less the modifiers that apply above the merge,
+// VALUES-sharded and sent to every data set of the cover, fastest first.
 //
-// Source selection runs per triple pattern (plan.Planner.PatternSources):
-// a pattern answerable by exactly one registered data set is *exclusive*
-// to it, and all of a data set's exclusive patterns are grouped into one
-// fragment — a single sub-query shipped to that endpoint, so the endpoint
-// joins them locally and only the fragment's (far smaller) result crosses
-// the wire. Patterns answerable by several data sets become *shared*
-// fragments, dispatched to every candidate and unioned by the executor's
-// merge. The decomposition fails — and the caller falls back to the
-// whole-query path or reports the query unanswerable — when a pattern has
-// no source at all, or the query's pattern is not a plain filtered BGP
-// (OPTIONAL and UNION stay on the single-source path). Any solution
-// modifiers — ORDER BY, DISTINCT, the projection, the slice — run above
-// the joins.
+// A query no data set covers must be a plain filtered BGP, split by its
+// patterns' sources into exclusive groups (FedQPL, FedX; see PAPERS.md): a
+// data set's patterns that no other data set answers go out as one
+// sub-query, so the endpoint joins them locally; a pattern several data
+// sets answer is a shared fragment, unioned by the executor's merge. A
+// pattern without a source, or any other shape, is refused.
 //
-// # Cardinality-ordered bound joins
-//
-// Fragments are ordered cheapest-first by voiD statistics (void:triples,
-// void:propertyPartition, void:classPartition — internal/voidkb), joined
-// left to right: the accumulated bindings of fragments 1..k are projected
-// onto the join variables, batched into a VALUES block (re-using the
-// planner's VALUES sharding), and injected into fragment k+1's sub-query,
-// so each endpoint only returns solutions that can actually join. When
-// the bindings exceed the bound-join cap the fragment is fetched unbound
-// and hash-joined at the mediator — which is also the robust path when
-// fragments identify entities in different URI spaces, since both sides
-// are owl:sameAs-canonicalised before the join. The joins are the
-// evaluator's hash join, whose remote right operand receives the left
-// side's keys; the plan streams, so the HTTP path's incremental rows and
-// disconnect cancellation work unchanged.
+// Groups are ordered cheapest-first by voiD statistics (void:triples,
+// void:propertyPartition, void:classPartition — internal/voidkb) and
+// joined left to right by the evaluator's hash join, whose remote right
+// operand receives the left side's keys: a bound join ships them, with
+// their owl:sameAs aliases, as VALUES shards injected into the fragment's
+// sub-query; past the bound-join cap the fragment is fetched unbound and
+// hash-joined over sameAs-canonicalised keys, which also covers entities
+// in different URI spaces. A seeded whole fragment takes its VALUES the
+// same way (a DESCRIBE's description fetch is one). The plan streams, so
+// incremental rows and disconnect cancellation work unchanged.
 package decompose
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -64,7 +52,12 @@ type Options struct {
 	// fragment unbound and hash-joining at the mediator (default 1024).
 	// Set to -1 to always hash-join (never bind).
 	MaxBindRows int
-	// MaxShards caps the VALUES shards of one bound stage (default 32).
+	// ValuesBatch is the maximum VALUES rows per sub-query of a whole
+	// fragment (default 50; set to -1 to disable sharding).
+	ValuesBatch int
+	// MaxShards caps the VALUES shards of one sub-query: a whole
+	// fragment's, or a bound stage's (default 32); larger blocks get
+	// proportionally bigger batches.
 	MaxShards int
 	// Registry receives the decomposer's and join engine's metrics. Nil
 	// creates a private registry; the mediator passes its shared one so
@@ -84,6 +77,9 @@ func (o Options) withDefaults() Options {
 	if o.MaxBindRows == 0 {
 		o.MaxBindRows = 1024
 	}
+	if o.ValuesBatch == 0 {
+		o.ValuesBatch = 50
+	}
 	if o.MaxShards <= 0 {
 		o.MaxShards = 32
 	}
@@ -98,33 +94,32 @@ func (o Options) withDefaults() Options {
 // real (smaller) figures are preferred as join seeds.
 const unknownCard = int64(1) << 20
 
-// Target is one endpoint a fragment dispatches to.
-type Target struct {
-	Dataset  string `json:"dataset"`
-	Endpoint string `json:"endpoint"`
-	// NeedsRewrite says the fragment must be translated for this data
-	// set before dispatch.
-	NeedsRewrite bool `json:"needsRewrite,omitempty"`
-}
-
-// Fragment is one ordered unit of a decomposition: a group of triple
-// patterns evaluated together at its target endpoint(s).
+// Fragment is one ordered unit of a decomposition: the whole query, or a
+// group of triple patterns evaluated together at its target endpoint(s).
 type Fragment struct {
 	// Exclusive marks an exclusive group: every pattern is answerable by
 	// exactly one data set, so the endpoint joins the group locally.
 	Exclusive bool `json:"exclusive"`
-	// Targets are the endpoints the fragment dispatches to (one for an
-	// exclusive group; every candidate for a shared pattern).
-	Targets []Target `json:"targets"`
-	// Patterns are the fragment's triple patterns, serialised for the
-	// explain output.
-	Patterns []string `json:"patterns"`
+	// Targets are the endpoints the fragment dispatches to, in dispatch
+	// order (plan.Order): the cover for a whole fragment, one for an
+	// exclusive group, every candidate for a shared pattern.
+	Targets []plan.Target `json:"targets"`
+	// Query is a whole fragment's sub-query: the decomposed query as the
+	// endpoints run it (see wireQuery). Nil for a group, whose sub-query
+	// the join engine builds from its patterns and filters.
+	Query *sparql.Query `json:"query,omitempty"`
+	// Shards are Query cut at its largest VALUES block, each sent to every
+	// target, when the block exceeds ValuesBatch.
+	Shards []*sparql.Query `json:"shards,omitempty"`
+	// Patterns are a group's triple patterns, serialised for the explain
+	// output.
+	Patterns []string `json:"patterns,omitempty"`
 	// Filters are FILTER constraints pushed into the fragment (all their
 	// variables are bound inside it).
 	Filters []string `json:"filters,omitempty"`
 	// EstCard is the voiD-statistics cardinality estimate that ordered
-	// the fragment.
-	EstCard int64 `json:"estimatedCardinality"`
+	// a group (a whole fragment has none).
+	EstCard int64 `json:"estimatedCardinality,omitempty"`
 	// Vars are the variables the fragment binds (its sub-query's
 	// projection), in first-appearance order.
 	Vars []string `json:"vars"`
@@ -164,25 +159,35 @@ type ResidualFilter struct {
 	expr sparql.Expression
 }
 
-// Decomposition is an ordered per-BGP decomposition: what Engine.Plan
-// makes executable, and the shape /api/plan explains. Query is the query
-// that was decomposed, shared with the caller and never modified; it
-// marshals as its text.
+// Decomposition is a query's plan: what Engine.Plan makes executable,
+// and the shape /api/plan explains. Query is the query that was planned,
+// shared with the caller and never modified; it marshals as its text, as
+// do the fragments' queries.
 type Decomposition struct {
 	Query     *sparql.Query `json:"query"`
 	SourceOnt string        `json:"source"`
 	// Vars is the final projection.
 	Vars []string `json:"vars"`
-	// MultiSource reports that the fragments span more than one data set
-	// (the case the whole-query path cannot answer).
-	MultiSource bool `json:"multiSource"`
-	// Fragments in join order, cheapest first, connected where possible.
+	// Fragments in join order, cheapest first, connected where possible:
+	// one whole fragment, or the query's groups.
 	Fragments []*Fragment `json:"fragments"`
 	// ResidualFilters are evaluated at the mediator, at the stage where
 	// their variables are bound.
 	ResidualFilters []ResidualFilter `json:"residualFilters,omitempty"`
 	// Warnings flag plan hazards (cartesian join stages).
 	Warnings []string `json:"warnings,omitempty"`
+	// Decisions say, per registered data set, whether the plan reads it
+	// and why: the source selection it was built from.
+	Decisions []plan.Decision `json:"decisions"`
+}
+
+// Whole returns the decomposition's whole fragment, nil when it joins
+// groups.
+func (d *Decomposition) Whole() *Fragment {
+	if len(d.Fragments) == 1 && d.Fragments[0].Query != nil {
+		return d.Fragments[0]
+	}
+	return nil
 }
 
 // Datasets returns the distinct data set URIs the decomposition touches,
@@ -201,18 +206,19 @@ func (d *Decomposition) Datasets() []string {
 
 // Stats counts decomposer activity for /api/stats.
 type Stats struct {
-	// Decompositions is how many decompositions were built.
+	// Decompositions is how many decompositions into groups were built
+	// (a query some data set answers whole is not counted).
 	Decompositions uint64 `json:"decompositions"`
-	// Rejected counts queries that could not be decomposed (unsupported
-	// shape, or a pattern with no source).
+	// Rejected counts queries that could not be planned (not a SELECT,
+	// unsupported shape, or a pattern with no source).
 	Rejected uint64 `json:"rejected"`
 	// ExclusiveGroups and SharedFragments count emitted fragments.
 	ExclusiveGroups uint64 `json:"exclusiveGroups"`
 	SharedFragments uint64 `json:"sharedFragments"`
 }
 
-// Decomposer partitions a query's BGP into per-endpoint fragments using
-// the planner's per-pattern source selection and the voiD KB statistics.
+// Decomposer plans queries into fragments using the planner's source
+// selection and the voiD KB statistics.
 type Decomposer struct {
 	planner *plan.Planner
 	opts    Options
@@ -237,9 +243,9 @@ func New(planner *plan.Planner, opts Options) *Decomposer {
 		planner: planner, opts: opts,
 		metrics: decomposerMetrics{
 			decompositions: reg.Counter("sparqlrw_decompose_decompositions_total",
-				"Per-BGP decompositions built."),
+				"Per-BGP decompositions into groups built."),
 			rejected: reg.Counter("sparqlrw_decompose_rejected_total",
-				"Queries that could not be decomposed (unsupported shape or unanswerable pattern)."),
+				"Queries that could not be planned (unsupported shape or unanswerable pattern)."),
 			exclusiveGroups: reg.Counter("sparqlrw_decompose_exclusive_groups_total",
 				"Exclusive-group fragments emitted."),
 			sharedFragments: reg.Counter("sparqlrw_decompose_shared_fragments_total",
@@ -270,84 +276,110 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 	if err != nil {
 		return nil, d.reject("parsing query: %v", err)
 	}
-	return d.DecomposeQuery(q, sourceOnt, nil)
+	return d.DecomposeQuery(context.Background(), q, sourceOnt, nil)
 }
 
-// DecomposeQuery builds the fragment plan for a SELECT query written
-// against sourceOnt, over the data sets of the source set src. It fails
-// when the query's pattern is unsupported (anything beyond a filtered BGP)
-// or when some pattern no data set in src can answer.
-func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Decomposition, error) {
-	if q.Form != sparql.Select {
-		return nil, d.reject("only SELECT queries decompose, got %s", q.Form)
+// DecomposeQuery plans a SELECT query written against sourceOnt over the
+// data sets of the source set src, profiling source selection on a "plan"
+// span of ctx's trace and grouping on a "decompose" span. A query some
+// data sets answer whole is one whole fragment over them. Otherwise its
+// BGP is split into groups, which fails when the query is not a plain
+// filtered BGP or some pattern no data set in src can answer.
+func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Decomposition, error) {
+	_, span := obs.StartSpan(ctx, "plan")
+	span.SetAttr("sourceOnt", sourceOnt)
+	sel, err := d.planner.Select(q, sourceOnt, src)
+	if err != nil {
+		endStep(span, "", 0, 0, err)
+		return nil, d.reject("%v", err)
 	}
-	patterns, filters, err := flatBGP(q)
+	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Decisions: sel.Decisions}
+	if len(sel.Cover) > 0 {
+		f := d.whole(dec, sel.Cover)
+		endStep(span, "source-selection", len(sel.Decisions), len(f.Targets)*max(len(f.Shards), 1), nil)
+		return dec, nil
+	}
+	endStep(span, "source-selection", len(sel.Decisions), 0, nil)
+	_, span = obs.StartSpan(ctx, "decompose")
+	err = d.group(dec, sel)
+	endStep(span, "decompose", -1, len(dec.Fragments), err)
 	if err != nil {
 		d.metrics.rejected.Inc()
 		return nil, err
 	}
-	if len(patterns) == 0 {
-		return nil, d.reject("query has no triple patterns")
+	return dec, nil
+}
+
+// endStep ends the span of a planning step: profiled as operator op over
+// its rows in and out (-1: not counted), or with the error that ended it.
+func endStep(span *obs.Span, op string, rowsIn, rowsOut int, err error) {
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	} else {
+		st := obs.Operator(op)
+		st.RowsIn, st.RowsOut = int64(rowsIn), int64(rowsOut)
+		span.SetOperator(st)
+	}
+	span.End()
+}
+
+// group splits dec's query, which no data set answers whole, into
+// exclusive groups and shared fragments by its patterns' sources,
+// estimates and orders them, and places its filters.
+func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
+	q := dec.Query
+	filters, err := flatBGP(q)
+	if err != nil {
+		return err
+	}
+	if len(sel.Patterns) == 0 {
+		return fmt.Errorf("decompose: query has no triple patterns")
 	}
 
-	// Per-pattern source selection: exclusive patterns group per data
-	// set; shared patterns become their own multi-target fragments.
-	groups := map[string]*Fragment{} // dataset URI -> exclusive group
-	var groupOrder []string
-	var fragments []*Fragment
-	for _, tp := range patterns {
-		sources := d.planner.PatternSources(tp, src)
+	// Exclusive patterns group per data set; shared patterns become their
+	// own multi-target fragments.
+	var groups, fragments []*Fragment
+	for i, tp := range sel.Patterns {
+		sources := sel.Sources[i]
 		if len(sources) == 0 {
-			return nil, d.reject("no registered data set can answer pattern { %s }", sparql.FormatTriplePattern(tp, q.Prefixes))
+			return fmt.Errorf("decompose: no registered data set can answer pattern { %s }", sparql.FormatTriplePattern(tp, q.Prefixes))
 		}
 		if len(sources) == 1 {
 			src := sources[0]
-			g, ok := groups[src.Dataset.URI]
-			if !ok {
-				g = &Fragment{Exclusive: true, Targets: []Target{{
-					Dataset:  src.Dataset.URI,
-					Endpoint: src.Dataset.SPARQLEndpoint,
-				}}}
-				groups[src.Dataset.URI] = g
-				groupOrder = append(groupOrder, src.Dataset.URI)
+			k := slices.IndexFunc(groups, func(g *Fragment) bool { return g.Targets[0].Dataset == src.Dataset.URI })
+			if k < 0 {
+				k = len(groups)
+				groups = append(groups, &Fragment{Exclusive: true, Targets: []plan.Target{d.planner.Target(src.Dataset, false)}})
 			}
+			g := groups[k]
 			g.patterns = append(g.patterns, tp)
 			if src.NeedsRewrite {
 				g.Targets[0].NeedsRewrite = true
 				// Rewriting translates from the pattern's own vocabulary;
-				// with sourceOnt as the default, only record a divergence.
-				if ns := plan.PatternVocabulary(tp); ns != "" && ns != sourceOnt && g.RewriteOnt == "" {
+				// with the query's source ontology as the default, only
+				// record a divergence.
+				if ns := plan.PatternVocabulary(tp); ns != dec.SourceOnt && g.RewriteOnt == "" {
 					g.RewriteOnt = ns
 				}
 			}
 			continue
 		}
 		f := &Fragment{patterns: []rdf.Triple{tp}}
-		needsRewrite := false
 		for _, src := range sources {
-			f.Targets = append(f.Targets, Target{
-				Dataset:      src.Dataset.URI,
-				Endpoint:     src.Dataset.SPARQLEndpoint,
-				NeedsRewrite: src.NeedsRewrite,
-			})
-			needsRewrite = needsRewrite || src.NeedsRewrite
-		}
-		if needsRewrite {
-			if ns := plan.PatternVocabulary(tp); ns != "" && ns != sourceOnt {
+			f.Targets = append(f.Targets, d.planner.Target(src.Dataset, src.NeedsRewrite))
+			if ns := plan.PatternVocabulary(tp); src.NeedsRewrite && ns != dec.SourceOnt {
 				f.RewriteOnt = ns
 			}
 		}
+		plan.Order(f.Targets)
 		fragments = append(fragments, f)
 	}
-	for _, uri := range groupOrder {
-		fragments = append(fragments, groups[uri])
-	}
+	fragments = append(fragments, groups...)
 
 	// Estimate, order patterns within groups, finalise per-fragment vars.
 	for _, f := range fragments {
 		d.estimateFragment(f)
 	}
-	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection()}
 	orderFragments(dec, fragments)
 	attachFilters(dec, filters, q.Prefixes)
 	for _, f := range dec.Fragments {
@@ -355,7 +387,6 @@ func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string, src voidk
 			f.Patterns = append(f.Patterns, sparql.FormatTriplePattern(tp, q.Prefixes))
 		}
 	}
-	dec.MultiSource = len(dec.Datasets()) > 1
 
 	d.metrics.decompositions.Inc()
 	for _, f := range dec.Fragments {
@@ -365,35 +396,54 @@ func (d *Decomposer) DecomposeQuery(q *sparql.Query, sourceOnt string, src voidk
 			d.metrics.sharedFragments.Inc()
 		}
 	}
-	return dec, nil
+	return nil
 }
 
-// flatBGP extracts the triple patterns and filters of a query whose WHERE
-// clause is a plain filtered BGP, rejecting shapes the join engine cannot
-// decompose soundly (OPTIONAL, UNION, nested groups, VALUES, blank-node
-// patterns).
-func flatBGP(q *sparql.Query) ([]rdf.Triple, []sparql.Expression, error) {
-	var patterns []rdf.Triple
+// flatBGP returns the filters of a query whose WHERE clause is a plain
+// filtered BGP — whose patterns are then the selection's — rejecting
+// shapes the join engine cannot decompose soundly (OPTIONAL, UNION,
+// nested groups, VALUES, blank-node patterns).
+func flatBGP(q *sparql.Query) ([]sparql.Expression, error) {
 	var filters []sparql.Expression
 	if q.Where == nil {
-		return nil, nil, fmt.Errorf("decompose: query has no WHERE clause")
+		return nil, fmt.Errorf("decompose: query has no WHERE clause")
 	}
 	for _, el := range q.Where.Elements {
 		switch e := el.(type) {
 		case *sparql.BGP:
 			for _, tp := range e.Patterns {
 				if tp.S.IsBlank() || tp.P.IsBlank() || tp.O.IsBlank() {
-					return nil, nil, fmt.Errorf("decompose: blank-node patterns are not supported")
+					return nil, fmt.Errorf("decompose: blank-node patterns are not supported")
 				}
 			}
-			patterns = append(patterns, e.Patterns...)
 		case *sparql.Filter:
 			filters = append(filters, e.Expr)
 		default:
-			return nil, nil, fmt.Errorf("decompose: unsupported pattern element %T (only a filtered BGP decomposes)", el)
+			return nil, fmt.Errorf("decompose: unsupported pattern element %T (only a filtered BGP decomposes)", el)
 		}
 	}
-	return patterns, filters, nil
+	return filters, nil
+}
+
+// wireQuery is what the endpoints of a whole fragment run: q less the
+// modifiers that order or count rows of the merged answer, which the plan
+// applies above the merge, and projecting what ORDER BY reads. Only LIMIT
+// 1 without OFFSET or ORDER BY stays: one row at any endpoint is at least
+// one merged row, so that cut cannot fall short.
+func wireQuery(q *sparql.Query) *sparql.Query {
+	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || q.Limit == 1) {
+		return q
+	}
+	w := q.Clone()
+	w.OrderBy, w.Limit, w.Offset = nil, -1, -1
+	for _, c := range q.OrderBy {
+		for _, t := range sparql.ExprTerms(c.Expr) {
+			if t.IsVar() && !w.SelectStar && !slices.Contains(w.SelectVars, t.Value) {
+				w.SelectVars = append(w.SelectVars, t.Value)
+			}
+		}
+	}
+	return w
 }
 
 // estimateFragment orders the fragment's patterns most-selective-first
@@ -575,12 +625,22 @@ func allBound(terms []rdf.Term, vars []string) bool {
 	return true
 }
 
-// fragmentQuery builds the fragment's sub-query: an optional VALUES block
-// of bound-join bindings, the fragment's patterns (most selective first)
-// and its pushed filters, projected onto the fragment's variables.
+// fragmentQuery builds a group's sub-query: an optional VALUES block of
+// bound-join bindings, the group's patterns (most selective first) and its
+// pushed filters, projected onto the group's variables; or a whole
+// fragment's query with a VALUES block of bindings.
 // DISTINCT matches the executor's merge semantics (every federated result
 // is deduplicated) and keeps bound-join result sets minimal.
 func fragmentQuery(dec *Decomposition, f *Fragment, values *sparql.InlineData) *sparql.Query {
+	if f.Query != nil {
+		if values == nil {
+			return f.Query
+		}
+		// The bindings join the whole fragment's WHERE clause.
+		q := f.Query.Clone()
+		q.Where.Elements = slices.Insert(q.Where.Elements, 0, sparql.GroupElement(values))
+		return q
+	}
 	q := sparql.NewQuery(sparql.Select)
 	q.Prefixes = dec.Query.Prefixes.Clone()
 	q.Distinct = true

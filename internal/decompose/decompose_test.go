@@ -110,6 +110,7 @@ const (
 type fixture struct {
 	u      *workload.Universe
 	client *storeClient
+	kb     *voidkb.KB
 	plnr   *plan.Planner
 	dec    *Decomposer
 	engine *Engine
@@ -155,6 +156,7 @@ func newFixture(t testing.TB, opts Options) *fixture {
 	return &fixture{
 		u:      u,
 		client: client,
+		kb:     kb,
 		plnr:   plnr,
 		dec:    New(plnr, opts),
 		engine: NewEngine(exec, nil, opts),
@@ -226,8 +228,8 @@ func TestExclusiveGroupExtraction(t *testing.T) {
 	if len(dec.Fragments) != 2 {
 		t.Fatalf("fragments = %d, want 2: %+v", len(dec.Fragments), dec.Fragments)
 	}
-	if !dec.MultiSource {
-		t.Fatal("decomposition not marked multi-source")
+	if len(dec.Datasets()) < 2 {
+		t.Fatalf("decomposition spans %v, want more than one data set", dec.Datasets())
 	}
 	first, second := dec.Fragments[0], dec.Fragments[1]
 	if !first.Exclusive || !second.Exclusive {
@@ -343,6 +345,43 @@ SELECT ?paper ?c WHERE {
 		if !strings.Contains(q, "VALUES") {
 			t.Fatalf("shard without VALUES:\n%s", q)
 		}
+	}
+}
+
+// TestValuesShardingRespectsMaxShards: a whole fragment's VALUES block is
+// cut into ValuesBatch-row batches, but into no more than MaxShards
+// shards, each dispatched to the cover as its own numbered sub-query; a
+// ValuesBatch of -1 leaves it whole.
+func TestValuesShardingRespectsMaxShards(t *testing.T) {
+	f := newFixture(t, Options{})
+	plnr := plan.New(f.kb, align.NewKB(), nil, plan.Options{})
+	f.dec = New(plnr, Options{ValuesBatch: 1, MaxShards: 2})
+	var sb strings.Builder
+	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE { VALUES ?p {")
+	for i := 0; i < 9; i++ {
+		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
+	}
+	sb.WriteString(" } ?p akt:has-author ?a }")
+	dec, err := f.dec.Decompose(sb.String(), rdf.AKTNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := dec.Whole()
+	if whole == nil || len(whole.Shards) != 2 {
+		t.Fatalf("decomposition = %+v, want one whole fragment in 2 shards (capped)", dec.Fragments)
+	}
+	req := request(dec, whole, nil)
+	for i, target := range req.Targets {
+		if target.Query != whole.Shards[i] || target.Shard != i+1 || target.Shards != 2 {
+			t.Fatalf("target %d = %+v, want shard %d/2", i, target, i+1)
+		}
+	}
+	if len(req.Targets) != 2 {
+		t.Fatalf("sub-queries = %d, want 2 shards to the one covering data set", len(req.Targets))
+	}
+	dec, err = New(plnr, Options{ValuesBatch: -1}).Decompose(sb.String(), rdf.AKTNS)
+	if err != nil || dec.Whole() == nil || dec.Whole().Shards != nil {
+		t.Fatalf("ValuesBatch -1: %v, %+v, want one unsharded whole fragment", err, dec)
 	}
 }
 

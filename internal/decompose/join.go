@@ -126,8 +126,24 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 			}
 		}
 	}
-	p.Op = algebra.Modifiers(d.Query, op)
+	mods := d.Query
+	if d.Whole() != nil {
+		// The merge answers a set over the wire's variables; projected onto
+		// the query's, it stays one under DISTINCT.
+		dq := *d.Query
+		dq.Distinct, dq.Reduced = true, false
+		mods = &dq
+	}
+	p.Op = algebra.Modifiers(mods, op)
 	return p
+}
+
+// Stream starts the dispatch of a whole decomposition whose fragment's
+// merged stream is the answer, with nothing to apply above the merge. It
+// opens no span of its own and observes no cardinality.
+func (e *Engine) Stream(ctx context.Context, d *Decomposition) *federate.Stream {
+	e.metrics.runs.Inc()
+	return e.exec.SelectStream(ctx, request(d, d.Whole(), nil))
 }
 
 // Summary reports the plan's dispatches in the executor's result shape:
@@ -229,37 +245,65 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) []*sparql.Query {
 	return shards
 }
 
-// dispatch sends the fragment's sub-query, or the given VALUES shards of
-// it, and pushes the merged rows over the fragment's variables into
-// yield; its summary goes to the plan's. An unbound fetch opens a
-// "fragment" operator span (estimate vs actual cardinality, q-error,
-// first-row latency) and feeds each dataset's actual into the
-// observed-cardinality store; bound shards skip both, since a semi-join's
-// result says nothing about the fragment's true extent.
-func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yield func(eval.Row) bool) error {
-	d, f := l.d, l.f
-	bound := shards != nil
-	if !bound {
-		shards = []*sparql.Query{fragmentQuery(d, f, nil)}
+// whole makes dec's query, which its cover answers whole, dec's one
+// fragment: the query as the endpoints run it, cut at its VALUES block
+// into ValuesBatch-row shards.
+func (d *Decomposer) whole(dec *Decomposition, cover []plan.Target) *Fragment {
+	wq := wireQuery(dec.Query)
+	f := &Fragment{Targets: cover, Query: wq, Vars: wq.Projection()}
+	if shards, _ := plan.ShardQuery(wq, d.opts.ValuesBatch, d.opts.MaxShards); len(shards) > 1 {
+		f.Shards = shards
+	}
+	dec.Fragments = []*Fragment{f}
+	return f
+}
+
+// request is the executor's request for fragment f of d: each of the
+// given shards of its sub-query — or its planned shards, or its sub-query
+// — to each of its targets in dispatch order, a target's shards together,
+// under the target's deadline.
+func request(d *Decomposition, f *Fragment, shards []*sparql.Query) federate.Request {
+	if shards == nil {
+		if shards = f.Shards; shards == nil {
+			shards = []*sparql.Query{fragmentQuery(d, f, nil)}
+		}
 	}
 	// Rewriting translates from the fragment's own vocabulary, which on a
 	// multi-vocabulary query may differ from the query-level source.
-	req := federate.Request{SourceOnt: cmp.Or(f.RewriteOnt, d.SourceOnt), Vars: f.Vars}
-	for i, shard := range shards {
-		for _, t := range f.Targets {
+	req := federate.Request{SourceOnt: cmp.Or(f.RewriteOnt, d.SourceOnt), Vars: f.Vars,
+		Targets: make([]federate.Target, 0, len(f.Targets)*len(shards))}
+	for _, t := range f.Targets {
+		for i, shard := range shards {
 			req.Targets = append(req.Targets, federate.Target{
 				Dataset:      t.Dataset,
 				Endpoint:     t.Endpoint,
+				Replicas:     t.Replicas,
 				NeedsRewrite: t.NeedsRewrite,
 				Query:        shard,
+				Timeout:      t.Timeout,
 				Shard:        i + 1,
 				Shards:       len(shards),
 			})
 		}
 	}
+	return req
+}
+
+// dispatch sends the fragment's sub-query, or the given VALUES shards of
+// it, and pushes the merged rows over the fragment's variables into
+// yield; its summary goes to the plan's. An unbound fetch of a group opens
+// a "fragment" operator span (estimate vs actual cardinality, q-error,
+// first-row latency) and feeds each dataset's actual into the
+// observed-cardinality store; bound shards skip both, since a semi-join's
+// result says nothing about the fragment's true extent, and so does a
+// whole fragment, which has no estimate.
+func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yield func(eval.Row) bool) error {
+	d, f := l.d, l.f
+	req := request(d, f, shards)
+	profiled := shards == nil && f.Query == nil
 	var span *obs.Span
 	var epoch uint64
-	if !bound {
+	if profiled {
 		ctx, span = obs.StartSpan(ctx, "fragment")
 		// A KB invalidation during the fetch makes its actuals describe
 		// the old data: Observe then drops them.
@@ -281,7 +325,7 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 		n += int64(da.Solutions)
 	}
 	l.e.metrics.transferred.Add(float64(n))
-	if bound {
+	if !profiled {
 		return err
 	}
 	for _, da := range res.PerDataset {

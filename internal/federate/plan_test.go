@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"sparqlrw/internal/eval"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/sparql"
 )
 
-// TestSelectPlanDispatchesShardedSubRequests: a plan with two shards for
-// one endpoint and one sub-request for another runs each shard's own
-// query and merges the answers.
+// TestSelectPlanDispatchesShardedSubRequests: a request with two shards
+// for one endpoint and one sub-query for another, as the join engine
+// builds a sharded whole fragment's, runs each shard's own query and
+// merges the answers.
 func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	fc := newFakeClient()
 	var mu sync.Mutex
@@ -34,15 +34,14 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	e := NewExecutor(shim, nil, nil, fastOpts())
 	shard1 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p1> } ?p ?x ?a }")
 	shard2 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p2> } ?p ?x ?a }")
-	pl := &plan.Plan{
-		Query: reqQuery, SourceOnt: "http://src/", Vars: []string{"a"},
-		Subs: []plan.SubRequest{
+	res, err := e.Select(context.Background(), Request{
+		SourceOnt: "http://src/", Vars: []string{"a"},
+		Targets: []Target{
 			{Dataset: "d1", Endpoint: "ep1", Query: shard1, Shard: 1, Shards: 2},
 			{Dataset: "d1", Endpoint: "ep1", Query: shard2, Shard: 2, Shards: 2},
 			{Dataset: "d2", Endpoint: "ep2", Query: reqQuery, Shard: 1, Shards: 1},
 		},
-	}
-	res, err := e.Select(context.Background(), PlanRequest(pl))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 		t.Fatalf("shard texts not sent: %v", queries["ep1"])
 	}
 	if queries["ep2"][0] != reqText {
-		t.Fatalf("unsharded sub-request received %q, want the plan's query %q", queries["ep2"][0], reqText)
+		t.Fatalf("unsharded sub-request received %q, want the request's query %q", queries["ep2"][0], reqText)
 	}
 }
 

@@ -12,16 +12,14 @@ import (
 // Config is the mediator's consolidated configuration: one struct holding
 // the per-layer option blocks that used to be scattered across three
 // per-subsystem configure methods. Build one with functional options
-// (WithFederation, WithPlanner, ...) via New or Configure; read the
+// (WithFederation, WithDecomposer, ...) via New or Configure; read the
 // active configuration back with Mediator.Config.
 type Config struct {
 	// Federation tunes the executor: worker-pool bound, per-endpoint
 	// deadlines/retries, circuit breakers, rewrite-plan cache, policy.
 	Federation federate.Options
-	// Planner tunes voiD-driven source selection, VALUES sharding and
-	// adaptive ordering.
-	Planner plan.Options
-	// Decompose tunes per-BGP decomposition and the streaming join engine.
+	// Decompose tunes decomposition (VALUES sharding of whole fragments
+	// included) and the streaming join engine.
 	Decompose decompose.Options
 	// RewriteFilters enables the §4 FILTER extension for all rewrites.
 	RewriteFilters bool
@@ -48,11 +46,6 @@ type Option func(*Config)
 // WithFederation replaces the federation executor options.
 func WithFederation(opts federate.Options) Option {
 	return func(c *Config) { c.Federation = opts }
-}
-
-// WithPlanner replaces the planner options.
-func WithPlanner(opts plan.Options) Option {
-	return func(c *Config) { c.Planner = opts }
 }
 
 // WithDecomposer replaces the decompose options.
@@ -136,9 +129,7 @@ func (m *Mediator) rebuild() {
 		// the fresh tier, the admission counter vecs accumulate.
 		m.Serve = serve.NewTier(*m.cfg.Serving, m.Obs.Registry)
 	}
-	plOpts := m.cfg.Planner
-	plOpts.Registry = m.Obs.Registry
-	m.Planner = plan.New(m.Datasets, m.Alignments, m.Exec.Endpoints(), plOpts)
+	m.Planner = plan.New(m.Datasets, m.Alignments, m.Exec.Endpoints(), plan.Options{Registry: m.Obs.Registry})
 	decOpts := m.cfg.Decompose
 	decOpts.Registry = m.Obs.Registry
 	decOpts.Cards = m.Obs.Cards

@@ -345,16 +345,14 @@ func Handler(m *Mediator) http.Handler {
 		})
 	})
 
-	// /api/plan explains a federated query without running it: the
-	// planner's per-data-set decisions, plus the exclusive-group
-	// decomposition (fragments, estimated cardinalities, join order)
-	// when the query only runs by splitting its BGP.
+	// /api/plan explains a federated query without running it: the plan
+	// the query path runs, with its per-data-set decisions.
 	handle("/api/plan", func(w http.ResponseWriter, r *http.Request) {
 		req, q, ok := m.apiQuery(w, r)
 		if !ok {
 			return
 		}
-		ex, err := m.explainQuery(r.Context(), q, req.Source)
+		ex, err := m.route(r.Context(), q, QueryRequest{SourceOnt: req.Source})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -38,14 +38,13 @@ type Mediator struct {
 	// bounds, health, per-endpoint counts). Rebuilt by Configure, which
 	// resets the table.
 	Exec *federate.Executor
-	// Planner performs voiD-driven source selection, VALUES sharding and
-	// adaptive ordering for every federated query, over its source set.
-	// Rebuilt by Configure.
-	Planner *plan.Planner
-	// Decomposer splits a query's BGP into per-endpoint exclusive groups
-	// when no single data set covers it, and JoinEngine executes the
-	// fragments as cardinality-ordered streaming bound joins. Rebuilt by
-	// Configure.
+	// Planner performs voiD-driven source selection and adaptive ordering
+	// for every federated query, over its source set. Decomposer plans the
+	// query from it — one whole fragment over the data sets that answer it
+	// whole, per-endpoint exclusive groups when none does — and JoinEngine
+	// executes the fragments, groups as cardinality-ordered streaming
+	// bound joins. Rebuilt by Configure.
+	Planner    *plan.Planner
 	Decomposer *decompose.Decomposer
 	JoinEngine *decompose.Engine
 	// RewriteFilters mirrors Config.RewriteFilters (the §4 FILTER
@@ -294,45 +293,22 @@ func (m *Mediator) Stats() Stats {
 	return st
 }
 
-// PlanQuery explains how a federated query would run: the per-data-set
-// relevance decisions and the ordered, sharded sub-requests.
-func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*plan.Plan, error) {
+// PlanQuery explains how a federated query would run for the anonymous
+// tenant: the route the query path takes, with its per-data-set decisions,
+// its fragments and their sub-queries as the endpoints receive them (a
+// rewritten target translates its own). An empty sourceOnt is guessed
+// from the query's vocabulary, as the query path does.
+func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*decompose.Decomposition, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
-	return m.Planner.Plan(q, sourceOnt, nil)
-}
-
-// QueryExplanation is /api/plan's response shape: the whole-query plan
-// plus — when no single data set covers the query — the per-BGP
-// decomposition the multi-source path would execute.
-type QueryExplanation struct {
-	*plan.Plan
-	Decomposition *decompose.Decomposition `json:"decomposition,omitempty"`
-}
-
-// ExplainQuery explains how a federated query would run: the planner's
-// per-data-set decisions, and the exclusive-group decomposition (groups,
-// estimated cardinalities, join order) when the query only runs by
-// splitting its BGP across repositories; the query path's error when it
-// runs neither way.
-func (m *Mediator) ExplainQuery(queryText, sourceOnt string) (*QueryExplanation, error) {
-	q, err := sparql.Parse(queryText)
-	if err != nil {
-		return nil, fmt.Errorf("mediate: parsing query: %w", err)
+	if sourceOnt == "" {
+		if sourceOnt, err = m.guessSourceOntology(q); err != nil {
+			return nil, err
+		}
 	}
-	return m.explainQuery(context.TODO(), q, sourceOnt)
-}
-
-// explainQuery is ExplainQuery past its parse, the entry of /api/plan:
-// the route the query path takes for the anonymous tenant.
-func (m *Mediator) explainQuery(ctx context.Context, q *sparql.Query, sourceOnt string) (*QueryExplanation, error) {
-	pl, dcm, err := m.route(ctx, q, QueryRequest{SourceOnt: sourceOnt})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryExplanation{Plan: pl, Decomposition: dcm}, nil
+	return m.route(context.TODO(), q, QueryRequest{SourceOnt: sourceOnt})
 }
 
 // RewriteResult is the outcome of a single rewrite.
@@ -410,19 +386,12 @@ func (m *Mediator) rewriter(sourceOnt, targetDataset string) (*core.Rewriter, er
 	eas := m.Alignments.Select(align.Selector{
 		SourceOntology: sourceOnt,
 		TargetDataset:  targetDataset,
-		TargetOntology: firstOrEmpty(ds.Vocabularies),
+		TargetOntology: ds.Vocabulary(),
 	})
 	rw := core.New(eas, m.Funcs)
 	rw.Opts.RewriteFilters = m.RewriteFilters
 	rw.Opts.TargetURISpace = ds.URISpace
 	return rw, nil
-}
-
-func firstOrEmpty(xs []string) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	return xs[0]
 }
 
 // DatasetAnswer is one data set's contribution to a federated query.

@@ -32,9 +32,10 @@ import (
 )
 
 // oracle holds a universe's repositories integrated into one store in the
-// AKT vocabulary, every IRI spelled as its owl:sameAs representative (the
-// lexicographically smallest alias), the spelling the mediator's merge
-// answers in.
+// AKT vocabulary, next to KISTI's data as it stores it (the one repository
+// of the KISTI vocabulary), every IRI spelled as its owl:sameAs
+// representative (the lexicographically smallest alias), the spelling the
+// mediator's merge answers in.
 type oracle struct {
 	u     *workload.Universe
 	store *store.Store
@@ -62,6 +63,7 @@ func newOracle(t testing.TB, u *workload.Universe, repos voidkb.Sources) *oracle
 			t.Fatal(err)
 		}
 		integrated.AddGraph(g)
+		integrated.AddGraph(u.KISTI.Triples())
 		var withFDs []*align.EntityAlignment
 		for _, ea := range eas {
 			if slices.Contains(skipped, ea.ID) {
@@ -93,7 +95,8 @@ func (o *oracle) canon(t rdf.Term) rdf.Term {
 }
 
 // answer evaluates a SELECT as the mediator must answer it: ground IRIs
-// canonicalised like the data, and as a set — every federated answer is
+// canonicalised like the data — in every group, and in VALUES rows — and
+// as a set — every federated answer is
 // merged, which drops duplicate rows — in the query's order when it has
 // one. Any min(limit, n − offset) rows of an unordered answer are a right
 // slice of it, so without ORDER BY the oracle answers the unsliced query.
@@ -105,7 +108,7 @@ func (o *oracle) answer(t testing.TB, text string) [][]rdf.Term {
 	if len(q.OrderBy) == 0 {
 		q.Limit, q.Offset = -1, -1
 	}
-	for _, el := range q.Where.Elements {
+	sparql.Walk(q.Where, func(el sparql.GroupElement) {
 		switch e := el.(type) {
 		case *sparql.BGP:
 			for i, tp := range e.Patterns {
@@ -113,8 +116,14 @@ func (o *oracle) answer(t testing.TB, text string) [][]rdf.Term {
 			}
 		case *sparql.Filter:
 			e.Expr = sparql.MapExprTerms(e.Expr, o.canon)
+		case *sparql.InlineData:
+			for _, row := range e.Rows {
+				for i, t := range row {
+					row[i] = o.canon(t)
+				}
+			}
 		}
-	}
+	})
 	rr, err := eval.New(o.store).SelectRows(q)
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +171,15 @@ type diffPath struct {
 
 // diffTemplate is a query shape with its projection, the FILTER the
 // differential adds to it, the vocabulary it is written in (AKT when
-// empty) and the paths that can answer it.
+// empty; guess leaves it to the mediator) and the paths that can answer
+// it.
 type diffTemplate struct {
 	name      string
 	texts     []string
 	vars      []string
 	filter    string
 	sourceOnt string
+	guess     bool
 	paths     []string
 }
 
@@ -209,7 +220,8 @@ func (d diffTemplate) variants() map[string]string {
 }
 
 // TestMediatorMatchesOracle drives the Figure-1, cross-vocabulary, bulk
-// and citation-metrics shapes, with their modifier variants, through
+// and citation-metrics shapes, and the OPTIONAL, UNION and top-level VALUES
+// shapes that run only whole, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
 // bound join, a forced hash join, sharded VALUES and a result-cache hit
 // (the cross-vocabulary shape also with every repository named),
@@ -229,6 +241,27 @@ func TestMediatorMatchesOracle(t *testing.T) {
 		{name: "result cache", opts: []Option{WithServing(serve.Options{})}, cached: true},
 	}
 	metrics := "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }"
+	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
+	person := func(i int) string { return "<" + workload.SotonPerson(i).Value + ">" }
+	optional := func(i, j int) string {
+		return akt + "SELECT ?paper ?a ?t WHERE { ?paper akt:has-author " + person(i) + " . ?paper akt:has-author ?a " +
+			"OPTIONAL { ?paper akt:has-author " + person(j) + " . ?paper akt:has-title ?t } }"
+	}
+	union := akt + "SELECT ?paper ?a WHERE { { ?paper akt:has-author " + person(2) + " . ?paper akt:has-author ?a } " +
+		"UNION { ?paper akt:has-author " + person(7) + " . ?paper akt:has-author ?a } }"
+	values := akt + "SELECT ?paper ?a WHERE { VALUES ?paper {"
+	for j := 3; j < 6; j++ {
+		values += " <" + workload.SotonPaper(j).Value + ">"
+	}
+	values += " } ?paper akt:has-author ?a }"
+	whole := []string{"explicit targets", "planned", "result cache"}
+	// Two KISTI patterns and one AKT pattern: KISTI answers all three, the
+	// AKT one only through the AKT alignments, so the query cannot go to it
+	// whole under the KISTI source ontology the mediator guesses. Neither
+	// can a Figure-1 shape under a KISTI source, which Southampton alone
+	// would answer whole.
+	coauthors := akt + "SELECT ?paper ?a WHERE { ?paper akt:has-author " + person(5) + " . ?paper akt:has-author ?a }"
+	mixed := akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?paper ?t ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }"
 	templates := []diffTemplate{
 		{name: "figure 1", texts: []string{workload.Figure1Query(2), workload.Figure1Query(7)}, vars: []string{"a"},
 			paths: []string{"explicit targets", "planned", "result cache"}},
@@ -239,6 +272,14 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30", sourceOnt: workload.MetricsNS,
 			paths: []string{"explicit target, metrics", "planned", "result cache"}},
+		{name: "optional", texts: []string{optional(2, 5), optional(7, 3)}, vars: []string{"t", "paper", "a"}, filter: "BOUND(?t)",
+			paths: whole},
+		{name: "union", texts: []string{union}, vars: []string{"a", "paper"}, filter: "!(?a = " + person(2) + ")", paths: whole},
+		{name: "values", texts: []string{values}, vars: []string{"a", "paper"}, filter: "!(?a = " + person(2) + ")", paths: whole},
+		{name: "coauthors, KISTI source", texts: []string{coauthors}, vars: []string{"a", "paper"}, sourceOnt: rdf.KISTINS,
+			paths: []string{"explicit targets", "planned", "hash join", "result cache"}},
+		{name: "mixed vocabularies", texts: []string{mixed}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`, guess: true,
+			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -259,6 +300,9 @@ func TestMediatorMatchesOracle(t *testing.T) {
 					cases++
 					want := o.answer(t, text)
 					req := QueryRequest{Query: text, SourceOnt: cmp.Or(tmpl.sourceOnt, rdf.AKTNS), Targets: path.targets}
+					if tmpl.guess {
+						req.SourceOnt = ""
+					}
 					got, err := mediatorRows(m, req)
 					if err != nil {
 						t.Errorf("%s: %v", name, err)

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"sparqlrw/internal/align"
+	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/federate"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
@@ -159,10 +159,10 @@ func TestNamedTargetsArePlanned(t *testing.T) {
 	if err != nil || len(fr.Solutions) == 0 {
 		t.Fatalf("%d solutions, %v", len(fr.Solutions), err)
 	}
-	if res.Plan() == nil {
+	if res.Decomposition() == nil {
 		t.Fatal("no plan for a request naming its targets")
 	}
-	for _, dec := range res.Plan().Decisions {
+	for _, dec := range res.Decomposition().Decisions {
 		want := dec.Dataset == workload.SotonVoidURI || dec.Dataset == workload.KistiVoidURI
 		if dec.Relevant != want || len(dec.Reasons) == 0 && !want {
 			t.Errorf("decision %+v: want relevant %v, with a reason when not", dec, want)
@@ -201,7 +201,7 @@ func TestPlannedNoRelevantDatasets(t *testing.T) {
 // configured batch size and the shard answers recombine to the full set.
 func TestValuesShardedFederation(t *testing.T) {
 	s, _ := plannedStack(t)
-	s.mediator.Configure(WithPlanner(plan.Options{ValuesBatch: 2}))
+	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: 2}))
 
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE {\n  VALUES ?paper {")
@@ -227,7 +227,7 @@ func TestValuesShardedFederation(t *testing.T) {
 			t.Fatalf("shard count = %d, want 3", da.Shards)
 		}
 	}
-	s.mediator.Configure(WithPlanner(plan.Options{ValuesBatch: -1}))
+	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: -1}))
 	unsharded, err := federatedSelect(s.mediator, q, rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,11 +332,11 @@ func TestHTTPAPIPlanExplain(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var pl plan.Plan
+	var pl decompose.Decomposition
 	if err := json.NewDecoder(resp.Body).Decode(&pl); err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Decisions) != 4 || len(pl.Subs) != 2 {
+	if whole := pl.Whole(); len(pl.Decisions) != 4 || whole == nil || len(whole.Targets) != 2 || whole.Shards != nil {
 		t.Fatalf("plan = %+v", pl)
 	}
 	relevant := 0
@@ -391,9 +391,12 @@ func TestHTTPAPIStatsIncludesPlanner(t *testing.T) {
 	}
 }
 
-// TestPlanAllocations pins what planning the Figure-1 query costs once
-// every endpoint has history: the planner reads the executor's endpoint
-// table in place, without a snapshot of the executor's stats per plan.
+// TestPlanAllocations guards what routing a query costs: for the Figure-1
+// query, which Southampton and KISTI answer whole, once every endpoint
+// has history — the planner reads the executor's endpoint table in place,
+// without a snapshot of the executor's stats per plan — and for the
+// cross-vocabulary query, which no data set answers whole, so the route
+// estimates, orders and joins its groups.
 func TestPlanAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -411,15 +414,88 @@ func TestPlanAllocations(t *testing.T) {
 			t.Fatalf("endpoint %s has no history", eh.Endpoint)
 		}
 	}
-	q := wireQuery(sparql.MustParse(workload.Figure1Query(2)))
-	got := testing.AllocsPerRun(50, func() {
-		if _, err := m.Planner.Plan(q, rdf.AKTNS, nil); err != nil {
+	for _, c := range []struct {
+		name    string
+		query   string
+		whole   bool
+		ceiling float64
+	}{
+		{"Figure 1", workload.Figure1Query(2), true, 35},
+		{"cross-vocabulary", workload.CrossVocabularyQuery(2), false, 92},
+	} {
+		q := sparql.MustParse(c.query)
+		req := QueryRequest{SourceOnt: rdf.AKTNS}
+		got := testing.AllocsPerRun(50, func() {
+			dcm, err := m.route(context.Background(), q, req)
+			if err != nil || (dcm.Whole() != nil) != c.whole {
+				t.Fatalf("%s: %+v, %v", c.name, dcm, err)
+			}
+		})
+		t.Logf("%s: route allocates %.0f", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: route allocates %.0f, want at most %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// TestMixedVocabularyQueryJoinsFragments: a query of two KISTI patterns
+// and one AKT pattern, whose source ontology PlanQuery guesses as the
+// query path does (KISTI), does not go to KISTI whole, although KISTI
+// answers all three patterns: the AKT one only through the AKT
+// alignments, which a request rewriting from KISTI would not apply. It
+// joins KISTI's group with the AKT pattern, which Southampton and a
+// rewritten KISTI answer.
+func TestMixedVocabularyQueryJoinsFragments(t *testing.T) {
+	m := exampleFederation(t, nil)
+	dcm, err := m.PlanQuery("PREFIX akt:<"+rdf.AKTNS+">\nPREFIX k:<"+rdf.KISTINS+">\n"+
+		"SELECT ?paper ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dcm.SourceOnt != rdf.KISTINS || dcm.Whole() != nil || len(dcm.Fragments) != 2 {
+		t.Fatalf("plan under %s = %+v, want KISTI's group joined with the AKT pattern", dcm.SourceOnt, dcm.Fragments)
+	}
+	for _, f := range dcm.Fragments {
+		if !f.Exclusive && f.RewriteOnt != rdf.AKTNS {
+			t.Errorf("shared fragment %v rewrites from %q, want the AKT vocabulary", f.Patterns, f.RewriteOnt)
+		}
+	}
+}
+
+// TestUnanchoredPatternsFollowPatternSources pins the one relevance rule
+// where the whole-query planner it replaced chose otherwise: a pattern
+// with no vocabulary anchor is answerable everywhere, rewritten nowhere,
+// and only its ground IRIs prune. The planner once kept Southampton and a
+// rewritten KISTI for both queries.
+func TestUnanchoredPatternsFollowPatternSources(t *testing.T) {
+	m := exampleFederation(t, nil)
+	for _, c := range []struct {
+		query string
+		want  []string
+	}{
+		{"SELECT ?p ?o WHERE { <" + workload.SotonPaper(1).Value + "> ?p ?o }",
+			[]string{workload.MetricsVoidURI, workload.SotonVoidURI}},
+		{"SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+			[]string{workload.KistiVoidURI, workload.MetricsVoidURI, workload.SotonVoidURI}},
+	} {
+		dcm, err := m.PlanQuery(c.query, rdf.AKTNS)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("Planner.Plan: %.0f allocations", got)
-	if got > 35 {
-		t.Errorf("Planner.Plan allocates %.0f, want at most 35", got)
+		whole := dcm.Whole()
+		if whole == nil {
+			t.Fatalf("%s: plan = %+v, want one whole fragment", c.query, dcm)
+		}
+		var got []string
+		for _, target := range whole.Targets {
+			got = append(got, target.Dataset)
+			if target.NeedsRewrite {
+				t.Errorf("%s: %s rewritten", c.query, target.Dataset)
+			}
+		}
+		if slices.Sort(got); !slices.Equal(got, c.want) {
+			t.Errorf("%s: cover %v, want %v", c.query, got, c.want)
+		}
 	}
 }
 
@@ -457,7 +533,7 @@ func TestOpenBreakerInEveryView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(pl.Subs); n < 2 || pl.Subs[n-1].Dataset != workload.KistiVoidURI {
+	if whole := pl.Whole(); whole == nil || len(whole.Targets) < 2 || whole.Targets[len(whole.Targets)-1].Dataset != workload.KistiVoidURI {
 		t.Fatalf("dispatch order = %v, want KISTI last", pl.Datasets())
 	}
 	for _, dec := range pl.Decisions {

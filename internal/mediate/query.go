@@ -17,7 +17,6 @@ import (
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
@@ -71,7 +70,6 @@ type Result struct {
 	ask    bool
 	askSum *FederatedResult
 	graph  *GraphStream
-	pl     *plan.Plan
 	dec    *decompose.Decomposition
 	qo     *queryObs
 }
@@ -91,13 +89,10 @@ func (r *Result) Bool() bool { return r.ask }
 // (nil for every other form).
 func (r *Result) Graph() *GraphStream { return r.graph }
 
-// Plan reports the planner's decisions over the request's source set (nil
-// on a view or result-cache answer, and for DESCRIBE without a WHERE
-// clause, which needs no planning).
-func (r *Result) Plan() *plan.Plan { return r.pl }
-
-// Decomposition reports the per-BGP decomposition when the query ran on
-// the multi-source path (nil otherwise).
+// Decomposition reports the query's plan: its fragments and the
+// per-data-set decisions over the request's source set (nil on a view or
+// result-cache answer, and for DESCRIBE without a WHERE clause, whose
+// resources need no plan of their own).
 func (r *Result) Decomposition() *decompose.Decomposition { return r.dec }
 
 // Trace returns the query's span tree: every pipeline stage's timings and
@@ -214,8 +209,8 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 	}
 	fill.attach(res)
 	res.qo = qo
-	if res.pl != nil || res.dec != nil {
-		qo.explain = QueryExplanation{Plan: res.pl, Decomposition: res.dec}
+	if res.dec != nil {
+		qo.explain = res.dec
 	}
 	if res.sel != nil {
 		res.sel.qo = qo
@@ -263,7 +258,7 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 		if err != nil {
 			return nil, err
 		}
-		return &Result{form: q.Form, sel: qs, pl: qs.pl, dec: qs.dec}, nil
+		return &Result{form: q.Form, sel: qs, dec: qs.dec}, nil
 	case sparql.Ask:
 		return m.askResult(ctx, req, q)
 	case sparql.Construct:
@@ -275,10 +270,10 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 }
 
-// solutionSource is the streaming backend of a QueryStream: the
-// federated fan-out stream, a plan the evaluator runs over remote leaves
-// (a decomposition's joins, or the modifiers above a fan-out), a view
-// store's evaluation, a result-cache replay. All deliver merged rows
+// solutionSource is the streaming backend of a QueryStream: a whole
+// fragment's federated stream, a plan the evaluator runs over remote
+// leaves (a decomposition's joins or modifiers), a view store's
+// evaluation, a result-cache replay. All deliver merged rows
 // incrementally — Next's row binds Vars() by position and is valid until
 // the next Next or Close, the pull form of the evaluator's volcano rule —
 // and report per-dataset outcomes afterwards.
@@ -294,7 +289,6 @@ type solutionSource interface {
 // Next), then call Summary for the per-dataset outcomes; always Close.
 type QueryStream struct {
 	src   solutionSource
-	pl    *plan.Plan
 	dec   *decompose.Decomposition
 	limit int
 	n     int
@@ -304,8 +298,8 @@ type QueryStream struct {
 // selectStream starts the federated SELECT pipeline for q under req's
 // options (source ontology, limit, source set; not req.Query). q is
 // the request's parsed query or the SELECT derived from it for an ASK,
-// CONSTRUCT or DESCRIBE; the decomposer reads it, the planner and the
-// executor its wire form, and none modifies it.
+// CONSTRUCT or DESCRIBE; the decomposer reads it, the executor its
+// fragments' queries, and none modifies it.
 func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("mediate: selectStream called on %s query", q.Form)
@@ -328,108 +322,49 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	}
 	qs := &QueryStream{limit: req.Limit}
 	var err error
-	if qs.pl, qs.dec, err = m.route(ctx, q, req); err != nil {
+	if qs.dec, err = m.route(ctx, q, req); err != nil {
 		return nil, err
 	}
-	if qs.dec != nil {
-		dp := m.JoinEngine.Plan(qs.dec, nil)
-		if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
-			return nil, err
-		}
-		// Multi-source queries are exactly the expensive cross-vocabulary
-		// joins worth materializing: mine the shape (unless this IS a
-		// materialization run).
-		if m.Views != nil && !viewsDisabled(ctx) {
-			m.observeViews(q, req.SourceOnt, qs.dec)
-		}
-		return qs, nil
-	}
-	freq := federate.PlanRequest(qs.pl)
-	s := m.Exec.SelectStream(ctx, freq)
-	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
+	if qs.dec.Whole() != nil && len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
 		// Nothing to apply above the merge that the reader does not: a plan
 		// of one leaf is its stream. (An ASK reads one row of its LIMIT 1
 		// query, and its summary waits for every endpoint's.)
-		qs.src = s
+		qs.src = m.JoinEngine.Stream(ctx, qs.dec)
 		return qs, nil
 	}
-	// The merge answers a set over the wire's variables; projected onto
-	// q's, it stays one under DISTINCT.
-	mods := *q
-	mods.Distinct, mods.Reduced = true, false
-	op := algebra.Modifiers(&mods, &algebra.Remote{Vars: freq.Vars, Source: s})
-	qs.src, err = m.openPlan(ctx, op, q.Projection(), s.Summary, s)
-	return qs, err
+	dp := m.JoinEngine.Plan(qs.dec, nil)
+	if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
+		return nil, err
+	}
+	// Queries joined across data sets are exactly the expensive
+	// cross-vocabulary joins worth materializing: mine the shape (unless
+	// this IS a materialization run).
+	if qs.dec.Whole() == nil && m.Views != nil && !viewsDisabled(ctx) {
+		m.observeViews(q, req.SourceOnt, qs.dec)
+	}
+	return qs, nil
 }
 
-// route decides how q, written against req.SourceOnt, runs over the
-// request's source set: as the planner's whole-query fan-out, or — when no
-// data set in the set covers the whole query — as its decomposition into
-// per-endpoint fragments joined at the mediator (dcm non-nil). The query
-// path runs what it returns and /api/plan explains it. A set that answers
-// nothing is refused with ErrDenied when the tenant's allowlist narrowed
-// it, and named otherwise.
-func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (pl *plan.Plan, dcm *decompose.Decomposition, err error) {
-	_, planSpan := obs.StartSpan(ctx, "plan")
-	planSpan.SetAttr("sourceOnt", req.SourceOnt)
-	if pl, err = m.Planner.Plan(wireQuery(q), req.SourceOnt, req.sources); err != nil {
-		planSpan.SetAttr("error", err.Error())
-		planSpan.End()
-		return nil, nil, err
+// route plans q, written against req.SourceOnt, over the request's source
+// set: as one whole fragment over the data sets that answer it whole, or
+// — when none does — as per-endpoint fragments joined at the mediator.
+// The query path runs what it returns and /api/plan explains it. A set
+// that answers nothing is refused with ErrDenied when the tenant's
+// allowlist narrowed it, and named otherwise.
+func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (*decompose.Decomposition, error) {
+	dcm, err := m.Decomposer.DecomposeQuery(ctx, q, req.SourceOnt, req.sources)
+	if err == nil {
+		return dcm, nil
 	}
-	planStats := obs.Operator("source-selection")
-	planStats.RowsIn = int64(len(pl.Decisions))
-	planStats.RowsOut = int64(len(pl.Subs))
-	planSpan.SetOperator(planStats)
-	planSpan.SetAttr("considered", len(pl.Decisions))
-	planSpan.SetAttr("subQueries", len(pl.Subs))
-	planSpan.End()
-	if len(pl.Subs) > 0 {
-		return pl, nil, nil
+	if req.denied {
+		return nil, fmt.Errorf("mediate: no permitted data set answers the query (%v): %w", err, serve.ErrDenied)
 	}
-	// No single data set covers the whole query: split the BGP into
-	// per-endpoint exclusive groups joined at the mediator.
-	_, decSpan := obs.StartSpan(ctx, "decompose")
-	if dcm, err = m.Decomposer.DecomposeQuery(q, req.SourceOnt, req.sources); err != nil {
-		decSpan.SetAttr("error", err.Error())
-		decSpan.End()
-		if req.denied {
-			return nil, nil, fmt.Errorf("mediate: no permitted data set answers the query (%v): %w", err, serve.ErrDenied)
-		}
-		among := ""
-		if req.sources != nil {
-			among = " among the named targets " + strings.Join(slices.Sorted(maps.Keys(req.sources)), ", ")
-		}
-		return nil, nil, fmt.Errorf(
-			"mediate: no registered data set%s is relevant to the whole query and it does not decompose (%v); see /api/plan", among, err)
+	among := ""
+	if req.sources != nil {
+		among = " among the named targets " + strings.Join(slices.Sorted(maps.Keys(req.sources)), ", ")
 	}
-	decStats := obs.Operator("decompose")
-	decStats.RowsOut = int64(len(dcm.Fragments))
-	decSpan.SetOperator(decStats)
-	decSpan.SetAttr("fragments", len(dcm.Fragments))
-	decSpan.End()
-	return pl, dcm, nil
-}
-
-// wireQuery is what the endpoints of a whole-query fan-out run: q less
-// the modifiers that order or count rows of the merged answer, which the
-// plan applies above the merge, and projecting what ORDER BY reads. Only
-// LIMIT 1 without OFFSET or ORDER BY stays: one row at any endpoint is at
-// least one merged row, so that cut cannot fall short.
-func wireQuery(q *sparql.Query) *sparql.Query {
-	if len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || q.Limit == 1) {
-		return q
-	}
-	w := q.Clone()
-	w.OrderBy, w.Limit, w.Offset = nil, -1, -1
-	for _, c := range q.OrderBy {
-		for _, t := range sparql.ExprTerms(c.Expr) {
-			if t.IsVar() && !w.SelectStar && !slices.Contains(w.SelectVars, t.Value) {
-				w.SelectVars = append(w.SelectVars, t.Value)
-			}
-		}
-	}
-	return w
+	return nil, fmt.Errorf(
+		"mediate: no registered data set%s is relevant to the whole query and it does not decompose (%v); see /api/plan", among, err)
 }
 
 // pulledSource reads an evaluation a row at a time — a plan over remote
@@ -490,12 +425,8 @@ func (s *pulledSource) Summary() (*federate.Result, error) {
 // Vars returns the query's projection variable names.
 func (qs *QueryStream) Vars() []string { return qs.src.Vars() }
 
-// Plan reports the planner's decisions over the request's source set (nil
-// on a view or result-cache answer).
-func (qs *QueryStream) Plan() *plan.Plan { return qs.pl }
-
-// Decomposition reports the per-BGP decomposition when the query ran on
-// the multi-source path (nil otherwise).
+// Decomposition reports the query's plan (nil on a view or result-cache
+// answer).
 func (qs *QueryStream) Decomposition() *decompose.Decomposition { return qs.dec }
 
 // Next returns the next merged row (row[i] binding Vars()[i], the zero
@@ -599,7 +530,7 @@ func (m *Mediator) askResult(ctx context.Context, req QueryRequest, q *sparql.Qu
 	if serr != nil && !ask {
 		return nil, serr
 	}
-	return &Result{form: sparql.Ask, ask: ask, askSum: sum, pl: qs.pl, dec: qs.dec}, nil
+	return &Result{form: sparql.Ask, ask: ask, askSum: sum, dec: qs.dec}, nil
 }
 
 // constructResult executes a CONSTRUCT as a federated SELECT projected
@@ -647,31 +578,31 @@ func (m *Mediator) constructResult(ctx context.Context, req QueryRequest, q *spa
 		return nil, err
 	}
 	gs := newGraphStream(qs, q.Template, m.Coref, limit, q.Prefixes)
-	return &Result{form: sparql.Construct, graph: gs, pl: qs.pl, dec: qs.dec}, nil
+	return &Result{form: sparql.Construct, graph: gs, dec: qs.dec}, nil
 }
 
 // describeQuery is the description fetch of every DESCRIBE: the outgoing
-// triples of the resources it is joined with. It is shared and never
-// modified.
-var describeQuery = sparql.MustParse("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+// triples of the resources it is joined with, each once. It is shared and
+// never modified.
+var describeQuery = sparql.MustParse("SELECT DISTINCT ?s ?p ?o WHERE { ?s ?p ?o }")
 
 // describeResult executes a DESCRIBE as one plan: its resources joined
 // with the description fetch. The resources are the ground IRIs,
 // canonicalised as the merge answers, and each IRI the WHERE clause binds
 // to a described variable through the federated SELECT pipeline (phase
-// one). The fetch is describeQuery under the tenant's policy, decomposed
-// over the request's source set into
-// one fragment that every data set there answers, which the join engine
-// seeds as any bound join: the resources and their owl:sameAs aliases go
-// out as VALUES shards, or past MaxBindRows the fragment is fetched
-// unbound and hash-joined. Subjects stream out canonicalised, so the same
-// entity described by two repositories merges into one description.
+// one). The fetch is describeQuery under the tenant's policy, planned over
+// the request's source set as the whole fragment every data set there
+// answers, which the join engine seeds as any bound join: the resources
+// and their owl:sameAs aliases go out as VALUES shards, or past
+// MaxBindRows the fragment is fetched unbound and hash-joined. Subjects
+// stream out canonicalised, so the same entity described by two
+// repositories merges into one description.
 func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {
 	dq, _, err := serve.Restrict(describeQuery, req.Tenant.GetPolicy())
 	if err != nil {
 		return nil, err
 	}
-	dcm, err := m.Decomposer.DecomposeQuery(dq, req.SourceOnt, req.sources)
+	dcm, err := m.Decomposer.DecomposeQuery(ctx, dq, req.SourceOnt, req.sources)
 	if err != nil {
 		return nil, err
 	}
@@ -703,7 +634,7 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 		if phase1.qs, err = m.selectStream(ctx, req, sel); err != nil {
 			return nil, err
 		}
-		res.pl, res.dec = phase1.qs.pl, phase1.qs.dec
+		res.dec = phase1.qs.dec
 		left = &algebra.Union{L: left, R: &algebra.Remote{Vars: s, Source: phase1}}
 		held = append(held, phase1.qs)
 	}

@@ -271,12 +271,12 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 		t.Fatal(err)
 	}
 	pruned := 0
-	for _, dec := range res.Plan().Decisions {
+	for _, dec := range res.Decomposition().Decisions {
 		if dec.Dataset == workload.SotonVoidURI {
 			continue
 		}
-		if dec.Relevant || dec.Shards != 0 {
-			t.Errorf("plan reports %s relevant with %d shards, outside the allowlist", dec.Dataset, dec.Shards)
+		if dec.Relevant || slices.Contains(res.Decomposition().Datasets(), dec.Dataset) {
+			t.Errorf("plan reports %s relevant or dispatches to it, outside the allowlist", dec.Dataset)
 		}
 		if slices.Contains(dec.Reasons, "outside the request's source set (dataset allowlist or named targets)") {
 			pruned++

@@ -256,7 +256,7 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := res.Bindings()
-	if res.Plan() == nil || qs.Plan() == nil {
+	if res.Decomposition() == nil || qs.Decomposition() == nil {
 		t.Fatal("planner-selected query carries no plan")
 	}
 	n := 0

@@ -3,7 +3,7 @@ package mediate
 // What reaches the endpoints' wire is what the stages built: every
 // execution path hands parsed queries from stage to stage, and this table
 // records the texts the endpoints receive on each of them and holds them
-// against the queries the planner, the decomposer's join engine, the
+// against the queries the decomposer's plan and its join engine, the
 // policy restriction and the form derivations produced. Each request runs
 // after one of the same shape about other instances, so the rewrites it
 // sends are bound from cached plans.
@@ -18,7 +18,6 @@ import (
 
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/federate"
-	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
@@ -43,7 +42,7 @@ func (w *wireTap) wrap(dataset string, h http.Handler) http.Handler {
 }
 
 // recordingDispatcher notes the requests the join engine hands the
-// executor: the queries a decomposition's stages built.
+// executor: the queries a plan's fragments and stages built.
 type recordingDispatcher struct {
 	exec *federate.Executor
 	mu   sync.Mutex
@@ -70,9 +69,9 @@ type wireCase struct {
 	name string
 	opts []Option
 	req  QueryRequest
-	// derived is the SELECT the planner should fan out, before rewriting,
-	// when the case gives it; the stages' own records (the plan, the join
-	// engine's requests) say what went to each endpoint.
+	// derived is the SELECT the plan's whole fragment should send, before
+	// rewriting, when the case gives it; the join engine's requests say
+	// what went to each endpoint.
 	derived string
 	// hashJoin says how a case the join engine ran must have joined.
 	hashJoin bool
@@ -116,7 +115,7 @@ func wireCases(t *testing.T, i, first int) []wireCase {
 			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2",
 				SourceOnt: workload.MetricsNS}},
 		{name: "planned, VALUES-sharded",
-			opts: []Option{WithPlanner(plan.Options{ValuesBatch: 2})},
+			opts: []Option{WithDecomposer(decompose.Options{ValuesBatch: 2})},
 			req:  QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
 		{name: "decomposed, bound join",
 			req: QueryRequest{Query: workload.CrossVocabularyQuery(i)}},
@@ -166,23 +165,21 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 				t.Fatal("no endpoint received anything")
 			}
 
-			// What the stages built, as executor requests: the join
-			// engine's (a decomposition's stages, a DESCRIBE's description
-			// fetch) and the planner's.
+			// What the stages built, as the executor requests the join
+			// engine made: a whole fragment's, a decomposition's stages, a
+			// DESCRIBE's description fetch.
 			built := disp.reqs
-			if len(built) > 0 {
+			dcm := res.Decomposition()
+			if res.Form() == sparql.Describe || dcm != nil && dcm.Whole() == nil {
 				if st := m.JoinEngine.Stats(); (st.HashJoinStages > 0) != tc.hashJoin || (st.BoundJoinStages > 0) == tc.hashJoin {
 					t.Errorf("join stages = %+v, want hash join: %v", st, tc.hashJoin)
 				}
 			}
-			if res.Plan() != nil {
-				built = append(built, federate.PlanRequest(res.Plan()))
-			}
 			if want := tc.derived; want != "" {
-				if res.Plan() == nil {
-					t.Fatalf("no plan; want one fanning out\n%s", want)
+				if dcm == nil || dcm.Whole() == nil {
+					t.Fatalf("no whole fragment; want one fanning out\n%s", want)
 				}
-				if got, want := sparql.Format(res.Plan().Query), sparql.Format(sparql.MustParse(want)); got != want {
+				if got, want := sparql.Format(dcm.Whole().Query), sparql.Format(sparql.MustParse(want)); got != want {
 					t.Errorf("planned\n%s\nwant the derived SELECT\n%s", got, want)
 				}
 			}
@@ -232,6 +229,72 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sorted(reported), received) {
 				t.Errorf("DatasetAnswer.Query reports\n%v\nthe endpoints received\n%v", reported, received)
+			}
+		})
+	}
+}
+
+// TestPlanQueryExplainsTheWire: PlanQuery explains the route a query
+// takes, so the sub-queries it reports — each shard of the whole fragment
+// for each target, rewritten as Mediator.Rewrite does where a target needs
+// it — are exactly the texts the endpoints receive. The wire loses the
+// solution modifiers that run above the merge, and a VALUES block shards
+// once its slice is gone.
+func TestPlanQueryExplainsTheWire(t *testing.T) {
+	values := "VALUES ?paper {"
+	for j := range 5 {
+		values += " <" + workload.SotonPaper(j).Value + ">"
+	}
+	values += " }"
+	for _, tc := range []struct {
+		name, query, sourceOnt string
+		opts                   []Option
+		dispatches             int
+	}{
+		{name: "slice above merge", sourceOnt: workload.MetricsNS, dispatches: 1,
+			query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2"},
+		{name: "VALUES-sharded", sourceOnt: rdf.AKTNS, dispatches: 6, // 3 shards to Southampton and KISTI
+			opts:  []Option{WithDecomposer(decompose.Options{ValuesBatch: 2})},
+			query: "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a } ORDER BY ?a LIMIT 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tap := &wireTap{seen: map[string][]string{}}
+			m := exampleFederation(t, tap.wrap, tc.opts...)
+			dcm, err := m.PlanQuery(tc.query, tc.sourceOnt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := dcm.Whole()
+			if whole == nil {
+				t.Fatalf("plan = %+v, want one whole fragment", dcm)
+			}
+			subs := whole.Shards
+			if subs == nil {
+				subs = []*sparql.Query{whole.Query}
+			}
+			planned, n := map[string][]string{}, 0
+			for _, target := range whole.Targets {
+				for _, sub := range subs {
+					text := sparql.Format(sub)
+					if target.NeedsRewrite {
+						rr, err := m.Rewrite(text, tc.sourceOnt, target.Dataset)
+						if err != nil {
+							t.Fatal(err)
+						}
+						text = rr.Query
+					}
+					planned[target.Dataset] = append(planned[target.Dataset], text)
+					n++
+				}
+			}
+			if n != tc.dispatches {
+				t.Errorf("PlanQuery reports %d sub-queries, want %d", n, tc.dispatches)
+			}
+			if _, err := mediatorRows(m, QueryRequest{Query: tc.query, SourceOnt: tc.sourceOnt}); err != nil {
+				t.Fatal(err)
+			}
+			if received := sorted(tap.seen); !reflect.DeepEqual(received, sorted(planned)) {
+				t.Errorf("endpoints received\n%v\nPlanQuery explained\n%v", received, planned)
 			}
 		})
 	}

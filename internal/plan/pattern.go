@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/voidkb"
@@ -9,8 +11,8 @@ import (
 // PatternSource is one data set able to contribute answers to a single
 // triple pattern: either natively (the pattern's vocabulary is declared
 // by the data set) or through rewriting (an alignment reaches the data
-// set from the pattern's vocabulary). The per-BGP decomposer builds its
-// exclusive groups from these.
+// set from the pattern's vocabulary). The decomposer builds its cover and
+// its exclusive groups from these.
 type PatternSource struct {
 	Dataset *voidkb.Dataset
 	// NeedsRewrite says the pattern must be translated for this data set
@@ -19,63 +21,87 @@ type PatternSource struct {
 }
 
 // PatternSources runs source selection for one triple pattern, against
-// every registered data set in the source set src: the per-pattern
-// analogue of the whole-query relevance decision Plan takes. A pattern is
-// anchored by the vocabulary namespace of its bound predicate (or of its
-// class, for rdf:type patterns); unanchored patterns (variable predicate,
-// or an infrastructure namespace every endpoint knows) are answerable
+// every registered data set in the source set src: the one relevance rule
+// Select applies to each pattern of a query. A pattern is anchored by the
+// vocabulary namespace of its bound predicate (or of its class, for
+// rdf:type patterns); unanchored patterns (variable predicate, or an
+// infrastructure namespace every endpoint knows) are answerable
 // everywhere. Bound subject/object instance IRIs prune native data sets
-// whose URI space cannot contain them, exactly as Plan does.
+// whose URI space cannot contain them.
 func (p *Planner) PatternSources(tp rdf.Triple, src voidkb.Sources) []PatternSource {
-	ns := PatternVocabulary(tp)
-	var bound []string
-	for _, t := range []rdf.Term{tp.S, tp.O} {
-		if t.IsIRI() && !(tp.P.IsIRI() && tp.P.Value == rdf.RDFType && t == tp.O) {
-			bound = append(bound, t.Value)
-		}
-	}
 	var out []PatternSource
 	for _, ds := range p.datasets.All() {
 		if !src.Has(ds.URI) {
 			continue
 		}
-		if ps, ok := p.patternSource(ds, ns, bound); ok {
+		if ps, m := p.patternSource(ds, tp); m == (miss{}) {
 			out = append(out, ps)
 		}
 	}
 	return out
 }
 
-// patternSource decides whether one data set can answer a pattern with
-// vocabulary namespace ns and the given bound instance IRIs.
-func (p *Planner) patternSource(ds *voidkb.Dataset, ns string, bound []string) (PatternSource, bool) {
+// miss says why a data set cannot answer a pattern or a query: it lies
+// outside the request's source set, or the query uses a vocabulary it
+// neither declares nor translates from the request's source ontology, or a
+// ground IRI that lies in another data set's URI space. The zero miss
+// means it can.
+type miss struct {
+	outside         bool
+	vocabulary      string
+	translated      bool // vocabulary has alignments, not from the source ontology
+	term, termOwner string
+}
+
+func (m miss) String() string {
+	switch {
+	case m.outside:
+		return "outside the request's source set (dataset allowlist or named targets)"
+	case m.translated:
+		return fmt.Sprintf("translates vocabulary <%s> only through its own alignments, not from the request's source ontology", m.vocabulary)
+	case m.vocabulary != "":
+		return fmt.Sprintf("query uses vocabulary <%s> the data set neither declares nor translates", m.vocabulary)
+	default:
+		return fmt.Sprintf("bound term <%s> lies in %s's URI space", m.term, m.termOwner)
+	}
+}
+
+// patternSource decides whether one data set can answer a pattern, and
+// says why not when it cannot.
+func (p *Planner) patternSource(ds *voidkb.Dataset, tp rdf.Triple) (PatternSource, miss) {
 	src := PatternSource{Dataset: ds}
-	anchored := ns != "" && !infrastructureNS[ns]
-	if anchored && !ds.UsesVocabulary(ns) {
+	if ns := PatternVocabulary(tp); ns != "" && !infrastructureNS[ns] && !ds.UsesVocabulary(ns) {
 		// Only an alignment from the pattern's vocabulary can make this
 		// data set answer it.
 		eas := p.alignments.Select(align.Selector{
 			SourceOntology: ns,
 			TargetDataset:  ds.URI,
-			TargetOntology: firstOrEmpty(ds.Vocabularies),
+			TargetOntology: ds.Vocabulary(),
 		})
 		if len(eas) == 0 {
-			return src, false
+			return src, miss{vocabulary: ns}
 		}
 		src.NeedsRewrite = true
 	}
-	for _, uri := range bound {
-		if ds.Matches(uri) {
-			continue
-		}
-		if src.NeedsRewrite {
-			continue // translated through owl:sameAs at rewrite time
-		}
-		if other, ok := p.datasets.DatasetFor(uri); ok && other.URI != ds.URI {
-			return src, false
-		}
+	m := p.reaches(ds, src.NeedsRewrite, tp.S)
+	if typed := tp.P.IsIRI() && tp.P.Value == rdf.RDFType; m == (miss{}) && !typed {
+		m = p.reaches(ds, src.NeedsRewrite, tp.O)
 	}
-	return src, true
+	return src, m
+}
+
+// reaches checks that a term can be answered at a data set: it is no
+// instance IRI, or one inside the data set's URI space, translated through
+// owl:sameAs when the data set rewrites, or in no registered space at all
+// (benefit of the doubt).
+func (p *Planner) reaches(ds *voidkb.Dataset, rewrites bool, t rdf.Term) miss {
+	if !t.IsIRI() || rewrites || ds.Matches(t.Value) {
+		return miss{}
+	}
+	if other, ok := p.datasets.DatasetFor(t.Value); ok {
+		return miss{term: t.Value, termOwner: other.URI}
+	}
+	return miss{}
 }
 
 // PatternVocabulary returns the vocabulary namespace anchoring a triple

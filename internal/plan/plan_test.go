@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,14 +44,23 @@ func fourDatasetKB(t *testing.T) (*voidkb.KB, *align.KB) {
 	return dsKB, alignKB
 }
 
+// datasets returns the cover's data sets in dispatch order.
+func datasets(sel *Selection) []string {
+	var out []string
+	for _, t := range sel.Cover {
+		out = append(out, t.Dataset)
+	}
+	return out
+}
+
 func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, Options{})
-	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
+	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pl.Datasets()
+	got := datasets(sel)
 	if len(got) != 2 {
 		t.Fatalf("relevant datasets = %v, want exactly soton+kisti", got)
 	}
@@ -60,10 +70,15 @@ func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 			t.Fatalf("unexpected dataset %s in plan", ds)
 		}
 	}
-	if len(pl.Decisions) != 4 {
-		t.Fatalf("decisions = %d, want 4", len(pl.Decisions))
+	for i, tp := range sel.Patterns {
+		if got, want := sel.Sources[i], p.PatternSources(tp, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %d sources = %+v, PatternSources says %+v", i, got, want)
+		}
 	}
-	for _, dec := range pl.Decisions {
+	if len(sel.Decisions) != 4 {
+		t.Fatalf("decisions = %d, want 4", len(sel.Decisions))
+	}
+	for _, dec := range sel.Decisions {
 		if len(dec.Reasons) == 0 {
 			t.Fatalf("decision for %s has no reasons", dec.Dataset)
 		}
@@ -83,7 +98,7 @@ func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Plans != 1 || st.DatasetsConsidered != 4 || st.DatasetsPruned != 2 || st.SubQueries != 2 {
+	if st.Plans != 1 || st.DatasetsConsidered != 4 || st.DatasetsPruned != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -98,12 +113,25 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: "http://b/sparql",
 		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.AKTNS}})
 	p := New(dsKB, align.NewKB(), nil, Options{})
-	pl, err := p.Plan(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
+	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.Datasets(); len(got) != 1 || got[0] != workload.SotonVoidURI {
+	if got := datasets(sel); len(got) != 1 || got[0] != workload.SotonVoidURI {
 		t.Fatalf("datasets = %v, want soton only", got)
+	}
+	// The same term as a VALUES row or a FILTER constant prunes it too.
+	for _, q := range []string{
+		"PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p WHERE { VALUES ?a { <" + workload.SotonPerson(1).Value + "> } ?p akt:has-author ?a }",
+		"PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p WHERE { ?p akt:has-author ?a FILTER (?a = <" + workload.SotonPerson(1).Value + ">) }",
+	} {
+		sel, err := p.Select(sparql.MustParse(q), rdf.AKTNS, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := datasets(sel); len(got) != 1 || got[0] != workload.SotonVoidURI {
+			t.Fatalf("datasets = %v, want soton only\n%s", got, q)
+		}
 	}
 }
 
@@ -112,49 +140,84 @@ func TestUnboundQueryKeepsAllNativeDatasets(t *testing.T) {
 	p := New(dsKB, alignKB, nil, Options{})
 	// No bound instance terms: URI-space pruning cannot apply; vocabulary
 	// selection alone decides.
-	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
+	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
 SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.Datasets(); len(got) != 2 {
+	if got := datasets(sel); len(got) != 2 {
 		t.Fatalf("datasets = %v", got)
 	}
 }
 
-func TestValuesShardingSplitsAndRecombines(t *testing.T) {
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: "http://a/sparql",
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: 3})
+// TestCoverTranslatesOnlyFromSourceOntology: a request rewrites from its
+// source ontology alone, so a data set that answers a pattern of another
+// vocabulary only through that vocabulary's alignments cannot take the
+// query whole, and no other data set takes it whole either. KISTI answers
+// both patterns of the first query, the AKT one translated, and the one
+// pattern of the second, translated: under the KISTI source ontology
+// nothing covers either query, and Southampton and KISTI join their
+// fragments at the mediator; under AKT, KISTI covers the first query.
+func TestCoverTranslatesOnlyFromSourceOntology(t *testing.T) {
+	dsKB, alignKB := fourDatasetKB(t)
+	p := New(dsKB, alignKB, nil, Options{})
+	q := sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX k:<" + rdf.KISTINS + ">\n" +
+		"SELECT ?p ?a WHERE { ?p k:title ?t . ?p akt:has-author ?a }")
+	for _, q := range []*sparql.Query{q, sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p ?a WHERE { ?p akt:has-author ?a }")} {
+		sel, err := p.Select(q, rdf.KISTINS, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := datasets(sel); len(got) != 0 {
+			t.Fatalf("cover under the KISTI source = %v, want none\n%s", got, sparql.Format(q))
+		}
+		for _, dec := range sel.Decisions {
+			why := strings.Join(dec.Reasons, "; ")
+			// Southampton answers the AKT pattern, KISTI every pattern.
+			answers := dec.Dataset == workload.SotonVoidURI || dec.Dataset == workload.KistiVoidURI
+			if answers != dec.Relevant || answers && !strings.Contains(why, "its fragments join at the mediator") ||
+				dec.Dataset == workload.KistiVoidURI && !strings.Contains(why, "vocabulary <"+rdf.AKTNS+"> only through its own alignments") {
+				t.Fatalf("%s: relevant %v, reasons %q\n%s", dec.Dataset, dec.Relevant, why, sparql.Format(q))
+			}
+		}
+	}
+	sel, err := p.Select(q, rdf.AKTNS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := datasets(sel); len(got) != 1 || got[0] != workload.KistiVoidURI {
+		t.Fatalf("cover under the AKT source = %v, want KISTI", got)
+	}
+}
 
+// valuesQuery is an AKT query seeded with papers 0..n-1 in a VALUES
+// block, and the rows' IRIs.
+func valuesQuery(n int) (string, []string) {
 	var rows []string
 	var sb strings.Builder
-	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE {\n  VALUES ?paper {")
-	for i := 0; i < 10; i++ {
+	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE {\n  VALUES ?paper {")
+	for i := 0; i < n; i++ {
 		uri := workload.SotonPaper(i).Value
 		rows = append(rows, uri)
 		sb.WriteString(" <" + uri + ">")
 	}
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
+	return sb.String(), rows
+}
 
-	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS, nil)
-	if err != nil {
-		t.Fatal(err)
+func TestValuesShardingSplitsAndRecombines(t *testing.T) {
+	text, rows := valuesQuery(10)
+	shards, shardVar := ShardQuery(sparql.MustParse(text), 3, 0)
+	if len(shards) != 4 { // ceil(10/3)
+		t.Fatalf("shards = %d, want 4", len(shards))
 	}
-	if len(pl.Subs) != 4 { // ceil(10/3)
-		t.Fatalf("shards = %d, want 4", len(pl.Subs))
-	}
-	if pl.ShardVar != "?paper" {
-		t.Fatalf("shardVar = %q", pl.ShardVar)
+	if shardVar != "?paper" {
+		t.Fatalf("shardVar = %q", shardVar)
 	}
 	seen := map[string]bool{}
-	for i, sub := range pl.Subs {
-		if sub.Shard != i+1 || sub.Shards != 4 {
-			t.Fatalf("shard numbering = %d/%d at %d", sub.Shard, sub.Shards, i)
-		}
+	for _, sub := range shards {
 		for _, uri := range rows {
-			if strings.Contains(sparql.Format(sub.Query), "<"+uri+">") {
+			if strings.Contains(sparql.Format(sub), "<"+uri+">") {
 				if seen[uri] {
 					t.Fatalf("row %s appears in two shards", uri)
 				}
@@ -165,29 +228,6 @@ func TestValuesShardingSplitsAndRecombines(t *testing.T) {
 	if len(seen) != len(rows) {
 		t.Fatalf("shards cover %d/%d rows", len(seen), len(rows))
 	}
-	if st := p.Stats(); st.ValuesShards != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestValuesShardingRespectsMaxShards(t *testing.T) {
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: "http://a/sparql",
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: 1, MaxShards: 2})
-	var sb strings.Builder
-	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE { VALUES ?p {")
-	for i := 0; i < 9; i++ {
-		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
-	}
-	sb.WriteString(" } ?p akt:has-author ?a }")
-	pl, err := p.Plan(sparql.MustParse(sb.String()), rdf.AKTNS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.Subs) != 2 {
-		t.Fatalf("shards = %d, want 2 (capped)", len(pl.Subs))
-	}
 }
 
 // TestShardingRefusedWhenNotSemanticsPreserving: LIMIT/OFFSET queries
@@ -195,10 +235,6 @@ func TestValuesShardingRespectsMaxShards(t *testing.T) {
 // would apply the slice locally / flip OPTIONAL bindings, so the union
 // would diverge from the unsharded result.
 func TestShardingRefusedWhenNotSemanticsPreserving(t *testing.T) {
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: "http://a/sparql",
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: 2})
 	values := "VALUES ?p {"
 	for i := 0; i < 6; i++ {
 		values += " <" + workload.SotonPaper(i).Value + ">"
@@ -212,28 +248,17 @@ func TestShardingRefusedWhenNotSemanticsPreserving(t *testing.T) {
 		"optional": "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE { ?p akt:has-author ?a OPTIONAL { " +
 			values + " } }",
 	} {
-		pl, err := p.Plan(sparql.MustParse(q), rdf.AKTNS, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(pl.Subs) != 1 || pl.ShardVar != "" {
-			t.Fatalf("%s query sharded: %d subs, shardVar=%q", name, len(pl.Subs), pl.ShardVar)
+		if shards, shardVar := ShardQuery(sparql.MustParse(q), 2, 0); len(shards) != 1 || shardVar != "" {
+			t.Fatalf("%s query sharded: %d shards, shardVar=%q", name, len(shards), shardVar)
 		}
 	}
 }
 
 func TestShardingDisabled(t *testing.T) {
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: "http://a/sparql",
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: -1})
-	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?a WHERE { VALUES ?p { <http://southampton.rkbexplorer.com/id/paper-00001> <http://southampton.rkbexplorer.com/id/paper-00002> } ?p akt:has-author ?a }`), rdf.AKTNS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.Subs) != 1 || pl.ShardVar != "" {
-		t.Fatalf("sharding not disabled: %d subs, shardVar=%q", len(pl.Subs), pl.ShardVar)
+	q := sparql.MustParse(`PREFIX akt:<` + rdf.AKTNS + `>
+SELECT ?a WHERE { VALUES ?p { <http://southampton.rkbexplorer.com/id/paper-00001> <http://southampton.rkbexplorer.com/id/paper-00002> } ?p akt:has-author ?a }`)
+	if shards, shardVar := ShardQuery(q, -1, 0); len(shards) != 1 || shards[0] != q || shardVar != "" {
+		t.Fatalf("sharding not disabled: %d shards, shardVar=%q", len(shards), shardVar)
 	}
 }
 
@@ -253,31 +278,31 @@ func TestAdaptiveOrderingAndDeadlines(t *testing.T) {
 		"http://c.example/sparql": {p50: 2 * time.Millisecond, open: true},
 	}
 	p := New(dsKB, align.NewKB(), endpoints, Options{})
-	pl, err := p.Plan(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
+	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
 SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pl.Datasets()
+	got := datasets(sel)
 	want := []string{"http://b.example/void", "http://a.example/void", "http://c.example/void"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("dispatch order = %v, want %v", got, want)
 		}
 	}
-	for _, sub := range pl.Subs {
-		switch sub.Endpoint {
+	for _, target := range sel.Cover {
+		switch target.Endpoint {
 		case "http://a.example/sparql": // 8 × 80ms
-			if sub.Timeout != 640*time.Millisecond {
-				t.Fatalf("a deadline = %s", sub.Timeout)
+			if target.Timeout != 640*time.Millisecond {
+				t.Fatalf("a deadline = %s", target.Timeout)
 			}
 		case "http://b.example/sparql": // 8 × 5ms floored at 250ms
-			if sub.Timeout != 250*time.Millisecond {
-				t.Fatalf("b deadline = %s", sub.Timeout)
+			if target.Timeout != 250*time.Millisecond {
+				t.Fatalf("b deadline = %s", target.Timeout)
 			}
 		}
 	}
-	for _, dec := range pl.Decisions {
+	for _, dec := range sel.Decisions {
 		if dec.Endpoint == "http://a.example/sparql" && dec.LatencyMS != 80 {
 			t.Fatalf("a decision reports latency %v ms, want 80", dec.LatencyMS)
 		}
@@ -298,41 +323,27 @@ func (f fakeEndpoints) Observed(endpoint string) (time.Duration, bool) {
 	return o.p50, o.open
 }
 
-// TestShardResultsRecombine executes every shard of a sharded plan over a
-// real store and checks the union of shard results equals the unsharded
+// TestShardResultsRecombine executes every shard of a sharded query over
+// a real store and checks the union of shard results equals the unsharded
 // result set.
 func TestShardResultsRecombine(t *testing.T) {
 	u := workload.Generate(workload.Config{Persons: 20, Papers: 40, MaxAuthors: 3, Overlap: 0.5, Seed: 7})
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: "http://a/sparql",
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{ValuesBatch: 4})
-
-	var sb strings.Builder
-	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE {\n  VALUES ?paper {")
-	for i := 0; i < 15; i++ {
-		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
-	}
-	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
-	queryText := sb.String()
+	queryText, _ := valuesQuery(15)
 
 	e := eval.New(u.Southampton)
 	base, err := e.Select(sparql.MustParse(queryText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := p.Plan(sparql.MustParse(queryText), rdf.AKTNS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.Subs) != 4 { // ceil(15/4)
-		t.Fatalf("shards = %d", len(pl.Subs))
+	shards, _ := ShardQuery(sparql.MustParse(queryText), 4, 0)
+	if len(shards) != 4 { // ceil(15/4)
+		t.Fatalf("shards = %d", len(shards))
 	}
 	union := map[string]bool{}
-	for _, sub := range pl.Subs {
-		res, err := e.Select(sub.Query)
+	for i, sub := range shards {
+		res, err := e.Select(sub)
 		if err != nil {
-			t.Fatalf("shard %d: %v\n%s", sub.Shard, err, sparql.Format(sub.Query))
+			t.Fatalf("shard %d: %v\n%s", i+1, err, sparql.Format(sub))
 		}
 		for _, sol := range res.Solutions {
 			union[sol.Key()] = true
@@ -351,7 +362,7 @@ func TestShardResultsRecombine(t *testing.T) {
 func TestPlanRejectsNonSelect(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, Options{})
-	if _, err := p.Plan(sparql.MustParse(`ASK { ?s ?p ?o }`), rdf.AKTNS, nil); err == nil {
+	if _, err := p.Select(sparql.MustParse(`ASK { ?s ?p ?o }`), "", nil); err == nil {
 		t.Fatal("ASK must be rejected")
 	}
 }

@@ -253,17 +253,19 @@ func TestOneHashJoin(t *testing.T) {
 	}
 }
 
-// TestOneBoundJoin pins the one bound join: outside internal/plan, whose
-// planner shards its own fan-outs, only the decomposer's seeded leaf
-// (decompose/join.go) cuts VALUES shards with plan.ShardQuery — a
-// DESCRIBE's description fetch is such a leaf — and the identifiers of
-// the bound join DESCRIBE once ran beside it appear in no Go file.
+// TestOneBoundJoin pins the one place VALUES blocks are cut for the wire:
+// only the join engine (decompose/join.go) calls plan.ShardQuery — for a
+// whole fragment's own block and for a bound stage's bindings, a
+// DESCRIBE's description fetch among them — and internal/plan, which
+// declares it, does not call it either. The identifiers of the bound join
+// DESCRIBE once ran beside it appear in no Go file.
 func TestOneBoundJoin(t *testing.T) {
 	gone := map[string]bool{"describeRequest": true, "describeValuesBatch": true, "maxDescribeAliases": true}
 	fset, files := moduleFiles(t)
 	for rel, file := range files {
 		pkg := importName(file, "sparqlrw/internal/plan")
-		shards := pkg != "" && rel != "internal/decompose/join.go" && !strings.HasSuffix(rel, "_test.go")
+		shards := rel != "internal/decompose/join.go" && !strings.HasSuffix(rel, "_test.go")
+		inPlan := strings.HasPrefix(rel, "internal/plan/")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
@@ -271,8 +273,41 @@ func TestOneBoundJoin(t *testing.T) {
 					t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
 				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && shards && x.Name == pkg && n.Sel.Name == "ShardQuery" {
-					t.Errorf("%s refers to plan.ShardQuery: bound joins belong to the decomposer's seeded leaf", fset.Position(n.Pos()))
+				if x, ok := n.X.(*ast.Ident); ok && shards && pkg != "" && x.Name == pkg && n.Sel.Name == "ShardQuery" {
+					t.Errorf("%s refers to plan.ShardQuery: VALUES shards belong to the join engine", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				if fn, ok := n.Fun.(*ast.Ident); ok && shards && inPlan && fn.Name == "ShardQuery" {
+					t.Errorf("%s calls ShardQuery: VALUES shards belong to the join engine", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestOnePlanner pins one planner: every query is a decomposition, planned
+// from one source selection. No non-test file outside internal/plan and
+// internal/decompose calls PatternSources, the per-pattern relevance
+// rule, and the identifiers of the whole-query plan that once ran beside
+// the decomposer — its sub-requests, their conversion to an executor
+// request and its query profile — appear in no Go file. (TestOneBoundJoin
+// pins that the plan's VALUES shards are cut by the join engine alone.)
+func TestOnePlanner(t *testing.T) {
+	gone := map[string]bool{"PlanRequest": true, "SubRequest": true, "profileQuery": true}
+	fset, files := moduleFiles(t)
+	for rel, file := range files {
+		planner := strings.HasPrefix(rel, "internal/plan/") || strings.HasPrefix(rel, "internal/decompose/") ||
+			strings.HasSuffix(rel, "_test.go")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if gone[n.Name] {
+					t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !planner && sel.Sel.Name == "PatternSources" {
+					t.Errorf("%s calls PatternSources: source selection belongs to the planner", fset.Position(n.Pos()))
 				}
 			}
 			return true
@@ -313,9 +348,9 @@ func TestOneSourceSet(t *testing.T) {
 // TestOneRoute pins one route from a request to its dispatches: named
 // targets narrow the request's source set and take the planned route like
 // any other request. No non-test file in internal/mediate builds a
-// federate.Request or federate.Target literal, so the planner
-// (federate.PlanRequest) and the join engine make every dispatch, and only
-// queryParsed reads a request's Targets, to build the source set.
+// federate.Request or federate.Target literal, so the join engine is the
+// only producer of dispatches — a whole fragment's stream included — and
+// only queryParsed reads a request's Targets, to build the source set.
 func TestOneRoute(t *testing.T) {
 	fset, files := moduleFiles(t)
 	for rel, file := range files {
@@ -340,7 +375,7 @@ func TestOneRoute(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
 					if isDispatch(n.Type) {
-						t.Errorf("%s builds a federate dispatch literal: dispatches come from the planner or the join engine", fset.Position(n.Pos()))
+						t.Errorf("%s builds a federate dispatch literal: dispatches come from the join engine", fset.Position(n.Pos()))
 					}
 				case *ast.SelectorExpr:
 					if n.Sel.Name == "Targets" && (fn == nil || fn.Name.Name != "queryParsed") {

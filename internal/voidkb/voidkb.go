@@ -91,6 +91,16 @@ func (d *Dataset) UsesVocabulary(ns string) bool {
 	return false
 }
 
+// Vocabulary returns the data set's first declared vocabulary namespace,
+// the target ontology alignments into the data set are selected by (""
+// when it declares none).
+func (d *Dataset) Vocabulary() string {
+	if len(d.Vocabularies) == 0 {
+		return ""
+	}
+	return d.Vocabularies[0]
+}
+
 // PropertyTriples returns the void:propertyPartition triple count for a
 // predicate IRI (ok=false when the data set publishes no figure for it).
 func (d *Dataset) PropertyTriples(pred string) (int64, bool) {

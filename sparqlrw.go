@@ -69,6 +69,7 @@ import (
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/core"
 	"sparqlrw/internal/coref"
+	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
@@ -335,9 +336,8 @@ const (
 var (
 	// WithMediatorFederation replaces the federation executor options.
 	WithMediatorFederation = mediate.WithFederation
-	// WithMediatorPlanner replaces the planner options.
-	WithMediatorPlanner = mediate.WithPlanner
-	// WithMediatorDecomposer replaces the decompose options.
+	// WithMediatorDecomposer replaces the decompose options
+	// (DecomposerOptions).
 	WithMediatorDecomposer = mediate.WithDecomposer
 	// WithMediatorRewriteFilters toggles the §4 FILTER extension.
 	WithMediatorRewriteFilters = mediate.WithRewriteFilters
@@ -427,29 +427,28 @@ var ParsePrometheusText = obs.ParsePrometheusText
 // endpoint's circuit breaker rejects a request without dispatching it.
 var ErrCircuitOpen = federate.ErrCircuitOpen
 
-// Federation planning (voiD-driven source selection, VALUES sharding and
-// adaptive ordering; see internal/plan).
+// Federation planning: voiD-driven source selection and adaptive ordering
+// (internal/plan), from which the mediator's planner builds every query's
+// decomposition (Mediator.PlanQuery explains one).
 type (
-	// FederationPlanner selects, shards and orders federation targets.
+	// FederationPlanner selects, orders and budgets federation targets.
 	FederationPlanner = plan.Planner
-	// FederationPlan is an ordered, sharded set of sub-requests plus the
-	// per-data-set relevance decisions behind it.
-	FederationPlan = plan.Plan
-	// PlannerOptions tune source selection, sharding and deadlines.
+	// PlannerOptions hold the planner's metrics registry.
 	PlannerOptions = plan.Options
+	// DecomposerOptions tune VALUES sharding, bound joins and the join
+	// engine.
+	DecomposerOptions = decompose.Options
 	// PlanDecision explains why one data set was kept or pruned.
 	PlanDecision = plan.Decision
-	// PlanSubRequest is one ordered, sharded sub-query of a plan.
-	PlanSubRequest = plan.SubRequest
-	// PlannerStats counts plans, pruned data sets and VALUES shards.
+	// PlannerStats counts plans and considered and pruned data sets.
 	PlannerStats = plan.Stats
 )
 
-// NewFederationPlanner builds a standalone planner over the given KBs;
-// most callers use the Mediator's built-in planner instead (PlanQuery,
-// Configure with WithMediatorPlanner, and Query with nil Targets).
-// endpoints may be nil; an executor's Endpoints() table orders the plan's
-// sub-requests by observed latency.
+// NewFederationPlanner builds a standalone source selector over the given
+// KBs; most callers use the Mediator's built-in planner instead
+// (PlanQuery, and Query with nil Targets). endpoints may be nil; an
+// executor's Endpoints() table orders the selected targets by observed
+// latency.
 func NewFederationPlanner(datasets *DatasetKB, alignments *AlignmentKB, endpoints plan.Endpoints, opts PlannerOptions) *FederationPlanner {
 	return plan.New(datasets, alignments, endpoints, opts)
 }
