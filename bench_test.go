@@ -926,7 +926,7 @@ func sortDurations(d []time.Duration) {
 // decomposed federated path it shortcuts. Both sub-benchmarks run the
 // same cross-vocabulary join; Federated decomposes it and joins over
 // HTTP every iteration, View warms the view once and then answers every
-// iteration from the embedded store. The rt/op metric counts endpoint
+// iteration from the view's rows. The rt/op metric counts endpoint
 // round trips — the View sub-benchmark fails unless it is exactly zero.
 func BenchmarkViewVsFederated(b *testing.B) {
 	cfg := workload.DefaultConfig()

@@ -99,11 +99,12 @@
 // # Materialized views
 //
 // With -views, the mediator mines the decomposed-query stream for
-// repeated cross-vocabulary join shapes and materializes their
-// sameAs-canonicalised federated answer into an embedded store; later
-// queries whose basic graph pattern matches a view (modulo variable
-// renaming and owl:sameAs spelling) are evaluated over that store in
-// process — zero endpoint round trips, no query text. Views are never
+// repeated cross-vocabulary join shapes and keeps their
+// sameAs-canonicalised federated answer as rows; a later query whose
+// basic graph pattern matches a view (modulo variable renaming and
+// owl:sameAs spelling) is planned as one fragment those rows answer in
+// process — zero endpoint round trips, no query text — and /api/plan
+// explains it so. Views are never
 // silently stale: voiD and alignment updates mark them stale, stale views
 // refuse to answer, and a background loop re-materializes them. GET
 // /api/views lists them; POST /api/alignments loads alignment Turtle into
@@ -183,7 +184,7 @@ func run() error {
 	tenantsFile := flag.String("tenants", "", "tenant configuration file (JSON; empty = anonymous only, unlimited)")
 	resultCache := flag.Int("result-cache", 512, "federated result cache capacity in entries (0 disables)")
 	hedge := flag.Bool("hedge", false, "hedge slow sub-queries to replica endpoints")
-	views := flag.Bool("views", false, "materialize frequently repeated cross-vocabulary joins into an embedded store")
+	views := flag.Bool("views", false, "materialize frequently repeated cross-vocabulary joins as rows that answer them in process")
 	viewRefresh := flag.Duration("view-refresh", 0, "re-materialize views this long after their last refresh (0 = refresh only on KB invalidation)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), `Usage: mediator [flags]

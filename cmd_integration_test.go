@@ -635,8 +635,8 @@ SELECT ?paper ?a ?c WHERE {
 // TestCmdMediatorViewLifecycle drives the materialized-view tier through
 // the built binary:
 //
-//  1. a repeated cross-vocabulary join is mined and materialized into the
-//     embedded store (visible on /api/views);
+//  1. a repeated cross-vocabulary join is mined and materialized as rows
+//     (visible on /api/views);
 //  2. the next repeat is answered from the view with ZERO endpoint round
 //     trips (the federation request counters on /api/stats do not move);
 //  3. an alignment-KB update through POST /api/alignments invalidates the
@@ -702,9 +702,9 @@ SELECT ?paper ?a ?c WHERE {
 		Misses    uint64 `json:"misses"`
 		Refreshes uint64 `json:"refreshes"`
 		Views     []struct {
-			ID      string `json:"id"`
-			State   string `json:"state"`
-			Triples int    `json:"triples"`
+			ID    string `json:"id"`
+			State string `json:"state"`
+			Rows  int    `json:"rows"`
 		} `json:"views"`
 	}
 	getViews := func() viewsDoc {
@@ -761,7 +761,7 @@ SELECT ?paper ?a ?c WHERE {
 	vd := waitViews("view to materialize", func(vd viewsDoc) bool {
 		return len(vd.Views) == 1 && vd.Views[0].State == "ready"
 	})
-	if vd.Views[0].Triples == 0 {
+	if vd.Views[0].Rows == 0 {
 		t.Fatal("materialized view is empty")
 	}
 

@@ -9,6 +9,9 @@
 // nested groups stay — less the modifiers that apply above the merge,
 // VALUES-sharded and sent to every data set of the cover, fastest first.
 //
+// A query a materialized view covers is one fragment whose Leaf yields the
+// view's rows in process (Local).
+//
 // A query no data set covers must be a plain filtered BGP, split by its
 // patterns' sources into exclusive groups (FedQPL, FedX; see PAPERS.md): a
 // data set's patterns that no other data set answers go out as one
@@ -34,6 +37,7 @@ import (
 	"slices"
 	"sort"
 
+	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
@@ -95,15 +99,24 @@ func (o Options) withDefaults() Options {
 const unknownCard = int64(1) << 20
 
 // Fragment is one ordered unit of a decomposition: the whole query, or a
-// group of triple patterns evaluated together at its target endpoint(s).
+// group of triple patterns evaluated together at its target endpoint(s),
+// or a BGP a materialized view answers in process.
 type Fragment struct {
 	// Exclusive marks an exclusive group: every pattern is answerable by
 	// exactly one data set, so the endpoint joins the group locally.
 	Exclusive bool `json:"exclusive"`
 	// Targets are the endpoints the fragment dispatches to, in dispatch
 	// order (plan.Order): the cover for a whole fragment, one for an
-	// exclusive group, every candidate for a shared pattern.
+	// exclusive group, every candidate for a shared pattern. A fragment
+	// answered in process has none.
 	Targets []plan.Target `json:"targets"`
+	// View names the materialized view whose rows Leaf yields, and
+	// Datasets the data sets the view was built from.
+	View     string   `json:"view,omitempty"`
+	Datasets []string `json:"datasets,omitempty"`
+	// Leaf answers the fragment in process, in place of a dispatch: its
+	// rows over Vars, which the join above checks if it passes a seed.
+	Leaf eval.Remote `json:"-"`
 	// Query is a whole fragment's sub-query: the decomposed query as the
 	// endpoints run it (see wireQuery). Nil for a group, whose sub-query
 	// the join engine builds from its patterns and filters.
@@ -148,8 +161,8 @@ type Fragment struct {
 	estByDataset map[string]int64
 }
 
-// ResidualFilter is a FILTER evaluated at the mediator because its
-// variables span fragments.
+// ResidualFilter is a FILTER evaluated at the mediator: its variables span
+// fragments, or its fragment is answered in process.
 type ResidualFilter struct {
 	// Stage is the fragment index after which the filter's variables are
 	// all bound.
@@ -181,8 +194,22 @@ type Decomposition struct {
 	Decisions []plan.Decision `json:"decisions"`
 }
 
+// Local plans q, a filtered BGP that f's Leaf answers whole, as its one
+// fragment: the query's FILTERs run over the leaf's rows, its modifiers
+// above them.
+func Local(q *sparql.Query, sourceOnt string, f *Fragment) *Decomposition {
+	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Fragments: []*Fragment{f}}
+	for _, el := range q.Where.Elements {
+		if flt, ok := el.(*sparql.Filter); ok {
+			dec.ResidualFilters = append(dec.ResidualFilters,
+				ResidualFilter{Filter: sparql.FormatExpr(flt.Expr, q.Prefixes), expr: flt.Expr})
+		}
+	}
+	return dec
+}
+
 // Whole returns the decomposition's whole fragment, nil when it joins
-// groups.
+// groups or is answered in process.
 func (d *Decomposition) Whole() *Fragment {
 	if len(d.Fragments) == 1 && d.Fragments[0].Query != nil {
 		return d.Fragments[0]

@@ -108,11 +108,14 @@ type Plan struct {
 
 // Plan builds the plan of one execution of d. A non-nil left operand is
 // joined ahead of fragment 0, whose leaf it then seeds as any earlier
-// stage seeds a later one.
+// stage seeds a later one. The residual FILTERs run over merged rows,
+// which bind owl:sameAs representatives, so their IRI constants are
+// canonicalised the same way.
 func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 	e.metrics.runs.Inc()
 	p := &Plan{}
 	op := left
+	var canon *federate.RepCache
 	for k, f := range d.Fragments {
 		var leaf algebra.Op = &algebra.Remote{Vars: f.Vars,
 			Source: &fragmentLeaf{e: e, d: d, f: f, stage: int64(k), plan: p}}
@@ -122,7 +125,10 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 		op = leaf
 		for _, rf := range d.ResidualFilters {
 			if rf.Stage == k {
-				op = &algebra.Filter{Expr: rf.expr, Input: op}
+				if canon == nil {
+					canon = federate.NewRepCache(e.coref)
+				}
+				op = &algebra.Filter{Expr: sparql.MapExprTerms(rf.expr, canon.Term), Input: op}
 			}
 		}
 	}
@@ -182,8 +188,16 @@ type fragmentLeaf struct {
 
 // Fetch runs the fragment (see eval.Remote), profiling a join stage on a
 // "join" span: bound-join or hash-join, its left rows, the rows fetched
-// against the estimate, and the joined rows out.
+// against the estimate, and the joined rows out. A fragment answered in
+// process reads its Leaf, whose rows the plan's summary counts under
+// view:<id>, with no attempt.
 func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) error {
+	if l.f.Leaf != nil {
+		n := 0
+		err := l.f.Leaf.Fetch(ctx, seed, func(r eval.Row) bool { n++; return yield(r) })
+		l.plan.Add(&federate.Result{PerDataset: []federate.DatasetAnswer{{Dataset: "view:" + l.f.View, Solutions: n}}})
+		return err
+	}
 	if seed == nil {
 		return l.dispatch(ctx, nil, yield)
 	}

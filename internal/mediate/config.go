@@ -71,9 +71,8 @@ func WithServing(opts serve.Options) Option {
 	return func(c *Config) { c.Serving = &opts }
 }
 
-// WithViews enables the materialized-view tier (shape mining, embedded
-// dictionary-encoded view stores, TTL + invalidation refresh) with the
-// given options.
+// WithViews enables the materialized-view tier (shape mining, views kept
+// as answer rows, TTL + invalidation refresh) with the given options.
 func WithViews(opts view.Options) Option {
 	return func(c *Config) { c.Views = &opts }
 }
@@ -138,7 +137,7 @@ func (m *Mediator) rebuild() {
 	if m.cfg.Views != nil {
 		// Inject the shared registry and card store, then rebuild only
 		// when the effective options actually changed — the view manager
-		// owns background goroutines and its materialized stores, so a
+		// owns background goroutines and its materialized rows, so a
 		// gratuitous rebuild would throw both away. A new observer changes
 		// the injected pointers, which forces the rebuild it requires.
 		vOpts := *m.cfg.Views
@@ -148,7 +147,7 @@ func (m *Mediator) rebuild() {
 			if m.Views != nil {
 				m.Views.Close()
 			}
-			m.Views = view.NewManager(viewRunner{m}, m.Funcs.Resolver(), vOpts)
+			m.Views = view.NewManager(viewRunner{m}, vOpts)
 			m.viewOpts = vOpts
 		}
 	}

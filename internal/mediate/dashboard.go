@@ -250,17 +250,17 @@ var dashboardTemplate = template.Must(template.New("dashboard").Funcs(dashboardF
 
 {{with .Views}}
 <h2>Materialized views</h2>
-<p class="muted">{{.Hits}} hits / {{.Misses}} misses &middot; {{.Refreshes}} refreshes &middot; {{.Triples}} triples materialized &middot; {{.MinedShapes}} shapes mined</p>
+<p class="muted">{{.Hits}} hits / {{.Misses}} misses &middot; {{.Refreshes}} refreshes &middot; {{.Rows}} rows materialized &middot; {{.MinedShapes}} shapes mined</p>
 {{if .Views}}
 <table>
-<tr><th>view</th><th>covered shape</th><th>data sets</th><th>state</th><th class="num">triples</th><th class="num">hits</th><th>refreshed</th></tr>
+<tr><th>view</th><th>covered shape</th><th>data sets</th><th>state</th><th class="num">rows</th><th class="num">hits</th><th>refreshed</th></tr>
 {{range .Views}}
 <tr>
   <td><code>{{.ID}}</code></td>
   <td><code>{{range $i, $p := .Patterns}}{{if $i}} . {{end}}{{$p}}{{end}}</code></td>
   <td>{{range $i, $d := .Datasets}}{{if $i}}, {{end}}<code>{{$d}}</code>{{end}}</td>
   <td>{{if eq .State "ready"}}{{.State}}{{else}}<span class="failedtag">{{.State}}</span>{{end}}</td>
-  <td class="num">{{.Triples}}</td>
+  <td class="num">{{.Rows}}</td>
   <td class="num">{{.Hits}}</td>
   <td class="muted">{{.Refreshed.Format "15:04:05"}}</td>
 </tr>

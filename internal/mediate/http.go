@@ -278,7 +278,7 @@ func Handler(m *Mediator) http.Handler {
 
 	// /api/views renders Stats().Views: the materialized-view tier's
 	// hit/miss/refresh counters plus every view's covered shape, source
-	// data sets, freshness state and synthetic voiD statistics. 404 when
+	// data sets, freshness state and row count. 404 when
 	// the tier is disabled.
 	handle("/api/views", func(w http.ResponseWriter, r *http.Request) {
 		vs := m.Stats().Views

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/core"
@@ -27,6 +28,7 @@ import (
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
+	"sparqlrw/internal/view"
 	"sparqlrw/internal/voidkb"
 	"sparqlrw/internal/workload"
 )
@@ -167,6 +169,10 @@ type diffPath struct {
 	// cached runs every query twice; the second answer must come from the
 	// result cache without an endpoint round trip.
 	cached bool
+	// viewed asks each text once to materialize its view; every variant
+	// must then come from the view without an endpoint round trip, and
+	// match the oracle again after an alignment write stales the views.
+	viewed bool
 }
 
 // diffTemplate is a query shape with its projection, the FILTER the
@@ -223,11 +229,11 @@ func (d diffTemplate) variants() map[string]string {
 // and citation-metrics shapes, and the OPTIONAL, UNION and top-level VALUES
 // shapes that run only whole, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
-// bound join, a forced hash join, sharded VALUES and a result-cache hit
-// (the cross-vocabulary shape also with every repository named),
-// and holds every answer to the oracle's: the same rows, in the same order
-// under ORDER BY; under a slice without ORDER BY, the right number of the
-// oracle's rows.
+// bound join, a forced hash join, sharded VALUES, a result-cache hit and a
+// materialized view (the cross-vocabulary shape also with every
+// repository named), and holds every answer to the oracle's: the same
+// rows, in the same order under ORDER BY; under a slice without ORDER BY,
+// the right number of the oracle's rows.
 func TestMediatorMatchesOracle(t *testing.T) {
 	o := newOracle(t, exampleUniverse(), nil)
 	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
@@ -239,6 +245,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 		{name: "bound join, VALUES sharded", opts: []Option{WithDecomposer(decompose.Options{BindBatch: 2})}},
 		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
 		{name: "result cache", opts: []Option{WithServing(serve.Options{})}, cached: true},
+		{name: "view", opts: []Option{WithViews(view.Options{MinFrequency: 1})}, viewed: true},
 	}
 	metrics := "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }"
 	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
@@ -262,12 +269,17 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	// would answer whole.
 	coauthors := akt + "SELECT ?paper ?a WHERE { ?paper akt:has-author " + person(5) + " . ?paper akt:has-author ?a }"
 	mixed := akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?paper ?t ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }"
+	// A FILTER over two fragments' variables runs at the mediator, over
+	// rows that bind owl:sameAs representatives (?a person 2's KISTI IRI),
+	// so its IRI constant must be canonicalised like them.
+	residual := strings.Replace(workload.CrossVocabularyQuery(2), "\n}", "\n  FILTER (?a != "+person(2)+" || ?c < 0)\n}", 1)
+	crossPaths := []string{"explicit targets, all three", "planned", "bound join, VALUES sharded", "hash join", "result cache", "view"}
 	templates := []diffTemplate{
 		{name: "figure 1", texts: []string{workload.Figure1Query(2), workload.Figure1Query(7)}, vars: []string{"a"},
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "cross-vocabulary", texts: []string{workload.CrossVocabularyQuery(2), workload.CrossVocabularyQuery(7)},
-			vars: []string{"c", "paper", "a"}, filter: "?c > 40",
-			paths: []string{"explicit targets, all three", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+			vars: []string{"c", "paper", "a"}, filter: "?c > 40", paths: crossPaths},
+		{name: "cross-vocabulary, residual IRI filter", texts: []string{residual}, vars: []string{"c", "paper", "a"}, paths: crossPaths},
 		{name: "bulk", texts: []string{bulkQuery}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`,
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30", sourceOnt: workload.MetricsNS,
@@ -279,7 +291,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 		{name: "coauthors, KISTI source", texts: []string{coauthors}, vars: []string{"a", "paper"}, sourceOnt: rdf.KISTINS,
 			paths: []string{"explicit targets", "planned", "hash join", "result cache"}},
 		{name: "mixed vocabularies", texts: []string{mixed}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`, guess: true,
-			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache", "view"}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -291,39 +303,96 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				})
 			}
 			m := exampleFederation(t, count, path.opts...)
-			cases := 0
+			type diffCase struct {
+				name, text string
+				req        QueryRequest
+				want       [][]rdf.Term
+			}
+			var cases []diffCase
 			for _, tmpl := range templates {
 				if !slices.Contains(tmpl.paths, path.name) {
 					continue
 				}
+				req := QueryRequest{SourceOnt: cmp.Or(tmpl.sourceOnt, rdf.AKTNS), Targets: path.targets}
+				if tmpl.guess {
+					req.SourceOnt = ""
+				}
+				if path.viewed {
+					for _, text := range tmpl.texts {
+						req.Query = text
+						materializeView(t, m, req)
+					}
+				}
 				for name, text := range tmpl.variants() {
-					cases++
-					want := o.answer(t, text)
-					req := QueryRequest{Query: text, SourceOnt: cmp.Or(tmpl.sourceOnt, rdf.AKTNS), Targets: path.targets}
-					if tmpl.guess {
-						req.SourceOnt = ""
-					}
-					got, err := mediatorRows(m, req)
-					if err != nil {
-						t.Errorf("%s: %v", name, err)
-						continue
-					}
-					checkAgainstOracle(t, name, text, got, want)
-					if !path.cached {
-						continue
-					}
-					before := roundTrips.Load()
-					again, err := mediatorRows(m, req)
-					if trips := roundTrips.Load() - before; err != nil || trips != 0 {
-						t.Errorf("%s, repeated: %v, %d round trips, want a cache hit", name, err, trips)
-					}
-					checkAgainstOracle(t, name+", from the cache", text, again, want)
+					req.Query = text
+					cases = append(cases, diffCase{name: name, text: text, req: req, want: o.answer(t, text)})
 				}
 			}
-			if cases == 0 {
+			if len(cases) == 0 {
 				t.Fatal("no case ran on this path")
 			}
+			for _, c := range cases {
+				before, hits := roundTrips.Load(), m.Views.Stats().Hits
+				got, err := mediatorRows(m, c.req)
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					continue
+				}
+				checkAgainstOracle(t, c.name, c.text, got, c.want)
+				if trips, hit := roundTrips.Load()-before, m.Views.Stats().Hits-hits; path.viewed && (trips != 0 || hit != 1) {
+					t.Errorf("%s: %d round trips, %d view hits; want 0, 1", c.name, trips, hit)
+				}
+				if !path.cached {
+					continue
+				}
+				before = roundTrips.Load()
+				again, err := mediatorRows(m, c.req)
+				if trips := roundTrips.Load() - before; err != nil || trips != 0 {
+					t.Errorf("%s, repeated: %v, %d round trips, want a cache hit", c.name, err, trips)
+				}
+				checkAgainstOracle(t, c.name+", from the cache", c.text, again, c.want)
+			}
+			if !path.viewed {
+				return
+			}
+			// An alignment write stales every view: each variant is answered
+			// from federation or from its refreshed view, and either way as
+			// the oracle answers it.
+			if err := m.Alignments.Add(workload.ECS2DBpedia()); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				got, err := mediatorRows(m, c.req)
+				if err != nil {
+					t.Errorf("%s, after an alignment write: %v", c.name, err)
+					continue
+				}
+				checkAgainstOracle(t, c.name+", after an alignment write", c.text, got, c.want)
+			}
 		})
+	}
+}
+
+// materializeView asks req's query once and waits until the plan of a
+// repeat is its view's.
+func materializeView(t *testing.T, m *Mediator, req QueryRequest) {
+	t.Helper()
+	if _, err := mediatorRows(m, req); err != nil {
+		t.Fatalf("%v\n%s", err, req.Query)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		dec, err := m.PlanQuery(req.Query, req.SourceOnt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Fragments[0].View != "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no view answers %s: %+v", req.Query, m.Views.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

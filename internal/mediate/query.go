@@ -90,9 +90,10 @@ func (r *Result) Bool() bool { return r.ask }
 func (r *Result) Graph() *GraphStream { return r.graph }
 
 // Decomposition reports the query's plan: its fragments and the
-// per-data-set decisions over the request's source set (nil on a view or
-// result-cache answer, and for DESCRIBE without a WHERE clause, whose
-// resources need no plan of their own).
+// per-data-set decisions over the request's source set, or the one
+// fragment a materialized view answers (nil on a result-cache answer, and
+// for DESCRIBE without a WHERE clause, whose resources need no plan of
+// their own).
 func (r *Result) Decomposition() *decompose.Decomposition { return r.dec }
 
 // Trace returns the query's span tree: every pipeline stage's timings and
@@ -271,9 +272,9 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 }
 
 // solutionSource is the streaming backend of a QueryStream: a whole
-// fragment's federated stream, a plan the evaluator runs over remote
-// leaves (a decomposition's joins or modifiers), a view store's
-// evaluation, a result-cache replay. All deliver merged rows
+// fragment's federated stream, a plan the evaluator runs over its leaves
+// (a decomposition's joins or modifiers, a view's rows), a result-cache
+// replay. All deliver merged rows
 // incrementally — Next's row binds Vars() by position and is valid until
 // the next Next or Close, the pull form of the evaluator's volcano rule —
 // and report per-dataset outcomes afterwards.
@@ -311,15 +312,6 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		}
 		req.SourceOnt = src
 	}
-	// The materialized-view tier answers a covered BGP from its embedded
-	// store with zero endpoint round trips, when every data set the view
-	// was built from is in the source set. Materialization queries
-	// themselves (withoutViews) would recurse.
-	if m.Views != nil && !viewsDisabled(ctx) {
-		if vqs, ok := m.viewAnswer(ctx, req, q); ok {
-			return vqs, nil
-		}
-	}
 	qs := &QueryStream{limit: req.Limit}
 	var err error
 	if qs.dec, err = m.route(ctx, q, req); err != nil {
@@ -337,21 +329,23 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		return nil, err
 	}
 	// Queries joined across data sets are exactly the expensive
-	// cross-vocabulary joins worth materializing: mine the shape (unless
-	// this IS a materialization run).
-	if qs.dec.Whole() == nil && m.Views != nil && !viewsDisabled(ctx) {
-		m.observeViews(q, req.SourceOnt, qs.dec)
-	}
+	// cross-vocabulary joins worth materializing: mine the shape.
+	m.observeViews(ctx, q, req.SourceOnt, qs.dec)
 	return qs, nil
 }
 
 // route plans q, written against req.SourceOnt, over the request's source
-// set: as one whole fragment over the data sets that answer it whole, or
-// — when none does — as per-endpoint fragments joined at the mediator.
-// The query path runs what it returns and /api/plan explains it. A set
-// that answers nothing is refused with ErrDenied when the tenant's
+// set: as one fragment a materialized view answers in process, with zero
+// endpoint round trips, when a ready view covers it; as one whole fragment
+// over the data sets that answer it whole; or — when none does — as
+// per-endpoint fragments joined at the mediator. The query path runs what
+// it returns, and /api/plan, PlanQuery and the audit record explain it. A
+// set that answers nothing is refused with ErrDenied when the tenant's
 // allowlist narrowed it, and named otherwise.
 func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (*decompose.Decomposition, error) {
+	if dcm := m.viewDecomposition(ctx, q, req); dcm != nil {
+		return dcm, nil
+	}
 	dcm, err := m.Decomposer.DecomposeQuery(ctx, q, req.SourceOnt, req.sources)
 	if err == nil {
 		return dcm, nil
@@ -367,8 +361,8 @@ func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest)
 		"mediate: no registered data set%s is relevant to the whole query and it does not decompose (%v); see /api/plan", among, err)
 }
 
-// pulledSource reads an evaluation a row at a time — a plan over remote
-// leaves, or a view's answer — and reports summary's account of it.
+// pulledSource reads a plan's evaluation a row at a time and reports
+// summary's account of it.
 type pulledSource struct {
 	vars    []string
 	next    func() (eval.Row, error, bool)
@@ -425,8 +419,8 @@ func (s *pulledSource) Summary() (*federate.Result, error) {
 // Vars returns the query's projection variable names.
 func (qs *QueryStream) Vars() []string { return qs.src.Vars() }
 
-// Decomposition reports the query's plan (nil on a view or result-cache
-// answer).
+// Decomposition reports the query's plan, a view-answered one included
+// (nil on a result-cache answer).
 func (qs *QueryStream) Decomposition() *decompose.Decomposition { return qs.dec }
 
 // Next returns the next merged row (row[i] binding Vars()[i], the zero

@@ -1,9 +1,9 @@
 package mediate
 
 import (
+	"cmp"
 	"context"
 	"io"
-	"iter"
 	"slices"
 
 	"sparqlrw/internal/decompose"
@@ -16,23 +16,14 @@ import (
 )
 
 // This file is the mediator side of the materialized-view tier: the
-// Runner the view manager materializes through, the answer hook that
-// serves a covered SELECT from a view's embedded store, and the observe
+// Runner the view manager materializes through, the route that plans a
+// covered SELECT as one fragment a view's rows answer, and the observe
 // hook that feeds the shape miner from the decomposed-query stream.
 
-// ctxNoViews marks a context whose queries must bypass the view tier —
-// set on view materialization queries so a view is never built from
-// another view (no recursion, no self-mining).
+// ctxNoViews marks the context of a view's own build, whose queries must
+// bypass the view tier: a view is never built from a view, nor its build
+// mined.
 type ctxNoViews struct{}
-
-func withoutViews(ctx context.Context) context.Context {
-	return context.WithValue(ctx, ctxNoViews{}, true)
-}
-
-func viewsDisabled(ctx context.Context) bool {
-	on, _ := ctx.Value(ctxNoViews{}).(bool)
-	return on
-}
 
 // viewRunner adapts the mediator's federated pipeline to view.Runner.
 type viewRunner struct{ m *Mediator }
@@ -43,7 +34,7 @@ type viewRunner struct{ m *Mediator }
 // data set answered successfully — the storable rule the result cache
 // uses.
 func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*view.MaterializeResult, error) {
-	qs, err := r.m.selectStream(withoutViews(ctx), QueryRequest{SourceOnt: sourceOnt}, q)
+	qs, err := r.m.selectStream(context.WithValue(ctx, ctxNoViews{}, true), QueryRequest{SourceOnt: sourceOnt}, q)
 	if err != nil {
 		return nil, err
 	}
@@ -52,9 +43,9 @@ func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt 
 }
 
 // materialized drains a stream into the view manager's result shape. The
-// view's store outlives the query by far, so the rows are copied with
-// their strings cut from an arena of the result's own, not left pinning
-// the decoders' chunks.
+// view's rows outlive the query by far, so they are copied with their
+// strings cut from an arena of the result's own, not left pinning the
+// decoders' chunks.
 func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 	res := &view.MaterializeResult{Vars: qs.Vars()}
 	res.Rows.Width = len(res.Vars)
@@ -83,8 +74,9 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 }
 
 // Canonicalise maps the patterns' ground IRIs to their owl:sameAs
-// representatives — the refresh loop re-keys views with it when the
-// sameAs closure may have moved.
+// representatives, as the merge does: the view manager matches and mines
+// shapes with it, and re-keys views when the sameAs closure may have
+// moved.
 func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 	canon := federate.NewRepCache(r.m.Coref)
 	out := make([]rdf.Triple, len(patterns))
@@ -94,61 +86,58 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 	return out
 }
 
-// viewAnswer serves the query from a covering materialized view, when
-// one is ready. It returns ok=false — and the caller proceeds to the
-// federated path — on a miss, a stale view, or an evaluation error.
-func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
-	canon := federate.NewRepCache(m.Coref)
-	v, ok := m.Views.Answer(q, canon.Term, req.sources)
+// viewDecomposition plans q as one fragment a ready view answers in
+// process, when one covers it and every data set the view was built from
+// is in the request's source set: nil otherwise, and for a view's own
+// build, which would recurse.
+func (m *Mediator) viewDecomposition(ctx context.Context, q *sparql.Query, req QueryRequest) *decompose.Decomposition {
+	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil {
+		return nil
+	}
+	hit, ok := m.Views.Answer(q, req.sources)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	// The view store holds canonical representatives, so the query's
-	// ground IRIs — in its patterns and in its FILTER constants — must be
-	// canonicalised the same way before it is evaluated over it.
-	cq := q.Clone()
-	canonicaliseGroup(cq.Where, canon)
-	for _, el := range cq.Where.Elements {
-		if f, isFilter := el.(*sparql.Filter); isFilter {
-			f.Expr = sparql.MapExprTerms(f.Expr, canon.Term)
-		}
-	}
-	_, span := obs.StartSpan(ctx, "view")
-	span.SetAttr("view", v.ID())
-	res, err := m.Views.Rows(v, cq)
-	if err != nil {
-		// The query falls back to federation, so for the metrics the
-		// paper's experiment reads this is a miss, not a hit.
-		m.Views.CountMiss()
-		span.SetAttr("error", err.Error())
-		span.End()
-		return nil, false
-	}
-	m.Views.CountHit(v)
-	span.End()
-	next, stop := iter.Pull(res.Seq)
-	src := &pulledSource{vars: res.Vars, stop: stop,
-		next: func() (eval.Row, error, bool) { row, ok := next(); return row, nil, ok }}
-	// The summary lists the view pseudo-dataset, with zero Attempts:
-	// nothing was dispatched over the federation.
-	src.summary = func() (*federate.Result, error) {
-		return &federate.Result{PerDataset: []federate.DatasetAnswer{{Dataset: "view:" + v.ID(), Solutions: src.n}}}, nil
-	}
-	return &QueryStream{limit: req.Limit, src: src}, true
+	return decompose.Local(q, req.SourceOnt, &decompose.Fragment{View: hit.View.ID(), Datasets: hit.Datasets,
+		Vars: hit.Vars, Leaf: &viewLeaf{views: m.Views, hit: hit}})
 }
 
-// observeViews feeds one decomposed multi-source query to the shape
-// miner. It runs on the same path that just executed the query, so the
-// decomposition's data sets and calibrated cardinality estimates are in
-// hand for free; the largest fragment estimate bounds the join size the
-// miner screens against MaxTriples.
-func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompose.Decomposition) {
-	var est int64
-	for _, f := range dcm.Fragments {
-		if f.EstCard > est {
-			est = f.EstCard
+// viewLeaf is a view's rows as a plan leaf. It counts the hit when the
+// plan reads it, so explaining a query counts none.
+type viewLeaf struct {
+	views *view.Manager
+	hit   view.Hit
+}
+
+// Fetch yields the view's rows on a "view" operator span.
+func (l *viewLeaf) Fetch(ctx context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
+	_, span := obs.StartSpan(ctx, "view")
+	span.SetAttr("view", l.hit.View.ID())
+	l.views.CountHit(l.hit.View)
+	n := 0
+	for n < l.hit.Rows.N {
+		n++
+		if !yield(l.hit.Rows.Row(n - 1)) {
+			break
 		}
 	}
-	canon := federate.NewRepCache(m.Coref)
-	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.Term)
+	st := obs.Operator("view")
+	st.RowsOut = int64(n)
+	span.SetOperator(st)
+	span.End()
+	return nil
+}
+
+// observeViews feeds one query the join engine joined across data sets to
+// the shape miner, unless views are off or this is a view's own build. It
+// runs on the same path that just executed the query, so the
+// decomposition's data sets and calibrated cardinality estimates are in
+// hand for free; the largest fragment estimate bounds the join size the
+// miner screens against its row cap.
+func (m *Mediator) observeViews(ctx context.Context, q *sparql.Query, sourceOnt string, dcm *decompose.Decomposition) {
+	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil || dcm.Whole() != nil || dcm.Fragments[0].Leaf != nil {
+		return
+	}
+	est := slices.MaxFunc(dcm.Fragments, func(a, b *decompose.Fragment) int { return cmp.Compare(a.EstCard, b.EstCard) }).EstCard
+	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est)
 }

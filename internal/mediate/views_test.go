@@ -1,12 +1,14 @@
 package mediate
 
 // Tests of the view-hit path inside the mediator: a covered query is
-// answered from the view's store, in process, with the answer federation
-// gives.
+// planned as one fragment the view's rows answer, in process, with the
+// answer federation gives.
 
 import (
+	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/view"
@@ -235,7 +238,7 @@ func TestViewHitEqualsFederatedAnswer(t *testing.T) {
 
 // TestViewRefreshDuringHit: alignment writes invalidate and re-materialize
 // the view while readers keep asking the covered query. A reader gets the
-// whole answer from one store — the one its evaluation started on — or,
+// whole answer from one build's rows — those the route matched — or,
 // finding the view stale, the federated answer; never part of each.
 func TestViewRefreshDuringHit(t *testing.T) {
 	const person = 2
@@ -297,12 +300,13 @@ func TestViewRefreshDuringHit(t *testing.T) {
 }
 
 // TestViewHitAllocations pins what a /sparql request answered from a view
-// costs the whole process: parse, the signature match, one canonicalised
-// clone of the query, its compilation and evaluation over the view's
-// store, the response encoder. The ceiling is the measured figure (248)
-// plus 5 %; the same request cost 410 while a hit formatted the query,
-// sent it through the local:// pipe to an endpoint server that parsed it
-// again, and decoded the SRJ that server encoded.
+// costs the whole process: parse, the signature match, the one-fragment
+// plan over the view's rows, its compilation and evaluation, the response
+// encoder. It measures 218. The ceiling is the figure once measured while
+// a hit evaluated a canonicalised clone of the query over a triple store
+// (248) plus 5 %; the same request cost 410 while a hit formatted the
+// query, sent it through the local:// pipe to an endpoint server that
+// parsed it again, and decoded the SRJ that server encoded.
 func TestViewHitAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -325,5 +329,102 @@ func TestViewHitAllocations(t *testing.T) {
 	}
 	if got > ceiling {
 		t.Errorf("%.0f allocations per view-answered request, want at most %d", got, ceiling)
+	}
+}
+
+// TestViewDecisionExplainedWhereItRuns: the view decision is the route's,
+// so a view-covered query is explained with the plan it runs. PlanQuery,
+// /api/plan and Result.Decomposition show the one fragment the view
+// answers, naming it and the data sets it was built from; explain=analyze
+// profiles the view operator; and explaining counts neither a view hit nor
+// a miss.
+func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
+	const person = 2
+	m, requests := viewFederation(t, person)
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	query := workload.CrossVocabularyQuery(person)
+	built := m.Views.Stats().Views[0]
+	viewed := func(what string, dec *decompose.Decomposition) {
+		t.Helper()
+		if dec == nil || len(dec.Fragments) != 1 {
+			t.Fatalf("%s: plan %+v, want one fragment", what, dec)
+		}
+		if f := dec.Fragments[0]; f.View != built.ID || !slices.Equal(f.Datasets, built.Datasets) || len(f.Targets) != 0 {
+			t.Errorf("%s: fragment %+v, want view %s over %v and no target", what, f, built.ID, built.Datasets)
+		}
+	}
+	counters := func() [2]float64 {
+		fams := scrapeMetrics(t, srv.URL)
+		var out [2]float64
+		for i, name := range []string{"sparqlrw_view_hits_total", "sparqlrw_view_misses_total"} {
+			v, ok := sampleValue(fams[name], name, nil)
+			if !ok {
+				t.Fatalf("%s missing from /metrics", name)
+			}
+			out[i] = v
+		}
+		return out
+	}
+	r0, c0 := requests.Load(), counters()
+
+	dec, err := m.PlanQuery(query, rdf.AKTNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed("PlanQuery", dec)
+	body, _ := json.Marshal(apiQueryRequest{Query: query, Source: rdf.AKTNS})
+	resp, err := http.Post(srv.URL+"/api/plan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pl decompose.Decomposition
+	err = json.NewDecoder(resp.Body).Decode(&pl)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/api/plan: %d, %v", resp.StatusCode, err)
+	}
+	viewed("/api/plan", &pl)
+	if c := counters(); c != c0 {
+		t.Errorf("explaining moved the view hits and misses from %v to %v", c0, c)
+	}
+
+	res, err := m.Query(context.Background(), QueryRequest{Query: query, SourceOnt: rdf.AKTNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed("Result.Decomposition", res.Decomposition())
+	sum, err := res.Summary()
+	res.Close()
+	if err != nil || len(sum.PerDataset) != 1 || sum.PerDataset[0].Dataset != "view:"+built.ID || sum.PerDataset[0].Attempts != 0 {
+		t.Fatalf("summary %+v, %v; want one view:%s answer without an attempt", sum, err, built.ID)
+	}
+
+	resp, err = http.PostForm(srv.URL+"/sparql", url.Values{
+		"query": {query}, "source": {rdf.AKTNS}, "explain": {"analyze"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Results struct {
+			Bindings []json.RawMessage `json:"bindings"`
+		} `json:"results"`
+		Analyze *Analyze `json:"analyze"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil || doc.Analyze == nil {
+		t.Fatalf("explain=analyze: %v, %+v", err, doc.Analyze)
+	}
+	ops := opsByKind(doc.Analyze.Operators)
+	if v := ops["view"]; len(v) != 1 || v[0].RowsOut == nil || *v[0].RowsOut != int64(len(doc.Results.Bindings)) {
+		t.Errorf("analyze view operators %+v, want one with rowsOut %d", v, len(doc.Results.Bindings))
+	}
+	if c := counters(); c[0] != c0[0]+2 || c[1] != c0[1] {
+		t.Errorf("two view-answered runs moved the view hits and misses from %v to %v", c0, c)
+	}
+	if n := requests.Load() - r0; n != 0 {
+		t.Errorf("%d endpoint requests, want 0", n)
 	}
 }

@@ -128,16 +128,44 @@ func TestParseCallSites(t *testing.T) { checkCallSites(t, "Parse") }
 // itself: text is made for a socket, a cache key or a person.
 func TestFormatCallSites(t *testing.T) { checkCallSites(t, "Format") }
 
-// TestOneLaneIn pins the two structural facts behind "rows are the only
-// way an answer enters the mediator": the view tier evaluates its stores
-// in process — it imports neither the endpoint protocol nor its codec —
-// and the executor has one client path, the streaming one.
+// TestOneLaneIn pins the structural facts behind "rows are the only way
+// an answer enters the mediator". The view tier keeps rows: it imports
+// neither the endpoint protocol nor its codec, nor a triple store, and
+// builds no evaluator of its own. A view hit is a plan leaf the route
+// chooses: the decomposer does not import the view tier, and selectStream
+// refers to no Views field. The executor has one client path, the
+// streaming one.
 func TestOneLaneIn(t *testing.T) {
 	for rel, file := range internalFiles(t) {
 		if strings.HasPrefix(rel, "view/") {
-			for _, banned := range []string{"sparqlrw/internal/endpoint", "sparqlrw/internal/srjson"} {
+			for _, banned := range []string{"sparqlrw/internal/endpoint", "sparqlrw/internal/srjson", "sparqlrw/internal/store"} {
 				if importName(file, banned) != "" {
 					t.Errorf("%s imports %s", rel, banned)
+				}
+			}
+			if eval := importName(file, "sparqlrw/internal/eval"); eval != "" {
+				ast.Inspect(file, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == eval && (sel.Sel.Name == "Engine" || sel.Sel.Name == "New") {
+							t.Errorf("%s builds an eval.Engine: a view's answer is its rows", rel)
+						}
+					}
+					return true
+				})
+			}
+		}
+		if strings.HasPrefix(rel, "decompose/") && importName(file, "sparqlrw/internal/view") != "" {
+			t.Errorf("%s imports internal/view: a view is a leaf the mediator supplies", rel)
+		}
+		if strings.HasPrefix(rel, "mediate/") {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "selectStream" {
+					ast.Inspect(fn, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Views" {
+							t.Errorf("%s: selectStream refers to Views: the view decision is the route's", rel)
+						}
+						return true
+					})
 				}
 			}
 		}

@@ -212,26 +212,6 @@ func (s *Store) stat(counts map[uint32]int, t rdf.Term) int {
 	return counts[id]
 }
 
-// PredicateCounts returns a copy of the per-predicate triple counts,
-// the raw material for synthetic void:propertyPartition statistics.
-func (s *Store) PredicateCounts() map[rdf.Term]int { return s.decodeCounts(s.predCount) }
-
-// ClassCounts returns a copy of the per-class instance counts, the raw
-// material for synthetic void:classPartition statistics.
-func (s *Store) ClassCounts() map[rdf.Term]int { return s.decodeCounts(s.classCount) }
-
-// decodeCounts returns a copy of one of the statistics maps with its
-// keys decoded back to terms.
-func (s *Store) decodeCounts(counts map[uint32]int) map[rdf.Term]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[rdf.Term]int, len(counts))
-	for id, n := range counts {
-		out[s.dict.Term(id)] = n
-	}
-	return out
-}
-
 // validData accepts only ground terms and blank nodes (data-level
 // existentials); variables and wildcards cannot be stored.
 func validData(t rdf.Triple) bool {

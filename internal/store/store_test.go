@@ -391,11 +391,8 @@ func TestAddRemoveStats(t *testing.T) {
 	if s.Size() != 1 || s.ClassCount(person) != 1 {
 		t.Fatalf("Size = %d, ClassCount = %d after no-op removes, want 1 and 1", s.Size(), s.ClassCount(person))
 	}
-	if cc := s.ClassCounts(); len(cc) != 1 || cc[person] != 1 {
-		t.Fatalf("ClassCounts = %v", cc)
-	}
-	if pc := s.PredicateCounts(); len(pc) != 1 || pc[typ] != 1 {
-		t.Fatalf("PredicateCounts = %v", pc)
+	if len(s.classCount) != 1 || len(s.predCount) != 1 || s.PredicateCount(typ) != 1 {
+		t.Fatalf("statistics = %v classes, %v predicates; want person and rdf:type once", s.classCount, s.predCount)
 	}
 	if !s.Has(t2) || s.Has(t1) {
 		t.Fatal("Has disagrees with Add/Remove history")
@@ -404,7 +401,7 @@ func TestAddRemoveStats(t *testing.T) {
 	if got := s.ClassCount(person); got != 0 {
 		t.Fatalf("ClassCount after last remove = %d, want 0", got)
 	}
-	if got := len(s.ClassCounts()) + len(s.PredicateCounts()); got != 0 {
+	if got := len(s.classCount) + len(s.predCount); got != 0 {
 		t.Fatalf("statistics kept %d zero entries", got)
 	}
 }

@@ -1,18 +1,20 @@
 // Package view implements the mediator's materialized-view tier: it
 // mines frequent cross-vocabulary join shapes from the decomposed query
-// stream, materializes their sameAs-canonicalised federated answer into
-// an embedded dictionary-encoded store, and answers later queries with a
-// matching basic graph pattern by evaluating them over that store in
-// process — zero endpoint round trips, no query text, no wire. This is the complement the paper's rewrite-vs-materialise
-// experiment measures: rewriting trades freshness work at query time,
-// the view trades it at refresh time.
+// stream, keeps their sameAs-canonicalised federated answer as rows, and
+// hands those rows to a later query with a matching basic graph pattern,
+// which the mediator plans as one fragment answered in process — zero
+// endpoint round trips, no query text, no wire. This is the complement
+// the paper's rewrite-vs-materialise experiment measures: rewriting trades
+// freshness work at query time, the view trades it at refresh time.
 //
 // Soundness: a query is answered from a view only when its flattened BGP
 // is identical to the view's covered shape modulo variable renaming,
-// with ground IRIs compared after owl:sameAs canonicalisation. Filters,
-// projection, DISTINCT, ORDER BY and LIMIT are evaluated over the view
-// store by the embedded SPARQL engine, so they need no containment
-// argument. A view is never silently stale: voiD and alignment KB
+// with ground IRIs compared after owl:sameAs canonicalisation. Two BGPs
+// with one signature differ only by a renaming of their variables, so the
+// view's rows are the query's BGP answer under the query's own names.
+// Filters, projection, DISTINCT, ORDER BY and LIMIT run in the mediator's
+// plan over those rows, so they need no containment argument. A view is
+// never silently stale: voiD and alignment KB
 // updates mark every view stale synchronously (before the KB update
 // returns), stale views refuse to answer, and the refresh loop
 // re-materializes them — discarding any result whose build raced a
@@ -22,6 +24,8 @@ package view
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,7 +37,6 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
-	"sparqlrw/internal/store"
 	"sparqlrw/internal/voidkb"
 )
 
@@ -43,9 +46,6 @@ type Options struct {
 	// RefreshTTL re-materializes ready views this long after their last
 	// refresh (0 = refresh only on invalidation).
 	RefreshTTL time.Duration
-	// MaxTriples caps a view's materialized size; a shape whose answer
-	// exceeds it is disabled rather than half-stored.
-	MaxTriples int
 	// MinFrequency is how often a join shape must be observed before it
 	// is materialized.
 	MinFrequency int
@@ -59,9 +59,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxTriples == 0 {
-		o.MaxTriples = 50000
-	}
 	if o.MinFrequency == 0 {
 		o.MinFrequency = 2
 	}
@@ -80,7 +77,8 @@ func (o Options) withDefaults() Options {
 // re-mining) and report Complete=false whenever any data set failed — a
 // view must never be built from a partial answer. Canonicalise maps ground
 // IRIs to their owl:sameAs representatives with the same rule the
-// federated merge uses.
+// federated merge uses: the manager matches, mines and re-keys shapes
+// through it, so spelling differences do not defeat the signature match.
 type Runner interface {
 	Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error)
 	Canonicalise(patterns []rdf.Triple) []rdf.Triple
@@ -100,6 +98,10 @@ type MaterializeResult struct {
 // materializeTimeout bounds one view build.
 const materializeTimeout = 30 * time.Second
 
+// maxRows caps a view's size: a shape whose answer is estimated or built
+// larger is disabled rather than half-stored.
+const maxRows = 50000
+
 // shape is a mined-but-not-yet-materialized join shape.
 type shape struct {
 	sig string
@@ -107,9 +109,9 @@ type shape struct {
 	// for the materialization query (the rewrite/coref machinery expects
 	// the user's IRIs, not their canonical representatives).
 	patternsOrig []rdf.Triple
-	// patternsCanon is the same BGP with ground IRIs canonicalised; its
-	// patterns are the instantiation templates, so stored triples carry
-	// canonical representatives like the merged solutions they come from.
+	// patternsCanon is the same BGP with ground IRIs canonicalised: the
+	// view is keyed by its signature, and its rows' columns follow the
+	// signature's variable order.
 	patternsCanon []rdf.Triple
 	sourceOnt     string
 	// datasets are the data sets the miner saw the shape decompose over,
@@ -122,14 +124,14 @@ type shape struct {
 	fails    int
 }
 
-// View is one materialized view: the covered shape plus the embedded
-// store currently answering it and the data sets its last build
-// dispatched to. All mutable fields are guarded by the owning Manager's
-// mutex.
+// View is one materialized view: the covered shape plus the rows
+// currently answering it and the data sets its last build dispatched to.
+// All mutable fields are guarded by the owning Manager's mutex; a build's
+// rows are never written after it, a refresh swaps in new ones.
 type View struct {
 	id        string
 	def       *shape
-	store     *store.Store
+	rows      eval.RowBuf
 	datasets  []string
 	stale     bool
 	epoch     uint64
@@ -144,7 +146,6 @@ func (v *View) ID() string { return v.id }
 // Manager mines shapes, owns the views and runs the refresh loop.
 type Manager struct {
 	runner Runner
-	funcs  eval.FuncResolver
 	opts   Options
 
 	// epoch advances on every invalidation; a build whose start epoch is
@@ -174,14 +175,11 @@ type managerMetrics struct {
 	refreshes *obs.Counter
 }
 
-// NewManager returns a running manager. funcs resolves extension
-// functions in FILTERs evaluated over view stores (pass the mediator's
-// resolver); nil disables extension functions on the view path.
-func NewManager(runner Runner, funcs eval.FuncResolver, opts Options) *Manager {
+// NewManager returns a running manager.
+func NewManager(runner Runner, opts Options) *Manager {
 	opts = opts.withDefaults()
 	m := &Manager{
 		runner: runner,
-		funcs:  funcs,
 		opts:   opts,
 		shapes: map[string]*shape{},
 		views:  map[string]*View{},
@@ -197,9 +195,9 @@ func NewManager(runner Runner, funcs eval.FuncResolver, opts Options) *Manager {
 		refreshes: reg.Counter("sparqlrw_view_refreshes_total",
 			"View re-materializations (TTL and invalidation driven)."),
 	}
-	reg.GaugeFunc("sparqlrw_view_triples",
-		"Triples currently materialized across all views.",
-		func() float64 { return float64(m.totalTriples()) })
+	reg.GaugeFunc("sparqlrw_view_rows",
+		"Rows currently materialized across all views.",
+		func() float64 { return float64(m.Stats().Rows) })
 	m.wg.Add(1)
 	go m.loop()
 	return m
@@ -228,23 +226,11 @@ func (m *Manager) Close() {
 	})
 }
 
-func (m *Manager) totalTriples() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, v := range m.views {
-		n += v.store.Size()
-	}
-	return n
-}
-
 // flatten extracts a SELECT query's basic graph pattern. ok is false
 // for shapes the view tier does not cover: non-SELECT forms, OPTIONAL,
 // UNION, sub-groups and VALUES. FILTER, projection, DISTINCT, ORDER BY
-// and LIMIT are fine — they are evaluated over the view store.
+// and LIMIT are fine — the mediator's plan applies them to the view's
+// rows.
 func flatten(q *sparql.Query) ([]rdf.Triple, bool) {
 	if q == nil || q.Form != sparql.Select || q.Where == nil {
 		return nil, false
@@ -255,7 +241,7 @@ func flatten(q *sparql.Query) ([]rdf.Triple, bool) {
 		case *sparql.BGP:
 			patterns = append(patterns, e.Patterns...)
 		case *sparql.Filter:
-			// evaluated over the view store at answer time
+			// evaluated over the view's rows at answer time
 		default:
 			return nil, false
 		}
@@ -271,7 +257,10 @@ func flatten(q *sparql.Query) ([]rdf.Triple, bool) {
 // occurrence order, and the result serialised. Two BGPs get the same
 // signature only if they are identical up to variable names (ground
 // terms already canonicalised by the caller), so a signature match is a
-// containment proof, not a heuristic.
+// containment proof, not a heuristic. vars are the BGP's variables in
+// renaming order: the i-th of two BGPs with one signature are the same
+// variable under the renaming, so a view's rows bind a matching query's
+// vars by position.
 //
 // Patterns that share a var-blind key are tie-broken by each variable's
 // occurrence profile — the rename-invariant multiset of (var-blind key,
@@ -281,38 +270,43 @@ func flatten(q *sparql.Query) ([]rdf.Triple, bool) {
 // automorphic BGPs whose tied patterns also share occurrence profiles
 // can still hash order-sensitively, costing only a missed hit
 // (incompleteness), never an unsound answer.
-func signature(patterns []rdf.Triple) string {
+func signature(patterns []rdf.Triple) (sig string, vars []string) {
 	profiles := varProfiles(patterns)
-	sortKey := func(t rdf.Triple) string {
-		f := func(x rdf.Term, pos string) string {
-			if x.Kind == rdf.KindVar {
-				return "?" + pos + "{" + profiles[x.Value] + "}"
+	f := func(x rdf.Term, pos string) string {
+		if x.Kind == rdf.KindVar {
+			return "?" + pos + "{" + profiles[x.Value] + "}"
+		}
+		return x.String()
+	}
+	type keyed struct {
+		key string
+		t   rdf.Triple
+	}
+	sorted := make([]keyed, len(patterns))
+	for i, t := range patterns {
+		sorted[i] = keyed{f(t.S, "s") + " " + f(t.P, "p") + " " + f(t.O, "o"), t}
+	}
+	slices.SortStableFunc(sorted, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	var buf []byte
+	for i, k := range sorted {
+		if i > 0 {
+			buf = append(buf, " . "...)
+		}
+		for j, x := range [3]rdf.Term{k.t.S, k.t.P, k.t.O} {
+			if j > 0 {
+				buf = append(buf, ' ')
 			}
-			return x.String()
+			if x.Kind != rdf.KindVar {
+				buf = append(buf, x.String()...)
+				continue
+			}
+			if !slices.Contains(vars, x.Value) {
+				vars = append(vars, x.Value)
+			}
+			buf = strconv.AppendInt(append(buf, "?v"...), int64(slices.Index(vars, x.Value)), 10)
 		}
-		return f(t.S, "s") + " " + f(t.P, "p") + " " + f(t.O, "o")
 	}
-	sorted := append([]rdf.Triple(nil), patterns...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sortKey(sorted[i]) < sortKey(sorted[j])
-	})
-	rename := map[string]string{}
-	nameOf := func(t rdf.Term) string {
-		if t.Kind != rdf.KindVar {
-			return t.String()
-		}
-		n, ok := rename[t.Value]
-		if !ok {
-			n = "?v" + strconv.Itoa(len(rename))
-			rename[t.Value] = n
-		}
-		return n
-	}
-	parts := make([]string, len(sorted))
-	for i, t := range sorted {
-		parts[i] = nameOf(t.S) + " " + nameOf(t.P) + " " + nameOf(t.O)
-	}
-	return strings.Join(parts, " . ")
+	return string(buf), vars
 }
 
 func varBlindKey(t rdf.Triple) string {
@@ -348,98 +342,58 @@ func varProfiles(patterns []rdf.Triple) map[string]string {
 	return out
 }
 
-func canonPatterns(patterns []rdf.Triple, canon func(rdf.Term) rdf.Term) []rdf.Triple {
-	out := make([]rdf.Triple, len(patterns))
-	for i, t := range patterns {
-		out[i] = rdf.Triple{S: canonGround(t.S, canon), P: canonGround(t.P, canon), O: canonGround(t.O, canon)}
-	}
-	return out
+// Hit is a ready view's answer to a query it covers: the rows of its last
+// build, over Vars — the query's own variable names in the view's column
+// order — and the data sets that build dispatched to.
+type Hit struct {
+	View     *View
+	Vars     []string
+	Rows     eval.RowBuf
+	Datasets []string
 }
 
-func canonGround(t rdf.Term, canon func(rdf.Term) rdf.Term) rdf.Term {
-	if t.Kind != rdf.KindIRI || canon == nil {
-		return t
-	}
-	return canon(t)
-}
-
-// Answer reports whether a ready, fresh view covers the query's BGP and
-// may answer a request over the source set src: every data set its last
-// build dispatched to is in src. canon maps ground IRIs to their sameAs
-// representatives (query-side spelling differences must not defeat the
-// signature match). The caller evaluates the (canonicalised) query over
-// the returned view with Rows.
-// A match is not yet a hit: the caller confirms it with CountHit once
-// the evaluation is compiled (or CountMiss if that fails and the query
-// falls back to federation), so
-// sparqlrw_view_hits_total counts served answers, not mere matches.
-// Misses are counted here — nothing can still go right after one.
-// Nil-manager safe.
-func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term, src voidkb.Sources) (*View, bool) {
+// Answer returns the hit of a ready view that covers the query's BGP and
+// may answer over the source set src (every data set its last build
+// dispatched to is in src), its rows read under the lock that matched
+// them. The caller counts the hit (CountHit) when it reads the rows, so
+// explaining a query counts none; misses are counted here. Nil-manager
+// safe.
+func (m *Manager) Answer(q *sparql.Query, src voidkb.Sources) (Hit, bool) {
 	if m == nil {
-		return nil, false
+		return Hit{}, false
 	}
 	patterns, ok := flatten(q)
 	if !ok {
-		return nil, false
+		return Hit{}, false
 	}
-	sig := signature(canonPatterns(patterns, canon))
+	sig, vars := signature(m.runner.Canonicalise(patterns))
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	v := m.views[sig]
 	hit := v != nil && !v.stale
 	for i := 0; hit && i < len(v.datasets); i++ {
 		hit = src.Has(v.datasets[i])
 	}
-	m.mu.Unlock()
 	if !hit {
 		m.metrics.misses.Inc()
-		return nil, false
+		return Hit{}, false
 	}
-	return v, true
+	return Hit{View: v, Vars: vars, Rows: v.rows, Datasets: v.datasets}, true
 }
 
-// Rows evaluates q — a query Answer matched to v, its ground IRIs
-// canonicalised like the view's — over the view's store and returns the
-// lazy row sequence. The store is read once, under the manager's lock: a
-// view store is never written after its build and a refresh swaps in a
-// fresh one, so an evaluation already running keeps its complete
-// snapshot and cannot see a torn mix. A view invalidated since Answer
-// refuses, like any stale view.
-func (m *Manager) Rows(v *View, q *sparql.Query) (*eval.RowResult, error) {
-	m.mu.Lock()
-	st, stale := v.store, v.stale
-	m.mu.Unlock()
-	if stale {
-		return nil, errStale
-	}
-	return (&eval.Engine{Store: st, Funcs: m.funcs}).SelectRows(q)
-}
-
-// CountHit records a query actually served from v. Nil-manager safe.
+// CountHit records a query actually served from v.
 func (m *Manager) CountHit(v *View) {
-	if m == nil || v == nil {
-		return
-	}
 	m.mu.Lock()
 	v.hits++
 	m.mu.Unlock()
 	m.metrics.hits.Inc()
 }
 
-// CountMiss records a query that matched a view but could not be served
-// from it (Rows failed) and fell back to federation. Nil-manager safe.
-func (m *Manager) CountMiss() {
-	if m == nil {
-		return
-	}
-	m.metrics.misses.Inc()
-}
-
 // Observe mines one decomposed (multi-source) query: its BGP shape is
 // counted and, at MinFrequency, materialized asynchronously. estRows is
 // the decomposer's calibrated cardinality estimate for the query; the
 // observed-cardinality store may sharpen it further. Nil-manager safe.
-func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, estRows int64, canon func(rdf.Term) rdf.Term) {
+func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, estRows int64) {
 	if m == nil {
 		return
 	}
@@ -447,8 +401,8 @@ func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, 
 	if !ok {
 		return
 	}
-	pc := canonPatterns(patterns, canon)
-	sig := signature(pc)
+	pc := m.runner.Canonicalise(patterns)
+	sig, _ := signature(pc)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -474,7 +428,7 @@ func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, 
 	sh.count++
 	trigger := !sh.disabled && !sh.building &&
 		sh.count >= m.opts.MinFrequency && len(m.views) < m.opts.MaxViews
-	if trigger && sh.estRows > int64(m.opts.MaxTriples) {
+	if trigger && sh.estRows > maxRows {
 		sh.disabled = true
 		trigger = false
 	}
@@ -511,55 +465,46 @@ func (m *Manager) refineEstimate(sh *shape) {
 	}
 }
 
-var (
-	errTooLarge = errors.New("view: materialized result exceeds MaxTriples")
-	errStale    = errors.New("view: invalidated since the query matched it")
-)
+var errTooLarge = errors.New("view: materialized result exceeds the row cap")
 
-// materializeQuery builds the shape's covering query: SELECT * over the
-// original (uncanonicalised) BGP, filters dropped so the view covers
-// every filtering of the shape.
-func materializeQuery(sh *shape) *sparql.Query {
+// materializeQuery builds the shape's covering query: its variables, in
+// the given (signature) order, over the original (uncanonicalised) BGP,
+// filters dropped so the view covers every filtering of the shape. It
+// orders the rows by those variables, so a view answers in one order
+// whichever order the federation delivered them in.
+func materializeQuery(sh *shape, vars []string) *sparql.Query {
 	q := sparql.NewQuery(sparql.Select)
-	q.SelectStar = true
+	q.SelectVars = vars
 	q.Where = &sparql.GroupGraphPattern{Elements: []sparql.GroupElement{
 		&sparql.BGP{Patterns: append([]rdf.Triple(nil), sh.patternsOrig...)},
 	}}
+	for _, v := range vars {
+		q.OrderBy = append(q.OrderBy, sparql.OrderCondition{Expr: &sparql.TermExpr{Term: rdf.NewVar(v)}})
+	}
 	return q
 }
 
 // build runs the shape's covering query through the federated pipeline
-// and loads the answer into a fresh store, instantiating the given
-// canonicalised templates, and returns it with the data sets the run
-// dispatched to. templates is an explicit parameter — not read from
-// sh — because a refresh recomputes the canonical shape
-// and must instantiate with the same templates the view will be keyed
-// under, not whatever sh held when the build started.
-func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, []string, error) {
+// and returns its rows, their columns the given variables, with the data
+// sets the run dispatched to. vars is an explicit parameter — not derived
+// from sh — because a refresh recomputes the canonical shape, and the
+// rows must follow the variable order of the signature the view will be
+// keyed under, not whatever sh held when the build started.
+func (m *Manager) build(sh *shape, vars []string) (eval.RowBuf, []string, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
-	res, err := m.runner.Materialize(ctx, materializeQuery(sh), sh.sourceOnt)
-	if err != nil {
-		return nil, nil, err
+	res, err := m.runner.Materialize(ctx, materializeQuery(sh, vars), sh.sourceOnt)
+	switch {
+	case err != nil:
+		return eval.RowBuf{}, nil, err
+	case !res.Complete:
+		return eval.RowBuf{}, nil, errors.New("view: partial federated answer (some data set failed)")
+	case !slices.Equal(res.Vars, vars):
+		return eval.RowBuf{}, nil, fmt.Errorf("view: build answered columns %v, want %v", res.Vars, vars)
+	case res.Rows.N > maxRows:
+		return eval.RowBuf{}, nil, errTooLarge
 	}
-	if !res.Complete {
-		return nil, nil, errors.New("view: partial federated answer (some data set failed)")
-	}
-	st := store.New()
-	sol := &eval.RowBindings{Vars: res.Vars}
-	for i := range res.Rows.N {
-		sol.Row = res.Rows.Row(i)
-		suffix := "_v" + strconv.Itoa(i)
-		for _, tpl := range templates {
-			if t, ok := eval.InstantiateTemplate(tpl, sol, suffix); ok {
-				st.Add(t)
-			}
-		}
-		if st.Size() > m.opts.MaxTriples {
-			return nil, nil, errTooLarge
-		}
-	}
-	return st, res.Datasets, nil
+	return res.Rows, res.Datasets, nil
 }
 
 // materialize builds a mined shape into a view and publishes it. A build
@@ -567,7 +512,8 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, []stri
 // change.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
-	st, datasets, err := m.build(sh, sh.patternsCanon)
+	_, vars := signature(sh.patternsCanon)
+	rows, datasets, err := m.build(sh, vars)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sh.building = false
@@ -589,7 +535,7 @@ func (m *Manager) materialize(sh *shape) {
 	v := &View{
 		id:        "v" + strconv.Itoa(m.nextID),
 		def:       sh,
-		store:     st,
+		rows:      rows,
 		datasets:  datasets,
 		epoch:     e0,
 		created:   time.Now(),
@@ -682,12 +628,12 @@ func (m *Manager) refresh(ttl bool) {
 func (m *Manager) refreshView(v *View) {
 	for attempt := 0; attempt < 3; attempt++ {
 		e0 := m.epoch.Load()
-		// Recompute the canonical templates first and instantiate with
-		// them: the rebuilt store must carry the representatives of the
-		// signature the refreshed view is published under, or a signature
-		// match would find a store full of stale representatives.
+		// Recompute the canonical shape first and build in its signature's
+		// variable order: the rebuilt rows must bind the variables of the
+		// signature the refreshed view is published under.
 		pc := m.runner.Canonicalise(v.def.patternsOrig)
-		st, datasets, err := m.build(v.def, pc)
+		newSig, vars := signature(pc)
+		rows, datasets, err := m.build(v.def, vars)
 		if err != nil {
 			return
 		}
@@ -696,7 +642,6 @@ func (m *Manager) refreshView(v *View) {
 			m.mu.Unlock()
 			continue
 		}
-		newSig := signature(pc)
 		if newSig != v.def.sig {
 			delete(m.views, v.def.sig)
 			for i, sig := range m.order {
@@ -708,7 +653,7 @@ func (m *Manager) refreshView(v *View) {
 			m.views[newSig] = v
 		}
 		v.def.patternsCanon = pc
-		v.store, v.datasets = st, datasets
+		v.rows, v.datasets = rows, datasets
 		v.stale = false
 		v.epoch = e0
 		v.refreshed = time.Now()
@@ -726,21 +671,11 @@ type Info struct {
 	SourceOnt string    `json:"source"`
 	Datasets  []string  `json:"datasets"`
 	State     string    `json:"state"` // ready | stale
-	Triples   int       `json:"triples"`
+	Rows      int       `json:"rows"`
 	Hits      uint64    `json:"hits"`
 	Epoch     uint64    `json:"epoch"`
 	Created   time.Time `json:"created"`
 	Refreshed time.Time `json:"refreshed"`
-	// Void is the view store's synthetic voiD description: triple count
-	// and property/class partitions, like a real endpoint publishes.
-	Void VoidStats `json:"void"`
-}
-
-// VoidStats is the synthetic voiD statistics block of one view store.
-type VoidStats struct {
-	Triples            int              `json:"triples"`
-	PropertyPartitions map[string]int64 `json:"propertyPartitions,omitempty"`
-	ClassPartitions    map[string]int64 `json:"classPartitions,omitempty"`
 }
 
 // Stats is the view tier's observability snapshot.
@@ -748,7 +683,7 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Refreshes uint64 `json:"refreshes"`
-	Triples   int    `json:"triples"`
+	Rows      int    `json:"rows"`
 	// MinedShapes counts shapes observed but not (yet) materialized.
 	MinedShapes int    `json:"minedShapes"`
 	Views       []Info `json:"views"`
@@ -781,7 +716,7 @@ func (m *Manager) Stats() Stats {
 		for i, t := range v.def.patternsCanon {
 			patterns[i] = sparql.FormatTriplePattern(t, nil)
 		}
-		st.Triples += v.store.Size()
+		st.Rows += v.rows.N
 		st.Views = append(st.Views, Info{
 			ID:        v.id,
 			Patterns:  patterns,
@@ -789,33 +724,13 @@ func (m *Manager) Stats() Stats {
 			SourceOnt: v.def.sourceOnt,
 			Datasets:  append([]string(nil), v.datasets...),
 			State:     state,
-			Triples:   v.store.Size(),
+			Rows:      v.rows.N,
 			Hits:      v.hits,
 			Epoch:     v.epoch,
 			Created:   v.created,
 			Refreshed: v.refreshed,
-			Void:      voidStatsOf(v.store),
 		})
 	}
 	st.MinedShapes = len(m.shapes)
 	return st
-}
-
-// voidStatsOf derives a view store's voiD statistics — triple count,
-// property and class partitions — from the store's live counters.
-func voidStatsOf(st *store.Store) VoidStats {
-	vs := VoidStats{Triples: st.Size()}
-	if pc := st.PredicateCounts(); len(pc) > 0 {
-		vs.PropertyPartitions = make(map[string]int64, len(pc))
-		for p, n := range pc {
-			vs.PropertyPartitions[p.Value] = int64(n)
-		}
-	}
-	if cc := st.ClassCounts(); len(cc) > 0 {
-		vs.ClassPartitions = make(map[string]int64, len(cc))
-		for c, n := range cc {
-			vs.ClassPartitions[c.Value] = int64(n)
-		}
-	}
-	return vs
 }

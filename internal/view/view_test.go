@@ -3,6 +3,8 @@ package view
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,14 +16,15 @@ import (
 	"sparqlrw/internal/voidkb"
 )
 
-// fakeRunner materializes a fixed solution set and records its calls.
+// fakeRunner materializes the first rows answers of crossQuery's shape,
+// projected as the covering query asks, and records its calls.
 type fakeRunner struct {
-	mu        sync.Mutex
-	calls     int
-	solutions []eval.Solution
-	complete  bool
-	datasets  []string // what each run reports it dispatched to
-	err       error
+	mu       sync.Mutex
+	calls    int
+	rows     int
+	complete bool
+	datasets []string // what each run reports it dispatched to
+	err      error
 }
 
 func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error) {
@@ -31,10 +34,14 @@ func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt
 	if r.err != nil {
 		return nil, r.err
 	}
-	res := &MaterializeResult{Vars: []string{"p", "a", "c"}, Complete: r.complete, Datasets: r.datasets}
+	res := &MaterializeResult{Vars: q.Projection(), Complete: r.complete, Datasets: r.datasets}
 	res.Rows.Width = len(res.Vars)
-	for _, sol := range r.solutions {
-		res.Rows.Append(eval.Row{sol["p"], sol["a"], sol["c"]})
+	row := make(eval.Row, len(res.Vars))
+	for i := range r.rows {
+		for j, v := range res.Vars {
+			row[j] = crossTerm(v, i)
+		}
+		res.Rows.Append(row)
 	}
 	return res, nil
 }
@@ -62,16 +69,16 @@ const crossQuery = `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author ?a . ?p m:citationCount ?c }`
 
-func crossSolutions(n int) []eval.Solution {
-	out := make([]eval.Solution, n)
-	for i := range out {
-		out[i] = eval.Solution{
-			"p": rdf.NewIRI(fmt.Sprintf("http://e/paper-%d", i)),
-			"a": rdf.NewIRI(fmt.Sprintf("http://e/author-%d", i)),
-			"c": rdf.NewInteger(int64(i)),
-		}
+// crossTerm is what the i-th answer of crossQuery's shape binds to its
+// variable v: a paper, its author, its citation count.
+func crossTerm(v string, i int) rdf.Term {
+	switch v {
+	case "p":
+		return rdf.NewIRI(fmt.Sprintf("http://e/paper-%d", i))
+	case "a":
+		return rdf.NewIRI(fmt.Sprintf("http://e/author-%d", i))
 	}
-	return out
+	return rdf.NewInteger(int64(i))
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -96,14 +103,26 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?z }`)
 	if !ok1 || !ok2 {
 		t.Fatal("flatten failed")
 	}
-	s1, s2 := signature(p1), signature(p2)
+	s1, v1 := signature(p1)
+	s2, v2 := signature(p2)
 	if s1 != s2 {
 		t.Fatalf("renamed+reordered BGP changed signature:\n%s\n%s", s1, s2)
+	}
+	// The variable orders line up under the renaming: ?p is ?x, ?a is ?z
+	// and ?c is ?y.
+	renamed := map[string]string{"p": "x", "a": "z", "c": "y"}
+	if len(v1) != 3 || len(v2) != 3 {
+		t.Fatalf("signature variables %v, %v; want three each", v1, v2)
+	}
+	for i, v := range v1 {
+		if renamed[v] != v2[i] {
+			t.Fatalf("signature variables %v and %v do not correspond under the renaming", v1, v2)
+		}
 	}
 	q3 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?x WHERE { ?x akt:has-author ?z }`)
 	p3, _ := flatten(q3)
-	if signature(p3) == s1 {
+	if s3, _ := signature(p3); s3 == s1 {
 		t.Fatal("different BGPs share a signature")
 	}
 	// A repeated variable is not the same shape as two distinct ones.
@@ -111,7 +130,7 @@ SELECT ?x WHERE { ?x akt:has-author ?z }`)
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x WHERE { ?x m:citationCount ?y . ?x akt:has-author ?x }`)
 	p4, _ := flatten(q4)
-	if signature(p4) == s1 {
+	if s4, _ := signature(p4); s4 == s1 {
 		t.Fatal("repeated-variable BGP shares the distinct-variable signature")
 	}
 }
@@ -135,85 +154,76 @@ func TestFlattenRejectsNonCoverableShapes(t *testing.T) {
 
 func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	datasets := []string{"http://e/ds1", "http://e/ds2"}
-	r := &fakeRunner{solutions: crossSolutions(3), complete: true, datasets: datasets}
-	m := NewManager(r, nil, Options{MinFrequency: 2})
+	r := &fakeRunner{rows: 3, complete: true, datasets: datasets}
+	m := NewManager(r, Options{MinFrequency: 2})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
 
-	m.Observe(q, "http://src/", datasets[:1], 10, nil)
+	m.Observe(q, "http://src/", datasets[:1], 10)
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
-	if _, hit := m.Answer(q, nil, nil); hit {
+	if _, hit := m.Answer(q, nil); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
-	m.Observe(q, "http://src/", datasets[:1], 10, nil)
+	m.Observe(q, "http://src/", datasets[:1], 10)
 	waitFor(t, "view to materialize", func() bool {
 		st := m.Stats()
 		return len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
 	st := m.Stats()
 	v := st.Views[0]
-	// Two patterns instantiated per solution: 3 solutions -> 6 triples.
-	if v.Triples != 6 {
-		t.Fatalf("view holds %d triples, want 6", v.Triples)
+	// One row per materialized solution.
+	if v.Rows != 3 || st.Rows != 3 {
+		t.Fatalf("view holds %d rows (%d in all), want 3", v.Rows, st.Rows)
 	}
 	// The view's data sets are those its build dispatched to, not those
 	// the miner saw.
 	if len(v.Datasets) != 2 {
 		t.Fatalf("view datasets = %v, want the build's %v", v.Datasets, datasets)
 	}
-	if v.Void.Triples != 6 || len(v.Void.PropertyPartitions) != 2 {
-		t.Fatalf("synthetic voiD stats = %+v", v.Void)
-	}
 
 	// A renamed spelling of the same shape hits.
 	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
-	hv, hit := m.Answer(q2, nil, nil)
+	h, hit := m.Answer(q2, nil)
 	if !hit {
 		t.Fatal("renamed query missed the view")
 	}
-	if hv.ID() != v.ID {
-		t.Fatalf("hit view %s, want %s", hv.ID(), v.ID)
+	if h.View.ID() != v.ID || !slices.Equal(h.Datasets, datasets) {
+		t.Fatalf("hit view %s over %v, want %s over %v", h.View.ID(), h.Datasets, v.ID, datasets)
 	}
 	// A request whose source set lacks one of the view's data sets does
 	// not qualify; one holding both does.
-	if _, hit := m.Answer(q2, nil, voidkb.Sources{datasets[0]: true}); hit {
+	if _, hit := m.Answer(q2, voidkb.Sources{datasets[0]: true}); hit {
 		t.Fatal("view answered a source set missing one of its data sets")
 	}
-	if _, hit := m.Answer(q2, nil, voidkb.Sources{datasets[0]: true, datasets[1]: true, "http://e/ds3": true}); !hit {
+	if _, hit := m.Answer(q2, voidkb.Sources{datasets[0]: true, datasets[1]: true, "http://e/ds3": true}); !hit {
 		t.Fatal("view missed a source set holding its data sets")
 	}
-	// The matched query evaluates over the view's store, in its own
-	// variable names: one row per materialized solution.
-	rr, err := m.Rows(hv, q2)
-	if err != nil {
-		t.Fatal(err)
+	// The rows bind the matched query's own variables: one row per
+	// materialized solution, ?x a paper, ?w its author, ?y its count.
+	if h.Rows.N != 3 || len(h.Vars) != 3 {
+		t.Fatalf("hit: %d rows over %v; want 3 over ?x ?y ?w", h.Rows.N, h.Vars)
 	}
-	n := 0
-	for row := range rr.Seq {
-		if !row[0].IsIRI() || row[1].Kind != rdf.KindLiteral {
-			t.Fatalf("row %d = %v, want a paper IRI and a count", n, row)
+	for i := range h.Rows.N {
+		row := h.Rows.Row(i)
+		x := row[slices.Index(h.Vars, "x")]
+		w := row[slices.Index(h.Vars, "w")]
+		y := row[slices.Index(h.Vars, "y")]
+		if x.Value != "http://e/paper-"+y.Value || w.Value != "http://e/author-"+y.Value {
+			t.Fatalf("row %d = %v over %v: its columns are not the query's variables", i, row, h.Vars)
 		}
-		n++
 	}
-	if fmt.Sprint(rr.Vars) != "[x y]" || n != 3 {
-		t.Fatalf("view evaluation: vars %v, %d rows; want [x y], 3", rr.Vars, n)
-	}
-	// A match is not yet a hit: the serving layer confirms it only once
-	// the view stream opens (CountHit) or records the fallback (CountMiss).
+	// A match is not yet a hit: the serving layer confirms it only when it
+	// reads the rows (CountHit).
 	if got := m.Stats(); got.Hits != 0 || got.Misses != 2 {
 		t.Fatalf("hits/misses before CountHit = %d/%d, want 0/2", got.Hits, got.Misses)
 	}
-	m.CountHit(hv)
-	if got := m.Stats(); got.Hits != 1 || got.Misses != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 1/2", got.Hits, got.Misses)
-	}
-	m.CountMiss()
-	if got := m.Stats(); got.Misses != 3 {
-		t.Fatalf("misses after CountMiss = %d, want 3", got.Misses)
+	m.CountHit(h.View)
+	if got := m.Stats(); got.Hits != 1 || got.Misses != 2 || got.Views[0].Hits != 1 {
+		t.Fatalf("hits/misses = %d/%d (view %d), want 1/2 (1)", got.Hits, got.Misses, got.Views[0].Hits)
 	}
 }
 
@@ -228,7 +238,7 @@ func TestRefineEstimateReadsDecomposerCell(t *testing.T) {
 	cards := obs.NewCardStore(obs.CardStoreOptions{})
 	term, shp := obs.PatternStatKey(typePat) // what decompose.Engine observes under
 	cards.Observe(ds, term, shp, 10, 5000, cards.Epoch())
-	m := NewManager(&fakeRunner{}, nil, Options{Cards: cards})
+	m := NewManager(&fakeRunner{}, Options{Cards: cards})
 	defer m.Close()
 	sh := &shape{patternsCanon: []rdf.Triple{typePat}, datasets: []string{ds}, estRows: 10}
 	m.refineEstimate(sh)
@@ -238,11 +248,11 @@ func TestRefineEstimateReadsDecomposerCell(t *testing.T) {
 }
 
 func TestPartialAnswerNeverMaterializes(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(2), complete: false}
-	m := NewManager(r, nil, Options{MinFrequency: 1})
+	r := &fakeRunner{rows: 2, complete: false}
+	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 10, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 10)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -250,32 +260,43 @@ func TestPartialAnswerNeverMaterializes(t *testing.T) {
 	}
 }
 
-func TestMaxTriplesDisablesShape(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(50), complete: true}
-	m := NewManager(r, nil, Options{MinFrequency: 1, MaxTriples: 10})
+// TestRowCapDisablesShape: a shape whose build answers more than maxRows
+// rows is disabled rather than half-stored, and so is one whose estimate
+// exceeds the cap, before any build.
+func TestRowCapDisablesShape(t *testing.T) {
+	r := &fakeRunner{rows: maxRows + 1, complete: true}
+	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
 	if st := m.Stats(); len(st.Views) != 0 {
 		t.Fatal("oversized result was materialized")
 	}
 	// The shape is disabled: more observations never retry.
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1, nil)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
 	time.Sleep(20 * time.Millisecond)
 	if r.callCount() != 1 {
 		t.Fatalf("disabled shape re-materialized: %d calls", r.callCount())
 	}
+
+	estimated := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT ?p WHERE { ?p akt:has-author ?a }`)
+	m.Observe(estimated, "http://src/", []string{"http://e/ds1"}, maxRows+1)
+	time.Sleep(20 * time.Millisecond)
+	if r.callCount() != 1 {
+		t.Fatalf("a shape estimated past the row cap was built: %d calls", r.callCount())
+	}
 }
 
 func TestInvalidateAllRefreshesView(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(2), complete: true}
-	m := NewManager(r, nil, Options{MinFrequency: 1})
+	r := &fakeRunner{rows: 2, complete: true}
+	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1", "http://e/ds2"}, 5, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1", "http://e/ds2"}, 5)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
 	// Invalidating: the view must refuse to answer (synchronously) and
@@ -290,17 +311,17 @@ func TestInvalidateAllRefreshesView(t *testing.T) {
 		st := m.Stats()
 		return st.Refreshes >= 1 && st.Views[0].State == "ready" && r.callCount() > before
 	})
-	if _, hit := m.Answer(q, nil, nil); !hit {
+	if _, hit := m.Answer(q, nil); !hit {
 		t.Fatal("refreshed view does not answer")
 	}
 }
 
 func TestInvalidateAllDropsMinedShapes(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(1), complete: true}
-	m := NewManager(r, nil, Options{MinFrequency: 3})
+	r := &fakeRunner{rows: 1, complete: true}
+	m := NewManager(r, Options{MinFrequency: 3})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 5, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 5)
 	if st := m.Stats(); st.MinedShapes != 1 {
 		t.Fatalf("mined shapes = %d, want 1", st.MinedShapes)
 	}
@@ -314,8 +335,8 @@ func TestNilManagerIsSafe(t *testing.T) {
 	var m *Manager
 	m.Close()
 	m.InvalidateAll()
-	m.Observe(nil, "", nil, 0, nil)
-	if _, hit := m.Answer(nil, nil, nil); hit {
+	m.Observe(nil, "", nil, 0)
+	if _, hit := m.Answer(nil, nil); hit {
 		t.Fatal("nil manager answered")
 	}
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -331,71 +352,80 @@ type swapCanonRunner struct {
 	canon   func(rdf.Term) rdf.Term
 }
 
-func (r *swapCanonRunner) term(x rdf.Term) rdf.Term {
+func (r *swapCanonRunner) swap(canon func(rdf.Term) rdf.Term) {
 	r.canonMu.Lock()
 	defer r.canonMu.Unlock()
-	return r.canon(x)
+	r.canon = canon
 }
 
 func (r *swapCanonRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
-	return canonPatterns(patterns, r.term)
+	r.canonMu.Lock()
+	defer r.canonMu.Unlock()
+	out := make([]rdf.Triple, len(patterns))
+	for i, t := range patterns {
+		out[i] = rdf.Triple{S: r.canon(t.S), P: r.canon(t.P), O: r.canon(t.O)}
+	}
+	return out
 }
 
-// TestRefreshRekeysTemplatesWithSignature guards the soundness hole the
-// review caught: when an alignment update moves a ground IRI's
-// representative, the refreshed view must instantiate its stored triples
-// from the NEW canonical templates — the ones its new signature is built
-// from — or a signature match would probe a store full of old
-// representatives and silently answer empty.
+// TestRefreshRekeysTemplatesWithSignature: when an alignment update moves
+// a ground IRI's representative, the refreshed view is keyed under the
+// signature of the NEW canonical shape — a query spelled either way finds
+// it, one canonicalised by the retired rule does not — and its rows are
+// rebuilt in that signature's variable order.
 func TestRefreshRekeysTemplatesWithSignature(t *testing.T) {
 	const alice = "http://a.example/id/alice"
 	const bob = "http://b.example/id/bob"
-	r := &swapCanonRunner{fakeRunner: fakeRunner{solutions: crossSolutions(1), complete: true}}
-	rep := alice
-	r.canon = func(x rdf.Term) rdf.Term {
-		if x.Kind == rdf.KindIRI && (x.Value == alice || x.Value == bob) {
-			return rdf.NewIRI(rep)
+	to := func(rep string) func(rdf.Term) rdf.Term { // both spellings to rep
+		return func(x rdf.Term) rdf.Term {
+			if x.Kind == rdf.KindIRI && (x.Value == alice || x.Value == bob) {
+				return rdf.NewIRI(rep)
+			}
+			return x
 		}
-		return x
 	}
-	m := NewManager(r, nil, Options{MinFrequency: 1})
+	r := &swapCanonRunner{fakeRunner: fakeRunner{rows: 1, complete: true}, canon: to(alice)}
+	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	qa := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citationCount ?c }`)
-	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1, r.term)
+	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+PREFIX m:<http://metrics.example/ontology#>
+SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citationCount ?c }`)
+	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
-	hasAuthor := rdf.NewIRI("http://www.aktors.org/ontology/portal#has-author")
-	objCount := func(v *View, obj string) int {
-		return v.store.Count(rdf.Triple{S: rdf.NewVar("x"), P: hasAuthor, O: rdf.NewIRI(obj)})
-	}
-	v1, hit := m.Answer(qa, r.term, nil)
-	if !hit {
+	if _, hit := m.Answer(qa, nil); !hit {
 		t.Fatal("fresh view missed")
 	}
-	if objCount(v1, alice) == 0 {
-		t.Fatal("fresh view store lacks the current representative")
+	if _, hit := m.Answer(qb, nil); !hit {
+		t.Fatal("fresh view missed the other spelling")
 	}
 
 	// The alignment KB moves the representative; views are invalidated.
-	r.canonMu.Lock()
-	rep = bob
-	r.canonMu.Unlock()
+	r.swap(to(bob))
 	m.InvalidateAll()
 	waitFor(t, "view to refresh", func() bool {
 		st := m.Stats()
 		return st.Refreshes >= 1 && len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
-	v2, hit := m.Answer(qa, r.term, nil)
-	if !hit {
-		t.Fatal("refreshed view missed under the new canonicalisation")
+	for _, q := range []*sparql.Query{qa, qb} {
+		h, hit := m.Answer(q, nil)
+		if !hit {
+			t.Fatal("refreshed view missed under the new canonicalisation")
+		}
+		if h.Rows.N != 1 || !slices.Equal(h.Vars, []string{"p", "c"}) {
+			t.Fatalf("refreshed view: %d rows over %v, want 1 over [p c]", h.Rows.N, h.Vars)
+		}
+		r.swap(to(alice)) // the retired rule
+		if _, hit := m.Answer(q, nil); hit {
+			t.Fatal("the refreshed view is still keyed under the retired representative")
+		}
+		r.swap(to(bob))
 	}
-	if objCount(v2, bob) == 0 {
-		t.Fatal("refreshed store carries old representatives: signature matches but triples cannot")
-	}
-	if objCount(v2, alice) != 0 {
-		t.Fatal("refreshed store still holds the retired representative")
+	if sig := m.Stats().Views[0].Signature; !strings.Contains(sig, bob) || strings.Contains(sig, alice) {
+		t.Fatalf("refreshed signature %s, want it over %s alone", sig, bob)
 	}
 }
 
@@ -403,11 +433,11 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 // has begun, Observe must not wg.Add (WaitGroup misuse) nor spawn a
 // build.
 func TestObserveAfterCloseIsNoop(t *testing.T) {
-	r := &fakeRunner{solutions: crossSolutions(1), complete: true}
-	m := NewManager(r, nil, Options{MinFrequency: 1})
+	r := &fakeRunner{rows: 1, complete: true}
+	m := NewManager(r, Options{MinFrequency: 1})
 	m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1, nil)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
 	time.Sleep(20 * time.Millisecond)
 	if n := r.callCount(); n != 0 {
 		t.Fatalf("Observe after Close materialized %d times", n)
@@ -423,21 +453,22 @@ func TestCanonicalisationAlignsSpellings(t *testing.T) {
 		}
 		return t
 	}
-	r := &fakeRunner{solutions: crossSolutions(1), complete: true}
-	m := NewManager(r, nil, Options{MinFrequency: 1})
+	r := &swapCanonRunner{fakeRunner: fakeRunner{rows: 1, complete: true}, canon: canon}
+	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	qa := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citationCount ?c }`)
-	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1, canon)
+	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://mirror.example/id/alice> . ?p m:citationCount ?c }`)
-	if _, hit := m.Answer(qb, canon, nil); !hit {
+	if _, hit := m.Answer(qb, nil); !hit {
 		t.Fatal("sameAs-equivalent spelling missed the view")
 	}
-	if _, hit := m.Answer(qb, nil, nil); hit {
+	r.swap(func(t rdf.Term) rdf.Term { return t })
+	if _, hit := m.Answer(qb, nil); hit {
 		t.Fatal("uncanonicalised spelling hit the view (unsound match)")
 	}
 }

@@ -12,7 +12,9 @@
 # tree carrying estimated and actual cardinalities, and its calibration
 # samples must land in sparqlrw_estimate_qerror, and a DESCRIBE's
 # analyze trailer must profile its description fetch as a bound-join
-# operator with estimated and actual rows. Run via
+# operator with estimated and actual rows. A repeated cross-vocabulary
+# join must be answered from a materialized view: its explain=analyze
+# profiles a view operator, and /api/plan names the view. Run via
 # `make check-metrics`.
 set -eu
 
@@ -203,7 +205,8 @@ grep -q '"error"' "$workdir/429.json" || {
 # variables, so the result cache's text-keyed entries never absorb them
 # while the view tier's canonical signature still matches) must get the
 # shape mined and materialized; a further repeat must then be answered
-# from the embedded view store and counted as a view hit.
+# from the view's rows — its explain=analyze profiling the view operator,
+# its /api/plan naming the view — and counted as a view hit.
 cross_repeat() {
 	sed "s/?paper/?p$1/g; s/?a\\b/?x$1/g; s/?c\\b/?y$1/g" <<EOF
 $cross_query
@@ -231,12 +234,25 @@ if [ -z "$view_ready" ]; then
 	cat "$workdir/views.json" >&2
 	fail=1
 else
-	vstatus=$(curl -s -o /dev/null -w '%{http_code}' \
-		--data-urlencode "query=$(cross_repeat 3)" "$base/sparql")
+	vstatus=$(curl -s -o "$workdir/view.json" -w '%{http_code}' \
+		--data-urlencode "query=$(cross_repeat 3)" --data-urlencode "explain=analyze" "$base/sparql")
 	[ "$vstatus" = 200 ] || {
 		echo "check-metrics: view-answered query returned $vstatus" >&2
 		exit 1
 	}
+	if ! grep -q '"op":"view"' "$workdir/view.json"; then
+		echo "check-metrics: explain=analyze of the view-answered query has no view operator:" >&2
+		cat "$workdir/view.json" >&2
+		fail=1
+	fi
+	printf '{"query":"%s"}' "$(cross_repeat 3 | tr '\n' ' ')" >"$workdir/view-plan-req.json"
+	curl -s -H 'Content-Type: application/json' --data-binary @"$workdir/view-plan-req.json" \
+		"$base/api/plan" >"$workdir/view-plan.json"
+	if ! grep -q '"view":"v[0-9]' "$workdir/view-plan.json"; then
+		echo "check-metrics: /api/plan of the view-answered query names no view:" >&2
+		cat "$workdir/view-plan.json" >&2
+		fail=1
+	fi
 fi
 
 curl -s "$base/metrics" >"$workdir/metrics.txt"
@@ -266,7 +282,7 @@ for series in \
 	sparqlrw_view_hits_total \
 	sparqlrw_view_misses_total \
 	sparqlrw_view_refreshes_total \
-	sparqlrw_view_triples \
+	sparqlrw_view_rows \
 	; do
 	if ! grep -q "^$series" "$workdir/metrics.txt"; then
 		echo "check-metrics: MISSING series $series" >&2
