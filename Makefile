@@ -41,18 +41,20 @@ bench:
 # Fast single-iteration benchmark pass (CI runs this): keeps every
 # benchmark compiling and running, and asserts the view-tier and
 # merge representative-cache benchmarks — whose bodies carry correctness
-# checks, like the view path's zero-endpoint-round-trip guarantee —
-# stayed part of the sweep.
+# checks, like the view path's zero-endpoint-round-trip guarantee — and
+# the tracing-overhead pair, which prices a traced request, stayed part
+# of the sweep.
 bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View \
-			BenchmarkE9_CorefLookup/MergeRep/RepCache; do \
+			BenchmarkE9_CorefLookup/MergeRep/RepCache \
+			BenchmarkTracingOverhead/untraced BenchmarkTracingOverhead/traced; do \
 		grep -q "$$b" bench-smoke.out || \
 			{ echo "bench-smoke: $$b missing from the sweep" >&2; rm -f bench-smoke.out; exit 1; }; \
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
-	@echo "bench-smoke: every benchmark ran; view and representative-cache benchmarks present"
+	@echo "bench-smoke: every benchmark ran; view, representative-cache and tracing benchmarks present"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
 # its encoding/json reference, the encoder's round trip, the slicing lexer

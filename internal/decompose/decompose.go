@@ -314,7 +314,7 @@ func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, err
 // filtered BGP or some pattern no data set in src can answer.
 func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Decomposition, error) {
 	_, span := obs.StartSpan(ctx, "plan")
-	span.SetAttr("sourceOnt", sourceOnt)
+	span.SetString("sourceOnt", sourceOnt)
 	sel, err := d.planner.Select(q, sourceOnt, src)
 	if err != nil {
 		endStep(span, "", 0, 0, err)
@@ -341,7 +341,7 @@ func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, source
 // its rows in and out (-1: not counted), or with the error that ended it.
 func endStep(span *obs.Span, op string, rowsIn, rowsOut int, err error) {
 	if err != nil {
-		span.SetAttr("error", err.Error())
+		span.SetString("error", err.Error())
 	} else {
 		st := obs.Operator(op)
 		st.RowsIn, st.RowsOut = int64(rowsIn), int64(rowsOut)

@@ -288,16 +288,18 @@ func request(d *Decomposition, f *Fragment, shards []*sparql.Query) federate.Req
 		Targets: make([]federate.Target, 0, len(f.Targets)*len(shards))}
 	for _, t := range f.Targets {
 		for i, shard := range shards {
-			req.Targets = append(req.Targets, federate.Target{
+			target := federate.Target{
 				Dataset:      t.Dataset,
 				Endpoint:     t.Endpoint,
 				Replicas:     t.Replicas,
 				NeedsRewrite: t.NeedsRewrite,
 				Query:        shard,
 				Timeout:      t.Timeout,
-				Shard:        i + 1,
-				Shards:       len(shards),
-			})
+			}
+			if len(shards) > 1 { // one sub-query is unsharded: 0/0
+				target.Shard, target.Shards = i+1, len(shards)
+			}
+			req.Targets = append(req.Targets, target)
 		}
 	}
 	return req

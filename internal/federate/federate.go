@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"sparqlrw/internal/core"
@@ -350,17 +351,17 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 		}
 	}()
 	ctx, span := obs.StartSpan(ctx, "subquery")
-	span.SetAttr("op", "subquery")
-	span.SetAttr("dataset", t.Dataset)
-	span.SetAttr("endpoint", t.Endpoint)
-	if t.Shards > 0 {
-		span.SetAttr("shard", fmt.Sprintf("%d/%d", t.Shard, t.Shards))
+	span.SetString("op", "subquery")
+	span.SetString("dataset", t.Dataset)
+	span.SetString("endpoint", t.Endpoint)
+	if t.Shards > 1 {
+		span.SetString("shard", strconv.Itoa(t.Shard)+"/"+strconv.Itoa(t.Shards))
 	}
 	defer func() {
-		span.SetAttr("solutions", da.Solutions)
-		span.SetAttr("attempts", da.Attempts)
+		span.SetInt("solutions", int64(da.Solutions))
+		span.SetInt("attempts", int64(da.Attempts))
 		if da.Err != nil {
-			span.SetAttr("error", da.Err.Error())
+			span.SetString("error", da.Err.Error())
 		}
 		span.End()
 	}()
@@ -374,7 +375,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 		var cached bool
 		var err error
 		da.Query, cached, err = e.rewriteText(req.SourceOnt, t, sq)
-		rwSpan.SetAttr("cached", cached)
+		rwSpan.SetBool("cached", cached)
 		rwSpan.End()
 		if err != nil {
 			da.Err = err
@@ -389,7 +390,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 		if attempt > 0 {
 			e.endpoints.count(&rec.retries)
 			backoff := e.opts.RetryBackoff << (attempt - 1)
-			span.SetAttr("backoffMs", float64(backoff.Microseconds())/1000)
+			span.SetFloat("backoffMs", float64(backoff.Microseconds())/1000)
 			if !sleepCtx(ctx, backoff) {
 				da.Err = ctx.Err()
 				return da

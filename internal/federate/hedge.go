@@ -57,8 +57,8 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpoi
 	// traceparent, so the endpoint's work hangs under exactly this arm
 	// in the distributed trace.
 	spanCtx, aSpan := obs.StartSpan(ctx, spanName)
-	aSpan.SetAttr("n", attemptN+1)
-	aSpan.SetAttr("endpoint", rec.url)
+	aSpan.SetInt("n", int64(attemptN+1))
+	aSpan.SetString("endpoint", rec.url)
 	// The deadline bounds the whole transfer: connect, first byte and the
 	// incremental body read. The clock pauses while the worker is blocked
 	// handing solutions to a slow consumer: backpressure is the consumer's
@@ -69,16 +69,16 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpoi
 	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, rec.url, query, vars, solCh, attemptCtx)
 	attemptCtx.Stop()
 	lat := time.Since(t0)
-	aSpan.SetAttr("latencyMs", float64(lat.Microseconds())/1000)
-	aSpan.SetAttr("rows", count)
+	aSpan.SetFloat("latencyMs", float64(lat.Microseconds())/1000)
+	aSpan.SetInt("rows", int64(count))
 	if bytes > 0 {
-		aSpan.SetAttr("bytes", bytes)
+		aSpan.SetInt("bytes", bytes)
 	}
 	if count > 0 {
-		aSpan.SetAttr("ttfsMs", float64(ttfs.Microseconds())/1000)
+		aSpan.SetFloat("ttfsMs", float64(ttfs.Microseconds())/1000)
 	}
 	if err != nil {
-		aSpan.SetAttr("error", err.Error())
+		aSpan.SetString("error", err.Error())
 	}
 	aSpan.End()
 	return armOutcome{rec: rec, count: count, ttfs: ttfs, lat: lat, err: err}

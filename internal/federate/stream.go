@@ -155,7 +155,7 @@ func (e *Executor) SelectStream(ctx context.Context, req Request) *Stream {
 // merge, then the summary Result.
 func (e *Executor) runFanout(ctx context.Context, req Request, s *Stream) {
 	ctx, span := obs.StartSpan(ctx, "federate")
-	span.SetAttr("targets", len(req.Targets))
+	span.SetInt("targets", int64(len(req.Targets)))
 	m := &merger{reps: NewRepCache(e.coref)}
 	solCh := make(chan eval.RowBuf, batchDepth)
 	mergeDone := make(chan struct{})
@@ -230,8 +230,8 @@ admit:
 		!(stopped && errors.Is(firstErr, context.Canceled)) {
 		s.err = firstErr
 	}
-	span.SetAttr("duplicates", res.Duplicates)
-	span.SetAttr("partial", res.Partial)
+	span.SetInt("duplicates", int64(res.Duplicates))
+	span.SetBool("partial", res.Partial)
 	span.End()
 	close(s.done)
 	close(s.out)

@@ -121,16 +121,12 @@ func sortNodes(ns []*AnalyzeNode) {
 	})
 }
 
-// attrInt reads one numeric attr as int64, handling every numeric type
-// the spans record in-process (int, int64) and the float64 a JSON
-// round-trip produces.
+// attrInt reads one numeric attr as int64: the int64 a trace view holds
+// in-process or the float64 a JSON round-trip produces.
 func attrInt(attrs map[string]any, key string) *int64 {
 	switch v := attrs[key].(type) {
 	case int64:
 		return &v
-	case int:
-		n := int64(v)
-		return &n
 	case float64:
 		n := int64(v)
 		return &n
@@ -143,9 +139,6 @@ func attrFloat(attrs map[string]any, key string) *float64 {
 	case float64:
 		return &v
 	case int64:
-		f := float64(v)
-		return &f
-	case int:
 		f := float64(v)
 		return &f
 	}

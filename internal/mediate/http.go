@@ -5,6 +5,7 @@ import (
 	"errors"
 	"html/template"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -561,7 +562,7 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 	}
 	defer res.Close()
 
-	if t := res.Trace(); t != nil {
+	if t := res.Trace(); t != nil && m.Obs.Log.Enabled(ctx, slog.LevelDebug) {
 		m.Obs.Log.Debug("query accepted",
 			"traceId", t.ID(),
 			"form", res.Form().String(),

@@ -19,6 +19,31 @@ type mediatorMetrics struct {
 	duration *obs.HistogramVec // by form
 	ttfs     *obs.Histogram
 	streamed *obs.Counter
+
+	forms [sparql.Describe + 1]formMetrics // by form; index 0 is "other"
+}
+
+// formMetrics are one form's series of queries and duration, resolved on
+// the form's first query — a form never queried exposes no series — and
+// reused after, so counting a query allocates nothing.
+type formMetrics struct {
+	once     sync.Once
+	label    string
+	queries  *obs.Counter
+	duration *obs.Histogram
+}
+
+func (mm *mediatorMetrics) form(f sparql.Form) *formMetrics {
+	if int(f) >= len(mm.forms) {
+		f = 0
+	}
+	fm := &mm.forms[f]
+	fm.once.Do(func() {
+		fm.label = formLabel(f)
+		fm.queries = mm.queries.With(fm.label)
+		fm.duration = mm.duration.With(fm.label)
+	})
+	return fm
 }
 
 func newMediatorMetrics(r *obs.Registry) *mediatorMetrics {
@@ -60,7 +85,7 @@ type queryObs struct {
 	m     *Mediator
 	trace *obs.Trace
 	owned bool // this query started the trace: finish and record it
-	form  string
+	form  *formMetrics
 	start time.Time
 
 	// Flight-recorder payload, attached as the query moves through the
@@ -79,17 +104,17 @@ type queryObs struct {
 // the trace in its response passes a prepared context; library callers
 // get one for free).
 func (m *Mediator) beginQuery(ctx context.Context, form sparql.Form) (context.Context, *queryObs) {
-	label := formLabel(form)
-	m.metrics.queries.With(label).Inc()
+	fm := m.metrics.form(form)
+	fm.queries.Inc()
 	m.metrics.inflight.Add(1)
-	qo := &queryObs{m: m, form: label, start: time.Now()}
+	qo := &queryObs{m: m, form: fm, start: time.Now()}
 	if t := obs.TraceFrom(ctx); t != nil {
 		qo.trace = t
 	} else {
 		ctx, qo.trace = obs.NewTrace(ctx, "query")
 		qo.owned = true
 	}
-	qo.trace.Root().SetAttr("form", label)
+	qo.trace.Root().SetString("form", fm.label)
 	return ctx, qo
 }
 
@@ -102,7 +127,7 @@ func (qo *queryObs) setQuery(q string) {
 		return
 	}
 	qo.query = q
-	qo.trace.Root().SetAttr("query", q)
+	qo.trace.Root().SetString("query", q)
 }
 
 // emit counts one streamed solution or triple; the first one fixes the
@@ -116,7 +141,7 @@ func (qo *queryObs) emit() {
 	qo.firstOnce.Do(func() {
 		ttfs := time.Since(qo.start)
 		qo.m.metrics.ttfs.Observe(ttfs.Seconds())
-		qo.trace.Root().SetAttr("ttfsMs", float64(ttfs.Microseconds())/1000)
+		qo.trace.Root().SetFloat("ttfsMs", float64(ttfs.Microseconds())/1000)
 	})
 }
 
@@ -127,7 +152,7 @@ func (qo *queryObs) fail(err error) {
 		return
 	}
 	qo.err = err
-	qo.trace.Root().SetAttr("error", err.Error())
+	qo.trace.Root().SetString("error", err.Error())
 	qo.finish()
 }
 
@@ -139,7 +164,7 @@ func (qo *queryObs) finish() {
 		m := qo.m
 		m.metrics.inflight.Add(-1)
 		dur := time.Since(qo.start)
-		m.metrics.duration.With(qo.form).Observe(dur.Seconds())
+		qo.form.duration.Observe(dur.Seconds())
 		if !qo.owned {
 			return
 		}
@@ -150,7 +175,7 @@ func (qo *queryObs) finish() {
 		if slow {
 			m.Obs.Log.Warn("slow query",
 				"traceId", qo.trace.ID(),
-				"form", qo.form,
+				"form", qo.form.label,
 				"durationMs", float64(dur.Microseconds())/1000)
 		}
 		if m.Obs.Recorder != nil && (slow || qo.err != nil) {
@@ -158,7 +183,7 @@ func (qo *queryObs) finish() {
 			rec := obs.AuditRecord{
 				Time:       qo.start,
 				TraceID:    qo.trace.ID(),
-				Form:       qo.form,
+				Form:       qo.form.label,
 				Query:      qo.query,
 				DurationMS: float64(dur.Microseconds()) / 1000,
 				Slow:       slow,

@@ -19,6 +19,7 @@ import (
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
@@ -194,6 +195,89 @@ func TestPlannedNoRelevantDatasets(t *testing.T) {
 		rdf.FOAFNS, nil)
 	if err == nil || !strings.Contains(err.Error(), "relevant") {
 		t.Fatalf("err = %v, want no-relevant-data-set error", err)
+	}
+}
+
+// shardAttrs returns the "shard" attributes of a trace's spans, in order.
+func shardAttrs(s obs.SpanJSON) []string {
+	var out []string
+	if v, ok := s.Attrs["shard"].(string); ok {
+		out = append(out, v)
+	}
+	for _, c := range s.Children {
+		out = append(out, shardAttrs(c)...)
+	}
+	return out
+}
+
+// TestShardNumbering: a target is numbered k/n among its data set's VALUES
+// shards only when there are several. The Figure-1 query's one sub-query
+// per data set is unsharded (0/0): its per-data-set answers, the /sparql
+// summary and its trace carry no shard numbering, while a VALUES query cut
+// into three shards still numbers them 1/3 to 3/3.
+func TestShardNumbering(t *testing.T) {
+	s, _ := plannedStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/sparql",
+		strings.NewReader(url.Values{"query": {workload.Figure1Query(2)}}.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := parseSSE(t, resp.Body)
+	resp.Body.Close()
+	summaries := 0
+	for _, ev := range events {
+		if ev.name != "summary" {
+			continue
+		}
+		summaries++
+		if strings.Contains(ev.data, `"shard`) {
+			t.Errorf("unsharded summary numbers its shards: %s", ev.data)
+		}
+	}
+	if summaries != 1 {
+		t.Fatalf("%d summary events, want 1", summaries)
+	}
+	tr := s.mediator.Obs.Ring.Get(resp.Header.Get("X-Trace-Id"))
+	if tr == nil {
+		t.Fatal("the request's trace is not in the ring")
+	}
+	if got := shardAttrs(tr.View().Root); len(got) != 0 {
+		t.Errorf("unsharded sub-query spans carry shard attributes %v", got)
+	}
+	fr, err := federatedSelect(s.mediator, workload.Figure1Query(2), rdf.AKTNS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, da := range fr.PerDataset {
+		if da.Shard != 0 || da.Shards != 0 {
+			t.Errorf("unsharded answer of %s numbered %d/%d, want 0/0", da.Dataset, da.Shard, da.Shards)
+		}
+	}
+
+	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: 2}))
+	var sb strings.Builder
+	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE {\n  VALUES ?paper {")
+	for i := 0; i < 6; i++ {
+		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
+	}
+	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
+	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: sb.String(), SourceOnt: rdf.AKTNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Bindings().Collect(); err != nil {
+		t.Fatal(err)
+	}
+	got := shardAttrs(res.Trace().View().Root)
+	slices.Sort(got)
+	if want := []string{"1/3", "1/3", "2/3", "2/3", "3/3", "3/3"}; !slices.Equal(got, want) {
+		t.Errorf("sharded sub-query spans carry shard attributes %v, want %v", got, want)
 	}
 }
 

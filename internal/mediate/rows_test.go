@@ -174,17 +174,18 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures (736 and 1993, since the lexer
-// returns slices of the text and the parsers copy only what they keep)
-// plus 5 %, below what the same requests cost while the lexer built every
-// value (807 and 2204) and while every stage took text (940 and 2480).
+// the ceilings are the measured figures (642 and 1723, since a span costs
+// at most one allocation) plus 7 %, below what the same requests cost
+// while spans boxed their attributes and wrapped their contexts (733 and
+// 1962), while the lexer built every value (807 and 2204) and while every
+// stage took text (940 and 2480).
 //
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (609, at 19 rows a
-// request) plus 5 %, below the miss case's (736 at 11 rows) and below the
-// 680 it cost while the lexer built every value.
+// of its shape. Its ceiling is the measured figure (515, at 19 rows a
+// request) plus 7 %, below the miss case's (642 at 11 rows) and below the
+// 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -205,9 +206,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 773},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 2093},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 640},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 690},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1850},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 555},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

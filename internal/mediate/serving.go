@@ -57,7 +57,7 @@ func (f *cacheFill) lookup(req QueryRequest, qo *queryObs) *Result {
 	if !ok {
 		return nil
 	}
-	qo.trace.Root().SetAttr("resultCache", "hit")
+	qo.trace.Root().SetString("resultCache", "hit")
 	var res *Result
 	if e.IsAsk {
 		res = &Result{form: sparql.Ask, ask: e.Ask, askSum: copySummary(e)}

@@ -112,7 +112,7 @@ type viewLeaf struct {
 // Fetch yields the view's rows on a "view" operator span.
 func (l *viewLeaf) Fetch(ctx context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
 	_, span := obs.StartSpan(ctx, "view")
-	span.SetAttr("view", l.hit.View.ID())
+	span.SetString("view", l.hit.View.ID())
 	l.views.CountHit(l.hit.View)
 	n := 0
 	for n < l.hit.Rows.N {

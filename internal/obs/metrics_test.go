@@ -177,7 +177,7 @@ func TestRegistryConcurrency(t *testing.T) {
 
 				tctx, trace := NewTrace(context.Background(), "query")
 				ctx, span := StartSpan(tctx, "subquery")
-				span.SetAttr("endpoint", endpoint)
+				span.SetString("endpoint", endpoint)
 				_, inner := StartSpan(ctx, "attempt")
 				inner.End()
 				span.End()

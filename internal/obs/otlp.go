@@ -323,7 +323,7 @@ type otlpScope struct {
 func (e *OTLPExporter) encode(batch []*Trace) (body []byte, spans int) {
 	var flat []otlpSpan
 	for _, t := range batch {
-		flat = appendOTLPSpans(flat, t, t.root, t.parent)
+		flat = appendOTLPSpans(flat, t, t.Root(), t.parent)
 	}
 	spans = len(flat)
 	req := otlpExportRequest{ResourceSpans: []otlpResourceSpans{{
@@ -336,80 +336,68 @@ func (e *OTLPExporter) encode(batch []*Trace) (body []byte, spans int) {
 		}},
 	}}}
 	body, err := json.Marshal(req)
-	if err != nil { // unreachable for the attr types the pipeline records
+	if err != nil { // only a NaN or infinite float attribute fails to marshal
 		body = []byte(`{"resourceSpans":[]}`)
 	}
 	return body, spans
 }
 
 func appendOTLPSpans(dst []otlpSpan, t *Trace, s *Span, parentID string) []otlpSpan {
-	s.mu.Lock()
-	end := s.end
-	attrs := append([]attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	if end.IsZero() {
-		end = time.Now()
-	}
+	root := s == t.Root()
 	kind := otlpKindInternal
 	switch {
-	case s == t.root:
+	case root:
 		kind = otlpKindServer
 	case s.name == "attempt":
 		kind = otlpKindClient
 	}
+	id := hexUint64(s.id)
 	out := otlpSpan{
 		TraceID:           t.id,
-		SpanID:            s.id,
+		SpanID:            id,
 		ParentSpanID:      parentID,
 		Name:              s.name,
 		Kind:              kind,
 		StartTimeUnixNano: strconv.FormatInt(s.start.UnixNano(), 10),
-		EndTimeUnixNano:   strconv.FormatInt(end.UnixNano(), 10),
 	}
-	if s == t.root {
+	if root {
 		out.TraceState = t.state
 	}
-	for _, a := range attrs {
-		out.Attributes = append(out.Attributes, otlpKV{Key: a.key, Value: otlpAnyValue(a.value)})
+	s.mu.Lock()
+	end := s.end
+	for _, a := range s.attrs {
+		out.Attributes = append(out.Attributes, otlpKV{Key: a.key, Value: a.otlpValue()})
 	}
+	c, last := s.first, s.last
+	s.mu.Unlock()
+	if end.IsZero() {
+		end = time.Now()
+	}
+	out.EndTimeUnixNano = strconv.FormatInt(end.UnixNano(), 10)
 	dst = append(dst, out)
-	for _, c := range children {
-		dst = appendOTLPSpans(dst, t, c, s.id)
+	for ; c != nil; c = c.next {
+		dst = appendOTLPSpans(dst, t, c, id)
+		if c == last {
+			break
+		}
 	}
 	return dst
 }
 
 func otlpString(s string) otlpValue { return otlpValue{StringValue: &s} }
 
-func otlpAnyValue(v any) otlpValue {
-	switch x := v.(type) {
-	case string:
-		return otlpString(x)
-	case bool:
-		return otlpValue{BoolValue: &x}
-	case int:
-		s := strconv.FormatInt(int64(x), 10)
+// otlpValue maps the attribute onto its proto3 JSON AnyValue.
+func (a attr) otlpValue() otlpValue {
+	switch a.kind {
+	case kindInt:
+		s := strconv.FormatInt(int64(a.num), 10)
 		return otlpValue{IntValue: &s}
-	case int64:
-		s := strconv.FormatInt(x, 10)
-		return otlpValue{IntValue: &s}
-	case uint64:
-		s := strconv.FormatUint(x, 10)
-		return otlpValue{IntValue: &s}
-	case float64:
-		return otlpValue{DoubleValue: &x}
-	case float32:
-		f := float64(x)
+	case kindFloat:
+		f := math.Float64frombits(a.num)
 		return otlpValue{DoubleValue: &f}
-	case time.Duration:
-		f := ms(x)
-		return otlpValue{DoubleValue: &f}
-	case error:
-		return otlpString(x.Error())
-	case fmt.Stringer:
-		return otlpString(x.String())
-	default:
-		return otlpString(fmt.Sprint(v))
+	case kindBool:
+		b := a.num != 0
+		return otlpValue{BoolValue: &b}
 	}
+	return otlpString(a.str)
 }

@@ -60,11 +60,11 @@ func (c *collector) snapshot() []otlpSpan {
 func finishedTrace(name string) *Trace {
 	ctx, tr := NewTrace(context.Background(), name)
 	sctx, sub := StartSpan(ctx, "subquery")
-	sub.SetAttr("endpoint", "http://a.example/sparql")
+	sub.SetString("endpoint", "http://a.example/sparql")
 	_, att := StartSpan(sctx, "attempt")
-	att.SetAttr("rows", 7)
-	att.SetAttr("latencyMs", 1.25)
-	att.SetAttr("ok", true)
+	att.SetInt("rows", 7)
+	att.SetFloat("latencyMs", 1.25)
+	att.SetBool("ok", true)
 	att.End()
 	sub.End()
 	tr.Finish()

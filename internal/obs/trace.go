@@ -3,8 +3,10 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,45 +17,107 @@ import (
 // makes every annotation a no-op, so instrumentation costs nothing when
 // tracing is off. All methods are safe for concurrent use: sub-query
 // spans are opened and annotated from parallel fan-out workers.
+//
+// A trace is one allocation holding its root and its first seven child
+// spans; a span past those costs one more. A span carries the context
+// StartSpan hands out, so no context value is added, and its id is a
+// number until an export formats it: opening and annotating a span
+// boxes and formats nothing. A span keeps the context it was opened under alive for as
+// long as its trace is retained, which the trace ring bounds to its
+// last traces (128 by default).
 type Trace struct {
 	id      string
 	parent  string // remote parent span id ("" when this trace is a local root)
 	sampled bool
 	state   string // inbound tracestate, propagated verbatim
 	start   time.Time
-	root    *Span
 
 	mu       sync.Mutex
 	end      time.Time
 	finished bool
+
+	used  atomic.Int64 // spans of block handed out, the root's included
+	block [8]Span      // the root, then the first child spans opened
 }
 
-// Span is one timed, annotated operation within a trace.
+// Span is one timed, annotated operation within a trace. Every method
+// of a nil *Span is a no-op that allocates nothing.
 type Span struct {
 	trace *Trace
-	id    string
+	id    uint64 // formatted as 16 hex characters on export
 	name  string
 	start time.Time
+	ctx   spanCtx // what StartSpan hands out: the parent's context plus this span
 
-	mu       sync.Mutex
-	end      time.Time
-	attrs    []attr
-	children []*Span
+	mu     sync.Mutex
+	end    time.Time
+	attrs  []attr // inline's prefix until the span outgrows it
+	inline [6]attr
+	// The children, oldest first, linked through next. They are only
+	// ever appended, so every link up to the last child read under mu is
+	// final: a walk from first to that child holds no lock and copies
+	// nothing.
+	first, last *Span
+	next        *Span // the next sibling; written under the parent's mu
 }
 
+// spanCtx is a span's context: its parent context, answering ctxKey{}
+// with the span itself.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c.span
+	}
+	return c.Context.Value(key)
+}
+
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt
+	kindFloat
+	kindBool
+)
+
+// attr is one typed span attribute: a string, or a number held in num
+// (an int64, a float64's bits, or 0/1 for a bool).
 type attr struct {
-	key   string
-	value any
+	key  string
+	str  string
+	num  uint64
+	kind attrKind
+}
+
+// value is the attribute as the trace view reports it.
+func (a attr) value() any {
+	switch a.kind {
+	case kindInt:
+		return int64(a.num)
+	case kindFloat:
+		return math.Float64frombits(a.num)
+	case kindBool:
+		return a.num != 0
+	}
+	return a.str
 }
 
 func hexUint64(v uint64) string {
-	const hex = "0123456789abcdef"
 	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = hex[v&0xf]
-		v >>= 4
+	return string(appendHex(b[:0], v))
+}
+
+// appendHex appends v as 16 lowercase hex characters.
+func appendHex(dst []byte, v uint64) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[v>>uint(shift)&0xf])
 	}
-	return string(b[:])
+	return dst
 }
 
 // NewTraceID returns a fresh W3C Trace Context trace id: 32 lowercase
@@ -62,17 +126,20 @@ func NewTraceID() string {
 	for {
 		hi, lo := rand.Uint64(), rand.Uint64()
 		if hi|lo != 0 {
-			return hexUint64(hi) + hexUint64(lo)
+			var b [32]byte
+			return string(appendHex(appendHex(b[:0], hi), lo))
 		}
 	}
 }
 
 // NewSpanID returns a fresh W3C Trace Context span id: 16 lowercase hex
 // characters, never all-zero.
-func NewSpanID() string {
+func NewSpanID() string { return hexUint64(newSpanID()) }
+
+func newSpanID() uint64 {
 	for {
 		if v := rand.Uint64(); v != 0 {
-			return hexUint64(v)
+			return v
 		}
 	}
 }
@@ -86,17 +153,26 @@ type ctxKey struct{}
 // the caller's trace id, parent span id, sampled flag and tracestate, so
 // the mediator's span tree stitches into the caller's distributed trace.
 func NewTrace(ctx context.Context, name string) (context.Context, *Trace) {
-	t := &Trace{id: NewTraceID(), sampled: true, start: time.Now()}
+	t := &Trace{sampled: true, start: time.Now()}
 	if tc, ok := remoteParentFrom(ctx); ok {
-		if tc.TraceID != "" {
-			t.id = tc.TraceID
-		}
+		t.id = tc.TraceID
 		t.parent = tc.SpanID
 		t.sampled = tc.Sampled
 		t.state = tc.State
 	}
-	t.root = &Span{trace: t, id: NewSpanID(), name: name, start: t.start}
-	return context.WithValue(ctx, ctxKey{}, t.root), t
+	if t.id == "" {
+		t.id = NewTraceID()
+	}
+	t.used.Store(1)
+	root := &t.block[0]
+	root.open(ctx, t, name, t.start)
+	return &root.ctx, t
+}
+
+// open fills in a fresh span opened under ctx.
+func (s *Span) open(ctx context.Context, t *Trace, name string, start time.Time) {
+	s.trace, s.id, s.name, s.start = t, newSpanID(), name, start
+	s.ctx = spanCtx{ctx, s}
 }
 
 // TraceFrom returns the trace carried by ctx, or nil.
@@ -116,11 +192,23 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if !ok || parent == nil {
 		return ctx, nil
 	}
-	child := &Span{trace: parent.trace, id: NewSpanID(), name: name, start: time.Now()}
+	t := parent.trace
+	var child *Span
+	if i := t.used.Add(1) - 1; i < int64(len(t.block)) {
+		child = &t.block[i]
+	} else {
+		child = new(Span)
+	}
+	child.open(ctx, t, name, time.Now())
 	parent.mu.Lock()
-	parent.children = append(parent.children, child)
+	if parent.last == nil {
+		parent.first = child
+	} else {
+		parent.last.next = child
+	}
+	parent.last = child
 	parent.mu.Unlock()
-	return context.WithValue(ctx, ctxKey{}, child), child
+	return &child.ctx, child
 }
 
 // ID returns the trace's identifier: a W3C Trace Context trace id
@@ -145,7 +233,7 @@ func (t *Trace) Tracestate() string { return t.state }
 func (t *Trace) Start() time.Time { return t.start }
 
 // Root returns the root span.
-func (t *Trace) Root() *Span { return t.root }
+func (t *Trace) Root() *Span { return &t.block[0] }
 
 // Finish ends the trace (and its root span, and any still-open child
 // spans). Idempotent: the first call fixes the end time.
@@ -162,7 +250,7 @@ func (t *Trace) Finish() {
 	t.end = time.Now()
 	end := t.end
 	t.mu.Unlock()
-	t.root.endAt(end)
+	t.Root().endAt(end)
 }
 
 // Duration returns the trace's wall time: end-start once finished, the
@@ -185,24 +273,55 @@ func (s *Span) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.id
+	return hexUint64(s.id)
 }
 
-// SetAttr sets one key on the span, replacing an earlier value for the
-// same key. No-op on a nil span.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
+// SetString sets one key on the span to a string, replacing an earlier
+// value for the same key. No-op on a nil span.
+func (s *Span) SetString(key, v string) {
+	if s != nil {
+		s.set(attr{key: key, str: v, kind: kindString})
 	}
+}
+
+// SetInt sets one key on the span to an integer. No-op on a nil span.
+func (s *Span) SetInt(key string, v int64) {
+	if s != nil {
+		s.set(attr{key: key, num: uint64(v), kind: kindInt})
+	}
+}
+
+// SetFloat sets one key on the span to a float. No-op on a nil span.
+func (s *Span) SetFloat(key string, v float64) {
+	if s != nil {
+		s.set(attr{key: key, num: math.Float64bits(v), kind: kindFloat})
+	}
+}
+
+// SetBool sets one key on the span to a bool. No-op on a nil span.
+func (s *Span) SetBool(key string, v bool) {
+	if s != nil {
+		var n uint64
+		if v {
+			n = 1
+		}
+		s.set(attr{key: key, num: n, kind: kindBool})
+	}
+}
+
+func (s *Span) set(a attr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.attrs {
-		if s.attrs[i].key == key {
-			s.attrs[i].value = value
+		if s.attrs[i].key == a.key {
+			s.attrs[i] = a
 			return
 		}
 	}
-	s.attrs = append(s.attrs, attr{key, value})
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // OperatorStats are the typed runtime-profile attributes a pipeline
@@ -249,10 +368,10 @@ func (s *Span) SetOperator(st OperatorStats) {
 	if s == nil {
 		return
 	}
-	s.SetAttr("op", st.Op)
+	s.SetString("op", st.Op)
 	setInt := func(key string, v int64) {
 		if v >= 0 {
-			s.SetAttr(key, v)
+			s.SetInt(key, v)
 		}
 	}
 	setInt("stage", st.Stage)
@@ -263,10 +382,10 @@ func (s *Span) SetOperator(st OperatorStats) {
 	setInt("estRows", st.EstRows)
 	setInt("actualRows", st.ActualRows)
 	if st.QError >= 0 {
-		s.SetAttr("qError", st.QError)
+		s.SetFloat("qError", st.QError)
 	}
 	if st.FirstRowMS >= 0 {
-		s.SetAttr("firstRowMs", st.FirstRowMS)
+		s.SetFloat("firstRowMs", st.FirstRowMS)
 	}
 }
 
@@ -283,16 +402,19 @@ func (s *Span) endAt(t time.Time) {
 	if s.end.IsZero() {
 		s.end = t
 	}
-	children := append([]*Span(nil), s.children...)
+	c, last := s.first, s.last
 	s.mu.Unlock()
-	for _, c := range children {
+	for ; c != nil; c = c.next {
 		c.endAt(t)
+		if c == last {
+			break
+		}
 	}
 }
 
 // SpanJSON is the serialised shape of one span: offsets and durations in
-// milliseconds relative to the trace start, attributes keyed by name, and
-// nested children.
+// milliseconds relative to the trace start, attributes keyed by name
+// (each a string, int64, float64 or bool), and nested children.
 type SpanJSON struct {
 	Name       string         `json:"name"`
 	SpanID     string         `json:"spanId,omitempty"`
@@ -319,7 +441,7 @@ func (t *Trace) View() TraceJSON {
 		ParentSpanID: t.parent,
 		Start:        t.start,
 		DurationMS:   ms(t.Duration()),
-		Root:         t.root.view(t.start),
+		Root:         t.Root().view(t.start),
 	}
 }
 
@@ -334,28 +456,30 @@ func (t *Trace) JSON() json.RawMessage {
 }
 
 func (s *Span) view(traceStart time.Time) SpanJSON {
+	out := SpanJSON{
+		Name:    s.name,
+		SpanID:  hexUint64(s.id),
+		StartMS: ms(s.start.Sub(traceStart)),
+	}
 	s.mu.Lock()
 	end := s.end
-	attrs := append([]attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
+	if len(s.attrs) > 0 {
+		out.Attrs = make(map[string]any, len(s.attrs))
+		for _, a := range s.attrs {
+			out.Attrs[a.key] = a.value()
+		}
+	}
+	c, last := s.first, s.last
 	s.mu.Unlock()
 	if end.IsZero() {
 		end = time.Now()
 	}
-	out := SpanJSON{
-		Name:       s.name,
-		SpanID:     s.id,
-		StartMS:    ms(s.start.Sub(traceStart)),
-		DurationMS: ms(end.Sub(s.start)),
-	}
-	if len(attrs) > 0 {
-		out.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			out.Attrs[a.key] = a.value
-		}
-	}
-	for _, c := range children {
+	out.DurationMS = ms(end.Sub(s.start))
+	for ; c != nil; c = c.next {
 		out.Children = append(out.Children, c.view(traceStart))
+		if c == last {
+			break
+		}
 	}
 	return out
 }

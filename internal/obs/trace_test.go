@@ -27,8 +27,8 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 
 	_, plan := StartSpan(ctx, "plan")
-	plan.SetAttr("datasets", 3)
-	plan.SetAttr("datasets", 2) // replaces, not appends
+	plan.SetInt("datasets", 3)
+	plan.SetInt("datasets", 2) // replaces, not appends
 	plan.End()
 
 	subCtx, sub := StartSpan(ctx, "subquery")
@@ -36,9 +36,9 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Errorf("span IDs not distinct: root=%s plan=%s sub=%s",
 			trace.Root().SpanID(), plan.SpanID(), sub.SpanID())
 	}
-	sub.SetAttr("endpoint", "http://a.example/sparql")
+	sub.SetString("endpoint", "http://a.example/sparql")
 	_, attempt := StartSpan(subCtx, "attempt")
-	attempt.SetAttr("n", 1)
+	attempt.SetInt("n", 1)
 	// attempt deliberately left open: Finish must close it.
 
 	trace.Finish()
@@ -57,7 +57,7 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("root children = %d, want 2 (plan, subquery)", len(view.Root.Children))
 	}
 	planView := view.Root.Children[0]
-	if planView.Name != "plan" || planView.Attrs["datasets"] != 2 {
+	if planView.Name != "plan" || planView.Attrs["datasets"] != int64(2) {
 		t.Errorf("plan span = %+v", planView)
 	}
 	subView := view.Root.Children[1]
@@ -91,7 +91,7 @@ func TestNoTraceIsNoOp(t *testing.T) {
 		t.Error("StartSpan without a trace changed the context")
 	}
 	// All nil-span and nil-trace methods must be safe no-ops.
-	span.SetAttr("k", "v")
+	span.SetString("k", "v")
 	span.End()
 	if span.SpanID() != "" {
 		t.Error("nil span SpanID != \"\"")

@@ -117,13 +117,20 @@ func remoteParentFrom(ctx context.Context) (TraceContext, bool) {
 // TraceparentFrom returns the traceparent header value identifying the
 // span carried by ctx — the value an outbound sub-query should send so
 // the endpoint's work hangs under the current span — or "" when ctx
-// carries no trace.
+// carries no trace. The header is the one allocation: the span id is
+// formatted straight into it.
 func TraceparentFrom(ctx context.Context) string {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	if s == nil || s.trace == nil {
 		return ""
 	}
-	return TraceContext{TraceID: s.trace.id, SpanID: s.id, Sampled: s.trace.sampled}.Traceparent()
+	b := make([]byte, 0, 55)
+	b = append(append(append(b, "00-"...), s.trace.id...), '-')
+	b = append(appendHex(b, s.id), "-00"...)
+	if s.trace.sampled {
+		b[len(b)-1] = '1'
+	}
+	return string(b)
 }
 
 // TracestateFrom returns the tracestate header value to propagate on
