@@ -22,13 +22,23 @@
 // Groups are ordered cheapest-first by voiD statistics (void:triples,
 // void:propertyPartition, void:classPartition — internal/voidkb) and
 // joined left to right by the evaluator's hash join, whose remote right
-// operand receives the left side's keys: a bound join ships them, with
-// their owl:sameAs aliases, as VALUES shards injected into the fragment's
-// sub-query; past the bound-join cap the fragment is fetched unbound and
-// hash-joined over sameAs-canonicalised keys, which also covers entities
-// in different URI spaces. A seeded whole fragment takes its VALUES the
-// same way (a DESCRIBE's description fetch is one). The plan streams, so
-// incremental rows and disconnect cancellation work unchanged.
+// operand receives the left side's keys. A bound join ships them as
+// VALUES shards injected into the fragment's sub-query, one block per
+// target: the merge canonicalised the keys to owl:sameAs representatives,
+// and each target receives every key in the spellings the planner's owner
+// lookup (plan.Owners) lets it hold, each row once. Where the fragment, a
+// filtered BGP, binds the key at a triple's subject, or at its object
+// under a predicate other than rdf:type, those are the class members in
+// the target's URI space or, unless it rewrites, in no registered one;
+// anywhere else, every member. A target that holds none of the keys'
+// spellings is not dispatched, and MaxBindRows bounds the rows any one
+// target receives: past it the fragment is fetched unbound and
+// hash-joined over sameAs-canonicalised keys. A seeded whole fragment
+// takes its VALUES the same way (a DESCRIBE's description fetch is one).
+// A native target's sub-query carries each instance IRI in its own
+// spelling; a rewriting target's rewriting translates them. The plan
+// streams, so incremental rows and disconnect cancellation work
+// unchanged.
 package decompose
 
 import (
@@ -192,6 +202,10 @@ type Decomposition struct {
 	// Decisions say, per registered data set, whether the plan reads it
 	// and why: the source selection it was built from.
 	Decisions []plan.Decision `json:"decisions"`
+
+	// owners is the planner's owner lookup, which decides the spellings
+	// each target receives (nil when no fragment dispatches).
+	owners *plan.Owners
 }
 
 // Local plans q, a filtered BGP that f's Leaf answers whole, as its one
@@ -320,7 +334,8 @@ func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, source
 		endStep(span, "", 0, 0, err)
 		return nil, d.reject("%v", err)
 	}
-	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Decisions: sel.Decisions}
+	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Decisions: sel.Decisions,
+		owners: d.planner.Owners()}
 	if len(sel.Cover) > 0 {
 		f := d.whole(dec, sel.Cover)
 		endStep(span, "source-selection", len(sel.Decisions), len(f.Targets)*max(len(f.Shards), 1), nil)
@@ -652,34 +667,76 @@ func allBound(terms []rdf.Term, vars []string) bool {
 	return true
 }
 
-// fragmentQuery builds a group's sub-query: an optional VALUES block of
-// bound-join bindings, the group's patterns (most selective first) and its
-// pushed filters, projected onto the group's variables; or a whole
-// fragment's query with a VALUES block of bindings.
-// DISTINCT matches the executor's merge semantics (every federated result
-// is deduplicated) and keeps bound-join result sets minimal.
-func fragmentQuery(dec *Decomposition, f *Fragment, values *sparql.InlineData) *sparql.Query {
+// fragmentQuery returns a fragment's sub-query: a whole fragment's query,
+// or a group's patterns (most selective first) and its pushed filters,
+// projected onto the group's variables, in a new query. DISTINCT matches
+// the executor's merge semantics (every federated result is deduplicated)
+// and keeps bound-join result sets minimal.
+func fragmentQuery(dec *Decomposition, f *Fragment) *sparql.Query {
 	if f.Query != nil {
-		if values == nil {
-			return f.Query
-		}
-		// The bindings join the whole fragment's WHERE clause.
-		q := f.Query.Clone()
-		q.Where.Elements = slices.Insert(q.Where.Elements, 0, sparql.GroupElement(values))
-		return q
+		return f.Query
 	}
 	q := sparql.NewQuery(sparql.Select)
 	q.Prefixes = dec.Query.Prefixes.Clone()
 	q.Distinct = true
 	q.SelectVars = append([]string(nil), f.Vars...)
-	group := &sparql.GroupGraphPattern{}
-	if values != nil {
-		group.Elements = append(group.Elements, values)
-	}
+	group := &sparql.GroupGraphPattern{Elements: make([]sparql.GroupElement, 0, 1+len(f.filters))}
 	group.Elements = append(group.Elements, &sparql.BGP{Patterns: append([]rdf.Triple(nil), f.patterns...)})
 	for _, expr := range f.filters {
 		group.Elements = append(group.Elements, &sparql.Filter{Expr: expr})
 	}
 	q.Where = group
 	return q
+}
+
+// withValues returns q with a VALUES block joined in front of its WHERE
+// clause. It shares the rest of q, which the executor only reads.
+func withValues(q *sparql.Query, values *sparql.InlineData) *sparql.Query {
+	c := *q
+	c.Where = &sparql.GroupGraphPattern{Elements: append([]sparql.GroupElement{values}, q.Where.Elements...)}
+	return &c
+}
+
+// respell returns q as target t receives it: unchanged for a target that
+// rewrites it, whose rewriting translates its instances, and otherwise in
+// t's spellings (plan.Owners.Respell).
+func (dec *Decomposition) respell(q *sparql.Query, t plan.Target) *sparql.Query {
+	if t.NeedsRewrite || dec.owners == nil {
+		return q
+	}
+	return dec.owners.Respell(q, t)
+}
+
+// exact reports whether the owner lookup decides which spellings of an
+// IRI the fragment can bind variable v to: the fragment is a filtered BGP
+// that binds v at a triple's subject, or at its object under a predicate
+// other than rdf:type, where a data set's triples hold only IRIs of its
+// URI space.
+func (f *Fragment) exact(v string) bool {
+	if f.Query == nil {
+		return bindsInstance(f.patterns, v)
+	}
+	found := false
+	for _, el := range f.Query.Where.Elements {
+		switch e := el.(type) {
+		case *sparql.BGP:
+			found = found || bindsInstance(e.Patterns, v)
+		case *sparql.Filter:
+		default:
+			return false
+		}
+	}
+	return found
+}
+
+// bindsInstance reports whether a pattern binds v at its subject, or at
+// its object under a predicate other than rdf:type.
+func bindsInstance(patterns []rdf.Triple, v string) bool {
+	for _, tp := range patterns {
+		typed := tp.P.IsIRI() && tp.P.Value == rdf.RDFType
+		if tp.S.IsVar() && tp.S.Value == v || !typed && tp.O.IsVar() && tp.O.Value == v {
+			return true
+		}
+	}
+	return false
 }

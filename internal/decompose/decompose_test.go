@@ -151,7 +151,7 @@ func newFixture(t testing.TB, opts Options) *fixture {
 	// No co-reference source: these tests compare against a local join
 	// over the raw URIs, so the merge must not canonicalise them
 	// (owl:sameAs handling has its own test below).
-	plnr := plan.New(kb, align.NewKB(), nil, plan.Options{})
+	plnr := plan.New(kb, align.NewKB(), nil, nil, plan.Options{})
 	exec := federate.NewExecutor(client, nil, nil, federate.Options{MaxRetries: -1})
 	return &fixture{
 		u:      u,
@@ -354,7 +354,7 @@ SELECT ?paper ?c WHERE {
 // ValuesBatch of -1 leaves it whole.
 func TestValuesShardingRespectsMaxShards(t *testing.T) {
 	f := newFixture(t, Options{})
-	plnr := plan.New(f.kb, align.NewKB(), nil, plan.Options{})
+	plnr := plan.New(f.kb, align.NewKB(), nil, nil, plan.Options{})
 	f.dec = New(plnr, Options{ValuesBatch: 1, MaxShards: 2})
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE { VALUES ?p {")
@@ -593,8 +593,9 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 		cURL = "http://vc.test/sparql"
 		cURI = "http://vc.example/void"
 	)
+	// C's triple is about y, which lies in C's URI space.
 	x := rdf.NewIRI("http://va.example/id/x")
-	y := rdf.NewIRI("http://va.example/id/y")
+	y := rdf.NewIRI("http://vc.example/id/y")
 	client := newStoreClient()
 	sa, sc := store.New(), store.New()
 	sa.Add(rdf.Triple{S: x, P: rdf.NewIRI(v1 + "p"), O: y})
@@ -635,7 +636,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	}
 	exec := federate.NewExecutor(client, rewrite, nil, federate.Options{MaxRetries: -1})
 	disp := &capturingDispatcher{exec: exec}
-	plnr := plan.New(kb, alignKB, nil, plan.Options{})
+	plnr := plan.New(kb, alignKB, nil, nil, plan.Options{})
 	dcm := New(plnr, Options{})
 	engine := NewEngine(disp, nil, Options{})
 
@@ -691,11 +692,13 @@ func waitFor(t testing.TB, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-// TestBoundJoinAcrossURISpaces pins the owl:sameAs alias expansion: the
-// seed fragment binds ?p to an entity whose canonical representative
-// lives in endpoint A's URI space, while endpoint B stores the same
-// entity under another URI. The bound join must ship both aliases so B
-// can answer, and the canonicalising merge must line the join keys up.
+// TestBoundJoinAcrossURISpaces pins the owner lookup on a bound join: the
+// seed fragment binds ?p to an entity whose canonical representative lives
+// in endpoint A's URI space, while endpoint B stores the same entity under
+// its own URI. B must receive that URI and no spelling of A's, however
+// many of them sort ahead of it (a hub entity's class once lost B's
+// spelling past a four-alias cap), and the canonicalising merge must line
+// the join keys up.
 func TestBoundJoinAcrossURISpaces(t *testing.T) {
 	const (
 		aURL  = "http://a.test/sparql"
@@ -707,48 +710,61 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 		title = aNS + "title"
 		count = bNS + "count"
 	)
-	client := newStoreClient()
-	sa, sb := store.New(), store.New()
-	sa.Add(rdf.Triple{S: rdf.NewIRI(aURI), P: rdf.NewIRI(title), O: rdf.NewLiteral("t")})
-	sb.Add(rdf.Triple{S: rdf.NewIRI(bURI), P: rdf.NewIRI(count), O: rdf.NewTypedLiteral("5", rdf.XSDInteger)})
-	client.stores[aURL] = sa
-	client.stores[bURL] = sb
+	for name, aliases := range map[string]int{"one alias": 0, "hub": 4} {
+		t.Run(name, func(t *testing.T) {
+			client := newStoreClient()
+			sa, sb := store.New(), store.New()
+			sa.Add(rdf.Triple{S: rdf.NewIRI(aURI), P: rdf.NewIRI(title), O: rdf.NewLiteral("t")})
+			sb.Add(rdf.Triple{S: rdf.NewIRI(bURI), P: rdf.NewIRI(count), O: rdf.NewTypedLiteral("5", rdf.XSDInteger)})
+			client.stores[aURL] = sa
+			client.stores[bURL] = sb
 
-	kb := voidkb.NewKB()
-	if err := kb.Add(&voidkb.Dataset{URI: "http://a.example/void", SPARQLEndpoint: aURL,
-		URISpace: `http://a\.example/id/\S*`, Vocabularies: []string{aNS}, Triples: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.Add(&voidkb.Dataset{URI: "http://b.example/void", SPARQLEndpoint: bURL,
-		URISpace: `http://b\.example/id/\S*`, Vocabularies: []string{bNS}, Triples: 10}); err != nil {
-		t.Fatal(err)
-	}
-	cs := coref.NewStore()
-	cs.Add(aURI, bURI)
+			kb := voidkb.NewKB()
+			if err := kb.Add(&voidkb.Dataset{URI: "http://a.example/void", SPARQLEndpoint: aURL,
+				URISpace: `http://a\.example/id/\S*`, Vocabularies: []string{aNS}, Triples: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := kb.Add(&voidkb.Dataset{URI: "http://b.example/void", SPARQLEndpoint: bURL,
+				URISpace: `http://b\.example/id/\S*`, Vocabularies: []string{bNS}, Triples: 10}); err != nil {
+				t.Fatal(err)
+			}
+			cs := coref.NewStore()
+			cs.Add(aURI, bURI)
+			for i := range aliases { // A's spellings, all sorting ahead of B's
+				cs.Add(aURI, fmt.Sprintf("%s-alias%d", aURI, i))
+			}
+			if n := len(cs.Equivalents(aURI)); n != 2+aliases {
+				t.Fatalf("class of %d members, want %d", n, 2+aliases)
+			}
 
-	plnr := plan.New(kb, align.NewKB(), nil, plan.Options{})
-	exec := federate.NewExecutor(client, nil, cs, federate.Options{MaxRetries: -1})
-	dcm := New(plnr, Options{})
-	engine := NewEngine(exec, cs, Options{})
+			plnr := plan.New(kb, align.NewKB(), cs, nil, plan.Options{})
+			exec := federate.NewExecutor(client, nil, cs, federate.Options{MaxRetries: -1})
+			dcm := New(plnr, Options{})
+			engine := NewEngine(exec, cs, Options{})
 
-	query := fmt.Sprintf("SELECT ?p ?t ?c WHERE { ?p <%s> ?t . ?p <%s> ?c . }", title, count)
-	dec, err := dcm.Decompose(query, aNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 1 {
-		t.Fatalf("cross-URI-space bound join returned %d solutions, want 1", len(sols))
-	}
-	if got := sols[0]["p"].Value; got != aURI {
-		t.Fatalf("join key not canonicalised: ?p = %s", got)
-	}
-	bQs := client.queriesFor(bURL)
-	if len(bQs) != 1 || !strings.Contains(bQs[0], bURI) {
-		t.Fatalf("alias not shipped to endpoint B: %v", bQs)
+			query := fmt.Sprintf("SELECT ?p ?t ?c WHERE { ?p <%s> ?t . ?p <%s> ?c . }", title, count)
+			dec, err := dcm.Decompose(query, aNS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sols) != 1 {
+				t.Fatalf("cross-URI-space bound join returned %d solutions, want 1", len(sols))
+			}
+			if got := sols[0]["p"].Value; got != aURI {
+				t.Fatalf("join key not canonicalised: ?p = %s", got)
+			}
+			bQs := client.queriesFor(bURL)
+			if len(bQs) != 1 || !strings.Contains(bQs[0], bURI) || strings.Contains(bQs[0], "a.example/id/") {
+				t.Fatalf("endpoint B received %v, want its own spelling and none of A's", bQs)
+			}
+			if st := engine.Stats(); st.ValuesRows != 1 {
+				t.Fatalf("%d VALUES rows shipped, want B's one", st.ValuesRows)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"slices"
 	"time"
 
 	"sparqlrw/internal/algebra"
@@ -32,7 +31,8 @@ type EngineStats struct {
 	// BoundJoinStages and HashJoinStages count join stages by strategy.
 	BoundJoinStages uint64 `json:"boundJoinStages"`
 	HashJoinStages  uint64 `json:"hashJoinStages"`
-	// ValuesRows is how many bindings were shipped in VALUES blocks.
+	// ValuesRows is how many bindings were shipped in VALUES blocks,
+	// summed over the targets each block went to.
 	ValuesRows uint64 `json:"valuesRows"`
 	// SolutionsTransferred sums the solutions endpoints returned across
 	// all fragment dispatches (the figure bound joins minimise).
@@ -60,10 +60,10 @@ type engineMetrics struct {
 }
 
 // NewEngine builds a join engine over the given dispatcher. coref is the
-// co-reference service used to expand bound-join bindings with their
-// owl:sameAs equivalents (the executor's merge canonicalises solutions, so
-// a binding's representative URI may lie outside the next endpoint's URI
-// space — the expansion ships every known alias). It may be nil.
+// co-reference service whose owl:sameAs representatives the residual
+// FILTERs' IRI constants are canonicalised to, as the merge canonicalises
+// the rows they run over; it may be nil. The spellings of a bound-join key
+// each target receives are the planner's owner lookup's (plan.Owners).
 func NewEngine(exec Dispatcher, coref funcs.CorefSource, opts Options) *Engine {
 	opts = opts.withDefaults()
 	reg := opts.Registry
@@ -77,7 +77,7 @@ func NewEngine(exec Dispatcher, coref funcs.CorefSource, opts Options) *Engine {
 			hashJoinStages: reg.Counter("sparqlrw_decompose_hash_join_stages_total",
 				"Join stages executed as mediator-side hash joins."),
 			valuesRows: reg.Counter("sparqlrw_decompose_values_rows_total",
-				"Bindings shipped to endpoints in VALUES blocks."),
+				"Bindings shipped to endpoints in VALUES blocks, summed over the targets each block went to."),
 			transferred: reg.Counter("sparqlrw_decompose_solutions_transferred_total",
 				"Solutions endpoints returned across all fragment dispatches."),
 		},
@@ -173,11 +173,10 @@ func (p *Plan) Add(res *federate.Result) {
 }
 
 // fragmentLeaf is one fragment as a plan leaf. As a join's right operand
-// it is a bound join — the left keys and their owl:sameAs aliases shipped
-// as VALUES, in BindBatch-row shards — while they fit MaxBindRows; past
-// the cap, or with no key to ship, it fetches unbound and the join hashes
-// over sameAs-canonicalised keys, which also covers fragments whose
-// entities live in another URI space than the bindings.
+// it is a bound join — each target receives the left keys in the
+// spellings it may hold, as VALUES in BindBatch-row shards — while every
+// target's block fits MaxBindRows; past the cap, or with no key to ship,
+// it fetches unbound and the join hashes over sameAs-canonicalised keys.
 type fragmentLeaf struct {
 	e     *Engine
 	d     *Decomposition
@@ -187,10 +186,11 @@ type fragmentLeaf struct {
 }
 
 // Fetch runs the fragment (see eval.Remote), profiling a join stage on a
-// "join" span: bound-join or hash-join, its left rows, the rows fetched
-// against the estimate, and the joined rows out. A fragment answered in
-// process reads its Leaf, whose rows the plan's summary counts under
-// view:<id>, with no attempt.
+// "join" span: bound-join or hash-join, its left rows, the VALUES rows it
+// shipped and the data sets it skipped, the rows fetched against the
+// estimate, and the joined rows out. A fragment answered in process reads
+// its Leaf, whose rows the plan's summary counts under view:<id>, with no
+// attempt.
 func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) error {
 	if l.f.Leaf != nil {
 		n := 0
@@ -206,21 +206,32 @@ func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(ev
 	st.Stage, st.EstRows, st.RowsIn = l.stage, l.f.EstCard, int64(seed.Left)
 	var fetched int64
 	var err error
-	if seed.Left > 0 { // an empty left side: the join is empty, nothing to dispatch
-		shards := l.bind(seed)
-		if shards == nil {
+	// An empty left side, or keys no target holds a spelling of: the join
+	// is empty, nothing to dispatch.
+	if seed.Left > 0 {
+		byTarget, shipped := l.bind(seed)
+		if byTarget == nil {
 			l.e.metrics.hashJoinStages.Inc()
 			st.Op = "hash-join"
-		}
-		start := time.Now()
-		err = l.dispatch(ctx, shards, func(r eval.Row) bool {
-			fetched++
-			more := yield(r)
-			if st.FirstRowMS < 0 && seed.Joined > 0 {
-				st.FirstRowMS = float64(time.Since(start).Microseconds()) / 1000
+		} else if span != nil {
+			span.SetInt("valuesRows", int64(shipped))
+			for k, t := range l.f.Targets {
+				if byTarget[k] == nil {
+					span.SetString("skipped "+t.Dataset, "holds none of the keys' spellings")
+				}
 			}
-			return more
-		})
+		}
+		if byTarget == nil || shipped > 0 {
+			start := time.Now()
+			err = l.dispatch(ctx, byTarget, func(r eval.Row) bool {
+				fetched++
+				more := yield(r)
+				if st.FirstRowMS < 0 && seed.Joined > 0 {
+					st.FirstRowMS = float64(time.Since(start).Microseconds()) / 1000
+				}
+				return more
+			})
+		}
 	}
 	st.ActualRows, st.RowsOut = fetched, seed.Joined
 	st.QError = obs.QError(float64(st.EstRows), float64(fetched))
@@ -229,34 +240,117 @@ func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(ev
 	return err
 }
 
-// bind returns the VALUES shards of a bound join over the seed's keys, or
-// nil when the stage hashes: no key to ship, or more distinct rows to ship
-// than MaxBindRows, aliases counted — past the cap the hash fallback is
-// cheaper than a flood of VALUES shards.
-func (l *fragmentLeaf) bind(seed *eval.Seed) []*sparql.Query {
-	opts := l.e.opts
-	if len(seed.Vars) == 0 || opts.MaxBindRows < 0 {
-		return nil
+// bind returns a bound join's VALUES shards over the seed's keys for each
+// target of the fragment, in dispatch order — none for a target that holds
+// none of the keys' spellings — and how many VALUES rows they carry in
+// all; or nil when the stage hashes: no key to ship, or more distinct rows
+// for one target than MaxBindRows, past which the hash fallback is cheaper
+// than a flood of VALUES shards.
+//
+// The merge canonicalised the keys, so a key's representative may be a
+// spelling a target does not store. Each target receives every
+// combination of its keys' spellings it may hold, each row once: where
+// the fragment binds a variable at a triple's subject, or at its object
+// under a predicate other than rdf:type, the members of the key's
+// owl:sameAs class the owner lookup lets the target hold (plan.Owners);
+// anywhere else, every member.
+func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shipped int) {
+	opts, owners, targets := l.e.opts, l.d.owners, l.f.Targets
+	width := len(seed.Vars)
+	if width == 0 || opts.MaxBindRows < 0 {
+		return nil, 0
 	}
-	values := &sparql.InlineData{Vars: seed.Vars}
-	var shipped eval.KeySet
+	// Per key position: whether the owner lookup decides it, the key's
+	// owl:sameAs class there (nil for a term that is no IRI), the
+	// spellings one target receives, and the one a combination takes.
+	type position struct {
+		exact     bool
+		class     []string
+		spellings []rdf.Term
+		at        int
+	}
+	// Per target: its VALUES block and the rows already in it.
+	type block struct {
+		values sparql.InlineData
+		rows   eval.KeySet
+	}
+	pos := make([]position, width)
+	for j, v := range seed.Vars {
+		pos[j].exact = l.f.exact(v)
+	}
+	blocks := make([]block, len(targets))
+	var slab []rdf.Term // the rows' cells
 	for i := range seed.Keys.N {
-		// Ship every owl:sameAs alias of the bound IRIs: the merge
-		// canonicalised the bindings, and the representative URI may not
-		// be the one this fragment's endpoints store.
-		for _, variant := range l.e.expandRow(seed.Keys.Row(i)) {
-			if shipped.AddRow(variant) {
-				values.Rows = append(values.Rows, variant)
+		key := seed.Keys.Row(i)
+		for j, x := range key {
+			pos[j].class = nil
+			if x.IsIRI() {
+				pos[j].class = owners.Class(x.Value)
 			}
 		}
-		if len(values.Rows) > opts.MaxBindRows {
-			return nil
+	target:
+		for k, t := range targets {
+			for j, x := range key {
+				p := &pos[j]
+				p.spellings, p.at = p.spellings[:0], 0
+				if p.class == nil {
+					p.spellings = append(p.spellings, x)
+					continue
+				}
+				for _, m := range p.class {
+					if !p.exact || owners.Holds(t, m) {
+						p.spellings = append(p.spellings, rdf.NewIRI(m))
+					}
+				}
+				if len(p.spellings) == 0 {
+					continue target
+				}
+			}
+			// Every combination, the last position counting fastest.
+			b := &blocks[k]
+			for {
+				if len(slab)+width > cap(slab) {
+					slab = make([]rdf.Term, 0, max(64, width*seed.Keys.N))
+				}
+				row := slab[len(slab) : len(slab)+width]
+				for j := range row {
+					row[j] = pos[j].spellings[pos[j].at]
+				}
+				if b.rows.AddRow(row) {
+					if b.values.Rows == nil {
+						b.values.Rows = make([][]rdf.Term, 0, seed.Keys.N)
+					}
+					slab = slab[:len(slab)+width]
+					if b.values.Rows = append(b.values.Rows, row); len(b.values.Rows) > opts.MaxBindRows {
+						return nil, 0
+					}
+				}
+				j := width - 1
+				for ; j >= 0; j-- {
+					if pos[j].at++; pos[j].at < len(pos[j].spellings) {
+						break
+					}
+					pos[j].at = 0
+				}
+				if j < 0 {
+					break
+				}
+			}
 		}
 	}
-	shards, _ := plan.ShardQuery(fragmentQuery(l.d, l.f, values), opts.BindBatch, opts.MaxShards)
+	byTarget = make([][]*sparql.Query, len(targets))
+	base := fragmentQuery(l.d, l.f)
+	for k := range blocks {
+		values := &blocks[k].values
+		if len(values.Rows) > 0 {
+			values.Vars = seed.Vars
+			byTarget[k], _ = plan.ShardQuery(withValues(l.d.respell(base, targets[k]), values), opts.BindBatch, opts.MaxShards)
+			shipped += len(values.Rows)
+		}
+	}
 	l.e.metrics.boundJoinStages.Inc()
-	l.e.metrics.valuesRows.Add(float64(len(values.Rows)))
-	return shards
+	l.e.metrics.valuesRows.Add(float64(shipped))
+	return byTarget, shipped
 }
 
 // whole makes dec's query, which its cover answers whole, dec's one
@@ -272,22 +366,29 @@ func (d *Decomposer) whole(dec *Decomposition, cover []plan.Target) *Fragment {
 	return f
 }
 
-// request is the executor's request for fragment f of d: each of the
-// given shards of its sub-query — or its planned shards, or its sub-query
-// — to each of its targets in dispatch order, a target's shards together,
-// under the target's deadline.
-func request(d *Decomposition, f *Fragment, shards []*sparql.Query) federate.Request {
-	if shards == nil {
-		if shards = f.Shards; shards == nil {
-			shards = []*sparql.Query{fragmentQuery(d, f, nil)}
-		}
+// request is the executor's request for fragment f of d: to each of its
+// targets in dispatch order, under the target's deadline and together, the
+// target's shards — byTarget[k] for target k, none when that is empty; with
+// byTarget nil, f's planned shards or its sub-query, which a native target
+// receives in its own spellings (plan.Owners.Respell).
+func request(d *Decomposition, f *Fragment, byTarget [][]*sparql.Query) federate.Request {
+	shards := f.Shards
+	if byTarget == nil && shards == nil {
+		shards = []*sparql.Query{fragmentQuery(d, f)}
 	}
 	// Rewriting translates from the fragment's own vocabulary, which on a
 	// multi-vocabulary query may differ from the query-level source.
 	req := federate.Request{SourceOnt: cmp.Or(f.RewriteOnt, d.SourceOnt), Vars: f.Vars,
-		Targets: make([]federate.Target, 0, len(f.Targets)*len(shards))}
-	for _, t := range f.Targets {
-		for i, shard := range shards {
+		Targets: make([]federate.Target, 0, len(f.Targets)*max(len(shards), 1))}
+	for k, t := range f.Targets {
+		ts := shards
+		if byTarget != nil {
+			ts = byTarget[k]
+		}
+		for i, shard := range ts {
+			if byTarget == nil {
+				shard = d.respell(shard, t)
+			}
 			target := federate.Target{
 				Dataset:      t.Dataset,
 				Endpoint:     t.Endpoint,
@@ -296,8 +397,8 @@ func request(d *Decomposition, f *Fragment, shards []*sparql.Query) federate.Req
 				Query:        shard,
 				Timeout:      t.Timeout,
 			}
-			if len(shards) > 1 { // one sub-query is unsharded: 0/0
-				target.Shard, target.Shards = i+1, len(shards)
+			if len(ts) > 1 { // one sub-query is unsharded: 0/0
+				target.Shard, target.Shards = i+1, len(ts)
 			}
 			req.Targets = append(req.Targets, target)
 		}
@@ -305,18 +406,18 @@ func request(d *Decomposition, f *Fragment, shards []*sparql.Query) federate.Req
 	return req
 }
 
-// dispatch sends the fragment's sub-query, or the given VALUES shards of
-// it, and pushes the merged rows over the fragment's variables into
-// yield; its summary goes to the plan's. An unbound fetch of a group opens
-// a "fragment" operator span (estimate vs actual cardinality, q-error,
-// first-row latency) and feeds each dataset's actual into the
+// dispatch sends the fragment's sub-query, or the given per-target VALUES
+// shards of it, and pushes the merged rows over the fragment's variables
+// into yield; its summary goes to the plan's. An unbound fetch of a group
+// opens a "fragment" operator span (estimate vs actual cardinality,
+// q-error, first-row latency) and feeds each dataset's actual into the
 // observed-cardinality store; bound shards skip both, since a semi-join's
 // result says nothing about the fragment's true extent, and so does a
 // whole fragment, which has no estimate.
-func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yield func(eval.Row) bool) error {
+func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query, yield func(eval.Row) bool) error {
 	d, f := l.d, l.f
-	req := request(d, f, shards)
-	profiled := shards == nil && f.Query == nil
+	req := request(d, f, byTarget)
+	profiled := byTarget == nil && f.Query == nil
 	var span *obs.Span
 	var epoch uint64
 	if profiled {
@@ -358,44 +459,4 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, shards []*sparql.Query, yie
 	span.SetOperator(st)
 	span.End()
 	return err
-}
-
-// maxAliasVariants caps how many owl:sameAs aliases one binding expands
-// into (hub entities can carry hundreds; past the cap the remaining
-// aliases are dropped — the hash fallback, which joins on canonicalised
-// keys, covers them).
-const maxAliasVariants = 4
-
-// expandRow returns the VALUES rows for one binding: the row itself plus
-// every combination of its IRIs' owl:sameAs aliases, so a bound join
-// reaches endpoints that store a different member of the equivalence
-// class than the merge's representative.
-func (e *Engine) expandRow(row []rdf.Term) [][]rdf.Term {
-	out := [][]rdf.Term{row}
-	for i, t := range row {
-		if e.coref == nil || !t.IsIRI() {
-			continue
-		}
-		var aliases []rdf.Term
-		for _, eq := range e.coref.Equivalents(t.Value) {
-			if eq != t.Value && len(aliases) < maxAliasVariants-1 {
-				aliases = append(aliases, rdf.NewIRI(eq))
-			}
-		}
-		if len(aliases) == 0 {
-			continue
-		}
-		// Each row so far, then its variants at position i.
-		var next [][]rdf.Term
-		for _, r := range out {
-			next = append(next, r)
-			for _, a := range aliases {
-				v := slices.Clone(r)
-				v[i] = a
-				next = append(next, v)
-			}
-		}
-		out = next
-	}
-	return out
 }

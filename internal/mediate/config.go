@@ -128,7 +128,7 @@ func (m *Mediator) rebuild() {
 		// the fresh tier, the admission counter vecs accumulate.
 		m.Serve = serve.NewTier(*m.cfg.Serving, m.Obs.Registry)
 	}
-	m.Planner = plan.New(m.Datasets, m.Alignments, m.Exec.Endpoints(), plan.Options{Registry: m.Obs.Registry})
+	m.Planner = plan.New(m.Datasets, m.Alignments, m.Coref, m.Exec.Endpoints(), plan.Options{Registry: m.Obs.Registry})
 	decOpts := m.cfg.Decompose
 	decOpts.Registry = m.Obs.Registry
 	decOpts.Cards = m.Obs.Cards

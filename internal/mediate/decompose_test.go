@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/srjson"
@@ -350,5 +352,98 @@ func TestAPIQueryNDJSON(t *testing.T) {
 		if rows == 0 {
 			t.Fatalf("%s: no NDJSON rows", name)
 		}
+	}
+}
+
+// joinSpans returns the attributes of a trace's "join" spans, in order.
+func joinSpans(s obs.SpanJSON) []map[string]any {
+	var out []map[string]any
+	if s.Name == "join" {
+		out = append(out, s.Attrs)
+	}
+	for _, c := range s.Children {
+		out = append(out, joinSpans(c)...)
+	}
+	return out
+}
+
+// TestBoundJoinSpanRecordsShipping: each bound-join span records the
+// VALUES rows it shipped, summed over its targets as the engine's counter
+// is, and a target that holds none of the keys' spellings is skipped with
+// that reason: here KISTI, asked to describe a paper it does not mirror,
+// while Southampton and the metrics each receive the paper's one spelling.
+func TestBoundJoinSpanRecordsShipping(t *testing.T) {
+	u := exampleUniverse()
+	paper := workload.SotonPaper(51)
+	if len(u.Coref.Equivalents(paper.Value)) != 1 {
+		t.Fatalf("KISTI mirrors %s", paper.Value)
+	}
+	m := federationOver(t, u, nil)
+	var shipped int64
+	for _, c := range []struct {
+		query   string
+		rows    []int64 // per join span
+		skipped int     // join spans skipping KISTI
+	}{
+		{"DESCRIBE <" + paper.Value + ">", []int64{2}, 1},
+		{workload.CrossVocabularyQuery(2), nil, 0},
+	} {
+		res, err := m.Query(context.Background(), QueryRequest{Query: c.query, SourceOnt: rdf.AKTNS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Form() == sparql.Describe {
+			_, err = res.Graph().Collect()
+		} else {
+			_, err = res.Bindings().Collect()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []int64
+		skipped := 0
+		for _, attrs := range joinSpans(res.Trace().View().Root) {
+			n, ok := attrs["valuesRows"].(int64)
+			if !ok || n <= 0 {
+				t.Errorf("%s: join span records no VALUES rows: %v", c.query, attrs)
+			}
+			rows = append(rows, n)
+			shipped += n
+			if why, ok := attrs["skipped "+workload.KistiVoidURI]; ok {
+				skipped++
+				if why != "holds none of the keys' spellings" {
+					t.Errorf("%s: KISTI skipped because %q", c.query, why)
+				}
+			}
+		}
+		if len(rows) == 0 || c.rows != nil && !slices.Equal(rows, c.rows) || skipped != c.skipped {
+			t.Errorf("%s: join spans shipped %v VALUES rows and skipped KISTI %d times, want %v and %d",
+				c.query, rows, skipped, c.rows, c.skipped)
+		}
+	}
+	if got := m.Stats().Decompose.Engine.ValuesRows; got != uint64(shipped) {
+		t.Errorf("the engine counted %d VALUES rows, the spans %d", got, shipped)
+	}
+}
+
+// TestMaxBindRowsBoundsEachTarget: MaxBindRows bounds the VALUES rows any
+// one target receives, not their sum. Describing a paper KISTI mirrors
+// ships one spelling to each of the three data sets, three rows in all,
+// and under a cap of two the stage stays a bound join.
+func TestMaxBindRowsBoundsEachTarget(t *testing.T) {
+	paper := workload.SotonPaper(1)
+	m := exampleFederation(t, nil, WithDecomposer(decompose.Options{MaxBindRows: 2}))
+	if len(m.Coref.Equivalents(paper.Value)) != 2 {
+		t.Fatalf("KISTI does not mirror %s", paper.Value)
+	}
+	res, err := m.Query(context.Background(), QueryRequest{Query: "DESCRIBE <" + paper.Value + ">", SourceOnt: rdf.AKTNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err := res.Graph().Collect(); err != nil || len(g) == 0 {
+		t.Fatalf("description = %v, %v", g, err)
+	}
+	if st := m.Stats().Decompose.Engine; st.BoundJoinStages != 1 || st.HashJoinStages != 0 || st.ValuesRows != 3 {
+		t.Errorf("engine stats = %+v, want one bound join shipping a row to each of three targets", st)
 	}
 }

@@ -436,12 +436,13 @@ func (m *Mediator) GuessSourceOntology(queryText string) (string, error) {
 
 func (m *Mediator) guessSourceOntology(q *sparql.Query) (string, error) {
 	counts := map[string]int{}
+	all := m.Datasets.All()
 	note := func(terms ...rdf.Term) {
 		for _, x := range terms {
 			if !x.IsIRI() {
 				continue
 			}
-			for _, d := range m.Datasets.All() {
+			for _, d := range all {
 				for _, ns := range d.Vocabularies {
 					if strings.HasPrefix(x.Value, ns) {
 						counts[ns]++

@@ -225,9 +225,10 @@ func (d diffTemplate) variants() map[string]string {
 	return out
 }
 
-// TestMediatorMatchesOracle drives the Figure-1, cross-vocabulary, bulk
-// and citation-metrics shapes, and the OPTIONAL, UNION and top-level VALUES
-// shapes that run only whole, with their modifier variants, through
+// TestMediatorMatchesOracle drives the Figure-1 and cross-vocabulary
+// shapes (also naming their person by its KISTI owl:sameAs spelling), the
+// bulk and citation-metrics shapes, and the OPTIONAL, UNION and top-level
+// VALUES shapes that run only whole, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
 // bound join, a forced hash join, sharded VALUES, a result-cache hit and a
 // materialized view (the cross-vocabulary shape also with every
@@ -274,12 +275,28 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	// so its IRI constant must be canonicalised like them.
 	residual := strings.Replace(workload.CrossVocabularyQuery(2), "\n}", "\n  FILTER (?a != "+person(2)+" || ?c < 0)\n}", 1)
 	crossPaths := []string{"explicit targets, all three", "planned", "bound join, VALUES sharded", "hash join", "result cache", "view"}
+	// The same shapes naming the Southampton person by its KISTI spelling,
+	// in the BGP and in the FILTER: owl:sameAs makes them the same queries.
+	kisti := func(text string, persons ...int) string {
+		for _, i := range persons {
+			alias := workload.KistiPerson(i).Value
+			if !slices.Contains(o.u.Coref.Equivalents(workload.SotonPerson(i).Value), alias) {
+				t.Fatalf("person %d has no KISTI spelling", i)
+			}
+			text = strings.ReplaceAll(text, workload.SotonPerson(i).Value, alias)
+		}
+		return text
+	}
 	templates := []diffTemplate{
 		{name: "figure 1", texts: []string{workload.Figure1Query(2), workload.Figure1Query(7)}, vars: []string{"a"},
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "cross-vocabulary", texts: []string{workload.CrossVocabularyQuery(2), workload.CrossVocabularyQuery(7)},
 			vars: []string{"c", "paper", "a"}, filter: "?c > 40", paths: crossPaths},
 		{name: "cross-vocabulary, residual IRI filter", texts: []string{residual}, vars: []string{"c", "paper", "a"}, paths: crossPaths},
+		{name: "figure 1, KISTI spelling", texts: []string{kisti(workload.Figure1Query(2), 2), kisti(workload.Figure1Query(7), 7)}, vars: []string{"a"},
+			paths: []string{"explicit targets", "explicit targets, all three", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+		{name: "cross-vocabulary, KISTI spelling", texts: []string{kisti(workload.CrossVocabularyQuery(7), 7), kisti(residual, 2)},
+			vars: []string{"c", "paper", "a"}, filter: "?c > 40", paths: crossPaths},
 		{name: "bulk", texts: []string{bulkQuery}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`,
 			paths: []string{"explicit targets", "planned", "result cache"}},
 		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30", sourceOnt: workload.MetricsNS,
@@ -371,6 +388,33 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHubEntityBoundJoin: every paper carries four owl:sameAs aliases in
+// no registered URI space that sort ahead of its Southampton and KISTI
+// spellings, so the merge's representative is one of them. The
+// cross-vocabulary bound joins must still reach each paper's spellings at
+// every endpoint and answer as the oracle does; a cap of four spellings
+// per key, all of them aliases, would join nothing.
+func TestHubEntityBoundJoin(t *testing.T) {
+	const person = 3
+	u := exampleUniverse()
+	for j := range u.Cfg.Papers {
+		for i := range 4 {
+			u.Coref.Add(workload.SotonPaper(j).Value, fmt.Sprintf("http://aliases.example/paper-%05d/%d", j, i))
+		}
+	}
+	m := federationOver(t, u, nil)
+	text := workload.CrossVocabularyQuery(person)
+	want := newOracle(t, u, nil).answer(t, text)
+	if len(want) != 29 {
+		t.Fatalf("the oracle answers %d rows, want person %d's 29", len(want), person)
+	}
+	got, err := mediatorRows(m, QueryRequest{Query: text, SourceOnt: rdf.AKTNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, "hub entities", text, got, want)
 }
 
 // materializeView asks req's query once and waits until the plan of a

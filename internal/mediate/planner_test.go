@@ -549,18 +549,22 @@ func TestMixedVocabularyQueryJoinsFragments(t *testing.T) {
 // TestUnanchoredPatternsFollowPatternSources pins the one relevance rule
 // where the whole-query planner it replaced chose otherwise: a pattern
 // with no vocabulary anchor is answerable everywhere, rewritten nowhere,
-// and only its ground IRIs prune. The planner once kept Southampton and a
-// rewritten KISTI for both queries.
+// and only its ground IRIs prune: a data set whose URI space holds no
+// member of the IRI's owl:sameAs class. The planner once kept Southampton
+// and a rewritten KISTI for every query. A paper KISTI mirrors reaches
+// KISTI through co-reference, and its decision names the spelling.
 func TestUnanchoredPatternsFollowPatternSources(t *testing.T) {
 	m := exampleFederation(t, nil)
+	all := []string{workload.KistiVoidURI, workload.MetricsVoidURI, workload.SotonVoidURI}
 	for _, c := range []struct {
 		query string
 		want  []string
+		coref string // the spelling KISTI's decision names
 	}{
-		{"SELECT ?p ?o WHERE { <" + workload.SotonPaper(1).Value + "> ?p ?o }",
-			[]string{workload.MetricsVoidURI, workload.SotonVoidURI}},
-		{"SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
-			[]string{workload.KistiVoidURI, workload.MetricsVoidURI, workload.SotonVoidURI}},
+		{"SELECT ?p ?o WHERE { <" + workload.SotonPaper(51).Value + "> ?p ?o }",
+			[]string{workload.MetricsVoidURI, workload.SotonVoidURI}, ""},
+		{"SELECT ?p ?o WHERE { <" + workload.SotonPaper(1).Value + "> ?p ?o }", all, workload.KistiPaper(1).Value},
+		{"SELECT ?s ?p ?o WHERE { ?s ?p ?o }", all, ""},
 	} {
 		dcm, err := m.PlanQuery(c.query, rdf.AKTNS)
 		if err != nil {
@@ -579,6 +583,12 @@ func TestUnanchoredPatternsFollowPatternSources(t *testing.T) {
 		}
 		if slices.Sort(got); !slices.Equal(got, c.want) {
 			t.Errorf("%s: cover %v, want %v", c.query, got, c.want)
+		}
+		for _, dec := range dcm.Decisions {
+			why := strings.Join(dec.Reasons, "; ")
+			if named := strings.Contains(why, "through co-reference, as <"+c.coref+">"); (c.coref != "" && dec.Dataset == workload.KistiVoidURI) != named {
+				t.Errorf("%s: %s reasons %q", c.query, dec.Dataset, why)
+			}
 		}
 	}
 }

@@ -586,9 +586,9 @@ var describeQuery = sparql.MustParse("SELECT DISTINCT ?s ?p ?o WHERE { ?s ?p ?o 
 // to a described variable through the federated SELECT pipeline (phase
 // one). The fetch is describeQuery under the tenant's policy, planned over
 // the request's source set as the whole fragment every data set there
-// answers, which the join engine seeds as any bound join: the resources
-// and their owl:sameAs aliases go out as VALUES shards, or past
-// MaxBindRows the fragment is fetched unbound and hash-joined. Subjects
+// answers, which the join engine seeds as any bound join: each data set
+// receives the resources' spellings its URI space holds as VALUES shards,
+// or past MaxBindRows the fragment is fetched unbound and hash-joined. Subjects
 // stream out canonicalised, so the same entity described by two
 // repositories merges into one description.
 func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {

@@ -151,6 +151,34 @@ SELECT DISTINCT ?a WHERE { ?paper akt:has-author <%s> . ?paper akt:has-author ?a
 	}
 }
 
+// TestResultCacheAliasAnswersWhole: the result cache keys a query's
+// owl:sameAs spellings alike, so the answer an alias spelling fills must be
+// the whole canonical answer. The cross-vocabulary query naming person 0 by
+// its KISTI URI once pruned Southampton (7 rows of 30), and the
+// Southampton-spelled query was then served those 7 from the cache.
+func TestResultCacheAliasAnswersWhole(t *testing.T) {
+	const person = 0
+	plain := exampleFederation(t, nil)
+	cached := exampleFederation(t, nil, WithServing(serve.Options{}))
+	base := workload.CrossVocabularyQuery(person)
+	alias := strings.ReplaceAll(base, workload.SotonPerson(person).Value, workload.KistiPerson(person).Value)
+	if canon := federate.NewRepCache(cached.Coref); canon.Term(workload.SotonPerson(person)) != canon.Term(workload.KistiPerson(person)) {
+		t.Fatalf("person %d has no KISTI alias", person)
+	}
+	want := sortRows(selectRows(t, plain, base))
+	if len(want) != 30 {
+		t.Fatalf("the plain mediator answers %d rows, want person %d's 30", len(want), person)
+	}
+	for _, c := range []struct{ name, query string }{{"alias", alias}, {"canonical, from the cache", base}} {
+		if got := sortRows(selectRows(t, cached, c.query)); !equalRows(got, want) {
+			t.Errorf("%s: %d rows, want the plain mediator's %d", c.name, len(got), len(want))
+		}
+	}
+	if hits := cached.Serve.Cache.Metrics().Hits; hits != 1 {
+		t.Errorf("%d cache hits, want the canonical query served from the alias's entry", hits)
+	}
+}
+
 // TestResultCacheInvalidatedByKBUpdate pins the Subscribe wiring: a voiD
 // description change drops every entry, so the next query goes back to
 // the endpoints.

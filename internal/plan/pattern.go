@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 
 	"sparqlrw/internal/align"
@@ -27,14 +28,14 @@ type PatternSource struct {
 // rdf:type patterns); unanchored patterns (variable predicate, or an
 // infrastructure namespace every endpoint knows) are answerable
 // everywhere. Bound subject/object instance IRIs prune native data sets
-// whose URI space cannot contain them.
+// whose URI space holds no member of their owl:sameAs class (Owners).
 func (p *Planner) PatternSources(tp rdf.Triple, src voidkb.Sources) []PatternSource {
 	var out []PatternSource
 	for _, ds := range p.datasets.All() {
 		if !src.Has(ds.URI) {
 			continue
 		}
-		if ps, m := p.patternSource(ds, tp); m == (miss{}) {
+		if ps, m, _ := p.patternSource(ds, tp); m == (miss{}) {
 			out = append(out, ps)
 		}
 	}
@@ -44,8 +45,8 @@ func (p *Planner) PatternSources(tp rdf.Triple, src voidkb.Sources) []PatternSou
 // miss says why a data set cannot answer a pattern or a query: it lies
 // outside the request's source set, or the query uses a vocabulary it
 // neither declares nor translates from the request's source ontology, or a
-// ground IRI that lies in another data set's URI space. The zero miss
-// means it can.
+// ground IRI that lies in another data set's URI space with no alias in
+// its own. The zero miss means it can.
 type miss struct {
 	outside         bool
 	vocabulary      string
@@ -62,13 +63,13 @@ func (m miss) String() string {
 	case m.vocabulary != "":
 		return fmt.Sprintf("query uses vocabulary <%s> the data set neither declares nor translates", m.vocabulary)
 	default:
-		return fmt.Sprintf("bound term <%s> lies in %s's URI space", m.term, m.termOwner)
+		return fmt.Sprintf("bound term <%s> lies in %s's URI space, and no owl:sameAs alias of it in this one", m.term, m.termOwner)
 	}
 }
 
 // patternSource decides whether one data set can answer a pattern, and
-// says why not when it cannot.
-func (p *Planner) patternSource(ds *voidkb.Dataset, tp rdf.Triple) (PatternSource, miss) {
+// says why not when it cannot, or how co-reference let it (reaches).
+func (p *Planner) patternSource(ds *voidkb.Dataset, tp rdf.Triple) (PatternSource, miss, string) {
 	src := PatternSource{Dataset: ds}
 	if ns := PatternVocabulary(tp); ns != "" && !infrastructureNS[ns] && !ds.UsesVocabulary(ns) {
 		// Only an alignment from the pattern's vocabulary can make this
@@ -79,29 +80,38 @@ func (p *Planner) patternSource(ds *voidkb.Dataset, tp rdf.Triple) (PatternSourc
 			TargetOntology: ds.Vocabulary(),
 		})
 		if len(eas) == 0 {
-			return src, miss{vocabulary: ns}
+			return src, miss{vocabulary: ns}, ""
 		}
 		src.NeedsRewrite = true
 	}
-	m := p.reaches(ds, src.NeedsRewrite, tp.S)
+	m, coref := p.reaches(ds, src.NeedsRewrite, tp.S)
 	if typed := tp.P.IsIRI() && tp.P.Value == rdf.RDFType; m == (miss{}) && !typed {
-		m = p.reaches(ds, src.NeedsRewrite, tp.O)
+		var oc string
+		m, oc = p.reaches(ds, src.NeedsRewrite, tp.O)
+		coref = cmp.Or(coref, oc)
 	}
-	return src, m
+	return src, m, coref
 }
 
 // reaches checks that a term can be answered at a data set: it is no
 // instance IRI, or one inside the data set's URI space, translated through
 // owl:sameAs when the data set rewrites, or in no registered space at all
-// (benefit of the doubt).
-func (p *Planner) reaches(ds *voidkb.Dataset, rewrites bool, t rdf.Term) miss {
+// (benefit of the doubt). A native data set also reaches an IRI of another
+// space through the member of its owl:sameAs class in its own, which its
+// sub-query then carries (Owners.Respell): the reason saying so is the
+// second result.
+func (p *Planner) reaches(ds *voidkb.Dataset, rewrites bool, t rdf.Term) (miss, string) {
 	if !t.IsIRI() || rewrites || ds.Matches(t.Value) {
-		return miss{}
+		return miss{}, ""
 	}
-	if other, ok := p.datasets.DatasetFor(t.Value); ok {
-		return miss{term: t.Value, termOwner: other.URI}
+	other, ok := p.datasets.DatasetFor(t.Value)
+	if !ok {
+		return miss{}, ""
 	}
-	return miss{}
+	if sp, ok := p.owners.inSpace(ds, t.Value); ok {
+		return miss{}, fmt.Sprintf("reaches <%s> through co-reference, as <%s>", t.Value, sp)
+	}
+	return miss{term: t.Value, termOwner: other.URI}, ""
 }
 
 // PatternVocabulary returns the vocabulary namespace anchoring a triple

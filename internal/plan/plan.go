@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/align"
+	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
@@ -53,6 +54,7 @@ type Endpoints interface {
 type Planner struct {
 	datasets   *voidkb.KB
 	alignments *align.KB
+	owners     Owners
 	endpoints  Endpoints
 	metrics    plannerMetrics
 }
@@ -65,15 +67,18 @@ type plannerMetrics struct {
 	pruned     *obs.Counter
 }
 
-// New returns a planner over the given knowledge bases. endpoints may be
-// nil (no history: data set order, default deadlines).
-func New(datasets *voidkb.KB, alignments *align.KB, endpoints Endpoints, opts Options) *Planner {
+// New returns a planner over the given knowledge bases and co-reference
+// source, the owner lookup's inputs. coref may be nil (every IRI its own
+// class); endpoints may be nil (no history: data set order, default
+// deadlines).
+func New(datasets *voidkb.KB, alignments *align.KB, coref funcs.CorefSource, endpoints Endpoints, opts Options) *Planner {
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Planner{
 		datasets: datasets, alignments: alignments, endpoints: endpoints,
+		owners: Owners{datasets: datasets, coref: coref},
 		metrics: plannerMetrics{
 			plans: reg.Counter("sparqlrw_plan_plans_total",
 				"Federation plans built."),
@@ -89,6 +94,9 @@ func New(datasets *voidkb.KB, alignments *align.KB, endpoints Endpoints, opts Op
 // built on the planner (the decomposer's cardinality estimator) can read
 // data set statistics without holding the KB separately.
 func (p *Planner) Dataset(uri string) (*voidkb.Dataset, bool) { return p.datasets.Get(uri) }
+
+// Owners returns the planner's owner lookup.
+func (p *Planner) Owners() *Owners { return &p.owners }
 
 // Stats counts planner activity for the /api/stats endpoint.
 type Stats struct {
@@ -141,12 +149,13 @@ type Target struct {
 
 	latency time.Duration
 	open    bool
+	ds      *voidkb.Dataset // the description the owner lookup reads (nil: holds anything)
 }
 
 // Target returns the dispatch target of a data set: its endpoints, and
 // the deadline the endpoint's observed latency earns it.
 func (p *Planner) Target(ds *voidkb.Dataset, needsRewrite bool) Target {
-	t := Target{Dataset: ds.URI, Endpoint: ds.SPARQLEndpoint, Replicas: ds.Replicas, NeedsRewrite: needsRewrite}
+	t := Target{Dataset: ds.URI, Endpoint: ds.SPARQLEndpoint, Replicas: ds.Replicas, NeedsRewrite: needsRewrite, ds: ds}
 	if p.endpoints != nil {
 		t.latency, t.open = p.endpoints.Observed(ds.SPARQLEndpoint)
 	}
@@ -195,10 +204,11 @@ type Selection struct {
 // the query when it answers every triple pattern, translates only patterns
 // of sourceOnt (the one vocabulary a request rewrites from; "" rewrites
 // from any), and no ground IRI of a VALUES row or FILTER lies in another
-// data set's URI space (unless the data set rewrites, which translates the
-// IRI through owl:sameAs). With no cover, or when a data set answers
-// every pattern but translates one of another vocabulary, there is no
-// cover and a data set is kept when it answers some pattern.
+// data set's URI space with no owl:sameAs alias in its own (unless the
+// data set rewrites, which translates the IRI through owl:sameAs). With
+// no cover, or when a data set answers every pattern but translates one
+// of another vocabulary, there is no cover and a data set is kept when it
+// answers some pattern.
 func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Selection, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("plan: source selection takes a SELECT query, got %s", q.Form)
@@ -226,6 +236,7 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 		answered int
 		why      miss
 		target   Target
+		coref    string // how co-reference admitted a ground term, if it did
 	}
 	verdicts := make([]verdict, len(all))
 	split := false
@@ -237,8 +248,9 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 			continue
 		}
 		for i, tp := range sel.Patterns {
-			ps, m := p.patternSource(ds, tp)
+			ps, m, coref := p.patternSource(ds, tp)
 			if m == (miss{}) {
+				v.coref = cmp.Or(v.coref, coref)
 				sel.Sources[i] = append(sel.Sources[i], ps)
 				v.answered++
 				dec.NeedsRewrite = dec.NeedsRewrite || ps.NeedsRewrite
@@ -252,7 +264,9 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 		}
 		for _, t := range terms {
 			if v.why == (miss{}) {
-				v.why = p.reaches(ds, dec.NeedsRewrite, t)
+				var coref string
+				v.why, coref = p.reaches(ds, dec.NeedsRewrite, t)
+				v.coref = cmp.Or(v.coref, coref)
 			}
 		}
 		v.target = p.Target(ds, dec.NeedsRewrite)
@@ -291,6 +305,9 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 		}
 		if v.why.translated {
 			dec.Reasons = append(dec.Reasons, v.why.String())
+		}
+		if v.coref != "" {
+			dec.Reasons = append(dec.Reasons, v.coref)
 		}
 		dec.DeadlineMS = v.target.TimeoutMS
 		if v.target.open {

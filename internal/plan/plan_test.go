@@ -55,7 +55,7 @@ func datasets(sel *Selection) []string {
 
 func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
-	p := New(dsKB, alignKB, nil, Options{})
+	p := New(dsKB, alignKB, nil, nil, Options{})
 	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
 	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: "http://b/sparql",
 		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	p := New(dsKB, align.NewKB(), nil, Options{})
+	p := New(dsKB, align.NewKB(), nil, nil, Options{})
 	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 
 func TestUnboundQueryKeepsAllNativeDatasets(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
-	p := New(dsKB, alignKB, nil, Options{})
+	p := New(dsKB, alignKB, nil, nil, Options{})
 	// No bound instance terms: URI-space pruning cannot apply; vocabulary
 	// selection alone decides.
 	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
@@ -160,7 +160,7 @@ SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 // fragments at the mediator; under AKT, KISTI covers the first query.
 func TestCoverTranslatesOnlyFromSourceOntology(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
-	p := New(dsKB, alignKB, nil, Options{})
+	p := New(dsKB, alignKB, nil, nil, Options{})
 	q := sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX k:<" + rdf.KISTINS + ">\n" +
 		"SELECT ?p ?a WHERE { ?p k:title ?t . ?p akt:has-author ?a }")
 	for _, q := range []*sparql.Query{q, sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p ?a WHERE { ?p akt:has-author ?a }")} {
@@ -277,7 +277,7 @@ func TestAdaptiveOrderingAndDeadlines(t *testing.T) {
 		"http://b.example/sparql": {p50: 5 * time.Millisecond},
 		"http://c.example/sparql": {p50: 2 * time.Millisecond, open: true},
 	}
-	p := New(dsKB, align.NewKB(), endpoints, Options{})
+	p := New(dsKB, align.NewKB(), nil, endpoints, Options{})
 	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
 SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
 	if err != nil {
@@ -361,7 +361,7 @@ func TestShardResultsRecombine(t *testing.T) {
 
 func TestPlanRejectsNonSelect(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
-	p := New(dsKB, alignKB, nil, Options{})
+	p := New(dsKB, alignKB, nil, nil, Options{})
 	if _, err := p.Select(sparql.MustParse(`ASK { ?s ?p ?o }`), "", nil); err == nil {
 		t.Fatal("ASK must be rejected")
 	}

@@ -103,8 +103,9 @@ func isAbsoluteIRI(s string) bool {
 
 // Shrink returns "prefix:local" for an IRI if some bound namespace is a
 // prefix of it and the remainder is a valid local name, else ok=false.
-// When several namespaces match, the longest wins, and of two prefixes
-// bound to it the smaller one, so the same map always shrinks alike.
+// When several namespaces leave a valid local name, the longest wins, and
+// of two prefixes bound to it the smaller one, so the same map always
+// shrinks alike, whichever prefixes a shorter namespace sits beside.
 func (pm *PrefixMap) Shrink(iri string) (string, bool) {
 	prefix, local, ok := pm.Split(iri)
 	if !ok {
@@ -118,7 +119,7 @@ func (pm *PrefixMap) Shrink(iri string) (string, bool) {
 func (pm *PrefixMap) Split(iri string) (prefix, local string, ok bool) {
 	bestPrefix, bestNS := "", ""
 	for p, ns := range pm.toNS {
-		if ns == "" || !strings.HasPrefix(iri, ns) {
+		if ns == "" || !strings.HasPrefix(iri, ns) || !validLocalName(iri[len(ns):]) {
 			continue
 		}
 		if len(ns) > len(bestNS) || (len(ns) == len(bestNS) && p < bestPrefix) {
@@ -128,11 +129,7 @@ func (pm *PrefixMap) Split(iri string) (prefix, local string, ok bool) {
 	if bestNS == "" {
 		return "", "", false
 	}
-	local = iri[len(bestNS):]
-	if !validLocalName(local) {
-		return "", "", false
-	}
-	return bestPrefix, local, true
+	return bestPrefix, iri[len(bestNS):], true
 }
 
 // validLocalName accepts the conservative subset of PN_LOCAL that both our

@@ -37,6 +37,19 @@ func TestShrinkLongestNamespaceWins(t *testing.T) {
 	}
 }
 
+// TestShrinkSkipsNamespacesLeavingBadLocalNames: a longer namespace that
+// leaves no valid local name does not stop a shorter one from shrinking
+// the IRI, so dropping the longer binding (as a formatted prologue drops
+// an unused one) cannot change how the IRI is written.
+func TestShrinkSkipsNamespacesLeavingBadLocalNames(t *testing.T) {
+	pm := NewPrefixMap()
+	pm.Bind("ex", "http://example.org/")
+	pm.Bind("deep", "http://example.org/deep")
+	if q, ok := pm.Shrink("http://example.org/deep"); !ok || q != "ex:deep" {
+		t.Fatalf("Shrink = %q %v, want ex:deep", q, ok)
+	}
+}
+
 func TestShrinkRejectsBadLocalNames(t *testing.T) {
 	pm := NewPrefixMap()
 	pm.Bind("ex", "http://example.org/")

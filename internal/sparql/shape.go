@@ -83,6 +83,74 @@ func Lift(q *Query) (tmpl *Template, slots []rdf.Term) {
 	return f.template(), slots
 }
 
+// EachLifted calls fn with a pointer to every IRI at a lifted position of
+// q, in the order Lift gives them slots (an IRI appearing twice is visited
+// twice); fn may replace the term. It allocates nothing, so a caller can
+// test q's instances before deciding to copy it.
+func EachLifted(q *Query, fn func(t *rdf.Term)) {
+	visit := func(t *rdf.Term) {
+		if t.Kind == rdf.KindIRI {
+			fn(t)
+		}
+	}
+	if q.Form == Describe {
+		for i := range q.DescribeTerms {
+			visit(&q.DescribeTerms[i])
+		}
+	}
+	eachLiftedGroup(q.Where, visit)
+}
+
+func eachLiftedGroup(g *GroupGraphPattern, visit func(*rdf.Term)) {
+	if g == nil {
+		return
+	}
+	for _, el := range g.Elements {
+		switch e := el.(type) {
+		case *BGP:
+			for i := range e.Patterns {
+				tp := &e.Patterns[i]
+				visit(&tp.S)
+				if !(tp.P.Kind == rdf.KindIRI && tp.P.Value == rdf.RDFType) {
+					visit(&tp.O)
+				}
+			}
+		case *Filter:
+			eachLiftedExpr(e.Expr, visit)
+		case *Optional:
+			eachLiftedGroup(e.Group, visit)
+		case *SubGroup:
+			eachLiftedGroup(e.Group, visit)
+		case *Union:
+			for _, alt := range e.Alternatives {
+				eachLiftedGroup(alt, visit)
+			}
+		case *InlineData:
+			for _, row := range e.Rows {
+				for i := range row {
+					visit(&row[i])
+				}
+			}
+		}
+	}
+}
+
+func eachLiftedExpr(e Expression, visit func(*rdf.Term)) {
+	switch x := e.(type) {
+	case *TermExpr:
+		visit(&x.Term)
+	case *Binary:
+		eachLiftedExpr(x.L, visit)
+		eachLiftedExpr(x.R, visit)
+	case *Unary:
+		eachLiftedExpr(x.X, visit)
+	case *Call:
+		for _, a := range x.Args {
+			eachLiftedExpr(a, visit)
+		}
+	}
+}
+
 // LiftQuery returns the shape Lift formats as a query: a copy of q with
 // its slots in place.
 func LiftQuery(q *Query) *Query {

@@ -2,8 +2,11 @@ package sparql
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 )
 
@@ -62,6 +65,47 @@ SELECT ?s WHERE { ?s ex:p <http://nowhere.example/x> }`)
 	got := tmpl2.Execute([]rdf.Term{rdf.NewIRI("http://other.example/y")})
 	if want := "PREFIX ex: <http://example.org/>\nPREFIX o: <http://other.example/>\nSELECT ?s\nWHERE {\n  ?s ex:p o:y .\n}\n"; got != want {
 		t.Errorf("Execute with an o: value =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestEachLiftedAllocs: EachLifted visits the IRIs Lift gives slots, each
+// as often as it appears, allocates nothing, and writes through to the
+// query it walks.
+func TestEachLiftedAllocs(t *testing.T) {
+	q := MustParse(`PREFIX ex:<http://example.org/>
+DESCRIBE ex:r ?s WHERE {
+  ex:a ex:p ?s .
+  ?s a ex:C .
+  { ?s ex:q ex:a } UNION { OPTIONAL { ?s ex:q ex:e } }
+  ?s ex:r "lit" .
+  VALUES ?v { ex:b UNDEF }
+  FILTER (?s != ex:c)
+} ORDER BY (?s = ex:d)`)
+	var seen []rdf.Term
+	EachLifted(q, func(t *rdf.Term) { seen = append(seen, *t) })
+	_, slots := Lift(q)
+	var distinct []rdf.Term
+	for _, t := range seen {
+		if !slices.Contains(distinct, t) {
+			distinct = append(distinct, t)
+		}
+	}
+	if len(seen) != 6 || !reflect.DeepEqual(distinct, slots) {
+		t.Errorf("visited %v, want Lift's slots %v, ex:a twice", seen, slots)
+	}
+	if !raceflag.Enabled {
+		n := 0
+		if allocs := testing.AllocsPerRun(100, func() { EachLifted(q, func(*rdf.Term) { n++ }) }); allocs != 0 {
+			t.Errorf("EachLifted allocates %.0f times, want 0", allocs)
+		}
+	}
+	EachLifted(q, func(t *rdf.Term) {
+		if t.Value == "http://example.org/a" {
+			*t = rdf.NewIRI("http://example.org/z")
+		}
+	})
+	if got := Format(q); strings.Contains(got, "ex:a ") || strings.Count(got, "ex:z") != 2 {
+		t.Errorf("replacing ex:a gave\n%s", got)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/store"
@@ -49,36 +51,55 @@ type Dataset struct {
 	// (void:classPartition / void:class / void:entities).
 	ClassPartitions map[string]int64
 
-	// reMu guards the compiled URI-space regexp, cached because Matches
-	// sits on the planner's per-pattern hot path.
-	reMu  sync.Mutex
-	reSrc string
-	re    *regexp.Regexp
+	// space caches the compiled URI space, because Matches sits on the
+	// planner's and the owner lookup's hot paths. It is read without a
+	// lock; a racing recompile stores an equal value.
+	space atomic.Pointer[uriSpace]
 }
+
+// uriSpace is a compiled URISpace: the anchored regexp (nil on a bad
+// pattern) and the literal prefix every match starts with. A space of the
+// URISpaceFromPrefix form matches the prefix followed by no whitespace,
+// which needs no regexp.
+type uriSpace struct {
+	src        string
+	re         *regexp.Regexp
+	prefix     string
+	prefixOnly bool
+}
+
+// perlSpace is what RE2's \s matches, and so what \S excludes.
+const perlSpace = "\t\n\f\r "
 
 // URISpaceFromPrefix derives the regex pattern for a plain URI prefix.
 func URISpaceFromPrefix(prefix string) string {
 	return regexp.QuoteMeta(prefix) + `\S*`
 }
 
-// Matches reports whether uri belongs to the data set's URI space. The
-// compiled regexp is cached per URISpace value; mutating URISpace
-// invalidates the cache on the next call.
+// Matches reports whether uri belongs to the data set's URI space. An IRI
+// that does not start with the pattern's literal prefix is rejected before
+// the regexp runs. The compiled regexp is cached per URISpace value;
+// mutating URISpace invalidates the cache on the next call.
 func (d *Dataset) Matches(uri string) bool {
 	if d.URISpace == "" {
 		return false
 	}
-	d.reMu.Lock()
-	if d.reSrc != d.URISpace {
-		d.reSrc = d.URISpace
-		d.re, _ = regexp.Compile("^(?:" + d.URISpace + ")$") // nil on bad pattern
+	sp := d.space.Load()
+	if sp == nil || sp.src != d.URISpace {
+		sp = &uriSpace{src: d.URISpace}
+		if sp.re, _ = regexp.Compile("^(?:" + d.URISpace + ")$"); sp.re != nil {
+			sp.prefix, _ = sp.re.LiteralPrefix()
+			sp.prefixOnly = d.URISpace == URISpaceFromPrefix(sp.prefix)
+		}
+		d.space.Store(sp)
 	}
-	re := d.re
-	d.reMu.Unlock()
-	if re == nil {
+	if sp.re == nil || !strings.HasPrefix(uri, sp.prefix) {
 		return false
 	}
-	return re.MatchString(uri)
+	if sp.prefixOnly {
+		return !strings.ContainsAny(uri[len(sp.prefix):], perlSpace)
+	}
+	return sp.re.MatchString(uri)
 }
 
 // UsesVocabulary reports whether the data set declares the namespace.
@@ -130,8 +151,11 @@ func (s Sources) Has(uri string) bool { return s == nil || s[uri] }
 
 // KB is a registry of data set descriptions.
 type KB struct {
-	mu        sync.RWMutex
-	datasets  map[string]*Dataset
+	mu       sync.RWMutex
+	datasets map[string]*Dataset
+	// all is every data set sorted by URI, rebuilt by Add and handed out
+	// by All without a copy.
+	all       []*Dataset
 	listeners map[int]func(datasetURI string)
 	nextSub   int
 }
@@ -171,6 +195,12 @@ func (kb *KB) Add(d *Dataset) error {
 	}
 	kb.mu.Lock()
 	kb.datasets[d.URI] = d
+	all := make([]*Dataset, 0, len(kb.datasets))
+	for _, d := range kb.datasets {
+		all = append(all, d)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].URI < all[j].URI })
+	kb.all = all
 	listeners := make([]func(string), 0, len(kb.listeners))
 	for _, fn := range kb.listeners {
 		listeners = append(listeners, fn)
@@ -191,16 +221,13 @@ func (kb *KB) Get(uri string) (*Dataset, bool) {
 	return d, ok
 }
 
-// All returns every data set, sorted by URI.
+// All returns every data set, sorted by URI: a snapshot that Add
+// replaces and never modifies, shared by every caller, so it must be
+// read only.
 func (kb *KB) All() []*Dataset {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	out := make([]*Dataset, 0, len(kb.datasets))
-	for _, d := range kb.datasets {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URI < out[j].URI })
-	return out
+	return kb.all
 }
 
 // Len returns the number of registered data sets.

@@ -445,12 +445,13 @@ type (
 )
 
 // NewFederationPlanner builds a standalone source selector over the given
-// KBs; most callers use the Mediator's built-in planner instead
-// (PlanQuery, and Query with nil Targets). endpoints may be nil; an
-// executor's Endpoints() table orders the selected targets by observed
-// latency.
-func NewFederationPlanner(datasets *DatasetKB, alignments *AlignmentKB, endpoints plan.Endpoints, opts PlannerOptions) *FederationPlanner {
-	return plan.New(datasets, alignments, endpoints, opts)
+// KBs and co-reference source, which decide the URI spaces a ground IRI
+// reaches; most callers use the Mediator's built-in planner instead
+// (PlanQuery, and Query with nil Targets). corefSrc and endpoints may be
+// nil; an executor's Endpoints() table orders the selected targets by
+// observed latency.
+func NewFederationPlanner(datasets *DatasetKB, alignments *AlignmentKB, corefSrc funcs.CorefSource, endpoints plan.Endpoints, opts PlannerOptions) *FederationPlanner {
+	return plan.New(datasets, alignments, corefSrc, endpoints, opts)
 }
 
 // NewDatasetKB returns an empty voiD knowledge base.
