@@ -55,19 +55,22 @@
 // # Observability
 //
 // Every layer registers its instruments in one registry served in
-// Prometheus text format at GET /metrics. Each query grows a span tree;
-// the /sparql extension explain=trace appends it to the response,
-// explain=analyze ships the typed per-operator profile (rows, bytes,
-// estimated vs actual cardinality), X-Trace-Id names it, and GET
-// /api/trace[/{id}] and /api/analyze/{id} serve the recent-trace ring.
+// Prometheus text format at GET /metrics. Each query grows a span tree,
+// written out as one trace document: its operator spans carry the typed
+// per-operator profile (rows, bytes, estimated vs actual cardinality).
+// The /sparql extension explain=trace appends the document, plan
+// included, to the response, X-Trace-Id names it, GET /api/trace pages
+// the recent-trace ring and GET /api/trace/{id} serves one document
+// (?format=text renders its operator table).
 // Observed cardinalities feed a per-(dataset, predicate/class, shape)
 // store; with -adaptive-stats the decomposer corrects voiD estimates from
 // it. Requests carrying a W3C `traceparent` header join the caller's
 // trace, finished traces can ship to an OTLP/HTTP collector, GET
 // /api/health serves the document's endpoint rows (health score,
-// breaker, counts), /debug/dashboard renders the same document, and slow
-// or failed queries persist to an on-disk flight recorder listed at GET
-// /api/audit. The knobs:
+// breaker, counts), /debug/dashboard renders the same document, and the
+// trace documents of slow or failed queries persist to an on-disk flight
+// recorder, paged at GET /api/trace?recorded=1 and still served by GET
+// /api/trace/{id} once the ring has dropped them. The knobs:
 //
 //	-log-level L      debug|info|warn|error (default info)
 //	-log-format F     text|json (default text)
@@ -198,17 +201,19 @@ style co-reference service, and the mediator serving
                      JSON, NDJSON, SSE; N-Triples, Turtle), streamed.
                      Extensions: target=<dataset-uri> (repeatable;
                      narrows the data sets the planner selects from),
-                     source=<ontology-ns>, limit=<n>.
+                     source=<ontology-ns>, limit=<n>, explain=trace
+                     (appends the query's trace document).
   POST     /api/rewrite   translate a query for one target data set
   POST     /api/plan      explain the plan: decisions, fragments, sub-queries
   GET      /api/stats     the one stats document: endpoint rows, planner,
                           decompose, serving, views, per-form counters
   GET      /api/datasets  registered voiD data sets
   GET      /metrics       Prometheus text exposition of every layer's metrics
-  GET      /api/trace     recent query span trees (/api/trace/{id} by ID)
-  GET      /api/analyze/{id}  EXPLAIN ANALYZE operator profile for a trace
+  GET      /api/trace     recent trace documents (?recorded=1: the slow/failed
+                          queries recorded under -audit-dir)
+  GET      /api/trace/{id}  one trace document, ring or recorder
+                          (?format=text: its EXPLAIN ANALYZE operator table)
   GET      /api/health    its endpoint rows (latency, errors, breaker, counts)
-  GET      /api/audit     flight-recorded slow/failed queries (-audit-dir)
   GET      /api/views     its view tier: shapes, freshness, stats (-views)
   POST     /api/alignments  load alignment Turtle into the running KB
   GET      /               web UI (Figure 4)

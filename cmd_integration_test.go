@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/align"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/workload"
 )
 
@@ -476,18 +477,20 @@ SELECT ?paper ?a WHERE { ?paper akt:has-author ?a }`
 }
 
 // TestCmdMediatorExplainAnalyze drives the EXPLAIN ANALYZE feedback loop
-// through the built binary with -adaptive-stats on:
+// — the operator spans of the query's trace document — through the built
+// binary with -adaptive-stats on:
 //
 //  1. the initial /api/plan orders the cross-vocabulary query's
 //     fragments by raw voiD estimates, putting the badly-underestimated
 //     ground-author fragment first;
-//  2. explain=analyze on the executed query returns an operator tree
-//     whose fragment carries estimated vs actual rows and a q-error
+//  2. explain=trace on the executed query returns a trace whose
+//     fragment operator carries estimated vs actual rows and a q-error
 //     >= 10 (the voiD estimate is off by an order of magnitude);
 //  3. the observation lands in sparqlrw_estimate_qerror on /metrics;
 //  4. a repeated /api/plan sees the corrected estimate and flips the
 //     fragment order — the accurately-estimated metrics fragment now
-//     seeds the join.
+//     seeds the join;
+//  5. GET /api/trace/{id}?format=text renders the operator table.
 func TestCmdMediatorExplainAnalyze(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run integration test in -short mode")
@@ -545,8 +548,8 @@ SELECT ?paper ?a ?c WHERE {
 		t.Fatalf("precondition broken: metrics fragment already first: %+v", before)
 	}
 
-	// Execute once with explain=analyze.
-	form := url.Values{"query": {crossQ}, "source": {aktNS}, "explain": {"analyze"}}
+	// Execute once with explain=trace.
+	form := url.Values{"query": {crossQ}, "source": {aktNS}, "explain": {"trace"}}
 	resp, err := http.PostForm(base+"/sparql", form)
 	if err != nil {
 		t.Fatal(err)
@@ -557,45 +560,38 @@ SELECT ?paper ?a ?c WHERE {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != 200 {
-		t.Fatalf("explain=analyze query: status = %d: %s", resp.StatusCode, raw)
+		t.Fatalf("explain=trace query: status = %d: %s", resp.StatusCode, raw)
 	}
 	var doc struct {
 		Results struct {
 			Bindings []json.RawMessage `json:"bindings"`
 		} `json:"results"`
-		Analyze struct {
-			TraceID   string `json:"traceId"`
-			Operators []struct {
-				Op            string   `json:"op"`
-				Stage         *int64   `json:"stage"`
-				EstimatedRows *int64   `json:"estimatedRows"`
-				ActualRows    *int64   `json:"actualRows"`
-				QError        *float64 `json:"qError"`
-			} `json:"operators"`
-		} `json:"analyze"`
+		Trace obs.TraceJSON `json:"trace"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("analyze response does not parse: %v\n%s", err, raw)
+		t.Fatalf("explain=trace response does not parse: %v\n%s", err, raw)
 	}
 	if len(doc.Results.Bindings) == 0 {
 		t.Fatal("cross-vocabulary query returned no rows")
 	}
 	var sawFragment bool
-	for _, op := range doc.Analyze.Operators {
-		if op.Op != "fragment" {
+	for _, op := range doc.Trace.Operators() {
+		if op.Attrs["op"] != "fragment" {
 			continue
 		}
 		sawFragment = true
-		if op.EstimatedRows == nil || op.ActualRows == nil || op.QError == nil {
+		est, hasEst := op.Attrs["estRows"].(float64)
+		actual, hasActual := op.Attrs["actualRows"].(float64)
+		qerr, hasQ := op.Attrs["qError"].(float64)
+		if !hasEst || !hasActual || !hasQ {
 			t.Fatalf("fragment operator lacks cardinalities: %s", raw)
 		}
-		if *op.QError < 10 {
-			t.Fatalf("fragment q-error = %v, want >= 10 (est %d vs actual %d)",
-				*op.QError, *op.EstimatedRows, *op.ActualRows)
+		if qerr < 10 {
+			t.Fatalf("fragment q-error = %v, want >= 10 (est %v vs actual %v)", qerr, est, actual)
 		}
 	}
 	if !sawFragment {
-		t.Fatalf("no fragment operator in analyze tree: %s", raw)
+		t.Fatalf("no fragment operator in the trace: %s", raw)
 	}
 
 	// The calibration samples are on /metrics.
@@ -620,15 +616,15 @@ SELECT ?paper ?a ?c WHERE {
 			before[0].EstCard, after[1].EstCard)
 	}
 
-	// The human-readable profile serves at /api/analyze/{traceId}.
-	aresp, err := http.Get(base + "/api/analyze/" + doc.Analyze.TraceID)
+	// The human-readable profile serves at /api/trace/{id}?format=text.
+	aresp, err := http.Get(base + "/api/trace/" + doc.Trace.ID + "?format=text")
 	if err != nil {
 		t.Fatal(err)
 	}
 	atext, _ := io.ReadAll(aresp.Body)
 	aresp.Body.Close()
 	if aresp.StatusCode != 200 || !strings.Contains(string(atext), "EXPLAIN ANALYZE") {
-		t.Fatalf("GET /api/analyze/{id} = %d:\n%s", aresp.StatusCode, atext)
+		t.Fatalf("GET /api/trace/{id}?format=text = %d:\n%s", aresp.StatusCode, atext)
 	}
 }
 

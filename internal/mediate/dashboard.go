@@ -55,8 +55,8 @@ type spanRow struct {
 }
 
 // traceView is one waterfall: the trace header plus its flattened rows
-// and, when the query recorded operator profiles, its EXPLAIN ANALYZE
-// table as /api/analyze renders it.
+// and, when the query recorded operator profiles, its operator table as
+// /api/trace/{id}?format=text renders it.
 type traceView struct {
 	ID         string
 	Start      string
@@ -64,7 +64,7 @@ type traceView struct {
 	Form       string
 	Failed     bool
 	Rows       []spanRow
-	Analyze    string
+	Operators  string
 }
 
 // dashboardData is what the page renders: the mediator's one Stats
@@ -126,8 +126,8 @@ func waterfall(v obs.TraceJSON) traceView {
 		}
 	}
 	walk(v.Root, 0)
-	if a := buildAnalyze(v); len(a.Operators) > 0 {
-		tv.Analyze = a.Text()
+	if len(v.Operators()) > 0 {
+		tv.Operators = v.Text()
 	}
 	return tv
 }
@@ -197,7 +197,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Funcs(dashboardF
   .row .dur { flex: 0 0 80px; text-align: right; font-variant-numeric: tabular-nums; color: #555; }
   .detail { color: #888; font-size: .72rem; margin-left: 220px; overflow: hidden; text-overflow: ellipsis; white-space: nowrap; }
   .failedtag { color: #d9534f; font-weight: 600; }
-  pre.analyze { margin-top: .5rem; font-size: .74rem; overflow-x: auto; }
+  pre.operators { margin-top: .5rem; font-size: .74rem; overflow-x: auto; }
   .muted { color: #888; }
 </style>
 </head>
@@ -282,7 +282,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Funcs(dashboardF
   </div>
   {{if .Detail}}<div class="detail">{{.Detail}}</div>{{end}}
   {{end}}
-  {{with .Analyze}}<pre class="analyze">{{.}}</pre>{{end}}
+  {{with .Operators}}<pre class="operators">{{.}}</pre>{{end}}
 </div>
 {{end}}
 {{else}}<p class="muted">no finished traces yet &mdash; run a query against /sparql</p>{{end}}

@@ -69,19 +69,13 @@ func perDatasetView(fr *FederatedResult) []perDatasetJSON {
 	return out
 }
 
-// tracePage / auditPage are the paginated list envelopes of /api/trace
-// and /api/audit: the page plus the total so clients can iterate with
-// ?offset without guessing when to stop.
+// tracePage is the paginated list envelope of /api/trace, over the ring
+// or the flight recorder: trace documents, newest first, plus the total
+// so clients can iterate with ?offset without guessing when to stop.
 type tracePage struct {
-	Total  int             `json:"total"`
-	Offset int             `json:"offset"`
-	Traces []obs.TraceJSON `json:"traces"`
-}
-
-type auditPage struct {
-	Total   int               `json:"total"`
-	Offset  int               `json:"offset"`
-	Records []json.RawMessage `json:"records"`
+	Total  int               `json:"total"`
+	Offset int               `json:"offset"`
+	Traces []json.RawMessage `json:"traces"`
 }
 
 // Media types the /sparql endpoint can produce.
@@ -228,49 +222,59 @@ func Handler(m *Mediator) http.Handler {
 		_ = m.Obs.Registry.WritePrometheus(w)
 	})
 
-	// /api/trace lists the trace ring's recent span trees, newest first,
-	// as {"total", "offset", "traces"} (?limit=N caps the page, ?offset=N
-	// skips past the newest N); /api/trace/{id} fetches one by ID, 404
-	// once evicted.
+	// /api/trace pages the trace ring's documents, newest first, as
+	// {"total", "offset", "traces"} (?limit=N caps the page, ?offset=N
+	// skips past the newest N); ?recorded=1 pages the flight recorder's
+	// slow and failed queries the same way, a 404 without -audit-dir.
 	handle("/api/trace", func(w http.ResponseWriter, r *http.Request) {
-		limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-		offset, _ := strconv.Atoi(r.URL.Query().Get("offset"))
-		traces, total := m.Obs.Ring.Page(offset, limit)
-		views := make([]obs.TraceJSON, 0, len(traces))
-		for _, t := range traces {
-			views = append(views, t.View())
+		q := r.URL.Query()
+		limit, _ := strconv.Atoi(q.Get("limit"))
+		offset, _ := strconv.Atoi(q.Get("offset"))
+		page := tracePage{Offset: offset}
+		if q.Get("recorded") != "" {
+			if m.Obs.Recorder == nil {
+				protocolError(w, http.StatusNotFound, "flight recorder disabled (start with -audit-dir)")
+				return
+			}
+			page.Traces, page.Total = m.Obs.Recorder.Page(offset, limit)
+		} else {
+			var traces []*obs.Trace
+			traces, page.Total = m.Obs.Ring.Page(offset, limit)
+			for _, t := range traces {
+				page.Traces = append(page.Traces, t.JSON())
+			}
 		}
-		writeJSON(w, tracePage{Total: total, Offset: offset, Traces: views})
+		if page.Traces == nil {
+			page.Traces = []json.RawMessage{}
+		}
+		writeJSON(w, page)
 	})
+	// /api/trace/{id} serves one trace document, from the ring or else
+	// the flight recorder, 404 when neither holds it; ?format=text
+	// renders its operator table.
 	handle("/api/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/api/trace/")
-		t := m.Obs.Ring.Get(id)
-		if t == nil {
+		var doc json.RawMessage
+		if t := m.Obs.Ring.Get(id); t != nil {
+			doc = t.JSON()
+		} else if rec, ok := m.Obs.Recorder.Find(id); ok {
+			doc = rec
+		} else {
 			protocolError(w, http.StatusNotFound, "no such trace (evicted or never recorded): "+id)
+			return
+		}
+		if r.URL.Query().Get("format") == "text" {
+			var v obs.TraceJSON
+			if err := json.Unmarshal(doc, &v); err != nil {
+				protocolError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_, _ = io.WriteString(w, v.Text())
 			return
 		}
 		w.Header().Set("Content-Type", ctJSON)
-		_, _ = w.Write(t.JSON())
-	})
-
-	// /api/analyze/{traceId} renders a retained trace's EXPLAIN ANALYZE
-	// operator tree — estimated vs actual cardinalities, q-error, row
-	// counts — as human-readable text (?format=json for the document the
-	// explain=analyze trailer ships).
-	handle("/api/analyze/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/api/analyze/")
-		t := m.Obs.Ring.Get(id)
-		if t == nil {
-			protocolError(w, http.StatusNotFound, "no such trace (evicted or never recorded): "+id)
-			return
-		}
-		a := buildAnalyze(t.View())
-		if r.URL.Query().Get("format") == "json" {
-			writeJSON(w, a)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, a.Text())
+		_, _ = w.Write(doc)
 	})
 
 	handle("/api/datasets", func(w http.ResponseWriter, r *http.Request) {
@@ -374,34 +378,6 @@ func Handler(m *Mediator) http.Handler {
 		writeJSON(w, m.Stats().Federation.Endpoints)
 	})
 
-	// /api/audit lists the flight recorder's captured slow/failed queries,
-	// newest first, as {"total", "offset", "records"} (?limit=N caps the
-	// page, ?offset=N skips past the newest N, ?trace=<id> fetches one by
-	// trace id). 404 when the recorder is disabled (no -audit-dir).
-	handle("/api/audit", func(w http.ResponseWriter, r *http.Request) {
-		if m.Obs.Recorder == nil {
-			protocolError(w, http.StatusNotFound, "flight recorder disabled (start with -audit-dir)")
-			return
-		}
-		if id := r.URL.Query().Get("trace"); id != "" {
-			rec, ok := m.Obs.Recorder.Find(id)
-			if !ok {
-				protocolError(w, http.StatusNotFound, "no audited query with trace id "+id)
-				return
-			}
-			w.Header().Set("Content-Type", ctJSON)
-			_, _ = w.Write(append(rec, '\n'))
-			return
-		}
-		limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-		offset, _ := strconv.Atoi(r.URL.Query().Get("offset"))
-		recs, total := m.Obs.Recorder.Page(offset, limit)
-		if recs == nil {
-			recs = []json.RawMessage{}
-		}
-		writeJSON(w, auditPage{Total: total, Offset: offset, Records: recs})
-	})
-
 	handle("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -435,14 +411,12 @@ func Handler(m *Mediator) http.Handler {
 // target is a 400 before any round trip, one off the tenant's allowlist a
 // 403), `source` names the source ontology (default:
 // guessed from the query's vocabulary) and `explain=trace` appends the
-// query's span tree to the response — a trailing "trace" member in the
-// SRJ document, a final {"trace":...} line in NDJSON, a terminal `trace`
-// event over SSE, a `# trace: {...}` comment in graph serialisations.
-// `explain=analyze` ships, in the same trailer slots under the member
-// name "analyze", the executed query's operator tree annotated with
-// estimated vs actual cardinalities and per-operator q-error (also
-// rendered human-readably at GET /api/analyze/{traceId} while the trace
-// ring retains the query).
+// query's trace document — its span tree, whose operator spans carry
+// estimated vs actual cardinalities and q-error, and its plan — to the
+// response: a trailing "trace" member in the SRJ document, a final
+// {"trace":...} line in NDJSON, a terminal `trace` event over SSE, a
+// `# trace: {...}` comment in graph serialisations. Any other explain
+// value is a 400.
 // Every response — error responses included — carries the query's trace
 // ID in X-Trace-Id, resolvable at /api/trace/{id} while the trace ring
 // retains it. Requests bearing a W3C `traceparent` header join the
@@ -491,9 +465,7 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 		if n, err := strconv.Atoi(get("limit")); err == nil && n > 0 {
 			limit = n
 		}
-		if mode := get("explain"); mode == explainModeTrace || mode == explainModeAnalyze {
-			explain = mode
-		}
+		explain = get("explain")
 	}
 	switch r.Method {
 	case http.MethodGet:
@@ -523,6 +495,10 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		protocolError(w, http.StatusMethodNotAllowed, "method not allowed")
+		return
+	}
+	if explain != "" && explain != "trace" {
+		protocolError(w, http.StatusBadRequest, "unknown explain mode "+strconv.Quote(explain)+": explain takes only trace")
 		return
 	}
 	if strings.TrimSpace(queryText) == "" {
@@ -570,52 +546,40 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 			"targets", len(targets))
 	}
 
+	traced := explain != ""
 	switch res.Form() {
 	case sparql.Select:
-		serveBindings(w, res, ctype, explain)
+		serveBindings(w, res, ctype, traced)
 	case sparql.Ask:
-		serveBoolean(w, res, ctype, explain)
+		serveBoolean(w, res, ctype, traced)
 	default:
-		serveGraph(w, res, ctype, explain)
+		serveGraph(w, res, ctype, traced)
 	}
 }
 
-// explainTrace finishes the query's trace (idempotent — execution is done
-// once the stream drains; serialisation time is not part of the query)
-// and returns its serialised span tree for the explain=trace trailer.
-func explainTrace(res *Result) json.RawMessage {
+// traceTrailer finishes the query's trace (idempotent — execution is
+// done once the stream drains; serialisation time is not part of the
+// query) and returns its document, plan included, for the explain=trace
+// trailer; nil when explain is off or the query ran untraced.
+func traceTrailer(res *Result, explain bool) json.RawMessage {
 	t := res.Trace()
-	if t == nil {
+	if !explain || t == nil {
 		return nil
 	}
 	t.Finish()
-	return t.JSON()
-}
-
-// The /sparql explain protocol-extension modes.
-const (
-	explainModeTrace   = "trace"   // full span tree
-	explainModeAnalyze = "analyze" // operator tree with est/actual cardinalities
-)
-
-// explainPayload resolves an explain mode into its trailer member name
-// and payload ("" when the mode is off or the query ran untraced).
-func explainPayload(res *Result, mode string) (string, json.RawMessage) {
-	switch mode {
-	case explainModeTrace:
-		if tr := explainTrace(res); tr != nil {
-			return "trace", tr
-		}
-	case explainModeAnalyze:
-		if a := explainAnalyze(res); a != nil {
-			return "analyze", a
-		}
+	doc := t.View()
+	if res.dec != nil {
+		doc.Plan = res.dec
 	}
-	return "", nil
+	data, err := json.Marshal(doc)
+	if err != nil {
+		data, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
+	return data
 }
 
 // serveBindings streams a SELECT result in the negotiated serialisation.
-func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain string) {
+func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain bool) {
 	qs := res.Bindings()
 	switch ctype {
 	case ctNDJSON:
@@ -641,20 +605,19 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain str
 			}
 			flush()
 		}
-		member, payload := explainPayload(res, explain)
-		_ = enc.CloseWith(member, payload)
+		_ = enc.CloseWith("trace", traceTrailer(res, explain))
 	}
 }
 
 // serveBoolean writes an ASK result.
-func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain string) {
+func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain bool) {
 	switch ctype {
 	case ctNDJSON:
 		w.Header().Set("Content-Type", ctNDJSON)
 		line, _ := json.Marshal(map[string]bool{"boolean": res.Bool()})
 		_, _ = w.Write(append(line, '\n'))
-		if member, payload := explainPayload(res, explain); member != "" {
-			trailer := append([]byte(`{"`+member+`":`), payload...)
+		if payload := traceTrailer(res, explain); payload != nil {
+			trailer := append([]byte(`{"trace":`), payload...)
 			_, _ = w.Write(append(trailer, '}', '\n'))
 		}
 	case ctSSE:
@@ -662,8 +625,8 @@ func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain stri
 		_ = sse.event("boolean", map[string]bool{"boolean": res.Bool()})
 		fr, err := res.Summary()
 		writeSSESummary(sse, fr, err)
-		if member, payload := explainPayload(res, explain); member != "" {
-			_ = sse.event(member, payload)
+		if payload := traceTrailer(res, explain); payload != nil {
+			_ = sse.event("trace", payload)
 		}
 	default:
 		data, err := srjson.EncodeAsk(res.Bool())
@@ -671,10 +634,10 @@ func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain stri
 			protocolError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if member, payload := explainPayload(res, explain); member != "" {
+		if payload := traceTrailer(res, explain); payload != nil {
 			// Splice the trailer in before the document's closing brace:
 			// an unknown top-level member W3C consumers skip.
-			data = append(data[:len(data)-1], `,"`+member+`":`...)
+			data = append(data[:len(data)-1], `,"trace":`...)
 			data = append(append(data, payload...), '}')
 		}
 		w.Header().Set("Content-Type", ctype)
@@ -686,7 +649,7 @@ func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain stri
 // Turtle, one triple per line, flushed incrementally. A failure
 // mid-stream terminates the document with a comment line (legal in both
 // syntaxes), since the status line is long gone.
-func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain string) {
+func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) {
 	gs := res.Graph()
 	w.Header().Set("Content-Type", ctype)
 	flush := endpoint.BatchFlusher(w)
@@ -717,10 +680,10 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain string
 	if streamErr != nil {
 		_, _ = io.WriteString(w, "# error: "+strings.ReplaceAll(streamErr.Error(), "\n", " ")+"\n")
 	}
-	if member, payload := explainPayload(res, explain); member != "" {
+	if payload := traceTrailer(res, explain); payload != nil {
 		// json.Marshal output never contains raw newlines, so the
 		// trailer stays one comment line (legal in both syntaxes).
-		_, _ = io.WriteString(w, "# "+member+": "+string(payload)+"\n")
+		_, _ = io.WriteString(w, "# trace: "+string(payload)+"\n")
 	}
 	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()
@@ -735,7 +698,7 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain string
 // terminates it with a final {"error": "..."} line (distinguishable from
 // a binding, whose values are objects). Consumers wanting the
 // per-dataset summary use the SSE serialisation instead.
-func serveNDJSON(w http.ResponseWriter, res *Result, explain string) {
+func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 	qs := res.Bindings()
 	w.Header().Set("Content-Type", ctNDJSON)
 	flush := endpoint.BatchFlusher(w)
@@ -774,10 +737,10 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain string) {
 			writeLine(line)
 		}
 	}
-	if member, payload := explainPayload(res, explain); member != "" {
+	if payload := traceTrailer(res, explain); payload != nil {
 		// Distinguishable from a binding line: its one value is the
 		// trailer object, not a {type,value} term.
-		writeLine(append(append([]byte(`{"`+member+`":`), payload...), '}'))
+		writeLine(append(append([]byte(`{"trace":`), payload...), '}'))
 	}
 	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()
@@ -843,7 +806,7 @@ func writeSSESummary(sse *sseWriter, fr *FederatedResult, err error) {
 // terminal `summary` event with the per-dataset outcomes — or an `error`
 // event when the fan-out aborted. Closing the EventSource cancels the
 // upstream sub-queries.
-func serveSSE(w http.ResponseWriter, res *Result, explain string) {
+func serveSSE(w http.ResponseWriter, res *Result, explain bool) {
 	qs := res.Bindings()
 	sse := newSSEWriter(w)
 	const bindingEvent = "event: binding\ndata: "
@@ -875,8 +838,8 @@ func serveSSE(w http.ResponseWriter, res *Result, explain string) {
 	} else {
 		writeSSESummary(sse, fr, nil)
 	}
-	if member, payload := explainPayload(res, explain); member != "" {
-		_ = sse.event(member, payload)
+	if payload := traceTrailer(res, explain); payload != nil {
+		_ = sse.event("trace", payload)
 	}
 }
 

@@ -120,8 +120,9 @@ func TestDashboardCountsEveryAuditedQuery(t *testing.T) {
 	ts := newTracingStack(t, WithObservability(obs.Options{AuditDir: t.TempDir()}))
 	const n = 105
 	for i := range n {
-		if err := ts.mediator.Obs.Recorder.Record(obs.AuditRecord{
-			Time: time.Now(), TraceID: fmt.Sprintf("%032x", i), Query: "ASK { ?s ?p ?o }",
+		if err := ts.mediator.Obs.Recorder.Record(obs.TraceJSON{
+			ID: fmt.Sprintf("%032x", i), Start: time.Now(),
+			Root: obs.SpanJSON{Name: "query", Attrs: map[string]any{"query": "ASK { ?s ?p ?o }"}},
 		}); err != nil {
 			t.Fatal(err)
 		}

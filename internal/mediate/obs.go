@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/sparql"
 )
@@ -78,9 +79,10 @@ func formLabel(f sparql.Form) string {
 // queryObs tracks one query from acceptance to result close: the
 // in-flight gauge, the per-form latency histogram, time-to-first-solution
 // and — when this query started its own trace — finishing the trace,
-// recording it in the ring and emitting the slow-query log line. finish
-// is idempotent, so the explicit error paths and Result.Close can both
-// call it.
+// recording it in the ring and, for a slow or failed query, emitting the
+// slow-query log line and writing its trace document to the flight
+// recorder. finish is idempotent, so the explicit error paths and
+// Result.Close can both call it.
 type queryObs struct {
 	m     *Mediator
 	trace *obs.Trace
@@ -88,12 +90,11 @@ type queryObs struct {
 	form  *formMetrics
 	start time.Time
 
-	// Flight-recorder payload, attached as the query moves through the
-	// pipeline: the query text, the resolved plan/decomposition, and the
-	// error that rejected it (mid-stream failures surface on the trace).
-	query   string
-	explain any
-	err     error
+	// plan is the query's decomposition, which a recorded trace document
+	// carries; failed records that an error rejected the query (mid-stream
+	// failures surface on the trace).
+	plan   *decompose.Decomposition
+	failed bool
 
 	finishOnce sync.Once
 	firstOnce  sync.Once
@@ -126,7 +127,6 @@ func (qo *queryObs) setQuery(q string) {
 	if qo == nil {
 		return
 	}
-	qo.query = q
 	qo.trace.Root().SetString("query", q)
 }
 
@@ -151,7 +151,7 @@ func (qo *queryObs) fail(err error) {
 	if qo == nil {
 		return
 	}
-	qo.err = err
+	qo.failed = true
 	qo.trace.Root().SetString("error", err.Error())
 	qo.finish()
 }
@@ -169,31 +169,24 @@ func (qo *queryObs) finish() {
 			return
 		}
 		qo.trace.Finish()
+		slow := m.Obs.SlowQuery >= 0 && dur >= m.Obs.SlowQuery
+		if slow {
+			qo.trace.Root().SetBool("slow", true)
+		}
 		m.Obs.Ring.Add(qo.trace)
 		m.Obs.Exporter.Enqueue(qo.trace)
-		slow := m.Obs.SlowQuery >= 0 && dur >= m.Obs.SlowQuery
 		if slow {
 			m.Obs.Log.Warn("slow query",
 				"traceId", qo.trace.ID(),
 				"form", qo.form.label,
 				"durationMs", float64(dur.Microseconds())/1000)
 		}
-		if m.Obs.Recorder != nil && (slow || qo.err != nil) {
-			view := qo.trace.View()
-			rec := obs.AuditRecord{
-				Time:       qo.start,
-				TraceID:    qo.trace.ID(),
-				Form:       qo.form.label,
-				Query:      qo.query,
-				DurationMS: float64(dur.Microseconds()) / 1000,
-				Slow:       slow,
-				Explain:    qo.explain,
-				Trace:      &view,
+		if m.Obs.Recorder != nil && (slow || qo.failed) {
+			doc := qo.trace.View()
+			if qo.plan != nil {
+				doc.Plan = qo.plan
 			}
-			if qo.err != nil {
-				rec.Error = qo.err.Error()
-			}
-			if err := m.Obs.Recorder.Record(rec); err != nil {
+			if err := m.Obs.Recorder.Record(doc); err != nil {
 				m.Obs.Log.Error("flight recorder write failed", "err", err)
 			}
 		}

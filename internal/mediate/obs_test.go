@@ -273,6 +273,37 @@ func TestExplainTraceNDJSON(t *testing.T) {
 	}
 }
 
+// TestExplainTakesOnlyTrace: explain has one mode. Any other value —
+// the retired analyze mode included — is a 400 with the JSON error
+// document naming trace, correlatable by X-Trace-Id, never a response
+// that silently drops the trailer.
+func TestExplainTakesOnlyTrace(t *testing.T) {
+	s := newStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+
+	for _, mode := range []string{"analyze", "verbose-plan"} {
+		resp, err := http.PostForm(srv.URL+"/sparql", url.Values{
+			"query":   {workload.Figure1Query(2)},
+			"explain": {mode},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(doc.Error, "trace") {
+			t.Errorf("explain=%s: %d, %q (%v); want a 400 naming trace", mode, resp.StatusCode, doc.Error, err)
+		}
+		if resp.Header.Get("X-Trace-Id") == "" {
+			t.Errorf("explain=%s: 400 without X-Trace-Id", mode)
+		}
+	}
+}
+
 // TestResultTraceOwnership pins the library-level contract: a query on a
 // bare context starts (and on Close records) its own trace, while a query
 // on a context already carrying a trace annotates that one and leaves

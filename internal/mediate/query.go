@@ -210,9 +210,7 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 	}
 	fill.attach(res)
 	res.qo = qo
-	if res.dec != nil {
-		qo.explain = res.dec
-	}
+	qo.plan = res.dec
 	if res.sel != nil {
 		res.sel.qo = qo
 	}
@@ -339,7 +337,7 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 // endpoint round trips, when a ready view covers it; as one whole fragment
 // over the data sets that answer it whole; or — when none does — as
 // per-endpoint fragments joined at the mediator. The query path runs what
-// it returns, and /api/plan, PlanQuery and the audit record explain it. A
+// it returns, and /api/plan, PlanQuery and the recorded trace explain it. A
 // set that answers nothing is refused with ErrDenied when the tenant's
 // allowlist narrowed it, and named otherwise.
 func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (*decompose.Decomposition, error) {

@@ -332,84 +332,148 @@ func TestXTraceIdOnErrorResponses(t *testing.T) {
 	}
 }
 
-// TestAuditEndpointRecordsSlowQueries drives the flight recorder through
-// the HTTP surface: with a sub-nanosecond slow threshold every query
-// audits, /api/audit lists it newest-first and resolves it by trace id.
-func TestAuditEndpointRecordsSlowQueries(t *testing.T) {
-	dir := t.TempDir()
+// tracePageOf fetches one /api/trace page.
+func tracePageOf(t *testing.T, url string) (int, []obs.TraceJSON) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	var page struct {
+		Total  int             `json:"total"`
+		Traces []obs.TraceJSON `json:"traces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	return page.Total, page.Traces
+}
+
+// TestRecordedSlowQueries drives the flight recorder through the HTTP
+// surface: with a sub-nanosecond slow threshold every query is recorded,
+// /api/trace?recorded=1 lists its trace document newest-first, marked
+// slow and carrying the query, under the ring's paging rule, and
+// /api/trace/{id} resolves it.
+func TestRecordedSlowQueries(t *testing.T) {
 	ts := newTracingStack(t, WithObservability(obs.Options{
 		SlowQuery: time.Nanosecond,
-		AuditDir:  dir,
+		AuditDir:  t.TempDir(),
 	}))
 	srv := httptest.NewServer(Handler(ts.mediator))
 	defer srv.Close()
 
-	resp, err := http.PostForm(srv.URL+"/sparql", url.Values{"query": {workload.Figure1Query(2)}})
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for i := 1; i <= 2; i++ {
+		resp, err := http.PostForm(srv.URL+"/sparql", url.Values{"query": {workload.Figure1Query(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ids = append(ids, resp.Header.Get("X-Trace-Id"))
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	traceID := resp.Header.Get("X-Trace-Id")
+	traceID := ids[1]
 
-	aresp, err := http.Get(srv.URL + "/api/audit")
-	if err != nil {
-		t.Fatal(err)
+	total, recs := tracePageOf(t, srv.URL+"/api/trace?recorded=1")
+	if len(recs) != 2 || total != 2 {
+		t.Fatalf("%d recorded queries listed (total %d), want 2", len(recs), total)
 	}
-	defer aresp.Body.Close()
-	if aresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/audit = %d", aresp.StatusCode)
+	rec := recs[0]
+	if rec.ID != traceID {
+		t.Fatalf("newest recorded trace id = %s, want %s", rec.ID, traceID)
 	}
-	var page struct {
-		Total   int               `json:"total"`
-		Records []obs.AuditRecord `json:"records"`
+	if rec.Root.Attrs["slow"] != true || rec.Root.Attrs["query"] == nil || rec.Root.Name != "query" {
+		t.Fatalf("recorded trace incomplete: %+v", rec.Root)
 	}
-	if err := json.NewDecoder(aresp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Records) == 0 || page.Total == 0 {
-		t.Fatalf("no audited queries listed (total %d)", page.Total)
-	}
-	rec := page.Records[0]
-	if rec.TraceID != traceID {
-		t.Fatalf("audited trace id = %s, want %s", rec.TraceID, traceID)
-	}
-	if !rec.Slow || rec.Query == "" || rec.Trace == nil {
-		t.Fatalf("audit record incomplete: %+v", rec)
+	if total, recs := tracePageOf(t, srv.URL+"/api/trace?recorded=1&offset=1&limit=5"); total != 2 ||
+		len(recs) != 1 || recs[0].ID != ids[0] {
+		t.Fatalf("second page: %d records of %d, want the older one", len(recs), total)
 	}
 
 	// Lookup by trace id.
-	oneResp, err := http.Get(srv.URL + "/api/audit?trace=" + traceID)
+	oneResp, err := http.Get(srv.URL + "/api/trace/" + traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oneResp.Body.Close()
 	if oneResp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/audit?trace= = %d", oneResp.StatusCode)
+		t.Fatalf("GET /api/trace/{id} = %d", oneResp.StatusCode)
 	}
-	var one obs.AuditRecord
+	var one obs.TraceJSON
 	if err := json.NewDecoder(oneResp.Body).Decode(&one); err != nil {
 		t.Fatal(err)
 	}
-	if one.TraceID != traceID {
-		t.Fatalf("lookup returned trace %s, want %s", one.TraceID, traceID)
+	if one.ID != traceID {
+		t.Fatalf("lookup returned trace %s, want %s", one.ID, traceID)
 	}
 }
 
-// TestAuditEndpointDisabled pins the no-recorder path: /api/audit is a
-// JSON 404 when the mediator runs without -audit-dir.
-func TestAuditEndpointDisabled(t *testing.T) {
-	s := newStack(t)
-	srv := httptest.NewServer(Handler(s.mediator))
+// TestRecordedTraceOutlivesRing: a slow query's document stays
+// resolvable at /api/trace/{id} after the ring has evicted its trace,
+// read back from the flight recorder with slow, the query and the plan.
+func TestRecordedTraceOutlivesRing(t *testing.T) {
+	ts := newTracingStack(t, WithObservability(obs.Options{
+		SlowQuery:     time.Nanosecond,
+		AuditDir:      t.TempDir(),
+		TraceRingSize: 1,
+	}))
+	srv := httptest.NewServer(Handler(ts.mediator))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/audit")
+	var ids []string
+	for i := 1; i <= 2; i++ {
+		resp, err := http.PostForm(srv.URL+"/sparql", url.Values{"query": {workload.Figure1Query(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ids = append(ids, resp.Header.Get("X-Trace-Id"))
+	}
+	if ts.mediator.Obs.Ring.Get(ids[0]) != nil {
+		t.Fatal("the ring of one still holds the first trace")
+	}
+	resp, err := http.Get(srv.URL + "/api/trace/" + ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/audit = %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/trace/{evicted id} = %d, want the recorded document", resp.StatusCode)
+	}
+	var doc obs.TraceJSON
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := doc.Root.Attrs["query"].(string)
+	plan, _ := doc.Plan.(map[string]any)
+	if doc.ID != ids[0] || doc.Root.Attrs["slow"] != true || !strings.Contains(q, "has-author") || len(plan["fragments"].([]any)) == 0 {
+		t.Fatalf("recorded document = id %s, attrs %v, plan %v", doc.ID, doc.Root.Attrs, doc.Plan)
+	}
+}
+
+// TestRecordedTracesDisabled pins the no-recorder path:
+// /api/trace?recorded=1 is a JSON 404 when the mediator runs without
+// -audit-dir.
+func TestRecordedTracesDisabled(t *testing.T) {
+	s := newStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/api/trace?recorded=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var errDoc struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&errDoc); resp.StatusCode != http.StatusNotFound || err != nil || errDoc.Error == "" {
+		t.Fatalf("GET /api/trace?recorded=1 = %d (%v, %+v), want a JSON 404", resp.StatusCode, err, errDoc)
 	}
 }
 
@@ -449,7 +513,8 @@ func TestDashboardRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(body)
-	for _, want := range []string{"Endpoint health", "Recent traces", ts.endpoints[0], `class="row"`} {
+	for _, want := range []string{"Endpoint health", "Recent traces", ts.endpoints[0], `class="row"`,
+		`<pre class="operators">EXPLAIN ANALYZE`} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("dashboard misses %q;\npage: %.2000s", want, page)
 		}

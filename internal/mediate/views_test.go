@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/decompose"
+	"sparqlrw/internal/obs"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/view"
@@ -331,7 +332,7 @@ func TestViewHitAllocations(t *testing.T) {
 // TestViewDecisionExplainedWhereItRuns: the view decision is the route's,
 // so a view-covered query is explained with the plan it runs. PlanQuery,
 // /api/plan and Result.Decomposition show the one fragment the view
-// answers, naming it and the data sets it was built from; explain=analyze
+// answers, naming it and the data sets it was built from; explain=trace
 // profiles the view operator; and explaining counts neither a view hit nor
 // a miss.
 func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
@@ -397,7 +398,7 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 	}
 
 	resp, err = http.PostForm(srv.URL+"/sparql", url.Values{
-		"query": {query}, "source": {rdf.AKTNS}, "explain": {"analyze"},
+		"query": {query}, "source": {rdf.AKTNS}, "explain": {"trace"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,16 +407,16 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 		Results struct {
 			Bindings []json.RawMessage `json:"bindings"`
 		} `json:"results"`
-		Analyze *Analyze `json:"analyze"`
+		Trace *obs.TraceJSON `json:"trace"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&doc)
 	resp.Body.Close()
-	if err != nil || doc.Analyze == nil {
-		t.Fatalf("explain=analyze: %v, %+v", err, doc.Analyze)
+	if err != nil || doc.Trace == nil {
+		t.Fatalf("explain=trace: %v, %+v", err, doc.Trace)
 	}
-	ops := opsByKind(doc.Analyze.Operators)
-	if v := ops["view"]; len(v) != 1 || v[0].RowsOut == nil || *v[0].RowsOut != int64(len(doc.Results.Bindings)) {
-		t.Errorf("analyze view operators %+v, want one with rowsOut %d", v, len(doc.Results.Bindings))
+	ops := opsByKind(*doc.Trace)
+	if v := ops["view"]; len(v) != 1 || v[0].Attrs["rowsOut"] != float64(len(doc.Results.Bindings)) {
+		t.Errorf("view operators %+v, want one with rowsOut %d", v, len(doc.Results.Bindings))
 	}
 	if c := counters(); c[0] != c0[0]+2 || c[1] != c0[1] {
 		t.Errorf("two view-answered runs moved the view hits and misses from %v to %v", c0, c)

@@ -1,42 +1,25 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
-// AuditRecord is one flight-recorder entry: everything needed to
-// understand — and replay — a slow or failed query after the fact.
-type AuditRecord struct {
-	Time       time.Time `json:"time"`
-	TraceID    string    `json:"traceId"`
-	Form       string    `json:"form,omitempty"`
-	Query      string    `json:"query"`
-	DurationMS float64   `json:"durationMs"`
-	Error      string    `json:"error,omitempty"`
-	Slow       bool      `json:"slow,omitempty"`
-	// Explain carries the resolved plan / decomposition explanation the
-	// mediator produced for the query, in the /api/plan shape.
-	Explain any `json:"explain,omitempty"`
-	// Trace is the query's full span tree.
-	Trace *TraceJSON `json:"trace,omitempty"`
-}
-
-// FlightRecorder persists audit records as JSON lines in a size-bounded
-// on-disk ring: segment files audit-<seq>.jsonl under one directory,
-// rotated at segment capacity, oldest segment deleted when the
-// directory exceeds its byte budget. Writes are synchronous but small
-// (one marshalled line); a write error disables nothing — the next
-// record tries again. Safe for concurrent use.
+// FlightRecorder persists the trace documents (TraceJSON, plan included)
+// of slow or failed queries as JSON lines in a size-bounded on-disk ring:
+// segment files audit-<seq>.jsonl under one directory, rotated at segment
+// capacity, oldest segment deleted when the directory exceeds its byte
+// budget. Writes are synchronous but small (one marshalled line); a write
+// error disables nothing — the next record tries again. Safe for
+// concurrent use.
 type FlightRecorder struct {
 	dir      string
 	maxBytes int64 // total budget across segments
@@ -120,14 +103,15 @@ func (r *FlightRecorder) segments() []segment {
 	return segs
 }
 
-// Record appends one entry. Nil-safe: a nil recorder drops silently.
-func (r *FlightRecorder) Record(rec AuditRecord) error {
+// Record appends one trace document. Nil-safe: a nil recorder drops
+// silently.
+func (r *FlightRecorder) Record(doc TraceJSON) error {
 	if r == nil {
 		return nil
 	}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(doc)
 	if err != nil {
-		return fmt.Errorf("obs: audit record: %w", err)
+		return fmt.Errorf("obs: flight record: %w", err)
 	}
 	line = append(line, '\n')
 	r.mu.Lock()
@@ -170,79 +154,55 @@ func (r *FlightRecorder) enforceBudget() {
 	}
 }
 
-// Page returns up to limit raw records starting offset entries back
-// from the newest, newest first, plus the total record count across all
-// segments (limit <= 0 means 100; a negative offset is treated as 0).
-// Records are returned as raw JSON lines — already marshalled at record
-// time — so listing never depends on the Explain payload's type.
+// Page returns up to limit recorded trace documents starting offset
+// records back from the newest, newest first, plus the number of records
+// on disk, under TraceRing.Page's rule for limit and offset. Records are
+// the raw JSON lines marshalled at record time.
 func (r *FlightRecorder) Page(offset, limit int) ([]json.RawMessage, int) {
 	if r == nil {
 		return nil, 0
 	}
-	if limit <= 0 {
-		limit = 100
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	segs := r.segments()
-	var out []json.RawMessage
-	total, skip := 0, offset
-	for i := len(segs) - 1; i >= 0; i-- {
-		lines := readLines(segs[i].path)
-		total += len(lines)
-		for j := len(lines) - 1; j >= 0; j-- {
-			if skip > 0 {
-				skip--
-				continue
-			}
-			if len(out) < limit {
-				out = append(out, lines[j])
-			}
-		}
-	}
-	return out, total
+	lines := r.lines()
+	from, to := window(len(lines), offset, limit)
+	return lines[from:to], len(lines)
 }
 
-// Find returns the record for one trace id, scanning newest first.
-func (r *FlightRecorder) Find(traceID string) (json.RawMessage, bool) {
-	if r == nil || traceID == "" {
+// Find returns the newest recorded trace document with the given id.
+func (r *FlightRecorder) Find(id string) (json.RawMessage, bool) {
+	if r == nil || id == "" {
 		return nil, false
 	}
-	needle := []byte(`"traceId":` + strconv.Quote(traceID))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	segs := r.segments()
-	for i := len(segs) - 1; i >= 0; i-- {
-		lines := readLines(segs[i].path)
-		for j := len(lines) - 1; j >= 0; j-- {
-			if bytes.Contains(lines[j], needle) {
-				return lines[j], true
-			}
+	// A TraceJSON marshals its id first.
+	prefix := []byte(`{"id":` + strconv.Quote(id) + `,`)
+	for _, line := range r.lines() {
+		if bytes.HasPrefix(line, prefix) {
+			return line, true
 		}
 	}
 	return nil, false
 }
 
-func readLines(path string) []json.RawMessage {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	var lines []json.RawMessage
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+// lines reads every recorded line, newest first, whatever its length.
+func (r *FlightRecorder) lines() []json.RawMessage {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []json.RawMessage
+	segs := r.segments()
+	for i := len(segs) - 1; i >= 0; i-- {
+		data, err := os.ReadFile(segs[i].path)
+		if err != nil {
 			continue
 		}
-		lines = append(lines, json.RawMessage(append([]byte(nil), line...)))
+		var seg []json.RawMessage
+		for line := range bytes.Lines(data) {
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				seg = append(seg, line)
+			}
+		}
+		slices.Reverse(seg)
+		out = append(out, seg...)
 	}
-	return lines
+	return out
 }
 
 // Close closes the active segment.

@@ -19,20 +19,15 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	}
 	defer r.Close()
 
+	const query = "SELECT * WHERE { ?s ?p ?o }"
 	_, tr := NewTrace(context.Background(), "query")
+	tr.Root().SetString("form", "select")
+	tr.Root().SetString("query", query)
+	tr.Root().SetBool("slow", true)
 	tr.Finish()
-	view := tr.View()
-	rec := AuditRecord{
-		Time:       time.Now(),
-		TraceID:    tr.ID(),
-		Form:       "select",
-		Query:      "SELECT * WHERE { ?s ?p ?o }",
-		DurationMS: 1250.5,
-		Slow:       true,
-		Explain:    map[string]any{"fragments": 2},
-		Trace:      &view,
-	}
-	if err := r.Record(rec); err != nil {
+	doc := tr.View()
+	doc.Plan = map[string]any{"fragments": 2}
+	if err := r.Record(doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,15 +35,16 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	if len(got) != 1 || total != 1 {
 		t.Fatalf("Page = %d records of %d, want 1 of 1", len(got), total)
 	}
-	var back AuditRecord
+	var back TraceJSON
 	if err := json.Unmarshal(got[0], &back); err != nil {
 		t.Fatalf("recorded line is not valid JSON: %v", err)
 	}
-	if back.TraceID != tr.ID() || back.Query != rec.Query || !back.Slow || back.Trace == nil {
+	if back.ID != tr.ID() || back.Root.Attrs["query"] != query || back.Root.Attrs["form"] != "select" ||
+		back.Root.Attrs["slow"] != true {
 		t.Errorf("round-trip = %+v", back)
 	}
-	if back.Trace.ID != tr.ID() {
-		t.Errorf("embedded trace id = %q", back.Trace.ID)
+	if plan, _ := back.Plan.(map[string]any); plan["fragments"] != float64(2) {
+		t.Errorf("recorded plan = %v", back.Plan)
 	}
 
 	if _, ok := r.Find(tr.ID()); !ok {
@@ -70,8 +66,8 @@ func TestFlightRecorderRotationAndBudget(t *testing.T) {
 	defer r.Close()
 	pad := strings.Repeat("x", 512)
 	for i := 0; i < 200; i++ {
-		if err := r.Record(AuditRecord{
-			TraceID: fmt.Sprintf("%032d", i), Query: pad, Time: time.Now(),
+		if err := r.Record(TraceJSON{
+			ID: fmt.Sprintf("%032d", i), Root: SpanJSON{Name: "query", Attrs: map[string]any{"query": pad}},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -99,12 +95,12 @@ func TestFlightRecorderRotationAndBudget(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("Page returned nothing after 200 records")
 	}
-	var first AuditRecord
+	var first TraceJSON
 	if err := json.Unmarshal(got[0], &first); err != nil {
 		t.Fatal(err)
 	}
-	if first.TraceID != fmt.Sprintf("%032d", 199) {
-		t.Errorf("Page[0].TraceID = %q, want the newest record", first.TraceID)
+	if first.ID != fmt.Sprintf("%032d", 199) {
+		t.Errorf("Page[0].ID = %q, want the newest record", first.ID)
 	}
 	if _, ok := r.Find(fmt.Sprintf("%032d", 0)); ok {
 		t.Error("oldest record survived eviction despite the byte budget")
@@ -121,7 +117,7 @@ func TestFlightRecorderResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Record(AuditRecord{TraceID: "aa", Query: "q1", Time: time.Now()}); err != nil {
+	if err := r1.Record(TraceJSON{ID: "aa", Start: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	r1.Close()
@@ -131,7 +127,7 @@ func TestFlightRecorderResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if err := r2.Record(AuditRecord{TraceID: "bb", Query: "q2", Time: time.Now()}); err != nil {
+	if err := r2.Record(TraceJSON{ID: "bb", Start: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	if got, total := r2.Page(0, 0); len(got) != 2 || total != 2 {
@@ -145,11 +141,40 @@ func TestFlightRecorderResumesSequence(t *testing.T) {
 
 	// Nil-safety.
 	var nilRec *FlightRecorder
-	if err := nilRec.Record(AuditRecord{}); err != nil {
+	if err := nilRec.Record(TraceJSON{}); err != nil {
 		t.Error("nil recorder Record returned an error")
 	}
 	if got, total := nilRec.Page(0, 0); got != nil || total != 0 {
 		t.Error("nil recorder Page lists records")
 	}
 	nilRec.Close()
+}
+
+// TestFlightRecorderReadsOversizedRecord: a record longer than any line
+// buffer — a 9 MiB query text — is listed, counted and found by id like
+// its neighbours.
+func TestFlightRecorderReadsOversizedRecord(t *testing.T) {
+	r, err := NewFlightRecorder(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	big := strings.Repeat("x", 9<<20)
+	for i, q := range []string{"small", big, "small"} {
+		doc := TraceJSON{ID: fmt.Sprintf("%032d", i), Root: SpanJSON{Name: "query", Attrs: map[string]any{"query": q}}}
+		if err := r.Record(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, total := r.Page(0, 0); len(got) != 3 || total != 3 {
+		t.Fatalf("Page = %d records of %d, want 3 of 3", len(got), total)
+	}
+	line, ok := r.Find(fmt.Sprintf("%032d", 1))
+	if !ok {
+		t.Fatal("the oversized record is not found by id")
+	}
+	var doc TraceJSON
+	if err := json.Unmarshal(line, &doc); err != nil || doc.Root.Attrs["query"] != big {
+		t.Fatalf("the oversized record does not read back whole: %v", err)
+	}
 }

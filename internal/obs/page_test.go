@@ -4,114 +4,99 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 )
 
-func ringWith(n int, capacity int) *TraceRing {
+// ringWith records one finished trace per name, oldest first.
+func ringWith(capacity int, names ...string) *TraceRing {
 	r := NewTraceRing(capacity)
-	for i := 0; i < n; i++ {
-		_, t := NewTrace(context.Background(), fmt.Sprintf("q%d", i))
+	for _, name := range names {
+		_, t := NewTrace(context.Background(), name)
 		t.Finish()
 		r.Add(t)
 	}
 	return r
 }
 
-// TestTraceRingPage pins the pagination contract: newest first, offset
-// skips from the newest end, total reports everything stored, and pages
-// tile the ring without overlap.
-func TestTraceRingPage(t *testing.T) {
-	r := ringWith(5, 8)
-
-	page, total := r.Page(0, 2)
-	if total != 5 || len(page) != 2 {
-		t.Fatalf("Page(0,2) = %d traces, total %d; want 2, 5", len(page), total)
-	}
-	if page[0].Root().name != "q4" || page[1].Root().name != "q3" {
-		t.Fatalf("Page(0,2) order = %s, %s; want q4, q3", page[0].Root().name, page[1].Root().name)
-	}
-	page, _ = r.Page(2, 2)
-	if len(page) != 2 || page[0].Root().name != "q2" || page[1].Root().name != "q1" {
-		t.Fatalf("Page(2,2) wrong: %d traces", len(page))
-	}
-	// Tail page is short; past-the-end is empty, total still reported.
-	page, _ = r.Page(4, 2)
-	if len(page) != 1 || page[0].Root().name != "q0" {
-		t.Fatalf("Page(4,2) = %d traces, want the single oldest", len(page))
-	}
-	page, total = r.Page(9, 2)
-	if len(page) != 0 || total != 5 {
-		t.Fatalf("Page(9,2) = %d traces, total %d; want 0, 5", len(page), total)
-	}
-	// limit <= 0 returns everything past the offset; negative offset is 0.
-	page, _ = r.Page(1, 0)
-	if len(page) != 4 {
-		t.Fatalf("Page(1,0) = %d traces, want 4", len(page))
-	}
-	page, _ = r.Page(-3, 1)
-	if len(page) != 1 || page[0].Root().name != "q4" {
-		t.Fatal("negative offset not treated as 0")
-	}
-
-	// After wrap-around the ring still pages newest-first over what it kept.
-	wrapped := ringWith(7, 4)
-	page, total = wrapped.Page(0, 0)
-	if total != 4 || len(page) != 4 || page[0].Root().name != "q6" || page[3].Root().name != "q3" {
-		t.Fatalf("wrapped Page = %d traces (total %d), first %s last %s",
-			len(page), total, page[0].Root().name, page[len(page)-1].Root().name)
+// checkPages drives one of the trace surfaces, holding q0..q4 recorded
+// oldest first, through the one paging rule they share: newest first,
+// offset skips from the newest end, total reports everything stored,
+// pages tile without overlap, limit <= 0 returns everything past the
+// offset and a negative offset is 0.
+func checkPages(t *testing.T, page func(offset, limit int) ([]string, int)) {
+	t.Helper()
+	for _, c := range []struct {
+		offset, limit int
+		want          []string
+	}{
+		{0, 2, []string{"q4", "q3"}},
+		{2, 2, []string{"q2", "q1"}},
+		{4, 2, []string{"q0"}}, // a short tail page
+		{9, 2, nil},            // past the end
+		{4, 10, []string{"q0"}},
+		{1, 0, []string{"q3", "q2", "q1", "q0"}},
+		{0, -1, []string{"q4", "q3", "q2", "q1", "q0"}},
+		{-3, 1, []string{"q4"}},
+	} {
+		got, total := page(c.offset, c.limit)
+		if total != 5 || !slices.Equal(got, c.want) {
+			t.Errorf("Page(%d, %d) = %v of %d, want %v of 5", c.offset, c.limit, got, total, c.want)
+		}
 	}
 }
 
-// TestFlightRecorderPage pins pagination across segment files: offsets
-// count records newest-first over every segment, and total counts the
-// whole on-disk history.
+// TestTraceRingPage pins the ring's pagination, before and after it
+// wraps around.
+func TestTraceRingPage(t *testing.T) {
+	names := func(r *TraceRing) func(offset, limit int) ([]string, int) {
+		return func(offset, limit int) ([]string, int) {
+			traces, total := r.Page(offset, limit)
+			var out []string
+			for _, tr := range traces {
+				out = append(out, tr.Root().name)
+			}
+			return out, total
+		}
+	}
+	checkPages(t, names(ringWith(8, "q0", "q1", "q2", "q3", "q4")))
+	// After wrap-around the ring still pages newest-first over what it kept.
+	checkPages(t, names(ringWith(5, "old0", "old1", "q0", "q1", "q2", "q3", "q4")))
+}
+
+// TestFlightRecorderPage pins the recorder's pagination across segment
+// files: offsets count records newest-first over every segment, and
+// total counts the whole on-disk history.
 func TestFlightRecorderPage(t *testing.T) {
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(dir, 1<<20)
+	// A 64 KiB budget rotates segments at 8 KiB: two 3 KiB records each.
+	fr, err := NewFlightRecorder(dir, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fr.Close()
-	for i := 0; i < 6; i++ {
-		if err := fr.Record(AuditRecord{
-			Time:    time.Now(),
-			TraceID: fmt.Sprintf("t%d", i),
-			Form:    "select",
-		}); err != nil {
+	pad := strings.Repeat("x", 3<<10)
+	for i := 0; i < 5; i++ {
+		doc := TraceJSON{ID: fmt.Sprintf("q%d", i), Root: SpanJSON{Name: "query", Attrs: map[string]any{"query": pad}}}
+		if err := fr.Record(doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	ids := func(recs []json.RawMessage) []string {
+	if segs, _ := filepath.Glob(filepath.Join(dir, "audit-*.jsonl")); len(segs) < 3 {
+		t.Fatalf("5 records in %d segments, want them spread over 3", len(segs))
+	}
+	checkPages(t, func(offset, limit int) ([]string, int) {
+		recs, total := fr.Page(offset, limit)
 		var out []string
 		for _, raw := range recs {
-			var rec AuditRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
+			var doc TraceJSON
+			if err := json.Unmarshal(raw, &doc); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, rec.TraceID)
+			out = append(out, doc.ID)
 		}
-		return out
-	}
-
-	recs, total := fr.Page(0, 2)
-	if total != 6 {
-		t.Fatalf("total = %d, want 6", total)
-	}
-	if got := ids(recs); len(got) != 2 || got[0] != "t5" || got[1] != "t4" {
-		t.Fatalf("Page(0,2) = %v, want [t5 t4]", got)
-	}
-	recs, _ = fr.Page(3, 2)
-	if got := ids(recs); len(got) != 2 || got[0] != "t2" || got[1] != "t1" {
-		t.Fatalf("Page(3,2) = %v, want [t2 t1]", got)
-	}
-	recs, _ = fr.Page(5, 10)
-	if got := ids(recs); len(got) != 1 || got[0] != "t0" {
-		t.Fatalf("Page(5,10) = %v, want [t0]", got)
-	}
-	recs, total = fr.Page(50, 10)
-	if len(recs) != 0 || total != 6 {
-		t.Fatalf("past-the-end page = %d records, total %d", len(recs), total)
-	}
+		return out, total
+	})
 }

@@ -55,25 +55,27 @@ func (r *TraceRing) Recent(limit int) []*Trace {
 }
 
 // Page returns up to limit traces starting offset entries back from the
-// newest, newest first, plus the total number of stored traces
-// (limit <= 0 returns everything past the offset; a negative offset is
-// treated as 0).
+// newest, newest first, plus the total number of stored traces. This is
+// the one paging rule of the trace surfaces, FlightRecorder.Page's too:
+// limit <= 0 returns everything past the offset, and a negative offset
+// is treated as 0.
 func (r *TraceRing) Page(offset, limit int) ([]*Trace, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if offset < 0 {
-		offset = 0
-	}
-	avail := r.n - offset
-	if avail < 0 {
-		avail = 0
-	}
-	if limit <= 0 || limit > avail {
-		limit = avail
-	}
-	out := make([]*Trace, 0, limit)
-	for i := offset + 1; i <= offset+limit; i++ {
+	from, to := window(r.n, offset, limit)
+	out := make([]*Trace, 0, to-from)
+	for i := from + 1; i <= to; i++ {
 		out = append(out, r.buf[(r.next-i+2*len(r.buf))%len(r.buf)])
 	}
 	return out, r.n
+}
+
+// window is the page [from, to) of n entries, newest first, that offset
+// and limit select.
+func window(n, offset, limit int) (from, to int) {
+	from = min(max(offset, 0), n)
+	if limit <= 0 || limit > n-from {
+		return from, n
+	}
+	return from, from + limit
 }

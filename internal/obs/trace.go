@@ -3,8 +3,11 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -361,9 +364,9 @@ func Operator(op string) OperatorStats {
 
 // SetOperator records the operator profile on the span as flat
 // well-known attribute keys ("op", "rowsIn", "estRows", …), so the
-// analyze renderer — and any OTLP consumer — reads typed numbers
-// instead of parsing ad-hoc strings. Fields left negative are skipped.
-// No-op on a nil span.
+// operator table (TraceJSON.Text) — and any OTLP consumer — reads typed
+// numbers instead of parsing ad-hoc strings. Fields left negative are
+// skipped. No-op on a nil span.
 func (s *Span) SetOperator(st OperatorStats) {
 	if s == nil {
 		return
@@ -424,13 +427,21 @@ type SpanJSON struct {
 	Children   []SpanJSON     `json:"children,omitempty"`
 }
 
-// TraceJSON is the serialised shape of a finished trace.
+// TraceJSON is the one document of a finished query: what GET
+// /api/trace serves, the explain=trace trailer ships and the flight
+// recorder writes. The root span's attributes carry the query text, its
+// form, its error and, for a slow query, slow=true; operator spans carry
+// what SetOperator records.
 type TraceJSON struct {
 	ID           string    `json:"id"`
 	ParentSpanID string    `json:"parentSpanId,omitempty"`
 	Start        time.Time `json:"start"`
 	DurationMS   float64   `json:"durationMs"`
 	Root         SpanJSON  `json:"root"`
+	// Plan is the query's decomposition where it is at hand: in the
+	// explain=trace trailer and on a recorded line. A trace in the ring
+	// keeps none, so it never pins a view's rows.
+	Plan any `json:"plan,omitempty"`
 }
 
 // View snapshots the trace into its serialisable shape. Call after
@@ -482,6 +493,90 @@ func (s *Span) view(traceStart time.Time) SpanJSON {
 		}
 	}
 	return out
+}
+
+// Operators lists the trace's top operator spans: the spans with an "op"
+// attribute, looking through those without one (their operator
+// descendants stand in their place), ordered by stage, then start time —
+// spans are appended in creation order, but the lazily evaluated pipeline
+// opens the final stage's span before the fragments it consumes start.
+func (v TraceJSON) Operators() []SpanJSON { return operators([]SpanJSON{v.Root}) }
+
+// Operators lists the operator spans under s, as TraceJSON.Operators.
+func (s SpanJSON) Operators() []SpanJSON { return operators(s.Children) }
+
+func operators(spans []SpanJSON) []SpanJSON {
+	var out []SpanJSON
+	for _, s := range spans {
+		if op, _ := s.Attrs["op"].(string); op != "" {
+			out = append(out, s)
+		} else {
+			out = append(out, operators(s.Children)...)
+		}
+	}
+	stage := func(s SpanJSON) float64 {
+		if n, ok := attrNum(s.Attrs, "stage"); ok {
+			return n
+		}
+		return -1
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if si, sj := stage(out[i]), stage(out[j]); si != sj {
+			return si < sj
+		}
+		return out[i].StartMS < out[j].StartMS
+	})
+	return out
+}
+
+// attrNum reads a numeric attribute: the int64 or float64 of a view taken
+// in process, or the float64 a JSON round trip leaves.
+func attrNum(attrs map[string]any, key string) (float64, bool) {
+	switch v := attrs[key].(type) {
+	case int64:
+		return float64(v), true
+	case float64:
+		return v, true
+	}
+	return 0, false
+}
+
+// Text renders the trace as its operator table under the query text:
+//
+//	EXPLAIN ANALYZE  trace=<id>  total=12.345ms
+//	  | SELECT ...
+//
+//	operator                         stage        est     actual    q-err   rows-out         time
+//	fragment                             0       1234         56     22.0         56      4.500ms
+func (v TraceJSON) Text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "EXPLAIN ANALYZE  trace=%s  total=%.3fms\n", v.ID, v.DurationMS)
+	if q, _ := v.Root.Attrs["query"].(string); q != "" {
+		for _, line := range strings.Split(strings.TrimSpace(q), "\n") {
+			b.WriteString("  | " + line + "\n")
+		}
+	}
+	fmt.Fprintf(&b, "\n%-32s %5s %10s %10s %8s %10s %12s\n",
+		"operator", "stage", "est", "actual", "q-err", "rows-out", "time")
+	cell := func(attrs map[string]any, key, format string) string {
+		if n, ok := attrNum(attrs, key); ok {
+			return fmt.Sprintf(format, n)
+		}
+		return "-"
+	}
+	var walk func(ops []SpanJSON, depth int)
+	walk = func(ops []SpanJSON, depth int) {
+		for _, s := range ops {
+			fmt.Fprintf(&b, "%-32s %5s %10s %10s %8s %10s %11.3fms\n",
+				strings.Repeat("  ", depth)+s.Attrs["op"].(string),
+				cell(s.Attrs, "stage", "%.0f"), cell(s.Attrs, "estRows", "%.0f"),
+				cell(s.Attrs, "actualRows", "%.0f"), cell(s.Attrs, "qError", "%.1f"),
+				cell(s.Attrs, "rowsOut", "%.0f"), s.DurationMS)
+			walk(s.Operators(), depth+1)
+		}
+	}
+	walk(v.Operators(), 0)
+	return b.String()
 }
 
 // ms converts a duration to fractional milliseconds (microsecond

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -167,5 +168,61 @@ func TestObserverDefaults(t *testing.T) {
 	}
 	if o2.SlowQuery >= 0 {
 		t.Error("negative SlowQuery (disabled) was overridden")
+	}
+}
+
+// TestOperatorTable pins the operator view of a trace document: spans
+// without an op are looked through, their operator children standing in
+// their place; siblings order by stage, then start; and the table reads
+// the numbers alike from a view taken in process and from its JSON.
+func TestOperatorTable(t *testing.T) {
+	ctx, tr := NewTrace(context.Background(), "query")
+	tr.Root().SetString("query", "SELECT ?s\nWHERE { ?s ?p ?o }")
+	// The final stage's span opens first, as in the lazy pipeline.
+	_, join := StartSpan(ctx, "join")
+	st := Operator("bound-join")
+	st.Stage, st.EstRows, st.ActualRows, st.QError, st.RowsOut = 1, 10, 40, 4, 40
+	join.SetOperator(st)
+	fctx, _ := StartSpan(ctx, "federate") // no op: looked through
+	frag := Operator("fragment")
+	frag.Stage, frag.EstRows, frag.ActualRows, frag.QError = 0, 5, 5, 1
+	sctx, fragSpan := StartSpan(fctx, "fragment")
+	fragSpan.SetOperator(frag)
+	_, sub := StartSpan(sctx, "subquery")
+	sub.SetString("op", "subquery")
+	tr.Finish()
+
+	v := tr.View()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back TraceJSON
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []TraceJSON{v, back} {
+		ops := doc.Operators()
+		if len(ops) != 2 || ops[0].Attrs["op"] != "fragment" || ops[1].Attrs["op"] != "bound-join" {
+			t.Fatalf("operators = %+v, want fragment (stage 0) before bound-join (stage 1)", ops)
+		}
+		if kids := ops[0].Operators(); len(kids) != 1 || kids[0].Attrs["op"] != "subquery" {
+			t.Fatalf("fragment's operators = %+v, want its subquery", kids)
+		}
+		text := doc.Text()
+		for _, want := range []string{
+			"EXPLAIN ANALYZE  trace=" + tr.ID(), "  | SELECT ?s\n  | WHERE { ?s ?p ?o }\n",
+			"\nfragment ", "\n  subquery ", "\nbound-join ",
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("table lacks %q:\n%s", want, text)
+			}
+		}
+		if fields := strings.Fields(text[strings.Index(text, "\nbound-join"):]); strings.Join(fields[1:6], " ") != "1 10 40 4.0 40" {
+			t.Errorf("bound-join row = %v, want stage 1, est 10, actual 40, q-err 4.0, rows-out 40", fields[:6])
+		}
+		if strings.Contains(text, "federate") {
+			t.Errorf("the op-less span has a row:\n%s", text)
+		}
 	}
 }

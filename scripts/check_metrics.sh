@@ -5,15 +5,16 @@
 # distributed-tracing surface (traceparent round-trip into X-Trace-Id),
 # the per-endpoint health scores at /api/health, that /api/stats lists
 # each endpoint once, that the flight
-# recorder audits a slow query under -audit-dir, and the serving tier:
-# a repeated query must hit the result cache, and a tenant with an
-# exhausted quota must get a deterministic 429 with Retry-After. A
-# cross-vocabulary query with explain=analyze must return an operator
-# tree carrying estimated and actual cardinalities, and its calibration
+# recorder records a slow query's trace document under -audit-dir (listed
+# at /api/trace?recorded=1, replayed by scripts/replay_audit.sh), and the
+# serving tier: a repeated query must hit the result cache, and a tenant
+# with an exhausted quota must get a deterministic 429 with Retry-After.
+# A cross-vocabulary query with explain=trace must return operator spans
+# carrying estimated and actual cardinalities, and its calibration
 # samples must land in sparqlrw_estimate_qerror, and a DESCRIBE's
-# analyze trailer must profile its description fetch as a bound-join
+# trace trailer must profile its description fetch as a bound-join
 # operator with estimated and actual rows. A repeated cross-vocabulary
-# join must be answered from a materialized view: its explain=analyze
+# join must be answered from a materialized view: its explain=trace
 # profiles a view operator, and /api/plan names the view. Run via
 # `make check-metrics`.
 set -eu
@@ -125,9 +126,9 @@ repeat_status=$(curl -s -o /dev/null -w '%{http_code}' \
 }
 
 # EXPLAIN ANALYZE: a cross-vocabulary query (decomposed into per-dataset
-# fragments joined at the mediator) with explain=analyze must return an
-# operator tree whose profiles carry both estimated and actual
-# cardinalities, and the per-operator q-error.
+# fragments joined at the mediator) with explain=trace must return a trace
+# whose operator spans carry both estimated and actual cardinalities, and
+# the per-operator q-error.
 cross_query='PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?paper ?a ?c WHERE {
@@ -135,45 +136,45 @@ SELECT ?paper ?a ?c WHERE {
   ?paper akt:has-author ?a .
   ?paper m:citationCount ?c .
 }'
-analyze_status=$(curl -s -o "$workdir/analyze.json" -w '%{http_code}' \
-	--data-urlencode "query=$cross_query" --data-urlencode "explain=analyze" \
+profile_status=$(curl -s -o "$workdir/profile.json" -w '%{http_code}' \
+	--data-urlencode "query=$cross_query" --data-urlencode "explain=trace" \
 	"$base/sparql")
-[ "$analyze_status" = 200 ] || {
-	echo "check-metrics: explain=analyze query returned $analyze_status:" >&2
-	cat "$workdir/analyze.json" >&2
+[ "$profile_status" = 200 ] || {
+	echo "check-metrics: explain=trace query returned $profile_status:" >&2
+	cat "$workdir/profile.json" >&2
 	exit 1
 }
-for member in '"analyze"' '"estimatedRows"' '"actualRows"' '"qError"' '"op":"fragment"'; do
-	if ! grep -q "$member" "$workdir/analyze.json"; then
-		echo "check-metrics: explain=analyze response misses $member" >&2
+for member in '"trace":{"id":' '"estRows"' '"actualRows"' '"qError"' '"op":"fragment"' '"plan":'; do
+	if ! grep -q "$member" "$workdir/profile.json"; then
+		echo "check-metrics: explain=trace response misses $member" >&2
 		fail=1
 	fi
 done
 # The same profile must be retrievable as the human-readable table.
-analyze_trace=$(sed -n 's/.*"traceId":"\([0-9a-f]\{32\}\)".*/\1/p' "$workdir/analyze.json")
-if [ -z "$analyze_trace" ]; then
-	echo "check-metrics: analyze member names no traceId" >&2
+profile_trace=$(sed -n 's/.*"trace":{"id":"\([0-9a-f]\{32\}\)".*/\1/p' "$workdir/profile.json")
+if [ -z "$profile_trace" ]; then
+	echo "check-metrics: trace member names no id" >&2
 	fail=1
-elif ! curl -sf "$base/api/analyze/$analyze_trace" | grep -q 'EXPLAIN ANALYZE'; then
-	echo "check-metrics: /api/analyze/$analyze_trace is not the operator table" >&2
+elif ! curl -sf "$base/api/trace/$profile_trace?format=text" | grep -q 'EXPLAIN ANALYZE'; then
+	echo "check-metrics: /api/trace/$profile_trace?format=text is not the operator table" >&2
 	fail=1
 fi
 
 # A DESCRIBE's description fetch is its plan's bound-join stage: the graph
-# document's "# analyze:" trailer must profile it with estimated and
-# actual rows.
+# document's "# trace:" trailer must profile it with estimated and actual
+# rows (span attributes serialise in key order).
 describe_status=$(curl -s -o "$workdir/describe.nt" -w '%{http_code}' \
 	-H 'Accept: application/n-triples' \
 	--data-urlencode 'query=DESCRIBE <http://southampton.rkbexplorer.com/id/person-00002>' \
-	--data-urlencode "explain=analyze" "$base/sparql")
+	--data-urlencode "explain=trace" "$base/sparql")
 [ "$describe_status" = 200 ] || {
-	echo "check-metrics: DESCRIBE with explain=analyze returned $describe_status:" >&2
+	echo "check-metrics: DESCRIBE with explain=trace returned $describe_status:" >&2
 	cat "$workdir/describe.nt" >&2
 	exit 1
 }
-if ! grep '^# analyze: ' "$workdir/describe.nt" |
-	grep -q '"op":"bound-join"[^}]*"estimatedRows":[0-9]*,"actualRows":[1-9]'; then
-	echo "check-metrics: DESCRIBE analyze trailer has no bound-join operator with estimated and actual rows:" >&2
+if ! grep '^# trace: ' "$workdir/describe.nt" |
+	grep -q '"attrs":{"actualRows":[1-9][^}]*"estRows":[0-9][^}]*"op":"bound-join"'; then
+	echo "check-metrics: DESCRIBE trace trailer has no bound-join operator with estimated and actual rows:" >&2
 	cat "$workdir/describe.nt" >&2
 	fail=1
 fi
@@ -205,7 +206,7 @@ grep -q '"error"' "$workdir/429.json" || {
 # variables, so the result cache's text-keyed entries never absorb them
 # while the view tier's canonical signature still matches) must get the
 # shape mined and materialized; a further repeat must then be answered
-# from the view's rows — its explain=analyze profiling the view operator,
+# from the view's rows — its explain=trace profiling the view operator,
 # its /api/plan naming the view — and counted as a view hit.
 cross_repeat() {
 	sed "s/?paper/?p$1/g; s/?a\\b/?x$1/g; s/?c\\b/?y$1/g" <<EOF
@@ -235,13 +236,13 @@ if [ -z "$view_ready" ]; then
 	fail=1
 else
 	vstatus=$(curl -s -o "$workdir/view.json" -w '%{http_code}' \
-		--data-urlencode "query=$(cross_repeat 3)" --data-urlencode "explain=analyze" "$base/sparql")
+		--data-urlencode "query=$(cross_repeat 3)" --data-urlencode "explain=trace" "$base/sparql")
 	[ "$vstatus" = 200 ] || {
 		echo "check-metrics: view-answered query returned $vstatus" >&2
 		exit 1
 	}
 	if ! grep -q '"op":"view"' "$workdir/view.json"; then
-		echo "check-metrics: explain=analyze of the view-answered query has no view operator:" >&2
+		echo "check-metrics: explain=trace of the view-answered query has no view operator:" >&2
 		cat "$workdir/view.json" >&2
 		fail=1
 	fi
@@ -361,17 +362,25 @@ for series in sparqlrw_endpoint_health_score sparqlrw_endpoint_latency_p50_secon
 done
 
 # The -slow-query 1ns threshold makes every query slow, so the flight
-# recorder must have audited ours: on disk and via /api/audit.
+# recorder must have recorded ours: on disk, via /api/trace?recorded=1
+# (marked slow), and replayable by scripts/replay_audit.sh.
 if ! ls "$workdir"/audit/audit-*.jsonl >/dev/null 2>&1; then
 	echo "check-metrics: no audit segment written under -audit-dir" >&2
 	fail=1
 fi
-curl -s "$base/api/audit?limit=20" >"$workdir/audit.json"
-if ! grep -q "\"traceId\":\"$inbound_trace\"" "$workdir/audit.json"; then
-	echo "check-metrics: /api/audit misses the slow query (trace $inbound_trace):" >&2
+curl -s "$base/api/trace?recorded=1" >"$workdir/audit.json"
+if ! grep -q "{\"id\":\"$inbound_trace\",.*\"slow\":true" "$workdir/audit.json"; then
+	echo "check-metrics: /api/trace?recorded=1 misses the slow query (trace $inbound_trace):" >&2
 	cat "$workdir/audit.json" >&2
+	fail=1
+fi
+cat "$workdir"/audit/audit-*.jsonl | grep "^{\"id\":\"$inbound_trace\"," >"$workdir/inbound.jsonl" || true
+if ! ./scripts/replay_audit.sh "$workdir/inbound.jsonl" "$base" >"$workdir/replay.txt" 2>&1 ||
+	! grep -q '^replay_audit: 1/1 replays returned 200$' "$workdir/replay.txt"; then
+	echo "check-metrics: replaying the recorded inbound query did not return 200:" >&2
+	cat "$workdir/replay.txt" >&2
 	fail=1
 fi
 
 [ "$fail" = 0 ] || exit 1
-echo "check-metrics: all core series present; trace $trace_id round-tripped; $n_eps endpoints scored; slow query audited; result cache hit; quota exhausted to a 429 with Retry-After; explain=analyze profiled trace $analyze_trace and a DESCRIBE's bound join; materialized view answered a repeat"
+echo "check-metrics: all core series present; trace $trace_id round-tripped; $n_eps endpoints scored; slow query recorded and replayed; result cache hit; quota exhausted to a 429 with Retry-After; explain=trace profiled trace $profile_trace and a DESCRIBE's bound join; materialized view answered a repeat"

@@ -2,7 +2,9 @@
 # replay_audit.sh — re-runs queries captured by the flight recorder
 # against a live mediator, so a slow or failed query pulled from the
 # audit log can be reproduced (and its fresh trace compared with the
-# recorded one).
+# recorded one). Each line of the log is one trace document, as
+# GET /api/trace/{id} serves it: the query is its root span's "query"
+# attribute, and a failed query's root carries an "error".
 #
 # Usage:
 #   scripts/replay_audit.sh <audit-dir|audit-file.jsonl> [mediator-base-url]
@@ -10,7 +12,7 @@
 #   scripts/replay_audit.sh /var/lib/sparqlrw/audit http://localhost:8080
 #   scripts/replay_audit.sh audit/audit-3.jsonl            # default localhost:8080
 #
-# Each audited record's query is POSTed to <base>/sparql; the output
+# Each recorded query is POSTed to <base>/sparql; the output
 # lists the recorded trace id, the recorded duration, the replay status,
 # the replay duration and the fresh X-Trace-Id, one line per query.
 # Requires curl and python3 (for JSONL field extraction).
@@ -29,7 +31,7 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
-# Pull (traceId, durationMs, query) per record; tab-separated with the
+# Pull (id, durationMs, kind, query) per record; tab-separated with the
 # query URL-encoded so multi-line SPARQL survives the shell.
 cat "$@" | python3 -c '
 import json, sys, urllib.parse
@@ -41,11 +43,12 @@ for line in sys.stdin:
         rec = json.loads(line)
     except json.JSONDecodeError:
         continue
+    attrs = rec.get("root", {}).get("attrs", {})
     print("\t".join([
-        rec.get("traceId", "-"),
+        rec.get("id", "-"),
         str(rec.get("durationMs", "-")),
-        "error" if rec.get("error") else "slow",
-        urllib.parse.quote(rec.get("query", ""), safe=""),
+        "error" if attrs.get("error") else "slow",
+        urllib.parse.quote(attrs.get("query", ""), safe=""),
     ]))
 ' >"$tmp/records.tsv"
 

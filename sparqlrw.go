@@ -484,9 +484,6 @@ type (
 	// composite score and the endpoint's counts
 	// (Mediator.Stats().Federation.Endpoints, GET /api/health).
 	EndpointHealth = federate.EndpointHealth
-	// AuditRecord is one flight-recorded query: text, explain payload,
-	// outcome and full span tree (GET /api/audit).
-	AuditRecord = obs.AuditRecord
 )
 
 // ParseTraceparent parses a W3C traceparent header value.
