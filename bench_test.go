@@ -92,9 +92,9 @@ func BenchmarkE4_AlignmentKBLoad(b *testing.B) {
 
 // benchSelect drains one federated SELECT into the buffered shape the
 // benchmarks assert on.
-func benchSelect(m *mediate.Mediator, query, sourceOnt string, targets []string) (*mediate.FederatedResult, error) {
+func benchSelect(m *mediate.Mediator, query string, targets []string) (*mediate.FederatedResult, error) {
 	res, err := m.Query(context.Background(), mediate.QueryRequest{
-		Query: query, SourceOnt: sourceOnt, Targets: targets,
+		Query: query, Targets: targets,
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +131,7 @@ func BenchmarkE5_MediatorEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := workload.Figure1Query(i % 50)
-		if _, err := benchSelect(m, q, rdf.AKTNS, targets); err != nil {
+		if _, err := benchSelect(m, q, targets); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,11 +144,11 @@ func BenchmarkE6_FederatedRecall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := workload.Figure1Query(i % 50)
-		so, err := benchSelect(m, q, rdf.AKTNS, []string{workload.SotonVoidURI})
+		so, err := benchSelect(m, q, []string{workload.SotonVoidURI})
 		if err != nil {
 			b.Fatal(err)
 		}
-		fed, err := benchSelect(m, q, rdf.AKTNS,
+		fed, err := benchSelect(m, q,
 			[]string{workload.SotonVoidURI, workload.KistiVoidURI})
 		if err != nil {
 			b.Fatal(err)
@@ -212,7 +212,7 @@ func BenchmarkFederation_SequentialVsConcurrent(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := workload.Figure1Query(i % 50)
-				fr, err := benchSelect(m, q, rdf.AKTNS, targets)
+				fr, err := benchSelect(m, q, targets)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -264,7 +264,7 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, workload.Figure1Query(i%50), rdf.AKTNS, targets)
+			fr, err := benchSelect(m, workload.Figure1Query(i%50), targets)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := m.Query(context.Background(), mediate.QueryRequest{
-				Query: workload.Figure1Query(i % 50), SourceOnt: rdf.AKTNS, Targets: targets,
+				Query: workload.Figure1Query(i % 50), Targets: targets,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -351,7 +351,7 @@ func BenchmarkPlanner_PlannedVsUnplanned(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := workload.Figure1Query(i % 50)
-				fr, err := benchSelect(m, q, rdf.AKTNS, mode.targets)
+				fr, err := benchSelect(m, q, mode.targets)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -427,7 +427,7 @@ func BenchmarkDecomposedVsBroadcast(b *testing.B) {
 		workload.DBPVoidURI, workload.ECSVoidURI}
 
 	run := func(b *testing.B, m *mediate.Mediator, targets []string) (sols, rows int) {
-		fr, err := benchSelect(m, workload.CrossVocabularyQuery(b.N%50), rdf.AKTNS, targets)
+		fr, err := benchSelect(m, workload.CrossVocabularyQuery(b.N%50), targets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -715,7 +715,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 				ctx, tr = obs.NewTrace(ctx, "query")
 			}
 			freq := federate.Request{
-				SourceOnt: rdf.AKTNS, Vars: []string{"a"},
+				Vars: []string{"a"},
 				Targets: []federate.Target{
 					{Dataset: workload.SotonVoidURI, Endpoint: soton.SPARQLEndpoint, Query: queries[i%50]},
 					{Dataset: workload.KistiVoidURI, Endpoint: kisti.SPARQLEndpoint, Query: queries[i%50], NeedsRewrite: true},
@@ -744,8 +744,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // cross-vocabulary bound join, planned by the decompose engine and run by
 // the evaluator, with a live trace in the context — every stage opens an
 // operator span, counts rows and feeds the observed-cardinality store —
-// versus without one, where the span calls no-op. The delta is the per-query price of
-// EXPLAIN ANALYZE's runtime profiles.
+// versus without one, where the span calls no-op. The delta is the
+// per-query price of the operator profiles a trace document carries
+// (estimated and actual rows, q-error), which explain=trace and
+// /api/trace/{id}?format=text render.
 func BenchmarkAnalyzeOverhead(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	cfg.Persons, cfg.Papers = 50, 150
@@ -771,7 +773,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 	m := mediate.New(dsKB, align.NewKB(), u.Coref)
 	b.Cleanup(m.Close)
 
-	dcm, err := m.Decomposer.Decompose(workload.CrossVocabularyQuery(1), rdf.AKTNS)
+	dcm, err := m.Decomposer.Decompose(workload.CrossVocabularyQuery(1), "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -837,21 +839,21 @@ func BenchmarkResultCacheHitVsMiss(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.Serve.Flush() // every iteration re-executes the fan-out
-			if _, err := benchSelect(m, q, rdf.AKTNS, targets); err != nil {
+			if _, err := benchSelect(m, q, targets); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		m.Serve.Flush()
-		if _, err := benchSelect(m, q, rdf.AKTNS, targets); err != nil {
+		if _, err := benchSelect(m, q, targets); err != nil {
 			b.Fatal(err) // prime the entry
 		}
 		primed := roundTrips.Load()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := benchSelect(m, q, rdf.AKTNS, targets); err != nil {
+			if _, err := benchSelect(m, q, targets); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -904,7 +906,7 @@ func BenchmarkHedgedVsUnhedged(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			if _, err := benchSelect(m, workload.Figure1Query(i%50), rdf.AKTNS, targets); err != nil {
+			if _, err := benchSelect(m, workload.Figure1Query(i%50), targets); err != nil {
 				b.Fatal(err)
 			}
 			lat = append(lat, time.Since(t0))
@@ -963,7 +965,7 @@ func BenchmarkViewVsFederated(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, query, rdf.AKTNS, nil)
+			fr, err := benchSelect(m, query, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -978,7 +980,7 @@ func BenchmarkViewVsFederated(b *testing.B) {
 		b.Cleanup(m.Close)
 		// Warm: the first query is observed, answered federated, and
 		// materialized in the background; wait for the view to be ready.
-		if _, err := benchSelect(m, query, rdf.AKTNS, nil); err != nil {
+		if _, err := benchSelect(m, query, nil); err != nil {
 			b.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
@@ -997,7 +999,7 @@ func BenchmarkViewVsFederated(b *testing.B) {
 		b.ResetTimer()
 		var rows int
 		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, query, rdf.AKTNS, nil)
+			fr, err := benchSelect(m, query, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,11 +12,11 @@
 // triples instantiated over the federated solutions. Accept negotiates
 // the serialisation: results JSON (default), application/x-ndjson, or
 // text/event-stream for bindings and booleans; application/n-triples
-// (default) or text/turtle for graphs. The protocol extensions `target`
-// (repeatable; narrows the data sets the planner selects from) and
-// `source` (source ontology) carry the mediator-specific inputs; without
-// them the planner selects from every registered data set and the
-// vocabulary is guessed. Every result path streams: the first merged
+// (default) or text/turtle for graphs. The protocol extension `target`
+// (repeatable) narrows the data sets the planner selects from; without it
+// the planner selects from every registered data set. No source ontology
+// is named: each target rewrites every triple through the alignment into
+// it that the triple's own IRIs match. Every result path streams: the first merged
 // row is on the wire before the slowest repository answers, and closing
 // the connection cancels all in-flight sub-queries.
 //
@@ -201,10 +201,12 @@ style co-reference service, and the mediator serving
                      JSON, NDJSON, SSE; N-Triples, Turtle), streamed.
                      Extensions: target=<dataset-uri> (repeatable;
                      narrows the data sets the planner selects from),
-                     source=<ontology-ns>, limit=<n>, explain=trace
-                     (appends the query's trace document).
+                     limit=<n>, explain=trace (appends the query's trace
+                     document).
   POST     /api/rewrite   translate a query for one target data set
+                          (optional source narrows the alignments)
   POST     /api/plan      explain the plan: decisions, fragments, sub-queries
+                          (optional targets, as /sparql's target)
   GET      /api/stats     the one stats document: endpoint rows, planner,
                           decompose, serving, views, per-form counters
   GET      /api/datasets  registered voiD data sets

@@ -522,7 +522,7 @@ SELECT ?paper ?a ?c WHERE {
 	}
 	planFragments := func() []fragment {
 		t.Helper()
-		body, _ := json.Marshal(map[string]string{"query": crossQ, "source": aktNS})
+		body, _ := json.Marshal(map[string]string{"query": crossQ})
 		resp, err := http.Post(base+"/api/plan", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -549,7 +549,7 @@ SELECT ?paper ?a ?c WHERE {
 	}
 
 	// Execute once with explain=trace.
-	form := url.Values{"query": {crossQ}, "source": {aktNS}, "explain": {"trace"}}
+	form := url.Values{"query": {crossQ}, "explain": {"trace"}}
 	resp, err := http.PostForm(base+"/sparql", form)
 	if err != nil {
 		t.Fatal(err)
@@ -724,7 +724,7 @@ SELECT ?paper ?a ?c WHERE {
 	}
 	runQuery := func() int {
 		t.Helper()
-		form := url.Values{"query": {crossQ}, "source": {aktNS}}
+		form := url.Values{"query": {crossQ}}
 		resp, err := http.PostForm(base+"/sparql", form)
 		if err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func main() {
 	// Streaming: solutions arrive as endpoints answer.
 	start := time.Now()
 	res, err := mediator.Query(context.Background(), sparqlrw.MediatorQueryRequest{
-		Query: query, SourceOnt: rdf.AKTNS, Targets: targets,
+		Query: query, Targets: targets,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,7 +93,7 @@ func main() {
 	// Buffered comparison: Collect waits for everyone.
 	start = time.Now()
 	resBuf, err := mediator.Query(context.Background(), sparqlrw.MediatorQueryRequest{
-		Query: query, SourceOnt: rdf.AKTNS, Targets: targets,
+		Query: query, Targets: targets,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +108,7 @@ func main() {
 	// Limit: take one solution, cancel the rest of the fan-out.
 	start = time.Now()
 	res2, err := mediator.Query(context.Background(), sparqlrw.MediatorQueryRequest{
-		Query: query, SourceOnt: rdf.AKTNS, Targets: targets, Limit: 1,
+		Query: query, Targets: targets, Limit: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

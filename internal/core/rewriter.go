@@ -70,8 +70,8 @@ type Options struct {
 	// shape) while only the WHERE clause is translated for each endpoint.
 	RewriteTemplate bool
 	// TargetURISpace is the regex of the target data set's URI space
-	// (voiD uriSpace); required by RewriteFilters and used by the
-	// Figure-6 warning detector.
+	// (voiD uriSpace); required by RewriteFilters, used by the Figure-6
+	// warning detector, and where a copied triple's instances go.
 	TargetURISpace string
 	// FreshPrefix names generated variables (default "new", yielding
 	// ?new1, ?new2, ... like the paper's ?_33/?_38 fresh variables).
@@ -305,9 +305,7 @@ func (rw *Rewriter) rewriteBGPUnion(patterns []rdf.Triple, st *rewriteState) ([]
 		matches := align.AllMatches(rw.Alignments, t)
 		switch len(matches) {
 		case 0:
-			cur = append(cur, t)
-			st.report.CopiedTriples++
-			st.report.Traces = append(st.report.Traces, TripleTrace{Input: t, Output: []rdf.Triple{t}})
+			cur = append(cur, rw.copyTriple(t, st))
 		case 1:
 			out, trace, err := rw.applyAlignment(t, matches[0], st)
 			if err != nil {
@@ -373,10 +371,7 @@ func (rw *Rewriter) rewriteBGP(patterns []rdf.Triple, st *rewriteState) ([]rdf.T
 			matches = []align.MatchResult{{Alignment: ea, Binding: b}}
 		}
 		if len(matches) == 0 {
-			// Algorithm 1 line 12: result := result ∪ t
-			result = append(result, t)
-			st.report.CopiedTriples++
-			st.report.Traces = append(st.report.Traces, TripleTrace{Input: t, Output: []rdf.Triple{t}})
+			result = append(result, rw.copyTriple(t, st))
 			continue
 		}
 		st.report.MatchedTriples++
@@ -390,6 +385,25 @@ func (rw *Rewriter) rewriteBGP(patterns []rdf.Triple, st *rewriteState) ([]rdf.T
 		}
 	}
 	return result, nil
+}
+
+// copyTriple is Algorithm 1 line 12 (result := result ∪ t) for a triple
+// no alignment matches, one of the target's own vocabulary: it is copied
+// with its instances, its subject and its object under a predicate other
+// than rdf:type, translated into TargetURISpace when that is set, so a
+// query naming a resource by another data set's URI still reaches it.
+func (rw *Rewriter) copyTriple(t rdf.Triple, st *rewriteState) rdf.Triple {
+	in := t
+	if rw.Opts.TargetURISpace != "" {
+		pattern := rdf.NewLiteral(rw.Opts.TargetURISpace)
+		t.S, _ = rw.translate(t.S, pattern, st)
+		if !(t.P.IsIRI() && t.P.Value == rdf.RDFType) {
+			t.O, _ = rw.translate(t.O, pattern, st)
+		}
+	}
+	st.report.CopiedTriples++
+	st.report.Traces = append(st.report.Traces, TripleTrace{Input: in, Output: []rdf.Triple{t}})
+	return t
 }
 
 // applyAlignment instantiates one matched alignment: Algorithm 2 over the

@@ -184,6 +184,34 @@ SELECT ?t WHERE { ?p akt:has-title ?t }`)
 	}
 }
 
+// TestCopiedTripleInstancesTranslated: a triple no alignment matches is
+// in the target's vocabulary already, so only its instances move, into
+// TargetURISpace; without one it is copied as it is.
+func TestCopiedTripleInstancesTranslated(t *testing.T) {
+	rw := paperRewriter()
+	q := sparql.MustParse(`PREFIX k:<` + rdf.KISTINS + `>
+SELECT ?n WHERE { <` + sotonPerson + `> k:name ?n . ?x k:knows <` + sotonPerson + `> . ?x a <` + sotonPerson + `> }`)
+	out, report, err := rw.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := sparql.Format(out); strings.Contains(text, kistiPerson) {
+		t.Fatalf("translated without a target URI space:\n%s", text)
+	}
+	rw.Opts.TargetURISpace = kistiSpace
+	out, report, err = rw.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := out.BGPs()[0].Patterns
+	if pats[0].S.Value != kistiPerson || pats[1].O.Value != kistiPerson || pats[2].O.Value != sotonPerson {
+		t.Fatalf("copied triples: %v", pats)
+	}
+	if report.CopiedTriples != 3 || report.Traces[0].Input.S.Value != sotonPerson {
+		t.Fatalf("report = %+v", report)
+	}
+}
+
 func TestLevel0Alignments(t *testing.T) {
 	eas := []*align.EntityAlignment{
 		align.ClassAlignment("c", rdf.AKTPerson, rdf.KISTIPerson),

@@ -60,6 +60,8 @@ func templateSeeds() []string {
 		akt + "DESCRIBE ?paper WHERE { ?paper akt:has-author <" + workload.SotonPerson(3).Value + "> }",
 		akt + "CONSTRUCT { ?p akt:has-author <" + workload.SotonPerson(4).Value + "> } WHERE { ?p akt:has-author <" + workload.SotonPerson(4).Value + "> }",
 		akt + "ASK { <" + workload.SotonPaper(5).Value + "> akt:has-author ?a . ?a a akt:Person }",
+		akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?t ?a WHERE { <" + workload.SotonPaper(1).Value + "> k:title ?t . <" +
+			workload.SotonPaper(1).Value + "> akt:has-author ?a }",
 		akt + "SELECT * WHERE { ?s akt:has-author ?o OPTIONAL { ?o akt:has-affiliation <http://example.org/org> } " +
 			"{ ?s akt:has-title ?t } UNION { <" + workload.SotonPerson(5).Value + "> akt:has-web-address ?t } }",
 		// The slot token spelled as a variable does not parse; as an IRI it

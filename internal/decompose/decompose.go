@@ -150,11 +150,6 @@ type Fragment struct {
 	// bound-join VALUES variables (empty for the first fragment, and for
 	// cartesian stages).
 	JoinVars []string `json:"joinVars,omitempty"`
-	// RewriteOnt is the vocabulary namespace rewriting translates from
-	// for this fragment's NeedsRewrite targets. It is the namespace of
-	// the fragment's own patterns, which on a multi-vocabulary query may
-	// differ from the query-level source ontology ("" = use the query's).
-	RewriteOnt string `json:"rewriteSource,omitempty"`
 
 	patterns []rdf.Triple
 	filters  []sparql.Expression
@@ -187,8 +182,7 @@ type ResidualFilter struct {
 // shared with the caller and never modified; it marshals as its text, as
 // do the fragments' queries.
 type Decomposition struct {
-	Query     *sparql.Query `json:"query"`
-	SourceOnt string        `json:"source"`
+	Query *sparql.Query `json:"query"`
 	// Vars is the final projection.
 	Vars []string `json:"vars"`
 	// Fragments in join order, cheapest first, connected where possible:
@@ -211,8 +205,8 @@ type Decomposition struct {
 // Local plans q, a filtered BGP that f's Leaf answers whole, as its one
 // fragment: the query's FILTERs run over the leaf's rows, its modifiers
 // above them.
-func Local(q *sparql.Query, sourceOnt string, f *Fragment) *Decomposition {
-	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Fragments: []*Fragment{f}}
+func Local(q *sparql.Query, f *Fragment) *Decomposition {
+	dec := &Decomposition{Query: q, Vars: q.Projection(), Fragments: []*Fragment{f}}
 	for _, el := range q.Where.Elements {
 		if flt, ok := el.(*sparql.Filter); ok {
 			dec.ResidualFilters = append(dec.ResidualFilters,
@@ -311,30 +305,32 @@ func (d *Decomposer) reject(format string, args ...any) error {
 	return fmt.Errorf("decompose: "+format, args...)
 }
 
-// Decompose is DecomposeQuery for callers that hold query text.
-func (d *Decomposer) Decompose(queryText, sourceOnt string) (*Decomposition, error) {
+// Decompose is DecomposeQuery for callers that hold query text. The
+// second argument is ignored: a query is rewritten from every vocabulary
+// its patterns use, and the parameter is kept for the benchmark's layer
+// probes, which pass one.
+func (d *Decomposer) Decompose(queryText, _ string) (*Decomposition, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, d.reject("parsing query: %v", err)
 	}
-	return d.DecomposeQuery(context.Background(), q, sourceOnt, nil)
+	return d.DecomposeQuery(context.Background(), q, nil)
 }
 
-// DecomposeQuery plans a SELECT query written against sourceOnt over the
-// data sets of the source set src, profiling source selection on a "plan"
-// span of ctx's trace and grouping on a "decompose" span. A query some
-// data sets answer whole is one whole fragment over them. Otherwise its
-// BGP is split into groups, which fails when the query is not a plain
-// filtered BGP or some pattern no data set in src can answer.
-func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Decomposition, error) {
+// DecomposeQuery plans a SELECT query over the data sets of the source
+// set src, profiling source selection on a "plan" span of ctx's trace and
+// grouping on a "decompose" span. A query some data sets answer whole is
+// one whole fragment over them. Otherwise its BGP is split into groups,
+// which fails when the query is not a plain filtered BGP or some pattern
+// no data set in src can answer.
+func (d *Decomposer) DecomposeQuery(ctx context.Context, q *sparql.Query, src voidkb.Sources) (*Decomposition, error) {
 	_, span := obs.StartSpan(ctx, "plan")
-	span.SetString("sourceOnt", sourceOnt)
-	sel, err := d.planner.Select(q, sourceOnt, src)
+	sel, err := d.planner.Select(q, src)
 	if err != nil {
 		endStep(span, "", 0, 0, err)
 		return nil, d.reject("%v", err)
 	}
-	dec := &Decomposition{Query: q, SourceOnt: sourceOnt, Vars: q.Projection(), Decisions: sel.Decisions,
+	dec := &Decomposition{Query: q, Vars: q.Projection(), Decisions: sel.Decisions,
 		owners: d.planner.Owners()}
 	if len(sel.Cover) > 0 {
 		f := d.whole(dec, sel.Cover)
@@ -395,23 +391,12 @@ func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
 			}
 			g := groups[k]
 			g.patterns = append(g.patterns, tp)
-			if src.NeedsRewrite {
-				g.Targets[0].NeedsRewrite = true
-				// Rewriting translates from the pattern's own vocabulary;
-				// with the query's source ontology as the default, only
-				// record a divergence.
-				if ns := plan.PatternVocabulary(tp); ns != dec.SourceOnt && g.RewriteOnt == "" {
-					g.RewriteOnt = ns
-				}
-			}
+			g.Targets[0].NeedsRewrite = g.Targets[0].NeedsRewrite || src.NeedsRewrite
 			continue
 		}
 		f := &Fragment{patterns: []rdf.Triple{tp}}
 		for _, src := range sources {
 			f.Targets = append(f.Targets, d.planner.Target(src.Dataset, src.NeedsRewrite))
-			if ns := plan.PatternVocabulary(tp); src.NeedsRewrite && ns != dec.SourceOnt {
-				f.RewriteOnt = ns
-			}
 		}
 		plan.Order(f.Targets)
 		fragments = append(fragments, f)

@@ -184,7 +184,7 @@ func (f *fixture) groundTruth(t testing.TB, query string) []eval.Solution {
 
 func (f *fixture) run(t testing.TB, query string) ([]eval.Solution, *Plan) {
 	t.Helper()
-	dec, err := f.dec.Decompose(query, rdf.AKTNS)
+	dec, err := f.dec.Decompose(query, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func solutions(ctx context.Context, op algebra.Op, vars []string) ([]eval.Soluti
 // metrics fragment joins on ?paper.
 func TestExclusiveGroupExtraction(t *testing.T) {
 	f := newFixture(t, Options{})
-	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), rdf.AKTNS)
+	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestValuesShardingRespectsMaxShards(t *testing.T) {
 		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
 	}
 	sb.WriteString(" } ?p akt:has-author ?a }")
-	dec, err := f.dec.Decompose(sb.String(), rdf.AKTNS)
+	dec, err := f.dec.Decompose(sb.String(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestValuesShardingRespectsMaxShards(t *testing.T) {
 	if len(req.Targets) != 2 {
 		t.Fatalf("sub-queries = %d, want 2 shards to the one covering data set", len(req.Targets))
 	}
-	dec, err = New(plnr, Options{ValuesBatch: -1}).Decompose(sb.String(), rdf.AKTNS)
+	dec, err = New(plnr, Options{ValuesBatch: -1}).Decompose(sb.String(), "")
 	if err != nil || dec.Whole() == nil || dec.Whole().Shards != nil {
 		t.Fatalf("ValuesBatch -1: %v, %+v, want one unsharded whole fragment", err, dec)
 	}
@@ -414,7 +414,7 @@ func TestHashFallback(t *testing.T) {
 func TestLeftOperandSeedsFirstFragment(t *testing.T) {
 	f := newFixture(t, Options{})
 	dec, err := f.dec.Decompose(fmt.Sprintf("PREFIX m:<%s>\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }",
-		workload.MetricsNS), workload.MetricsNS)
+		workload.MetricsNS), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestCancellationMidJoin(t *testing.T) {
 	f.client.gate[metricsURL] = true
 	f.client.mu.Unlock()
 
-	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), rdf.AKTNS)
+	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestRejectsUnsupportedShapes(t *testing.T) {
 		// A pattern no registered data set can answer.
 		"SELECT ?s WHERE { ?s <http://nowhere.example/ont#p> ?o }",
 	} {
-		if _, err := f.dec.Decompose(q, rdf.AKTNS); err == nil {
+		if _, err := f.dec.Decompose(q, ""); err == nil {
 			t.Fatalf("decomposed unsupported query:\n%s", q)
 		}
 	}
@@ -540,7 +540,7 @@ SELECT ?paper ?a ?c WHERE {
   FILTER (?c > 50)
   FILTER (!(?a = <%s>))
 }`, rdf.AKTNS, workload.MetricsNS, workload.SotonPerson(1).Value, workload.SotonPerson(1).Value)
-	dec, err := f.dec.Decompose(query, rdf.AKTNS)
+	dec, err := f.dec.Decompose(query, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,11 +579,11 @@ func (c *capturingDispatcher) SelectStream(ctx context.Context, req federate.Req
 }
 
 // TestRewriteFragmentUsesPatternVocabulary: a fragment whose patterns
-// are written in a vocabulary other than the query-level source ontology
-// must be rewritten *from its own vocabulary* — the alignment that made
-// its data set a candidate is keyed on the pattern's namespace, not the
-// query's. The single-use bound shard also bypasses the rewrite-plan
-// cache.
+// are written in a vocabulary its data set does not declare is rewritten
+// for that data set alone, through the alignment from the pattern's own
+// vocabulary that made the data set a candidate, in a query whose other
+// patterns use a third vocabulary. The bound shard's shape is rewritten
+// once, then served from the rewrite-plan cache.
 func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	const (
 		v1   = "http://v1.example/ont#"
@@ -626,11 +626,11 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	}
 
 	var rwMu sync.Mutex
-	var rewriteSources []string
+	var rewritten []string
 	rw := core.New([]*align.EntityAlignment{v2to3}, nil)
-	rewrite := func(q *sparql.Query, lifted int, sourceOnt, dataset string) (*core.Template, error) {
+	rewrite := func(q *sparql.Query, lifted int, dataset string) (*core.Template, error) {
 		rwMu.Lock()
-		rewriteSources = append(rewriteSources, sourceOnt)
+		rewritten = append(rewritten, dataset)
 		rwMu.Unlock()
 		return rw.RewriteShape(q, lifted)
 	}
@@ -641,7 +641,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	engine := NewEngine(disp, nil, Options{})
 
 	query := fmt.Sprintf("SELECT ?x ?y ?z WHERE { ?x <%sp> ?y . ?y <%sq> ?z . }", v1, v2)
-	dec, err := dcm.Decompose(query, v1)
+	dec, err := dcm.Decompose(query, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,8 +651,8 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 			frag2 = f
 		}
 	}
-	if frag2 == nil || !frag2.Targets[0].NeedsRewrite || frag2.RewriteOnt != v2 {
-		t.Fatalf("v2 fragment not marked for rewriting from v2: %+v", frag2)
+	if frag2 == nil || !frag2.Targets[0].NeedsRewrite {
+		t.Fatalf("v2 fragment not marked for rewriting: %+v", frag2)
 	}
 	// Twice: the bound shard's shape (one VALUES row, its IRI lifted) is
 	// rewritten once, then served from the plan cache.
@@ -671,12 +671,12 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	}
 	rwMu.Lock()
 	defer rwMu.Unlock()
-	if len(rewriteSources) == 0 {
+	if len(rewritten) == 0 {
 		t.Fatal("rewriter never invoked")
 	}
-	for _, src := range rewriteSources {
-		if src != v2 {
-			t.Fatalf("fragment rewritten from %s, want %s", src, v2)
+	for _, ds := range rewritten {
+		if ds != cURI {
+			t.Fatalf("rewritten for %s, want only %s", ds, cURI)
 		}
 	}
 }
@@ -743,7 +743,7 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 			engine := NewEngine(exec, cs, Options{})
 
 			query := fmt.Sprintf("SELECT ?p ?t ?c WHERE { ?p <%s> ?t . ?p <%s> ?c . }", title, count)
-			dec, err := dcm.Decompose(query, aNS)
+			dec, err := dcm.Decompose(query, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -794,7 +794,7 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := newFixture(t, opts)
 			query := strings.Replace(workload.CrossVocabularyQuery(1), "SELECT", "SELECT DISTINCT", 1)
-			d, err := f.dec.Decompose(query, rdf.AKTNS)
+			d, err := f.dec.Decompose(query, "")
 			if err != nil || len(d.Fragments) != 2 {
 				t.Fatalf("decomposition = %+v, %v", d, err)
 			}
@@ -845,7 +845,7 @@ func TestCardObservationRacingInvalidationDropped(t *testing.T) {
 	f := newFixture(t, Options{Cards: cards})
 	disp := &heldDispatcher{exec: f.exec, held: make(chan struct{}), release: make(chan struct{})}
 	engine := NewEngine(disp, nil, Options{Cards: cards})
-	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), rdf.AKTNS)
+	dec, err := f.dec.Decompose(workload.CrossVocabularyQuery(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package decompose
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"time"
@@ -376,9 +375,7 @@ func request(d *Decomposition, f *Fragment, byTarget [][]*sparql.Query) federate
 	if byTarget == nil && shards == nil {
 		shards = []*sparql.Query{fragmentQuery(d, f)}
 	}
-	// Rewriting translates from the fragment's own vocabulary, which on a
-	// multi-vocabulary query may differ from the query-level source.
-	req := federate.Request{SourceOnt: cmp.Or(f.RewriteOnt, d.SourceOnt), Vars: f.Vars,
+	req := federate.Request{Vars: f.Vars,
 		Targets: make([]federate.Target, 0, len(f.Targets)*max(len(shards), 1))}
 	for k, t := range f.Targets {
 		ts := shards

@@ -7,8 +7,8 @@ import (
 )
 
 // PlanCache is an LRU cache of rewrite plans — the executor's are
-// templates of rewritten query shapes — keyed by (query shape, source
-// ontology, target dataset), with singleflight-style deduplication:
+// templates of rewritten query shapes — keyed by (query shape, target
+// dataset), with singleflight-style deduplication:
 // concurrent requests for the same missing key compute the rewrite once
 // and share the result. A nil *PlanCache is a valid no-op cache (every Do
 // computes).
@@ -21,10 +21,9 @@ type PlanCache[V any] struct {
 }
 
 // PlanKey identifies one rewrite: the sub-query's shape (the text
-// sparql.Template.Key returns), the ontology it is rewritten from and the
-// data set it is rewritten for.
+// sparql.Template.Key returns) and the data set it is rewritten for.
 type PlanKey struct {
-	Query, SourceOnt, Dataset string
+	Query, Dataset string
 }
 
 type flight[V any] struct {

@@ -149,9 +149,9 @@ func TestNilCachePassesThrough(t *testing.T) {
 
 func TestCacheInvalidateByDataset(t *testing.T) {
 	c := NewPlanCache[string](8)
-	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "planA1")
-	mustDo(t, c, PlanKey{"q2", "src", "dsA"}, "planA2")
-	mustDo(t, c, PlanKey{"q1", "src", "dsB"}, "planB")
+	mustDo(t, c, PlanKey{"q1", "dsA"}, "planA1")
+	mustDo(t, c, PlanKey{"q2", "dsA"}, "planA2")
+	mustDo(t, c, PlanKey{"q1", "dsB"}, "planB")
 	if n := c.Invalidate(func(ds string) bool { return ds == "dsA" }); n != 2 {
 		t.Fatalf("invalidated = %d, want 2", n)
 	}
@@ -159,18 +159,18 @@ func TestCacheInvalidateByDataset(t *testing.T) {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
 	// dsA keys recompute, dsB still hits.
-	if _, cached := mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "planA1'"); cached {
+	if _, cached := mustDo(t, c, PlanKey{"q1", "dsA"}, "planA1'"); cached {
 		t.Fatal("invalidated key served from cache")
 	}
-	if got, cached := mustDo(t, c, PlanKey{"q1", "src", "dsB"}, "x"); !cached || got != "planB" {
+	if got, cached := mustDo(t, c, PlanKey{"q1", "dsB"}, "x"); !cached || got != "planB" {
 		t.Fatalf("dsB = %q cached=%v", got, cached)
 	}
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
 	c := NewPlanCache[string](8)
-	mustDo(t, c, PlanKey{"q1", "src", "dsA"}, "a")
-	mustDo(t, c, PlanKey{"q2", "src", "dsB"}, "b")
+	mustDo(t, c, PlanKey{"q1", "dsA"}, "a")
+	mustDo(t, c, PlanKey{"q2", "dsB"}, "b")
 	if n := c.Invalidate(nil); n != 2 || c.Len() != 0 {
 		t.Fatalf("flush removed %d, len=%d", n, c.Len())
 	}
@@ -183,7 +183,7 @@ func TestCacheInvalidateAll(t *testing.T) {
 
 func TestCacheInvalidateMarksFlightsStale(t *testing.T) {
 	c := NewPlanCache[string](8)
-	key := PlanKey{"q", "src", "dsA"}
+	key := PlanKey{"q", "dsA"}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -206,18 +206,18 @@ func TestCacheInvalidateMarksFlightsStale(t *testing.T) {
 }
 
 // TestPlanCacheHitAllocations: a hit allocates nothing, its key built
-// from the three strings as the executor builds it included.
+// from the two strings as the executor builds it included.
 func TestPlanCacheHitAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	c := NewPlanCache[string](4)
 	query := strings.Repeat("SELECT ?s WHERE { ?s ?p ?o } ", 8)
-	src, ds := "http://src.example/ont#", "http://ds.example/void"
+	ds := "http://ds.example/void"
 	compute := func() (string, error) { return "plan", nil }
-	mustDo(t, c, PlanKey{query, src, ds}, "plan")
+	mustDo(t, c, PlanKey{query, ds}, "plan")
 	if got := testing.AllocsPerRun(100, func() {
-		if _, cached, _ := c.Do(PlanKey{query, src, ds}, compute); !cached {
+		if _, cached, _ := c.Do(PlanKey{query, ds}, compute); !cached {
 			t.Fatal("plan-cache miss on a cached key")
 		}
 	}); got != 0 {

@@ -97,7 +97,7 @@ func req(targets ...Target) Request {
 			targets[i].Query = reqQuery
 		}
 	}
-	return Request{SourceOnt: "http://src/", Vars: []string{"a"}, Targets: targets}
+	return Request{Vars: []string{"a"}, Targets: targets}
 }
 
 // TestFanOutMergesAndDeduplicates: three endpoints answer with
@@ -320,7 +320,7 @@ func TestFailFastCancelsFanOut(t *testing.T) {
 func TestSingleflightRewrite(t *testing.T) {
 	var rewrites atomic.Int64
 	rewritten := sparql.MustParse("SELECT ?a WHERE { ?p <http://tgt/x> ?a }")
-	rewrite := func(q *sparql.Query, lifted int, src, ds string) (*core.Template, error) {
+	rewrite := func(q *sparql.Query, lifted int, ds string) (*core.Template, error) {
 		rewrites.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the race window
 		if got := sparql.Format(q); got != reqText || lifted != 0 {
@@ -423,7 +423,7 @@ func TestCancellationDoesNotOpenBreakers(t *testing.T) {
 // TestRewriteErrorReported: a failing rewrite is reported per data set
 // without dispatching to the endpoint.
 func TestRewriteErrorReported(t *testing.T) {
-	rewrite := func(*sparql.Query, int, string, string) (*core.Template, error) {
+	rewrite := func(*sparql.Query, int, string) (*core.Template, error) {
 		return nil, errors.New("no alignments")
 	}
 	fc := newFakeClient()

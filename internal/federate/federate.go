@@ -48,12 +48,12 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// RewriteFunc translates q (written against sourceOnt) for the given
-// target dataset: the shape of a sub-query with lifted slots
+// RewriteFunc translates q for the given target dataset, through every
+// alignment into it: the shape of a sub-query with lifted slots
 // (core.Rewriter.RewriteShape), or with lifted 0 a sub-query itself, whose
 // template's Query is then its rewriting. It must leave q as it found it:
 // the targets of one fan-out share it, concurrently.
-type RewriteFunc func(q *sparql.Query, lifted int, sourceOnt, dataset string) (*core.Template, error)
+type RewriteFunc func(q *sparql.Query, lifted int, dataset string) (*core.Template, error)
 
 // Options tune the executor. The zero value selects sane defaults; the
 // endpoint table's health model has no options.
@@ -83,8 +83,8 @@ type Options struct {
 	// before admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
 	// CacheSize is the rewrite-plan LRU capacity, counted in rewritten
-	// query shapes: one entry per shape, source ontology and target data
-	// set (default 256; set to -1 to disable caching).
+	// query shapes: one entry per shape and target data set (default 256;
+	// set to -1 to disable caching).
 	CacheSize int
 	// Hedge enables hedged sub-queries: when a primary attempt runs past
 	// the endpoint's observed p95 latency (from the endpoint table), a
@@ -139,7 +139,7 @@ type Target struct {
 	// Endpoint is the SPARQL endpoint URL.
 	Endpoint string
 	// NeedsRewrite says the query must be translated for this data set
-	// (its vocabulary differs from the query's source ontology).
+	// (it uses a vocabulary the data set does not declare).
 	NeedsRewrite bool
 	// Query is the sub-query this target runs, before rewriting: the
 	// request's query, a VALUES shard of it, a fragment's sub-query.
@@ -158,7 +158,6 @@ type Target struct {
 
 // Request is one federated SELECT.
 type Request struct {
-	SourceOnt string
 	// Vars are the query's projection variables, the slot table of the rows.
 	Vars    []string
 	Targets []Target
@@ -312,9 +311,9 @@ type rewritePlan struct {
 // cached plan bound to the sub-query's slot values, or, when the plan
 // cannot bind them (or the shape did not rewrite), the rewriting of the
 // sub-query itself, formatted. cached reports a plan-cache hit.
-func (e *Executor) rewriteText(sourceOnt string, t Target, sq *subquery) (text string, cached bool, err error) {
-	p, cached, err := e.cache.Do(PlanKey{sq.shape.Key(), sourceOnt, t.Dataset}, func() (*rewritePlan, error) {
-		tmpl, err := e.rewrite(sparql.LiftQuery(t.Query), len(sq.slots), sourceOnt, t.Dataset)
+func (e *Executor) rewriteText(t Target, sq *subquery) (text string, cached bool, err error) {
+	p, cached, err := e.cache.Do(PlanKey{sq.shape.Key(), t.Dataset}, func() (*rewritePlan, error) {
+		tmpl, err := e.rewrite(sparql.LiftQuery(t.Query), len(sq.slots), t.Dataset)
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +328,7 @@ func (e *Executor) rewriteText(sourceOnt string, t Target, sq *subquery) (text s
 			return p.text.Execute(values), cached, nil
 		}
 	}
-	tmpl, err := e.rewrite(t.Query, 0, sourceOnt, t.Dataset)
+	tmpl, err := e.rewrite(t.Query, 0, t.Dataset)
 	if err != nil {
 		return "", cached, err
 	}
@@ -374,7 +373,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 		_, rwSpan := obs.StartSpan(ctx, "rewrite")
 		var cached bool
 		var err error
-		da.Query, cached, err = e.rewriteText(req.SourceOnt, t, sq)
+		da.Query, cached, err = e.rewriteText(t, sq)
 		rwSpan.SetBool("cached", cached)
 		rwSpan.End()
 		if err != nil {

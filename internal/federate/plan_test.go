@@ -35,7 +35,7 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	shard1 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p1> } ?p ?x ?a }")
 	shard2 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p2> } ?p ?x ?a }")
 	res, err := e.Select(context.Background(), Request{
-		SourceOnt: "http://src/", Vars: []string{"a"},
+		Vars: []string{"a"},
 		Targets: []Target{
 			{Dataset: "d1", Endpoint: "ep1", Query: shard1, Shard: 1, Shards: 2},
 			{Dataset: "d1", Endpoint: "ep1", Query: shard2, Shard: 2, Shards: 2},

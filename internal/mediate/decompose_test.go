@@ -135,7 +135,7 @@ func TestQueryDecomposesAcrossVocabularies(t *testing.T) {
 	s := newCrossVocabStack(t)
 	query := workload.CrossVocabularyQuery(2)
 
-	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: query, SourceOnt: rdf.AKTNS})
+	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestQueryDecomposesAcrossVocabularies(t *testing.T) {
 	}
 
 	// The buffered Collect convenience takes the same path.
-	fr, err := federatedSelect(s.mediator, query, rdf.AKTNS, nil)
+	fr, err := federatedSelect(s.mediator, query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestAPIQueryDecomposedExplain(t *testing.T) {
 	}
 
 	// /sparql executes the decomposed query end to end.
-	form := url.Values{"query": {query}, "source": {rdf.AKTNS}}
+	form := url.Values{"query": {query}}
 	resp, err = http.PostForm(srv.URL+"/sparql", form)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestAPIQueryNDJSON(t *testing.T) {
 		"single-source": workload.Figure1Query(2),
 		"decomposed":    workload.CrossVocabularyQuery(2),
 	} {
-		form := url.Values{"query": {query}, "source": {rdf.AKTNS}}
+		form := url.Values{"query": {query}}
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/sparql",
 			strings.NewReader(form.Encode()))
 		if err != nil {
@@ -388,7 +388,7 @@ func TestBoundJoinSpanRecordsShipping(t *testing.T) {
 		{"DESCRIBE <" + paper.Value + ">", []int64{2}, 1},
 		{workload.CrossVocabularyQuery(2), nil, 0},
 	} {
-		res, err := m.Query(context.Background(), QueryRequest{Query: c.query, SourceOnt: rdf.AKTNS})
+		res, err := m.Query(context.Background(), QueryRequest{Query: c.query})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func TestMaxBindRowsBoundsEachTarget(t *testing.T) {
 	if len(m.Coref.Equivalents(paper.Value)) != 2 {
 		t.Fatalf("KISTI does not mirror %s", paper.Value)
 	}
-	res, err := m.Query(context.Background(), QueryRequest{Query: "DESCRIBE <" + paper.Value + ">", SourceOnt: rdf.AKTNS})
+	res, err := m.Query(context.Background(), QueryRequest{Query: "DESCRIBE <" + paper.Value + ">"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,5 +445,68 @@ func TestMaxBindRowsBoundsEachTarget(t *testing.T) {
 	}
 	if st := m.Stats().Decompose.Engine; st.BoundJoinStages != 1 || st.HashJoinStages != 0 || st.ValuesRows != 3 {
 		t.Errorf("engine stats = %+v, want one bound join shipping a row to each of three targets", st)
+	}
+}
+
+// TestGroupRewritesEveryForeignVocabulary: KISTI is reached from two
+// vocabularies, AKT through its alignments and a bibliographic one
+// through a second ontology alignment into KISTI. With Southampton out of
+// the source set, KISTI alone answers the query's AKT and bibliographic
+// patterns, so they form one exclusive group, joined with the metrics
+// pattern. The group's sub-query must be rewritten through both
+// alignments: KISTI receives neither foreign vocabulary, and the answer
+// is the oracle's for the same query written with kisti:title.
+func TestGroupRewritesEveryForeignVocabulary(t *testing.T) {
+	const bib = "http://bib.example/ontology#"
+	tap := &wireTap{seen: map[string][]string{}}
+	m := exampleFederation(t, tap.wrap)
+	if err := m.Alignments.Add(&align.OntologyAlignment{
+		URI:              "http://bib.example/align/bib2kisti",
+		SourceOntologies: []string{bib},
+		TargetOntologies: []string{rdf.KISTINS},
+		TargetDatasets:   []string{workload.KistiVoidURI},
+		Alignments:       []*align.EntityAlignment{align.PropertyAlignment("http://bib.example/align/bib2kisti#title", bib+"title", rdf.KISTITitle)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	query := func(title string) string {
+		return "PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX m:<" + workload.MetricsNS + ">\n" +
+			"SELECT ?paper ?t ?c WHERE { ?paper akt:has-author <" + workload.SotonPerson(2).Value + "> . " +
+			"?paper <" + title + "> ?t . ?paper m:citationCount ?c }"
+	}
+	targets := []string{workload.KistiVoidURI, workload.MetricsVoidURI}
+	text := query(bib + "title")
+
+	res, err := m.Query(context.Background(), QueryRequest{Query: text, Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	var group *decompose.Fragment
+	for _, f := range res.Decomposition().Fragments {
+		if len(f.Targets) == 1 && f.Targets[0].Dataset == workload.KistiVoidURI {
+			group = f
+		}
+	}
+	if group == nil || !group.Exclusive || len(group.Patterns) != 2 || !group.Targets[0].NeedsRewrite {
+		t.Fatalf("plan = %+v, want KISTI's rewritten group of the AKT and bibliographic patterns", res.Decomposition().Fragments)
+	}
+	fr, err := res.Bindings().Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]rdf.Term
+	for _, sol := range fr.Solutions {
+		got = append(got, []rdf.Term{sol["paper"], sol["t"], sol["c"]})
+	}
+	src := voidkb.Sources{workload.KistiVoidURI: true, workload.MetricsVoidURI: true}
+	checkAgainstOracle(t, "two foreign vocabularies", text, got, newOracle(t, exampleUniverse(), src).answer(t, query(rdf.KISTITitle)))
+	if len(tap.seen[workload.KistiVoidURI]) == 0 {
+		t.Fatal("KISTI received no query")
+	}
+	for _, sent := range tap.seen[workload.KistiVoidURI] {
+		if strings.Contains(sent, bib) || strings.Contains(sent, rdf.AKTNS) {
+			t.Errorf("KISTI received a foreign vocabulary:\n%s", sent)
+		}
 	}
 }

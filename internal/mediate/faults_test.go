@@ -79,8 +79,8 @@ func newFaultStack(t *testing.T, fed federate.Options, script func(w http.Respon
 func (s *faultStack) start(t *testing.T) *QueryStream {
 	t.Helper()
 	res, err := s.m.Query(context.Background(), QueryRequest{
-		Query:     `PREFIX akt:<` + rdf.AKTNS + `> SELECT ?a WHERE { ?p akt:has-author ?a }`,
-		SourceOnt: rdf.AKTNS, Targets: []string{"http://stub.example/void"},
+		Query:   `PREFIX akt:<` + rdf.AKTNS + `> SELECT ?a WHERE { ?p akt:has-author ?a }`,
+		Targets: []string{"http://stub.example/void"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,10 @@ import (
 
 // apiQueryRequest is the body of /api/rewrite and /api/plan.
 type apiQueryRequest struct {
-	Query  string `json:"query"`
-	Source string `json:"source,omitempty"` // source ontology namespace
-	Target string `json:"target"`           // target data set URI (/api/rewrite)
+	Query   string   `json:"query"`
+	Source  string   `json:"source,omitempty"`  // narrows the alignments to this source ontology (/api/rewrite)
+	Target  string   `json:"target"`            // target data set URI (/api/rewrite)
+	Targets []string `json:"targets,omitempty"` // the data sets to plan over, as /sparql's target (/api/plan)
 }
 
 type rewriteResponse struct {
@@ -170,10 +171,9 @@ func protocolError(w http.ResponseWriter, status int, msg string) {
 }
 
 // apiQuery reads the request of /api/rewrite or /api/plan: the body,
-// capped as /sparql caps its own, decoded, its query parsed — once; the
-// handlers pass the parsed query on — and Source settled, guessed from the
-// query's vocabulary when the body names none. On !ok the error response
-// has been written.
+// capped as /sparql caps its own, decoded, and its query parsed — once;
+// the handlers pass the parsed query on. On !ok the error response has
+// been written.
 func (m *Mediator) apiQuery(w http.ResponseWriter, r *http.Request) (req apiQueryRequest, q *sparql.Query, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -185,9 +185,6 @@ func (m *Mediator) apiQuery(w http.ResponseWriter, r *http.Request) (req apiQuer
 		return req, nil, false
 	}
 	q, err := sparql.Parse(req.Query)
-	if err == nil && req.Source == "" {
-		req.Source, err = m.guessSourceOntology(q)
-	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return req, nil, false
@@ -351,13 +348,19 @@ func Handler(m *Mediator) http.Handler {
 	})
 
 	// /api/plan explains a federated query without running it: the plan
-	// the query path runs, with its per-data-set decisions.
+	// the query path runs for the anonymous tenant, over the named targets'
+	// source set as /sparql builds it, with its per-data-set decisions.
 	handle("/api/plan", func(w http.ResponseWriter, r *http.Request) {
 		req, q, ok := m.apiQuery(w, r)
 		if !ok {
 			return
 		}
-		ex, err := m.route(r.Context(), q, QueryRequest{SourceOnt: req.Source})
+		src, _, err := m.sourceSet(nil, req.Targets)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		ex, err := m.route(r.Context(), q, QueryRequest{sources: src})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -405,15 +408,13 @@ func Handler(m *Mediator) http.Handler {
 // JSON error document. Closing the connection mid-stream cancels every
 // in-flight upstream sub-query.
 //
-// Three protocol extensions carry the mediator-specific inputs: repeated
+// Two protocol extensions carry the mediator-specific inputs: repeated
 // `target` parameters narrow the data sets the voiD-driven planner selects
 // from (default: every registered one the tenant may read; an unregistered
 // target is a 400 before any round trip, one off the tenant's allowlist a
-// 403), `source` names the source ontology (default:
-// guessed from the query's vocabulary) and `explain=trace` appends the
-// query's trace document — its span tree, whose operator spans carry
-// estimated vs actual cardinalities and q-error, and its plan — to the
-// response: a trailing "trace" member in the SRJ document, a final
+// 403), and `explain=trace` appends the query's trace document — its
+// span tree, whose operator spans carry estimated vs actual cardinalities
+// and q-error, and its plan — to the response: a trailing "trace" member in the SRJ document, a final
 // {"trace":...} line in NDJSON, a terminal `trace` event over SSE, a
 // `# trace: {...}` comment in graph serialisations. Any other explain
 // value is a 400.
@@ -455,12 +456,11 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 		defer release()
 	}
 
-	var queryText, source string
+	var queryText string
 	var targets []string
 	limit := 0
 	explain := ""
 	readOpts := func(get func(string) string, all func(string) []string) {
-		source = get("source")
 		targets = all("target")
 		if n, err := strconv.Atoi(get("limit")); err == nil && n > 0 {
 			limit = n
@@ -522,7 +522,7 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := m.queryParsed(ctx, QueryRequest{
-		Query: queryText, SourceOnt: source, Targets: targets, Limit: limit,
+		Query: queryText, Targets: targets, Limit: limit,
 		Tenant: tenant,
 	}, q)
 	if err != nil {

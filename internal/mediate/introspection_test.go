@@ -46,7 +46,7 @@ func TestOneIntrospectionDocument(t *testing.T) {
 	ts := newTracingStack(t, WithFederation(federate.Options{BreakerFailures: 1, BreakerCooldown: time.Hour}))
 	m := ts.mediator
 	for i := range 3 {
-		if _, err := federatedSelect(m, workload.Figure1Query(i), rdf.AKTNS, nil); err != nil {
+		if _, err := federatedSelect(m, workload.Figure1Query(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestOneIntrospectionDocument(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := federatedSelect(m, workload.Figure1Query(1), rdf.AKTNS,
+	if _, err := federatedSelect(m, workload.Figure1Query(1),
 		[]string{workload.SotonVoidURI, downURI}); err != nil {
 		t.Fatal(err)
 	}

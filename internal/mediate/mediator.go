@@ -8,7 +8,6 @@ package mediate
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"sparqlrw/internal/align"
@@ -19,7 +18,6 @@ import (
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
-	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/view"
@@ -296,19 +294,15 @@ func (m *Mediator) Stats() Stats {
 // PlanQuery explains how a federated query would run for the anonymous
 // tenant: the route the query path takes, with its per-data-set decisions,
 // its fragments and their sub-queries as the endpoints receive them (a
-// rewritten target translates its own). An empty sourceOnt is guessed
-// from the query's vocabulary, as the query path does.
-func (m *Mediator) PlanQuery(queryText, sourceOnt string) (*decompose.Decomposition, error) {
+// rewritten target translates its own). The second argument is ignored:
+// the query path rewrites from every vocabulary a query uses, and the
+// parameter is kept for the benchmark's layer probes, which pass one.
+func (m *Mediator) PlanQuery(queryText, _ string) (*decompose.Decomposition, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
 	}
-	if sourceOnt == "" {
-		if sourceOnt, err = m.guessSourceOntology(q); err != nil {
-			return nil, err
-		}
-	}
-	return m.route(context.TODO(), q, QueryRequest{SourceOnt: sourceOnt})
+	return m.route(context.TODO(), q, QueryRequest{})
 }
 
 // RewriteResult is the outcome of a single rewrite.
@@ -323,9 +317,11 @@ type RewriteResult struct {
 	Report *core.Report
 }
 
-// Rewrite translates a query written against sourceOnt for the given
-// target data set, per the paper's inputs: "the query, the source ontology
-// used to formulate the query ... and the target ontology (or data set)".
+// Rewrite translates a query for the given target data set, per the
+// paper's inputs: "the query, the source ontology used to formulate the
+// query ... and the target ontology (or data set)". A sourceOnt only
+// narrows the alignments to those from that ontology; "" uses every
+// alignment into the target, as the query path does.
 func (m *Mediator) Rewrite(queryText, sourceOnt, targetDataset string) (*RewriteResult, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
@@ -362,8 +358,8 @@ func (m *Mediator) rewriteQuery(q *sparql.Query, sourceOnt, targetDataset string
 // rewriteShape is the executor's RewriteFunc: the template of a query
 // shape with lifted slots (a query itself with none) for the target data
 // set.
-func (m *Mediator) rewriteShape(q *sparql.Query, lifted int, sourceOnt, targetDataset string) (*core.Template, error) {
-	rw, err := m.rewriter(sourceOnt, targetDataset)
+func (m *Mediator) rewriteShape(q *sparql.Query, lifted int, targetDataset string) (*core.Template, error) {
+	rw, err := m.rewriter("", targetDataset)
 	if err != nil {
 		return nil, err
 	}
@@ -374,10 +370,12 @@ func (m *Mediator) rewriteShape(q *sparql.Query, lifted int, sourceOnt, targetDa
 	return tmpl, nil
 }
 
-// rewriter returns the rewriter from sourceOnt into the target data set:
-// the alignments selected for the pair, the data set's URI space, the
-// mediator's functions and FILTER policy. The executor's RewriteFunc
-// rewrites shapes with it, Rewrite queries.
+// rewriter returns the rewriter into the target data set: every alignment
+// into the data set or its vocabulary (only those from sourceOnt when it
+// is not ""), the data set's URI space, the mediator's functions and
+// FILTER policy. Each triple rewrites through the alignment its own IRIs
+// match. The executor's RewriteFunc rewrites shapes with it, Rewrite
+// queries.
 func (m *Mediator) rewriter(sourceOnt, targetDataset string) (*core.Rewriter, error) {
 	ds, ok := m.Datasets.Get(targetDataset)
 	if !ok {
@@ -419,54 +417,4 @@ func (m *Mediator) DatasetInfos() []DatasetInfo {
 		})
 	}
 	return out
-}
-
-// GuessSourceOntology inspects a query's vocabulary and returns the first
-// registered data set vocabulary it uses; a convenience for the UI where
-// the paper's users only pick the target data set. CONSTRUCT/DESCRIBE
-// template triples count too: an integration CONSTRUCT may mention the
-// source vocabulary only in its template.
-func (m *Mediator) GuessSourceOntology(queryText string) (string, error) {
-	q, err := sparql.Parse(queryText)
-	if err != nil {
-		return "", err
-	}
-	return m.guessSourceOntology(q)
-}
-
-func (m *Mediator) guessSourceOntology(q *sparql.Query) (string, error) {
-	counts := map[string]int{}
-	all := m.Datasets.All()
-	note := func(terms ...rdf.Term) {
-		for _, x := range terms {
-			if !x.IsIRI() {
-				continue
-			}
-			for _, d := range all {
-				for _, ns := range d.Vocabularies {
-					if strings.HasPrefix(x.Value, ns) {
-						counts[ns]++
-					}
-				}
-			}
-		}
-	}
-	for _, b := range q.BGPs() {
-		for _, t := range b.Patterns {
-			note(t.P, t.O)
-		}
-	}
-	for _, t := range q.Template {
-		note(t.P, t.O)
-	}
-	best, bestN := "", 0
-	for ns, n := range counts {
-		if n > bestN || (n == bestN && ns < best) {
-			best, bestN = ns, n
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("mediate: query uses no registered vocabulary")
-	}
-	return best, nil
 }

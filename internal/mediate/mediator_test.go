@@ -76,9 +76,9 @@ func newStack(t testing.TB) *testStack {
 
 // federatedSelect drains one federated SELECT into the buffered result
 // shape most assertions consume.
-func federatedSelect(m *Mediator, query, sourceOnt string, targets []string) (*FederatedResult, error) {
+func federatedSelect(m *Mediator, query string, targets []string) (*FederatedResult, error) {
 	res, err := m.Query(context.Background(), QueryRequest{
-		Query: query, SourceOnt: sourceOnt, Targets: targets,
+		Query: query, Targets: targets,
 	})
 	if err != nil {
 		return nil, err
@@ -102,7 +102,7 @@ func TestPaperModeFilterLimitation(t *testing.T) {
 	if person < 0 {
 		t.Skip("no person present in KISTI")
 	}
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(person), rdf.AKTNS,
+	fr, err := federatedSelect(s.mediator, workload.Figure1Query(person),
 		[]string{workload.SotonVoidURI, workload.KistiVoidURI})
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +161,11 @@ func TestE6_FederatedRecall(t *testing.T) {
 	}
 	q := workload.Figure1Query(person)
 
-	sourceOnly, err := federatedSelect(s.mediator, q, rdf.AKTNS, []string{workload.SotonVoidURI})
+	sourceOnly, err := federatedSelect(s.mediator, q, []string{workload.SotonVoidURI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	federated, err := federatedSelect(s.mediator, q, rdf.AKTNS,
+	federated, err := federatedSelect(s.mediator, q,
 		[]string{workload.SotonVoidURI, workload.KistiVoidURI})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestQueryFormDispatch(t *testing.T) {
 	ctx := context.Background()
 
 	sel, err := s.mediator.Query(ctx, QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI},
 	})
 	if err != nil {
@@ -209,7 +209,7 @@ func TestQueryFormDispatch(t *testing.T) {
 	}
 
 	ask, err := s.mediator.Query(ctx, QueryRequest{
-		Query: `ASK { ?s ?p ?o }`, SourceOnt: rdf.AKTNS,
+		Query:   `ASK { ?s ?p ?o }`,
 		Targets: []string{workload.SotonVoidURI},
 	})
 	if err != nil {
@@ -227,8 +227,8 @@ func TestQueryFormDispatch(t *testing.T) {
 	}
 
 	askFalse, err := s.mediator.Query(ctx, QueryRequest{
-		Query:     `ASK { ?s <http://www.aktors.org/ontology/portal#no-such-predicate> ?o }`,
-		SourceOnt: rdf.AKTNS, Targets: []string{workload.SotonVoidURI},
+		Query:   `ASK { ?s <http://www.aktors.org/ontology/portal#no-such-predicate> ?o }`,
+		Targets: []string{workload.SotonVoidURI},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ WHERE {
   ?paper akt:has-author ?a .
 }`
 	res, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: query, SourceOnt: rdf.AKTNS,
+		Query:   query,
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	})
 	if err != nil {
@@ -348,7 +348,6 @@ func TestQueryDescribeFederated(t *testing.T) {
 	res2, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: `PREFIX akt:<` + rdf.AKTNS + `>
 DESCRIBE ?paper WHERE { ?paper akt:has-author <` + person + `> }`,
-		SourceOnt: rdf.AKTNS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,13 +387,13 @@ func TestUnknownTargetRefused(t *testing.T) {
 	const nope = "http://nope.example/void"
 	for _, targets := range [][]string{{workload.SotonVoidURI, nope}, {nope, workload.SotonVoidURI}} {
 		_, err := m.Query(context.Background(), QueryRequest{
-			Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS, Targets: targets,
+			Query: workload.Figure1Query(0), Targets: targets,
 		})
 		if err == nil || !strings.Contains(err.Error(), nope) || errors.Is(err, serve.ErrDenied) {
 			t.Errorf("targets %v: %v, want an error naming %s", targets, err, nope)
 		}
 		resp, err := http.PostForm(srv.URL+"/sparql", url.Values{
-			"query": {workload.Figure1Query(0)}, "source": {rdf.AKTNS}, "target": targets,
+			"query": {workload.Figure1Query(0)}, "target": targets,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -431,7 +430,7 @@ func TestFederatedSurvivesEndpointFailure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := federatedSelect(s.mediator, allAuthorships, rdf.AKTNS,
+	fr, err := federatedSelect(s.mediator, allAuthorships,
 		[]string{workload.SotonVoidURI, "http://broken.example/void"})
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +479,7 @@ func TestFederatedHangingEndpointTimesOut(t *testing.T) {
 		MaxRetries:      -1,
 	}))
 	start := time.Now()
-	fr, err := federatedSelect(s.mediator, allAuthorships, rdf.AKTNS,
+	fr, err := federatedSelect(s.mediator, allAuthorships,
 		[]string{workload.SotonVoidURI, "http://hang.example/void"})
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +515,7 @@ func TestFederatedPlanCacheReuse(t *testing.T) {
 	s := newStack(t)
 	targets := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	for i := 0; i < 3; i++ {
-		if _, err := federatedSelect(s.mediator, workload.Figure1Query(i), rdf.AKTNS, targets); err != nil {
+		if _, err := federatedSelect(s.mediator, workload.Figure1Query(i), targets); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,39 +530,6 @@ func TestFederatedPlanCacheReuse(t *testing.T) {
 		if es.Breaker != "closed" || es.Successes != 3 {
 			t.Fatalf("endpoint stats = %+v", es)
 		}
-	}
-}
-
-func TestGuessSourceOntology(t *testing.T) {
-	s := newStack(t)
-	got, err := s.mediator.GuessSourceOntology(workload.Figure1Query(0))
-	if err != nil || got != rdf.AKTNS {
-		t.Fatalf("guess = %q %v", got, err)
-	}
-	if _, err := s.mediator.GuessSourceOntology(`SELECT ?s WHERE { ?s <http://unknown/p> ?o }`); err == nil {
-		t.Fatal("unknown vocabulary must error")
-	}
-}
-
-// TestGuessSourceOntologyScansTemplate is the regression test for the
-// CONSTRUCT/DESCRIBE fix: a query whose WHERE clause uses no registered
-// vocabulary can still be attributed through its template triples.
-func TestGuessSourceOntologyScansTemplate(t *testing.T) {
-	s := newStack(t)
-	got, err := s.mediator.GuessSourceOntology(`PREFIX akt:<` + rdf.AKTNS + `>
-CONSTRUCT { ?p akt:has-author ?a }
-WHERE { ?p <http://unknown.example/wrote> ?a }`)
-	if err != nil || got != rdf.AKTNS {
-		t.Fatalf("template guess = %q %v", got, err)
-	}
-	// Template votes accumulate with WHERE votes: a KISTI-dominated query
-	// with one AKT template triple still guesses KISTI.
-	got, err = s.mediator.GuessSourceOntology(`PREFIX akt:<` + rdf.AKTNS + `>
-PREFIX kisti:<` + rdf.KISTINS + `>
-CONSTRUCT { ?p akt:has-author ?a }
-WHERE { ?p kisti:hasCreatorInfo ?c . ?c kisti:hasCreator ?a }`)
-	if err != nil || got != rdf.KISTINS {
-		t.Fatalf("majority guess = %q %v", got, err)
 	}
 }
 
@@ -592,7 +558,7 @@ func TestHTTPAPIRewrite(t *testing.T) {
 	body, _ := json.Marshal(apiQueryRequest{
 		Query:  workload.Figure1Query(0),
 		Target: workload.KistiVoidURI,
-		// Source omitted: the mediator guesses AKT from the vocabulary.
+		// Source omitted: every alignment into KISTI is selected.
 	})
 	resp, err := http.Post(srv.URL+"/api/rewrite", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -686,7 +652,7 @@ func TestHTTPAPIStats(t *testing.T) {
 	s := newStack(t)
 	srv := httptest.NewServer(Handler(s.mediator))
 	defer srv.Close()
-	if _, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS,
+	if _, err := federatedSelect(s.mediator, workload.Figure1Query(0),
 		[]string{workload.SotonVoidURI, workload.KistiVoidURI}); err != nil {
 		t.Fatal(err)
 	}

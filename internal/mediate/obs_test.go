@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sparqlrw/internal/obs"
-	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/workload"
 )
 
@@ -363,7 +362,7 @@ func TestStatsRegistryConsistency(t *testing.T) {
 
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := federatedSelect(s.mediator, workload.Figure1Query(i), rdf.AKTNS,
+		if _, err := federatedSelect(s.mediator, workload.Figure1Query(i),
 			[]string{workload.SotonVoidURI, workload.KistiVoidURI}); err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +435,7 @@ func TestObservabilityConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, err := federatedSelect(s.mediator, workload.Figure1Query(w*perWorker+i), rdf.AKTNS,
+				_, err := federatedSelect(s.mediator, workload.Figure1Query(w*perWorker+i),
 					[]string{workload.SotonVoidURI, workload.KistiVoidURI})
 				if err != nil {
 					errs <- err
@@ -478,7 +477,7 @@ func TestObservabilityConcurrentQueries(t *testing.T) {
 // while WithObservability swaps in a fresh observer.
 func TestConfigureKeepsCounters(t *testing.T) {
 	s := newStack(t)
-	if _, err := federatedSelect(s.mediator, workload.Figure1Query(1), rdf.AKTNS,
+	if _, err := federatedSelect(s.mediator, workload.Figure1Query(1),
 		[]string{workload.SotonVoidURI}); err != nil {
 		t.Fatal(err)
 	}

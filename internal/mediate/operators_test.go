@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sparqlrw/internal/obs"
-	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/workload"
 )
 
@@ -82,8 +81,7 @@ func TestExplainAnalyzeSRJ(t *testing.T) {
 	defer srv.Close()
 
 	resp, body := postTraced(t, srv.URL, url.Values{
-		"query":  {workload.CrossVocabularyQuery(2)},
-		"source": {rdf.AKTNS},
+		"query": {workload.CrossVocabularyQuery(2)},
 	}, "")
 	var doc struct {
 		Results struct {
@@ -189,8 +187,7 @@ func TestExplainAnalyzeNDJSON(t *testing.T) {
 	defer srv.Close()
 
 	_, body := postTraced(t, srv.URL, url.Values{
-		"query":  {workload.CrossVocabularyQuery(1)},
-		"source": {rdf.AKTNS},
+		"query": {workload.CrossVocabularyQuery(1)},
 	}, "application/x-ndjson")
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
 	last := lines[len(lines)-1]
@@ -214,8 +211,7 @@ func TestTraceTextFormat(t *testing.T) {
 	defer srv.Close()
 
 	resp, err := http.PostForm(srv.URL+"/sparql", url.Values{
-		"query":  {workload.CrossVocabularyQuery(2)},
-		"source": {rdf.AKTNS},
+		"query": {workload.CrossVocabularyQuery(2)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +281,7 @@ func TestQueryTextStoredOncePerTrace(t *testing.T) {
 	const marker = "ring-dedupe-marker-7f3a"
 	query := "# " + marker + "\n" + workload.CrossVocabularyQuery(2)
 
-	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: query, SourceOnt: rdf.AKTNS})
+	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: query})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package mediate
 // the mediator has and holds each answer to the oracle's.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -176,17 +175,13 @@ type diffPath struct {
 }
 
 // diffTemplate is a query shape with its projection, the FILTER the
-// differential adds to it, the vocabulary it is written in (AKT when
-// empty; guess leaves it to the mediator) and the paths that can answer
-// it.
+// differential adds to it and the paths that can answer it.
 type diffTemplate struct {
-	name      string
-	texts     []string
-	vars      []string
-	filter    string
-	sourceOnt string
-	guess     bool
-	paths     []string
+	name   string
+	texts  []string
+	vars   []string
+	filter string
+	paths  []string
 }
 
 // variants are the template's query with the solution modifiers the
@@ -264,12 +259,17 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	values += " } ?paper akt:has-author ?a }"
 	whole := []string{"explicit targets", "planned", "result cache"}
 	// Two KISTI patterns and one AKT pattern: KISTI answers all three, the
-	// AKT one only through the AKT alignments, so the query cannot go to it
-	// whole under the KISTI source ontology the mediator guesses. Neither
-	// can a Figure-1 shape under a KISTI source, which Southampton alone
-	// would answer whole.
+	// AKT one through the AKT alignments, so the query goes to it whole and
+	// each triple is rewritten by the alignment its own IRIs match. Views
+	// are mined only from joined queries, so the view path does not take
+	// it.
 	coauthors := akt + "SELECT ?paper ?a WHERE { ?paper akt:has-author " + person(5) + " . ?paper akt:has-author ?a }"
 	mixed := akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?paper ?t ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }"
+	// The same shape about one paper named by its Southampton spelling:
+	// KISTI receives the KISTI patterns' instance in its own spelling too.
+	paper := "<" + workload.SotonPaper(1).Value + ">"
+	mixedGround := akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?t ?y ?a WHERE { " + paper + " k:title ?t . " +
+		paper + " k:year ?y . " + paper + " akt:has-author ?a }"
 	// A FILTER over two fragments' variables runs at the mediator, over
 	// rows that bind owl:sameAs representatives (?a person 2's KISTI IRI),
 	// so its IRI constant must be canonicalised like them.
@@ -299,16 +299,18 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			vars: []string{"c", "paper", "a"}, filter: "?c > 40", paths: crossPaths},
 		{name: "bulk", texts: []string{bulkQuery}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`,
 			paths: []string{"explicit targets", "planned", "result cache"}},
-		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30", sourceOnt: workload.MetricsNS,
+		{name: "metrics", texts: []string{metrics}, vars: []string{"c", "paper"}, filter: "?c < 30",
 			paths: []string{"explicit target, metrics", "planned", "result cache"}},
 		{name: "optional", texts: []string{optional(2, 5), optional(7, 3)}, vars: []string{"t", "paper", "a"}, filter: "BOUND(?t)",
 			paths: whole},
 		{name: "union", texts: []string{union}, vars: []string{"a", "paper"}, filter: "!(?a = " + person(2) + ")", paths: whole},
 		{name: "values", texts: []string{values}, vars: []string{"a", "paper"}, filter: "!(?a = " + person(2) + ")", paths: whole},
-		{name: "coauthors, KISTI source", texts: []string{coauthors}, vars: []string{"a", "paper"}, sourceOnt: rdf.KISTINS,
+		{name: "coauthors", texts: []string{coauthors}, vars: []string{"a", "paper"},
 			paths: []string{"explicit targets", "planned", "hash join", "result cache"}},
-		{name: "mixed vocabularies", texts: []string{mixed}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`, guess: true,
-			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache", "view"}},
+		{name: "mixed vocabularies", texts: []string{mixed}, vars: []string{"t", "paper", "a"}, filter: `REGEX(?t, "1")`,
+			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+		{name: "mixed vocabularies, ground paper", texts: []string{mixedGround}, vars: []string{"t", "y", "a"},
+			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -330,10 +332,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				if !slices.Contains(tmpl.paths, path.name) {
 					continue
 				}
-				req := QueryRequest{SourceOnt: cmp.Or(tmpl.sourceOnt, rdf.AKTNS), Targets: path.targets}
-				if tmpl.guess {
-					req.SourceOnt = ""
-				}
+				req := QueryRequest{Targets: path.targets}
 				if path.viewed {
 					for _, text := range tmpl.texts {
 						req.Query = text
@@ -410,7 +409,7 @@ func TestHubEntityBoundJoin(t *testing.T) {
 	if len(want) != 29 {
 		t.Fatalf("the oracle answers %d rows, want person %d's 29", len(want), person)
 	}
-	got, err := mediatorRows(m, QueryRequest{Query: text, SourceOnt: rdf.AKTNS})
+	got, err := mediatorRows(m, QueryRequest{Query: text})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +425,7 @@ func materializeView(t *testing.T, m *Mediator, req QueryRequest) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		dec, err := m.PlanQuery(req.Query, req.SourceOnt)
+		dec, err := m.PlanQuery(req.Query, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +599,7 @@ func TestGraphFormsMatchOracle(t *testing.T) {
 				if !slices.Contains(c.paths, path.name) {
 					continue
 				}
-				got, err := mediatorGraph(m, QueryRequest{Query: c.text, SourceOnt: rdf.AKTNS, Targets: path.targets})
+				got, err := mediatorGraph(m, QueryRequest{Query: c.text, Targets: path.targets})
 				if err != nil {
 					t.Errorf("%s: %v", c.name, err)
 					continue

@@ -94,7 +94,7 @@ func plannedStack(t *testing.T) (*testStack, map[string]*atomic.Int64) {
 // federated query with no explicit targets reaches exactly those two.
 func TestPlannedFederationDispatchesOnlyRelevant(t *testing.T) {
 	s, hits := plannedStack(t)
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS, nil)
+	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestPlannedFederationDispatchesOnlyRelevant(t *testing.T) {
 func TestPlannedMatchesExplicitTargets(t *testing.T) {
 	s, _ := plannedStack(t)
 	q := workload.Figure1Query(1)
-	planned, err := federatedSelect(s.mediator, q, rdf.AKTNS, nil)
+	planned, err := federatedSelect(s.mediator, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := federatedSelect(s.mediator, q, rdf.AKTNS,
+	explicit, err := federatedSelect(s.mediator, q,
 		[]string{workload.SotonVoidURI, workload.KistiVoidURI})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestPlannedMatchesExplicitTargets(t *testing.T) {
 func TestNamedTargetsArePlanned(t *testing.T) {
 	s, hits := plannedStack(t)
 	res, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(1), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(1),
 		Targets: []string{workload.SotonVoidURI, workload.DBPVoidURI, workload.KistiVoidURI, workload.SotonVoidURI},
 	})
 	if err != nil {
@@ -180,7 +180,7 @@ func TestNamedTargetsArePlanned(t *testing.T) {
 	}
 
 	_, err = s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(1), SourceOnt: rdf.AKTNS, Targets: []string{workload.DBPVoidURI},
+		Query: workload.Figure1Query(1), Targets: []string{workload.DBPVoidURI},
 	})
 	if err == nil || errors.Is(err, serve.ErrDenied) || !strings.Contains(err.Error(), "is relevant") || !strings.Contains(err.Error(), workload.DBPVoidURI) {
 		t.Errorf("naming only DBpedia: %v, want the no-relevant-data-set error naming it", err)
@@ -191,8 +191,7 @@ func TestPlannedNoRelevantDatasets(t *testing.T) {
 	s, _ := plannedStack(t)
 	// A FOAF query reaches no registered data set.
 	_, err := federatedSelect(s.mediator,
-		`SELECT ?n WHERE { ?x <http://xmlns.com/foaf/0.1/name> ?n }`,
-		rdf.FOAFNS, nil)
+		`SELECT ?n WHERE { ?x <http://xmlns.com/foaf/0.1/name> ?n }`, nil)
 	if err == nil || !strings.Contains(err.Error(), "relevant") {
 		t.Fatalf("err = %v, want no-relevant-data-set error", err)
 	}
@@ -250,7 +249,7 @@ func TestShardNumbering(t *testing.T) {
 	if got := shardAttrs(tr.View().Root); len(got) != 0 {
 		t.Errorf("unsharded sub-query spans carry shard attributes %v", got)
 	}
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(2), rdf.AKTNS, nil)
+	fr, err := federatedSelect(s.mediator, workload.Figure1Query(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestShardNumbering(t *testing.T) {
 		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
 	}
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
-	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: sb.String(), SourceOnt: rdf.AKTNS})
+	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: sb.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +294,7 @@ func TestValuesShardedFederation(t *testing.T) {
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
 	q := sb.String()
 
-	sharded, err := federatedSelect(s.mediator, q, rdf.AKTNS, nil)
+	sharded, err := federatedSelect(s.mediator, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +311,7 @@ func TestValuesShardedFederation(t *testing.T) {
 		}
 	}
 	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: -1}))
-	unsharded, err := federatedSelect(s.mediator, q, rdf.AKTNS, nil)
+	unsharded, err := federatedSelect(s.mediator, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +330,7 @@ func TestPlanCacheInvalidationHooks(t *testing.T) {
 	targets := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	run := func() {
 		t.Helper()
-		if _, err := federatedSelect(s.mediator, q, rdf.AKTNS, targets); err != nil {
+		if _, err := federatedSelect(s.mediator, q, targets); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,11 +442,65 @@ func TestHTTPAPIPlanExplain(t *testing.T) {
 	getResp.Body.Close()
 }
 
+// TestHTTPAPIPlanTargets: /api/plan takes targets as /sparql takes its
+// target parameter, through the same source set, so its plan reads only
+// the named data sets, and an unknown target is refused with /sparql's
+// error text.
+func TestHTTPAPIPlanTargets(t *testing.T) {
+	s, _ := plannedStack(t)
+	srv := httptest.NewServer(Handler(s.mediator))
+	defer srv.Close()
+	plan := func(targets ...string) (int, []byte) {
+		t.Helper()
+		body, _ := json.Marshal(apiQueryRequest{Query: workload.Figure1Query(0), Targets: targets})
+		resp, err := http.Post(srv.URL+"/api/plan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	status, raw := plan(workload.KistiVoidURI)
+	if status != 200 {
+		t.Fatalf("status = %d: %s", status, raw)
+	}
+	var pl decompose.Decomposition
+	if err := json.Unmarshal(raw, &pl); err != nil {
+		t.Fatal(err)
+	}
+	if whole := pl.Whole(); whole == nil || len(whole.Targets) != 1 || whole.Targets[0].Dataset != workload.KistiVoidURI {
+		t.Fatalf("plan = %s, want one whole fragment over KISTI", raw)
+	}
+	for _, dec := range pl.Decisions {
+		if dec.Relevant != (dec.Dataset == workload.KistiVoidURI) {
+			t.Errorf("%s: relevant %v, reasons %v", dec.Dataset, dec.Relevant, dec.Reasons)
+		}
+	}
+
+	const unknown = "http://unknown.example/void"
+	status, raw = plan(unknown)
+	resp, err := http.PostForm(srv.URL+"/sparql", url.Values{"query": {workload.Figure1Query(0)}, "target": {unknown}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusBadRequest || doc.Error == "" {
+		t.Fatalf("/sparql with an unknown target: %d %+v %v", resp.StatusCode, doc, err)
+	}
+	if status != http.StatusBadRequest || strings.TrimSpace(string(raw)) != doc.Error {
+		t.Fatalf("/api/plan with an unknown target: %d %q, want 400 %q", status, raw, doc.Error)
+	}
+}
+
 func TestHTTPAPIStatsIncludesPlanner(t *testing.T) {
 	s, _ := plannedStack(t)
 	srv := httptest.NewServer(Handler(s.mediator))
 	defer srv.Close()
-	if _, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS, nil); err != nil {
+	if _, err := federatedSelect(s.mediator, workload.Figure1Query(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/api/stats")
@@ -488,7 +541,7 @@ func TestPlanAllocations(t *testing.T) {
 	m := exampleFederation(t, nil)
 	for i := range 3 {
 		for _, q := range []string{workload.Figure1Query(i), workload.CrossVocabularyQuery(i)} {
-			if _, err := federatedSelect(m, q, rdf.AKTNS, nil); err != nil {
+			if _, err := federatedSelect(m, q, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -508,7 +561,7 @@ func TestPlanAllocations(t *testing.T) {
 		{"cross-vocabulary", workload.CrossVocabularyQuery(2), false, 92},
 	} {
 		q := sparql.MustParse(c.query)
-		req := QueryRequest{SourceOnt: rdf.AKTNS}
+		req := QueryRequest{}
 		got := testing.AllocsPerRun(50, func() {
 			dcm, err := m.route(context.Background(), q, req)
 			if err != nil || (dcm.Whole() != nil) != c.whole {
@@ -522,28 +575,41 @@ func TestPlanAllocations(t *testing.T) {
 	}
 }
 
-// TestMixedVocabularyQueryJoinsFragments: a query of two KISTI patterns
-// and one AKT pattern, whose source ontology PlanQuery guesses as the
-// query path does (KISTI), does not go to KISTI whole, although KISTI
-// answers all three patterns: the AKT one only through the AKT
-// alignments, which a request rewriting from KISTI would not apply. It
-// joins KISTI's group with the AKT pattern, which Southampton and a
-// rewritten KISTI answer.
-func TestMixedVocabularyQueryJoinsFragments(t *testing.T) {
-	m := exampleFederation(t, nil)
-	dcm, err := m.PlanQuery("PREFIX akt:<"+rdf.AKTNS+">\nPREFIX k:<"+rdf.KISTINS+">\n"+
-		"SELECT ?paper ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }", "")
+// TestMixedVocabularyQueryRunsWhole: a query of two KISTI patterns and
+// one AKT pattern goes to KISTI whole, in one endpoint round trip. KISTI
+// answers the AKT pattern through the AKT alignments, and its rewriter
+// translates each triple by the alignment its own IRIs match, leaving the
+// KISTI ones as written. The rows are the oracle's.
+func TestMixedVocabularyQueryRunsWhole(t *testing.T) {
+	var trips atomic.Int64
+	m := exampleFederation(t, func(_ string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			trips.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	})
+	text := "PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX k:<" + rdf.KISTINS + ">\n" +
+		"SELECT ?paper ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }"
+	dcm, err := m.PlanQuery(text, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dcm.SourceOnt != rdf.KISTINS || dcm.Whole() != nil || len(dcm.Fragments) != 2 {
-		t.Fatalf("plan under %s = %+v, want KISTI's group joined with the AKT pattern", dcm.SourceOnt, dcm.Fragments)
+	whole := dcm.Whole()
+	if whole == nil || len(whole.Targets) != 1 || whole.Targets[0].Dataset != workload.KistiVoidURI || !whole.Targets[0].NeedsRewrite {
+		t.Fatalf("plan = %+v, want one whole fragment over a rewritten KISTI", dcm.Fragments)
 	}
-	for _, f := range dcm.Fragments {
-		if !f.Exclusive && f.RewriteOnt != rdf.AKTNS {
-			t.Errorf("shared fragment %v rewrites from %q, want the AKT vocabulary", f.Patterns, f.RewriteOnt)
-		}
+	got, err := mediatorRows(m, QueryRequest{Query: text})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if n := trips.Load(); n != 1 {
+		t.Errorf("%d endpoint round trips, want 1", n)
+	}
+	want := newOracle(t, exampleUniverse(), nil).answer(t, text)
+	if len(want) == 0 {
+		t.Fatal("the oracle answers no rows")
+	}
+	checkAgainstOracle(t, "mixed vocabularies", text, got, want)
 }
 
 // TestUnanchoredPatternsFollowPatternSources pins the one relevance rule
@@ -566,7 +632,7 @@ func TestUnanchoredPatternsFollowPatternSources(t *testing.T) {
 		{"SELECT ?p ?o WHERE { <" + workload.SotonPaper(1).Value + "> ?p ?o }", all, workload.KistiPaper(1).Value},
 		{"SELECT ?s ?p ?o WHERE { ?s ?p ?o }", all, ""},
 	} {
-		dcm, err := m.PlanQuery(c.query, rdf.AKTNS)
+		dcm, err := m.PlanQuery(c.query, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,12 +684,12 @@ func TestOpenBreakerInEveryView(t *testing.T) {
 		if i == 10 {
 			t.Fatal("the failing endpoint's circuit never opened")
 		}
-		if _, err := federatedSelect(m, workload.Figure1Query(i), rdf.AKTNS, nil); err != nil {
+		if _, err := federatedSelect(m, workload.Figure1Query(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	pl, err := m.PlanQuery(workload.Figure1Query(0), rdf.AKTNS)
+	pl, err := m.PlanQuery(workload.Figure1Query(0), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,10 @@ import (
 // query text (any form — SELECT, ASK, CONSTRUCT or DESCRIBE) plus the
 // execution options.
 type QueryRequest struct {
-	// Query is the query text, written against SourceOnt.
+	// Query is the query text, in any vocabulary the alignments translate
+	// from: each target rewrites every triple through the alignment its
+	// IRIs match.
 	Query string
-	// SourceOnt is the source ontology namespace the query is written
-	// in. Empty means "guess it from the query's vocabulary"
-	// (GuessSourceOntology), the behaviour the web UI relies on.
-	SourceOnt string
 	// Targets narrows the request's source set to the named data sets
 	// (duplicates count once); empty leaves it as the tenant's policy
 	// allows. Either way the voiD-driven planner selects, shards and
@@ -156,8 +154,8 @@ func (r *Result) Close() error {
 //     streaming the union of their outgoing triples under canonical
 //     subjects.
 //
-// The request's source ontology is guessed from the query's vocabulary
-// (WHERE patterns and template triples) when unset; Targets narrow the
+// No source ontology is named: each target rewrites every triple through
+// the alignment into it that the triple's IRIs match. Targets narrow the
 // data sets every form may read. Cancelling ctx (or closing the result)
 // aborts every in-flight sub-query.
 func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error) {
@@ -295,20 +293,13 @@ type QueryStream struct {
 }
 
 // selectStream starts the federated SELECT pipeline for q under req's
-// options (source ontology, limit, source set; not req.Query). q is
-// the request's parsed query or the SELECT derived from it for an ASK,
-// CONSTRUCT or DESCRIBE; the decomposer reads it, the executor its
-// fragments' queries, and none modifies it.
+// options (limit, source set; not req.Query). q is the request's parsed
+// query or the SELECT derived from it for an ASK, CONSTRUCT or DESCRIBE;
+// the decomposer reads it, the executor its fragments' queries, and none
+// modifies it.
 func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("mediate: selectStream called on %s query", q.Form)
-	}
-	if req.SourceOnt == "" {
-		src, err := m.guessSourceOntology(q)
-		if err != nil {
-			return nil, err
-		}
-		req.SourceOnt = src
 	}
 	qs := &QueryStream{limit: req.Limit}
 	var err error
@@ -328,23 +319,23 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	}
 	// Queries joined across data sets are exactly the expensive
 	// cross-vocabulary joins worth materializing: mine the shape.
-	m.observeViews(ctx, q, req.SourceOnt, qs.dec)
+	m.observeViews(ctx, q, qs.dec)
 	return qs, nil
 }
 
-// route plans q, written against req.SourceOnt, over the request's source
-// set: as one fragment a materialized view answers in process, with zero
-// endpoint round trips, when a ready view covers it; as one whole fragment
-// over the data sets that answer it whole; or — when none does — as
-// per-endpoint fragments joined at the mediator. The query path runs what
-// it returns, and /api/plan, PlanQuery and the recorded trace explain it. A
-// set that answers nothing is refused with ErrDenied when the tenant's
-// allowlist narrowed it, and named otherwise.
+// route plans q over the request's source set: as one fragment a
+// materialized view answers in process, with zero endpoint round trips,
+// when a ready view covers it; as one whole fragment over the data sets
+// that answer it whole; or — when none does — as per-endpoint fragments
+// joined at the mediator. The query path runs what it returns, and
+// /api/plan, PlanQuery and the recorded trace explain it. A set that
+// answers nothing is refused with ErrDenied when the tenant's allowlist
+// narrowed it, and named otherwise.
 func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (*decompose.Decomposition, error) {
 	if dcm := m.viewDecomposition(ctx, q, req); dcm != nil {
 		return dcm, nil
 	}
-	dcm, err := m.Decomposer.DecomposeQuery(ctx, q, req.SourceOnt, req.sources)
+	dcm, err := m.Decomposer.DecomposeQuery(ctx, q, req.sources)
 	if err == nil {
 		return dcm, nil
 	}
@@ -594,7 +585,7 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 	if err != nil {
 		return nil, err
 	}
-	dcm, err := m.Decomposer.DecomposeQuery(ctx, dq, req.SourceOnt, req.sources)
+	dcm, err := m.Decomposer.DecomposeQuery(ctx, dq, req.sources)
 	if err != nil {
 		return nil, err
 	}

@@ -268,7 +268,7 @@ func (s *scribbleSource) Next() (eval.Row, error) {
 func TestRetainedMediatorRowsAreCopies(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	}
 	want := s.query(t, req).Solutions // fills the cache through an honest source

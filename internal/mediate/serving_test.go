@@ -102,7 +102,7 @@ func (s *servingStack) query(t *testing.T, req QueryRequest) *FederatedResult {
 func TestResultCacheHitZeroRoundTrips(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	}
 	first := s.query(t, req)
@@ -139,8 +139,7 @@ func TestResultCacheSameAsAliasKey(t *testing.T) {
 			Query: fmt.Sprintf(`PREFIX akt:<%s>
 SELECT DISTINCT ?a WHERE { ?paper akt:has-author <%s> . ?paper akt:has-author ?a . }`,
 				rdf.AKTNS, person.Value),
-			SourceOnt: rdf.AKTNS,
-			Targets:   []string{workload.SotonVoidURI, workload.KistiVoidURI},
+			Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 		}
 	}
 	s.query(t, mk(soton))
@@ -185,7 +184,7 @@ func TestResultCacheAliasAnswersWhole(t *testing.T) {
 func TestResultCacheInvalidatedByKBUpdate(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	}
 	s.query(t, req)
@@ -220,7 +219,7 @@ func TestResultCacheInvalidatedByKBUpdate(t *testing.T) {
 func TestResultCacheStaleInFlightFillNotCached(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	}
 	res, err := s.mediator.Query(context.Background(), req)
@@ -256,7 +255,7 @@ func TestResultCacheStaleInFlightFillNotCached(t *testing.T) {
 func TestResultCacheLimitCutNotCached(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
 	req := QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 		Limit:   1,
 	}
@@ -281,7 +280,7 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 
 	// An explicit out-of-list target is refused outright.
 	_, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.KistiVoidURI},
 		Tenant:  tenant,
 	})
@@ -292,7 +291,7 @@ func TestTenantDatasetAllowlist(t *testing.T) {
 	// The planner considers only the source set: only the allowed data
 	// set is consulted, and the plan reports no dispatch to the others.
 	res, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:  workload.Figure1Query(0),
 		Tenant: tenant,
 	})
 	if err != nil {
@@ -337,9 +336,8 @@ func TestTenantURISpaceRestriction(t *testing.T) {
 		return QueryRequest{
 			Query: fmt.Sprintf(`PREFIX akt:<%s>
 SELECT ?paper ?a WHERE { ?paper akt:has-author ?a . }`, rdf.AKTNS),
-			SourceOnt: rdf.AKTNS,
-			Targets:   []string{workload.SotonVoidURI, workload.KistiVoidURI},
-			Tenant:    tn,
+			Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
+			Tenant:  tn,
 		}
 	}
 
@@ -370,9 +368,8 @@ SELECT ?paper ?a WHERE { ?paper akt:has-author ?a . }`, rdf.AKTNS),
 	_, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: fmt.Sprintf(`PREFIX akt:<%s>
 SELECT ?a WHERE { <%s> akt:has-author ?a . }`, rdf.AKTNS, workload.SotonPaper(0).Value),
-		SourceOnt: rdf.AKTNS,
-		Targets:   []string{workload.SotonVoidURI},
-		Tenant:    tenant,
+		Targets: []string{workload.SotonVoidURI},
+		Tenant:  tenant,
 	})
 	if !errors.Is(err, serve.ErrDenied) {
 		t.Fatalf("ground out-of-space subject: err = %v, want ErrDenied", err)

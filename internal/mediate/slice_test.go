@@ -22,7 +22,7 @@ import (
 // SELECT row, one N-Triples line per CONSTRUCT triple.
 func sparqlAnswer(t *testing.T, base, query string, params url.Values) map[string]bool {
 	t.Helper()
-	v := url.Values{"query": {query}, "source": {rdf.AKTNS}}
+	v := url.Values{"query": {query}}
 	for k, vs := range params {
 		v[k] = vs
 	}

@@ -104,7 +104,7 @@ func TestTenantAllRepositoriesJoinAndViewHit(t *testing.T) {
 	tenant := &serve.Tenant{ID: "all-three", Policy: &serve.Policy{
 		Datasets: []string{workload.SotonVoidURI, workload.KistiVoidURI, workload.MetricsVoidURI},
 	}}
-	req := QueryRequest{Query: workload.CrossVocabularyQuery(2), SourceOnt: rdf.AKTNS, Tenant: tenant}
+	req := QueryRequest{Query: workload.CrossVocabularyQuery(2), Tenant: tenant}
 	want := sortedRows(newOracle(t, exampleUniverse(), nil).answer(t, req.Query))
 
 	res, err := m.Query(context.Background(), req)
@@ -196,13 +196,13 @@ func TestPolicySoundness(t *testing.T) {
 
 	metrics := "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }"
 	templates := []struct {
-		name, text, sourceOnt string
-		needs                 []string
+		name, text string
+		needs      []string
 	}{
-		{"figure 1", workload.Figure1Query(2), rdf.AKTNS, repos[:2]},
-		{"cross-vocabulary", workload.CrossVocabularyQuery(2), rdf.AKTNS, repos},
-		{"cross-vocabulary, filtered", strings.TrimSuffix(workload.CrossVocabularyQuery(2), "}") + "FILTER(?c > 20) }", rdf.AKTNS, repos},
-		{"metrics", metrics, workload.MetricsNS, repos[2:]},
+		{"figure 1", workload.Figure1Query(2), repos[:2]},
+		{"cross-vocabulary", workload.CrossVocabularyQuery(2), repos},
+		{"cross-vocabulary, filtered", strings.TrimSuffix(workload.CrossVocabularyQuery(2), "}") + "FILTER(?c > 20) }", repos},
+		{"metrics", metrics, repos[2:]},
 	}
 	describe := fmt.Sprintf("PREFIX akt:<%s>\nDESCRIBE ?paper WHERE { ?paper akt:has-author <%s> }",
 		rdf.AKTNS, workload.SotonPerson(2).Value)
@@ -276,7 +276,7 @@ func TestPolicySoundness(t *testing.T) {
 						name := tmpl.name + " " + scope.name
 						complete := !slices.ContainsFunc(tmpl.needs, func(r string) bool { return !src.Has(r) })
 						req := scope.base
-						req.Query, req.SourceOnt = tmpl.text, tmpl.sourceOnt
+						req.Query = tmpl.text
 						want := rowSet(oracleOf(src).answer(t, tmpl.text))
 						repeats := 1
 						if path.cached {
@@ -315,7 +315,7 @@ func TestPolicySoundness(t *testing.T) {
 					// their triples; neither may leave the source set.
 					var graph rdf.Graph
 					req := scope.base
-					req.Query, req.SourceOnt = describe, rdf.AKTNS
+					req.Query = describe
 					_, err := run("DESCRIBE "+scope.name, src, scope.refusal, func() error {
 						res, err := m.Query(context.Background(), req)
 						if err != nil {

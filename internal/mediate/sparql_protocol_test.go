@@ -349,7 +349,7 @@ func TestSparqlGraphDisconnectCancelsUpstream(t *testing.T) {
 	construct := `PREFIX akt:<` + rdf.AKTNS + `>
 CONSTRUCT { ?paper <http://example.org/writtenBy> ?a }
 WHERE { ?paper akt:has-author ?a }`
-	form := url.Values{"query": {construct}, "source": {rdf.AKTNS}, "target": s.targets}
+	form := url.Values{"query": {construct}, "target": s.targets}
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		srv.URL+"/sparql", strings.NewReader(form.Encode()))
@@ -437,5 +437,66 @@ func TestSparqlSelectStarIsItsExpansion(t *testing.T) {
 				t.Errorf("SELECT * rows = %v\nSELECT ?a rows = %v", got, want)
 			}
 		})
+	}
+}
+
+// TestUnanchoredQueryAnswers: a pattern with a ground subject and a
+// variable predicate and object names no vocabulary, so there is no
+// source ontology to find in it. /sparql answers the SELECT and the ASK
+// over it as it answers a DESCRIBE of the same IRI: from every data set
+// whose URI space holds a member of the subject's owl:sameAs class. A
+// variable predicate is rewritten nowhere, so the answer is the
+// repositories' triples about the paper as they store them — the
+// oracle's DESCRIBE of it, as (predicate, object) rows. PlanQuery
+// explains the SELECT.
+func TestUnanchoredQueryAnswers(t *testing.T) {
+	m := exampleFederation(t, nil)
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	paper := "<" + workload.SotonPaper(1).Value + ">"
+	text := "SELECT ?p ?o WHERE { " + paper + " ?p ?o }"
+	var want [][]rdf.Term
+	for tr := range newOracle(t, exampleUniverse(), nil).graph(t, "DESCRIBE "+paper, nil) {
+		want = append(want, []rdf.Term{tr.P, tr.O})
+	}
+	if dcm, err := m.PlanQuery(text, ""); err != nil || len(dcm.Fragments) == 0 {
+		t.Fatalf("PlanQuery: %+v, %v", dcm, err)
+	}
+
+	resp := doSparql(t, srv.URL, "GET", text, ctSRJ)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("SELECT: status %d: %s", resp.StatusCode, body)
+	}
+	dec, err := srjson.NewStreamDecoder(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := []string{"p", "o"}
+	var got [][]rdf.Term
+	for {
+		row := make([]rdf.Term, len(vars))
+		if err := dec.NextRow(vars, row); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, row)
+	}
+	checkAgainstOracle(t, "unanchored SELECT", text, got, want)
+
+	ask := "ASK { " + paper + " ?p ?o }"
+	resp = doSparql(t, srv.URL, "GET", ask, ctSRJ)
+	defer resp.Body.Close()
+	var doc struct {
+		Boolean *bool `json:"boolean"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("ASK: status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || doc.Boolean == nil || !*doc.Boolean {
+		t.Fatalf("ASK = %v, %v; want true, as the oracle's %d rows say", doc.Boolean, err, len(want))
 	}
 }

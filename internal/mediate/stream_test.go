@@ -115,7 +115,7 @@ func newStreamStack(t testing.TB) *streamStack {
 // Accept header.
 func postSparql(t *testing.T, base, query, accept string, targets []string) *http.Response {
 	t.Helper()
-	form := url.Values{"query": {query}, "source": {rdf.AKTNS}, "target": targets}
+	form := url.Values{"query": {query}, "target": targets}
 	req, err := http.NewRequest(http.MethodPost, base+"/sparql", strings.NewReader(form.Encode()))
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSparqlClientDisconnectCancelsSubQueries(t *testing.T) {
 	defer srv.Close()
 
 	form := url.Values{"query": {workload.Figure1Query(0)},
-		"source": {rdf.AKTNS}, "target": s.targets}
+		"target": s.targets}
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		srv.URL+"/sparql", strings.NewReader(form.Encode()))
@@ -250,7 +250,7 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 	s := newStack(t)
 	// Planner-selected targets surface the plan on the result.
 	res, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query: workload.Figure1Query(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 	res.Close()
 
 	// The buffered Collect convenience must agree with the streamed count.
-	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), rdf.AKTNS, nil)
+	fr, err := federatedSelect(s.mediator, workload.Figure1Query(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 	// the summary does not misreport the deliberate cancellation of the
 	// leftover work as upstream failure.
 	res2, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS, Limit: 1,
+		Query: workload.Figure1Query(0), Limit: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 
 	// An unknown target is refused before any stream starts.
 	if _, err := s.mediator.Query(context.Background(), QueryRequest{
-		Query: workload.Figure1Query(0), SourceOnt: rdf.AKTNS,
+		Query:   workload.Figure1Query(0),
 		Targets: []string{"http://nope.example/void", workload.SotonVoidURI},
 	}); err == nil || !strings.Contains(err.Error(), "http://nope.example/void") {
 		t.Fatalf("unknown target: %v, want an error naming it", err)

@@ -481,7 +481,7 @@ func TestRecordedTracesDisabled(t *testing.T) {
 // snapshot the hedging work will consume.
 func TestStatsIncludesHealth(t *testing.T) {
 	ts := newTracingStack(t)
-	if _, err := federatedSelect(ts.mediator, workload.Figure1Query(1), rdf.AKTNS, nil); err != nil {
+	if _, err := federatedSelect(ts.mediator, workload.Figure1Query(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := ts.mediator.Stats()
@@ -494,7 +494,7 @@ func TestStatsIncludesHealth(t *testing.T) {
 // it must render the health table and at least one trace waterfall.
 func TestDashboardRenders(t *testing.T) {
 	ts := newTracingStack(t)
-	if _, err := federatedSelect(ts.mediator, workload.Figure1Query(1), rdf.AKTNS, nil); err != nil {
+	if _, err := federatedSelect(ts.mediator, workload.Figure1Query(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(DebugHandler(ts.mediator))

@@ -33,8 +33,8 @@ type viewRunner struct{ m *Mediator }
 // whole KB and drains it. Complete is true only when every contributing
 // data set answered successfully — the storable rule the result cache
 // uses.
-func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*view.MaterializeResult, error) {
-	qs, err := r.m.selectStream(context.WithValue(ctx, ctxNoViews{}, true), QueryRequest{SourceOnt: sourceOnt}, q)
+func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query) (*view.MaterializeResult, error) {
+	qs, err := r.m.selectStream(context.WithValue(ctx, ctxNoViews{}, true), QueryRequest{}, q)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func (m *Mediator) viewDecomposition(ctx context.Context, q *sparql.Query, req Q
 	if !ok {
 		return nil
 	}
-	return decompose.Local(q, req.SourceOnt, &decompose.Fragment{View: hit.View.ID(), Datasets: hit.Datasets,
+	return decompose.Local(q, &decompose.Fragment{View: hit.View.ID(), Datasets: hit.Datasets,
 		Vars: hit.Vars, Leaf: &viewLeaf{views: m.Views, hit: hit}})
 }
 
@@ -134,10 +134,10 @@ func (l *viewLeaf) Fetch(ctx context.Context, _ *eval.Seed, yield func(eval.Row)
 // decomposition's data sets and calibrated cardinality estimates are in
 // hand for free; the largest fragment estimate bounds the join size the
 // miner screens against its row cap.
-func (m *Mediator) observeViews(ctx context.Context, q *sparql.Query, sourceOnt string, dcm *decompose.Decomposition) {
+func (m *Mediator) observeViews(ctx context.Context, q *sparql.Query, dcm *decompose.Decomposition) {
 	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil || dcm.Whole() != nil || dcm.Fragments[0].Leaf != nil {
 		return
 	}
 	est := slices.MaxFunc(dcm.Fragments, func(a, b *decompose.Fragment) int { return cmp.Compare(a.EstCard, b.EstCard) }).EstCard
-	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est)
+	m.Views.Observe(q, dcm.Datasets(), est)
 }

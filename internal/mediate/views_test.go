@@ -71,7 +71,7 @@ func selectRows(t testing.TB, m *Mediator, query string) [][]rdf.Term {
 }
 
 func trySelectRows(m *Mediator, query string) ([][]rdf.Term, error) {
-	res, err := m.Query(context.Background(), QueryRequest{Query: query, SourceOnt: rdf.AKTNS})
+	res, err := m.Query(context.Background(), QueryRequest{Query: query})
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func TestViewHitEqualsFederatedAnswer(t *testing.T) {
 			prologue + strings.TrimSuffix(strings.Replace(where, "WHERE", "ASK", 1), "}") + "FILTER(?c < 0) }",
 		} {
 			ask := func(m *Mediator) bool {
-				res, err := m.Query(context.Background(), QueryRequest{Query: q, SourceOnt: rdf.AKTNS})
+				res, err := m.Query(context.Background(), QueryRequest{Query: q})
 				if err != nil {
 					t.Fatalf("%v\n%s", err, q)
 				}
@@ -209,7 +209,7 @@ func TestViewHitEqualsFederatedAnswer(t *testing.T) {
 	t.Run("construct", func(t *testing.T) {
 		q := prologue + "CONSTRUCT { ?a m:citedThrough ?paper . ?paper m:citationCount ?c } " + where
 		graph := func(m *Mediator) []rdf.Triple {
-			res, err := m.Query(context.Background(), QueryRequest{Query: q, SourceOnt: rdf.AKTNS})
+			res, err := m.Query(context.Background(), QueryRequest{Query: q})
 			if err != nil {
 				t.Fatalf("%v\n%s", err, q)
 			}
@@ -365,7 +365,7 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 	}
 	r0, c0 := requests.Load(), counters()
 
-	dec, err := m.PlanQuery(query, rdf.AKTNS)
+	dec, err := m.PlanQuery(query, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 		t.Errorf("explaining moved the view hits and misses from %v to %v", c0, c)
 	}
 
-	res, err := m.Query(context.Background(), QueryRequest{Query: query, SourceOnt: rdf.AKTNS})
+	res, err := m.Query(context.Background(), QueryRequest{Query: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 	}
 
 	resp, err = http.PostForm(srv.URL+"/sparql", url.Values{
-		"query": {query}, "source": {rdf.AKTNS}, "explain": {"trace"},
+		"query": {query}, "explain": {"trace"},
 	})
 	if err != nil {
 		t.Fatal(err)

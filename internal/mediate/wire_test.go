@@ -112,8 +112,7 @@ func wireCases(t *testing.T, i, first int) []wireCase {
 			req:     QueryRequest{Query: workload.Figure1Query(i), Targets: both, Tenant: sotonOnly},
 			derived: sparql.Format(restricted)},
 		{name: "planned, one source, slice above merge",
-			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2",
-				SourceOnt: workload.MetricsNS}},
+			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2"}},
 		{name: "planned, VALUES-sharded",
 			opts: []Option{WithDecomposer(decompose.Options{ValuesBatch: 2})},
 			req:  QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
@@ -136,9 +135,6 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			m.JoinEngine = decompose.NewEngine(disp, m.Coref, m.Config().Decompose)
 			run := func(req QueryRequest) (*Result, *FederatedResult) {
 				t.Helper()
-				if req.SourceOnt == "" {
-					req.SourceOnt = rdf.AKTNS
-				}
 				res, err := m.Query(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)
@@ -156,9 +152,6 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 			tap.seen, disp.reqs = map[string][]string{}, nil
 			warm := m.Stats().Federation.CacheHits
 
-			if tc.req.SourceOnt == "" {
-				tc.req.SourceOnt = rdf.AKTNS
-			}
 			res, sum := run(tc.req)
 			received := sorted(tap.seen)
 			if len(received) == 0 {
@@ -189,7 +182,7 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 				for _, target := range freq.Targets {
 					text := sparql.Format(target.Query)
 					if target.NeedsRewrite {
-						rr, err := m.Rewrite(text, freq.SourceOnt, target.Dataset)
+						rr, err := m.Rewrite(text, "", target.Dataset)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -247,20 +240,20 @@ func TestPlanQueryExplainsTheWire(t *testing.T) {
 	}
 	values += " }"
 	for _, tc := range []struct {
-		name, query, sourceOnt string
-		opts                   []Option
-		dispatches             int
+		name, query string
+		opts        []Option
+		dispatches  int
 	}{
-		{name: "slice above merge", sourceOnt: workload.MetricsNS, dispatches: 1,
+		{name: "slice above merge", dispatches: 1,
 			query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2"},
-		{name: "VALUES-sharded", sourceOnt: rdf.AKTNS, dispatches: 6, // 3 shards to Southampton and KISTI
+		{name: "VALUES-sharded", dispatches: 6, // 3 shards to Southampton and KISTI
 			opts:  []Option{WithDecomposer(decompose.Options{ValuesBatch: 2})},
 			query: "PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a } ORDER BY ?a LIMIT 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tap := &wireTap{seen: map[string][]string{}}
 			m := exampleFederation(t, tap.wrap, tc.opts...)
-			dcm, err := m.PlanQuery(tc.query, tc.sourceOnt)
+			dcm, err := m.PlanQuery(tc.query, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +270,7 @@ func TestPlanQueryExplainsTheWire(t *testing.T) {
 				for _, sub := range subs {
 					text := sparql.Format(sub)
 					if target.NeedsRewrite {
-						rr, err := m.Rewrite(text, tc.sourceOnt, target.Dataset)
+						rr, err := m.Rewrite(text, "", target.Dataset)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -290,7 +283,7 @@ func TestPlanQueryExplainsTheWire(t *testing.T) {
 			if n != tc.dispatches {
 				t.Errorf("PlanQuery reports %d sub-queries, want %d", n, tc.dispatches)
 			}
-			if _, err := mediatorRows(m, QueryRequest{Query: tc.query, SourceOnt: tc.sourceOnt}); err != nil {
+			if _, err := mediatorRows(m, QueryRequest{Query: tc.query}); err != nil {
 				t.Fatal(err)
 			}
 			if received := sorted(tap.seen); !reflect.DeepEqual(received, sorted(planned)) {

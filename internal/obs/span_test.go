@@ -238,7 +238,7 @@ func TestTraceAllocations(t *testing.T) {
 	ring := NewTraceRing(128)
 	datasets := [...]string{"http://southampton.rkbexplorer.com/id/void", "http://kisti.rkbexplorer.com/id/void"}
 	endpoints := [...]string{"http://127.0.0.1:1/sparql", "http://127.0.0.1:2/sparql"}
-	sourceOnt, query := "http://www.aktors.org/ontology/portal#", "SELECT DISTINCT ?a WHERE { ... }"
+	query := "SELECT DISTINCT ?a WHERE { ... }"
 	var headers int
 	got := testing.AllocsPerRun(200, func() {
 		ctx, tr := NewTrace(reqCtx, "query")
@@ -246,7 +246,6 @@ func TestTraceAllocations(t *testing.T) {
 		root.SetString("form", "select")
 		root.SetString("query", query)
 		_, plan := StartSpan(ctx, "plan")
-		plan.SetString("sourceOnt", sourceOnt)
 		st := Operator("source-selection")
 		st.RowsIn, st.RowsOut = 3, 2
 		plan.SetOperator(st)

@@ -6,7 +6,6 @@ import (
 
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/raceflag"
-	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/workload"
 )
@@ -92,7 +91,7 @@ func TestSelectReachesThroughCoreference(t *testing.T) {
 	p, _, _ := ownersFixture(t)
 	q := sparql.MustParse(strings.ReplaceAll(workload.Figure1Query(1),
 		workload.SotonPerson(1).Value, workload.KistiPerson(1).Value))
-	sel, err := p.Select(q, rdf.AKTNS, nil)
+	sel, err := p.Select(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestSelectReachesThroughCoreference(t *testing.T) {
 	}
 
 	dsKB, alignKB := fourDatasetKB(t)
-	sel, err = New(dsKB, alignKB, nil, nil, Options{}).Select(q, rdf.AKTNS, nil)
+	sel, err = New(dsKB, alignKB, nil, nil, Options{}).Select(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,12 @@ func (p *Planner) PatternSources(tp rdf.Triple, src voidkb.Sources) []PatternSou
 
 // miss says why a data set cannot answer a pattern or a query: it lies
 // outside the request's source set, or the query uses a vocabulary it
-// neither declares nor translates from the request's source ontology, or a
-// ground IRI that lies in another data set's URI space with no alias in
-// its own. The zero miss means it can.
+// neither declares nor translates, or a ground IRI that lies in another
+// data set's URI space with no alias in its own. The zero miss means it
+// can.
 type miss struct {
 	outside         bool
 	vocabulary      string
-	translated      bool // vocabulary has alignments, not from the source ontology
 	term, termOwner string
 }
 
@@ -58,8 +57,6 @@ func (m miss) String() string {
 	switch {
 	case m.outside:
 		return "outside the request's source set (dataset allowlist or named targets)"
-	case m.translated:
-		return fmt.Sprintf("translates vocabulary <%s> only through its own alignments, not from the request's source ontology", m.vocabulary)
 	case m.vocabulary != "":
 		return fmt.Sprintf("query uses vocabulary <%s> the data set neither declares nor translates", m.vocabulary)
 	default:
@@ -71,7 +68,7 @@ func (m miss) String() string {
 // says why not when it cannot, or how co-reference let it (reaches).
 func (p *Planner) patternSource(ds *voidkb.Dataset, tp rdf.Triple) (PatternSource, miss, string) {
 	src := PatternSource{Dataset: ds}
-	if ns := PatternVocabulary(tp); ns != "" && !infrastructureNS[ns] && !ds.UsesVocabulary(ns) {
+	if ns := patternVocabulary(tp); ns != "" && !infrastructureNS[ns] && !ds.UsesVocabulary(ns) {
 		// Only an alignment from the pattern's vocabulary can make this
 		// data set answer it.
 		eas := p.alignments.Select(align.Selector{
@@ -114,11 +111,11 @@ func (p *Planner) reaches(ds *voidkb.Dataset, rewrites bool, t rdf.Term) (miss, 
 	return miss{term: t.Value, termOwner: other.URI}, ""
 }
 
-// PatternVocabulary returns the vocabulary namespace anchoring a triple
+// patternVocabulary returns the vocabulary namespace anchoring a triple
 // pattern: the namespace of the bound predicate, or of the class for
 // rdf:type patterns with a bound object ("" when the pattern has no
 // vocabulary anchor).
-func PatternVocabulary(tp rdf.Triple) string {
+func patternVocabulary(tp rdf.Triple) string {
 	if !tp.P.IsIRI() {
 		return ""
 	}

@@ -198,18 +198,16 @@ type Selection struct {
 	Decisions []Decision
 }
 
-// Select runs source selection for a SELECT query written against
-// sourceOnt over every data set registered in the voiD KB; those outside
-// the request's source set src are not relevant. A data set in src covers
-// the query when it answers every triple pattern, translates only patterns
-// of sourceOnt (the one vocabulary a request rewrites from; "" rewrites
-// from any), and no ground IRI of a VALUES row or FILTER lies in another
-// data set's URI space with no owl:sameAs alias in its own (unless the
-// data set rewrites, which translates the IRI through owl:sameAs). With
-// no cover, or when a data set answers every pattern but translates one
-// of another vocabulary, there is no cover and a data set is kept when it
-// answers some pattern.
-func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) (*Selection, error) {
+// Select runs source selection for a SELECT query over every data set
+// registered in the voiD KB; those outside the request's source set src
+// are not relevant. A data set in src covers the query when it answers
+// every triple pattern, natively or through the alignments into it from
+// the pattern's vocabulary, and no ground IRI of a VALUES row or FILTER
+// lies in another data set's URI space with no owl:sameAs alias in its own
+// (unless the data set rewrites, which translates the IRI through
+// owl:sameAs). With no cover, a data set is kept when it answers some
+// pattern.
+func (p *Planner) Select(q *sparql.Query, src voidkb.Sources) (*Selection, error) {
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("plan: source selection takes a SELECT query, got %s", q.Form)
 	}
@@ -239,7 +237,6 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 		coref    string // how co-reference admitted a ground term, if it did
 	}
 	verdicts := make([]verdict, len(all))
-	split := false
 	for j, ds := range all {
 		dec, v := &sel.Decisions[j], &verdicts[j]
 		*dec = Decision{Dataset: ds.URI, Endpoint: ds.SPARQLEndpoint}
@@ -254,9 +251,6 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 				sel.Sources[i] = append(sel.Sources[i], ps)
 				v.answered++
 				dec.NeedsRewrite = dec.NeedsRewrite || ps.NeedsRewrite
-				if ns := PatternVocabulary(tp); ps.NeedsRewrite && sourceOnt != "" && ns != sourceOnt {
-					m = miss{vocabulary: ns, translated: true}
-				}
 			}
 			if v.why == (miss{}) {
 				v.why = m
@@ -274,13 +268,6 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 		if v.why == (miss{}) {
 			sel.Cover = append(sel.Cover, v.target)
 		}
-		// A data set that answers every pattern, some only through
-		// another vocabulary's alignments, joins its fragments, and the
-		// query goes whole to none.
-		split = split || v.answered == len(sel.Patterns) && v.why.translated
-	}
-	if split {
-		sel.Cover = nil
 	}
 	Order(sel.Cover)
 
@@ -302,9 +289,6 @@ func (p *Planner) Select(q *sparql.Query, sourceOnt string, src voidkb.Sources) 
 			dec.Reasons = []string{"answers every triple pattern, some translated through alignments"}
 		default:
 			dec.Reasons = []string{"answers every triple pattern in a vocabulary it declares"}
-		}
-		if v.why.translated {
-			dec.Reasons = append(dec.Reasons, v.why.String())
 		}
 		if v.coref != "" {
 			dec.Reasons = append(dec.Reasons, v.coref)

@@ -56,7 +56,7 @@ func datasets(sel *Selection) []string {
 func TestSourceSelectionPrunesIrrelevantDatasets(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, nil, Options{})
-	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
+	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: "http://b/sparql",
 		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.AKTNS}})
 	p := New(dsKB, align.NewKB(), nil, nil, Options{})
-	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), rdf.AKTNS, nil)
+	sel, err := p.Select(sparql.MustParse(workload.Figure1Query(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestForeignBoundTermPrunesNativeDataset(t *testing.T) {
 		"PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p WHERE { VALUES ?a { <" + workload.SotonPerson(1).Value + "> } ?p akt:has-author ?a }",
 		"PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p WHERE { ?p akt:has-author ?a FILTER (?a = <" + workload.SotonPerson(1).Value + ">) }",
 	} {
-		sel, err := p.Select(sparql.MustParse(q), rdf.AKTNS, nil)
+		sel, err := p.Select(sparql.MustParse(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,52 +141,12 @@ func TestUnboundQueryKeepsAllNativeDatasets(t *testing.T) {
 	// No bound instance terms: URI-space pruning cannot apply; vocabulary
 	// selection alone decides.
 	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
+SELECT ?p ?a WHERE { ?p akt:has-author ?a }`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := datasets(sel); len(got) != 2 {
 		t.Fatalf("datasets = %v", got)
-	}
-}
-
-// TestCoverTranslatesOnlyFromSourceOntology: a request rewrites from its
-// source ontology alone, so a data set that answers a pattern of another
-// vocabulary only through that vocabulary's alignments cannot take the
-// query whole, and no other data set takes it whole either. KISTI answers
-// both patterns of the first query, the AKT one translated, and the one
-// pattern of the second, translated: under the KISTI source ontology
-// nothing covers either query, and Southampton and KISTI join their
-// fragments at the mediator; under AKT, KISTI covers the first query.
-func TestCoverTranslatesOnlyFromSourceOntology(t *testing.T) {
-	dsKB, alignKB := fourDatasetKB(t)
-	p := New(dsKB, alignKB, nil, nil, Options{})
-	q := sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nPREFIX k:<" + rdf.KISTINS + ">\n" +
-		"SELECT ?p ?a WHERE { ?p k:title ?t . ?p akt:has-author ?a }")
-	for _, q := range []*sparql.Query{q, sparql.MustParse("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?p ?a WHERE { ?p akt:has-author ?a }")} {
-		sel, err := p.Select(q, rdf.KISTINS, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := datasets(sel); len(got) != 0 {
-			t.Fatalf("cover under the KISTI source = %v, want none\n%s", got, sparql.Format(q))
-		}
-		for _, dec := range sel.Decisions {
-			why := strings.Join(dec.Reasons, "; ")
-			// Southampton answers the AKT pattern, KISTI every pattern.
-			answers := dec.Dataset == workload.SotonVoidURI || dec.Dataset == workload.KistiVoidURI
-			if answers != dec.Relevant || answers && !strings.Contains(why, "its fragments join at the mediator") ||
-				dec.Dataset == workload.KistiVoidURI && !strings.Contains(why, "vocabulary <"+rdf.AKTNS+"> only through its own alignments") {
-				t.Fatalf("%s: relevant %v, reasons %q\n%s", dec.Dataset, dec.Relevant, why, sparql.Format(q))
-			}
-		}
-	}
-	sel, err := p.Select(q, rdf.AKTNS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := datasets(sel); len(got) != 1 || got[0] != workload.KistiVoidURI {
-		t.Fatalf("cover under the AKT source = %v, want KISTI", got)
 	}
 }
 
@@ -279,7 +239,7 @@ func TestAdaptiveOrderingAndDeadlines(t *testing.T) {
 	}
 	p := New(dsKB, align.NewKB(), nil, endpoints, Options{})
 	sel, err := p.Select(sparql.MustParse(`PREFIX akt:<`+rdf.AKTNS+`>
-SELECT ?a WHERE { ?p akt:has-author ?a }`), rdf.AKTNS, nil)
+SELECT ?a WHERE { ?p akt:has-author ?a }`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +322,7 @@ func TestShardResultsRecombine(t *testing.T) {
 func TestPlanRejectsNonSelect(t *testing.T) {
 	dsKB, alignKB := fourDatasetKB(t)
 	p := New(dsKB, alignKB, nil, nil, Options{})
-	if _, err := p.Select(sparql.MustParse(`ASK { ?s ?p ?o }`), "", nil); err == nil {
+	if _, err := p.Select(sparql.MustParse(`ASK { ?s ?p ?o }`), nil); err == nil {
 		t.Fatal("ASK must be rejected")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // under the owl:sameAs-canonicalised cache key. An entry is shared by
 // every hit and read-only once stored.
 type Entry struct {
-	// Key is the canonicalised (query, source ontology, targets, limit,
-	// source set) fingerprint the mediator computed.
+	// Key is the canonicalised (query, limit, source set) fingerprint the
+	// mediator computed.
 	Key string
 	// Vars are the projection variables; Rows the merged rows over them,
 	// back to back in one buffer.

@@ -343,6 +343,60 @@ func TestOnePlanner(t *testing.T) {
 	}
 }
 
+// TestNoSourceOntology pins rewriting from every vocabulary: a target's
+// rewriter selects every alignment into it, and each triple rewrites
+// through the alignment its own IRIs match, so no request carries a source
+// ontology. The identifiers that once carried one — the guess, a
+// fragment's rewrite source, the request's, the decomposition's and the
+// plan-cache key's — appear in no Go file. Outside internal/align, a
+// non-test file sets an align.Selector's SourceOntology only in the
+// planner's per-pattern relevance check (patternSource) and in the
+// mediator's rewriter, where Rewrite's explicit source narrows the
+// alignments.
+func TestNoSourceOntology(t *testing.T) {
+	gone := map[string]bool{"guessSourceOntology": true, "GuessSourceOntology": true, "RewriteOnt": true, "SourceOnt": true}
+	fset, files := moduleFiles(t)
+	setters := map[string]bool{}
+	for rel, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && gone[id.Name] {
+				t.Errorf("%s names %s", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+		if strings.HasPrefix(rel, "internal/align/") || strings.HasSuffix(rel, "_test.go") {
+			continue
+		}
+		for _, decl := range file.Decls {
+			fn := "(package level)"
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				var field ast.Expr
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					field = n.Key
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							field = sel.Sel
+						}
+					}
+				}
+				if id, ok := field.(*ast.Ident); ok && id.Name == "SourceOntology" {
+					setters[rel+": "+fn] = true
+				}
+				return true
+			})
+		}
+	}
+	want := map[string]bool{"internal/plan/pattern.go: patternSource": true, "internal/mediate/mediator.go: rewriter": true}
+	if !reflect.DeepEqual(setters, want) {
+		t.Errorf("SourceOntology is set in %v, want only in %v", setters, want)
+	}
+}
+
 // TestOneSourceSet pins the tenant's dataset allowlist as one fact read in
 // one place: internal/mediate reads it once, to build the request's source
 // set, which every path then restricts itself to. No other non-test file
@@ -378,7 +432,8 @@ func TestOneSourceSet(t *testing.T) {
 // any other request. No non-test file in internal/mediate builds a
 // federate.Request or federate.Target literal, so the join engine is the
 // only producer of dispatches — a whole fragment's stream included — and
-// only queryParsed reads a request's Targets, to build the source set.
+// named targets are read only as sourceSet's argument, to build the
+// source set: by queryParsed for a query, by /api/plan for its plan.
 func TestOneRoute(t *testing.T) {
 	fset, files := moduleFiles(t)
 	for rel, file := range files {
@@ -397,21 +452,25 @@ func TestOneRoute(t *testing.T) {
 			id, ok := sel.X.(*ast.Ident)
 			return ok && pkg != "" && id.Name == pkg && (sel.Sel.Name == "Request" || sel.Sel.Name == "Target")
 		}
-		for _, decl := range file.Decls {
-			fn, _ := decl.(*ast.FuncDecl)
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					if isDispatch(n.Type) {
-						t.Errorf("%s builds a federate dispatch literal: dispatches come from the join engine", fset.Position(n.Pos()))
-					}
-				case *ast.SelectorExpr:
-					if n.Sel.Name == "Targets" && (fn == nil || fn.Name.Name != "queryParsed") {
-						t.Errorf("%s reads Targets outside queryParsed", fset.Position(n.Pos()))
+		toSourceSet := map[ast.Expr]bool{} // a call's arguments come after its call
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "sourceSet" {
+					for _, arg := range n.Args {
+						toSourceSet[arg] = true
 					}
 				}
-				return true
-			})
-		}
+			case *ast.CompositeLit:
+				if isDispatch(n.Type) {
+					t.Errorf("%s builds a federate dispatch literal: dispatches come from the join engine", fset.Position(n.Pos()))
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "Targets" && !toSourceSet[n] {
+					t.Errorf("%s reads Targets other than as sourceSet's argument", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

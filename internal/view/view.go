@@ -80,7 +80,7 @@ func (o Options) withDefaults() Options {
 // federated merge uses: the manager matches, mines and re-keys shapes
 // through it, so spelling differences do not defeat the signature match.
 type Runner interface {
-	Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error)
+	Materialize(ctx context.Context, q *sparql.Query) (*MaterializeResult, error)
 	Canonicalise(patterns []rdf.Triple) []rdf.Triple
 }
 
@@ -113,7 +113,6 @@ type shape struct {
 	// view is keyed by its signature, and its rows' columns follow the
 	// signature's variable order.
 	patternsCanon []rdf.Triple
-	sourceOnt     string
 	// datasets are the data sets the miner saw the shape decompose over,
 	// the cells refineEstimate reads.
 	datasets []string
@@ -393,7 +392,7 @@ func (m *Manager) CountHit(v *View) {
 // counted and, at MinFrequency, materialized asynchronously. estRows is
 // the decomposer's calibrated cardinality estimate for the query; the
 // observed-cardinality store may sharpen it further. Nil-manager safe.
-func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, estRows int64) {
+func (m *Manager) Observe(q *sparql.Query, datasets []string, estRows int64) {
 	if m == nil {
 		return
 	}
@@ -418,7 +417,6 @@ func (m *Manager) Observe(q *sparql.Query, sourceOnt string, datasets []string, 
 			sig:           sig,
 			patternsOrig:  append([]rdf.Triple(nil), patterns...),
 			patternsCanon: pc,
-			sourceOnt:     sourceOnt,
 			datasets:      append([]string(nil), datasets...),
 			estRows:       estRows,
 		}
@@ -493,7 +491,7 @@ func materializeQuery(sh *shape, vars []string) *sparql.Query {
 func (m *Manager) build(sh *shape, vars []string) (eval.RowBuf, []string, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
-	res, err := m.runner.Materialize(ctx, materializeQuery(sh, vars), sh.sourceOnt)
+	res, err := m.runner.Materialize(ctx, materializeQuery(sh, vars))
 	switch {
 	case err != nil:
 		return eval.RowBuf{}, nil, err
@@ -668,7 +666,6 @@ type Info struct {
 	ID        string    `json:"id"`
 	Patterns  []string  `json:"patterns"`
 	Signature string    `json:"signature"`
-	SourceOnt string    `json:"source"`
 	Datasets  []string  `json:"datasets"`
 	State     string    `json:"state"` // ready | stale
 	Rows      int       `json:"rows"`
@@ -721,7 +718,6 @@ func (m *Manager) Stats() Stats {
 			ID:        v.id,
 			Patterns:  patterns,
 			Signature: v.def.sig,
-			SourceOnt: v.def.sourceOnt,
 			Datasets:  append([]string(nil), v.datasets...),
 			State:     state,
 			Rows:      v.rows.N,

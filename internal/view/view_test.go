@@ -27,7 +27,7 @@ type fakeRunner struct {
 	err      error
 }
 
-func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, sourceOnt string) (*MaterializeResult, error) {
+func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query) (*MaterializeResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
@@ -159,14 +159,14 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	defer m.Close()
 	q := mustParse(t, crossQuery)
 
-	m.Observe(q, "http://src/", datasets[:1], 10)
+	m.Observe(q, datasets[:1], 10)
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
 	if _, hit := m.Answer(q, nil); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
-	m.Observe(q, "http://src/", datasets[:1], 10)
+	m.Observe(q, datasets[:1], 10)
 	waitFor(t, "view to materialize", func() bool {
 		st := m.Stats()
 		return len(st.Views) == 1 && st.Views[0].State == "ready"
@@ -252,7 +252,7 @@ func TestPartialAnswerNeverMaterializes(t *testing.T) {
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 10)
+	m.Observe(q, []string{"http://e/ds1"}, 10)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -268,15 +268,15 @@ func TestRowCapDisablesShape(t *testing.T) {
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(q, []string{"http://e/ds1"}, 1)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
 	if st := m.Stats(); len(st.Views) != 0 {
 		t.Fatal("oversized result was materialized")
 	}
 	// The shape is disabled: more observations never retry.
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(q, []string{"http://e/ds1"}, 1)
+	m.Observe(q, []string{"http://e/ds1"}, 1)
 	time.Sleep(20 * time.Millisecond)
 	if r.callCount() != 1 {
 		t.Fatalf("disabled shape re-materialized: %d calls", r.callCount())
@@ -284,7 +284,7 @@ func TestRowCapDisablesShape(t *testing.T) {
 
 	estimated := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?p WHERE { ?p akt:has-author ?a }`)
-	m.Observe(estimated, "http://src/", []string{"http://e/ds1"}, maxRows+1)
+	m.Observe(estimated, []string{"http://e/ds1"}, maxRows+1)
 	time.Sleep(20 * time.Millisecond)
 	if r.callCount() != 1 {
 		t.Fatalf("a shape estimated past the row cap was built: %d calls", r.callCount())
@@ -296,7 +296,7 @@ func TestInvalidateAllRefreshesView(t *testing.T) {
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1", "http://e/ds2"}, 5)
+	m.Observe(q, []string{"http://e/ds1", "http://e/ds2"}, 5)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
 	// Invalidating: the view must refuse to answer (synchronously) and
@@ -321,7 +321,7 @@ func TestInvalidateAllDropsMinedShapes(t *testing.T) {
 	m := NewManager(r, Options{MinFrequency: 3})
 	defer m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 5)
+	m.Observe(q, []string{"http://e/ds1"}, 5)
 	if st := m.Stats(); st.MinedShapes != 1 {
 		t.Fatalf("mined shapes = %d, want 1", st.MinedShapes)
 	}
@@ -335,7 +335,7 @@ func TestNilManagerIsSafe(t *testing.T) {
 	var m *Manager
 	m.Close()
 	m.InvalidateAll()
-	m.Observe(nil, "", nil, 0)
+	m.Observe(nil, nil, 0)
 	if _, hit := m.Answer(nil, nil); hit {
 		t.Fatal("nil manager answered")
 	}
@@ -393,7 +393,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citationCount ?c }`)
-	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(qa, []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
 	if _, hit := m.Answer(qa, nil); !hit {
@@ -437,7 +437,7 @@ func TestObserveAfterCloseIsNoop(t *testing.T) {
 	m := NewManager(r, Options{MinFrequency: 1})
 	m.Close()
 	q := mustParse(t, crossQuery)
-	m.Observe(q, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(q, []string{"http://e/ds1"}, 1)
 	time.Sleep(20 * time.Millisecond)
 	if n := r.callCount(); n != 0 {
 		t.Fatalf("Observe after Close materialized %d times", n)
@@ -459,7 +459,7 @@ func TestCanonicalisationAlignsSpellings(t *testing.T) {
 	qa := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citationCount ?c }`)
-	m.Observe(qa, "http://src/", []string{"http://e/ds1"}, 1)
+	m.Observe(qa, []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>

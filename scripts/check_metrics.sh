@@ -15,8 +15,10 @@
 # trace trailer must profile its description fetch as a bound-join
 # operator with estimated and actual rows. A repeated cross-vocabulary
 # join must be answered from a materialized view: its explain=trace
-# profiles a view operator, and /api/plan names the view. Run via
-# `make check-metrics`.
+# profiles a view operator, and /api/plan names the view. A query mixing
+# two vocabularies and one naming none must answer from /sparql, and
+# /api/plan with targets must mark only the named data sets relevant.
+# Run via `make check-metrics`.
 set -eu
 
 workdir=$(mktemp -d)
@@ -176,6 +178,36 @@ if ! grep '^# trace: ' "$workdir/describe.nt" |
 	grep -q '"attrs":{"actualRows":[1-9][^}]*"estRows":[0-9][^}]*"op":"bound-join"'; then
 	echo "check-metrics: DESCRIBE trace trailer has no bound-join operator with estimated and actual rows:" >&2
 	cat "$workdir/describe.nt" >&2
+	fail=1
+fi
+
+# No source ontology is asked of a query: one mixing KISTI and AKT
+# patterns, and one whose pattern names no vocabulary at all, must both
+# answer from /sparql.
+for q in 'PREFIX akt:<http://www.aktors.org/ontology/portal#>
+PREFIX k:<http://www.kisti.re.kr/isrl/ResearchRefOntology#>
+SELECT ?paper ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }' \
+	'SELECT ?p ?o WHERE { <http://southampton.rkbexplorer.com/id/paper-00001> ?p ?o }'; do
+	qstatus=$(curl -s -o "$workdir/vocab.json" -w '%{http_code}' --data-urlencode "query=$q" "$base/sparql")
+	if [ "$qstatus" != 200 ]; then
+		echo "check-metrics: /sparql returned $qstatus for:" >&2
+		echo "$q" >&2
+		cat "$workdir/vocab.json" >&2
+		fail=1
+	fi
+done
+
+# /api/plan takes targets as /sparql does: the plan of the Figure-1 query
+# over KISTI alone marks KISTI, and no other data set, relevant.
+printf '{"query":"%s","targets":["http://kisti.rkbexplorer.com/id/void"]}' "$(printf '%s' "$query" | tr '\n' ' ')" \
+	>"$workdir/targets-plan-req.json"
+curl -s -H 'Content-Type: application/json' --data-binary @"$workdir/targets-plan-req.json" \
+	"$base/api/plan" >"$workdir/targets-plan.json"
+relevant=$(grep -o '"dataset":"[^"]*","endpoint":"[^"]*","relevant":true' "$workdir/targets-plan.json" |
+	sed 's/"dataset":"\([^"]*\)".*/\1/')
+if [ "$relevant" != "http://kisti.rkbexplorer.com/id/void" ]; then
+	echo "check-metrics: /api/plan with targets marks [$relevant] relevant, want KISTI alone:" >&2
+	cat "$workdir/targets-plan.json" >&2
 	fail=1
 fi
 

@@ -29,7 +29,7 @@
 //	    sparqlrw.WithMediatorRewriteFilters(true))
 //	res, err := m.Query(ctx, sparqlrw.MediatorQueryRequest{
 //	    Query: `SELECT ?a WHERE { ... }`, // or ASK / CONSTRUCT / DESCRIBE
-//	    // SourceOnt "" guesses from the query; Targets nil auto-plans.
+//	    // any vocabulary the alignments translate; Targets nil auto-plans.
 //	})
 //	if err != nil { ... }
 //	defer res.Close()
@@ -295,8 +295,8 @@ type (
 	// FederatedResult is a merged federated answer.
 	FederatedResult = mediate.FederatedResult
 	// MediatorQueryRequest is the options struct for Mediator.Query:
-	// query text (any form), source ontology (empty = guessed), explicit
-	// targets (nil = planner-selected) and an optional stream limit.
+	// query text (any form, any aligned vocabulary), explicit targets
+	// (nil = planner-selected) and an optional stream limit.
 	MediatorQueryRequest = mediate.QueryRequest
 	// MediatorResult is Mediator.Query's form-polymorphic outcome: a
 	// tagged union of a lazy solution stream (SELECT), a boolean (ASK)
