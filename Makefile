@@ -41,13 +41,14 @@ bench:
 # Fast single-iteration benchmark pass (CI runs this): keeps every
 # benchmark compiling and running, and asserts the view-tier and
 # merge representative-cache benchmarks — whose bodies carry correctness
-# checks, like the view path's zero-endpoint-round-trip guarantee — and
+# checks, like the view path's zero endpoint round trips and the
+# shared-fragment views' seed-fragment-only round trips — and
 # the tracing-overhead pair, which prices a traced request, stayed part
 # of the sweep.
 bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
-	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View \
+	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View BenchmarkViewVsFederated/SharedViews \
 			BenchmarkE9_CorefLookup/MergeRep/RepCache \
 			BenchmarkTracingOverhead/untraced BenchmarkTracingOverhead/traced; do \
 		grep -q "$$b" bench-smoke.out || \

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -925,26 +926,32 @@ func sortDurations(d []time.Duration) {
 }
 
 // BenchmarkViewVsFederated — the materialized-view tier against the
-// decomposed federated path it shortcuts. Both sub-benchmarks run the
-// same cross-vocabulary join; Federated decomposes it and joins over
-// HTTP every iteration, View warms the view once and then answers every
-// iteration from the view's rows. The rt/op metric counts endpoint
-// round trips — the View sub-benchmark fails unless it is exactly zero.
+// decomposed federated path it shortcuts. Every sub-benchmark runs the
+// same cross-vocabulary join of two fragments: the person's papers and
+// co-authors at Southampton, their citation counts at the metrics
+// repository. Federated fetches both over HTTP every iteration. View
+// warms a view of each fragment once and then answers every iteration
+// from their rows, and fails unless it makes no endpoint round trip.
+// SharedViews warms the views of another person's query, which fill the
+// view cap: only the citation-count fragment, which every such query
+// shares, comes from a view, and the sub-benchmark fails unless the
+// metrics repository hears nothing and Southampton exactly the round
+// trips its fragment costs federated. rt/op counts endpoint round trips.
 func BenchmarkViewVsFederated(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	cfg.Persons, cfg.Papers = 50, 150
 	u := workload.Generate(cfg)
-	var roundTrips atomic.Int64
-	counted := func(name string, st *store.Store) *httptest.Server {
+	var sotonTrips, metricsTrips atomic.Int64
+	counted := func(name string, st *store.Store, trips *atomic.Int64) *httptest.Server {
 		h := endpoint.NewServer(name, st)
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			roundTrips.Add(1)
+			trips.Add(1)
 			h.ServeHTTP(w, r)
 		}))
 	}
-	soton := counted("southampton", u.Southampton)
+	soton := counted("southampton", u.Southampton, &sotonTrips)
 	b.Cleanup(soton.Close)
-	metrics := counted("metrics", workload.MetricsStore(u))
+	metrics := counted("metrics", workload.MetricsStore(u), &metricsTrips)
 	b.Cleanup(metrics.Close)
 	dsKB := voidkb.NewKB()
 	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: soton.URL,
@@ -956,48 +963,32 @@ func BenchmarkViewVsFederated(b *testing.B) {
 		Triples:            300,
 		PropertyPartitions: map[string]int64{workload.MetricsCitationCount: 150}})
 	query := workload.CrossVocabularyQuery(7)
-
-	var fedRows int
-	b.Run("Federated", func(b *testing.B) {
-		m := mediate.New(dsKB, align.NewKB(), u.Coref)
+	reset := func() { sotonTrips.Store(0); metricsTrips.Store(0) }
+	// viewed warms a view tier with query's fragments and waits for n
+	// ready views.
+	viewed := func(b *testing.B, opts view.Options, query string, n int) *mediate.Mediator {
+		m := mediate.New(dsKB, align.NewKB(), u.Coref, mediate.WithViews(opts))
 		b.Cleanup(m.Close)
-		roundTrips.Store(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, query, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fedRows = len(fr.Solutions)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(roundTrips.Load())/float64(b.N), "rt/op")
-	})
-	b.Run("View", func(b *testing.B) {
-		m := mediate.New(dsKB, align.NewKB(), u.Coref,
-			mediate.WithViews(view.Options{MinFrequency: 1}))
-		b.Cleanup(m.Close)
-		// Warm: the first query is observed, answered federated, and
-		// materialized in the background; wait for the view to be ready.
 		if _, err := benchSelect(m, query, nil); err != nil {
 			b.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			vs := m.Stats().Views
-			if vs != nil && len(vs.Views) == 1 && vs.Views[0].State == "ready" {
-				break
+			if vs != nil && len(vs.Views) == n && !slices.ContainsFunc(vs.Views, func(v view.Info) bool { return v.State != "ready" }) {
+				return m
 			}
 			if time.Now().After(deadline) {
-				b.Fatal("view never materialized")
+				b.Fatal("views never materialized")
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		roundTrips.Store(0)
+	}
+	// run answers query b.N times and returns the rows of the last answer.
+	run := func(b *testing.B, m *mediate.Mediator) (rows int) {
+		reset()
 		b.ReportAllocs()
 		b.ResetTimer()
-		var rows int
 		for i := 0; i < b.N; i++ {
 			fr, err := benchSelect(m, query, nil)
 			if err != nil {
@@ -1006,12 +997,36 @@ func BenchmarkViewVsFederated(b *testing.B) {
 			rows = len(fr.Solutions)
 		}
 		b.StopTimer()
-		if rt := roundTrips.Load(); rt != 0 {
-			b.Fatalf("view-answered queries made %d endpoint round trips, want 0", rt)
+		b.ReportMetric(float64(sotonTrips.Load()+metricsTrips.Load())/float64(b.N), "rt/op")
+		return rows
+	}
+
+	var fedRows int
+	var fedSoton float64 // Southampton's round trips per federated query
+	b.Run("Federated", func(b *testing.B) {
+		m := mediate.New(dsKB, align.NewKB(), u.Coref)
+		b.Cleanup(m.Close)
+		fedRows = run(b, m)
+		fedSoton = float64(sotonTrips.Load()) / float64(b.N)
+	})
+	b.Run("View", func(b *testing.B) {
+		m := viewed(b, view.Options{MinFrequency: 1}, query, 2)
+		rows := run(b, m)
+		if rt := sotonTrips.Load() + metricsTrips.Load(); rt != 0 {
+			b.Fatalf("queries answered from views made %d endpoint round trips, want 0", rt)
 		}
 		if fedRows != 0 && rows != fedRows {
-			b.Fatalf("view answered %d rows, federated answered %d", rows, fedRows)
+			b.Fatalf("views answered %d rows, federated answered %d", rows, fedRows)
 		}
-		b.ReportMetric(0, "rt/op")
+	})
+	b.Run("SharedViews", func(b *testing.B) {
+		m := viewed(b, view.Options{MinFrequency: 1, MaxViews: 2}, workload.CrossVocabularyQuery(3), 2)
+		rows := run(b, m)
+		if mt, st := metricsTrips.Load(), float64(sotonTrips.Load())/float64(b.N); mt != 0 || fedSoton != 0 && st != fedSoton {
+			b.Fatalf("%d metrics round trips and %.1f Southampton round trips per query, want 0 and the federated %.1f", mt, st, fedSoton)
+		}
+		if fedRows != 0 && rows != fedRows {
+			b.Fatalf("shared views answered %d rows, federated answered %d", rows, fedRows)
+		}
 	})
 }

@@ -101,12 +101,12 @@
 //
 // # Materialized views
 //
-// With -views, the mediator mines the decomposed-query stream for
-// repeated cross-vocabulary join shapes and keeps their
-// sameAs-canonicalised federated answer as rows; a later query whose
-// basic graph pattern matches a view (modulo variable renaming and
-// owl:sameAs spelling) is planned as one fragment those rows answer in
-// process — zero endpoint round trips, no query text — and /api/plan
+// With -views, the mediator mines the fragments its plans send to the
+// endpoints for repeated FILTER-free basic graph patterns and keeps their
+// sameAs-canonicalised federated answer as rows; a later fragment whose
+// pattern matches a view (modulo variable renaming and owl:sameAs
+// spelling) over the same data sets is answered from those rows in
+// process — no endpoint round trip, no query text — and /api/plan
 // explains it so. Views are never
 // silently stale: voiD and alignment updates mark them stale, stale views
 // refuse to answer, and a background loop re-materializes them. GET
@@ -187,7 +187,7 @@ func run() error {
 	tenantsFile := flag.String("tenants", "", "tenant configuration file (JSON; empty = anonymous only, unlimited)")
 	resultCache := flag.Int("result-cache", 512, "federated result cache capacity in entries (0 disables)")
 	hedge := flag.Bool("hedge", false, "hedge slow sub-queries to replica endpoints")
-	views := flag.Bool("views", false, "materialize frequently repeated cross-vocabulary joins as rows that answer them in process")
+	views := flag.Bool("views", false, "materialize the frequently repeated fragments of federated plans as rows that answer them in process")
 	viewRefresh := flag.Duration("view-refresh", 0, "re-materialize views this long after their last refresh (0 = refresh only on KB invalidation)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), `Usage: mediator [flags]

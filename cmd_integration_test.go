@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -631,14 +632,15 @@ SELECT ?paper ?a ?c WHERE {
 // TestCmdMediatorViewLifecycle drives the materialized-view tier through
 // the built binary:
 //
-//  1. a repeated cross-vocabulary join is mined and materialized as rows
-//     (visible on /api/views);
-//  2. the next repeat is answered from the view with ZERO endpoint round
+//  1. the fragments of a repeated cross-vocabulary join are mined and
+//     materialized as rows, a view each (visible on /api/views);
+//  2. the next repeat is answered from the views with ZERO endpoint round
 //     trips (the federation request counters on /api/stats do not move);
-//  3. an alignment-KB update through POST /api/alignments invalidates the
-//     view — the very next query is never answered stale: it either falls
-//     back to federation or hits the already-refreshed view;
-//  4. the background refresh re-materializes the view, which then answers
+//  3. an alignment-KB update through POST /api/alignments invalidates
+//     every view — the very next query is never answered stale: each
+//     fragment either falls back to federation or hits its
+//     already-refreshed view;
+//  4. the background refresh re-materializes the views, which then answer
 //     again without touching the endpoints.
 func TestCmdMediatorViewLifecycle(t *testing.T) {
 	if testing.Short() {
@@ -693,15 +695,16 @@ SELECT ?paper ?a ?c WHERE {
 		}
 		return n
 	}
+	type viewDoc struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+		Rows  int    `json:"rows"`
+	}
 	type viewsDoc struct {
-		Hits      uint64 `json:"hits"`
-		Misses    uint64 `json:"misses"`
-		Refreshes uint64 `json:"refreshes"`
-		Views     []struct {
-			ID    string `json:"id"`
-			State string `json:"state"`
-			Rows  int    `json:"rows"`
-		} `json:"views"`
+		Hits      uint64    `json:"hits"`
+		Misses    uint64    `json:"misses"`
+		Refreshes uint64    `json:"refreshes"`
+		Views     []viewDoc `json:"views"`
 	}
 	getViews := func() viewsDoc {
 		var vd viewsDoc
@@ -754,11 +757,14 @@ SELECT ?paper ?a ?c WHERE {
 	if n := runQuery(); n != want {
 		t.Fatalf("federated repeat returned %d rows, first run %d", n, want)
 	}
-	vd := waitViews("view to materialize", func(vd viewsDoc) bool {
-		return len(vd.Views) == 1 && vd.Views[0].State == "ready"
-	})
-	if vd.Views[0].Rows == 0 {
-		t.Fatal("materialized view is empty")
+	// One view a fragment: the person's papers, their authors and their
+	// citation counts.
+	ready := func(vd viewsDoc) bool {
+		return len(vd.Views) == 3 && !slices.ContainsFunc(vd.Views, func(v viewDoc) bool { return v.State != "ready" })
+	}
+	vd := waitViews("views to materialize", ready)
+	if slices.ContainsFunc(vd.Views, func(v viewDoc) bool { return v.Rows == 0 }) {
+		t.Fatalf("a materialized view is empty: %+v", vd)
 	}
 
 	// 2. The view answers the same query with zero endpoint round trips.
@@ -795,9 +801,7 @@ SELECT ?paper ?a ?c WHERE {
 	}
 
 	// 4. The refresh re-materializes the view; it answers cleanly again.
-	waitViews("view to refresh", func(vd viewsDoc) bool {
-		return vd.Refreshes >= 1 && len(vd.Views) == 1 && vd.Views[0].State == "ready"
-	})
+	waitViews("views to refresh", func(vd viewsDoc) bool { return vd.Refreshes >= 3 && ready(vd) })
 	hitsBefore := getViews().Hits
 	r3 := fedRequests()
 	if n := runQuery(); n != want {

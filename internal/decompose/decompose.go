@@ -9,8 +9,10 @@
 // nested groups stay — less the modifiers that apply above the merge,
 // VALUES-sharded and sent to every data set of the cover, fastest first.
 //
-// A query a materialized view covers is one fragment whose Leaf yields the
-// view's rows in process (Local).
+// Any fragment that is a plain BGP, whole or a group, may instead be
+// answered in process from a materialized view's rows (AnswerFrom). A
+// fragment with FILTERs never is: an endpoint runs them over its own
+// spelling of each IRI, a view's rows hold the owl:sameAs representative.
 //
 // A query no data set covers must be a plain filtered BGP, split by its
 // patterns' sources into exclusive groups (FedQPL, FedX; see PAPERS.md): a
@@ -42,7 +44,9 @@
 package decompose
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -109,24 +113,24 @@ func (o Options) withDefaults() Options {
 const unknownCard = int64(1) << 20
 
 // Fragment is one ordered unit of a decomposition: the whole query, or a
-// group of triple patterns evaluated together at its target endpoint(s),
-// or a BGP a materialized view answers in process.
+// group of triple patterns evaluated together at its target endpoint(s)
+// or answered in process from a materialized view.
+//
+// It marshals with a "leaf" naming what answers it: "endpoints", its
+// Targets, or "view", the materialized view View.
 type Fragment struct {
 	// Exclusive marks an exclusive group: every pattern is answerable by
 	// exactly one data set, so the endpoint joins the group locally.
 	Exclusive bool `json:"exclusive"`
 	// Targets are the endpoints the fragment dispatches to, in dispatch
 	// order (plan.Order): the cover for a whole fragment, one for an
-	// exclusive group, every candidate for a shared pattern. A fragment
-	// answered in process has none.
+	// exclusive group, every candidate for a shared pattern. A fragment a
+	// view answers dispatches to none: its targets are the data sets the
+	// view was built from.
 	Targets []plan.Target `json:"targets"`
-	// View names the materialized view whose rows Leaf yields, and
-	// Datasets the data sets the view was built from.
-	View     string   `json:"view,omitempty"`
-	Datasets []string `json:"datasets,omitempty"`
-	// Leaf answers the fragment in process, in place of a dispatch: its
-	// rows over Vars, which the join above checks if it passes a seed.
-	Leaf eval.Remote `json:"-"`
+	// View names the materialized view that answers the fragment (see
+	// AnswerFrom), empty when the endpoints do.
+	View string `json:"view,omitempty"`
 	// Query is a whole fragment's sub-query: the decomposed query as the
 	// endpoints run it (see wireQuery). Nil for a group, whose sub-query
 	// the join engine builds from its patterns and filters.
@@ -134,9 +138,6 @@ type Fragment struct {
 	// Shards are Query cut at its largest VALUES block, each sent to every
 	// target, when the block exceeds ValuesBatch.
 	Shards []*sparql.Query `json:"shards,omitempty"`
-	// Patterns are a group's triple patterns, serialised for the explain
-	// output.
-	Patterns []string `json:"patterns,omitempty"`
 	// Filters are FILTER constraints pushed into the fragment (all their
 	// variables are bound inside it).
 	Filters []string `json:"filters,omitempty"`
@@ -151,8 +152,11 @@ type Fragment struct {
 	// cartesian stages).
 	JoinVars []string `json:"joinVars,omitempty"`
 
+	// patterns are a group's triple patterns, most selective first, which
+	// it marshals as "patterns" in the query's prefixes.
 	patterns []rdf.Triple
 	filters  []sparql.Expression
+	prefixes *rdf.PrefixMap
 
 	// statTerm/statShape key the fragment's estimate in the
 	// observed-cardinality store: the predicate (or rdf:type class) and
@@ -161,13 +165,66 @@ type Fragment struct {
 	// the cell the next estimate reads.
 	statTerm  string
 	statShape string
-	// estByDataset is the fragment's per-target-dataset estimate, the
-	// figure an unbound dispatch's per-dataset actuals compare against.
-	estByDataset map[string]int64
+	// estByTarget is the fragment's estimate at each target's data set,
+	// the figure an unbound dispatch's per-dataset actuals compare against.
+	estByTarget []int64
+
+	// local yields the view's rows in place of a dispatch (AnswerFrom).
+	local LocalRows
+}
+
+// LocalRows answer a fragment in process. Fetch yields them as an
+// eval.Remote does — as a join's right operand, given the join's seed —
+// and returns how many it yielded.
+type LocalRows interface {
+	Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) (int, error)
+}
+
+// BGP returns the fragment's triple patterns when it is a plain basic
+// graph pattern, the shape a materialized view answers: a group without
+// FILTERs, or a whole fragment of triple patterns alone. Nil otherwise;
+// read-only.
+func (f *Fragment) BGP() []rdf.Triple {
+	if f.Query == nil && len(f.filters) == 0 {
+		return f.patterns
+	}
+	if f.Query != nil && len(f.Query.Where.Elements) == 1 {
+		if bgp, ok := f.Query.Where.Elements[0].(*sparql.BGP); ok {
+			return bgp.Patterns
+		}
+	}
+	return nil
+}
+
+// MarshalJSON writes the fragment with its "leaf" and a group's
+// "patterns".
+func (f *Fragment) MarshalJSON() ([]byte, error) {
+	type fragment Fragment
+	out := struct {
+		Leaf string `json:"leaf"`
+		*fragment
+		Patterns []string `json:"patterns,omitempty"`
+	}{Leaf: "endpoints", fragment: (*fragment)(f)}
+	if f.View != "" {
+		out.Leaf = "view"
+	}
+	for _, tp := range f.patterns {
+		out.Patterns = append(out.Patterns, sparql.FormatTriplePattern(tp, f.prefixes))
+	}
+	return json.Marshal(out)
+}
+
+// AppendTargetDatasets appends the data sets of the fragment's targets,
+// in dispatch order, to dst.
+func (f *Fragment) AppendTargetDatasets(dst []string) []string {
+	for _, t := range f.Targets {
+		dst = append(dst, t.Dataset)
+	}
+	return dst
 }
 
 // ResidualFilter is a FILTER evaluated at the mediator: its variables span
-// fragments, or its fragment is answered in process.
+// fragments.
 type ResidualFilter struct {
 	// Stage is the fragment index after which the filter's variables are
 	// all bound.
@@ -202,22 +259,17 @@ type Decomposition struct {
 	owners *plan.Owners
 }
 
-// Local plans q, a filtered BGP that f's Leaf answers whole, as its one
-// fragment: the query's FILTERs run over the leaf's rows, its modifiers
-// above them.
-func Local(q *sparql.Query, f *Fragment) *Decomposition {
-	dec := &Decomposition{Query: q, Vars: q.Projection(), Fragments: []*Fragment{f}}
-	for _, el := range q.Where.Elements {
-		if flt, ok := el.(*sparql.Filter); ok {
-			dec.ResidualFilters = append(dec.ResidualFilters,
-				ResidualFilter{Filter: sparql.FormatExpr(flt.Expr, q.Prefixes), expr: flt.Expr})
-		}
-	}
-	return dec
+// AnswerFrom has the materialized view id answer fragment k, a plain BGP
+// (see BGP): rows yields the view's rows over vars, the fragment's
+// variables in the view's column order, given a join's seed as any right
+// operand is.
+func (d *Decomposition) AnswerFrom(k int, id string, vars []string, rows LocalRows) {
+	f := d.Fragments[k]
+	f.View, f.Vars, f.local = id, vars, rows
 }
 
 // Whole returns the decomposition's whole fragment, nil when it joins
-// groups or is answered in process.
+// groups.
 func (d *Decomposition) Whole() *Fragment {
 	if len(d.Fragments) == 1 && d.Fragments[0].Query != nil {
 		return d.Fragments[0]
@@ -375,8 +427,15 @@ func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
 	}
 
 	// Exclusive patterns group per data set; shared patterns become their
-	// own multi-target fragments.
-	var groups, fragments []*Fragment
+	// own multi-target fragments. The fragments, their targets, estimates
+	// and variables are cut from a few blocks (carve).
+	n, nTargets := len(sel.Patterns), 0
+	for _, sources := range sel.Sources {
+		nTargets += len(sources)
+	}
+	block, targets := make([]Fragment, 0, n), make([]plan.Target, 0, nTargets)
+	var groups []*Fragment
+	fragments := make([]*Fragment, 0, n)
 	for i, tp := range sel.Patterns {
 		sources := sel.Sources[i]
 		if len(sources) == 0 {
@@ -387,14 +446,17 @@ func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
 			k := slices.IndexFunc(groups, func(g *Fragment) bool { return g.Targets[0].Dataset == src.Dataset.URI })
 			if k < 0 {
 				k = len(groups)
-				groups = append(groups, &Fragment{Exclusive: true, Targets: []plan.Target{d.planner.Target(src.Dataset, false)}})
+				block = append(block, Fragment{Exclusive: true,
+					Targets: append(carve(&targets, 1), d.planner.Target(src.Dataset, false))})
+				groups = append(groups, &block[len(block)-1])
 			}
 			g := groups[k]
 			g.patterns = append(g.patterns, tp)
 			g.Targets[0].NeedsRewrite = g.Targets[0].NeedsRewrite || src.NeedsRewrite
 			continue
 		}
-		f := &Fragment{patterns: []rdf.Triple{tp}}
+		block = append(block, Fragment{patterns: sel.Patterns[i : i+1 : i+1], Targets: carve(&targets, len(sources))})
+		f := &block[len(block)-1]
 		for _, src := range sources {
 			f.Targets = append(f.Targets, d.planner.Target(src.Dataset, src.NeedsRewrite))
 		}
@@ -404,15 +466,14 @@ func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
 	fragments = append(fragments, groups...)
 
 	// Estimate, order patterns within groups, finalise per-fragment vars.
+	estimates, vars := make([]int64, 0, nTargets), make([]string, 0, 6*n)
 	for _, f := range fragments {
-		d.estimateFragment(f)
+		d.estimateFragment(f, &estimates, &vars)
 	}
-	orderFragments(dec, fragments)
+	orderFragments(dec, fragments, &vars)
 	attachFilters(dec, filters, q.Prefixes)
 	for _, f := range dec.Fragments {
-		for _, tp := range f.patterns {
-			f.Patterns = append(f.Patterns, sparql.FormatTriplePattern(tp, q.Prefixes))
-		}
+		f.prefixes = q.Prefixes
 	}
 
 	d.metrics.decompositions.Inc()
@@ -478,20 +539,21 @@ func wireQuery(q *sparql.Query) *sparql.Query {
 // group (the join can produce no more than its smallest operand under the
 // usual independence heuristic), the across-targets sum for shared
 // fragments.
-func (d *Decomposer) estimateFragment(f *Fragment) {
+func (d *Decomposer) estimateFragment(f *Fragment, estimates *[]int64, vars *[]string) {
 	type ranked struct {
 		tp   rdf.Triple
 		card int64
 	}
-	rs := make([]ranked, len(f.patterns))
-	for i, tp := range f.patterns {
+	var small [4]ranked
+	rs := small[:0]
+	for _, tp := range f.patterns {
 		var card int64
 		for _, t := range f.Targets {
 			card += d.patternCard(tp, t.Dataset)
 		}
-		rs[i] = ranked{tp: tp, card: card}
+		rs = append(rs, ranked{tp: tp, card: card})
 	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].card < rs[j].card })
+	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(a.card, b.card) })
 	f.EstCard = rs[0].card
 	if !f.Exclusive {
 		// A shared fragment is a union across its targets: its extent is
@@ -505,7 +567,7 @@ func (d *Decomposer) estimateFragment(f *Fragment) {
 	// unbound dispatches of this fragment calibrate the cheapest
 	// pattern's cell — the figure that became EstCard.
 	f.statTerm, f.statShape = obs.PatternStatKey(rs[0].tp)
-	f.estByDataset = make(map[string]int64, len(f.Targets))
+	f.estByTarget = carve(estimates, len(f.Targets))
 	for _, t := range f.Targets {
 		est := int64(-1)
 		for _, r := range rs {
@@ -513,19 +575,43 @@ func (d *Decomposer) estimateFragment(f *Fragment) {
 				est = c
 			}
 		}
-		f.estByDataset[t.Dataset] = est
+		f.estByTarget = append(f.estByTarget, est)
 	}
-	f.patterns = f.patterns[:0]
-	seen := map[string]bool{}
+	if len(rs) > 1 { // a shared fragment's one pattern is the selection's
+		f.patterns = f.patterns[:0]
+		for _, r := range rs {
+			f.patterns = append(f.patterns, r.tp)
+		}
+	}
+	f.Vars = carve(vars, 3*len(rs))
 	for _, r := range rs {
-		f.patterns = append(f.patterns, r.tp)
-		for _, v := range r.tp.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				f.Vars = append(f.Vars, v)
+		for _, x := range [3]rdf.Term{r.tp.S, r.tp.P, r.tp.O} {
+			if x.IsVar() && !slices.Contains(f.Vars, x.Value) {
+				f.Vars = append(f.Vars, x.Value)
 			}
 		}
 	}
+}
+
+// carve cuts a slice of length 0 and capacity n from the spare capacity
+// of *block, or allocates one when too little is left: one
+// decomposition's fragments share a few backing arrays.
+func carve[T any](block *[]T, n int) []T {
+	b := *block
+	if cap(b)-len(b) < n {
+		return make([]T, 0, n)
+	}
+	*block = b[:len(b)+n]
+	return b[len(b) : len(b) : len(b)+n]
+}
+
+// estimateAt returns the estimate at one of the fragment's targets' data
+// sets, 0 for a whole fragment's, which has none.
+func (f *Fragment) estimateAt(dataset string) int64 {
+	if i := slices.IndexFunc(f.Targets, func(t plan.Target) bool { return t.Dataset == dataset }); i >= 0 && i < len(f.estByTarget) {
+		return f.estByTarget[i]
+	}
+	return 0
 }
 
 // patternCard estimates one pattern's cardinality at one data set from
@@ -577,9 +663,10 @@ func (d *Decomposer) patternCard(tp rdf.Triple, datasetURI string) int64 {
 // cheapest fragment seeds the join, then the cheapest fragment connected
 // to the bound variables follows, avoiding cartesian stages whenever the
 // join graph allows. Each fragment's JoinVars are the variables it shares
-// with everything before it.
-func orderFragments(dec *Decomposition, fragments []*Fragment) {
-	remaining := append([]*Fragment(nil), fragments...)
+// with everything before it, carved from vars. It takes fragments over.
+func orderFragments(dec *Decomposition, fragments []*Fragment, vars *[]string) {
+	remaining := fragments
+	dec.Fragments = make([]*Fragment, 0, len(fragments))
 	bound := map[string]bool{}
 	for len(remaining) > 0 {
 		best, bestConnected := -1, false
@@ -594,6 +681,7 @@ func orderFragments(dec *Decomposition, fragments []*Fragment) {
 		}
 		f := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
+		f.JoinVars = carve(vars, len(f.Vars))
 		for _, v := range f.Vars {
 			if bound[v] {
 				f.JoinVars = append(f.JoinVars, v)

@@ -2,9 +2,11 @@ package decompose
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -239,7 +241,7 @@ func TestExclusiveGroupExtraction(t *testing.T) {
 		t.Fatalf("first fragment targets = %+v, want southampton", first.Targets)
 	}
 	if len(first.patterns) != 2 {
-		t.Fatalf("southampton group has %d patterns, want 2: %v", len(first.patterns), first.Patterns)
+		t.Fatalf("southampton group has %d patterns, want 2: %v", len(first.patterns), first.patterns)
 	}
 	if len(second.Targets) != 1 || second.Targets[0].Dataset != workload.MetricsVoidURI {
 		t.Fatalf("second fragment targets = %+v, want metrics", second.Targets)
@@ -880,5 +882,105 @@ func TestCardObservationRacingInvalidationDropped(t *testing.T) {
 	}
 	if _, _, ok := cards.Lookup(ds, seed.statTerm, seed.statShape); !ok {
 		t.Fatal("an unraced fetch recorded no cell")
+	}
+}
+
+// TestFragmentBGPRejectsNonCoverableShapes: only a plain BGP — a group's
+// patterns without a FILTER, or a whole fragment whose query has nothing
+// but triple patterns — is a shape a materialized view answers.
+func TestFragmentBGPRejectsNonCoverableShapes(t *testing.T) {
+	for _, text := range []string{
+		`SELECT ?s WHERE { { ?s ?p ?o } UNION { ?o ?p ?s } }`,
+		`SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { ?s ?q ?v } }`,
+		`SELECT ?s WHERE { VALUES ?s { <http://e/s> } ?s ?p ?o }`,
+		`SELECT ?s WHERE { { ?s ?p ?o } }`,
+		`SELECT ?s WHERE { ?s ?p ?o . FILTER (?o > 3) ?s ?q 1 }`,
+	} {
+		if got := (&Fragment{Query: sparql.MustParse(text)}).BGP(); got != nil {
+			t.Errorf("BGP of %s = %v, want none", text, got)
+		}
+	}
+	whole := &Fragment{Query: sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o . ?s ?q 1 }`)}
+	patterns := whole.BGP()
+	if len(patterns) != 2 {
+		t.Errorf("BGP of a plain BGP = %v, want its two patterns", patterns)
+	}
+	if got := (&Fragment{patterns: patterns[:1]}).BGP(); len(got) != 1 {
+		t.Errorf("BGP of a group = %v, want its pattern", got)
+	}
+	flt := sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o FILTER (?o > 3) }`).Where.Elements[1].(*sparql.Filter)
+	filtered := &Fragment{patterns: patterns[:1], filters: []sparql.Expression{flt.Expr}}
+	if got := filtered.BGP(); got != nil {
+		t.Errorf("BGP of a filtered group = %v, want none", got)
+	}
+}
+
+// seededTable is an in-process leaf over fixed rows that records the seed
+// it is handed and yields every row, which the join above must cut to the
+// matching ones.
+type seededTable struct {
+	rows eval.RowBuf
+	seed *eval.Seed
+}
+
+func (s *seededTable) Fetch(_ context.Context, seed *eval.Seed, yield func(eval.Row) bool) (int, error) {
+	s.seed = seed
+	for i := range s.rows.N {
+		if !yield(s.rows.Row(i)) {
+			return i + 1, nil
+		}
+	}
+	return s.rows.N, nil
+}
+
+// TestFragmentAnsweredInProcess: a fragment handed to an in-process leaf
+// (AnswerFrom) dispatches nothing and marshals as a view leaf. The plan
+// hands the leaf the bound join's seed and joins the rows it yields —
+// here over the columns in another order than the fragment's — to the
+// answer the endpoints give.
+func TestFragmentAnsweredInProcess(t *testing.T) {
+	f := newFixture(t, Options{})
+	query := workload.CrossVocabularyQuery(1)
+	dec, err := f.dec.Decompose(query, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := dec.Fragments[len(dec.Fragments)-1]
+	if len(last.Targets) != 1 || last.Targets[0].Dataset != workload.MetricsVoidURI || last.BGP() == nil {
+		t.Fatalf("last fragment %+v, want the metrics group", last)
+	}
+	leaf := &seededTable{rows: eval.RowBuf{Width: 2}}
+	metrics := workload.MetricsStore(f.u)
+	metrics.Match(rdf.Triple{P: rdf.NewIRI(workload.MetricsCitationCount)}, func(tr rdf.Triple) bool {
+		leaf.rows.Append(eval.Row{tr.O, tr.S})
+		return true
+	})
+	dec.AnswerFrom(len(dec.Fragments)-1, "v1", []string{"c", "paper"}, leaf)
+	explained, err := json.Marshal(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(explained), `"leaf":"endpoints"`); n != len(dec.Fragments)-1 ||
+		!strings.Contains(string(explained), `"leaf":"view","exclusive":true,"targets":[{"dataset":"`+workload.MetricsVoidURI) ||
+		!strings.Contains(string(explained), `"view":"v1"`) {
+		t.Fatalf("explained %s, want the last fragment's leaf view v1, the others' endpoints", explained)
+	}
+	p := f.engine.Plan(dec, nil)
+	got, err := solutions(context.Background(), p.Op, dec.Vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.groundTruth(t, query)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("in-process fragment joined %d rows, the local join %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	if leaf.seed == nil || !slices.Equal(leaf.seed.Vars, []string{"paper"}) || leaf.seed.Keys.N == 0 {
+		t.Errorf("leaf seed %+v, want the left side's ?paper keys", leaf.seed)
+	}
+	if q := f.client.queriesFor(metricsURL); len(q) != 0 {
+		t.Errorf("the metrics endpoint received %d sub-queries, want none", len(q))
+	}
+	if sum, _ := p.Summary(); sum.PerDataset[len(sum.PerDataset)-1].Dataset != "view:v1" {
+		t.Errorf("summary %+v, want the view's rows last, under view:v1", sum.PerDataset)
 	}
 }

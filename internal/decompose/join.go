@@ -115,11 +115,19 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 	p := &Plan{}
 	op := left
 	var canon *federate.RepCache
+	n := len(d.Fragments)
+	leaves, remotes := make([]fragmentLeaf, n), make([]algebra.Remote, n)
+	var joins []algebra.Join
+	if left != nil || n > 1 {
+		joins = make([]algebra.Join, 0, n)
+	}
 	for k, f := range d.Fragments {
-		var leaf algebra.Op = &algebra.Remote{Vars: f.Vars,
-			Source: &fragmentLeaf{e: e, d: d, f: f, stage: int64(k), plan: p}}
+		leaves[k] = fragmentLeaf{e: e, d: d, f: f, stage: int64(k), plan: p}
+		remotes[k] = algebra.Remote{Vars: f.Vars, Source: &leaves[k]}
+		var leaf algebra.Op = &remotes[k]
 		if op != nil {
-			leaf = &algebra.Join{L: op, R: leaf}
+			joins = append(joins, algebra.Join{L: op, R: leaf})
+			leaf = &joins[len(joins)-1]
 		}
 		op = leaf
 		for _, rf := range d.ResidualFilters {
@@ -187,14 +195,13 @@ type fragmentLeaf struct {
 // Fetch runs the fragment (see eval.Remote), profiling a join stage on a
 // "join" span: bound-join or hash-join, its left rows, the VALUES rows it
 // shipped and the data sets it skipped, the rows fetched against the
-// estimate, and the joined rows out. A fragment answered in process reads
-// its Leaf, whose rows the plan's summary counts under view:<id>, with no
-// attempt.
+// estimate, and the joined rows out. A fragment a view answers reads the
+// view's rows in process, handing them the seed, and the plan's summary
+// counts them under view:<id>, with no attempt.
 func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) error {
-	if l.f.Leaf != nil {
-		n := 0
-		err := l.f.Leaf.Fetch(ctx, seed, func(r eval.Row) bool { n++; return yield(r) })
-		l.plan.Add(&federate.Result{PerDataset: []federate.DatasetAnswer{{Dataset: "view:" + l.f.View, Solutions: n}}})
+	if l.f.local != nil {
+		n, err := l.f.local.Fetch(ctx, seed, yield)
+		l.plan.sum.PerDataset = append(l.plan.sum.PerDataset, federate.DatasetAnswer{Dataset: "view:" + l.f.View, Solutions: n})
 		return err
 	}
 	if seed == nil {
@@ -445,7 +452,7 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query,
 	for _, da := range res.PerDataset {
 		if da.Err == nil && da.Shards <= 1 {
 			l.e.opts.Cards.Observe(da.Dataset, f.statTerm, f.statShape,
-				f.estByDataset[da.Dataset], int64(da.Solutions), epoch)
+				f.estimateAt(da.Dataset), int64(da.Solutions), epoch)
 		}
 	}
 	st := obs.Operator("fragment")

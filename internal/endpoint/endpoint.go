@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -443,16 +442,16 @@ func (c *Client) DescribeContext(ctx context.Context, endpointURL, queryText str
 	return ntriples.ParseString(string(body))
 }
 
-// do issues the protocol POST and returns the (status-checked) response
-// with its body still unread, for streaming consumption.
+// do issues the protocol's direct POST — the query text as the body,
+// unescaped, under Content-Type application/sparql-query — and returns the
+// (status-checked) response with its body still unread, for streaming
+// consumption.
 func (c *Client) do(ctx context.Context, endpointURL, queryText string) (*http.Response, error) {
-	form := url.Values{"query": {queryText}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpointURL,
-		strings.NewReader(form.Encode()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpointURL, strings.NewReader(queryText))
 	if err != nil {
 		return nil, fmt.Errorf("endpoint: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("Content-Type", "application/sparql-query")
 	// Propagate W3C Trace Context: when the caller's context carries a
 	// span (the executor's per-attempt span), the endpoint receives a
 	// child traceparent and can stitch its own trace under ours.
@@ -474,8 +473,8 @@ func (c *Client) do(ctx context.Context, endpointURL, queryText string) (*http.R
 	return resp, nil
 }
 
-// post issues the protocol POST and buffers the whole response body, for
-// the non-streaming ASK/CONSTRUCT paths.
+// post issues the protocol's direct POST and buffers the whole response
+// body, for the non-streaming ASK/CONSTRUCT paths.
 func (c *Client) post(ctx context.Context, endpointURL, queryText string) ([]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc

@@ -1,6 +1,8 @@
 package endpoint
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -41,6 +43,38 @@ SELECT ?a WHERE { ex:p1 ex:author ?a }`)
 	}
 	if len(res.Solutions) != 2 {
 		t.Fatalf("solutions = %v", res.Solutions)
+	}
+}
+
+// TestClientPostsQueryDirectly: the client sends a query as the SPARQL
+// 1.1 Protocol's direct POST — the text itself as the body, under
+// Content-Type application/sparql-query — with nothing to escape or
+// unescape.
+func TestClientPostsQueryDirectly(t *testing.T) {
+	const text = `PREFIX ex: <http://example.org/>
+SELECT ?a WHERE { ex:p1 ex:author ?a FILTER (?a != ex:bob && STR(?a) != "a&b=c%20") }`
+	inner := demoServer(t)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if ct := r.Header.Get("Content-Type"); r.Method != http.MethodPost || ct != "application/sparql-query" || string(body) != text {
+			t.Errorf("%s %q with body %q, want a direct POST of the query", r.Method, ct, body)
+		}
+		proxied, err := http.Post(inner.URL, r.Header.Get("Content-Type"), bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer proxied.Body.Close()
+		w.Header().Set("Content-Type", proxied.Header.Get("Content-Type"))
+		io.Copy(w, proxied.Body)
+	}))
+	defer srv.Close()
+	res, err := NewClient().Select(srv.URL, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Solutions) != 1 {
+		t.Fatalf("solutions = %v, want alice alone", res.Solutions)
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"testing"
 
 	"sparqlrw/internal/rdf"
@@ -201,5 +202,55 @@ PREFIX ex: <http://example.org/>
 SELECT DISTINCT ?a WHERE { { ?a ex:p ?b } UNION { ?a ex:p ?b } }`)
 	if len(res.Solutions) != 3 {
 		t.Fatalf("distinct over duplicated union = %v", res.Solutions)
+	}
+}
+
+// TestProbeYieldsMatchingRowsOnce: a bound join's probe reads the rows
+// whose cells at the key columns equal some key, in any column order,
+// each once however often its key repeats, and stops when yield does.
+func TestProbeYieldsMatchingRowsOnce(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://e/" + s) }
+	r := &Indexed{RowBuf: RowBuf{Width: 3}}
+	for _, row := range [][3]string{{"p1", "a1", "c1"}, {"p1", "a2", "c1"}, {"p2", "a1", "c2"}, {"p3", "a3", "c3"}} {
+		r.Append(Row{iri(row[0]), iri(row[1]), iri(row[2])})
+	}
+	keys := func(width int, cells ...string) *RowBuf {
+		b := &RowBuf{Width: width}
+		for i := 0; i < len(cells); i += width {
+			row := make(Row, width)
+			for j := range row {
+				row[j] = iri(cells[i+j])
+			}
+			b.Append(row)
+		}
+		return b
+	}
+	probe := func(cols []int, k *RowBuf) []string {
+		var out []string
+		r.Probe(cols, k, func(row Row) bool {
+			out = append(out, row[0].Value[len("http://e/"):]+"/"+row[1].Value[len("http://e/"):])
+			return true
+		})
+		slices.Sort(out)
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		cols []int
+		keys *RowBuf
+		want []string
+	}{
+		{"one column, repeated and unmatched keys", []int{0}, keys(1, "p1", "p9", "p1", "p2"), []string{"p1/a1", "p1/a2", "p2/a1"}},
+		{"another column", []int{1}, keys(1, "a1"), []string{"p1/a1", "p2/a1"}},
+		{"two columns, out of order", []int{2, 0}, keys(2, "c1", "p1", "c3", "p3", "c2", "p1"), []string{"p1/a1", "p1/a2", "p3/a3"}},
+		{"no key", []int{0}, keys(1), nil},
+	} {
+		if got := probe(c.cols, c.keys); !slices.Equal(got, c.want) {
+			t.Errorf("%s: probe read %v, want %v", c.name, got, c.want)
+		}
+	}
+	n := 0
+	if more := r.Probe([]int{0}, keys(1, "p1", "p2"), func(Row) bool { n++; return false }); more || n != 1 {
+		t.Errorf("probe went on after yield stopped it: %d rows, more %v", n, more)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,7 +50,7 @@ type op interface {
 }
 
 func (e *Engine) compile(a algebra.Op) (*plan, error) {
-	p := &plan{eng: e, slots: map[string]int{}}
+	p := &plan{eng: e, slots: map[string]int{}, names: make([]string, 0, 8)}
 	p.root = p.build(a)
 	return p, p.err
 }
@@ -62,6 +63,9 @@ func (p *plan) slot(key string) int {
 		p.names = append(p.names, key)
 	}
 	if p.recording > 0 {
+		if p.asked == nil {
+			p.asked = make([]int, 0, 8)
+		}
 		p.asked = append(p.asked, s)
 	}
 	return s
@@ -161,6 +165,7 @@ func (p *plan) build(a algebra.Op) op {
 	case *algebra.Remote: // built under Open, which gives the plan its context
 		p.leaves++
 		r := &remoteOp{p: p, src: o.Source.(Remote)}
+		r.slots = r.few[:0]
 		for _, v := range o.Vars {
 			r.slots = append(r.slots, p.slot(v))
 		}
@@ -179,7 +184,7 @@ func (p *plan) build(a algebra.Op) op {
 		in := p.build(o.Input)
 		return &filterOp{p: p, in: in, expr: o.Expr, stage: int64(p.leaves - 1)}
 	case *algebra.Project:
-		pr := &projectOp{p: p, in: p.build(o.Input)}
+		pr := &projectOp{p: p, in: p.build(o.Input), keep: make([]int, 0, len(o.Vars))}
 		if o.Star {
 			// Every variable of the input, never a blank-node pseudo-variable.
 			for s, name := range p.names {
@@ -338,7 +343,7 @@ type RowBuf struct {
 // collect drains in into a buffer of width-wide rows. A remote leaf
 // failing below it cuts the rows short; its callers check plan.err.
 func collect(in op, width int) RowBuf {
-	b := RowBuf{Width: width}
+	b := RowBuf{Width: width, Terms: make([]rdf.Term, 0, 16*width)}
 	in.run(func(r Row) bool {
 		b.Append(r)
 		return true
@@ -527,66 +532,100 @@ func (o *hashJoinOp) run(yield func(Row) bool) bool {
 	if o.p.err != nil || left.N == 0 && remote == nil {
 		return o.p.err == nil
 	}
-	bound := make([]bool, width)
-	for i, t := range left.Terms {
-		bound[i%width] = bound[i%width] || t.Kind != rdf.KindAny
-	}
-	seed := &Seed{Left: left.N}
-	var keySlots []int
+	// The probe's state, one allocation for the usual few key slots.
+	st := &struct {
+		left  RowBuf
+		seed  Seed
+		slots [4]int
+		vars  [4]string
+		buf   []byte
+	}{left: left}
+	seed := &st.seed
+	seed.Left, seed.Vars = left.N, st.vars[:0]
+	keySlots := st.slots[:0]
 	for _, s := range o.rslots {
-		if bound[s] {
-			bound[s] = false // once
-			keySlots = append(keySlots, s)
-			seed.Vars = append(seed.Vars, o.p.names[s])
+		for i := s; i < len(left.Terms); i += width {
+			if left.Terms[i].Kind != rdf.KindAny {
+				if !slices.Contains(keySlots, s) {
+					keySlots = append(keySlots, s)
+					seed.Vars = append(seed.Vars, o.p.names[s])
+				}
+				break
+			}
 		}
 	}
 	seed.Keys.Width = len(keySlots)
-	var buf []byte
-	key := func(r Row) (k []byte, ok bool) {
-		buf = buf[:0]
-		for _, s := range keySlots {
-			if r[s].Kind == rdf.KindAny {
-				return nil, false
-			}
-			buf = append(r[s].AppendString(buf), 0)
-		}
-		return buf, true
+	// The left rows' keys, end to end in one string, index a map from each
+	// key to the first row that has it; next chains the rest in row order.
+	// A row that leaves a key slot unbound is unkeyed: every right row is
+	// compared with it.
+	idx := make([]int32, 2*left.N+1)
+	offs, next := idx[:left.N+1], idx[left.N+1:]
+	arena := make([]byte, 0, left.N*len(keySlots)*64)
+	var unkeyed []int32
+	if remote != nil {
+		seed.Keys.Terms = make([]rdf.Term, 0, left.N*len(keySlots))
 	}
-	buckets := map[string][]int{}
-	var unkeyed, all []int
 	for i := range left.N {
-		all = append(all, i)
 		l := left.Row(i)
-		k, ok := key(l)
-		if !ok {
-			unkeyed = append(unkeyed, i)
-			continue
-		}
-		buckets[string(k)] = append(buckets[string(k)], i)
-		if remote != nil {
-			for _, s := range keySlots {
-				seed.Keys.Terms = append(seed.Keys.Terms, l[s])
+		if k, ok := appendSlotKey(arena, l, keySlots); ok {
+			arena = k
+			if remote != nil {
+				for _, s := range keySlots {
+					seed.Keys.Terms = append(seed.Keys.Terms, l[s])
+				}
+				seed.Keys.N++
 			}
-			seed.Keys.N++
+		} else {
+			unkeyed = append(unkeyed, int32(i))
 		}
+		offs[i+1] = int32(len(arena))
 	}
 	if len(unkeyed) > 0 { // keys that leave left rows out cannot restrict the right side
 		seed.Vars, seed.Keys = nil, RowBuf{}
 	}
+	keys, heads := string(arena), make(map[string]int32, left.N)
+	for i := left.N - 1; i >= 0; i-- {
+		k := keys[offs[i]:offs[i+1]]
+		if k == "" && len(keySlots) > 0 {
+			continue // unkeyed
+		}
+		next[i] = -1
+		if h, ok := heads[k]; ok {
+			next[i] = h
+		}
+		heads[k] = int32(i)
+	}
+	st.buf = arena[:0] // copied into keys, free to hold a right row's key
 	out := o.p.newRow()
 	probe := func(r Row) bool {
-		candidates, rest := all, []int(nil)
-		if k, ok := key(r); ok {
-			candidates, rest = buckets[string(k)], unkeyed
+		k, ok := appendSlotKey(st.buf[:0], r, keySlots)
+		st.buf = k
+		emit := func(i int32) bool {
+			if !joinRows(out, st.left.Row(int(i)), r) {
+				return true
+			}
+			seed.Joined++
+			return yield(out)
 		}
-		for _, group := range [2][]int{candidates, rest} {
-			for _, i := range group {
-				if joinRows(out, left.Row(i), r) {
-					seed.Joined++
-					if !yield(out) {
-						return false
-					}
+		if !ok {
+			for i := range int32(st.left.N) {
+				if !emit(i) {
+					return false
 				}
+			}
+			return true
+		}
+		if h, found := heads[string(k)]; found {
+			for i := h; i >= 0; i = next[i] {
+				if !emit(i) {
+					return false
+				}
+			}
+		}
+		for _, i := range unkeyed {
+			if !emit(i) {
+				return false
 			}
 		}
 		return true
@@ -595,4 +634,17 @@ func (o *hashJoinOp) run(yield func(Row) bool) bool {
 		return remote.fetch(seed, probe)
 	}
 	return o.r.run(probe)
+}
+
+// appendSlotKey appends r's hash-join key over slots to dst, the cells'
+// strings each closed by a 0 byte; ok is false when r leaves a slot
+// unbound.
+func appendSlotKey(dst []byte, r Row, slots []int) (key []byte, ok bool) {
+	for _, s := range slots {
+		if r[s].Kind == rdf.KindAny {
+			return dst, false
+		}
+		dst = append(r[s].AppendString(dst), 0)
+	}
+	return dst, true
 }

@@ -35,6 +35,7 @@ type remoteOp struct {
 	p     *plan
 	src   Remote
 	slots []int // the slot of each of the leaf's variables
+	few   [4]int
 }
 
 func (o *remoteOp) run(yield func(Row) bool) bool { return o.fetch(nil, yield) }
@@ -62,7 +63,7 @@ func (o *remoteOp) fetch(seed *Seed, yield func(Row) bool) bool {
 // failure ends with its error. Each FILTER and the final stage (rows into
 // the projection, out of the plan) profile into the trace ctx carries.
 func (e *Engine) Open(ctx context.Context, a algebra.Op, vars []string) (iter.Seq2[Row, error], error) {
-	p := &plan{eng: e, slots: map[string]int{}, ctx: ctx}
+	p := &plan{eng: e, slots: map[string]int{}, names: make([]string, 0, 8), ctx: ctx}
 	if p.root = p.build(a); p.err != nil {
 		return nil, p.err
 	}

@@ -84,22 +84,32 @@ func (c *RepCache) Term(t rdf.Term) rdf.Term {
 	if rep, ok := c.reps[t.Value]; ok {
 		return rep
 	}
+	rep := Rep(c.coref, t)
+	c.reps[t.Value] = rep
+	return rep
+}
+
+// Rep is RepCache.Term without the cache, for a caller that canonicalises
+// a handful of terms once: the representative of the IRI term's owl:sameAs
+// class under coref (nil: none), other terms unchanged.
+func Rep(coref funcs.CorefSource, t rdf.Term) rdf.Term {
+	if coref == nil || !t.IsIRI() {
+		return t
+	}
 	r := t.Value
-	if s, ok := c.coref.(interface{ Canonical(uri string) string }); ok {
+	if s, ok := coref.(interface{ Canonical(uri string) string }); ok {
 		r = s.Canonical(r)
 	} else {
-		for _, eq := range c.coref.Equivalents(t.Value) {
+		for _, eq := range coref.Equivalents(t.Value) {
 			if eq < r {
 				r = eq
 			}
 		}
 	}
-	rep := t
 	if r != t.Value {
-		rep = rdf.NewIRI(r)
+		return rdf.NewIRI(r)
 	}
-	c.reps[t.Value] = rep
-	return rep
+	return t
 }
 
 // Triple canonicalises the three terms of t.

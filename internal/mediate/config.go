@@ -32,10 +32,10 @@ type Config struct {
 	// in front of Query and /sparql. Nil disables the tier entirely
 	// (every request runs as before PR 8).
 	Serving *serve.Options
-	// Views enables the materialized-view tier: frequent decomposed join
-	// shapes are materialized (sameAs-canonicalised) into an embedded
-	// dictionary-encoded store and later matching queries are answered
-	// from it with zero endpoint round trips. Nil disables the tier.
+	// Views enables the materialized-view tier: the frequent fragments of
+	// federated plans are materialized (sameAs-canonicalised) as rows and
+	// later fragments of the same pattern are answered from them with no
+	// endpoint round trip. Nil disables the tier.
 	Views *view.Options
 }
 

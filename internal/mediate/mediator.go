@@ -61,10 +61,10 @@ type Mediator struct {
 	// WithObservability changes the options; the registry otherwise
 	// survives rebuilds so counters accumulate across reconfiguration.
 	Obs *obs.Observer
-	// Views is the materialized-view tier: it mines frequent decomposed
-	// join shapes, materializes them into embedded dictionary-encoded
-	// stores and answers covered queries locally. Rebuilt by Configure;
-	// nil when the tier is disabled (no WithViews).
+	// Views is the materialized-view tier: it mines the fragments the
+	// endpoints answer, keeps the frequent ones' answers as rows and
+	// answers later fragments of the same pattern from them in process.
+	// Rebuilt by Configure; nil when the tier is disabled (no WithViews).
 	Views *view.Manager
 
 	cfg Config

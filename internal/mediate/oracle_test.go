@@ -168,20 +168,28 @@ type diffPath struct {
 	// cached runs every query twice; the second answer must come from the
 	// result cache without an endpoint round trip.
 	cached bool
-	// viewed asks each text once to materialize its view; every variant
-	// must then come from the view without an endpoint round trip, and
-	// match the oracle again after an alignment write stales the views.
+	// viewed first materializes the three fragments of a cross-vocabulary
+	// query about a person no template names, which fills the view cap:
+	// every cross-vocabulary variant must then take its two shared
+	// fragments from their views and its person's papers from the
+	// endpoints — all but the citation counts when the differential's
+	// FILTER on them makes theirs a filtered fragment, which views never
+	// answer — and still do so once the views are refreshed after an
+	// alignment write stales them.
 	viewed bool
 }
 
 // diffTemplate is a query shape with its projection, the FILTER the
-// differential adds to it and the paths that can answer it.
+// differential adds to it and the paths that can answer it. sources, when
+// set, narrows every request's source set to those repositories, and the
+// oracle integrates only them.
 type diffTemplate struct {
-	name   string
-	texts  []string
-	vars   []string
-	filter string
-	paths  []string
+	name    string
+	texts   []string
+	vars    []string
+	filter  string
+	paths   []string
+	sources []string
 }
 
 // variants are the template's query with the solution modifiers the
@@ -227,7 +235,9 @@ func (d diffTemplate) variants() map[string]string {
 // explicit targets, the planner (one source and a fan-out), the decomposed
 // bound join, a forced hash join, sharded VALUES, a result-cache hit and a
 // materialized view (the cross-vocabulary shape also with every
-// repository named), and holds every answer to the oracle's: the same
+// repository named; a view over Southampton and KISTI never answers a
+// request narrowed to Southampton), and holds every answer to the
+// oracle's: the same
 // rows, in the same order under ORDER BY; under a slice without ORDER BY,
 // the right number of the oracle's rows.
 func TestMediatorMatchesOracle(t *testing.T) {
@@ -241,7 +251,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 		{name: "bound join, VALUES sharded", opts: []Option{WithDecomposer(decompose.Options{BindBatch: 2})}},
 		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
 		{name: "result cache", opts: []Option{WithServing(serve.Options{})}, cached: true},
-		{name: "view", opts: []Option{WithViews(view.Options{MinFrequency: 1})}, viewed: true},
+		{name: "view", opts: []Option{WithViews(view.Options{MinFrequency: 1, MaxViews: 3})}, viewed: true},
 	}
 	metrics := "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }"
 	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
@@ -260,9 +270,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 	whole := []string{"explicit targets", "planned", "result cache"}
 	// Two KISTI patterns and one AKT pattern: KISTI answers all three, the
 	// AKT one through the AKT alignments, so the query goes to it whole and
-	// each triple is rewritten by the alignment its own IRIs match. Views
-	// are mined only from joined queries, so the view path does not take
-	// it.
+	// each triple is rewritten by the alignment its own IRIs match.
 	coauthors := akt + "SELECT ?paper ?a WHERE { ?paper akt:has-author " + person(5) + " . ?paper akt:has-author ?a }"
 	mixed := akt + "PREFIX k:<" + rdf.KISTINS + ">\nSELECT ?paper ?t ?a WHERE { ?paper k:title ?t . ?paper k:year ?y . ?paper akt:has-author ?a }"
 	// The same shape about one paper named by its Southampton spelling:
@@ -311,6 +319,25 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
 		{name: "mixed vocabularies, ground paper", texts: []string{mixedGround}, vars: []string{"t", "y", "a"},
 			paths: []string{"explicit targets", "planned", "bound join, VALUES sharded", "hash join", "result cache"}},
+		// The view of the cross-vocabulary query's authorship fragment has
+		// this shape, but was built over Southampton and KISTI.
+		{name: "authorship, Southampton alone", texts: []string{akt + "SELECT ?paper ?a WHERE { ?paper akt:has-author ?a }"},
+			vars: []string{"a", "paper"}, paths: []string{"planned", "view"}, sources: []string{workload.SotonVoidURI}},
+	}
+	narrowed := map[string]*oracle{}
+	oracleFor := func(tmpl diffTemplate) *oracle {
+		if tmpl.sources == nil {
+			return o
+		}
+		key := strings.Join(tmpl.sources, " ")
+		if narrowed[key] == nil {
+			src := voidkb.Sources{}
+			for _, uri := range tmpl.sources {
+				src[uri] = true
+			}
+			narrowed[key] = newOracle(t, o.u, src)
+		}
+		return narrowed[key]
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -322,10 +349,16 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				})
 			}
 			m := exampleFederation(t, count, path.opts...)
+			if path.viewed {
+				selectRows(t, m, workload.CrossVocabularyQuery(3))
+				waitViewsReady(t, m, 3)
+			}
 			type diffCase struct {
 				name, text string
 				req        QueryRequest
 				want       [][]rdf.Term
+				// viewHits are the fragments views answer once ready.
+				viewHits uint64
 			}
 			var cases []diffCase
 			for _, tmpl := range templates {
@@ -333,58 +366,74 @@ func TestMediatorMatchesOracle(t *testing.T) {
 					continue
 				}
 				req := QueryRequest{Targets: path.targets}
-				if path.viewed {
-					for _, text := range tmpl.texts {
-						req.Query = text
-						materializeView(t, m, req)
-					}
+				if tmpl.sources != nil {
+					req.Targets = tmpl.sources
 				}
 				for name, text := range tmpl.variants() {
 					req.Query = text
-					cases = append(cases, diffCase{name: name, text: text, req: req, want: o.answer(t, text)})
+					hits := uint64(2)
+					switch {
+					case tmpl.sources != nil:
+						hits = 0
+					case strings.HasSuffix(name, ", filter") || strings.Contains(name, ", filter,"):
+						hits = 1
+					}
+					cases = append(cases, diffCase{name: name, text: text, req: req, want: oracleFor(tmpl).answer(t, text), viewHits: hits})
 				}
 			}
 			if len(cases) == 0 {
 				t.Fatal("no case ran on this path")
 			}
-			for _, c := range cases {
-				before, hits := roundTrips.Load(), m.Views.Stats().Hits
-				got, err := mediatorRows(m, c.req)
-				if err != nil {
-					t.Errorf("%s: %v", c.name, err)
-					continue
+			// run asks every case and holds it to the oracle; on the cached
+			// path a second time, from the cache; on the view path, with
+			// the views ready, also to its mix of view-answered and fetched
+			// fragments.
+			run := func(when string, viewsReady bool) {
+				for _, c := range cases {
+					before, hits := roundTrips.Load(), m.Views.Stats().Hits
+					got, err := mediatorRows(m, c.req)
+					if err != nil {
+						t.Errorf("%s%s: %v", c.name, when, err)
+						continue
+					}
+					checkAgainstOracle(t, c.name+when, c.text, got, c.want)
+					trips, hit := roundTrips.Load()-before, m.Views.Stats().Hits-hits
+					if viewsReady && (hit != c.viewHits || trips == 0) {
+						t.Errorf("%s%s: %d view hits, %d round trips; want %d and the rest fetched", c.name, when, hit, trips, c.viewHits)
+					}
+					if !path.cached {
+						continue
+					}
+					before = roundTrips.Load()
+					again, err := mediatorRows(m, c.req)
+					if trips := roundTrips.Load() - before; err != nil || trips != 0 {
+						t.Errorf("%s, repeated: %v, %d round trips, want a cache hit", c.name, err, trips)
+					}
+					checkAgainstOracle(t, c.name+", from the cache", c.text, again, c.want)
 				}
-				checkAgainstOracle(t, c.name, c.text, got, c.want)
-				if trips, hit := roundTrips.Load()-before, m.Views.Stats().Hits-hits; path.viewed && (trips != 0 || hit != 1) {
-					t.Errorf("%s: %d round trips, %d view hits; want 0, 1", c.name, trips, hit)
-				}
-				if !path.cached {
-					continue
-				}
-				before = roundTrips.Load()
-				again, err := mediatorRows(m, c.req)
-				if trips := roundTrips.Load() - before; err != nil || trips != 0 {
-					t.Errorf("%s, repeated: %v, %d round trips, want a cache hit", c.name, err, trips)
-				}
-				checkAgainstOracle(t, c.name+", from the cache", c.text, again, c.want)
 			}
+			run("", path.viewed)
 			if !path.viewed {
 				return
 			}
 			// An alignment write stales every view: each variant is answered
-			// from federation or from its refreshed view, and either way as
-			// the oracle answers it.
+			// from the endpoints or from its refreshed views, and either way
+			// as the oracle answers it; once the views are ready again, with
+			// the mix it had before.
+			refreshes := m.Views.Stats().Refreshes
 			if err := m.Alignments.Add(workload.ECS2DBpedia()); err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range cases {
-				got, err := mediatorRows(m, c.req)
-				if err != nil {
-					t.Errorf("%s, after an alignment write: %v", c.name, err)
-					continue
+			run(", after an alignment write", false)
+			deadline := time.Now().Add(10 * time.Second)
+			for m.Views.Stats().Refreshes < refreshes+3 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the views never refreshed: %+v", m.Views.Stats())
 				}
-				checkAgainstOracle(t, c.name+", after an alignment write", c.text, got, c.want)
+				time.Sleep(time.Millisecond)
 			}
+			waitViewsReady(t, m, 3)
+			run(", refreshed", true)
 		})
 	}
 }
@@ -414,29 +463,6 @@ func TestHubEntityBoundJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstOracle(t, "hub entities", text, got, want)
-}
-
-// materializeView asks req's query once and waits until the plan of a
-// repeat is its view's.
-func materializeView(t *testing.T, m *Mediator, req QueryRequest) {
-	t.Helper()
-	if _, err := mediatorRows(m, req); err != nil {
-		t.Fatalf("%v\n%s", err, req.Query)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		dec, err := m.PlanQuery(req.Query, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Fragments[0].View != "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no view answers %s: %+v", req.Query, m.Views.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // graph is the oracle's answer to a CONSTRUCT or DESCRIBE over the

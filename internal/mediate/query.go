@@ -306,7 +306,8 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	if qs.dec, err = m.route(ctx, q, req); err != nil {
 		return nil, err
 	}
-	if qs.dec.Whole() != nil && len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
+	m.observeViews(ctx, qs.dec)
+	if w := qs.dec.Whole(); w != nil && w.View == "" && len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
 		// Nothing to apply above the merge that the reader does not: a plan
 		// of one leaf is its stream. (An ASK reads one row of its LIMIT 1
 		// query, and its summary waits for every endpoint's.)
@@ -317,26 +318,21 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
 		return nil, err
 	}
-	// Queries joined across data sets are exactly the expensive
-	// cross-vocabulary joins worth materializing: mine the shape.
-	m.observeViews(ctx, q, qs.dec)
 	return qs, nil
 }
 
-// route plans q over the request's source set: as one fragment a
-// materialized view answers in process, with zero endpoint round trips,
-// when a ready view covers it; as one whole fragment over the data sets
-// that answer it whole; or — when none does — as per-endpoint fragments
-// joined at the mediator. The query path runs what it returns, and
-// /api/plan, PlanQuery and the recorded trace explain it. A set that
-// answers nothing is refused with ErrDenied when the tenant's allowlist
-// narrowed it, and named otherwise.
+// route plans q over the request's source set: as one whole fragment over
+// the data sets that answer it whole, or — when none does — as
+// per-endpoint fragments joined at the mediator; and hands each fragment a
+// ready materialized view covers to that view's rows, which answer it in
+// process without an endpoint round trip. The query path runs what it
+// returns, and /api/plan, PlanQuery and the recorded trace explain it. A
+// set that answers nothing is refused with ErrDenied when the tenant's
+// allowlist narrowed it, and named otherwise.
 func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest) (*decompose.Decomposition, error) {
-	if dcm := m.viewDecomposition(ctx, q, req); dcm != nil {
-		return dcm, nil
-	}
 	dcm, err := m.Decomposer.DecomposeQuery(ctx, q, req.sources)
 	if err == nil {
+		m.answerFromViews(ctx, dcm)
 		return dcm, nil
 	}
 	if req.denied {

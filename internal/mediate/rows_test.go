@@ -174,21 +174,23 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 642 for Figure 1,
-// since a span costs at most one allocation, and 1616 for the
-// cross-vocabulary query, since each bound-join target receives only the
-// spellings its URI space holds (1723 while every target received every
-// alias). They sit below what the same requests cost while spans boxed
-// their attributes and wrapped their contexts (733 and 1962), while the
-// lexer built every value (807 and 2204) and while every stage took text
-// (940 and 2480).
+// the ceilings are the measured figures plus about 7 %: 595 for Figure 1
+// and 1401 for the cross-vocabulary query, since each sub-query goes as
+// the protocol's direct POST, its text the body (642 and 1616 while it was
+// form-encoded), and a hash join's table and a decomposition's fragments
+// take a few allocations, not a few a row or a fragment (603 and 1524
+// before). They sit below what the same requests cost while every
+// bound-join target received every alias (1723 for the cross-vocabulary
+// query), while spans boxed their attributes and wrapped their contexts
+// (733 and 1962), while the lexer built every value (807 and 2204) and
+// while every stage took text (940 and 2480).
 //
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (515, at 19 rows a
-// request) plus 7 %, below the miss case's (642 at 11 rows) and below the
-// 606 it cost before spans were cheap.
+// of its shape. Its ceiling is the measured figure (468, at 19 rows a
+// request; 515 form-encoded) plus 7 %, below the miss case's (595 at 11
+// rows) and below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -209,9 +211,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 690},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1745},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 555},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 637},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1499},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 501},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

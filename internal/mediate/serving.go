@@ -9,7 +9,6 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"strings"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
@@ -92,54 +91,25 @@ func (f *cacheFill) attach(res *Result) {
 }
 
 // resultCacheKey fingerprints the request for the result cache. Ground
-// IRIs in the query are canonicalised to their owl:sameAs
-// representative first — the same rule the federation merge and the
-// graph streams use — so alias spellings of one entity share an entry.
-// The limit and the request's source set (the tenant's allowlist
-// narrowed to the named targets) both discriminate; the tenant's
-// algebra restrictions need no extra component because q is the
-// restricted query by the time it is keyed.
+// IRIs in the query's basic graph patterns and VALUES blocks are keyed as
+// their owl:sameAs representative — the same rule the federation merge
+// and the graph streams use — so alias spellings of one entity share an
+// entry. The limit and the request's source set (the tenant's allowlist
+// narrowed to the named targets) both discriminate; the tenant's algebra
+// restrictions need no extra component because q is the restricted query
+// by the time it is keyed. The key is written straight from q, which it
+// neither clones nor formats.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
-	canon := federate.NewRepCache(m.Coref)
-	cq := q.Clone()
-	canonicaliseGroup(cq.Where, canon)
-	parts := []string{sparql.Format(cq), strconv.Itoa(req.Limit)}
+	var buf [1024]byte
+	key := sparql.AppendKey(buf[:0], q, func(t rdf.Term) rdf.Term { return federate.Rep(m.Coref, t) })
+	key = strconv.AppendInt(append(key, 0), int64(req.Limit), 10)
 	if req.sources != nil {
-		parts = append(parts, "sources:")
-		parts = append(parts, slices.Sorted(maps.Keys(req.sources))...)
-	}
-	return strings.Join(parts, "\x00")
-}
-
-// canonicaliseGroup maps every ground term in the group's basic graph
-// patterns and VALUES blocks through the sameAs canonicaliser, in
-// place (callers pass a clone).
-func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *federate.RepCache) {
-	if g == nil {
-		return
-	}
-	for _, el := range g.Elements {
-		switch e := el.(type) {
-		case *sparql.BGP:
-			for i := range e.Patterns {
-				e.Patterns[i] = canon.Triple(e.Patterns[i])
-			}
-		case *sparql.InlineData:
-			for _, row := range e.Rows {
-				for i, t := range row {
-					row[i] = canon.Term(t)
-				}
-			}
-		case *sparql.SubGroup:
-			canonicaliseGroup(e.Group, canon)
-		case *sparql.Optional:
-			canonicaliseGroup(e.Group, canon)
-		case *sparql.Union:
-			for _, alt := range e.Alternatives {
-				canonicaliseGroup(alt, canon)
-			}
+		key = append(key, "\x00sources:"...)
+		for _, uri := range slices.Sorted(maps.Keys(req.sources)) {
+			key = append(append(key, 0), uri...)
 		}
 	}
+	return string(key)
 }
 
 // storable reports whether a fan-out summary describes a complete,

@@ -16,6 +16,7 @@ import (
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/voidkb"
@@ -483,5 +484,53 @@ func TestProtocolConcurrencyShed(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
+	}
+}
+
+// TestResultCacheHitRequestAllocations pins what a /sparql request the
+// result cache answers costs the whole process: parse, the cache key,
+// the lookup and the replay through the response encoder. The key is
+// written straight from the parsed query, with each ground term of its
+// basic graph patterns as its owl:sameAs representative; while it was a
+// canonicalised clone of the query, formatted, the same requests cost 100
+// allocations each. They measure 80 (Figure 1) and 85 (cross-vocabulary);
+// the ceilings are those plus 7 %.
+func TestResultCacheHitRequestAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range []struct {
+		name    string
+		query   string
+		ceiling float64
+	}{
+		{"fig1-coauthors", workload.Figure1Query(2), 86},
+		{"xvocab-join", workload.CrossVocabularyQuery(2), 91},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var requests atomic.Int64
+			m := exampleFederation(t, func(_ string, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					requests.Add(1)
+					h.ServeHTTP(w, r)
+				})
+			}, WithServing(serve.Options{}))
+			h := Handler(m)
+			target := "/sparql?query=" + url.QueryEscape(c.query)
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, target, nil))
+			r0, rows := requests.Load(), 0
+			got := testing.AllocsPerRun(50, func() {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+				rows = strings.Count(w.Body.String(), `"a":{`)
+			})
+			t.Logf("result-cache hit: %.0f allocations per request, %d rows", got, rows)
+			if rows < 2 || requests.Load() != r0 || m.Serve.Cache.Metrics().Hits != 51 {
+				t.Fatalf("%d rows, %d endpoint requests, %+v: not 51 cache hits", rows, requests.Load()-r0, m.Serve.Cache.Metrics())
+			}
+			if got > c.ceiling {
+				t.Errorf("%.0f allocations per cache-answered request, want at most %.0f", got, c.ceiling)
+			}
+		})
 	}
 }

@@ -91,8 +91,8 @@ func TestVoidChangeDropsCachedAnswersAndViews(t *testing.T) {
 
 // TestTenantAllRepositoriesJoinAndViewHit: a tenant whose allowlist holds
 // every repository the cross-vocabulary query needs gets the decomposed
-// join, with the anonymous tenant's answer, and once the shape is
-// materialized a view hit that no endpoint hears of.
+// join, with the anonymous tenant's answer, and once its fragments are
+// materialized a view hit for each that no endpoint hears of.
 func TestTenantAllRepositoriesJoinAndViewHit(t *testing.T) {
 	var requests atomic.Int64
 	m := exampleFederation(t, func(_ string, h http.Handler) http.Handler {
@@ -120,14 +120,14 @@ func TestTenantAllRepositoriesJoinAndViewHit(t *testing.T) {
 		t.Fatalf("decomposed join: %v\n got %v\nwant %v", err, got, want)
 	}
 
-	waitViewReady(t, m)
+	waitViewsReady(t, m, 3)
 	r0, h0 := requests.Load(), m.Views.Stats().Hits
 	got, err = mediatorRows(m, req)
 	if err != nil || !slices.EqualFunc(sortedRows(got), want, slices.Equal) {
 		t.Fatalf("view answer: %v\n got %v\nwant %v", err, got, want)
 	}
-	if hits, trips := m.Views.Stats().Hits-h0, requests.Load()-r0; hits != 1 || trips != 0 {
-		t.Errorf("%d view hits, %d endpoint requests; want 1, 0", hits, trips)
+	if hits, trips := m.Views.Stats().Hits-h0, requests.Load()-r0; hits != 3 || trips != 0 {
+		t.Errorf("%d view hits, %d endpoint requests; want 3, 0", hits, trips)
 	}
 }
 
@@ -211,14 +211,15 @@ func TestPolicySoundness(t *testing.T) {
 		name string
 		opts []Option
 		// cached repeats every query, to be answered from the result
-		// cache; viewed materializes the cross-vocabulary shape first.
+		// cache; viewed materializes the cross-vocabulary query's three
+		// fragments first, and no view after them.
 		cached, viewed bool
 	}{
 		{name: "planned"},
 		{name: "bound join", opts: []Option{WithDecomposer(decompose.Options{BindBatch: 2})}},
 		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
 		{name: "result cache", opts: []Option{WithServing(serve.Options{})}, cached: true},
-		{name: "view hit", opts: []Option{WithViews(view.Options{MinFrequency: 1})}, viewed: true},
+		{name: "view hit", opts: []Option{WithViews(view.Options{MinFrequency: 1, MaxViews: 3})}, viewed: true},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -232,7 +233,7 @@ func TestPolicySoundness(t *testing.T) {
 			}, path.opts...)
 			if path.viewed {
 				selectRows(t, m, workload.CrossVocabularyQuery(2))
-				waitViewReady(t, m)
+				waitViewsReady(t, m, 3)
 			}
 			// run sends one request, fails the test when an endpoint outside
 			// the source set heard of it or it was refused the wrong way, and
@@ -284,7 +285,7 @@ func TestPolicySoundness(t *testing.T) {
 						}
 						for i := range repeats {
 							var got [][]rdf.Term
-							h0 := m.Views.Stats().Hits
+							v0 := m.Views.Stats()
 							trips, err := run(name, src, scope.refusal, func() (err error) {
 								got, err = mediatorRows(m, req)
 								return err
@@ -304,9 +305,25 @@ func TestPolicySoundness(t *testing.T) {
 							if i == 1 && trips != 0 {
 								t.Errorf("%s, repeated: %d round trips, want a cache hit", name, trips)
 							}
-							hit := m.Views.Stats().Hits - h0
-							if path.viewed && strings.HasPrefix(tmpl.name, "cross-vocabulary") && complete != (hit == 1) {
-								t.Errorf("%s: %d view hits, want a hit exactly when the source set holds the view's repositories", name, hit)
+							if !path.viewed {
+								continue
+							}
+							// A view answers only inside the source set, and
+							// answers every fragment when the set holds them all
+							// — but the citation counts' when the FILTER on
+							// them makes theirs a filtered fragment.
+							v1 := m.Views.Stats()
+							for k, v := range v1.Views {
+								if v.Hits > v0.Views[k].Hits && slices.ContainsFunc(v.Datasets, func(ds string) bool { return !src.Has(ds) }) {
+									t.Errorf("%s: view %s over %v answered", name, v.ID, v.Datasets)
+								}
+							}
+							want := uint64(3)
+							if strings.HasSuffix(tmpl.name, "filtered") {
+								want = 2
+							}
+							if hit := v1.Hits - v0.Hits; strings.HasPrefix(tmpl.name, "cross-vocabulary") && complete && hit != want {
+								t.Errorf("%s: %d view hits, want %d", name, hit, want)
 							}
 						}
 					}

@@ -1,24 +1,21 @@
 package mediate
 
 import (
-	"cmp"
 	"context"
 	"io"
 	"slices"
 
 	"sparqlrw/internal/decompose"
-	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
-	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/view"
 )
 
 // This file is the mediator side of the materialized-view tier: the
-// Runner the view manager materializes through, the route that plans a
-// covered SELECT as one fragment a view's rows answer, and the observe
-// hook that feeds the shape miner from the decomposed-query stream.
+// Runner the view manager materializes through, the route step that hands
+// each fragment a ready view covers to that view's rows, and the observe
+// hook that feeds the shape miner the fragments the endpoints answered.
 
 // ctxNoViews marks the context of a view's own build, whose queries must
 // bypass the view tier: a view is never built from a view, nor its build
@@ -30,11 +27,16 @@ type viewRunner struct{ m *Mediator }
 
 // Materialize runs the view's covering query through the full federated
 // pipeline (planning, decomposition, bound joins, sameAs merge) over the
-// whole KB and drains it. Complete is true only when every contributing
-// data set answered successfully — the storable rule the result cache
-// uses.
-func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query) (*view.MaterializeResult, error) {
-	qs, err := r.m.selectStream(context.WithValue(ctx, ctxNoViews{}, true), QueryRequest{}, q)
+// given data sets, as a request's source set, and drains it. Complete is
+// true only when every contributing data set answered successfully — the
+// storable rule the result cache uses.
+func (r viewRunner) Materialize(ctx context.Context, q *sparql.Query, datasets []string) (*view.MaterializeResult, error) {
+	var req QueryRequest
+	var err error
+	if req.sources, _, err = r.m.sourceSet(nil, datasets); err != nil {
+		return nil, err
+	}
+	qs, err := r.m.selectStream(context.WithValue(ctx, ctxNoViews{}, true), req, q)
 	if err != nil {
 		return nil, err
 	}
@@ -73,71 +75,37 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 	return res, nil
 }
 
-// Canonicalise maps the patterns' ground IRIs to their owl:sameAs
-// representatives, as the merge does: the view manager matches and mines
-// shapes with it, and re-keys views when the sameAs closure may have
-// moved.
-func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
-	canon := federate.NewRepCache(r.m.Coref)
-	out := make([]rdf.Triple, len(patterns))
-	for i, t := range patterns {
-		out[i] = canon.Triple(t)
-	}
-	return out
-}
+// Canonical maps a ground IRI to its owl:sameAs representative, as the
+// merge does: the view manager matches and mines shapes with it, and
+// re-keys views when the sameAs closure may have moved.
+func (r viewRunner) Canonical(t rdf.Term) rdf.Term { return federate.Rep(r.m.Coref, t) }
 
-// viewDecomposition plans q as one fragment a ready view answers in
-// process, when one covers it and every data set the view was built from
-// is in the request's source set: nil otherwise, and for a view's own
-// build, which would recurse.
-func (m *Mediator) viewDecomposition(ctx context.Context, q *sparql.Query, req QueryRequest) *decompose.Decomposition {
+// answerFromViews hands each fragment of dcm a ready view answers to it,
+// unless views are off or this is a view's own build, which would recurse.
+// The route decides it once, so the plan explained is the plan run.
+func (m *Mediator) answerFromViews(ctx context.Context, dcm *decompose.Decomposition) {
 	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil {
-		return nil
-	}
-	hit, ok := m.Views.Answer(q, req.sources)
-	if !ok {
-		return nil
-	}
-	return decompose.Local(q, &decompose.Fragment{View: hit.View.ID(), Datasets: hit.Datasets,
-		Vars: hit.Vars, Leaf: &viewLeaf{views: m.Views, hit: hit}})
-}
-
-// viewLeaf is a view's rows as a plan leaf. It counts the hit when the
-// plan reads it, so explaining a query counts none.
-type viewLeaf struct {
-	views *view.Manager
-	hit   view.Hit
-}
-
-// Fetch yields the view's rows on a "view" operator span.
-func (l *viewLeaf) Fetch(ctx context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
-	_, span := obs.StartSpan(ctx, "view")
-	span.SetString("view", l.hit.View.ID())
-	l.views.CountHit(l.hit.View)
-	n := 0
-	for n < l.hit.Rows.N {
-		n++
-		if !yield(l.hit.Rows.Row(n - 1)) {
-			break
-		}
-	}
-	st := obs.Operator("view")
-	st.RowsOut = int64(n)
-	span.SetOperator(st)
-	span.End()
-	return nil
-}
-
-// observeViews feeds one query the join engine joined across data sets to
-// the shape miner, unless views are off or this is a view's own build. It
-// runs on the same path that just executed the query, so the
-// decomposition's data sets and calibrated cardinality estimates are in
-// hand for free; the largest fragment estimate bounds the join size the
-// miner screens against its row cap.
-func (m *Mediator) observeViews(ctx context.Context, q *sparql.Query, dcm *decompose.Decomposition) {
-	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil || dcm.Whole() != nil || dcm.Fragments[0].Leaf != nil {
 		return
 	}
-	est := slices.MaxFunc(dcm.Fragments, func(a, b *decompose.Fragment) int { return cmp.Compare(a.EstCard, b.EstCard) }).EstCard
-	m.Views.Observe(q, dcm.Datasets(), est)
+	for k, f := range dcm.Fragments {
+		var buf [4]string
+		if hit, ok := m.Views.Answer(f.BGP(), f.AppendTargetDatasets(buf[:0])); ok {
+			dcm.AnswerFrom(k, hit.View.ID(), hit.Vars, hit)
+		}
+	}
+}
+
+// observeViews feeds the fragments the endpoints answer to the shape
+// miner, with their targets and calibrated cardinality estimates, unless
+// views are off or this is a view's own build.
+func (m *Mediator) observeViews(ctx context.Context, dcm *decompose.Decomposition) {
+	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil {
+		return
+	}
+	for _, f := range dcm.Fragments {
+		if f.View == "" {
+			var buf [4]string
+			m.Views.Observe(f.BGP(), f.AppendTargetDatasets(buf[:0]), f.EstCard)
+		}
+	}
 }

@@ -9,10 +9,13 @@ package mediate
 // sends are bound from cached plans.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,13 +35,26 @@ type wireTap struct {
 
 func (w *wireTap) wrap(dataset string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if err := r.ParseForm(); err == nil { // cached on r: the endpoint still sees the form
-			w.mu.Lock()
-			w.seen[dataset] = append(w.seen[dataset], r.PostForm.Get("query"))
-			w.mu.Unlock()
-		}
+		text := tappedQuery(r)
+		w.mu.Lock()
+		w.seen[dataset] = append(w.seen[dataset], text)
+		w.mu.Unlock()
 		h.ServeHTTP(rw, r)
 	})
+}
+
+// tappedQuery returns the query text a SPARQL 1.1 Protocol POST carries —
+// its body, sent directly as application/sparql-query, or its form's query
+// parameter — and leaves the request for the endpoint behind the tap to
+// read as it arrived.
+func tappedQuery(r *http.Request) string {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-query") {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		return string(body)
+	}
+	r.ParseForm() // cached on r: the endpoint still sees the form
+	return r.PostForm.Get("query")
 }
 
 // recordingDispatcher notes the requests the join engine hands the

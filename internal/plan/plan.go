@@ -227,6 +227,10 @@ func (p *Planner) Select(q *sparql.Query, src voidkb.Sources) (*Selection, error
 		}
 	})
 	sel.Sources = make([][]PatternSource, len(sel.Patterns))
+	block := make([]PatternSource, len(sel.Patterns)*len(all)) // every pattern's sources, one allocation
+	for i := range sel.Sources {
+		sel.Sources[i] = block[i*len(all) : i*len(all) : (i+1)*len(all)]
+	}
 
 	// Per data set: the patterns it answers, whether any through
 	// rewriting, and the first thing that keeps it from the cover.
@@ -274,21 +278,23 @@ func (p *Planner) Select(q *sparql.Query, src voidkb.Sources) (*Selection, error
 	// The cover reads the whole query; without one, every data set that
 	// answers part of it joins its fragments at the mediator.
 	var pruned int
+	reasons := make([]string, 3*len(all)) // each decision's, at most three
 	for j, v := range verdicts {
 		dec := &sel.Decisions[j]
 		dec.Relevant = v.why == (miss{}) || len(sel.Cover) == 0 && v.answered > 0
+		dec.Reasons = reasons[3*j : 3*j+1 : 3*j+3]
 		switch {
 		case !dec.Relevant:
 			pruned++
-			dec.Reasons = []string{v.why.String()}
+			dec.Reasons[0] = v.why.String()
 			continue
 		case len(sel.Cover) == 0:
-			dec.Reasons = []string{fmt.Sprintf("answers %d of the query's %d triple patterns; its fragments join at the mediator",
-				v.answered, len(sel.Patterns))}
+			dec.Reasons[0] = fmt.Sprintf("answers %d of the query's %d triple patterns; its fragments join at the mediator",
+				v.answered, len(sel.Patterns))
 		case dec.NeedsRewrite:
-			dec.Reasons = []string{"answers every triple pattern, some translated through alignments"}
+			dec.Reasons[0] = "answers every triple pattern, some translated through alignments"
 		default:
-			dec.Reasons = []string{"answers every triple pattern in a vocabulary it declares"}
+			dec.Reasons[0] = "answers every triple pattern in a vocabulary it declares"
 		}
 		if v.coref != "" {
 			dec.Reasons = append(dec.Reasons, v.coref)

@@ -89,12 +89,13 @@ func callers(files map[string]*ast.File, symbol string) []string {
 // Decomposer.Decompose), the endpoint server and this package's own
 // MustParse and UnmarshalText; those that call Format are the executor
 // (what an endpoint receives, when a native target's query or a rewrite
-// is not served from a cached template), the result-cache key,
-// Mediator.Rewrite's answer to a person, the trace's text of a
+// is not served from a cached template), Mediator.Rewrite's answer to a
+// person, the trace's text of a
 // policy-restricted query and MarshalText — no planner, decomposer stage
 // or view code among either. The rewrite-plan cache key, a sub-query's
 // shape, is the executor's too: it formats through Lift, and a cached
-// rewrite through FormatTemplate.
+// rewrite through FormatTemplate; the result-cache key is written by
+// AppendKey, with no query text in between.
 var textCallSites = map[string][]string{
 	"Parse": {
 		"decompose/decompose.go",
@@ -109,7 +110,6 @@ var textCallSites = map[string][]string{
 		"federate/federate.go",
 		"mediate/mediator.go",
 		"mediate/query.go",
-		"mediate/serving.go",
 		"sparql/format.go",
 	},
 }

@@ -19,6 +19,18 @@ func Format(q *Query) string {
 	return f.text(false)
 }
 
+// AppendKey appends a key of q to dst: its text with every IRI in full
+// and no prologue, each term of its basic graph patterns and VALUES rows
+// written as canon maps it. Two queries get one key exactly when they
+// differ only in prefix declarations and in terms canon identifies there,
+// so a cache keyed by it needs no clone of the query to canonicalise and
+// no second rendering.
+func AppendKey(dst []byte, q *Query, canon func(rdf.Term) rdf.Term) []byte {
+	f := formatter{body: dst, canon: canon}
+	f.query(q)
+	return f.body
+}
+
 // MarshalText renders the query as its text, so a document that carries a
 // parsed query (a federation plan, a decomposition) serialises it when the
 // document is marshalled and not before.
@@ -48,6 +60,10 @@ type formatter struct {
 	// is at a position Lift lifts (see Lift).
 	slot  func(t *rdf.Term, liftable bool) (int, bool)
 	holes []hole
+	// canon, when set, maps each term of a basic graph pattern or a VALUES
+	// row before it is written, into mapped (see AppendKey).
+	canon  func(rdf.Term) rdf.Term
+	mapped rdf.Triple
 }
 
 // hole is one slot occurrence in a formatter's body: its token spans
@@ -203,7 +219,12 @@ func (f *formatter) group(g *GroupGraphPattern, depth int) {
 			case *BGP:
 				for i := range e.Patterns {
 					f.indent(inner)
-					f.triple(&e.Patterns[i], true)
+					t := &e.Patterns[i]
+					if f.canon != nil {
+						f.mapped = rdf.Triple{S: f.canon(t.S), P: f.canon(t.P), O: f.canon(t.O)}
+						t = &f.mapped
+					}
+					f.triple(t, true)
 					f.str(" .\n")
 				}
 			case *Filter:
@@ -258,9 +279,13 @@ func (f *formatter) inlineData(d *InlineData, depth int) {
 			if i > 0 {
 				f.str(" ")
 			}
-			if row[i].Kind == rdf.KindAny {
+			switch {
+			case row[i].Kind == rdf.KindAny:
 				f.str("UNDEF")
-			} else {
+			case f.canon != nil:
+				f.mapped.S = f.canon(row[i])
+				f.term(&f.mapped.S, true, false)
+			default:
 				f.term(&row[i], true, false)
 			}
 		}

@@ -163,3 +163,39 @@ func BenchmarkFormatFigure1(b *testing.B) {
 		Format(q)
 	}
 }
+
+// TestAppendKey: a key writes the query with its IRIs in full, so prefix
+// labels do not count, and maps the terms of its basic graph patterns —
+// nested groups included — and VALUES rows through canon, but not a
+// FILTER's constants; anything else that differs, differs.
+func TestAppendKey(t *testing.T) {
+	canon := func(x rdf.Term) rdf.Term {
+		if x.IsIRI() && x.Value == "http://e/alias" {
+			return rdf.NewIRI("http://e/rep")
+		}
+		return x
+	}
+	key := func(text string) string { return string(AppendKey(nil, MustParse(text), canon)) }
+	base := key(`PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p e:rep OPTIONAL { e:rep e:q ?y } VALUES ?z { e:rep } FILTER (?x != e:alias) }`)
+	for _, same := range []string{
+		`PREFIX f: <http://e/> SELECT ?x WHERE { ?x f:p f:rep OPTIONAL { f:rep f:q ?y } VALUES ?z { f:rep } FILTER (?x != f:alias) }`,
+		`SELECT ?x WHERE { ?x <http://e/p> <http://e/alias> OPTIONAL { <http://e/alias> <http://e/q> ?y } VALUES ?z { <http://e/alias> } FILTER (?x != <http://e/alias>) }`,
+	} {
+		if got := key(same); got != base {
+			t.Errorf("key of %s\n= %q\nwant %q", same, got, base)
+		}
+	}
+	for _, other := range []string{
+		`PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p e:rep OPTIONAL { e:rep e:q ?y } VALUES ?z { e:rep } FILTER (?x != e:rep) }`,
+		`PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p e:other OPTIONAL { e:rep e:q ?y } VALUES ?z { e:rep } FILTER (?x != e:alias) }`,
+		`PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p e:rep OPTIONAL { e:rep e:q ?y } VALUES ?z { e:rep } FILTER (?x != e:alias) } LIMIT 3`,
+		`PREFIX e: <http://e/> SELECT DISTINCT ?x WHERE { ?x e:p e:rep OPTIONAL { e:rep e:q ?y } VALUES ?z { e:rep } FILTER (?x != e:alias) }`,
+	} {
+		if key(other) == base {
+			t.Errorf("%s shares the key of the base query", other)
+		}
+	}
+	if k := string(AppendKey([]byte("prefix:"), MustParse(`SELECT * WHERE { ?s ?p ?o }`), canon)); !strings.HasPrefix(k, "prefix:SELECT") {
+		t.Errorf("AppendKey did not append to dst: %q", k)
+	}
+}

@@ -1,32 +1,35 @@
 // Package view implements the mediator's materialized-view tier: it
-// mines frequent cross-vocabulary join shapes from the decomposed query
-// stream, keeps their sameAs-canonicalised federated answer as rows, and
-// hands those rows to a later query with a matching basic graph pattern,
-// which the mediator plans as one fragment answered in process — zero
-// endpoint round trips, no query text, no wire. This is the complement
-// the paper's rewrite-vs-materialise experiment measures: rewriting trades
-// freshness work at query time, the view trades it at refresh time.
+// mines the frequent fragments of federated plans — the plain BGPs the
+// planner sends to endpoints, a whole query's or a join group's — keeps
+// their sameAs-canonicalised federated answer as rows, and answers a later
+// fragment with a matching BGP from them in process: no round trip, no
+// query text, no wire; as a bound join's right operand, through a hash
+// index on the join columns. This is the complement the paper's
+// rewrite-vs-materialise experiment measures: rewriting trades freshness
+// work at query time, the view trades it at refresh time.
 //
-// Soundness: a query is answered from a view only when its flattened BGP
-// is identical to the view's covered shape modulo variable renaming,
-// with ground IRIs compared after owl:sameAs canonicalisation. Two BGPs
-// with one signature differ only by a renaming of their variables, so the
-// view's rows are the query's BGP answer under the query's own names.
-// Filters, projection, DISTINCT, ORDER BY and LIMIT run in the mediator's
-// plan over those rows, so they need no containment argument. A view is
-// never silently stale: voiD and alignment KB
-// updates mark every view stale synchronously (before the KB update
-// returns), stale views refuse to answer, and the refresh loop
+// Soundness: a fragment is answered from a view only when its BGP is
+// identical to the view's covered shape modulo variable renaming (ground
+// IRIs compared after owl:sameAs canonicalisation) and the view's last
+// build dispatched to exactly the fragment's targets, so the view's rows
+// are the fragment's merged answer under its own names. Joins, residual
+// FILTERs and modifiers run in the mediator's plan over those rows, so
+// they need no containment argument. A fragment with a FILTER of its own
+// is never answered: an endpoint runs it over its own spelling of each
+// IRI, which a view's canonical rows do not keep. A view is never
+// silently stale: voiD and
+// alignment KB updates mark every view stale synchronously (before the
+// KB update returns), stale views refuse to answer, and the refresh loop
 // re-materializes them — discarding any result whose build raced a
 // further invalidation (the epoch check).
 package view
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +40,6 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
-	"sparqlrw/internal/voidkb"
 )
 
 // Options configures a Manager. The struct is comparable so callers can
@@ -73,15 +75,25 @@ func (o Options) withDefaults() Options {
 
 // Runner is the view manager's window onto the federated pipeline,
 // implemented by the mediator. Materialize runs the covering query the
-// manager built, must bypass the view tier itself (no recursion, no
-// re-mining) and report Complete=false whenever any data set failed — a
-// view must never be built from a partial answer. Canonicalise maps ground
-// IRIs to their owl:sameAs representatives with the same rule the
+// manager built over the data sets the mined fragment targeted (none:
+// every registered one), so no build reaches a repository the fragment's
+// request could not; it must bypass the view tier itself (no recursion,
+// no re-mining) and report Complete=false whenever any data set failed —
+// a view must never be built from a partial answer. Canonical maps a
+// ground IRI to its owl:sameAs representative with the same rule the
 // federated merge uses: the manager matches, mines and re-keys shapes
 // through it, so spelling differences do not defeat the signature match.
 type Runner interface {
-	Materialize(ctx context.Context, q *sparql.Query) (*MaterializeResult, error)
-	Canonicalise(patterns []rdf.Triple) []rdf.Triple
+	Materialize(ctx context.Context, q *sparql.Query, datasets []string) (*MaterializeResult, error)
+	Canonical(t rdf.Term) rdf.Term
+}
+
+// canonicalise appends patterns to dst with every term canonical.
+func (m *Manager) canonicalise(dst, patterns []rdf.Triple) []rdf.Triple {
+	for _, t := range patterns {
+		dst = append(dst, rdf.Triple{S: m.runner.Canonical(t.S), P: m.runner.Canonical(t.P), O: m.runner.Canonical(t.O)})
+	}
+	return dst
 }
 
 // MaterializeResult is a drained federated SELECT: its rows over Vars,
@@ -113,8 +125,9 @@ type shape struct {
 	// view is keyed by its signature, and its rows' columns follow the
 	// signature's variable order.
 	patternsCanon []rdf.Triple
-	// datasets are the data sets the miner saw the shape decompose over,
-	// the cells refineEstimate reads.
+	// datasets are the targets of the fragment the miner saw the shape
+	// in: the data sets its builds run over, and the cells refineEstimate
+	// reads.
 	datasets []string
 	estRows  int64
 	count    int
@@ -130,7 +143,7 @@ type shape struct {
 type View struct {
 	id        string
 	def       *shape
-	rows      eval.RowBuf
+	rows      *eval.Indexed
 	datasets  []string
 	stale     bool
 	epoch     uint64
@@ -188,9 +201,9 @@ func NewManager(runner Runner, opts Options) *Manager {
 	reg := opts.Registry
 	m.metrics = managerMetrics{
 		hits: reg.Counter("sparqlrw_view_hits_total",
-			"Queries answered from a materialized view."),
+			"Fragments answered from a materialized view."),
 		misses: reg.Counter("sparqlrw_view_misses_total",
-			"Queries checked against the view tier and not answered by it."),
+			"Fragments the endpoints answered while the view tier was on."),
 		refreshes: reg.Counter("sparqlrw_view_refreshes_total",
 			"View re-materializations (TTL and invalidation driven)."),
 	}
@@ -225,203 +238,202 @@ func (m *Manager) Close() {
 	})
 }
 
-// flatten extracts a SELECT query's basic graph pattern. ok is false
-// for shapes the view tier does not cover: non-SELECT forms, OPTIONAL,
-// UNION, sub-groups and VALUES. FILTER, projection, DISTINCT, ORDER BY
-// and LIMIT are fine — the mediator's plan applies them to the view's
-// rows.
-func flatten(q *sparql.Query) ([]rdf.Triple, bool) {
-	if q == nil || q.Form != sparql.Select || q.Where == nil {
+// appendSignature appends the BGP's signature to dst, canonical modulo
+// variable renaming: patterns sorted by a variable-independent key,
+// variables renamed in first occurrence order, the result serialised. Two
+// BGPs get the same signature only if they are identical up to variable
+// names (ground terms already canonicalised by the caller), so a
+// signature match is a containment proof, not a heuristic. vars are the
+// BGP's variables in renaming order: the i-th of two BGPs with one
+// signature are the same variable under the renaming, so a view's rows
+// bind a matching fragment's vars by position.
+//
+// A pattern's sort key is its terms in turn: a ground term before a
+// variable, ground terms by value, variables by their occurrence profile
+// — the rename-invariant multiset of (var-blind pattern, position) sites
+// where the variable appears, hashed — so e.g. {?a p ?b . ?b p ?c} orders
+// its patterns by join structure, not by input order. Automorphic BGPs
+// whose tied patterns also share profiles (or profile hashes) can still
+// sort order-sensitively, costing only a missed hit, never an unsound
+// answer: the serialisation itself is exact.
+func appendSignature(dst []byte, patterns []rdf.Triple) (sig []byte, vars []string) {
+	profiles := map[string]uint64{}
+	for _, t := range patterns {
+		site := varBlindHash(t)
+		for pos, x := range [3]rdf.Term{t.S, t.P, t.O} {
+			if x.Kind == rdf.KindVar { // a sum: the sites' order does not count
+				profiles[x.Value] += (site ^ uint64(pos+1)) * fnvPrime
+			}
+		}
+	}
+	compareTerms := func(x, y rdf.Term) int {
+		switch xv, yv := x.Kind == rdf.KindVar, y.Kind == rdf.KindVar; {
+		case xv && yv:
+			return cmp.Compare(profiles[x.Value], profiles[y.Value])
+		case xv: // a ground term first
+			return 1
+		case yv:
+			return -1
+		}
+		return cmp.Or(cmp.Compare(x.Kind, y.Kind), strings.Compare(x.Value, y.Value),
+			strings.Compare(x.Datatype, y.Datatype), strings.Compare(x.Lang, y.Lang))
+	}
+	var small [8]int
+	order := small[:0]
+	for i := range patterns {
+		order = append(order, i)
+	}
+	vars = make([]string, 0, 3*len(patterns))
+	slices.SortStableFunc(order, func(a, b int) int {
+		p, q := patterns[a], patterns[b]
+		return cmp.Or(compareTerms(p.S, q.S), compareTerms(p.P, q.P), compareTerms(p.O, q.O))
+	})
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, " . "...)
+		}
+		for j, x := range [3]rdf.Term{patterns[i].S, patterns[i].P, patterns[i].O} {
+			if j > 0 {
+				dst = append(dst, ' ')
+			}
+			switch k := slices.Index(vars, x.Value); {
+			case x.Kind == rdf.KindIRI:
+				dst = rdf.AppendIRI(dst, x.Value)
+			case x.Kind != rdf.KindVar:
+				dst = append(dst, x.String()...)
+			case k < 0:
+				vars = append(vars, x.Value)
+				k = len(vars) - 1
+				fallthrough
+			default:
+				dst = strconv.AppendInt(append(dst, "?v"...), int64(k), 10)
+			}
+		}
+	}
+	return dst, vars
+}
+
+const fnvPrime = 1099511628211
+
+// varBlindHash hashes a pattern with its variables blanked out (FNV-1a):
+// the site a variable's profile counts an occurrence at.
+func varBlindHash(t rdf.Triple) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range [3]rdf.Term{t.S, t.P, t.O} {
+		h = (h ^ uint64(x.Kind)) * fnvPrime
+		for _, s := range [3]string{x.Value, x.Datatype, x.Lang} {
+			for i := 0; i < len(s) && x.Kind != rdf.KindVar; i++ {
+				h = (h ^ uint64(s[i])) * fnvPrime
+			}
+			h = (h ^ 0xff) * fnvPrime
+		}
+	}
+	return h
+}
+
+// Hit is a ready view's answer to a fragment it covers: the rows of its
+// last build, over Vars — the fragment's own variable names in the view's
+// column order. It is the fragment's plan leaf (decompose.LocalRows).
+type Hit struct {
+	View *View
+	Vars []string
+	Rows *eval.Indexed
+	m    *Manager
+}
+
+// Fetch yields the hit's rows on a "view" operator span — as a join's
+// right operand only those whose cells match a key of the join's seed,
+// else all — and returns how many it yielded. It counts the hit, so
+// explaining a query, which reads no rows, counts none.
+func (h *Hit) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) bool) (int, error) {
+	_, span := obs.StartSpan(ctx, "view")
+	span.SetString("view", h.View.id)
+	h.m.mu.Lock()
+	h.View.hits++
+	h.m.mu.Unlock()
+	h.m.metrics.hits.Inc()
+	st := obs.Operator("view")
+	st.RowsOut = 0
+	count := func(r eval.Row) bool { st.RowsOut++; return yield(r) }
+	if seed == nil || len(seed.Vars) == 0 {
+		for i := 0; i < h.Rows.N && count(h.Rows.Row(i)); i++ {
+		}
+	} else {
+		var small [4]int
+		cols := small[:0]
+		for _, v := range seed.Vars {
+			cols = append(cols, slices.Index(h.Vars, v))
+		}
+		st.RowsIn = int64(seed.Left)
+		h.Rows.Probe(cols, &seed.Keys, count)
+	}
+	span.SetOperator(st)
+	span.End()
+	return int(st.RowsOut), nil
+}
+
+// Answer returns the hit of a ready view whose shape is the BGP patterns
+// and whose last build dispatched to exactly datasets, a fragment's
+// targets (so inside the request's source set), its rows read under the
+// lock that matched them. Reading them counts the hit (Fetch), and
+// Observe the miss, so explaining counts neither. Nil-manager safe.
+func (m *Manager) Answer(patterns []rdf.Triple, datasets []string) (*Hit, bool) {
+	if m == nil || len(patterns) == 0 {
 		return nil, false
 	}
-	var patterns []rdf.Triple
-	for _, el := range q.Where.Elements {
-		switch e := el.(type) {
-		case *sparql.BGP:
-			patterns = append(patterns, e.Patterns...)
-		case *sparql.Filter:
-			// evaluated over the view's rows at answer time
-		default:
+	var canon [8]rdf.Triple
+	var buf [256]byte
+	sig, vars := appendSignature(buf[:0], m.canonicalise(canon[:0], patterns))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.views[string(sig)]
+	if v == nil || v.stale || len(v.datasets) != len(datasets) {
+		return nil, false
+	}
+	for _, ds := range datasets {
+		if !slices.Contains(v.datasets, ds) {
 			return nil, false
 		}
 	}
+	return &Hit{View: v, Vars: vars, Rows: v.rows, m: m}, true
+}
+
+// Observe counts a view miss: a fragment the endpoints answered. Its BGP,
+// patterns (nil when it is none), is mined and, at MinFrequency,
+// materialized asynchronously over its targets' data sets, datasets;
+// estRows is its calibrated cardinality estimate, which the
+// observed-cardinality store may sharpen. Nil-manager safe.
+func (m *Manager) Observe(patterns []rdf.Triple, datasets []string, estRows int64) {
+	if m == nil {
+		return
+	}
+	m.metrics.misses.Inc()
 	if len(patterns) == 0 {
-		return nil, false
-	}
-	return patterns, true
-}
-
-// signature canonicalises a BGP modulo variable renaming: patterns are
-// sorted by a variable-independent key, variables renamed in first
-// occurrence order, and the result serialised. Two BGPs get the same
-// signature only if they are identical up to variable names (ground
-// terms already canonicalised by the caller), so a signature match is a
-// containment proof, not a heuristic. vars are the BGP's variables in
-// renaming order: the i-th of two BGPs with one signature are the same
-// variable under the renaming, so a view's rows bind a matching query's
-// vars by position.
-//
-// Patterns that share a var-blind key are tie-broken by each variable's
-// occurrence profile — the rename-invariant multiset of (var-blind key,
-// position) sites where the variable appears across the whole BGP — so
-// e.g. {?a p ?b . ?b p ?c} keys its patterns by join structure, not by
-// input order. The tie-break is not a full graph canonicalisation:
-// automorphic BGPs whose tied patterns also share occurrence profiles
-// can still hash order-sensitively, costing only a missed hit
-// (incompleteness), never an unsound answer.
-func signature(patterns []rdf.Triple) (sig string, vars []string) {
-	profiles := varProfiles(patterns)
-	f := func(x rdf.Term, pos string) string {
-		if x.Kind == rdf.KindVar {
-			return "?" + pos + "{" + profiles[x.Value] + "}"
-		}
-		return x.String()
-	}
-	type keyed struct {
-		key string
-		t   rdf.Triple
-	}
-	sorted := make([]keyed, len(patterns))
-	for i, t := range patterns {
-		sorted[i] = keyed{f(t.S, "s") + " " + f(t.P, "p") + " " + f(t.O, "o"), t}
-	}
-	slices.SortStableFunc(sorted, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	var buf []byte
-	for i, k := range sorted {
-		if i > 0 {
-			buf = append(buf, " . "...)
-		}
-		for j, x := range [3]rdf.Term{k.t.S, k.t.P, k.t.O} {
-			if j > 0 {
-				buf = append(buf, ' ')
-			}
-			if x.Kind != rdf.KindVar {
-				buf = append(buf, x.String()...)
-				continue
-			}
-			if !slices.Contains(vars, x.Value) {
-				vars = append(vars, x.Value)
-			}
-			buf = strconv.AppendInt(append(buf, "?v"...), int64(slices.Index(vars, x.Value)), 10)
-		}
-	}
-	return string(buf), vars
-}
-
-func varBlindKey(t rdf.Triple) string {
-	f := func(x rdf.Term) string {
-		if x.Kind == rdf.KindVar {
-			return "?"
-		}
-		return x.String()
-	}
-	return f(t.S) + " " + f(t.P) + " " + f(t.O)
-}
-
-// varProfiles maps each variable name to its occurrence profile: the
-// sorted multiset of (pattern var-blind key, position) sites where the
-// variable occurs. Profiles depend only on BGP structure — never on
-// variable names or pattern order — which makes them safe sort-key
-// material for signature.
-func varProfiles(patterns []rdf.Triple) map[string]string {
-	occ := map[string][]string{}
-	for _, t := range patterns {
-		k := varBlindKey(t)
-		for pos, x := range [3]rdf.Term{t.S, t.P, t.O} {
-			if x.Kind == rdf.KindVar {
-				occ[x.Value] = append(occ[x.Value], k+"#"+strconv.Itoa(pos))
-			}
-		}
-	}
-	out := make(map[string]string, len(occ))
-	for v, sites := range occ {
-		sort.Strings(sites)
-		out[v] = strings.Join(sites, ",")
-	}
-	return out
-}
-
-// Hit is a ready view's answer to a query it covers: the rows of its last
-// build, over Vars — the query's own variable names in the view's column
-// order — and the data sets that build dispatched to.
-type Hit struct {
-	View     *View
-	Vars     []string
-	Rows     eval.RowBuf
-	Datasets []string
-}
-
-// Answer returns the hit of a ready view that covers the query's BGP and
-// may answer over the source set src (every data set its last build
-// dispatched to is in src), its rows read under the lock that matched
-// them. The caller counts the hit (CountHit) when it reads the rows, so
-// explaining a query counts none; misses are counted here. Nil-manager
-// safe.
-func (m *Manager) Answer(q *sparql.Query, src voidkb.Sources) (Hit, bool) {
-	if m == nil {
-		return Hit{}, false
-	}
-	patterns, ok := flatten(q)
-	if !ok {
-		return Hit{}, false
-	}
-	sig, vars := signature(m.runner.Canonicalise(patterns))
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.views[sig]
-	hit := v != nil && !v.stale
-	for i := 0; hit && i < len(v.datasets); i++ {
-		hit = src.Has(v.datasets[i])
-	}
-	if !hit {
-		m.metrics.misses.Inc()
-		return Hit{}, false
-	}
-	return Hit{View: v, Vars: vars, Rows: v.rows, Datasets: v.datasets}, true
-}
-
-// CountHit records a query actually served from v.
-func (m *Manager) CountHit(v *View) {
-	m.mu.Lock()
-	v.hits++
-	m.mu.Unlock()
-	m.metrics.hits.Inc()
-}
-
-// Observe mines one decomposed (multi-source) query: its BGP shape is
-// counted and, at MinFrequency, materialized asynchronously. estRows is
-// the decomposer's calibrated cardinality estimate for the query; the
-// observed-cardinality store may sharpen it further. Nil-manager safe.
-func (m *Manager) Observe(q *sparql.Query, datasets []string, estRows int64) {
-	if m == nil {
 		return
 	}
-	patterns, ok := flatten(q)
-	if !ok {
-		return
-	}
-	pc := m.runner.Canonicalise(patterns)
-	sig, _ := signature(pc)
+	pc := m.canonicalise(nil, patterns)
+	var buf [256]byte
+	sig, _ := appendSignature(buf[:0], pc)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	if _, exists := m.views[sig]; exists {
+	if _, exists := m.views[string(sig)]; exists {
 		m.mu.Unlock()
 		return
 	}
-	sh := m.shapes[sig]
+	sh := m.shapes[string(sig)]
 	if sh == nil {
 		sh = &shape{
-			sig:           sig,
+			sig:           string(sig),
 			patternsOrig:  append([]rdf.Triple(nil), patterns...),
 			patternsCanon: pc,
 			datasets:      append([]string(nil), datasets...),
 			estRows:       estRows,
 		}
 		m.refineEstimate(sh)
-		m.shapes[sig] = sh
+		m.shapes[sh.sig] = sh
 	}
 	sh.count++
 	trigger := !sh.disabled && !sh.building &&
@@ -488,21 +500,21 @@ func materializeQuery(sh *shape, vars []string) *sparql.Query {
 // from sh — because a refresh recomputes the canonical shape, and the
 // rows must follow the variable order of the signature the view will be
 // keyed under, not whatever sh held when the build started.
-func (m *Manager) build(sh *shape, vars []string) (eval.RowBuf, []string, error) {
+func (m *Manager) build(sh *shape, vars []string) (*eval.Indexed, []string, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
-	res, err := m.runner.Materialize(ctx, materializeQuery(sh, vars))
+	res, err := m.runner.Materialize(ctx, materializeQuery(sh, vars), sh.datasets)
 	switch {
 	case err != nil:
-		return eval.RowBuf{}, nil, err
+		return nil, nil, err
 	case !res.Complete:
-		return eval.RowBuf{}, nil, errors.New("view: partial federated answer (some data set failed)")
+		return nil, nil, errors.New("view: partial federated answer (some data set failed)")
 	case !slices.Equal(res.Vars, vars):
-		return eval.RowBuf{}, nil, fmt.Errorf("view: build answered columns %v, want %v", res.Vars, vars)
+		return nil, nil, fmt.Errorf("view: build answered columns %v, want %v", res.Vars, vars)
 	case res.Rows.N > maxRows:
-		return eval.RowBuf{}, nil, errTooLarge
+		return nil, nil, errTooLarge
 	}
-	return res.Rows, res.Datasets, nil
+	return &eval.Indexed{RowBuf: res.Rows}, res.Datasets, nil
 }
 
 // materialize builds a mined shape into a view and publishes it. A build
@@ -510,7 +522,7 @@ func (m *Manager) build(sh *shape, vars []string) (eval.RowBuf, []string, error)
 // change.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
-	_, vars := signature(sh.patternsCanon)
+	_, vars := appendSignature(nil, sh.patternsCanon)
 	rows, datasets, err := m.build(sh, vars)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -629,8 +641,9 @@ func (m *Manager) refreshView(v *View) {
 		// Recompute the canonical shape first and build in its signature's
 		// variable order: the rebuilt rows must bind the variables of the
 		// signature the refreshed view is published under.
-		pc := m.runner.Canonicalise(v.def.patternsOrig)
-		newSig, vars := signature(pc)
+		pc := m.canonicalise(nil, v.def.patternsOrig)
+		sig, vars := appendSignature(nil, pc)
+		newSig := string(sig)
 		rows, datasets, err := m.build(v.def, vars)
 		if err != nil {
 			return

@@ -13,7 +13,6 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
-	"sparqlrw/internal/voidkb"
 )
 
 // fakeRunner materializes the first rows answers of crossQuery's shape,
@@ -27,7 +26,7 @@ type fakeRunner struct {
 	err      error
 }
 
-func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query) (*MaterializeResult, error) {
+func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, _ []string) (*MaterializeResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
@@ -46,9 +45,7 @@ func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query) (*Materia
 	return res, nil
 }
 
-func (r *fakeRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
-	return append([]rdf.Triple(nil), patterns...)
-}
+func (r *fakeRunner) Canonical(t rdf.Term) rdf.Term { return t }
 
 func (r *fakeRunner) callCount() int {
 	r.mu.Lock()
@@ -56,13 +53,21 @@ func (r *fakeRunner) callCount() int {
 	return r.calls
 }
 
-func mustParse(t *testing.T, text string) *sparql.Query {
+// bgp parses a SELECT of a filtered BGP and returns its triple patterns,
+// the shape a fragment hands the view tier.
+func bgp(t *testing.T, text string) []rdf.Triple {
 	t.Helper()
 	q, err := sparql.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q
+	var out []rdf.Triple
+	for _, el := range q.Where.Elements {
+		if b, ok := el.(*sparql.BGP); ok {
+			out = append(out, b.Patterns...)
+		}
+	}
+	return out
 }
 
 const crossQuery = `PREFIX akt:<http://www.aktors.org/ontology/portal#>
@@ -93,16 +98,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// signature is appendSignature's signature as a string.
+func signature(patterns []rdf.Triple) (string, []string) {
+	sig, vars := appendSignature(nil, patterns)
+	return string(sig), vars
+}
+
 func TestSignatureModuloVariableRenaming(t *testing.T) {
-	q1 := mustParse(t, crossQuery)
-	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	p1 := bgp(t, crossQuery)
+	p2 := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?z }`)
-	p1, ok1 := flatten(q1)
-	p2, ok2 := flatten(q2)
-	if !ok1 || !ok2 {
-		t.Fatal("flatten failed")
-	}
 	s1, v1 := signature(p1)
 	s2, v2 := signature(p2)
 	if s1 != s2 {
@@ -119,36 +125,26 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?z }`)
 			t.Fatalf("signature variables %v and %v do not correspond under the renaming", v1, v2)
 		}
 	}
-	q3 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	p3 := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?x WHERE { ?x akt:has-author ?z }`)
-	p3, _ := flatten(q3)
 	if s3, _ := signature(p3); s3 == s1 {
 		t.Fatal("different BGPs share a signature")
 	}
 	// A repeated variable is not the same shape as two distinct ones.
-	q4 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	p4 := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x WHERE { ?x m:citationCount ?y . ?x akt:has-author ?x }`)
-	p4, _ := flatten(q4)
 	if s4, _ := signature(p4); s4 == s1 {
 		t.Fatal("repeated-variable BGP shares the distinct-variable signature")
 	}
-}
-
-func TestFlattenRejectsNonCoverableShapes(t *testing.T) {
-	for _, text := range []string{
-		`SELECT ?s WHERE { { ?s ?p ?o } UNION { ?o ?p ?s } }`,
-		`SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { ?s ?q ?v } }`,
-		`ASK { ?s ?p ?o }`,
-	} {
-		q := mustParse(t, text)
-		if _, ok := flatten(q); ok {
-			t.Fatalf("flatten accepted %s", text)
-		}
+	// Patterns alike but for their variables sort by join structure: a
+	// chain written in either order is one shape.
+	chain := func(text string) string {
+		sig, _ := signature(bgp(t, "PREFIX akt:<http://www.aktors.org/ontology/portal#>\nSELECT * WHERE { "+text+" }"))
+		return sig
 	}
-	withFilter := mustParse(t, `SELECT ?s WHERE { ?s ?p ?o . FILTER (?o > 3) }`)
-	if _, ok := flatten(withFilter); !ok {
-		t.Fatal("flatten rejected a filtered BGP")
+	if a, b := chain("?a akt:has-author ?b . ?b akt:has-author ?c"), chain("?y akt:has-author ?z . ?x akt:has-author ?y"); a != b {
+		t.Fatalf("one chain, two signatures:\n%s\n%s", a, b)
 	}
 }
 
@@ -157,13 +153,13 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	r := &fakeRunner{rows: 3, complete: true, datasets: datasets}
 	m := NewManager(r, Options{MinFrequency: 2})
 	defer m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 
 	m.Observe(q, datasets[:1], 10)
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
-	if _, hit := m.Answer(q, nil); hit {
+	if _, hit := m.Answer(q, datasets); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
 	m.Observe(q, datasets[:1], 10)
@@ -184,23 +180,23 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	}
 
 	// A renamed spelling of the same shape hits.
-	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	q2 := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
-	h, hit := m.Answer(q2, nil)
+	h, hit := m.Answer(q2, []string{datasets[1], datasets[0]})
 	if !hit {
 		t.Fatal("renamed query missed the view")
 	}
-	if h.View.ID() != v.ID || !slices.Equal(h.Datasets, datasets) {
-		t.Fatalf("hit view %s over %v, want %s over %v", h.View.ID(), h.Datasets, v.ID, datasets)
+	if h.View.ID() != v.ID {
+		t.Fatalf("hit view %s, want %s", h.View.ID(), v.ID)
 	}
-	// A request whose source set lacks one of the view's data sets does
-	// not qualify; one holding both does.
-	if _, hit := m.Answer(q2, voidkb.Sources{datasets[0]: true}); hit {
-		t.Fatal("view answered a source set missing one of its data sets")
+	// A fragment whose targets are not exactly the view's data sets does
+	// not qualify: the view's rows would hold another union of answers.
+	if _, hit := m.Answer(q2, datasets[:1]); hit {
+		t.Fatal("view answered a fragment over one of its two data sets")
 	}
-	if _, hit := m.Answer(q2, voidkb.Sources{datasets[0]: true, datasets[1]: true, "http://e/ds3": true}); !hit {
-		t.Fatal("view missed a source set holding its data sets")
+	if _, hit := m.Answer(q2, append(slices.Clone(datasets), "http://e/ds3")); hit {
+		t.Fatal("view answered a fragment over a third data set besides its own")
 	}
 	// The rows bind the matched query's own variables: one row per
 	// materialized solution, ?x a paper, ?w its author, ?y its count.
@@ -216,12 +212,15 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
 			t.Fatalf("row %d = %v over %v: its columns are not the query's variables", i, row, h.Vars)
 		}
 	}
-	// A match is not yet a hit: the serving layer confirms it only when it
-	// reads the rows (CountHit).
+	// A match is not yet a hit: it is one when the plan reads the rows
+	// (Fetch). Each fragment the endpoints answered, which Observe mines,
+	// was a miss.
 	if got := m.Stats(); got.Hits != 0 || got.Misses != 2 {
-		t.Fatalf("hits/misses before CountHit = %d/%d, want 0/2", got.Hits, got.Misses)
+		t.Fatalf("hits/misses before the rows are read = %d/%d, want 0/2", got.Hits, got.Misses)
 	}
-	m.CountHit(h.View)
+	if n, err := h.Fetch(context.Background(), nil, func(eval.Row) bool { return true }); err != nil || n != h.Rows.N {
+		t.Fatalf("Fetch yielded %d of %d rows: %v", n, h.Rows.N, err)
+	}
 	if got := m.Stats(); got.Hits != 1 || got.Misses != 2 || got.Views[0].Hits != 1 {
 		t.Fatalf("hits/misses = %d/%d (view %d), want 1/2 (1)", got.Hits, got.Misses, got.Views[0].Hits)
 	}
@@ -251,7 +250,7 @@ func TestPartialAnswerNeverMaterializes(t *testing.T) {
 	r := &fakeRunner{rows: 2, complete: false}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1"}, 10)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
@@ -267,7 +266,7 @@ func TestRowCapDisablesShape(t *testing.T) {
 	r := &fakeRunner{rows: maxRows + 1, complete: true}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1"}, 1)
 	waitFor(t, "materialize attempt", func() bool { return r.callCount() >= 1 })
 	time.Sleep(20 * time.Millisecond)
@@ -282,7 +281,7 @@ func TestRowCapDisablesShape(t *testing.T) {
 		t.Fatalf("disabled shape re-materialized: %d calls", r.callCount())
 	}
 
-	estimated := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	estimated := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?p WHERE { ?p akt:has-author ?a }`)
 	m.Observe(estimated, []string{"http://e/ds1"}, maxRows+1)
 	time.Sleep(20 * time.Millisecond)
@@ -295,7 +294,7 @@ func TestInvalidateAllRefreshesView(t *testing.T) {
 	r := &fakeRunner{rows: 2, complete: true}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1", "http://e/ds2"}, 5)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
@@ -320,7 +319,7 @@ func TestInvalidateAllDropsMinedShapes(t *testing.T) {
 	r := &fakeRunner{rows: 1, complete: true}
 	m := NewManager(r, Options{MinFrequency: 3})
 	defer m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1"}, 5)
 	if st := m.Stats(); st.MinedShapes != 1 {
 		t.Fatalf("mined shapes = %d, want 1", st.MinedShapes)
@@ -358,14 +357,10 @@ func (r *swapCanonRunner) swap(canon func(rdf.Term) rdf.Term) {
 	r.canon = canon
 }
 
-func (r *swapCanonRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
+func (r *swapCanonRunner) Canonical(t rdf.Term) rdf.Term {
 	r.canonMu.Lock()
 	defer r.canonMu.Unlock()
-	out := make([]rdf.Triple, len(patterns))
-	for i, t := range patterns {
-		out[i] = rdf.Triple{S: r.canon(t.S), P: r.canon(t.P), O: r.canon(t.O)}
-	}
-	return out
+	return r.canon(t)
 }
 
 // TestRefreshRekeysTemplatesWithSignature: when an alignment update moves
@@ -387,10 +382,10 @@ func TestRefreshRekeysTemplatesWithSignature(t *testing.T) {
 	r := &swapCanonRunner{fakeRunner: fakeRunner{rows: 1, complete: true}, canon: to(alice)}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
-	qa := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	qa := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citationCount ?c }`)
-	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	qb := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citationCount ?c }`)
 	m.Observe(qa, []string{"http://e/ds1"}, 1)
@@ -410,7 +405,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citation
 		st := m.Stats()
 		return st.Refreshes >= 1 && len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
-	for _, q := range []*sparql.Query{qa, qb} {
+	for _, q := range [][]rdf.Triple{qa, qb} {
 		h, hit := m.Answer(q, nil)
 		if !hit {
 			t.Fatal("refreshed view missed under the new canonicalisation")
@@ -436,7 +431,7 @@ func TestObserveAfterCloseIsNoop(t *testing.T) {
 	r := &fakeRunner{rows: 1, complete: true}
 	m := NewManager(r, Options{MinFrequency: 1})
 	m.Close()
-	q := mustParse(t, crossQuery)
+	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1"}, 1)
 	time.Sleep(20 * time.Millisecond)
 	if n := r.callCount(); n != 0 {
@@ -456,12 +451,12 @@ func TestCanonicalisationAlignsSpellings(t *testing.T) {
 	r := &swapCanonRunner{fakeRunner: fakeRunner{rows: 1, complete: true}, canon: canon}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
-	qa := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	qa := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citationCount ?c }`)
 	m.Observe(qa, []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
-	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+	qb := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://mirror.example/id/alice> . ?p m:citationCount ?c }`)
 	if _, hit := m.Answer(qb, nil); !hit {

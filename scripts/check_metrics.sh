@@ -14,8 +14,9 @@
 # samples must land in sparqlrw_estimate_qerror, and a DESCRIBE's
 # trace trailer must profile its description fetch as a bound-join
 # operator with estimated and actual rows. A repeated cross-vocabulary
-# join must be answered from a materialized view: its explain=trace
-# profiles a view operator, and /api/plan names the view. A query mixing
+# join must be answered from materialized views, one a fragment: its
+# explain=trace profiles a view operator, and /api/plan marks a fragment's
+# leaf a view and names it. A query mixing
 # two vocabularies and one naming none must answer from /sparql, and
 # /api/plan with targets must mark only the named data sets relevant.
 # Run via `make check-metrics`.
@@ -236,10 +237,11 @@ grep -q '"error"' "$workdir/429.json" || {
 
 # Materialized views: repeats of the cross-vocabulary join (with renamed
 # variables, so the result cache's text-keyed entries never absorb them
-# while the view tier's canonical signature still matches) must get the
-# shape mined and materialized; a further repeat must then be answered
-# from the view's rows — its explain=trace profiling the view operator,
-# its /api/plan naming the view — and counted as a view hit.
+# while the view tier's canonical signatures still match) must get its
+# three fragments mined and materialized; a further repeat must then be
+# answered from the views' rows — its explain=trace profiling a view
+# operator, its /api/plan marking view leaves and naming the views — and
+# counted as view hits.
 cross_repeat() {
 	sed "s/?paper/?p$1/g; s/?a\\b/?x$1/g; s/?c\\b/?y$1/g" <<EOF
 $cross_query
@@ -256,14 +258,14 @@ done
 view_ready=""
 for _ in $(seq 1 50); do
 	curl -s "$base/api/views" >"$workdir/views.json"
-	if grep -q '"state":"ready"' "$workdir/views.json"; then
+	if [ "$(grep -o '"state":"ready"' "$workdir/views.json" | wc -l)" -ge 3 ]; then
 		view_ready=1
 		break
 	fi
 	sleep 0.2
 done
 if [ -z "$view_ready" ]; then
-	echo "check-metrics: /api/views never listed a ready view:" >&2
+	echo "check-metrics: /api/views never listed three ready views:" >&2
 	cat "$workdir/views.json" >&2
 	fail=1
 else
@@ -281,8 +283,8 @@ else
 	printf '{"query":"%s"}' "$(cross_repeat 3 | tr '\n' ' ')" >"$workdir/view-plan-req.json"
 	curl -s -H 'Content-Type: application/json' --data-binary @"$workdir/view-plan-req.json" \
 		"$base/api/plan" >"$workdir/view-plan.json"
-	if ! grep -q '"view":"v[0-9]' "$workdir/view-plan.json"; then
-		echo "check-metrics: /api/plan of the view-answered query names no view:" >&2
+	if ! grep -q '"leaf":"view"' "$workdir/view-plan.json" || ! grep -q '"view":"v[0-9]' "$workdir/view-plan.json"; then
+		echo "check-metrics: /api/plan of the view-answered query has no view leaf naming its view:" >&2
 		cat "$workdir/view-plan.json" >&2
 		fail=1
 	fi
