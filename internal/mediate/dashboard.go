@@ -250,7 +250,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Funcs(dashboardF
 
 {{with .Views}}
 <h2>Materialized views</h2>
-<p class="muted">{{.Hits}} hits / {{.Misses}} misses &middot; {{.Refreshes}} refreshes &middot; {{.Rows}} rows materialized &middot; {{.MinedShapes}} shapes mined</p>
+<p class="muted">{{.Hits}} hits / {{.Misses}} misses &middot; {{.Refreshes}} refreshes &middot; {{.Evictions}} evictions &middot; {{.Rows}} rows materialized &middot; {{.MinedShapes}} shapes mined</p>
 {{if .Views}}
 <table>
 <tr><th>view</th><th>covered shape</th><th>data sets</th><th>state</th><th class="num">rows</th><th class="num">hits</th><th>refreshed</th></tr>

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -419,7 +420,10 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			// An alignment write stales every view: each variant is answered
 			// from the endpoints or from its refreshed views, and either way
 			// as the oracle answers it; once the views are ready again, with
-			// the mix it had before.
+			// the mix it had before. No case reads the view of person 3's
+			// papers, so it is read first: a view nobody hit since its build
+			// is dropped at the write, not rebuilt.
+			selectRows(t, m, workload.CrossVocabularyQuery(3))
 			refreshes := m.Views.Stats().Refreshes
 			if err := m.Alignments.Add(workload.ECS2DBpedia()); err != nil {
 				t.Fatal(err)
@@ -434,7 +438,129 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			}
 			waitViewsReady(t, m, 3)
 			run(", refreshed", true)
+			changingWrites(t, m, o)
 		})
+	}
+}
+
+// changingWrites removes the AKT→KISTI alignment from m's KB and loads it
+// again, while clients keep asking Figure-1 and cross-vocabulary queries,
+// so queries meet every rebuild the writes start. Every answer to a query
+// sent after a write returned, and before the next, is the oracle's over
+// the KB as written: without the alignment, KISTI's data answers nothing
+// in the AKT vocabulary. At the first write, the view nobody hit since its
+// build (person 3's papers) is dropped and the two the cases read are
+// rebuilt. The writes also move the authorship fragment's targets (KISTI
+// leaves them and comes back), so a view built before a write stops
+// matching on its data sets too; TestWaitReleases holds a waiter to a
+// build at the current KB state where the data sets stay.
+func changingWrites(t *testing.T, m *Mediator, o *oracle) {
+	// The authorship query is the shape of the shared view of authors,
+	// which answers it whole: its rows are what the writes change. No
+	// query is about person 3, whose papers' view must stay unread.
+	queries := []string{"PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?paper ?a WHERE { ?paper akt:has-author ?a }",
+		workload.Figure1Query(0), workload.Figure1Query(5), workload.CrossVocabularyQuery(2),
+		workload.CrossVocabularyQuery(5), workload.CrossVocabularyQuery(7)}
+	withoutKISTI := newOracle(t, o.u, voidkb.Sources{workload.SotonVoidURI: true, workload.MetricsVoidURI: true})
+	removed := *workload.AKT2KISTI()
+	removed.Alignments = nil
+	writes := []struct {
+		name   string
+		oa     *align.OntologyAlignment
+		oracle *oracle
+	}{
+		{"after the AKT→KISTI alignment is removed", &removed, withoutKISTI},
+		{"after it is loaded again", workload.AKT2KISTI(), o},
+	}
+	want := make([][][][]rdf.Term, len(writes))
+	for w, write := range writes {
+		for _, q := range queries {
+			want[w] = append(want[w], write.oracle.answer(t, q))
+		}
+	}
+	for k := range 3 {
+		if reflect.DeepEqual(sortedRows(want[0][k]), sortedRows(want[1][k])) {
+			t.Fatalf("removing the alignment leaves the answer to %s as it was", queries[k])
+		}
+	}
+
+	// phase is 1 + the index of the last write that returned, 0 before
+	// the first; checked counts the answers held to each phase's oracle.
+	var phase atomic.Int32
+	checked := make([]atomic.Int64, len(writes))
+	stop := make(chan struct{})
+	var clients sync.WaitGroup
+	for c := range 2 {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k, p := i%len(queries), phase.Load()
+				got, err := mediatorRows(m, QueryRequest{Query: queries[k]})
+				if err != nil {
+					t.Errorf("query during the writes: %v", err)
+					return
+				}
+				if p == 0 || phase.Load() != p {
+					continue // sent before a write returned, or overtaken by one
+				}
+				checkAgainstOracle(t, writes[p-1].name, queries[k], got, want[p-1][k])
+				checked[p-1].Add(1)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		clients.Wait()
+	}()
+
+	// Every case read the two shared views; none read person 3's papers'.
+	views := m.Views.Stats()
+	var hot, cold []string
+	for _, v := range views.Views {
+		if patterns := strings.Join(v.Patterns, " "); strings.Contains(patterns, workload.KistiPerson(3).Value) ||
+			strings.Contains(patterns, workload.SotonPerson(3).Value) {
+			cold = append(cold, v.ID)
+		} else {
+			hot = append(hot, v.ID)
+		}
+	}
+	if len(cold) != 1 || len(hot) != 2 {
+		t.Fatalf("views %+v: want person 3's papers and the two shared fragments", views.Views)
+	}
+	for w, write := range writes {
+		before := m.Views.Stats()
+		if err := m.Alignments.Add(write.oa); err != nil {
+			t.Fatal(err)
+		}
+		phase.Store(int32(w + 1))
+		if st := m.Views.Stats(); w == 0 {
+			ids := map[string]bool{}
+			for _, v := range st.Views {
+				ids[v.ID] = true
+			}
+			if ids[cold[0]] || !ids[hot[0]] || !ids[hot[1]] || st.Evictions != before.Evictions+1 {
+				t.Fatalf("after the write: views %+v, %d evictions (%d before); want %s dropped, %v kept",
+					st.Views, st.Evictions, before.Evictions, cold[0], hot)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := m.Views.Stats()
+			settled := !slices.ContainsFunc(st.Views, func(v view.Info) bool { return v.State != "ready" })
+			if settled && (w > 0 || st.Refreshes >= before.Refreshes+2) && checked[w].Load() >= 8 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: views %+v, %d answers checked", write.name, st, checked[w].Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -176,7 +176,7 @@ func (f *fillSource) Next() (eval.Row, error) {
 		return nil, err
 	}
 	if !f.overflow {
-		if f.rows.N >= serve.CacheMaxRows {
+		if f.rows.N >= eval.MaxHeldRows {
 			f.overflow, f.rows = true, eval.RowBuf{}
 		} else {
 			f.rows.AppendCompact(&f.arena, row)

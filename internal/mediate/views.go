@@ -80,16 +80,18 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 // re-keys views when the sameAs closure may have moved.
 func (r viewRunner) Canonical(t rdf.Term) rdf.Term { return federate.Rep(r.m.Coref, t) }
 
-// answerFromViews hands each fragment of dcm a ready view answers to it,
-// unless views are off or this is a view's own build, which would recurse.
-// The route decides it once, so the plan explained is the plan run.
+// answerFromViews hands each fragment of dcm a view answers to it — a
+// ready one, or a stale one once its pending rebuild publishes, waited for
+// under ctx — unless views are off or this is a view's own build, which
+// would recurse. The route decides it once, so the plan explained is the
+// plan run.
 func (m *Mediator) answerFromViews(ctx context.Context, dcm *decompose.Decomposition) {
 	if m.Views == nil || ctx.Value(ctxNoViews{}) != nil {
 		return
 	}
 	for k, f := range dcm.Fragments {
 		var buf [4]string
-		if hit, ok := m.Views.Answer(f.BGP(), f.AppendTargetDatasets(buf[:0])); ok {
+		if hit, _ := m.Views.Answer(ctx, f.BGP(), f.AppendTargetDatasets(buf[:0])); hit != nil {
 			dcm.AnswerFrom(k, hit.View.ID(), hit.Vars, hit)
 		}
 	}

@@ -264,6 +264,13 @@ func TestViewRefreshDuringHit(t *testing.T) {
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
+	// A failure below stops the readers before the test ends, so none
+	// reports into a finished test.
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		readers.Wait()
+	})
+	defer stopReaders()
 	for range 4 {
 		readers.Add(1)
 		go func() {
@@ -287,15 +294,20 @@ func TestViewRefreshDuringHit(t *testing.T) {
 		}()
 	}
 	// An alignment between two vocabularies the query does not use: every
-	// write stales every view, the answer stays what it was.
+	// write stales every view, the answer stays what it was. Each write
+	// lands on views read since their build, so each is rebuilt, not
+	// dropped.
 	for i := range 8 {
+		waitViewsReady(t, m, 3)
+		selectRows(t, m, query)
+		refreshes := m.Views.Stats().Refreshes
 		if err := m.Alignments.Add(workload.ECS2DBpedia()); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for m.Views.Stats().Refreshes <= uint64(i) {
+		for m.Views.Stats().Refreshes < refreshes+3 {
 			if time.Now().After(deadline) {
-				t.Fatalf("write %d: view never refreshed: %+v", i, m.Views.Stats())
+				t.Fatalf("write %d: views never refreshed: %+v", i, m.Views.Stats())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -305,10 +317,10 @@ func TestViewRefreshDuringHit(t *testing.T) {
 	if got := sortRows(selectRows(t, m, query)); !equalRows(got, want) {
 		t.Errorf("answer after the refreshes differs:\n got %v\nwant %v", got, want)
 	}
-	close(stop)
-	readers.Wait()
-	if st := m.Views.Stats(); st.Hits < hits+3 || st.Refreshes < 8 {
-		t.Errorf("hits %d (before the last query %d), refreshes %d: the refreshed views are not answering", st.Hits, hits, st.Refreshes)
+	stopReaders()
+	if st := m.Views.Stats(); st.Hits < hits+3 || st.Refreshes < 24 || st.Evictions != 0 {
+		t.Errorf("hits %d (before the last query %d), refreshes %d, evictions %d: the refreshed views are not answering",
+			st.Hits, hits, st.Refreshes, st.Evictions)
 	}
 }
 
@@ -465,12 +477,35 @@ func TestViewDecisionExplainedWhereItRuns(t *testing.T) {
 	if len(ops["view"]) != 3 || len(named) != 3 {
 		t.Errorf("view operators %+v, want one a view", ops["view"])
 	}
+	// Each fragment's view decision is a view.match span: a hit on a view
+	// of its own.
+	matched := map[any]bool{}
+	for _, s := range spansNamed(doc.Trace.Root, "view.match") {
+		if s.Attrs["reason"] == view.ReasonHit {
+			matched[s.Attrs["view"]] = true
+		}
+	}
+	if len(matched) != 3 {
+		t.Errorf("view.match spans with reason %q name %v, want one a fragment", view.ReasonHit, matched)
+	}
 	if c := counters(); c[0] != c0[0]+6 || c[1] != c0[1] {
 		t.Errorf("two runs of three view-answered fragments moved the view hits and misses from %v to %v", c0, c)
 	}
 	if n := requests.Load() - r0; n != 0 {
 		t.Errorf("%d endpoint requests, want 0", n)
 	}
+}
+
+// spansNamed returns the spans of the tree under s with the given name.
+func spansNamed(s obs.SpanJSON, name string) []obs.SpanJSON {
+	var out []obs.SpanJSON
+	if s.Name == name {
+		out = append(out, s)
+	}
+	for _, c := range s.Children {
+		out = append(out, spansNamed(c, name)...)
+	}
+	return out
 }
 
 // TestWholeFragmentFromView: a query some data sets answer whole is one

@@ -39,10 +39,6 @@ type CacheMetrics struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
-// CacheMaxRows caps how many solutions one entry may hold; larger
-// answers are never cached.
-const CacheMaxRows = 10000
-
 // ResultCache is a size- and TTL-bounded LRU of federated answers.
 //
 // A fill follows the stale-fill rule of every mediator cache (package
@@ -94,10 +90,10 @@ func (c *ResultCache) Get(key string) (*Entry, bool) {
 
 // Put inserts the entry unless the invalidation epoch moved past
 // version while the answer was being computed (the stale in-flight
-// fill) or the entry exceeds the row cap. It reports whether the entry
-// was stored.
+// fill) or the entry exceeds the held-rows cap (eval.MaxHeldRows). It
+// reports whether the entry was stored.
 func (c *ResultCache) Put(e *Entry, version uint64) bool {
-	if e.Rows.N > CacheMaxRows {
+	if e.Rows.N > eval.MaxHeldRows {
 		return false
 	}
 	c.mu.Lock()

@@ -351,7 +351,7 @@ func TestResultCacheStaleFill(t *testing.T) {
 
 func TestResultCacheRowCap(t *testing.T) {
 	c := NewResultCache(4, time.Minute)
-	big := make([]string, CacheMaxRows+1)
+	big := make([]string, eval.MaxHeldRows+1)
 	if c.Put(&Entry{Key: "big", Rows: rows(big...)}, c.Version()) {
 		t.Fatal("oversized entry cached")
 	}

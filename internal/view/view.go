@@ -17,11 +17,15 @@
 // they need no containment argument. A fragment with a FILTER of its own
 // is never answered: an endpoint runs it over its own spelling of each
 // IRI, which a view's canonical rows do not keep. A view is never
-// silently stale: voiD and
-// alignment KB updates mark every view stale synchronously (before the
-// KB update returns), stale views refuse to answer, and the refresh loop
-// re-materializes them — discarding any result whose build raced a
-// further invalidation (the epoch check).
+// silently stale: voiD and alignment KB updates mark every view stale
+// synchronously (before the KB update returns) and schedule its rebuild.
+// A fragment that meets a stale view waits for that rebuild, bounded by
+// its request's context, and is answered only from a build published at
+// the current KB state (the epoch check); a failed, partial or discarded
+// build sends it to the endpoints. The rebuilds run concurrently, one a
+// view. A view nobody hit since its last build is dropped when its
+// refresh comes due, by invalidation or by TTL, freeing its slot for a
+// shape that is in use.
 package view
 
 import (
@@ -110,9 +114,21 @@ type MaterializeResult struct {
 // materializeTimeout bounds one view build.
 const materializeTimeout = 30 * time.Second
 
-// maxRows caps a view's size: a shape whose answer is estimated or built
-// larger is disabled rather than half-stored.
-const maxRows = 50000
+// The view tier's decision for a fragment, as Answer reports it and the
+// fragment's "view.match" trace span records it.
+const (
+	// ReasonHit: a ready view answers the fragment.
+	ReasonHit = "hit"
+	// ReasonWaited: the fragment's view was stale with a rebuild pending,
+	// and answers from that rebuild.
+	ReasonWaited = "waited"
+	// ReasonStale: the fragment's view is stale, and no build at the
+	// current KB state answers it (none pending, or the wait ended
+	// without one).
+	ReasonStale = "stale"
+	// ReasonAbsent: no view holds the fragment's shape over its targets.
+	ReasonAbsent = "absent"
+)
 
 // shape is a mined-but-not-yet-materialized join shape.
 type shape struct {
@@ -150,6 +166,16 @@ type View struct {
 	created   time.Time
 	refreshed time.Time
 	hits      uint64
+	// builtHits is hits when the last build was published: a view whose
+	// hits have not moved since is dropped when its refresh comes due.
+	builtHits uint64
+	// rebuilt is set with stale, and closed when the rebuild pending for
+	// the view's current stale state ends — published, failed or
+	// discarded by a further invalidation; nil while none is pending.
+	// Fragments that meet the stale view wait on it.
+	rebuilt chan struct{}
+	// rebuilding is set while a refresh goroutine works on the view.
+	rebuilding bool
 }
 
 // ID returns the view's identifier (v1, v2, ...).
@@ -185,6 +211,7 @@ type managerMetrics struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	refreshes *obs.Counter
+	evictions *obs.Counter
 }
 
 // NewManager returns a running manager.
@@ -206,6 +233,8 @@ func NewManager(runner Runner, opts Options) *Manager {
 			"Fragments the endpoints answered while the view tier was on."),
 		refreshes: reg.Counter("sparqlrw_view_refreshes_total",
 			"View re-materializations (TTL and invalidation driven)."),
+		evictions: reg.Counter("sparqlrw_view_evictions_total",
+			"Views dropped when their refresh came due, having had no hit since their last build."),
 	}
 	reg.GaugeFunc("sparqlrw_view_rows",
 		"Rows currently materialized across all views.",
@@ -215,8 +244,8 @@ func NewManager(runner Runner, opts Options) *Manager {
 	return m
 }
 
-// Close stops the refresh loop, cancels in-flight builds and drops
-// every view.
+// Close stops the refresh loop, cancels in-flight builds, releases every
+// fragment waiting for a rebuild (to the endpoints) and drops every view.
 func (m *Manager) Close() {
 	if m == nil {
 		return
@@ -372,30 +401,82 @@ func (h *Hit) Fetch(ctx context.Context, seed *eval.Seed, yield func(eval.Row) b
 	return int(st.RowsOut), nil
 }
 
-// Answer returns the hit of a ready view whose shape is the BGP patterns
-// and whose last build dispatched to exactly datasets, a fragment's
-// targets (so inside the request's source set), its rows read under the
-// lock that matched them. Reading them counts the hit (Fetch), and
-// Observe the miss, so explaining counts neither. Nil-manager safe.
-func (m *Manager) Answer(patterns []rdf.Triple, datasets []string) (*Hit, bool) {
-	if m == nil || len(patterns) == 0 {
-		return nil, false
+// Answer returns the hit of a view published at the current KB state
+// whose shape is the BGP patterns (nil when the fragment is none) and
+// whose last build dispatched to exactly datasets, a fragment's targets
+// (so inside the request's source set), its rows read under the lock that
+// matched them; and the reason for its decision (Reason*), which a
+// "view.match" span of ctx's trace records. A stale view with a rebuild
+// pending is waited for, until the rebuild ends, ctx is done or the
+// manager closes, on a "view.wait" span; then the same checks run again,
+// so the fragment is answered from the new build or from the endpoints,
+// never from the old rows. Reading the rows counts the hit (Fetch), and
+// Observe the miss, so explaining counts neither. Nil-manager safe: it
+// returns no reason and opens no span.
+func (m *Manager) Answer(ctx context.Context, patterns []rdf.Triple, datasets []string) (*Hit, string) {
+	if m == nil {
+		return nil, ""
+	}
+	sctx, span := obs.StartSpan(ctx, "view.match")
+	defer span.End()
+	if len(patterns) == 0 {
+		span.SetString("reason", ReasonAbsent)
+		return nil, ReasonAbsent
 	}
 	var canon [8]rdf.Triple
 	var buf [256]byte
 	sig, vars := appendSignature(buf[:0], m.canonicalise(canon[:0], patterns))
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	v := m.views[string(sig)]
-	if v == nil || v.stale || len(v.datasets) != len(datasets) {
-		return nil, false
+	waited := false
+	if v != nil && v.rebuilt != nil && v.builtFrom(datasets) {
+		rebuilt := v.rebuilt
+		m.mu.Unlock()
+		_, wait := obs.StartSpan(sctx, "view.wait")
+		wait.SetString("view", v.id)
+		select {
+		case <-rebuilt:
+		case <-ctx.Done():
+		case <-m.baseCtx.Done():
+		}
+		wait.End()
+		waited = true
+		m.mu.Lock()
+		v = m.views[string(sig)]
+	}
+	reason := ReasonHit
+	switch {
+	case v == nil || !v.builtFrom(datasets):
+		reason = ReasonAbsent
+	case v.stale || v.epoch != m.epoch.Load():
+		reason = ReasonStale
+	case waited:
+		reason = ReasonWaited
+	}
+	var hit *Hit
+	if reason == ReasonHit || reason == ReasonWaited {
+		hit = &Hit{View: v, Vars: vars, Rows: v.rows, m: m}
+	}
+	m.mu.Unlock()
+	if v != nil {
+		span.SetString("view", v.id)
+	}
+	span.SetString("reason", reason)
+	return hit, reason
+}
+
+// builtFrom reports whether the view's last build dispatched to exactly
+// datasets. The caller holds the manager's mutex.
+func (v *View) builtFrom(datasets []string) bool {
+	if len(v.datasets) != len(datasets) {
+		return false
 	}
 	for _, ds := range datasets {
 		if !slices.Contains(v.datasets, ds) {
-			return nil, false
+			return false
 		}
 	}
-	return &Hit{View: v, Vars: vars, Rows: v.rows, m: m}, true
+	return true
 }
 
 // Observe counts a view miss: a fragment the endpoints answered. Its BGP,
@@ -438,7 +519,7 @@ func (m *Manager) Observe(patterns []rdf.Triple, datasets []string, estRows int6
 	sh.count++
 	trigger := !sh.disabled && !sh.building &&
 		sh.count >= m.opts.MinFrequency && len(m.views) < m.opts.MaxViews
-	if trigger && sh.estRows > maxRows {
+	if trigger && sh.estRows > eval.MaxHeldRows {
 		sh.disabled = true
 		trigger = false
 	}
@@ -475,7 +556,7 @@ func (m *Manager) refineEstimate(sh *shape) {
 	}
 }
 
-var errTooLarge = errors.New("view: materialized result exceeds the row cap")
+var errTooLarge = errors.New("view: materialized result exceeds the held-rows cap")
 
 // materializeQuery builds the shape's covering query: its variables, in
 // the given (signature) order, over the original (uncanonicalised) BGP,
@@ -511,7 +592,7 @@ func (m *Manager) build(sh *shape, vars []string) (*eval.Indexed, []string, erro
 		return nil, nil, errors.New("view: partial federated answer (some data set failed)")
 	case !slices.Equal(res.Vars, vars):
 		return nil, nil, fmt.Errorf("view: build answered columns %v, want %v", res.Vars, vars)
-	case res.Rows.N > maxRows:
+	case res.Rows.N > eval.MaxHeldRows:
 		return nil, nil, errTooLarge
 	}
 	return &eval.Indexed{RowBuf: res.Rows}, res.Datasets, nil
@@ -519,7 +600,8 @@ func (m *Manager) build(sh *shape, vars []string) (*eval.Indexed, []string, erro
 
 // materialize builds a mined shape into a view and publishes it. A build
 // that raced an invalidation is discarded: the data may predate the KB
-// change.
+// change; so is one whose shape another build, mined anew after an
+// invalidation dropped the shape, published first.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
 	_, vars := appendSignature(nil, sh.patternsCanon)
@@ -538,7 +620,7 @@ func (m *Manager) materialize(sh *shape) {
 		sh.count = 0 // re-mine against the new KB state
 		return
 	}
-	if len(m.views) >= m.opts.MaxViews {
+	if len(m.views) >= m.opts.MaxViews || m.views[sh.sig] != nil {
 		return
 	}
 	m.nextID++
@@ -559,23 +641,47 @@ func (m *Manager) materialize(sh *shape) {
 // InvalidateAll marks every view stale and drops mined-but-unbuilt
 // shapes: a voiD or alignment KB change can move any answer. It runs
 // synchronously inside the KBs' Subscribe hooks, so no query admitted
-// after the KB update can be answered from an outdated view, and
-// schedules the refreshes. Nil-manager safe.
+// after the KB update can be answered from an outdated view. A view hit
+// since its last build gets a rebuild, which fragments that meet it wait
+// for (a rebuild already running is discarded, its waiters released); a
+// view nobody hit is dropped. Nil-manager safe.
 func (m *Manager) InvalidateAll() {
 	if m == nil {
 		return
 	}
 	m.epoch.Add(1)
 	m.mu.Lock()
-	n := len(m.views)
-	for _, v := range m.views {
+	pending := 0
+	for _, sig := range slices.Clone(m.order) {
+		v := m.views[sig]
+		if v.hits == v.builtHits {
+			m.drop(v)
+			continue
+		}
 		v.stale = true
+		if v.rebuilt != nil {
+			close(v.rebuilt)
+		}
+		v.rebuilt = make(chan struct{})
+		pending++
 	}
 	m.shapes = map[string]*shape{}
 	m.mu.Unlock()
-	if n > 0 {
+	if pending > 0 {
 		m.kickRefresh()
 	}
+}
+
+// drop evicts a view, releasing any fragment waiting for its rebuild; its
+// shape can be mined again. The caller holds the mutex.
+func (m *Manager) drop(v *View) {
+	delete(m.views, v.def.sig)
+	m.order = slices.DeleteFunc(m.order, func(sig string) bool { return sig == v.def.sig })
+	if v.rebuilt != nil {
+		close(v.rebuilt)
+		v.rebuilt = nil
+	}
+	m.metrics.evictions.Inc()
 }
 
 func (m *Manager) kickRefresh() {
@@ -608,70 +714,94 @@ func (m *Manager) loop() {
 	}
 }
 
+// refresh starts a rebuild of every view whose refresh is due — stale, or
+// under ttl aged past RefreshTTL — and not already rebuilding, each on a
+// goroutine of its own, so at most MaxViews run at once; a due view
+// nobody hit since its last build is dropped instead.
 func (m *Manager) refresh(ttl bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
 	now := time.Now()
-	var todo []*View
-	for _, sig := range m.order {
+	for _, sig := range slices.Clone(m.order) {
 		v := m.views[sig]
-		if v == nil {
+		if v.rebuilding || !v.stale && !(ttl && now.Sub(v.refreshed) >= m.opts.RefreshTTL) {
 			continue
 		}
-		if v.stale || (ttl && now.Sub(v.refreshed) >= m.opts.RefreshTTL) {
-			todo = append(todo, v)
+		if v.hits == v.builtHits {
+			m.drop(v)
+			continue
 		}
-	}
-	m.mu.Unlock()
-	for _, v := range todo {
-		if m.baseCtx.Err() != nil {
-			return
-		}
-		m.refreshView(v)
+		v.rebuilding = true
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			m.refreshView(v)
+		}()
 	}
 }
 
 // refreshView re-materializes one view. The canonical shape (and with it
 // the signature) is recomputed each refresh, since the sameAs closure
 // backing canonicalisation may have moved. A build that raced a further
-// invalidation is retried up to three times; a view that cannot be
-// rebuilt stays stale — it refuses queries, it never lies.
+// invalidation is discarded and run again while the view is kept; a view
+// that cannot be rebuilt stays stale — it refuses queries, it never lies.
+// Either way the rebuild's end releases the fragments waiting for it.
 func (m *Manager) refreshView(v *View) {
-	for attempt := 0; attempt < 3; attempt++ {
+	for {
 		e0 := m.epoch.Load()
 		// Recompute the canonical shape first and build in its signature's
 		// variable order: the rebuilt rows must bind the variables of the
 		// signature the refreshed view is published under.
 		pc := m.canonicalise(nil, v.def.patternsOrig)
 		sig, vars := appendSignature(nil, pc)
-		newSig := string(sig)
 		rows, datasets, err := m.build(v.def, vars)
-		if err != nil {
-			return
-		}
 		m.mu.Lock()
-		if m.epoch.Load() != e0 {
+		held := m.views[v.def.sig] == v
+		if err == nil && held && m.epoch.Load() != e0 {
 			m.mu.Unlock()
 			continue
 		}
-		if newSig != v.def.sig {
-			delete(m.views, v.def.sig)
-			for i, sig := range m.order {
-				if sig == v.def.sig {
-					m.order[i] = newSig
-				}
-			}
-			v.def.sig = newSig
-			m.views[newSig] = v
+		if err == nil && held {
+			m.publish(v, string(sig), pc, rows, datasets, e0)
 		}
-		v.def.patternsCanon = pc
-		v.rows, v.datasets = rows, datasets
-		v.stale = false
-		v.epoch = e0
-		v.refreshed = time.Now()
+		v.rebuilding = false
+		if v.rebuilt != nil {
+			close(v.rebuilt)
+			v.rebuilt = nil
+		}
 		m.mu.Unlock()
-		m.metrics.refreshes.Inc()
 		return
 	}
+}
+
+// publish swaps a rebuild built at epoch e0 into v, keyed under the
+// signature newSig of its canonical shape pc — or drops v when another
+// view already holds that signature. The caller holds the mutex.
+func (m *Manager) publish(v *View, newSig string, pc []rdf.Triple, rows *eval.Indexed, datasets []string, e0 uint64) {
+	if newSig != v.def.sig {
+		if m.views[newSig] != nil {
+			m.drop(v)
+			return
+		}
+		delete(m.views, v.def.sig)
+		for i, sig := range m.order {
+			if sig == v.def.sig {
+				m.order[i] = newSig
+			}
+		}
+		v.def.sig = newSig
+		m.views[newSig] = v
+	}
+	v.def.patternsCanon = pc
+	v.rows, v.datasets = rows, datasets
+	v.stale = false
+	v.epoch = e0
+	v.refreshed = time.Now()
+	v.builtHits = v.hits
+	m.metrics.refreshes.Inc()
 }
 
 // Info is one view's descriptor for /api/views and the dashboard.
@@ -693,6 +823,9 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Refreshes uint64 `json:"refreshes"`
+	// Evictions counts views dropped, having had no hit since their last
+	// build when their refresh came due.
+	Evictions uint64 `json:"evictions"`
 	Rows      int    `json:"rows"`
 	// MinedShapes counts shapes observed but not (yet) materialized.
 	MinedShapes int    `json:"minedShapes"`
@@ -709,6 +842,7 @@ func (m *Manager) Stats() Stats {
 		Hits:      uint64(m.metrics.hits.Value()),
 		Misses:    uint64(m.metrics.misses.Value()),
 		Refreshes: uint64(m.metrics.refreshes.Value()),
+		Evictions: uint64(m.metrics.evictions.Value()),
 		Views:     []Info{},
 	}
 	m.mu.Lock()

@@ -3,6 +3,7 @@ package view
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -16,7 +17,9 @@ import (
 )
 
 // fakeRunner materializes the first rows answers of crossQuery's shape,
-// projected as the covering query asks, and records its calls.
+// projected as the covering query asks, and records its calls. While gate
+// is set, each build first reports itself on started and then blocks
+// until the test sends on gate or the build's context ends.
 type fakeRunner struct {
 	mu       sync.Mutex
 	calls    int
@@ -24,9 +27,22 @@ type fakeRunner struct {
 	complete bool
 	datasets []string // what each run reports it dispatched to
 	err      error
+	gate     chan struct{}
+	started  chan struct{}
 }
 
 func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, _ []string) (*MaterializeResult, error) {
+	r.mu.Lock()
+	gate, started := r.gate, r.started
+	r.mu.Unlock()
+	if gate != nil {
+		started <- struct{}{}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
@@ -46,6 +62,13 @@ func (r *fakeRunner) Materialize(ctx context.Context, q *sparql.Query, _ []strin
 }
 
 func (r *fakeRunner) Canonical(t rdf.Term) rdf.Term { return t }
+
+// set changes what the next builds answer under the runner's lock.
+func (r *fakeRunner) set(f func(r *fakeRunner)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f(r)
+}
 
 func (r *fakeRunner) callCount() int {
 	r.mu.Lock()
@@ -96,6 +119,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// answer is Answer under a background context, a hit reported as a bool.
+func answer(m *Manager, patterns []rdf.Triple, datasets []string) (*Hit, bool) {
+	h, _ := m.Answer(context.Background(), patterns, datasets)
+	return h, h != nil
+}
+
+// read answers the fragment from its view and reads the rows, which
+// counts the hit that keeps the view rebuilt rather than dropped; it
+// returns the view's id.
+func read(t *testing.T, m *Manager, patterns []rdf.Triple, datasets []string) string {
+	t.Helper()
+	h, hit := answer(m, patterns, datasets)
+	if !hit {
+		t.Fatal("the view does not answer")
+	}
+	if _, err := h.Fetch(context.Background(), nil, func(eval.Row) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	return h.View.ID()
 }
 
 // signature is appendSignature's signature as a string.
@@ -159,7 +203,7 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
-	if _, hit := m.Answer(q, datasets); hit {
+	if _, hit := answer(m, q, datasets); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
 	m.Observe(q, datasets[:1], 10)
@@ -183,7 +227,7 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	q2 := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
-	h, hit := m.Answer(q2, []string{datasets[1], datasets[0]})
+	h, hit := answer(m, q2, []string{datasets[1], datasets[0]})
 	if !hit {
 		t.Fatal("renamed query missed the view")
 	}
@@ -192,10 +236,10 @@ SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
 	}
 	// A fragment whose targets are not exactly the view's data sets does
 	// not qualify: the view's rows would hold another union of answers.
-	if _, hit := m.Answer(q2, datasets[:1]); hit {
+	if _, hit := answer(m, q2, datasets[:1]); hit {
 		t.Fatal("view answered a fragment over one of its two data sets")
 	}
-	if _, hit := m.Answer(q2, append(slices.Clone(datasets), "http://e/ds3")); hit {
+	if _, hit := answer(m, q2, append(slices.Clone(datasets), "http://e/ds3")); hit {
 		t.Fatal("view answered a fragment over a third data set besides its own")
 	}
 	// The rows bind the matched query's own variables: one row per
@@ -259,11 +303,11 @@ func TestPartialAnswerNeverMaterializes(t *testing.T) {
 	}
 }
 
-// TestRowCapDisablesShape: a shape whose build answers more than maxRows
-// rows is disabled rather than half-stored, and so is one whose estimate
-// exceeds the cap, before any build.
+// TestRowCapDisablesShape: a shape whose build answers more than
+// eval.MaxHeldRows rows is disabled rather than half-stored, and so is
+// one whose estimate exceeds the cap, before any build.
 func TestRowCapDisablesShape(t *testing.T) {
-	r := &fakeRunner{rows: maxRows + 1, complete: true}
+	r := &fakeRunner{rows: eval.MaxHeldRows + 1, complete: true}
 	m := NewManager(r, Options{MinFrequency: 1})
 	defer m.Close()
 	q := bgp(t, crossQuery)
@@ -283,7 +327,7 @@ func TestRowCapDisablesShape(t *testing.T) {
 
 	estimated := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?p WHERE { ?p akt:has-author ?a }`)
-	m.Observe(estimated, []string{"http://e/ds1"}, maxRows+1)
+	m.Observe(estimated, []string{"http://e/ds1"}, eval.MaxHeldRows+1)
 	time.Sleep(20 * time.Millisecond)
 	if r.callCount() != 1 {
 		t.Fatalf("a shape estimated past the row cap was built: %d calls", r.callCount())
@@ -297,6 +341,8 @@ func TestInvalidateAllRefreshesView(t *testing.T) {
 	q := bgp(t, crossQuery)
 	m.Observe(q, []string{"http://e/ds1", "http://e/ds2"}, 5)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
+	// A hit since its build is what gets the view rebuilt, not dropped.
+	read(t, m, q, nil)
 
 	// Invalidating: the view must refuse to answer (synchronously) and
 	// then refresh in the background.
@@ -310,9 +356,204 @@ func TestInvalidateAllRefreshesView(t *testing.T) {
 		st := m.Stats()
 		return st.Refreshes >= 1 && st.Views[0].State == "ready" && r.callCount() > before
 	})
-	if _, hit := m.Answer(q, nil); !hit {
+	if _, hit := answer(m, q, nil); !hit {
 		t.Fatal("refreshed view does not answer")
 	}
+}
+
+// TestInvalidateDropsColdViews: an invalidation drops, synchronously, the
+// view nobody hit since its build — its slot freed, its shape mined anew —
+// and rebuilds the one a fragment read.
+func TestInvalidateDropsColdViews(t *testing.T) {
+	r := &fakeRunner{rows: 2, complete: true}
+	m := NewManager(r, Options{MinFrequency: 1})
+	defer m.Close()
+	hot := bgp(t, crossQuery)
+	cold := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT ?p ?a WHERE { ?p akt:has-author ?a }`)
+	m.Observe(hot, nil, 5)
+	m.Observe(cold, nil, 5)
+	waitFor(t, "two views", func() bool { return len(m.Stats().Views) == 2 })
+	hotID := read(t, m, hot, nil)
+
+	m.InvalidateAll()
+	st := m.Stats()
+	if len(st.Views) != 1 || st.Views[0].ID != hotID || st.Evictions != 1 {
+		t.Fatalf("after the invalidation: views %+v, %d evictions; want %s alone, 1 eviction", st.Views, st.Evictions, hotID)
+	}
+	if _, reason := m.Answer(context.Background(), cold, nil); reason != ReasonAbsent {
+		t.Fatalf("the dropped view's shape: reason %q, want %q", reason, ReasonAbsent)
+	}
+	waitFor(t, "the hit view to be rebuilt", func() bool {
+		st := m.Stats()
+		return st.Refreshes == 1 && st.Views[0].State == "ready"
+	})
+	m.Observe(cold, nil, 5)
+	waitFor(t, "the dropped shape to be built again", func() bool { return len(m.Stats().Views) == 2 })
+	if _, hit := answer(m, cold, nil); !hit {
+		t.Fatal("the shape built again does not answer")
+	}
+	// A refresh that comes due by TTL drops a view nobody hit as well.
+	ttl := NewManager(&fakeRunner{rows: 1, complete: true}, Options{MinFrequency: 1, RefreshTTL: 10 * time.Millisecond})
+	defer ttl.Close()
+	ttl.Observe(cold, nil, 5)
+	waitFor(t, "the TTL refresh to drop the view nobody hit", func() bool {
+		st := ttl.Stats()
+		return st.Evictions == 1 && len(st.Views) == 0
+	})
+}
+
+// staleHotView returns a manager over a fakeRunner holding one view of
+// crossQuery, read once (2 rows), made stale by an invalidation whose
+// rebuild (3 rows) is blocked in the runner until the test sends on its
+// gate; and the goroutine count before the manager started.
+func staleHotView(t *testing.T) (*Manager, *fakeRunner, []rdf.Triple, int) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	r := &fakeRunner{rows: 2, complete: true}
+	m := NewManager(r, Options{MinFrequency: 1})
+	q := bgp(t, crossQuery)
+	m.Observe(q, nil, 5)
+	waitFor(t, "view to materialize", func() bool {
+		st := m.Stats()
+		return len(st.Views) == 1 && st.Views[0].State == "ready"
+	})
+	read(t, m, q, nil)
+	r.set(func(r *fakeRunner) {
+		r.gate, r.started = make(chan struct{}), make(chan struct{}, 4)
+		r.rows = 3
+	})
+	m.InvalidateAll()
+	built(t, r)
+	return m, r, q, base
+}
+
+// built waits for r to report a build that blocked on its gate.
+func built(t *testing.T, r *fakeRunner) {
+	t.Helper()
+	select {
+	case <-r.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no build started")
+	}
+}
+
+// answered is what Answer returned to a waiter.
+type answered struct {
+	hit    *Hit
+	reason string
+}
+
+// waiter asks Answer for q under ctx on a goroutine of its own and
+// delivers what it returned; it checks the call is still waiting a
+// moment later.
+func waiter(t *testing.T, ctx context.Context, m *Manager, q []rdf.Triple) <-chan answered {
+	t.Helper()
+	out := make(chan answered, 1)
+	go func() {
+		h, reason := m.Answer(ctx, q, nil)
+		out <- answered{h, reason}
+	}()
+	select {
+	case a := <-out:
+		t.Fatalf("Answer on a view with a rebuild pending returned %+v at once", a)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return out
+}
+
+// released returns what the waiter got once released.
+func released(t *testing.T, out <-chan answered) answered {
+	t.Helper()
+	select {
+	case a := <-out:
+		return a
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter was never released")
+	}
+	return answered{}
+}
+
+// missed checks the waiter was released to a miss for one of the
+// reasons, not to the old build's rows.
+func missed(t *testing.T, out <-chan answered, reasons ...string) {
+	t.Helper()
+	if a := released(t, out); a.hit != nil || !slices.Contains(reasons, a.reason) {
+		t.Fatalf("the released waiter got %+v, want a miss for one of %v", a, reasons)
+	}
+}
+
+// rebuilt checks the waiter was answered from the rebuild's 3 rows.
+func rebuilt(t *testing.T, out <-chan answered) {
+	t.Helper()
+	if a := released(t, out); a.hit == nil || a.hit.Rows.N != 3 || a.reason != ReasonWaited {
+		t.Fatalf("the waiter got %+v, want the rebuild's 3 rows", a)
+	}
+}
+
+// closed closes m and checks every goroutine the case started is gone.
+func closed(t *testing.T, m *Manager, base int) {
+	t.Helper()
+	m.Close()
+	waitFor(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestWaitReleases: a fragment that meets a stale view waits for its
+// pending rebuild, and is released — to a miss, never the old rows — by
+// its context, by Close, by a partial build and by an invalidation that
+// discards the build; answered by a build published at the current state.
+func TestWaitReleases(t *testing.T) {
+	t.Run("context", func(t *testing.T) {
+		m, _, q, base := staleHotView(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		out := waiter(t, ctx, m, q)
+		cancel()
+		missed(t, out, ReasonStale)
+		closed(t, m, base)
+	})
+	t.Run("close", func(t *testing.T) {
+		m, _, q, base := staleHotView(t)
+		out := waiter(t, context.Background(), m, q)
+		m.Close()
+		missed(t, out, ReasonStale, ReasonAbsent)
+		closed(t, m, base)
+	})
+	t.Run("partial build", func(t *testing.T) {
+		m, r, q, base := staleHotView(t)
+		out := waiter(t, context.Background(), m, q)
+		r.set(func(r *fakeRunner) { r.complete = false })
+		r.gate <- struct{}{}
+		missed(t, out, ReasonStale)
+		closed(t, m, base)
+	})
+	t.Run("invalidation during the rebuild", func(t *testing.T) {
+		m, r, q, base := staleHotView(t)
+		out := waiter(t, context.Background(), m, q)
+		m.InvalidateAll()
+		missed(t, out, ReasonStale)
+		// The discarded build is run again for the current state, and a
+		// fragment that waits for that one is answered from it.
+		out = waiter(t, context.Background(), m, q)
+		r.gate <- struct{}{} // the discarded build
+		built(t, r)
+		r.gate <- struct{}{} // its successor
+		rebuilt(t, out)
+		closed(t, m, base)
+	})
+	t.Run("answered by the rebuild", func(t *testing.T) {
+		m, r, q, base := staleHotView(t)
+		ctx, tr := obs.NewTrace(context.Background(), "query")
+		out := waiter(t, ctx, m, q)
+		r.gate <- struct{}{}
+		rebuilt(t, out)
+		tr.Finish()
+		match := tr.View().Root.Children
+		if len(match) != 1 || match[0].Name != "view.match" || match[0].Attrs["reason"] != ReasonWaited ||
+			len(match[0].Children) != 1 || match[0].Children[0].Name != "view.wait" {
+			t.Fatalf("trace %+v, want a view.match span with reason %q over a view.wait span", match, ReasonWaited)
+		}
+		closed(t, m, base)
+	})
 }
 
 func TestInvalidateAllDropsMinedShapes(t *testing.T) {
@@ -335,7 +576,7 @@ func TestNilManagerIsSafe(t *testing.T) {
 	m.Close()
 	m.InvalidateAll()
 	m.Observe(nil, nil, 0)
-	if _, hit := m.Answer(nil, nil); hit {
+	if _, hit := answer(m, nil, nil); hit {
 		t.Fatal("nil manager answered")
 	}
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -391,12 +632,13 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citation
 	m.Observe(qa, []string{"http://e/ds1"}, 1)
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
-	if _, hit := m.Answer(qa, nil); !hit {
+	if _, hit := answer(m, qa, nil); !hit {
 		t.Fatal("fresh view missed")
 	}
-	if _, hit := m.Answer(qb, nil); !hit {
+	if _, hit := answer(m, qb, nil); !hit {
 		t.Fatal("fresh view missed the other spelling")
 	}
+	read(t, m, qa, nil) // a hit: the invalidation rebuilds the view
 
 	// The alignment KB moves the representative; views are invalidated.
 	r.swap(to(bob))
@@ -406,7 +648,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citation
 		return st.Refreshes >= 1 && len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
 	for _, q := range [][]rdf.Triple{qa, qb} {
-		h, hit := m.Answer(q, nil)
+		h, hit := answer(m, q, nil)
 		if !hit {
 			t.Fatal("refreshed view missed under the new canonicalisation")
 		}
@@ -414,7 +656,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://b.example/id/bob> . ?p m:citation
 			t.Fatalf("refreshed view: %d rows over %v, want 1 over [p c]", h.Rows.N, h.Vars)
 		}
 		r.swap(to(alice)) // the retired rule
-		if _, hit := m.Answer(q, nil); hit {
+		if _, hit := answer(m, q, nil); hit {
 			t.Fatal("the refreshed view is still keyed under the retired representative")
 		}
 		r.swap(to(bob))
@@ -459,11 +701,11 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	qb := bgp(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://mirror.example/id/alice> . ?p m:citationCount ?c }`)
-	if _, hit := m.Answer(qb, nil); !hit {
+	if _, hit := answer(m, qb, nil); !hit {
 		t.Fatal("sameAs-equivalent spelling missed the view")
 	}
 	r.swap(func(t rdf.Term) rdf.Term { return t })
-	if _, hit := m.Answer(qb, nil); hit {
+	if _, hit := answer(m, qb, nil); hit {
 		t.Fatal("uncanonicalised spelling hit the view (unsound match)")
 	}
 }

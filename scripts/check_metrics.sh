@@ -317,6 +317,7 @@ for series in \
 	sparqlrw_view_hits_total \
 	sparqlrw_view_misses_total \
 	sparqlrw_view_refreshes_total \
+	sparqlrw_view_evictions_total \
 	sparqlrw_view_rows \
 	; do
 	if ! grep -q "^$series" "$workdir/metrics.txt"; then
