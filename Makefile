@@ -7,14 +7,15 @@
 # reference, the SPARQL, Turtle and N-Triples parsers, the traceparent
 # parser and the rewrite-plan template's bind briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
-# mediator binary; `make examples` runs every example end to end; `make loc`
+# mediator binary; `make bench-exit` checks that a short benchmark run
+# exits by itself and leaves no process behind; `make examples` runs every example end to end; `make loc`
 # counts non-test Go lines outside bench/ (find . -name '*.go' ! -name
 # '*_test.go' ! -path './bench/*' | xargs cat | wc -l), then per internal/
 # package, the measure of a change that deletes code.
 
 GO ?= go
 
-.PHONY: build test alloc-guards bench bench-smoke fuzz-smoke vet staticcheck check-metrics examples loc
+.PHONY: build test alloc-guards bench bench-smoke bench-exit fuzz-smoke vet staticcheck check-metrics examples loc
 
 build:
 	$(GO) build ./...
@@ -56,6 +57,24 @@ bench-smoke:
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
 	@echo "bench-smoke: every benchmark ran; view, representative-cache and tracing benchmarks present"
+
+# A benchmark run must end by itself (CI runs this): the bench binary is
+# built to a temporary path and run for 2 s of hot-churn under timeout;
+# the target fails if the run does not exit 0 within 5 minutes on its own,
+# or if any process of that binary is still running after it.
+bench-exit:
+	@dir=$$(mktemp -d); bin=$$dir/bench; \
+	$(GO) build -o $$bin ./bench || { rm -rf $$dir; exit 1; }; \
+	status=0; \
+	timeout -k 10 300 $$bin -workload hot-churn -trace 0 -seconds 2 -out $$dir/out >$$dir/log 2>&1 || status=$$?; \
+	left=$$(pgrep -f "^$$bin" | tr '\n' ' '); \
+	[ -z "$$left" ] || pkill -KILL -f "^$$bin"; \
+	if [ $$status -ne 0 ] || [ -n "$$left" ]; then \
+		cat $$dir/log; rm -rf $$dir; \
+		echo "bench-exit: exit status $$status (124 is the timeout), processes left running: [$$left]" >&2; exit 1; \
+	fi; \
+	tail -n 1 $$dir/log; rm -rf $$dir; \
+	echo "bench-exit: the run exited 0 by itself and left no process running"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
 # its encoding/json reference, the encoder's round trip, the slicing lexer

@@ -21,6 +21,12 @@ type Cache[K comparable, V any] struct {
 	ll       *list.List // of *entry[K, V], front = most recently used
 	items    map[K]*list.Element
 	epoch    uint64
+
+	// Dropped, when set, is called with every value Put drops: the least
+	// recently used one past capacity, or the one a Put over its key
+	// replaces. Remove, RemoveFunc and Clear do not call it; their caller
+	// knows what it drops.
+	Dropped func(K, V)
 }
 
 type entry[K comparable, V any] struct {
@@ -58,13 +64,20 @@ func (c *Cache[K, V]) Put(key K, val V, epoch uint64) (stored, evicted bool) {
 		return false, false
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry[K, V]).val = val
+		e := el.Value.(*entry[K, V])
+		if c.Dropped != nil {
+			c.Dropped(key, e.val)
+		}
+		e.val = val
 		c.ll.MoveToFront(el)
 		return true, false
 	}
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key, val})
 	for c.ll.Len() > c.capacity {
-		c.remove(c.ll.Back())
+		e := c.remove(c.ll.Back())
+		if c.Dropped != nil {
+			c.Dropped(e.key, e.val)
+		}
 		evicted = true
 	}
 	return true, evicted
@@ -121,7 +134,8 @@ func (c *Cache[K, V]) All() iter.Seq2[K, V] {
 	}
 }
 
-func (c *Cache[K, V]) remove(el *list.Element) {
-	c.ll.Remove(el)
-	delete(c.items, el.Value.(*entry[K, V]).key)
+func (c *Cache[K, V]) remove(el *list.Element) *entry[K, V] {
+	e := c.ll.Remove(el).(*entry[K, V])
+	delete(c.items, e.key)
+	return e
 }

@@ -149,3 +149,22 @@ func TestAllOldestFirst(t *testing.T) {
 		t.Fatalf("capacity-1 reload kept %v, want the most recent [a]", got)
 	}
 }
+
+// TestDroppedSeesEvictionsAndReplacements: Put reports every value it
+// drops, the evicted least recently used one and the one a Put over its
+// key replaces; Remove, RemoveFunc and Clear report none.
+func TestDroppedSeesEvictionsAndReplacements(t *testing.T) {
+	c := New[string, int](2)
+	var dropped []string
+	c.Dropped = func(k string, v int) { dropped = append(dropped, k+"="+string(rune('0'+v))) }
+	fill(c, "a", "b")
+	c.Put("a", 5, c.Epoch()) // replaces a=0
+	c.Put("c", 6, c.Epoch()) // evicts b=1
+	c.Remove("a")
+	c.RemoveFunc(func(string, int) bool { return true })
+	c.Put("d", 7, c.Epoch())
+	c.Clear()
+	if want := []string{"a=0", "b=1"}; !slices.Equal(dropped, want) {
+		t.Fatalf("Dropped saw %v, want %v", dropped, want)
+	}
+}

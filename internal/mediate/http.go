@@ -163,6 +163,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// optionalInt is strconv.Atoi for an optional parameter, ok when v is a
+// number. An absent one is (0, false) at no cost, where strconv.Atoi("")
+// allocates its error.
+func optionalInt(v string) (n int, ok bool) {
+	if v == "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil
+}
+
 // protocolError writes the endpoint's JSON error document.
 func protocolError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", ctJSON)
@@ -225,8 +236,8 @@ func Handler(m *Mediator) http.Handler {
 	// slow and failed queries the same way, a 404 without -audit-dir.
 	handle("/api/trace", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		limit, _ := strconv.Atoi(q.Get("limit"))
-		offset, _ := strconv.Atoi(q.Get("offset"))
+		limit, _ := optionalInt(q.Get("limit"))
+		offset, _ := optionalInt(q.Get("offset"))
 		page := tracePage{Offset: offset}
 		if q.Get("recorded") != "" {
 			if m.Obs.Recorder == nil {
@@ -462,7 +473,7 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 	explain := ""
 	readOpts := func(get func(string) string, all func(string) []string) {
 		targets = all("target")
-		if n, err := strconv.Atoi(get("limit")); err == nil && n > 0 {
+		if n, ok := optionalInt(get("limit")); ok && n > 0 {
 			limit = n
 		}
 		explain = get("explain")
@@ -505,36 +516,46 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 		protocolError(w, http.StatusBadRequest, "missing query parameter")
 		return
 	}
-	q, err := sparql.Parse(queryText)
-	if err != nil {
-		protocolError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	offered := bindingsOffered
-	if q.Form == sparql.Construct || q.Form == sparql.Describe {
-		offered = graphOffered
-	}
-	ctype, ok := negotiate(r.Header.Get("Accept"), offered)
-	if !ok {
-		protocolError(w, http.StatusNotAcceptable,
-			"no acceptable representation for "+q.Form.String()+" results; offered: "+strings.Join(offered, ", "))
-		return
-	}
+	req := QueryRequest{Query: queryText, Targets: targets, Limit: limit, Tenant: tenant}
 
-	res, err := m.queryParsed(ctx, QueryRequest{
-		Query: queryText, Targets: targets, Limit: limit,
-		Tenant: tenant,
-	}, q)
-	if err != nil {
-		// The request itself was bad: unsupported form, no relevant data
-		// set, fail-fast abort before any result. Upstream failures past
-		// this point arrive mid-stream. Tenant-policy refusals map to 403.
-		status := http.StatusBadRequest
-		if errors.Is(err, serve.ErrDenied) {
-			status = http.StatusForbidden
+	// A repeated request is a lookup: the result cache answers a text it
+	// has bound before any parse. Only SELECT and ASK answers are cached,
+	// and both negotiate among the bindings serialisations, so a request
+	// none of those suits skips the lookup; past the parse it meets the
+	// same 406 as any SELECT or ASK, or is a graph form.
+	accept := r.Header.Get("Accept")
+	ctype, acceptable := negotiate(accept, bindingsOffered)
+	var res *Result
+	if acceptable {
+		res = m.replayByText(ctx, req)
+	}
+	if res == nil {
+		q, err := sparql.Parse(queryText)
+		if err != nil {
+			protocolError(w, http.StatusBadRequest, err.Error())
+			return
 		}
-		protocolError(w, status, err.Error())
-		return
+		offered := bindingsOffered
+		if q.Form == sparql.Construct || q.Form == sparql.Describe {
+			offered = graphOffered
+			ctype, acceptable = negotiate(accept, offered)
+		}
+		if !acceptable {
+			protocolError(w, http.StatusNotAcceptable,
+				"no acceptable representation for "+q.Form.String()+" results; offered: "+strings.Join(offered, ", "))
+			return
+		}
+		if res, err = m.queryParsed(ctx, req, q); err != nil {
+			// The request itself was bad: unsupported form, no relevant data
+			// set, fail-fast abort before any result. Upstream failures past
+			// this point arrive mid-stream. Tenant-policy refusals map to 403.
+			status := http.StatusBadRequest
+			if errors.Is(err, serve.ErrDenied) {
+				status = http.StatusForbidden
+			}
+			protocolError(w, status, err.Error())
+			return
+		}
 	}
 	defer res.Close()
 

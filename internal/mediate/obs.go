@@ -130,6 +130,17 @@ func (qo *queryObs) setQuery(q string) {
 	qo.trace.Root().SetString("query", q)
 }
 
+// cacheDecision records on the trace root what the result cache did with
+// the query: hit (reason text or key), miss, or bypass (reason off or
+// form).
+func (qo *queryObs) cacheDecision(decision, reason string) {
+	root := qo.trace.Root()
+	root.SetString("resultCache", decision)
+	if reason != "" {
+		root.SetString("reason", reason)
+	}
+}
+
 // emit counts one streamed solution or triple; the first one fixes the
 // query's time-to-first-solution. Nil-safe so internal streams without
 // an observation need no conditionals.

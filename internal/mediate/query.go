@@ -156,9 +156,14 @@ func (r *Result) Close() error {
 //
 // No source ontology is named: each target rewrites every triple through
 // the alignment into it that the triple's IRIs match. Targets narrow the
-// data sets every form may read. Cancelling ctx (or closing the result)
-// aborts every in-flight sub-query.
+// data sets every form may read. A request the result cache has answered
+// before — the same tenant, limit, targets and text — replays that answer
+// before the parse. Cancelling ctx (or closing the result) aborts every
+// in-flight sub-query.
 func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error) {
+	if res := m.replayByText(ctx, req); res != nil {
+		return res, nil
+	}
 	q, err := sparql.Parse(req.Query)
 	if err != nil {
 		return nil, fmt.Errorf("mediate: parsing query: %w", err)
@@ -166,10 +171,10 @@ func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error)
 	return m.queryParsed(ctx, req, q)
 }
 
-// queryParsed is Query past its parse, the entry of the HTTP handler (it
-// has parsed already, for content negotiation). From here to the executor
-// the query is q and what is derived from it; req.Query is only the text
-// the trace reports. The per-form counter counts queries accepted for
+// queryParsed is Query past its text lookup and parse, the entry of the
+// HTTP handler (it has parsed already, for content negotiation). From
+// here to the executor the query is q and what is derived from it;
+// req.Query is only the text the trace reports and the text key carries. The per-form counter counts queries accepted for
 // dispatch, including ones that subsequently fail planning or execution.
 func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.Query) (*Result, error) {
 	ctx, qo := m.beginQuery(ctx, q.Form)
@@ -185,18 +190,20 @@ func (m *Mediator) queryParsed(ctx context.Context, req QueryRequest, q *sparql.
 		qo.fail(err)
 		return nil, err
 	}
+	shown := ""
 	if q2, changed, perr := serve.Restrict(q, req.Tenant.GetPolicy()); perr != nil {
 		qo.fail(perr)
 		return nil, perr
 	} else if changed {
-		q = q2
-		qo.setQuery(sparql.Format(q)) // the trace shows what runs, not what was asked
+		q, shown = q2, sparql.Format(q2)
+		qo.setQuery(shown) // the trace shows what runs, not what was asked
 	}
 
 	// Serving tier, part 2 — the federated result cache: SELECT and ASK
 	// answers replay from memory under the sameAs-canonicalised key,
-	// with zero endpoint round trips.
-	fill := m.cacheFill(req, q)
+	// with zero endpoint round trips, and the request's text key is bound
+	// to the answer it hit or fills, for replayByText.
+	fill := m.cacheFill(req, q, shown, qo)
 	if res := fill.lookup(req, qo); res != nil {
 		return res, nil
 	}

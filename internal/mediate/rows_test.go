@@ -174,10 +174,12 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 595 for Figure 1
-// and 1401 for the cross-vocabulary query, since each sub-query goes as
-// the protocol's direct POST, its text the body (642 and 1616 while it was
-// form-encoded), and a hash join's table and a decomposition's fragments
+// the ceilings are the measured figures plus about 7 %: 594 for Figure 1
+// and 1400 for the cross-vocabulary query (595 and 1401 while a request
+// without a limit parameter built strconv.Atoi's error), since each
+// sub-query goes as the protocol's direct POST, its text the body (642 and
+// 1616 while it was form-encoded), and a hash join's table and a
+// decomposition's fragments
 // take a few allocations, not a few a row or a fragment (603 and 1524
 // before). They sit below what the same requests cost while every
 // bound-join target received every alias (1723 for the cross-vocabulary
@@ -188,8 +190,8 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (468, at 19 rows a
-// request; 515 form-encoded) plus 7 %, below the miss case's (595 at 11
+// of its shape. Its ceiling is the measured figure (467, at 19 rows a
+// request; 515 form-encoded) plus 7 %, below the miss case's (594 at 11
 // rows) and below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {

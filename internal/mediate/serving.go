@@ -4,6 +4,7 @@ package mediate
 // result cache's lookup/fill plumbing around the streaming query path.
 
 import (
+	"context"
 	"errors"
 	"io"
 	"maps"
@@ -17,13 +18,17 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// cacheFill is one request's result-cache participation: its
-// canonicalised key and the invalidation epoch snapshotted before
-// execution, so an answer computed against pre-invalidation KB state is
-// never cached (the version check in ResultCache.Put).
+// cacheFill is one request's result-cache participation past the parse:
+// its canonicalised key, its text key and the invalidation epoch
+// snapshotted before the lookup, so an answer computed against
+// pre-invalidation KB state is never cached, nor a text key bound to one
+// (the version checks in ResultCache.Put and Bind).
 type cacheFill struct {
 	cache   *serve.ResultCache
 	key     string
+	tenant  *serve.Tenant // with text, the text key
+	text    string
+	shown   string // the restricted query a hit by text shows; "" for the text
 	version uint64
 }
 
@@ -31,22 +36,39 @@ type cacheFill struct {
 // is not cacheable: the tier or cache is disabled, or the form is not
 // SELECT/ASK (CONSTRUCT and DESCRIBE stream graphs whose instantiation
 // is cheap relative to their transfer, and DESCRIBE's two-phase fan-out
-// resolves resources dynamically).
-func (m *Mediator) cacheFill(req QueryRequest, q *sparql.Query) *cacheFill {
-	if m.Serve == nil || m.Serve.Cache == nil {
+// resolves resources dynamically). Either way the trace says why. shown
+// is the text of q when the tenant's policy rewrote it, else "".
+func (m *Mediator) cacheFill(req QueryRequest, q *sparql.Query, shown string, qo *queryObs) *cacheFill {
+	c := m.resultCache()
+	switch {
+	case c == nil:
+		qo.cacheDecision("bypass", "off")
+		return nil
+	case q.Form != sparql.Select && q.Form != sparql.Ask:
+		qo.cacheDecision("bypass", "form")
 		return nil
 	}
-	if q.Form != sparql.Select && q.Form != sparql.Ask {
-		return nil
-	}
+	var buf [1024]byte
 	return &cacheFill{
-		cache:   m.Serve.Cache,
+		cache:   c,
+		version: c.Version(),
 		key:     m.resultCacheKey(req, q),
-		version: m.Serve.Cache.Version(),
+		tenant:  req.Tenant,
+		text:    string(appendTextKey(buf[:0], req)),
+		shown:   shown,
 	}
 }
 
-// lookup serves the request from the cache if it can, returning the
+// resultCache is the serving tier's result cache, nil when it is off.
+func (m *Mediator) resultCache() *serve.ResultCache {
+	if m.Serve == nil {
+		return nil
+	}
+	return m.Serve.Cache
+}
+
+// lookup serves the request from the cache by its canonical key if it
+// can, binding its text key to the answer it hit, and returns the
 // replayed Result (with zero endpoint round trips) or nil on a miss.
 func (f *cacheFill) lookup(req QueryRequest, qo *queryObs) *Result {
 	if f == nil {
@@ -54,18 +76,21 @@ func (f *cacheFill) lookup(req QueryRequest, qo *queryObs) *Result {
 	}
 	e, ok := f.cache.Get(f.key)
 	if !ok {
+		qo.cacheDecision("miss", "")
 		return nil
 	}
-	qo.trace.Root().SetString("resultCache", "hit")
-	var res *Result
-	if e.IsAsk {
-		res = &Result{form: sparql.Ask, ask: e.Ask, askSum: copySummary(e)}
-	} else {
-		qs := &QueryStream{src: newCachedSource(e), limit: req.Limit, qo: qo}
-		res = &Result{form: sparql.Select, sel: qs}
+	f.cache.Bind(f.tenant, f.text, e, f.shown, f.version)
+	qo.cacheDecision("hit", "key")
+	return replay(e, req, qo)
+}
+
+// store puts a complete answer under the request's canonical key and
+// binds its text key to it.
+func (f *cacheFill) store(e *serve.Entry) {
+	e.Key = f.key
+	if f.cache.Put(e, f.version) {
+		f.cache.Bind(f.tenant, f.text, e, f.shown, f.version)
 	}
-	res.qo = qo
-	return res
 }
 
 // attach arms the fill on a freshly started Result: SELECT streams are
@@ -80,14 +105,65 @@ func (f *cacheFill) attach(res *Result) {
 		res.sel.src = &fillSource{fill: f, src: res.sel.src, rows: eval.RowBuf{Width: len(res.sel.src.Vars())}}
 	case res.form == sparql.Ask:
 		if storable(res.askSum) {
-			f.cache.Put(&serve.Entry{
-				Key:     f.key,
-				IsAsk:   true,
-				Ask:     res.ask,
-				Summary: trimSummary(res.askSum),
-			}, f.version)
+			f.store(&serve.Entry{IsAsk: true, Ask: res.ask, Summary: trimSummary(res.askSum)})
 		}
 	}
+}
+
+// replayByText answers a request from the result cache by its text key
+// alone, before any parse: no policy restriction, no source set, no
+// canonical key. The form, SELECT or ASK, is the entry's. It returns nil
+// when the cache is off or the text key is bound to no live answer; the
+// request then takes the parsed path, which binds its text key on a hit
+// or fill under the canonical key.
+func (m *Mediator) replayByText(ctx context.Context, req QueryRequest) *Result {
+	c := m.resultCache()
+	if c == nil {
+		return nil
+	}
+	var buf [1024]byte
+	e, shown, ok := c.GetText(req.Tenant, appendTextKey(buf[:0], req))
+	if !ok {
+		return nil
+	}
+	form := sparql.Select
+	if e.IsAsk {
+		form = sparql.Ask
+	}
+	_, qo := m.beginQuery(ctx, form)
+	if shown == "" {
+		shown = req.Query
+	}
+	qo.setQuery(shown)
+	qo.cacheDecision("hit", "text")
+	return replay(e, req, qo)
+}
+
+// replay is the Result of a result-cache hit: the entry's rows as a
+// stream (under the request's limit) or its ASK outcome.
+func replay(e *serve.Entry, req QueryRequest, qo *queryObs) *Result {
+	res := &Result{form: sparql.Select, qo: qo}
+	if e.IsAsk {
+		res.form, res.ask, res.askSum = sparql.Ask, e.Ask, copySummary(e)
+	} else {
+		res.sel = &QueryStream{src: newCachedSource(e), limit: req.Limit, qo: qo}
+	}
+	return res
+}
+
+// appendTextKey appends the text of the request's text key to buf: its
+// limit, its targets as sent, each length-prefixed, and its query text,
+// so no two requests share one. With the request's tenant (the *Tenant,
+// so its policy) it decides the canonical key within one invalidation
+// epoch: the same text restricts, selects sources and canonicalises
+// alike.
+func appendTextKey(buf []byte, req QueryRequest) []byte {
+	buf = strconv.AppendInt(buf, int64(req.Limit), 10)
+	for _, target := range req.Targets {
+		buf = append(strconv.AppendInt(append(buf, 'g'), int64(len(target)), 10), ':')
+		buf = append(buf, target...)
+	}
+	return append(append(buf, 'q'), req.Query...)
 }
 
 // resultCacheKey fingerprints the request for the result cache. Ground
@@ -206,12 +282,11 @@ func (f *fillSource) maybeStore(sum *federate.Result, err error) {
 		return
 	}
 	f.stored = true
-	f.fill.cache.Put(&serve.Entry{
-		Key:     f.fill.key,
+	f.fill.store(&serve.Entry{
 		Vars:    append([]string(nil), f.src.Vars()...),
 		Rows:    f.rows,
 		Summary: trimSummary(sum),
-	}, f.fill.version)
+	})
 }
 
 // cachedSource replays a cache entry as a solutionSource: rows handed out

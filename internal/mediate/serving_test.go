@@ -488,13 +488,13 @@ func TestProtocolConcurrencyShed(t *testing.T) {
 }
 
 // TestResultCacheHitRequestAllocations pins what a /sparql request the
-// result cache answers costs the whole process: parse, the cache key,
-// the lookup and the replay through the response encoder. The key is
-// written straight from the parsed query, with each ground term of its
-// basic graph patterns as its owl:sameAs representative; while it was a
-// canonicalised clone of the query, formatted, the same requests cost 100
-// allocations each. They measure 80 (Figure 1) and 85 (cross-vocabulary);
-// the ceilings are those plus 7 %.
+// result cache answers costs the whole process: the text-key lookup and
+// the replay through the response encoder. A repeated request is found by
+// its text, with no parse, policy restriction, source set or canonical
+// key. They measure 44 (Figure 1) and 45 (cross-vocabulary); the ceilings
+// are those plus 7 %. While every hit parsed and wrote its canonical key
+// from the parsed query, they cost 80 and 85; while that key was a
+// canonicalised clone of the query, formatted, 100 each.
 func TestResultCacheHitRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -504,8 +504,8 @@ func TestResultCacheHitRequestAllocations(t *testing.T) {
 		query   string
 		ceiling float64
 	}{
-		{"fig1-coauthors", workload.Figure1Query(2), 86},
-		{"xvocab-join", workload.CrossVocabularyQuery(2), 91},
+		{"fig1-coauthors", workload.Figure1Query(2), 47},
+		{"xvocab-join", workload.CrossVocabularyQuery(2), 48},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var requests atomic.Int64

@@ -223,7 +223,8 @@ func TestNilSpanAllocations(t *testing.T) {
 }
 
 // TestTraceAllocations replays the trace of one Figure-1 request — its
-// 8 spans with their attributes, an operator profile, the traceparent of
+// 8 spans with their attributes (the root's result-cache decision among
+// them), an operator profile, the traceparent of
 // each of its two endpoint requests, Finish and the ring — from the
 // context the HTTP layer hands the query path. The trace is one
 // allocation and each traceparent header another: 3, against the 90 or
@@ -245,6 +246,8 @@ func TestTraceAllocations(t *testing.T) {
 		root := tr.Root()
 		root.SetString("form", "select")
 		root.SetString("query", query)
+		root.SetString("resultCache", "bypass")
+		root.SetString("reason", "off")
 		_, plan := StartSpan(ctx, "plan")
 		st := Operator("source-selection")
 		st.RowsIn, st.RowsOut = 3, 2

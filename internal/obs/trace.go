@@ -430,7 +430,8 @@ type SpanJSON struct {
 // TraceJSON is the one document of a finished query: what GET
 // /api/trace serves, the explain=trace trailer ships and the flight
 // recorder writes. The root span's attributes carry the query text, its
-// form, its error and, for a slow query, slow=true; operator spans carry
+// form, the result cache's decision (resultCache, with its reason), its
+// error and, for a slow query, slow=true; operator spans carry
 // what SetOperator records.
 type TraceJSON struct {
 	ID           string    `json:"id"`

@@ -9,9 +9,9 @@
 //	            shedding load as 429/503 before any planning work runs;
 //	caching   — a federated result cache keyed by the owl:sameAs
 //	            canonicalised query, serving repeated SELECT/ASK queries
-//	            without a single endpoint round trip, size- and
-//	            TTL-bounded, invalidated through the voiD/alignment KB
-//	            subscription hooks;
+//	            without a single endpoint round trip — a repeated request
+//	            text without a parse — size- and TTL-bounded, invalidated
+//	            through the voiD/alignment KB subscription hooks;
 //	policy    — per-tenant graph restrictions injected into the query
 //	            algebra before planning, so access control rides the
 //	            same rewriting pipeline as ontology integration.

@@ -357,6 +357,131 @@ func TestResultCacheRowCap(t *testing.T) {
 	}
 }
 
+// TestResultCacheTextIndex: a text key serves the answer it was bound
+// to, counting one hit and no key, and dies with that answer — at its
+// eviction, its expiry, its replacement and at Flush; a bind under a
+// version an invalidation has passed, or to an answer no longer cached,
+// records nothing; and the index never holds more keys than the cache
+// holds answers.
+func TestResultCacheTextIndex(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	newCache := func(size int) *ResultCache {
+		c := NewResultCache(size, time.Minute)
+		c.now = clk.now
+		return c
+	}
+	put := func(c *ResultCache, key string, texts ...string) *Entry {
+		t.Helper()
+		e := &Entry{Key: key, Rows: rows(key)}
+		v := c.Version()
+		if !c.Put(e, v) {
+			t.Fatalf("Put(%s) refused", key)
+		}
+		for _, text := range texts {
+			if !c.Bind(nil, text, e, "", v) {
+				t.Fatalf("Bind(%s, %s) refused", text, key)
+			}
+		}
+		return e
+	}
+	hit := func(c *ResultCache, text string) *Entry {
+		e, _, _ := c.GetText(nil, []byte(text))
+		return e
+	}
+
+	c := newCache(2)
+	a := put(c, "a", "a1")
+	if !c.Bind(nil, "a2", a, "restricted", c.Version()) {
+		t.Fatal("second text key refused")
+	}
+	if got, shown, _ := c.GetText(nil, []byte("a2")); got != a || shown != "restricted" {
+		t.Fatalf("GetText(a2) = %v, %q; want a, the query its trace shows", got, shown)
+	}
+	if e := hit(c, "unbound"); e != nil {
+		t.Fatal("hit on an unbound text key")
+	}
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 0 || c.Len() != 1 {
+		t.Fatalf("after one hit and one miss by text: %+v, Len %d; want 1 hit, 0 misses, 1 answer", m, c.Len())
+	}
+	if !c.Bind(nil, "a2", a, "", c.Version()) || len(a.texts) != 2 {
+		t.Fatalf("rebinding a2 to its own answer left %v", a.texts)
+	}
+
+	// A hit by text keeps its answer recently used: b goes, not a.
+	c.unbind(textKey{nil, "a2"}, a) // room for b's key
+	b := put(c, "b", "b1")
+	hit(c, "a1")
+	put(c, "c", "c1")
+	if hit(c, "b1") != nil {
+		t.Fatal("b1 outlived b's eviction")
+	}
+	if hit(c, "a1") != a {
+		t.Fatal("a, used by text, was evicted")
+	}
+	if c.Bind(nil, "b2", b, "", c.Version()) {
+		t.Fatal("bound a text key to an evicted answer")
+	}
+
+	// Replacing an answer under its key drops the old one's text keys.
+	put(c, "a")
+	if hit(c, "a1") != nil || hit(c, "a2") != nil {
+		t.Fatal("text keys outlived their replaced answer")
+	}
+
+	// Expiry, by text or by key, drops the answer and its text keys.
+	clk.advance(2 * time.Minute)
+	if hit(c, "c1") != nil || c.Len() != 1 {
+		t.Fatalf("expired answer served by text, or kept (Len %d)", c.Len())
+	}
+	d := put(c, "d", "d1")
+	clk.advance(2 * time.Minute)
+	if _, ok := c.Get("d"); ok {
+		t.Fatal("expired answer served by key")
+	}
+	if hit(c, "d1") != nil {
+		t.Fatal("text key outlived its expired answer")
+	}
+	_ = d
+
+	// Flush drops every text key, and a bind learnt before it is refused.
+	e := put(c, "e", "e1")
+	v := c.Version()
+	c.Flush()
+	if hit(c, "e1") != nil {
+		t.Fatal("text key outlived Flush")
+	}
+	if c.Put(e, v) || c.Bind(nil, "e2", e, "", v) {
+		t.Fatal("a fill or bind from before Flush landed")
+	}
+	f := put(c, "f")
+	v = c.Version()
+	c.Flush()
+	if c.Bind(nil, "f1", f, "", v) || hit(c, "f1") != nil {
+		t.Fatal("a bind computed across Flush was recorded")
+	}
+
+	// The index is bounded by the cache's size.
+	c = newCache(2)
+	g := put(c, "g", "g1", "g2", "g3", "g4", "g5")
+	if n := len(c.texts); n != 2 || len(g.texts) != 2 {
+		t.Fatalf("%d text keys held (%d on the answer), want the size 2", n, len(g.texts))
+	}
+	if hit(c, "g5") != g {
+		t.Fatal("the last bound text key was dropped to make room")
+	}
+
+	// The tenant is the *Tenant, not its ID.
+	t1, t2 := &Tenant{ID: "t"}, &Tenant{ID: "t", Policy: &Policy{Datasets: []string{"d"}}}
+	h := put(c, "h")
+	c.Bind(t1, "h1", h, "", c.Version())
+	if e, _, _ := c.GetText(t2, []byte("h1")); e != nil {
+		t.Fatal("a text key bound for one tenant served another of the same ID")
+	}
+	if e, _, _ := c.GetText(t1, []byte("h1")); e != h {
+		t.Fatal("a text key bound for a tenant did not serve it")
+	}
+}
+
 // TestResultCacheHitAllocations: a hit hands out the stored entry and
 // allocates nothing.
 func TestResultCacheHitAllocations(t *testing.T) {
