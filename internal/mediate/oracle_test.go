@@ -137,6 +137,25 @@ func (o *oracle) answer(t testing.TB, text string) [][]rdf.Term {
 	return out
 }
 
+// askOf is the ASK over the WHERE clause of a SELECT's text.
+func askOf(text string) string {
+	i := strings.Index(text, "SELECT ")
+	return text[:i] + "ASK " + text[i+strings.Index(text[i:], "WHERE"):]
+}
+
+// mediatorAsk runs an ASK through m and returns its answer.
+func mediatorAsk(m *Mediator, req QueryRequest) (bool, error) {
+	res, err := m.Query(context.Background(), req)
+	if err != nil {
+		return false, err
+	}
+	defer res.Close()
+	if res.Form() != sparql.Ask {
+		return false, fmt.Errorf("an ASK answered as %s", res.Form())
+	}
+	return res.Bool(), nil
+}
+
 // mediatorRows runs a SELECT through m and returns its rows in the order
 // they arrived.
 func mediatorRows(m *Mediator, req QueryRequest) ([][]rdf.Term, error) {
@@ -240,7 +259,10 @@ func (d diffTemplate) variants() map[string]string {
 // request narrowed to Southampton), and holds every answer to the
 // oracle's: the same
 // rows, in the same order under ORDER BY; under a slice without ORDER BY,
-// the right number of the oracle's rows.
+// the right number of the oracle's rows. Every variant also runs under a
+// request limit of 1 and of 3, a further slice of the same answer, and
+// each text of a template as an ASK, true when the oracle's answer is not
+// empty.
 func TestMediatorMatchesOracle(t *testing.T) {
 	o := newOracle(t, exampleUniverse(), nil)
 	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
@@ -358,6 +380,8 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				name, text string
 				req        QueryRequest
 				want       [][]rdf.Term
+				// ask is an ASK case, whose answer is that want is not empty.
+				ask bool
 				// viewHits are the fragments views answer once ready.
 				viewHits uint64
 			}
@@ -370,16 +394,30 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				if tmpl.sources != nil {
 					req.Targets = tmpl.sources
 				}
-				for name, text := range tmpl.variants() {
-					req.Query = text
-					hits := uint64(2)
+				hits := func(name string) uint64 {
 					switch {
 					case tmpl.sources != nil:
-						hits = 0
+						return 0
 					case strings.HasSuffix(name, ", filter") || strings.Contains(name, ", filter,"):
-						hits = 1
+						return 1
 					}
-					cases = append(cases, diffCase{name: name, text: text, req: req, want: oracleFor(tmpl).answer(t, text), viewHits: hits})
+					return 2
+				}
+				for name, text := range tmpl.variants() {
+					want := oracleFor(tmpl).answer(t, text)
+					for _, limit := range []int{0, 1, 3} {
+						req.Query, req.Limit = text, limit
+						named := name
+						if limit > 0 {
+							named = fmt.Sprintf("%s, request limit %d", name, limit)
+						}
+						cases = append(cases, diffCase{name: named, text: text, req: req, want: want, viewHits: hits(name)})
+					}
+				}
+				for i, text := range tmpl.texts {
+					name := fmt.Sprintf("%s %d, ask", tmpl.name, i)
+					req.Query, req.Limit = askOf(text), 0
+					cases = append(cases, diffCase{name: name, text: text, req: req, want: oracleFor(tmpl).answer(t, text), ask: true, viewHits: hits(name)})
 				}
 			}
 			if len(cases) == 0 {
@@ -390,14 +428,30 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			// the views ready, also to its mix of view-answered and fetched
 			// fragments.
 			run := func(when string, viewsReady bool) {
+				// check asks c and holds its answer to the oracle's. cut
+				// reports that the request limit ended a SELECT's rows, which
+				// leaves its answer uncached.
+				check := func(c diffCase, when string) (cut bool, err error) {
+					if !c.ask {
+						got, err := mediatorRows(m, c.req)
+						if err == nil {
+							checkRequestAgainstOracle(t, c.name+when, c.text, c.req.Limit, got, c.want)
+						}
+						return len(got) == c.req.Limit, err
+					}
+					got, err := mediatorAsk(m, c.req)
+					if want := len(c.want) > 0; err == nil && got != want {
+						t.Errorf("%s%s: %v, want %v\n%s", c.name, when, got, want, c.req.Query)
+					}
+					return false, err
+				}
 				for _, c := range cases {
 					before, hits := roundTrips.Load(), m.Views.Stats().Hits
-					got, err := mediatorRows(m, c.req)
+					cut, err := check(c, when)
 					if err != nil {
 						t.Errorf("%s%s: %v", c.name, when, err)
 						continue
 					}
-					checkAgainstOracle(t, c.name+when, c.text, got, c.want)
 					trips, hit := roundTrips.Load()-before, m.Views.Stats().Hits-hits
 					if viewsReady && (hit != c.viewHits || trips == 0) {
 						t.Errorf("%s%s: %d view hits, %d round trips; want %d and the rest fetched", c.name, when, hit, trips, c.viewHits)
@@ -406,11 +460,10 @@ func TestMediatorMatchesOracle(t *testing.T) {
 						continue
 					}
 					before = roundTrips.Load()
-					again, err := mediatorRows(m, c.req)
-					if trips := roundTrips.Load() - before; err != nil || trips != 0 {
+					_, err = check(c, ", from the cache")
+					if trips := roundTrips.Load() - before; err != nil || trips != 0 && !cut {
 						t.Errorf("%s, repeated: %v, %d round trips, want a cache hit", c.name, err, trips)
 					}
-					checkAgainstOracle(t, c.name+", from the cache", c.text, again, c.want)
 				}
 			}
 			run("", path.viewed)
@@ -765,9 +818,23 @@ func TestGraphFormsMatchOracle(t *testing.T) {
 // checkAgainstOracle compares one answer with the oracle's.
 func checkAgainstOracle(t *testing.T, name, text string, got, want [][]rdf.Term) {
 	t.Helper()
+	checkRequestAgainstOracle(t, name, text, 0, got, want)
+}
+
+// checkRequestAgainstOracle compares the answer to a request with a limit
+// (0 for none) with the oracle's: the limit slices the query's answer
+// further, its first rows under ORDER BY, any of them without.
+func checkRequestAgainstOracle(t *testing.T, name, text string, limit int, got, want [][]rdf.Term) {
+	t.Helper()
 	q := sparql.MustParse(text)
 	if len(want) == 0 && q.Offset <= 0 {
 		t.Fatalf("%s: the oracle's answer is empty; the case tests nothing\n%s", name, text)
+	}
+	if limit > 0 && (q.Limit < 0 || limit < q.Limit) {
+		q.Limit = limit
+		if len(q.OrderBy) > 0 {
+			want = want[:min(limit, len(want))]
+		}
 	}
 	sliced := q.Limit >= 0 || q.Offset > 0
 	if len(q.OrderBy) > 0 || !sliced {
