@@ -287,10 +287,12 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := res.Bindings().Next(); err != nil {
-				b.Fatal(err)
+			for _, err := range res.Bindings().Rows() {
+				if err != nil {
+					b.Fatal(err)
+				}
+				break // first solution in hand; abandon the slow remainder
 			}
-			// First solution in hand; abandon the slow remainder.
 			res.Close()
 		}
 	})
@@ -786,7 +788,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 			if profiled {
 				ctx, tr = obs.NewTrace(ctx, "query")
 			}
-			rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, m.JoinEngine.Plan(dcm, nil).Op, dcm.Vars)
+			rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, m.JoinEngine.Plan(dcm, nil, 0).Op, dcm.Vars)
 			if err != nil {
 				b.Fatal(err)
 			}

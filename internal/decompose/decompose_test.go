@@ -190,7 +190,7 @@ func (f *fixture) run(t testing.TB, query string) ([]eval.Solution, *Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.engine.Plan(dec, nil)
+	p := f.engine.Plan(dec, nil, 0)
 	sols, err := solutions(context.Background(), p.Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestLeftOperandSeedsFirstFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	papers := &algebra.Table{Vars: []string{"paper"}, Rows: [][]rdf.Term{{workload.SotonPaper(3)}, {workload.SotonPaper(5)}}}
-	got, err := solutions(context.Background(), f.engine.Plan(dec, papers).Op, dec.Vars)
+	got, err := solutions(context.Background(), f.engine.Plan(dec, papers, 0).Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestCancellationMidJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := f.engine.Plan(dec, nil)
+	r := f.engine.Plan(dec, nil, 0)
 	done := make(chan int, 1)
 	go func() {
 		sols, _ := solutions(ctx, r.Op, dec.Vars)
@@ -659,7 +659,7 @@ func TestRewriteFragmentUsesPatternVocabulary(t *testing.T) {
 	// Twice: the bound shard's shape (one VALUES row, its IRI lifted) is
 	// rewritten once, then served from the plan cache.
 	for run := 0; run < 2; run++ {
-		sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
+		sols, err := solutions(context.Background(), engine.Plan(dec, nil, 0).Op, dec.Vars)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -749,7 +749,7 @@ func TestBoundJoinAcrossURISpaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sols, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
+			sols, err := solutions(context.Background(), engine.Plan(dec, nil, 0).Op, dec.Vars)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -800,7 +800,7 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 			if err != nil || len(d.Fragments) != 2 {
 				t.Fatalf("decomposition = %+v, %v", d, err)
 			}
-			p := f.engine.Plan(d, nil)
+			p := f.engine.Plan(d, nil, 0)
 			algebra.Walk(p.Op, func(op algebra.Op) {
 				if leaf, ok := op.(*algebra.Remote); ok {
 					leaf.Source = scribbled{leaf.Source.(eval.Remote)}
@@ -854,7 +854,7 @@ func TestCardObservationRacingInvalidationDropped(t *testing.T) {
 	seed := dec.Fragments[0]
 	ds := seed.Targets[0].Dataset
 	run := func() error {
-		_, err := solutions(context.Background(), engine.Plan(dec, nil).Op, dec.Vars)
+		_, err := solutions(context.Background(), engine.Plan(dec, nil, 0).Op, dec.Vars)
 		return err
 	}
 
@@ -965,7 +965,7 @@ func TestFragmentAnsweredInProcess(t *testing.T) {
 		!strings.Contains(string(explained), `"view":"v1"`) {
 		t.Fatalf("explained %s, want the last fragment's leaf view v1, the others' endpoints", explained)
 	}
-	p := f.engine.Plan(dec, nil)
+	p := f.engine.Plan(dec, nil, 0)
 	got, err := solutions(context.Background(), p.Op, dec.Vars)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package decompose
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"sparqlrw/internal/algebra"
@@ -103,20 +104,30 @@ func (e *Engine) Stats() EngineStats {
 type Plan struct {
 	Op  algebra.Op
 	sum federate.Result
+	// leaf and remote hold a plan's first fragment, so a plan of one
+	// fragment is one allocation.
+	leaf   [1]fragmentLeaf
+	remote [1]algebra.Remote
 }
 
 // Plan builds the plan of one execution of d. A non-nil left operand is
 // joined ahead of fragment 0, whose leaf it then seeds as any earlier
 // stage seeds a later one. The residual FILTERs run over merged rows,
 // which bind owl:sameAs representatives, so their IRI constants are
-// canonicalised the same way.
-func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
+// canonicalised the same way. A positive limit is a cut the caller makes
+// in the plan's rows. A whole fragment over exactly the query's
+// projection, with no ORDER BY or OFFSET and no LIMIT but one that cut
+// makes redundant, is its own plan: the merge already answers that set.
+func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 	e.metrics.runs.Inc()
 	p := &Plan{}
 	op := left
 	var canon *federate.RepCache
 	n := len(d.Fragments)
-	leaves, remotes := make([]fragmentLeaf, n), make([]algebra.Remote, n)
+	leaves, remotes := p.leaf[:], p.remote[:]
+	if n > 1 {
+		leaves, remotes = make([]fragmentLeaf, n), make([]algebra.Remote, n)
+	}
 	var joins []algebra.Join
 	if left != nil || n > 1 {
 		joins = make([]algebra.Join, 0, n)
@@ -140,7 +151,12 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 		}
 	}
 	mods := d.Query
-	if d.Whole() != nil {
+	if w := d.Whole(); w != nil {
+		cut := mods.Limit < 0 || 0 < limit && limit <= mods.Limit
+		if cut && len(mods.OrderBy) == 0 && mods.Offset < 0 && slices.Equal(w.Vars, d.Vars) {
+			p.Op = op
+			return p
+		}
 		// The merge answers a set over the wire's variables; projected onto
 		// the query's, it stays one under DISTINCT.
 		dq := *d.Query
@@ -151,32 +167,38 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op) *Plan {
 	return p
 }
 
-// Stream starts the dispatch of a whole decomposition whose fragment's
-// merged stream is the answer, with nothing to apply above the merge. It
-// opens no span of its own and observes no cardinality.
-func (e *Engine) Stream(ctx context.Context, d *Decomposition) *federate.Stream {
-	e.metrics.runs.Inc()
-	return e.exec.SelectStream(ctx, request(d, d.Whole(), nil))
-}
-
 // Summary reports the plan's dispatches in the executor's result shape:
 // per-dataset answers for every fragment dispatch, in dispatch order, the
-// merge's duplicates, and Partial when any sub-query failed (a failed
-// fragment dispatch means join results may be incomplete). The rows carry
-// a failure's error, so the summary's is nil.
-func (p *Plan) Summary() (*federate.Result, error) { return &p.sum, nil }
+// merge's duplicates, and Partial as the executor sets it — when some
+// sub-query failed while others answered (a view's rows answer too), so
+// that join results may be incomplete; one abandoned at a stop is neither.
+// The rows carry a failure's error, so the summary's is nil.
+func (p *Plan) Summary() (*federate.Result, error) {
+	var failed, ok int
+	for _, da := range p.sum.PerDataset {
+		switch {
+		case da.Err == nil:
+			ok++
+		case !errors.Is(da.Err, federate.ErrStreamClosed):
+			failed++
+		}
+	}
+	p.sum.Partial = failed > 0 && ok > 0
+	return &p.sum, nil
+}
 
 // Add folds one dispatch's summary into the plan's: each fragment
 // dispatch's, and that of a left operand whose leaf reports through the
 // plan.
 func (p *Plan) Add(res *federate.Result) {
-	p.sum.PerDataset = append(p.sum.PerDataset, res.PerDataset...)
-	p.sum.Duplicates += res.Duplicates
-	for _, da := range res.PerDataset {
-		if da.Err != nil && !errors.Is(da.Err, federate.ErrStreamClosed) {
-			p.sum.Partial = true
-		}
+	if p.sum.PerDataset == nil {
+		// The first dispatch's answers are the plan's, until a later one's
+		// append copies them.
+		p.sum.PerDataset = slices.Clip(res.PerDataset)
+	} else {
+		p.sum.PerDataset = append(p.sum.PerDataset, res.PerDataset...)
 	}
+	p.sum.Duplicates += res.Duplicates
 }
 
 // fragmentLeaf is one fragment as a plan leaf. As a join's right operand
@@ -419,36 +441,24 @@ func request(d *Decomposition, f *Fragment, byTarget [][]*sparql.Query) federate
 // result says nothing about the fragment's true extent, and so does a
 // whole fragment, which has no estimate.
 func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query, yield func(eval.Row) bool) error {
-	d, f := l.d, l.f
-	req := request(d, f, byTarget)
-	profiled := byTarget == nil && f.Query == nil
-	var span *obs.Span
-	var epoch uint64
-	if profiled {
-		ctx, span = obs.StartSpan(ctx, "fragment")
-		// A KB invalidation during the fetch makes its actuals describe
-		// the old data: Observe then drops them.
-		epoch = l.e.opts.Cards.Epoch()
+	f := l.f
+	req := request(l.d, f, byTarget)
+	if byTarget != nil || f.Query != nil {
+		_, _, err := l.fetch(ctx, req, yield)
+		return err
 	}
+	ctx, span := obs.StartSpan(ctx, "fragment")
+	// A KB invalidation during the fetch makes its actuals describe the old
+	// data: Observe then drops them.
+	epoch := l.e.opts.Cards.Epoch()
 	start, yielded, firstRowMS := time.Now(), int64(0), -1.0
-	s := l.e.exec.SelectStream(ctx, req)
-	err := s.Fetch(ctx, nil, func(row eval.Row) bool {
+	res, n, err := l.fetch(ctx, req, func(row eval.Row) bool {
 		if yielded == 0 {
 			firstRowMS = float64(time.Since(start).Microseconds()) / 1000
 		}
 		yielded++
 		return yield(row)
 	})
-	res, _ := s.Summary() // its error, the fail-fast abort, ended the rows too
-	l.plan.Add(res)
-	var n int64
-	for _, da := range res.PerDataset {
-		n += int64(da.Solutions)
-	}
-	l.e.metrics.transferred.Add(float64(n))
-	if !profiled {
-		return err
-	}
 	for _, da := range res.PerDataset {
 		if da.Err == nil && da.Shards <= 1 {
 			l.e.opts.Cards.Observe(da.Dataset, f.statTerm, f.statShape,
@@ -463,4 +473,21 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query,
 	span.SetOperator(st)
 	span.End()
 	return err
+}
+
+// fetch sends req through the executor and pushes the merged rows into
+// yield, then adds the dispatch's summary to the plan's and returns it
+// with the solutions the endpoints returned. Its error, the fail-fast
+// abort, is the rows'; the summary's is the same.
+func (l *fragmentLeaf) fetch(ctx context.Context, req federate.Request, yield func(eval.Row) bool) (*federate.Result, int64, error) {
+	s := l.e.exec.SelectStream(ctx, req)
+	err := s.Fetch(ctx, nil, yield)
+	res, _ := s.Summary()
+	l.plan.Add(res)
+	var n int64
+	for _, da := range res.PerDataset {
+		n += int64(da.Solutions)
+	}
+	l.e.metrics.transferred.Add(float64(n))
+	return res, n, err
 }

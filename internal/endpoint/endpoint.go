@@ -40,16 +40,13 @@ const DefaultMaxResponseBody = 64 << 20 // 64 MB
 // rows are batched to keep syscall overhead off the hot path.
 const FlushEvery = 64
 
-// BatchFlusher returns the function a streaming handler calls after each
-// item it writes to w: it flushes the first item at once and then every
-// FlushEvery-th. Shared by this server and the mediator's /sparql
-// handler. It does nothing when w cannot flush.
-func BatchFlusher(w http.ResponseWriter) func() {
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	return func() {
-		n++
-		if flusher != nil && (n == 1 || n%FlushEvery == 0) {
+// FlushAfter is what a streaming handler calls once it has written its
+// n-th item to w: it flushes the first item at once and then every
+// FlushEvery-th. It does nothing when w cannot flush. Shared by this
+// server and the mediator's /sparql handler.
+func FlushAfter(w http.ResponseWriter, n int) {
+	if n == 1 || n%FlushEvery == 0 {
+		if flusher, ok := w.(http.Flusher); ok {
 			flusher.Flush()
 		}
 	}
@@ -144,13 +141,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return
 		}
-		ctx, flush := r.Context(), BatchFlusher(w)
+		ctx := r.Context()
 		for row := range rr.Seq {
 			// A cancelled request (client gone) stops evaluation here.
 			if ctx.Err() != nil || enc.EncodeRow(row) != nil {
 				return
 			}
-			flush()
+			FlushAfter(w, enc.Count())
 		}
 		_ = enc.Close() // nothing left to tell a client that stopped reading
 	case sparql.Ask:

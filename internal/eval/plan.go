@@ -25,7 +25,7 @@ type Row = []rdf.Term
 // the working state of its operators, so it serves one evaluation at a
 // time.
 type plan struct {
-	eng   *Engine
+	eng   Engine // a copy, so an engine built for one call need not escape
 	slots map[string]int // binding key → slot
 	names []string       // slot → binding key
 	root  op
@@ -50,7 +50,7 @@ type op interface {
 }
 
 func (e *Engine) compile(a algebra.Op) (*plan, error) {
-	p := &plan{eng: e, slots: map[string]int{}, names: make([]string, 0, 8)}
+	p := &plan{eng: *e, slots: map[string]int{}, names: make([]string, 0, 8)}
 	p.root = p.build(a)
 	return p, p.err
 }

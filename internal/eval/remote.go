@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"iter"
+	"slices"
 
 	"sparqlrw/internal/algebra"
 	"sparqlrw/internal/obs"
@@ -61,9 +62,22 @@ func (o *remoteOp) fetch(seed *Seed, yield func(Row) bool) bool {
 // modifiers the mediator runs above its federated sub-requests — and
 // returns its rows over vars, a lazy sequence run under ctx that a leaf's
 // failure ends with its error. Each FILTER and the final stage (rows into
-// the projection, out of the plan) profile into the trace ctx carries.
+// the projection, out of the plan) profile into the trace ctx carries. A
+// lone remote leaf over exactly vars is no plan: its rows are the leaf's
+// Fetch, as the source hands them out.
 func (e *Engine) Open(ctx context.Context, a algebra.Op, vars []string) (iter.Seq2[Row, error], error) {
-	p := &plan{eng: e, slots: map[string]int{}, names: make([]string, 0, 8), ctx: ctx}
+	if r, ok := a.(*algebra.Remote); ok && slices.Equal(r.Vars, vars) {
+		return func(yield func(Row, error) bool) {
+			more := true
+			if err := r.Source.(Remote).Fetch(ctx, nil, func(row Row) bool {
+				more = yield(row, nil)
+				return more
+			}); err != nil && more {
+				yield(nil, err)
+			}
+		}, nil
+	}
+	p := &plan{eng: *e, slots: map[string]int{}, names: make([]string, 0, 8), ctx: ctx}
 	if p.root = p.build(a); p.err != nil {
 		return nil, p.err
 	}

@@ -33,13 +33,22 @@ type Func struct {
 // Registry maps function IRIs to implementations. It is safe for
 // concurrent use.
 type Registry struct {
-	mu    sync.RWMutex
-	funcs map[string]*Func
+	mu       sync.RWMutex
+	funcs    map[string]*Func
+	resolver func(iri string) (func([]rdf.Term) (rdf.Term, error), bool)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{funcs: map[string]*Func{}}
+	r := &Registry{funcs: map[string]*Func{}}
+	r.resolver = func(iri string) (func([]rdf.Term) (rdf.Term, error), bool) {
+		f, ok := r.Lookup(iri)
+		if !ok {
+			return nil, false
+		}
+		return f.Call, true
+	}
+	return r
 }
 
 // Register adds or replaces a function.
@@ -78,15 +87,11 @@ func (r *Registry) IRIs() []string {
 	return out
 }
 
-// Resolver adapts the registry to the evaluator's FuncResolver signature.
+// Resolver adapts the registry to the evaluator's FuncResolver signature:
+// one function per registry, built with it, which reads the registry at
+// each call.
 func (r *Registry) Resolver() func(iri string) (func([]rdf.Term) (rdf.Term, error), bool) {
-	return func(iri string) (func([]rdf.Term) (rdf.Term, error), bool) {
-		f, ok := r.Lookup(iri)
-		if !ok {
-			return nil, false
-		}
-		return f.Call, true
-	}
+	return r.resolver
 }
 
 // CorefSource supplies owl:sameAs equivalence classes; both coref.Store

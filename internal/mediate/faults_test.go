@@ -76,9 +76,9 @@ func newFaultStack(t *testing.T, fed federate.Options, script func(w http.Respon
 	return s
 }
 
-func (s *faultStack) start(t *testing.T) *QueryStream {
+func (s *faultStack) start(t *testing.T, ctx context.Context) *QueryStream {
 	t.Helper()
-	res, err := s.m.Query(context.Background(), QueryRequest{
+	res, err := s.m.Query(ctx, QueryRequest{
 		Query:   `PREFIX akt:<` + rdf.AKTNS + `> SELECT ?a WHERE { ?p akt:has-author ?a }`,
 		Targets: []string{"http://stub.example/void"},
 	})
@@ -123,7 +123,8 @@ func (s *faultStack) settle(t *testing.T, baseline int) {
 // one, a batch of two and three quarters of a batch of four — and the
 // endpoint goes quiet. The rows must reach the consumer now, not when the
 // batch they sit in fills; the stall outlasts the hedge delay, so a
-// backup arm is racing (and stalling) too when the consumer closes.
+// backup arm is racing (and stalling) too when the consumer leaves the
+// loop, which must return during the stall.
 func TestStalledEndpointDeliversPartialBatch(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	release := make(chan struct{})
@@ -140,42 +141,58 @@ func TestStalledEndpointDeliversPartialBatch(t *testing.T) {
 			case <-r.Context().Done():
 			}
 		})
-	qs := s.start(t)
-	for i := range 6 {
-		within(t, 5*time.Second, "Next during the stall", func() {
-			if row, err := qs.Next(); err != nil || row[0].Value != fmt.Sprintf("http://stub.example/id/%d", i) {
+	qs := s.start(t, context.Background())
+	got, leave, left := make(chan int), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(left)
+		i := 0
+		for row, err := range qs.Rows() {
+			if err != nil || row[0].Value != fmt.Sprintf("http://stub.example/id/%d", i) {
 				t.Errorf("row %d = %v, %v", i, row, err)
+				return
 			}
-		})
+			got <- i
+			if i++; i == 6 {
+				<-leave
+				return
+			}
+		}
+		t.Error("the rows ended during the stall")
+	}()
+	for range 6 {
+		within(t, 5*time.Second, "a row during the stall", func() { <-got })
 	}
 	time.Sleep(60 * time.Millisecond) // past the hedge delay: the backup arm is up
-	within(t, 2*time.Second, "Close during the stall", func() { qs.Close() })
+	close(leave)
+	within(t, 2*time.Second, "leaving the rows during the stall", func() { <-left })
+	qs.Close()
 	close(release)
 	s.settle(t, baseline)
 }
 
 // TestTruncatedRowSurfacesFromNext: the answer breaks off inside its
-// third row. Under fail-fast Next returns the decode error — after the
-// whole rows the merge got through before the abort, never after a row
-// made of the broken one — and the partial answer is not cached.
+// third row. Under fail-fast the rows end with the decode error — after
+// the whole rows the merge got through before the abort, never after a
+// row made of the broken one — and the partial answer is not cached.
 func TestTruncatedRowSurfacesFromNext(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := newFaultStack(t, federate.Options{FailFast: true},
 		func(w http.ResponseWriter, r *http.Request, flush func()) {
 			_, _ = io.WriteString(w, stubHead+stubRow(0)+","+stubRow(1)+`,{"a":{"type":"uri","val`)
 		})
-	qs := s.start(t)
-	for i := 0; ; i++ {
-		row, err := qs.Next()
-		if err != nil {
-			if err == io.EOF {
-				t.Fatal("the truncated answer ended cleanly")
-			}
+	qs := s.start(t, context.Background())
+	i, failed := 0, false
+	for row, err := range qs.Rows() {
+		if failed = err != nil; failed {
 			break
 		}
 		if i == 2 || row[0].Value != fmt.Sprintf("http://stub.example/id/%d", i) {
 			t.Fatalf("row %d = %v", i, row)
 		}
+		i++
+	}
+	if !failed {
+		t.Fatal("the truncated answer ended cleanly")
 	}
 	if _, err := qs.Summary(); err == nil {
 		t.Error("Summary reports no error")
@@ -184,8 +201,9 @@ func TestTruncatedRowSurfacesFromNext(t *testing.T) {
 	s.settle(t, baseline)
 }
 
-// TestLateAnswerAfterClose: the consumer gives up before the endpoint has
-// written a byte; the endpoint then answers in full regardless.
+// TestLateAnswerAfterClose: the consumer gives up — cancels the query
+// and closes its stream — before the endpoint has written a byte; the
+// endpoint then answers in full regardless, and reaches nobody.
 func TestLateAnswerAfterClose(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	started, release, answered := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -196,13 +214,23 @@ func TestLateAnswerAfterClose(t *testing.T) {
 			<-release
 			_, _ = io.WriteString(w, stubHead+stubRow(0)+","+stubRow(1)+"]}}")
 		})
-	qs := s.start(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	qs := s.start(t, ctx)
+	left := make(chan struct{})
+	go func() {
+		defer close(left)
+		for row, err := range qs.Rows() {
+			t.Errorf("a row of a cancelled query: %v, %v", row, err)
+		}
+	}()
 	<-started
-	within(t, 2*time.Second, "Close before the answer", func() { qs.Close() })
+	cancel()
+	within(t, 2*time.Second, "the rows ending at the cancellation", func() { <-left })
+	qs.Close()
 	close(release)
 	<-answered
-	if row, err := qs.Next(); err == nil {
-		t.Errorf("Next after Close = %v", row)
+	for row, err := range qs.Rows() {
+		t.Errorf("a row after Close: %v, %v", row, err)
 	}
 	if sum, err := qs.Summary(); err != nil || sum.Partial {
 		t.Errorf("Summary after Close = %+v, %v: abandonment is not a failure", sum, err)
@@ -212,7 +240,7 @@ func TestLateAnswerAfterClose(t *testing.T) {
 
 // TestCloseAfterFirstRowOfLongAnswer: the endpoint streams many batches'
 // worth of rows as fast as they are taken; the consumer reads one and
-// closes. Close must not wait for the answer to end.
+// leaves the loop, which must not wait for the answer to end.
 func TestCloseAfterFirstRowOfLongAnswer(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := newFaultStack(t, federate.Options{},
@@ -224,10 +252,15 @@ func TestCloseAfterFirstRowOfLongAnswer(t *testing.T) {
 				}
 			}
 		})
-	qs := s.start(t)
-	if row, err := qs.Next(); err != nil || row[0].Value != "http://stub.example/id/0" {
-		t.Fatalf("first row = %v, %v", row, err)
-	}
-	within(t, 2*time.Second, "Close mid-answer", func() { qs.Close() })
+	qs := s.start(t, context.Background())
+	within(t, 5*time.Second, "leaving the rows mid-answer", func() {
+		for row, err := range qs.Rows() {
+			if err != nil || row[0].Value != "http://stub.example/id/0" {
+				t.Errorf("first row = %v, %v", row, err)
+			}
+			break
+		}
+	})
+	qs.Close()
 	s.settle(t, baseline)
 }

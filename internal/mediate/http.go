@@ -213,8 +213,9 @@ func Handler(m *Mediator) http.Handler {
 	requests := m.Obs.Registry.CounterVec("sparqlrw_http_requests_total",
 		"HTTP requests served, by route.", "route")
 	handle := func(route string, h http.HandlerFunc) {
+		served := requests.With(route) // resolved once, not per request
 		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
-			requests.With(route).Inc()
+			served.Inc()
 			h(w, r)
 		})
 	}
@@ -442,11 +443,12 @@ func serveProtocol(m *Mediator, w http.ResponseWriter, r *http.Request) {
 	// span as remote parent — or mint a fresh trace id. The id surfaces
 	// as X-Trace-Id before any error path, so 400 and 406 responses are
 	// correlatable too.
-	tc, fromCaller := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	// Header keys in canonical form: Get then allocates no canonical copy.
+	tc, fromCaller := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 	if !fromCaller {
 		tc = obs.TraceContext{TraceID: obs.NewTraceID(), Sampled: true}
 	}
-	tc.State = r.Header.Get("tracestate")
+	tc.State = r.Header.Get("Tracestate")
 	ctx := obs.WithRemoteParent(r.Context(), tc)
 	w.Header().Set("X-Trace-Id", tc.TraceID)
 
@@ -615,16 +617,11 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain boo
 		if err != nil {
 			return
 		}
-		flush := endpoint.BatchFlusher(w)
-		for {
-			row, err := qs.Next()
-			if err == io.EOF {
-				break
-			}
+		for row, err := range qs.Rows() {
 			if err != nil || enc.EncodeRow(row) != nil {
-				return
+				return // an error, or the client gone: leaving the loop stops the upstream work
 			}
-			flush()
+			endpoint.FlushAfter(w, enc.Count())
 		}
 		_ = enc.CloseWith("trace", traceTrailer(res, explain))
 	}
@@ -673,7 +670,6 @@ func serveBoolean(w http.ResponseWriter, res *Result, ctype string, explain bool
 func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) {
 	gs := res.Graph()
 	w.Header().Set("Content-Type", ctype)
-	flush := endpoint.BatchFlusher(w)
 	var write func(t rdf.Triple) error
 	if ctype == ctTurtle {
 		sw := turtle.NewStreamWriter(w, gs.Prefixes())
@@ -685,15 +681,17 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) 
 		}
 	}
 	var streamErr error
+	n := 0
 	for t, err := range gs.Triples() {
 		if err != nil {
 			streamErr = err
 			break
 		}
 		if werr := write(t); werr != nil {
-			return // client gone; the deferred Close cancels upstream
+			return // client gone; leaving the loop stops the upstream work
 		}
-		flush()
+		n++
+		endpoint.FlushAfter(w, n)
 	}
 	if streamErr == nil {
 		_, streamErr = gs.Summary()
@@ -722,7 +720,6 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) 
 func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 	qs := res.Bindings()
 	w.Header().Set("Content-Type", ctNDJSON)
-	flush := endpoint.BatchFlusher(w)
 	writeLine := func(line []byte) bool {
 		_, err := w.Write(append(line, '\n'))
 		return err == nil
@@ -731,11 +728,7 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 		streamErr error
 		line      []byte // reused for every row
 	)
-	for {
-		row, err := qs.Next()
-		if err == io.EOF {
-			break
-		}
+	for row, err := range qs.Rows() {
 		if err == nil {
 			line, err = srjson.AppendRow(line[:0], qs.Vars(), row)
 		}
@@ -745,9 +738,9 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 		}
 		line = append(line, '\n')
 		if _, err := w.Write(line); err != nil {
-			return // client gone; the deferred Close cancels upstream
+			return // client gone; leaving the loop stops the upstream work
 		}
-		flush()
+		endpoint.FlushAfter(w, qs.n)
 	}
 	if streamErr == nil {
 		// A fan-out failure can also surface only in the summary.
@@ -833,11 +826,7 @@ func serveSSE(w http.ResponseWriter, res *Result, explain bool) {
 	const bindingEvent = "event: binding\ndata: "
 	var streamErr error
 	frame := []byte(bindingEvent) // reused for every row
-	for {
-		row, err := qs.Next()
-		if err == io.EOF {
-			break
-		}
+	for row, err := range qs.Rows() {
 		if err == nil {
 			frame, err = srjson.AppendRow(frame[:len(bindingEvent)], qs.Vars(), row)
 		}
@@ -847,7 +836,7 @@ func serveSSE(w http.ResponseWriter, res *Result, explain bool) {
 		}
 		frame = append(frame, '\n', '\n')
 		if err := sse.write(frame); err != nil {
-			return // client gone; the deferred Close cancels upstream
+			return // client gone; leaving the loop stops the upstream work
 		}
 	}
 	fr, sumErr := qs.Summary()

@@ -9,7 +9,6 @@ package mediate
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"reflect"
 	"slices"
@@ -164,18 +163,14 @@ func mediatorRows(m *Mediator, req QueryRequest) ([][]rdf.Term, error) {
 		return nil, err
 	}
 	defer res.Close()
-	qs := res.Bindings()
 	var out [][]rdf.Term
-	for {
-		row, err := qs.Next()
-		if err == io.EOF {
-			return out, nil
-		}
+	for row, err := range res.Bindings().Rows() {
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, slices.Clone(row))
 	}
+	return out, nil
 }
 
 // diffPath is one way through the mediator: its configuration and the

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"iter"
 	"maps"
 	"slices"
@@ -274,32 +273,29 @@ func (m *Mediator) formResult(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 }
 
-// solutionSource is the streaming backend of a QueryStream: a whole
-// fragment's federated stream, a plan the evaluator runs over its leaves
-// (a decomposition's joins or modifiers, a view's rows), a result-cache
-// replay. All deliver merged rows
-// incrementally — Next's row binds Vars() by position and is valid until
-// the next Next or Close, the pull form of the evaluator's volcano rule —
-// and report per-dataset outcomes afterwards.
-type solutionSource interface {
-	Vars() []string
-	Next() (eval.Row, error)
-	Close() error
+// QueryStream is an in-flight federated SELECT: merged, deduplicated
+// solutions arrive as endpoints deliver them. Range over Rows or
+// Solutions once, then call Summary for the per-dataset outcomes; always
+// Close. Nothing is dispatched before the first range (or Summary), and a
+// range returns only once the work it started has stopped.
+type QueryStream struct {
+	vars    []string
+	rows    iter.Seq2[eval.Row, error] // nil once ranged over or closed
+	summary summarizer
+	err     error // the error that ended the rows
+	n       int   // rows handed out
+	dec     *decompose.Decomposition
+	limit   int
+	qo      *queryObs // nil for internal phase streams (ASK, DESCRIBE phase 1)
+}
+
+// summarizer reports what a stream's rows ran: its plan's dispatches
+// (*decompose.Plan), or the answer a result-cache hit replays.
+type summarizer interface {
 	Summary() (*federate.Result, error)
 }
 
-// QueryStream is an in-flight federated SELECT: merged, deduplicated
-// solutions arrive as endpoints deliver them. Consume Solutions (or
-// Next), then call Summary for the per-dataset outcomes; always Close.
-type QueryStream struct {
-	src   solutionSource
-	dec   *decompose.Decomposition
-	limit int
-	n     int
-	qo    *queryObs // nil for internal phase streams (ASK, DESCRIBE phase 1)
-}
-
-// selectStream starts the federated SELECT pipeline for q under req's
+// selectStream plans the federated SELECT pipeline for q under req's
 // options (limit, source set; not req.Query). q is the request's parsed
 // query or the SELECT derived from it for an ASK, CONSTRUCT or DESCRIBE;
 // the decomposer reads it, the executor its fragments' queries, and none
@@ -308,24 +304,24 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 	if q.Form != sparql.Select {
 		return nil, fmt.Errorf("mediate: selectStream called on %s query", q.Form)
 	}
-	qs := &QueryStream{limit: req.Limit}
-	var err error
-	if qs.dec, err = m.route(ctx, q, req); err != nil {
+	dcm, err := m.route(ctx, q, req)
+	if err != nil {
 		return nil, err
 	}
-	m.observeViews(ctx, qs.dec)
-	if w := qs.dec.Whole(); w != nil && w.View == "" && len(q.OrderBy) == 0 && q.Offset <= 0 && (q.Limit < 0 || 0 < req.Limit && req.Limit <= q.Limit) {
-		// Nothing to apply above the merge that the reader does not: a plan
-		// of one leaf is its stream. (An ASK reads one row of its LIMIT 1
-		// query, and its summary waits for every endpoint's.)
-		qs.src = m.JoinEngine.Stream(ctx, qs.dec)
-		return qs, nil
-	}
-	dp := m.JoinEngine.Plan(qs.dec, nil)
-	if qs.src, err = m.openPlan(ctx, dp.Op, qs.dec.Vars, dp.Summary); err != nil {
+	m.observeViews(ctx, dcm)
+	return m.open(ctx, m.JoinEngine.Plan(dcm, nil, req.Limit), dcm, req.Limit)
+}
+
+// open is where every query form's rows come from: the plan dp of dcm,
+// compiled to run under ctx, its rows over dcm's projection cut at limit
+// (0: none). A whole fragment with nothing above its merge is a plan of one
+// leaf, whose rows are its dispatch's.
+func (m *Mediator) open(ctx context.Context, dp *decompose.Plan, dcm *decompose.Decomposition, limit int) (*QueryStream, error) {
+	rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, dp.Op, dcm.Vars)
+	if err != nil {
 		return nil, err
 	}
-	return qs, nil
+	return &QueryStream{vars: dcm.Vars, rows: rows, summary: dp, dec: dcm, limit: limit}, nil
 }
 
 // route plans q over the request's source set: as one whole fragment over
@@ -353,102 +349,53 @@ func (m *Mediator) route(ctx context.Context, q *sparql.Query, req QueryRequest)
 		"mediate: no registered data set%s is relevant to the whole query and it does not decompose (%v); see /api/plan", among, err)
 }
 
-// pulledSource reads a plan's evaluation a row at a time and reports
-// summary's account of it.
-type pulledSource struct {
-	vars    []string
-	next    func() (eval.Row, error, bool)
-	stop    func()
-	err     error
-	n       int // rows handed out
-	summary func() (*federate.Result, error)
-}
-
-// openPlan compiles a plan over remote leaves and starts it under ctx, its
-// rows over vars. Closing the source stops the plan, whose leaves close
-// their dispatches as it unwinds, and closes held, which no leaf may reach.
-func (m *Mediator) openPlan(ctx context.Context, op algebra.Op, vars []string, summary func() (*federate.Result, error), held ...io.Closer) (*pulledSource, error) {
-	seq, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, op, vars)
-	release := func() {
-		for _, c := range held {
-			c.Close()
-		}
-	}
-	if err != nil {
-		release()
-		return nil, err
-	}
-	next, stop := iter.Pull2(seq)
-	return &pulledSource{vars: vars, next: next, stop: func() { stop(); release() }, summary: summary}, nil
-}
-
-func (s *pulledSource) Vars() []string { return s.vars }
-
-func (s *pulledSource) Next() (eval.Row, error) {
-	row, err, ok := s.next()
-	if !ok {
-		return nil, cmp.Or(s.err, io.EOF)
-	}
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	s.n++
-	return row, nil
-}
-
-func (s *pulledSource) Close() error { s.stop(); return nil }
-
-// Summary consumes whatever remains of the rows first.
-func (s *pulledSource) Summary() (*federate.Result, error) {
-	for _, err := s.Next(); err == nil; _, err = s.Next() {
-	}
-	res, err := s.summary()
-	res.Vars = s.vars
-	return res, cmp.Or(s.err, err)
-}
-
 // Vars returns the query's projection variable names.
-func (qs *QueryStream) Vars() []string { return qs.src.Vars() }
+func (qs *QueryStream) Vars() []string { return qs.vars }
 
 // Decomposition reports the query's plan, a view-answered one included
 // (nil on a result-cache answer).
 func (qs *QueryStream) Decomposition() *decompose.Decomposition { return qs.dec }
 
-// Next returns the next merged row (row[i] binding Vars()[i], the zero
-// Term for unbound), io.EOF at the end of the stream (or once Limit is
-// reached, which cancels upstream work), or the fail-fast error that
-// aborted the fan-out. The row is valid until the next Next or Close and
-// must not be modified; Solutions hands out independent maps instead.
-func (qs *QueryStream) Next() (eval.Row, error) {
-	if qs.limit > 0 && qs.n >= qs.limit {
-		qs.Close()
-		return nil, io.EOF
+// Rows returns the merged rows, a sequence to range over once: row[i]
+// binds Vars()[i] (the zero Term for unbound), and the row is valid for
+// its iteration only and must not be modified — Solutions hands out
+// independent maps instead. No row costs an allocation of its own. The
+// fan-out's fail-fast error, if any, ends the sequence; so does Limit.
+// Reaching the limit or breaking out of the loop stops the upstream work
+// before the range returns. A second range, or one after Close, yields
+// nothing.
+func (qs *QueryStream) Rows() iter.Seq2[eval.Row, error] {
+	return func(yield func(eval.Row, error) bool) {
+		rows := qs.rows
+		if rows == nil {
+			return
+		}
+		qs.rows = nil
+		rows(func(row eval.Row, err error) bool {
+			if err != nil {
+				qs.err = err
+				yield(nil, err)
+				return false
+			}
+			qs.n++
+			qs.qo.emit()
+			return yield(row, nil) && qs.n != qs.limit
+		})
 	}
-	row, err := qs.src.Next()
-	if err == nil {
-		qs.n++
-		qs.qo.emit()
-	}
-	return row, err
 }
 
-// Solutions adapts the stream into a lazy sequence of solution maps, one
-// built per row and owned by the caller, terminated by the fan-out's
-// fail-fast error, if any. Breaking out of the loop stops the upstream
-// work.
+// Solutions adapts Rows into a lazy sequence of solution maps, one built
+// per row and owned by the caller, terminated by the fan-out's fail-fast
+// error, if any. Breaking out of the loop stops the upstream work and
+// closes the stream.
 func (qs *QueryStream) Solutions() eval.SolutionSeq {
 	return func(yield func(eval.Solution, error) bool) {
-		for {
-			row, err := qs.Next()
-			if err == io.EOF {
-				return
-			}
+		for row, err := range qs.Rows() {
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			if !yield(eval.RowSolution(qs.Vars(), row), nil) {
+			if !yield(eval.RowSolution(qs.vars, row), nil) {
 				qs.Close()
 				return
 			}
@@ -456,20 +403,32 @@ func (qs *QueryStream) Solutions() eval.SolutionSeq {
 	}
 }
 
-// Summary reports the fan-out's outcome (consuming whatever remains of
-// the stream first): per-dataset answers in dispatch order, the duplicate
-// count and the partial flag. Solutions is nil — they already flowed
+// Summary reports the fan-out's outcome: per-dataset answers in dispatch
+// order, the duplicate count and the partial flag. Rows nobody ranged over
+// run first, to their end. After a range that stopped early — at the
+// limit, by a break, or by Close before any range — it reports what ran:
+// the sub-queries the stop cut short count as abandoned
+// (federate.ErrStreamClosed), which is no failure, and the data sets
+// never reached are absent. Solutions is nil — they already flowed
 // through the stream; Collect re-attaches them.
-func (qs *QueryStream) Summary() (*FederatedResult, error) { return qs.src.Summary() }
+func (qs *QueryStream) Summary() (*FederatedResult, error) {
+	for range qs.Rows() {
+	}
+	res, err := qs.summary.Summary()
+	res.Vars = qs.vars
+	return res, cmp.Or(qs.err, err)
+}
 
-// Close cancels the remaining upstream work, releases the stream and
-// closes the query's observation (see Result.Close) — so consumers that
+// Close releases the stream — rows nobody ranged over never run — and
+// closes the query's observation (see Result.Close), so consumers that
 // hold only the stream (Collect, the Solutions loop) still settle the
-// in-flight gauge and latency histogram. It is safe to call at any point
-// and more than once.
+// in-flight gauge and latency histogram. It does not interrupt a range in
+// progress: break out of it, or cancel the query's context from another
+// goroutine. It is safe to call more than once.
 func (qs *QueryStream) Close() error {
-	defer qs.qo.finish()
-	return qs.src.Close()
+	qs.rows = nil
+	qs.qo.finish()
+	return nil
 }
 
 // Collect materialises the stream into the buffered FederatedResult
@@ -506,11 +465,17 @@ func (m *Mediator) askResult(ctx context.Context, req QueryRequest, q *sparql.Qu
 		return nil, err
 	}
 	defer qs.Close()
+	// A whole fragment's rows are each endpoint's first (LIMIT 1 stays on
+	// the wire, and the stream's cut of 1 spared the plan its own), so
+	// reading them all, the summary waits for every endpoint's answer; a
+	// decomposed query's plan stops at its first row.
+	qs.limit = 0
 	ask := false
-	if _, nerr := qs.Next(); nerr == nil {
+	for _, err := range qs.Rows() {
+		if err != nil {
+			return nil, err
+		}
 		ask = true
-	} else if nerr != io.EOF {
-		return nil, nerr
 	}
 	sum, serr := qs.Summary()
 	if serr != nil && !ask {
@@ -605,7 +570,6 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 	req.Limit = 0
 	res := &Result{form: sparql.Describe}
 	phase1 := &resourceLeaf{}
-	var held []io.Closer
 	if len(vars) > 0 && q.Where != nil {
 		sel := q.Clone()
 		sel.Form = sparql.Select
@@ -622,15 +586,14 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 		}
 		res.dec = phase1.qs.dec
 		left = &algebra.Union{L: left, R: &algebra.Remote{Vars: s, Source: phase1}}
-		held = append(held, phase1.qs)
 	}
-	dp := m.JoinEngine.Plan(dcm, &algebra.Distinct{Input: left})
+	dp := m.JoinEngine.Plan(dcm, &algebra.Distinct{Input: left}, 0)
 	phase1.plan = dp
-	ps, err := m.openPlan(ctx, dp.Op, dcm.Vars, dp.Summary, held...)
+	qs, err := m.open(ctx, dp, dcm, 0)
 	if err != nil {
 		return nil, err
 	}
-	res.graph = newGraphStream(&QueryStream{src: ps}, []rdf.Triple{{
+	res.graph = newGraphStream(qs, []rdf.Triple{{
 		S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o"),
 	}}, m.Coref, limit, q.Prefixes)
 	return res, nil
@@ -646,19 +609,18 @@ type resourceLeaf struct {
 }
 
 func (l *resourceLeaf) Fetch(_ context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
-	cell := make(eval.Row, 1)
-	for {
-		row, err := l.qs.Next()
-		if err == io.EOF {
-			break
-		}
+	cell, more := make(eval.Row, 1), true
+	for row, err := range l.qs.Rows() {
 		if err != nil {
-			return err
+			break // the summary's error
 		}
 		for _, t := range row { // the projection is the described variables
-			if cell[0] = t; t.IsIRI() && !yield(cell) {
-				return nil
+			if cell[0] = t; t.IsIRI() && more {
+				more = yield(cell)
 			}
+		}
+		if !more {
+			break
 		}
 	}
 	sum, err := l.qs.Summary()
@@ -668,20 +630,15 @@ func (l *resourceLeaf) Fetch(_ context.Context, _ *eval.Seed, yield func(eval.Ro
 
 // GraphStream is an in-flight CONSTRUCT or DESCRIBE result: a lazy,
 // deduplicated triple stream instantiated from the underlying federated
-// solution stream. Consume Triples (or Next), then Summary; always Close.
+// solution stream. Range over Triples once, then call Summary; always
+// Close.
 type GraphStream struct {
 	src      *QueryStream
 	template []rdf.Triple
 	canon    *federate.RepCache
-	binds    eval.RowBindings // the current row, read by variable name
 	prefixes *rdf.PrefixMap
-
-	pending []rdf.Triple
-	seen    map[rdf.Triple]bool
-	n       int // solutions consumed, numbering template blank nodes
-	emitted int
-	limit   int
-	qo      *queryObs
+	limit    int
+	qo       *queryObs
 }
 
 func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSource, limit int, prefixes *rdf.PrefixMap) *GraphStream {
@@ -689,8 +646,6 @@ func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSo
 		src:      src,
 		template: template,
 		canon:    federate.NewRepCache(coref),
-		binds:    eval.RowBindings{Vars: src.Vars()},
-		seen:     map[rdf.Triple]bool{},
 		limit:    limit,
 		prefixes: prefixes,
 	}
@@ -700,60 +655,38 @@ func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSo
 // want to QName-shrink the streamed triples (the Turtle writer).
 func (g *GraphStream) Prefixes() *rdf.PrefixMap { return g.prefixes }
 
-// Next returns the next distinct triple, io.EOF at the end of the stream
-// (or once the triple limit is reached, which cancels upstream work), or
-// the fail-fast error that aborted the fan-out. Triples are deduplicated
-// after owl:sameAs canonicalisation, so the same fact surfacing from two
-// repositories under equivalent URIs is emitted once.
-func (g *GraphStream) Next() (rdf.Triple, error) {
-	for {
-		if g.limit > 0 && g.emitted >= g.limit {
-			g.Close()
-			return rdf.Triple{}, io.EOF
-		}
-		if len(g.pending) > 0 {
-			t := g.pending[0]
-			g.pending = g.pending[1:]
-			if g.seen[t] {
-				continue
-			}
-			g.seen[t] = true
-			g.emitted++
-			g.qo.emit()
-			return t, nil
-		}
-		row, err := g.src.Next()
-		if err != nil {
-			return rdf.Triple{}, err // io.EOF included
-		}
-		g.binds.Row = row
-		suffix := "_c" + strconv.Itoa(g.n)
-		g.n++
-		for _, tpl := range g.template {
-			if t, ok := eval.InstantiateTemplate(tpl, &g.binds, suffix); ok {
-				g.pending = append(g.pending, g.canon.Triple(t))
-			}
-		}
-	}
-}
-
-// Triples adapts the stream into a lazy triple sequence terminated by the
-// fan-out's fail-fast error, if any. Breaking out of the loop stops the
-// upstream work.
+// Triples returns the distinct triples, a sequence to range over once,
+// terminated by the fan-out's fail-fast error, if any. Triples are
+// deduplicated after owl:sameAs canonicalisation, so the same fact
+// surfacing from two repositories under equivalent URIs is emitted once.
+// Reaching the triple limit or breaking out of the loop stops the
+// upstream work before the range returns; a second range yields nothing.
 func (g *GraphStream) Triples() iter.Seq2[rdf.Triple, error] {
 	return func(yield func(rdf.Triple, error) bool) {
-		for {
-			t, err := g.Next()
-			if err == io.EOF {
-				return
-			}
+		binds := eval.RowBindings{Vars: g.src.Vars()} // the current row, read by variable name
+		seen := map[rdf.Triple]bool{}
+		n := 0 // solutions consumed, numbering template blank nodes
+		for row, err := range g.src.Rows() {
 			if err != nil {
 				yield(rdf.Triple{}, err)
 				return
 			}
-			if !yield(t, nil) {
-				g.Close()
-				return
+			binds.Row = row
+			suffix := "_c" + strconv.Itoa(n)
+			n++
+			for _, tpl := range g.template {
+				t, ok := eval.InstantiateTemplate(tpl, &binds, suffix)
+				if !ok {
+					continue
+				}
+				if t = g.canon.Triple(t); seen[t] {
+					continue
+				}
+				seen[t] = true
+				g.qo.emit()
+				if !yield(t, nil) || len(seen) == g.limit {
+					return
+				}
 			}
 		}
 	}
@@ -773,15 +706,16 @@ func (g *GraphStream) Collect() (rdf.Graph, error) {
 	return out, nil
 }
 
-// Summary reports the fan-out's outcome (consuming whatever remains of
-// the stream first): per-dataset answers — for DESCRIBE, the phase-one
-// resource resolution answers followed by the description fetches — the
-// duplicate count and the partial flag. Safe to call more than once.
+// Summary reports the fan-out's outcome as QueryStream.Summary does, after
+// a range that stopped early included: per-dataset answers — for DESCRIBE,
+// the phase-one resource resolution answers followed by the description
+// fetches — the duplicate count and the partial flag. A stream nobody
+// ranged over runs to its end first. Safe to call more than once.
 func (g *GraphStream) Summary() (*FederatedResult, error) { return g.src.Summary() }
 
-// Close cancels the remaining upstream work, releases the stream and
-// closes the query's observation (see Result.Close). It is safe to call
-// at any point and more than once.
+// Close releases the stream and closes the query's observation (see
+// Result.Close); like QueryStream.Close it does not interrupt a range in
+// progress. It is safe to call more than once.
 func (g *GraphStream) Close() error {
 	defer g.qo.finish()
 	return g.src.Close()

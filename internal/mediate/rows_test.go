@@ -2,12 +2,13 @@ package mediate
 
 // Tests of the mediator's row lane as a whole: what a /sparql request
 // costs per additional row, and that every stage which keeps rows past
-// the next Next keeps copies.
+// their iteration keeps copies.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -245,29 +246,32 @@ func TestHandlerRequestAllocations(t *testing.T) {
 	}
 }
 
-// scribbleSource holds a consumer to the row contract the hard way: each
-// row is handed out from one reused buffer that is overwritten at the
-// next Next (and at the end), as a producer recycling its batch would.
-type scribbleSource struct {
-	solutionSource
-	row eval.Row
-}
-
-func (s *scribbleSource) Next() (eval.Row, error) {
-	for i := range s.row {
-		s.row[i] = rdf.NewLiteral("scribbled over")
+// scribble holds a consumer to the row contract the hard way: each row is
+// handed out from one reused buffer that is overwritten as soon as its
+// iteration returns, as a producer recycling its batch would.
+func scribble(rows iter.Seq2[eval.Row, error]) iter.Seq2[eval.Row, error] {
+	return func(yield func(eval.Row, error) bool) {
+		var buf eval.Row
+		for row, err := range rows {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			buf = append(buf[:0], row...)
+			more := yield(buf, nil)
+			for i := range buf {
+				buf[i] = rdf.NewLiteral("scribbled over")
+			}
+			if !more {
+				return
+			}
+		}
 	}
-	row, err := s.solutionSource.Next()
-	if err != nil {
-		return nil, err
-	}
-	s.row = append(s.row[:0], row...)
-	return s.row, nil
 }
 
 // TestRetainedMediatorRowsAreCopies extends eval.TestRetainedRowsAreCopies
 // to the mediator's lane: Collect, the result-cache fill and a view
-// materialisation all keep rows past the next Next, and all must have
+// materialisation all keep rows past their iteration, and all must have
 // copied them by then.
 func TestRetainedMediatorRowsAreCopies(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
@@ -275,26 +279,25 @@ func TestRetainedMediatorRowsAreCopies(t *testing.T) {
 		Query:   workload.Figure1Query(0),
 		Targets: []string{workload.SotonVoidURI, workload.KistiVoidURI},
 	}
-	want := s.query(t, req).Solutions // fills the cache through an honest source
+	want := s.query(t, req).Solutions // fills the cache through an honest stream
 	if len(want) < 2 {
 		t.Fatalf("only %d co-authors: nothing to overwrite", len(want))
 	}
 	s.mediator.Serve.Cache.Flush()
+	keyed := req // as queryParsed keys it: over the targets' source set
+	keyed.sources, _, _ = s.mediator.sourceSet(nil, req.Targets)
+	q := sparql.MustParse(req.Query)
 	start := func() *QueryStream {
 		t.Helper()
-		res, err := s.mediator.Query(context.Background(), req)
+		qs, err := s.mediator.selectStream(context.Background(), keyed, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := res.Bindings()
-		fill, ok := qs.src.(*fillSource)
-		if !ok {
-			t.Fatalf("source is %T, want the cache fill", qs.src)
-		}
 		// Scribble below the fill (what it retains) and above it (what
 		// the stream's consumer retains).
-		fill.src = &scribbleSource{solutionSource: fill.src}
-		qs.src = &scribbleSource{solutionSource: fill}
+		qs.rows = scribble(qs.rows)
+		s.mediator.cacheFill(keyed, q, "", nil).fillRows(qs)
+		qs.rows = scribble(qs.rows)
 		return qs
 	}
 
@@ -302,9 +305,7 @@ func TestRetainedMediatorRowsAreCopies(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(fr.Solutions, want) {
 		t.Errorf("Collect over a row-reusing source = %v, %v\nwant %v", fr.Solutions, err, want)
 	}
-	keyed := req // as queryParsed keys it: over the targets' source set
-	keyed.sources, _, _ = s.mediator.sourceSet(nil, req.Targets)
-	e, ok := s.mediator.Serve.Cache.Get(s.mediator.resultCacheKey(keyed, sparql.MustParse(req.Query)))
+	e, ok := s.mediator.Serve.Cache.Get(s.mediator.resultCacheKey(keyed, q))
 	if !ok {
 		t.Fatal("the drained stream did not fill the cache")
 	}

@@ -6,7 +6,6 @@ package mediate
 import (
 	"context"
 	"errors"
-	"io"
 	"maps"
 	"slices"
 	"strconv"
@@ -93,16 +92,16 @@ func (f *cacheFill) store(e *serve.Entry) {
 	}
 }
 
-// attach arms the fill on a freshly started Result: SELECT streams are
-// wrapped so a fully consumed, fully successful run is stored on
-// completion; an ASK (already materialised) is stored immediately.
+// attach arms the fill on a freshly started Result: a SELECT's rows are
+// kept as they stream and stored once they run to their end (see
+// fillRows); an ASK (already materialised) is stored immediately.
 func (f *cacheFill) attach(res *Result) {
 	if f == nil {
 		return
 	}
 	switch {
 	case res.sel != nil:
-		res.sel.src = &fillSource{fill: f, src: res.sel.src, rows: eval.RowBuf{Width: len(res.sel.src.Vars())}}
+		f.fillRows(res.sel)
 	case res.form == sparql.Ask:
 		if storable(res.askSum) {
 			f.store(&serve.Entry{IsAsk: true, Ask: res.ask, Summary: trimSummary(res.askSum)})
@@ -140,13 +139,22 @@ func (m *Mediator) replayByText(ctx context.Context, req QueryRequest) *Result {
 }
 
 // replay is the Result of a result-cache hit: the entry's rows as a
-// stream (under the request's limit) or its ASK outcome.
+// stream (under the request's limit) — views into the entry's buffer,
+// shared by every hit and read-only like any stream's rows, with a fresh
+// trimmed summary — or its ASK outcome.
 func replay(e *serve.Entry, req QueryRequest, qo *queryObs) *Result {
 	res := &Result{form: sparql.Select, qo: qo}
 	if e.IsAsk {
 		res.form, res.ask, res.askSum = sparql.Ask, e.Ask, copySummary(e)
 	} else {
-		res.sel = &QueryStream{src: newCachedSource(e), limit: req.Limit, qo: qo}
+		rows := func(yield func(eval.Row, error) bool) {
+			for i := range e.Rows.N {
+				if !yield(e.Rows.Row(i), nil) {
+					return
+				}
+			}
+		}
+		res.sel = &QueryStream{vars: e.Vars, rows: rows, summary: cachedSummary{e}, limit: req.Limit, qo: qo}
 	}
 	return res
 }
@@ -213,6 +221,12 @@ func trimSummary(sum *federate.Result) *federate.Result {
 	return &out
 }
 
+// cachedSummary is a cache entry as the summarizer of a hit's stream (one
+// pointer, which an interface holds without an allocation).
+type cachedSummary struct{ e *serve.Entry }
+
+func (c cachedSummary) Summary() (*federate.Result, error) { return copySummary(c.e), nil }
+
 // copySummary returns a fresh summary for one cache hit, so consumers
 // mutating the result cannot corrupt the shared entry.
 func copySummary(e *serve.Entry) *federate.Result {
@@ -222,95 +236,37 @@ func copySummary(e *serve.Entry) *federate.Result {
 	return trimSummary(e.Summary)
 }
 
-// fillSource wraps a SELECT's solution source, keeping a copy of every
-// streamed row — back to back in one buffer, the strings cut from the
-// fill's own arena so the entry does not pin the decoders' chunks — and
-// storing the entry once the stream is consumed to its natural end with
-// every dataset successful. Limit-cut streams (QueryStream stops calling
-// Next before the upstream EOF) and oversized results never store;
-// neither does a run whose invalidation epoch moved (Put's version
-// check).
-type fillSource struct {
-	fill *cacheFill
-	src  solutionSource
-
-	rows     eval.RowBuf
-	arena    rdf.Arena
-	overflow bool
-	done     bool
-	stored   bool
-}
-
-func (f *fillSource) Vars() []string { return f.src.Vars() }
-
-func (f *fillSource) Next() (eval.Row, error) {
-	row, err := f.src.Next()
-	if err == io.EOF {
-		f.done = true
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !f.overflow {
-		if f.rows.N >= eval.MaxHeldRows {
-			f.overflow, f.rows = true, eval.RowBuf{}
-		} else {
-			f.rows.AppendCompact(&f.arena, row)
+// fillRows has qs keep a copy of every row it streams — back to back in
+// one buffer, the strings cut from the fill's own arena so the entry does
+// not pin the decoders' chunks — and store the entry once its rows have
+// run to their end with every data set successful. Rows cut short (by the
+// request's limit, a break or an error) and oversized results never
+// store; neither does a run whose invalidation epoch moved (Put's
+// version check).
+func (f *cacheFill) fillRows(qs *QueryStream) {
+	rows := qs.rows
+	qs.rows = func(yield func(eval.Row, error) bool) {
+		kept := eval.RowBuf{Width: len(qs.vars)}
+		var arena rdf.Arena
+		overflow := false
+		for row, err := range rows {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			switch {
+			case overflow:
+			case kept.N >= eval.MaxHeldRows:
+				overflow, kept = true, eval.RowBuf{}
+			default:
+				kept.AppendCompact(&arena, row)
+			}
+			if !yield(row, nil) {
+				return
+			}
+		}
+		if sum, err := qs.summary.Summary(); err == nil && !overflow && storable(sum) {
+			f.store(&serve.Entry{Vars: slices.Clone(qs.vars), Rows: kept, Summary: trimSummary(sum)})
 		}
 	}
-	return row, nil
-}
-
-func (f *fillSource) Summary() (*federate.Result, error) {
-	sum, err := f.src.Summary()
-	f.maybeStore(sum, err)
-	return sum, err
-}
-
-func (f *fillSource) Close() error {
-	if f.done && !f.stored {
-		if sum, err := f.src.Summary(); err == nil {
-			f.maybeStore(sum, nil)
-		}
-	}
-	f.stored = true // a stream read past its Close ends at the Close, not at its end
-	return f.src.Close()
-}
-
-func (f *fillSource) maybeStore(sum *federate.Result, err error) {
-	if f.stored || !f.done || f.overflow || err != nil || !storable(sum) {
-		return
-	}
-	f.stored = true
-	f.fill.store(&serve.Entry{
-		Vars:    append([]string(nil), f.src.Vars()...),
-		Rows:    f.rows,
-		Summary: trimSummary(sum),
-	})
-}
-
-// cachedSource replays a cache entry as a solutionSource: rows handed out
-// as views into the entry's buffer (shared by every hit, read-only like
-// any source's rows), a fresh trimmed summary, no upstream to close.
-type cachedSource struct {
-	e *serve.Entry
-	i int
-}
-
-func newCachedSource(e *serve.Entry) *cachedSource { return &cachedSource{e: e} }
-
-func (c *cachedSource) Vars() []string { return c.e.Vars }
-
-func (c *cachedSource) Next() (eval.Row, error) {
-	if c.i >= c.e.Rows.N {
-		return nil, io.EOF
-	}
-	c.i++
-	return c.e.Rows.Row(c.i - 1), nil
-}
-
-func (c *cachedSource) Close() error { return nil }
-
-func (c *cachedSource) Summary() (*federate.Result, error) {
-	return copySummary(c.e), nil
 }

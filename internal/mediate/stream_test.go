@@ -290,9 +290,9 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 		t.Fatalf("collected=%d streamed=%d", len(fr.Solutions), n)
 	}
 
-	// Limit: the stream ends after one solution and reports io.EOF, and
-	// the summary does not misreport the deliberate cancellation of the
-	// leftover work as upstream failure.
+	// Limit: the rows end after one solution, and the summary does not
+	// misreport the deliberate cancellation of the leftover work as
+	// upstream failure.
 	res2, err := s.mediator.Query(context.Background(), QueryRequest{
 		Query: workload.Figure1Query(0), Limit: 1,
 	})
@@ -301,11 +301,15 @@ func TestMediatorQueryStreamAPI(t *testing.T) {
 	}
 	defer res2.Close()
 	qs2 := res2.Bindings()
-	if _, err := qs2.Next(); err != nil {
-		t.Fatal(err)
+	rows := 0
+	for _, err := range qs2.Rows() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows++
 	}
-	if _, err := qs2.Next(); err != io.EOF {
-		t.Fatalf("post-limit Next = %v", err)
+	if rows != 1 {
+		t.Fatalf("%d rows under a limit of 1", rows)
 	}
 	sum2, err := qs2.Summary()
 	if err != nil {

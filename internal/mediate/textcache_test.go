@@ -46,11 +46,7 @@ func collectQuery(m *Mediator, req QueryRequest) ([][]rdf.Term, *Result, error) 
 	}
 	defer res.Close()
 	var rows [][]rdf.Term
-	for {
-		row, err := res.Bindings().Next()
-		if err == io.EOF {
-			break
-		}
+	for row, err := range res.Bindings().Rows() {
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,7 +2,6 @@ package mediate
 
 import (
 	"context"
-	"io"
 	"slices"
 
 	"sparqlrw/internal/decompose"
@@ -52,11 +51,7 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 	res := &view.MaterializeResult{Vars: qs.Vars()}
 	res.Rows.Width = len(res.Vars)
 	var arena rdf.Arena
-	for {
-		row, err := qs.Next()
-		if err == io.EOF {
-			break
-		}
+	for row, err := range qs.Rows() {
 		if err != nil {
 			return nil, err
 		}

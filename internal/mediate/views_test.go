@@ -90,11 +90,7 @@ func trySelectRows(m *Mediator, query string) ([][]rdf.Term, error) {
 	}
 	defer res.Close()
 	var rows [][]rdf.Term
-	for {
-		row, err := res.Bindings().Next()
-		if err == io.EOF {
-			break
-		}
+	for row, err := range res.Bindings().Rows() {
 		if err != nil {
 			return nil, err
 		}

@@ -174,7 +174,7 @@ func (r *TenantRegistry) Get(id string) (*Tenant, bool) {
 // unknown key or tenant ID also falls back to anonymous — presenting a
 // bad credential never grants more than presenting none.
 func (r *TenantRegistry) Identify(req *http.Request) *Tenant {
-	key := req.Header.Get("X-API-Key")
+	key := req.Header.Get("X-Api-Key") // X-API-Key, canonical: Get copies no key
 	if key == "" {
 		if auth := req.Header.Get("Authorization"); auth != "" {
 			if v, ok := strings.CutPrefix(auth, "Bearer "); ok {

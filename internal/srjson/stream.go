@@ -25,12 +25,14 @@ type StreamEncoder struct {
 	row    []rdf.Term // reused by Encode to gather a solution
 	n      int
 	closed bool
+	first  [512]byte // buf's first backing array, allocated with the encoder
 }
 
 // NewStreamEncoder writes the document prologue (head + opening of the
 // bindings array) and returns an encoder ready to stream bindings.
 func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
-	buf := append(make([]byte, 0, 512), `{"head":{`...)
+	e := &StreamEncoder{w: w, vars: vars}
+	buf := append(e.first[:0], `{"head":{`...)
 	for i, v := range vars {
 		if i == 0 {
 			buf = append(buf, `"vars":[`...)
@@ -46,7 +48,8 @@ func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
 	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
-	return &StreamEncoder{w: w, vars: vars, buf: buf}, nil
+	e.buf = buf
+	return e, nil
 }
 
 // EncodeRow writes one positional row — row[i] binds the encoder's i-th
