@@ -25,7 +25,7 @@ type Row = []rdf.Term
 // the working state of its operators, so it serves one evaluation at a
 // time.
 type plan struct {
-	eng   Engine // a copy, so an engine built for one call need not escape
+	eng   Engine         // a copy, so an engine built for one call need not escape
 	slots map[string]int // binding key → slot
 	names []string       // slot → binding key
 	root  op
