@@ -109,14 +109,7 @@ func (s *faultStack) settle(t *testing.T, baseline int) {
 		t.Errorf("%d entries reached the result cache", n)
 	}
 	s.close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the query:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // TestStalledEndpointDeliversPartialBatch: six rows arrive — a batch of

@@ -102,59 +102,67 @@ var (
 // (exact beats type/* beats */*, per RFC 9110 §12.5.1 — so an explicit
 // `foo/bar;q=0` excludes foo/bar even under a `*/*` wildcard), the
 // highest q wins, and ties go to the earlier offered entry. ok is false
-// when nothing offered is acceptable (a 406).
+// when nothing offered is acceptable (a 406). It reads the header in
+// place, allocating nothing, against a menu of at most four types.
 func negotiate(accept string, offered []string) (string, bool) {
 	if strings.TrimSpace(accept) == "" {
 		return offered[0], true
 	}
-	type mediaRange struct {
-		typ string
-		q   float64
+	// Per offered type: the specificity of its most specific matching
+	// range so far (-1: none) and that range's q.
+	var spec [4]int
+	var q [4]float64
+	for i := range offered {
+		spec[i] = -1
 	}
-	var ranges []mediaRange
-	for _, part := range strings.Split(accept, ",") {
-		fields := strings.Split(part, ";")
-		typ := strings.ToLower(strings.TrimSpace(fields[0]))
-		if typ == "" {
+	for rest := accept; rest != ""; {
+		var part, params string
+		part, rest, _ = strings.Cut(rest, ",")
+		typ, params, _ := strings.Cut(part, ";")
+		if typ = strings.TrimSpace(typ); typ == "" {
 			continue
 		}
-		q := 1.0
-		for _, p := range fields[1:] {
+		rq := 1.0
+		for params != "" {
+			var p string
+			p, params, _ = strings.Cut(params, ";")
 			if v, ok := strings.CutPrefix(strings.TrimSpace(p), "q="); ok {
 				if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-					q = f
+					rq = f
 				}
 			}
 		}
-		ranges = append(ranges, mediaRange{typ: typ, q: q})
-	}
-	specificity := func(r, off, major string) int {
-		switch r {
-		case off:
-			return 2
-		case major:
-			return 1
-		case "*/*":
-			return 0
-		}
-		return -1
-	}
-	best, bestQ := "", 0.0
-	for _, off := range offered {
-		major := off[:strings.Index(off, "/")+1] + "*"
-		bestSpec, q := -1, 0.0
-		for _, r := range ranges {
-			if spec := specificity(r.typ, off, major); spec > bestSpec {
-				bestSpec, q = spec, r.q
-			} else if spec == bestSpec && spec >= 0 && r.q > q {
-				q = r.q
+		for i, off := range offered {
+			if sp := specificity(typ, off); sp > spec[i] {
+				spec[i], q[i] = sp, rq
+			} else if sp == spec[i] && sp >= 0 && rq > q[i] {
+				q[i] = rq
 			}
 		}
-		if bestSpec >= 0 && q > bestQ {
-			best, bestQ = off, q
+	}
+	best, bestQ := "", 0.0
+	for i, off := range offered {
+		if spec[i] >= 0 && q[i] > bestQ {
+			best, bestQ = off, q[i]
 		}
 	}
 	return best, bestQ > 0
+}
+
+// specificity ranks how the media range r matches the offered type off,
+// ignoring case: 2 for off itself, 1 for its type/*, 0 for */*, -1 for no
+// match.
+func specificity(r, off string) int {
+	major, _, _ := strings.Cut(off, "/")
+	switch {
+	case strings.EqualFold(r, off):
+		return 2
+	case len(r) == len(major)+2 && strings.EqualFold(r[:len(major)], major) && r[len(major):] == "/*":
+		return 1
+	case r == "*/*":
+		return 0
+	}
+	return -1
 }
 
 // writeJSON answers with v as a JSON document.

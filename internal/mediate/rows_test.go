@@ -175,9 +175,14 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 594 for Figure 1
-// and 1400 for the cross-vocabulary query (595 and 1401 while a request
-// without a limit parameter built strconv.Atoi's error), since each
+// the ceilings are the measured figures plus about 7 %: 591 for Figure 1
+// and 1364 for the cross-vocabulary query, since every request's rows are
+// one push sequence — a whole fragment a plan of one leaf, no plan pulled
+// through iter.Pull2 — its header keys are read in canonical spelling,
+// its route counter is resolved once and a response encoder is one
+// allocation (594 and 1400 while a whole fragment had a pull stream of its
+// own and every other plan ran on a coroutine; 595 and 1401 while a
+// request without a limit parameter built strconv.Atoi's error), since each
 // sub-query goes as the protocol's direct POST, its text the body (642 and
 // 1616 while it was form-encoded), and a hash join's table and a
 // decomposition's fragments
@@ -191,9 +196,10 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (467, at 19 rows a
-// request; 515 form-encoded) plus 7 %, below the miss case's (594 at 11
-// rows) and below the 606 it cost before spans were cheap.
+// of its shape. Its ceiling is the measured figure (464, at 19 rows a
+// request; 467 with a pull stream of its own, 515 form-encoded) plus 7 %,
+// below the miss case's (591 at 11 rows) and below the 606 it cost before
+// spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -214,9 +220,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 637},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1499},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 501},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 632},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1459},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 496},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"sparqlrw/internal/ntriples"
+	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/srjson"
 	"sparqlrw/internal/turtle"
@@ -112,11 +113,31 @@ func TestNegotiate(t *testing.T) {
 		// (specificity beats the wildcard's q, RFC 9110 §12.5.1).
 		{"application/n-triples;q=0, */*", graphOffered, ctTurtle, true},
 		{"application/n-triples;q=0, text/turtle;q=0", graphOffered, "", false},
+		// Media types match regardless of case; of two ranges equally
+		// specific, the higher q counts.
+		{"Application/X-NDJSON", bindingsOffered, ctNDJSON, true},
+		{"TEXT/*;q=0.5, application/*;q=0.2", bindingsOffered, ctSSE, true},
+		{"application/x-ndjson;q=0.1, application/x-ndjson;q=0.8, text/event-stream;q=0.5", bindingsOffered, ctNDJSON, true},
+		{"text/event-stream;level=1;q=0.4, application/sparql-results+json ; q=0.3", bindingsOffered, ctSSE, true},
 	}
 	for _, tc := range cases {
 		got, ok := negotiate(tc.accept, tc.offered)
 		if got != tc.want || ok != tc.ok {
 			t.Errorf("negotiate(%q) = %q/%v, want %q/%v", tc.accept, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestNegotiateAllocations: negotiation reads the Accept header in
+// place. The bindings media type every benchmark request sends, and a
+// header of several weighted ranges, cost no allocation.
+func TestNegotiateAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, accept := range []string{ctSRJ, "text/event-stream;q=0.5, application/x-ndjson;q=0.9, */*;q=0.1"} {
+		if got := testing.AllocsPerRun(100, func() { negotiate(accept, bindingsOffered) }); got != 0 {
+			t.Errorf("negotiate(%q): %.0f allocations, want 0", accept, got)
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,49 +200,192 @@ func TestSparqlStreamsFirstRowBeforeSlowEndpoint(t *testing.T) {
 	}
 }
 
-// TestSparqlClientDisconnectCancelsSubQueries: dropping the /sparql
-// connection mid-stream must propagate cancellation down to the endpoint
-// sub-queries (the gated endpoint sees its request context die).
-func TestSparqlClientDisconnectCancelsSubQueries(t *testing.T) {
+// hungStack is a mediator one of whose endpoints holds some sub-queries
+// until their context ends: started reports that one is held, cancelled
+// is closed once a held one's context ended.
+type hungStack struct {
+	m         *Mediator
+	targets   []string
+	started   func() bool
+	cancelled <-chan struct{}
+}
+
+// slowReplica is the stream stack: its fourth Southampton replica holds
+// every sub-query until the test ends.
+func slowReplica(t *testing.T) hungStack {
 	s := newStreamStack(t)
-	srv := httptest.NewServer(Handler(s.mediator))
-	defer srv.Close()
+	return hungStack{m: s.mediator, targets: s.targets,
+		started: func() bool { return s.slowStarted.Load() > 0 }, cancelled: s.slowCancelled}
+}
 
-	form := url.Values{"query": {workload.Figure1Query(0)},
-		"target": s.targets}
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		srv.URL+"/sparql", strings.NewReader(form.Encode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+// kistiShards is the example federation with KISTI holding every bound-join
+// shard (a sub-query carrying VALUES): of the cross-vocabulary query's
+// plan, the last stage's KISTI half hangs while Southampton's rows join.
+func kistiShards(t *testing.T) hungStack {
+	var held atomic.Bool
+	cancelled := make(chan struct{})
+	var once sync.Once
+	m := exampleFederation(t, func(dataset string, h http.Handler) http.Handler {
+		if dataset != workload.KistiVoidURI {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil || !strings.Contains(string(body), "VALUES") {
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				h.ServeHTTP(w, r)
+				return
+			}
+			held.Store(true)
+			<-r.Context().Done()
+			once.Do(func() { close(cancelled) })
+		})
+	})
+	return hungStack{m: m, started: held.Load, cancelled: cancelled}
+}
 
-	// Read the first streamed binding so the fan-out is demonstrably live
-	// (the slow sub-query is in flight), then drop the connection.
-	dec, err := srjson.NewStreamDecoder(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Next(); err != nil {
-		t.Fatal(err)
-	}
-	for s.slowStarted.Load() == 0 {
+// hungCases are a whole fragment, whose rows stream while the slow
+// replica holds its sub-query; its ORDER BY variant, a planned request
+// whose sort holds every row back until all endpoints answered; and the
+// cross-vocabulary query's bound joins, whose rows stream while a KISTI
+// shard is held.
+var hungCases = []struct {
+	name     string
+	stack    func(t *testing.T) hungStack
+	query    string
+	firstRow bool // a row arrives while the sub-query is held
+}{
+	{"whole fragment", slowReplica, workload.Figure1Query(0), true},
+	{"ORDER BY", slowReplica, workload.Figure1Query(0) + " ORDER BY ?a", false},
+	{"cross-vocabulary", kistiShards, workload.CrossVocabularyQuery(2), true},
+}
+
+// waitGoroutines waits for the goroutine count to come back to the
+// baseline: the fan-out, its workers, the merger, Close's drainer and the
+// connections' loops must all have exited.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the query:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cancel()
+}
 
+// waitCancelled fails unless the held sub-query's context ends.
+func waitCancelled(t *testing.T, s hungStack) {
+	t.Helper()
 	select {
-	case <-s.slowCancelled:
-		// The disconnect travelled: mediator handler ctx -> executor ->
-		// endpoint client -> slow endpoint's request context.
+	case <-s.cancelled:
+		// The stop travelled: mediator -> executor -> endpoint client ->
+		// the held request's context.
 	case <-time.After(10 * time.Second):
-		t.Fatal("client disconnect did not cancel the in-flight endpoint sub-query")
+		t.Fatal("the held endpoint sub-query was never cancelled")
+	}
+}
+
+// TestSparqlClientDisconnectCancelsSubQueries: dropping the /sparql
+// connection must propagate cancellation down to the endpoint sub-queries
+// (the held one sees its request context die) — mid-stream, or before the
+// first row where the plan holds rows back — and every goroutine the
+// request started must end.
+func TestSparqlClientDisconnectCancelsSubQueries(t *testing.T) {
+	for _, c := range hungCases {
+		baseline := runtime.NumGoroutine()
+		t.Run(c.name, func(t *testing.T) {
+			s := c.stack(t)
+			srv := httptest.NewServer(Handler(s.m))
+			defer srv.Close()
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+
+			form := url.Values{"query": {c.query}, "target": s.targets}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+				srv.URL+"/sparql", strings.NewReader(form.Encode()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			first, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				resp, err := client.Do(req)
+				if err != nil {
+					return // cancelled before the response began
+				}
+				defer resp.Body.Close()
+				dec, err := srjson.NewStreamDecoder(resp.Body)
+				if err != nil {
+					return
+				}
+				// Read the first streamed binding, so the fan-out is
+				// demonstrably live, then hold the connection open.
+				if _, err := dec.Next(); err != nil && c.firstRow {
+					t.Errorf("first binding: %v", err)
+				}
+				close(first)
+				<-ctx.Done()
+			}()
+			if c.firstRow {
+				select {
+				case <-first:
+				case <-done:
+					t.Fatal("the response ended before its first binding")
+				}
+			}
+			for !s.started() {
+				time.Sleep(5 * time.Millisecond)
+			}
+			cancel()
+			waitCancelled(t, s)
+			<-done
+		})
+		waitGoroutines(t, baseline)
+	}
+}
+
+// TestBreakAfterFirstSolutionStopsUpstream: a Solutions loop broken after
+// its first row stops the held sub-query and everything else the query
+// started, on a whole fragment and on the cross-vocabulary query's plan.
+func TestBreakAfterFirstSolutionStopsUpstream(t *testing.T) {
+	for _, c := range hungCases {
+		if !c.firstRow {
+			continue
+		}
+		baseline := runtime.NumGoroutine()
+		t.Run(c.name, func(t *testing.T) {
+			s := c.stack(t)
+			res, err := s.m.Query(context.Background(), QueryRequest{Query: c.query, Targets: s.targets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			n := 0
+			for sol, err := range res.Bindings().Solutions() {
+				if err != nil || len(sol) == 0 {
+					t.Fatalf("first solution = %v, %v", sol, err)
+				}
+				for !s.started() { // the held sub-query is in flight too
+					time.Sleep(5 * time.Millisecond)
+				}
+				n++
+				break
+			}
+			if n != 1 {
+				t.Fatal("no solution")
+			}
+			waitCancelled(t, s)
+			sum, err := res.Summary()
+			if err != nil || sum.Partial {
+				t.Errorf("summary after the break = %+v, %v: abandonment is not a failure", sum, err)
+			}
+		})
+		waitGoroutines(t, baseline)
 	}
 }
 
