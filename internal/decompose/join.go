@@ -99,8 +99,8 @@ func (e *Engine) Stats() EngineStats {
 // Plan is one execution of a decomposition. Op is its algebra, for
 // eval.Engine.Open: the query's solution modifiers over its residual
 // FILTERs over the left-deep join of its fragments, each a remote leaf
-// that dispatches when the plan first pulls it. Summary reports, once the
-// plan has run, what was dispatched.
+// that dispatches when the plan's run first reaches it. Summary reports,
+// once the plan has run, what was dispatched.
 type Plan struct {
 	Op  algebra.Op
 	sum federate.Result

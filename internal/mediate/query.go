@@ -59,8 +59,9 @@ type QueryRequest struct {
 // Result is the form-polymorphic outcome of Mediator.Query: a tagged
 // union discriminated by Form. Exactly one payload accessor is non-zero —
 // Bindings for SELECT (a lazy solution stream), Bool for ASK, Graph for
-// CONSTRUCT and DESCRIBE (a lazy triple stream). Always Close a Result;
-// closing tears down whichever stream is live.
+// CONSTRUCT and DESCRIBE (a lazy triple stream). A stream dispatches
+// nothing before its first range, and leaving a range stops its upstream
+// work. Always Close a Result.
 type Result struct {
 	form   sparql.Form
 	sel    *QueryStream
@@ -105,9 +106,12 @@ func (r *Result) Trace() *obs.Trace {
 	return r.qo.trace
 }
 
-// Summary reports the fan-out's outcome (consuming whatever remains of
-// the live stream first): per-dataset answers, duplicate count, partial
-// flag. For ASK it is available immediately.
+// Summary reports the fan-out's outcome: per-dataset answers, duplicate
+// count, partial flag. A stream nobody ranged over runs to its end first;
+// after a consumer broke out early, or the limit cut the stream, it
+// reports what ran, the sub-queries the stop cut short as abandoned
+// (federate.ErrStreamClosed), no failure (see QueryStream.Summary). For
+// ASK it is available immediately.
 func (r *Result) Summary() (*FederatedResult, error) {
 	switch {
 	case r.sel != nil:
@@ -119,10 +123,11 @@ func (r *Result) Summary() (*FederatedResult, error) {
 	}
 }
 
-// Close cancels the remaining upstream work of whichever stream is live
-// and closes the query's observation (in-flight gauge, latency histogram,
-// trace finish + ring record). Safe to call at any point and more than
-// once.
+// Close releases whichever stream is live — rows nobody ranged over never
+// run — and closes the query's observation (in-flight gauge, latency
+// histogram, trace finish + ring record). It does not interrupt a range
+// in progress: cancel the query's context for that. Safe to call at any
+// point and more than once.
 func (r *Result) Close() error {
 	defer r.qo.finish()
 	switch {
@@ -157,8 +162,8 @@ func (r *Result) Close() error {
 // the alignment into it that the triple's IRIs match. Targets narrow the
 // data sets every form may read. A request the result cache has answered
 // before — the same tenant, limit, targets and text — replays that answer
-// before the parse. Cancelling ctx (or closing the result) aborts every
-// in-flight sub-query.
+// before the parse. Cancelling ctx (or leaving a range over the result's
+// rows) aborts every in-flight sub-query.
 func (m *Mediator) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 	if res := m.replayByText(ctx, req); res != nil {
 		return res, nil

@@ -319,7 +319,8 @@ type (
 	// counts.
 	MediatorStats = mediate.Stats
 	// FederationStream is the executor-level merged stream of positional
-	// rows underneath MediatorQueryStream.
+	// rows: one fragment dispatch, which a MediatorQueryStream's plan
+	// reads as a leaf.
 	FederationStream = federate.Stream
 )
 
