@@ -115,9 +115,10 @@ type Plan struct {
 // stage seeds a later one. The residual FILTERs run over merged rows,
 // which bind owl:sameAs representatives, so their IRI constants are
 // canonicalised the same way. A positive limit is a cut the caller makes
-// in the plan's rows. A whole fragment over exactly the query's
-// projection, with no ORDER BY or OFFSET and no LIMIT but one that cut
-// makes redundant, is its own plan: the merge already answers that set.
+// in the plan's rows. A whole fragment with no left operand, over exactly
+// the query's projection, with no ORDER BY or OFFSET and no LIMIT but one
+// that cut makes redundant, is its own plan: the merge already answers
+// that set.
 func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 	e.metrics.runs.Inc()
 	p := &Plan{}
@@ -153,7 +154,7 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 	mods := d.Query
 	if w := d.Whole(); w != nil {
 		cut := mods.Limit < 0 || 0 < limit && limit <= mods.Limit
-		if cut && len(mods.OrderBy) == 0 && mods.Offset < 0 && slices.Equal(w.Vars, d.Vars) {
+		if cut && left == nil && len(mods.OrderBy) == 0 && mods.Offset < 0 && slices.Equal(w.Vars, d.Vars) {
 			p.Op = op
 			return p
 		}

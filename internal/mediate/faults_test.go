@@ -246,14 +246,23 @@ func TestCloseAfterFirstRowOfLongAnswer(t *testing.T) {
 			}
 		})
 	qs := s.start(t, context.Background())
-	within(t, 5*time.Second, "leaving the rows mid-answer", func() {
+	broke, left := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(left)
 		for row, err := range qs.Rows() {
 			if err != nil || row[0].Value != "http://stub.example/id/0" {
 				t.Errorf("first row = %v, %v", row, err)
 			}
+			close(broke)
 			break
 		}
-	})
+	}()
+	select {
+	case <-broke:
+	case <-left:
+		t.Fatal("the rows ended before the first")
+	}
+	within(t, 2*time.Second, "leaving the rows mid-answer", func() { <-left })
 	qs.Close()
 	s.settle(t, baseline)
 }

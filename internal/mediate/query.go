@@ -314,19 +314,30 @@ func (m *Mediator) selectStream(ctx context.Context, req QueryRequest, q *sparql
 		return nil, err
 	}
 	m.observeViews(ctx, dcm)
-	return m.open(ctx, m.JoinEngine.Plan(dcm, nil, req.Limit), dcm, req.Limit)
+	qs, _, err := m.open(ctx, dcm, nil, req.Limit, false)
+	return qs, err
 }
 
-// open is where every query form's rows come from: the plan dp of dcm,
-// compiled to run under ctx, its rows over dcm's projection cut at limit
-// (0: none). A whole fragment with nothing above its merge is a plan of one
-// leaf, whose rows are its dispatch's.
-func (m *Mediator) open(ctx context.Context, dp *decompose.Plan, dcm *decompose.Decomposition, limit int) (*QueryStream, error) {
+// open is where every query form's rows come from: dcm's plan over left
+// (nil: none), compiled to run under ctx, its rows over dcm's projection
+// cut at limit (0: none). The plan and the cut take the one limit, as the
+// plan drops a LIMIT the cut makes redundant: a whole fragment with
+// nothing else above its merge is a plan of one leaf, whose rows are its
+// dispatch's. An ASK's rows (ask) are planned under a cut of 1 and read to
+// their end: a whole fragment's are each endpoint's first (LIMIT 1 stays
+// on the wire), so its summary waits for every endpoint's answer, and a
+// decomposed query's plan stops at its first row.
+func (m *Mediator) open(ctx context.Context, dcm *decompose.Decomposition, left algebra.Op, limit int, ask bool) (*QueryStream, *decompose.Plan, error) {
+	cut := limit
+	if ask {
+		limit, cut = 1, 0
+	}
+	dp := m.JoinEngine.Plan(dcm, left, limit)
 	rows, err := (&eval.Engine{Funcs: m.Funcs.Resolver()}).Open(ctx, dp.Op, dcm.Vars)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &QueryStream{vars: dcm.Vars, rows: rows, summary: dp, dec: dcm, limit: limit}, nil
+	return &QueryStream{vars: dcm.Vars, rows: rows, summary: dp, dec: dcm, limit: cut}, dp, nil
 }
 
 // route plans q over the request's source set: as one whole fragment over
@@ -464,17 +475,16 @@ func (m *Mediator) askResult(ctx context.Context, req QueryRequest, q *sparql.Qu
 	sel.OrderBy = nil
 	sel.Limit = 1
 	sel.Offset = -1
-	req.Limit = 1
-	qs, err := m.selectStream(ctx, req, sel)
+	dcm, err := m.route(ctx, sel, req)
+	if err != nil {
+		return nil, err
+	}
+	m.observeViews(ctx, dcm)
+	qs, _, err := m.open(ctx, dcm, nil, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	defer qs.Close()
-	// A whole fragment's rows are each endpoint's first (LIMIT 1 stays on
-	// the wire, and the stream's cut of 1 spared the plan its own), so
-	// reading them all, the summary waits for every endpoint's answer; a
-	// decomposed query's plan stops at its first row.
-	qs.limit = 0
 	ask := false
 	for _, err := range qs.Rows() {
 		if err != nil {
@@ -592,12 +602,11 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 		res.dec = phase1.qs.dec
 		left = &algebra.Union{L: left, R: &algebra.Remote{Vars: s, Source: phase1}}
 	}
-	dp := m.JoinEngine.Plan(dcm, &algebra.Distinct{Input: left}, 0)
-	phase1.plan = dp
-	qs, err := m.open(ctx, dp, dcm, 0)
+	qs, dp, err := m.open(ctx, dcm, &algebra.Distinct{Input: left}, 0, false)
 	if err != nil {
 		return nil, err
 	}
+	phase1.plan = dp
 	res.graph = newGraphStream(qs, []rdf.Triple{{
 		S: rdf.NewVar("s"), P: rdf.NewVar("p"), O: rdf.NewVar("o"),
 	}}, m.Coref, limit, q.Prefixes)

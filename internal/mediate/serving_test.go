@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
@@ -31,6 +32,7 @@ type servingStack struct {
 	mediator   *Mediator
 	dsKB       *voidkb.KB
 	roundTrips atomic.Int64
+	inFlight   atomic.Int64 // endpoint requests arrived and not yet answered
 	sotonURL   string
 	kistiURL   string
 }
@@ -45,6 +47,8 @@ func newServingStack(t testing.TB, opts serve.Options) *servingStack {
 	count := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			s.roundTrips.Add(1)
+			s.inFlight.Add(1)
+			defer s.inFlight.Add(-1)
 			h.ServeHTTP(w, r)
 		})
 	}
@@ -73,6 +77,25 @@ func newServingStack(t testing.TB, opts serve.Options) *servingStack {
 	s.mediator = New(s.dsKB, alignKB, s.u.Coref,
 		WithRewriteFilters(true), WithServing(opts))
 	return s
+}
+
+// settle waits until the endpoints have answered every request that
+// reached them and none has arrived for 100 ms: a sub-query an answer
+// abandoned can reach an endpoint after that answer is complete.
+func (s *servingStack) settle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := s.roundTrips.Load(); ; {
+		time.Sleep(100 * time.Millisecond)
+		now := s.roundTrips.Load()
+		if now == n && s.inFlight.Load() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("endpoint requests still arriving: %d in flight", s.inFlight.Load())
+		}
+		n = now
+	}
 }
 
 func (s *servingStack) sotonDataset() *voidkb.Dataset {
