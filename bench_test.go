@@ -724,13 +724,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 					{Dataset: workload.KistiVoidURI, Endpoint: kisti.SPARQLEndpoint, Query: queries[i%50], NeedsRewrite: true},
 				},
 			}
-			st := m.Exec.SelectStream(ctx, freq)
-			for {
-				if _, err := st.Next(); err != nil {
-					break
-				}
-			}
-			if err := st.Close(); err != nil {
+			if _, err := m.Exec.Select(ctx, freq).Run(func(eval.Row) bool { return true }); err != nil {
 				b.Fatal(err)
 			}
 			if tr != nil {

@@ -573,11 +573,11 @@ type capturingDispatcher struct {
 	reqs []federate.Request
 }
 
-func (c *capturingDispatcher) SelectStream(ctx context.Context, req federate.Request) *federate.Stream {
+func (c *capturingDispatcher) Select(ctx context.Context, req federate.Request) federate.Fanout {
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
 	c.mu.Unlock()
-	return c.exec.SelectStream(ctx, req)
+	return c.exec.Select(ctx, req)
 }
 
 // TestRewriteFragmentUsesPatternVocabulary: a fragment whose patterns
@@ -828,12 +828,12 @@ type heldDispatcher struct {
 	held, release chan struct{}
 }
 
-func (h *heldDispatcher) SelectStream(ctx context.Context, req federate.Request) *federate.Stream {
+func (h *heldDispatcher) Select(ctx context.Context, req federate.Request) federate.Fanout {
 	h.once.Do(func() {
 		close(h.held)
 		<-h.release
 	})
-	return h.exec.SelectStream(ctx, req)
+	return h.exec.Select(ctx, req)
 }
 
 // TestCardObservationRacingInvalidationDropped: the seed fragment's fetch

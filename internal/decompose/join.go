@@ -16,12 +16,13 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// Dispatcher starts federated sub-query streams; *federate.Executor
-// satisfies it. Fragments dispatch through the executor so they get the
-// usual pipeline: cached rewrites, bounded concurrency, retries, circuit
-// breakers and the owl:sameAs merge.
+// Dispatcher builds federated fan-outs; *federate.Executor satisfies it.
+// Fragments dispatch through the executor so they get the usual pipeline:
+// cached rewrites, bounded concurrency, retries, circuit breakers and the
+// owl:sameAs merge. A leaf runs the returned fan-out with its own yield
+// (federate.Fanout.Run), so the rows never pass through the interface.
 type Dispatcher interface {
-	SelectStream(ctx context.Context, req federate.Request) *federate.Stream
+	Select(ctx context.Context, req federate.Request) federate.Fanout
 }
 
 // EngineStats counts join-engine activity for /api/stats.
@@ -478,12 +479,9 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query,
 
 // fetch sends req through the executor and pushes the merged rows into
 // yield, then adds the dispatch's summary to the plan's and returns it
-// with the solutions the endpoints returned. Its error, the fail-fast
-// abort, is the rows'; the summary's is the same.
+// with the solutions the endpoints returned and the fail-fast abort.
 func (l *fragmentLeaf) fetch(ctx context.Context, req federate.Request, yield func(eval.Row) bool) (*federate.Result, int64, error) {
-	s := l.e.exec.SelectStream(ctx, req)
-	err := s.Fetch(ctx, nil, yield)
-	res, _ := s.Summary()
+	res, err := l.e.exec.Select(ctx, req).Run(yield)
 	l.plan.Add(res)
 	var n int64
 	for _, da := range res.PerDataset {

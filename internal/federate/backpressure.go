@@ -8,9 +8,10 @@ import (
 
 // pausableDeadline is a context enforcing a per-attempt deadline over
 // *active* time only: Pause/Resume bracket intervals the worker spends
-// blocked handing solutions to the stream's consumer, so a slow reader
-// cannot burn an endpoint's attempt budget (the endpoint is not the one
-// being slow). The ROADMAP calls this backpressure-aware deadlines.
+// blocked handing solutions on while the yield that Fanout.Run pushes
+// rows into is slow, so a slow reader cannot burn an endpoint's attempt
+// budget (the endpoint is not the one being slow). The ROADMAP calls this
+// backpressure-aware deadlines.
 //
 // It implements context.Context: Done fires when the active-time budget
 // runs out (Err then reports context.DeadlineExceeded) or when the parent

@@ -63,35 +63,25 @@ func TestSlowConsumerDoesNotBurnAttemptDeadline(t *testing.T) {
 		EndpointTimeout: timeout,
 		MaxRetries:      -1,
 	})
-	s := e.SelectStream(context.Background(), req(
-		Target{Dataset: "http://d/", Endpoint: "http://d/sparql"},
-	))
-	defer s.Close()
-
 	// An artificially slow reader: the total drain takes several times
 	// the attempt deadline.
 	start := time.Now()
 	got := 0
-	for {
-		_, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("stream failed after %d solutions (%v elapsed): %v", got, time.Since(start), err)
-		}
+	res, err := e.Select(context.Background(), req(
+		Target{Dataset: "http://d/", Endpoint: "http://d/sparql"},
+	)).Run(func(eval.Row) bool {
 		got++
 		time.Sleep(2 * time.Millisecond)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("fan-out failed after %d solutions (%v elapsed): %v", got, time.Since(start), err)
 	}
 	if elapsed := time.Since(start); elapsed < timeout {
 		t.Fatalf("consumer was not slow enough to exercise the deadline (%v)", elapsed)
 	}
 	if got != n {
 		t.Fatalf("received %d solutions, want %d", got, n)
-	}
-	res, err := s.Summary()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if res.PerDataset[0].Err != nil {
 		t.Fatalf("slow consumer charged to the endpoint: %v", res.PerDataset[0].Err)

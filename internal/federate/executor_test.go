@@ -100,6 +100,19 @@ func req(targets ...Target) Request {
 	return Request{Vars: []string{"a"}, Targets: targets}
 }
 
+// selectAll runs the fan-out of req and gathers its rows into the
+// result's Solutions, sorted.
+func selectAll(ctx context.Context, e *Executor, req Request) (*Result, error) {
+	var sols []eval.Solution
+	res, err := e.Select(ctx, req).Run(func(row eval.Row) bool {
+		sols = append(sols, eval.RowSolution(req.Vars, row))
+		return true
+	})
+	res.Solutions = sols
+	eval.SortSolutions(res.Solutions)
+	return res, err
+}
+
 // TestFanOutMergesAndDeduplicates: three endpoints answer with
 // overlapping entities in different URI spaces; the merge collapses them
 // via owl:sameAs and counts the duplicates.
@@ -117,7 +130,7 @@ func TestFanOutMergesAndDeduplicates(t *testing.T) {
 		return answers("http://c.example/3"), nil
 	})
 	e := NewExecutor(fc, nil, cs, fastOpts())
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d1", Endpoint: "ep1"}, Target{Dataset: "d2", Endpoint: "ep2"},
 			Target{Dataset: "d3", Endpoint: "ep3"}))
 	if err != nil {
@@ -156,7 +169,7 @@ func TestRetryRecovers(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxRetries = 2
 	e := NewExecutor(fc, nil, nil, opts)
-	res, err := e.Select(context.Background(), req(Target{Dataset: "d", Endpoint: "flaky"}))
+	res, err := selectAll(context.Background(), e, req(Target{Dataset: "d", Endpoint: "flaky"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +194,7 @@ func TestBreakerShieldsDeadEndpoint(t *testing.T) {
 	opts.BreakerFailures = 2
 	e := NewExecutor(fc, nil, nil, opts)
 	for i := 0; i < 2; i++ {
-		if _, err := e.Select(context.Background(), req(Target{Dataset: "d", Endpoint: "dead"})); err != nil {
+		if _, err := selectAll(context.Background(), e, req(Target{Dataset: "d", Endpoint: "dead"})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +202,7 @@ func TestBreakerShieldsDeadEndpoint(t *testing.T) {
 	if dispatched != 2 {
 		t.Fatalf("dispatched = %d, want 2", dispatched)
 	}
-	res, err := e.Select(context.Background(), req(Target{Dataset: "d", Endpoint: "dead"}))
+	res, err := selectAll(context.Background(), e, req(Target{Dataset: "d", Endpoint: "dead"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +234,7 @@ func TestBreakerRecoversViaHalfOpenProbe(t *testing.T) {
 	opts.BreakerCooldown = 10 * time.Millisecond
 	e := NewExecutor(fc, nil, nil, opts)
 	r := req(Target{Dataset: "d", Endpoint: "ep"})
-	if _, err := e.Select(context.Background(), r); err != nil {
+	if _, err := selectAll(context.Background(), e, r); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Endpoints[0].Breaker; got != "open" {
@@ -229,7 +242,7 @@ func TestBreakerRecoversViaHalfOpenProbe(t *testing.T) {
 	}
 	healthy.Store(true)
 	time.Sleep(20 * time.Millisecond)
-	res, err := e.Select(context.Background(), r)
+	res, err := selectAll(context.Background(), e, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +269,7 @@ func TestHangingEndpointTimesOut(t *testing.T) {
 	opts.EndpointTimeout = 30 * time.Millisecond
 	e := NewExecutor(fc, nil, nil, opts)
 	start := time.Now()
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "hung", Endpoint: "hang"}, Target{Dataset: "good", Endpoint: "ok"}))
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +317,7 @@ func TestFailFastCancelsFanOut(t *testing.T) {
 	opts.FailFast = true
 	opts.EndpointTimeout = 10 * time.Second
 	e := NewExecutor(fc, nil, nil, opts)
-	_, err := e.Select(context.Background(),
+	_, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "b", Endpoint: "bad"}, Target{Dataset: "s", Endpoint: "slow"}))
 	if err == nil {
 		t.Fatal("fail-fast must surface the endpoint error")
@@ -338,7 +351,7 @@ func TestSingleflightRewrite(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.Select(context.Background(),
+			res, err := selectAll(context.Background(), e,
 				req(Target{Dataset: "d", Endpoint: "ep", NeedsRewrite: true}))
 			if err != nil {
 				t.Error(err)
@@ -384,7 +397,7 @@ func TestConcurrencyBound(t *testing.T) {
 	opts := fastOpts()
 	opts.Concurrency = 3
 	e := NewExecutor(fc, nil, nil, opts)
-	if _, err := e.Select(context.Background(), req(targets...)); err != nil {
+	if _, err := selectAll(context.Background(), e, req(targets...)); err != nil {
 		t.Fatal(err)
 	}
 	if m := maxInFlight.Load(); m > 3 {
@@ -409,7 +422,7 @@ func TestCancellationDoesNotOpenBreakers(t *testing.T) {
 	opts.BreakerFailures = 1
 	opts.EndpointTimeout = 10 * time.Second
 	e := NewExecutor(fc, nil, nil, opts)
-	if _, err := e.Select(context.Background(),
+	if _, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "b", Endpoint: "bad"}, Target{Dataset: "h", Endpoint: "healthy"})); err == nil {
 		t.Fatal("fail-fast must surface the endpoint error")
 	}
@@ -428,7 +441,7 @@ func TestRewriteErrorReported(t *testing.T) {
 	}
 	fc := newFakeClient()
 	e := NewExecutor(fc, rewrite, nil, fastOpts())
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d", Endpoint: "ep", NeedsRewrite: true}))
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,12 @@
 //	          that canonicalises and compacts each batch in place,
 //	          memoising owl:sameAs representative lookups per run.
 //
+// A fan-out is one push call: Executor.Select(ctx, req) builds it and
+// Fanout.Run(yield) runs it, pushing the merged rows into yield on the
+// caller's goroutine and returning the per-dataset answers once every
+// worker has reported. The merge runs on its own goroutine between the
+// workers and the caller.
+//
 // The partial-result policy is configurable: best-effort (default)
 // returns whatever the healthy endpoints answered and marks the result
 // Partial; fail-fast cancels the fan-out on the first endpoint error.
@@ -239,27 +245,6 @@ func (e *Executor) Options() Options { return e.opts }
 // Endpoints returns the executor's endpoint table: one record per endpoint
 // holding its breaker, in-flight bound and health model.
 func (e *Executor) Endpoints() *EndpointTable { return e.endpoints }
-
-// Select fans the request out to every target concurrently and merges
-// the answers into a materialised Result. Under the best-effort policy
-// endpoint failures are reported per data set and never fail the call;
-// under fail-fast the first failure cancels the remaining work and is
-// returned as the error alongside the partial result. Callers that can
-// consume solutions incrementally should prefer SelectStream, which this
-// method drains.
-func (e *Executor) Select(ctx context.Context, req Request) (*Result, error) {
-	s := e.SelectStream(ctx, req)
-	defer s.Close()
-	var sols []eval.Solution
-	// The rows end at io.EOF or at the fail-fast abort Summary re-reports.
-	for row, err := s.Next(); err == nil; row, err = s.Next() {
-		sols = append(sols, eval.RowSolution(req.Vars, row))
-	}
-	res, err := s.Summary()
-	res.Solutions = sols
-	eval.SortSolutions(res.Solutions)
-	return res, err
-}
 
 // subquery is one distinct sub-query of a fan-out (targets share
 // queries), formatted once for all its targets: text is what a native

@@ -2,7 +2,6 @@ package federate
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"sparqlrw/internal/eval"
@@ -18,8 +17,9 @@ import (
 // stream into the same merge channel — the owl:sameAs deduplicator
 // collapses whatever both delivered — and the first arm to finish
 // successfully wins; the loser is cancelled and joined before the
-// dispatch returns, so the fan-out's channel-close invariant (workers
-// done before close) holds unchanged.
+// dispatch returns, so both arms have ended when their worker reports,
+// and Fanout.Run, which returns only once every worker has, leaves no
+// arm running.
 //
 // Accounting rules:
 //
@@ -148,44 +148,43 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord,
 		case o := <-primCh:
 			prim = &o
 			if o.err == nil {
-				cancelBack()
-				if back == nil {
-					bo := <-backCh
-					back = &bo
-				}
-				e.settleHedgeLoser(*back)
+				e.settleHedgeLoser(ctx, back, cancelBack, backCh)
 				return o
 			}
 		case o := <-backCh:
 			back = &o
 			if o.err == nil {
 				e.metrics.hedgeWins.Inc()
-				cancelPrim()
-				if prim == nil {
-					po := <-primCh
-					prim = &po
-				}
-				e.settleHedgeLoser(*prim)
+				e.settleHedgeLoser(ctx, prim, cancelPrim, primCh)
 				return o
 			}
 		}
 	}
 	// Both arms failed: settle the backup's bookkeeping here and report
 	// the primary's failure through the ordinary retry path.
-	e.settleHedgeLoser(*back)
+	e.settleHedgeLoser(ctx, back, nil, nil)
 	return *prim
 }
 
-// settleHedgeLoser books the losing arm's outcome: a near-simultaneous
-// success counts as a success (its rows reached the merge anyway), a
-// cancellation is no-fault, and a genuine failure is charged like any
+// settleHedgeLoser books the losing arm: ended, its outcome; still
+// running, it is cancelled and joined first. A near-simultaneous success
+// counts as a success (its rows reached the merge anyway). A failure of an
+// arm cancelled here, or under a cancelled fan-out, is no-fault whatever
+// error the cancellation surfaced as (a body cut short reads as a decode
+// error, not context.Canceled); any other failure is charged like any
 // failed attempt.
-func (e *Executor) settleHedgeLoser(o armOutcome) {
-	if errors.Is(o.err, context.Canceled) {
+func (e *Executor) settleHedgeLoser(ctx context.Context, ended *armOutcome, cancel context.CancelFunc, running <-chan armOutcome) {
+	o := ended
+	if o == nil {
+		cancel()
+		lost := <-running
+		o = &lost
+	}
+	if o.err != nil && (ended == nil || ctx.Err() != nil) {
 		o.rec.breaker.Cancel()
 		return
 	}
-	e.settle(o)
+	e.settle(*o)
 }
 
 // settle books a finished arm — succeeded or failed, not abandoned — with

@@ -37,7 +37,7 @@ func TestHedgeBackupWins(t *testing.T) {
 
 	e := NewExecutor(fc, nil, nil, hedgeOpts())
 	start := time.Now()
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d", Endpoint: "slow", Replicas: []string{"replica"}}))
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +62,37 @@ func TestHedgeBackupWins(t *testing.T) {
 	}
 }
 
+// TestHedgeCancelledLoserNotCharged: a losing primary whose cancellation
+// surfaces as some other error (a response body cut short) is no more at
+// fault than one that reports context.Canceled: its breaker stays closed
+// however often it loses, so the data set keeps answering.
+func TestHedgeCancelledLoserNotCharged(t *testing.T) {
+	fc := newFakeClient()
+	fc.on("slow", func(ctx context.Context, _ int) (*eval.Result, error) {
+		<-ctx.Done()
+		return nil, errors.New("srjson: unexpected EOF")
+	})
+	fc.on("replica", func(context.Context, int) (*eval.Result, error) {
+		return answers("http://a.example/fast"), nil
+	})
+	opts := hedgeOpts()
+	opts.BreakerFailures = 1
+	e := NewExecutor(fc, nil, nil, opts)
+	for i := range 3 {
+		res, err := selectAll(context.Background(), e,
+			req(Target{Dataset: "d", Endpoint: "slow", Replicas: []string{"replica"}}))
+		if err != nil || len(res.Solutions) != 1 || res.PerDataset[0].Err != nil {
+			t.Fatalf("fan-out %d: %+v, %v; want the replica's answer", i, res, err)
+		}
+	}
+	if h := snapshotFor(t, e.Endpoints(), "slow"); h.Failures != 0 || h.Breaker != "closed" {
+		t.Fatalf("losing primary = %+v, want no failure charged", h)
+	}
+	if st := e.Stats(); st.HedgeWins != 3 {
+		t.Fatalf("hedge wins = %d, want 3", st.HedgeWins)
+	}
+}
+
 // TestHedgeNotFiredWhenPrimaryFast: a primary that answers inside the
 // hedge delay never triggers a backup dispatch.
 func TestHedgeNotFiredWhenPrimaryFast(t *testing.T) {
@@ -75,7 +106,7 @@ func TestHedgeNotFiredWhenPrimaryFast(t *testing.T) {
 	})
 
 	e := NewExecutor(fc, nil, nil, hedgeOpts())
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d", Endpoint: "fast", Replicas: []string{"replica"}}))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +140,7 @@ func TestHedgeBackupFailsPrimaryStillAnswers(t *testing.T) {
 	})
 
 	e := NewExecutor(fc, nil, nil, hedgeOpts())
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d", Endpoint: "slowish", Replicas: []string{"replica"}}))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +179,7 @@ func TestHedgePicksHealthiestReplica(t *testing.T) {
 		observeAttempt(e.endpoints, "bad-replica", 2*time.Second, errors.New("boom"))
 		observeAttempt(e.endpoints, "good-replica", time.Millisecond, nil)
 	}
-	res, err := e.Select(context.Background(),
+	res, err := selectAll(context.Background(), e,
 		req(Target{Dataset: "d", Endpoint: "slow",
 			Replicas: []string{"bad-replica", "good-replica"}}))
 	if err != nil {

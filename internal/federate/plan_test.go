@@ -34,7 +34,7 @@ func TestSelectPlanDispatchesShardedSubRequests(t *testing.T) {
 	e := NewExecutor(shim, nil, nil, fastOpts())
 	shard1 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p1> } ?p ?x ?a }")
 	shard2 := sparql.MustParse("SELECT ?a WHERE { VALUES ?p { <http://a.example/p2> } ?p ?x ?a }")
-	res, err := e.Select(context.Background(), Request{
+	res, err := selectAll(context.Background(), e, Request{
 		Vars: []string{"a"},
 		Targets: []Target{
 			{Dataset: "d1", Endpoint: "ep1", Query: shard1, Shard: 1, Shards: 2},
@@ -94,7 +94,7 @@ func TestOrderedAdmission(t *testing.T) {
 	opts := fastOpts()
 	opts.Concurrency = 1
 	e := NewExecutor(fc, nil, nil, opts)
-	_, err := e.Select(context.Background(), req(
+	_, err := selectAll(context.Background(), e, req(
 		Target{Dataset: "d3", Endpoint: "ep3"},
 		Target{Dataset: "d1", Endpoint: "ep1"},
 		Target{Dataset: "d4", Endpoint: "ep4"},
@@ -125,7 +125,7 @@ func TestPerTargetTimeoutTightensDeadline(t *testing.T) {
 	opts.EndpointTimeout = time.Hour
 	e := NewExecutor(fc, nil, nil, opts)
 	start := time.Now()
-	res, err := e.Select(context.Background(), req(
+	res, err := selectAll(context.Background(), e, req(
 		Target{Dataset: "d", Endpoint: "slow", Timeout: 30 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestPerTargetTimeoutTightensDeadline(t *testing.T) {
 	opts.EndpointTimeout = 30 * time.Millisecond
 	e2 := NewExecutor(fc, nil, nil, opts)
 	start = time.Now()
-	if _, err := e2.Select(context.Background(), req(
+	if _, err := selectAll(context.Background(), e2, req(
 		Target{Dataset: "d", Endpoint: "slow", Timeout: time.Hour})); err != nil {
 		t.Fatal(err)
 	}

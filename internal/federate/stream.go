@@ -4,19 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
-	"sync/atomic"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
 )
 
-// ErrStreamClosed marks a sub-query abandoned because the consumer closed
-// the stream (Limit reached, early break) — deliberate termination, not
-// an upstream failure: it never marks the result Partial and never trips
-// the fail-fast error.
-var ErrStreamClosed = errors.New("federate: sub-query abandoned: stream closed by consumer")
+// ErrStreamClosed marks a sub-query abandoned because the consumer stopped
+// the fan-out (its yield returned false: a limit reached, an early break)
+// — deliberate termination, not an upstream failure: it never marks the
+// result Partial and never trips the fail-fast error.
+var ErrStreamClosed = errors.New("federate: sub-query abandoned: fan-out stopped by consumer")
 
 // StreamingSelectClient is the executor's one way to an endpoint: it
 // opens a SELECT whose rows decode incrementally from the wire into the
@@ -39,136 +37,78 @@ const (
 	batchDepth   = 4
 )
 
-// Stream is an in-flight federated SELECT: per-endpoint sub-queries are
-// dispatching concurrently while the consumer pulls merged, deduplicated,
-// owl:sameAs-canonicalised rows. The first row is available as soon as
-// the first endpoint produces one — long before slow endpoints answer.
-// After the stream ends, Summary reports the per-dataset outcomes.
-type Stream struct {
-	vars   []string
-	out    chan eval.RowBuf
-	cur    eval.RowBuf   // the batch Next is handing out
-	i      int           // next row of cur
-	done   chan struct{} // closed once res and err are final
-	res    *Result
-	err    error
-	cancel context.CancelFunc
-
-	// stopped records that the consumer closed the stream deliberately,
-	// so the resulting sub-query cancellations are not misreported as
-	// endpoint failures.
-	stopped   atomic.Bool
-	closeOnce sync.Once
+// Fanout is one federated SELECT, built by Executor.Select and not yet
+// dispatched: Run fans it out.
+type Fanout struct {
+	e   *Executor
+	ctx context.Context
+	req Request
 }
 
-// Vars returns the projection variable names, the slot table of the rows.
-func (s *Stream) Vars() []string { return s.vars }
+// Select returns the fan-out of req under ctx; it dispatches nothing until
+// Run. The request's sub-queries go through the usual pipeline — cached
+// rewrite, bounded worker pool with in-order admission, per-endpoint
+// concurrency bound, retries, circuit breakers — and each endpoint's
+// response flows through the owl:sameAs merge as it decodes.
+func (e *Executor) Select(ctx context.Context, req Request) Fanout {
+	return Fanout{e: e, ctx: ctx, req: req}
+}
 
-// Next returns the next merged row (row[i] binding Vars()[i], the zero
-// Term for unbound), io.EOF at the end of the fan-out, or the fail-fast
-// error that aborted it. The row is a read-only view into the current
-// batch, valid until the next Next or Close: a caller that keeps rows
+// Run fans the request out and pushes the merged, deduplicated,
+// owl:sameAs-canonicalised rows (row[i] binding Vars[i], the zero Term for
+// unbound) into yield on the caller's goroutine until they end or yield
+// returns false. The first row arrives as soon as the first endpoint
+// produces one, long before slow endpoints answer. A row is a read-only
+// view into a batch, valid until yield returns: a caller that keeps rows
 // copies them.
-func (s *Stream) Next() (eval.Row, error) {
-	for s.i >= s.cur.N {
-		b, ok := <-s.out
-		if !ok {
-			<-s.done
-			if s.err != nil {
-				return nil, s.err
+//
+// Run returns once every worker has reported: the per-dataset answers,
+// duplicate count and partial flag (Solutions is nil: the rows went to
+// yield), and the fail-fast error that aborted the fan-out, after which no
+// row is yielded. A yield returning false cancels the work left; the
+// sub-queries it cut read ErrStreamClosed. Cancelling the context aborts
+// every in-flight sub-query.
+func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
+	ctx, cancel := context.WithCancelCause(f.ctx)
+	defer cancel(nil)
+	r := &fanoutRun{out: make(chan eval.RowBuf, batchDepth)}
+	go f.e.runFanout(ctx, cancel, f.req, r)
+	// Once the fan-out is cancelled (a stop, the fail-fast abort, the
+	// caller's context) the batches left are only drained: the workers and
+	// the merge end, and out closes.
+	for b := range r.out {
+		for i := 0; i < b.N && ctx.Err() == nil; i++ {
+			if !yield(b.Row(i)) {
+				cancel(ErrStreamClosed)
 			}
-			return nil, io.EOF
-		}
-		s.cur, s.i = b, 0
-	}
-	s.i++
-	return s.cur.Row(s.i - 1), nil
-}
-
-// Close cancels the remaining upstream work and releases the stream. It
-// is safe to call at any point and more than once; a consumer that stops
-// early must call it so in-flight endpoint requests are torn down.
-func (s *Stream) Close() error {
-	s.closeOnce.Do(func() {
-		s.stopped.Store(true)
-		s.cancel()
-		// Unblock the producer; the fan-out notices the cancellation and
-		// winds down, closing out.
-		go func() {
-			for range s.out {
-			}
-		}()
-	})
-	return nil
-}
-
-// Fetch pushes the rows into yield until they end or yield returns false,
-// then closes the stream: the stream as the leaf of an evaluator plan
-// (eval.Remote), which runs under the context it was started with.
-func (s *Stream) Fetch(_ context.Context, _ *eval.Seed, yield func(eval.Row) bool) error {
-	defer s.Close()
-	for {
-		row, err := s.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil || !yield(row) {
-			return err
 		}
 	}
+	return r.res, r.err
 }
 
-// Summary reports the fan-out's outcome: per-dataset answers, duplicate
-// count and the partial flag (Solutions is nil: the rows already flowed
-// through the stream). It consumes whatever
-// remains of the stream, then blocks until every worker has reported.
-// The error is the fail-fast abort error, if any.
-func (s *Stream) Summary() (*Result, error) {
-	s.cur, s.i = eval.RowBuf{}, 0
-	for range s.out { // drain: a blocked producer could never finish
-	}
-	<-s.done
-	return s.res, s.err
+// fanoutRun is what Run shares with its fan-out goroutine: the merged
+// batches, and the outcome, final once out is closed.
+type fanoutRun struct {
+	out chan eval.RowBuf
+	res *Result
+	err error
 }
 
-// SelectStream starts the federated fan-out and returns immediately with
-// the stream of merged solutions. The request's sub-queries dispatch
-// through the usual pipeline — cached rewrite, bounded worker pool with
-// in-order admission, per-endpoint concurrency bound, retries, circuit
-// breakers — but each endpoint's response now flows through the
-// owl:sameAs merge as it decodes, so the first merged solution is
-// delivered while slower endpoints are still working. Cancelling ctx (or
-// calling Close) aborts all in-flight sub-queries.
-func (e *Executor) SelectStream(ctx context.Context, req Request) *Stream {
-	ctx, cancel := context.WithCancel(ctx)
-	s := &Stream{
-		vars:   req.Vars,
-		out:    make(chan eval.RowBuf, batchDepth),
-		done:   make(chan struct{}),
-		cancel: cancel,
-	}
-	go e.runFanout(ctx, req, s)
-	return s
-}
-
-// runFanout executes the fan-out for one stream: admission, dispatch,
-// merge, then the summary Result.
-func (e *Executor) runFanout(ctx context.Context, req Request, s *Stream) {
+// runFanout executes one fan-out: admission, dispatch, merge, then the
+// summary Result. cancel is ctx's: the fail-fast abort cancels with its
+// error, a stop (in Run) with ErrStreamClosed, and the first cause stands.
+func (e *Executor) runFanout(ctx context.Context, cancel context.CancelCauseFunc, req Request, r *fanoutRun) {
 	ctx, span := obs.StartSpan(ctx, "federate")
 	span.SetInt("targets", int64(len(req.Targets)))
 	m := &merger{reps: NewRepCache(e.coref)}
 	solCh := make(chan eval.RowBuf, batchDepth)
 	mergeDone := make(chan struct{})
-	go m.run(ctx, solCh, s.out, mergeDone)
+	go m.run(ctx, solCh, r.out, mergeDone)
 
 	subs := formatSubqueries(req)
 	answers := make([]DatasetAnswer, len(req.Targets))
 	sem := make(chan struct{}, e.opts.Concurrency)
-	var (
-		wg       sync.WaitGroup
-		failMu   sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
 admit:
 	for i, t := range req.Targets {
 		// Admit first attempts in request order: the planner sorts targets
@@ -190,12 +130,7 @@ admit:
 			defer wg.Done()
 			answers[i] = e.queryTarget(ctx, req, t, subs[i], solCh, sem)
 			if answers[i].Err != nil && e.opts.FailFast {
-				failMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("federate: %s: %w", t.Dataset, answers[i].Err)
-					s.cancel()
-				}
-				failMu.Unlock()
+				cancel(fmt.Errorf("federate: %s: %w", t.Dataset, answers[i].Err))
 			}
 		}(i, t)
 	}
@@ -208,9 +143,10 @@ admit:
 		PerDataset: answers,
 		Duplicates: m.duplicates,
 	}
-	// A deliberate consumer Close cancels the fan-out; the resulting
-	// context.Canceled answers are abandonment, not endpoint failures.
-	stopped := s.stopped.Load()
+	// A stop's context.Canceled answers are abandonment, not endpoint
+	// failures.
+	cause := context.Cause(ctx)
+	stopped := cause == ErrStreamClosed
 	var failed, ok int
 	for i := range answers {
 		a := &answers[i]
@@ -225,14 +161,12 @@ admit:
 		}
 	}
 	res.Partial = failed > 0 && ok > 0
-	s.res = res
-	if e.opts.FailFast && firstErr != nil &&
-		!(stopped && errors.Is(firstErr, context.Canceled)) {
-		s.err = firstErr
+	r.res = res
+	if e.opts.FailFast && failed > 0 && !stopped {
+		r.err = cause // the first failure's, or the caller's cancellation
 	}
 	span.SetInt("duplicates", int64(res.Duplicates))
 	span.SetBool("partial", res.Partial)
 	span.End()
-	close(s.done)
-	close(s.out)
+	close(r.out)
 }

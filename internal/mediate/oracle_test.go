@@ -22,6 +22,7 @@ import (
 	"sparqlrw/internal/core"
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
+	"sparqlrw/internal/federate"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/reason"
 	"sparqlrw/internal/serve"
@@ -192,6 +193,10 @@ type diffPath struct {
 	// answer — and still do so once the views are refreshed after an
 	// alignment write stales them.
 	viewed bool
+	// slow delays every answer of a primary endpoint, so that hedged
+	// dispatch races it against the data set's replica; such a path runs
+	// the templates of the planned path.
+	slow time.Duration
 }
 
 // diffTemplate is a query shape with its projection, the FILTER the
@@ -248,8 +253,9 @@ func (d diffTemplate) variants() map[string]string {
 // bulk and citation-metrics shapes, and the OPTIONAL, UNION and top-level
 // VALUES shapes that run only whole, with their modifier variants, through
 // explicit targets, the planner (one source and a fan-out), the decomposed
-// bound join, a forced hash join, sharded VALUES, a result-cache hit and a
-// materialized view (the cross-vocabulary shape also with every
+// bound join, a forced hash join, sharded VALUES, a result-cache hit, a
+// materialized view and hedged dispatch that a slowed primary loses to its
+// replica (the cross-vocabulary shape also with every
 // repository named; a view over Southampton and KISTI never answers a
 // request narrowed to Southampton), and holds every answer to the
 // oracle's: the same
@@ -270,6 +276,8 @@ func TestMediatorMatchesOracle(t *testing.T) {
 		{name: "hash join", opts: []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})}},
 		{name: "result cache", opts: []Option{WithServing(serve.Options{})}, cached: true},
 		{name: "view", opts: []Option{WithViews(view.Options{MinFrequency: 1, MaxViews: 3})}, viewed: true},
+		{name: "hedged", opts: []Option{WithFederation(federate.Options{Hedge: true, HedgeMinDelay: 2 * time.Millisecond})},
+			slow: time.Second},
 	}
 	metrics := "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?paper ?c WHERE { ?paper m:citationCount ?c }"
 	akt := "PREFIX akt:<" + rdf.AKTNS + ">\n"
@@ -363,6 +371,13 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			count := func(_ string, h http.Handler) http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					roundTrips.Add(1)
+					if path.slow > 0 {
+						select {
+						case <-time.After(path.slow):
+						case <-r.Context().Done(): // the hedge won
+							return
+						}
+					}
 					h.ServeHTTP(w, r)
 				})
 			}
@@ -382,7 +397,8 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			}
 			var cases []diffCase
 			for _, tmpl := range templates {
-				if !slices.Contains(tmpl.paths, path.name) {
+				if !slices.Contains(tmpl.paths, path.name) &&
+					!(path.slow > 0 && slices.Contains(tmpl.paths, "planned")) {
 					continue
 				}
 				req := QueryRequest{Targets: path.targets}
@@ -462,6 +478,11 @@ func TestMediatorMatchesOracle(t *testing.T) {
 				}
 			}
 			run("", path.viewed)
+			if path.slow > 0 {
+				if st := m.Stats().Federation; st.Hedges == 0 || st.HedgeWins == 0 {
+					t.Errorf("%d hedged dispatches, %d won by the replica; want both above 0", st.Hedges, st.HedgeWins)
+				}
+			}
 			if !path.viewed {
 				return
 			}

@@ -122,8 +122,10 @@ func exampleUniverse() *workload.Universe {
 // exampleFederation is the benchmark's three-repository deployment over
 // in-process endpoints: Southampton (AKT), KISTI (its own vocabulary,
 // reached by rewriting) and the citation metrics, described with the voiD
-// statistics the decomposer orders fragments by. wrap, when not nil, goes
-// around each data set's endpoint handler.
+// statistics the decomposer orders fragments by. Each data set is also
+// served by a second endpoint over the same store, its one replica, which
+// only hedged dispatch reaches. wrap, when not nil, goes around each data
+// set's primary endpoint handler.
 func exampleFederation(t testing.TB, wrap func(dataset string, h http.Handler) http.Handler, opts ...Option) *Mediator {
 	t.Helper()
 	return federationOver(t, exampleUniverse(), wrap, opts...)
@@ -152,9 +154,15 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 		if wrap != nil {
 			h = wrap(d.ds.URI, h)
 		}
+		replica := local + "-replica"
 		endpoint.RegisterLocal(local, h)
-		t.Cleanup(func() { endpoint.UnregisterLocal(local) })
+		endpoint.RegisterLocal(replica, endpoint.NewServer(replica, d.st))
+		t.Cleanup(func() {
+			endpoint.UnregisterLocal(local)
+			endpoint.UnregisterLocal(replica)
+		})
 		d.ds.SPARQLEndpoint = endpoint.LocalURL(local)
+		d.ds.Replicas = []string{endpoint.LocalURL(replica)}
 		if err := kb.Add(d.ds); err != nil {
 			t.Fatal(err)
 		}
@@ -175,13 +183,16 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 591 for Figure 1
-// and 1364 for the cross-vocabulary query, since every request's rows are
-// one push sequence — a whole fragment a plan of one leaf, no plan pulled
-// through iter.Pull2 — its header keys are read in canonical spelling,
-// its route counter is resolved once and a response encoder is one
-// allocation (594 and 1400 while a whole fragment had a pull stream of its
-// own and every other plan ran on a coroutine; 595 and 1401 while a
+// the ceilings are the measured figures plus about 7 %: 587 for Figure 1
+// and 1352 for the cross-vocabulary query, since a fan-out is one push
+// call (Fanout.Run) with no pull stream to close or drain and no
+// fail-fast lock of its own (591 and 1364 while each fragment's rows came
+// through federate.Stream and its draining Close), every request's rows
+// are one push sequence — a whole fragment a plan of one leaf, no plan
+// pulled through iter.Pull2 — its header keys are read in canonical
+// spelling, its route counter is resolved once and a response encoder is
+// one allocation (594 and 1400 while a whole fragment had a pull stream of
+// its own and every other plan ran on a coroutine; 595 and 1401 while a
 // request without a limit parameter built strconv.Atoi's error), since each
 // sub-query goes as the protocol's direct POST, its text the body (642 and
 // 1616 while it was form-encoded), and a hash join's table and a
@@ -196,10 +207,10 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (464, at 19 rows a
-// request; 467 with a pull stream of its own, 515 form-encoded) plus 7 %,
-// below the miss case's (591 at 11 rows) and below the 606 it cost before
-// spans were cheap.
+// of its shape. Its ceiling is the measured figure (460, at 19 rows a
+// request; 464 through federate.Stream, 467 with a pull stream of its own,
+// 515 form-encoded) plus 7 %, below the miss case's (587 at 11 rows) and
+// below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -220,9 +231,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 632},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1459},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 496},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 628},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1447},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 492},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

@@ -65,11 +65,11 @@ type recordingDispatcher struct {
 	reqs []federate.Request
 }
 
-func (d *recordingDispatcher) SelectStream(ctx context.Context, req federate.Request) *federate.Stream {
+func (d *recordingDispatcher) Select(ctx context.Context, req federate.Request) federate.Fanout {
 	d.mu.Lock()
 	d.reqs = append(d.reqs, req)
 	d.mu.Unlock()
-	return d.exec.SelectStream(ctx, req)
+	return d.exec.Select(ctx, req)
 }
 
 // sorted returns the per-data-set text lists in a comparable order.

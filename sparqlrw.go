@@ -318,10 +318,6 @@ type (
 	// federation, planner and decompose counters plus per-form query
 	// counts.
 	MediatorStats = mediate.Stats
-	// FederationStream is the executor-level merged stream of positional
-	// rows: one fragment dispatch, which a MediatorQueryStream's plan
-	// reads as a leaf.
-	FederationStream = federate.Stream
 )
 
 // Query forms, for dispatching on MediatorResult.Form (and on parsed
