@@ -40,23 +40,19 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
 # Fast single-iteration benchmark pass (CI runs this): keeps every
-# benchmark compiling and running, and asserts the view-tier and
-# merge representative-cache benchmarks — whose bodies carry correctness
-# checks, like the view path's zero endpoint round trips and the
-# shared-fragment views' seed-fragment-only round trips — and
-# the tracing-overhead pair, which prices a traced request, stayed part
-# of the sweep.
+# benchmark compiling and running, and asserts that the merge
+# representative-cache benchmark and the tracing-overhead pair, which
+# prices a traced request, stayed part of the sweep.
 bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
-	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View BenchmarkViewVsFederated/SharedViews \
-			BenchmarkE9_CorefLookup/MergeRep/RepCache \
+	@for b in BenchmarkE9_CorefLookup/MergeRep/RepCache \
 			BenchmarkTracingOverhead/untraced BenchmarkTracingOverhead/traced; do \
 		grep -q "$$b" bench-smoke.out || \
 			{ echo "bench-smoke: $$b missing from the sweep" >&2; rm -f bench-smoke.out; exit 1; }; \
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
-	@echo "bench-smoke: every benchmark ran; view, representative-cache and tracing benchmarks present"
+	@echo "bench-smoke: every benchmark ran; representative-cache and tracing benchmarks present"
 
 # A benchmark run must end by itself (CI runs this): the bench binary is
 # built to a temporary path and run for 2 s of hot-churn under timeout;

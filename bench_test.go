@@ -10,16 +10,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/core"
 	"sparqlrw/internal/coref"
-	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
@@ -28,10 +25,8 @@ import (
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/reason"
-	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
-	"sparqlrw/internal/view"
 	"sparqlrw/internal/voidkb"
 	"sparqlrw/internal/workload"
 )
@@ -222,251 +217,6 @@ func BenchmarkFederation_SequentialVsConcurrent(b *testing.B) {
 						b.Fatal(da.Err)
 					}
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamingVsBuffered — time to first solution over four
-// endpoints of which one is slow: the buffered Collect path must
-// wait for the slowest repository before the caller sees anything, while
-// the streaming Query path hands over the first merged solution as soon
-// as a fast endpoint yields it (and tears the slow request down on
-// Close). ns/op is the time-to-first-solution.
-func BenchmarkStreamingVsBuffered(b *testing.B) {
-	const fastLatency = 1 * time.Millisecond
-	const slowLatency = 25 * time.Millisecond
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	delayed := func(name string, st *store.Store, d time.Duration) *httptest.Server {
-		h := endpoint.NewServer(name, st)
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(d)
-			h.ServeHTTP(w, r)
-		}))
-	}
-	var targets []string
-	dsKB := voidkb.NewKB()
-	for i, d := range []time.Duration{fastLatency, fastLatency, fastLatency, slowLatency} {
-		srv := delayed(fmt.Sprintf("replica%d", i), u.Southampton, d)
-		b.Cleanup(srv.Close)
-		uri := fmt.Sprintf("http://replica%d.example/void", i)
-		_ = dsKB.Add(&voidkb.Dataset{URI: uri, SPARQLEndpoint: srv.URL,
-			URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-		targets = append(targets, uri)
-	}
-	alignKB := align.NewKB()
-	_ = alignKB.Add(workload.AKT2KISTI())
-
-	b.Run("Buffered", func(b *testing.B) {
-		m := mediate.New(dsKB, alignKB, u.Coref, mediate.WithRewriteFilters(true))
-		b.Cleanup(m.Close)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, workload.Figure1Query(i%50), targets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(fr.Solutions) == 0 {
-				b.Fatal("no solutions")
-			}
-			_ = fr.Solutions[0] // first solution available only now
-		}
-	})
-	b.Run("Streaming", func(b *testing.B) {
-		m := mediate.New(dsKB, alignKB, u.Coref, mediate.WithRewriteFilters(true))
-		b.Cleanup(m.Close)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := m.Query(context.Background(), mediate.QueryRequest{
-				Query: workload.Figure1Query(i % 50), Targets: targets,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, err := range res.Bindings().Rows() {
-				if err != nil {
-					b.Fatal(err)
-				}
-				break // first solution in hand; abandon the slow remainder
-			}
-			res.Close()
-		}
-	})
-}
-
-// BenchmarkPlanner_PlannedVsUnplanned — the voiD-driven planner against
-// blind fan-out on the Figure-1 workload: four repositories of which only
-// two are voiD-relevant (DBpedia and ECS stand-ins speak vocabularies no
-// alignment connects to AKT). Unplanned federation pays all four round
-// trips; the planner dispatches exactly the two relevant sub-queries.
-// The rt/op metric counts endpoint round trips per federated query.
-func BenchmarkPlanner_PlannedVsUnplanned(b *testing.B) {
-	const injectedLatency = 2 * time.Millisecond
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	var roundTrips atomic.Int64
-	slow := func(name string, st *store.Store) *httptest.Server {
-		h := endpoint.NewServer(name, st)
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			roundTrips.Add(1)
-			time.Sleep(injectedLatency)
-			h.ServeHTTP(w, r)
-		}))
-	}
-	soton := slow("southampton", u.Southampton)
-	b.Cleanup(soton.Close)
-	kisti := slow("kisti", u.KISTI)
-	b.Cleanup(kisti.Close)
-	dbp := slow("dbpedia", store.New())
-	b.Cleanup(dbp.Close)
-	ecs := slow("ecs", store.New())
-	b.Cleanup(ecs.Close)
-
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: soton.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.KistiVoidURI, SPARQLEndpoint: kisti.URL,
-		URISpace: workload.KistiURIPattern, Vocabularies: []string{rdf.KISTINS}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.DBPVoidURI, SPARQLEndpoint: dbp.URL,
-		URISpace: workload.DBPURIPattern, Vocabularies: []string{rdf.DBONS}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: ecs.URL,
-		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.ECSNS}})
-	alignKB := align.NewKB()
-	_ = alignKB.Add(workload.AKT2KISTI())
-	_ = alignKB.Add(workload.ECS2DBpedia())
-	allTargets := []string{workload.SotonVoidURI, workload.KistiVoidURI,
-		workload.DBPVoidURI, workload.ECSVoidURI}
-
-	for _, mode := range []struct {
-		name    string
-		targets []string // nil = planner-selected
-	}{{"Unplanned", allTargets}, {"Planned", nil}} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := mediate.New(dsKB, alignKB, u.Coref, mediate.WithRewriteFilters(true))
-			b.Cleanup(m.Close) // detach KB hooks; the KBs are shared across sub-benchmarks
-			roundTrips.Store(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := workload.Figure1Query(i % 50)
-				fr, err := benchSelect(m, q, mode.targets)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, da := range fr.PerDataset {
-					if da.Err != nil {
-						b.Fatal(da.Err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(roundTrips.Load())/float64(b.N), "rt/op")
-		})
-	}
-}
-
-// BenchmarkDecomposedVsBroadcast — the per-BGP decomposition layer on a
-// cross-vocabulary workload: the AKT data and the citation metrics live
-// in different repositories with no alignment between them, over four
-// registered endpoints. Three strategies:
-//
-//   - BroadcastWhole ships the full pattern to every repository — the
-//     pre-decomposition behaviour. It pays a round trip per registered
-//     endpoint and returns NOTHING (no repository can satisfy a BGP
-//     spanning both vocabularies), which is exactly why the layer exists.
-//   - BroadcastFragments decomposes but disables bound joins (MaxBindRows
-//     -1): each fragment's full extent crosses the wire and the mediator
-//     hash-joins.
-//   - BoundJoin is the default decomposed path: the seed fragment's
-//     bindings are VALUES-injected into the next fragment's sub-query, so
-//     endpoints only return solutions that join.
-//
-// rt/op counts endpoint round trips, sol/op the solutions transferred
-// from endpoints, row/op the correct joined rows produced. BoundJoin
-// transfers strictly fewer solutions than either broadcast mode and
-// fewer round trips than BroadcastWhole, while being the only strategy
-// (besides BroadcastFragments) that answers the query at all.
-func BenchmarkDecomposedVsBroadcast(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	var roundTrips atomic.Int64
-	counted := func(name string, st *store.Store) *httptest.Server {
-		h := endpoint.NewServer(name, st)
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			roundTrips.Add(1)
-			h.ServeHTTP(w, r)
-		}))
-	}
-	soton := counted("southampton", u.Southampton)
-	b.Cleanup(soton.Close)
-	metrics := counted("metrics", workload.MetricsStore(u))
-	b.Cleanup(metrics.Close)
-	dbp := counted("dbpedia", store.New())
-	b.Cleanup(dbp.Close)
-	ecs := counted("ecs", store.New())
-	b.Cleanup(ecs.Close)
-
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: soton.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS},
-		Triples:            int64(u.Southampton.Size()),
-		PropertyPartitions: map[string]int64{rdf.AKTHasAuthor: 450}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.MetricsVoidURI, SPARQLEndpoint: metrics.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{workload.MetricsNS},
-		Triples:            300,
-		PropertyPartitions: map[string]int64{workload.MetricsCitationCount: 150}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.DBPVoidURI, SPARQLEndpoint: dbp.URL,
-		URISpace: workload.DBPURIPattern, Vocabularies: []string{rdf.DBONS}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.ECSVoidURI, SPARQLEndpoint: ecs.URL,
-		URISpace: workload.ECSURIPattern, Vocabularies: []string{rdf.ECSNS}})
-	alignKB := align.NewKB()
-	allTargets := []string{workload.SotonVoidURI, workload.MetricsVoidURI,
-		workload.DBPVoidURI, workload.ECSVoidURI}
-
-	run := func(b *testing.B, m *mediate.Mediator, targets []string) (sols, rows int) {
-		fr, err := benchSelect(m, workload.CrossVocabularyQuery(b.N%50), targets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, da := range fr.PerDataset {
-			sols += da.Solutions
-		}
-		return sols, len(fr.Solutions)
-	}
-
-	for _, mode := range []struct {
-		name    string
-		targets []string // nil = planner + decomposer
-		opts    decompose.Options
-	}{
-		{"BroadcastWhole", allTargets, decompose.Options{}},
-		{"BroadcastFragments", nil, decompose.Options{MaxBindRows: -1}},
-		{"BoundJoin", nil, decompose.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := mediate.New(dsKB, alignKB, u.Coref, mediate.WithDecomposer(mode.opts))
-			b.Cleanup(m.Close)
-			roundTrips.Store(0)
-			var transferred, produced int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sols, rows := run(b, m, mode.targets)
-				transferred += int64(sols)
-				produced += int64(rows)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(roundTrips.Load())/float64(b.N), "rt/op")
-			b.ReportMetric(float64(transferred)/float64(b.N), "sol/op")
-			b.ReportMetric(float64(produced)/float64(b.N), "row/op")
-			if mode.targets == nil && produced == 0 {
-				b.Fatal("decomposed mode produced no rows")
 			}
 		})
 	}
@@ -800,67 +550,6 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 	b.Run("profiled", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkResultCacheHitVsMiss — the serving tier's federated result
-// cache: the miss path pays the full rewrite + fan-out + merge over
-// HTTP; the hit path replays the materialised answer with zero endpoint
-// round trips (asserted).
-func BenchmarkResultCacheHitVsMiss(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	var roundTrips atomic.Int64
-	count := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			roundTrips.Add(1)
-			h.ServeHTTP(w, r)
-		})
-	}
-	soton := httptest.NewServer(count(endpoint.NewServer("southampton", u.Southampton)))
-	b.Cleanup(soton.Close)
-	kisti := httptest.NewServer(count(endpoint.NewServer("kisti", u.KISTI)))
-	b.Cleanup(kisti.Close)
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: soton.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.KistiVoidURI, SPARQLEndpoint: kisti.URL,
-		URISpace: workload.KistiURIPattern, Vocabularies: []string{rdf.KISTINS}})
-	alignKB := align.NewKB()
-	_ = alignKB.Add(workload.AKT2KISTI())
-	m := mediate.New(dsKB, alignKB, u.Coref,
-		mediate.WithRewriteFilters(true), mediate.WithServing(serve.Options{}))
-
-	targets := []string{workload.SotonVoidURI, workload.KistiVoidURI}
-	q := workload.Figure1Query(0)
-
-	b.Run("miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Serve.Flush() // every iteration re-executes the fan-out
-			if _, err := benchSelect(m, q, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		m.Serve.Flush()
-		if _, err := benchSelect(m, q, targets); err != nil {
-			b.Fatal(err) // prime the entry
-		}
-		primed := roundTrips.Load()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := benchSelect(m, q, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := roundTrips.Load(); got != primed {
-			b.Fatalf("hit path made %d endpoint round trips", got-primed)
-		}
-	})
-}
-
 // BenchmarkHedgedVsUnhedged — hedged sub-queries against a degraded
 // primary: the primary endpoint stalls every request while a replica
 // stays fast. Unhedged, every query pays the stall; hedged (with the
@@ -919,110 +608,4 @@ func BenchmarkHedgedVsUnhedged(b *testing.B) {
 
 func sortDurations(d []time.Duration) {
 	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-}
-
-// BenchmarkViewVsFederated — the materialized-view tier against the
-// decomposed federated path it shortcuts. Every sub-benchmark runs the
-// same cross-vocabulary join of two fragments: the person's papers and
-// co-authors at Southampton, their citation counts at the metrics
-// repository. Federated fetches both over HTTP every iteration. View
-// warms a view of each fragment once and then answers every iteration
-// from their rows, and fails unless it makes no endpoint round trip.
-// SharedViews warms the views of another person's query, which fill the
-// view cap: only the citation-count fragment, which every such query
-// shares, comes from a view, and the sub-benchmark fails unless the
-// metrics repository hears nothing and Southampton exactly the round
-// trips its fragment costs federated. rt/op counts endpoint round trips.
-func BenchmarkViewVsFederated(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 50, 150
-	u := workload.Generate(cfg)
-	var sotonTrips, metricsTrips atomic.Int64
-	counted := func(name string, st *store.Store, trips *atomic.Int64) *httptest.Server {
-		h := endpoint.NewServer(name, st)
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			trips.Add(1)
-			h.ServeHTTP(w, r)
-		}))
-	}
-	soton := counted("southampton", u.Southampton, &sotonTrips)
-	b.Cleanup(soton.Close)
-	metrics := counted("metrics", workload.MetricsStore(u), &metricsTrips)
-	b.Cleanup(metrics.Close)
-	dsKB := voidkb.NewKB()
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.SotonVoidURI, SPARQLEndpoint: soton.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{rdf.AKTNS},
-		Triples:            int64(u.Southampton.Size()),
-		PropertyPartitions: map[string]int64{rdf.AKTHasAuthor: 450}})
-	_ = dsKB.Add(&voidkb.Dataset{URI: workload.MetricsVoidURI, SPARQLEndpoint: metrics.URL,
-		URISpace: workload.SotonURIPattern, Vocabularies: []string{workload.MetricsNS},
-		Triples:            300,
-		PropertyPartitions: map[string]int64{workload.MetricsCitationCount: 150}})
-	query := workload.CrossVocabularyQuery(7)
-	reset := func() { sotonTrips.Store(0); metricsTrips.Store(0) }
-	// viewed warms a view tier with query's fragments and waits for n
-	// ready views.
-	viewed := func(b *testing.B, opts view.Options, query string, n int) *mediate.Mediator {
-		m := mediate.New(dsKB, align.NewKB(), u.Coref, mediate.WithViews(opts))
-		b.Cleanup(m.Close)
-		if _, err := benchSelect(m, query, nil); err != nil {
-			b.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			vs := m.Stats().Views
-			if vs != nil && len(vs.Views) == n && !slices.ContainsFunc(vs.Views, func(v view.Info) bool { return v.State != "ready" }) {
-				return m
-			}
-			if time.Now().After(deadline) {
-				b.Fatal("views never materialized")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	// run answers query b.N times and returns the rows of the last answer.
-	run := func(b *testing.B, m *mediate.Mediator) (rows int) {
-		reset()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fr, err := benchSelect(m, query, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = len(fr.Solutions)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(sotonTrips.Load()+metricsTrips.Load())/float64(b.N), "rt/op")
-		return rows
-	}
-
-	var fedRows int
-	var fedSoton float64 // Southampton's round trips per federated query
-	b.Run("Federated", func(b *testing.B) {
-		m := mediate.New(dsKB, align.NewKB(), u.Coref)
-		b.Cleanup(m.Close)
-		fedRows = run(b, m)
-		fedSoton = float64(sotonTrips.Load()) / float64(b.N)
-	})
-	b.Run("View", func(b *testing.B) {
-		m := viewed(b, view.Options{MinFrequency: 1}, query, 2)
-		rows := run(b, m)
-		if rt := sotonTrips.Load() + metricsTrips.Load(); rt != 0 {
-			b.Fatalf("queries answered from views made %d endpoint round trips, want 0", rt)
-		}
-		if fedRows != 0 && rows != fedRows {
-			b.Fatalf("views answered %d rows, federated answered %d", rows, fedRows)
-		}
-	})
-	b.Run("SharedViews", func(b *testing.B) {
-		m := viewed(b, view.Options{MinFrequency: 1, MaxViews: 2}, workload.CrossVocabularyQuery(3), 2)
-		rows := run(b, m)
-		if mt, st := metricsTrips.Load(), float64(sotonTrips.Load())/float64(b.N); mt != 0 || fedSoton != 0 && st != fedSoton {
-			b.Fatalf("%d metrics round trips and %.1f Southampton round trips per query, want 0 and the federated %.1f", mt, st, fedSoton)
-		}
-		if fedRows != 0 && rows != fedRows {
-			b.Fatalf("shared views answered %d rows, federated answered %d", rows, fedRows)
-		}
-	})
 }

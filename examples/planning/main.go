@@ -25,6 +25,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -77,9 +78,11 @@ func main() {
 	must(alignKB.Add(workload.AKT2KISTI()))
 	must(alignKB.Add(workload.ECS2DBpedia()))
 
-	// Tier 1: the mediator; the planner is on by default.
+	// Tier 1: the mediator; the planner is on by default. VALUES blocks
+	// shard into batches of 3 rows (step 3).
 	mediator := sparqlrw.NewMediator(dsKB, alignKB, u.Coref,
-		sparqlrw.WithMediatorRewriteFilters(true))
+		sparqlrw.WithMediatorRewriteFilters(true),
+		sparqlrw.WithMediatorDecomposer(sparqlrw.DecomposerOptions{ValuesBatch: 3}))
 	api := httptest.NewServer(sparqlrw.MediatorHandler(mediator))
 	defer api.Close()
 
@@ -113,7 +116,6 @@ func main() {
 		sotonHits.Load(), kistiHits.Load(), dbpHits.Load(), ecsHits.Load())
 
 	// 3. VALUES sharding: seed the query with 9 papers, batch size 3.
-	mediator.Configure(sparqlrw.WithMediatorDecomposer(sparqlrw.DecomposerOptions{ValuesBatch: 3}))
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT DISTINCT ?a WHERE {\n  VALUES ?paper {")
 	for i := 0; i < 9; i++ {
@@ -125,6 +127,10 @@ func main() {
 	fr2, err := res2.Bindings().Collect()
 	must(err)
 	fmt.Println("=== VALUES sharding (9 rows, batch 3) ===")
+	// Shards dispatch in the planner's latency order; list them by data set.
+	sort.SliceStable(fr2.PerDataset, func(i, j int) bool {
+		return fr2.PerDataset[i].Dataset < fr2.PerDataset[j].Dataset
+	})
 	for _, pd := range fr2.PerDataset {
 		fmt.Printf("  %-45s shard %d/%d -> %d answers\n", pd.Dataset, pd.Shard, pd.Shards, pd.Solutions)
 	}

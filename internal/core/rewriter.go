@@ -335,29 +335,6 @@ func (rw *Rewriter) rewriteBGPUnion(patterns []rdf.Triple, st *rewriteState) ([]
 	return elements, nil
 }
 
-// RewriteBGP applies Algorithm 1 to one basic graph pattern and returns
-// the rewritten patterns with a report (conveniently wrapping the
-// query-level machinery for callers that hold bare pattern lists).
-// UnionMatches cannot be expressed as a flat pattern list; use
-// RewriteQuery for that mode.
-func (rw *Rewriter) RewriteBGP(patterns []rdf.Triple) ([]rdf.Triple, *Report, error) {
-	if rw.Opts.MatchMode == UnionMatches {
-		return nil, nil, fmt.Errorf("core: UnionMatches produces UNION elements; use RewriteQuery")
-	}
-	report := &Report{}
-	st := &rewriteState{used: map[string]bool{}, prefix: rw.Opts.FreshPrefix, report: report}
-	if st.prefix == "" {
-		st.prefix = "new"
-	}
-	for _, t := range patterns {
-		for _, v := range t.Vars() {
-			st.used[v] = true
-		}
-	}
-	out, err := rw.rewriteBGP(patterns, st)
-	return out, report, err
-}
-
 // rewriteBGP is Algorithm 1 (`rewrite(align, bgp)`): each triple is
 // matched against the alignment set; matched triples are replaced by their
 // instantiated RHS (after FD execution), unmatched triples are copied.

@@ -297,14 +297,12 @@ func TestAllMatchesMode(t *testing.T) {
 	}
 	rw := New(eas, nil)
 	rw.Opts.MatchMode = AllMatches
-	out, _, err := rw.RewriteBGP([]rdf.Triple{
-		{S: rdf.NewVar("p"), P: rdf.NewIRI(rdf.AKTHasTitle), O: rdf.NewVar("t")},
-	})
+	out, _, err := rw.RewriteQuery(sparql.MustParse(`SELECT ?t WHERE { ?p <` + rdf.AKTHasTitle + `> ?t }`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("all-matches output = %v", out)
+	if bgp := out.Where.Elements[0].(*sparql.BGP); len(bgp.Patterns) != 2 {
+		t.Fatalf("all-matches output = %v", bgp.Patterns)
 	}
 }
 

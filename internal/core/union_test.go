@@ -151,13 +151,3 @@ func TestUnionMatchesWithFDs(t *testing.T) {
 		t.Fatalf("unions = %d, want 2 (one per authored triple)", unions)
 	}
 }
-
-func TestRewriteBGPRejectsUnionMatches(t *testing.T) {
-	rw := New(unionEAs(), nil)
-	rw.Opts.MatchMode = UnionMatches
-	if _, _, err := rw.RewriteBGP([]rdf.Triple{
-		{S: rdf.NewVar("x"), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://w1/Wine")},
-	}); err == nil {
-		t.Fatal("RewriteBGP must reject UnionMatches")
-	}
-}

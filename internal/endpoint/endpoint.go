@@ -31,8 +31,8 @@ import (
 const DefaultMaxRequestBody = 1 << 20 // 1 MB
 
 // DefaultMaxResponseBody caps the buffered (non-streaming) client paths:
-// ASK and CONSTRUCT responses, and error bodies. The streaming SELECT
-// path decodes incrementally and needs no whole-body cap.
+// ASK responses and error bodies. The streaming SELECT path decodes
+// incrementally and needs no whole-body cap.
 const DefaultMaxResponseBody = 64 << 20 // 64 MB
 
 // FlushEvery is how often streaming handlers flush mid-stream after the
@@ -185,10 +185,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // "SPARQL/HTTP" arrows of Figure 5.
 type Client struct {
 	HTTP *http.Client
-	// MaxResponseBody caps the buffered response paths — ASK, CONSTRUCT
-	// and error bodies (0 = DefaultMaxResponseBody; negative =
-	// unlimited). Streaming SELECT responses decode incrementally and are
-	// not subject to it.
+	// MaxResponseBody caps the buffered response paths — ASK and error
+	// bodies (0 = DefaultMaxResponseBody; negative = unlimited).
+	// Streaming SELECT responses decode incrementally and are not subject
+	// to it.
 	MaxResponseBody int64
 }
 
@@ -207,11 +207,10 @@ var sharedTransport = &http.Transport{
 	ForceAttemptHTTP2:   true,
 }
 
-// defaultTimeout bounds requests whose context carries no deadline (the
-// non-context Select/Ask/Construct paths). It is applied per request
-// rather than as http.Client.Timeout, which would silently cap
-// caller-supplied context deadlines. For streams it bounds the whole
-// response body read.
+// defaultTimeout bounds requests whose context carries no deadline. It is
+// applied per request rather than as http.Client.Timeout, which would
+// silently cap caller-supplied context deadlines. For streams it bounds
+// the whole response body read.
 const defaultTimeout = 30 * time.Second
 
 // NewClient returns a client backed by the shared pooled transport,
@@ -226,35 +225,6 @@ func (c *Client) maxResponseBody() int64 {
 		return DefaultMaxResponseBody
 	}
 	return c.MaxResponseBody
-}
-
-// Select runs a SELECT query at the endpoint URL.
-func (c *Client) Select(endpointURL, queryText string) (*eval.Result, error) {
-	return c.SelectContext(context.Background(), endpointURL, queryText)
-}
-
-// SelectContext runs a SELECT query, honouring ctx's cancellation and
-// deadline. It drains the streaming path into a materialised Result;
-// callers that can consume solutions incrementally should prefer
-// SelectStreamContext.
-func (c *Client) SelectContext(ctx context.Context, endpointURL, queryText string) (*eval.Result, error) {
-	st, err := c.SelectStreamContext(ctx, endpointURL, queryText)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	var sols []eval.Solution
-	for {
-		sol, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		sols = append(sols, sol)
-	}
-	return &eval.Result{Vars: st.Vars(), Solutions: sols}, nil
 }
 
 // SelectStream is an in-flight SELECT response: solutions decode from the
@@ -342,28 +312,6 @@ func (s *SelectStream) NextRow(vars []string, row eval.Row) error {
 // (see srjson.StreamDecoder.RowBuffered).
 func (s *SelectStream) RowBuffered() bool { return s.dec.RowBuffered() }
 
-// All adapts the stream into a lazy solution sequence terminated by the
-// first error (io.EOF is a clean end). The stream is closed when the
-// sequence finishes or its consumer stops early.
-func (s *SelectStream) All() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		defer s.Close()
-		for {
-			sol, err := s.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(sol, nil) {
-				return
-			}
-		}
-	}
-}
-
 // Close releases the underlying connection. Closing before the stream is
 // drained discards the remainder of the body.
 func (s *SelectStream) Close() error {
@@ -388,11 +336,6 @@ func (c *Client) SelectRowStream(ctx context.Context, endpointURL, queryText str
 	return c.SelectStreamContext(ctx, endpointURL, queryText)
 }
 
-// Ask runs an ASK query at the endpoint URL.
-func (c *Client) Ask(endpointURL, queryText string) (bool, error) {
-	return c.AskContext(context.Background(), endpointURL, queryText)
-}
-
 // AskContext runs an ASK query, honouring ctx's cancellation and deadline.
 func (c *Client) AskContext(ctx context.Context, endpointURL, queryText string) (bool, error) {
 	body, err := c.post(ctx, endpointURL, queryText)
@@ -407,36 +350,6 @@ func (c *Client) AskContext(ctx context.Context, endpointURL, queryText string) 
 		return false, fmt.Errorf("endpoint: expected boolean result from %s", endpointURL)
 	}
 	return *b, nil
-}
-
-// Construct runs a CONSTRUCT query and parses the returned N-Triples.
-func (c *Client) Construct(endpointURL, queryText string) (rdf.Graph, error) {
-	return c.ConstructContext(context.Background(), endpointURL, queryText)
-}
-
-// ConstructContext runs a CONSTRUCT query, honouring ctx's cancellation
-// and deadline.
-func (c *Client) ConstructContext(ctx context.Context, endpointURL, queryText string) (rdf.Graph, error) {
-	body, err := c.post(ctx, endpointURL, queryText)
-	if err != nil {
-		return nil, err
-	}
-	return ntriples.ParseString(string(body))
-}
-
-// Describe runs a DESCRIBE query and parses the returned N-Triples.
-func (c *Client) Describe(endpointURL, queryText string) (rdf.Graph, error) {
-	return c.DescribeContext(context.Background(), endpointURL, queryText)
-}
-
-// DescribeContext runs a DESCRIBE query, honouring ctx's cancellation and
-// deadline.
-func (c *Client) DescribeContext(ctx context.Context, endpointURL, queryText string) (rdf.Graph, error) {
-	body, err := c.post(ctx, endpointURL, queryText)
-	if err != nil {
-		return nil, err
-	}
-	return ntriples.ParseString(string(body))
 }
 
 // do issues the protocol's direct POST — the query text as the body,
@@ -471,7 +384,7 @@ func (c *Client) do(ctx context.Context, endpointURL, queryText string) (*http.R
 }
 
 // post issues the protocol's direct POST and buffers the whole response
-// body, for the non-streaming ASK/CONSTRUCT paths.
+// body, for the non-streaming ASK path.
 func (c *Client) post(ctx context.Context, endpointURL, queryText string) ([]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc

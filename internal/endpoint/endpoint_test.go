@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,9 +10,31 @@ import (
 	"strings"
 	"testing"
 
+	"sparqlrw/internal/eval"
+	"sparqlrw/internal/ntriples"
 	"sparqlrw/internal/store"
 	"sparqlrw/internal/turtle"
 )
+
+// collect drains a streamed SELECT at the endpoint URL into its solutions.
+func collect(c *Client, endpointURL, queryText string) ([]eval.Solution, error) {
+	st, err := c.SelectStreamContext(context.Background(), endpointURL, queryText)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var sols []eval.Solution
+	for {
+		sol, err := st.Next()
+		if err == io.EOF {
+			return sols, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		sols = append(sols, sol)
+	}
+}
 
 func demoServer(t testing.TB) *httptest.Server {
 	t.Helper()
@@ -35,14 +58,14 @@ ex:bob ex:name "Bob" .
 func TestSelectOverHTTPPostForm(t *testing.T) {
 	srv := demoServer(t)
 	c := NewClient()
-	res, err := c.Select(srv.URL, `
+	res, err := collect(c, srv.URL, `
 PREFIX ex: <http://example.org/>
 SELECT ?a WHERE { ex:p1 ex:author ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solutions) != 2 {
-		t.Fatalf("solutions = %v", res.Solutions)
+	if len(res) != 2 {
+		t.Fatalf("solutions = %v", res)
 	}
 }
 
@@ -69,12 +92,12 @@ SELECT ?a WHERE { ex:p1 ex:author ?a FILTER (?a != ex:bob && STR(?a) != "a&b=c%2
 		io.Copy(w, proxied.Body)
 	}))
 	defer srv.Close()
-	res, err := NewClient().Select(srv.URL, text)
+	res, err := collect(NewClient(), srv.URL, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solutions) != 1 {
-		t.Fatalf("solutions = %v, want alice alone", res.Solutions)
+	if len(res) != 1 {
+		t.Fatalf("solutions = %v, want alice alone", res)
 	}
 }
 
@@ -110,11 +133,11 @@ func TestSelectOverHTTPRawBody(t *testing.T) {
 func TestAskOverHTTP(t *testing.T) {
 	srv := demoServer(t)
 	c := NewClient()
-	yes, err := c.Ask(srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`)
+	yes, err := c.AskContext(context.Background(), srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`)
 	if err != nil || !yes {
 		t.Fatalf("ask = %v %v", yes, err)
 	}
-	no, err := c.Ask(srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p2 ex:author ex:bob }`)
+	no, err := c.AskContext(context.Background(), srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p2 ex:author ex:bob }`)
 	if err != nil || no {
 		t.Fatalf("ask = %v %v", no, err)
 	}
@@ -122,11 +145,18 @@ func TestAskOverHTTP(t *testing.T) {
 
 func TestConstructOverHTTP(t *testing.T) {
 	srv := demoServer(t)
-	c := NewClient()
-	g, err := c.Construct(srv.URL, `
+	resp, err := http.Post(srv.URL, "application/sparql-query", strings.NewReader(`
 PREFIX ex: <http://example.org/>
 PREFIX foaf: <http://xmlns.com/foaf/0.1/>
-CONSTRUCT { ?p foaf:name ?n } WHERE { ?p ex:name ?n }`)
+CONSTRUCT { ?p foaf:name ?n } WHERE { ?p ex:name ?n }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || !strings.HasPrefix(ct, "application/n-triples") {
+		t.Fatalf("status %d, content type %q", resp.StatusCode, ct)
+	}
+	g, err := ntriples.Parse(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,18 +190,18 @@ func TestHTTPErrors(t *testing.T) {
 
 func TestClientErrorPaths(t *testing.T) {
 	c := NewClient()
-	if _, err := c.Select("http://127.0.0.1:1", "SELECT ?x WHERE { ?x ?p ?o }"); err == nil {
+	if _, err := collect(c, "http://127.0.0.1:1", "SELECT ?x WHERE { ?x ?p ?o }"); err == nil {
 		t.Fatal("unreachable endpoint must error")
 	}
 	srv := demoServer(t)
-	if _, err := c.Select(srv.URL, "NOT SPARQL"); err == nil {
+	if _, err := collect(c, srv.URL, "NOT SPARQL"); err == nil {
 		t.Fatal("server-side parse error must propagate")
 	}
 	// Ask on a SELECT response type mismatch
-	if _, err := c.Ask(srv.URL, `PREFIX ex: <http://example.org/> SELECT ?a WHERE { ex:p1 ex:author ?a }`); err == nil {
+	if _, err := c.AskContext(context.Background(), srv.URL, `PREFIX ex: <http://example.org/> SELECT ?a WHERE { ex:p1 ex:author ?a }`); err == nil {
 		t.Fatal("type mismatch must error")
 	}
-	if _, err := c.Select(srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`); err == nil {
+	if _, err := collect(c, srv.URL, `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`); err == nil {
 		t.Fatal("type mismatch must error")
 	}
 }
@@ -183,7 +213,7 @@ func BenchmarkEndToEndSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Select(srv.URL, q); err != nil {
+		if _, err := collect(c, srv.URL, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,14 +24,14 @@ func TestLocalEndpointSelect(t *testing.T) {
 	RegisterLocal("local-select", NewServer("local-select", localDemoStore()))
 	defer UnregisterLocal("local-select")
 	c := NewClient()
-	res, err := c.Select(LocalURL("local-select"), `
+	res, err := collect(c, LocalURL("local-select"), `
 PREFIX ex: <http://example.org/>
 SELECT ?a WHERE { ex:p1 ex:author ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solutions) != 2 {
-		t.Fatalf("solutions = %v", res.Solutions)
+	if len(res) != 2 {
+		t.Fatalf("solutions = %v", res)
 	}
 }
 
@@ -66,16 +66,16 @@ func TestLocalEndpointAskAndErrors(t *testing.T) {
 	RegisterLocal("local-ask", NewServer("local-ask", localDemoStore()))
 	defer UnregisterLocal("local-ask")
 	c := NewClient()
-	yes, err := c.Ask(LocalURL("local-ask"), `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`)
+	yes, err := c.AskContext(context.Background(), LocalURL("local-ask"), `PREFIX ex: <http://example.org/> ASK { ex:p1 ex:author ex:bob }`)
 	if err != nil || !yes {
 		t.Fatalf("ask = %v, %v", yes, err)
 	}
 	// A malformed query must surface the handler's 400 as a client error.
-	if _, err := c.Select(LocalURL("local-ask"), "SELECT WHERE {"); err == nil {
+	if _, err := collect(c, LocalURL("local-ask"), "SELECT WHERE {"); err == nil {
 		t.Fatal("malformed query over local:// did not error")
 	}
 	// An unregistered name fails the round trip cleanly.
-	if _, err := c.Select(LocalURL("never-registered"), "SELECT * WHERE { ?s ?p ?o }"); err == nil {
+	if _, err := collect(c, LocalURL("never-registered"), "SELECT * WHERE { ?s ?p ?o }"); err == nil {
 		t.Fatal("unregistered local endpoint did not error")
 	}
 }
@@ -88,16 +88,16 @@ func TestLocalEndpointReplacement(t *testing.T) {
 	defer UnregisterLocal("local-swap")
 	c := NewClient()
 	q := `PREFIX ex: <http://example.org/> SELECT ?a WHERE { ex:p1 ex:author ?a }`
-	res, err := c.Select(LocalURL("local-swap"), q)
-	if err != nil || len(res.Solutions) != 2 {
+	res, err := collect(c, LocalURL("local-swap"), q)
+	if err != nil || len(res) != 2 {
 		t.Fatalf("before swap: %v, %v", res, err)
 	}
 	st2 := store.New()
 	ex := func(n string) rdf.Term { return rdf.NewIRI("http://example.org/" + n) }
 	st2.Add(rdf.Triple{S: ex("p1"), P: ex("author"), O: ex("carol")})
 	RegisterLocal("local-swap", NewServer("local-swap", st2))
-	res, err = c.Select(LocalURL("local-swap"), q)
-	if err != nil || len(res.Solutions) != 1 {
+	res, err = collect(c, LocalURL("local-swap"), q)
+	if err != nil || len(res) != 1 {
 		t.Fatalf("after swap: %v, %v", res, err)
 	}
 }
@@ -113,7 +113,7 @@ func TestLocalEndpointHandlerPanicDoesNotHang(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		c := NewClient()
-		_, err := c.Select(LocalURL("local-panic"), "SELECT * WHERE { ?s ?p ?o }")
+		_, err := collect(c, LocalURL("local-panic"), "SELECT * WHERE { ?s ?p ?o }")
 		done <- err
 	}()
 	select {

@@ -180,12 +180,12 @@ func TestClientResponseBodyUncappedStreaming(t *testing.T) {
 	defer srv.Close()
 	c := NewClient()
 	c.MaxResponseBody = 512 // far smaller than the ~20 KB response
-	res, err := c.Select(srv.URL, `PREFIX ex: <http://example.org/> SELECT ?s ?o WHERE { ?s ex:p ?o }`)
+	res, err := collect(c, srv.URL, `PREFIX ex: <http://example.org/> SELECT ?s ?o WHERE { ?s ex:p ?o }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solutions) != 200 {
-		t.Fatalf("solutions = %d", len(res.Solutions))
+	if len(res) != 200 {
+		t.Fatalf("solutions = %d", len(res))
 	}
 }
 

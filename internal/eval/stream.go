@@ -9,18 +9,6 @@ import "iter"
 // releases the producer without draining it.
 type SolutionSeq = iter.Seq2[Solution, error]
 
-// SolutionStream is a pull-based stream of solution maps: the handle the
-// public facade gives callers that want an endpoint's answer one map at a
-// time (endpoint.SelectStream is one). Next returns io.EOF at the clean
-// end of the stream; Close releases the underlying resources and must
-// always be called. Next hands the caller ownership of the returned map:
-// the stream never touches it again.
-type SolutionStream interface {
-	Vars() []string
-	Next() (Solution, error)
-	Close() error
-}
-
 // RowStream is a sub-query's answer as the mediator's own lane reads it:
 // positional rows over the reader's slot table, no map per row. NextRow
 // fills row (row[i] binding vars[i], the zero Term for unbound, variables
@@ -34,17 +22,4 @@ type RowStream interface {
 	NextRow(vars []string, row Row) error
 	RowBuffered() bool
 	Close() error
-}
-
-// Collect drains a solution sequence into a slice, returning the first
-// error the sequence yielded.
-func Collect(seq SolutionSeq) ([]Solution, error) {
-	var out []Solution
-	for sol, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sol)
-	}
-	return out, nil
 }

@@ -20,8 +20,7 @@ import (
 // (plan.Endpoints), and Stats().Federation.Endpoints, /api/health, the
 // dashboard and the per-endpoint sparqlrw_federate_*_total and
 // sparqlrw_endpoint_* series its snapshot. The table lives and dies with
-// its executor, so a mediator reconfiguration resets breakers, health and
-// counts together.
+// its executor.
 
 // The health model's constants.
 const (

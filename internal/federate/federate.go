@@ -95,7 +95,8 @@ type Options struct {
 	// Hedge enables hedged sub-queries: when a primary attempt runs past
 	// the endpoint's observed p95 latency (from the endpoint table), a
 	// backup dispatch goes to the target's healthiest other replica and
-	// the first answer wins, the loser cancelled.
+	// the first answer wins, the loser cancelled. While the primary's
+	// circuit is open, that replica answers in its place.
 	Hedge bool
 	// HedgeMinDelay floors the hedge trigger so a cold p95 estimate (or
 	// a very fast endpoint) cannot fire backups on every request
@@ -158,7 +159,8 @@ type Target struct {
 	// (1-based; 0 when unsharded).
 	Shard, Shards int
 	// Replicas are alternate endpoint URLs serving the same data set,
-	// the candidates hedged dispatch may race against Endpoint.
+	// the candidates hedged dispatch may race against Endpoint or, while
+	// Endpoint's circuit is open, send the attempt to instead.
 	Replicas []string
 }
 
@@ -415,28 +417,44 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 			return true
 		}
 	}
-	// The breaker check sits inside the slot, right before the dispatch,
-	// so that an admitted half-open probe always reaches the dispatch and
-	// reports Success or Failure — abandoning a probe would wedge the
-	// breaker in half-open, rejecting the endpoint forever.
-	if !rec.breaker.Allow() {
-		e.endpoints.count(&rec.rejected)
-		if da.Err == nil {
-			da.Err = fmt.Errorf("%w: %s", ErrCircuitOpen, t.Endpoint)
-		}
-		return true
-	}
-	da.Attempts = attempt + 1
 	timeout := e.opts.EndpointTimeout
 	if t.Timeout > 0 && t.Timeout < timeout {
 		timeout = t.Timeout
 	}
-	// One dispatch, possibly hedged: when the primary attempt runs past
-	// the endpoint's observed p95, a backup races it on the healthiest
-	// replica and the first answer wins (see hedge.go). The returned
-	// outcome is the winning arm's; the losing arm's breaker and health
-	// bookkeeping is settled inside.
-	out := e.dispatchMaybeHedged(ctx, rec, t, attempt, da.Query, vars, timeout, solCh)
+	// The breaker check sits inside the slot, right before the dispatch,
+	// so that an admitted half-open probe always reaches the dispatch and
+	// reports Success or Failure — abandoning a probe would wedge the
+	// breaker in half-open, rejecting the endpoint forever.
+	var out armOutcome
+	if rec.breaker.Allow() {
+		// One dispatch, possibly hedged: when the primary attempt runs
+		// past the endpoint's observed p95, a backup races it on the
+		// healthiest replica and the first answer wins (see hedge.go).
+		// The returned outcome is the winning arm's; the losing arm's
+		// breaker and health bookkeeping is settled inside.
+		out = e.dispatchMaybeHedged(ctx, rec, t, attempt, da.Query, vars, timeout, solCh)
+	} else {
+		e.endpoints.count(&rec.rejected)
+		// Under Hedge, a refused primary hands the attempt to the replica
+		// a hedge would race, if that replica's breaker admits it: one
+		// unhedged dispatch, settled on the replica's own record.
+		backup := e.hedgeBackup(t)
+		var brec *endpointRecord
+		if backup != "" {
+			if brec = e.endpoints.entry(backup); !brec.breaker.Allow() {
+				e.endpoints.count(&brec.rejected)
+				brec = nil
+			}
+		}
+		if brec == nil {
+			if da.Err == nil {
+				da.Err = fmt.Errorf("%w: %s", ErrCircuitOpen, t.Endpoint)
+			}
+			return true
+		}
+		out = e.dispatchArm(ctx, "attempt", brec, da.Query, vars, attempt, timeout, solCh)
+	}
+	da.Attempts = attempt + 1
 	if out.err == nil {
 		e.settle(out)
 		if out.count > 0 {

@@ -192,3 +192,42 @@ func TestHedgePicksHealthiestReplica(t *testing.T) {
 		t.Fatal("unhealthy replica was dispatched")
 	}
 }
+
+// TestHedgeReplicaServesWhilePrimaryOpen: once the primary's breaker has
+// opened, a hedged target's attempt goes to its replica instead of
+// failing with ErrCircuitOpen, and the replica's record carries it.
+func TestHedgeReplicaServesWhilePrimaryOpen(t *testing.T) {
+	fc := newFakeClient()
+	fc.on("primary", func(context.Context, int) (*eval.Result, error) {
+		return nil, errors.New("primary down")
+	})
+	fc.on("replica", func(context.Context, int) (*eval.Result, error) {
+		return answers("http://a.example/replica"), nil
+	})
+	opts := hedgeOpts()
+	opts.BreakerFailures = 1
+	e := NewExecutor(fc, nil, nil, opts)
+	target := Target{Dataset: "d", Endpoint: "primary", Replicas: []string{"replica"}}
+	if res, _ := selectAll(context.Background(), e, req(target)); res.PerDataset[0].Err == nil {
+		t.Fatal("first fan-out: the failing primary reported no error")
+	}
+	if h := snapshotFor(t, e.Endpoints(), "primary"); h.Breaker != "open" {
+		t.Fatalf("primary after one failure = %+v, want its breaker open", h)
+	}
+	res, err := selectAll(context.Background(), e, req(target))
+	if err != nil || res.PerDataset[0].Err != nil {
+		t.Fatalf("fan-out inside the cooldown: %v, %v; want the replica's answer", err, res.PerDataset[0].Err)
+	}
+	if len(res.Solutions) != 1 || res.Solutions[0]["a"].Value != "http://a.example/replica" {
+		t.Fatalf("solutions = %+v, want the replica's answer", res.Solutions)
+	}
+	if p := snapshotFor(t, e.Endpoints(), "primary"); p.Rejected != 1 || p.Attempts != 1 {
+		t.Fatalf("primary = %+v, want 1 attempt and 1 rejection", p)
+	}
+	if r := snapshotFor(t, e.Endpoints(), "replica"); r.Successes != 1 || r.Solutions != 1 {
+		t.Fatalf("replica = %+v, want the dispatch settled on its record", r)
+	}
+	if st := e.Stats(); st.Hedges != 0 {
+		t.Fatalf("hedges = %d, want 0: the fallback is not a hedge", st.Hedges)
+	}
+}

@@ -28,10 +28,9 @@ func newExecutorMetrics(r *obs.Registry) *executorMetrics {
 }
 
 // registerCollectors binds the function-backed families to this
-// executor's plan cache and endpoint table. The mediator rebuilds its
-// executor on reconfiguration while keeping one registry; re-registering
-// replaces the callbacks, so the exposition always reads the live
-// executor's state instead of double-booking it.
+// executor's plan cache and endpoint table. Registering a family again
+// replaces its callback, so a registry shared by several executors reads
+// the one built last instead of double-booking them.
 func (e *Executor) registerCollectors(r *obs.Registry) {
 	r.CounterFunc("sparqlrw_plan_cache_hits_total",
 		"Rewrite-plan cache hits.", func() float64 {

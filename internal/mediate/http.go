@@ -213,9 +213,9 @@ func (m *Mediator) apiQuery(w http.ResponseWriter, r *http.Request) (req apiQuer
 
 // Handler serves the mediator's SPARQL protocol endpoint, REST API, UI,
 // Prometheus-format metrics (/metrics) and trace inspection (/api/trace).
-// The per-route request counter binds to the mediator's observer at
-// construction; reconfiguring with WithObservability means recreating the
-// handler to rebind.
+// Each route's request counter is resolved once, when the route
+// registers; a second Handler over the same mediator counts into the same
+// series, since the registry's constructors are get-or-create.
 func Handler(m *Mediator) http.Handler {
 	mux := http.NewServeMux()
 	requests := m.Obs.Registry.CounterVec("sparqlrw_http_requests_total",

@@ -33,49 +33,36 @@ type Mediator struct {
 	Client     *endpoint.Client
 	// Exec owns federated execution: concurrent fan-out, retries, the
 	// rewrite-plan cache and the endpoint table (breakers, in-flight
-	// bounds, health, per-endpoint counts). Rebuilt by Configure, which
-	// resets the table.
+	// bounds, health, per-endpoint counts).
 	Exec *federate.Executor
 	// Planner performs voiD-driven source selection and adaptive ordering
 	// for every federated query, over its source set. Decomposer plans the
 	// query from it — one whole fragment over the data sets that answer it
 	// whole, per-endpoint exclusive groups when none does — and JoinEngine
 	// executes the fragments, groups as cardinality-ordered streaming
-	// bound joins. Rebuilt by Configure.
+	// bound joins.
 	Planner    *plan.Planner
 	Decomposer *decompose.Decomposer
 	JoinEngine *decompose.Engine
-	// RewriteFilters mirrors Config.RewriteFilters (the §4 FILTER
-	// extension); set it via Configure(WithRewriteFilters(...)) so the
-	// rewrite-plan cache cannot serve plans produced under the old
-	// setting.
-	RewriteFilters bool
 	// Serve is the production serving tier: multi-tenant admission, the
-	// federated result cache and policy-by-rewriting. Rebuilt by
-	// Configure; nil when the tier is disabled (no WithServing).
+	// federated result cache and policy-by-rewriting; nil when the tier
+	// is disabled (no WithServing).
 	Serve *serve.Tier
 	// Obs bundles the mediator's observability surfaces: the metrics
 	// registry every layer registers into (rendered at /metrics, read back
 	// by Stats), the finished-trace ring behind /api/trace, the structured
-	// logger and the slow-query threshold. Rebuilt by Configure only when
-	// WithObservability changes the options; the registry otherwise
-	// survives rebuilds so counters accumulate across reconfiguration.
+	// logger and the slow-query threshold.
 	Obs *obs.Observer
 	// Views is the materialized-view tier: it mines the fragments the
 	// endpoints answer, keeps the frequent ones' answers as rows and
 	// answers later fragments of the same pattern from them in process.
-	// Rebuilt by Configure; nil when the tier is disabled (no WithViews).
+	// Nil when the tier is disabled (no WithViews).
 	Views *view.Manager
 
-	cfg Config
-	// obsOpts remembers the options Obs was built from, so rebuild only
-	// replaces the observer when they change.
-	obsOpts obs.Options
-	// viewOpts remembers the effective options Views was built from
-	// (registry and card store injected), for the same reason.
-	viewOpts view.Options
-	metrics  *mediatorMetrics
-	start    time.Time
+	// rewriteFilters enables the §4 FILTER extension for every rewrite.
+	rewriteFilters bool
+	metrics        *mediatorMetrics
+	start          time.Time
 	// stopProbes ends the background health prober, when one is running
 	// (see StartHealthProbes).
 	stopProbes func()
@@ -97,7 +84,11 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 		Client:     endpoint.NewClient(),
 		start:      time.Now(),
 	}
-	m.Configure(opts...)
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	m.build(o)
 	// Cache invalidation hooks: a changed voiD entry drops that data
 	// set's cached rewrite plans and observed cardinalities (both keyed by
 	// target data set), a changed alignment KB flushes both. Either change
@@ -387,7 +378,7 @@ func (m *Mediator) rewriter(sourceOnt, targetDataset string) (*core.Rewriter, er
 		TargetOntology: ds.Vocabulary(),
 	})
 	rw := core.New(eas, m.Funcs)
-	rw.Opts.RewriteFilters = m.RewriteFilters
+	rw.Opts.RewriteFilters = m.rewriteFilters
 	rw.Opts.TargetURISpace = ds.URISpace
 	return rw, nil
 }

@@ -32,7 +32,8 @@ type testStack struct {
 	mediator *Mediator
 }
 
-func newStack(t testing.TB) *testStack {
+// newStack's mediator rewrites FILTERs; opts are applied after that.
+func newStack(t testing.TB, opts ...Option) *testStack {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Persons, cfg.Papers = 40, 120
@@ -70,8 +71,17 @@ func newStack(t testing.TB) *testStack {
 	// FILTER keeps its Southampton URI and silently stops excluding the
 	// person on KISTI (the paper's Figure-6 limitation; pinned by
 	// TestPaperModeFilterLimitation below).
-	m := New(dsKB, alignKB, u.Coref, WithRewriteFilters(true))
+	m := New(dsKB, alignKB, u.Coref, append([]Option{WithRewriteFilters(true)}, opts...)...)
 	return &testStack{u: u, mediator: m}
+}
+
+// another builds a second mediator over the stack's knowledge bases, with
+// FILTER rewriting on and then opts, closed when the test ends.
+func (s *testStack) another(t testing.TB, opts ...Option) *Mediator {
+	m := s.mediator
+	other := New(m.Datasets, m.Alignments, m.Coref, append([]Option{WithRewriteFilters(true)}, opts...)...)
+	t.Cleanup(other.Close)
+	return other
 }
 
 // federatedSelect drains one federated SELECT into the buffered result
@@ -90,8 +100,7 @@ func federatedSelect(m *Mediator, query string, targets []string) (*FederatedRes
 // FILTER rewriting off, the co-author query run against KISTI stops
 // excluding the person themselves, inflating the federated answer by one.
 func TestPaperModeFilterLimitation(t *testing.T) {
-	s := newStack(t)
-	s.mediator.Configure(WithRewriteFilters(false))
+	s := newStack(t, WithRewriteFilters(false))
 	person := -1
 	for i := 0; i < s.u.Cfg.Persons; i++ {
 		if len(s.u.CoAuthorsIn(i, "kisti")) > 0 {
@@ -456,7 +465,10 @@ func TestFederatedSurvivesEndpointFailure(t *testing.T) {
 // end: a hung endpoint hits its per-attempt deadline and the healthy
 // ones still answer, instead of the whole fan-out stalling.
 func TestFederatedHangingEndpointTimesOut(t *testing.T) {
-	s := newStack(t)
+	s := newStack(t, WithFederation(federate.Options{
+		EndpointTimeout: 100 * time.Millisecond,
+		MaxRetries:      -1,
+	}))
 	unblock := make(chan struct{})
 	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -474,10 +486,6 @@ func TestFederatedHangingEndpointTimesOut(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.mediator.Configure(WithFederation(federate.Options{
-		EndpointTimeout: 100 * time.Millisecond,
-		MaxRetries:      -1,
-	}))
 	start := time.Now()
 	fr, err := federatedSelect(s.mediator, allAuthorships,
 		[]string{workload.SotonVoidURI, "http://hang.example/void"})

@@ -471,32 +471,3 @@ func TestObservabilityConcurrentQueries(t *testing.T) {
 		t.Fatalf("Queries.Select = %d, want %d", got, workers*perWorker)
 	}
 }
-
-// TestConfigureKeepsCounters pins the rebuild semantics: reconfiguring
-// the stack keeps the observer and its registry, so counters accumulate,
-// while WithObservability swaps in a fresh observer.
-func TestConfigureKeepsCounters(t *testing.T) {
-	s := newStack(t)
-	if _, err := federatedSelect(s.mediator, workload.Figure1Query(1),
-		[]string{workload.SotonVoidURI}); err != nil {
-		t.Fatal(err)
-	}
-	before := s.mediator.Stats().Queries.Select
-	obsBefore := s.mediator.Obs
-
-	s.mediator.Configure(WithRewriteFilters(false))
-	if s.mediator.Obs != obsBefore {
-		t.Fatal("Configure without WithObservability replaced the observer")
-	}
-	if got := s.mediator.Stats().Queries.Select; got != before {
-		t.Fatalf("query counter reset by Configure: %d -> %d", before, got)
-	}
-
-	s.mediator.Configure(WithObservability(obs.Options{TraceRingSize: 4}))
-	if s.mediator.Obs == obsBefore {
-		t.Fatal("WithObservability did not replace the observer")
-	}
-	if got := s.mediator.Stats().Queries.Select; got != 0 {
-		t.Fatalf("fresh registry should start at zero, got %d", got)
-	}
-}

@@ -259,14 +259,14 @@ func TestShardNumbering(t *testing.T) {
 		}
 	}
 
-	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: 2}))
+	sharding := s.another(t, WithDecomposer(decompose.Options{ValuesBatch: 2}))
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE {\n  VALUES ?paper {")
 	for i := 0; i < 6; i++ {
 		sb.WriteString(" <" + workload.SotonPaper(i).Value + ">")
 	}
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
-	res, err := s.mediator.Query(context.Background(), QueryRequest{Query: sb.String()})
+	res, err := sharding.Query(context.Background(), QueryRequest{Query: sb.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,8 @@ func TestShardNumbering(t *testing.T) {
 // configured batch size and the shard answers recombine to the full set.
 func TestValuesShardedFederation(t *testing.T) {
 	s, _ := plannedStack(t)
-	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: 2}))
+	sharding := s.another(t, WithDecomposer(decompose.Options{ValuesBatch: 2}))
+	unsharding := s.another(t, WithDecomposer(decompose.Options{ValuesBatch: -1}))
 
 	var sb strings.Builder
 	sb.WriteString("PREFIX akt:<" + rdf.AKTNS + ">\nSELECT ?a WHERE {\n  VALUES ?paper {")
@@ -294,7 +295,7 @@ func TestValuesShardedFederation(t *testing.T) {
 	sb.WriteString(" }\n  ?paper akt:has-author ?a .\n}")
 	q := sb.String()
 
-	sharded, err := federatedSelect(s.mediator, q, nil)
+	sharded, err := federatedSelect(sharding, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +311,7 @@ func TestValuesShardedFederation(t *testing.T) {
 			t.Fatalf("shard count = %d, want 3", da.Shards)
 		}
 	}
-	s.mediator.Configure(WithDecomposer(decompose.Options{ValuesBatch: -1}))
-	unsharded, err := federatedSelect(s.mediator, q, nil)
+	unsharded, err := federatedSelect(unsharding, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

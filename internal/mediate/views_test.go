@@ -20,12 +20,16 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/align"
 	"sparqlrw/internal/decompose"
+	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
+	"sparqlrw/internal/store"
 	"sparqlrw/internal/view"
+	"sparqlrw/internal/voidkb"
 	"sparqlrw/internal/workload"
 )
 
@@ -591,5 +595,70 @@ func TestViewsKeepTenantFilters(t *testing.T) {
 				t.Errorf("%s in %s: %d view hits, want %d", c.query, space, hits, c.hits)
 			}
 		}
+	}
+}
+
+// TestSharedViewAnswersOnlyTheSharedFragment: with room for two views,
+// both taken by another person's cross-vocabulary query — its papers and
+// authors at Southampton, their citation counts at the metrics
+// repository — a person's query reads only the fragment every such query
+// shares, the citation counts, from a view: the metrics repository hears
+// nothing, Southampton exactly what it hears with views off, and the
+// answer is the federated one.
+func TestSharedViewAnswersOnlyTheSharedFragment(t *testing.T) {
+	u := exampleUniverse()
+	metrics := workload.MetricsStore(u)
+	var sotonTrips, metricsTrips atomic.Int64
+	kb := voidkb.NewKB()
+	for _, d := range []struct {
+		ds    *voidkb.Dataset
+		st    *store.Store
+		trips *atomic.Int64
+	}{
+		{&voidkb.Dataset{URI: workload.SotonVoidURI, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{rdf.AKTNS}, Triples: int64(u.Southampton.Size()),
+			PropertyPartitions: map[string]int64{rdf.AKTHasAuthor: int64(u.Southampton.PredicateCount(rdf.NewIRI(rdf.AKTHasAuthor)))}},
+			u.Southampton, &sotonTrips},
+		{&voidkb.Dataset{URI: workload.MetricsVoidURI, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{workload.MetricsNS}, Triples: int64(metrics.Size()),
+			PropertyPartitions: map[string]int64{workload.MetricsCitationCount: int64(u.Cfg.Papers)}},
+			metrics, &metricsTrips},
+	} {
+		h := endpoint.NewServer(d.ds.URI, d.st)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			d.trips.Add(1)
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		d.ds.SPARQLEndpoint = srv.URL
+		if err := kb.Add(d.ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mediator := func(opts ...Option) *Mediator {
+		m := New(kb, align.NewKB(), u.Coref, opts...)
+		t.Cleanup(m.Close)
+		return m
+	}
+	query := workload.CrossVocabularyQuery(7)
+
+	s0 := sotonTrips.Load()
+	want := sortRows(selectRows(t, mediator(), query))
+	fedSoton := sotonTrips.Load() - s0
+	if len(want) == 0 || fedSoton == 0 {
+		t.Fatalf("federated: %d rows, %d Southampton round trips; an empty answer proves nothing", len(want), fedSoton)
+	}
+
+	shared := mediator(WithViews(view.Options{MinFrequency: 1, MaxViews: 2}))
+	selectRows(t, shared, workload.CrossVocabularyQuery(3))
+	waitViewsReady(t, shared, 2)
+	s0, m0, h0 := sotonTrips.Load(), metricsTrips.Load(), shared.Views.Stats().Hits
+	got := sortRows(selectRows(t, shared, query))
+	if !equalRows(got, want) {
+		t.Errorf("shared views answered\n %v\nfederated\n %v", got, want)
+	}
+	if st, mt, h := sotonTrips.Load()-s0, metricsTrips.Load()-m0, shared.Views.Stats().Hits-h0; mt != 0 || st != fedSoton || h != 1 {
+		t.Errorf("%d metrics and %d Southampton round trips, %d view hits; want 0, the federated %d, and 1",
+			mt, st, h, fedSoton)
 	}
 }

@@ -83,8 +83,9 @@ func sorted(byDataset map[string][]string) map[string][]string {
 // wireCase is one execution path of TestWireCarriesWhatTheStagesBuilt.
 type wireCase struct {
 	name string
-	opts []Option
-	req  QueryRequest
+	// dec is the case's decompose options.
+	dec decompose.Options
+	req QueryRequest
 	// derived is the SELECT the plan's whole fragment should send, before
 	// rewriting, when the case gives it; the join engine's requests say
 	// what went to each endpoint.
@@ -130,12 +131,12 @@ func wireCases(t *testing.T, i, first int) []wireCase {
 		{name: "planned, one source, slice above merge",
 			req: QueryRequest{Query: "PREFIX m:<" + workload.MetricsNS + ">\nSELECT ?p ?c WHERE { ?p m:citationCount ?c } ORDER BY ?c LIMIT 5 OFFSET 2"}},
 		{name: "planned, VALUES-sharded",
-			opts: []Option{WithDecomposer(decompose.Options{ValuesBatch: 2})},
-			req:  QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
+			dec: decompose.Options{ValuesBatch: 2},
+			req: QueryRequest{Query: akt + "SELECT ?paper ?a WHERE { " + values + " ?paper akt:has-author ?a }"}},
 		{name: "decomposed, bound join",
 			req: QueryRequest{Query: workload.CrossVocabularyQuery(i)}},
 		{name: "decomposed, hash fallback",
-			opts:     []Option{WithDecomposer(decompose.Options{MaxBindRows: -1})},
+			dec:      decompose.Options{MaxBindRows: -1},
 			req:      QueryRequest{Query: workload.CrossVocabularyQuery(i)},
 			hashJoin: true},
 	}
@@ -146,9 +147,9 @@ func TestWireCarriesWhatTheStagesBuilt(t *testing.T) {
 	for n, tc := range wireCases(t, 2, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			tap := &wireTap{seen: map[string][]string{}}
-			m := exampleFederation(t, tap.wrap, tc.opts...)
+			m := exampleFederation(t, tap.wrap, WithDecomposer(tc.dec))
 			disp := &recordingDispatcher{exec: m.Exec}
-			m.JoinEngine = decompose.NewEngine(disp, m.Coref, m.Config().Decompose)
+			m.JoinEngine = decompose.NewEngine(disp, m.Coref, tc.dec)
 			run := func(req QueryRequest) (*Result, *FederatedResult) {
 				t.Helper()
 				res, err := m.Query(context.Background(), req)

@@ -29,9 +29,10 @@ var DefBuckets = []float64{
 
 // Registry is a set of named metric families. Constructors are
 // get-or-create: registering a name that already exists returns the
-// existing family (the mediator rebuilds its execution stack on
-// reconfiguration and the counters must survive), and panics if the type
-// or label names differ — that is a programming error, not runtime state.
+// existing family (components handed one registry share its families,
+// and a mediator's Handler built twice counts into the same series), and
+// panics if the type or label names differ — that is a programming error,
+// not runtime state.
 // All methods are safe for concurrent use.
 type Registry struct {
 	mu        sync.Mutex

@@ -171,26 +171,6 @@ func (d *StreamDecoder) trailing() error {
 	return nil
 }
 
-// All adapts the decoder into a lazy solution sequence terminated by the
-// first decode error (io.EOF is a clean end, not an error).
-func (d *StreamDecoder) All() eval.SolutionSeq {
-	return func(yield func(eval.Solution, error) bool) {
-		for {
-			sol, err := d.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(sol, nil) {
-				return
-			}
-		}
-	}
-}
-
 func (d *StreamDecoder) fail(err error) error {
 	d.err = err
 	return err

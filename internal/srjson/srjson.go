@@ -14,24 +14,6 @@ import (
 	"sparqlrw/internal/eval"
 )
 
-// EncodeSelect serialises a SELECT result.
-func EncodeSelect(res *eval.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	enc, err := NewStreamEncoder(&buf, res.Vars)
-	if err != nil {
-		return nil, err
-	}
-	for _, sol := range res.Solutions {
-		if err := enc.Encode(sol); err != nil {
-			return nil, err
-		}
-	}
-	if err := enc.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // EncodeAsk serialises an ASK result.
 func EncodeAsk(b bool) ([]byte, error) {
 	if b {

@@ -1,12 +1,27 @@
 package srjson
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
 )
+
+// encodeSelect writes res as a SELECT results document through the
+// streaming encoder.
+func encodeSelect(res *eval.Result) ([]byte, error) {
+	var buf bytes.Buffer
+	err := EncodeSelectStream(&buf, res.Vars, func(yield func(eval.Solution, error) bool) {
+		for _, sol := range res.Solutions {
+			if !yield(sol, nil) {
+				return
+			}
+		}
+	}, nil)
+	return buf.Bytes(), err
+}
 
 func TestSelectRoundTrip(t *testing.T) {
 	res := &eval.Result{
@@ -24,7 +39,7 @@ func TestSelectRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	data, err := EncodeSelect(res)
+	data, err := encodeSelect(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +87,7 @@ func TestWireFormatShape(t *testing.T) {
 		Vars:      []string{"x"},
 		Solutions: []eval.Solution{{"x": rdf.NewTypedLiteral("7", rdf.XSDInteger)}},
 	}
-	data, err := EncodeSelect(res)
+	data, err := encodeSelect(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +117,14 @@ func TestEncodeRejectsVariables(t *testing.T) {
 		Vars:      []string{"x"},
 		Solutions: []eval.Solution{{"x": rdf.NewVar("oops")}},
 	}
-	if _, err := EncodeSelect(res); err == nil {
+	if _, err := encodeSelect(res); err == nil {
 		t.Fatal("variable term must not encode")
 	}
 }
 
 func TestEmptyResults(t *testing.T) {
 	res := &eval.Result{Vars: []string{"x"}}
-	data, err := EncodeSelect(res)
+	data, err := encodeSelect(res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,7 @@ import (
 	"sparqlrw/internal/sparql"
 )
 
-// Options configures a Manager. The struct is comparable so callers can
-// diff configurations across rebuilds.
+// Options configures a Manager.
 type Options struct {
 	// RefreshTTL re-materializes ready views this long after their last
 	// refresh (0 = refresh only on invalidation).

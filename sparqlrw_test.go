@@ -3,6 +3,12 @@ package sparqlrw
 import (
 	"strings"
 	"testing"
+
+	"sparqlrw/internal/align"
+	"sparqlrw/internal/core"
+	"sparqlrw/internal/ntriples"
+	"sparqlrw/internal/srjson"
+	"sparqlrw/internal/turtle"
 )
 
 // TestFacadeQuickstart exercises the public API exactly as README's
@@ -82,34 +88,34 @@ func TestFacadeRoundTripHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(FormatTurtle(g, pm), "ex:s") {
+	if !strings.Contains(turtle.Format(g, pm), "ex:s") {
 		t.Fatal("turtle format")
 	}
-	nt := FormatNTriples(g)
-	g2, err := ParseNTriples(strings.NewReader(nt))
+	nt := ntriples.Format(g)
+	g2, err := ntriples.Parse(strings.NewReader(nt))
 	if err != nil || len(g2) != 1 {
 		t.Fatalf("ntriples round trip: %v %v", g2, err)
 	}
-	ca := NewClassAlignment("http://a/x", "http://a/C", "http://b/D")
-	pa := NewPropertyAlignment("http://a/y", "http://a/p", "http://b/q")
-	ttl := FormatAlignments([]*OntologyAlignment{{
+	ca := align.ClassAlignment("http://a/x", "http://a/C", "http://b/D")
+	pa := align.PropertyAlignment("http://a/y", "http://a/p", "http://b/q")
+	ttl := align.FormatTurtle([]*align.OntologyAlignment{{
 		URI:              "http://a/oa",
 		SourceOntologies: []string{"http://a/"},
 		TargetOntologies: []string{"http://b/"},
 		Alignments:       []*EntityAlignment{ca, pa},
 	}})
-	oas, _, err := ParseAlignments(ttl)
+	oas, _, err := align.ParseTurtle(ttl)
 	if err != nil || len(oas) != 1 || len(oas[0].Alignments) != 2 {
 		t.Fatalf("alignment round trip: %v %v", oas, err)
 	}
 }
 
 func TestFacadeChainAndConstruct(t *testing.T) {
-	pa := NewPropertyAlignment("http://a/p", "http://src/p", "http://mid/p")
-	pb := NewPropertyAlignment("http://a/q", "http://mid/p", "http://tgt/p")
+	pa := align.PropertyAlignment("http://a/p", "http://src/p", "http://mid/p")
+	pb := align.PropertyAlignment("http://a/q", "http://mid/p", "http://tgt/p")
 	reg := NewFunctionRegistry(NewCorefStore())
 	q, _ := ParseQuery(`SELECT ?o WHERE { ?s <http://src/p> ?o }`)
-	out, report, err := RewriteChain(q, []ChainStage{
+	out, report, err := core.RewriteChain(q, []core.Stage{
 		{Name: "src→mid", Rewriter: NewRewriter([]*EntityAlignment{pa}, reg)},
 		{Name: "mid→tgt", Rewriter: NewRewriter([]*EntityAlignment{pb}, reg)},
 	})
@@ -123,7 +129,7 @@ func TestFacadeChainAndConstruct(t *testing.T) {
 		t.Fatalf("chain output:\n%s", FormatQuery(out))
 	}
 
-	cq, err := ConstructQuery(pa, false)
+	cq, err := core.ConstructQuery(pa, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestFacadeChainAndConstruct(t *testing.T) {
 	st := NewStore()
 	g, _, _ := ParseTurtle(`<http://x/1> <http://mid/p> "v" .`)
 	st.AddGraph(g)
-	translated, skipped, err := TranslateData(st, []*EntityAlignment{pa}, false)
+	translated, skipped, err := core.TranslateData(st, []*EntityAlignment{pa}, false)
 	if err != nil || len(skipped) != 0 {
 		t.Fatalf("translate: %v %v", err, skipped)
 	}
@@ -144,15 +150,15 @@ func TestFacadeChainAndConstruct(t *testing.T) {
 
 func TestFacadeKBs(t *testing.T) {
 	akb := NewAlignmentKB()
-	if err := akb.Add(&OntologyAlignment{
+	if err := akb.Add(&align.OntologyAlignment{
 		URI:              "http://a/oa",
 		SourceOntologies: []string{"http://a/"},
 		TargetOntologies: []string{"http://b/"},
-		Alignments:       []*EntityAlignment{NewPropertyAlignment("http://a/p", "http://a/p", "http://b/q")},
+		Alignments:       []*EntityAlignment{align.PropertyAlignment("http://a/p", "http://a/p", "http://b/q")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(akb.Select(AlignmentSelector{SourceOntology: "http://a/", TargetOntology: "http://b/"})); got != 1 {
+	if got := len(akb.Select(align.Selector{SourceOntology: "http://a/", TargetOntology: "http://b/"})); got != 1 {
 		t.Fatalf("select = %d", got)
 	}
 	dkb := NewDatasetKB()
@@ -165,9 +171,9 @@ func TestFacadeKBs(t *testing.T) {
 	}
 }
 
-// TestFacadeStreaming exercises the public streaming surface: lazy
-// evaluation through Engine.SelectRows, the streaming results-JSON codec,
-// and CollectSolutions.
+// TestFacadeStreaming exercises the streaming surface: lazy evaluation
+// through Engine.SelectRows and the streaming results-JSON encoder, read
+// back by the decoder.
 func TestFacadeStreaming(t *testing.T) {
 	st := NewStore()
 	st.Add(NewTriple(NewIRI("http://x/p1"), NewIRI("http://x/author"), NewIRI("http://x/alice")))
@@ -181,7 +187,7 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	enc, err := NewResultsStreamEncoder(&sb, sr.Vars)
+	enc, err := srjson.NewStreamEncoder(&sb, sr.Vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +199,11 @@ func TestFacadeStreaming(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewResultsStreamDecoder(strings.NewReader(sb.String()))
+	res, _, err := srjson.Decode([]byte(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := CollectSolutions(dec.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 2 || !sols[0].Bound("a") || !sols[1].Bound("a") {
+	if sols := res.Solutions; len(sols) != 2 || !sols[0].Bound("a") || !sols[1].Bound("a") {
 		t.Fatalf("round-tripped solutions = %v", sols)
 	}
 }
