@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 
 	"sparqlrw"
@@ -98,17 +99,20 @@ WHERE {
 	if dcm := res.Decomposition(); dcm != nil {
 		fmt.Printf("\ndecomposed into %d fragments over %v\n", len(dcm.Fragments), dcm.Datasets())
 	}
-	n := 0
+	// The stream's order follows whichever fragment answers first: the
+	// report shows the first triples in sorted order.
+	var triples []string
 	for t, err := range res.Graph().Triples() {
 		must(err)
-		if n < 6 {
-			fmt.Println("  ", t.String(), ".")
-		}
-		n++
+		triples = append(triples, t.String())
+	}
+	slices.Sort(triples)
+	for _, t := range triples[:min(6, len(triples))] {
+		fmt.Println("  ", t, ".")
 	}
 	sum, err := res.Summary()
 	must(err)
-	fmt.Printf("  ... %d triples total, %d duplicates collapsed\n", n, sum.Duplicates)
+	fmt.Printf("  ... %d triples total, %d duplicates collapsed\n", len(triples), sum.Duplicates)
 
 	// The same query over the W3C protocol endpoint, as streamed Turtle.
 	api := httptest.NewServer(sparqlrw.MediatorHandler(mediator))
@@ -124,14 +128,20 @@ WHERE {
 	body, err := io.ReadAll(resp.Body)
 	must(err)
 	fmt.Printf("\n=== POST /sparql (Accept: text/turtle, %s) ===\n", resp.Header.Get("Content-Type"))
-	lines := strings.SplitN(string(body), "\n", 7)
-	for i, line := range lines {
-		if i == 6 {
-			fmt.Println("  ...")
-			break
+	// The prefixes as written, then the first triple lines in sorted order.
+	var lines []string
+	for line := range strings.Lines(string(body)) {
+		if line = strings.TrimSuffix(line, "\n"); strings.HasPrefix(line, "@prefix") {
+			fmt.Println(" ", line)
+		} else if line != "" {
+			lines = append(lines, line)
 		}
+	}
+	slices.Sort(lines)
+	for _, line := range lines[:min(4, len(lines))] {
 		fmt.Println(" ", line)
 	}
+	fmt.Println("  ...")
 }
 
 func must(err error) {

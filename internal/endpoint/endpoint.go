@@ -253,8 +253,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // SelectStreamContext opens a streaming SELECT against the endpoint URL.
-// The returned stream decodes the response body incrementally: Next
-// yields each solution as it arrives, io.EOF ends a well-formed stream,
+// The returned stream decodes the response body incrementally: NextRow
+// decodes each solution as it arrives, io.EOF ends a well-formed stream,
 // and ctx's cancellation tears the transfer down mid-body.
 func (c *Client) SelectStreamContext(ctx context.Context, endpointURL, queryText string) (*SelectStream, error) {
 	var cancel context.CancelFunc
@@ -280,26 +280,13 @@ func (c *Client) SelectStreamContext(ctx context.Context, endpointURL, queryText
 	return &SelectStream{endpoint: endpointURL, dec: dec, body: resp.Body, counted: counted, cancel: cancel}, nil
 }
 
-// Vars returns the projection variables from the response head (final
-// once Next has returned io.EOF, see srjson.StreamDecoder.Vars).
-func (s *SelectStream) Vars() []string { return s.dec.Vars() }
-
 // Bytes returns how many response-body bytes have been read so far.
 func (s *SelectStream) Bytes() int64 { return s.counted.n.Load() }
 
-// Next returns the next solution, io.EOF at the clean end of the stream,
-// or the decode/transport error that terminated it.
-func (s *SelectStream) Next() (eval.Solution, error) {
-	sol, err := s.dec.Next()
-	if err == io.EOF && !s.dec.SawResults() {
-		return nil, fmt.Errorf("endpoint: expected SELECT results from %s", s.endpoint)
-	}
-	return sol, err
-}
-
-// NextRow is Next in the mediator's positional form: the next solution
-// decoded into the caller's row over the caller's slot table (see
-// srjson.StreamDecoder.NextRow).
+// NextRow decodes the next solution into the caller's row over the
+// caller's slot table (see srjson.StreamDecoder.NextRow). It returns io.EOF
+// at the clean end of the stream, or the decode/transport error that
+// terminated it.
 func (s *SelectStream) NextRow(vars []string, row eval.Row) error {
 	err := s.dec.NextRow(vars, row)
 	if err == io.EOF && !s.dec.SawResults() {

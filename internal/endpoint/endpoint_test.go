@@ -23,16 +23,18 @@ func collect(c *Client, endpointURL, queryText string) ([]eval.Solution, error) 
 		return nil, err
 	}
 	defer st.Close()
+	vars := st.dec.Vars() // every server here writes the head first
 	var sols []eval.Solution
 	for {
-		sol, err := st.Next()
+		row := make(eval.Row, len(vars))
+		err := st.NextRow(vars, row)
 		if err == io.EOF {
 			return sols, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		sols = append(sols, sol)
+		sols = append(sols, eval.RowSolution(vars, row))
 	}
 }
 

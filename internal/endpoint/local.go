@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,7 +72,8 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// HTTP response.
 	pr, pw := io.Pipe()
 	w := &localResponseWriter{header: make(http.Header), pw: pw, ready: make(chan struct{})}
-	inner := req.Clone(req.Context())
+	ctx := req.Context()
+	inner := req.Clone(ctx)
 	inner.URL = &url.URL{Scheme: "http", Host: req.URL.Host, Path: req.URL.Path, RawQuery: req.URL.RawQuery}
 	inner.RequestURI = ""
 	go func() {
@@ -85,11 +87,21 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 				return
 			}
 			w.finish()
-			pw.Close()
+			// A handler that ended because the request was cancelled cut its
+			// body short: the reader sees the cancellation's cause, not an
+			// unexpected end of the document (nil cause: a clean io.EOF).
+			pw.CloseWithError(context.Cause(ctx))
 		}()
 		h.ServeHTTP(w, inner)
 	}()
-	<-w.ready
+	// The caller's deadline holds while the handler has not answered yet:
+	// the handler's writes then fail with the same cause.
+	select {
+	case <-w.ready:
+	case <-ctx.Done():
+		pr.CloseWithError(context.Cause(ctx))
+		return nil, context.Cause(ctx)
+	}
 	return &http.Response{
 		Status:        fmt.Sprintf("%d %s", w.status, http.StatusText(w.status)),
 		StatusCode:    w.status,

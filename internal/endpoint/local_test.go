@@ -2,11 +2,14 @@ package endpoint
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
 	"time"
 
+	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/store"
 )
@@ -46,9 +49,9 @@ SELECT ?p ?a WHERE { ?p ex:author ?a }`)
 		t.Fatal(err)
 	}
 	defer st.Close()
-	n := 0
+	n, row := 0, make(eval.Row, 2)
 	for {
-		_, err := st.Next()
+		err := st.NextRow([]string{"p", "a"}, row)
 		if err == io.EOF {
 			break
 		}
@@ -123,5 +126,56 @@ func TestLocalEndpointHandlerPanicDoesNotHang(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("RoundTrip hung on a panicking handler")
+	}
+}
+
+// TestLocalEndpointHonoursContext: the in-process transport holds the
+// request's context as the network one does. A handler that stalls
+// before its first byte does not hold the caller past its deadline, and a
+// response cut short by cancellation reads as the cancellation, not as a
+// truncated document.
+func TestLocalEndpointHonoursContext(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	RegisterLocal("local-stall", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		<-release
+	}))
+	defer UnregisterLocal("local-stall")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewClient().SelectStreamContext(ctx, LocalURL("local-stall"), "SELECT * WHERE { ?s ?p ?o }")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("stalled handler: %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a handler stalled before its first byte held the caller past its 50 ms deadline")
+	}
+
+	RegisterLocal("local-cut", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/sparql-results+json")
+		fmt.Fprint(w, `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"uri","value":"http://x/1"}}`)
+		<-r.Context().Done()
+	}))
+	defer UnregisterLocal("local-cut")
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	st, err := NewClient().SelectStreamContext(ctx, LocalURL("local-cut"), "SELECT ?a WHERE { ?s ?p ?a }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	row := make(eval.Row, 1)
+	if err := st.NextRow([]string{"a"}, row); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := st.NextRow([]string{"a"}, row); !errors.Is(err, context.Canceled) {
+		t.Fatalf("body cut short by cancellation: %v, want context.Canceled", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlrw/internal/eval"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/store"
@@ -40,9 +41,10 @@ func TestSelectStreamIncremental(t *testing.T) {
 	defer st.Close()
 	firstCh := make(chan error, 1)
 	go func() {
-		sol, err := st.Next()
-		if err == nil && sol["a"].Value != "http://x/first" {
-			err = fmt.Errorf("first solution = %v", sol)
+		row := make(eval.Row, 1)
+		err := st.NextRow([]string{"a"}, row)
+		if err == nil && row[0].Value != "http://x/first" {
+			err = fmt.Errorf("first solution = %v", row)
 		}
 		firstCh <- err
 	}()
@@ -75,20 +77,20 @@ func TestSelectStreamEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.Next(); err != nil {
+	if err := stream.NextRow([]string{"s"}, make(eval.Row, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Closing twice is fine; Next after close errors rather than hanging.
+	// Closing twice is fine.
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSelectStreamContextCancelMidBody cancels the context between rows
-// and expects the in-flight Next to fail promptly.
+// and expects the in-flight NextRow to fail promptly.
 func TestSelectStreamContextCancelMidBody(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -108,13 +110,13 @@ func TestSelectStreamContextCancelMidBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Next(); err != nil {
+	row := make(eval.Row, 1)
+	if err := st.NextRow([]string{"a"}, row); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := st.Next()
-		errCh <- err
+		errCh <- st.NextRow([]string{"a"}, row)
 	}()
 	cancel()
 	select {

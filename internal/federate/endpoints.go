@@ -12,11 +12,11 @@ import (
 )
 
 // The endpoint table is everything the executor knows about each endpoint
-// URL, kept in one record: its circuit breaker, its in-flight bound, a
-// health model fed by every settled attempt and background probe, and the
-// endpoint's counts (attempts, successes, failures, retries, breaker
-// rejections, solutions). Hedged dispatch reads an endpoint's smoothed p95
-// and score from it, the planner its smoothed median and breaker
+// URL, kept in one record: its circuit breaker, a health model fed by
+// every settled attempt and background probe, and the endpoint's counts
+// (attempts, successes, failures, retries, breaker rejections,
+// solutions). Hedged dispatch reads an endpoint's smoothed p95 and score
+// from it, the planner its smoothed median and breaker
 // (plan.Endpoints), and Stats().Federation.Endpoints, /api/health, the
 // dashboard and the per-endpoint sparqlrw_federate_*_total and
 // sparqlrw_endpoint_* series its snapshot. The table lives and dies with
@@ -64,7 +64,6 @@ type EndpointHealth struct {
 type EndpointTable struct {
 	breakerFailures int
 	breakerCooldown time.Duration
-	perEndpoint     int // in-flight bound per endpoint; 0 = none
 
 	mu   sync.Mutex
 	recs map[string]*endpointRecord
@@ -73,13 +72,12 @@ type EndpointTable struct {
 // The planner reads the table.
 var _ plan.Endpoints = (*EndpointTable)(nil)
 
-// endpointRecord is one endpoint's entry. url, breaker and sem are set
-// when the record is made and never replaced, so they are read without
-// the table's lock; the rest is guarded by it.
+// endpointRecord is one endpoint's entry. url and breaker are set when
+// the record is made and never replaced, so they are read without the
+// table's lock; the rest is guarded by it.
 type endpointRecord struct {
 	url     string
 	breaker *Breaker
-	sem     chan struct{} // nil when there is no per-endpoint bound
 
 	samples          [healthWindow]float64 // seconds; ring of the latest latencies
 	n, next          int                   // samples held; the slot the next one takes
@@ -97,7 +95,6 @@ func newEndpointTable(o Options) *EndpointTable {
 	return &EndpointTable{
 		breakerFailures: o.BreakerFailures,
 		breakerCooldown: o.BreakerCooldown,
-		perEndpoint:     o.PerEndpointConcurrency,
 		recs:            make(map[string]*endpointRecord),
 	}
 }
@@ -107,9 +104,6 @@ func (t *EndpointTable) get(url string) *endpointRecord {
 	r, ok := t.recs[url]
 	if !ok {
 		r = &endpointRecord{url: url, breaker: NewBreaker(t.breakerFailures, t.breakerCooldown)}
-		if t.perEndpoint > 0 {
-			r.sem = make(chan struct{}, t.perEndpoint)
-		}
 		t.recs[url] = r
 	}
 	return r

@@ -20,23 +20,23 @@
 //	          endpoint with a per-attempt deadline, retry-with-backoff,
 //	          and a per-endpoint circuit breaker so one dead repository
 //	          cannot stall or poison the whole fan-out;
-//	merge   — workers decode each response into batches of positional
-//	          rows and hand them over a channel to a single deduplicator
-//	          that canonicalises and compacts each batch in place,
-//	          memoising owl:sameAs representative lookups per run.
+//	merge   — each worker decodes its response into batches of
+//	          positional rows, rewriting every IRI to the representative of
+//	          its owl:sameAs class as it decodes (a representative cache
+//	          per dispatch), and hands them over a channel to the fan-out,
+//	          which deduplicates and compacts each batch in place.
 //
-// A fan-out is one push call: Executor.Select(ctx, req) builds it and
-// Fanout.Run(yield) runs it, pushing the merged rows into yield on the
-// caller's goroutine and returning the per-dataset answers once every
-// worker has reported. The merge runs on its own goroutine between the
-// workers and the caller.
+// A fan-out is one push call, Executor.Select(ctx, req).Run(yield), and
+// runs on its caller's goroutine: Run admits, deduplicates and yields,
+// and the only goroutines are the workers (one per dispatching target,
+// and per hedge arm).
 //
 // The partial-result policy is configurable: best-effort (default)
 // returns whatever the healthy endpoints answered and marks the result
 // Partial; fail-fast cancels the fan-out on the first endpoint error.
 // Endpoints() is the table of per-endpoint state the executor keeps —
-// breaker, in-flight bound, health model and counts — and Stats() its
-// snapshot plus the plan-cache hit rate.
+// breaker, health model and counts — and Stats() its snapshot plus the
+// plan-cache hit rate.
 package federate
 
 import (
@@ -66,11 +66,6 @@ type RewriteFunc func(q *sparql.Query, lifted int, dataset string) (*core.Templa
 type Options struct {
 	// Concurrency bounds the worker pool (default 8).
 	Concurrency int
-	// PerEndpointConcurrency bounds in-flight requests per endpoint,
-	// independently of the global pool, so one fan-out (or many
-	// concurrent ones) cannot pile every worker onto a single repository
-	// (default 0: no per-endpoint bound).
-	PerEndpointConcurrency int
 	// EndpointTimeout is the per-attempt deadline (default 10s).
 	EndpointTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is re-dispatched
@@ -245,7 +240,7 @@ func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.
 func (e *Executor) Options() Options { return e.opts }
 
 // Endpoints returns the executor's endpoint table: one record per endpoint
-// holding its breaker, in-flight bound and health model.
+// holding its breaker and health model.
 func (e *Executor) Endpoints() *EndpointTable { return e.endpoints }
 
 // subquery is one distinct sub-query of a fan-out (targets share
@@ -404,19 +399,6 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 		}
 	}
 	defer func() { <-sem; *held = false }()
-	// The per-endpoint bound sits inside the global slot: a worker queued
-	// on a saturated endpoint keeps its pool slot (capacity lost, never
-	// deadlocked — endpoint slots are only held by workers that are
-	// already dispatching).
-	if es := rec.sem; es != nil {
-		select {
-		case es <- struct{}{}:
-			defer func() { <-es }()
-		case <-ctx.Done():
-			da.Err = ctx.Err()
-			return true
-		}
-	}
 	timeout := e.opts.EndpointTimeout
 	if t.Timeout > 0 && t.Timeout < timeout {
 		timeout = t.Timeout
@@ -483,9 +465,13 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 // vars, into solCh in batches (see maxBatchRows), returning how many rows
 // were pushed, the time to the first one, and how many response-body bytes
 // were read. Each row decodes off the wire straight into the batch being
-// filled, and the response is never buffered whole. A failed attempt has
-// pushed the rows it decoded; the retry re-pushes them and the owl:sameAs
-// merge deduplicates.
+// filled, where its IRIs are rewritten to their owl:sameAs representatives
+// — on the worker, beside the response writer, not on its goroutine — and
+// the response is never buffered whole. The representative cache is the
+// dispatch's own, so a remote coref.Client is asked once per distinct IRI
+// per dispatch, not once per fan-out (an in-process coref.Store answers
+// from memory). A failed attempt has pushed the rows it decoded; the retry
+// re-pushes them and the fan-out's merge deduplicates.
 func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, solCh chan<- eval.RowBuf, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
 	start, width := time.Now(), len(vars)
 	ss, err := e.client.SelectRowStream(attemptCtx, endpointURL, query)
@@ -498,6 +484,7 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 	if counter, ok := ss.(interface{ Bytes() int64 }); ok {
 		defer func() { bytes = counter.Bytes() }()
 	}
+	reps := RepCache{coref: e.coref}
 	// A batch is a run of rows of one slab; the slab's tail serves the next.
 	var slab []rdf.Term // the current slab, from the batch being filled on
 	n, slabRows := 0, 1 // rows in that batch; rows of the next slab
@@ -506,8 +493,12 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 			slab = make([]rdf.Term, slabRows*width)
 			slabRows = min(2*slabRows, maxBatchRows)
 		}
-		err := ss.NextRow(vars, slab[n*width:(n+1)*width])
+		row := slab[n*width : (n+1)*width]
+		err := ss.NextRow(vars, row)
 		if err == nil {
+			for i, t := range row {
+				row[i] = reps.Term(t)
+			}
 			if n++; n < maxBatchRows && len(slab) >= (n+1)*width && ss.RowBuffered() {
 				continue
 			}
@@ -532,9 +523,10 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 	}
 }
 
-// pushBatch hands b to the merge. While the push blocks on a full channel
-// (the consumer is applying backpressure) the attempt's active-time
-// deadline is paused; false means the fan-out was cancelled meanwhile.
+// pushBatch hands b to the fan-out's loop. While the push blocks on a full
+// channel (the consumer is applying backpressure) the attempt's
+// active-time deadline is paused; false means the fan-out was cancelled
+// meanwhile.
 func pushBatch(parent context.Context, solCh chan<- eval.RowBuf, b eval.RowBuf, pd *pausableDeadline) bool {
 	select {
 	case solCh <- b:

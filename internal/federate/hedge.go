@@ -14,12 +14,12 @@ import (
 // dispatch that runs past the primary endpoint's observed p95 latency
 // (the endpoint table's smoothed estimate, floored at HedgeMinDelay)
 // launches one backup attempt against the healthiest replica. Both arms
-// stream into the same merge channel — the owl:sameAs deduplicator
-// collapses whatever both delivered — and the first arm to finish
-// successfully wins; the loser is cancelled and joined before the
-// dispatch returns, so both arms have ended when their worker reports,
-// and Fanout.Run, which returns only once every worker has, leaves no
-// arm running.
+// canonicalise their rows and push them onto the fan-out's one batch
+// channel — Fanout.Run's deduplication collapses whatever both delivered
+// — and the first arm to finish successfully wins; the loser is
+// cancelled and joined before the dispatch returns, so both arms have
+// ended when their worker reports, and Fanout.Run, which returns only
+// once every worker has, leaves no arm running.
 //
 // Accounting rules:
 //
@@ -33,11 +33,11 @@ import (
 //   - when both arms fail, the primary's error is reported and the
 //     backup's failure is settled here.
 //
-// The backup intentionally skips the global worker pool (the caller
-// already holds a slot for this dispatch) and the per-endpoint
-// semaphore: a hedge exists to cut tail latency, and queueing it behind
-// the very congestion it is escaping would defeat it. BreakerFailures
-// still bounds the damage a misbehaving replica can cause.
+// The backup intentionally skips the worker pool (the caller already
+// holds a slot for this dispatch): a hedge exists to cut tail latency,
+// and queueing it behind the very congestion it is escaping would defeat
+// it. BreakerFailures still bounds the damage a misbehaving replica can
+// cause.
 
 // armOutcome is one dispatch arm's result.
 type armOutcome struct {

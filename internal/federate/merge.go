@@ -1,52 +1,27 @@
 package federate
 
 import (
-	"context"
-
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/rdf"
 )
 
-// merger is the streaming merge stage: workers feed batches of raw rows
-// in, the merger canonicalises every IRI binding to the deterministic
-// representative of its owl:sameAs class, drops duplicates, and passes
-// what is left of each batch downstream immediately — whole endpoints are
-// never buffered. One merger serves one federated run; it is driven by a
-// single goroutine, so the per-run memo needs no locking.
+// merger is the fan-out's deduplicator: Fanout.Run hands it each batch of
+// rows the workers canonicalised to owl:sameAs representatives as they
+// decoded them, and it drops the rows seen before — whole endpoints are
+// never buffered. One merger serves one fan-out, on Run's goroutine, so
+// it needs no locking.
 type merger struct {
-	reps       *RepCache
 	seen       eval.KeySet
 	duplicates int
 }
 
-// run merges batches from in to out until in is closed. Once the consumer
-// is gone (ctx done) it only drains, so producing workers are never
-// blocked on the channel.
-func (m *merger) run(ctx context.Context, in <-chan eval.RowBuf, out chan<- eval.RowBuf, done chan<- struct{}) {
-	for b := range in {
-		if ctx.Err() != nil {
-			continue
-		}
-		if b = m.merge(b); b.N > 0 {
-			select {
-			case out <- b:
-			case <-ctx.Done():
-			}
-		}
-	}
-	close(done)
-}
-
-// merge takes ownership of the batch: every row is canonicalised in place
-// and the rows not seen before are moved to the front and returned.
+// merge takes ownership of the batch: the rows not seen before are moved
+// to the front and returned.
 func (m *merger) merge(b eval.RowBuf) eval.RowBuf {
 	kept := 0
 	for i := range b.N {
 		row := b.Row(i)
-		for s, t := range row {
-			row[s] = m.reps.Term(t)
-		}
 		if !m.seen.AddRow(row) {
 			m.duplicates++
 			continue
@@ -61,7 +36,8 @@ func (m *merger) merge(b eval.RowBuf) eval.RowBuf {
 // RepCache memoises owl:sameAs class representatives under the IRI's
 // string: each distinct IRI costs one coref lookup per cache lifetime and
 // every later occurrence one map probe returning a ready-made term. Not
-// safe for concurrent use; one cache serves one merge run.
+// safe for concurrent use: the executor keeps one per dispatch. A zero
+// value with its coref set is ready to use.
 type RepCache struct {
 	coref funcs.CorefSource
 	reps  map[string]rdf.Term
@@ -70,7 +46,7 @@ type RepCache struct {
 // NewRepCache builds an empty representative cache; a nil coref disables
 // smushing.
 func NewRepCache(coref funcs.CorefSource) *RepCache {
-	return &RepCache{coref: coref, reps: make(map[string]rdf.Term)}
+	return &RepCache{coref: coref}
 }
 
 // Term returns the deterministic (lexicographically smallest) member of
@@ -85,6 +61,9 @@ func (c *RepCache) Term(t rdf.Term) rdf.Term {
 		return rep
 	}
 	rep := Rep(c.coref, t)
+	if c.reps == nil {
+		c.reps = make(map[string]rdf.Term)
+	}
 	c.reps[t.Value] = rep
 	return rep
 }

@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -20,30 +21,59 @@ func batchOf(rows ...eval.Row) eval.RowBuf {
 	return b
 }
 
-// TestMergerRewritesInPlaceAndDeduplicates: merge owns the batch it is
-// given, canonicalises it without copying and compacts the first-seen
-// rows to its front.
-func TestMergerRewritesInPlaceAndDeduplicates(t *testing.T) {
-	cs := coref.NewStore()
-	cs.Add("http://b/1", "http://a/1")
-	m := &merger{reps: NewRepCache(cs)}
-	a1, b1, x, y := rdf.NewIRI("http://a/1"), rdf.NewIRI("http://b/1"), rdf.NewLiteral("x"), rdf.NewLiteral("y")
-	batch := batchOf(eval.Row{b1, x}, eval.Row{a1, x}, eval.Row{a1, y})
+// TestMergerDeduplicatesInPlace: merge owns the batch it is given and
+// compacts the first-seen rows to its front without copying the batch.
+func TestMergerDeduplicatesInPlace(t *testing.T) {
+	m := &merger{}
+	a1, x, y := rdf.NewIRI("http://a/1"), rdf.NewLiteral("x"), rdf.NewLiteral("y")
+	batch := batchOf(eval.Row{a1, x}, eval.Row{a1, x}, eval.Row{a1, y})
 	out := m.merge(batch)
 	if want := []rdf.Term{a1, x, a1, y}; out.N != 2 || !reflect.DeepEqual(out.Terms, want) {
 		t.Fatalf("merged batch = %+v, want the two rows %v", out, want)
 	}
-	if got := batch.Terms[:4]; !reflect.DeepEqual(got, out.Terms) {
-		t.Fatalf("batch not canonicalised and compacted in place: %v", got)
+	if got := batch.Terms[:4]; !reflect.DeepEqual(got, out.Terms) || &batch.Terms[0] != &out.Terms[0] {
+		t.Fatalf("batch not compacted in place: %v", got)
 	}
-	if again := m.merge(batchOf(eval.Row{b1, y})); again.N != 0 || m.duplicates != 2 {
+	if again := m.merge(batchOf(eval.Row{a1, y})); again.N != 0 || m.duplicates != 2 {
 		t.Fatalf("a batch of duplicates left %d rows, %d duplicates counted in all", again.N, m.duplicates)
 	}
 }
 
-// TestMergerAllocations: per row, new or duplicate, the merge allocates
-// next to nothing — a new row's key comes out of the key arena and its
-// representatives out of the RepCache's memo.
+// TestDispatchCanonicalisesAsItDecodes: a worker's batches reach the
+// fan-out with every IRI already its owl:sameAs representative, rewritten
+// in the slab the row decoded into; literals pass through.
+func TestDispatchCanonicalisesAsItDecodes(t *testing.T) {
+	cs := coref.NewStore()
+	cs.Add("http://b/1", "http://a/1")
+	fc := newFakeStreamClient()
+	fc.onStream("http://e/sparql", func(ctx context.Context) *fakeStream {
+		return &fakeStream{sols: []eval.Solution{
+			{"s": rdf.NewIRI("http://b/1"), "o": rdf.NewLiteral("http://b/1")},
+			{"s": rdf.NewIRI("http://a/1"), "o": rdf.NewIRI("http://b/1")},
+		}}
+	})
+	e := NewExecutor(fc, nil, cs, fastOpts())
+	ch := make(chan eval.RowBuf, batchDepth)
+	ctx := context.Background()
+	rows, _, _, err := e.dispatch(ctx, ctx, "http://e/sparql", reqText, []string{"s", "o"}, ch, nil)
+	close(ch)
+	if err != nil || rows != 2 {
+		t.Fatalf("dispatch = %d rows, %v", rows, err)
+	}
+	var got []rdf.Term
+	for b := range ch {
+		got = append(got, b.Terms...)
+	}
+	a1 := rdf.NewIRI("http://a/1")
+	if want := []rdf.Term{a1, rdf.NewLiteral("http://b/1"), a1, a1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatched rows %v, want %v", got, want)
+	}
+}
+
+// TestMergerAllocations: per row, new or duplicate, a worker's
+// canonicalisation and the fan-out's merge together allocate next to
+// nothing — a new row's representatives come out of the RepCache's memo
+// and its key out of the key arena.
 func TestMergerAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -58,13 +88,19 @@ func TestMergerAllocations(t *testing.T) {
 		b.Append(eval.Row{rdf.NewIRI(fmt.Sprintf("http://b/%d", i)), rdf.NewLiteral("x")})
 	}
 	emitted := 0
-	var m *merger
+	var (
+		reps *RepCache
+		m    *merger
+	)
 	feed := func() {
 		for _, b := range batches {
 			// The merge consumes its input; hand it a copy of the slab, as
 			// a worker hands over a fresh one (the copy is the one
 			// allocation per batch this loop itself makes).
 			b.Terms = append([]rdf.Term(nil), b.Terms...)
+			for i, t := range b.Terms { // as a worker does while decoding
+				b.Terms[i] = reps.Term(t)
+			}
 			emitted += m.merge(b).N
 		}
 	}
@@ -72,13 +108,13 @@ func TestMergerAllocations(t *testing.T) {
 		return (testing.AllocsPerRun(5, f) - float64(len(batches))) / n
 	}
 	if got := perRow(func() {
-		m = &merger{reps: NewRepCache(cs)}
+		reps, m = NewRepCache(cs), &merger{}
 		feed()
 	}); got > 0.1 {
-		t.Errorf("merging new rows: %.3f allocations per row, want at most 0.1", got)
+		t.Errorf("canonicalising and merging new rows: %.3f allocations per row, want at most 0.1", got)
 	}
 	if got := perRow(feed); got != 0 {
-		t.Errorf("merging duplicate rows: %.3f allocations per row, want 0", got)
+		t.Errorf("canonicalising and merging duplicate rows: %.3f allocations per row, want 0", got)
 	}
 	if emitted != 6*n || m.duplicates != 6*n {
 		t.Fatalf("emitted %d rows and dropped %d, want %d each", emitted, m.duplicates, 6*n)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
@@ -28,10 +27,10 @@ type StreamingSelectClient interface {
 // rows — the first row leaves alone, a small answer pays for a small slab
 // — and hands a batch on at maxBatchRows, at the slab's end, or when the
 // stream has no further row buffered: the next one would wait on the
-// network, so batching never holds a decoded row back. Both channels on
-// the way (workers → merge → consumer) hold batchDepth batches, at most
-// 64 rows per stage as the per-row channels did: a deeper window lets
-// producers run ahead of the response writer and delays the first row.
+// network, so batching never holds a decoded row back. The channel from
+// the workers to Run holds batchDepth batches, at most 64 rows: a deeper
+// window lets producers run ahead of the response writer and delays the
+// first row.
 const (
 	maxBatchRows = 16
 	batchDepth   = 4
@@ -47,9 +46,9 @@ type Fanout struct {
 
 // Select returns the fan-out of req under ctx; it dispatches nothing until
 // Run. The request's sub-queries go through the usual pipeline — cached
-// rewrite, bounded worker pool with in-order admission, per-endpoint
-// concurrency bound, retries, circuit breakers — and each endpoint's
-// response flows through the owl:sameAs merge as it decodes.
+// rewrite, bounded worker pool with in-order admission, retries, circuit
+// breakers — and each endpoint's rows are owl:sameAs-canonicalised as
+// they decode and deduplicated as Run receives them.
 func (e *Executor) Select(ctx context.Context, req Request) Fanout {
 	return Fanout{e: e, ctx: ctx, req: req}
 }
@@ -62,6 +61,10 @@ func (e *Executor) Select(ctx context.Context, req Request) Fanout {
 // view into a batch, valid until yield returns: a caller that keeps rows
 // copies them.
 //
+// Run's one loop admits the targets, deduplicates the workers' batches
+// and yields their rows, so once the pool is full, admission of later
+// targets pauses while the caller is inside yield.
+//
 // Run returns once every worker has reported: the per-dataset answers,
 // duplicate count and partial flag (Solutions is nil: the rows went to
 // yield), and the fail-fast error that aborted the fan-out, after which no
@@ -69,104 +72,100 @@ func (e *Executor) Select(ctx context.Context, req Request) Fanout {
 // sub-queries it cut read ErrStreamClosed. Cancelling the context aborts
 // every in-flight sub-query.
 func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
+	e, req, n := f.e, f.req, len(f.req.Targets)
+	// cancel's first cause stands: the fail-fast abort's error (a worker
+	// cancels with it), a stop's ErrStreamClosed, the caller's own.
 	ctx, cancel := context.WithCancelCause(f.ctx)
 	defer cancel(nil)
-	r := &fanoutRun{out: make(chan eval.RowBuf, batchDepth)}
-	go f.e.runFanout(ctx, cancel, f.req, r)
-	// Once the fan-out is cancelled (a stop, the fail-fast abort, the
-	// caller's context) the batches left are only drained: the workers and
-	// the merge end, and out closes.
-	for b := range r.out {
+	ctx, span := obs.StartSpan(ctx, "federate")
+	span.SetInt("targets", int64(n))
+	subs := formatSubqueries(req)
+	answers := make([]DatasetAnswer, n)
+	sem := make(chan struct{}, e.opts.Concurrency)
+	batches := make(chan eval.RowBuf, batchDepth)
+	reports := make(chan struct{}, n)
+	var m merger
+	// A cancelled fan-out's batches are only drained.
+	deliver := func(b eval.RowBuf) {
+		if ctx.Err() != nil {
+			return
+		}
+		b = m.merge(b)
 		for i := 0; i < b.N && ctx.Err() == nil; i++ {
 			if !yield(b.Row(i)) {
 				cancel(ErrStreamClosed)
 			}
 		}
 	}
-	return r.res, r.err
-}
-
-// fanoutRun is what Run shares with its fan-out goroutine: the merged
-// batches, and the outcome, final once out is closed.
-type fanoutRun struct {
-	out chan eval.RowBuf
-	res *Result
-	err error
-}
-
-// runFanout executes one fan-out: admission, dispatch, merge, then the
-// summary Result. cancel is ctx's: the fail-fast abort cancels with its
-// error, a stop (in Run) with ErrStreamClosed, and the first cause stands.
-func (e *Executor) runFanout(ctx context.Context, cancel context.CancelCauseFunc, req Request, r *fanoutRun) {
-	ctx, span := obs.StartSpan(ctx, "federate")
-	span.SetInt("targets", int64(len(req.Targets)))
-	m := &merger{reps: NewRepCache(e.coref)}
-	solCh := make(chan eval.RowBuf, batchDepth)
-	mergeDone := make(chan struct{})
-	go m.run(ctx, solCh, r.out, mergeDone)
-
-	subs := formatSubqueries(req)
-	answers := make([]DatasetAnswer, len(req.Targets))
-	sem := make(chan struct{}, e.opts.Concurrency)
-	var wg sync.WaitGroup
-admit:
-	for i, t := range req.Targets {
-		// Admit first attempts in request order: the planner sorts targets
-		// fastest-endpoint-first, and a free-for-all on the pool semaphore
-		// would scramble that order. The acquired slot is handed to the
-		// worker for its first dispatch.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			for j := i; j < len(req.Targets); j++ {
-				answers[j] = DatasetAnswer{Dataset: req.Targets[j].Dataset,
-					Shard: req.Targets[j].Shard, Shards: req.Targets[j].Shards,
-					Query: subs[j].text, Err: ctx.Err()}
-			}
-			break admit
-		}
-		wg.Add(1)
+	next, running := 0, 0
+	start := func() { // target next, on the pool slot just acquired
 		go func(i int, t Target) {
-			defer wg.Done()
-			answers[i] = e.queryTarget(ctx, req, t, subs[i], solCh, sem)
+			answers[i] = e.queryTarget(ctx, req, t, subs[i], batches, sem)
+			// The failed worker cancels, not the loop: the caller may be
+			// inside yield, and no row may follow the abort.
 			if answers[i].Err != nil && e.opts.FailFast {
 				cancel(fmt.Errorf("federate: %s: %w", t.Dataset, answers[i].Err))
 			}
-		}(i, t)
+			reports <- struct{}{}
+		}(next, req.Targets[next])
+		next, running = next+1, running+1
 	}
-	wg.Wait()
-	close(solCh)
-	<-mergeDone
+	// A cancelled fan-out admits nothing more and waits for its workers.
+	for next < n || running > 0 {
+		for ; next < n && ctx.Err() != nil; next++ {
+			t := req.Targets[next]
+			answers[next] = DatasetAnswer{Dataset: t.Dataset, Shard: t.Shard, Shards: t.Shards,
+				Query: subs[next].text, Err: ctx.Err()}
+		}
+		// Admit first attempts in request order: the planner sorts targets
+		// fastest-endpoint-first, and a free-for-all on the pool semaphore
+		// would scramble that order. A free slot takes the next target
+		// before any batch is yielded; only a full pool waits.
+		var admit chan struct{}
+		if next < n {
+			admit = sem
+		}
+		select {
+		case admit <- struct{}{}:
+			start()
+			continue
+		default:
+		}
+		select {
+		case admit <- struct{}{}:
+			start()
+		case b := <-batches:
+			deliver(b)
+		case <-reports:
+			running--
+		}
+	}
+	// Every worker has reported, so every batch it pushed is buffered.
+	for len(batches) > 0 {
+		deliver(<-batches)
+	}
 
-	res := &Result{
-		Vars:       req.Vars,
-		PerDataset: answers,
-		Duplicates: m.duplicates,
-	}
-	// A stop's context.Canceled answers are abandonment, not endpoint
-	// failures.
+	res := &Result{Vars: req.Vars, PerDataset: answers, Duplicates: m.duplicates}
 	cause := context.Cause(ctx)
 	stopped := cause == ErrStreamClosed
 	var failed, ok int
 	for i := range answers {
-		a := &answers[i]
-		if a.Err != nil && stopped && errors.Is(a.Err, context.Canceled) {
-			a.Err = ErrStreamClosed
-			continue // neither failed nor ok: does not make the result Partial
-		}
-		if a.Err != nil {
-			failed++
-		} else {
+		switch a := &answers[i]; {
+		case a.Err == nil:
 			ok++
+		case stopped && errors.Is(a.Err, context.Canceled):
+			// Abandoned, not failed: does not make the result Partial.
+			a.Err = ErrStreamClosed
+		default:
+			failed++
 		}
 	}
 	res.Partial = failed > 0 && ok > 0
-	r.res = res
-	if e.opts.FailFast && failed > 0 && !stopped {
-		r.err = cause // the first failure's, or the caller's cancellation
-	}
 	span.SetInt("duplicates", int64(res.Duplicates))
 	span.SetBool("partial", res.Partial)
 	span.End()
-	close(r.out)
+	if e.opts.FailFast && failed > 0 && !stopped {
+		return res, cause // the first failure's, or the caller's cancellation
+	}
+	return res, nil
 }

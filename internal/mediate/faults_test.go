@@ -101,8 +101,8 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 }
 
 // settle shuts the stack down and waits for the goroutine count to come
-// back to the baseline: the fan-out, its workers, the merger, a hedge
-// arm, Close's drainer and the connections' loops must all have exited.
+// back to the baseline: the fan-outs' workers, a hedge arm and the
+// connections' loops must all have exited.
 func (s *faultStack) settle(t *testing.T, baseline int) {
 	t.Helper()
 	if n := s.m.Serve.Cache.Len(); n != 0 {

@@ -183,8 +183,12 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 587 for Figure 1
-// and 1352 for the cross-vocabulary query, since a fan-out is one push
+// the ceilings are the measured figures plus about 7 %: 583 for Figure 1
+// and 1334 for the cross-vocabulary query, since a fan-out runs on its
+// caller's goroutine and its workers canonicalise their own rows (587 and
+// 1352 while the fan-out and its merge ran on goroutines of their own and
+// the in-process transport, which now watches the request's context for
+// one allocation a round trip, did not), since a fan-out is one push
 // call (Fanout.Run) with no pull stream to close or drain and no
 // fail-fast lock of its own (591 and 1364 while each fragment's rows came
 // through federate.Stream and its draining Close), every request's rows
@@ -207,9 +211,10 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (460, at 19 rows a
-// request; 464 through federate.Stream, 467 with a pull stream of its own,
-// 515 form-encoded) plus 7 %, below the miss case's (587 at 11 rows) and
+// of its shape. Its ceiling is the measured figure (456, at 19 rows a
+// request; 460 with the fan-out's goroutines, 464 through federate.Stream,
+// 467 with a pull stream of its own, 515 form-encoded) plus 7 %, below the
+// miss case's (583 at 11 rows) and
 // below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
@@ -231,9 +236,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 628},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1447},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 492},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 624},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1429},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 488},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

@@ -261,8 +261,8 @@ var hungCases = []struct {
 }
 
 // waitGoroutines waits for the goroutine count to come back to the
-// baseline: the fan-out, its workers, the merger, Close's drainer and the
-// connections' loops must all have exited.
+// baseline: the fan-outs' workers and the connections' loops must all
+// have exited.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

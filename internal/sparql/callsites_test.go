@@ -225,11 +225,11 @@ func moduleFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 }
 
 // TestOneEndpointTable pins the one model of each endpoint: its breaker,
-// in-flight bound, health and counts live in one record of the executor's
-// endpoint table. No non-test file outside internal/federate names a
-// federate.Breaker* identifier, no non-test file registers a CounterVec
-// labelled "endpoint" (a per-endpoint count kept beside the table's), and
-// the identifiers of the parallel models it replaced appear in no Go file.
+// health and counts live in one record of the executor's endpoint table.
+// No non-test file outside internal/federate names a federate.Breaker*
+// identifier, no non-test file registers a CounterVec labelled "endpoint"
+// (a per-endpoint count kept beside the table's), and the identifiers of
+// the parallel models it replaced appear in no Go file.
 func TestOneEndpointTable(t *testing.T) {
 	gone := map[string]bool{"BindBreakers": true, "BreakerStates": true, "HealthFunc": true, "HealthOptions": true,
 		"EndpointStats": true}
