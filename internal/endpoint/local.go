@@ -66,13 +66,17 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("endpoint: no local endpoint %q registered", req.URL.Host)
 	}
+	ctx := req.Context()
+	if ctx.Err() != nil { // a request cancelled before it is sent reaches no handler
+		return nil, context.Cause(ctx)
+	}
 	// The handler runs concurrently and streams its response body through
 	// a pipe, so the caller's incremental decoder sees solutions as they
 	// are produced — the same first-byte behaviour as a flushed chunked
 	// HTTP response.
 	pr, pw := io.Pipe()
 	w := &localResponseWriter{header: make(http.Header), pw: pw, ready: make(chan struct{})}
-	ctx := req.Context()
+	w.entered.Add(1)
 	inner := req.Clone(ctx)
 	inner.URL = &url.URL{Scheme: "http", Host: req.URL.Host, Path: req.URL.Path, RawQuery: req.URL.RawQuery}
 	inner.RequestURI = ""
@@ -92,13 +96,18 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			// unexpected end of the document (nil cause: a clean io.EOF).
 			pw.CloseWithError(context.Cause(ctx))
 		}()
+		w.entered.Done()
 		h.ServeHTTP(w, inner)
 	}()
 	// The caller's deadline holds while the handler has not answered yet:
-	// the handler's writes then fail with the same cause.
+	// the handler's writes then fail with the same cause. Even so the
+	// round trip returns only once its handler has been entered, as a
+	// network one returns only once its request was sent: no handler
+	// starts after its caller has moved on.
 	select {
 	case <-w.ready:
 	case <-ctx.Done():
+		w.entered.Wait()
 		pr.CloseWithError(context.Cause(ctx))
 		return nil, context.Cause(ctx)
 	}
@@ -119,11 +128,12 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // The response (status + headers) is released to the waiting RoundTrip on
 // WriteHeader, first Write, or handler return — whichever comes first.
 type localResponseWriter struct {
-	header http.Header
-	pw     *io.PipeWriter
-	status int
-	once   sync.Once
-	ready  chan struct{}
+	header  http.Header
+	pw      *io.PipeWriter
+	status  int
+	once    sync.Once
+	ready   chan struct{}
+	entered sync.WaitGroup // done as the handler is called
 }
 
 func (w *localResponseWriter) Header() http.Header { return w.header }

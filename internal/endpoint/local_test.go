@@ -133,7 +133,7 @@ func TestLocalEndpointHandlerPanicDoesNotHang(t *testing.T) {
 // request's context as the network one does. A handler that stalls
 // before its first byte does not hold the caller past its deadline, and a
 // response cut short by cancellation reads as the cancellation, not as a
-// truncated document.
+// truncated document; a request already cancelled reaches no handler.
 func TestLocalEndpointHonoursContext(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -155,6 +155,15 @@ func TestLocalEndpointHonoursContext(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("a handler stalled before its first byte held the caller past its 50 ms deadline")
+	}
+
+	// A request whose context is already done reaches no handler.
+	RegisterLocal("local-unreached", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		t.Error("handler reached by a cancelled request")
+	}))
+	defer UnregisterLocal("local-unreached")
+	if _, err := NewClient().SelectStreamContext(ctx, LocalURL("local-unreached"), "SELECT * WHERE { ?s ?p ?o }"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired request: %v, want context.DeadlineExceeded", err)
 	}
 
 	RegisterLocal("local-cut", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

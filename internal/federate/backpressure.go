@@ -11,7 +11,10 @@ import (
 // blocked handing solutions on while the yield that Fanout.Run pushes
 // rows into is slow, so a slow reader cannot burn an endpoint's attempt
 // budget (the endpoint is not the one being slow). The ROADMAP calls this
-// backpressure-aware deadlines.
+// backpressure-aware deadlines. They bracket the worker's owl:sameAs
+// lookups (sink.canonicalise) too: a slow coref source is not the
+// endpoint's fault either. The active time, charged, is also the
+// endpoint's latency sample and the clock a hedge waits on.
 //
 // It implements context.Context: Done fires when the active-time budget
 // runs out (Err then reports context.DeadlineExceeded) or when the parent
@@ -28,6 +31,7 @@ type pausableDeadline struct {
 	resumedAt time.Time     // when the clock last started running
 	paused    int           // pause depth (pushes can nest across retries)
 	expired   bool
+	budget    time.Duration
 }
 
 // newPausableDeadline starts the active-time clock immediately. Callers
@@ -39,6 +43,7 @@ func newPausableDeadline(parent context.Context, d time.Duration) *pausableDeadl
 		cancel:    cancel,
 		remaining: d,
 		resumedAt: time.Now(),
+		budget:    d,
 	}
 	p.timer = time.AfterFunc(d, p.expire)
 	return p
@@ -55,7 +60,7 @@ func (p *pausableDeadline) expire() {
 }
 
 // Pause stops the active-time clock (the worker is blocked on the
-// consumer, not on the endpoint).
+// consumer or the coref source, not on the endpoint).
 func (p *pausableDeadline) Pause() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -81,6 +86,19 @@ func (p *pausableDeadline) Resume() {
 	}
 	p.resumedAt = time.Now()
 	p.timer.Reset(p.remaining)
+}
+
+// charged is the attempt's active time so far.
+func (p *pausableDeadline) charged() time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.expired:
+		return p.budget
+	case p.paused > 0:
+		return p.budget - p.remaining
+	}
+	return p.budget - p.remaining + time.Since(p.resumedAt)
 }
 
 // Stop releases the timer; the context is cancelled as a side effect, so

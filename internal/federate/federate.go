@@ -21,10 +21,11 @@
 //	          and a per-endpoint circuit breaker so one dead repository
 //	          cannot stall or poison the whole fan-out;
 //	merge   — each worker decodes its response into batches of
-//	          positional rows, rewriting every IRI to the representative of
-//	          its owl:sameAs class as it decodes (a representative cache
-//	          per dispatch), and hands them over a channel to the fan-out,
-//	          which deduplicates and compacts each batch in place.
+//	          positional rows, rewrites every IRI to the representative of
+//	          its owl:sameAs class (through the fan-out's one
+//	          representative cache, off the endpoint's clock) and hands
+//	          them over a channel to the fan-out, which deduplicates and
+//	          compacts each batch in place.
 //
 // A fan-out is one push call, Executor.Select(ctx, req).Run(yield), and
 // runs on its caller's goroutine: Run admits, deduplicates and yields,
@@ -319,12 +320,12 @@ func (e *Executor) rewriteText(t Target, sq *subquery) (text string, cached bool
 
 // queryTarget runs one target's sub-query: plan (cached rewrite), then
 // dispatch with retries under the endpoint's breaker, streaming batches of
-// rows into solCh; sq is the target's entry of formatSubqueries. sem is the
+// rows into dst; sq is the target's entry of formatSubqueries. sem is the
 // worker-pool semaphore: the caller pre-acquired one slot (in-order
 // admission), which funds the first dispatch attempt; afterwards a slot is
 // held only for the duration of each attempt, not across backoff sleeps,
 // so retrying workers don't starve queued healthy targets.
-func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *subquery, solCh chan<- eval.RowBuf, sem chan struct{}) (da DatasetAnswer) {
+func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *subquery, dst *sink, sem chan struct{}) (da DatasetAnswer) {
 	held := true // the admission slot the caller acquired for us
 	defer func() {
 		if held {
@@ -377,7 +378,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 				return da
 			}
 		}
-		if done := e.attempt(ctx, rec, t, req.Vars, attempt, &da, solCh, sem, &held); done {
+		if done := e.attempt(ctx, rec, t, req.Vars, attempt, &da, dst, sem, &held); done {
 			return da
 		}
 	}
@@ -388,7 +389,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 // pre-acquired admission slot when *held, else acquiring one). It reports
 // whether the target is finished (success, terminal error, or
 // cancellation); false means "retry if the budget allows".
-func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, vars []string, attempt int, da *DatasetAnswer, solCh chan<- eval.RowBuf, sem chan struct{}, held *bool) bool {
+func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, vars []string, attempt int, da *DatasetAnswer, dst *sink, sem chan struct{}, held *bool) bool {
 	if !*held {
 		select {
 		case sem <- struct{}{}:
@@ -414,7 +415,7 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 		// healthiest replica and the first answer wins (see hedge.go).
 		// The returned outcome is the winning arm's; the losing arm's
 		// breaker and health bookkeeping is settled inside.
-		out = e.dispatchMaybeHedged(ctx, rec, t, attempt, da.Query, vars, timeout, solCh)
+		out = e.dispatchMaybeHedged(ctx, rec, t, attempt, da.Query, vars, timeout, dst)
 	} else {
 		e.endpoints.count(&rec.rejected)
 		// Under Hedge, a refused primary hands the attempt to the replica
@@ -434,7 +435,7 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 			}
 			return true
 		}
-		out = e.dispatchArm(ctx, "attempt", brec, da.Query, vars, attempt, timeout, solCh)
+		out = e.dispatchArm(ctx, "attempt", brec, da.Query, vars, attempt, timeout, dst, nil)
 	}
 	da.Attempts = attempt + 1
 	if out.err == nil {
@@ -462,17 +463,17 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 }
 
 // dispatch sends one sub-query and feeds its rows, over the slot table
-// vars, into solCh in batches (see maxBatchRows), returning how many rows
-// were pushed, the time to the first one, and how many response-body bytes
-// were read. Each row decodes off the wire straight into the batch being
-// filled, where its IRIs are rewritten to their owl:sameAs representatives
-// — on the worker, beside the response writer, not on its goroutine — and
-// the response is never buffered whole. The representative cache is the
-// dispatch's own, so a remote coref.Client is asked once per distinct IRI
-// per dispatch, not once per fan-out (an in-process coref.Store answers
-// from memory). A failed attempt has pushed the rows it decoded; the retry
-// re-pushes them and the fan-out's merge deduplicates.
-func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, solCh chan<- eval.RowBuf, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
+// vars, to the fan-out's sink in batches (see maxBatchRows), returning how
+// many rows were pushed, the time to the first one, and how many
+// response-body bytes were read. Each row decodes off the wire straight
+// into the batch being filled, and the batch's IRIs are rewritten to their
+// owl:sameAs representatives in place before it is pushed — on the
+// worker, beside the response writer, not on its goroutine — through the
+// fan-out's one representative cache (sink.canonicalise), whose lookups
+// stop the attempt's clock pd. The response is never buffered whole. A
+// failed attempt has pushed the rows it decoded; the retry re-pushes them
+// and the fan-out's merge deduplicates.
+func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, dst *sink, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
 	start, width := time.Now(), len(vars)
 	ss, err := e.client.SelectRowStream(attemptCtx, endpointURL, query)
 	if err != nil {
@@ -484,7 +485,6 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 	if counter, ok := ss.(interface{ Bytes() int64 }); ok {
 		defer func() { bytes = counter.Bytes() }()
 	}
-	reps := RepCache{coref: e.coref}
 	// A batch is a run of rows of one slab; the slab's tail serves the next.
 	var slab []rdf.Term // the current slab, from the batch being filled on
 	n, slabRows := 0, 1 // rows in that batch; rows of the next slab
@@ -496,9 +496,6 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 		row := slab[n*width : (n+1)*width]
 		err := ss.NextRow(vars, row)
 		if err == nil {
-			for i, t := range row {
-				row[i] = reps.Term(t)
-			}
 			if n++; n < maxBatchRows && len(slab) >= (n+1)*width && ss.RowBuffered() {
 				continue
 			}
@@ -509,7 +506,8 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 			}
 			b := eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}
 			slab, n = slab[n*width:], 0
-			if !pushBatch(parent, solCh, b, pd) {
+			dst.canonicalise(b.Terms, pd)
+			if !dst.push(parent, b, pd) {
 				return rows, ttfs, 0, parent.Err()
 			}
 			rows += b.N
@@ -520,28 +518,6 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 		if err != nil {
 			return rows, ttfs, 0, err
 		}
-	}
-}
-
-// pushBatch hands b to the fan-out's loop. While the push blocks on a full
-// channel (the consumer is applying backpressure) the attempt's
-// active-time deadline is paused; false means the fan-out was cancelled
-// meanwhile.
-func pushBatch(parent context.Context, solCh chan<- eval.RowBuf, b eval.RowBuf, pd *pausableDeadline) bool {
-	select {
-	case solCh <- b:
-		return true
-	default:
-	}
-	if pd != nil {
-		pd.Pause()
-		defer pd.Resume()
-	}
-	select {
-	case solCh <- b:
-		return true
-	case <-parent.Done():
-		return false
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
 )
 
@@ -13,10 +12,13 @@ import (
 // When Options.Hedge is on and a target carries replica endpoints, a
 // dispatch that runs past the primary endpoint's observed p95 latency
 // (the endpoint table's smoothed estimate, floored at HedgeMinDelay)
-// launches one backup attempt against the healthiest replica. Both arms
-// canonicalise their rows and push them onto the fan-out's one batch
-// channel — Fanout.Run's deduplication collapses whatever both delivered
-// — and the first arm to finish successfully wins; the loser is
+// launches one backup attempt against the healthiest replica. The
+// primary's clock is the one latency samples are measured in, its active
+// time (pausableDeadline.charged): time it spends blocked on the consumer
+// or on owl:sameAs lookups does not count towards the hedge. Both arms
+// canonicalise their rows and push them into the fan-out's one sink —
+// Fanout.Run's deduplication collapses whatever both delivered — and the
+// first arm to finish successfully wins; the loser is
 // cancelled and joined before the dispatch returns, so both arms have
 // ended when their worker reports, and Fanout.Run, which returns only
 // once every worker has, leaves no arm running.
@@ -50,8 +52,9 @@ type armOutcome struct {
 
 // dispatchArm runs one dispatch against one endpoint under its own
 // span and pausable deadline, annotating the span like the pre-hedging
-// attempt path did.
-func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpointRecord, query string, vars []string, attemptN int, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
+// attempt path did. A non-nil clock receives the deadline as the dispatch
+// starts.
+func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpointRecord, query string, vars []string, attemptN int, timeout time.Duration, dst *sink, clock chan<- *pausableDeadline) armOutcome {
 	// The span wraps the dispatch and rides its context: the endpoint
 	// client reads the span off the context to stamp the outbound
 	// traceparent, so the endpoint's work hangs under exactly this arm
@@ -61,14 +64,16 @@ func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpoi
 	aSpan.SetString("endpoint", rec.url)
 	// The deadline bounds the whole transfer: connect, first byte and the
 	// incremental body read. The clock pauses while the worker is blocked
-	// handing solutions to a slow consumer: backpressure is the consumer's
-	// doing, not the endpoint's, so it must not count against the
-	// endpoint's budget.
+	// on a slow consumer or on owl:sameAs lookups: neither is the
+	// endpoint's doing, so neither counts against its budget or its
+	// latency sample, the active time.
 	attemptCtx := newPausableDeadline(spanCtx, timeout)
-	t0 := time.Now()
-	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, rec.url, query, vars, solCh, attemptCtx)
+	if clock != nil {
+		clock <- attemptCtx
+	}
+	count, ttfs, bytes, err := e.dispatch(attemptCtx, ctx, rec.url, query, vars, dst, attemptCtx)
+	lat := attemptCtx.charged()
 	attemptCtx.Stop()
-	lat := time.Since(t0)
 	aSpan.SetFloat("latencyMs", float64(lat.Microseconds())/1000)
 	aSpan.SetInt("rows", int64(count))
 	if bytes > 0 {
@@ -103,27 +108,32 @@ func (e *Executor) hedgeBackup(t Target) string {
 // unhedged when hedging is off or no replica qualifies, otherwise the
 // primary/backup race described at the top of this file. The returned
 // outcome is the arm whose result the caller should account and report.
-func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord, t Target, attemptN int, query string, vars []string, timeout time.Duration, solCh chan<- eval.RowBuf) armOutcome {
+func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord, t Target, attemptN int, query string, vars []string, timeout time.Duration, dst *sink) armOutcome {
 	backup := e.hedgeBackup(t)
 	if backup == "" {
-		return e.dispatchArm(ctx, "attempt", rec, query, vars, attemptN, timeout, solCh)
+		return e.dispatchArm(ctx, "attempt", rec, query, vars, attemptN, timeout, dst, nil)
 	}
 
 	primCtx, cancelPrim := context.WithCancel(ctx)
 	defer cancelPrim()
-	primCh := make(chan armOutcome, 1)
+	primCh, clock := make(chan armOutcome, 1), make(chan *pausableDeadline, 1)
 	go func() {
-		primCh <- e.dispatchArm(primCtx, "attempt", rec, query, vars, attemptN, timeout, solCh)
+		primCh <- e.dispatchArm(primCtx, "attempt", rec, query, vars, attemptN, timeout, dst, clock)
 	}()
 
 	// The primary may run for its observed p95, floored at HedgeMinDelay,
-	// before the backup launches.
-	timer := time.NewTimer(max(e.endpoints.ObservedP95(rec.url), e.opts.HedgeMinDelay))
+	// of active time before the backup launches.
+	delay := max(e.endpoints.ObservedP95(rec.url), e.opts.HedgeMinDelay)
+	pd := <-clock
+	timer := time.NewTimer(delay)
 	defer timer.Stop()
-	select {
-	case out := <-primCh:
-		return out // finished under its p95: no hedge
-	case <-timer.C:
+	for left := delay; left > 0; left = delay - pd.charged() {
+		timer.Reset(left)
+		select {
+		case out := <-primCh:
+			return out // finished under its p95: no hedge
+		case <-timer.C:
+		}
 	}
 
 	backupRec := e.endpoints.entry(backup)
@@ -139,7 +149,7 @@ func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord,
 	defer cancelBack()
 	backCh := make(chan armOutcome, 1)
 	go func() {
-		backCh <- e.dispatchArm(backCtx, "hedge", backupRec, query, vars, attemptN, timeout, solCh)
+		backCh <- e.dispatchArm(backCtx, "hedge", backupRec, query, vars, attemptN, timeout, dst, nil)
 	}()
 
 	var prim, back *armOutcome

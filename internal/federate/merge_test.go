@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparqlrw/internal/coref"
 	"sparqlrw/internal/eval"
@@ -39,34 +42,111 @@ func TestMergerDeduplicatesInPlace(t *testing.T) {
 	}
 }
 
+// slabStream records the address of every row it is asked to decode
+// into; oneStream serves it for any endpoint.
+type slabStream struct {
+	*fakeStream
+	rows map[*rdf.Term]bool
+}
+
+func (s *slabStream) NextRow(vars []string, row eval.Row) error {
+	s.rows[&row[0]] = true
+	return s.fakeStream.NextRow(vars, row)
+}
+
+type oneStream struct{ eval.RowStream }
+
+func (c oneStream) SelectRowStream(context.Context, string, string) (eval.RowStream, error) {
+	return c.RowStream, nil
+}
+
 // TestDispatchCanonicalisesAsItDecodes: a worker's batches reach the
 // fan-out with every IRI already its owl:sameAs representative, rewritten
 // in the slab the row decoded into; literals pass through.
 func TestDispatchCanonicalisesAsItDecodes(t *testing.T) {
 	cs := coref.NewStore()
 	cs.Add("http://b/1", "http://a/1")
-	fc := newFakeStreamClient()
-	fc.onStream("http://e/sparql", func(ctx context.Context) *fakeStream {
-		return &fakeStream{sols: []eval.Solution{
-			{"s": rdf.NewIRI("http://b/1"), "o": rdf.NewLiteral("http://b/1")},
-			{"s": rdf.NewIRI("http://a/1"), "o": rdf.NewIRI("http://b/1")},
-		}}
-	})
-	e := NewExecutor(fc, nil, cs, fastOpts())
-	ch := make(chan eval.RowBuf, batchDepth)
 	ctx := context.Background()
-	rows, _, _, err := e.dispatch(ctx, ctx, "http://e/sparql", reqText, []string{"s", "o"}, ch, nil)
-	close(ch)
+	ss := &slabStream{rows: map[*rdf.Term]bool{}, fakeStream: &fakeStream{ctx: ctx, sols: []eval.Solution{
+		{"s": rdf.NewIRI("http://b/1"), "o": rdf.NewLiteral("http://b/1")},
+		{"s": rdf.NewIRI("http://a/1"), "o": rdf.NewIRI("http://b/1")},
+	}}}
+	e := NewExecutor(oneStream{ss}, nil, cs, fastOpts())
+	dst := &sink{batches: make(chan eval.RowBuf, batchDepth), reps: RepCache{coref: cs}}
+	pd := newPausableDeadline(ctx, time.Second)
+	defer pd.Stop()
+	rows, _, _, err := e.dispatch(pd, ctx, "http://e/sparql", reqText, []string{"s", "o"}, dst, pd)
+	close(dst.batches)
 	if err != nil || rows != 2 {
 		t.Fatalf("dispatch = %d rows, %v", rows, err)
 	}
 	var got []rdf.Term
-	for b := range ch {
+	for b := range dst.batches {
+		for i := range b.N {
+			if !ss.rows[&b.Row(i)[0]] {
+				t.Fatalf("row %v reached the fan-out outside the slab it decoded into", b.Row(i))
+			}
+		}
 		got = append(got, b.Terms...)
 	}
 	a1 := rdf.NewIRI("http://a/1")
 	if want := []rdf.Term{a1, rdf.NewLiteral("http://b/1"), a1, a1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dispatched rows %v, want %v", got, want)
+	}
+}
+
+// slowCoref answers every lookup after a pause, counting them: a remote
+// co-reference service under load.
+type slowCoref struct {
+	pause   time.Duration
+	lookups atomic.Int64
+}
+
+func (c *slowCoref) Equivalents(uri string) []string {
+	c.lookups.Add(1)
+	time.Sleep(c.pause)
+	return []string{uri, strings.Replace(uri, "http://b/", "http://a/", 1)}
+}
+
+// TestSlowCorefNotChargedToEndpoint: owl:sameAs lookups that take longer
+// than the attempt's deadline and the hedge delay neither fail the
+// endpoint nor hedge it, and stay out of its latency; the fan-out's
+// targets share one representative cache, so each distinct IRI is looked
+// up once.
+func TestSlowCorefNotChargedToEndpoint(t *testing.T) {
+	fc := newFakeClient()
+	for _, url := range []string{"e1", "e2"} {
+		fc.on(url, func(context.Context, int) (*eval.Result, error) {
+			return answers("http://b/1", "http://b/2", "http://b/3"), nil
+		})
+	}
+	fc.on("replica", func(context.Context, int) (*eval.Result, error) {
+		t.Error("backup dispatched while the primary waited on owl:sameAs lookups")
+		return answers(), nil
+	})
+	cs := &slowCoref{pause: 40 * time.Millisecond}
+	o := hedgeOpts()
+	o.EndpointTimeout = 30 * time.Millisecond
+	e := NewExecutor(fc, nil, cs, o)
+	res, err := selectAll(context.Background(), e, req(
+		Target{Dataset: "d1", Endpoint: "e1", Replicas: []string{"replica"}},
+		Target{Dataset: "d2", Endpoint: "e2", Replicas: []string{"replica"}}))
+	if err != nil || res.Partial {
+		t.Fatalf("err = %v, partial = %v, per dataset %+v", err, res.Partial, res.PerDataset)
+	}
+	if want := answers("http://a/1", "http://a/2", "http://a/3").Solutions; !reflect.DeepEqual(res.Solutions, want) {
+		t.Fatalf("solutions = %v, want %v", res.Solutions, want)
+	}
+	if n := cs.lookups.Load(); n != 3 {
+		t.Errorf("%d coref lookups, want 3: one per distinct IRI per fan-out", n)
+	}
+	if st := e.Stats(); st.Hedges != 0 {
+		t.Errorf("hedges = %d, want 0", st.Hedges)
+	}
+	for _, h := range e.Endpoints().Snapshot() {
+		if h.Failures != 0 || h.P95MS >= 40 {
+			t.Errorf("%s: %d failures, p95 %.1f ms: charged for the coref source", h.Endpoint, h.Failures, h.P95MS)
+		}
 	}
 }
 
@@ -89,18 +169,18 @@ func TestMergerAllocations(t *testing.T) {
 	}
 	emitted := 0
 	var (
-		reps *RepCache
-		m    *merger
+		dst *sink
+		m   *merger
 	)
+	pd := newPausableDeadline(context.Background(), time.Hour)
+	defer pd.Stop()
 	feed := func() {
 		for _, b := range batches {
 			// The merge consumes its input; hand it a copy of the slab, as
 			// a worker hands over a fresh one (the copy is the one
 			// allocation per batch this loop itself makes).
 			b.Terms = append([]rdf.Term(nil), b.Terms...)
-			for i, t := range b.Terms { // as a worker does while decoding
-				b.Terms[i] = reps.Term(t)
-			}
+			dst.canonicalise(b.Terms, pd) // as a worker does before its push
 			emitted += m.merge(b).N
 		}
 	}
@@ -108,7 +188,7 @@ func TestMergerAllocations(t *testing.T) {
 		return (testing.AllocsPerRun(5, f) - float64(len(batches))) / n
 	}
 	if got := perRow(func() {
-		reps, m = NewRepCache(cs), &merger{}
+		dst, m = &sink{reps: RepCache{coref: cs}}, &merger{}
 		feed()
 	}); got > 0.1 {
 		t.Errorf("canonicalising and merging new rows: %.3f allocations per row, want at most 0.1", got)

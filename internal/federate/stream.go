@@ -82,7 +82,7 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	subs := formatSubqueries(req)
 	answers := make([]DatasetAnswer, n)
 	sem := make(chan struct{}, e.opts.Concurrency)
-	batches := make(chan eval.RowBuf, batchDepth)
+	dst := &sink{batches: make(chan eval.RowBuf, batchDepth), reps: RepCache{coref: e.coref}}
 	reports := make(chan struct{}, n)
 	var m merger
 	// A cancelled fan-out's batches are only drained.
@@ -100,7 +100,7 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	next, running := 0, 0
 	start := func() { // target next, on the pool slot just acquired
 		go func(i int, t Target) {
-			answers[i] = e.queryTarget(ctx, req, t, subs[i], batches, sem)
+			answers[i] = e.queryTarget(ctx, req, t, subs[i], dst, sem)
 			// The failed worker cancels, not the loop: the caller may be
 			// inside yield, and no row may follow the abort.
 			if answers[i].Err != nil && e.opts.FailFast {
@@ -134,15 +134,15 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 		select {
 		case admit <- struct{}{}:
 			start()
-		case b := <-batches:
+		case b := <-dst.batches:
 			deliver(b)
 		case <-reports:
 			running--
 		}
 	}
 	// Every worker has reported, so every batch it pushed is buffered.
-	for len(batches) > 0 {
-		deliver(<-batches)
+	for len(dst.batches) > 0 {
+		deliver(<-dst.batches)
 	}
 
 	res := &Result{Vars: req.Vars, PerDataset: answers, Duplicates: m.duplicates}

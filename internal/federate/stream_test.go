@@ -333,10 +333,10 @@ func TestFailFastYieldsNoRowAfterAbort(t *testing.T) {
 }
 
 // TestFanoutAllocations: what one two-target fan-out costs the executor
-// over a client that allocates little of its own. Measured at 43 (go1.24,
+// over a client that allocates little of its own. Measured at 44 (go1.24,
 // linux/amd64; 53 while the fan-out and its merge ran on goroutines of
 // their own, and the pull stream before that, run to its end through Fetch
-// and Summary, took 57); the ceiling is that plus about 7 %.
+// and Summary, took 57); the ceiling is that plus about 5 %.
 func TestFanoutAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")

@@ -183,8 +183,8 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 583 for Figure 1
-// and 1334 for the cross-vocabulary query, since a fan-out runs on its
+// the ceilings are the measured figures plus about 7 %: 581 for Figure 1
+// and 1333 for the cross-vocabulary query, since a fan-out runs on its
 // caller's goroutine and its workers canonicalise their own rows (587 and
 // 1352 while the fan-out and its merge ran on goroutines of their own and
 // the in-process transport, which now watches the request's context for
@@ -211,10 +211,10 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (456, at 19 rows a
+// of its shape. Its ceiling is the measured figure (454, at 19 rows a
 // request; 460 with the fan-out's goroutines, 464 through federate.Stream,
 // 467 with a pull stream of its own, 515 form-encoded) plus 7 %, below the
-// miss case's (583 at 11 rows) and
+// miss case's (581 at 11 rows) and
 // below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
