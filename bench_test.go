@@ -281,10 +281,10 @@ SELECT DISTINCT ?a WHERE {
 // ways of doing the federated merge's per-binding representative lookup
 // — re-derive from the coref store each time (a sorted copy of the class
 // per binding), memoise the representative string found that way and
-// rebuild the term per binding, and federate.RepCache: one probe under
-// the IRI's string returning the ready-made term, a miss asking the store
-// for just its smallest member (no class copy, no sort; zero allocations
-// on the hot path).
+// rebuild the term per binding, and federate.RepCache, the mediator's one
+// co-reference cache: one probe under the IRI's string returning the
+// ready-made term, a miss filling every member of the class at once (zero
+// allocations on the hot path).
 func BenchmarkE9_CorefLookup(b *testing.B) {
 	cs := coref.NewStore()
 	hub := "http://southampton.rkbexplorer.com/id/person-02686"

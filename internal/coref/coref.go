@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sparqlrw/internal/ntriples"
 	"sparqlrw/internal/rdf"
@@ -24,6 +25,7 @@ type Store struct {
 	parent  map[string]string
 	members map[string][]string // root -> class members (unsorted)
 	pairs   int
+	epoch   atomic.Uint64 // moved by every Add
 }
 
 // NewStore returns an empty equivalence store.
@@ -60,6 +62,7 @@ func (s *Store) ensure(x string) {
 func (s *Store) Add(a, b string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.epoch.Add(1)
 	s.pairs++
 	s.ensure(a)
 	s.ensure(b)
@@ -76,22 +79,9 @@ func (s *Store) Add(a, b string) {
 	delete(s.members, rb)
 }
 
-// Same reports whether a and b are in the same equivalence class. Every
-// URI is trivially the same as itself.
-func (s *Store) Same(a, b string) bool {
-	if a == b {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.parent[a]; !ok {
-		return false
-	}
-	if _, ok := s.parent[b]; !ok {
-		return false
-	}
-	return s.find(a) == s.find(b)
-}
+// Epoch returns a count that every Add moves: a cache of the store's
+// classes filled under one epoch is stale once it reads another.
+func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Equivalents returns the full equivalence class of uri (including uri
 // itself), sorted. Unknown URIs yield a singleton class.
@@ -180,24 +170,4 @@ func (s *Store) LoadNTriples(src string) (int, error) {
 		return 0, fmt.Errorf("coref: %w", err)
 	}
 	return s.LoadGraph(g), nil
-}
-
-// Dump exports the store as owl:sameAs triples linking every member to its
-// canonical representative (a minimal spanning representation).
-func (s *Store) Dump() rdf.Graph {
-	s.mu.Lock()
-	uris := make([]string, 0, len(s.parent))
-	for x := range s.parent {
-		uris = append(uris, x)
-	}
-	s.mu.Unlock()
-	sort.Strings(uris)
-	var g rdf.Graph
-	for _, x := range uris {
-		c := s.Canonical(x)
-		if c != x {
-			g.AddTriple(rdf.NewIRI(x), rdf.NewIRI(rdf.OWLSameAs), rdf.NewIRI(c))
-		}
-	}
-	return g
 }

@@ -2,8 +2,10 @@ package coref
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,17 +17,11 @@ func TestAddSameEquivalents(t *testing.T) {
 	s := NewStore()
 	s.Add("http://a/1", "http://b/1")
 	s.Add("http://b/1", "http://c/1")
-	if !s.Same("http://a/1", "http://c/1") {
+	if s.Canonical("http://c/1") != "http://a/1" {
 		t.Fatal("transitivity broken")
 	}
-	if !s.Same("http://c/1", "http://a/1") {
-		t.Fatal("symmetry broken")
-	}
-	if s.Same("http://a/1", "http://d/1") {
-		t.Fatal("unrelated URIs reported same")
-	}
-	if !s.Same("http://x/self", "http://x/self") {
-		t.Fatal("reflexivity broken")
+	if s.Canonical("http://d/1") != "http://d/1" {
+		t.Fatal("an unrelated URI joined the class")
 	}
 	eq := s.Equivalents("http://a/1")
 	if len(eq) != 3 {
@@ -70,7 +66,8 @@ func TestCanonicalDeterministic(t *testing.T) {
 	}
 }
 
-func TestLoadGraphAndDump(t *testing.T) {
+// TestLoadGraph: only owl:sameAs triples between IRIs are ingested.
+func TestLoadGraph(t *testing.T) {
 	s := NewStore()
 	g := rdf.Graph{
 		rdf.NewTriple(rdf.NewIRI("http://a/1"), rdf.NewIRI(rdf.OWLSameAs), rdf.NewIRI("http://b/1")),
@@ -80,14 +77,28 @@ func TestLoadGraphAndDump(t *testing.T) {
 	if n := s.LoadGraph(g); n != 2 {
 		t.Fatalf("loaded %d", n)
 	}
-	dump := s.Dump()
-	if len(dump) != 2 {
-		t.Fatalf("dump = %v", dump)
+	if s.Canonical("http://b/1") != "http://a/1" || s.Canonical("http://b/2") != "http://a/2" {
+		t.Fatal("loaded pairs not co-referenced")
 	}
-	s2 := NewStore()
-	s2.LoadGraph(dump)
-	if !s2.Same("http://a/1", "http://b/1") || !s2.Same("http://a/2", "http://b/2") {
-		t.Fatal("dump/reload lost classes")
+	if s.Canonical("http://b/9") != "http://b/9" || s.Members() != 4 {
+		t.Fatalf("a non-sameAs triple was ingested: %d members", s.Members())
+	}
+}
+
+// TestEpochMovesOnAdd: every Add moves the epoch, a read does not.
+func TestEpochMovesOnAdd(t *testing.T) {
+	s := NewStore()
+	e0 := s.Epoch()
+	s.Add("http://a/1", "http://b/1")
+	e1 := s.Epoch()
+	s.Equivalents("http://a/1")
+	s.Canonical("http://b/1")
+	if e1 == e0 || s.Epoch() != e1 {
+		t.Fatalf("epochs %d, %d, %d: Add must move it, reads must not", e0, e1, s.Epoch())
+	}
+	s.Add("http://a/1", "http://b/1") // already one class: still a write
+	if s.Epoch() == e1 {
+		t.Fatal("a repeated Add left the epoch alone")
 	}
 }
 
@@ -141,7 +152,8 @@ func TestEquivalenceRelationProperty(t *testing.T) {
 		for i := 0; i+1 < len(pairs); i += 2 {
 			s.Add(names(pairs[i]), names(pairs[i+1]))
 		}
-		// For every pair of members, Same must agree with class membership.
+		// For every pair of members, sharing a representative must agree
+		// with class membership.
 		for n := 0; n < 16; n++ {
 			cls := s.Equivalents(names(uint8(n)))
 			inClass := map[string]bool{}
@@ -149,7 +161,7 @@ func TestEquivalenceRelationProperty(t *testing.T) {
 				inClass[x] = true
 			}
 			for m := 0; m < 16; m++ {
-				if s.Same(names(uint8(n)), names(uint8(m))) != inClass[names(uint8(m))] {
+				if (s.Canonical(names(uint8(n))) == s.Canonical(names(uint8(m)))) != inClass[names(uint8(m))] {
 					return false
 				}
 			}
@@ -187,6 +199,25 @@ func TestClientDegradesGracefully(t *testing.T) {
 	eq := c.Equivalents("http://a/1")
 	if len(eq) != 1 || eq[0] != "http://a/1" {
 		t.Fatalf("degraded = %v", eq)
+	}
+	if eq, err := c.Lookup("http://a/1"); err == nil {
+		t.Fatalf("Lookup with nothing listening = %v, no error", eq)
+	}
+}
+
+// TestClientLookupReportsStatus: a service answering 503 is an error to
+// Lookup and the singleton class to Equivalents.
+func TestClientLookupReportsStatus(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	if eq, err := c.Lookup("http://a/1"); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("Lookup = %v, %v; want the 503 as an error", eq, err)
+	}
+	if eq := c.Equivalents("http://a/1"); len(eq) != 1 || eq[0] != "http://a/1" {
+		t.Fatalf("Equivalents = %v, want the singleton class", eq)
 	}
 }
 

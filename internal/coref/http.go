@@ -60,23 +60,37 @@ func NewClient(baseURL string) *Client {
 // degrades to the singleton class, matching the paper's default behaviour
 // (an unresolvable URI simply stays untranslated).
 func (c *Client) Equivalents(uri string) []string {
-	resp, err := c.HTTP.Get(c.BaseURL + "/equivalents?uri=" + url.QueryEscape(uri))
+	eq, err := c.Lookup(uri)
 	if err != nil {
 		return []string{uri}
+	}
+	return eq
+}
+
+// Lookup fetches the equivalence class of uri, or the error that kept the
+// service from answering: Equivalents without the degradation, for a
+// caller that must not keep a failure's singleton class.
+func (c *Client) Lookup(uri string) ([]string, error) {
+	resp, err := c.HTTP.Get(c.BaseURL + "/equivalents?uri=" + url.QueryEscape(uri))
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return []string{uri}
+		return nil, fmt.Errorf("coref: %s: %s", uri, resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return []string{uri}
+		return nil, err
 	}
 	var parsed equivalentsResponse
-	if err := json.Unmarshal(body, &parsed); err != nil || len(parsed.Equivalents) == 0 {
-		return []string{uri}
+	if err := json.Unmarshal(body, &parsed); err != nil {
+		return nil, fmt.Errorf("coref: decoding %s: %w", uri, err)
 	}
-	return parsed.Equivalents
+	if len(parsed.Equivalents) == 0 {
+		return []string{uri}, nil
+	}
+	return parsed.Equivalents, nil
 }
 
 // Stats fetches service statistics.

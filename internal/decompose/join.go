@@ -45,7 +45,7 @@ type EngineStats struct {
 // the plan's joins, filters and modifiers run in the evaluator.
 type Engine struct {
 	exec    Dispatcher
-	coref   funcs.CorefSource
+	coref   *federate.RepCache
 	opts    Options
 	metrics engineMetrics
 }
@@ -63,13 +63,14 @@ type engineMetrics struct {
 // NewEngine builds a join engine over the given dispatcher. coref is the
 // co-reference service whose owl:sameAs representatives the residual
 // FILTERs' IRI constants are canonicalised to, as the merge canonicalises
-// the rows they run over; it may be nil. The spellings of a bound-join key
+// the rows they run over, through the same cache (federate.NewRepCache);
+// it may be nil. The spellings of a bound-join key
 // each target receives are the planner's owner lookup's (plan.Owners).
 func NewEngine(exec Dispatcher, coref funcs.CorefSource, opts Options) *Engine {
 	opts = opts.withDefaults()
 	reg := opts.Registry
 	return &Engine{
-		exec: exec, coref: coref, opts: opts,
+		exec: exec, coref: federate.NewRepCache(coref), opts: opts,
 		metrics: engineMetrics{
 			runs: reg.Counter("sparqlrw_decompose_runs_total",
 				"Decomposed queries executed by the join engine."),
@@ -124,7 +125,6 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 	e.metrics.runs.Inc()
 	p := &Plan{}
 	op := left
-	var canon *federate.RepCache
 	n := len(d.Fragments)
 	leaves, remotes := p.leaf[:], p.remote[:]
 	if n > 1 {
@@ -145,10 +145,7 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 		op = leaf
 		for _, rf := range d.ResidualFilters {
 			if rf.Stage == k {
-				if canon == nil {
-					canon = federate.NewRepCache(e.coref)
-				}
-				op = &algebra.Filter{Expr: sparql.MapExprTerms(rf.expr, canon.Term), Input: op}
+				op = &algebra.Filter{Expr: sparql.MapExprTerms(rf.expr, e.coref.Term), Input: op}
 			}
 		}
 	}

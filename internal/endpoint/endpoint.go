@@ -339,16 +339,26 @@ func (c *Client) AskContext(ctx context.Context, endpointURL, queryText string) 
 	return *b, nil
 }
 
+// The direct POST's header values: net/http only reads a request's
+// header slices, so every request shares these and sets them for free.
+var (
+	sparqlQueryType   = []string{"application/sparql-query"}
+	sparqlResultsJSON = []string{"application/sparql-results+json"}
+)
+
 // do issues the protocol's direct POST — the query text as the body,
-// unescaped, under Content-Type application/sparql-query — and returns the
-// (status-checked) response with its body still unread, for streaming
-// consumption.
+// unescaped, under Content-Type application/sparql-query, asking for SPARQL
+// JSON results (a SELECT's or an ASK's, the only forms the client sends),
+// which an endpoint with another default format would otherwise not
+// answer in — and returns the (status-checked) response with its body
+// still unread, for streaming consumption.
 func (c *Client) do(ctx context.Context, endpointURL, queryText string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpointURL, strings.NewReader(queryText))
 	if err != nil {
 		return nil, fmt.Errorf("endpoint: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/sparql-query")
+	req.Header["Content-Type"] = sparqlQueryType
+	req.Header["Accept"] = sparqlResultsJSON
 	// Propagate W3C Trace Context: when the caller's context carries a
 	// span (the executor's per-attempt span), the endpoint receives a
 	// child traceparent and can stitch its own trace under ours.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,6 +101,37 @@ SELECT ?a WHERE { ex:p1 ex:author ?a FILTER (?a != ex:bob && STR(?a) != "a&b=c%2
 	}
 	if len(res) != 1 {
 		t.Fatalf("solutions = %v, want alice alone", res)
+	}
+}
+
+// TestClientAsksForJSONResults: SELECT and ASK both ask for SPARQL JSON
+// results, so an endpoint whose default is XML or HTML answers in the
+// format the decoder reads.
+func TestClientAsksForJSONResults(t *testing.T) {
+	inner := demoServer(t)
+	var asked []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked = append(asked, r.Header.Get("Accept"))
+		body, _ := io.ReadAll(r.Body)
+		proxied, err := http.Post(inner.URL, r.Header.Get("Content-Type"), bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer proxied.Body.Close()
+		w.Header().Set("Content-Type", proxied.Header.Get("Content-Type"))
+		io.Copy(w, proxied.Body)
+	}))
+	defer srv.Close()
+	c := NewClient()
+	if _, err := collect(c, srv.URL, `SELECT ?s WHERE { ?s ?p ?o }`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AskContext(context.Background(), srv.URL, `ASK { ?s ?p ?o }`); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"application/sparql-results+json", "application/sparql-results+json"}; !slices.Equal(asked, want) {
+		t.Fatalf("Accept headers %q, want %q", asked, want)
 	}
 }
 

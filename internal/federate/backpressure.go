@@ -12,7 +12,7 @@ import (
 // rows into is slow, so a slow reader cannot burn an endpoint's attempt
 // budget (the endpoint is not the one being slow). The ROADMAP calls this
 // backpressure-aware deadlines. They bracket the worker's owl:sameAs
-// lookups (sink.canonicalise) too: a slow coref source is not the
+// lookups (RepCache.canonicalise) too: a slow coref source is not the
 // endpoint's fault either. The active time, charged, is also the
 // endpoint's latency sample and the clock a hedge waits on.
 //

@@ -80,6 +80,7 @@ type endpointRecord struct {
 	breaker *Breaker
 
 	samples          [healthWindow]float64 // seconds; ring of the latest latencies
+	sorted           [healthWindow]float64 // the ring's n samples in order
 	n, next          int                   // samples held; the slot the next one takes
 	ewmaP50, ewmaP95 float64               // seconds, smoothed across observations
 	ewmaErr          float64               // smoothed failure indicator in [0,1]
@@ -170,10 +171,8 @@ func (r *endpointRecord) observe(latency time.Duration, err error) {
 	}
 
 	if latency > 0 {
-		r.samples[r.next] = latency.Seconds()
-		r.next = (r.next + 1) % healthWindow
-		r.n = min(r.n+1, healthWindow)
-		p50, p95 := windowQuantiles(r.samples[:r.n])
+		r.insert(latency.Seconds())
+		p50, p95 := sortedQuantiles(r.sorted[:r.n])
 		if r.n == 1 {
 			r.ewmaP50, r.ewmaP95 = p50, p95
 		} else {
@@ -189,12 +188,27 @@ func (r *endpointRecord) observe(latency time.Duration, err error) {
 	r.ewmaErr = healthAlpha*e01 + (1-healthAlpha)*r.ewmaErr
 }
 
-// windowQuantiles returns the p50 and p95 of the sample window
-// (nearest-rank on a sorted copy; windows are small).
-func windowQuantiles(samples []float64) (p50, p95 float64) {
-	var buf [healthWindow]float64
-	sorted := buf[:copy(buf[:], samples)]
-	slices.Sort(sorted)
+// insert puts one sample into the ring, over the oldest once it is full,
+// and keeps the sorted copy in step: the oldest leaves it and the new one
+// enters it each by a binary search and a memmove.
+func (r *endpointRecord) insert(sample float64) {
+	sorted := r.sorted[:r.n]
+	if r.n == healthWindow {
+		i, _ := slices.BinarySearch(sorted, r.samples[r.next])
+		sorted = slices.Delete(sorted, i, i+1)
+	} else {
+		r.n++
+	}
+	i, _ := slices.BinarySearch(sorted, sample)
+	sorted = sorted[:len(sorted)+1] // within the array: no allocation
+	copy(sorted[i+1:], sorted[i:])
+	sorted[i] = sample
+	r.samples[r.next] = sample
+	r.next = (r.next + 1) % healthWindow
+}
+
+// sortedQuantiles returns the nearest-rank p50 and p95 of sorted samples.
+func sortedQuantiles(sorted []float64) (p50, p95 float64) {
 	rank := func(q float64) float64 {
 		return sorted[max(int(math.Ceil(q*float64(len(sorted))))-1, 0)]
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +94,33 @@ func TestEndpointTableWindowAndEWMA(t *testing.T) {
 	}
 	if got := snapshotFor(t, tab, "f").ErrorRate; got >= rateAfterFailure || got < 0 {
 		t.Errorf("error rate did not recover: %v -> %v", rateAfterFailure, got)
+	}
+}
+
+// TestSortedWindowMatchesSorting: the sorted copy the ring keeps gives
+// the p50 and p95 that sorting the window at each sample gives, over
+// random sequences longer than the window, ties included.
+func TestSortedWindowMatchesSorting(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for seq := range 50 {
+		var r endpointRecord
+		for i := range healthWindow*3 + seq {
+			sample := float64(rng.IntN(40)) / 1000 // few values: ties
+			if seq%2 == 1 {
+				sample = rng.ExpFloat64()
+			}
+			r.insert(sample)
+			window := slices.Clone(r.samples[:r.n])
+			slices.Sort(window)
+			rank := func(q float64) float64 { return window[max(int(math.Ceil(q*float64(len(window))))-1, 0)] }
+			p50, p95 := sortedQuantiles(r.sorted[:r.n])
+			if p50 != rank(0.50) || p95 != rank(0.95) {
+				t.Fatalf("sequence %d, sample %d: p50, p95 = %v, %v; sorting the window gives %v, %v", seq, i, p50, p95, rank(0.50), rank(0.95))
+			}
+			if !slices.Equal(r.sorted[:r.n], window) {
+				t.Fatalf("sequence %d, sample %d: sorted copy %v, window %v", seq, i, r.sorted[:r.n], window)
+			}
+		}
 	}
 }
 

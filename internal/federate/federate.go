@@ -22,10 +22,11 @@
 //	          cannot stall or poison the whole fan-out;
 //	merge   — each worker decodes its response into batches of
 //	          positional rows, rewrites every IRI to the representative of
-//	          its owl:sameAs class (through the fan-out's one
-//	          representative cache, off the endpoint's clock) and hands
-//	          them over a channel to the fan-out, which deduplicates and
-//	          compacts each batch in place.
+//	          its owl:sameAs class (through the executor's co-reference
+//	          cache, RepCache — the mediator's one, shared by every
+//	          fan-out — off the endpoint's clock) and hands them over a
+//	          channel to the fan-out, which deduplicates and compacts each
+//	          batch in place.
 //
 // A fan-out is one push call, Executor.Select(ctx, req).Run(yield), and
 // runs on its caller's goroutine: Run admits, deduplicates and yields,
@@ -208,7 +209,7 @@ type Result struct {
 type Executor struct {
 	client    StreamingSelectClient
 	rewrite   RewriteFunc
-	coref     funcs.CorefSource
+	coref     *RepCache
 	opts      Options
 	cache     *PlanCache[*rewritePlan]
 	metrics   *executorMetrics
@@ -216,7 +217,9 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor. rewrite may be nil when no target ever
-// needs rewriting; coref may be nil to disable owl:sameAs smushing.
+// needs rewriting; coref may be nil to disable owl:sameAs smushing. A
+// coref that is not a RepCache already is wrapped in one, which every
+// fan-out of the executor shares.
 func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.CorefSource, opts Options) *Executor {
 	opts = opts.withDefaults()
 	reg := opts.Registry
@@ -227,7 +230,7 @@ func NewExecutor(client StreamingSelectClient, rewrite RewriteFunc, coref funcs.
 	e := &Executor{
 		client:    client,
 		rewrite:   rewrite,
-		coref:     coref,
+		coref:     NewRepCache(coref),
 		opts:      opts,
 		cache:     NewPlanCache[*rewritePlan](opts.CacheSize),
 		metrics:   newExecutorMetrics(reg),
@@ -469,7 +472,7 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 // into the batch being filled, and the batch's IRIs are rewritten to their
 // owl:sameAs representatives in place before it is pushed — on the
 // worker, beside the response writer, not on its goroutine — through the
-// fan-out's one representative cache (sink.canonicalise), whose lookups
+// executor's representative cache (RepCache.canonicalise), whose lookups
 // stop the attempt's clock pd. The response is never buffered whole. A
 // failed attempt has pushed the rows it decoded; the retry re-pushes them
 // and the fan-out's merge deduplicates.
@@ -506,7 +509,7 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 			}
 			b := eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}
 			slab, n = slab[n*width:], 0
-			dst.canonicalise(b.Terms, pd)
+			e.coref.canonicalise(b.Terms, pd)
 			if !dst.push(parent, b, pd) {
 				return rows, ttfs, 0, parent.Err()
 			}

@@ -2,7 +2,8 @@ package federate
 
 import (
 	"context"
-	"sync"
+	"slices"
+	"time"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
@@ -10,48 +11,10 @@ import (
 )
 
 // sink is a fan-out's row path from its workers to Fanout.Run: the batch
-// channel, and the representative cache every worker canonicalises its
-// batches through. One cache a fan-out, as when the merge canonicalised:
-// a remote coref.Client is asked once per distinct IRI per fan-out,
-// whichever target, shard, retry or hedge arm brought the IRI first.
+// channel. The workers canonicalise their batches through the executor's
+// representative cache before they push them.
 type sink struct {
 	batches chan eval.RowBuf
-	mu      sync.Mutex // held while a worker canonicalises a batch
-	reps    RepCache
-}
-
-// canonicalise rewrites the IRIs of a batch's terms to their owl:sameAs
-// representatives in place, under one hold of the lock. A term the cache
-// has not seen costs a coref lookup; while the worker waits on one, or on
-// another worker's, the attempt's clock pd is paused, so neither its
-// deadline nor the endpoint's latency pays for the coref source.
-func (s *sink) canonicalise(terms []rdf.Term, pd *pausableDeadline) {
-	if s.reps.coref == nil {
-		return
-	}
-	waiting := !s.mu.TryLock()
-	if waiting {
-		pd.Pause()
-		s.mu.Lock()
-	}
-	for i, t := range terms {
-		if !t.IsIRI() {
-			continue
-		}
-		rep, ok := s.reps.reps[t.Value]
-		if !ok {
-			if !waiting {
-				waiting = true
-				pd.Pause()
-			}
-			rep = s.reps.Term(t)
-		}
-		terms[i] = rep
-	}
-	s.mu.Unlock()
-	if waiting {
-		pd.Resume()
-	}
 }
 
 // push hands b to the fan-out's loop. While the push blocks on a full
@@ -100,65 +63,200 @@ func (m *merger) merge(b eval.RowBuf) eval.RowBuf {
 	return b
 }
 
-// RepCache memoises owl:sameAs class representatives under the IRI's
-// string: each distinct IRI costs one coref lookup per cache lifetime and
-// every later occurrence one map probe returning a ready-made term. Not
-// safe for concurrent use: a fan-out's workers share one through their
-// sink, under its lock. A zero value with its coref set is ready to use.
+// RepCache is the mediator's one co-reference cache: the owl:sameAs class
+// of every IRI a query names or an endpoint returns, as the sameas
+// function, the planner's owner lookup, the fan-out's workers and the
+// join engine ask for it. It is a funcs.CorefSource over another one.
+//
+// One fill caches a whole class: every member maps to one entry, sorted
+// once and shared read-only, whose first member is the representative.
+// Fills run in flights (flightCache), so concurrent requests ask the
+// source once per IRI. A failed lookup of a source that reports failures
+// (coref.Client.Lookup) answers the singleton class and stores nothing, so
+// the next lookup asks again. Entries are valid while the source's epoch
+// (coref.Store.Epoch) stands; a source without one keeps them for
+// corefTTL. It is safe for concurrent use; a nil *RepCache is no
+// co-reference: every IRI its own class.
 type RepCache struct {
-	coref funcs.CorefSource
-	reps  map[string]rdf.Term
+	lookup func(uri string) ([]string, error)
+	epoch  interface{ Epoch() uint64 } // nil: entries expire after corefTTL
+	seen   uint64                      // the source epoch the entries were filled under
+	c      flightCache[string, *corefClass]
 }
 
-// NewRepCache builds an empty representative cache; a nil coref disables
-// smushing.
+// repCacheCapacity bounds a RepCache to this many IRIs, each class member
+// one: 13 MB of heap when full of two-member classes of 50-byte IRIs, and
+// far more IRIs than the mediator's working set (a few thousand for the
+// benchmark's universe).
+const repCacheCapacity = 1 << 16
+
+// corefTTL is how long a class from a source without an epoch (a remote
+// coref.Client) is served before it is asked again: the result cache's
+// default TTL.
+const corefTTL = 5 * time.Minute
+
+// lookuper is a coref source that reports a failed lookup
+// (coref.Client).
+type lookuper interface {
+	Lookup(uri string) ([]string, error)
+}
+
+// corefClass is one owl:sameAs class, shared by its members' entries.
+type corefClass struct {
+	members []string  // sorted, never modified
+	rep     rdf.Term  // members[0] as an IRI term
+	expires time.Time // zero: until the source's epoch moves
+}
+
+// NewRepCache returns the co-reference cache over coref: coref itself
+// when it is one already, nil (no co-reference) when it is nil.
 func NewRepCache(coref funcs.CorefSource) *RepCache {
-	return &RepCache{coref: coref}
-}
-
-// Term returns the deterministic (lexicographically smallest) member of
-// the IRI term's equivalence class; non-IRI terms pass through. A source
-// that can name that member itself (coref.Store.Canonical) is asked for
-// just that, any other for the whole class.
-func (c *RepCache) Term(t rdf.Term) rdf.Term {
-	if c.coref == nil || !t.IsIRI() {
-		return t
+	switch src := coref.(type) {
+	case nil:
+		return nil
+	case *RepCache:
+		return src
 	}
-	if rep, ok := c.reps[t.Value]; ok {
-		return rep
-	}
-	rep := Rep(c.coref, t)
-	if c.reps == nil {
-		c.reps = make(map[string]rdf.Term)
-	}
-	c.reps[t.Value] = rep
-	return rep
-}
-
-// Rep is RepCache.Term without the cache, for a caller that canonicalises
-// a handful of terms once: the representative of the IRI term's owl:sameAs
-// class under coref (nil: none), other terms unchanged.
-func Rep(coref funcs.CorefSource, t rdf.Term) rdf.Term {
-	if coref == nil || !t.IsIRI() {
-		return t
-	}
-	r := t.Value
-	if s, ok := coref.(interface{ Canonical(uri string) string }); ok {
-		r = s.Canonical(r)
+	c := &RepCache{c: newFlightCache[string, *corefClass](repCacheCapacity)}
+	if l, ok := coref.(lookuper); ok {
+		c.lookup = l.Lookup
 	} else {
-		for _, eq := range coref.Equivalents(t.Value) {
-			if eq < r {
-				r = eq
-			}
-		}
+		c.lookup = func(uri string) ([]string, error) { return coref.Equivalents(uri), nil }
 	}
-	if r != t.Value {
-		return rdf.NewIRI(r)
+	if e, ok := coref.(interface{ Epoch() uint64 }); ok {
+		c.epoch, c.seen = e, e.Epoch()
 	}
-	return t
+	return c
+}
+
+// Equivalents returns uri's owl:sameAs class, sorted. The slice is shared:
+// callers must not modify it.
+func (c *RepCache) Equivalents(uri string) []string {
+	if c == nil {
+		return []string{uri}
+	}
+	return c.class(uri).members
+}
+
+// Term returns the representative of the IRI term's class as a term;
+// other terms pass through.
+func (c *RepCache) Term(t rdf.Term) rdf.Term {
+	if c == nil || !t.IsIRI() {
+		return t
+	}
+	return c.class(t.Value).rep
 }
 
 // Triple canonicalises the three terms of t.
 func (c *RepCache) Triple(t rdf.Triple) rdf.Triple {
 	return rdf.Triple{S: c.Term(t.S), P: c.Term(t.P), O: c.Term(t.O)}
+}
+
+// canonicalise rewrites the IRIs of a batch's terms to their
+// representatives in place. The cached ones are read under one hold of
+// the lock; only when some are not does the worker ask for them, with the
+// attempt's clock pd paused, so neither its deadline nor the endpoint's
+// latency pays for the coref source.
+func (c *RepCache) canonicalise(terms []rdf.Term, pd *pausableDeadline) {
+	if c == nil {
+		return
+	}
+	now, missed := c.now(), false
+	c.c.mu.Lock()
+	c.sync()
+	for i, t := range terms {
+		if !t.IsIRI() {
+			continue
+		}
+		if cl, ok := c.get(t.Value, now); ok {
+			terms[i] = cl.rep
+		} else {
+			missed = true
+		}
+	}
+	c.c.mu.Unlock()
+	if !missed {
+		return
+	}
+	pd.Pause()
+	defer pd.Resume()
+	for i, t := range terms {
+		terms[i] = c.Term(t) // a representative is cached as its own
+	}
+}
+
+// class returns uri's class, cached or filled.
+func (c *RepCache) class(uri string) *corefClass {
+	now := c.now()
+	c.c.mu.Lock()
+	c.sync()
+	if cl, ok := c.get(uri, now); ok {
+		c.c.mu.Unlock()
+		return cl
+	}
+	cl, _, _ := c.c.fill(uri, func() (*corefClass, error) { return c.ask(uri) }, c.store)
+	return cl
+}
+
+// ask asks the source for uri's class. On a failure it answers the
+// singleton class with the error, which keeps the fill from storing it.
+func (c *RepCache) ask(uri string) (*corefClass, error) {
+	eq, err := c.lookup(uri)
+	if err != nil || len(eq) == 0 {
+		eq = []string{uri}
+	}
+	if !slices.IsSorted(eq) {
+		eq = slices.Sorted(slices.Values(eq))
+	}
+	if i, found := slices.BinarySearch(eq, uri); !found {
+		eq = slices.Insert(slices.Clip(eq), i, uri)
+	}
+	cl := &corefClass{members: eq, rep: rdf.NewIRI(eq[0])}
+	if c.epoch == nil {
+		cl.expires = time.Now().Add(corefTTL)
+	}
+	return cl, err
+}
+
+// store puts a filled class under each of its members, unless the
+// source's epoch moved since the fill began. Called with the lock held.
+func (c *RepCache) store(cl *corefClass, epoch uint64) {
+	c.sync()
+	for _, m := range cl.members {
+		c.c.lru.Put(m, cl, epoch)
+	}
+}
+
+// sync drops every entry once the source's epoch has moved; clearing
+// moves the cache's own epoch, so no fill begun before is stored, and
+// detaching the flights in progress keeps a later lookup from waiting on
+// one. Called with the lock held.
+func (c *RepCache) sync() {
+	if c.epoch == nil {
+		return
+	}
+	if e := c.epoch.Epoch(); e != c.seen {
+		c.seen = e
+		c.c.lru.Clear()
+		clear(c.c.flights)
+	}
+}
+
+// now is the time entries expire against: the zero time when they do not.
+func (c *RepCache) now() time.Time {
+	if c.epoch != nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// get returns uri's cached class, dropping an expired one. Called with
+// the lock held.
+func (c *RepCache) get(uri string, now time.Time) (*corefClass, bool) {
+	cl, ok := c.c.lru.Get(uri)
+	if ok && !cl.expires.IsZero() && now.After(cl.expires) {
+		c.c.lru.Remove(uri)
+		return nil, false
+	}
+	return cl, ok
 }

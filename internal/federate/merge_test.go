@@ -2,9 +2,11 @@ package federate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,7 +74,7 @@ func TestDispatchCanonicalisesAsItDecodes(t *testing.T) {
 		{"s": rdf.NewIRI("http://a/1"), "o": rdf.NewIRI("http://b/1")},
 	}}}
 	e := NewExecutor(oneStream{ss}, nil, cs, fastOpts())
-	dst := &sink{batches: make(chan eval.RowBuf, batchDepth), reps: RepCache{coref: cs}}
+	dst := &sink{batches: make(chan eval.RowBuf, batchDepth)}
 	pd := newPausableDeadline(ctx, time.Second)
 	defer pd.Stop()
 	rows, _, _, err := e.dispatch(pd, ctx, "http://e/sparql", reqText, []string{"s", "o"}, dst, pd)
@@ -111,8 +113,8 @@ func (c *slowCoref) Equivalents(uri string) []string {
 // TestSlowCorefNotChargedToEndpoint: owl:sameAs lookups that take longer
 // than the attempt's deadline and the hedge delay neither fail the
 // endpoint nor hedge it, and stay out of its latency; the fan-out's
-// targets share one representative cache, so each distinct IRI is looked
-// up once.
+// targets share the executor's representative cache, so each distinct
+// IRI is looked up once, and a later fan-out looks up none.
 func TestSlowCorefNotChargedToEndpoint(t *testing.T) {
 	fc := newFakeClient()
 	for _, url := range []string{"e1", "e2"} {
@@ -138,7 +140,13 @@ func TestSlowCorefNotChargedToEndpoint(t *testing.T) {
 		t.Fatalf("solutions = %v, want %v", res.Solutions, want)
 	}
 	if n := cs.lookups.Load(); n != 3 {
-		t.Errorf("%d coref lookups, want 3: one per distinct IRI per fan-out", n)
+		t.Errorf("%d coref lookups, want 3: one per distinct IRI", n)
+	}
+	if again, err := selectAll(context.Background(), e, req(Target{Dataset: "d1", Endpoint: "e1"})); err != nil || !reflect.DeepEqual(again.Solutions, res.Solutions) {
+		t.Fatalf("second fan-out = %v, %v", again.Solutions, err)
+	}
+	if n := cs.lookups.Load(); n != 3 {
+		t.Errorf("%d coref lookups after a second fan-out, want still 3", n)
 	}
 	if st := e.Stats(); st.Hedges != 0 {
 		t.Errorf("hedges = %d, want 0", st.Hedges)
@@ -152,8 +160,10 @@ func TestSlowCorefNotChargedToEndpoint(t *testing.T) {
 
 // TestMergerAllocations: per row, new or duplicate, a worker's
 // canonicalisation and the fan-out's merge together allocate next to
-// nothing — a new row's representatives come out of the RepCache's memo
-// and its key out of the key arena.
+// nothing once the executor's RepCache holds the rows' classes — a new
+// row's representatives come out of the cache and its key out of the key
+// arena. Filling the cache, once per IRI for the mediator's lifetime, is
+// bounded separately.
 func TestMergerAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -169,8 +179,8 @@ func TestMergerAllocations(t *testing.T) {
 	}
 	emitted := 0
 	var (
-		dst *sink
-		m   *merger
+		reps *RepCache
+		m    *merger
 	)
 	pd := newPausableDeadline(context.Background(), time.Hour)
 	defer pd.Stop()
@@ -180,7 +190,7 @@ func TestMergerAllocations(t *testing.T) {
 			// a worker hands over a fresh one (the copy is the one
 			// allocation per batch this loop itself makes).
 			b.Terms = append([]rdf.Term(nil), b.Terms...)
-			dst.canonicalise(b.Terms, pd) // as a worker does before its push
+			reps.canonicalise(b.Terms, pd) // as a worker does before its push
 			emitted += m.merge(b).N
 		}
 	}
@@ -188,7 +198,13 @@ func TestMergerAllocations(t *testing.T) {
 		return (testing.AllocsPerRun(5, f) - float64(len(batches))) / n
 	}
 	if got := perRow(func() {
-		dst, m = &sink{reps: RepCache{coref: cs}}, &merger{}
+		reps, m = NewRepCache(cs), &merger{}
+		feed()
+	}); got > 9 {
+		t.Errorf("filling the cache: %.3f allocations per row (one two-member class each), want at most 9", got)
+	}
+	if got := perRow(func() {
+		m = &merger{}
 		feed()
 	}); got > 0.1 {
 		t.Errorf("canonicalising and merging new rows: %.3f allocations per row, want at most 0.1", got)
@@ -196,32 +212,39 @@ func TestMergerAllocations(t *testing.T) {
 	if got := perRow(feed); got != 0 {
 		t.Errorf("canonicalising and merging duplicate rows: %.3f allocations per row, want 0", got)
 	}
-	if emitted != 6*n || m.duplicates != 6*n {
-		t.Fatalf("emitted %d rows and dropped %d, want %d each", emitted, m.duplicates, 6*n)
+	if emitted != 12*n || m.duplicates != 6*n {
+		t.Fatalf("emitted %d rows and dropped %d, want %d and %d", emitted, m.duplicates, 12*n, 6*n)
 	}
 }
 
-// pairSource is a coref source without the Canonical capability.
-type pairSource map[string][]string
+// pairSource is a coref source that lists classes and counts its
+// lookups.
+type pairSource struct {
+	classes map[string][]string
+	lookups atomic.Int64
+}
 
-func (p pairSource) Equivalents(uri string) []string {
-	if eq, ok := p[uri]; ok {
+func (p *pairSource) Equivalents(uri string) []string {
+	p.lookups.Add(1)
+	if eq, ok := p.classes[uri]; ok {
 		return eq
 	}
 	return []string{uri}
 }
 
-// TestRepCacheSources: a source that names its smallest member itself and
-// one that only lists classes give the same representatives, each asked
-// once per distinct IRI.
+// TestRepCacheSources: a coref.Store and a source that only lists classes
+// give the same representatives, and one lookup fills a whole class.
 func TestRepCacheSources(t *testing.T) {
 	cs := coref.NewStore()
 	cs.Add("http://b/1", "http://a/1")
 	cs.Add("http://b/1", "http://c/1")
 	class := []string{"http://a/1", "http://b/1", "http://c/1"}
-	plain := pairSource{"http://a/1": class, "http://b/1": class, "http://c/1": class}
-	for name, src := range map[string]interface{ Equivalents(string) []string }{"canonical": cs, "equivalents": plain} {
+	plain := &pairSource{classes: map[string][]string{"http://a/1": class, "http://b/1": class, "http://c/1": class}}
+	for name, src := range map[string]interface{ Equivalents(string) []string }{"store": cs, "equivalents": plain} {
 		c := NewRepCache(src)
+		if NewRepCache(c) != c {
+			t.Fatalf("%s: wrapping a RepCache again built another cache", name)
+		}
 		for _, uri := range append(class, "http://lonely/1", "http://b/1") {
 			want := rdf.NewIRI(uri)
 			if uri != "http://lonely/1" {
@@ -237,8 +260,175 @@ func TestRepCacheSources(t *testing.T) {
 		if got := c.Triple(rdf.NewTriple(rdf.NewIRI("http://c/1"), rdf.NewIRI("http://p"), rdf.NewLiteral("o"))); got.S != rdf.NewIRI("http://a/1") {
 			t.Errorf("%s: Triple subject = %v", name, got.S)
 		}
+		if got := c.Equivalents("http://c/1"); !reflect.DeepEqual(got, class) || rep(c, "http://c/1") != "http://a/1" {
+			t.Errorf("%s: Equivalents = %v, representative %s", name, got, rep(c, "http://c/1"))
+		}
 	}
-	if _, ok := any(plain).(interface{ Canonical(string) string }); ok {
-		t.Fatal("the plain source grew a Canonical method: the fallback is untested")
+	if n := plain.lookups.Load(); n != 3 {
+		t.Errorf("%d lookups, want 3: one per class (a/1's, lonely/1's, the predicate's)", n)
+	}
+	var none *RepCache
+	if none.Term(rdf.NewIRI("http://b/1")) != rdf.NewIRI("http://b/1") || rep(none, "x") != "x" || len(none.Equivalents("x")) != 1 {
+		t.Error("a nil RepCache is not the identity")
+	}
+}
+
+// rep is the representative c gives the IRI uri, as a string.
+func rep(c *RepCache, uri string) string { return c.Term(rdf.NewIRI(uri)).Value }
+
+// addingStore is a coref.Store whose next lookup runs during adds first:
+// a write landing while a fill is in flight.
+type addingStore struct {
+	*coref.Store
+	during  func()
+	lookups atomic.Int64
+}
+
+func (s *addingStore) Equivalents(uri string) []string {
+	s.lookups.Add(1)
+	eq := s.Store.Equivalents(uri)
+	if f := s.during; f != nil {
+		s.during = nil
+		f()
+	}
+	return eq
+}
+
+// TestRepCacheFollowsStoreEpoch: an Add to the store is seen by the next
+// lookup, and a class filled while an Add landed is served to its caller
+// but not kept.
+func TestRepCacheFollowsStoreEpoch(t *testing.T) {
+	src := &addingStore{Store: coref.NewStore()}
+	src.Add("http://b/1", "http://c/1")
+	c := NewRepCache(src)
+	if got := rep(c, "http://c/1"); got != "http://b/1" {
+		t.Fatalf("representative %s", got)
+	}
+	src.Add("http://b/1", "http://a/1")
+	if got := rep(c, "http://c/1"); got != "http://a/1" {
+		t.Fatalf("after an Add, representative %s, want http://a/1", got)
+	}
+	src.during = func() { src.Add("http://a/1", "http://0/1") }
+	rep(c, "http://c/1") // hit: no lookup, no Add
+	rep(c, "http://lonely/1")
+	if got := rep(c, "http://c/1"); got != "http://0/1" {
+		t.Fatalf("after an Add during a fill, representative %s, want http://0/1", got)
+	}
+	if n := src.lookups.Load(); n != 4 {
+		t.Errorf("%d lookups, want 4: fill, refill after the Add, the lonely IRI, refill after the Add during it", n)
+	}
+	rep(c, "http://lonely/1")
+	if n := src.lookups.Load(); n != 5 {
+		t.Errorf("%d lookups, want 5: the class filled across an Add was kept", n)
+	}
+}
+
+// heldStore is a coref.Store whose first lookup waits for release.
+type heldStore struct {
+	*coref.Store
+	entered, release chan struct{}
+	calls            atomic.Int64
+}
+
+func (s *heldStore) Equivalents(uri string) []string {
+	eq := s.Store.Equivalents(uri)
+	if s.calls.Add(1) == 1 {
+		close(s.entered)
+		<-s.release
+	}
+	return eq
+}
+
+// TestRepCacheAddDetachesFlight: a lookup after an Add does not wait on a
+// fill begun before it, whose class may be stale; it asks again.
+func TestRepCacheAddDetachesFlight(t *testing.T) {
+	src := &heldStore{Store: coref.NewStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	src.Add("http://b/1", "http://c/1")
+	c := NewRepCache(src)
+	first := make(chan string)
+	go func() { first <- rep(c, "http://c/1") }()
+	<-src.entered
+	src.Add("http://b/1", "http://a/1")
+	second := make(chan string)
+	go func() { second <- rep(c, "http://c/1") }()
+	select {
+	case got := <-second:
+		if got != "http://a/1" {
+			t.Errorf("lookup after the Add = %s, want http://a/1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the lookup after the Add waited on the fill begun before it")
+	}
+	close(src.release)
+	<-first
+	if got := rep(c, "http://c/1"); got != "http://a/1" || src.calls.Load() != 2 {
+		t.Errorf("representative %s after %d lookups, want http://a/1 after 2: the stale fill was kept", got, src.calls.Load())
+	}
+}
+
+// flakySource fails its lookups while down, as coref.Client.Lookup does
+// when the service answers 503.
+type flakySource struct {
+	down    bool
+	lookups int
+}
+
+func (f *flakySource) Equivalents(uri string) []string { panic("the cache must use Lookup") }
+
+func (f *flakySource) Lookup(uri string) ([]string, error) {
+	f.lookups++
+	if f.down {
+		return nil, errors.New("503 Service Unavailable")
+	}
+	return []string{"http://a/1", "http://b/1"}, nil
+}
+
+// TestRepCacheKeepsNoFailure: a failed lookup answers the singleton class
+// and is asked again; a class without an epoch expires after corefTTL.
+func TestRepCacheKeepsNoFailure(t *testing.T) {
+	src := &flakySource{down: true}
+	c := NewRepCache(src)
+	for range 2 {
+		if got := c.Equivalents("http://b/1"); !reflect.DeepEqual(got, []string{"http://b/1"}) {
+			t.Fatalf("during the outage Equivalents = %v, want the singleton", got)
+		}
+	}
+	src.down = false
+	if got := rep(c, "http://b/1"); got != "http://a/1" || src.lookups != 3 {
+		t.Fatalf("after recovery representative %s after %d lookups, want http://a/1 after 3", got, src.lookups)
+	}
+	rep(c, "http://a/1")
+	if src.lookups != 3 {
+		t.Fatalf("%d lookups: the recovered class was not kept", src.lookups)
+	}
+	cl, _ := c.c.lru.Get("http://a/1")
+	if want := time.Now().Add(corefTTL); cl.expires.After(want) || cl.expires.Before(want.Add(-time.Minute)) {
+		t.Fatalf("expires %v, want about %v", cl.expires, want)
+	}
+	cl.expires = time.Now().Add(-time.Second)
+	rep(c, "http://b/1")
+	if src.lookups != 4 {
+		t.Fatalf("%d lookups: an expired class was served", src.lookups)
+	}
+}
+
+// TestRepCacheFillsOnce: concurrent lookups of one IRI ask the source
+// once.
+func TestRepCacheFillsOnce(t *testing.T) {
+	src := &slowCoref{pause: 20 * time.Millisecond}
+	c := NewRepCache(src)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := rep(c, "http://b/1"); got != "http://a/1" {
+				t.Errorf("representative %s", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := src.lookups.Load(); n != 1 {
+		t.Errorf("%d lookups, want 1", n)
 	}
 }

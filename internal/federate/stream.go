@@ -82,7 +82,7 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	subs := formatSubqueries(req)
 	answers := make([]DatasetAnswer, n)
 	sem := make(chan struct{}, e.opts.Concurrency)
-	dst := &sink{batches: make(chan eval.RowBuf, batchDepth), reps: RepCache{coref: e.coref}}
+	dst := &sink{batches: make(chan eval.RowBuf, batchDepth)}
 	reports := make(chan struct{}, n)
 	var m merger
 	// A cancelled fan-out's batches are only drained.

@@ -94,8 +94,9 @@ func (r *Registry) Resolver() func(iri string) (func([]rdf.Term) (rdf.Term, erro
 	return r.resolver
 }
 
-// CorefSource supplies owl:sameAs equivalence classes; both coref.Store
-// and coref.Client satisfy it.
+// CorefSource supplies owl:sameAs equivalence classes; coref.Store,
+// coref.Client and the mediator's cache over either (federate.RepCache)
+// satisfy it. A returned class may be shared: callers must not modify it.
 type CorefSource interface {
 	Equivalents(uri string) []string
 }

@@ -12,6 +12,7 @@ import (
 
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/endpoint"
+	"sparqlrw/internal/eval"
 	"sparqlrw/internal/ntriples"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
@@ -625,13 +626,20 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain boo
 		if err != nil {
 			return
 		}
-		for row, err := range qs.Rows() {
+		// An explicit callback, not a range loop: the loop's body would
+		// escape with its state word, two allocations where this is one.
+		qs.Rows()(func(row eval.Row, err error) bool {
+			// An error, or the client gone: stopping stops the upstream work,
+			// and the failed encoder writes no epilogue.
 			if err != nil || enc.EncodeRow(row) != nil {
-				return // an error, or the client gone: leaving the loop stops the upstream work
+				return false
 			}
 			endpoint.FlushAfter(w, enc.Count())
+			return true
+		})
+		if qs.err == nil {
+			_ = enc.CloseWith("trace", traceTrailer(res, explain))
 		}
-		_ = enc.CloseWith("trace", traceTrailer(res, explain))
 	}
 }
 

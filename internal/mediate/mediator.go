@@ -29,8 +29,11 @@ type Mediator struct {
 	Datasets   *voidkb.KB
 	Alignments *align.KB
 	Funcs      *funcs.Registry
-	Coref      funcs.CorefSource
-	Client     *endpoint.Client
+	// Coref is the mediator's one co-reference cache over the source New
+	// was given: the sameas function, the planner's owner lookup, the
+	// executor and the join engine all read it.
+	Coref  *federate.RepCache
+	Client *endpoint.Client
 	// Exec owns federated execution: concurrent fan-out, retries, the
 	// rewrite-plan cache and the endpoint table (breakers, in-flight
 	// bounds, health, per-endpoint counts).
@@ -74,13 +77,15 @@ type Mediator struct {
 // New builds a mediator over the knowledge bases, configured by the given
 // options (zero options select the defaults: federation, planning and
 // decomposition all enabled with their package defaults). corefSrc may be
-// a local coref.Store or a coref.Client pointing at a remote service.
+// a local coref.Store or a coref.Client pointing at a remote service; New
+// wraps it in the one cache every layer reads (federate.RepCache).
 func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, opts ...Option) *Mediator {
+	reps := federate.NewRepCache(corefSrc)
 	m := &Mediator{
 		Datasets:   datasets,
 		Alignments: alignments,
-		Funcs:      funcs.StandardRegistry(corefSrc),
-		Coref:      corefSrc,
+		Funcs:      funcs.StandardRegistry(reps),
+		Coref:      reps,
 		Client:     endpoint.NewClient(),
 		start:      time.Now(),
 	}

@@ -14,7 +14,6 @@ import (
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
-	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
@@ -574,10 +573,9 @@ func (m *Mediator) describeResult(ctx context.Context, req QueryRequest, q *spar
 	}
 
 	ground, vars := q.DescribeResources()
-	canon := federate.NewRepCache(m.Coref)
 	rows := make([][]rdf.Term, len(ground))
 	for i, r := range ground {
-		rows[i] = []rdf.Term{canon.Term(r)}
+		rows[i] = []rdf.Term{m.Coref.Term(r)}
 	}
 	s := []string{"s"}
 	var left algebra.Op = &algebra.Table{Vars: s, Rows: rows}
@@ -655,11 +653,11 @@ type GraphStream struct {
 	qo       *queryObs
 }
 
-func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSource, limit int, prefixes *rdf.PrefixMap) *GraphStream {
+func newGraphStream(src *QueryStream, template []rdf.Triple, canon *federate.RepCache, limit int, prefixes *rdf.PrefixMap) *GraphStream {
 	return &GraphStream{
 		src:      src,
 		template: template,
-		canon:    federate.NewRepCache(coref),
+		canon:    canon,
 		limit:    limit,
 		prefixes: prefixes,
 	}

@@ -22,6 +22,7 @@ import (
 	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/raceflag"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/serve"
@@ -134,6 +135,13 @@ func exampleFederation(t testing.TB, wrap func(dataset string, h http.Handler) h
 // federationOver is exampleFederation over the universe u.
 func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string, h http.Handler) http.Handler, opts ...Option) *Mediator {
 	t.Helper()
+	return federationWith(t, u, u.Coref, wrap, opts...)
+}
+
+// federationWith is federationOver with src as the mediator's co-reference
+// source in place of u's store.
+func federationWith(t testing.TB, u *workload.Universe, src funcs.CorefSource, wrap func(dataset string, h http.Handler) http.Handler, opts ...Option) *Mediator {
+	t.Helper()
 	metrics := workload.MetricsStore(u)
 	kb := voidkb.NewKB()
 	for _, d := range []struct {
@@ -171,7 +179,7 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 	if err := alignKB.Add(workload.AKT2KISTI()); err != nil {
 		t.Fatal(err)
 	}
-	m := New(kb, alignKB, u.Coref, append([]Option{WithRewriteFilters(true)}, opts...)...)
+	m := New(kb, alignKB, src, append([]Option{WithRewriteFilters(true)}, opts...)...)
 	t.Cleanup(m.Close)
 	return m
 }
@@ -183,8 +191,13 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // that runs as decomposed bound joins. With answers this small the cost is
 // the request's own — parse, plan, rewrite, format, dispatch — so a stage
 // that goes back to re-parsing or re-formatting its query shows up here:
-// the ceilings are the measured figures plus about 7 %: 581 for Figure 1
-// and 1333 for the cross-vocabulary query, since a fan-out runs on its
+// the ceilings are the measured figures plus about 7 %: 568 for Figure 1
+// and 1294 for the cross-vocabulary query, since the mediator's one
+// co-reference cache serves every owl:sameAs lookup warm, with no
+// representative map per fan-out and no class copy per owner lookup, a
+// sub-query's header values are shared slices and the SRJ writer takes
+// its rows through an explicit callback (581 and 1333 while each fan-out
+// filled a cache of its own), since a fan-out runs on its
 // caller's goroutine and its workers canonicalise their own rows (587 and
 // 1352 while the fan-out and its merge ran on goroutines of their own and
 // the in-process transport, which now watches the request's context for
@@ -211,10 +224,11 @@ func federationOver(t testing.TB, u *workload.Universe, wrap func(dataset string
 // The third case prices the plan cache's hit: the Figure-1 query about 300
 // persons in turn, more than the default 256-entry cache holds, so only a
 // cache keyed by the query's shape serves them, each from the one rewrite
-// of its shape. Its ceiling is the measured figure (454, at 19 rows a
-// request; 460 with the fan-out's goroutines, 464 through federate.Stream,
+// of its shape. Its ceiling is the measured figure (449, at 19 rows a
+// request; 454 with a co-reference cache per fan-out, 460 with the
+// fan-out's goroutines, 464 through federate.Stream,
 // 467 with a pull stream of its own, 515 form-encoded) plus 7 %, below the
-// miss case's (581 at 11 rows) and
+// miss case's (568 at 11 rows) and
 // below the 606 it cost before spans were cheap.
 func TestHandlerRequestAllocations(t *testing.T) {
 	if raceflag.Enabled {
@@ -236,9 +250,9 @@ func TestHandlerRequestAllocations(t *testing.T) {
 		persons []int
 		ceiling float64
 	}{
-		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 624},
-		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1429},
-		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 488},
+		{"fig1-coauthors", noCaches, workload.Figure1Query, []int{2}, 610},
+		{"xvocab-join", noCaches, workload.CrossVocabularyQuery, []int{2}, 1387},
+		{"fig1-coauthors, plan cache on", planCache, workload.Figure1Query, rand.New(rand.NewSource(1)).Perm(cfg.Persons), 483},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			h := shape.handler(t)

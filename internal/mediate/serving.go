@@ -185,7 +185,7 @@ func appendTextKey(buf []byte, req QueryRequest) []byte {
 // neither clones nor formats.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 	var buf [1024]byte
-	key := sparql.AppendKey(buf[:0], q, func(t rdf.Term) rdf.Term { return federate.Rep(m.Coref, t) })
+	key := sparql.AppendKey(buf[:0], q, m.Coref.Term)
 	key = strconv.AppendInt(append(key, 0), int64(req.Limit), 10)
 	if req.sources != nil {
 		key = append(key, "\x00sources:"...)

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"sparqlrw/internal/decompose"
-	"sparqlrw/internal/federate"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/view"
@@ -73,7 +72,7 @@ func materialized(qs *QueryStream) (*view.MaterializeResult, error) {
 // Canonical maps a ground IRI to its owl:sameAs representative, as the
 // merge does: the view manager matches and mines shapes with it, and
 // re-keys views when the sameAs closure may have moved.
-func (r viewRunner) Canonical(t rdf.Term) rdf.Term { return federate.Rep(r.m.Coref, t) }
+func (r viewRunner) Canonical(t rdf.Term) rdf.Term { return r.m.Coref.Term(t) }
 
 // answerFromViews hands each fragment of dcm a view answers to it — a
 // ready one, or a stale one once its pending rebuild publishes, waited for

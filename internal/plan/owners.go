@@ -23,7 +23,8 @@ type Owners struct {
 }
 
 // Class returns iri's owl:sameAs class, sorted: iri alone without a
-// co-reference source.
+// co-reference source. The mediator's source is its cache, whose classes
+// are shared: callers must not modify the slice.
 func (o *Owners) Class(iri string) []string {
 	if o.coref == nil {
 		return []string{iri}

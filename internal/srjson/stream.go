@@ -25,6 +25,7 @@ type StreamEncoder struct {
 	row    []rdf.Term // reused by Encode to gather a solution
 	n      int
 	closed bool
+	err    error     // the first failed EncodeRow's: no epilogue follows it
 	first  [512]byte // buf's first backing array, allocated with the encoder
 }
 
@@ -55,10 +56,15 @@ func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
 // EncodeRow writes one positional row — row[i] binds the encoder's i-th
 // variable, the zero Term leaves it unbound — as a binding object,
 // separator included, in a single Write. Unbound variables are omitted
-// per the W3C format.
+// per the W3C format. A row that fails to encode or write fails the
+// encoder: later rows, Close and CloseWith write nothing and return its
+// error, so a truncated document is never closed as if it were whole.
 func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	if e.closed {
 		return fmt.Errorf("srjson: Encode after Close")
+	}
+	if e.err != nil {
+		return e.err
 	}
 	buf := e.buf[:0]
 	if e.n > 0 {
@@ -66,11 +72,14 @@ func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	}
 	buf, err := AppendRow(buf, e.vars, row)
 	if err != nil {
+		e.err = err
 		return err
 	}
 	e.buf = buf
 	e.n++
-	_, err = e.w.Write(buf)
+	if _, err = e.w.Write(buf); err != nil {
+		e.err = err
+	}
 	return err
 }
 
@@ -93,8 +102,8 @@ func (e *StreamEncoder) Count() int { return e.n }
 
 // Close writes the document epilogue. The encoder is unusable afterwards.
 func (e *StreamEncoder) Close() error {
-	if e.closed {
-		return nil
+	if e.closed || e.err != nil {
+		return e.err
 	}
 	e.closed = true
 	_, err := io.WriteString(e.w, "]}}")
@@ -107,8 +116,8 @@ func (e *StreamEncoder) Close() error {
 // members, so the document stays a valid SELECT results document. raw
 // must be valid JSON; nil raw degrades to a plain Close.
 func (e *StreamEncoder) CloseWith(key string, raw []byte) error {
-	if e.closed {
-		return nil
+	if e.closed || e.err != nil {
+		return e.err
 	}
 	if raw == nil {
 		return e.Close()

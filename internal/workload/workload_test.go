@@ -87,12 +87,12 @@ func TestCorefLinksMirroredEntities(t *testing.T) {
 		t.Fatal("no mirrored papers")
 	}
 	j := u.MirroredPapers[0]
-	if !u.Coref.Same(SotonPaper(j).Value, KistiPaper(j).Value) {
+	if u.Coref.Canonical(SotonPaper(j).Value) != u.Coref.Canonical(KistiPaper(j).Value) {
 		t.Fatal("mirrored paper not co-referenced")
 	}
 	// Authors of mirrored papers are co-referenced.
 	a := u.Authors["s"+itoa(j)][0]
-	if !u.Coref.Same(SotonPerson(a).Value, KistiPerson(a).Value) {
+	if u.Coref.Canonical(SotonPerson(a).Value) != u.Coref.Canonical(KistiPerson(a).Value) {
 		t.Fatal("author of mirrored paper not co-referenced")
 	}
 }
