@@ -81,7 +81,7 @@ bench-exit:
 # the direct rewrite, each starting from the corpus under its
 # package's testdata/fuzz. go test fuzzes one target of one package per
 # invocation, so a target is listed as package:name.
-FUZZ_TARGETS = ./internal/srjson:FuzzStreamDecoder ./internal/srjson:FuzzAppendBinding \
+FUZZ_TARGETS = ./internal/srjson:FuzzStreamDecoder ./internal/srjson:FuzzAppendRow \
 	./internal/lex:FuzzLexer ./internal/sparql:FuzzParseFormat ./internal/obs:FuzzParseTraceparent \
 	./internal/turtle:FuzzParseTurtle ./internal/ntriples:FuzzParseNTriples \
 	./internal/core:FuzzTemplateBind

@@ -182,21 +182,6 @@ func TestFirstMatchAndAllMatches(t *testing.T) {
 	}
 }
 
-func TestApplyBinding(t *testing.T) {
-	b := Binding{"p1": rdf.NewVar("paper"), "a1": rdf.NewIRI("http://person")}
-	tr := ApplyBindingTriple(rdf.Triple{
-		S: rdf.NewVar("p1"), P: rdf.NewIRI("http://pred"), O: rdf.NewVar("a1"),
-	}, b)
-	if tr.S != rdf.NewVar("paper") || tr.O != rdf.NewIRI("http://person") {
-		t.Fatalf("applied = %v", tr)
-	}
-	// unbound variable stays
-	tr2 := ApplyBindingTriple(rdf.Triple{S: rdf.NewVar("free"), P: rdf.NewIRI("http://p"), O: rdf.NewLiteral("x")}, b)
-	if tr2.S != rdf.NewVar("free") {
-		t.Fatalf("unbound changed: %v", tr2)
-	}
-}
-
 func TestBindingString(t *testing.T) {
 	b := Binding{"b": rdf.NewIRI("http://x"), "a": rdf.NewVar("v")}
 	s := b.String()

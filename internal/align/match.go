@@ -110,24 +110,3 @@ type MatchResult struct {
 	Alignment *EntityAlignment
 	Binding   Binding
 }
-
-// ApplyBinding instantiates a pattern term under a binding: variables and
-// blanks take their bound value (or stay untouched when unbound), ground
-// terms pass through — the paper's substitution application.
-func ApplyBinding(t rdf.Term, binding Binding) rdf.Term {
-	if t.IsVar() || t.IsBlank() {
-		if v, ok := binding[t.Value]; ok {
-			return v
-		}
-	}
-	return t
-}
-
-// ApplyBindingTriple instantiates all three positions of a pattern.
-func ApplyBindingTriple(t rdf.Triple, binding Binding) rdf.Triple {
-	return rdf.Triple{
-		S: ApplyBinding(t.S, binding),
-		P: ApplyBinding(t.P, binding),
-		O: ApplyBinding(t.O, binding),
-	}
-}

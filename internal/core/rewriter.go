@@ -63,19 +63,10 @@ type Options struct {
 	// RewriteFilters enables the §4 extension: FILTER constants are
 	// translated into the target URI space via sameas.
 	RewriteFilters bool
-	// RewriteTemplate applies Algorithm 1 to a CONSTRUCT query's template
-	// as well, so the constructed triples come out in the target
-	// vocabulary. Off by default: the mediator's integration story keeps
-	// the template in the source vocabulary (the user's requested output
-	// shape) while only the WHERE clause is translated for each endpoint.
-	RewriteTemplate bool
 	// TargetURISpace is the regex of the target data set's URI space
 	// (voiD uriSpace); required by RewriteFilters, used by the Figure-6
 	// warning detector, and where a copied triple's instances go.
 	TargetURISpace string
-	// FreshPrefix names generated variables (default "new", yielding
-	// ?new1, ?new2, ... like the paper's ?_33/?_38 fresh variables).
-	FreshPrefix string
 }
 
 // Rewriter rewrites queries using a fixed set of entity alignments.
@@ -123,15 +114,16 @@ func (r *Report) warnf(format string, args ...any) {
 type rewriteState struct {
 	used    map[string]bool
 	counter int
-	prefix  string
 	report  *Report
 	tmpl    *Template
 }
 
+// fresh returns an unused generated variable: ?new1, ?new2, ... like the
+// paper's ?_33/?_38 fresh variables.
 func (s *rewriteState) fresh() rdf.Term {
 	for {
 		s.counter++
-		name := s.prefix + strconv.Itoa(s.counter)
+		name := "new" + strconv.Itoa(s.counter)
 		if !s.used[name] {
 			s.used[name] = true
 			s.report.FreshVars = append(s.report.FreshVars, name)
@@ -143,10 +135,10 @@ func (s *rewriteState) fresh() rdf.Term {
 // RewriteQuery rewrites a whole query: every basic graph pattern in the
 // WHERE clause is rewritten per Algorithm 1; FILTER sections are left
 // untouched in paper mode (with a Figure-6 warning when they constrain
-// source-URI-space constants) or translated in extended mode. CONSTRUCT
-// templates are preserved by default (see Options.RewriteTemplate) and
-// DESCRIBE resource IRIs are translated through sameas when a target URI
-// space is configured. The input query is not modified.
+// source-URI-space constants) or translated in extended mode. A CONSTRUCT
+// template, the requested output shape, stays in the query's own
+// vocabulary, and DESCRIBE resource IRIs are translated through sameas
+// when a target URI space is configured. The input query is not modified.
 func (rw *Rewriter) RewriteQuery(q *sparql.Query) (*sparql.Query, *Report, error) {
 	return rw.rewriteQuery(q, nil)
 }
@@ -156,10 +148,7 @@ func (rw *Rewriter) RewriteQuery(q *sparql.Query) (*sparql.Query, *Report, error
 func (rw *Rewriter) rewriteQuery(q *sparql.Query, tmpl *Template) (*sparql.Query, *Report, error) {
 	report := &Report{}
 	out := q.Clone()
-	st := &rewriteState{used: map[string]bool{}, prefix: rw.Opts.FreshPrefix, report: report, tmpl: tmpl}
-	if st.prefix == "" {
-		st.prefix = "new"
-	}
+	st := &rewriteState{used: map[string]bool{}, report: report, tmpl: tmpl}
 	// Seed the fresh-variable generator with every name in use — including
 	// template variables, which the WHERE rewriting must never capture.
 	for _, b := range out.BGPs() {
@@ -188,13 +177,6 @@ func (rw *Rewriter) rewriteQuery(q *sparql.Query, tmpl *Template) (*sparql.Query
 	}
 	if err := rw.rewriteGroup(out.Where, st); err != nil {
 		return nil, report, err
-	}
-	if rw.Opts.RewriteTemplate && len(out.Template) > 0 {
-		tmpl, err := rw.rewriteBGP(out.Template, st)
-		if err != nil {
-			return nil, report, err
-		}
-		out.Template = tmpl
 	}
 	// DESCRIBE resources are instance URIs: translate them into the target
 	// URI space like FILTER constants, so a description request formulated

@@ -339,6 +339,70 @@ SELECT ?p ?a WHERE {
 	}
 }
 
+// TestRewriteOptionalFilterAndUnionBranch: a FILTER inside an OPTIONAL
+// stays there, and an alignment fires in a UNION branch as in the top
+// group.
+func TestRewriteOptionalFilterAndUnionBranch(t *testing.T) {
+	rw := paperRewriter()
+	q := sparql.MustParse(`
+PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT * WHERE {
+  ?p akt:has-author ?a
+  OPTIONAL { ?p akt:has-title ?t FILTER (?t != "x") }
+  { ?p akt:has-date ?d } UNION { ?p akt:has-author ?b }
+}`)
+	out, report, err := rw.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var optFilters, unions int
+	sparql.Walk(out.Where, func(el sparql.GroupElement) {
+		switch e := el.(type) {
+		case *sparql.Optional:
+			for _, inner := range e.Group.Elements {
+				if _, ok := inner.(*sparql.Filter); ok {
+					optFilters++
+				}
+			}
+		case *sparql.Union:
+			unions++
+			if len(e.Alternatives) != 2 {
+				t.Errorf("union has %d branches, want 2", len(e.Alternatives))
+			}
+		}
+	})
+	if optFilters != 1 || unions != 1 {
+		t.Fatalf("structure lost: %d filters in the optional, %d unions\n%s", optFilters, unions, sparql.Format(out))
+	}
+	// has-author fired in the top BGP and in the union branch.
+	if report.MatchedTriples != 2 {
+		t.Fatalf("matched = %d", report.MatchedTriples)
+	}
+}
+
+// TestRewritePreservesModifiers: projection, DISTINCT, ORDER BY, LIMIT
+// and OFFSET come through the rewrite; only the pattern changes.
+func TestRewritePreservesModifiers(t *testing.T) {
+	rw := paperRewriter()
+	q := sparql.MustParse(`
+PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT DISTINCT ?a WHERE { ?p akt:has-author ?a } ORDER BY ?a LIMIT 3 OFFSET 1`)
+	out, _, err := rw.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := sparql.Format(out)
+	for _, want := range []string{"SELECT DISTINCT ?a", "ORDER BY ?a", "LIMIT 3", "OFFSET 1"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("rewritten query lacks %q:\n%s", want, text)
+		}
+	}
+	// The BGP inside was rewritten to the KISTI chain.
+	if bgps := out.BGPs(); len(bgps) != 1 || len(bgps[0].Patterns) != 2 {
+		t.Fatalf("BGPs = %v", bgps)
+	}
+}
+
 // TestE8_Figure6 reproduces the paper's §4 limitation and our extension:
 // in paper mode the FILTER constant stays in the source URI space (query
 // silently loses results); with RewriteFilters the constant is translated.

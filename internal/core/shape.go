@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"sparqlrw/internal/align"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
@@ -42,11 +40,10 @@ type deferredOp struct {
 // It returns a template that cannot bind (Query nil) when matching the
 // shape could differ from matching a query of that shape: a selected
 // alignment's LHS compares a lifted position with an IRI or with another
-// position that is not lifted, or fresh variables could be named like
-// slots.
+// position that is not lifted.
 func (rw *Rewriter) RewriteShape(shape *sparql.Query, lifted int) (*Template, error) {
 	t := &Template{lifted: lifted, rw: rw}
-	if lifted > 0 && (strings.HasPrefix(rw.Opts.FreshPrefix, "$") || !liftSafe(rw.Alignments)) {
+	if lifted > 0 && !liftSafe(rw.Alignments) {
 		return t, nil
 	}
 	out, _, err := rw.rewriteQuery(shape, t)

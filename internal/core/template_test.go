@@ -33,28 +33,12 @@ CONSTRUCT { ?p s:author ?a } WHERE { ?p s:author ?a }`)
 		t.Fatal(err)
 	}
 	if out.Template[0].P.Value != srcNS+"author" {
-		t.Fatalf("template rewritten without opt-in: %v", out.Template)
+		t.Fatalf("template rewritten: %v", out.Template)
 	}
 	text := sparql.Format(out)
 	if !strings.Contains(text, "WHERE") || !strings.Contains(text, tgtNS+"creator") &&
 		!strings.Contains(text, "creator") {
 		t.Fatalf("WHERE not rewritten:\n%s", text)
-	}
-}
-
-// TestConstructTemplateRewriteOptIn: with RewriteTemplate the template
-// triples go through Algorithm 1 too.
-func TestConstructTemplateRewriteOptIn(t *testing.T) {
-	rw := templateRewriter()
-	rw.Opts.RewriteTemplate = true
-	q := sparql.MustParse(`PREFIX s:<` + srcNS + `>
-CONSTRUCT { ?p s:author ?a } WHERE { ?p s:author ?a }`)
-	out, _, err := rw.RewriteQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Template[0].P.Value != tgtNS+"creator" {
-		t.Fatalf("template not rewritten: %v", out.Template)
 	}
 }
 
@@ -73,7 +57,6 @@ func TestTemplateVariablesSeedFreshGenerator(t *testing.T) {
 		},
 	}
 	rw := New([]*align.EntityAlignment{ea}, funcs.StandardRegistry(nil))
-	rw.Opts.FreshPrefix = "new"
 	// The template already uses ?new1: the generator must skip it.
 	q := sparql.MustParse(`PREFIX s:<` + srcNS + `>
 CONSTRUCT { ?p s:related ?new1 . ?p s:author ?a } WHERE { ?p s:author ?a }`)

@@ -54,6 +54,35 @@ func TestUnionMatchesProducesUnion(t *testing.T) {
 	}
 }
 
+// TestUnionMatchesInsideGroups: a multiply matched triple becomes a UNION
+// wherever it stands, in a UNION branch or an OPTIONAL too, and the input
+// query keeps its own elements.
+func TestUnionMatchesInsideGroups(t *testing.T) {
+	rw := New(unionEAs(), nil)
+	rw.Opts.MatchMode = UnionMatches
+	q := sparql.MustParse(`SELECT ?x WHERE {
+  { ?x a <http://w1/Wine> } UNION { ?x <http://w1/name> ?n }
+  OPTIONAL { ?y a <http://w1/Wine> }
+}`)
+	before := sparql.Format(q)
+	out, report, err := rw.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unions := 0
+	sparql.Walk(out.Where, func(el sparql.GroupElement) {
+		if _, ok := el.(*sparql.Union); ok {
+			unions++
+		}
+	})
+	if unions != 3 || report.MatchedTriples != 2 {
+		t.Fatalf("unions = %d, matched = %d, want 3 and 2:\n%s", unions, report.MatchedTriples, sparql.Format(out))
+	}
+	if sparql.Format(q) != before {
+		t.Fatal("RewriteQuery mutated its input")
+	}
+}
+
 // TestUnionMatchesSemantics: data rendered under either target concept is
 // found by the union-rewritten query — the completeness that first-match
 // rewriting loses.

@@ -43,14 +43,25 @@ func refJoin(l, r []Solution, keep func(Solution) bool) (out []Solution, matched
 	matched = make([]bool, len(l))
 	for i, ls := range l {
 		for _, rs := range r {
-			if ls.Compatible(rs) {
-				if m := ls.Merge(rs); keep == nil || keep(m) {
-					out, matched[i] = append(out, m), true
-				}
+			if m, ok := refMerge(ls, rs); ok && (keep == nil || keep(m)) {
+				out, matched[i] = append(out, m), true
 			}
 		}
 	}
 	return out, matched
+}
+
+// refMerge is the union of two solutions, ok when they agree on every
+// shared variable (the SPARQL join compatibility condition).
+func refMerge(l, r Solution) (Solution, bool) {
+	out := l.Clone()
+	for k, v := range r {
+		if lv, ok := l[k]; ok && lv != v {
+			return nil, false
+		}
+		out[k] = v
+	}
+	return out, true
 }
 
 func refEval(st *store.Store, op algebra.Op) []Solution {

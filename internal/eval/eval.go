@@ -219,13 +219,7 @@ func instantiate(tpl rdf.Triple, b Bindings, bnodeSuffix string) (rdf.Triple, bo
 // "_:" keys; used by the forward-chaining materialiser, which treats
 // alignment RHS conjunctions as rule bodies.
 func (e *Engine) EvalBGP(patterns []rdf.Triple) ([]Solution, error) {
-	return e.EvalAlgebra(&algebra.BGP{Patterns: patterns})
-}
-
-// EvalAlgebra evaluates an arbitrary algebra tree, for callers (such as
-// the algebra-level rewriter) that operate below the Query layer.
-func (e *Engine) EvalAlgebra(op algebra.Op) ([]Solution, error) {
-	p, err := e.compile(op)
+	p, err := e.compile(&algebra.BGP{Patterns: patterns})
 	if err != nil {
 		return nil, err
 	}

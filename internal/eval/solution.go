@@ -70,26 +70,6 @@ func (s Solution) Project(vars []string) Solution {
 	return out
 }
 
-// Compatible reports whether two solutions agree on every shared variable
-// (the SPARQL join compatibility condition).
-func (s Solution) Compatible(o Solution) bool {
-	for k, v := range s {
-		if ov, ok := o[k]; ok && ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns the union of two compatible solutions.
-func (s Solution) Merge(o Solution) Solution {
-	out := s.Clone()
-	for k, v := range o {
-		out[k] = v
-	}
-	return out
-}
-
 // Key returns a canonical string form of the solution, used for DISTINCT
 // and for hash-join buckets. Variables are emitted in sorted order.
 func (s Solution) Key() string {

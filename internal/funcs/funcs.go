@@ -10,7 +10,6 @@ package funcs
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,18 +72,6 @@ func (r *Registry) Call(iri string, args []rdf.Term) (rdf.Term, error) {
 		return rdf.Term{}, fmt.Errorf("funcs: unknown function <%s>", iri)
 	}
 	return f.Call(args)
-}
-
-// IRIs returns the registered function IRIs, sorted.
-func (r *Registry) IRIs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.funcs))
-	for iri := range r.funcs {
-		out = append(out, iri)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Resolver adapts the registry to the evaluator's FuncResolver signature:

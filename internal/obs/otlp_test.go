@@ -165,7 +165,7 @@ func TestOTLPExporterSampling(t *testing.T) {
 	// An unsampled remote parent suppresses export entirely.
 	e := NewOTLPExporter(OTLPOptions{Endpoint: srv.URL, BatchSize: 1})
 	_, unsampled := NewTrace(WithRemoteParent(context.Background(), TraceContext{
-		TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: false,
+		TraceID: NewTraceID(), SpanID: hexUint64(newSpanID()), Sampled: false,
 	}), "query")
 	unsampled.Finish()
 	if e.Enqueue(unsampled) {
@@ -175,7 +175,7 @@ func TestOTLPExporterSampling(t *testing.T) {
 	// A sampled remote parent bypasses the local ratio: the edge decided.
 	e2 := NewOTLPExporter(OTLPOptions{Endpoint: srv.URL, SampleRatio: 0.000001, BatchSize: 1})
 	_, remote := NewTrace(WithRemoteParent(context.Background(), TraceContext{
-		TraceID: "ffffffffffffffffffffffffffffffff", SpanID: NewSpanID(), Sampled: true,
+		TraceID: "ffffffffffffffffffffffffffffffff", SpanID: hexUint64(newSpanID()), Sampled: true,
 	}), "query")
 	remote.Finish()
 	if !e2.Enqueue(remote) {

@@ -135,10 +135,8 @@ func NewTraceID() string {
 	}
 }
 
-// NewSpanID returns a fresh W3C Trace Context span id: 16 lowercase hex
-// characters, never all-zero.
-func NewSpanID() string { return hexUint64(newSpanID()) }
-
+// newSpanID returns a fresh W3C Trace Context span id, never zero; it
+// renders as 16 lowercase hex characters.
 func newSpanID() uint64 {
 	for {
 		if v := rand.Uint64(); v != 0 {
@@ -227,10 +225,6 @@ func (t *Trace) ParentSpanID() string { return t.parent }
 // Local surfaces (trace ring, flight recorder) record regardless; only
 // the OTLP exporter honours it.
 func (t *Trace) Sampled() bool { return t.sampled }
-
-// Tracestate returns the inbound tracestate header value, propagated
-// verbatim to sub-queries, or "".
-func (t *Trace) Tracestate() string { return t.state }
 
 // Start returns when the trace began.
 func (t *Trace) Start() time.Time { return t.start }

@@ -64,21 +64,6 @@ func hexNibble(c byte) byte {
 	return c - '0'
 }
 
-// Traceparent formats the context as a version-00 traceparent header
-// value. A missing SpanID is replaced with a fresh one so the result is
-// always well-formed.
-func (tc TraceContext) Traceparent() string {
-	span := tc.SpanID
-	if span == "" {
-		span = NewSpanID()
-	}
-	flags := "00"
-	if tc.Sampled {
-		flags = "01"
-	}
-	return "00-" + tc.TraceID + "-" + span + "-" + flags
-}
-
 func isLowerHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]

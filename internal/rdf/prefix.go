@@ -43,9 +43,6 @@ func (pm *PrefixMap) Bind(prefix, ns string) {
 // SetBase sets the base IRI used to resolve relative IRI references.
 func (pm *PrefixMap) SetBase(base string) { pm.base = base }
 
-// Base returns the base IRI ("" when unset).
-func (pm *PrefixMap) Base() string { return pm.base }
-
 // Namespace returns the namespace bound to prefix.
 func (pm *PrefixMap) Namespace(prefix string) (string, bool) {
 	ns, ok := pm.toNS[prefix]

@@ -3,8 +3,8 @@
 // source-vocabulary view of a target data set by forward-chaining the
 // entity alignments as Horn rules — the paper notes an entity alignment
 // "can be interpreted as a definite Horn clause ... the LHS formula is the
-// head, the RHS is the body" — plus owl:sameAs URI smushing and optional
-// RDFS subclass closure. The cost and footprint of this materialisation,
+// head, the RHS is the body" — with owl:sameAs resolution of the head's
+// URIs. The cost and footprint of this materialisation,
 // against the microseconds of a rewrite, is experiment E7.
 package reason
 
@@ -27,13 +27,11 @@ type Options struct {
 	// unrewritten source query can find them. Empty disables URI
 	// translation (derived triples keep target URIs).
 	SourceURISpace string
-	// MaxIterations caps the fixpoint loop (alignment chains are shallow;
-	// the cap only guards against pathological rule sets).
-	MaxIterations int
-	// RDFSClosure additionally materialises rdfs:subClassOf inference
-	// over rdf:type triples (an ablation).
-	RDFSClosure bool
 }
+
+// maxIterations caps the fixpoint loop (alignment chains are shallow; the
+// cap only guards against pathological rule sets).
+const maxIterations = 8
 
 // Result reports what one materialisation did.
 type Result struct {
@@ -54,11 +52,8 @@ type Materialiser struct {
 	Opts       Options
 }
 
-// New returns a materialiser with default options.
+// New returns a materialiser.
 func New(alignments []*align.EntityAlignment, corefStore *coref.Store, opts Options) *Materialiser {
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 8
-	}
 	return &Materialiser{Alignments: alignments, Coref: corefStore, Opts: opts}
 }
 
@@ -84,7 +79,7 @@ func (m *Materialiser) Materialise(data *store.Store, out *store.Store) (*Result
 		sourceRe = re
 	}
 	engine := eval.New(data)
-	for iter := 0; iter < m.Opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		added := 0
 		for _, ea := range m.Alignments {
@@ -112,9 +107,6 @@ func (m *Materialiser) Materialise(data *store.Store, out *store.Store) (*Result
 		if data != out {
 			break // nothing new can fire: rules read `data` only
 		}
-	}
-	if m.Opts.RDFSClosure {
-		res.Derived += subClassClosure(out)
 	}
 	res.Duration = time.Since(start)
 	return res, nil
@@ -169,65 +161,4 @@ func (m *Materialiser) instantiateHead(ea *align.EntityAlignment, sol eval.Solut
 		return rdf.Triple{}, false
 	}
 	return rdf.Triple{S: s, P: p, O: o}, true
-}
-
-// MaterialiseSameAs adds, for every triple whose subject or object has
-// co-reference equivalents in the given URI space, the smushed variant.
-// This is the "reasoning step over huge amounts of data" the paper warns
-// about: output size grows with the equivalence classes.
-func MaterialiseSameAs(st *store.Store, corefStore *coref.Store, uriSpace string) (int, error) {
-	re, err := regexp.Compile(uriSpace)
-	if err != nil {
-		return 0, fmt.Errorf("reason: bad URI space: %w", err)
-	}
-	added := 0
-	for _, t := range st.MatchAll(rdf.Triple{}) {
-		variants := []rdf.Triple{t}
-		if t.S.IsIRI() {
-			if alt, ok := corefStore.FirstMatching(t.S.Value, re); ok && alt != t.S.Value {
-				variants = append(variants, rdf.Triple{S: rdf.NewIRI(alt), P: t.P, O: t.O})
-			}
-		}
-		if t.O.IsIRI() {
-			if alt, ok := corefStore.FirstMatching(t.O.Value, re); ok && alt != t.O.Value {
-				n := len(variants)
-				for i := 0; i < n; i++ {
-					v := variants[i]
-					variants = append(variants, rdf.Triple{S: v.S, P: v.P, O: rdf.NewIRI(alt)})
-				}
-			}
-		}
-		for _, v := range variants[1:] {
-			if st.Add(v) {
-				added++
-			}
-		}
-	}
-	return added, nil
-}
-
-// subClassClosure materialises rdf:type triples up rdfs:subClassOf chains.
-func subClassClosure(st *store.Store) int {
-	// Collect the subclass graph.
-	sub := map[rdf.Term][]rdf.Term{}
-	for _, t := range st.MatchAll(rdf.Triple{P: rdf.NewIRI(rdf.RDFSSubClassOf)}) {
-		sub[t.S] = append(sub[t.S], t.O)
-	}
-	added := 0
-	typ := rdf.NewIRI(rdf.RDFType)
-	// Iterate to fixpoint (subclass chains are short).
-	for {
-		n := 0
-		for _, t := range st.MatchAll(rdf.Triple{P: typ}) {
-			for _, super := range sub[t.O] {
-				if st.Add(rdf.Triple{S: t.S, P: typ, O: super}) {
-					n++
-				}
-			}
-		}
-		added += n
-		if n == 0 {
-			return added
-		}
-	}
 }

@@ -106,43 +106,6 @@ func TestFixpointChaining(t *testing.T) {
 	}
 }
 
-func TestSubClassClosure(t *testing.T) {
-	st := store.New()
-	typ := rdf.NewIRI(rdf.RDFType)
-	st.Add(rdf.NewTriple(rdf.NewIRI("http://c/Student"), rdf.NewIRI(rdf.RDFSSubClassOf), rdf.NewIRI("http://c/Person")))
-	st.Add(rdf.NewTriple(rdf.NewIRI("http://c/Person"), rdf.NewIRI(rdf.RDFSSubClassOf), rdf.NewIRI("http://c/Agent")))
-	st.Add(rdf.NewTriple(rdf.NewIRI("http://x/alice"), typ, rdf.NewIRI("http://c/Student")))
-	added := subClassClosure(st)
-	if added != 2 {
-		t.Fatalf("closure added %d, want 2", added)
-	}
-	if !st.Has(rdf.NewTriple(rdf.NewIRI("http://x/alice"), typ, rdf.NewIRI("http://c/Agent"))) {
-		t.Fatal("transitive type missing")
-	}
-}
-
-func TestMaterialiseSameAs(t *testing.T) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons, cfg.Papers = 10, 20
-	u := workload.Generate(cfg)
-	st := store.New()
-	st.AddGraph(u.KISTI.Triples())
-	before := st.Size()
-	added, err := MaterialiseSameAs(st, u.Coref, workload.SotonURIPattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added == 0 {
-		t.Fatal("sameAs materialisation added nothing")
-	}
-	if st.Size() != before+added {
-		t.Fatalf("size bookkeeping wrong: %d + %d != %d", before, added, st.Size())
-	}
-	if _, err := MaterialiseSameAs(st, u.Coref, "(bad"); err == nil {
-		t.Fatal("bad pattern must error")
-	}
-}
-
 func TestBadSourcePatternErrors(t *testing.T) {
 	m := New(nil, nil, Options{SourceURISpace: "(unclosed"})
 	if _, err := m.Materialise(store.New(), store.New()); err == nil {

@@ -13,26 +13,29 @@ import (
 	"testing"
 )
 
-// internalFiles parses every non-test Go file under internal/, keyed by
-// its slash-separated path relative to internal/.
+// sourceFiles parses every non-test Go file of the module, keyed by its
+// slash-separated path relative to the module root, in one file set.
+func sourceFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	fset, files := moduleFiles(t)
+	for rel := range files {
+		if strings.HasSuffix(rel, "_test.go") {
+			delete(files, rel)
+		}
+	}
+	return fset, files
+}
+
+// internalFiles is sourceFiles under internal/, keyed by the path
+// relative to internal/.
 func internalFiles(t *testing.T) map[string]*ast.File {
 	t.Helper()
-	const internalDir = ".." // this package's parent
+	_, all := sourceFiles(t)
 	files := map[string]*ast.File{}
-	err := filepath.WalkDir(internalDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
+	for rel, file := range all {
+		if rest, ok := strings.CutPrefix(rel, "internal/"); ok {
+			files[rest] = file
 		}
-		file, err := goparser.ParseFile(token.NewFileSet(), path, nil, goparser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(internalDir, path)
-		files[filepath.ToSlash(rel)] = file
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return files
 }
@@ -485,4 +488,124 @@ func TestOneRoute(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// interfaceMethods are the names of standard-library interface methods
+// (fmt.Stringer, error, json and text marshalling, io, http, sort, …):
+// a method so named is called through the interface, by name nowhere.
+var interfaceMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Read": true, "Write": true, "Close": true, "WriteString": true, "WriteTo": true, "ReadFrom": true,
+	"ServeHTTP": true, "RoundTrip": true, "Header": true, "WriteHeader": true, "Flush": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// testOnlyKept are the exported calls that no non-test file reaches and
+// that stay all the same, each for its reason. An entry that a non-test
+// file does reach, or that names no declaration, fails the test.
+var testOnlyKept = map[string]bool{
+	// The reference integration of mediate's oracle tests: data translated
+	// by CONSTRUCT queries compiled from the alignments (ConstructQueries,
+	// reached through it), then queried.
+	"core.TranslateData": true,
+	// Materialised integration, the oracle tests' other reference.
+	"reason.Materialiser.Materialise": true,
+	// The per-pattern relevance rule that plan's tests check selection
+	// against.
+	"plan.Planner.PatternSources": true,
+	// A level-0 class alignment, built by the tests of several packages.
+	"align.ClassAlignment": true,
+	// The root benchmark's synthetic alignment sets and queries.
+	"workload.SyntheticAlignments": true, "workload.SyntheticBGPQuery": true,
+	// The local:// transport, the tests' in-process endpoints.
+	"endpoint.RegisterLocal": true, "endpoint.UnregisterLocal": true, "endpoint.LocalURL": true,
+}
+
+// TestNoTestOnlyExports keeps the program to what it runs: every
+// exported function and method declared under internal/ is named by a
+// non-test file of the module other than in its own declaration (cmd/,
+// examples/, bench/ and the root facade count), save the calls of
+// testOnlyKept and the standard interfaces' methods. References match by
+// name, so a name shared with a live call lets a dead one through but
+// never fails a live one.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset, files := sourceFiles(t)
+	refs := map[string][]token.Pos{}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// The declared name is no reference; walk the rest.
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, func(n ast.Node) bool { return record(refs, n) })
+				}
+				ast.Inspect(n.Type, func(n ast.Node) bool { return record(refs, n) })
+				if n.Body != nil {
+					ast.Inspect(n.Body, func(n ast.Node) bool { return record(refs, n) })
+				}
+				return false
+			}
+			return record(refs, n)
+		})
+	}
+	var dead []string
+	kept := map[string]bool{}
+	for rel, file := range files {
+		pkg, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(rel)), "internal/")
+		if !ok {
+			continue
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || (fn.Recv != nil && interfaceMethods[fn.Name.Name]) {
+				continue
+			}
+			name := pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				name = pkg + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			live := false
+			for _, pos := range refs[fn.Name.Name] {
+				live = live || pos < fn.Pos() || pos >= fn.End()
+			}
+			if testOnlyKept[name] {
+				kept[name] = !live
+			} else if !live {
+				dead = append(dead, fset.Position(fn.Pos()).String()+": "+name)
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is reached by tests only: delete it, or give it a caller", d)
+	}
+	for name := range testOnlyKept {
+		if !kept[name] {
+			t.Errorf("testOnlyKept holds %s, which a non-test file reaches or nothing declares", name)
+		}
+	}
+}
+
+// record notes an identifier's position under its name.
+func record(refs map[string][]token.Pos, n ast.Node) bool {
+	if id, ok := n.(*ast.Ident); ok {
+		refs[id.Name] = append(refs[id.Name], id.Pos())
+	}
+	return true
+}
+
+// recvType is the name of a method's receiver type.
+func recvType(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return "?"
 }

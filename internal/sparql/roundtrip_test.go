@@ -196,7 +196,17 @@ SELECT DISTINCT ?a WHERE {
 func FuzzParseFormat(f *testing.F) {
 	for _, src := range []string{
 		figure1, figure3, figure6,
-		workload.Figure1Query(7), workload.ChainQuery(4), workload.TitleQuery(2), workload.CrossVocabularyQuery(3),
+		workload.Figure1Query(7), workload.CrossVocabularyQuery(3),
+		// A chain of authorship hops, and a title lookup.
+		`PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT * WHERE {
+  ?p0 akt:has-author ?a0 .
+  ?p1 akt:has-author ?a0 .
+  ?p1 akt:has-author ?a1 .
+  ?p2 akt:has-author ?a1 .
+}`,
+		`PREFIX akt:<http://www.aktors.org/ontology/portal#>
+SELECT ?t WHERE { <http://southampton.rkbexplorer.com/id/paper-00002> akt:has-title ?t }`,
 		// A VALUES-sharded sub-query, with an UNDEF cell.
 		`PREFIX akt:<http://www.aktors.org/ontology/portal#>
 SELECT ?a WHERE { VALUES (?p ?n) { (<http://e/p1> "x") (<http://e/p2> UNDEF) } ?p akt:has-author ?a }`,

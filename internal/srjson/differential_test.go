@@ -11,7 +11,6 @@ import (
 	"testing"
 	"testing/iotest"
 
-	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
 )
 
@@ -283,7 +282,10 @@ func FuzzStreamDecoder(f *testing.F) {
 // replaced by U+FFFD.
 func validUTF8(s string) string { return string([]rune(s)) }
 
-func FuzzAppendBinding(f *testing.F) {
+// FuzzAppendRow holds the one binding encoder, the NDJSON writer's, to
+// valid JSON, to the bytes StreamEncoder.EncodeRow writes and to a read
+// back that gives the term again.
+func FuzzAppendRow(f *testing.F) {
 	f.Add("x", uint8(0), "http://example.org/a", "")
 	f.Add("name", uint8(1), "b0", "")
 	f.Add("n", uint8(2), "plain \"quoted\" \\ text\n", "")
@@ -306,7 +308,7 @@ func FuzzAppendBinding(f *testing.F) {
 		case 4:
 			term = rdf.NewTypedLiteral(value, extra)
 		}
-		row, err := AppendBinding([]byte("prefix"), []string{"unbound", name}, eval.Solution{name: term})
+		row, err := AppendRow([]byte("prefix"), []string{"unbound", name}, []rdf.Term{{}, term})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +316,7 @@ func FuzzAppendBinding(f *testing.F) {
 		if !json.Valid(row) {
 			t.Fatalf("invalid JSON: %q", row)
 		}
-		// The positional form must give the very same bytes.
+		// The stream encoder must give the very same bytes.
 		var streamed bytes.Buffer
 		enc, err := NewStreamEncoder(&streamed, []string{"unbound", name})
 		if err != nil {
@@ -322,7 +324,7 @@ func FuzzAppendBinding(f *testing.F) {
 		}
 		head := streamed.Len()
 		if err := enc.EncodeRow([]rdf.Term{{}, term}); err != nil || !bytes.Equal(streamed.Bytes()[head:], row) {
-			t.Fatalf("EncodeRow wrote %q (%v), AppendBinding %q", streamed.Bytes()[head:], err, row)
+			t.Fatalf("EncodeRow wrote %q (%v), AppendRow %q", streamed.Bytes()[head:], err, row)
 		}
 		// What must read back: the term with its strings made valid
 		// UTF-8, a language tag lower-cased, and xsd:string — which the

@@ -15,7 +15,7 @@ import (
 // lets an HTTP handler flush the first solution to the client before the
 // last one exists. Bindings are rendered by AppendRow, the package's one
 // binding-encoding routine, from a positional row; the map-taking Encode
-// and AppendBinding only gather their solution into such a row first. The
+// only gathers its solution into such a row first. The
 // encoder keeps nothing of a row past the call, so the evaluator's reused
 // rows can be handed to it directly.
 type StreamEncoder struct {
@@ -83,18 +83,13 @@ func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	return err
 }
 
-// Encode is EncodeRow for a solution map.
+// Encode is EncodeRow for a solution map, gathered into a reused row.
 func (e *StreamEncoder) Encode(sol eval.Solution) error {
-	e.row = gather(e.row[:0], e.vars, sol)
-	return e.EncodeRow(e.row)
-}
-
-// gather appends sol's bindings of vars, in order, to row.
-func gather(row []rdf.Term, vars []string, sol eval.Solution) []rdf.Term {
-	for _, v := range vars {
-		row = append(row, sol[v])
+	e.row = e.row[:0]
+	for _, v := range e.vars {
+		e.row = append(e.row, sol[v])
 	}
-	return row
+	return e.EncodeRow(e.row)
 }
 
 // Count reports how many bindings have been encoded so far.
@@ -154,17 +149,11 @@ func EncodeSelectStream(w io.Writer, vars []string, seq eval.SolutionSeq, flush 
 	return enc.Close()
 }
 
-// AppendBinding appends one solution as a W3C results-JSON binding object
-// — the element shape of results.bindings — to dst. Members follow the
-// order of vars, with unbound variables omitted. NDJSON-style streaming
-// writes one such object per line. On error dst is returned unextended.
-func AppendBinding(dst []byte, vars []string, sol eval.Solution) ([]byte, error) {
-	var stack [8]rdf.Term // enough for most projections to stay off the heap
-	return AppendRow(dst, vars, gather(stack[:0], vars, sol))
-}
-
-// AppendRow is AppendBinding for a positional row: row[i] binds vars[i],
-// and the zero Term leaves it unbound.
+// AppendRow appends one positional row as a W3C results-JSON binding
+// object — the element shape of results.bindings — to dst: row[i] binds
+// vars[i], and the zero Term leaves it unbound, which omits it. Members
+// follow the order of vars. NDJSON streaming writes one such object per
+// line. On error dst is returned unextended.
 func AppendRow(dst []byte, vars []string, row []rdf.Term) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, '{')

@@ -78,15 +78,7 @@ type Store struct {
 	// (used by the evaluator's join-order heuristic, cf. Stocker et al.,
 	// which the paper cites for BGP optimisation).
 	predCount map[uint32]int
-	// classCount tracks instances per rdf:type object so the store can
-	// export void:classPartition statistics like a real endpoint.
-	classCount map[uint32]int
-	typeID     uint32
 }
-
-// rdfType is the rdf:type predicate, which feeds the class partition
-// counters.
-var rdfType = rdf.NewIRI(rdf.RDFType)
 
 // New returns an empty store with its own private dictionary.
 func New() *Store { return NewWith(NewDict()) }
@@ -95,13 +87,11 @@ func New() *Store { return NewWith(NewDict()) }
 // shared) dictionary.
 func NewWith(d *Dict) *Store {
 	return &Store{
-		dict:       d,
-		spo:        make(index),
-		pos:        make(index),
-		osp:        make(index),
-		predCount:  make(map[uint32]int),
-		classCount: make(map[uint32]int),
-		typeID:     d.Intern(rdfType),
+		dict:      d,
+		spo:       make(index),
+		pos:       make(index),
+		osp:       make(index),
+		predCount: make(map[uint32]int),
 	}
 }
 
@@ -125,9 +115,6 @@ func (s *Store) Add(t rdf.Triple) bool {
 	s.osp.add(oid, sid, pid)
 	s.size++
 	s.predCount[pid]++
-	if pid == s.typeID {
-		s.classCount[oid]++
-	}
 	return true
 }
 
@@ -156,21 +143,14 @@ func (s *Store) Remove(t rdf.Triple) bool {
 	s.pos.remove(pid, oid, sid)
 	s.osp.remove(oid, sid, pid)
 	s.size--
-	decrement(s.predCount, pid)
-	if pid == s.typeID {
-		decrement(s.classCount, oid)
+	// A counter is deleted at zero, so the statistics never list a
+	// predicate with no triples.
+	if s.predCount[pid] <= 1 {
+		delete(s.predCount, pid)
+	} else {
+		s.predCount[pid]--
 	}
 	return true
-}
-
-// decrement lowers a statistics counter, deleting it at zero so the
-// exported partitions never list a predicate or class with no triples.
-func decrement(counts map[uint32]int, id uint32) {
-	if counts[id] <= 1 {
-		delete(counts, id)
-	} else {
-		counts[id]--
-	}
 }
 
 // Has reports whether the exact ground triple is present.
@@ -194,22 +174,14 @@ func (s *Store) Size() int {
 
 // PredicateCount returns the number of triples with predicate p, used for
 // selectivity-based join ordering.
-func (s *Store) PredicateCount(p rdf.Term) int { return s.stat(s.predCount, p) }
-
-// ClassCount returns the number of instances of class c (triples of the
-// form ?s rdf:type c).
-func (s *Store) ClassCount(c rdf.Term) int { return s.stat(s.classCount, c) }
-
-// stat reads one counter of a statistics map. The maps are created once
-// and cleared in place, so naming the field outside the lock is safe.
-func (s *Store) stat(counts map[uint32]int, t rdf.Term) int {
-	id, ok := s.dict.Lookup(t)
+func (s *Store) PredicateCount(p rdf.Term) int {
+	id, ok := s.dict.Lookup(p)
 	if !ok {
 		return 0
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return counts[id]
+	return s.predCount[id]
 }
 
 // validData accepts only ground terms and blank nodes (data-level
@@ -398,7 +370,6 @@ func (s *Store) Clear() {
 	clear(s.osp)
 	s.size = 0
 	clear(s.predCount)
-	clear(s.classCount)
 }
 
 // distinct returns the distinct terms pick selects from the triples

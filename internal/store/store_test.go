@@ -296,7 +296,7 @@ func TestMatchSmallResultAllocatesNothing(t *testing.T) {
 }
 
 // The callback runs outside the store lock on a snapshot: it may Add and
-// Remove on the store it iterates (reason.subClassClosure does) without
+// Remove on the store it iterates without
 // deadlock, and it sees exactly the triples present when Match was called.
 func TestMatchCallbackMayMutate(t *testing.T) {
 	for _, size := range []int{3, 20} { // inside and past the stack buffer
@@ -368,9 +368,6 @@ func TestAddRemoveStats(t *testing.T) {
 	if s.Add(t1) {
 		t.Fatal("duplicate Add returned true")
 	}
-	if got := s.ClassCount(person); got != 2 {
-		t.Fatalf("ClassCount = %d, want 2", got)
-	}
 	if got := s.PredicateCount(typ); got != 2 {
 		t.Fatalf("PredicateCount = %d, want 2", got)
 	}
@@ -380,28 +377,28 @@ func TestAddRemoveStats(t *testing.T) {
 	if s.Remove(t1) {
 		t.Fatal("double Remove returned true")
 	}
-	if got := s.ClassCount(person); got != 1 {
-		t.Fatalf("ClassCount after remove = %d, want 1", got)
+	if got := s.PredicateCount(typ); got != 1 {
+		t.Fatalf("PredicateCount after remove = %d, want 1", got)
 	}
 	// Removing a never-seen or never-present triple must not disturb the
 	// counters.
 	if s.Remove(tr("x", "y", "z")) || s.Remove(rdf.Triple{S: iri("c"), P: typ, O: person}) {
 		t.Fatal("Remove of absent triple returned true")
 	}
-	if s.Size() != 1 || s.ClassCount(person) != 1 {
-		t.Fatalf("Size = %d, ClassCount = %d after no-op removes, want 1 and 1", s.Size(), s.ClassCount(person))
+	if s.Size() != 1 || s.PredicateCount(typ) != 1 {
+		t.Fatalf("Size = %d, PredicateCount = %d after no-op removes, want 1 and 1", s.Size(), s.PredicateCount(typ))
 	}
-	if len(s.classCount) != 1 || len(s.predCount) != 1 || s.PredicateCount(typ) != 1 {
-		t.Fatalf("statistics = %v classes, %v predicates; want person and rdf:type once", s.classCount, s.predCount)
+	if len(s.predCount) != 1 {
+		t.Fatalf("statistics = %v predicates; want rdf:type once", s.predCount)
 	}
 	if !s.Has(t2) || s.Has(t1) {
 		t.Fatal("Has disagrees with Add/Remove history")
 	}
 	s.Remove(t2)
-	if got := s.ClassCount(person); got != 0 {
-		t.Fatalf("ClassCount after last remove = %d, want 0", got)
+	if got := s.PredicateCount(typ); got != 0 {
+		t.Fatalf("PredicateCount after last remove = %d, want 0", got)
 	}
-	if got := len(s.classCount) + len(s.predCount); got != 0 {
+	if got := len(s.predCount); got != 0 {
 		t.Fatalf("statistics kept %d zero entries", got)
 	}
 }

@@ -176,8 +176,8 @@ ex:s ex:p <rel> .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm.Base() != "http://base.org/dir/doc" {
-		t.Fatalf("base = %q", pm.Base())
+	if got := pm.ResolveIRI("#frag"); got != "http://base.org/dir/doc#frag" {
+		t.Fatalf("base resolves #frag to %q", got)
 	}
 	if g[0].O.Value != "http://base.org/dir/rel" {
 		t.Fatalf("relative IRI resolved to %q", g[0].O.Value)

@@ -36,9 +36,6 @@ func TestParseStatistics(t *testing.T) {
 	if n, ok := soton.ClassEntities(rdf.AKTPerson); !ok || n != 45000 {
 		t.Fatalf("Person partition = %d, %v", n, ok)
 	}
-	if !soton.HasStatistics() {
-		t.Fatal("HasStatistics = false with full stats")
-	}
 
 	kisti, ok := kb.Get("http://kisti.rkbexplorer.com/id/void")
 	if !ok {
@@ -95,8 +92,5 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	b2, _ := out.Get(b.URI)
 	if b2.Triples != 99 || b2.PropertyPartitions[rdf.KISTIHasCreator] != 33 {
 		t.Fatalf("kisti stats lost: %+v", b2)
-	}
-	if b2.HasStatistics() != true || (&Dataset{}).HasStatistics() {
-		t.Fatal("HasStatistics")
 	}
 }

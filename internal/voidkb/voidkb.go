@@ -136,12 +136,6 @@ func (d *Dataset) ClassEntities(class string) (int64, bool) {
 	return n, ok
 }
 
-// HasStatistics reports whether the data set carries any voiD statistics
-// the cardinality estimator can use.
-func (d *Dataset) HasStatistics() bool {
-	return d.Triples > 0 || len(d.PropertyPartitions) > 0 || len(d.ClassPartitions) > 0
-}
-
 // Sources is one request's source set: the slice of the KB its query may
 // read, by data set URI. The nil set is the whole KB.
 type Sources map[string]bool
@@ -235,17 +229,6 @@ func (kb *KB) Len() int {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
 	return len(kb.datasets)
-}
-
-// ByVocabulary returns the data sets declaring the given namespace.
-func (kb *KB) ByVocabulary(ns string) []*Dataset {
-	var out []*Dataset
-	for _, d := range kb.All() {
-		if d.UsesVocabulary(ns) {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // DatasetFor returns the data set whose URI space contains uri.

@@ -67,13 +67,12 @@ func TestKBAddGetAll(t *testing.T) {
 	}
 }
 
-func TestByVocabularyAndDatasetFor(t *testing.T) {
+func TestUsesVocabularyAndDatasetFor(t *testing.T) {
 	kb := NewKB()
 	kb.Add(kistiDS())
 	kb.Add(sotonDS())
-	ds := kb.ByVocabulary(rdf.AKTNS)
-	if len(ds) != 1 || ds[0].Title != "Southampton RKB" {
-		t.Fatalf("ByVocabulary = %v", ds)
+	if !sotonDS().UsesVocabulary(rdf.AKTNS) || kistiDS().UsesVocabulary(rdf.AKTNS) {
+		t.Fatal("UsesVocabulary: only the Southampton data set declares AKT")
 	}
 	d, ok := kb.DatasetFor("http://kisti.rkbexplorer.com/id/PER_1")
 	if !ok || d.Title != "KISTI" {

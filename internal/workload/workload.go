@@ -281,24 +281,3 @@ SELECT DISTINCT ?a WHERE {
   FILTER (!(?a = <%s>))
 }`, rdf.AKTNS, SotonPerson(i).Value, SotonPerson(i).Value)
 }
-
-// ChainQuery returns a BGP of k patterns walking authorship links, used by
-// the rewriting-scaling experiment (E10): alternating has-author /
-// has-author⁻¹ hops.
-func ChainQuery(k int) string {
-	body := ""
-	for n := 0; n < k; n++ {
-		if n%2 == 0 {
-			body += fmt.Sprintf("  ?p%d akt:has-author ?a%d .\n", n/2, (n+1)/2)
-		} else {
-			body += fmt.Sprintf("  ?p%d akt:has-author ?a%d .\n", n/2+1, (n+1)/2)
-		}
-	}
-	return fmt.Sprintf("PREFIX akt:<%s>\nSELECT * WHERE {\n%s}", rdf.AKTNS, body)
-}
-
-// TitleQuery returns a title lookup for Southampton paper j.
-func TitleQuery(j int) string {
-	return fmt.Sprintf(`PREFIX akt:<%s>
-SELECT ?t WHERE { <%s> akt:has-title ?t }`, rdf.AKTNS, SotonPaper(j).Value)
-}

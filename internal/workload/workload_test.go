@@ -199,12 +199,6 @@ func TestSyntheticAlignmentsAndQueries(t *testing.T) {
 	if len(parsed.BGPs()[0].Patterns) != 8 {
 		t.Fatalf("synthetic query size wrong")
 	}
-	if _, err := sparql.Parse(ChainQuery(5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sparql.Parse(TitleQuery(3)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestOverlapFractionRespected(t *testing.T) {

@@ -110,23 +110,16 @@ func TestFacadeRoundTripHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeChainAndConstruct(t *testing.T) {
+func TestFacadeRewriteAndConstruct(t *testing.T) {
 	pa := align.PropertyAlignment("http://a/p", "http://src/p", "http://mid/p")
-	pb := align.PropertyAlignment("http://a/q", "http://mid/p", "http://tgt/p")
 	reg := NewFunctionRegistry(NewCorefStore())
 	q, _ := ParseQuery(`SELECT ?o WHERE { ?s <http://src/p> ?o }`)
-	out, report, err := core.RewriteChain(q, []core.Stage{
-		{Name: "src→mid", Rewriter: NewRewriter([]*EntityAlignment{pa}, reg)},
-		{Name: "mid→tgt", Rewriter: NewRewriter([]*EntityAlignment{pb}, reg)},
-	})
+	out, report, err := NewRewriter([]*EntityAlignment{pa}, reg).RewriteQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Stages) != 2 {
-		t.Fatalf("stages = %v", report.Stages)
-	}
-	if !strings.Contains(FormatQuery(out), "http://tgt/p") {
-		t.Fatalf("chain output:\n%s", FormatQuery(out))
+	if report.MatchedTriples != 1 || !strings.Contains(FormatQuery(out), "http://mid/p") {
+		t.Fatalf("rewrite output (%d matched):\n%s", report.MatchedTriples, FormatQuery(out))
 	}
 
 	cq, err := core.ConstructQuery(pa, false)
