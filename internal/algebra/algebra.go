@@ -2,14 +2,12 @@
 // (the "relational algebra for SPARQL" of Cyganiak that the paper's §4
 // proposes as the future substrate for rewriting: a homogeneous tree
 // representation of the whole query, BGPs and FILTERs alike). The
-// evaluator in internal/eval interprets this algebra over a triple store,
-// and the rewriter's FILTER extension walks it.
+// evaluator in internal/eval interprets this algebra over a triple store
+// and over the remote leaves of the plans the mediator and the decomposer
+// build.
 package algebra
 
 import (
-	"fmt"
-	"strings"
-
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 )
@@ -210,142 +208,4 @@ func join(l, r Op) Op {
 		}
 	}
 	return &Join{L: l, R: r}
-}
-
-// Walk visits every node of the tree depth-first.
-func Walk(op Op, fn func(Op)) {
-	if op == nil {
-		return
-	}
-	fn(op)
-	switch o := op.(type) {
-	case *Join:
-		Walk(o.L, fn)
-		Walk(o.R, fn)
-	case *LeftJoin:
-		Walk(o.L, fn)
-		Walk(o.R, fn)
-	case *Union:
-		Walk(o.L, fn)
-		Walk(o.R, fn)
-	case *Filter:
-		Walk(o.Input, fn)
-	case *Project:
-		Walk(o.Input, fn)
-	case *Distinct:
-		Walk(o.Input, fn)
-	case *Reduced:
-		Walk(o.Input, fn)
-	case *OrderBy:
-		Walk(o.Input, fn)
-	case *Slice:
-		Walk(o.Input, fn)
-	}
-}
-
-// BGPs returns the basic graph patterns of the tree in visit order.
-func BGPs(op Op) []*BGP {
-	var out []*BGP
-	Walk(op, func(o Op) {
-		if b, ok := o.(*BGP); ok {
-			out = append(out, b)
-		}
-	})
-	return out
-}
-
-// String renders the tree LISP-style, mirroring the paper's remark that the
-// algebra gives "LISP like structures" as a homogeneous representation.
-func String(op Op) string {
-	var b strings.Builder
-	render(&b, op, 0)
-	return b.String()
-}
-
-func render(b *strings.Builder, op Op, depth int) {
-	pad := strings.Repeat("  ", depth)
-	switch o := op.(type) {
-	case *Unit:
-		b.WriteString(pad + "(unit)")
-	case *BGP:
-		b.WriteString(pad + "(bgp")
-		for _, t := range o.Patterns {
-			b.WriteString("\n" + pad + "  (triple " + t.String() + ")")
-		}
-		b.WriteString(")")
-	case *Table:
-		b.WriteString(pad + "(table (?" + strings.Join(o.Vars, " ?") + ")")
-		for _, row := range o.Rows {
-			b.WriteString("\n" + pad + "  (row")
-			for _, t := range row {
-				if t.Kind == rdf.KindAny {
-					b.WriteString(" UNDEF")
-				} else {
-					b.WriteString(" " + t.String())
-				}
-			}
-			b.WriteString(")")
-		}
-		b.WriteString(")")
-	case *Join:
-		b.WriteString(pad + "(join\n")
-		render(b, o.L, depth+1)
-		b.WriteString("\n")
-		render(b, o.R, depth+1)
-		b.WriteString(")")
-	case *LeftJoin:
-		b.WriteString(pad + "(leftjoin")
-		if o.Expr != nil {
-			b.WriteString(" " + sparql.FormatExpr(o.Expr, nil))
-		}
-		b.WriteString("\n")
-		render(b, o.L, depth+1)
-		b.WriteString("\n")
-		render(b, o.R, depth+1)
-		b.WriteString(")")
-	case *Union:
-		b.WriteString(pad + "(union\n")
-		render(b, o.L, depth+1)
-		b.WriteString("\n")
-		render(b, o.R, depth+1)
-		b.WriteString(")")
-	case *Filter:
-		b.WriteString(pad + "(filter " + sparql.FormatExpr(o.Expr, nil) + "\n")
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	case *Project:
-		if o.Star {
-			b.WriteString(pad + "(project *\n")
-		} else {
-			b.WriteString(pad + "(project (" + strings.Join(o.Vars, " ") + ")\n")
-		}
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	case *Distinct:
-		b.WriteString(pad + "(distinct\n")
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	case *Reduced:
-		b.WriteString(pad + "(reduced\n")
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	case *OrderBy:
-		b.WriteString(pad + "(order")
-		for _, c := range o.Conds {
-			dir := "asc"
-			if c.Desc {
-				dir = "desc"
-			}
-			b.WriteString(fmt.Sprintf(" (%s %s)", dir, sparql.FormatExpr(c.Expr, nil)))
-		}
-		b.WriteString("\n")
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	case *Slice:
-		b.WriteString(fmt.Sprintf("%s(slice limit=%d offset=%d\n", pad, o.Limit, o.Offset))
-		render(b, o.Input, depth+1)
-		b.WriteString(")")
-	default:
-		b.WriteString(pad + fmt.Sprintf("(unknown %T)", op))
-	}
 }

@@ -112,33 +112,6 @@ func TestEmptyGroupIsUnit(t *testing.T) {
 	}
 }
 
-func TestBGPsAndWalk(t *testing.T) {
-	q := sparql.MustParse(`
-PREFIX ex: <http://example.org/>
-SELECT * WHERE { ?s ex:p ?o { ?s ex:q ?r } UNION { ?s ex:t ?u } }`)
-	op := Translate(q)
-	if got := len(BGPs(op)); got != 3 {
-		t.Fatalf("BGPs = %d, want 3", got)
-	}
-	count := 0
-	Walk(op, func(Op) { count++ })
-	if count < 5 {
-		t.Fatalf("walk visited %d nodes", count)
-	}
-}
-
-func TestStringRendersLispTree(t *testing.T) {
-	q := sparql.MustParse(`
-PREFIX ex: <http://example.org/>
-SELECT DISTINCT ?s WHERE { ?s ex:p ?o FILTER(?o > 1) OPTIONAL { ?s ex:q ?q } } ORDER BY ?s LIMIT 2`)
-	s := String(Translate(q))
-	for _, want := range []string{"(slice", "(distinct", "(project (s)", "(order", "(leftjoin", "(filter", "(bgp", "(triple"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("algebra string missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestReducedTranslates(t *testing.T) {
 	q := sparql.MustParse(`PREFIX ex: <http://x/> SELECT REDUCED ?s WHERE { ?s ex:p ?o }`)
 	if _, ok := Translate(q).(*Reduced); !ok {

@@ -801,11 +801,9 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 				t.Fatalf("decomposition = %+v, %v", d, err)
 			}
 			p := f.engine.Plan(d, nil, 0)
-			algebra.Walk(p.Op, func(op algebra.Op) {
-				if leaf, ok := op.(*algebra.Remote); ok {
-					leaf.Source = scribbled{leaf.Source.(eval.Remote)}
-				}
-			})
+			if n := scribbleLeaves(p.Op); n != 2 {
+				t.Fatalf("the plan has %d remote leaves, want one a fragment", n)
+			}
 			got, err := solutions(context.Background(), p.Op, d.Vars)
 			if err != nil {
 				t.Fatal(err)
@@ -818,6 +816,35 @@ func TestJoinStageRetainsCopies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scribbleLeaves wraps every remote leaf of a plan in scribbled and
+// returns how many there were.
+func scribbleLeaves(op algebra.Op) int {
+	switch o := op.(type) {
+	case *algebra.Remote:
+		o.Source = scribbled{o.Source.(eval.Remote)}
+		return 1
+	case *algebra.Join:
+		return scribbleLeaves(o.L) + scribbleLeaves(o.R)
+	case *algebra.LeftJoin:
+		return scribbleLeaves(o.L) + scribbleLeaves(o.R)
+	case *algebra.Union:
+		return scribbleLeaves(o.L) + scribbleLeaves(o.R)
+	case *algebra.Filter:
+		return scribbleLeaves(o.Input)
+	case *algebra.Project:
+		return scribbleLeaves(o.Input)
+	case *algebra.Distinct:
+		return scribbleLeaves(o.Input)
+	case *algebra.Reduced:
+		return scribbleLeaves(o.Input)
+	case *algebra.OrderBy:
+		return scribbleLeaves(o.Input)
+	case *algebra.Slice:
+		return scribbleLeaves(o.Input)
+	}
+	return 0
 }
 
 // heldDispatcher holds the first request it forwards until release is

@@ -4,10 +4,11 @@
 // mediator to execute rewritten queries remotely.
 //
 // Both sides are streaming-first: the server evaluates SELECT queries
-// lazily and writes each solution as it is produced (chunked, flushed),
-// and the client's SelectStream decodes response bodies incrementally, so
-// neither side ever holds a whole result set (or a whole response body)
-// in memory.
+// lazily and writes the solutions as they are produced (chunked, the
+// first flushed at once, the rest srjson.FlushEvery at a time), and the
+// client's SelectStream decodes response bodies incrementally, so neither
+// side ever holds a whole result set (or a whole response body) in
+// memory.
 package endpoint
 
 import (
@@ -34,23 +35,6 @@ const DefaultMaxRequestBody = 1 << 20 // 1 MB
 // ASK responses and error bodies. The streaming SELECT path decodes
 // incrementally and needs no whole-body cap.
 const DefaultMaxResponseBody = 64 << 20 // 64 MB
-
-// FlushEvery is how often streaming handlers flush mid-stream after the
-// first solution: the first row reaches the client immediately, later
-// rows are batched to keep syscall overhead off the hot path.
-const FlushEvery = 64
-
-// FlushAfter is what a streaming handler calls once it has written its
-// n-th item to w: it flushes the first item at once and then every
-// FlushEvery-th. It does nothing when w cannot flush. Shared by this
-// server and the mediator's /sparql handler.
-func FlushAfter(w http.ResponseWriter, n int) {
-	if n == 1 || n%FlushEvery == 0 {
-		if flusher, ok := w.(http.Flusher); ok {
-			flusher.Flush()
-		}
-	}
-}
 
 // Server serves SPARQL queries over one store.
 type Server struct {
@@ -84,9 +68,10 @@ func (s *Server) maxRequestBody() int64 {
 // SELECT and ASK return application/sparql-results+json; CONSTRUCT and
 // DESCRIBE return N-Triples. SELECT responses are streamed: the query is
 // compiled once, and each positional row the evaluator yields is encoded
-// straight from the evaluator's own (reused) row and written before the
-// next one is asked for — no solution map is built on this path — so the
-// first binding is on the wire before evaluation finishes, and a cancelled
+// straight from the evaluator's own (reused) row before the next one is
+// asked for — no solution map is built on this path. The encoder writes
+// and flushes the first binding at once, so it is on the wire before
+// evaluation finishes, and the later ones a block at a time; a cancelled
 // request (client disconnect) stops evaluation at the next row.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var queryText string
@@ -141,13 +126,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return
 		}
+		// The encoder flushes w at its flush points.
 		ctx := r.Context()
 		for row := range rr.Seq {
 			// A cancelled request (client gone) stops evaluation here.
-			if ctx.Err() != nil || enc.EncodeRow(row) != nil {
+			if ctx.Err() != nil {
+				_ = enc.Fail(ctx.Err())
 				return
 			}
-			FlushAfter(w, enc.Count())
+			if enc.EncodeRow(row) != nil {
+				return
+			}
 		}
 		_ = enc.Close() // nothing left to tell a client that stopped reading
 	case sparql.Ask:

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/ntriples"
+	"sparqlrw/internal/rdf"
+	"sparqlrw/internal/srjson"
 	"sparqlrw/internal/store"
 	"sparqlrw/internal/turtle"
 )
@@ -56,6 +59,47 @@ ex:bob ex:name "Bob" .
 	srv := httptest.NewServer(NewServer("demo", st))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// writeCounter counts the Write calls that reach the ResponseWriter it
+// wraps; it flushes through.
+type writeCounter struct {
+	http.ResponseWriter
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *writeCounter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestLongAnswerIsWrittenInBlocks: over real net/http, a 1000-row answer
+// reaches the ResponseWriter in one Write per flush point, not one per
+// row.
+func TestLongAnswerIsWrittenInBlocks(t *testing.T) {
+	const rows = 1000
+	st := store.New()
+	for i := range rows {
+		st.Add(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://example.org/s%d", i)),
+			rdf.NewIRI("http://example.org/p"), rdf.NewLiteral(fmt.Sprintf("object %d", i))))
+	}
+	h := NewServer("blocks", st)
+	writes := make(chan int, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cw := &writeCounter{ResponseWriter: w}
+		h.ServeHTTP(cw, r)
+		writes <- cw.writes
+	}))
+	defer srv.Close()
+	got, err := collect(NewClient(), srv.URL, `SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }`)
+	if err != nil || len(got) != rows {
+		t.Fatalf("%d solutions, %v; want %d", len(got), err, rows)
+	}
+	if n, limit := <-writes, (rows+srjson.FlushEvery-1)/srjson.FlushEvery+3; n > limit {
+		t.Errorf("a %d-row answer took %d writes, want at most %d", rows, n, limit)
+	}
 }
 
 func TestSelectOverHTTPPostForm(t *testing.T) {

@@ -489,11 +489,17 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 		defer func() { bytes = counter.Bytes() }()
 	}
 	// A batch is a run of rows of one slab; the slab's tail serves the next.
-	var slab []rdf.Term // the current slab, from the batch being filled on
-	n, slabRows := 0, 1 // rows in that batch; rows of the next slab
+	var slab []rdf.Term  // the current slab, from the batch being filled on
+	var whole []rdf.Term // all of the current slab, if it is full-size
+	n, slabRows := 0, 1  // rows in that batch; rows of the next slab
 	for {
 		if len(slab) < (n+1)*width { // only between batches: n is 0
-			slab = make([]rdf.Term, slabRows*width)
+			if whole = nil; slabRows < maxBatchRows {
+				slab = make([]rdf.Term, slabRows*width)
+			} else {
+				whole = dst.slab(slabRows * width)
+				slab = whole
+			}
 			slabRows = min(2*slabRows, maxBatchRows)
 		}
 		row := slab[n*width : (n+1)*width]
@@ -507,8 +513,10 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 			if rows == 0 {
 				ttfs = time.Since(start)
 			}
-			b := eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}
-			slab, n = slab[n*width:], 0
+			b := batch{RowBuf: eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}}
+			if slab, n = slab[n*width:], 0; len(slab) == 0 {
+				b.slab = whole // Run recycles it with this batch
+			}
 			e.coref.canonicalise(b.Terms, pd)
 			if !dst.push(parent, b, pd) {
 				return rows, ttfs, 0, parent.Err()

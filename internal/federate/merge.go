@@ -3,6 +3,7 @@ package federate
 import (
 	"context"
 	"slices"
+	"sync"
 	"time"
 
 	"sparqlrw/internal/eval"
@@ -11,17 +12,31 @@ import (
 )
 
 // sink is a fan-out's row path from its workers to Fanout.Run: the batch
-// channel. The workers canonicalise their batches through the executor's
-// representative cache before they push them.
+// channel, and the free list through which Run hands a full-size slab
+// back to the workers once its rows are delivered. The workers
+// canonicalise their batches through the executor's representative cache
+// before they push them.
 type sink struct {
-	batches chan eval.RowBuf
+	batches chan batch
+	mu      sync.Mutex
+	free    [batchDepth][]rdf.Term // free[:nfree] are slabs of maxBatchRows rows
+	nfree   int
+}
+
+// batch is a run of rows of one slab. slab is set on the batch that holds
+// the last rows of a full-size slab: the whole slab, free again once the
+// batch is delivered, since a worker's batches are delivered in the order
+// it pushed them.
+type batch struct {
+	eval.RowBuf
+	slab []rdf.Term
 }
 
 // push hands b to the fan-out's loop. While the push blocks on a full
 // channel (the consumer is applying backpressure) the attempt's
 // active-time deadline is paused; false means the fan-out was cancelled
 // meanwhile.
-func (s *sink) push(parent context.Context, b eval.RowBuf, pd *pausableDeadline) bool {
+func (s *sink) push(parent context.Context, b batch, pd *pausableDeadline) bool {
 	select {
 	case s.batches <- b:
 		return true
@@ -34,6 +49,32 @@ func (s *sink) push(parent context.Context, b eval.RowBuf, pd *pausableDeadline)
 		return true
 	case <-parent.Done():
 		return false
+	}
+}
+
+// slab returns a slab of size terms: a free one, or a new one when there
+// is none.
+func (s *sink) slab(size int) []rdf.Term {
+	s.mu.Lock()
+	if s.nfree > 0 && len(s.free[s.nfree-1]) == size {
+		s.nfree--
+		slab := s.free[s.nfree]
+		s.free[s.nfree] = nil
+		s.mu.Unlock()
+		return slab
+	}
+	s.mu.Unlock()
+	return make([]rdf.Term, size)
+}
+
+// recycle puts a delivered slab on the free list, unless the list is
+// full; its rows' terms stay until a worker decodes over them.
+func (s *sink) recycle(slab []rdf.Term) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.nfree < len(s.free) {
+		s.free[s.nfree] = slab
+		s.nfree++
 	}
 }
 

@@ -74,7 +74,7 @@ func TestDispatchCanonicalisesAsItDecodes(t *testing.T) {
 		{"s": rdf.NewIRI("http://a/1"), "o": rdf.NewIRI("http://b/1")},
 	}}}
 	e := NewExecutor(oneStream{ss}, nil, cs, fastOpts())
-	dst := &sink{batches: make(chan eval.RowBuf, batchDepth)}
+	dst := &sink{batches: make(chan batch, batchDepth)}
 	pd := newPausableDeadline(ctx, time.Second)
 	defer pd.Stop()
 	rows, _, _, err := e.dispatch(pd, ctx, "http://e/sparql", reqText, []string{"s", "o"}, dst, pd)

@@ -27,10 +27,13 @@ type StreamingSelectClient interface {
 // rows — the first row leaves alone, a small answer pays for a small slab
 // — and hands a batch on at maxBatchRows, at the slab's end, or when the
 // stream has no further row buffered: the next one would wait on the
-// network, so batching never holds a decoded row back. The channel from
-// the workers to Run holds batchDepth batches, at most 64 rows: a deeper
-// window lets producers run ahead of the response writer and delays the
-// first row.
+// network, so batching never holds a decoded row back. A slab of
+// maxBatchRows rows is recycled: once Run has delivered its last batch it
+// goes on the sink's free list, and a worker needing a full-size slab
+// takes one from there before it allocates, so a long answer decodes into
+// a few slabs in turn. The channel from the workers to Run holds
+// batchDepth batches, at most 64 rows: a deeper window lets producers run
+// ahead of the response writer and delays the first row.
 const (
 	maxBatchRows = 16
 	batchDepth   = 4
@@ -82,19 +85,23 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	subs := formatSubqueries(req)
 	answers := make([]DatasetAnswer, n)
 	sem := make(chan struct{}, e.opts.Concurrency)
-	dst := &sink{batches: make(chan eval.RowBuf, batchDepth)}
+	dst := &sink{batches: make(chan batch, batchDepth)}
 	reports := make(chan struct{}, n)
 	var m merger
-	// A cancelled fan-out's batches are only drained.
-	deliver := func(b eval.RowBuf) {
-		if ctx.Err() != nil {
-			return
-		}
-		b = m.merge(b)
-		for i := 0; i < b.N && ctx.Err() == nil; i++ {
-			if !yield(b.Row(i)) {
-				cancel(ErrStreamClosed)
+	// A cancelled fan-out's batches are only drained. A row is valid only
+	// until yield returns, so once the batch is delivered its slab, if
+	// the batch ends one, goes back to the workers.
+	deliver := func(b batch) {
+		if ctx.Err() == nil {
+			rows := m.merge(b.RowBuf)
+			for i := 0; i < rows.N && ctx.Err() == nil; i++ {
+				if !yield(rows.Row(i)) {
+					cancel(ErrStreamClosed)
+				}
 			}
+		}
+		if b.slab != nil {
+			dst.recycle(b.slab)
 		}
 	}
 	next, running := 0, 0

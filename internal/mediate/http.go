@@ -628,16 +628,14 @@ func serveBindings(w http.ResponseWriter, res *Result, ctype string, explain boo
 		}
 		// An explicit callback, not a range loop: the loop's body would
 		// escape with its state word, two allocations where this is one.
+		// The encoder flushes w at its flush points.
 		qs.Rows()(func(row eval.Row, err error) bool {
-			// An error, or the client gone: stopping stops the upstream work,
-			// and the failed encoder writes no epilogue.
-			if err != nil || enc.EncodeRow(row) != nil {
-				return false
-			}
-			endpoint.FlushAfter(w, enc.Count())
-			return true
+			// An error, or the client gone: stopping stops the upstream work.
+			return err == nil && enc.EncodeRow(row) == nil
 		})
-		if qs.err == nil {
+		if qs.err != nil {
+			_ = enc.Fail(qs.err) // the rows before it, and no epilogue
+		} else {
 			_ = enc.CloseWith("trace", traceTrailer(res, explain))
 		}
 	}
@@ -707,7 +705,7 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) 
 			return // client gone; leaving the loop stops the upstream work
 		}
 		n++
-		endpoint.FlushAfter(w, n)
+		srjson.FlushAfter(w, n)
 	}
 	if streamErr == nil {
 		_, streamErr = gs.Summary()
@@ -756,7 +754,7 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 		if _, err := w.Write(line); err != nil {
 			return // client gone; leaving the loop stops the upstream work
 		}
-		endpoint.FlushAfter(w, qs.n)
+		srjson.FlushAfter(w, qs.n)
 	}
 	if streamErr == nil {
 		// A fan-out failure can also surface only in the summary.

@@ -124,6 +124,31 @@ func BenchmarkSRJDecodeRow(b *testing.B) {
 	}
 }
 
+// BenchmarkSRJNextRow is the mediator's decode path: a row into the
+// caller's slots, as a federation worker decodes it.
+func BenchmarkSRJNextRow(b *testing.B) {
+	const rows = 1000
+	doc := benchDocument(b, rows)
+	r := bytes.NewReader(doc)
+	slots := make([]rdf.Term, len(benchVars))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(doc) / rows))
+	for n := 0; n < b.N; {
+		r.Reset(doc)
+		d, err := NewStreamDecoder(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for ; n < b.N; n++ { // one iteration is one row
+			if err := d.NextRow(benchVars, slots); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkSRJEncodeRow(b *testing.B) {
 	enc, err := NewStreamEncoder(io.Discard, benchVars)
 	if err != nil {
@@ -134,6 +159,43 @@ func BenchmarkSRJEncodeRow(b *testing.B) {
 	for b.Loop() {
 		if err := enc.Encode(row); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEncoderBlockIsReused: a long answer's block goes back to the pool
+// however the document ends — closed, closed with a trailer, or failed —
+// so the next answer takes it again: encoding a whole 1000-row document
+// costs the encoder and nothing more.
+func TestEncoderBlockIsReused(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rows := make([][]rdf.Term, 1000)
+	for i := range rows {
+		sol := benchRow(i)
+		rows[i] = []rdf.Term{sol["paper"], sol["a"], sol["t"]}
+	}
+	for name, end := range map[string]func(*StreamEncoder) error{
+		"Close":     (*StreamEncoder).Close,
+		"CloseWith": func(e *StreamEncoder) error { return e.CloseWith("trace", []byte(`{}`)) },
+		"Fail":      func(e *StreamEncoder) error { e.Fail(io.ErrUnexpectedEOF); return nil },
+	} {
+		if got := testing.AllocsPerRun(20, func() {
+			enc, err := NewStreamEncoder(io.Discard, benchVars)
+			for _, row := range rows {
+				if err == nil {
+					err = enc.EncodeRow(row)
+				}
+			}
+			if err == nil {
+				err = end(enc)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("a 1000-row document ended by %s: %.0f allocations, want 1 (the encoder)", name, got)
 		}
 	}
 }

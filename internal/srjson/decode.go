@@ -1,6 +1,8 @@
 package srjson
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -340,18 +342,48 @@ const (
 	mDatatype
 )
 
+// The openings of a term object in the usual layout, the one AppendRow
+// and most endpoints write: type first, value next, no white space.
+var (
+	uriPrefix     = []byte(`{"type":"uri","value":`)
+	literalPrefix = []byte(`{"type":"literal","value":`)
+)
+
 // term reads one RDF term object. As with any JSON object, the last of
 // a repeated member counts. A term nobody keeps is checked all the same,
 // but its strings are not copied out of the read buffer.
 func (d *StreamDecoder) term(keep bool) (rdf.Term, error) {
-	if err := d.open('{'); err != nil {
-		return rdf.Term{}, err
-	}
 	var (
 		kind                  rdf.TermKind // KindAny: type missing or unknown
 		typ                   string       // the unknown type, for the error
 		value, lang, datatype string
 	)
+	// The usual layout takes its type and value's name in one compare of
+	// the buffered input; the members after them, if any, go through the
+	// loop below as any others do. A comma is due before them: first is
+	// false since member read the name this term is the value of.
+	if _, err := d.peek(); err != nil {
+		return rdf.Term{}, err
+	}
+	switch window := d.buf[d.pos:d.end]; {
+	case bytes.HasPrefix(window, uriPrefix):
+		kind, d.pos = rdf.KindIRI, d.pos+len(uriPrefix)
+	case bytes.HasPrefix(window, literalPrefix):
+		kind, d.pos = rdf.KindLiteral, d.pos+len(literalPrefix)
+	default:
+		if err := d.open('{'); err != nil {
+			return rdf.Term{}, err
+		}
+	}
+	if kind != rdf.KindAny {
+		s, err := d.stringValue()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		if keep {
+			value = d.arena.Bytes(s)
+		}
+	}
 	for {
 		name, done, err := d.member()
 		if err != nil {
@@ -562,6 +594,9 @@ func (d *StreamDecoder) stringValue() ([]byte, error) {
 	i := d.pos + 1
 	escaped, all := false, byte(0) // all ORs the literal's bytes: < 0x80 means ASCII
 	for {
+		for i+8 <= d.end && plain8(binary.LittleEndian.Uint64(d.buf[i:])) {
+			i += 8
+		}
 		if i >= d.end {
 			off := i - d.pos
 			if !d.more() {
@@ -591,6 +626,18 @@ func (d *StreamDecoder) stringValue() ([]byte, error) {
 	}
 	d.pos = i + 1
 	return s, err
+}
+
+// plain8 reports whether the eight bytes packed in v are all ASCII that a
+// string literal carries as they are: no control character, quote or
+// backslash among them.
+func plain8(v uint64) bool {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	zero := func(x uint64) uint64 { return (x - lsb) &^ x & msb } // msb set if a byte of x is 0
+	// v's own high bits mark non-ASCII bytes; once there are none,
+	// subtracting 0x20 from every byte borrows exactly when one is a
+	// control character.
+	return (v|(v-0x20*lsb)|zero(v^'"'*lsb)|zero(v^'\\'*lsb))&msb == 0
 }
 
 // unquote decodes the inside of a string literal into d.scratch exactly

@@ -2,6 +2,7 @@ package srjson
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"maps"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unicode/utf8"
 
 	"sparqlrw/internal/rdf"
 )
@@ -248,6 +250,23 @@ var differentialCases = map[string]string{
 	"too deep unknown":  `{"x":` + strings.Repeat("[", 20000) + strings.Repeat("]", 20000) + `,"boolean":true}`,
 	"long strings":      `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"literal","value":"` + strings.Repeat("x", 3*readSize) + `"}},{"a":{"type":"literal","value":"` + strings.Repeat(`éy`, 2*readSize) + `"}}]}}`,
 	"long skipped":      `{"x":"` + strings.Repeat("é", 5*readSize) + `","boolean":true}`,
+	// The usual layout, which term reads with one compare, followed by
+	// what must still go through its member loop.
+	"usual layout":          `{"head":{"vars":["a","n"]},"results":{"bindings":[{"a":{"type":"uri","value":"http://x/1"},"n":{"type":"literal","value":"Alice"}},{"a":{"type":"uri","value":"http://x/2"},"n":{"type":"literal","value":"chat","xml:lang":"FR"}},{"n":{"type":"literal","value":"7","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}]}}`,
+	"usual, value again":    `{"results":{"bindings":[{"x":{"type":"uri","value":"a","value":"b"}},{"x":{"type":"literal","value":"a","value":"b","value":"c"}}]}}`,
+	"usual, type again":     `{"results":{"bindings":[{"x":{"type":"uri","value":"a","type":"bnode"}},{"x":{"type":"literal","value":"a","type":"uri"}}]}}`,
+	"usual, bad type after": `{"results":{"bindings":[{"x":{"type":"literal","value":"a","type":"wibble"}}]}}`,
+	"usual, lang on a uri":  `{"results":{"bindings":[{"x":{"type":"uri","value":"http://x","xml:lang":"en","datatype":"http://d","extra":[1]}}]}}`,
+	"usual, escapes":        `{"results":{"bindings":[{"x":{"type":"uri","value":"http://x/0123456789\u00e9\"q\\b\/0123456789"}},{"x":{"type":"literal","value":"0123456\n89abcdef\t"}}]}}`,
+	"usual, non-ASCII":      "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"01234567 世界 abcdefgh é 01234567\U0001F600\"}}]}}",
+	"usual, invalid utf-8":  "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"uri\",\"value\":\"01234567\xff89abcdef\xc0\xaf0123456789\xe4\xb8\"}}]}}",
+	"usual, control":        "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"0123456789abc\x01def\"}}]}}",
+	"usual, DEL":            "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"literal\",\"value\":\"0123456789abc\x7fdef ~ 0123\"}}]}}",
+	"usual, white space":    "{\"results\":{\"bindings\":[{\"x\":{\"type\":\"uri\",\"value\": \"v\" , \"xml:lang\" : \"en\" },\"y\":{\"type\":\"literal\",\"value\":\n\"w\"\t}, \"z\":{ \"type\":\"uri\",\"value\":\"u\"}}]}}",
+	"usual, no comma":       `{"results":{"bindings":[{"x":{"type":"uri","value":"a" "type":"bnode"}}]}}`,
+	"usual, value a number": `{"results":{"bindings":[{"x":{"type":"literal","value":5}}]}}`,
+	"usual, no value":       `{"results":{"bindings":[{"x":{"type":"literal","value":}}]}}`,
+	"usual, long value":     `{"results":{"bindings":[{"x":{"type":"uri","value":"` + strings.Repeat("0123456789", readSize/5) + `"}}]}}`,
 }
 
 func TestStreamDecoderAgainstReference(t *testing.T) {
@@ -261,11 +280,53 @@ func TestStreamDecoderAgainstReference(t *testing.T) {
 }
 
 // TestStreamDecoderTruncatedAgainstReference cuts a document that uses
-// every construct at every byte.
+// every construct, and one in the usual layout, at every byte.
 func TestStreamDecoderTruncatedAgainstReference(t *testing.T) {
-	full := differentialCases["unknown before"]
-	for cut := range len(full) {
-		checkAgainstReference(t, []byte(full[:cut]))
+	for _, name := range []string{"unknown before", "usual layout"} {
+		full := differentialCases[name]
+		for cut := range len(full) {
+			checkAgainstReference(t, []byte(full[:cut]))
+		}
+	}
+}
+
+// TestPlain8 holds the eight-byte test of stringValue to the byte-wise
+// rule: every byte printable ASCII other than quote and backslash. One
+// odd byte goes at each position among plain ones, and two at each pair
+// of positions, so a borrow from one byte cannot hide or fake another.
+func TestPlain8(t *testing.T) {
+	plain := func(b []byte) bool {
+		for _, c := range b {
+			if c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(b []byte) {
+		if got := plain8(binary.LittleEndian.Uint64(b)); got != plain(b) {
+			t.Fatalf("plain8(%q) = %v", b, got)
+		}
+	}
+	b := []byte("abcdefgh")
+	for i := range b {
+		for c := range 256 {
+			b[i] = byte(c)
+			check(b)
+		}
+		b[i] = 'a'
+	}
+	odd := []byte{0x00, 0x01, 0x1f, ' ', '!', '"', '#', '[', '\\', ']', '~', 0x7f, 0x80, 0xc3, 0xff}
+	for i := range b {
+		for j := i + 1; j < len(b); j++ {
+			for _, x := range odd {
+				for _, y := range odd {
+					b[i], b[j] = x, y
+					check(b)
+				}
+			}
+			b[i], b[j] = 'a', 'a'
+		}
 	}
 }
 

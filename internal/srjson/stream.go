@@ -3,36 +3,91 @@ package srjson
 import (
 	"fmt"
 	"io"
+	"sync"
 	"unicode/utf8"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/rdf"
 )
 
+// FlushEvery is how often a streaming response is flushed after its first
+// item: the first reaches the client at once, later ones go out FlushEvery
+// at a time, which keeps write, chunk and syscall overhead off the row
+// path.
+const FlushEvery = 64
+
+// flushPoint reports whether the n-th item written is one after which a
+// streaming response is flushed: the first, then every FlushEvery-th.
+func flushPoint(n int) bool { return n == 1 || n%FlushEvery == 0 }
+
+// flusher is what an http.ResponseWriter that can flush implements.
+type flusher interface{ Flush() }
+
+// FlushAfter is what a streaming handler calls once it has written its
+// n-th item to w: it flushes w at the flush points StreamEncoder keeps
+// (the first item, then every FlushEvery-th). It does nothing when w
+// cannot flush.
+func FlushAfter(w io.Writer, n int) {
+	if f, ok := w.(flusher); ok && flushPoint(n) {
+		f.Flush()
+	}
+}
+
+const (
+	// blockSize is the initial capacity of a pooled block: FlushEvery
+	// rows of the usual size.
+	blockSize = 16 << 10
+	// maxPooledBlock bounds what goes back to the pool: a block grown
+	// past it (huge literals) is left to the collector.
+	maxPooledBlock = 1 << 20
+)
+
+// blockPool holds the blocks in which the rows between two flush points
+// accumulate, once they outgrow an encoder's inline buffer.
+var blockPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, blockSize)
+	return &b
+}}
+
+// flushFunc lets EncodeSelectStream's callback stand in for w's Flush.
+type flushFunc func()
+
+func (f flushFunc) Flush() { f() }
+
 // StreamEncoder writes a SELECT results document incrementally: the head
-// and the opening of the bindings array up front, then one binding object
-// per EncodeRow (or Encode) call, then the closing braces on Close. It
-// lets an HTTP handler flush the first solution to the client before the
-// last one exists. Bindings are rendered by AppendRow, the package's one
-// binding-encoding routine, from a positional row; the map-taking Encode
-// only gathers its solution into such a row first. The
-// encoder keeps nothing of a row past the call, so the evaluator's reused
-// rows can be handed to it directly.
+// and the opening of the bindings array up front, then the binding
+// objects, then the closing braces on Close. Rows are written a block at
+// a time: the first row at once, then the rows up to each flush point
+// (every FlushEvery-th) in one Write, after which a writer that can flush
+// (an http.ResponseWriter) is flushed — so an HTTP handler gets its first
+// solution to the client before the last one exists, and a long answer
+// costs one chunk and one syscall per block rather than per 2 KB. The
+// rows between flush points accumulate in the encoder's inline buffer
+// and, once they outgrow it, in a pooled block, which Close, CloseWith and
+// a failure give back. Bindings are rendered by AppendRow, the package's
+// one binding-encoding routine, from a positional row; the map-taking
+// Encode only gathers its solution into such a row first. The encoder
+// keeps nothing of a row past the call but its bytes, so the evaluator's
+// reused rows can be handed to it directly.
 type StreamEncoder struct {
-	w      io.Writer
-	vars   []string
-	buf    []byte     // reused for every row
-	row    []rdf.Term // reused by Encode to gather a solution
-	n      int
-	closed bool
-	err    error     // the first failed EncodeRow's: no epilogue follows it
-	first  [512]byte // buf's first backing array, allocated with the encoder
+	w       io.Writer
+	flusher flusher // w's, when it can flush
+	vars    []string
+	buf     []byte     // the rows encoded since the last flush point
+	block   *[]byte    // the pooled block buf lives in; nil while buf is inline
+	last    int        // how many bytes the last row took
+	row     []rdf.Term // reused by Encode to gather a solution
+	n       int
+	closed  bool
+	err     error     // the failure that ended the document: no epilogue follows it
+	first   [512]byte // buf's inline array, allocated with the encoder
 }
 
 // NewStreamEncoder writes the document prologue (head + opening of the
 // bindings array) and returns an encoder ready to stream bindings.
 func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
 	e := &StreamEncoder{w: w, vars: vars}
+	e.flusher, _ = w.(flusher)
 	buf := append(e.first[:0], `{"head":{`...)
 	for i, v := range vars {
 		if i == 0 {
@@ -49,16 +104,18 @@ func NewStreamEncoder(w io.Writer, vars []string) (*StreamEncoder, error) {
 	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
-	e.buf = buf
+	e.buf = buf[:0]
 	return e, nil
 }
 
-// EncodeRow writes one positional row — row[i] binds the encoder's i-th
+// EncodeRow encodes one positional row — row[i] binds the encoder's i-th
 // variable, the zero Term leaves it unbound — as a binding object,
-// separator included, in a single Write. Unbound variables are omitted
-// per the W3C format. A row that fails to encode or write fails the
-// encoder: later rows, Close and CloseWith write nothing and return its
-// error, so a truncated document is never closed as if it were whole.
+// separator included. Unbound variables are omitted per the W3C format.
+// At a flush point the rows encoded since the last one are written in one
+// Write and w is flushed. A row that fails to encode or write fails the
+// encoder: the rows before it are written, and later rows, Close and
+// CloseWith write nothing and return its error, so a truncated document
+// is never closed as if it were whole.
 func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	if e.closed {
 		return fmt.Errorf("srjson: Encode after Close")
@@ -66,21 +123,34 @@ func (e *StreamEncoder) EncodeRow(row []rdf.Term) error {
 	if e.err != nil {
 		return e.err
 	}
-	buf := e.buf[:0]
+	if e.block == nil && len(e.buf)+e.last > cap(e.buf) {
+		// The inline buffer would probably overflow: move to a block.
+		e.block = blockPool.Get().(*[]byte)
+		e.buf = append((*e.block)[:0], e.buf...)
+	}
+	mark := len(e.buf)
+	buf := e.buf
 	if e.n > 0 {
 		buf = append(buf, ',')
 	}
 	buf, err := AppendRow(buf, e.vars, row)
 	if err != nil {
-		e.err = err
+		e.buf = buf[:mark]
+		return e.Fail(err)
+	}
+	e.buf, e.last = buf, len(buf)-mark
+	e.n++
+	if !flushPoint(e.n) {
+		return nil
+	}
+	if err := e.write(e.buf); err != nil {
 		return err
 	}
-	e.buf = buf
-	e.n++
-	if _, err = e.w.Write(buf); err != nil {
-		e.err = err
+	e.buf = e.buf[:0]
+	if e.flusher != nil {
+		e.flusher.Flush()
 	}
-	return err
+	return nil
 }
 
 // Encode is EncodeRow for a solution map, gathered into a reused row.
@@ -92,58 +162,97 @@ func (e *StreamEncoder) Encode(sol eval.Solution) error {
 	return e.EncodeRow(e.row)
 }
 
-// Count reports how many bindings have been encoded so far.
-func (e *StreamEncoder) Count() int { return e.n }
+// write writes p, failing the encoder if w does.
+func (e *StreamEncoder) write(p []byte) error {
+	if _, err := e.w.Write(p); err != nil {
+		e.err = err
+		e.release()
+		return err
+	}
+	return nil
+}
 
-// Close writes the document epilogue. The encoder is unusable afterwards.
-func (e *StreamEncoder) Close() error {
+// release gives the encoder's block back to the pool.
+func (e *StreamEncoder) release() {
+	if e.block == nil {
+		return
+	}
+	if cap(e.buf) <= maxPooledBlock {
+		*e.block = e.buf[:0] // the grown array, if the block grew
+		blockPool.Put(e.block)
+	}
+	e.block, e.buf = nil, e.first[:0]
+}
+
+// Fail ends the document without its epilogue, as a stream that broke
+// off mid-answer must: the rows encoded so far are written, and later
+// rows, Close and CloseWith write nothing and return err. On an encoder
+// that has already failed or closed it does nothing and returns the
+// earlier outcome.
+func (e *StreamEncoder) Fail(err error) error {
 	if e.closed || e.err != nil {
 		return e.err
 	}
-	e.closed = true
-	_, err := io.WriteString(e.w, "]}}")
+	if len(e.buf) > 0 && e.write(e.buf) != nil {
+		return e.err
+	}
+	e.err = err
+	e.release()
 	return err
+}
+
+// Close writes the document epilogue. The encoder is unusable afterwards.
+func (e *StreamEncoder) Close() error {
+	return e.CloseWith("", nil)
 }
 
 // CloseWith writes the document epilogue with one extra top-level member
 // appended after results — the /sparql endpoint's explain=trace trailer.
 // W3C-format consumers (including StreamDecoder) skip unknown top-level
 // members, so the document stays a valid SELECT results document. raw
-// must be valid JSON; nil raw degrades to a plain Close.
+// must be valid JSON; nil raw degrades to a plain Close. The encoder is
+// unusable afterwards.
 func (e *StreamEncoder) CloseWith(key string, raw []byte) error {
 	if e.closed || e.err != nil {
 		return e.err
 	}
-	if raw == nil {
-		return e.Close()
-	}
 	e.closed = true
-	buf := appendString(append(e.buf[:0], "]},"...), key)
-	buf = append(append(append(buf, ':'), raw...), '}')
-	_, err := e.w.Write(buf)
-	return err
+	buf := e.buf
+	if raw == nil {
+		buf = append(buf, "]}}"...)
+	} else {
+		buf = appendString(append(buf, "]},"...), key)
+		buf = append(append(append(buf, ':'), raw...), '}')
+	}
+	e.buf = buf
+	if err := e.write(buf); err != nil {
+		return err
+	}
+	e.release()
+	return nil
 }
 
 // EncodeSelectStream drains a lazy solution sequence into w as a SELECT
-// results document, writing each solution as it arrives. flush, when
-// non-nil, is called after every written solution (an http.Flusher
-// adapter), so the first row reaches the client immediately. A mid-stream
-// error from the sequence aborts the document and is returned; the output
-// is then truncated JSON, which tells the consumer the stream failed.
+// results document. flush, when non-nil, is called at each flush point in
+// place of w's own Flush (an http.Flusher adapter), so the first row
+// reaches the client immediately. A mid-stream error from the sequence
+// aborts the document and is returned; the output is then truncated JSON,
+// which tells the consumer the stream failed.
 func EncodeSelectStream(w io.Writer, vars []string, seq eval.SolutionSeq, flush func()) error {
 	enc, err := NewStreamEncoder(w, vars)
 	if err != nil {
 		return err
 	}
+	if flush != nil {
+		enc.flusher = flushFunc(flush)
+	}
 	for sol, err := range seq {
 		if err != nil {
+			_ = enc.Fail(err)
 			return err
 		}
 		if err := enc.Encode(sol); err != nil {
 			return err
-		}
-		if flush != nil {
-			flush()
 		}
 	}
 	return enc.Close()

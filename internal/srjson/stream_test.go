@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sparqlrw/internal/eval"
@@ -52,9 +53,6 @@ func TestStreamRoundTrip(t *testing.T) {
 		if err := enc.Encode(sol); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if enc.Count() != 4 {
-		t.Fatalf("count = %d", enc.Count())
 	}
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
@@ -361,4 +359,134 @@ func TestRowBuffered(t *testing.T) {
 	if err := d.NextRow(benchVars, row); err != io.EOF || d.RowBuffered() {
 		t.Fatalf("end = %v, RowBuffered = %v", err, d.RowBuffered())
 	}
+}
+
+// blockWriter counts the Write calls it takes and records, at each Flush,
+// how many bytes had been written by then.
+type blockWriter struct {
+	bytes.Buffer
+	writes  int
+	flushed []int
+}
+
+func (w *blockWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func (w *blockWriter) Flush() { w.flushed = append(w.flushed, w.Len()) }
+
+// TestStreamEncoderWritesBlocks: a 1000-row answer reaches its writer in
+// one Write per flush point and three more (head, tail, first row), as
+// the very document a Write per row made, and is flushed right after the
+// first row and then after every FlushEvery-th, each flush ending on a
+// whole row.
+func TestStreamEncoderWritesBlocks(t *testing.T) {
+	const rows = 1000
+	var w blockWriter
+	enc, err := NewStreamEncoder(&w, benchVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"head":{"vars":["paper","a","t"]},"results":{"bindings":[`)
+	var flushAt []int // the document's length after each flush point's row
+	for i := range rows {
+		sol := benchRow(i)
+		row := []rdf.Term{sol["paper"], sol["a"], sol["t"]}
+		if err := enc.EncodeRow(row); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			want = append(want, ',')
+		}
+		if want, err = AppendRow(want, benchVars, row); err != nil {
+			t.Fatal(err)
+		}
+		if n := i + 1; n == 1 || n%FlushEvery == 0 {
+			flushAt = append(flushAt, len(want))
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, "]}}"...)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("the blocks make a different document:\n%.300s\nwant\n%.300s", w.Bytes(), want)
+	}
+	if limit := (rows+FlushEvery-1)/FlushEvery + 3; w.writes > limit {
+		t.Errorf("%d rows took %d writes, want at most %d", rows, w.writes, limit)
+	}
+	if !slices.Equal(w.flushed, flushAt) {
+		t.Errorf("flushed with %v bytes written, want %v", w.flushed, flushAt)
+	}
+}
+
+// TestStreamEncoderFailsMidBlock: a row that cannot be encoded, half-way
+// through a block, leaves the rows before it written and no epilogue;
+// the encoder stays failed.
+func TestStreamEncoderFailsMidBlock(t *testing.T) {
+	var w blockWriter
+	enc, err := NewStreamEncoder(&w, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"head":{"vars":["x"]},"results":{"bindings":[`)
+	for i := range 100 {
+		row := []rdf.Term{rdf.NewLiteral(fmt.Sprint(i))}
+		if err := enc.EncodeRow(row); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want, _ = AppendRow(want, []string{"x"}, row)
+	}
+	bad := []rdf.Term{rdf.NewVar("v")}
+	if err := enc.EncodeRow(bad); err == nil {
+		t.Fatal("a variable encoded as a term")
+	}
+	if err := enc.EncodeRow([]rdf.Term{rdf.NewLiteral("after")}); err == nil {
+		t.Error("a row after the failure encoded")
+	}
+	if err := enc.Close(); err == nil {
+		t.Error("Close after the failure succeeded")
+	}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Errorf("document = ...%s, want it to end after the 100th row, unclosed", w.Bytes()[max(0, w.Len()-80):])
+	}
+}
+
+// TestStreamEncodersShareThePool: encoders on several goroutines at once
+// take blocks from the one pool and give them back, and each document
+// still holds its own rows only.
+func TestStreamEncodersShareThePool(t *testing.T) {
+	const workers, docs, rows = 4, 5, 300
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for doc := range docs {
+				var w blockWriter
+				enc, err := NewStreamEncoder(&w, []string{"x"})
+				want := []byte(`{"head":{"vars":["x"]},"results":{"bindings":[`)
+				for i := 0; i < rows && err == nil; i++ {
+					row := []rdf.Term{rdf.NewLiteral(fmt.Sprintf("worker %d, document %d, row %d", g, doc, i))}
+					if i > 0 {
+						want = append(want, ',')
+					}
+					want, _ = AppendRow(want, []string{"x"}, row)
+					err = enc.EncodeRow(row)
+				}
+				if err == nil {
+					err = enc.Close()
+				}
+				if want = append(want, "]}}"...); err != nil || !bytes.Equal(w.Bytes(), want) {
+					t.Errorf("worker %d, document %d: %v, or other bytes than its rows'", g, doc, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

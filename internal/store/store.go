@@ -324,37 +324,6 @@ func (s *Store) MatchAll(pattern rdf.Triple) []rdf.Triple {
 	return out
 }
 
-// Count returns the number of triples matching the pattern, from the
-// statistics or the size of one index level where those give it and from
-// a snapshot otherwise.
-func (s *Store) Count(pattern rdf.Triple) int {
-	sid, pid, oid, ok := s.encode(pattern)
-	if !ok {
-		return 0
-	}
-	sb, pb, ob := sid != wildcardID, pid != wildcardID, oid != wildcardID
-	n := -1
-	s.mu.RLock()
-	switch {
-	case !sb && !pb && !ob:
-		n = s.size
-	case pb && !sb && !ob:
-		n = s.predCount[pid]
-	case sb && pb && !ob:
-		n = len(s.spo[sid][pid])
-	case pb && ob && !sb:
-		n = len(s.pos[pid][oid])
-	case sb && ob && !pb:
-		n = len(s.osp[oid][sid])
-	}
-	s.mu.RUnlock()
-	if n < 0 {
-		var buf [8][3]uint32
-		n = len(s.snapshot(pattern, buf[:0]))
-	}
-	return n
-}
-
 // Triples returns all triples as a graph in deterministic sorted order.
 func (s *Store) Triples() rdf.Graph {
 	return rdf.Graph(s.MatchAll(rdf.Triple{})).Sort()
