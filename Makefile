@@ -7,8 +7,8 @@
 # reference, the SPARQL, Turtle and N-Triples parsers, the traceparent
 # parser and the rewrite-plan template's bind briefly;
 # `make check-metrics` smoke-tests the /metrics exposition against a live
-# mediator binary; `make bench-exit` checks that a short benchmark run
-# exits by itself and leaves no process behind; `make examples` runs every example end to end; `make loc`
+# mediator binary; `make bench-exit` checks that short benchmark runs
+# exit by themselves, answer correctly and leave no process behind; `make examples` runs every example end to end; `make loc`
 # counts non-test Go lines outside bench/ (find . -name '*.go' ! -name
 # '*_test.go' ! -path './bench/*' | xargs cat | wc -l), then per internal/
 # package, the measure of a change that deletes code.
@@ -54,23 +54,29 @@ bench-smoke:
 	@cat bench-smoke.out; rm -f bench-smoke.out
 	@echo "bench-smoke: every benchmark ran; representative-cache and tracing benchmarks present"
 
-# A benchmark run must end by itself (CI runs this): the bench binary is
-# built to a temporary path and run for 2 s of hot-churn under timeout;
-# the target fails if the run does not exit 0 within 5 minutes on its own,
-# or if any process of that binary is still running after it.
+# A benchmark run must end by itself and answer right (CI runs this): the
+# bench binary is built to a temporary path and run for 2 s of hot-churn,
+# then 2 s of xvocab-join, each under timeout; the target fails if a run
+# does not exit 0 within 5 minutes on its own, if its last line (the JSON
+# summary) does not read "correct":true, or if any process of that binary
+# is still running after it.
 bench-exit:
 	@dir=$$(mktemp -d); bin=$$dir/bench; \
 	$(GO) build -o $$bin ./bench || { rm -rf $$dir; exit 1; }; \
-	status=0; \
-	timeout -k 10 300 $$bin -workload hot-churn -trace 0 -seconds 2 -out $$dir/out >$$dir/log 2>&1 || status=$$?; \
-	left=$$(pgrep -f "^$$bin" | tr '\n' ' '); \
-	[ -z "$$left" ] || pkill -KILL -f "^$$bin"; \
-	if [ $$status -ne 0 ] || [ -n "$$left" ]; then \
-		cat $$dir/log; rm -rf $$dir; \
-		echo "bench-exit: exit status $$status (124 is the timeout), processes left running: [$$left]" >&2; exit 1; \
-	fi; \
-	tail -n 1 $$dir/log; rm -rf $$dir; \
-	echo "bench-exit: the run exited 0 by itself and left no process running"
+	for w in hot-churn xvocab-join; do \
+		status=0; \
+		timeout -k 10 300 $$bin -workload $$w -trace 0 -seconds 2 -out $$dir/out >$$dir/log 2>&1 || status=$$?; \
+		left=$$(pgrep -f "^$$bin" | tr '\n' ' '); \
+		[ -z "$$left" ] || pkill -KILL -f "^$$bin"; \
+		correct=$$(tail -n 1 $$dir/log | grep -c '"correct":true'); \
+		if [ $$status -ne 0 ] || [ -n "$$left" ] || [ $$correct -ne 1 ]; then \
+			cat $$dir/log; rm -rf $$dir; \
+			echo "bench-exit: $$w: exit status $$status (124 is the timeout), processes left running: [$$left], last line correct: $$correct" >&2; exit 1; \
+		fi; \
+		tail -n 1 $$dir/log; \
+	done; \
+	rm -rf $$dir; \
+	echo "bench-exit: each run exited 0 by itself, answered correctly and left no process running"
 
 # Ten seconds of each fuzz target (CI runs this): the SRJ decoder against
 # its encoding/json reference, the encoder's round trip, the slicing lexer

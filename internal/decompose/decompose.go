@@ -41,6 +41,28 @@
 // spelling; a rewriting target's rewriting translates them. The plan
 // streams, so incremental rows and disconnect cancellation work
 // unchanged.
+//
+// A group B travels inside an earlier group A's sub-query, a co-located
+// join, when B's data sets are among A's (each rewriting both or
+// neither), B joins only on variables A binds and binds one A does not,
+// and neither is answered by a view; A carries at most one group and
+// travels in none. Each of A's targets then receives, in A's one request,
+//
+//	SELECT DISTINCT vars(A) ∪ vars(B) { A-patterns A-filters OPTIONAL { B-patterns B-filters } }
+//
+// rewritten and respelled as any sub-query. A's leaf yields the distinct
+// projections onto A's variables, and holds the rows that bind B's for
+// B's stage, with, per target, the join keys the target returned. The
+// OPTIONAL makes this exact: for every key a target returns in that
+// answer it also returns all of its own rows of B that join it — the key
+// is bound by A, so B's match under it is the bound join's answer for it.
+// B's bound join therefore sends a target only the keys it did not
+// return there, besides those it cannot hold (plan.Owners), and yields
+// the held rows ahead of the rows of the keys it sent, through one
+// merge. A key counts as returned only when the target spells it one way
+// (the one B would be sent) and its answer ended without error. Past
+// eval.MaxHeldRows held rows, A's leaf drops them and B binds every key
+// as before.
 package decompose
 
 import (
@@ -171,6 +193,34 @@ type Fragment struct {
 
 	// local yields the view's rows in place of a dispatch (AnswerFrom).
 	local LocalRows
+
+	// stage is the fragment's index in its decomposition's Fragments.
+	stage int
+	// carries is the later fragment that travels inside this group's
+	// sub-query, carriedBy the earlier one whose sub-query this group
+	// travels in (see pair); nil outside a pair. wide is a carrier's
+	// sub-query's projection: its own variables, then those only the
+	// fragment it carries binds.
+	carries, carriedBy *Fragment
+	wide               []string
+}
+
+// travelling returns the fragment that travels inside f's sub-query: the
+// one the decomposer paired with f, unless a view answers either of them.
+func (f *Fragment) travelling() *Fragment {
+	if b := f.carries; b != nil && f.local == nil && b.local == nil {
+		return b
+	}
+	return nil
+}
+
+// carrier returns the fragment whose sub-query f travels in (see
+// travelling), nil when none.
+func (f *Fragment) carrier() *Fragment {
+	if a := f.carriedBy; a != nil && a.travelling() == f {
+		return a
+	}
+	return nil
 }
 
 // LocalRows answer a fragment in process. Fetch yields them as an
@@ -196,17 +246,27 @@ func (f *Fragment) BGP() []rdf.Triple {
 	return nil
 }
 
-// MarshalJSON writes the fragment with its "leaf" and a group's
-// "patterns".
+// MarshalJSON writes the fragment with its "leaf", a group's "patterns"
+// and, for a pair of groups, the stage each travels with: "carries" on
+// the group whose sub-query takes the other along, "carriedBy" on that
+// other.
 func (f *Fragment) MarshalJSON() ([]byte, error) {
 	type fragment Fragment
 	out := struct {
 		Leaf string `json:"leaf"`
 		*fragment
-		Patterns []string `json:"patterns,omitempty"`
+		Patterns  []string `json:"patterns,omitempty"`
+		Carries   *int     `json:"carries,omitempty"`
+		CarriedBy *int     `json:"carriedBy,omitempty"`
 	}{Leaf: "endpoints", fragment: (*fragment)(f)}
 	if f.View != "" {
 		out.Leaf = "view"
+	}
+	if b := f.travelling(); b != nil {
+		out.Carries = &b.stage
+	}
+	if a := f.carrier(); a != nil {
+		out.CarriedBy = &a.stage
 	}
 	for _, tp := range f.patterns {
 		out.Patterns = append(out.Patterns, sparql.FormatTriplePattern(tp, f.prefixes))
@@ -475,6 +535,7 @@ func (d *Decomposer) group(dec *Decomposition, sel *plan.Selection) error {
 	for _, f := range dec.Fragments {
 		f.prefixes = q.Prefixes
 	}
+	pair(dec.Fragments)
 
 	d.metrics.decompositions.Inc()
 	for _, f := range dec.Fragments {
@@ -695,8 +756,57 @@ func orderFragments(dec *Decomposition, fragments []*Fragment, vars *[]string) {
 		for _, v := range f.Vars {
 			bound[v] = true
 		}
+		f.stage = len(dec.Fragments)
 		dec.Fragments = append(dec.Fragments, f)
 	}
+}
+
+// pair lets a group b travel inside an earlier group a's sub-query, as
+// OPTIONAL patterns the same endpoints answer in the same request (see
+// the package doc), when:
+//   - b's data sets are among a's, each rewriting the sub-queries of both
+//     or of neither;
+//   - b joins, and only on variables a binds;
+//   - b binds a variable a does not, so a row shows whether b matched;
+//   - a carries no other group and travels in none.
+//
+// The fragments are in join order; pair marks each pair and a carrier's
+// wide projection.
+func pair(fragments []*Fragment) {
+	for k, b := range fragments {
+		if len(b.JoinVars) == 0 {
+			continue
+		}
+		for _, a := range fragments[:k] {
+			if a.carries == nil && a.carriedBy == nil && canCarry(a, b) {
+				a.carries, b.carriedBy = b, a
+				a.wide = append(make([]string, 0, len(a.Vars)+len(b.Vars)), a.Vars...)
+				for _, v := range b.Vars {
+					if !slices.Contains(a.Vars, v) {
+						a.wide = append(a.wide, v)
+					}
+				}
+				break
+			}
+		}
+	}
+}
+
+// canCarry reports whether group b may travel inside group a's sub-query
+// by their targets and variables (see pair).
+func canCarry(a, b *Fragment) bool {
+	for _, t := range b.Targets {
+		i := slices.IndexFunc(a.Targets, func(u plan.Target) bool { return u.Dataset == t.Dataset })
+		if i < 0 || a.Targets[i].NeedsRewrite != t.NeedsRewrite {
+			return false
+		}
+	}
+	for _, v := range b.JoinVars {
+		if !slices.Contains(a.Vars, v) {
+			return false
+		}
+	}
+	return slices.ContainsFunc(b.Vars, func(v string) bool { return !slices.Contains(a.Vars, v) })
 }
 
 // attachFilters pushes each FILTER into the first fragment that binds
@@ -742,7 +852,9 @@ func allBound(terms []rdf.Term, vars []string) bool {
 
 // fragmentQuery returns a fragment's sub-query: a whole fragment's query,
 // or a group's patterns (most selective first) and its pushed filters,
-// projected onto the group's variables, in a new query. DISTINCT matches
+// projected onto the group's variables, in a new query; a carrier's also
+// takes the group it carries along as an OPTIONAL group of that group's
+// patterns and filters, and projects its wide variables. DISTINCT matches
 // the executor's merge semantics (every federated result is deduplicated)
 // and keeps bound-join result sets minimal.
 func fragmentQuery(dec *Decomposition, f *Fragment) *sparql.Query {
@@ -752,14 +864,32 @@ func fragmentQuery(dec *Decomposition, f *Fragment) *sparql.Query {
 	q := sparql.NewQuery(sparql.Select)
 	q.Prefixes = dec.Query.Prefixes.Clone()
 	q.Distinct = true
-	q.SelectVars = append([]string(nil), f.Vars...)
-	group := &sparql.GroupGraphPattern{Elements: make([]sparql.GroupElement, 0, 1+len(f.filters))}
+	q.SelectVars = append([]string(nil), f.wireVars()...)
+	q.Where = groupPattern(f)
+	if b := f.travelling(); b != nil {
+		q.Where.Elements = append(q.Where.Elements, &sparql.Optional{Group: groupPattern(b)})
+	}
+	return q
+}
+
+// groupPattern returns a group's patterns and its pushed filters, in a
+// new group graph pattern with room for one more element.
+func groupPattern(f *Fragment) *sparql.GroupGraphPattern {
+	group := &sparql.GroupGraphPattern{Elements: make([]sparql.GroupElement, 0, 2+len(f.filters))}
 	group.Elements = append(group.Elements, &sparql.BGP{Patterns: append([]rdf.Triple(nil), f.patterns...)})
 	for _, expr := range f.filters {
 		group.Elements = append(group.Elements, &sparql.Filter{Expr: expr})
 	}
-	q.Where = group
-	return q
+	return group
+}
+
+// wireVars are the variables of the rows a fragment's dispatch returns:
+// a carrier's wide ones, any other fragment's own.
+func (f *Fragment) wireVars() []string {
+	if f.travelling() != nil {
+		return f.wide
+	}
+	return f.Vars
 }
 
 // withValues returns q with a VALUES block joined in front of its WHERE

@@ -1011,3 +1011,156 @@ func TestFragmentAnsweredInProcess(t *testing.T) {
 		t.Errorf("summary %+v, want the view's rows last, under view:v1", sum.PerDataset)
 	}
 }
+
+// TestCarriedFragmentExplained: over Southampton, KISTI (reached through
+// the AKT alignments) and the metrics, the cross-vocabulary query's
+// authorship group (stage 2) travels inside the sub-query of the person's
+// papers (stage 0): both go to the same two repositories and join on
+// ?paper, which the papers bind. The marshalled plan marks the pair, the
+// papers' sub-query takes the authorship patterns along as an OPTIONAL
+// group, and once a view answers either fragment neither is marked.
+func TestCarriedFragmentExplained(t *testing.T) {
+	kb := voidkb.NewKB()
+	for _, d := range []*voidkb.Dataset{
+		{URI: workload.SotonVoidURI, SPARQLEndpoint: sotonURL, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{rdf.AKTNS}, Triples: 1000, PropertyPartitions: map[string]int64{rdf.AKTHasAuthor: 400}},
+		{URI: workload.KistiVoidURI, SPARQLEndpoint: "http://kisti.test/sparql", URISpace: workload.KistiURIPattern,
+			Vocabularies: []string{rdf.KISTINS}, Triples: 2000},
+		{URI: workload.MetricsVoidURI, SPARQLEndpoint: metricsURL, URISpace: workload.SotonURIPattern,
+			Vocabularies: []string{workload.MetricsNS}, Triples: 180, PropertyPartitions: map[string]int64{workload.MetricsCitationCount: 90}},
+	} {
+		if err := kb.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alignKB := align.NewKB()
+	if err := alignKB.Add(workload.AKT2KISTI()); err != nil {
+		t.Fatal(err)
+	}
+	dcm := New(plan.New(kb, alignKB, nil, nil, plan.Options{}), Options{})
+	dec, err := dcm.Decompose(workload.CrossVocabularyQuery(2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type explained struct {
+		Fragments []struct {
+			Patterns  []string
+			Targets   []struct{ Dataset string }
+			Carries   *int
+			CarriedBy *int
+		}
+	}
+	explain := func() explained {
+		t.Helper()
+		raw, err := json.Marshal(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ex explained
+		if err := json.Unmarshal(raw, &ex); err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	ex := explain()
+	person := "<" + workload.SotonPerson(2).Value + ">"
+	want := []struct {
+		pattern            string
+		targets            int
+		carries, carriedBy int // -1: unmarked
+	}{
+		{"?paper akt:has-author " + person, 2, 2, -1},
+		{"?paper m:citationCount ?c", 1, -1, -1},
+		{"?paper akt:has-author ?a", 2, -1, 0},
+	}
+	if len(ex.Fragments) != len(want) {
+		t.Fatalf("%d fragments, want %d: %+v", len(ex.Fragments), len(want), ex)
+	}
+	mark := func(p *int) int {
+		if p == nil {
+			return -1
+		}
+		return *p
+	}
+	for k, w := range want {
+		f := ex.Fragments[k]
+		if len(f.Patterns) != 1 || f.Patterns[0] != w.pattern || len(f.Targets) != w.targets ||
+			mark(f.Carries) != w.carries || mark(f.CarriedBy) != w.carriedBy {
+			t.Errorf("fragment %d = %+v (carries %d, carried by %d), want %+v", k, f, mark(f.Carries), mark(f.CarriedBy), w)
+		}
+	}
+	text := sparql.Format(fragmentQuery(dec, dec.Fragments[0]))
+	if !strings.Contains(text, "SELECT DISTINCT ?paper ?a") || !strings.Contains(text, "OPTIONAL {\n    ?paper akt:has-author ?a .") {
+		t.Errorf("the carrier's sub-query:\n%s", text)
+	}
+	dec.AnswerFrom(2, "v1", []string{"paper", "a"}, &seededTable{rows: eval.RowBuf{Width: 2}})
+	for k, f := range explain().Fragments {
+		if f.Carries != nil || f.CarriedBy != nil {
+			t.Errorf("with a view answering stage 2, fragment %d is still marked: %+v", k, f)
+		}
+	}
+	if text := sparql.Format(fragmentQuery(dec, dec.Fragments[0])); strings.Contains(text, "OPTIONAL") {
+		t.Errorf("with a view answering stage 2, the papers' sub-query still carries it:\n%s", text)
+	}
+}
+
+// TestCarriedRowsPastTheCap: a group whose rows in the sub-query it
+// travels in pass eval.MaxHeldRows is not held: its stage binds every key
+// as it would alone, and the answer is whole. Here the carrier is itself
+// a bound stage (the d3 group seeds it), so the carried rows come back
+// from its VALUES shard.
+func TestCarriedRowsPastTheCap(t *testing.T) {
+	const (
+		ns, ns2          = "http://cap.example/ont#", "http://cap.example/other#"
+		url1, url2, url3 = "http://d1.test/sparql", "http://d2.test/sparql", "http://d3.test/sparql"
+		space            = `http://cap\.example/id/\S*`
+	)
+	x := rdf.NewIRI("http://cap.example/id/x")
+	client := newStoreClient()
+	d1, d3 := store.New(), store.New()
+	d1.Add(rdf.Triple{S: x, P: rdf.NewIRI(ns + "p"), O: rdf.NewLiteral("y")})
+	for i := range eval.MaxHeldRows + 1 {
+		d1.Add(rdf.Triple{S: x, P: rdf.NewIRI(ns + "q"), O: rdf.NewLiteral(fmt.Sprint(i))})
+	}
+	d3.Add(rdf.Triple{S: x, P: rdf.NewIRI(ns2 + "r"), O: rdf.NewLiteral("w")})
+	client.stores[url1], client.stores[url2], client.stores[url3] = d1, store.New(), d3
+	kb := voidkb.NewKB()
+	for _, d := range []*voidkb.Dataset{
+		{URI: "http://d1.example/void", SPARQLEndpoint: url1, URISpace: space, Vocabularies: []string{ns}, Triples: int64(d1.Size()),
+			PropertyPartitions: map[string]int64{ns + "p": 1, ns + "q": eval.MaxHeldRows + 1}},
+		{URI: "http://d2.example/void", SPARQLEndpoint: url2, URISpace: `http://d2\.example/id/\S*`, Vocabularies: []string{ns}, Triples: 1},
+		{URI: "http://d3.example/void", SPARQLEndpoint: url3, URISpace: space, Vocabularies: []string{ns2}, Triples: 1},
+	} {
+		if err := kb.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dcm := New(plan.New(kb, align.NewKB(), nil, nil, plan.Options{}), Options{})
+	engine := NewEngine(federate.NewExecutor(client, nil, nil, federate.Options{MaxRetries: -1}), nil, Options{})
+	dec, err := dcm.Decompose(fmt.Sprintf("SELECT ?x ?y ?z ?w WHERE { ?x <%sp> ?y . ?x <%sq> ?z . ?x <%sr> ?w }", ns, ns, ns2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Fragments) != 3 || dec.Fragments[1].travelling() != dec.Fragments[2] {
+		t.Fatalf("fragments %+v: want the q group travelling in the p group's sub-query", dec.Fragments)
+	}
+	sols, err := solutions(context.Background(), engine.Plan(dec, nil, 0).Op, dec.Vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sols) != eval.MaxHeldRows+1 {
+		t.Fatalf("%d rows, want %d", len(sols), eval.MaxHeldRows+1)
+	}
+	var carried, bound int
+	for _, q := range client.queriesFor(url1) {
+		switch {
+		case strings.Contains(q, "OPTIONAL"):
+			carried++
+		case strings.Contains(q, "VALUES"):
+			bound++
+		}
+	}
+	if carried != 1 || bound != 1 {
+		t.Errorf("d1 received %d carrying and %d bound sub-queries, want one each: %q", carried, bound, client.queriesFor(url1))
+	}
+}

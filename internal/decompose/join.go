@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strconv"
 	"time"
 
 	"sparqlrw/internal/algebra"
@@ -136,6 +137,9 @@ func (e *Engine) Plan(d *Decomposition, left algebra.Op, limit int) *Plan {
 	}
 	for k, f := range d.Fragments {
 		leaves[k] = fragmentLeaf{e: e, d: d, f: f, stage: int64(k), plan: p}
+		if a := f.carrier(); a != nil {
+			leaves[k].carrier = &leaves[a.stage]
+		}
 		remotes[k] = algebra.Remote{Vars: f.Vars, Source: &leaves[k]}
 		var leaf algebra.Op = &remotes[k]
 		if op != nil {
@@ -205,12 +209,22 @@ func (p *Plan) Add(res *federate.Result) {
 // spellings it may hold, as VALUES in BindBatch-row shards — while every
 // target's block fits MaxBindRows; past the cap, or with no key to ship,
 // it fetches unbound and the join hashes over sameAs-canonicalised keys.
+//
+// A fragment that travels inside an earlier one's sub-query (see pair)
+// has its carrier's leaf: its bound join yields the rows the carrier's
+// fetch held for it, and ships each target only the keys that target did
+// not answer there.
 type fragmentLeaf struct {
 	e     *Engine
 	d     *Decomposition
 	f     *Fragment
 	stage int64
 	plan  *Plan
+	// carrier is the leaf whose sub-query this fragment travels in, nil
+	// when none; carry is what this leaf's fetch kept for the fragment
+	// travelling in its own, nil when none does or before the fetch.
+	carrier *fragmentLeaf
+	carry   *carriage
 }
 
 // Fetch runs the fragment (see eval.Remote), profiling a join stage on a
@@ -226,39 +240,47 @@ func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(ev
 		return err
 	}
 	if seed == nil {
-		return l.dispatch(ctx, nil, yield)
+		return l.dispatch(ctx, nil, eval.RowBuf{}, yield)
 	}
 	ctx, span := obs.StartSpan(ctx, "join")
 	st := obs.Operator("bound-join")
 	st.Stage, st.EstRows, st.RowsIn = l.stage, l.f.EstCard, int64(seed.Left)
 	var fetched int64
 	var err error
-	// An empty left side, or keys no target holds a spelling of: the join
-	// is empty, nothing to dispatch.
+	start := time.Now()
+	emit := func(r eval.Row) bool {
+		fetched++
+		more := yield(r)
+		if st.FirstRowMS < 0 && seed.Joined > 0 {
+			st.FirstRowMS = float64(time.Since(start).Microseconds()) / 1000
+		}
+		return more
+	}
+	// An empty left side, or no key to send that a target holds a spelling
+	// of and did not answer in the carrier's sub-query: nothing to
+	// dispatch, and the rows the carrier's fetch held are the stage's.
+	// Otherwise they lead the dispatch's rows, through its merge.
 	if seed.Left > 0 {
-		byTarget, shipped := l.bind(seed)
-		if byTarget == nil {
+		c := l.held()
+		byTarget, shipped := l.bind(seed, c, span)
+		var lead eval.RowBuf
+		if c != nil {
+			lead = c.rows
+		}
+		switch {
+		case byTarget == nil:
 			l.e.metrics.hashJoinStages.Inc()
 			st.Op = "hash-join"
-		} else if span != nil {
-			span.SetInt("valuesRows", int64(shipped))
-			for k, t := range l.f.Targets {
-				if byTarget[k] == nil {
-					span.SetString("skipped "+t.Dataset, "holds none of the keys' spellings")
-				}
+			err = l.dispatch(ctx, nil, lead, emit)
+		case shipped > 0:
+			err = l.dispatch(ctx, byTarget, lead, emit)
+		default:
+			for i := 0; i < lead.N && emit(lead.Row(i)); i++ {
 			}
 		}
-		if byTarget == nil || shipped > 0 {
-			start := time.Now()
-			err = l.dispatch(ctx, byTarget, func(r eval.Row) bool {
-				fetched++
-				more := yield(r)
-				if st.FirstRowMS < 0 && seed.Joined > 0 {
-					st.FirstRowMS = float64(time.Since(start).Microseconds()) / 1000
-				}
-				return more
-			})
-		}
+	}
+	if l.carry != nil {
+		span.SetInt("carries", int64(l.carry.stage))
 	}
 	st.ActualRows, st.RowsOut = fetched, seed.Joined
 	st.QError = obs.QError(float64(st.EstRows), float64(fetched))
@@ -281,7 +303,13 @@ func (l *fragmentLeaf) Fetch(ctx context.Context, seed *eval.Seed, yield func(ev
 // under a predicate other than rdf:type, the members of the key's
 // owl:sameAs class the owner lookup lets the target hold (plan.Owners);
 // anywhere else, every member.
-func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shipped int) {
+//
+// A key whose rows the carrier's sub-query c already fetched from a target
+// is not sent to it again: one that target spells one way only and
+// returned in that answer, which ended without error. The span records
+// the VALUES rows, the keys sent to a target that had not answered them
+// there (complementKeys), and why each target without a block has none.
+func (l *fragmentLeaf) bind(seed *eval.Seed, c *carriage, span *obs.Span) (byTarget [][]*sparql.Query, shipped int) {
 	opts, owners, targets := l.e.opts, l.d.owners, l.f.Targets
 	width := len(seed.Vars)
 	if width == 0 || opts.MaxBindRows < 0 {
@@ -296,16 +324,26 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shippe
 		spellings []rdf.Term
 		at        int
 	}
-	// Per target: its VALUES block and the rows already in it.
+	// Per target: its VALUES block and the rows already in it; the keys
+	// the carrier's sub-query answered at its data set, and whether some
+	// key was left out for that.
 	type block struct {
-		values sparql.InlineData
-		rows   eval.KeySet
+		values   sparql.InlineData
+		rows     eval.KeySet
+		answered *targetKeys
+		skipped  bool
 	}
 	pos := make([]position, width)
 	for j, v := range seed.Vars {
 		pos[j].exact = l.f.exact(v)
 	}
 	blocks := make([]block, len(targets))
+	if c != nil && slices.Equal(seed.Vars, c.keyVars) {
+		for k, t := range targets {
+			blocks[k].answered = c.at(t.Dataset)
+		}
+	}
+	complement := 0
 	var slab []rdf.Term // the rows' cells
 	for i := range seed.Keys.N {
 		key := seed.Keys.Row(i)
@@ -317,6 +355,7 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shippe
 		}
 	target:
 		for k, t := range targets {
+			one := true // the target spells the key one way
 			for j, x := range key {
 				p := &pos[j]
 				p.spellings, p.at = p.spellings[:0], 0
@@ -332,9 +371,17 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shippe
 				if len(p.spellings) == 0 {
 					continue target
 				}
+				one = one && len(p.spellings) == 1
+			}
+			b := &blocks[k]
+			if a := b.answered; a != nil {
+				if one && !a.failed && a.keys.Has(key) {
+					b.skipped = true
+					continue
+				}
+				complement++
 			}
 			// Every combination, the last position counting fastest.
-			b := &blocks[k]
 			for {
 				if len(slab)+width > cap(slab) {
 					slab = make([]rdf.Term, 0, max(64, width*seed.Keys.N))
@@ -377,6 +424,21 @@ func (l *fragmentLeaf) bind(seed *eval.Seed) (byTarget [][]*sparql.Query, shippe
 	}
 	l.e.metrics.boundJoinStages.Inc()
 	l.e.metrics.valuesRows.Add(float64(shipped))
+	if span != nil {
+		span.SetInt("valuesRows", int64(shipped))
+		if c != nil {
+			span.SetInt("complementKeys", int64(complement))
+		}
+		for k, t := range targets {
+			switch {
+			case byTarget[k] != nil:
+			case blocks[k].skipped:
+				span.SetString("skipped "+t.Dataset, "answered in stage "+strconv.FormatInt(l.carrier.stage, 10)+"'s sub-query")
+			default:
+				span.SetString("skipped "+t.Dataset, "holds none of the keys' spellings")
+			}
+		}
+	}
 	return byTarget, shipped
 }
 
@@ -403,7 +465,7 @@ func request(d *Decomposition, f *Fragment, byTarget [][]*sparql.Query) federate
 	if byTarget == nil && shards == nil {
 		shards = []*sparql.Query{fragmentQuery(d, f)}
 	}
-	req := federate.Request{Vars: f.Vars,
+	req := federate.Request{Vars: f.wireVars(),
 		Targets: make([]federate.Target, 0, len(f.Targets)*max(len(shards), 1))}
 	for k, t := range f.Targets {
 		ts := shards
@@ -433,15 +495,18 @@ func request(d *Decomposition, f *Fragment, byTarget [][]*sparql.Query) federate
 
 // dispatch sends the fragment's sub-query, or the given per-target VALUES
 // shards of it, and pushes the merged rows over the fragment's variables
-// into yield; its summary goes to the plan's. An unbound fetch of a group
+// into yield, lead's first (federate.Request.Lead); its summary goes to
+// the plan's. An unbound fetch of a group
 // opens a "fragment" operator span (estimate vs actual cardinality,
 // q-error, first-row latency) and feeds each dataset's actual into the
 // observed-cardinality store; bound shards skip both, since a semi-join's
 // result says nothing about the fragment's true extent, and so does a
-// whole fragment, which has no estimate.
-func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query, yield func(eval.Row) bool) error {
+// whole fragment, which has no estimate. A carrier's actuals are its own
+// distinct rows at each data set, as if nothing travelled with it.
+func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query, lead eval.RowBuf, yield func(eval.Row) bool) error {
 	f := l.f
 	req := request(l.d, f, byTarget)
+	req.Lead = lead
 	if byTarget != nil || f.Query != nil {
 		_, _, err := l.fetch(ctx, req, yield)
 		return err
@@ -458,16 +523,25 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query,
 		yielded++
 		return yield(row)
 	})
-	for _, da := range res.PerDataset {
-		if da.Err == nil && da.Shards <= 1 {
-			l.e.opts.Cards.Observe(da.Dataset, f.statTerm, f.statShape,
-				f.estimateAt(da.Dataset), int64(da.Solutions), epoch)
+	var actual int64
+	for i, da := range res.PerDataset {
+		own := int64(da.Solutions)
+		if c := l.carry; c != nil {
+			own = c.targets[c.target[i]].rows
 		}
+		actual += own
+		if da.Err == nil && da.Shards <= 1 {
+			l.e.opts.Cards.Observe(da.Dataset, f.statTerm, f.statShape, f.estimateAt(da.Dataset), own, epoch)
+		}
+	}
+	if c := l.carry; c != nil {
+		span.SetInt("carries", int64(c.stage))
+		span.SetInt("heldRows", int64(c.rows.N))
 	}
 	st := obs.Operator("fragment")
 	st.Stage, st.RowsOut, st.Solutions = l.stage, yielded, n
-	st.EstRows, st.ActualRows = f.EstCard, n
-	st.QError = obs.QError(float64(f.EstCard), float64(n))
+	st.EstRows, st.ActualRows = f.EstCard, actual
+	st.QError = obs.QError(float64(f.EstCard), float64(actual))
 	st.FirstRowMS = firstRowMS
 	span.SetOperator(st)
 	span.End()
@@ -476,14 +550,141 @@ func (l *fragmentLeaf) dispatch(ctx context.Context, byTarget [][]*sparql.Query,
 
 // fetch sends req through the executor and pushes the merged rows into
 // yield, then adds the dispatch's summary to the plan's and returns it
-// with the solutions the endpoints returned and the fail-fast abort.
+// with the solutions the endpoints returned and the fail-fast abort. A
+// carrier's rows are wide: it yields their distinct projections onto its
+// own variables, and keeps what its carriage needs of them.
 func (l *fragmentLeaf) fetch(ctx context.Context, req federate.Request, yield func(eval.Row) bool) (*federate.Result, int64, error) {
+	if b := l.f.travelling(); b != nil {
+		l.carry = newCarriage(l.f, b, req)
+		req.Tap = l.carry.tap
+		yield = l.carry.narrow(yield)
+	}
 	res, err := l.e.exec.Select(ctx, req).Run(yield)
 	l.plan.Add(res)
 	var n int64
-	for _, da := range res.PerDataset {
+	for i, da := range res.PerDataset {
 		n += int64(da.Solutions)
+		if da.Err != nil && l.carry != nil {
+			l.carry.targets[l.carry.target[i]].failed = true
+		}
 	}
 	l.e.metrics.transferred.Add(float64(n))
 	return res, n, err
+}
+
+// held returns the rows and answered keys the carrier's fetch kept for
+// this fragment: nil when it travels in no sub-query, or the carrier held
+// too many of its rows and dropped them.
+func (l *fragmentLeaf) held() *carriage {
+	if l.carrier == nil || l.carrier.carry == nil || l.carrier.carry.dropped {
+		return nil
+	}
+	return l.carrier.carry
+}
+
+// carriage is what a carrier's fetch keeps for the fragment travelling in
+// its sub-query: that fragment's rows, and per target of the carrier the
+// fragment's join keys the target answered. The carrier's sub-query is its
+// own patterns with the travelling fragment's as an OPTIONAL group, so
+// for every row a target returns, it returns all of that target's rows of
+// the travelling fragment that join it: the fragment's bound join need
+// not ask that target for the row's key again. Its tap and narrowed yield
+// run on the fan-out's goroutine, one after the other.
+type carriage struct {
+	carrier *Fragment
+	stage   int          // the travelling fragment's
+	own     int          // the carrier's variables: a wide row's first columns
+	cols    []int        // the travelling fragment's variables' columns in a wide row
+	keyCols []int        // its join variables' columns, in its variables' order
+	keyVars []string     // those variables
+	bound   int          // a column only it binds: bound when it matched
+	target  []int        // the carrier's target of each request target
+	targets []targetKeys // per target of the carrier
+	seen    eval.KeySet  // the carrier's rows yielded
+	rows    eval.RowBuf  // the travelling fragment's rows, over its variables
+	held    eval.KeySet  // their keys
+	dropped bool         // more than eval.MaxHeldRows rows: none are held
+	buf     eval.Row
+}
+
+// targetKeys is what one target of a carrier returned: how many distinct
+// rows of the carrier's own, and the travelling fragment's join keys among
+// them, which count only if its answer ended without error.
+type targetKeys struct {
+	own    eval.KeySet
+	rows   int64
+	keys   eval.KeySet
+	failed bool
+}
+
+// newCarriage returns the carriage of carrier a's fetch req, in which b
+// travels.
+func newCarriage(a, b *Fragment, req federate.Request) *carriage {
+	c := &carriage{carrier: a, stage: b.stage, own: len(a.Vars), bound: -1,
+		target: make([]int, len(req.Targets)), targets: make([]targetKeys, len(a.Targets)),
+		cols: make([]int, len(b.Vars)), buf: make(eval.Row, len(b.Vars))}
+	for i, t := range req.Targets {
+		c.target[i] = slices.IndexFunc(a.Targets, func(u plan.Target) bool { return u.Dataset == t.Dataset })
+	}
+	for j, v := range b.Vars {
+		col := slices.Index(a.wide, v)
+		c.cols[j] = col
+		switch {
+		case col < c.own:
+			c.keyCols, c.keyVars = append(c.keyCols, col), append(c.keyVars, v)
+		case c.bound < 0:
+			c.bound = col
+		}
+	}
+	c.rows.Width = len(b.Vars)
+	return c
+}
+
+// at returns what the carrier's target of data set ds returned, nil when
+// the carrier has no such target.
+func (c *carriage) at(ds string) *targetKeys {
+	if k := slices.IndexFunc(c.carrier.Targets, func(t plan.Target) bool { return t.Dataset == ds }); k >= 0 {
+		return &c.targets[k]
+	}
+	return nil
+}
+
+// tap records the carrier's distinct rows and their join keys per target
+// (federate.Request.Tap).
+func (c *carriage) tap(target int, rows eval.RowBuf) {
+	tk := &c.targets[c.target[target]]
+	for i := range rows.N {
+		r := rows.Row(i)
+		if tk.own.AddRow(r[:c.own]) {
+			tk.rows++
+			tk.keys.AddRow(c.project(r, c.keyCols))
+		}
+	}
+}
+
+// narrow returns yield fed with the distinct projections of the wide rows
+// onto the carrier's variables, holding each row of the travelling
+// fragment on the way, up to eval.MaxHeldRows of them.
+func (c *carriage) narrow(yield func(eval.Row) bool) func(eval.Row) bool {
+	return func(r eval.Row) bool {
+		if !c.dropped && r[c.bound].Kind != rdf.KindAny {
+			if row := c.project(r, c.cols); c.held.AddRow(row) {
+				c.rows.Append(row)
+				if c.rows.N > eval.MaxHeldRows {
+					c.dropped, c.rows, c.held = true, eval.RowBuf{}, eval.KeySet{}
+				}
+			}
+		}
+		return !c.seen.AddRow(r[:c.own]) || yield(r[:c.own])
+	}
+}
+
+// project returns the cells of r at cols, in a buffer reused by the next
+// call.
+func (c *carriage) project(r eval.Row, cols []int) eval.Row {
+	row := c.buf[:len(cols)]
+	for j, col := range cols {
+		row[j] = r[col]
+	}
+	return row
 }

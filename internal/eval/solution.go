@@ -125,6 +125,13 @@ func (k *KeySet) AddRow(r Row) bool {
 	return true
 }
 
+// Has reports whether a positional row's key was added.
+func (k *KeySet) Has(r Row) bool {
+	k.key = AppendRowKey(k.key[:0], r)
+	_, ok := k.seen[string(k.key)]
+	return ok
+}
+
 // AppendRowKey appends the key of a row's terms, in order: what hash
 // joins bucket under (over the join slots' terms) and DISTINCT compares.
 func AppendRowKey(dst []byte, r Row) []byte {

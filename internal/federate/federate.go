@@ -166,6 +166,17 @@ type Request struct {
 	// Vars are the query's projection variables, the slot table of the rows.
 	Vars    []string
 	Targets []Target
+	// Tap, when set, sees every batch of owl:sameAs-canonicalised rows
+	// before the merge drops the duplicates among them, with the index of
+	// the target that returned it: which rows a target answered, which
+	// the merged rows no longer tell. It runs on Run's goroutine, and the
+	// rows are valid only until it returns.
+	Tap func(target int, rows eval.RowBuf)
+	// Lead are rows over Vars the fan-out yields before any target's, once
+	// the targets the pool admits at once are dispatched, and merges as it
+	// merges a target's: a target's row equal to one of them is a
+	// duplicate. The merge compacts them in place.
+	Lead eval.RowBuf
 }
 
 // DatasetAnswer is one data set's contribution to a federated query.
@@ -328,7 +339,7 @@ func (e *Executor) rewriteText(t Target, sq *subquery) (text string, cached bool
 // admission), which funds the first dispatch attempt; afterwards a slot is
 // held only for the duration of each attempt, not across backoff sleeps,
 // so retrying workers don't starve queued healthy targets.
-func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *subquery, dst *sink, sem chan struct{}) (da DatasetAnswer) {
+func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *subquery, dst lane, sem chan struct{}) (da DatasetAnswer) {
 	held := true // the admission slot the caller acquired for us
 	defer func() {
 		if held {
@@ -392,7 +403,7 @@ func (e *Executor) queryTarget(ctx context.Context, req Request, t Target, sq *s
 // pre-acquired admission slot when *held, else acquiring one). It reports
 // whether the target is finished (success, terminal error, or
 // cancellation); false means "retry if the budget allows".
-func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, vars []string, attempt int, da *DatasetAnswer, dst *sink, sem chan struct{}, held *bool) bool {
+func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, vars []string, attempt int, da *DatasetAnswer, dst lane, sem chan struct{}, held *bool) bool {
 	if !*held {
 		select {
 		case sem <- struct{}{}:
@@ -476,7 +487,7 @@ func (e *Executor) attempt(ctx context.Context, rec *endpointRecord, t Target, v
 // stop the attempt's clock pd. The response is never buffered whole. A
 // failed attempt has pushed the rows it decoded; the retry re-pushes them
 // and the fan-out's merge deduplicates.
-func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, dst *sink, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
+func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, query string, vars []string, dst lane, pd *pausableDeadline) (rows int, ttfs time.Duration, bytes int64, err error) {
 	start, width := time.Now(), len(vars)
 	ss, err := e.client.SelectRowStream(attemptCtx, endpointURL, query)
 	if err != nil {
@@ -513,7 +524,7 @@ func (e *Executor) dispatch(attemptCtx, parent context.Context, endpointURL, que
 			if rows == 0 {
 				ttfs = time.Since(start)
 			}
-			b := batch{RowBuf: eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}}
+			b := batch{RowBuf: eval.RowBuf{Width: width, N: n, Terms: slab[: n*width : n*width]}, target: dst.target}
 			if slab, n = slab[n*width:], 0; len(slab) == 0 {
 				b.slab = whole // Run recycles it with this batch
 			}

@@ -54,7 +54,7 @@ type armOutcome struct {
 // span and pausable deadline, annotating the span like the pre-hedging
 // attempt path did. A non-nil clock receives the deadline as the dispatch
 // starts.
-func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpointRecord, query string, vars []string, attemptN int, timeout time.Duration, dst *sink, clock chan<- *pausableDeadline) armOutcome {
+func (e *Executor) dispatchArm(ctx context.Context, spanName string, rec *endpointRecord, query string, vars []string, attemptN int, timeout time.Duration, dst lane, clock chan<- *pausableDeadline) armOutcome {
 	// The span wraps the dispatch and rides its context: the endpoint
 	// client reads the span off the context to stamp the outbound
 	// traceparent, so the endpoint's work hangs under exactly this arm
@@ -108,7 +108,7 @@ func (e *Executor) hedgeBackup(t Target) string {
 // unhedged when hedging is off or no replica qualifies, otherwise the
 // primary/backup race described at the top of this file. The returned
 // outcome is the arm whose result the caller should account and report.
-func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord, t Target, attemptN int, query string, vars []string, timeout time.Duration, dst *sink) armOutcome {
+func (e *Executor) dispatchMaybeHedged(ctx context.Context, rec *endpointRecord, t Target, attemptN int, query string, vars []string, timeout time.Duration, dst lane) armOutcome {
 	backup := e.hedgeBackup(t)
 	if backup == "" {
 		return e.dispatchArm(ctx, "attempt", rec, query, vars, attemptN, timeout, dst, nil)

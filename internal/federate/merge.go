@@ -23,13 +23,21 @@ type sink struct {
 	nfree   int
 }
 
-// batch is a run of rows of one slab. slab is set on the batch that holds
-// the last rows of a full-size slab: the whole slab, free again once the
-// batch is delivered, since a worker's batches are delivered in the order
-// it pushed them.
+// lane is one target's way into the fan-out's sink: the batches pushed
+// through it carry the target's index in the request.
+type lane struct {
+	*sink
+	target int
+}
+
+// batch is a run of rows of one slab, from the request's target-th
+// target. slab is set on the batch that holds the last rows of a
+// full-size slab: the whole slab, free again once the batch is delivered,
+// since a worker's batches are delivered in the order it pushed them.
 type batch struct {
 	eval.RowBuf
-	slab []rdf.Term
+	target int
+	slab   []rdf.Term
 }
 
 // push hands b to the fan-out's loop. While the push blocks on a full

@@ -77,7 +77,7 @@ func TestDispatchCanonicalisesAsItDecodes(t *testing.T) {
 	dst := &sink{batches: make(chan batch, batchDepth)}
 	pd := newPausableDeadline(ctx, time.Second)
 	defer pd.Stop()
-	rows, _, _, err := e.dispatch(pd, ctx, "http://e/sparql", reqText, []string{"s", "o"}, dst, pd)
+	rows, _, _, err := e.dispatch(pd, ctx, "http://e/sparql", reqText, []string{"s", "o"}, lane{sink: dst}, pd)
 	close(dst.batches)
 	if err != nil || rows != 2 {
 		t.Fatalf("dispatch = %d rows, %v", rows, err)

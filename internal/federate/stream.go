@@ -87,12 +87,16 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	sem := make(chan struct{}, e.opts.Concurrency)
 	dst := &sink{batches: make(chan batch, batchDepth)}
 	reports := make(chan struct{}, n)
+	lead := batch{RowBuf: req.Lead, target: -1}
 	var m merger
 	// A cancelled fan-out's batches are only drained. A row is valid only
 	// until yield returns, so once the batch is delivered its slab, if
 	// the batch ends one, goes back to the workers.
 	deliver := func(b batch) {
 		if ctx.Err() == nil {
+			if req.Tap != nil && b.target >= 0 {
+				req.Tap(b.target, b.RowBuf)
+			}
 			rows := m.merge(b.RowBuf)
 			for i := 0; i < rows.N && ctx.Err() == nil; i++ {
 				if !yield(rows.Row(i)) {
@@ -107,7 +111,7 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 	next, running := 0, 0
 	start := func() { // target next, on the pool slot just acquired
 		go func(i int, t Target) {
-			answers[i] = e.queryTarget(ctx, req, t, subs[i], dst, sem)
+			answers[i] = e.queryTarget(ctx, req, t, subs[i], lane{dst, i}, sem)
 			// The failed worker cancels, not the loop: the caller may be
 			// inside yield, and no row may follow the abort.
 			if answers[i].Err != nil && e.opts.FailFast {
@@ -138,6 +142,13 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 			continue
 		default:
 		}
+		// The lead rows go first, once the pool is full or every target is
+		// admitted.
+		if lead.N > 0 {
+			deliver(lead)
+			lead.N = 0
+			continue
+		}
 		select {
 		case admit <- struct{}{}:
 			start()
@@ -146,6 +157,9 @@ func (f Fanout) Run(yield func(eval.Row) bool) (*Result, error) {
 		case <-reports:
 			running--
 		}
+	}
+	if lead.N > 0 { // no target to dispatch
+		deliver(lead)
 	}
 	// Every worker has reported, so every batch it pushed is buffered.
 	for len(dst.batches) > 0 {

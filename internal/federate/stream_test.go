@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -430,5 +431,42 @@ func TestStreamMidStreamFailureRetries(t *testing.T) {
 	// Both solutions present exactly once; the retried prefix deduped.
 	if len(res.Solutions) != 2 || res.Duplicates != 1 {
 		t.Fatalf("solutions=%d duplicates=%d", len(res.Solutions), res.Duplicates)
+	}
+}
+
+// TestRunTapsBatchesByTarget: Request.Tap sees every target's rows with
+// the target's index, the duplicate the merge then drops included, on
+// Run's goroutine, while yield sees each merged row once.
+func TestRunTapsBatchesByTarget(t *testing.T) {
+	fc := newFakeClient()
+	fc.on("http://a/sparql", func(context.Context, int) (*eval.Result, error) {
+		return answers("http://x/1", "http://x/2"), nil
+	})
+	fc.on("http://b/sparql", func(context.Context, int) (*eval.Result, error) {
+		return answers("http://x/2", "http://x/3"), nil
+	})
+	e := NewExecutor(fc, nil, nil, fastOpts())
+	r := req(Target{Dataset: "http://a/", Endpoint: "http://a/sparql"},
+		Target{Dataset: "http://b/", Endpoint: "http://b/sparql"})
+	tapped := map[int][]string{}
+	r.Tap = func(target int, rows eval.RowBuf) {
+		for i := range rows.N {
+			tapped[target] = append(tapped[target], rows.Row(i)[0].Value)
+		}
+	}
+	var merged []string
+	res, err := e.Select(context.Background(), r).Run(func(row eval.Row) bool {
+		merged = append(merged, row[0].Value)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]string{0: {"http://x/1", "http://x/2"}, 1: {"http://x/2", "http://x/3"}}
+	if !reflect.DeepEqual(tapped, want) {
+		t.Fatalf("tapped %v, want %v", tapped, want)
+	}
+	if len(merged) != 3 || res.Duplicates != 1 {
+		t.Fatalf("merged %v with %d duplicates, want three rows and one duplicate", merged, res.Duplicates)
 	}
 }

@@ -734,27 +734,34 @@ func serveGraph(w http.ResponseWriter, res *Result, ctype string, explain bool) 
 func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 	qs := res.Bindings()
 	w.Header().Set("Content-Type", ctNDJSON)
-	writeLine := func(line []byte) bool {
-		_, err := w.Write(append(line, '\n'))
-		return err == nil
-	}
+	// The lines go out a block at a time: the first row's at once, then
+	// those up to each of srjson's flush points in one Write, and the rest
+	// with the closing lines. An explicit callback, not a range loop, as
+	// in serveBindings.
 	var (
+		block     []byte
 		streamErr error
-		line      []byte // reused for every row
+		gone      bool // the client went away: nothing more is written
 	)
-	for row, err := range qs.Rows() {
+	qs.Rows()(func(row eval.Row, err error) bool {
 		if err == nil {
-			line, err = srjson.AppendRow(line[:0], qs.Vars(), row)
+			mark := len(block)
+			if block, err = srjson.AppendRow(block, qs.Vars(), row); err != nil {
+				block = block[:mark]
+			}
 		}
 		if err != nil {
 			streamErr = err
-			break
+			return false
 		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return // client gone; leaving the loop stops the upstream work
+		if block, err = srjson.WriteBlock(w, append(block, '\n'), qs.n); err != nil {
+			gone = true
+			return false // stopping stops the upstream work
 		}
-		srjson.FlushAfter(w, qs.n)
+		return true
+	})
+	if gone {
+		return
 	}
 	if streamErr == nil {
 		// A fan-out failure can also surface only in the summary.
@@ -762,13 +769,16 @@ func serveNDJSON(w http.ResponseWriter, res *Result, explain bool) {
 	}
 	if streamErr != nil {
 		if line, err := json.Marshal(map[string]string{"error": streamErr.Error()}); err == nil {
-			writeLine(line)
+			block = append(append(block, line...), '\n')
 		}
 	}
 	if payload := traceTrailer(res, explain); payload != nil {
 		// Distinguishable from a binding line: its one value is the
 		// trailer object, not a {type,value} term.
-		writeLine(append(append([]byte(`{"trace":`), payload...), '}'))
+		block = append(append(append(block, `{"trace":`...), payload...), '}', '\n')
+	}
+	if len(block) > 0 {
+		_, _ = w.Write(block)
 	}
 	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()

@@ -137,6 +137,47 @@ func (o *oracle) answer(t testing.TB, text string) [][]rdf.Term {
 	return out
 }
 
+// divergentUniverse is exampleUniverse with two of KISTI's mirrors
+// differing from the Southampton papers they mirror: the mirror of paper
+// changed[0], one of person 2's, does not list person 2 among its
+// creators, and the mirror of paper changed[1], which person 2 did not
+// write, lists person 2 as a co-author. In person 2's cross-vocabulary
+// query each of the two papers is then returned by one repository only in
+// the sub-query its authorship stage travels in, so that stage still asks
+// the other repository for the paper's authors: KISTI for changed[0],
+// Southampton for changed[1].
+func divergentUniverse() (u *workload.Universe, changed [2]int) {
+	u = exampleUniverse()
+	changed = [2]int{-1, -1}
+	for _, j := range u.MirroredPapers {
+		authors := u.Authors[fmt.Sprint("s", j)]
+		switch wrote := slices.Contains(authors, 2); {
+		case changed[0] < 0 && wrote && len(authors) > 1:
+			changed[0] = j
+		case changed[1] < 0 && !wrote:
+			changed[1] = j
+		}
+	}
+	if changed[0] < 0 || changed[1] < 0 {
+		panic("divergentUniverse: no mirror to change")
+	}
+	typ, info, creator := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.KISTIHasCreatorInfo), rdf.NewIRI(rdf.KISTIHasCreator)
+	paper, person := workload.KistiPaper(changed[0]), workload.KistiPerson(2)
+	for _, ci := range u.KISTI.Objects(paper, info) {
+		if u.KISTI.Has(rdf.Triple{S: ci, P: creator, O: person}) {
+			u.KISTI.Remove(rdf.Triple{S: paper, P: info, O: ci})
+			u.KISTI.Remove(rdf.Triple{S: ci, P: typ, O: rdf.NewIRI(rdf.KISTICreatorInfo)})
+			u.KISTI.Remove(rdf.Triple{S: ci, P: creator, O: person})
+		}
+	}
+	paper = workload.KistiPaper(changed[1])
+	ci := rdf.NewIRI(paper.Value + "/creator-9")
+	u.KISTI.Add(rdf.Triple{S: paper, P: info, O: ci})
+	u.KISTI.Add(rdf.Triple{S: ci, P: typ, O: rdf.NewIRI(rdf.KISTICreatorInfo)})
+	u.KISTI.Add(rdf.Triple{S: ci, P: creator, O: person})
+	return u, changed
+}
+
 // askOf is the ASK over the WHERE clause of a SELECT's text.
 func askOf(text string) string {
 	i := strings.Index(text, "SELECT ")
@@ -264,8 +305,25 @@ func (d diffTemplate) variants() map[string]string {
 // request limit of 1 and of 3, a further slice of the same answer, and
 // each text of a template as an ASK, true when the oracle's answer is not
 // empty.
-func TestMediatorMatchesOracle(t *testing.T) {
-	o := newOracle(t, exampleUniverse(), nil)
+func TestMediatorMatchesOracle(t *testing.T) { matchOracle(t, exampleUniverse(), "") }
+
+// TestDivergentMirrorsMatchOracle drives the cross-vocabulary shapes
+// through every path that takes them over divergentUniverse, where the
+// join stage that travels inside the first stage's sub-query still sends
+// keys to the repository that did not return them there. (A query either
+// repository answers whole runs at each of them alone, and so misses a
+// mirror's author that only the other lists: those shapes stay on the
+// example universe.)
+func TestDivergentMirrorsMatchOracle(t *testing.T) {
+	u, _ := divergentUniverse()
+	matchOracle(t, u, "cross-vocabulary")
+}
+
+// matchOracle is TestMediatorMatchesOracle over the universe u, with the
+// templates whose name begins with only; a path none of them takes is
+// skipped.
+func matchOracle(t *testing.T, u *workload.Universe, only string) {
+	o := newOracle(t, u, nil)
 	both := []string{workload.SotonVoidURI, workload.KistiVoidURI}
 	paths := []diffPath{
 		{name: "explicit targets", targets: both},
@@ -381,7 +439,7 @@ func TestMediatorMatchesOracle(t *testing.T) {
 					h.ServeHTTP(w, r)
 				})
 			}
-			m := exampleFederation(t, count, path.opts...)
+			m := federationOver(t, o.u, count, path.opts...)
 			if path.viewed {
 				selectRows(t, m, workload.CrossVocabularyQuery(3))
 				waitViewsReady(t, m, 3)
@@ -397,6 +455,9 @@ func TestMediatorMatchesOracle(t *testing.T) {
 			}
 			var cases []diffCase
 			for _, tmpl := range templates {
+				if !strings.HasPrefix(tmpl.name, only) {
+					continue
+				}
 				if !slices.Contains(tmpl.paths, path.name) &&
 					!(path.slow > 0 && slices.Contains(tmpl.paths, "planned")) {
 					continue
@@ -430,6 +491,9 @@ func TestMediatorMatchesOracle(t *testing.T) {
 					req.Query, req.Limit = askOf(text), 0
 					cases = append(cases, diffCase{name: name, text: text, req: req, want: oracleFor(tmpl).answer(t, text), ask: true, viewHits: hits(name)})
 				}
+			}
+			if len(cases) == 0 && only != "" {
+				t.Skip("no template of this run takes the path")
 			}
 			if len(cases) == 0 {
 				t.Fatal("no case ran on this path")

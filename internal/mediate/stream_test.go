@@ -218,14 +218,17 @@ func slowReplica(t *testing.T) hungStack {
 		started: func() bool { return s.slowStarted.Load() > 0 }, cancelled: s.slowCancelled}
 }
 
-// kistiShards is the example federation with KISTI holding every bound-join
-// shard (a sub-query carrying VALUES): of the cross-vocabulary query's
-// plan, the last stage's KISTI half hangs while Southampton's rows join.
+// kistiShards is the federation over divergentUniverse with KISTI
+// holding every bound-join shard (a sub-query carrying VALUES): of the
+// cross-vocabulary query's plan about person 2, the last stage's KISTI
+// half — the paper whose authors KISTI did not return in the first
+// stage's sub-query — hangs while the rest joins.
 func kistiShards(t *testing.T) hungStack {
 	var held atomic.Bool
 	cancelled := make(chan struct{})
 	var once sync.Once
-	m := exampleFederation(t, func(dataset string, h http.Handler) http.Handler {
+	u, _ := divergentUniverse()
+	m := federationOver(t, u, func(dataset string, h http.Handler) http.Handler {
 		if dataset != workload.KistiVoidURI {
 			return h
 		}

@@ -33,6 +33,25 @@ func FlushAfter(w io.Writer, n int) {
 	}
 }
 
+// WriteBlock is what a streaming handler that writes its items a block at
+// a time calls once it has appended its n-th item to block: at the flush
+// points StreamEncoder keeps (the first item, then every FlushEvery-th)
+// it writes block to w in one Write, flushes w when w can flush and
+// returns block emptied for the items that follow; elsewhere it returns
+// block as it is.
+func WriteBlock(w io.Writer, block []byte, n int) ([]byte, error) {
+	if !flushPoint(n) {
+		return block, nil
+	}
+	if _, err := w.Write(block); err != nil {
+		return block, err
+	}
+	if f, ok := w.(flusher); ok {
+		f.Flush()
+	}
+	return block[:0], nil
+}
+
 const (
 	// blockSize is the initial capacity of a pooled block: FlushEvery
 	// rows of the usual size.
